@@ -15,16 +15,16 @@
 //! *instrumented* pass: a fresh engine with `attach_obs`, whose report
 //! must equal the detached baseline bit-for-bit (observers change
 //! nothing — the off-means-free contract, enforced here in both
-//! directions). The instrumented pass yields per-thread queue statistics
-//! (mean batch wait/service nanoseconds, mean observed queue depth,
-//! mean dispatcher push time) recorded inside the timing-excluded
-//! `throughput` entries, plus deterministic per-policy fields: the
-//! shard-imbalance skew (`max/mean × 1000` over requests and bytes) and
-//! the merged heavy-hitter `top_videos` table from the per-shard
-//! Space-Saving sketches. `--bundle <path>` additionally writes the
-//! instrumented engines' telemetry bundles (first thread count, one per
-//! policy) as concatenated JSONL — the document CI's report-smoke job
-//! renders and diffs across worker counts.
+//! directions). The instrumented pass yields deterministic per-policy
+//! fields: the shard-imbalance skew (`max/mean × 1000` over requests and
+//! bytes) and the merged heavy-hitter `top_videos` table from the
+//! per-shard Space-Saving sketches. The engine has no queues, so there
+//! are no queue statistics to report: the timing-excluded `throughput`
+//! entries carry wall-clock throughput only. `--bundle <path>`
+//! additionally writes the instrumented engines' telemetry bundles
+//! (first thread count, one per policy) as concatenated JSONL — the
+//! document CI's report-smoke job renders and diffs across worker
+//! counts.
 //!
 //! `--check <file>` re-verifies the deterministic fields against a
 //! previously written document via the shared baseline machinery —
@@ -60,16 +60,11 @@ use vcdn_types::{ChunkId, ChunkSize, CostModel, Request};
 /// bucket.
 const TIMING: [&str; 3] = ["threads", "throughput", "cores"];
 
-/// One (thread count → best wall seconds) measurement plus the queue
-/// statistics of that thread count's instrumented pass (all wall-clock,
+/// One (thread count → best wall seconds) measurement (wall-clock,
 /// reported only inside timing-excluded fields).
 struct Throughput {
     threads: usize,
     best_secs: f64,
-    queue_wait_ns_mean: f64,
-    queue_service_ns_mean: f64,
-    queue_depth_mean: f64,
-    dispatch_push_ns_mean: f64,
 }
 
 /// One merged heavy-hitter row (video, Space-Saving count and error).
@@ -168,8 +163,7 @@ fn sweep_policy(
         }
         // One instrumented pass per thread count: same trace through a
         // fresh observed engine. Its report must equal the detached
-        // baseline (off means free, observed means unchanged), and its
-        // registry yields the queue statistics for this thread count.
+        // baseline (off means free, observed means unchanged).
         let registry = Arc::new(MetricsRegistry::new());
         let sink: Arc<dyn MetricsSink> = registry.clone();
         let mut engine = engine_for(algo, per_shard, shards, disk, k, costs);
@@ -181,23 +175,6 @@ fn sweep_policy(
             "{}: instrumentation changed the accounting at {t} thread(s)",
             algo.name()
         );
-        let snap = registry.snapshot(false);
-        let hist_mean = |suffix: &str| {
-            let (mut count, mut sum) = (0u64, 0u64);
-            for m in &snap {
-                if m.name.ends_with(suffix) {
-                    if let Some(h) = &m.histogram {
-                        count += h.count;
-                        sum += h.sum;
-                    }
-                }
-            }
-            if count == 0 {
-                0.0
-            } else {
-                sum as f64 / count as f64
-            }
-        };
         if sweep.is_empty() {
             // First thread count: keep the sketch table and the bundle.
             top_videos = merge_top_videos(&observed);
@@ -213,10 +190,6 @@ fn sweep_policy(
         sweep.push(Throughput {
             threads: t,
             best_secs,
-            queue_wait_ns_mean: hist_mean(".span.batch_wait_ns"),
-            queue_service_ns_mean: hist_mean(".span.batch_service_ns"),
-            queue_depth_mean: hist_mean(".span.queue_depth_batches"),
-            dispatch_push_ns_mean: hist_mean(".engine.span.dispatch_push_ns"),
         });
     }
     PolicyRun {
@@ -295,19 +268,6 @@ fn json_of(shape: &RunShape<'_>, rows: &[PolicyRun]) -> Json {
                             Json::Float(requests as f64 / t.best_secs),
                         ),
                         ("speedup_vs_first".into(), Json::Float(base / t.best_secs)),
-                        (
-                            "queue_wait_ns_mean".into(),
-                            Json::Float(t.queue_wait_ns_mean),
-                        ),
-                        (
-                            "queue_service_ns_mean".into(),
-                            Json::Float(t.queue_service_ns_mean),
-                        ),
-                        ("queue_depth_mean".into(), Json::Float(t.queue_depth_mean)),
-                        (
-                            "dispatch_push_ns_mean".into(),
-                            Json::Float(t.dispatch_push_ns_mean),
-                        ),
                     ])
                 })
                 .collect();

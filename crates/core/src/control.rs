@@ -155,17 +155,7 @@ impl CachePolicy for ControlledCafeCache {
         let k = self.inner.chunk_size().bytes();
         let chunks = request.chunk_len(self.inner.chunk_size());
         let decision = self.inner.handle_request(request);
-        match &decision {
-            Decision::Serve(o) => {
-                self.window_traffic.record_hit(o.hit_chunks * k);
-                self.window_traffic.record_fill(o.filled_chunks * k);
-                self.window_traffic.served_requests += 1;
-            }
-            Decision::Redirect => {
-                self.window_traffic.record_redirect(chunks * k);
-                self.window_traffic.redirected_requests += 1;
-            }
-        }
+        self.window_traffic.record_decision(&decision, chunks, k);
         decision
     }
 

@@ -1,19 +1,22 @@
 //! `lock-discipline`: the DESIGN.md §7 lock model for `vcdn_sim`.
 //!
-//! The sharded engine keeps deadlock-freedom by construction: every
-//! mutex scope is leaf-level. Concretely, per function:
+//! `vcdn_sim` keeps deadlock-freedom by construction: every mutex scope
+//! is leaf-level. The sharded engine itself holds no locks at all (every
+//! worker scans the trace and serves the shards it owns); the live
+//! subject today is the grid runner's per-cell job and result slots
+//! (`crates/sim/src/runner.rs`). Concretely, per function:
 //!
 //! * **No nested acquisition** — while a guard from `x.lock()` is live
 //!   in the current scope, no other `.lock()` may be evaluated (this
-//!   subsumes the "dispatcher queue mutex never while a shard lock is
-//!   held" ordering rule, and bans double-locking the same mutex, which
-//!   self-deadlocks on std's non-reentrant `Mutex`).
+//!   makes any lock-ordering rule unnecessary, and bans double-locking
+//!   the same mutex, which self-deadlocks on std's non-reentrant
+//!   `Mutex`).
 //! * **Paired condvar waits** — `.wait(guard)` / `.wait_timeout` /
 //!   `.wait_while` must consume a guard that is live in scope, and the
 //!   condvar must hang off the same base object as the guard's mutex
-//!   (`self.can_push.wait(st)` with `st = self.state.lock()` is the
-//!   engine's `BatchQueue` pattern: one mutex per struct, so same-object
-//!   pairing is exact).
+//!   (`self.can_push.wait(st)` with `st = self.state.lock()`: one mutex
+//!   per struct, so same-object pairing is exact). No library code waits
+//!   on a condvar today; the check guards the pattern's return.
 //!
 //! Guards die at end of scope or at an explicit `drop(guard)`. Scope:
 //! library code of `crates/sim` (the only crate with locks).

@@ -139,12 +139,13 @@ ALLOW Flows that are provably order-independent beyond the recognized
         explain: "\
 WHAT  In crates/sim library code: while a mutex guard from x.lock() is
       live in scope, no other .lock() may be taken (leaf-level scopes —
-      this subsumes the DESIGN.md §7 order 'never the dispatcher queue
-      mutex while a shard lock is held' and bans self-deadlocking
-      double-locks); Condvar.wait(guard) must consume a guard that is
+      no lock-ordering rule is needed, and self-deadlocking double-locks
+      are banned); Condvar.wait(guard) must consume a guard that is
       live in the same scope and belongs to the same object as the
-      condvar (the BatchQueue state/can_push/can_pop pattern).
-WHY   The engine's deadlock-freedom argument is structural: every lock
+      condvar (a state/can_push/can_pop struct waits only on its own
+      mutex's guard). The sharded engine holds no locks; the live
+      subject is the grid runner's per-cell slots (runner.rs).
+WHY   The crate's deadlock-freedom argument is structural: every lock
       scope is a leaf, so no lock-order cycle can exist. One nested
       acquire silently reintroduces the possibility; a condvar waiting
       under a foreign mutex loses its wakeups.

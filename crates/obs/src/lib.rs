@@ -15,9 +15,8 @@
 //!   fill/redirect byte rates, occupancy and cache age per fixed interval
 //!   of trace time.
 //! * **Spans** — deterministic stage accounting for the sharded engine's
-//!   dispatch → queue → shard-decide → evict pipeline, driven by a
-//!   logical dispatch clock ([`span`]); wall-clock stage timings stay
-//!   `TimingHistogram`s and never export.
+//!   dispatch → shard-decide → evict stages, driven by a logical
+//!   dispatch clock — a request's trace index ([`span`]).
 //! * **Heavy hitters** — a per-shard Space-Saving top-K sketch
 //!   ([`topk::SpaceSaving`]) surfacing the hottest videos with certified
 //!   error bounds, deterministically tie-broken.
@@ -53,6 +52,6 @@ pub use histogram::HistogramSnapshot;
 pub use policy_obs::PolicyObs;
 pub use registry::{MetricId, MetricKind, MetricSnapshot, MetricsRegistry, MetricsSink, NoopSink};
 pub use sampler::{ReplaySampler, SeriesSample};
-pub use span::{DispatchSpans, ShardSpans, SpanStage, WorkerTimings};
+pub use span::{DispatchSpans, ShardSpans};
 pub use topk::{SpaceSaving, TopKEntry, TopKRecord};
 pub use window::{merge_windows, WindowInput, WindowRecord, WindowRing, WindowStats};

@@ -1,74 +1,51 @@
 //! Deterministic span/stage accounting for the request lifecycle:
-//! dispatch → queue → shard-decide → evict.
+//! dispatch → shard-decide → evict.
 //!
-//! The sharded engine is a pipeline: a dispatcher routes each request to
-//! its shard's owning worker queue, the worker decides it on the shard,
-//! and some decisions evict. Wall-clock timings of those stages are
-//! machine- and schedule-dependent, so they can never appear in exported
-//! bundles (the repo-wide rule: non-deterministic values are
-//! [`MetricKind::TimingHistogram`], which snapshots exclude). This module
-//! splits the accounting into the two planes explicitly:
+//! The sharded engine has no dispatcher thread and no queues: every worker
+//! scans the trace and serves the shards it owns. What survives of the
+//! pipeline is its *logical* shape, and that is all this module records.
+//! Everything is derived from a logical dispatch clock — **a request's
+//! trace index is its dispatch tick** — so every exported value is a pure
+//! function of the input stream and identical for any worker count. There
+//! is no wall-clock plane: nothing here reads a clock, and every metric is
+//! a deterministic kind that bundles export.
 //!
-//! * **Logical plane** ([`DispatchSpans`], [`ShardSpans`]) — everything
-//!   is derived from a *logical dispatch clock*: one tick per dispatched
-//!   request, assigned by the single-threaded dispatcher in trace order,
-//!   so every exported value is a pure function of the input stream and
-//!   identical for any worker count.
+//! * [`DispatchSpans`] — one per shard stream, recorded by the shard's
+//!   owner with the request's tick:
 //!   - `{scope}.engine.span.dispatched_total` — requests entering the
-//!     dispatch stage.
+//!     engine (one shared counter, added to atomically by whichever
+//!     worker served the request).
 //!   - `{scope}.s{i:02}.span.queue_gap` — per-stream histogram of the
 //!     logical gap (in global dispatch ticks) between consecutive
 //!     arrivals at stream `i`: a deterministic proxy for how bursty a
-//!     shard's queue feed is.
+//!     shard's feed is.
 //!   - `{scope}.s{i:02}.span.load_share_x1000` — the stream's running
 //!     share of all dispatched requests, ×1000.
+//! * [`ShardSpans`] — decide and evict stage counters:
 //!   - `{scope}.s{i:02}.span.processed_total` — requests that completed
 //!     the shard-decide stage on shard `i`.
 //!   - `{scope}.s{i:02}.span.evict_events_total` — decisions that
 //!     reached the evict stage (evicted ≥ 1 chunk).
 //!
-//!   Conservation: at quiescence, `dispatched_total` equals the sum of
-//!   per-shard `processed_total` — every dispatched request is decided
-//!   exactly once (`obs_check` verifies this on engine bundles).
-//!
-//! * **Wall-clock plane** ([`WorkerTimings`]) — per-worker batch wait
-//!   and service times and observed queue depths, all registered as
-//!   [`MetricKind::TimingHistogram`] so they are visible to live
-//!   snapshots (`snapshot(false)`) and the contention bench's
-//!   timing-excluded JSON fields, but never to bundles.
+//! Conservation: at quiescence, `dispatched_total` equals the sum of
+//! per-shard `processed_total` — every dispatched request is decided
+//! exactly once (`obs_check` verifies this on engine bundles).
 
 use std::sync::Arc;
 
 use crate::registry::{MetricId, MetricKind, MetricsSink};
 
-/// The pipeline stages a request is attributed to.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum SpanStage {
-    /// Routed by the dispatcher.
-    Dispatch,
-    /// Waiting in (or logically traversing) a worker queue.
-    Queue,
-    /// Decided on its owning shard.
-    Decide,
-    /// The decision evicted at least one chunk.
-    Evict,
-}
-
-impl SpanStage {
-    /// Short lowercase stage name used in metric names and reports.
-    pub fn name(self) -> &'static str {
-        match self {
-            SpanStage::Dispatch => "dispatch",
-            SpanStage::Queue => "queue",
-            SpanStage::Decide => "decide",
-            SpanStage::Evict => "evict",
-        }
-    }
-}
-
-/// Per-stream state of the dispatcher's logical accounting.
-struct StreamSpan {
-    /// Last dispatch tick assigned to this stream, plus one (0 = never).
+/// One shard stream's dispatch-stage accounting on the logical clock:
+/// its arrival count, last tick, queue-gap histogram and load-share
+/// gauge, plus a handle on the engine-wide `dispatched_total` counter.
+///
+/// Owned and mutated by the one worker that owns the shard, which is what
+/// keeps the exported values worker-count-invariant; only
+/// `dispatched_total` is shared, and it is a commutative atomic add.
+#[derive(Debug)]
+pub struct DispatchSpans {
+    dispatched: MetricId,
+    /// Last dispatch tick seen on this stream, plus one (0 = never).
     last_plus1: u64,
     /// Requests dispatched to this stream so far.
     count: u64,
@@ -76,30 +53,19 @@ struct StreamSpan {
     load_share: MetricId,
 }
 
-/// Dispatcher-side logical-clock accounting: owns the global dispatch
-/// clock and the per-stream queue-gap/load-share metrics.
-///
-/// Single-threaded by design — the engine's dispatcher is the only
-/// caller, which is exactly what makes the exported values
-/// worker-count-invariant. The clock persists across runs of the same
-/// engine (warm continuation keeps accumulating).
-pub struct DispatchSpans {
-    sink: Arc<dyn MetricsSink>,
-    dispatched: MetricId,
-    clock: u64,
-    streams: Vec<StreamSpan>,
-}
-
 impl DispatchSpans {
     /// Registers the dispatch-stage metrics for `streams` shard streams
-    /// under `scope` (the same scope the engine's other metrics use).
-    pub fn attach(sink: &Arc<dyn MetricsSink>, scope: &str, streams: usize) -> DispatchSpans {
+    /// under `scope` (the same scope the engine's other metrics use) —
+    /// `dispatched_total` first, then each stream's pair in stream order —
+    /// and returns one accountant per stream.
+    pub fn attach(sink: &Arc<dyn MetricsSink>, scope: &str, streams: usize) -> Vec<DispatchSpans> {
         let dispatched = sink.register(
             &format!("{scope}.engine.span.dispatched_total"),
             MetricKind::Counter,
         );
-        let streams = (0..streams)
-            .map(|i| StreamSpan {
+        (0..streams)
+            .map(|i| DispatchSpans {
+                dispatched,
                 last_plus1: 0,
                 count: 0,
                 queue_gap: sink.register(
@@ -111,40 +77,24 @@ impl DispatchSpans {
                     MetricKind::Gauge,
                 ),
             })
-            .collect();
-        DispatchSpans {
-            sink: Arc::clone(sink),
-            dispatched,
-            clock: 0,
-            streams,
-        }
+            .collect()
     }
 
-    /// Ticks the global dispatch clock for a request routed to `stream`:
-    /// counts the dispatch stage, observes the stream's logical queue gap
-    /// and updates its load-share gauge.
+    /// Records the request with global dispatch tick `tick` (its trace
+    /// index over the engine's lifetime) arriving on this stream: counts
+    /// the dispatch stage, observes the stream's logical queue gap and
+    /// updates its load-share gauge. Returns the gap — the first arrival
+    /// measures its distance from the stream's start.
     ///
-    /// # Panics
-    ///
-    /// Panics if `stream` is out of range.
-    pub fn record(&mut self, stream: usize) {
-        let tick = self.clock;
-        self.clock += 1;
-        self.sink.counter_add(self.dispatched, 1);
-        let st = &mut self.streams[stream];
-        // First arrival measures its distance from the stream's start.
-        let gap = tick + 1 - st.last_plus1;
-        st.last_plus1 = tick + 1;
-        st.count += 1;
-        self.sink.observe(st.queue_gap, gap);
-        self.sink
-            .gauge_set(st.load_share, st.count * 1000 / (tick + 1));
-    }
-
-    /// Total dispatch ticks so far (requests routed over the engine's
-    /// lifetime).
-    pub fn clock(&self) -> u64 {
-        self.clock
+    /// Ticks must increase across calls on one stream.
+    pub fn record(&mut self, sink: &dyn MetricsSink, tick: u64) -> u64 {
+        let gap = tick + 1 - self.last_plus1;
+        self.last_plus1 = tick + 1;
+        self.count += 1;
+        sink.counter_add(self.dispatched, 1);
+        sink.observe(self.queue_gap, gap);
+        sink.gauge_set(self.load_share, self.count * 1000 / (tick + 1));
+        gap
     }
 }
 
@@ -182,38 +132,6 @@ impl ShardSpans {
     }
 }
 
-/// Per-worker wall-clock stage timings: batch wait (time blocked in the
-/// queue pop), batch service (time deciding the batch) and the queue
-/// depth observed at each pop. All three are
-/// [`MetricKind::TimingHistogram`] — never exported in bundles, by the
-/// determinism rule — registered as `{scope}.w{w:02}.span.*`.
-#[derive(Debug, Clone)]
-pub struct WorkerTimings {
-    batch_wait_ns: MetricId,
-    batch_service_ns: MetricId,
-    queue_depth: MetricId,
-}
-
-impl WorkerTimings {
-    /// Registers worker `w`'s timing histograms under `scope`.
-    pub fn attach(sink: &Arc<dyn MetricsSink>, scope: &str, w: usize) -> WorkerTimings {
-        let name = |metric: &str| format!("{scope}.w{w:02}.span.{metric}");
-        WorkerTimings {
-            batch_wait_ns: sink.register(&name("batch_wait_ns"), MetricKind::TimingHistogram),
-            batch_service_ns: sink.register(&name("batch_service_ns"), MetricKind::TimingHistogram),
-            queue_depth: sink.register(&name("queue_depth_batches"), MetricKind::TimingHistogram),
-        }
-    }
-
-    /// Records one consumed batch: nanoseconds blocked waiting for it,
-    /// nanoseconds spent deciding it, and the queue depth left behind.
-    pub fn record_batch(&self, sink: &dyn MetricsSink, wait_ns: u64, service_ns: u64, depth: u64) {
-        sink.observe(self.batch_wait_ns, wait_ns);
-        sink.observe(self.batch_service_ns, service_ns);
-        sink.observe(self.queue_depth, depth);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -233,29 +151,21 @@ mod tests {
             .value
     }
 
-    #[test]
-    fn stage_names() {
-        let names: Vec<&str> = [
-            SpanStage::Dispatch,
-            SpanStage::Queue,
-            SpanStage::Decide,
-            SpanStage::Evict,
-        ]
-        .iter()
-        .map(|s| s.name())
-        .collect();
-        assert_eq!(names, vec!["dispatch", "queue", "decide", "evict"]);
+    /// Feeds the stream sequence through per-stream accountants the way
+    /// the engine does: position in the sequence is the dispatch tick.
+    fn dispatch(sink: &Arc<dyn MetricsSink>, streams: usize, seq: &[usize]) -> Vec<u64> {
+        let mut spans = DispatchSpans::attach(sink, "e", streams);
+        seq.iter()
+            .enumerate()
+            .map(|(tick, &s)| spans[s].record(sink.as_ref(), tick as u64))
+            .collect()
     }
 
     #[test]
     fn dispatch_conserves_and_shares_sum() {
         let (reg, sink) = registry();
-        let mut spans = DispatchSpans::attach(&sink, "e", 2);
-        // Streams: 0,0,1,0 — clock ticks 0..4.
-        for s in [0usize, 0, 1, 0] {
-            spans.record(s);
-        }
-        assert_eq!(spans.clock(), 4);
+        // Streams: 0,0,1,0 — ticks 0..4.
+        dispatch(&sink, 2, &[0, 0, 1, 0]);
         assert_eq!(value(&reg, "e.engine.span.dispatched_total"), 4);
         // Stream 0 got 3 of 4 → share 750; stream 1 got 1 of 3 at its
         // last update (tick 2) → share 333.
@@ -266,10 +176,10 @@ mod tests {
     #[test]
     fn queue_gap_measures_logical_interarrival() {
         let (reg, sink) = registry();
-        let mut spans = DispatchSpans::attach(&sink, "e", 2);
-        for s in [0usize, 1, 1, 0] {
-            spans.record(s);
-        }
+        let gaps = dispatch(&sink, 2, &[0, 1, 1, 0]);
+        // Stream 0: gaps 1 (tick 0, first) and 3 (tick 3 − tick 0).
+        // Stream 1: gaps 2 (tick 1, first) and 1 (tick 2 − tick 1).
+        assert_eq!(gaps, vec![1, 2, 1, 3]);
         let snap = reg.snapshot(false);
         let hist = |name: &str| {
             snap.iter()
@@ -277,11 +187,9 @@ mod tests {
                 .and_then(|m| m.histogram.clone())
                 .unwrap_or_else(|| panic!("histogram {name} missing"))
         };
-        // Stream 0: gaps 1 (tick 0, first) and 3 (tick 3 − tick 0).
         let s0 = hist("e.s00.span.queue_gap");
         assert_eq!(s0.count, 2);
         assert_eq!(s0.sum, 4);
-        // Stream 1: gaps 2 (tick 1, first) and 1 (tick 2 − tick 1).
         let s1 = hist("e.s01.span.queue_gap");
         assert_eq!(s1.count, 2);
         assert_eq!(s1.sum, 3);
@@ -299,26 +207,10 @@ mod tests {
     }
 
     #[test]
-    fn worker_timings_are_timing_kind_and_never_deterministic() {
-        let (reg, sink) = registry();
-        let tm = WorkerTimings::attach(&sink, "e", 0);
-        tm.record_batch(sink.as_ref(), 100, 2000, 3);
-        // Visible to the live snapshot…
-        assert_eq!(value(&reg, "e.w00.span.batch_wait_ns"), 1);
-        // …but excluded from every deterministic export.
-        assert!(reg
-            .snapshot(true)
-            .iter()
-            .all(|m| !m.name.contains(".w00.span.")));
-    }
-
-    #[test]
     fn logical_plane_is_fully_deterministic_kind() {
         let (reg, sink) = registry();
-        let mut d = DispatchSpans::attach(&sink, "e", 4);
-        for i in 0..16 {
-            d.record(i % 4);
-        }
+        let seq: Vec<usize> = (0..16).map(|i| i % 4).collect();
+        dispatch(&sink, 4, &seq);
         for i in 0..4 {
             ShardSpans::attach(&sink, "e", i).record(sink.as_ref(), i % 2 == 0);
         }

@@ -274,8 +274,10 @@ pub struct WindowInput {
     pub evicted_chunks: u64,
     /// Request size in chunks (fed to the request-size sketch).
     pub request_chunks: u64,
-    /// Logical queue gap in dispatch ticks, when a dispatcher exists
-    /// (`None` for unsharded replays — the gap sketch stays empty).
+    /// Logical queue gap in dispatch ticks (trace positions since the
+    /// stream's previous request) when the stream is one shard of a
+    /// sharded engine; `None` for unsharded replays — the gap sketch
+    /// stays empty.
     pub queue_gap: Option<u64>,
 }
 

@@ -14,24 +14,32 @@
 //!   [`vcdn_types::fasthash::shard_for`] ([`shard_of_video`],
 //!   [`shard_of_chunk`]), so no chunk is ever cached twice and no policy
 //!   state is ever shared.
-//! * **Request feed.** [`ShardedEngine::run`] dispatches the trace in
-//!   order through per-worker [`BatchQueue`]s (bounded, `Mutex` +
-//!   `Condvar`, batch-granular to amortise lock traffic; buffers are
-//!   recycled so the steady state allocates nothing). Shard `s` is
-//!   statically owned by worker `s % workers`, so each shard's requests
-//!   are consumed by exactly one thread, in dispatch order.
+//! * **Request feed.** There is none to speak of: every worker scans the
+//!   whole request slice, hashes each request to its shard
+//!   ([`shard_of_video`], a few nanoseconds) and serves the ones whose
+//!   shard it owns. Shard `s` is statically owned by worker `s % workers`,
+//!   resolved once per run into a shard → (worker, slot) table, so each
+//!   shard's requests are consumed by exactly one thread, in trace order.
+//!   No dispatcher, no queues, no hand-off — re-hashing a request on every
+//!   worker is cheaper than any way of telling another thread about it.
+//!   The calling thread is worker 0; one worker is the same loop with no
+//!   thread spawned.
 //! * **Determinism by construction.** Because shards are independent and
 //!   each shard's request sub-stream is processed in trace order by a
 //!   single owner, per-shard byte counters are bit-identical for *any*
 //!   worker count — the invariant `runner_determinism.rs` and
-//!   `prop_engine.rs` pin. Timing is the only thing workers change.
-//! * **Lock discipline.** The only locks in the engine are the per-worker
-//!   queue mutexes; they guard index batches, never policy state. A shard
-//!   is touched by exactly one thread per run, and the dispatcher never
-//!   touches shards at all. Metrics aggregate through `vcdn-obs` atomic
-//!   sinks ([`ShardedEngine::attach_obs`]): per-shard scoped counters plus
-//!   engine-level totals, each update a single atomic RMW, so a snapshot
-//!   taken at quiescence is consistent with the per-shard reports.
+//!   `prop_engine.rs` pin. The logical dispatch clock needs no thread of
+//!   its own either: a request's trace index **is** its dispatch tick.
+//! * **No locks.** A shard is touched by exactly one thread per run and
+//!   nothing else is mutable while workers run. Metrics aggregate through
+//!   `vcdn-obs` atomic sinks ([`ShardedEngine::attach_obs`]): per-shard
+//!   scoped counters plus engine-level totals, each update a single
+//!   atomic RMW, so a snapshot taken at quiescence is consistent with the
+//!   per-shard reports.
+//! * **Failure.** A panicking shard policy (or a failed invariant check)
+//!   unwinds its worker; the other workers run to the end of the slice —
+//!   they wait on nothing — and the panic then propagates out of
+//!   [`ShardedEngine::run`]. Never a hang.
 //!
 //! # Examples
 //!
@@ -51,12 +59,10 @@
 //! assert_eq!(report.total_requests() as usize, trace.len());
 //! ```
 
-use std::collections::VecDeque;
 use std::fmt;
-use std::sync::{Arc, Condvar, Mutex, PoisonError};
-use std::time::Instant;
+use std::sync::Arc;
 
-use vcdn_obs::span::{DispatchSpans, ShardSpans, WorkerTimings};
+use vcdn_obs::span::{DispatchSpans, ShardSpans};
 use vcdn_obs::topk::{SpaceSaving, TopKEntry, TopKRecord};
 use vcdn_obs::window::{merge_windows, WindowInput, WindowRecord, WindowRing, WindowStats};
 
@@ -169,12 +175,6 @@ pub struct EngineConfig {
     /// Fraction of the trace horizon after which steady-state accounting
     /// begins (paper: 0.5 — the second half).
     pub steady_after: f64,
-    /// Requests per dispatch batch: the feed hands indices to workers in
-    /// batches of this size to amortise queue locking.
-    pub batch: usize,
-    /// Batches a worker's queue holds before the feed blocks
-    /// (backpressure bound).
-    pub queue_depth: usize,
     /// Verify policy invariants (capacity, serve completeness) after
     /// every request; cheap, on by default.
     pub check_invariants: bool,
@@ -216,8 +216,6 @@ impl EngineConfig {
             chunk_size,
             costs,
             steady_after: 0.5,
-            batch: 256,
-            queue_depth: 8,
             check_invariants: true,
             topk: 8,
             window: DurationMs::HOUR,
@@ -247,18 +245,6 @@ impl EngineConfig {
             "steady_after must be in [0, 1)"
         );
         self.steady_after = fraction;
-        self
-    }
-
-    /// Overrides the dispatch batch size (clamped to at least 1).
-    pub fn with_batch(mut self, batch: usize) -> Self {
-        self.batch = batch.max(1);
-        self
-    }
-
-    /// Overrides the per-worker queue depth (clamped to at least 1).
-    pub fn with_queue_depth(mut self, depth: usize) -> Self {
-        self.queue_depth = depth.max(1);
         self
     }
 
@@ -304,103 +290,11 @@ impl EngineConfig {
     }
 }
 
-/// A bounded multi-producer queue of request-index batches.
-///
-/// Producers block while the queue holds `depth` batches (backpressure);
-/// the consumer blocks while it is empty and open. Batch buffers are
-/// recycled through a free list so a steady-state run allocates nothing
-/// per batch. Closing wakes the consumer to drain and exit.
-struct BatchQueue {
-    state: Mutex<QueueState>,
-    can_push: Condvar,
-    can_pop: Condvar,
-    depth: usize,
-}
-
-struct QueueState {
-    batches: VecDeque<Vec<u32>>,
-    free: Vec<Vec<u32>>,
-    closed: bool,
-}
-
-impl BatchQueue {
-    fn new(depth: usize) -> BatchQueue {
-        BatchQueue {
-            state: Mutex::new(QueueState {
-                batches: VecDeque::with_capacity(depth),
-                free: Vec::with_capacity(depth),
-                closed: false,
-            }),
-            can_push: Condvar::new(),
-            can_pop: Condvar::new(),
-            depth,
-        }
-    }
-
-    /// Enqueues the contents of `buf`, swapping it for an empty (possibly
-    /// recycled) buffer. Blocks while the queue is full.
-    fn push(&self, buf: &mut Vec<u32>) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        while st.batches.len() >= self.depth {
-            st = self
-                .can_push
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-        let replacement = st.free.pop().unwrap_or_default();
-        let full = std::mem::replace(buf, replacement);
-        st.batches.push_back(full);
-        drop(st);
-        self.can_pop.notify_one();
-    }
-
-    /// Marks the queue closed; the consumer drains what remains and then
-    /// sees `None`.
-    fn close(&self) {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        st.closed = true;
-        drop(st);
-        self.can_pop.notify_one();
-    }
-
-    /// Dequeues the oldest batch, blocking while the queue is empty and
-    /// open. Returns the batch plus the depth left behind (batches still
-    /// queued), or `None` once the queue is closed and drained.
-    fn pop(&self) -> Option<(Vec<u32>, usize)> {
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        loop {
-            if let Some(batch) = st.batches.pop_front() {
-                let depth = st.batches.len();
-                drop(st);
-                self.can_push.notify_one();
-                return Some((batch, depth));
-            }
-            if st.closed {
-                return None;
-            }
-            st = self
-                .can_pop
-                .wait(st)
-                .unwrap_or_else(PoisonError::into_inner);
-        }
-    }
-
-    /// Returns an emptied batch buffer to the free list for reuse.
-    fn recycle(&self, mut buf: Vec<u32>) {
-        buf.clear();
-        let mut st = self.state.lock().unwrap_or_else(PoisonError::into_inner);
-        if st.free.len() < self.depth {
-            st.free.push(buf);
-        }
-    }
-}
-
 /// Engine-level aggregate metric handles: one atomic counter per traffic
 /// bucket, updated by whichever worker handled the request. Totals equal
 /// the sum of per-shard counters in any quiescent snapshot.
 struct EngineObs {
     sink: Arc<dyn MetricsSink>,
-    scope: String,
     served: MetricId,
     redirected: MetricId,
     hit_chunks: MetricId,
@@ -411,9 +305,6 @@ struct EngineObs {
     /// requested-byte totals, refreshed at the end of every run.
     skew_requests: MetricId,
     skew_bytes: MetricId,
-    /// Wall-clock time the dispatcher spends blocked pushing a batch
-    /// (backpressure). Timing kind: never exported in bundles.
-    dispatch_push_ns: MetricId,
 }
 
 impl EngineObs {
@@ -428,10 +319,7 @@ impl EngineObs {
             evicted_chunks: sink.register(&name("evicted_chunks_total"), MetricKind::Counter),
             skew_requests: sink.register(&name("span.skew_requests_x1000"), MetricKind::Gauge),
             skew_bytes: sink.register(&name("span.skew_bytes_x1000"), MetricKind::Gauge),
-            dispatch_push_ns: sink
-                .register(&name("span.dispatch_push_ns"), MetricKind::TimingHistogram),
             sink: Arc::clone(sink),
-            scope: scope.to_string(),
         }
     }
 }
@@ -445,6 +333,10 @@ struct EngineShard {
     requests: u64,
     /// Decide/evict stage counters; present only while observed.
     spans: Option<ShardSpans>,
+    /// The shard stream's dispatch-stage accounting on the logical clock
+    /// (queue gap, load share); present only while observed. Its gap also
+    /// feeds the window ring's queue-gap sketch.
+    dispatch: Option<DispatchSpans>,
     /// Heavy-hitter sketch over the shard's video stream; present only
     /// while observed and `cfg.topk > 0` (off means free).
     topk: Option<SpaceSaving>,
@@ -453,10 +345,6 @@ struct EngineShard {
     /// flushed mid-lifetime: warm continuation keeps feeding the open
     /// window, and reports merge non-destructive snapshots.
     window: Option<WindowRing>,
-    /// Dispatch tick (+1) of the shard's last request, for the logical
-    /// queue-gap sketch: the first arrival measures its distance from
-    /// the stream start, matching [`DispatchSpans`] semantics.
-    last_tick_plus1: u64,
 }
 
 /// Per-run context shared (immutably) by every worker.
@@ -469,10 +357,10 @@ struct RunCtx<'a> {
 }
 
 /// Handles one request on its owning shard: decide, verify, account.
-/// `tick` is the request's global dispatch index (trace order), used for
-/// the window plane's logical queue-gap sketch. This — plus
-/// [`shard_of_video`] in the dispatch loop — is the engine's per-request
-/// path: no allocation, no map churn, no locks.
+/// `tick` is the request's global dispatch index (trace order) — the
+/// logical clock behind the span plane and the window plane's queue-gap
+/// sketch. This — plus [`shard_of_video`] in the scan loop — is the
+/// engine's per-request path: no allocation, no map churn, no locks.
 // lint: hot
 fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'_>) {
     let chunks = request.chunk_len(ctx.chunk_size);
@@ -481,12 +369,7 @@ fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'
     if let Some(sketch) = shard.topk.as_mut() {
         sketch.record(ChunkId::new(request.video, 0).packed());
     }
-    if let (Some(spans), Some(obs)) = (&shard.spans, ctx.obs) {
-        let evicted = matches!(&decision, Decision::Serve(o) if !o.evicted.is_empty());
-        spans.record(obs.sink.as_ref(), evicted);
-    }
-    let in_steady = request.t >= ctx.steady_from;
-    match &decision {
+    let (hit_chunks, filled_chunks, evicted_chunks) = match &decision {
         Decision::Serve(o) => {
             if ctx.check_invariants {
                 assert_eq!(
@@ -501,50 +384,39 @@ fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'
                     shard.policy.name()
                 );
             }
-            let hit_b = o.hit_chunks.saturating_mul(ctx.k_bytes);
-            let fill_b = o.filled_chunks.saturating_mul(ctx.k_bytes);
-            shard.overall.record_hit(hit_b);
-            shard.overall.record_fill(fill_b);
-            shard.overall.served_requests += 1;
-            if in_steady {
-                shard.steady.record_hit(hit_b);
-                shard.steady.record_fill(fill_b);
-                shard.steady.served_requests += 1;
-            }
-            if let Some(obs) = ctx.obs {
-                obs.sink.counter_add(obs.served, 1);
-                obs.sink.counter_add(obs.hit_chunks, o.hit_chunks);
-                obs.sink.counter_add(obs.fill_chunks, o.filled_chunks);
-                obs.sink
-                    .counter_add(obs.evicted_chunks, o.evicted.len() as u64);
-            }
+            (o.hit_chunks, o.filled_chunks, o.evicted.len() as u64)
         }
-        Decision::Redirect => {
-            let red_b = chunks.saturating_mul(ctx.k_bytes);
-            shard.overall.record_redirect(red_b);
-            shard.overall.redirected_requests += 1;
-            if in_steady {
-                shard.steady.record_redirect(red_b);
-                shard.steady.redirected_requests += 1;
-            }
-            if let Some(obs) = ctx.obs {
-                obs.sink.counter_add(obs.redirected, 1);
-                obs.sink.counter_add(obs.redirect_chunks, chunks);
-            }
-        }
+        Decision::Redirect => (0, 0, 0),
+    };
+    shard
+        .overall
+        .record_decision(&decision, chunks, ctx.k_bytes);
+    if request.t >= ctx.steady_from {
+        shard.steady.record_decision(&decision, chunks, ctx.k_bytes);
     }
+    let Some(obs) = ctx.obs else {
+        return;
+    };
+    let sink = obs.sink.as_ref();
+    if decision.is_serve() {
+        sink.counter_add(obs.served, 1);
+        sink.counter_add(obs.hit_chunks, hit_chunks);
+        sink.counter_add(obs.fill_chunks, filled_chunks);
+        sink.counter_add(obs.evicted_chunks, evicted_chunks);
+    } else {
+        sink.counter_add(obs.redirected, 1);
+        sink.counter_add(obs.redirect_chunks, chunks);
+    }
+    if let Some(spans) = &shard.spans {
+        spans.record(sink, evicted_chunks > 0);
+    }
+    let queue_gap = shard.dispatch.as_mut().map(|d| d.record(sink, tick));
     if let Some(ring) = shard.window.as_mut() {
-        let gap = tick + 1 - shard.last_tick_plus1;
-        shard.last_tick_plus1 = tick + 1;
-        let (hit_chunks, filled_chunks, evicted_chunks) = match &decision {
-            Decision::Serve(o) => (o.hit_chunks, o.filled_chunks, o.evicted.len() as u64),
-            Decision::Redirect => (0, 0, 0),
-        };
         let input = WindowInput {
             t_ms: request.t.as_millis(),
             hit_bytes: hit_chunks.saturating_mul(ctx.k_bytes),
             fill_bytes: filled_chunks.saturating_mul(ctx.k_bytes),
-            redirect_bytes: if matches!(decision, Decision::Redirect) {
+            redirect_bytes: if decision.is_redirect() {
                 chunks.saturating_mul(ctx.k_bytes)
             } else {
                 0
@@ -552,12 +424,33 @@ fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'
             filled_chunks,
             evicted_chunks,
             request_chunks: chunks,
-            queue_gap: Some(gap),
+            queue_gap,
         };
         // Shard-level detection runs at report time over the merged
         // windows (Watchdog::run in engine_bundle), so closing needs no
         // callback here.
         ring.record(&input, &mut |_| {});
+    }
+}
+
+/// One worker's whole run: scan every request in trace order and serve
+/// the ones whose shard `route` assigns to worker `w`. `own` holds `w`'s
+/// shards at the slots `route` names. Every worker count runs exactly
+/// this loop; with one worker the filter is always true.
+// lint: hot
+fn serve_owned(
+    w: usize,
+    own: &mut [&mut EngineShard],
+    route: &[(usize, usize)],
+    requests: &[Request],
+    tick_base: u64,
+    ctx: &RunCtx<'_>,
+) {
+    for (i, request) in requests.iter().enumerate() {
+        let (owner, slot) = route[shard_of_video(request.video, route.len())];
+        if owner == w {
+            process(own[slot], request, tick_base + i as u64, ctx);
+        }
     }
 }
 
@@ -673,7 +566,6 @@ pub struct ShardedEngine {
     cfg: EngineConfig,
     shards: Vec<EngineShard>,
     obs: Option<EngineObs>,
-    spans: Option<DispatchSpans>,
     dispatched: u64,
     last_workers: usize,
 }
@@ -733,15 +625,14 @@ impl ShardedEngine {
                 requests: 0,
                 spans: None,
                 topk: None,
+                dispatch: None,
                 window: None,
-                last_tick_plus1: 0,
             });
         }
         Ok(ShardedEngine {
             cfg,
             shards,
             obs: None,
-            spans: None,
             dispatched: 0,
             last_workers: 1,
         })
@@ -770,7 +661,7 @@ impl ShardedEngine {
     /// `{scope}.engine.*` aggregate counters updated atomically by the
     /// workers, and the span/sketch instrumentation comes alive —
     /// per-shard stage counters and queue-gap histograms
-    /// (`{scope}.s{i:02}.span.*`), the dispatch clock
+    /// (`{scope}.s{i:02}.span.*`), the dispatch count
     /// (`{scope}.engine.span.dispatched_total`), shard-imbalance gauges,
     /// and one `cfg.topk`-slot Space-Saving sketch per shard. Detached
     /// engines skip all of it (off means free). Call before
@@ -788,32 +679,45 @@ impl ShardedEngine {
             shard.window = (self.cfg.window.as_millis() > 0)
                 .then(|| WindowRing::new(self.cfg.window.as_millis(), self.cfg.window_retain));
         }
-        self.spans = Some(DispatchSpans::attach(sink, scope, self.cfg.shards));
+        // Registration order is export order: the dispatch-stage metrics
+        // follow every shard's policy and stage counters.
+        let dispatch = DispatchSpans::attach(sink, scope, self.cfg.shards);
+        for (shard, spans) in self.shards.iter_mut().zip(dispatch) {
+            shard.dispatch = Some(spans);
+        }
         self.obs = Some(EngineObs::attach(sink, scope));
     }
 
-    /// Runs the whole trace through the engine on `workers` threads (plus
-    /// the calling thread as dispatcher; clamped to the shard count).
-    /// Per-shard results are bit-identical for any worker count.
+    /// Runs the whole trace through the engine on `workers` threads — the
+    /// calling thread plus `workers − 1` spawned ones, clamped to the shard
+    /// count. Per-shard results are bit-identical for any worker count.
+    ///
+    /// # Panics
+    ///
+    /// A panicking shard policy, or a failed `check_invariants` assert,
+    /// propagates to the caller with its original message once every
+    /// worker has joined. Workers wait on nothing, so the others finish
+    /// their scan and the call returns in bounded time — never a hang.
+    /// The engine's counters are unspecified afterwards.
     pub fn run(&mut self, trace: &Trace, workers: usize) -> EngineReport {
         self.run_prefix(trace, workers, trace.len())
     }
 
-    /// Runs only the first `limit` requests, then closes the feed and
-    /// drains every queue — the deterministic stop/drain path. Every
-    /// dispatched request is processed exactly once; the report's
-    /// accounting equals a replay of the truncated trace.
+    /// Runs only the first `limit` requests — the deterministic stop
+    /// path. Every request of the prefix is processed exactly once; the
+    /// report's accounting equals a replay of the truncated trace.
     ///
     /// Running again continues with warm shards (counters and cache state
     /// accumulate), mirroring a long-lived serving process; feed the
     /// remaining suffix, not the same prefix — policies require request
     /// timestamps to stay monotone across calls.
+    ///
+    /// # Panics
+    ///
+    /// As [`ShardedEngine::run`]: a shard policy's panic or a failed
+    /// invariant check propagates after all workers have joined.
     pub fn run_prefix(&mut self, trace: &Trace, workers: usize, limit: usize) -> EngineReport {
         let limit = limit.min(trace.len());
-        assert!(
-            limit <= u32::MAX as usize,
-            "trace prefix too long for u32 request indices"
-        );
         let n = self.cfg.shards;
         let workers = workers.max(1).min(n);
         let horizon = if trace.meta.duration > DurationMs::ZERO {
@@ -830,123 +734,40 @@ impl ShardedEngine {
             obs: self.obs.as_ref(),
         };
         let requests = &trace.requests[..limit];
-        // Global dispatch tick of this run's first request: the u32 batch
-        // index plus this base IS the request's trace-order position over
-        // the engine's lifetime (warm continuation keeps it monotone).
+        // A request's dispatch tick is its trace-order position over the
+        // engine's lifetime (warm continuation keeps it monotone).
         let tick_base = self.dispatched;
 
-        if workers == 1 {
-            // Inline fast path: no queues, no extra threads — the honest
-            // single-thread baseline the contention bench compares against.
-            // The calling thread plays dispatcher and worker, so it ticks
-            // the dispatch clock in the same trace order the threaded
-            // dispatcher would — exports stay worker-count-invariant.
-            for (i, request) in requests.iter().enumerate() {
-                let s = shard_of_video(request.video, n);
-                if let Some(spans) = self.spans.as_mut() {
-                    spans.record(s);
-                }
-                process(&mut self.shards[s], request, tick_base + i as u64, &ctx);
-            }
-        } else {
-            let batch = self.cfg.batch;
-            let queues: Vec<BatchQueue> = (0..workers)
-                .map(|_| BatchQueue::new(self.cfg.queue_depth))
-                .collect();
-            // Per-worker wall-clock stage timings: only registered while
-            // observed, so detached runs never touch a clock.
-            let timings: Option<Vec<WorkerTimings>> = self.obs.as_ref().map(|o| {
-                (0..workers)
-                    .map(|w| WorkerTimings::attach(&o.sink, &o.scope, w))
-                    .collect()
-            });
-            let mut dispatch_spans = self.spans.as_mut();
-            // Static shard ownership: worker w owns shards {s | s % workers == w},
-            // each stored at local index s / workers.
-            let mut owned: Vec<Vec<&mut EngineShard>> = (0..workers).map(|_| Vec::new()).collect();
-            for (s, shard) in self.shards.iter_mut().enumerate() {
-                owned[s % workers].push(shard);
-            }
-            std::thread::scope(|scope| {
-                for (w, mut own) in owned.into_iter().enumerate() {
-                    let queue = &queues[w];
-                    let ctx = &ctx;
-                    let timing = timings.as_ref().map(|t| t[w].clone());
-                    scope.spawn(move || {
-                        if let Some(timing) = timing {
-                            // Instrumented consumer: wall-clock the queue
-                            // (wait) and decide (service) stages per batch.
-                            loop {
-                                let waited = Instant::now();
-                                let Some((batch, depth)) = queue.pop() else {
-                                    break;
-                                };
-                                let wait_ns = waited.elapsed().as_nanos() as u64;
-                                let served = Instant::now();
-                                for &idx in &batch {
-                                    let request = &requests[idx as usize];
-                                    let s = shard_of_video(request.video, n);
-                                    process(own[s / workers], request, tick_base + idx as u64, ctx);
-                                }
-                                let service_ns = served.elapsed().as_nanos() as u64;
-                                if let Some(obs) = ctx.obs {
-                                    timing.record_batch(
-                                        obs.sink.as_ref(),
-                                        wait_ns,
-                                        service_ns,
-                                        depth as u64,
-                                    );
-                                }
-                                queue.recycle(batch);
-                            }
-                        } else {
-                            while let Some((batch, _)) = queue.pop() {
-                                for &idx in &batch {
-                                    let request = &requests[idx as usize];
-                                    let s = shard_of_video(request.video, n);
-                                    process(own[s / workers], request, tick_base + idx as u64, ctx);
-                                }
-                                queue.recycle(batch);
-                            }
-                        }
-                    });
-                }
-                // The dispatcher: route every request (in trace order) to
-                // its shard's owning worker, flushing full batches. Push
-                // time (backpressure) is wall-clock, so it is only
-                // measured while observed.
-                let push = |w: usize, buf: &mut Vec<u32>| {
-                    if let Some(obs) = ctx.obs {
-                        let t0 = Instant::now();
-                        queues[w].push(buf);
-                        obs.sink
-                            .observe(obs.dispatch_push_ns, t0.elapsed().as_nanos() as u64);
-                    } else {
-                        queues[w].push(buf);
-                    }
-                };
-                let mut bufs: Vec<Vec<u32>> =
-                    (0..workers).map(|_| Vec::with_capacity(batch)).collect();
-                for (i, request) in requests.iter().enumerate() {
-                    let s = shard_of_video(request.video, n);
-                    if let Some(spans) = &mut dispatch_spans {
-                        spans.record(s);
-                    }
-                    let w = s % workers;
-                    let buf = &mut bufs[w];
-                    buf.push(i as u32);
-                    if buf.len() >= batch {
-                        push(w, buf);
-                    }
-                }
-                for (w, buf) in bufs.iter_mut().enumerate() {
-                    if !buf.is_empty() {
-                        push(w, buf);
-                    }
-                    queues[w].close();
-                }
-            });
+        // Static shard ownership: worker `s % workers` owns shard `s`.
+        // Resolved once into shard → (worker, slot in the worker's set) so
+        // the request path divides nothing.
+        let mut owned: Vec<Vec<&mut EngineShard>> = (0..workers).map(|_| Vec::new()).collect();
+        let mut route = Vec::with_capacity(n);
+        for (s, shard) in self.shards.iter_mut().enumerate() {
+            let w = s % workers;
+            route.push((w, owned[w].len()));
+            owned[w].push(shard);
         }
+        let (ctx, route) = (&ctx, route.as_slice());
+        std::thread::scope(|scope| {
+            let mut owned = owned.into_iter().enumerate();
+            let mine = owned.next();
+            let spawned: Vec<_> = owned
+                .map(|(w, mut own)| {
+                    scope.spawn(move || serve_owned(w, &mut own, route, requests, tick_base, ctx))
+                })
+                .collect();
+            if let Some((w, mut own)) = mine {
+                serve_owned(w, &mut own, route, requests, tick_base, ctx);
+            }
+            // Join explicitly so a worker's panic reaches the caller with
+            // its own payload rather than the scope's generic message.
+            for handle in spawned {
+                if let Err(payload) = handle.join() {
+                    std::panic::resume_unwind(payload);
+                }
+            }
+        });
 
         self.dispatched += limit as u64;
         self.last_workers = workers;
@@ -1419,9 +1240,6 @@ mod tests {
         assert!(w1.contains("span.dispatched_total"));
         assert!(w1.contains("span.queue_gap"));
         assert!(w1.contains("span.skew_requests_x1000"));
-        // And no wall-clock plane ever leaks into a bundle.
-        assert!(!w1.contains("batch_wait_ns"));
-        assert!(!w1.contains("dispatch_push_ns"));
     }
 
     #[test]

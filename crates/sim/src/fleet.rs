@@ -11,7 +11,7 @@
 
 use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
-use vcdn_types::{Decision, Request, TrafficCounter};
+use vcdn_types::{Request, TrafficCounter};
 
 /// Per-edge and aggregate results of a fleet replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -95,27 +95,15 @@ pub fn replay_fleet(
         };
         cursors[i] += 1;
         let chunks = request.chunk_len(k);
-        match edges[i].handle_request(request) {
-            Decision::Serve(o) => {
-                report.edges[i].record_hit(o.hit_chunks * k_bytes);
-                report.edges[i].record_fill(o.filled_chunks * k_bytes);
-                report.edges[i].served_requests += 1;
-            }
-            Decision::Redirect => {
-                report.edges[i].record_redirect(chunks * k_bytes);
-                report.edges[i].redirected_requests += 1;
-                match parent.handle_request(request) {
-                    Decision::Serve(o) => {
-                        report.parent.record_hit(o.hit_chunks * k_bytes);
-                        report.parent.record_fill(o.filled_chunks * k_bytes);
-                        report.parent.served_requests += 1;
-                    }
-                    Decision::Redirect => {
-                        report.parent.record_redirect(chunks * k_bytes);
-                        report.parent.redirected_requests += 1;
-                        report.origin_bytes = report.origin_bytes.saturating_add(chunks * k_bytes);
-                    }
-                }
+        let at_edge = edges[i].handle_request(request);
+        report.edges[i].record_decision(&at_edge, chunks, k_bytes);
+        if at_edge.is_redirect() {
+            let at_parent = parent.handle_request(request);
+            report.parent.record_decision(&at_parent, chunks, k_bytes);
+            if at_parent.is_redirect() {
+                report.origin_bytes = report
+                    .origin_bytes
+                    .saturating_add(chunks.saturating_mul(k_bytes));
             }
         }
     }

@@ -80,31 +80,22 @@ pub fn replay_hierarchy(
     };
     for request in &trace.requests {
         let chunks = request.chunk_len(edge.chunk_size());
-        match edge.handle_request(request) {
-            Decision::Serve(o) => {
-                debug_assert_eq!(o.served_chunks(), chunks);
-                report.edge.record_hit(o.hit_chunks * k);
-                report.edge.record_fill(o.filled_chunks * k);
-                report.edge.served_requests += 1;
-            }
-            Decision::Redirect => {
-                report.edge.record_redirect(chunks * k);
-                report.edge.redirected_requests += 1;
-                // The redirected user retries at the parent location.
-                match parent.handle_request(request) {
-                    Decision::Serve(o) => {
-                        debug_assert_eq!(o.served_chunks(), chunks);
-                        report.parent.record_hit(o.hit_chunks * k);
-                        report.parent.record_fill(o.filled_chunks * k);
-                        report.parent.served_requests += 1;
-                    }
-                    Decision::Redirect => {
-                        report.parent.record_redirect(chunks * k);
-                        report.parent.redirected_requests += 1;
-                        report.origin_bytes = report.origin_bytes.saturating_add(chunks * k);
-                        report.origin_requests += 1;
-                    }
-                }
+        // The serve contract: a served request delivers every chunk.
+        let covers = |d: &Decision| match d {
+            Decision::Serve(o) => o.served_chunks() == chunks,
+            Decision::Redirect => true,
+        };
+        let at_edge = edge.handle_request(request);
+        debug_assert!(covers(&at_edge));
+        report.edge.record_decision(&at_edge, chunks, k);
+        if at_edge.is_redirect() {
+            // The redirected user retries at the parent location.
+            let at_parent = parent.handle_request(request);
+            debug_assert!(covers(&at_parent));
+            report.parent.record_decision(&at_parent, chunks, k);
+            if at_parent.is_redirect() {
+                report.origin_bytes = report.origin_bytes.saturating_add(chunks.saturating_mul(k));
+                report.origin_requests += 1;
             }
         }
     }

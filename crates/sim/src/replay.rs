@@ -263,43 +263,26 @@ impl Replayer {
             }
             let in_steady = request.t >= steady_from;
 
-            let mut account = |f: &dyn Fn(&mut TrafficCounter)| {
-                f(&mut overall);
-                f(&mut windows[widx].traffic);
-                if in_steady {
-                    f(&mut steady);
+            if cfg.check_invariants {
+                if let Decision::Serve(o) = &decision {
+                    assert_eq!(
+                        o.served_chunks(),
+                        chunks,
+                        "{}: serve must cover the full request",
+                        policy.name()
+                    );
+                    assert!(
+                        policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
+                        "{}: capacity exceeded",
+                        policy.name()
+                    );
                 }
-            };
-            match &decision {
-                Decision::Serve(o) => {
-                    if cfg.check_invariants {
-                        assert_eq!(
-                            o.served_chunks(),
-                            chunks,
-                            "{}: serve must cover the full request",
-                            policy.name()
-                        );
-                        assert!(
-                            policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
-                            "{}: capacity exceeded",
-                            policy.name()
-                        );
-                    }
-                    let hit_b = o.hit_chunks * k;
-                    let fill_b = o.filled_chunks * k;
-                    account(&|t: &mut TrafficCounter| {
-                        t.record_hit(hit_b);
-                        t.record_fill(fill_b);
-                        t.served_requests += 1;
-                    });
-                }
-                Decision::Redirect => {
-                    let red_b = chunks * k;
-                    account(&|t: &mut TrafficCounter| {
-                        t.record_redirect(red_b);
-                        t.redirected_requests += 1;
-                    });
-                }
+            }
+            let account = |t: &mut TrafficCounter| t.record_decision(&decision, chunks, k);
+            account(&mut overall);
+            account(&mut windows[widx].traffic);
+            if in_steady {
+                account(&mut steady);
             }
 
             if O::ACTIVE {

@@ -19,7 +19,7 @@ use vcdn_core::CachePolicy;
 use vcdn_obs::{MetricsSink, PolicyObs};
 use vcdn_trace::Trace;
 use vcdn_types::float::exactly_zero;
-use vcdn_types::{ChunkId, Decision, TrafficCounter, VideoId};
+use vcdn_types::{ChunkId, TrafficCounter, VideoId};
 
 /// Maps video IDs to one of `servers` co-located caches through a
 /// fixed-size bucket space.
@@ -168,17 +168,8 @@ pub fn replay_colocated(
             }
         };
         let chunks = request.chunk_len(k);
-        match caches[i].handle_request(request) {
-            Decision::Serve(o) => {
-                servers[i].record_hit(o.hit_chunks * k_bytes);
-                servers[i].record_fill(o.filled_chunks * k_bytes);
-                servers[i].served_requests += 1;
-            }
-            Decision::Redirect => {
-                servers[i].record_redirect(chunks * k_bytes);
-                servers[i].redirected_requests += 1;
-            }
-        }
+        let decision = caches[i].handle_request(request);
+        servers[i].record_decision(&decision, chunks, k_bytes);
     }
     // Count duplicates over the union of requested chunks.
     let mut requested: vcdn_types::FastSet<ChunkId> = vcdn_types::FastSet::default();

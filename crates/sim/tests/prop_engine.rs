@@ -11,13 +11,21 @@
 //! * capacity conservation — per-shard capacity slices sum to the
 //!   configured total for arbitrary (shards, disk) shapes;
 //! * stop/drain conservation — stopping the feed after a random number of
-//!   requests never loses or double-counts a request, at any worker count.
+//!   requests never loses or double-counts a request, at any worker count;
+//! * fault propagation — a shard policy that panics mid-run unwinds
+//!   `run` with its own message in bounded time, at any worker count.
+
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::{mpsc, Arc};
+use std::time::Duration;
 
 use vcdn_core::{CachePolicy, XlruCache};
-use vcdn_sim::engine::{shard_of_chunk, shard_of_video, EngineConfig, ShardedEngine};
+use vcdn_sim::engine::{
+    shard_of_chunk, shard_of_video, shard_requests, EngineConfig, ShardedEngine,
+};
 use vcdn_trace::rng::DetRng;
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkId, ChunkSize, CostModel, DurationMs, VideoId};
+use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, VideoId};
 
 const PROP_SEED: u64 = 0x5EED_6E61_4E50_5236; // stable per-file seed
 
@@ -148,6 +156,103 @@ fn random_stop_drain_conserves_every_request() {
             stopped_report, oracle_report,
             "case {case} (shards={shards} workers={workers} cut={cut}): \
              drained accounting diverged from uninterrupted run"
+        );
+    }
+}
+
+/// A policy that behaves like its inner cache until its `fail_at`-th
+/// request, then panics — a stand-in for any policy bug.
+struct PanicsAt {
+    inner: XlruCache,
+    seen: u64,
+    fail_at: u64,
+}
+
+impl CachePolicy for PanicsAt {
+    fn handle_request(&mut self, request: &Request) -> Decision {
+        self.seen += 1;
+        assert!(
+            self.seen != self.fail_at,
+            "injected fault on request {}",
+            self.fail_at
+        );
+        self.inner.handle_request(request)
+    }
+
+    fn name(&self) -> &'static str {
+        self.inner.name()
+    }
+
+    fn chunk_size(&self) -> ChunkSize {
+        self.inner.chunk_size()
+    }
+
+    fn costs(&self) -> CostModel {
+        self.inner.costs()
+    }
+
+    fn disk_used_chunks(&self) -> u64 {
+        self.inner.disk_used_chunks()
+    }
+
+    fn disk_capacity_chunks(&self) -> u64 {
+        self.inner.disk_capacity_chunks()
+    }
+
+    fn contains_chunk(&self, chunk: ChunkId) -> bool {
+        self.inner.contains_chunk(chunk)
+    }
+}
+
+/// A shard policy that panics on its 11th request must unwind `run` with
+/// the policy's own message, promptly, at 1, 2 and 4 workers — never a
+/// hang. The trace routes thousands of further requests to the victim
+/// shard (far more than any bounded hand-off buffer would absorb), so an
+/// engine in which anything waits on the dead worker cannot finish; the
+/// run happens on a helper thread so that a hang fails the test at the
+/// timeout instead of wedging the suite.
+#[test]
+fn panicking_shard_policy_unwinds_run_at_any_worker_count() {
+    const SHARDS: usize = 4;
+    const VICTIM: usize = 1;
+    let trace = Arc::new(golden_trace(4217, 240));
+    let victim_requests = shard_requests(&trace, SHARDS)[VICTIM].len();
+    assert!(
+        victim_requests > 11 + 8 * 256,
+        "trace too short to outlast a bounded queue: {victim_requests} victim requests"
+    );
+    for workers in [1, 2, 4] {
+        let (tx, rx) = mpsc::channel();
+        let trace = Arc::clone(&trace);
+        std::thread::spawn(move || {
+            let cfg = EngineConfig::new(SHARDS, 96, ChunkSize::DEFAULT, costs())
+                .expect("valid engine config");
+            let mut engine = ShardedEngine::try_new(cfg, |shard, cache| -> Box<dyn CachePolicy> {
+                Box::new(PanicsAt {
+                    inner: XlruCache::new(cache),
+                    seen: 0,
+                    fail_at: if shard == VICTIM { 11 } else { u64::MAX },
+                })
+            })
+            .expect("engine builds");
+            let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(&trace, workers)));
+            let message = outcome.err().map(|payload| {
+                payload
+                    .downcast_ref::<String>()
+                    .cloned()
+                    .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                    .unwrap_or_default()
+            });
+            // The receiver is gone only if the test already timed out.
+            let _ = tx.send(message);
+        });
+        let message = rx
+            .recv_timeout(Duration::from_secs(10))
+            .unwrap_or_else(|_| panic!("{workers} workers: run hung after a shard policy panic"));
+        assert_eq!(
+            message.as_deref(),
+            Some("injected fault on request 11"),
+            "{workers} workers: run must unwind with the policy's panic message"
         );
     }
 }

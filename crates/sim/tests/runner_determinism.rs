@@ -166,6 +166,12 @@ fn engine_counters_identical_at_1_2_4_8_workers() {
 /// logical-clock spans, sketches and tumbling windows depend only on the
 /// trace order, never on thread interleaving (the wall-clock timing
 /// histograms are excluded from the export by kind).
+///
+/// The bundle is also pinned against a committed golden, written by the
+/// dispatcher-and-queues engine this one replaced: comparing worker
+/// counts only with each other would not notice `queue_gap`,
+/// `load_share_x1000`, metric registration order or the window
+/// `queue_gap_*` fields all shifting together.
 #[test]
 fn engine_bundle_identical_at_1_2_4_8_workers() {
     let trace = trace();
@@ -184,6 +190,15 @@ fn engine_bundle_identical_at_1_2_4_8_workers() {
         engine_bundle(&report, &registry, &vcdn_obs::default_rules()).to_jsonl()
     };
     let baseline = bundle_at(1);
+    let golden = include_str!("../../bench/goldens/engine_bundle_xlru_4shards.jsonl");
+    assert!(
+        baseline == golden,
+        "engine telemetry bundle drifted from the pinned golden; first differing line: {:?}",
+        baseline
+            .lines()
+            .zip(golden.lines())
+            .find(|(got, want)| got != want)
+    );
     assert!(baseline.contains("\"type\":\"topk\""), "sketch exported");
     assert!(baseline.contains("span.dispatched_total"), "spans exported");
     assert!(baseline.contains("\"type\":\"window\""), "windows exported");

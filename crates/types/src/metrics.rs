@@ -17,7 +17,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use crate::{cost::CostModel, impl_json_struct};
+use crate::{cost::CostModel, decision::Decision, impl_json_struct};
 
 /// Accumulated request/traffic counters for a replay (or a window of one).
 ///
@@ -71,6 +71,42 @@ impl TrafficCounter {
     /// Records `bytes` redirected away.
     pub fn record_redirect(&mut self, bytes: u64) {
         self.redirect_bytes += bytes;
+    }
+
+    /// Accounts one request's [`Decision`]: a serve adds its hit and fill
+    /// chunks (× `chunk_bytes`) and one served request; a redirect adds
+    /// all `request_chunks` (× `chunk_bytes`) and one redirected request.
+    /// The chunk → byte products saturate, so a hostile trace degrades to
+    /// pinned counters instead of overflowing.
+    ///
+    /// # Examples
+    ///
+    /// ```
+    /// use vcdn_types::{Decision, ServeOutcome, TrafficCounter};
+    ///
+    /// let mut t = TrafficCounter::default();
+    /// let serve = Decision::Serve(ServeOutcome {
+    ///     hit_chunks: 3,
+    ///     filled_chunks: 1,
+    ///     evicted: Vec::new(),
+    /// });
+    /// t.record_decision(&serve, 4, 10);
+    /// t.record_decision(&Decision::Redirect, 2, 10);
+    /// assert_eq!((t.hit_bytes, t.fill_bytes, t.redirect_bytes), (30, 10, 20));
+    /// assert_eq!((t.served_requests, t.redirected_requests), (1, 1));
+    /// ```
+    pub fn record_decision(&mut self, decision: &Decision, request_chunks: u64, chunk_bytes: u64) {
+        match decision {
+            Decision::Serve(o) => {
+                self.record_hit(o.hit_chunks.saturating_mul(chunk_bytes));
+                self.record_fill(o.filled_chunks.saturating_mul(chunk_bytes));
+                self.served_requests += 1;
+            }
+            Decision::Redirect => {
+                self.record_redirect(request_chunks.saturating_mul(chunk_bytes));
+                self.redirected_requests += 1;
+            }
+        }
     }
 
     /// Total requested bytes: every requested byte is a hit, a fill or a
