@@ -268,7 +268,7 @@ impl PopTable {
     /// map: the periodic cleanup visits every tracked chunk, and a linear
     /// pass over contiguous stamps is the cache-friendly way to do that —
     /// the map is only probed for the (few) entries actually dropped.
-    /// Free-listed slots carry a [`FREE_STAMP`] stamp and are skipped.
+    /// Free-listed slots carry a `FREE_STAMP` stamp and are skipped.
     pub fn retain(&mut self, mut keep: impl FnMut(&ChunkId, Timestamp) -> bool) {
         let PopTable {
             map,

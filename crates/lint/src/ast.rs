@@ -75,7 +75,7 @@ pub struct FieldDecl {
     /// Field/parameter name.
     pub name: String,
     /// Raw type text, single-space separated (`FastMap < ChunkId , u32 >`
-    /// renders as `FastMap<ChunkId,u32>` — see [`type_text`]).
+    /// renders as `FastMap<ChunkId,u32>` — see `Parser::type_text_until`).
     pub ty: String,
     /// 1-based line.
     pub line: u32,

@@ -12,13 +12,14 @@
 //! line-by-line schema.
 
 use vcdn_types::json::{Json, ToJson};
+use vcdn_types::CostModel;
 
 use crate::detect::AlertEvent;
 use crate::event::DecisionEvent;
 use crate::registry::MetricSnapshot;
 use crate::sampler::SeriesSample;
 use crate::topk::TopKRecord;
-use crate::window::WindowRecord;
+use crate::window::{WindowRecord, WindowStats};
 
 /// Schema tag written into every bundle's meta line.
 pub const SCHEMA: &str = "vcdn-telemetry/1";
@@ -77,6 +78,21 @@ impl TelemetryBundle {
     pub fn meta_entry(&mut self, key: &str, value: Json) -> &mut Self {
         self.meta.push((key.to_string(), value));
         self
+    }
+
+    /// Fills the window section from `windows` (index order), flattened
+    /// against `costs`, with `dropped` windows already evicted upstream.
+    pub fn set_windows<'a>(
+        &mut self,
+        windows: impl IntoIterator<Item = &'a WindowStats>,
+        costs: CostModel,
+        dropped: u64,
+    ) {
+        self.windows = windows
+            .into_iter()
+            .map(|w| WindowRecord::from_stats(w, costs))
+            .collect();
+        self.windows_dropped = dropped;
     }
 
     /// The bundle's meta line as a JSON object.

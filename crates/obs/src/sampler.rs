@@ -5,9 +5,15 @@
 //! curves, fill/redirect byte breakdowns and cache-age dynamics per server
 //! (§9, Figs. 3, 6) — but an end-of-run aggregate throws that structure
 //! away. [`ReplaySampler`] closes the gap: fed once per replayed request,
-//! it accumulates traffic per fixed interval of trace time and emits one
-//! [`SeriesSample`] per elapsed interval, including empty ones, so the
-//! series is a complete, evenly spaced grid.
+//! it emits one [`SeriesSample`] per elapsed interval of trace time,
+//! including empty ones, so the series is a complete, evenly spaced grid.
+//!
+//! The sampler buckets nothing itself. It owns a
+//! [`WindowRing`](crate::window::WindowRing) of its interval's width — the
+//! crate's one open/close/flush accumulator — and turns each window the
+//! ring closes into a sample, adding the two things a window does not
+//! carry: the running sum of closed windows (`cum`) and the policy state
+//! (occupancy, capacity, cache age) held when the window closes.
 //!
 //! Determinism: samples carry exact integer byte counters plus floats
 //! derived only from them, so a sampler fed the same replay produces
@@ -18,6 +24,8 @@
 
 use vcdn_types::json::{Json, ToJson};
 use vcdn_types::{CostModel, TrafficCounter};
+
+use crate::window::{WindowInput, WindowRing, WindowStats};
 
 /// One interval's snapshot of replay behavior.
 #[derive(Debug, Clone, PartialEq)]
@@ -94,7 +102,8 @@ impl ToJson for SeriesSample {
     }
 }
 
-/// Accumulates per-request traffic into fixed trace-time intervals.
+/// Turns a replay's decisions into an evenly spaced series over trace
+/// time: one [`SeriesSample`] per window its [`WindowRing`] closes.
 ///
 /// Feed every request through [`ReplaySampler::record`]; call
 /// [`ReplaySampler::finish`] after the replay to flush the open interval
@@ -103,12 +112,20 @@ impl ToJson for SeriesSample {
 /// # Examples
 ///
 /// ```
+/// use vcdn_obs::window::WindowInput;
 /// use vcdn_obs::ReplaySampler;
 /// use vcdn_types::CostModel;
 ///
+/// let at = |t_ms, hit_bytes, fill_bytes, redirect_bytes| WindowInput {
+///     t_ms,
+///     hit_bytes,
+///     fill_bytes,
+///     redirect_bytes,
+///     ..WindowInput::default()
+/// };
 /// let mut s = ReplaySampler::new(1_000, CostModel::balanced());
-/// s.record(100, 80, 20, 0, 4, 8, None); // t=100ms: 80B hit, 20B fill
-/// s.record(2_500, 0, 0, 50, 4, 8, None); // t=2.5s: 50B redirected
+/// s.record(&at(100, 80, 20, 0), 4, 8, None); // t=100ms: 80B hit, 20B fill
+/// s.record(&at(2_500, 0, 0, 50), 4, 8, None); // t=2.5s: 50B redirected
 /// let samples = s.finish();
 /// assert_eq!(samples.len(), 3); // intervals [0,1s) [1s,2s) [2s,3s)
 /// assert_eq!(samples[1].interval.requested_bytes(), 0); // empty, not NaN
@@ -117,17 +134,39 @@ impl ToJson for SeriesSample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplaySampler {
+    /// The only time-bucketing here: closed windows come back through
+    /// `on_close` and are not read again, so the ring retains one.
+    ring: WindowRing,
+    series: Series,
+}
+
+/// What a sample carries beyond its window's own traffic: the running sum
+/// of closed windows and the policy state held since the last record.
+#[derive(Debug, Clone)]
+struct Series {
     interval_ms: u64,
     costs: CostModel,
-    /// Start of the currently open interval (trace ms).
-    open_start: u64,
-    open: TrafficCounter,
     cum: TrafficCounter,
     occupancy_chunks: u64,
     capacity_chunks: u64,
     cache_age_ms: Option<f64>,
     samples: Vec<SeriesSample>,
-    saw_request: bool,
+}
+
+impl Series {
+    fn push(&mut self, w: &WindowStats) {
+        self.cum += w.traffic;
+        self.samples.push(SeriesSample {
+            t_ms: w.index.saturating_mul(self.interval_ms),
+            interval: w.traffic,
+            cum: self.cum,
+            efficiency: w.traffic.efficiency(self.costs),
+            cum_efficiency: self.cum.efficiency(self.costs),
+            occupancy_chunks: self.occupancy_chunks,
+            capacity_chunks: self.capacity_chunks,
+            cache_age_ms: self.cache_age_ms,
+        });
+    }
 }
 
 impl ReplaySampler {
@@ -140,103 +179,73 @@ impl ReplaySampler {
     pub fn new(interval_ms: u64, costs: CostModel) -> ReplaySampler {
         assert!(interval_ms > 0, "sample interval must be > 0");
         ReplaySampler {
-            interval_ms,
-            costs,
-            open_start: 0,
-            open: TrafficCounter::default(),
-            cum: TrafficCounter::default(),
-            occupancy_chunks: 0,
-            capacity_chunks: 0,
-            cache_age_ms: None,
-            samples: Vec::new(),
-            saw_request: false,
+            ring: WindowRing::new(interval_ms, 1),
+            series: Series {
+                interval_ms,
+                costs,
+                cum: TrafficCounter::default(),
+                occupancy_chunks: 0,
+                capacity_chunks: 0,
+                cache_age_ms: None,
+                samples: Vec::new(),
+            },
         }
     }
 
     /// The configured interval (ms).
     pub fn interval_ms(&self) -> u64 {
-        self.interval_ms
+        self.series.interval_ms
     }
 
-    fn close_open_interval(&mut self) {
-        self.samples.push(SeriesSample {
-            t_ms: self.open_start,
-            interval: self.open,
-            cum: self.cum,
-            efficiency: self.open.efficiency(self.costs),
-            cum_efficiency: self.cum.efficiency(self.costs),
-            occupancy_chunks: self.occupancy_chunks,
-            capacity_chunks: self.capacity_chunks,
-            cache_age_ms: self.cache_age_ms,
-        });
-        self.open = TrafficCounter::default();
-        self.open_start = self.open_start.saturating_add(self.interval_ms);
-    }
-
-    /// Records one decided request. Bytes are chunk-granularity byte
-    /// counts (exactly one of `fill`+`hit` or `redirect` is nonzero per
-    /// the replay accounting); `occupancy`/`capacity` are the policy's
-    /// disk state after the decision, and `cache_age_ms` the policy's
-    /// cache age where defined.
+    /// Records one decided request: `input` is its window delta
+    /// ([`WindowInput::from_decision`]), `occupancy`/`capacity` the
+    /// policy's disk state after the decision, and `cache_age_ms` the
+    /// policy's cache age where defined. Every interval that ended before
+    /// `input.t_ms` becomes a sample carrying the state held at its close.
     ///
     /// # Panics
     ///
-    /// Panics if `t_ms` moves backwards past an already closed interval
-    /// (replay time is non-decreasing).
-    #[allow(clippy::too_many_arguments)]
+    /// As [`WindowRing::record`]: if `input.t_ms` moves backwards past an
+    /// already closed interval (replay time is non-decreasing), or falls
+    /// in interval [`crate::window::MAX_WINDOWS`] or later.
     pub fn record(
         &mut self,
-        t_ms: u64,
-        hit_bytes: u64,
-        fill_bytes: u64,
-        redirect_bytes: u64,
+        input: &WindowInput,
         occupancy: u64,
         capacity: u64,
         cache_age_ms: Option<f64>,
     ) {
-        assert!(
-            t_ms >= self.open_start,
-            "sampler fed out of order: t={t_ms}ms before interval start {}ms",
-            self.open_start
-        );
-        self.saw_request = true;
-        // Close every interval that ended before this request.
-        while t_ms >= self.open_start.saturating_add(self.interval_ms) {
-            self.close_open_interval();
-        }
-        self.open.record_hit(hit_bytes);
-        self.open.record_fill(fill_bytes);
-        self.open.record_redirect(redirect_bytes);
-        self.cum.record_hit(hit_bytes);
-        self.cum.record_fill(fill_bytes);
-        self.cum.record_redirect(redirect_bytes);
-        if redirect_bytes > 0 {
-            self.open.redirected_requests += 1;
-            self.cum.redirected_requests += 1;
-        } else {
-            self.open.served_requests += 1;
-            self.cum.served_requests += 1;
-        }
-        self.occupancy_chunks = occupancy;
-        self.capacity_chunks = capacity;
+        let series = &mut self.series;
+        self.ring.record(input, &mut |w| series.push(w));
+        series.occupancy_chunks = occupancy;
+        series.capacity_chunks = capacity;
         if cache_age_ms.is_some() {
-            self.cache_age_ms = cache_age_ms;
+            series.cache_age_ms = cache_age_ms;
         }
     }
 
     /// Flushes the open interval and returns the complete series. An
     /// entirely unfed sampler returns no samples.
     pub fn finish(mut self) -> Vec<SeriesSample> {
-        if self.saw_request {
-            self.close_open_interval();
-        }
-        self.samples
+        let series = &mut self.series;
+        self.ring.finish(&mut |w| series.push(w));
+        self.series.samples
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    fn at(t_ms: u64, hit_bytes: u64, fill_bytes: u64, redirect_bytes: u64) -> WindowInput {
+        WindowInput {
+            t_ms,
+            hit_bytes,
+            fill_bytes,
+            redirect_bytes,
+            ..WindowInput::default()
+        }
+    }
 
     #[test]
     fn cumulative_counters_match_total_exactly() {
@@ -249,7 +258,7 @@ mod tests {
                 1 => (0, 0, 70),
                 _ => (40, 0, 0),
             };
-            s.record(i * 97, h, f, r, i, 100, Some(i as f64));
+            s.record(&at(i * 97, h, f, r), i, 100, Some(i as f64));
             total.record_hit(h);
             total.record_fill(f);
             total.record_redirect(r);
@@ -273,8 +282,8 @@ mod tests {
     #[test]
     fn empty_intervals_are_emitted_with_zero_efficiency() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(50, 10, 0, 0, 1, 4, None);
-        s.record(950, 10, 0, 0, 2, 4, None);
+        s.record(&at(50, 10, 0, 0), 1, 4, None);
+        s.record(&at(950, 10, 0, 0), 2, 4, None);
         let samples = s.finish();
         assert_eq!(samples.len(), 10);
         for sample in &samples[1..9] {
@@ -290,8 +299,8 @@ mod tests {
     #[test]
     fn sample_grid_is_evenly_spaced() {
         let mut s = ReplaySampler::new(250, CostModel::balanced());
-        s.record(0, 1, 0, 0, 1, 1, None);
-        s.record(1_100, 1, 0, 0, 1, 1, None);
+        s.record(&at(0, 1, 0, 0), 1, 1, None);
+        s.record(&at(1_100, 1, 0, 0), 1, 1, None);
         let samples = s.finish();
         let starts: Vec<u64> = samples.iter().map(|x| x.t_ms).collect();
         assert_eq!(starts, vec![0, 250, 500, 750, 1000]);
@@ -306,8 +315,8 @@ mod tests {
     #[test]
     fn cache_age_holds_last_known_value() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(10, 1, 0, 0, 1, 2, Some(42.0));
-        s.record(150, 1, 0, 0, 1, 2, None);
+        s.record(&at(10, 1, 0, 0), 1, 2, Some(42.0));
+        s.record(&at(150, 1, 0, 0), 1, 2, None);
         let samples = s.finish();
         assert_eq!(samples[0].cache_age_ms, Some(42.0));
         assert_eq!(samples[1].cache_age_ms, Some(42.0));
@@ -317,14 +326,14 @@ mod tests {
     #[should_panic(expected = "out of order")]
     fn time_reversal_is_rejected() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(500, 1, 0, 0, 1, 1, None);
-        s.record(10, 1, 0, 0, 1, 1, None);
+        s.record(&at(500, 1, 0, 0), 1, 1, None);
+        s.record(&at(10, 1, 0, 0), 1, 1, None);
     }
 
     #[test]
     fn sample_serialises_to_flat_object() {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
-        s.record(10, 80, 20, 0, 3, 8, Some(7.5));
+        s.record(&at(10, 80, 20, 0), 3, 8, Some(7.5));
         let sample = &s.finish()[0];
         let parsed = vcdn_types::json::parse(&sample.to_json().to_string()).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("sample"));

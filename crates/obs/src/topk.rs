@@ -38,6 +38,7 @@
 
 use vcdn_types::fasthash::FastMap;
 use vcdn_types::json::{Json, ToJson};
+use vcdn_types::ChunkId;
 
 /// One tracked key exported from the sketch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,6 +71,22 @@ pub struct TopKRecord {
     pub count: u64,
     /// Maximum over-estimation (`err < count`).
     pub err: u64,
+}
+
+impl TopKRecord {
+    /// Ranks one sketch's [`SpaceSaving::entries`] for export: 1-based
+    /// ranks in the order given, and each key — the packed
+    /// [`ChunkId`]`(video, 0)` the replay drivers feed their sketches —
+    /// unpacked back to its video id.
+    pub fn ranked(shard: u32, entries: &[TopKEntry]) -> impl Iterator<Item = TopKRecord> + '_ {
+        entries.iter().zip(1..).map(move |(e, rank)| TopKRecord {
+            shard,
+            rank,
+            video: e.key >> ChunkId::INDEX_BITS,
+            count: e.count,
+            err: e.err,
+        })
+    }
 }
 
 impl ToJson for TopKRecord {

@@ -24,6 +24,14 @@
 //!   [`WindowRing::dropped`]). Detectors run *at close time*, before a
 //!   window can be evicted, so bounded memory never loses an alert.
 //!
+//! This is the crate's only time-bucketing accumulator: the sharded
+//! engine's per-shard rings, the Replayer's health windows and the
+//! time-series sampler all record into a [`WindowRing`], each building its
+//! per-request delta with [`WindowInput::from_decision`]. The grid is
+//! capped at [`MAX_WINDOWS`]: a request that would open a later window is
+//! refused with a panic on arrival, so a far-future timestamp costs
+//! nothing instead of one empty window per hour of the gap.
+//!
 //! Conservation invariant (pinned by `prop_window.rs` and `obs_check`):
 //! the sum of all window traffic deltas — closed, dropped and open —
 //! equals the ring's cumulative [`TrafficCounter`].
@@ -31,9 +39,31 @@
 use std::collections::VecDeque;
 
 use vcdn_types::json::{Json, ToJson};
-use vcdn_types::{CostModel, TrafficCounter};
+use vcdn_types::{CostModel, Decision, TrafficCounter};
 
 use crate::histogram::HistogramSnapshot;
+
+/// The longest window grid any trace may span: a request whose trace time
+/// falls in window `MAX_WINDOWS` or later is refused with a panic instead
+/// of being walked to one empty window at a time. `1 << 20` hourly
+/// windows are about 119 years of trace time, so only a corrupt or
+/// mis-based timestamp (epoch ms in a zero-based trace) gets here.
+pub const MAX_WINDOWS: u64 = 1 << 20;
+
+/// Panics unless window `index` (of `width_ms`-wide windows, reached by a
+/// request at `t_ms`) lies inside the [`MAX_WINDOWS`] grid. Every grid
+/// walker calls this when — and only when — a request opens a new window.
+///
+/// # Panics
+///
+/// Panics with "exceeds MAX_WINDOWS" if `index >= MAX_WINDOWS`.
+pub fn assert_window_in_grid(index: u64, t_ms: u64, width_ms: u64) {
+    assert!(
+        index < MAX_WINDOWS,
+        "t={t_ms}ms is window {index} at {width_ms}ms per window: \
+         exceeds MAX_WINDOWS ({MAX_WINDOWS}); is the trace zero-based?"
+    );
+}
 
 /// One tumbling window's mergeable payload: counter deltas plus sketch
 /// snapshots, all pure functions of the requests that fell inside the
@@ -281,6 +311,35 @@ pub struct WindowInput {
     pub queue_gap: Option<u64>,
 }
 
+impl WindowInput {
+    /// The one decision → window-delta step: `decision` on a request of
+    /// `request_chunks` chunks at trace time `t_ms`, in chunk-granularity
+    /// bytes (`chunks × chunk_bytes`, saturating) exactly as
+    /// [`TrafficCounter::record_decision`] accounts it.
+    pub fn from_decision(
+        t_ms: u64,
+        decision: &Decision,
+        request_chunks: u64,
+        chunk_bytes: u64,
+        queue_gap: Option<u64>,
+    ) -> WindowInput {
+        let (hit, filled, evicted, redirected) = match decision {
+            Decision::Serve(o) => (o.hit_chunks, o.filled_chunks, o.evicted.len() as u64, 0),
+            Decision::Redirect => (0, 0, 0, request_chunks),
+        };
+        WindowInput {
+            t_ms,
+            hit_bytes: hit.saturating_mul(chunk_bytes),
+            fill_bytes: filled.saturating_mul(chunk_bytes),
+            redirect_bytes: redirected.saturating_mul(chunk_bytes),
+            filled_chunks: filled,
+            evicted_chunks: evicted,
+            request_chunks,
+            queue_gap,
+        }
+    }
+}
+
 /// Accumulates per-request deltas into tumbling windows of trace time,
 /// retaining a bounded ring of closed windows.
 ///
@@ -397,18 +456,23 @@ impl WindowRing {
     /// # Panics
     ///
     /// Panics if `input.t_ms` falls before the open window's start (trace
-    /// time is non-decreasing).
+    /// time is non-decreasing), or — before closing anything — if it falls
+    /// in window [`MAX_WINDOWS`] or later ("exceeds MAX_WINDOWS"): a
+    /// far-future timestamp is refused at once, not walked to.
     pub fn record(&mut self, input: &WindowInput, on_close: &mut dyn FnMut(&WindowStats)) {
-        let open_start = self.open.index.saturating_mul(self.width_ms);
+        let index = input.t_ms / self.width_ms;
         assert!(
-            input.t_ms >= open_start,
+            index >= self.open.index,
             "window ring fed out of order: t={}ms before window start {}ms",
             input.t_ms,
-            open_start
+            self.open.index.saturating_mul(self.width_ms)
         );
         self.saw_request = true;
-        while input.t_ms >= (self.open.index + 1).saturating_mul(self.width_ms) {
-            self.close_open(on_close);
+        if index > self.open.index {
+            assert_window_in_grid(index, input.t_ms, self.width_ms);
+            while self.open.index < index {
+                self.close_open(on_close);
+            }
         }
         let w = &mut self.open;
         w.traffic.record_hit(input.hit_bytes);
@@ -617,6 +681,20 @@ mod tests {
         let mut ring = WindowRing::new(100, 4);
         feed(&mut ring, 500, 1, 0);
         feed(&mut ring, 10, 1, 0);
+    }
+
+    #[test]
+    fn last_window_inside_the_cap_is_reached() {
+        let mut ring = WindowRing::new(1, 2);
+        feed(&mut ring, MAX_WINDOWS - 1, 1, 0);
+        assert_eq!(ring.dropped(), MAX_WINDOWS - 1 - 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds MAX_WINDOWS")]
+    fn window_past_the_cap_is_refused() {
+        let mut ring = WindowRing::new(1, 2);
+        feed(&mut ring, MAX_WINDOWS, 1, 0);
     }
 
     #[test]

@@ -11,11 +11,14 @@
 //!   windows equals the ring's cumulative counter, regardless of window
 //!   width, gaps, or ring eviction (detectors see every window at close
 //!   time, so eviction loses no signal).
+//! * **Sampler ≡ ring** — the time-series sampler is a consumer of the
+//!   same ring: with equal widths its samples are the ring's windows,
+//!   their prefix sums, and the policy state held at each close.
 //! * **Partition invariance** — splitting one stream across P rings and
 //!   merging equals one ring fed everything (the shard model).
 
 use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
-use vcdn_obs::HistogramSnapshot;
+use vcdn_obs::{HistogramSnapshot, ReplaySampler};
 use vcdn_trace::rng::DetRng;
 
 /// A deterministic random request stream with non-decreasing timestamps
@@ -144,21 +147,59 @@ fn conservation_sum_of_deltas_equals_cumulative_counter() {
             (1000u64, 4usize, 500usize, 700u64),
             (50, 2, 300, 40),
             (10_000, 64, 200, 5000),
+            // Steps wider than a window: runs of empty windows.
+            (10, 3, 200, 45),
         ] {
             let inputs = random_inputs(&mut rng, len, max_step);
             let mut ring = WindowRing::new(width, retain);
             let mut sum = vcdn_types::TrafficCounter::default();
             let mut gap_samples = 0u64;
-            for input in &inputs {
+            let mut windows: Vec<WindowStats> = Vec::new();
+            // The sampler rides along at the same width; request `n`
+            // reports occupancy `n` and — unless 3 divides `n` — cache
+            // age `n`.
+            let costs = vcdn_types::CostModel::from_alpha(2.0).expect("valid alpha");
+            let mut sampler = ReplaySampler::new(width, costs);
+            let age_of = |n: usize| (!n.is_multiple_of(3)).then_some(n as f64);
+            for (n, input) in inputs.iter().enumerate() {
                 ring.record(input, &mut |w| {
                     sum += w.traffic;
                     gap_samples += w.queue_gap.count;
+                    windows.push(w.clone());
                 });
+                sampler.record(input, n as u64, 1 << 20, age_of(n));
             }
             ring.finish(&mut |w| {
                 sum += w.traffic;
                 gap_samples += w.queue_gap.count;
+                windows.push(w.clone());
             });
+            let samples = sampler.finish();
+            assert_eq!(samples.len(), windows.len(), "seed {seed} width {width}");
+            let mut prefix = vcdn_types::TrafficCounter::default();
+            for (i, (sample, window)) in samples.iter().zip(&windows).enumerate() {
+                let what = format!("seed {seed} width {width} window {i}");
+                assert_eq!(window.index, i as u64, "{what}: grid gap");
+                assert_eq!(sample.t_ms, i as u64 * width, "{what}: start");
+                assert_eq!(sample.interval, window.traffic, "{what}: interval");
+                prefix += window.traffic;
+                assert_eq!(sample.cum, prefix, "{what}: cum is not the prefix sum");
+                assert_eq!(sample.efficiency, window.efficiency(costs), "{what}");
+                assert_eq!(sample.cum_efficiency, prefix.efficiency(costs), "{what}");
+                // Carried state: that of the last record at or before the
+                // window's end (none yet → the initial zero / None).
+                let seen = inputs.partition_point(|x| x.t_ms < (i as u64 + 1) * width);
+                assert_eq!(
+                    sample.occupancy_chunks,
+                    (seen as u64).saturating_sub(1),
+                    "{what}: occupancy"
+                );
+                assert_eq!(
+                    sample.cache_age_ms,
+                    (0..seen).rev().find_map(age_of),
+                    "{what}: cache age"
+                );
+            }
             assert_eq!(
                 sum,
                 ring.cum(),

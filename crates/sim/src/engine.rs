@@ -30,12 +30,20 @@
 //!   worker count — the invariant `runner_determinism.rs` and
 //!   `prop_engine.rs` pin. The logical dispatch clock needs no thread of
 //!   its own either: a request's trace index **is** its dispatch tick.
+//! * **One request step.** A shard is a policy, its traffic counters and
+//!   an optional observer; serving a request is the same crate-private
+//!   request kernel the [`crate::replay::Replayer`] drives (decide, check
+//!   invariants, account overall and steady-state traffic, observe), so a
+//!   one-shard engine *is* a Replayer without the hourly report grid.
 //! * **No locks.** A shard is touched by exactly one thread per run and
-//!   nothing else is mutable while workers run. Metrics aggregate through
-//!   `vcdn-obs` atomic sinks ([`ShardedEngine::attach_obs`]): per-shard
-//!   scoped counters plus engine-level totals, each update a single
-//!   atomic RMW, so a snapshot taken at quiescence is consistent with the
-//!   per-shard reports.
+//!   nothing else is mutable while workers run. Instrumentation
+//!   ([`ShardedEngine::attach_obs`]) is one [`ReplayObserver`] per shard,
+//!   fed by the kernel with the request's trace index as `seq`; its
+//!   metrics aggregate through `vcdn-obs` atomic sinks — per-shard scoped
+//!   counters plus engine-level totals, each update a single atomic RMW,
+//!   so a snapshot taken at quiescence is consistent with the per-shard
+//!   reports. A detached shard is served with the `()` observer: off
+//!   means free.
 //! * **Failure.** A panicking shard policy (or a failed invariant check)
 //!   unwinds its worker; the other workers run to the end of the slice —
 //!   they wait on nothing — and the panic then propagates out of
@@ -64,7 +72,7 @@ use std::sync::Arc;
 
 use vcdn_obs::span::{DispatchSpans, ShardSpans};
 use vcdn_obs::topk::{SpaceSaving, TopKEntry, TopKRecord};
-use vcdn_obs::window::{merge_windows, WindowInput, WindowRecord, WindowRing, WindowStats};
+use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
 use vcdn_obs::{
@@ -73,9 +81,11 @@ use vcdn_obs::{
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
 use vcdn_types::{
-    fasthash, ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp,
-    TrafficCounter, VideoId,
+    fasthash, ChunkId, ChunkSize, CostModel, Decision, Request, TrafficCounter, VideoId,
 };
+
+use crate::observe::TelemetryConfig;
+use crate::replay::{DecisionCtx, Kernel, ReplayObserver, StreamTraffic, STEADY_AFTER};
 
 /// The shard that owns every chunk of `video`: fasthash over the packed
 /// [`ChunkId`] of the video's first chunk, mod the shard count. Keying on
@@ -172,23 +182,9 @@ pub struct EngineConfig {
     pub chunk_size: ChunkSize,
     /// Cost model used for efficiency reporting (must match the policies').
     pub costs: CostModel,
-    /// Fraction of the trace horizon after which steady-state accounting
-    /// begins (paper: 0.5 — the second half).
-    pub steady_after: f64,
     /// Verify policy invariants (capacity, serve completeness) after
     /// every request; cheap, on by default.
     pub check_invariants: bool,
-    /// Slots per shard in the Space-Saving heavy-hitter sketch created by
-    /// [`ShardedEngine::attach_obs`] (0 disables sketching). Detached
-    /// engines never sketch, preserving off-means-free.
-    pub topk: usize,
-    /// Trace-time width of one health window
-    /// ([`vcdn_obs::window`]); rings are armed per shard by
-    /// [`ShardedEngine::attach_obs`] ([`DurationMs::ZERO`] disables them).
-    /// Detached engines never hold rings, preserving off-means-free.
-    pub window: DurationMs,
-    /// Closed health windows each shard's bounded ring retains.
-    pub window_retain: usize,
 }
 
 impl EngineConfig {
@@ -215,11 +211,7 @@ impl EngineConfig {
             disk_chunks,
             chunk_size,
             costs,
-            steady_after: 0.5,
             check_invariants: true,
-            topk: 8,
-            window: DurationMs::HOUR,
-            window_retain: 768,
         })
     }
 
@@ -238,46 +230,6 @@ impl EngineConfig {
         })
     }
 
-    /// Overrides the steady-state start fraction.
-    pub fn with_steady_after(mut self, fraction: f64) -> Self {
-        assert!(
-            (0.0..1.0).contains(&fraction),
-            "steady_after must be in [0, 1)"
-        );
-        self.steady_after = fraction;
-        self
-    }
-
-    /// Toggles the per-request invariant walk.
-    pub fn with_check_invariants(mut self, on: bool) -> Self {
-        self.check_invariants = on;
-        self
-    }
-
-    /// Overrides the per-shard heavy-hitter sketch capacity (0 disables).
-    pub fn with_topk(mut self, k: usize) -> Self {
-        self.topk = k;
-        self
-    }
-
-    /// Overrides the health-window width ([`DurationMs::ZERO`] disables
-    /// the window plane even when observed).
-    pub fn with_window(mut self, width: DurationMs) -> Self {
-        self.window = width;
-        self
-    }
-
-    /// Overrides the per-shard window-ring bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retain` is zero.
-    pub fn with_window_retain(mut self, retain: usize) -> Self {
-        assert!(retain > 0, "window retain must be > 0");
-        self.window_retain = retain;
-        self
-    }
-
     /// Per-shard disk capacities: `disk_chunks / shards` each, with the
     /// remainder spread one chunk at a time over the first shards. Always
     /// sums to exactly [`EngineConfig::disk_chunks`], and every shard gets
@@ -293,6 +245,7 @@ impl EngineConfig {
 /// Engine-level aggregate metric handles: one atomic counter per traffic
 /// bucket, updated by whichever worker handled the request. Totals equal
 /// the sum of per-shard counters in any quiescent snapshot.
+#[derive(Clone)]
 struct EngineObs {
     sink: Arc<dyn MetricsSink>,
     served: MetricId,
@@ -324,119 +277,73 @@ impl EngineObs {
     }
 }
 
-/// One policy shard plus its private accounting. Only the worker that owns
-/// the shard for the current run ever touches it.
-struct EngineShard {
-    policy: Box<dyn CachePolicy>,
-    overall: TrafficCounter,
-    steady: TrafficCounter,
-    requests: u64,
-    /// Decide/evict stage counters; present only while observed.
-    spans: Option<ShardSpans>,
-    /// The shard stream's dispatch-stage accounting on the logical clock
-    /// (queue gap, load share); present only while observed. Its gap also
-    /// feeds the window ring's queue-gap sketch.
-    dispatch: Option<DispatchSpans>,
-    /// Heavy-hitter sketch over the shard's video stream; present only
-    /// while observed and `cfg.topk > 0` (off means free).
-    topk: Option<SpaceSaving>,
-    /// Health-window ring over the shard's request sub-stream; present
-    /// only while observed and `cfg.window > 0` (off means free). Never
-    /// flushed mid-lifetime: warm continuation keeps feeding the open
-    /// window, and reports merge non-destructive snapshots.
-    window: Option<WindowRing>,
+/// One shard's instrumentation, created by [`ShardedEngine::attach_obs`]:
+/// the engine aggregates, the shard's stage counters and dispatch-stage
+/// accounting on the logical clock, a heavy-hitter sketch over its video
+/// stream and a health-window ring over its request sub-stream. The ring
+/// is never flushed mid-lifetime: warm continuation keeps feeding the open
+/// window, and reports merge non-destructive snapshots.
+struct ShardObserver {
+    engine: EngineObs,
+    chunk_bytes: u64,
+    spans: ShardSpans,
+    dispatch: DispatchSpans,
+    topk: SpaceSaving,
+    window: WindowRing,
 }
 
-/// Per-run context shared (immutably) by every worker.
-struct RunCtx<'a> {
-    chunk_size: ChunkSize,
-    k_bytes: u64,
-    steady_from: Timestamp,
-    check_invariants: bool,
-    obs: Option<&'a EngineObs>,
-}
-
-/// Handles one request on its owning shard: decide, verify, account.
-/// `tick` is the request's global dispatch index (trace order) — the
-/// logical clock behind the span plane and the window plane's queue-gap
-/// sketch. This — plus [`shard_of_video`] in the scan loop — is the
-/// engine's per-request path: no allocation, no map churn, no locks.
-// lint: hot
-fn process(shard: &mut EngineShard, request: &Request, tick: u64, ctx: &RunCtx<'_>) {
-    let chunks = request.chunk_len(ctx.chunk_size);
-    let decision = shard.policy.handle_request(request);
-    shard.requests += 1;
-    if let Some(sketch) = shard.topk.as_mut() {
-        sketch.record(ChunkId::new(request.video, 0).packed());
-    }
-    let (hit_chunks, filled_chunks, evicted_chunks) = match &decision {
-        Decision::Serve(o) => {
-            if ctx.check_invariants {
-                assert_eq!(
-                    o.served_chunks(),
-                    chunks,
-                    "{}: serve must cover the full request",
-                    shard.policy.name()
-                );
-                assert!(
-                    shard.policy.disk_used_chunks() <= shard.policy.disk_capacity_chunks(),
-                    "{}: capacity exceeded",
-                    shard.policy.name()
-                );
+/// The kernel's [`DecisionCtx::seq`] is the request's global dispatch
+/// index (trace order over the engine's lifetime) — the logical clock
+/// behind the span plane and the window plane's queue-gap sketch.
+impl ReplayObserver for ShardObserver {
+    // lint: hot
+    fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
+        let (obs, sink) = (&self.engine, self.engine.sink.as_ref());
+        self.topk
+            .record(ChunkId::new(ctx.request.video, 0).packed());
+        let queue_gap = self.dispatch.record(sink, ctx.seq);
+        let input = WindowInput::from_decision(
+            ctx.request.t.as_millis(),
+            ctx.decision,
+            ctx.chunks,
+            self.chunk_bytes,
+            Some(queue_gap),
+        );
+        match ctx.decision {
+            Decision::Serve(o) => {
+                sink.counter_add(obs.served, 1);
+                sink.counter_add(obs.hit_chunks, o.hit_chunks);
+                sink.counter_add(obs.fill_chunks, o.filled_chunks);
+                sink.counter_add(obs.evicted_chunks, input.evicted_chunks);
             }
-            (o.hit_chunks, o.filled_chunks, o.evicted.len() as u64)
+            Decision::Redirect => {
+                sink.counter_add(obs.redirected, 1);
+                sink.counter_add(obs.redirect_chunks, ctx.chunks);
+            }
         }
-        Decision::Redirect => (0, 0, 0),
-    };
-    shard
-        .overall
-        .record_decision(&decision, chunks, ctx.k_bytes);
-    if request.t >= ctx.steady_from {
-        shard.steady.record_decision(&decision, chunks, ctx.k_bytes);
-    }
-    let Some(obs) = ctx.obs else {
-        return;
-    };
-    let sink = obs.sink.as_ref();
-    if decision.is_serve() {
-        sink.counter_add(obs.served, 1);
-        sink.counter_add(obs.hit_chunks, hit_chunks);
-        sink.counter_add(obs.fill_chunks, filled_chunks);
-        sink.counter_add(obs.evicted_chunks, evicted_chunks);
-    } else {
-        sink.counter_add(obs.redirected, 1);
-        sink.counter_add(obs.redirect_chunks, chunks);
-    }
-    if let Some(spans) = &shard.spans {
-        spans.record(sink, evicted_chunks > 0);
-    }
-    let queue_gap = shard.dispatch.as_mut().map(|d| d.record(sink, tick));
-    if let Some(ring) = shard.window.as_mut() {
-        let input = WindowInput {
-            t_ms: request.t.as_millis(),
-            hit_bytes: hit_chunks.saturating_mul(ctx.k_bytes),
-            fill_bytes: filled_chunks.saturating_mul(ctx.k_bytes),
-            redirect_bytes: if decision.is_redirect() {
-                chunks.saturating_mul(ctx.k_bytes)
-            } else {
-                0
-            },
-            filled_chunks,
-            evicted_chunks,
-            request_chunks: chunks,
-            queue_gap,
-        };
+        self.spans.record(sink, input.evicted_chunks > 0);
         // Shard-level detection runs at report time over the merged
         // windows (Watchdog::run in engine_bundle), so closing needs no
         // callback here.
-        ring.record(&input, &mut |_| {});
+        self.window.record(&input, &mut |_| {});
     }
+}
+
+/// One policy shard plus its private accounting. Only the worker that owns
+/// the shard for the current run ever touches it. Detached shards carry no
+/// observer and serve through the kernel's `()` path: off means free.
+struct EngineShard {
+    policy: Box<dyn CachePolicy>,
+    traffic: StreamTraffic,
+    obs: Option<ShardObserver>,
 }
 
 /// One worker's whole run: scan every request in trace order and serve
 /// the ones whose shard `route` assigns to worker `w`. `own` holds `w`'s
 /// shards at the slots `route` names. Every worker count runs exactly
-/// this loop; with one worker the filter is always true.
+/// this loop; with one worker the filter is always true. This — plus
+/// [`shard_of_video`] — is the engine's per-request path: no allocation,
+/// no map churn, no locks.
 // lint: hot
 fn serve_owned(
     w: usize,
@@ -444,13 +351,23 @@ fn serve_owned(
     route: &[(usize, usize)],
     requests: &[Request],
     tick_base: u64,
-    ctx: &RunCtx<'_>,
+    kernel: &Kernel,
 ) {
     for (i, request) in requests.iter().enumerate() {
         let (owner, slot) = route[shard_of_video(request.video, route.len())];
-        if owner == w {
-            process(own[slot], request, tick_base + i as u64, ctx);
+        if owner != w {
+            continue;
         }
+        let EngineShard {
+            policy,
+            traffic,
+            obs,
+        } = &mut *own[slot];
+        let tick = tick_base + i as u64;
+        match obs {
+            Some(obs) => kernel.serve_one(policy.as_mut(), request, tick, traffic, obs),
+            None => kernel.serve_one(policy.as_mut(), request, tick, traffic, &mut ()),
+        };
     }
 }
 
@@ -620,13 +537,8 @@ impl ShardedEngine {
             }
             shards.push(EngineShard {
                 policy,
-                overall: TrafficCounter::default(),
-                steady: TrafficCounter::default(),
-                requests: 0,
-                spans: None,
-                topk: None,
-                dispatch: None,
-                window: None,
+                traffic: StreamTraffic::default(),
+                obs: None,
             });
         }
         Ok(ShardedEngine {
@@ -659,33 +571,47 @@ impl ShardedEngine {
     /// Attaches shared metrics: each shard's policy records under
     /// `{scope}.s{i:02}.{policy}`, the engine registers
     /// `{scope}.engine.*` aggregate counters updated atomically by the
-    /// workers, and the span/sketch instrumentation comes alive —
+    /// workers, and the span/sketch/window instrumentation comes alive —
     /// per-shard stage counters and queue-gap histograms
     /// (`{scope}.s{i:02}.span.*`), the dispatch count
     /// (`{scope}.engine.span.dispatched_total`), shard-imbalance gauges,
-    /// and one `cfg.topk`-slot Space-Saving sketch per shard. Detached
+    /// and per shard one Space-Saving sketch and one health-window ring,
+    /// sized as [`TelemetryConfig::new`] sizes the Replayer's. Detached
     /// engines skip all of it (off means free). Call before
     /// [`ShardedEngine::run`]; snapshots taken at quiescence (after `run`
     /// returns) are consistent with the report.
     pub fn attach_obs(&mut self, sink: &Arc<dyn MetricsSink>, scope: &str) {
-        let topk = self.cfg.topk;
-        for (i, shard) in self.shards.iter_mut().enumerate() {
-            let shard_scope = format!("{scope}.s{i:02}.{}", shard.policy.name());
-            shard
-                .policy
-                .attach_obs(PolicyObs::attach(Arc::clone(sink), &shard_scope));
-            shard.spans = Some(ShardSpans::attach(sink, scope, i));
-            shard.topk = (topk > 0).then(|| SpaceSaving::new(topk));
-            shard.window = (self.cfg.window.as_millis() > 0)
-                .then(|| WindowRing::new(self.cfg.window.as_millis(), self.cfg.window_retain));
-        }
-        // Registration order is export order: the dispatch-stage metrics
-        // follow every shard's policy and stage counters.
+        // Registration order is export order: every shard's policy and
+        // stage counters, then the dispatch-stage metrics, then the engine
+        // aggregates.
+        let spans: Vec<ShardSpans> = self
+            .shards
+            .iter_mut()
+            .enumerate()
+            .map(|(i, shard)| {
+                let shard_scope = format!("{scope}.s{i:02}.{}", shard.policy.name());
+                shard
+                    .policy
+                    .attach_obs(PolicyObs::attach(Arc::clone(sink), &shard_scope));
+                ShardSpans::attach(sink, scope, i)
+            })
+            .collect();
         let dispatch = DispatchSpans::attach(sink, scope, self.cfg.shards);
-        for (shard, spans) in self.shards.iter_mut().zip(dispatch) {
-            shard.dispatch = Some(spans);
+        let engine = EngineObs::attach(sink, scope);
+        let sizes = TelemetryConfig::new();
+        for (shard, (spans, dispatch)) in
+            self.shards.iter_mut().zip(spans.into_iter().zip(dispatch))
+        {
+            shard.obs = Some(ShardObserver {
+                engine: engine.clone(),
+                chunk_bytes: self.cfg.chunk_size.bytes(),
+                spans,
+                dispatch,
+                topk: SpaceSaving::new(sizes.topk_k),
+                window: WindowRing::new(sizes.window.as_millis(), sizes.window_retain),
+            });
         }
-        self.obs = Some(EngineObs::attach(sink, scope));
+        self.obs = Some(engine);
     }
 
     /// Runs the whole trace through the engine on `workers` threads — the
@@ -698,7 +624,10 @@ impl ShardedEngine {
     /// propagates to the caller with its original message once every
     /// worker has joined. Workers wait on nothing, so the others finish
     /// their scan and the call returns in bounded time — never a hang.
-    /// The engine's counters are unspecified afterwards.
+    /// So does an attached engine's refusal of a request whose timestamp
+    /// falls in health window [`vcdn_obs::window::MAX_WINDOWS`] or later
+    /// ("exceeds MAX_WINDOWS"; see [`WindowRing::record`]). The engine's
+    /// counters are unspecified afterwards.
     pub fn run(&mut self, trace: &Trace, workers: usize) -> EngineReport {
         self.run_prefix(trace, workers, trace.len())
     }
@@ -720,19 +649,12 @@ impl ShardedEngine {
         let limit = limit.min(trace.len());
         let n = self.cfg.shards;
         let workers = workers.max(1).min(n);
-        let horizon = if trace.meta.duration > DurationMs::ZERO {
-            trace.meta.duration
-        } else {
-            DurationMs(trace.end_time().as_millis() + 1)
-        };
-        let steady_from = Timestamp((horizon.as_millis() as f64 * self.cfg.steady_after) as u64);
-        let ctx = RunCtx {
-            chunk_size: self.cfg.chunk_size,
-            k_bytes: self.cfg.chunk_size.bytes(),
-            steady_from,
-            check_invariants: self.cfg.check_invariants,
-            obs: self.obs.as_ref(),
-        };
+        let kernel = Kernel::for_trace(
+            trace,
+            self.cfg.chunk_size,
+            STEADY_AFTER,
+            self.cfg.check_invariants,
+        );
         let requests = &trace.requests[..limit];
         // A request's dispatch tick is its trace-order position over the
         // engine's lifetime (warm continuation keeps it monotone).
@@ -748,17 +670,18 @@ impl ShardedEngine {
             route.push((w, owned[w].len()));
             owned[w].push(shard);
         }
-        let (ctx, route) = (&ctx, route.as_slice());
+        let (kernel, route) = (&kernel, route.as_slice());
         std::thread::scope(|scope| {
             let mut owned = owned.into_iter().enumerate();
             let mine = owned.next();
             let spawned: Vec<_> = owned
                 .map(|(w, mut own)| {
-                    scope.spawn(move || serve_owned(w, &mut own, route, requests, tick_base, ctx))
+                    scope
+                        .spawn(move || serve_owned(w, &mut own, route, requests, tick_base, kernel))
                 })
                 .collect();
             if let Some((w, mut own)) = mine {
-                serve_owned(w, &mut own, route, requests, tick_base, ctx);
+                serve_owned(w, &mut own, route, requests, tick_base, kernel);
             }
             // Join explicitly so a worker's panic reaches the caller with
             // its own payload rather than the scope's generic message.
@@ -785,13 +708,14 @@ impl ShardedEngine {
         };
         let n = self.shards.len() as u128;
         let skew = |max: u64, total: u64| (max as u128 * 1000 * n / total as u128) as u64;
-        let req_max = self.shards.iter().map(|s| s.requests).max().unwrap_or(0);
-        let req_total: u64 = self.shards.iter().map(|s| s.requests).sum();
+        let requests = |s: &EngineShard| s.traffic.overall.total_requests();
+        let req_max = self.shards.iter().map(requests).max().unwrap_or(0);
+        let req_total: u64 = self.shards.iter().map(requests).sum();
         if req_total > 0 {
             obs.sink
                 .gauge_set(obs.skew_requests, skew(req_max, req_total));
         }
-        let bytes = |s: &EngineShard| s.overall.requested_bytes();
+        let bytes = |s: &EngineShard| s.traffic.overall.requested_bytes();
         let byte_max = self.shards.iter().map(bytes).max().unwrap_or(0);
         let byte_total: u64 = self.shards.iter().map(bytes).sum();
         if byte_total > 0 {
@@ -805,10 +729,11 @@ impl ShardedEngine {
         // Non-destructive per-shard window snapshots (closed + dirty open)
         // folded into one engine-level grid. The fold is associative and
         // order-invariant, so the result is worker-count-invariant.
-        let window_sets: Vec<Vec<WindowStats>> = self
-            .shards
+        let observers: Vec<&ShardObserver> =
+            self.shards.iter().filter_map(|s| s.obs.as_ref()).collect();
+        let window_sets: Vec<Vec<WindowStats>> = observers
             .iter()
-            .filter_map(|s| s.window.as_ref().map(WindowRing::snapshot_windows))
+            .map(|o| o.window.snapshot_windows())
             .collect();
         EngineReport {
             shards: self
@@ -820,34 +745,18 @@ impl ShardedEngine {
                     policy: s.policy.name(),
                     capacity_chunks: s.policy.disk_capacity_chunks(),
                     used_chunks: s.policy.disk_used_chunks(),
-                    requests: s.requests,
-                    overall: s.overall,
-                    steady: s.steady,
-                    top_videos: s
-                        .topk
-                        .as_ref()
-                        .map(SpaceSaving::entries)
-                        .unwrap_or_default(),
+                    requests: s.traffic.overall.total_requests(),
+                    overall: s.traffic.overall,
+                    steady: s.traffic.steady,
+                    top_videos: s.obs.as_ref().map(|o| o.topk.entries()).unwrap_or_default(),
                 })
                 .collect(),
             workers: self.last_workers,
             dispatched: self.dispatched,
             costs: self.cfg.costs,
-            topk_k: if self.shards.iter().any(|s| s.topk.is_some()) {
-                self.cfg.topk
-            } else {
-                0
-            },
-            window_ms: if window_sets.is_empty() {
-                0
-            } else {
-                self.cfg.window.as_millis()
-            },
-            windows_dropped: self
-                .shards
-                .iter()
-                .filter_map(|s| s.window.as_ref().map(WindowRing::dropped))
-                .sum(),
+            topk_k: observers.first().map_or(0, |o| o.topk.k()),
+            window_ms: observers.first().map_or(0, |o| o.window.width_ms()),
+            windows_dropped: observers.iter().map(|o| o.window.dropped()).sum(),
             windows: merge_windows(&window_sets),
         }
     }
@@ -894,24 +803,11 @@ pub fn engine_bundle(
     bundle.meta_entry("window_ms", Json::Int(report.window_ms as i128));
     bundle.metrics = registry.snapshot(true);
     for shard in &report.shards {
-        for (i, e) in shard.top_videos.iter().enumerate() {
-            bundle.topk.push(TopKRecord {
-                shard: shard.shard as u32,
-                rank: (i + 1) as u32,
-                // Sketch keys are packed ChunkId(video, 0): unpack back
-                // to the video id for the exported record.
-                video: e.key >> ChunkId::INDEX_BITS,
-                count: e.count,
-                err: e.err,
-            });
-        }
+        bundle
+            .topk
+            .extend(TopKRecord::ranked(shard.shard as u32, &shard.top_videos));
     }
-    bundle.windows = report
-        .windows
-        .iter()
-        .map(|w| WindowRecord::from_stats(w, report.costs))
-        .collect();
-    bundle.windows_dropped = report.windows_dropped;
+    bundle.set_windows(&report.windows, report.costs, report.windows_dropped);
     bundle.alerts = Watchdog::run(
         rules,
         report.costs,
@@ -927,6 +823,7 @@ mod tests {
     use crate::replay::{ReplayConfig, Replayer};
     use vcdn_core::{CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig, XlruCache};
     use vcdn_trace::{ServerProfile, TraceGenerator};
+    use vcdn_types::DurationMs;
 
     fn trace() -> Trace {
         TraceGenerator::new(ServerProfile::tiny_test(), 99).generate(DurationMs::from_hours(12))

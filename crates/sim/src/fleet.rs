@@ -13,6 +13,8 @@ use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
 use vcdn_types::{Request, TrafficCounter};
 
+use crate::replay::{Kernel, StreamTraffic, STEADY_AFTER};
+
 /// Per-edge and aggregate results of a fleet replay.
 #[derive(Debug, Clone, PartialEq)]
 pub struct FleetReport {
@@ -47,8 +49,9 @@ impl FleetReport {
 /// # Panics
 ///
 /// Panics if the number of traces and edge caches differ, if any policy
-/// disagrees on chunk size, or if an edge trace is not time-ordered
-/// (guaranteed by [`Trace`]'s invariant).
+/// disagrees on chunk size or violates its serve contract (a `Serve` must
+/// cover the full request and stay within capacity), or if an edge trace
+/// is not time-ordered (guaranteed by [`Trace`]'s invariant).
 pub fn replay_fleet(
     traces: &[Trace],
     edges: &mut [Box<dyn CachePolicy>],
@@ -67,12 +70,13 @@ pub fn replay_fleet(
         );
     }
     let k = parent.chunk_size();
-    let k_bytes = k.bytes();
-    let mut report = FleetReport {
-        edges: vec![TrafficCounter::default(); edges.len()],
-        parent: TrafficCounter::default(),
-        origin_bytes: 0,
-    };
+    let kernels: Vec<Kernel> = traces
+        .iter()
+        .map(|t| Kernel::for_trace(t, k, STEADY_AFTER, true))
+        .collect();
+    let mut at_edges = vec![StreamTraffic::default(); edges.len()];
+    let mut at_parent = StreamTraffic::default();
+    let mut origin_bytes = 0u64;
 
     // K-way merge by timestamp (stable: lower edge index wins ties), so
     // the parent sees redirects in true arrival order.
@@ -93,21 +97,26 @@ pub fn replay_fleet(
         let Some((i, request)) = next else {
             break;
         };
+        let (kernel, seq) = (&kernels[i], cursors[i] as u64);
         cursors[i] += 1;
-        let chunks = request.chunk_len(k);
-        let at_edge = edges[i].handle_request(request);
-        report.edges[i].record_decision(&at_edge, chunks, k_bytes);
-        if at_edge.is_redirect() {
-            let at_parent = parent.handle_request(request);
-            report.parent.record_decision(&at_parent, chunks, k_bytes);
-            if at_parent.is_redirect() {
-                report.origin_bytes = report
-                    .origin_bytes
-                    .saturating_add(chunks.saturating_mul(k_bytes));
-            }
+        let edge = edges[i].as_mut();
+        let decision = kernel.serve_one(edge, request, seq, &mut at_edges[i], &mut ());
+        // A redirected user retries at the shared parent; what the parent
+        // redirects too leaves the CDN.
+        if decision.is_redirect()
+            && kernel
+                .serve_one(parent, request, seq, &mut at_parent, &mut ())
+                .is_redirect()
+        {
+            let bytes = request.chunk_len(k).saturating_mul(k.bytes());
+            origin_bytes = origin_bytes.saturating_add(bytes);
         }
     }
-    report
+    FleetReport {
+        edges: at_edges.iter().map(|e| e.overall).collect(),
+        parent: at_parent.overall,
+        origin_bytes,
+    }
 }
 
 #[cfg(test)]

@@ -20,7 +20,9 @@
 
 use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
-use vcdn_types::{Decision, TrafficCounter};
+use vcdn_types::TrafficCounter;
+
+use crate::replay::{Kernel, StreamTraffic, STEADY_AFTER};
 
 /// Per-tier and combined results of a hierarchy replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -59,8 +61,9 @@ impl HierarchyReport {
 ///
 /// # Panics
 ///
-/// Panics if the two policies disagree on chunk size, or (debug) if a
-/// policy violates its serve contract.
+/// Panics if the two policies disagree on chunk size, or if either
+/// violates its serve contract (a `Serve` must cover the full request and
+/// stay within capacity).
 pub fn replay_hierarchy(
     trace: &Trace,
     edge: &mut dyn CachePolicy,
@@ -71,35 +74,32 @@ pub fn replay_hierarchy(
         parent.chunk_size(),
         "edge/parent chunk size mismatch"
     );
-    let k = edge.chunk_size().bytes();
-    let mut report = HierarchyReport {
-        edge: TrafficCounter::default(),
-        parent: TrafficCounter::default(),
-        origin_bytes: 0,
-        origin_requests: 0,
-    };
-    for request in &trace.requests {
-        let chunks = request.chunk_len(edge.chunk_size());
-        // The serve contract: a served request delivers every chunk.
-        let covers = |d: &Decision| match d {
-            Decision::Serve(o) => o.served_chunks() == chunks,
-            Decision::Redirect => true,
-        };
-        let at_edge = edge.handle_request(request);
-        debug_assert!(covers(&at_edge));
-        report.edge.record_decision(&at_edge, chunks, k);
-        if at_edge.is_redirect() {
-            // The redirected user retries at the parent location.
-            let at_parent = parent.handle_request(request);
-            debug_assert!(covers(&at_parent));
-            report.parent.record_decision(&at_parent, chunks, k);
-            if at_parent.is_redirect() {
-                report.origin_bytes = report.origin_bytes.saturating_add(chunks.saturating_mul(k));
-                report.origin_requests += 1;
-            }
+    let k = edge.chunk_size();
+    let kernel = Kernel::for_trace(trace, k, STEADY_AFTER, true);
+    let mut at_edge = StreamTraffic::default();
+    let mut at_parent = StreamTraffic::default();
+    let (mut origin_bytes, mut origin_requests) = (0u64, 0u64);
+    for (seq, request) in trace.requests.iter().enumerate() {
+        let seq = seq as u64;
+        let decision = kernel.serve_one(edge, request, seq, &mut at_edge, &mut ());
+        // A redirected user retries at the parent location; what the
+        // parent redirects too leaves the CDN.
+        if decision.is_redirect()
+            && kernel
+                .serve_one(parent, request, seq, &mut at_parent, &mut ())
+                .is_redirect()
+        {
+            let bytes = request.chunk_len(k).saturating_mul(k.bytes());
+            origin_bytes = origin_bytes.saturating_add(bytes);
+            origin_requests += 1;
         }
     }
-    report
+    HierarchyReport {
+        edge: at_edge.overall,
+        parent: at_parent.overall,
+        origin_bytes,
+        origin_requests,
+    }
 }
 
 #[cfg(test)]

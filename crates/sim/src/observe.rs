@@ -2,6 +2,12 @@
 //! `vcdn-obs` registry, decision-event ring and time-series sampler, and
 //! packages one replay's output as a [`TelemetryBundle`].
 //!
+//! Every recorder takes its per-request delta from the one
+//! [`WindowInput::from_decision`]: the sampler and the health-window ring
+//! here, the engine's per-shard rings in [`crate::engine`].
+//! [`TelemetryConfig::new`] is also the single source of the engine's
+//! instrumentation sizes (sketch slots, window width, ring bound).
+//!
 //! [`replay_with_telemetry`] is the one-call entry point: it attaches
 //! scoped policy metrics, observes the replay, and returns the report
 //! plus a JSONL-ready bundle. [`telemetry_cell`] wraps the same call as a
@@ -13,7 +19,7 @@ use std::sync::Arc;
 
 use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
-use vcdn_obs::window::{WindowInput, WindowRecord, WindowRing};
+use vcdn_obs::window::{WindowInput, WindowRing};
 use vcdn_obs::{
     default_rules, DecisionEvent, EventRing, MetricId, MetricKind, MetricsRegistry, MetricsSink,
     PolicyObs, ReplaySampler, Rule, TelemetryBundle, Verdict, Watchdog,
@@ -199,23 +205,11 @@ impl TelemetryObserver {
         if let Some(mut ring) = self.windows.take() {
             let watchdog = &mut self.watchdog;
             ring.finish(&mut |w| watchdog.on_window(w));
-            bundle.windows = ring
-                .closed_windows()
-                .map(|w| WindowRecord::from_stats(w, self.costs))
-                .collect();
-            bundle.windows_dropped = ring.dropped();
+            bundle.set_windows(ring.closed_windows(), self.costs, ring.dropped());
         }
         bundle.alerts = self.watchdog.into_alerts();
         if let Some(sketch) = &self.topk {
-            for (i, e) in sketch.entries().iter().enumerate() {
-                bundle.topk.push(TopKRecord {
-                    shard: 0,
-                    rank: (i + 1) as u32,
-                    video: e.key >> ChunkId::INDEX_BITS,
-                    count: e.count,
-                    err: e.err,
-                });
-            }
+            bundle.topk.extend(TopKRecord::ranked(0, &sketch.entries()));
         }
         bundle.events_dropped = self.ring.dropped();
         bundle.events = self.ring.iter_oldest_first().cloned().collect();
@@ -233,25 +227,21 @@ impl ReplayObserver for TelemetryObserver {
         if let Some(sketch) = self.topk.as_mut() {
             sketch.record(ChunkId::new(ctx.request.video, 0).packed());
         }
-        let (verdict, hit_b, fill_b, red_b, evicted) = match ctx.decision {
-            Decision::Serve(o) => (
-                Verdict::Serve {
-                    hit_chunks: o.hit_chunks,
-                    filled_chunks: o.filled_chunks,
-                },
-                o.hit_chunks.saturating_mul(self.chunk_bytes),
-                o.filled_chunks.saturating_mul(self.chunk_bytes),
-                0,
-                o.evicted.len() as u64,
-            ),
-            Decision::Redirect => (
-                Verdict::Redirect,
-                0,
-                0,
-                ctx.chunks.saturating_mul(self.chunk_bytes),
-                0,
-            ),
+        let verdict = match ctx.decision {
+            Decision::Serve(o) => Verdict::Serve {
+                hit_chunks: o.hit_chunks,
+                filled_chunks: o.filled_chunks,
+            },
+            Decision::Redirect => Verdict::Redirect,
         };
+        // The replayer is one stream with no dispatcher: no queue gap.
+        let input = WindowInput::from_decision(
+            ctx.request.t.as_millis(),
+            ctx.decision,
+            ctx.chunks,
+            self.chunk_bytes,
+            None,
+        );
         self.ring.push(DecisionEvent::from_decision(
             ctx.seq,
             ctx.request,
@@ -260,29 +250,15 @@ impl ReplayObserver for TelemetryObserver {
             ctx.policy,
             verdict,
             ctx.detail,
-            evicted,
+            input.evicted_chunks,
         ));
         self.sampler.record(
-            ctx.request.t.as_millis(),
-            hit_b,
-            fill_b,
-            red_b,
+            &input,
             ctx.occupancy_chunks,
             ctx.capacity_chunks,
             ctx.detail.cache_age_ms,
         );
         if let Some(ring) = self.windows.as_mut() {
-            let input = WindowInput {
-                t_ms: ctx.request.t.as_millis(),
-                hit_bytes: hit_b,
-                fill_bytes: fill_b,
-                redirect_bytes: red_b,
-                // fill_b is exactly filled_chunks · chunk_bytes.
-                filled_chunks: fill_b / self.chunk_bytes,
-                evicted_chunks: evicted,
-                request_chunks: ctx.chunks,
-                queue_gap: None,
-            };
             let watchdog = &mut self.watchdog;
             ring.record(&input, &mut |w| watchdog.on_window(w));
         }

@@ -1,6 +1,13 @@
 //! The replay engine: drives a request trace through a cache policy and
 //! accounts traffic the way the paper's evaluation does.
 //!
+//! The per-request step — decide, check the serve contract, account the
+//! full run and its steady-state part, hand the decision to an observer —
+//! exists once, as the crate-private `Kernel::serve_one`. [`Replayer`] is
+//! its one-stream driver and adds only the hourly report grid; the sharded
+//! engine ([`crate::engine`]) and the co-located, fleet and hierarchy
+//! replays drive the same kernel over several streams.
+//!
 //! Accounting is in chunk-granularity bytes (`chunks × K`) on all three
 //! buckets — hits, fills, redirects — because a chunk is fetched and
 //! stored in full even when requested partially (§4.2), and a uniform unit
@@ -12,9 +19,10 @@
 //! hourly windows for the Figure 3 time series.
 
 use vcdn_core::CachePolicy;
+use vcdn_obs::window::assert_window_in_grid;
 use vcdn_obs::DecisionDetail;
 use vcdn_trace::Trace;
-use vcdn_types::{CostModel, Decision, DurationMs, Request, Timestamp, TrafficCounter};
+use vcdn_types::{ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp, TrafficCounter};
 
 /// Replay options.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -23,8 +31,6 @@ pub struct ReplayConfig {
     pub chunk_size: vcdn_types::ChunkSize,
     /// Cost model used for efficiency reporting (must match the policy's).
     pub costs: CostModel,
-    /// Metric window length (paper plots hourly series).
-    pub window: DurationMs,
     /// Fraction of the replay after which steady-state accounting begins
     /// (paper: 0.5 — the second half).
     pub steady_after: f64,
@@ -34,23 +40,15 @@ pub struct ReplayConfig {
 }
 
 impl ReplayConfig {
-    /// The paper's measurement setup: hourly windows, steady state over
-    /// the second half.
+    /// The paper's measurement setup: steady state over the second half
+    /// (the report grid is always the paper's hourly one).
     pub fn new(chunk_size: vcdn_types::ChunkSize, costs: CostModel) -> Self {
         ReplayConfig {
             chunk_size,
             costs,
-            window: DurationMs::HOUR,
-            steady_after: 0.5,
+            steady_after: STEADY_AFTER,
             check_invariants: true,
         }
-    }
-
-    /// Overrides the metric window.
-    pub fn with_window(mut self, window: DurationMs) -> Self {
-        assert!(window.as_millis() > 0, "window must be > 0");
-        self.window = window;
-        self
     }
 
     /// Overrides the steady-state start fraction.
@@ -136,6 +134,117 @@ impl ReplayObserver for () {
     fn on_decision(&mut self, _ctx: &DecisionCtx<'_>) {}
 }
 
+/// The paper's steady-state cut (§9): the second half of the trace.
+pub(crate) const STEADY_AFTER: f64 = 0.5;
+
+/// One request stream's accounting: the full run and its steady-state
+/// part.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct StreamTraffic {
+    pub(crate) overall: TrafficCounter,
+    pub(crate) steady: TrafficCounter,
+}
+
+/// The request kernel: the one decide → verify → account → observe step
+/// behind every replay loop in this crate. A driver picks the policy a
+/// request goes to and owns that stream's [`StreamTraffic`]; the kernel
+/// does the rest.
+#[derive(Debug)]
+pub(crate) struct Kernel {
+    chunk_size: ChunkSize,
+    steady_from: Timestamp,
+    check_invariants: bool,
+}
+
+impl Kernel {
+    /// A kernel for replaying `trace`: steady-state accounting starts
+    /// `steady_after` of the way through the trace's horizon (its declared
+    /// duration, else one past its last timestamp).
+    pub(crate) fn for_trace(
+        trace: &Trace,
+        chunk_size: ChunkSize,
+        steady_after: f64,
+        check_invariants: bool,
+    ) -> Kernel {
+        let horizon = if trace.meta.duration > DurationMs::ZERO {
+            trace.meta.duration
+        } else {
+            DurationMs(trace.end_time().as_millis().saturating_add(1))
+        };
+        Kernel {
+            chunk_size,
+            steady_from: Timestamp((horizon.as_millis() as f64 * steady_after) as u64),
+            check_invariants,
+        }
+    }
+
+    /// Serves `request` (number `seq` of its driver's stream) from
+    /// `policy`: decides, checks the serve contract, accounts the decision
+    /// into `traffic` and hands it to `observer`. With the `()` observer
+    /// the observer work — the `decision_detail` call and the latency
+    /// clock reads included — compiles out.
+    ///
+    /// # Panics
+    ///
+    /// With `check_invariants`, panics if a `Serve` does not cover the
+    /// full request or leaves the policy over capacity.
+    #[inline]
+    // lint: hot
+    pub(crate) fn serve_one<O: ReplayObserver>(
+        &self,
+        policy: &mut dyn CachePolicy,
+        request: &Request,
+        seq: u64,
+        traffic: &mut StreamTraffic,
+        observer: &mut O,
+    ) -> Decision {
+        let (chunks, chunk_bytes) = (request.chunk_len(self.chunk_size), self.chunk_size.bytes());
+        let started = (O::ACTIVE && observer.wants_timing()).then(std::time::Instant::now);
+        let decision = policy.handle_request(request);
+        let latency_ns = started.map(|t| t.elapsed().as_nanos() as u64);
+
+        if self.check_invariants {
+            if let Decision::Serve(o) = &decision {
+                assert_eq!(
+                    o.served_chunks(),
+                    chunks,
+                    "{}: serve must cover the full request",
+                    policy.name()
+                );
+                assert!(
+                    policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
+                    "{}: capacity exceeded",
+                    policy.name()
+                );
+            }
+        }
+        traffic
+            .overall
+            .record_decision(&decision, chunks, chunk_bytes);
+        if request.t >= self.steady_from {
+            traffic
+                .steady
+                .record_decision(&decision, chunks, chunk_bytes);
+        }
+
+        if O::ACTIVE {
+            observer.on_decision(&DecisionCtx {
+                seq,
+                request,
+                chunks,
+                first_chunk: request.chunk_range(self.chunk_size).start,
+                decision: &decision,
+                detail: policy.decision_detail(),
+                policy: policy.name(),
+                occupancy_chunks: policy.disk_used_chunks(),
+                capacity_chunks: policy.disk_capacity_chunks(),
+                latency_ns,
+            });
+        }
+        decision
+    }
+}
+
 /// Per-window traffic statistics.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowStat {
@@ -155,7 +264,7 @@ pub struct ReplayReport {
     /// Traffic over the steady-state portion (the paper's reported
     /// numbers).
     pub steady: TrafficCounter,
-    /// Per-window traffic (window length per [`ReplayConfig::window`]).
+    /// Per-window traffic on the paper's hourly grid.
     pub windows: Vec<WindowStat>,
     /// The cost model used for efficiency computation.
     pub costs: CostModel,
@@ -201,8 +310,10 @@ impl Replayer {
     /// # Panics
     ///
     /// Panics if the policy's chunk size or cost model disagree with the
-    /// replay configuration, or (with `check_invariants`) if the policy
-    /// violates its contract.
+    /// replay configuration, (with `check_invariants`) if the policy
+    /// violates its contract, or if a request's timestamp falls in hourly
+    /// window [`vcdn_obs::window::MAX_WINDOWS`] or later ("exceeds
+    /// MAX_WINDOWS") — a far-future timestamp is refused, not walked to.
     pub fn replay(&self, trace: &Trace, policy: &mut dyn CachePolicy) -> ReplayReport {
         self.replay_observed(trace, policy, &mut ())
     }
@@ -230,81 +341,37 @@ impl Replayer {
             (policy.costs().alpha() - cfg.costs.alpha()).abs() < 1e-12,
             "policy/replayer cost model mismatch"
         );
-        let k = cfg.chunk_size.bytes();
-        let horizon = if trace.meta.duration > DurationMs::ZERO {
-            trace.meta.duration
-        } else {
-            DurationMs(trace.end_time().as_millis() + 1)
-        };
-        let steady_from = Timestamp((horizon.as_millis() as f64 * cfg.steady_after) as u64);
-
-        let mut overall = TrafficCounter::default();
-        let mut steady = TrafficCounter::default();
+        let kernel = Kernel::for_trace(
+            trace,
+            cfg.chunk_size,
+            cfg.steady_after,
+            cfg.check_invariants,
+        );
+        let mut traffic = StreamTraffic::default();
+        // The report grid: the paper's hourly series (Fig. 3).
+        let window_ms = DurationMs::HOUR.as_millis();
         let mut windows: Vec<WindowStat> = Vec::new();
-        let window_ms = cfg.window.as_millis();
-
-        let timed = O::ACTIVE && observer.wants_timing();
         for (seq, request) in trace.requests.iter().enumerate() {
-            let chunks = request.chunk_len(cfg.chunk_size);
-            let started = if timed {
-                Some(std::time::Instant::now())
-            } else {
-                None
-            };
-            let decision = policy.handle_request(request);
-            let latency_ns = started.map(|t| t.elapsed().as_nanos() as u64);
-
-            let widx = (request.t.as_millis() / window_ms) as usize;
-            while windows.len() <= widx {
-                windows.push(WindowStat {
-                    start: Timestamp(windows.len() as u64 * window_ms),
+            let decision = kernel.serve_one(policy, request, seq as u64, &mut traffic, observer);
+            let widx = request.t.as_millis() / window_ms;
+            if widx >= windows.len() as u64 {
+                assert_window_in_grid(widx, request.t.as_millis(), window_ms);
+                windows.extend((windows.len() as u64..=widx).map(|i| WindowStat {
+                    start: Timestamp(i * window_ms),
                     traffic: TrafficCounter::default(),
-                });
+                }));
             }
-            let in_steady = request.t >= steady_from;
-
-            if cfg.check_invariants {
-                if let Decision::Serve(o) = &decision {
-                    assert_eq!(
-                        o.served_chunks(),
-                        chunks,
-                        "{}: serve must cover the full request",
-                        policy.name()
-                    );
-                    assert!(
-                        policy.disk_used_chunks() <= policy.disk_capacity_chunks(),
-                        "{}: capacity exceeded",
-                        policy.name()
-                    );
-                }
-            }
-            let account = |t: &mut TrafficCounter| t.record_decision(&decision, chunks, k);
-            account(&mut overall);
-            account(&mut windows[widx].traffic);
-            if in_steady {
-                account(&mut steady);
-            }
-
-            if O::ACTIVE {
-                observer.on_decision(&DecisionCtx {
-                    seq: seq as u64,
-                    request,
-                    chunks,
-                    first_chunk: request.chunk_range(cfg.chunk_size).start,
-                    decision: &decision,
-                    detail: policy.decision_detail(),
-                    policy: policy.name(),
-                    occupancy_chunks: policy.disk_used_chunks(),
-                    capacity_chunks: policy.disk_capacity_chunks(),
-                    latency_ns,
-                });
-            }
+            windows[widx as usize].traffic.record_decision(
+                &decision,
+                request.chunk_len(cfg.chunk_size),
+                cfg.chunk_size.bytes(),
+            );
         }
 
         ReplayReport {
             policy: policy.name(),
-            overall,
-            steady,
+            overall: traffic.overall,
+            steady: traffic.steady,
             windows,
             costs: cfg.costs,
         }
@@ -431,10 +498,7 @@ mod tests {
 
     #[test]
     fn config_validation() {
-        let c = ReplayConfig::new(k100(), CostModel::balanced())
-            .with_window(DurationMs::from_secs(60))
-            .with_steady_after(0.25);
-        assert_eq!(c.window, DurationMs::from_secs(60));
+        let c = ReplayConfig::new(k100(), CostModel::balanced()).with_steady_after(0.25);
         assert!((c.steady_after - 0.25).abs() < 1e-12);
     }
 

@@ -21,6 +21,8 @@ use vcdn_trace::Trace;
 use vcdn_types::float::exactly_zero;
 use vcdn_types::{ChunkId, TrafficCounter, VideoId};
 
+use crate::replay::{Kernel, StreamTraffic, STEADY_AFTER};
+
 /// Maps video IDs to one of `servers` co-located caches through a
 /// fixed-size bucket space.
 ///
@@ -144,7 +146,9 @@ pub fn attach_colocated_obs(caches: &mut [Box<dyn CachePolicy>], sink: &Arc<dyn 
 ///
 /// # Panics
 ///
-/// Panics if `caches` is empty or chunk sizes differ.
+/// Panics if `caches` is empty or chunk sizes differ, or if a policy
+/// violates its serve contract (a `Serve` must cover the full request and
+/// stay within capacity).
 pub fn replay_colocated(
     trace: &Trace,
     caches: &mut [Box<dyn CachePolicy>],
@@ -156,10 +160,10 @@ pub fn replay_colocated(
         assert_eq!(c.chunk_size(), k, "co-located chunk size mismatch");
     }
     let map = ShardMap::new(caches.len(), 4096);
-    let k_bytes = k.bytes();
-    let mut servers = vec![TrafficCounter::default(); caches.len()];
+    let kernel = Kernel::for_trace(trace, k, STEADY_AFTER, true);
+    let mut servers = vec![StreamTraffic::default(); caches.len()];
     let mut rr = 0usize;
-    for request in &trace.requests {
+    for (seq, request) in trace.requests.iter().enumerate() {
         let i = match assignment {
             Assignment::Sharded => map.server_for(request.video),
             Assignment::RoundRobin => {
@@ -167,9 +171,8 @@ pub fn replay_colocated(
                 rr
             }
         };
-        let chunks = request.chunk_len(k);
-        let decision = caches[i].handle_request(request);
-        servers[i].record_decision(&decision, chunks, k_bytes);
+        let (cache, traffic) = (caches[i].as_mut(), &mut servers[i]);
+        kernel.serve_one(cache, request, seq as u64, traffic, &mut ());
     }
     // Count duplicates over the union of requested chunks.
     let mut requested: vcdn_types::FastSet<ChunkId> = vcdn_types::FastSet::default();
@@ -188,7 +191,7 @@ pub fn replay_colocated(
         }
     }
     ColocatedReport {
-        servers,
+        servers: servers.iter().map(|s| s.overall).collect(),
         distinct_cached_chunks: distinct,
         total_cached_chunks: total,
     }

@@ -13,19 +13,30 @@
 //! * stop/drain conservation — stopping the feed after a random number of
 //!   requests never loses or double-counts a request, at any worker count;
 //! * fault propagation — a shard policy that panics mid-run unwinds
-//!   `run` with its own message in bounded time, at any worker count.
+//!   `run` with its own message in bounded time, at any worker count;
+//! * one invariant walk — an under-covering policy is refused by every
+//!   replay driver, the topology loops included, in release builds too;
+//! * bounded time on a hostile clock — a far-future timestamp is refused
+//!   with a documented panic, never walked to one window at a time.
 
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{mpsc, Arc};
 use std::time::Duration;
 
-use vcdn_core::{CachePolicy, XlruCache};
+use vcdn_core::{CacheConfig, CachePolicy, LruCache, XlruCache};
+use vcdn_obs::{MetricsRegistry, MetricsSink};
 use vcdn_sim::engine::{
     shard_of_chunk, shard_of_video, shard_requests, EngineConfig, ShardedEngine,
 };
+use vcdn_sim::shard::{replay_colocated, Assignment};
+use vcdn_sim::{
+    replay_fleet, replay_hierarchy, replay_with_telemetry, ReplayConfig, Replayer, TelemetryConfig,
+};
 use vcdn_trace::rng::DetRng;
-use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, VideoId};
+use vcdn_trace::{ServerProfile, Trace, TraceGenerator, TraceMeta};
+use vcdn_types::{
+    ByteRange, ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp, VideoId,
+};
 
 const PROP_SEED: u64 = 0x5EED_6E61_4E50_5236; // stable per-file seed
 
@@ -160,23 +171,48 @@ fn random_stop_drain_conserves_every_request() {
     }
 }
 
-/// A policy that behaves like its inner cache until its `fail_at`-th
-/// request, then panics — a stand-in for any policy bug.
-struct PanicsAt {
-    inner: XlruCache,
-    seen: u64,
-    fail_at: u64,
+/// How a [`Faulty`] policy breaks its contract.
+enum Fault {
+    /// Panics on its n-th request — a stand-in for any policy bug.
+    PanicsAt(u64),
+    /// Claims `Serve` while delivering one chunk too few — the breach the
+    /// kernel's invariant walk exists to catch.
+    UnderCovers,
 }
 
-impl CachePolicy for PanicsAt {
+/// A policy that behaves like its inner cache except for one [`Fault`].
+struct Faulty<P> {
+    inner: P,
+    seen: u64,
+    fault: Fault,
+}
+
+fn faulty<P: CachePolicy + 'static>(inner: P, fault: Fault) -> Box<dyn CachePolicy> {
+    Box::new(Faulty {
+        inner,
+        seen: 0,
+        fault,
+    })
+}
+
+impl<P: CachePolicy> CachePolicy for Faulty<P> {
     fn handle_request(&mut self, request: &Request) -> Decision {
         self.seen += 1;
-        assert!(
-            self.seen != self.fail_at,
-            "injected fault on request {}",
-            self.fail_at
-        );
-        self.inner.handle_request(request)
+        let decision = self.inner.handle_request(request);
+        match (&self.fault, decision) {
+            (Fault::PanicsAt(n), _) if self.seen == *n => {
+                panic!("injected fault on request {n}")
+            }
+            (Fault::UnderCovers, Decision::Serve(mut o)) => {
+                if o.filled_chunks > 0 {
+                    o.filled_chunks -= 1;
+                } else {
+                    o.hit_chunks -= 1;
+                }
+                Decision::Serve(o)
+            }
+            (_, decision) => decision,
+        }
     }
 
     fn name(&self) -> &'static str {
@@ -204,6 +240,29 @@ impl CachePolicy for PanicsAt {
     }
 }
 
+/// Runs `f` on a helper thread and returns its panic message (`None` if it
+/// returned normally), failing the test if it is still running after
+/// `secs` — so a hang fails at the timeout instead of wedging the suite.
+fn panic_message_within<F>(secs: u64, what: &str, f: F) -> Option<String>
+where
+    F: FnOnce() + Send + 'static,
+{
+    let (tx, rx) = mpsc::channel();
+    std::thread::spawn(move || {
+        let message = catch_unwind(AssertUnwindSafe(f)).err().map(|payload| {
+            payload
+                .downcast_ref::<String>()
+                .cloned()
+                .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
+                .unwrap_or_default()
+        });
+        // The receiver is gone only if the test already timed out.
+        let _ = tx.send(message);
+    });
+    rx.recv_timeout(Duration::from_secs(secs))
+        .unwrap_or_else(|_| panic!("{what}: still running after {secs} s"))
+}
+
 /// A shard policy that panics on its 11th request must unwind `run` with
 /// the policy's own message, promptly, at 1, 2 and 4 workers — never a
 /// hang. The trace routes thousands of further requests to the victim
@@ -222,37 +281,113 @@ fn panicking_shard_policy_unwinds_run_at_any_worker_count() {
         "trace too short to outlast a bounded queue: {victim_requests} victim requests"
     );
     for workers in [1, 2, 4] {
-        let (tx, rx) = mpsc::channel();
         let trace = Arc::clone(&trace);
-        std::thread::spawn(move || {
+        let what = format!("{workers} workers: run after a shard policy panic");
+        let message = panic_message_within(10, &what, move || {
             let cfg = EngineConfig::new(SHARDS, 96, ChunkSize::DEFAULT, costs())
                 .expect("valid engine config");
             let mut engine = ShardedEngine::try_new(cfg, |shard, cache| -> Box<dyn CachePolicy> {
-                Box::new(PanicsAt {
-                    inner: XlruCache::new(cache),
-                    seen: 0,
-                    fail_at: if shard == VICTIM { 11 } else { u64::MAX },
-                })
+                let fail_at = if shard == VICTIM { 11 } else { u64::MAX };
+                faulty(XlruCache::new(cache), Fault::PanicsAt(fail_at))
             })
             .expect("engine builds");
-            let outcome = catch_unwind(AssertUnwindSafe(|| engine.run(&trace, workers)));
-            let message = outcome.err().map(|payload| {
-                payload
-                    .downcast_ref::<String>()
-                    .cloned()
-                    .or_else(|| payload.downcast_ref::<&str>().map(|m| m.to_string()))
-                    .unwrap_or_default()
-            });
-            // The receiver is gone only if the test already timed out.
-            let _ = tx.send(message);
+            engine.run(&trace, workers);
         });
-        let message = rx
-            .recv_timeout(Duration::from_secs(10))
-            .unwrap_or_else(|_| panic!("{workers} workers: run hung after a shard policy panic"));
         assert_eq!(
             message.as_deref(),
             Some("injected fault on request 11"),
             "{workers} workers: run must unwind with the policy's panic message"
         );
     }
+}
+
+fn honest() -> LruCache {
+    LruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs()))
+}
+
+fn under_covering() -> Box<dyn CachePolicy> {
+    faulty(honest(), Fault::UnderCovers)
+}
+
+// The topology loops run the kernel's invariant walk unconditionally
+// (before this they checked in debug builds only, or not at all).
+
+#[test]
+#[should_panic(expected = "serve must cover the full request")]
+fn hierarchy_refuses_an_under_covering_edge() {
+    replay_hierarchy(
+        &golden_trace(7, 2),
+        under_covering().as_mut(),
+        &mut honest(),
+    );
+}
+
+#[test]
+#[should_panic(expected = "serve must cover the full request")]
+fn hierarchy_refuses_an_under_covering_parent() {
+    // xLRU redirects every first-seen video, so the parent is reached.
+    let mut edge = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs()));
+    replay_hierarchy(&golden_trace(7, 2), &mut edge, under_covering().as_mut());
+}
+
+#[test]
+#[should_panic(expected = "serve must cover the full request")]
+fn fleet_refuses_an_under_covering_edge() {
+    let traces = [golden_trace(7, 2), golden_trace(8, 2)];
+    let mut edges = [Box::new(honest()) as Box<dyn CachePolicy>, under_covering()];
+    replay_fleet(&traces, &mut edges, &mut honest());
+}
+
+#[test]
+#[should_panic(expected = "serve must cover the full request")]
+fn colocated_refuses_an_under_covering_server() {
+    let mut caches = [Box::new(honest()) as Box<dyn CachePolicy>, under_covering()];
+    replay_colocated(&golden_trace(7, 2), &mut caches, Assignment::RoundRobin);
+}
+
+/// A time-ordered two-request trace whose second timestamp is far out (a
+/// trace stamped in epoch-ms instead of zero-based ms is enough) must be
+/// refused with the documented `MAX_WINDOWS` panic by every driver that
+/// keeps a time grid — inside 5 s, where walking the grid one empty
+/// window at a time would take hours or exhaust memory.
+#[test]
+fn far_future_timestamp_is_refused_in_bounded_time() {
+    fn refused(what: &str, drive: impl FnOnce(&Trace) + Send + 'static) {
+        let at = |t| {
+            Request::new(
+                VideoId(1),
+                ByteRange::new(0, 99).expect("range"),
+                Timestamp(t),
+            )
+        };
+        let hostile = Trace::new(
+            TraceMeta {
+                name: "hostile".into(),
+                seed: 0,
+                duration: DurationMs::ZERO,
+                description: String::new(),
+            },
+            vec![at(0), at(u64::MAX / 2)],
+        );
+        let message = panic_message_within(5, what, move || drive(&hostile));
+        assert!(
+            message
+                .as_deref()
+                .is_some_and(|m| m.contains("exceeds MAX_WINDOWS")),
+            "{what}: expected the MAX_WINDOWS refusal, got {message:?}"
+        );
+    }
+    let replayer = Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs()));
+    refused("plain replay", move |trace| {
+        replayer.replay(trace, &mut honest());
+    });
+    refused("replay_with_telemetry", move |trace| {
+        replay_with_telemetry(&replayer, trace, &mut honest(), &TelemetryConfig::new());
+    });
+    refused("attached 4-shard engine", |trace| {
+        let sink: Arc<dyn MetricsSink> = Arc::new(MetricsRegistry::new());
+        let mut engine = xlru_engine(4, 96);
+        engine.attach_obs(&sink, "e0");
+        engine.run(trace, 2);
+    });
 }
