@@ -42,7 +42,7 @@
 use std::sync::Arc;
 use std::time::Instant;
 
-use vcdn_bench::{arg_flag, trace_for, Algo, Scale, EXPERIMENT_SEED, PAPER_DISK_BYTES};
+use vcdn_bench::{trace_for, Algo, Args, EXPERIMENT_SEED, PAPER_DISK_BYTES};
 use vcdn_core::{
     CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig, XlruCache,
 };
@@ -385,33 +385,30 @@ fn json_of(shape: &RunShape<'_>, rows: &[PolicyRun]) -> Json {
     ])
 }
 
-fn parse_threads() -> Vec<usize> {
-    let spec: String = arg_flag("threads").unwrap_or_else(|| "1,2,4,8,16".to_string());
-    let threads: Vec<usize> = spec
-        .split(',')
-        .map(|s| {
-            s.trim()
-                .parse::<usize>()
-                .unwrap_or_else(|e| panic!("--threads entry {s:?}: {e}"))
-                .max(1)
+fn parse_threads(args: &Args) -> Vec<usize> {
+    let spec: String = args
+        .get("threads")
+        .unwrap_or_else(|| "1,2,4,8,16".to_string());
+    spec.split(',')
+        .map(|s| match s.trim().parse::<usize>() {
+            Ok(n) => n.max(1),
+            Err(e) => args.fail(&format!("--threads entry {s:?}: {e}")),
         })
-        .collect();
-    assert!(
-        !threads.is_empty(),
-        "--threads must name at least one count"
-    );
-    threads
+        .collect()
 }
 
 fn main() {
-    let scale = Scale::from_args();
-    let days: u64 = arg_flag("days").unwrap_or(30);
-    let shards: usize = arg_flag("shards").unwrap_or(16);
-    let reps: u32 = arg_flag("reps").unwrap_or(3).max(1);
-    let out: String = arg_flag("out").unwrap_or_else(|| "BENCH_PR8.json".to_string());
-    let bundle_out: Option<String> = arg_flag("bundle");
-    let check: Option<String> = arg_flag("check");
-    let threads = parse_threads();
+    let args = Args::from_env("contention");
+    let (scale, days) = (args.scale(), args.days());
+    let shards: usize = args.get("shards").unwrap_or(16);
+    let reps: u32 = args.get("reps").unwrap_or(3).max(1);
+    let out: String = args
+        .get("out")
+        .unwrap_or_else(|| "BENCH_PR8.json".to_string());
+    let bundle_out: Option<String> = args.get("bundle");
+    let check: Option<String> = args.get("check");
+    let threads = parse_threads(&args);
+    args.finish();
 
     // Record the machine's actual parallelism up front, and be honest on
     // stderr when the sweep asks for more workers than there are cores:

@@ -34,8 +34,8 @@
 
 use std::process::ExitCode;
 
-use vcdn_bench::arg_flag;
 use vcdn_bench::telemetry::{as_f64, as_u64, parse_bundles, BundleDoc};
+use vcdn_bench::Args;
 use vcdn_obs::SCHEMA;
 use vcdn_types::float::exactly_zero;
 use vcdn_types::json::Json;
@@ -418,7 +418,12 @@ fn check_rules_file(path: &str, errs: &mut Vec<String>) {
 }
 
 fn main() -> ExitCode {
-    let path: String = arg_flag("in").unwrap_or_else(|| "results/telemetry.jsonl".to_string());
+    let args = Args::from_env("obs_check");
+    let path: String = args
+        .get("in")
+        .unwrap_or_else(|| "results/telemetry.jsonl".to_string());
+    let rules_path: Option<String> = args.get("rules");
+    args.finish();
     let text = match std::fs::read_to_string(&path) {
         Ok(t) => t,
         Err(e) => {
@@ -428,7 +433,7 @@ fn main() -> ExitCode {
     };
 
     let mut errs: Vec<String> = Vec::new();
-    if let Some(rules_path) = arg_flag::<String>("rules") {
+    if let Some(rules_path) = rules_path {
         check_rules_file(&rules_path, &mut errs);
     }
     let bundles = parse_bundles(&text, &mut errs);

@@ -19,7 +19,7 @@
 use std::process::ExitCode;
 
 use vcdn_bench::telemetry::{as_f64, as_u64, parse_bundles, BundleDoc};
-use vcdn_bench::{arg_flag, arg_switch};
+use vcdn_bench::Args;
 use vcdn_types::json::Json;
 
 /// Renders one histogram metric line as mean plus upper-bound quantiles
@@ -255,15 +255,15 @@ fn read_bundles(path: &str) -> Result<Vec<BundleDoc>, String> {
 }
 
 fn main() -> ExitCode {
-    if arg_switch("diff") {
-        // --diff takes two positional operands: the files to compare.
-        let args: Vec<String> = std::env::args().collect();
-        let pos = args.iter().position(|a| a == "--diff").unwrap();
-        let (Some(path_a), Some(path_b)) = (args.get(pos + 1), args.get(pos + 2)) else {
-            eprintln!("usage: obs_report --diff <a.jsonl> <b.jsonl> [--tol <f>]");
-            return ExitCode::FAILURE;
-        };
-        let tol: f64 = arg_flag("tol").unwrap_or(1e-9);
+    let args = Args::from_env("obs_report");
+    // --diff takes two operands: the files to compare.
+    let diff = args.values("diff", 2);
+    let tol: f64 = args.get("tol").unwrap_or(1e-9);
+    let path: String = args
+        .get("in")
+        .unwrap_or_else(|| "results/telemetry.jsonl".to_string());
+    args.finish();
+    if let Some([path_a, path_b]) = diff.as_deref() {
         let (a, b) = match (read_bundles(path_a), read_bundles(path_b)) {
             (Ok(a), Ok(b)) => (a, b),
             (ra, rb) => {
@@ -294,7 +294,6 @@ fn main() -> ExitCode {
             ExitCode::FAILURE
         }
     } else {
-        let path: String = arg_flag("in").unwrap_or_else(|| "results/telemetry.jsonl".to_string());
         match read_bundles(&path) {
             Ok(bundles) => {
                 render(&path, &bundles);

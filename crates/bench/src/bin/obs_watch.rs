@@ -21,7 +21,7 @@
 use std::process::ExitCode;
 
 use vcdn_bench::scenario::run_flash_crowd;
-use vcdn_bench::{arg_flag, grid_workers};
+use vcdn_bench::{grid_workers, Args};
 use vcdn_obs::{Severity, WindowRecord};
 
 /// Ten-step ASCII intensity ramp for the sparklines.
@@ -88,7 +88,12 @@ fn render_timeline(windows: &[WindowRecord], alerts: &[vcdn_obs::AlertEvent]) ->
 }
 
 fn main() -> ExitCode {
-    let workers: usize = arg_flag("workers").unwrap_or_else(grid_workers);
+    let args = Args::from_env("obs_watch");
+    let workers: usize = args.get("workers").unwrap_or_else(grid_workers);
+    let out: Option<String> = args.get("out");
+    let write_golden: Option<String> = args.get("write-golden");
+    let golden: Option<String> = args.get("golden");
+    args.finish();
     eprintln!("[obs_watch] flash-crowd scenario on {workers} worker(s)");
     let run = run_flash_crowd(workers);
 
@@ -107,7 +112,7 @@ fn main() -> ExitCode {
     println!("alert log:");
     print!("{}", run.alert_log);
 
-    if let Some(out) = arg_flag::<String>("out") {
+    if let Some(out) = out {
         if let Some(dir) = std::path::Path::new(&out).parent() {
             std::fs::create_dir_all(dir).unwrap_or_else(|e| panic!("mkdir {dir:?}: {e}"));
         }
@@ -115,12 +120,12 @@ fn main() -> ExitCode {
         std::fs::write(&out, &jsonl).unwrap_or_else(|e| panic!("write {out}: {e}"));
         eprintln!("[obs_watch] wrote {out}: {} lines", jsonl.lines().count());
     }
-    if let Some(path) = arg_flag::<String>("write-golden") {
+    if let Some(path) = write_golden {
         std::fs::write(&path, &run.alert_log).unwrap_or_else(|e| panic!("write {path}: {e}"));
         eprintln!("[obs_watch] pinned alert log to {path}");
     }
 
-    if let Some(golden_path) = arg_flag::<String>("golden") {
+    if let Some(golden_path) = golden {
         let golden = match std::fs::read_to_string(&golden_path) {
             Ok(g) => g,
             Err(e) => {

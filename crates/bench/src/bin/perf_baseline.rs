@@ -22,7 +22,7 @@
 
 use std::time::Instant;
 
-use vcdn_bench::{arg_flag, trace_for, Algo, Scale, EXPERIMENT_SEED, PAPER_DISK_BYTES};
+use vcdn_bench::{trace_for, Algo, Args, EXPERIMENT_SEED, PAPER_DISK_BYTES};
 use vcdn_obs::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 use vcdn_sim::report::{eff, Table};
 use vcdn_sim::{DecisionCtx, ReplayConfig, ReplayObserver, ReplayReport, Replayer};
@@ -138,11 +138,14 @@ const TIMING: [&str; 5] = [
 ];
 
 fn main() {
-    let scale = Scale::from_args();
-    let days: u64 = arg_flag("days").unwrap_or(30);
-    let reps: u32 = arg_flag("reps").unwrap_or(3).max(1);
-    let out: String = arg_flag("out").unwrap_or_else(|| "BENCH_PR2.json".to_string());
-    let check: Option<String> = arg_flag("check");
+    let args = Args::from_env("perf_baseline");
+    let (scale, days) = (args.scale(), args.days());
+    let reps: u32 = args.get("reps").unwrap_or(3).max(1);
+    let out: String = args
+        .get("out")
+        .unwrap_or_else(|| "BENCH_PR2.json".to_string());
+    let check: Option<String> = args.get("check");
+    args.finish();
 
     let k = ChunkSize::DEFAULT;
     let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);

@@ -17,10 +17,7 @@
 //! `--out <path>` (default `results/telemetry.jsonl`),
 //! `--time-decisions` to also fill the (unexported) latency histogram.
 
-use vcdn_bench::{
-    arg_days, arg_flag, arg_switch, sweep, trace_for, Algo, Scale, EXPERIMENT_SEED,
-    PAPER_DISK_BYTES,
-};
+use vcdn_bench::{sweep, trace_for, Algo, Args, EXPERIMENT_SEED, PAPER_DISK_BYTES};
 use vcdn_sim::observe::{grid_jsonl, telemetry_cell, TelemetryConfig};
 use vcdn_sim::report::{eff, Table};
 use vcdn_sim::{ReplayConfig, Replayer};
@@ -28,13 +25,16 @@ use vcdn_trace::ServerProfile;
 use vcdn_types::{ChunkSize, CostModel, DurationMs};
 
 fn main() {
-    let scale = Scale::from_args();
-    let days = arg_days();
-    let interval_mins: u64 = arg_flag("interval-mins").unwrap_or(60);
-    let window_mins: u64 = arg_flag("window-mins").unwrap_or(1440);
-    let events: usize = arg_flag("events").unwrap_or(4096);
-    let out: String = arg_flag("out").unwrap_or_else(|| "results/telemetry.jsonl".to_string());
-    let time_decisions = arg_switch("time-decisions");
+    let args = Args::from_env("replay_observe");
+    let (scale, days) = (args.scale(), args.days());
+    let interval_mins: u64 = args.get("interval-mins").unwrap_or(60);
+    let window_mins: u64 = args.get("window-mins").unwrap_or(1440);
+    let events: usize = args.get("events").unwrap_or(4096);
+    let out: String = args
+        .get("out")
+        .unwrap_or_else(|| "results/telemetry.jsonl".to_string());
+    let time_decisions = args.switch("time-decisions");
+    args.finish();
 
     let k = ChunkSize::DEFAULT;
     let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);

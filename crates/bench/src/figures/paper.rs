@@ -1,0 +1,524 @@
+//! The paper's own figures (§9, Figs. 2–7) and the calibration run for
+//! their reference workload.
+
+use crate::{
+    efficiencies, reduced_two_day_trace, reference_setup, sweep_paper_three, sweep_traces,
+    trace_for, Args, Point, EXPERIMENT_SEED, PAPER_DISK_BYTES,
+};
+use vcdn_core::{lp_bound_reduced, CacheConfig, PsychicCache, PsychicConfig};
+use vcdn_sim::report::{eff, pct, Table};
+use vcdn_sim::{ReplayConfig, Replayer};
+use vcdn_trace::stats::trace_stats;
+use vcdn_trace::{disk_chunks_for_fraction, ServerProfile};
+use vcdn_types::{ChunkSize, CostModel};
+
+/// Figure 2 — "Performance of Psychic Cache compared to (LP-relaxed)
+/// Optimal Cache".
+///
+/// Reproduces §9.1's limited-scale experiment: a two-day trace per server,
+/// down-sampled to a representative subset of distinct files selected
+/// uniformly from the hit-count-sorted list, file sizes capped at 20 MB,
+/// and a disk sized to hold 5 % of all requested chunks. Psychic replays
+/// the reduced trace; the Optimal cache's LP relaxation provides the
+/// theoretical efficiency upper bound.
+///
+/// Output: (a) per-α efficiencies averaged over the six servers, and
+/// (b) the average/min/max delta (Optimal − Psychic) across servers —
+/// the paper finds Psychic within 5–6 % of the bound on average.
+///
+/// Because a dense-tableau simplex solves the LP, the experiment keeps the
+/// paper's "limited scale" spirit: `--requests` (default 120) bounds the
+/// request count and a 4 MB chunk size keeps the occurrence count small.
+///
+/// Usage: `figures fig2_optimal_vs_psychic [--profile-scale f] [--requests n] [--files n]`
+pub fn fig2_optimal_vs_psychic(args: &Args) {
+    let profile_scale: f64 = args.get("profile-scale").unwrap_or(1.0 / 512.0);
+    let files: usize = args.get("files").unwrap_or(100);
+    let max_requests: usize = args.get("requests").unwrap_or(120);
+    args.finish();
+    let k = ChunkSize::new(4 * 1024 * 1024).expect("non-zero");
+
+    println!(
+        "== Figure 2: Psychic vs LP-relaxed Optimal (2-day down-sampled traces, \
+         {files} files, 20 MB cap, disk = 5% of requested chunks, \
+         <= {max_requests} requests) =="
+    );
+    let alphas = [1.0, 2.0];
+    let mut per_alpha: Vec<(f64, Vec<f64>, Vec<f64>)> = Vec::new(); // (alpha, psychic, optimal)
+    let mut detail = Table::new(vec![
+        "server",
+        "alpha",
+        "requests",
+        "disk",
+        "psychic",
+        "lp-optimal",
+        "delta",
+    ]);
+    for alpha in alphas {
+        let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+        let mut psychics = Vec::new();
+        let mut optimals = Vec::new();
+        for profile in ServerProfile::world_servers() {
+            let name = profile.name.clone();
+            let trace = reduced_two_day_trace(profile, profile_scale, files, max_requests);
+            // Paper disk rule: 5% of requested chunks — floored at twice
+            // the largest request, because the IP's constraint (10d)
+            // requires every chunk of an admitted request to be present
+            // simultaneously: a disk smaller than a request makes the LP
+            // redirect what an online cache would serve through.
+            let max_request_chunks = trace
+                .requests
+                .iter()
+                .map(|r| r.chunk_len(k))
+                .max()
+                .unwrap_or(1);
+            let disk = disk_chunks_for_fraction(&trace, k, 5.0).max(2 * max_request_chunks);
+            // Psychic needs no warm-up (§9.1): measure the full replay.
+            let mut cache = PsychicCache::new(PsychicConfig::new(disk, k, costs), &trace.requests);
+            let report = Replayer::new(ReplayConfig::bench(k, costs).with_steady_after(0.0))
+                .replay(&trace, &mut cache);
+            let psychic_eff = report.efficiency();
+            let bound = match lp_bound_reduced(&trace.requests, &CacheConfig::new(disk, k, costs)) {
+                Ok(b) => b,
+                Err(e) => {
+                    eprintln!("  {name}: LP solve failed: {e}");
+                    continue;
+                }
+            };
+            detail.row(vec![
+                name.clone(),
+                format!("{alpha}"),
+                trace.len().to_string(),
+                disk.to_string(),
+                eff(psychic_eff),
+                eff(bound.efficiency_upper_bound),
+                format!("{:+.3}", bound.efficiency_upper_bound - psychic_eff),
+            ]);
+            eprintln!(
+                "  {name} alpha={alpha}: psychic {:.3}, bound {:.3} ({} vars, {} rows)",
+                psychic_eff, bound.efficiency_upper_bound, bound.variables, bound.constraints
+            );
+            psychics.push(psychic_eff);
+            optimals.push(bound.efficiency_upper_bound);
+        }
+        per_alpha.push((alpha, psychics, optimals));
+    }
+
+    println!("{}", detail.render());
+
+    // Figure 2(a): averages over the six servers.
+    let mut fig2a = Table::new(vec!["alpha", "psychic (avg)", "lp-optimal (avg)"]);
+    // Figure 2(b): delta statistics.
+    let mut fig2b = Table::new(vec!["alpha", "avg delta", "min delta", "max delta"]);
+    for (alpha, psychics, optimals) in &per_alpha {
+        if psychics.is_empty() {
+            continue;
+        }
+        let n = psychics.len() as f64;
+        let pavg = psychics.iter().sum::<f64>() / n;
+        let oavg = optimals.iter().sum::<f64>() / n;
+        let deltas: Vec<f64> = optimals.iter().zip(psychics).map(|(o, p)| o - p).collect();
+        let davg = deltas.iter().sum::<f64>() / n;
+        let dmin = deltas.iter().cloned().fold(f64::INFINITY, f64::min);
+        let dmax = deltas.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
+        fig2a.row(vec![format!("{alpha}"), eff(pavg), eff(oavg)]);
+        fig2b.row(vec![
+            format!("{alpha}"),
+            format!("{davg:+.3}"),
+            format!("{dmin:+.3}"),
+            format!("{dmax:+.3}"),
+        ]);
+    }
+    println!("== Figure 2(a): efficiencies averaged over the 6 servers ==");
+    println!("{}", fig2a.render());
+    println!("== Figure 2(b): delta (LP-relaxed Optimal - Psychic) across servers ==");
+    println!("{}", fig2b.render());
+    println!("paper anchor: Psychic within 5-6% of the LP-relaxed bound on average");
+}
+
+/// Figure 3 — "Ingress, redirection, and overall cache efficiency over the
+/// 1-month period" (European server, 1 TB disk, α_F2R = 2).
+///
+/// Replays the month-long Europe trace through xLRU, Cafe and Psychic and
+/// prints (a) the paper's headline summary — the steady-state efficiency
+/// deltas (paper: Cafe +10.1 %, Psychic +12.7 % over xLRU) — and (b) the
+/// hourly series behind the three panels. `--csv` emits the full hourly
+/// series; default output prints a 6-hourly digest to stay readable.
+///
+/// Usage: `figures fig3_timeseries [--scale f] [--days n] [--csv]`
+pub fn fig3_timeseries(args: &Args) {
+    let (scale, days) = (args.scale(), args.days());
+    let csv = args.switch("csv");
+    args.finish();
+    let costs = CostModel::from_alpha(2.0).expect("2.0 is a valid alpha");
+    let (trace, disk, k) = reference_setup("fig3", scale, days);
+    let point = ("europe".to_string(), &trace, disk, k, costs);
+    let reports = sweep_paper_three("fig3", &[point]).remove(0);
+
+    // Headline summary (paper: xLRU -> Cafe +10.1%, -> Psychic +12.7%).
+    let base = reports[0].efficiency();
+    let mut summary = Table::new(vec![
+        "algo",
+        "efficiency",
+        "delta vs xlru",
+        "ingress%",
+        "redirect%",
+        "paper delta",
+    ]);
+    let paper_delta = ["-", "+0.101", "+0.127"];
+    for (i, r) in reports.iter().enumerate() {
+        summary.row(vec![
+            r.policy.to_string(),
+            eff(r.efficiency()),
+            if i == 0 {
+                "-".into()
+            } else {
+                format!("{:+.3}", r.efficiency() - base)
+            },
+            format!("{:.1}", r.ingress_pct()),
+            format!("{:.1}", r.redirect_pct()),
+            paper_delta[i].to_string(),
+        ]);
+    }
+    println!("== Figure 3 summary (steady state, second half) ==");
+    println!("{}", summary.render());
+
+    // Time series.
+    let step = if csv { 1 } else { 6 };
+    let mut series = Table::new(vec![
+        "hour",
+        "xlru_ing%",
+        "xlru_red%",
+        "xlru_eff",
+        "cafe_ing%",
+        "cafe_red%",
+        "cafe_eff",
+        "psy_ing%",
+        "psy_red%",
+        "psy_eff",
+    ]);
+    let hours = reports.iter().map(|r| r.windows.len()).max().unwrap_or(0);
+    for h in (0..hours).step_by(step) {
+        let mut row = vec![h.to_string()];
+        for r in &reports {
+            match r.windows.get(h) {
+                Some(w) => {
+                    row.push(format!("{:.1}", w.traffic.ingress_pct()));
+                    row.push(format!("{:.1}", w.traffic.redirect_pct()));
+                    row.push(eff(w.traffic.efficiency(costs)));
+                }
+                None => row.extend(["-".into(), "-".into(), "-".into()]),
+            }
+        }
+        series.row(row);
+    }
+    println!(
+        "== Figure 3 series ({}) ==",
+        if csv { "hourly CSV" } else { "6-hourly digest" }
+    );
+    if csv {
+        println!("{}", series.to_csv());
+    } else {
+        println!("{}", series.render());
+    }
+}
+
+/// Figure 4 — "Efficiency of the algorithms for different
+/// ingress-to-redirect configuration" (European server, 1 TB disk).
+///
+/// Each α ∈ {0.5, 1, 2, 4} produces one bar group (xLRU, Cafe, Psychic,
+/// left to right). Paper anchors: α=1 → Cafe 61 %, ≈2 % over xLRU;
+/// α=2 → xLRU 62 %, Cafe 73 %, Psychic 75 %; for α=0.5 a visible gap to
+/// Psychic remains because xLRU and Cafe intentionally never fill a file
+/// on its first-ever request.
+///
+/// The whole α × algorithm grid (12 cells) runs through the deterministic
+/// parallel runner; set `VCDN_WORKERS` to control fan-out.
+///
+/// Usage: `figures fig4_alpha_sweep [--scale f] [--days n]`
+pub fn fig4_alpha_sweep(args: &Args) {
+    let (scale, days) = (args.scale(), args.days());
+    args.finish();
+    let (trace, disk, k) = reference_setup("fig4", scale, days);
+
+    let alphas = [0.5, 1.0, 2.0, 4.0];
+    let points: Vec<Point> = alphas
+        .iter()
+        .map(|&alpha| {
+            let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+            (format!("alpha={alpha}"), &trace, disk, k, costs)
+        })
+        .collect();
+    let groups = sweep_paper_three("fig4", &points);
+
+    let mut table = Table::new(vec!["alpha", "xlru", "cafe", "psychic", "cafe - xlru"]);
+    for (alpha, g) in alphas.iter().zip(&groups) {
+        let [xlru, cafe, psychic] = efficiencies(g);
+        table.row(vec![
+            format!("{alpha}"),
+            eff(xlru),
+            eff(cafe),
+            eff(psychic),
+            format!("{:+.3}", cafe - xlru),
+        ]);
+    }
+    println!("== Figure 4: efficiency vs alpha_F2R (europe, 1 TB-scaled) ==");
+    println!("{}", table.render());
+    println!(
+        "paper anchors: alpha=1 -> cafe 0.61 (~+0.02 over xlru); \
+         alpha=2 -> 0.62 / 0.73 / 0.75"
+    );
+}
+
+/// Figure 5 — "Different operating points of each algorithm in the
+/// tradeoff between cache fill and redirection, governed by α_F2R"
+/// (European server, 1 TB disk).
+///
+/// For each algorithm, the four operating points (α = 4, 2, 1, 0.5 from
+/// left to right in the paper) are printed as (ingress-to-egress %,
+/// redirect %) pairs. Paper anchors: xLRU's ingress floor is ≈15 % even
+/// at α=4, while Cafe and Psychic "closely comply with the given costs
+/// and shrink the ingress to only a few percent".
+///
+/// The whole α × algorithm grid (12 cells) runs through the deterministic
+/// parallel runner; set `VCDN_WORKERS` to control fan-out.
+///
+/// Usage: `figures fig5_operating_points [--scale f] [--days n]`
+pub fn fig5_operating_points(args: &Args) {
+    let (scale, days) = (args.scale(), args.days());
+    args.finish();
+    let (trace, disk, k) = reference_setup("fig5", scale, days);
+
+    // Paper order: points from left (costly ingress) to right (cheap).
+    let alphas = [4.0, 2.0, 1.0, 0.5];
+    let points: Vec<Point> = alphas
+        .iter()
+        .map(|&alpha| {
+            let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+            (format!("alpha={alpha}"), &trace, disk, k, costs)
+        })
+        .collect();
+    let groups = sweep_paper_three("fig5", &points);
+
+    let mut table = Table::new(vec![
+        "alpha",
+        "xlru (ing%, red%)",
+        "cafe (ing%, red%)",
+        "psychic (ing%, red%)",
+    ]);
+    for (alpha, g) in alphas.iter().zip(&groups) {
+        let mut row = vec![format!("{alpha}")];
+        for r in g {
+            row.push(format!("({:.1}, {:.1})", r.ingress_pct(), r.redirect_pct()));
+        }
+        table.row(row);
+    }
+    println!("== Figure 5: operating points (ingress% vs redirect%) ==");
+    println!("{}", table.render());
+    println!(
+        "paper anchors: xlru ingress floor ~15% at alpha=4; cafe/psychic \
+         shrink ingress to a few percent; at alpha=0.5 all points shift \
+         to high ingress / low redirect"
+    );
+}
+
+/// Linear interpolation of the disk multiple at which `points` (sorted by
+/// disk) reaches `target` efficiency.
+fn disk_needed(points: &[(f64, f64)], target: f64) -> Option<f64> {
+    for w in points.windows(2) {
+        let ((d0, e0), (d1, e1)) = (w[0], w[1]);
+        if (e0..=e1).contains(&target) && e1 > e0 {
+            return Some(d0 + (d1 - d0) * (target - e0) / (e1 - e0));
+        }
+    }
+    None
+}
+
+/// Figure 6 — "Efficiency of the algorithms given different disk
+/// capacities" (European server, α_F2R = 2).
+///
+/// Sweeps the disk from ¼× to 4× the paper's 1 TB reference (all scaled)
+/// and reports each algorithm's steady-state efficiency, plus the
+/// disk-multiplier analysis behind the paper's headline: "to achieve the
+/// same efficiency xLRU requires 2 to 3 times larger disk space than Cafe
+/// Cache" at α=2 (and only ≤33 % more at α=1 — printed with `--alpha 1`).
+///
+/// The whole disk × algorithm grid (15 cells) runs through the
+/// deterministic parallel runner; set `VCDN_WORKERS` to control fan-out.
+///
+/// Usage: `figures fig6_disk_sweep [--scale f] [--days n] [--alpha a]`
+pub fn fig6_disk_sweep(args: &Args) {
+    let (scale, days) = (args.scale(), args.days());
+    let alpha: f64 = args.get("alpha").unwrap_or(2.0);
+    args.finish();
+    let k = ChunkSize::DEFAULT;
+    let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+
+    eprintln!(
+        "fig6: europe, {days} days, alpha={alpha} (scale {})",
+        scale.0
+    );
+    let trace = trace_for(ServerProfile::europe(), scale, days);
+    eprintln!("trace: {} requests", trace.len());
+
+    let multiples = [0.25, 0.5, 1.0, 2.0, 4.0];
+    let disks: Vec<u64> = multiples
+        .iter()
+        .map(|&m| scale.disk_chunks((PAPER_DISK_BYTES as f64 * m) as u64, k))
+        .collect();
+    let points: Vec<Point> = multiples
+        .iter()
+        .zip(&disks)
+        .map(|(&m, &disk)| (format!("disk x{m}"), &trace, disk, k, costs))
+        .collect();
+    let groups = sweep_paper_three("fig6", &points);
+
+    let mut table = Table::new(vec!["disk (x 1TB)", "chunks", "xlru", "cafe", "psychic"]);
+    let mut xlru_pts = Vec::new();
+    let mut cafe_pts = Vec::new();
+    for ((&m, &disk), g) in multiples.iter().zip(&disks).zip(&groups) {
+        let [xlru, cafe, psychic] = efficiencies(g);
+        xlru_pts.push((m, xlru));
+        cafe_pts.push((m, cafe));
+        table.row(vec![
+            format!("{m}"),
+            disk.to_string(),
+            eff(xlru),
+            eff(cafe),
+            eff(psychic),
+        ]);
+    }
+    println!("== Figure 6: efficiency vs disk capacity (alpha={alpha}) ==");
+    println!("{}", table.render());
+
+    // Disk-multiplier analysis: for each Cafe point, how much disk does
+    // xLRU need to match it?
+    let mut mult = Table::new(vec!["cafe disk", "cafe eff", "xlru disk needed", "ratio"]);
+    for &(d, e) in &cafe_pts {
+        if let Some(need) = disk_needed(&xlru_pts, e) {
+            mult.row(vec![
+                format!("{d}"),
+                eff(e),
+                format!("{need:.2}"),
+                format!("{:.2}x", need / d),
+            ]);
+        }
+    }
+    if !mult.is_empty() {
+        println!(
+            "== Disk xLRU needs to match Cafe (paper: 2-3x at alpha=2, <=1.33x at alpha=1) =="
+        );
+        println!("{}", mult.render());
+    }
+}
+
+/// Figure 7 — "Efficiency of the algorithms on traces from six servers
+/// around the world" (1 TB disk, α_F2R = 2).
+///
+/// Each server (Africa, Asia, Australia, Europe, N. America, S. America)
+/// gets one bar group (xLRU, Cafe, Psychic). Paper anchors: the same
+/// algorithm ordering on every server; higher efficiency for servers with
+/// more limited request profiles (Asia) than for busy, diverse ones
+/// (S. America); and "a wider gap between xLRU and the other two
+/// algorithms for busier servers".
+///
+/// Two grids run through the deterministic parallel runner: one cell per
+/// server to generate its trace, then one cell per (server, algorithm)
+/// replay (18 cells). Set `VCDN_WORKERS` to control fan-out.
+///
+/// Usage: `figures fig7_world_servers [--scale f] [--days n]`
+pub fn fig7_world_servers(args: &Args) {
+    let (scale, days) = (args.scale(), args.days());
+    args.finish();
+    let k = ChunkSize::DEFAULT;
+    let costs = CostModel::from_alpha(2.0).expect("2.0 is a valid alpha");
+    let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);
+
+    eprintln!(
+        "fig7: six servers, {days} days, alpha=2 (scale {})",
+        scale.0
+    );
+
+    let servers = ServerProfile::world_servers();
+    let specs = servers
+        .iter()
+        .map(|p| (p.name.clone(), p.clone(), scale, EXPERIMENT_SEED))
+        .collect();
+    let traces = sweep_traces("fig7 traces", days, specs);
+
+    let points: Vec<Point> = servers
+        .iter()
+        .zip(&traces)
+        .map(|(p, trace)| (p.name.clone(), trace, disk, k, costs))
+        .collect();
+    let groups = sweep_paper_three("fig7 replay", &points);
+
+    let mut table = Table::new(vec![
+        "server",
+        "requests",
+        "xlru",
+        "cafe",
+        "psychic",
+        "cafe - xlru",
+    ]);
+    for ((name, trace, ..), g) in points.iter().zip(&groups) {
+        let [xlru, cafe, psychic] = efficiencies(g);
+        table.row(vec![
+            name.clone(),
+            trace.len().to_string(),
+            eff(xlru),
+            eff(cafe),
+            eff(psychic),
+            format!("{:+.3}", cafe - xlru),
+        ]);
+    }
+    println!("== Figure 7: efficiency per world server (1 TB-scaled, alpha=2) ==");
+    println!("{}", table.render());
+    println!(
+        "paper anchors: same ordering everywhere; Asia (limited profile) \
+         highest, S. America (busy/diverse) lowest with the widest \
+         xlru-to-cafe gap"
+    );
+}
+
+/// Quick calibration run: Europe profile, alpha in {1, 2}, one disk size,
+/// ten days by default. Not a paper figure; used to sanity-check workload
+/// calibration (the trace statistics go to stderr).
+///
+/// Usage: `figures smoke [--scale f] [--days n]`
+pub fn smoke(args: &Args) {
+    let scale = args.scale();
+    let days: u64 = args.get("days").unwrap_or(10);
+    args.finish();
+    let (trace, disk, k) = reference_setup("smoke", scale, days);
+    let stats = trace_stats(&trace, k);
+    eprintln!(
+        "trace: {} videos, {} chunks unique, {:.1} GiB requested, zipf~{:.2}, tail={:.2}",
+        stats.unique_videos,
+        stats.unique_chunks,
+        stats.requested_chunk_bytes as f64 / (1u64 << 30) as f64,
+        stats.zipf_slope,
+        stats.tail_fraction,
+    );
+    let alphas = [1.0, 2.0];
+    let points: Vec<Point> = alphas
+        .iter()
+        .map(|&alpha| {
+            let costs = CostModel::from_alpha(alpha).expect("valid alpha");
+            (format!("alpha={alpha}"), &trace, disk, k, costs)
+        })
+        .collect();
+    let mut table = Table::new(vec!["alpha", "algo", "efficiency", "ingress%", "redirect%"]);
+    for (alpha, g) in alphas.iter().zip(sweep_paper_three("smoke", &points)) {
+        for r in g {
+            table.row(vec![
+                format!("{alpha}"),
+                r.policy.to_string(),
+                eff(r.efficiency()),
+                pct(r.ingress_pct() / 100.0),
+                pct(r.redirect_pct() / 100.0),
+            ]);
+        }
+    }
+    println!("{}", table.render());
+}

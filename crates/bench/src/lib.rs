@@ -1,20 +1,25 @@
-//! Shared harness for the figure-reproduction experiment binaries.
+//! The experiment harness: every figure of the paper, and what they share.
 //!
-//! Every binary in `src/bin/` reproduces one figure of the paper (see
-//! `DESIGN.md` §4 for the experiment index). This library centralises the
-//! pieces they share: the scale model mapping the paper's physical setup
-//! (1 TB disks, month-long traces) onto laptop-sized runs, trace
-//! construction per server profile, and the policy-factory used to run the
-//! same trace through xLRU, Cafe and Psychic.
+//! [`figures::FIGURES`] lists one function per experiment (see `DESIGN.md`
+//! §4 for the index); the `figures` binary dispatches on the name. This
+//! library also centralises the pieces they share: the scale model mapping
+//! the paper's physical setup (1 TB disks, month-long traces) onto
+//! laptop-sized runs, strict flag parsing ([`Args`]), trace construction
+//! per server profile, the policy factory, and the grid helpers that run
+//! the same trace through xLRU, Cafe and Psychic.
 
 #![forbid(unsafe_code)]
 
+pub mod args;
 pub mod baseline;
+pub mod figures;
 pub mod scenario;
 pub mod telemetry;
 
+pub use args::Args;
+
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
@@ -22,8 +27,8 @@ use vcdn_core::{
 };
 use vcdn_sim::runner::{run_grid, worker_count, Cell, GridRun};
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
-use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkSize, CostModel, DurationMs};
+use vcdn_trace::{downsample, DownsampleConfig, ServerProfile, Trace, TraceGenerator};
+use vcdn_types::{ChunkSize, CostModel, DurationMs, Timestamp};
 
 /// The paper's reference disk size (Figures 3–5, 7): 1 TB.
 pub const PAPER_DISK_BYTES: u64 = 1024 * 1024 * 1024 * 1024;
@@ -38,21 +43,6 @@ impl Scale {
     /// The default experiment scale (1/16 of the paper's physical setup).
     pub fn default_experiment() -> Self {
         Scale(1.0 / 16.0)
-    }
-
-    /// Reads the scale from the first CLI argument (`--scale <f>`), if
-    /// present; falls back to the default.
-    pub fn from_args() -> Self {
-        let args: Vec<String> = std::env::args().collect();
-        for i in 0..args.len() {
-            if args[i] == "--scale" {
-                if let Some(v) = args.get(i + 1).and_then(|s| s.parse::<f64>().ok()) {
-                    assert!(v > 0.0 && v.is_finite(), "--scale must be positive");
-                    return Scale(v);
-                }
-            }
-        }
-        Self::default_experiment()
     }
 
     /// The scaled chunk count for a paper-scale disk of `bytes`.
@@ -70,29 +60,44 @@ impl Scale {
 /// `EXPERIMENTS.md`; change it and every number changes together).
 pub const EXPERIMENT_SEED: u64 = 20140413; // EuroSys'14 opening day
 
-/// Reads a `--name <value>` CLI flag.
-pub fn arg_flag<T: std::str::FromStr>(name: &str) -> Option<T> {
-    let args: Vec<String> = std::env::args().collect();
-    args.windows(2)
-        .find(|w| w[0] == format!("--{name}"))
-        .and_then(|w| w[1].parse().ok())
-}
-
-/// Whether a bare `--name` CLI switch is present.
-pub fn arg_switch(name: &str) -> bool {
-    std::env::args().any(|a| a == format!("--{name}"))
-}
-
-/// Experiment duration in days (`--days`, default 30 — the paper's
-/// "one month period").
-pub fn arg_days() -> u64 {
-    arg_flag("days").unwrap_or(30)
-}
-
-/// Generates a scaled trace for a profile.
+/// Generates a scaled trace for a profile under the experiment seed.
 pub fn trace_for(profile: ServerProfile, scale: Scale, days: u64) -> Trace {
     TraceGenerator::new(scale.profile(profile), EXPERIMENT_SEED)
         .generate(DurationMs::from_days(days))
+}
+
+/// §9.1's limited-scale trace for the LP experiments: two days of
+/// `profile` at `profile_scale`, down-sampled to `files` files uniformly
+/// from the hit-count-sorted list (20 MB size cap), first `max_requests`.
+pub fn reduced_two_day_trace(
+    profile: ServerProfile,
+    profile_scale: f64,
+    files: usize,
+    max_requests: usize,
+) -> Trace {
+    let full = trace_for(profile, Scale(profile_scale), 2);
+    let cfg = DownsampleConfig {
+        files,
+        ..DownsampleConfig::paper_default(Timestamp::EPOCH)
+    };
+    let mut t = downsample(&full, &cfg);
+    t.requests.truncate(max_requests);
+    t
+}
+
+/// The evaluation's reference setup (Figs. 3–5 and most ablations): the
+/// Europe server's trace, the paper's 1 TB disk at `scale` in chunks, and
+/// the 2 MiB chunk size — announced on stderr under `title`.
+pub fn reference_setup(title: &str, scale: Scale, days: u64) -> (Trace, u64, ChunkSize) {
+    let k = ChunkSize::DEFAULT;
+    let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);
+    let trace = trace_for(ServerProfile::europe(), scale, days);
+    eprintln!(
+        "{title}: europe, {days} days, {} requests, disk={disk} chunks (scale {})",
+        trace.len(),
+        scale.0
+    );
+    (trace, disk, k)
 }
 
 /// The three algorithms of the paper's main experiments, in figure order.
@@ -160,21 +165,6 @@ pub fn run_algo(
     Replayer::new(ReplayConfig::bench(k, costs)).replay(trace, policy.as_mut())
 }
 
-/// Replays `trace` through xLRU, Cafe and Psychic (figure order) via the
-/// deterministic grid runner, at most one worker per algorithm.
-pub fn run_paper_three(
-    trace: &Trace,
-    disk_chunks: u64,
-    k: ChunkSize,
-    costs: CostModel,
-) -> Vec<ReplayReport> {
-    let cells: Vec<Cell<ReplayReport>> = Algo::paper_three()
-        .into_iter()
-        .map(|a| Cell::new(a.name(), move || run_algo(a, trace, disk_chunks, k, costs)))
-        .collect();
-    run_grid(cells, grid_workers().min(3)).values()
-}
-
 /// Worker threads for experiment grids: the `VCDN_WORKERS` environment
 /// variable if set, else available parallelism (see
 /// [`vcdn_sim::runner::worker_count`]).
@@ -220,19 +210,54 @@ pub fn sweep<'a, T: Send>(title: &str, cells: Vec<Cell<'a, T>>) -> GridRun<T> {
     run
 }
 
-/// Times `iters` runs of `f` (after one warm-up run) and prints the mean
-/// per-iteration time. A dependency-free stand-in for a bench harness,
-/// used by the `harness = false` benches under `benches/`.
-pub fn bench_report(name: &str, iters: u32, mut f: impl FnMut()) -> Duration {
-    assert!(iters > 0, "bench needs at least one iteration");
-    f();
-    let t0 = Instant::now();
-    for _ in 0..iters {
-        f();
-    }
-    let per = t0.elapsed() / iters;
-    println!("{name:<48} {iters:>6} iters   {per:>12.2?}/iter");
-    per
+/// One axis point of a policy × axis experiment: a labelled replay
+/// configuration `(label, trace, disk chunks, K, costs)`.
+pub type Point<'a> = (String, &'a Trace, u64, ChunkSize, CostModel);
+
+/// Replays every point through xLRU, Cafe and Psychic as one [`sweep`] of
+/// `3 × points.len()` cells labelled `"{label} {algo}"`, and returns one
+/// `[xlru, cafe, psychic]` report group per point, in input order.
+pub fn sweep_paper_three(title: &str, points: &[Point<'_>]) -> Vec<[ReplayReport; 3]> {
+    let cells: Vec<Cell<ReplayReport>> = points
+        .iter()
+        .flat_map(|&(ref label, trace, disk, k, costs)| {
+            Algo::paper_three().into_iter().map(move |algo| {
+                Cell::new(format!("{label} {}", algo.name()), move || {
+                    run_algo(algo, trace, disk, k, costs)
+                })
+            })
+        })
+        .collect();
+    let mut reports = sweep(title, cells).values().into_iter();
+    points
+        .iter()
+        .map(|_| std::array::from_fn(|_| reports.next().expect("three cells per point")))
+        .collect()
+}
+
+/// Steady-state efficiencies of one report group, `[xlru, cafe, psychic]`.
+pub fn efficiencies(group: &[ReplayReport; 3]) -> [f64; 3] {
+    group.each_ref().map(ReplayReport::efficiency)
+}
+
+/// Generates the traces of a multi-trace experiment as one [`sweep`]: a
+/// cell labelled `"trace {label}"` per `(label, profile, scale, seed)`,
+/// traces returned in input order.
+pub fn sweep_traces(
+    title: &str,
+    days: u64,
+    specs: Vec<(String, ServerProfile, Scale, u64)>,
+) -> Vec<Trace> {
+    let cells: Vec<Cell<Trace>> = specs
+        .into_iter()
+        .map(|(label, profile, scale, seed)| {
+            Cell::new(format!("trace {label}"), move || {
+                TraceGenerator::new(scale.profile(profile), seed)
+                    .generate(DurationMs::from_days(days))
+            })
+        })
+        .collect();
+    sweep(title, cells).values()
 }
 
 #[cfg(test)]
@@ -262,14 +287,6 @@ mod tests {
             .collect();
         let run = sweep("test-sweep", cells);
         assert_eq!(run.values(), vec![0, 3, 6, 9, 12, 15]);
-    }
-
-    #[test]
-    fn bench_report_times_the_closure() {
-        let mut n = 0u64;
-        let per = bench_report("noop", 4, || n += 1);
-        assert_eq!(n, 5); // warm-up + 4 timed iterations
-        assert!(per <= Duration::from_secs(1));
     }
 
     #[test]

@@ -129,9 +129,9 @@ pub struct CafeCache {
     /// never sweeps a cached chunk's record.
     video_chunks: FastMap<VideoId, FastMap<u32, u32>>,
     /// Tracked-but-uncached chunks ranked hottest-first (smallest
-    /// [`PopTable::hot_rank`]); maintained only while the §10 prefetcher
-    /// has called [`Self::enable_hot_tracking`] — plain replay pays
-    /// nothing for it.
+    /// [`PopTable::hot_rank`]); built by the first
+    /// [`Self::prefetch_candidates`] call and maintained incrementally
+    /// from then on — plain replay pays nothing for it.
     hot: Option<RankIndex<ChunkId>>,
     handled: u64,
     replay_start: Option<Timestamp>,
@@ -269,17 +269,13 @@ impl CafeCache {
             .retain(|v, t| *t >= cutoff || video_chunks.contains_key(v));
         if self.hot.is_some() {
             // Rebuild rather than diff the retained set; sweeps are rare.
-            self.enable_hot_tracking();
+            self.hot = Some(self.build_hot());
         }
     }
 
-    /// Turns on incremental maintenance of the hot uncached-chunk mirror,
-    /// making [`Self::prefetch_candidates`] an incremental bucketed read
-    /// (amortized near-linear in the candidate count) instead of a
-    /// scan-and-sort of the whole popularity table. Used by
-    /// [`crate::prefetch::ProactiveCafeCache`], which polls for
-    /// candidates every tick.
-    pub fn enable_hot_tracking(&mut self) {
+    /// Builds the hot uncached-chunk mirror from scratch; once stored in
+    /// `self.hot` the decide path keeps it current.
+    fn build_hot(&self) -> RankIndex<ChunkId> {
         let gamma = self.config.gamma;
         let mut hot = RankIndex::new();
         for (id, h) in self.pop.iter() {
@@ -289,7 +285,7 @@ impl CafeCache {
                 }
             }
         }
-        self.hot = Some(hot);
+        hot
     }
 
     /// Number of chunk popularity records currently held (for tests).
@@ -383,45 +379,29 @@ impl CafeCache {
 
     /// The hottest tracked-but-uncached chunks: prefetch candidates for
     /// the §10 "proactive caching" extension, ordered by ascending
-    /// inter-arrival time (hottest first). With
-    /// [`Self::enable_hot_tracking`] on, reads the incrementally
-    /// maintained bucketed mirror: amortized O(n) in the candidate count,
+    /// inter-arrival time (hottest first). Reads the bucketed mirror of
+    /// uncached chunks: the first call builds it from the popularity
+    /// table, every later call is amortized O(n) in the candidate count
     /// plus a one-off O(S log S) sort of each not-yet-sorted bucket the
-    /// read enters (`&mut self` pays for exactly that lazy sorting);
-    /// otherwise scans and sorts the whole popularity table — in that
-    /// mode call it once per control window, not per request. (The two
-    /// paths can order differently only on exact rank ties or when IATs
-    /// clamp at the 1 ms floor.)
+    /// read enters (`&mut self` pays for the build and that lazy sorting).
     pub fn prefetch_candidates(&mut self, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
+        let mut hot = self.hot.take().unwrap_or_else(|| self.build_hot());
         let gamma = self.config.gamma;
-        if let Some(hot) = &mut self.hot {
-            // Mirror entries always have a known IAT (they are inserted on
-            // the second arrival); a missing one would be a tracker bug, and
-            // skipping it degrades gracefully instead of tearing down a run.
-            let pop = &self.pop;
-            let mut out = Vec::new();
-            hot.for_smallest_excluding(
-                n,
-                |_| false,
-                |id, _, h| {
-                    if let Some(iat) = pop.iat_at(h, now, gamma) {
-                        out.push((id, iat));
-                    }
-                },
-            );
-            return out;
-        }
-        let mut hot: Vec<(ChunkId, f64)> = self
-            .pop
-            .iter()
-            .filter(|(id, _)| !self.disk.contains(id))
-            .filter_map(|(id, h)| self.pop.iat_at(h, now, gamma).map(|iat| (id, iat)))
-            .collect();
-        // total_cmp agrees with partial_cmp on these IATs (finite, clamped
-        // to the 1 ms floor, never -0.0) and cannot panic.
-        hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        hot.truncate(n);
-        hot
+        let mut out = Vec::new();
+        // Mirror entries always have a known IAT (they are inserted on
+        // the second arrival); a missing one would be a tracker bug, and
+        // skipping it degrades gracefully instead of tearing down a run.
+        hot.for_smallest_excluding(
+            n,
+            |_| false,
+            |id, _, h| {
+                if let Some(iat) = self.pop.iat_at(h, now, gamma) {
+                    out.push((id, iat));
+                }
+            },
+        );
+        self.hot = Some(hot);
+        out
     }
 
     /// Proactively fills `chunk` (already known to the popularity
@@ -926,27 +906,38 @@ mod tests {
         assert!((c.window_ms(Timestamp(1_000_000)) - 9_000.0).abs() < 1e-9);
     }
 
+    /// Oracle for the mirror: scan the whole popularity table for
+    /// uncached chunks and sort by (IAT, id).
+    fn scan_candidates(c: &CafeCache, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
+        let mut hot: Vec<(ChunkId, f64)> = c
+            .pop
+            .iter()
+            .filter(|(id, _)| !c.disk.contains(id))
+            .filter_map(|(id, h)| c.pop.iat_at(h, now, c.config.gamma).map(|iat| (id, iat)))
+            .collect();
+        hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        hot.truncate(n);
+        hot
+    }
+
     #[test]
     fn hot_mirror_agrees_with_scan_path() {
-        // Same request stream through two identical caches, one with the
-        // incremental hot mirror enabled, one on the scan-and-sort
-        // fallback. Inter-arrival gaps are seconds apart and distinct per
-        // video, so no rank ties and no 1 ms IAT-floor clamps — the two
-        // prefetch_candidates paths must agree exactly.
-        let mut scan = cache(4, 2.0);
+        // The mirror is switched on before the first request, so every
+        // read below sees incrementally maintained state. Inter-arrival
+        // gaps are seconds apart and distinct per video, so no rank ties
+        // and no 1 ms IAT-floor clamps — the mirror read must agree
+        // exactly with a scan-and-sort of the popularity table.
         let mut mirror = cache(4, 2.0);
-        mirror.enable_hot_tracking();
+        assert!(mirror.prefetch_candidates(0, Timestamp(0)).is_empty());
         let mut t = 0u64;
         for round in 1..6u64 {
             for v in 0..12u64 {
                 // Distinct, video-dependent gaps: hotter for low IDs.
                 t += 1_000 + 137 * v + 11 * round;
-                let r = req(v, 0, 199, t);
-                scan.handle_request(&r);
-                mirror.handle_request(&r);
+                mirror.handle_request(&req(v, 0, 199, t));
             }
             let now = Timestamp(t + 500);
-            let a = scan.prefetch_candidates(6, now);
+            let a = scan_candidates(&mirror, 6, now);
             let b = mirror.prefetch_candidates(6, now);
             assert_eq!(a.len(), b.len());
             for ((ida, iata), (idb, iatb)) in a.iter().zip(&b) {

@@ -95,11 +95,8 @@ impl ProactiveCafeCache {
     ///
     /// Returns the validation message if `config` fails
     /// [`PrefetchConfig::validate`].
-    pub fn try_new(mut inner: CafeCache, config: PrefetchConfig) -> Result<Self, String> {
+    pub fn try_new(inner: CafeCache, config: PrefetchConfig) -> Result<Self, String> {
         config.validate()?;
-        // Candidates are polled every tick: keep them incrementally
-        // ordered instead of scan-sorting the popularity table each time.
-        inner.enable_hot_tracking();
         Ok(ProactiveCafeCache {
             inner,
             config,

@@ -19,7 +19,7 @@ use vcdn_core::{
 };
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkSize, CostModel, DurationMs};
+use vcdn_types::{ChunkSize, CostModel, DurationMs, Timestamp};
 
 /// Deterministic workload: tiny profile, fixed seed, two days.
 fn trace() -> Trace {
@@ -85,10 +85,11 @@ fn replay_bytes_match_pins_for_all_policies() {
     }
 }
 
-/// The opt-in hot mirror (second `RankIndex`, maintained incrementally
-/// through every touch/fill/evict) must be decision-neutral: a Cafe
-/// replay with hot tracking on produces the exact pinned bytes of the
-/// plain replay, under either hasher. This exercises the rank index's
+/// The hot mirror (second `RankIndex`, switched on by the first
+/// `prefetch_candidates` read and maintained incrementally through every
+/// touch/fill/evict after it) must be decision-neutral: a Cafe replay
+/// with the mirror live produces the exact pinned bytes of the plain
+/// replay, under either hasher. This exercises the rank index's
 /// non-disk configuration — hot-rank keys, mirror rebuilds on cleanup —
 /// against the same hasher-independence bar as the decide path.
 #[test]
@@ -96,7 +97,7 @@ fn hot_tracking_cafe_replay_matches_pins() {
     let trace = trace();
     let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
     let mut cafe = CafeCache::new(CafeConfig::new(DISK, ChunkSize::DEFAULT, costs));
-    cafe.enable_hot_tracking();
+    assert!(cafe.prefetch_candidates(0, Timestamp(0)).is_empty());
     let r = replay(&mut cafe, &trace);
     let (name, hit, fill, redirect) = PINS[2];
     assert_eq!(
