@@ -152,21 +152,6 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
         Some((t, k.get()))
     }
 
-    // lint: hot
-    /// The largest-key (most popular) item.
-    pub fn largest(&self) -> Option<(T, f64)> {
-        self.tree.last().map(|(k, t)| (*t, k.get()))
-    }
-
-    // lint: hot
-    /// Removes and returns the largest-key item.
-    pub fn pop_largest(&mut self) -> Option<(T, f64)> {
-        let (k, t) = *self.tree.last()?;
-        self.tree.remove(&(k, t));
-        self.keys.remove(&t);
-        Some((t, k.get()))
-    }
-
     /// Iterates items in ascending key order.
     pub fn iter_ascending(&self) -> impl Iterator<Item = (T, f64)> + '_ {
         self.tree.iter().map(|(k, t)| (*t, k.get()))
@@ -186,26 +171,6 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
     ) -> impl Iterator<Item = (T, f64)> + 'a {
         self.tree
             .iter()
-            .filter(move |(_, t)| !exclude(t))
-            .take(n)
-            .map(|(k, t)| (*t, k.get()))
-    }
-
-    /// The `n` largest-key items that do not satisfy `exclude`, in
-    /// descending key order (fewer if the set runs out).
-    pub fn largest_excluding(&self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
-        self.iter_largest_excluding(n, exclude).collect()
-    }
-
-    /// Non-allocating form of [`Self::largest_excluding`].
-    pub fn iter_largest_excluding<'a>(
-        &'a self,
-        n: usize,
-        exclude: impl Fn(&T) -> bool + 'a,
-    ) -> impl Iterator<Item = (T, f64)> + 'a {
-        self.tree
-            .iter()
-            .rev()
             .filter(move |(_, t)| !exclude(t))
             .take(n)
             .map(|(k, t)| (*t, k.get()))
@@ -238,10 +203,9 @@ mod tests {
         s.insert("a", 10.0);
         s.insert("b", 20.0);
         assert_eq!(s.smallest(), Some(("a", 10.0)));
-        assert_eq!(s.largest(), Some(("c", 30.0)));
         assert_eq!(s.pop_smallest(), Some(("a", 10.0)));
-        assert_eq!(s.pop_largest(), Some(("c", 30.0)));
         assert_eq!(s.pop_smallest(), Some(("b", 20.0)));
+        assert_eq!(s.pop_smallest(), Some(("c", 30.0)));
         assert_eq!(s.pop_smallest(), None);
         assert!(s.is_empty());
     }

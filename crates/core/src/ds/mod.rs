@@ -3,7 +3,7 @@
 //! * [`IndexedLruList`] — xLRU's linked list + hash map (paper §5).
 //! * [`KeyedSet`] — Cafe's binary-tree set + hash map over virtual
 //!   timestamps, as the paper §6 describes it literally. Kept as the
-//!   reference structure (Psychic and the baselines still use it, and the
+//!   reference structure (only the §3 baselines still run on it, and the
 //!   rank-index property tests treat it as the ordering oracle).
 //! * [`RankIndex`] — the bucketed (timing-wheel-style) replacement Cafe's
 //!   hot path runs on: O(1) amortized re-keying with lazily sorted

@@ -19,18 +19,20 @@
 //! Being offline, Psychic must replay exactly the trace it was built from;
 //! this is asserted at run time.
 
-use vcdn_obs::{DecisionDetail, PolicyObs};
-use vcdn_types::{
-    ChunkId, ChunkSize, CostModel, Decision, FastMap, Request, ServeOutcome, Timestamp, VideoId,
-};
+use std::collections::BTreeSet;
+use std::ops::Range;
 
-use crate::{
-    ds::KeyedSet,
-    policy::{CacheConfig, CachePolicy},
-};
+use vcdn_obs::{DecisionDetail, PolicyObs};
+use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome, Timestamp};
+
+use crate::policy::{CacheConfig, CachePolicy};
 
 /// Minimum time-to-next-request (ms) used in divisions.
 const MIN_GAP_MS: f64 = 1.0;
+
+/// "Never requested again" in the sequence half of a Belady key. No
+/// request carries it: [`PsychicCache::new`] refuses traces that long.
+const NEVER: u32 = u32::MAX;
 
 /// Configuration of a [`PsychicCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,35 +65,45 @@ impl PsychicConfig {
     }
 }
 
-/// One chunk's request schedule: `(request sequence number, time)` pairs in
-/// replay order, plus a cursor over the not-yet-consumed suffix.
-#[derive(Debug, Clone, Default)]
-struct Schedule {
-    occurrences: Vec<(u32, Timestamp)>,
-    cursor: usize,
+/// One request of the trace as the index holds it: its time, and its
+/// chunks as the rank interval `first..first + len`.
+#[derive(Debug, Clone, Copy)]
+struct Expected {
+    t: Timestamp,
+    first: u32,
+    len: u32,
 }
 
-impl Schedule {
-    /// Consumes every occurrence up to and including sequence `seq`.
-    fn advance(&mut self, seq: u32) {
-        while self.cursor < self.occurrences.len() && self.occurrences[self.cursor].0 <= seq {
-            self.cursor += 1;
-        }
+impl Expected {
+    fn ranks(self) -> Range<usize> {
+        self.first as usize..(self.first + self.len) as usize
     }
+}
 
-    /// The next future occurrence's sequence number, if any.
-    fn next_seq(&self) -> Option<u32> {
-        self.occurrences.get(self.cursor).map(|&(s, _)| s)
-    }
+/// Narrows a build-time count to the `u32` the index stores it in,
+/// keeping `u32::MAX` free for [`NEVER`].
+fn index_u32(count: u64, what: &str) -> u32 {
+    assert!(
+        count < u64::from(NEVER),
+        "PsychicCache indexes {what} in u32: {count} is too many"
+    );
+    count as u32
+}
 
-    /// The next (up to) `n` future request times.
-    fn future_times(&self, n: usize) -> &[(u32, Timestamp)] {
-        let end = (self.cursor + n).min(self.occurrences.len());
-        &self.occurrences[self.cursor..end]
-    }
+/// The sequence half and the rank half of a Belady key.
+fn belady_key(next_seq: u32, rank: usize) -> u64 {
+    u64::from(next_seq) << 32 | rank as u64
 }
 
 /// The Psychic offline cache.
+///
+/// Being offline, it knows every chunk it will ever see before the first
+/// request, so [`PsychicCache::new`] lays the whole future out densely:
+/// the trace's distinct chunks sorted by [`ChunkId`] (a chunk's *rank* is
+/// its position, so one request's chunks are one contiguous rank
+/// interval), every chunk's request schedule in CSR arrays, and all
+/// per-chunk state in `Vec`s indexed by rank. The decide path hashes
+/// nothing and orders nothing by floats.
 ///
 /// # Examples
 ///
@@ -112,23 +124,35 @@ impl Schedule {
 #[derive(Debug, Clone)]
 pub struct PsychicCache {
     config: PsychicConfig,
-    schedules: FastMap<ChunkId, Schedule>,
-    /// `(video, time)` per request, to assert the replayed trace matches.
-    expected: Vec<(VideoId, Timestamp)>,
+    /// The trace's distinct chunks, ascending; index = rank.
+    chunks: Vec<ChunkId>,
+    /// CSR schedules: chunk `r` is requested by requests
+    /// `occ_seq[occ_off[r]..occ_off[r + 1]]` (ascending) at times `occ_t[..]`.
+    occ_off: Vec<u32>,
+    occ_seq: Vec<u32>,
+    occ_t: Vec<Timestamp>,
+    /// Per rank, the position in `occ_seq`/`occ_t` of the chunk's first
+    /// not-yet-replayed request: `L_x` starts here.
+    cursor: Vec<u32>,
+    /// Per request, what [`CachePolicy::handle_request`] must be handed.
+    expected: Vec<Expected>,
     seq: u32,
-    /// Cached chunks keyed by next-occurrence sequence (∞ = never again);
-    /// largest key = requested farthest in the future = first victim.
-    disk: KeyedSet<ChunkId>,
-    insert_time: FastMap<ChunkId, Timestamp>,
+    /// Cached chunks as `next request's sequence number << 32 | rank`
+    /// ([`NEVER`] if there is none): the largest key is the chunk requested
+    /// farthest in the future, the first victim.
+    order: BTreeSet<u64>,
+    on_disk: Vec<bool>,
+    /// Per rank; meaningful while `on_disk`.
+    insert_time: Vec<Timestamp>,
     /// Cumulative mean residence time (ms) of evicted chunks.
     mean_residency_ms: f64,
     evictions: u64,
     replay_start: Option<Timestamp>,
     obs: PolicyObs,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffers: the decide path allocates nothing.
-    scratch_present: Vec<ChunkId>,
-    scratch_missing: Vec<ChunkId>,
+    /// Reusable per-request buffer of victim keys: the decide path
+    /// allocates nothing but the `evicted` list it returns.
+    victims: Vec<u64>,
 }
 
 impl PsychicCache {
@@ -137,37 +161,99 @@ impl PsychicCache {
     ///
     /// # Panics
     ///
-    /// Panics if `requests` are not sorted by non-decreasing timestamp.
+    /// Panics if `requests` are not sorted by non-decreasing timestamp, or
+    /// if the trace has `u32::MAX` or more requests or chunk occurrences
+    /// (requests × chunks each): sequence numbers, ranks and schedule
+    /// offsets are stored as `u32`, with `u32::MAX` meaning "never again".
     pub fn new(config: PsychicConfig, requests: &[Request]) -> Self {
         assert!(
             requests.is_sorted_by_key(|r| r.t),
             "requests must be time-ordered"
         );
+        index_u32(requests.len() as u64, "requests");
         let k = config.cache.chunk_size;
-        let mut schedules: FastMap<ChunkId, Schedule> = FastMap::default();
-        for (i, r) in requests.iter().enumerate() {
-            for c in r.chunk_range(k).iter() {
-                schedules
-                    .entry(ChunkId::new(r.video, c))
-                    .or_default()
-                    .occurrences
-                    .push((i as u32, r.t));
+        // (video, first chunk, last chunk, sequence number), sorted: one
+        // sweep meets every video's chunks in ascending order.
+        let mut spans = Vec::with_capacity(requests.len());
+        let mut occurrences = 0u64;
+        for (seq, r) in (0u32..).zip(requests) {
+            let range = r.chunk_range(k);
+            occurrences += range.len();
+            spans.push((r.video, range.start, range.end, seq));
+        }
+        let occurrences = index_u32(occurrences, "chunk occurrences") as usize;
+        spans.sort_unstable();
+
+        // Ranks. `next` is one past the highest chunk of the current video
+        // that has a rank; spans start in ascending order, so a span
+        // starting below it overlaps the tail of `chunks`.
+        let mut chunks: Vec<ChunkId> = Vec::new();
+        let mut expected: Vec<Expected> = requests
+            .iter()
+            .map(|r| Expected {
+                t: r.t,
+                first: 0,
+                len: 0,
+            })
+            .collect();
+        let (mut video, mut next) = (None, 0u64);
+        for &(v, start, end, seq) in &spans {
+            if video != Some(v) {
+                (video, next) = (Some(v), 0);
+            }
+            let (start, end) = (u64::from(start), u64::from(end));
+            let new_from = next.max(start);
+            let e = &mut expected[seq as usize];
+            e.first = (chunks.len() as u64 - (new_from - start)) as u32;
+            e.len = (end - start + 1) as u32;
+            chunks.extend((new_from..=end).map(|c| ChunkId::new(v, c as u32)));
+            next = next.max(end + 1);
+        }
+        drop(spans); // before the schedule arrays are allocated
+
+        // Schedules: count, prefix-sum, then fill in replay order — each
+        // chunk's occurrences come out sorted without sorting.
+        let n = chunks.len();
+        let mut occ_off = vec![0u32; n + 1];
+        for e in &expected {
+            for rank in e.ranks() {
+                occ_off[rank + 1] += 1;
             }
         }
+        for rank in 0..n {
+            occ_off[rank + 1] += occ_off[rank];
+        }
+        let mut cursor = occ_off[..n].to_vec();
+        let mut occ_seq = vec![0u32; occurrences];
+        let mut occ_t = vec![Timestamp(0); occurrences];
+        for (seq, e) in (0u32..).zip(&expected) {
+            for rank in e.ranks() {
+                let at = cursor[rank] as usize;
+                occ_seq[at] = seq;
+                occ_t[at] = e.t;
+                cursor[rank] += 1;
+            }
+        }
+        cursor.copy_from_slice(&occ_off[..n]);
+
         PsychicCache {
             config,
-            schedules,
-            expected: requests.iter().map(|r| (r.video, r.t)).collect(),
+            chunks,
+            occ_off,
+            occ_seq,
+            occ_t,
+            cursor,
+            expected,
             seq: 0,
-            disk: KeyedSet::new(),
-            insert_time: FastMap::default(),
+            order: BTreeSet::new(),
+            on_disk: vec![false; n],
+            insert_time: vec![Timestamp(0); n],
             mean_residency_ms: 0.0,
             evictions: 0,
             replay_start: None,
             obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
-            scratch_present: Vec::new(),
-            scratch_missing: Vec::new(),
+            victims: Vec::new(),
         }
     }
 
@@ -186,35 +272,34 @@ impl PsychicCache {
     }
 
     // lint: hot
+    /// `L_x`: the next (up to) `N` request times of chunk `rank`.
+    fn future_times(&self, rank: usize) -> &[Timestamp] {
+        let from = self.cursor[rank] as usize;
+        let end = self.occ_off[rank + 1] as usize;
+        let to = from.saturating_add(self.config.future_list_bound).min(end);
+        &self.occ_t[from..to]
+    }
+
+    // lint: hot
     /// `Σ_{t∈L_x} T/(t − now)` for one chunk (the inner sums of
-    /// Eqs. 13–14), excluding occurrences belonging to the current request.
-    fn future_value(&self, id: ChunkId, now: Timestamp, t_window: f64, n: usize) -> f64 {
-        let Some(s) = self.schedules.get(&id) else {
-            return 0.0;
-        };
-        s.future_times(n)
+    /// Eqs. 13–14); the current request's occurrence is already consumed.
+    fn future_value(&self, rank: usize, now: Timestamp, t_window: f64) -> f64 {
+        self.future_times(rank)
             .iter()
-            .map(|&(_, t)| t_window / ((t - now).as_millis() as f64).max(MIN_GAP_MS))
+            .map(|&t| t_window / ((t - now).as_millis() as f64).max(MIN_GAP_MS))
             .sum()
     }
 
     // lint: hot
-    fn belady_key(&self, id: ChunkId) -> f64 {
-        match self.schedules.get(&id).and_then(Schedule::next_seq) {
-            Some(s) => s as f64,
-            None => f64::INFINITY,
-        }
-    }
-
-    // lint: hot
-    fn evict_chunk(&mut self, victim: ChunkId, now: Timestamp) {
-        self.disk.remove(&victim);
-        if let Some(t0) = self.insert_time.remove(&victim) {
-            let residency = (now - t0).as_millis() as f64;
-            self.evictions += 1;
-            // Cumulative mean: mean += (x - mean) / n.
-            self.mean_residency_ms += (residency - self.mean_residency_ms) / self.evictions as f64;
-        }
+    /// Chunk `rank`'s place in the Belady order, from its next request.
+    fn key_of(&self, rank: usize) -> u64 {
+        let at = self.cursor[rank];
+        let next_seq = if at < self.occ_off[rank + 1] {
+            self.occ_seq[at as usize]
+        } else {
+            NEVER
+        };
+        belady_key(next_seq, rank)
     }
 
     /// Number of evictions so far (for tests).
@@ -227,67 +312,69 @@ impl CachePolicy for PsychicCache {
     // lint: hot
     fn handle_request(&mut self, request: &Request) -> Decision {
         let seq = self.seq;
+        let range = request.chunk_range(self.config.cache.chunk_size);
         assert!(
-            (seq as usize) < self.expected.len()
-                && self.expected[seq as usize] == (request.video, request.t),
+            self.expected.get(seq as usize).is_some_and(|e| {
+                e.t == request.t
+                    && u64::from(e.len) == range.len()
+                    && self.chunks[e.first as usize] == ChunkId::new(request.video, range.start)
+            }),
             "PsychicCache must replay exactly the trace it was built from \
              (request #{seq} diverges)"
         );
+        let Range { start: lo, end: hi } = self.expected[seq as usize].ranks();
         self.seq += 1;
         let now = request.t;
         self.replay_start.get_or_insert(now);
-        let k = self.config.cache.chunk_size;
         let capacity = self.config.cache.disk_chunks;
         let costs = self.config.cache.costs;
-        let n = self.future_list_bound();
 
         // Consume this request's occurrences: L_x must describe the future.
-        let mut present = std::mem::take(&mut self.scratch_present);
-        let mut missing = std::mem::take(&mut self.scratch_missing);
-        present.clear();
-        missing.clear();
-        let range = request.chunk_range(k);
-        for c in range.iter() {
-            let id = ChunkId::new(request.video, c);
-            if let Some(s) = self.schedules.get_mut(&id) {
-                s.advance(seq);
-            }
-            if self.disk.contains(&id) {
-                present.push(id);
-            } else {
-                missing.push(id);
+        // A cached chunk is keyed on its next request — for the present
+        // chunks, this one — so re-key them, regardless of the decision.
+        let mut hits = 0;
+        for rank in lo..hi {
+            debug_assert_eq!(self.occ_seq[self.cursor[rank] as usize], seq);
+            self.cursor[rank] += 1;
+            if self.on_disk[rank] {
+                let was_keyed_here = self.order.remove(&belady_key(seq, rank));
+                debug_assert!(was_keyed_here);
+                self.order.insert(self.key_of(rank));
+                hits += 1;
             }
         }
+        let misses = hi - lo - hits;
 
-        // Present chunks' next occurrence changed: refresh Belady keys
-        // regardless of the decision.
-        for id in &present {
-            let key = self.belady_key(*id);
-            self.disk.insert(*id, key);
-        }
+        // S'': the cached chunks requested farthest in the future, this
+        // request's own excluded — a range test on the key's rank half.
+        let evict_needed = ((self.order.len() + misses) as u64).saturating_sub(capacity) as usize;
+        self.victims.clear();
+        self.victims.extend(
+            self.order
+                .iter()
+                .rev()
+                .filter(|&&key| !(lo..hi).contains(&(key as u32 as usize)))
+                .take(evict_needed),
+        );
 
-        let warmup = (self.disk.len() as u64) < capacity;
-        self.last_detail = DecisionDetail::age_only(self.cache_age_ms(now));
-        let serve = if warmup || missing.is_empty() {
+        let warmup = (self.order.len() as u64) < capacity;
+        let t_window = self.cache_age_ms(now);
+        self.last_detail = DecisionDetail::age_only(t_window);
+        let serve = if warmup || misses == 0 {
             true
         } else {
-            let t_window = self.cache_age_ms(now);
-            let evict_needed =
-                ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
             let min_cost = costs.min_cost();
-            // Eq. 13. (Requested chunks are few: a linear `contains`
-            // beats building a set per request.)
-            let mut e_serve = missing.len() as f64 * costs.c_f();
-            for (id, _) in self
-                .disk
-                .iter_largest_excluding(evict_needed, |id| present.contains(id))
-            {
-                e_serve += self.future_value(id, now, t_window, n) * min_cost;
+            // Eq. 13.
+            let mut e_serve = misses as f64 * costs.c_f();
+            for &key in &self.victims {
+                e_serve += self.future_value(key as u32 as usize, now, t_window) * min_cost;
             }
             // Eq. 14.
-            let mut e_redirect = (present.len() + missing.len()) as f64 * costs.c_r();
-            for id in &missing {
-                e_redirect += self.future_value(*id, now, t_window, n) * min_cost;
+            let mut e_redirect = (hi - lo) as f64 * costs.c_r();
+            for rank in lo..hi {
+                if !self.on_disk[rank] {
+                    e_redirect += self.future_value(rank, now, t_window) * min_cost;
+                }
             }
             self.last_detail = DecisionDetail::costs(e_serve, e_redirect, t_window);
             e_serve <= e_redirect
@@ -296,41 +383,44 @@ impl CachePolicy for PsychicCache {
         let decision = if !serve {
             Decision::Redirect
         } else {
-            // Evict the cached chunks requested farthest in the future
-            // (S''), then fill. Every filled chunk is genuinely stored —
+            // Evict S'', then fill. Every filled chunk is genuinely stored —
             // the §2 model fetches and stores chunks to serve them, so
             // capacity is never exceeded even transiently (matching the
             // IP's constraint 10f). Requests larger than the whole disk
             // keep only their tail chunks.
-            let evict_needed =
-                ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
             let mut evicted = Vec::new();
-            if evict_needed > 0 {
-                evicted.extend(
-                    self.disk
-                        .iter_largest_excluding(evict_needed, |id| present.contains(id))
-                        .map(|(id, _)| id),
-                );
-                for &v in &evicted {
-                    self.evict_chunk(v, now);
-                }
+            for &key in &self.victims {
+                let rank = key as u32 as usize;
+                self.order.remove(&key);
+                self.on_disk[rank] = false;
+                let residency = (now - self.insert_time[rank]).as_millis() as f64;
+                self.evictions += 1;
+                // Cumulative mean: mean += (x - mean) / n.
+                self.mean_residency_ms +=
+                    (residency - self.mean_residency_ms) / self.evictions as f64;
+                evicted.push(self.chunks[rank]);
             }
-            let free = (capacity - self.disk.len() as u64) as usize;
-            let keep_from = missing.len().saturating_sub(free);
-            for id in &missing[keep_from..] {
-                let key = self.belady_key(*id);
-                self.disk.insert(*id, key);
-                self.insert_time.insert(*id, now);
+            let free = (capacity - self.order.len() as u64) as usize;
+            let mut dropped = misses.saturating_sub(free);
+            for rank in lo..hi {
+                if self.on_disk[rank] {
+                    continue;
+                }
+                if dropped > 0 {
+                    dropped -= 1;
+                    continue;
+                }
+                self.on_disk[rank] = true;
+                self.insert_time[rank] = now;
+                self.order.insert(self.key_of(rank));
             }
             Decision::Serve(ServeOutcome {
-                hit_chunks: present.len() as u64,
-                filled_chunks: missing.len() as u64,
+                hit_chunks: hits as u64,
+                filled_chunks: misses as u64,
                 evicted,
             })
         };
-        self.scratch_present = present;
-        self.scratch_missing = missing;
-        self.obs.record_decision(&decision, self.disk.len() as u64);
+        self.obs.record_decision(&decision, self.order.len() as u64);
         decision
     }
 
@@ -347,7 +437,7 @@ impl CachePolicy for PsychicCache {
     }
 
     fn disk_used_chunks(&self) -> u64 {
-        self.disk.len() as u64
+        self.order.len() as u64
     }
 
     fn disk_capacity_chunks(&self) -> u64 {
@@ -355,7 +445,9 @@ impl CachePolicy for PsychicCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.disk.contains(&chunk)
+        self.chunks
+            .binary_search(&chunk)
+            .is_ok_and(|rank| self.on_disk[rank])
     }
 
     fn attach_obs(&mut self, obs: PolicyObs) {
@@ -367,16 +459,10 @@ impl CachePolicy for PsychicCache {
     }
 }
 
-impl PsychicCache {
-    fn future_list_bound(&self) -> usize {
-        self.config.future_list_bound
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::ByteRange;
+    use vcdn_types::{ByteRange, VideoId};
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
         Request::new(
@@ -530,33 +616,117 @@ mod tests {
         assert!((c.cache_age_ms(Timestamp(5_000)) - 4_000.0).abs() < 1e-9);
     }
 
-    #[test]
-    #[should_panic(expected = "exactly the trace")]
-    fn divergent_replay_detected() {
+    /// Builds for one request of video 0, bytes 0–99, then replays `r`.
+    fn replay_instead(r: Request) {
         let reqs = vec![req(0, 0, 99, 1)];
         let mut c = PsychicCache::new(
             PsychicConfig::new(2, ChunkSize::new(100).unwrap(), CostModel::balanced()),
             &reqs,
         );
-        c.handle_request(&req(5, 0, 99, 1)); // different video
+        c.handle_request(&r);
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly the trace")]
+    fn divergent_replay_detected() {
+        replay_instead(req(5, 0, 99, 1)); // different video
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly the trace")]
+    fn divergent_replay_detected_by_range_alone() {
+        // Same video, time and first chunk, one chunk more: chunk 1 has no
+        // schedule to be scored against.
+        replay_instead(req(0, 0, 199, 1));
+    }
+
+    #[test]
+    #[should_panic(expected = "exactly the trace")]
+    fn divergent_replay_detected_by_first_chunk_alone() {
+        replay_instead(req(0, 100, 199, 1)); // same video, time and length
+    }
+
+    #[test]
+    fn index_bound_keeps_the_never_sentinel_free() {
+        assert_eq!(index_u32(u64::from(NEVER) - 1, "requests"), NEVER - 1);
+        let at_bound = std::panic::catch_unwind(|| index_u32(u64::from(NEVER), "requests"));
+        assert!(at_bound.is_err(), "u32::MAX must stay free for NEVER");
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk occurrences in u32")]
+    fn occurrence_overflow_rejected_at_build_time() {
+        // One request spanning 2^32 chunks: its length alone would wrap.
+        let whole = Request::new(
+            VideoId(0),
+            ByteRange::new(0, u64::from(u32::MAX)).unwrap(),
+            Timestamp(1),
+        );
+        let k = ChunkSize::new(1).unwrap();
+        let _ = PsychicCache::new(PsychicConfig::new(2, k, CostModel::balanced()), &[whole]);
+    }
+
+    #[test]
+    fn index_is_dense_and_sorted() {
+        // Overlapping, nested, adjacent and gapped spans over two videos.
+        let reqs = vec![
+            req(7, 200, 499, 1), // v7 chunks 2..=4
+            req(3, 0, 99, 2),    // v3 chunk 0
+            req(7, 0, 299, 3),   // v7 chunks 0..=2
+            req(7, 300, 399, 4), // v7 chunk 3 (nested)
+            req(7, 800, 899, 5), // v7 chunk 8 (gap)
+            req(3, 100, 199, 6), // v3 chunk 1 (adjacent)
+        ];
+        let k = ChunkSize::new(100).unwrap();
+        let c = PsychicCache::new(PsychicConfig::new(2, k, CostModel::balanced()), &reqs);
+        let ids = |v: u64, cs: &[u32]| -> Vec<ChunkId> {
+            cs.iter().map(|&i| ChunkId::new(VideoId(v), i)).collect()
+        };
+        assert_eq!(
+            c.chunks,
+            [ids(3, &[0, 1]), ids(7, &[0, 1, 2, 3, 4, 8])].concat()
+        );
+        for (r, e) in reqs.iter().zip(&c.expected) {
+            let want: Vec<ChunkId> = r
+                .chunk_range(k)
+                .iter()
+                .map(|i| ChunkId::new(r.video, i))
+                .collect();
+            assert_eq!(c.chunks[e.ranks()], want[..], "{r}");
+        }
+        // v7#2 (rank 4) is requested by requests 0 and 2, in that order.
+        assert_eq!(c.occ_off[4..6], [4, 6]);
+        assert_eq!(c.occ_seq[4..6], [0, 2]);
+        assert_eq!(c.occ_t[4..6], [Timestamp(1), Timestamp(3)]);
+        assert_eq!(*c.occ_off.last().unwrap() as usize, c.occ_seq.len());
     }
 
     #[test]
     fn future_list_bound_caps_lookahead() {
+        // One chunk requested ten times, at t = 0, 10, …, 90.
+        let reqs: Vec<Request> = (0..10).map(|i| req(0, 0, 99, i * 10)).collect();
         let cfg = PsychicConfig::new(2, ChunkSize::new(100).unwrap(), CostModel::balanced())
             .with_future_list_bound(3);
         assert_eq!(cfg.future_list_bound, 3);
-        let mut s = Schedule::default();
-        for i in 0..10u32 {
-            s.occurrences.push((i, Timestamp(i as u64 * 10)));
+        let mut c = PsychicCache::new(cfg, &reqs);
+        assert_eq!(c.key_of(0), belady_key(0, 0));
+        for r in &reqs[..5] {
+            c.handle_request(r);
         }
-        s.advance(4);
-        assert_eq!(s.future_times(3).len(), 3);
-        assert_eq!(s.future_times(3)[0].0, 5);
-        assert_eq!(s.next_seq(), Some(5));
-        s.advance(9);
-        assert_eq!(s.next_seq(), None);
-        assert!(s.future_times(3).is_empty());
+        // Requests 0..=4 are consumed: L_x starts at request 5, capped at N.
+        assert_eq!(c.cursor[0], 5);
+        assert_eq!(c.key_of(0), belady_key(5, 0));
+        assert_eq!(
+            c.future_times(0),
+            [Timestamp(50), Timestamp(60), Timestamp(70)]
+        );
+        assert_eq!(c.order.iter().copied().collect::<Vec<_>>(), [c.key_of(0)]);
+        for r in &reqs[5..] {
+            c.handle_request(r);
+        }
+        assert_eq!(c.cursor[0], c.occ_off[1]);
+        assert_eq!(c.key_of(0), belady_key(NEVER, 0));
+        assert!(c.future_times(0).is_empty());
     }
 
     #[test]

@@ -5,12 +5,16 @@
 //! framework these loop over [`DetRng`]-generated cases; failures print the
 //! case number.
 
+use std::collections::HashMap;
+
 use vcdn_core::{
-    CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
-    XlruCache,
+    CacheConfig, CachePolicy, CafeCache, CafeConfig, DecisionDetail, LruCache, PsychicCache,
+    PsychicConfig, XlruCache,
 };
 use vcdn_trace::rng::DetRng;
-use vcdn_types::{ByteRange, ChunkSize, CostModel, Decision, Request, Timestamp, VideoId};
+use vcdn_types::{
+    ByteRange, ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome, Timestamp, VideoId,
+};
 
 const CASES: u64 = 64;
 
@@ -131,6 +135,167 @@ fn psychic_contract() {
         let mut cache = PsychicCache::new(PsychicConfig::new(d, k(), costs), &reqs);
         check_contract(&mut cache, &reqs, case);
     }
+}
+
+/// §8 as the text reads, with nothing precomputed: per-chunk lists of the
+/// not-yet-replayed `(sequence number, time)` pairs, a linear scan for each
+/// victim, Eqs. 13–14 summed straight from the lists.
+struct NaivePsychic {
+    capacity: usize,
+    costs: CostModel,
+    n: usize,
+    future: HashMap<ChunkId, Vec<(usize, u64)>>,
+    /// Cached chunk → insertion time.
+    disk: HashMap<ChunkId, u64>,
+    mean_residency_ms: f64,
+    evictions: u64,
+    start: Option<u64>,
+}
+
+impl NaivePsychic {
+    fn new(capacity: u64, costs: CostModel, n: usize, reqs: &[Request]) -> Self {
+        let mut future: HashMap<ChunkId, Vec<(usize, u64)>> = HashMap::new();
+        for (seq, r) in reqs.iter().enumerate() {
+            for c in r.chunk_range(k()).iter() {
+                let id = ChunkId::new(r.video, c);
+                future.entry(id).or_default().push((seq, r.t.0));
+            }
+        }
+        NaivePsychic {
+            capacity: capacity as usize,
+            costs,
+            n,
+            future,
+            disk: Default::default(),
+            mean_residency_ms: 0.0,
+            evictions: 0,
+            start: None,
+        }
+    }
+
+    fn handle(&mut self, seq: usize, r: &Request) -> (Decision, DecisionDetail) {
+        let now = r.t.0;
+        let start = *self.start.get_or_insert(now);
+        let ids: Vec<ChunkId> = r
+            .chunk_range(k())
+            .iter()
+            .map(|c| ChunkId::new(r.video, c))
+            .collect();
+        for id in &ids {
+            self.future
+                .get_mut(id)
+                .expect("built")
+                .retain(|&(s, _)| s > seq);
+        }
+        let missing: Vec<ChunkId> = ids
+            .iter()
+            .copied()
+            .filter(|id| !self.disk.contains_key(id))
+            .collect();
+        let age = match self.evictions {
+            0 => (now - start) as f64,
+            _ => self.mean_residency_ms,
+        };
+        let value = |id: &ChunkId| -> f64 {
+            let times = self.future[id].iter().take(self.n);
+            times.map(|&(_, t)| age / ((t - now) as f64).max(1.0)).sum()
+        };
+        // Belady: the largest (next sequence number or ∞, ChunkId) first.
+        let evict_needed = (self.disk.len() + missing.len()).saturating_sub(self.capacity);
+        let mut victims: Vec<ChunkId> = Vec::new();
+        while victims.len() < evict_needed {
+            let farthest = self
+                .disk
+                .keys()
+                .filter(|id| !ids.contains(id) && !victims.contains(id))
+                .max_by_key(|id| (self.future[*id].first().map_or(usize::MAX, |o| o.0), **id));
+            match farthest {
+                Some(&id) => victims.push(id),
+                None => break,
+            }
+        }
+        let mut detail = DecisionDetail::age_only(age);
+        let serve = self.disk.len() < self.capacity || missing.is_empty() || {
+            let min_cost = self.costs.min_cost();
+            let mut e_serve = missing.len() as f64 * self.costs.c_f();
+            for v in &victims {
+                e_serve += value(v) * min_cost;
+            }
+            let mut e_redirect = ids.len() as f64 * self.costs.c_r();
+            for m in &missing {
+                e_redirect += value(m) * min_cost;
+            }
+            detail = DecisionDetail::costs(e_serve, e_redirect, age);
+            e_serve <= e_redirect
+        };
+        if !serve {
+            return (Decision::Redirect, detail);
+        }
+        for v in &victims {
+            let residency = (now - self.disk.remove(v).expect("cached")) as f64;
+            self.evictions += 1;
+            self.mean_residency_ms += (residency - self.mean_residency_ms) / self.evictions as f64;
+        }
+        // A request larger than the disk keeps only its tail.
+        let free = self.capacity - self.disk.len();
+        for m in &missing[missing.len().saturating_sub(free)..] {
+            self.disk.insert(*m, now);
+        }
+        let outcome = ServeOutcome {
+            hit_chunks: (ids.len() - missing.len()) as u64,
+            filled_chunks: missing.len() as u64,
+            evicted: victims,
+        };
+        (Decision::Serve(outcome), detail)
+    }
+}
+
+#[test]
+fn psychic_matches_reference() {
+    let (mut ties_never, mut ties_same_request, mut oversized) = (0, 0, 0);
+    for case in 0..CASES {
+        let mut rng = DetRng::new(0x11C6 ^ case);
+        let reqs = requests(&mut rng);
+        let d = disk(&mut rng);
+        let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
+        for n in [1, 3, 10] {
+            let cfg = PsychicConfig::new(d, k(), costs).with_future_list_bound(n);
+            let mut cache = PsychicCache::new(cfg, &reqs);
+            let mut naive = NaivePsychic::new(d, costs, n, &reqs);
+            for (seq, r) in reqs.iter().enumerate() {
+                oversized += usize::from(r.chunk_len(k()) > d);
+                // The tie-breaks a packed integer key could get wrong: two
+                // cached never-again chunks, two cached chunks waiting for
+                // the same future request.
+                let mut nexts: Vec<usize> = naive
+                    .disk
+                    .keys()
+                    .map(|id| naive.future[id].first().map_or(usize::MAX, |o| o.0))
+                    .collect();
+                nexts.sort_unstable();
+                for w in nexts.windows(2).filter(|w| w[0] == w[1]) {
+                    if w[0] == usize::MAX {
+                        ties_never += 1;
+                    } else {
+                        ties_same_request += 1;
+                    }
+                }
+                let want = naive.handle(seq, r);
+                let got = cache.handle_request(r);
+                assert_eq!(
+                    (got, cache.decision_detail()),
+                    want,
+                    "case {case} N={n} request #{seq} {r}"
+                );
+                assert_eq!(cache.disk_used_chunks(), naive.disk.len() as u64);
+            }
+        }
+    }
+    assert!(
+        ties_never > 0 && ties_same_request > 0 && oversized > 0,
+        "cases must cover both tie kinds and oversized requests: \
+         {ties_never} / {ties_same_request} / {oversized}"
+    );
 }
 
 #[test]
