@@ -22,12 +22,14 @@
 
 use vcdn_obs::{DecisionDetail, PolicyObs};
 use vcdn_types::{
-    ChunkId, ChunkSize, CostModel, Decision, DurationMs, FastMap, Request, ServeOutcome, Timestamp,
-    VideoId,
+    ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, ServeOutcome, Timestamp, VideoId,
 };
 
 use crate::{
-    ds::{pop_table::MIN_IAT_MS, PopTable, RankIndex, NO_HANDLE},
+    ds::{
+        pop_table::{MAX_CHUNK_INDEX, MIN_IAT_MS},
+        PopTable, RankIndex, NO_HANDLE,
+    },
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -113,21 +115,17 @@ impl CafeConfig {
 #[derive(Debug, Clone)]
 pub struct CafeCache {
     config: CafeConfig,
-    /// EWMA popularity state for every recently seen chunk (cached or
-    /// not), in struct-of-arrays slabs addressed by compact handles.
+    /// The per-video chunk directory: EWMA popularity state for every
+    /// recently seen chunk (cached or not), which chunks of a video are
+    /// cached and where, and the video-level last-seen time that drives
+    /// the never-seen-video rule.
     pop: PopTable,
-    /// Video-level last-seen tracker (drives the never-seen-video rule).
-    video_seen: FastMap<VideoId, Timestamp>,
     /// Cached chunks ordered by virtual timestamp (Eq. 9) in the bucketed
     /// rank index; each entry carries its [`PopTable`] handle as the aux
-    /// payload so eviction scans never probe the hash map.
+    /// payload so eviction scans never probe the directory. Handles are
+    /// stable while a chunk stays cached: a sweep never drops a cached
+    /// chunk's record.
     disk: RankIndex<ChunkId>,
-    /// Chunk indices cached per video, each carrying its [`PopTable`]
-    /// handle ([`NO_HANDLE`] when the chunk has no popularity record) so
-    /// the unseen-chunk estimate reads the slabs without a hash probe per
-    /// chunk. Handles are stable while a chunk stays cached: `retain`
-    /// never sweeps a cached chunk's record.
-    video_chunks: FastMap<VideoId, FastMap<u32, u32>>,
     /// Tracked-but-uncached chunks ranked hottest-first (smallest
     /// [`PopTable::hot_rank`]); built by the first
     /// [`Self::prefetch_candidates`] call and maintained incrementally
@@ -137,10 +135,9 @@ pub struct CafeCache {
     replay_start: Option<Timestamp>,
     obs: PolicyObs,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffers: the decide path allocates nothing.
-    /// Missing chunks travel with their popularity handle so the Eq. 7
-    /// loop and the fill loop read the slabs directly.
-    scratch_present: Vec<ChunkId>,
+    /// Reusable per-request buffer: the decide path allocates nothing.
+    /// Missing chunks travel with their popularity handle and fresh EWMA
+    /// so the Eq. 7 loop and the fill loop never go back to the table.
     scratch_missing: Vec<(ChunkId, u32, f64)>,
 }
 
@@ -150,15 +147,12 @@ impl CafeCache {
         CafeCache {
             config,
             pop: PopTable::new(),
-            video_seen: FastMap::default(),
             disk: RankIndex::new(),
-            video_chunks: FastMap::default(),
             hot: None,
             handled: 0,
             replay_start: None,
             obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
-            scratch_present: Vec::new(),
             scratch_missing: Vec::new(),
         }
     }
@@ -191,17 +185,7 @@ impl CafeCache {
         if !self.config.unseen_chunk_estimate {
             return None;
         }
-        let chunks = self.video_chunks.get(&v)?;
-        let mut max_iat: Option<f64> = None;
-        // `f64::max` over the tracked chunks' IATs is iteration-order
-        // independent (no NaNs), so the hasher-dependent map order is
-        // fine here.
-        for &h in chunks.values() {
-            if let Some(iat) = self.pop.iat_at(h, now, self.config.gamma) {
-                max_iat = Some(max_iat.map_or(iat, |m: f64| m.max(iat)));
-            }
-        }
-        max_iat
+        self.pop.max_cached_iat(v, now, self.config.gamma)
     }
 
     // lint: hot
@@ -219,18 +203,11 @@ impl CafeCache {
     fn remove_chunk(&mut self, id: ChunkId) {
         self.disk.remove(&id);
         // The disk slot is freed for reuse: drop the back-reference.
-        if let Some(h) = self.pop.clear_backref(&id) {
-            if let Some(hot) = &mut self.hot {
-                // Still tracked by the popularity table: a candidate.
-                if let Some(rank) = self.pop.hot_rank(h, self.config.gamma) {
-                    hot.insert(id, rank, h);
-                }
-            }
-        }
-        if let Some(set) = self.video_chunks.get_mut(&id.video) {
-            set.remove(&id.index);
-            if set.is_empty() {
-                self.video_chunks.remove(&id.video);
+        let h = self.pop.clear_cached(id);
+        if let Some(hot) = &mut self.hot {
+            // Still tracked, with a known interval: a candidate.
+            if let Some(rank) = self.pop.hot_rank(h, self.config.gamma) {
+                hot.insert(id, rank, h);
             }
         }
     }
@@ -240,34 +217,23 @@ impl CafeCache {
     /// ([`NO_HANDLE`] when the chunk has no popularity record).
     fn insert_chunk(&mut self, id: ChunkId, key: f64, h: u32) {
         let slot = self.disk.insert(id, key, h);
-        // No-op when the chunk has no popularity record (h == NO_HANDLE).
-        self.pop.set_backref(&id, slot);
+        self.pop.set_cached(id, slot);
         if let Some(hot) = &mut self.hot {
             hot.remove(&id);
         }
-        self.video_chunks
-            .entry(id.video)
-            .or_default()
-            .insert(id.index, h);
     }
 
     /// Drops popularity state for chunks and videos not seen within twice
-    /// the cache age (and not currently cached).
+    /// the cache age (and not currently cached). Called at every
+    /// `CLEANUP_INTERVAL`-th request; [`PopTable::sweep`] walks the table
+    /// only when the cutoff can reach something.
     fn cleanup(&mut self, now: Timestamp) {
         let age = self.cache_age_ms(now);
         if age <= 0.0 {
             return;
         }
         let cutoff = Timestamp(now.as_millis().saturating_sub((2.0 * age) as u64));
-        let disk = &self.disk;
-        // Cheap recency test first: most records are recent, so the
-        // cached-membership hash probe only runs for the stale minority.
-        self.pop
-            .retain(|id, t_last| t_last >= cutoff || disk.contains(id));
-        let video_chunks = &self.video_chunks;
-        self.video_seen
-            .retain(|v, t| *t >= cutoff || video_chunks.contains_key(v));
-        if self.hot.is_some() {
+        if self.pop.sweep(cutoff) && self.hot.is_some() {
             // Rebuild rather than diff the retained set; sweeps are rare.
             self.hot = Some(self.build_hot());
         }
@@ -311,8 +277,7 @@ impl CafeCache {
 
     /// Video tracker entries sorted by video id (snapshot support).
     pub(crate) fn video_seen_entries(&self) -> Vec<(VideoId, Timestamp)> {
-        let mut v: Vec<(VideoId, Timestamp)> =
-            self.video_seen.iter().map(|(id, t)| (*id, *t)).collect();
+        let mut v: Vec<(VideoId, Timestamp)> = self.pop.videos_seen().collect();
         v.sort_unstable_by_key(|(id, _)| *id);
         v
     }
@@ -347,7 +312,7 @@ impl CafeCache {
             cache.pop.insert_raw(id, dt, t_last);
         }
         for &(v, t) in video_seen {
-            cache.video_seen.insert(v, t);
+            cache.pop.set_last_seen(v, t);
         }
         for &(id, key) in disk {
             // A disk chunk whose popularity record was swept before the
@@ -442,70 +407,68 @@ impl CafeCache {
 
 impl CachePolicy for CafeCache {
     // lint: hot
+    /// # Panics
+    ///
+    /// Panics if the request reaches chunk index `2^20`
+    /// ([`ChunkId::INDEX_BITS`]; 2 TiB into a video at 2 MiB chunks) or
+    /// beyond: popularity state is a dense per-video run indexed by chunk
+    /// number, and the bound keeps one stray offset from sizing it.
     fn handle_request(&mut self, request: &Request) -> Decision {
         let now = request.t;
         let gamma = self.config.gamma;
         let k = self.config.cache.chunk_size;
         let capacity = self.config.cache.disk_chunks;
         let costs = self.config.cache.costs;
+        let range = request.chunk_range(k);
+        assert!(
+            range.end < MAX_CHUNK_INDEX,
+            "chunk index {} is beyond the {MAX_CHUNK_INDEX}-chunk bound of a video",
+            range.end
+        );
         self.replay_start.get_or_insert(now);
         self.handled += 1;
         if self.handled.is_multiple_of(CLEANUP_INTERVAL) {
             self.cleanup(now);
         }
 
-        let video_known = self.video_seen.contains_key(&request.video)
-            || self.video_chunks.contains_key(&request.video);
-
-        // Classify, update popularity, and re-key in one pass. Updating
-        // *before* deciding mirrors xLRU's Eq. 5, which scores a video by
-        // the current gap `t_now − t`: the arriving request is itself
-        // evidence — a chunk's second request immediately yields a usable
-        // IAT, and demand is observed whether we serve or redirect. The
-        // per-chunk steps are independent (a chunk range never repeats an
-        // id, and re-keying a present chunk alters no other chunk's
+        // Classify, update popularity, and re-key in one pass over the
+        // video's chunk run — one directory probe for the whole request.
+        // Updating *before* deciding mirrors xLRU's Eq. 5, which scores a
+        // video by the current gap `t_now − t`: the arriving request is
+        // itself evidence — a chunk's second request immediately yields a
+        // usable IAT, and demand is observed whether we serve or redirect.
+        // The per-chunk steps are independent (a chunk range never repeats
+        // an id, and re-keying a present chunk alters no other chunk's
         // membership), so fusing the passes changes no outcome.
-        let mut present = std::mem::take(&mut self.scratch_present);
         let mut missing = std::mem::take(&mut self.scratch_missing);
-        present.clear();
         missing.clear();
-        let range = request.chunk_range(k);
-        for c in range.iter() {
-            let id = ChunkId::new(request.video, c);
-            // The popularity record's back-reference answers "cached, and
-            // where in the rank index" straight off the `touch` probe: a
-            // present chunk classifies AND re-keys (an O(1) bucket move
-            // to the refreshed virtual timestamp) with that one hash
-            // probe and no further lookups.
-            let (h, slot, dt) = self.pop.touch(id, now, gamma);
-            if slot != NO_HANDLE {
-                let key = PopTable::key_fresh(dt, now, gamma, 0.0);
-                self.disk.rekey_slot(slot, key, h);
-                present.push(id);
-            } else if let Some(slot) = self.disk.slot_of(&id) {
-                // Cached chunk whose popularity record predates this
-                // `touch` (possible only after a snapshot restore dropped
-                // it): resync the back-reference on first contact.
-                let key = self.pop.key_at(h, now, gamma, 0.0);
-                self.disk.rekey_slot(slot, key, h);
-                self.pop.set_backref(&id, slot);
-                if let Some(set) = self.video_chunks.get_mut(&id.video) {
-                    // The restore recorded NO_HANDLE; patch in the live
-                    // handle so the unseen-chunk estimate sees this chunk.
-                    set.insert(id.index, h);
-                }
-                present.push(id);
-            } else {
-                if let Some(hot) = &mut self.hot {
-                    if let Some(rank) = self.pop.hot_rank(h, gamma) {
-                        hot.insert(id, rank, h);
+        let mut hits = 0usize;
+        let (disk, hot) = (&mut self.disk, &mut self.hot);
+        let video_known = self
+            .pop
+            .touch_run(request.video, range, now, gamma, |c, h, slot, dt| {
+                if slot != NO_HANDLE {
+                    // The record's back-reference says "cached, and where
+                    // in the rank index": a present chunk re-keys (an O(1)
+                    // bucket move to the refreshed virtual timestamp) with
+                    // no lookup of its own.
+                    disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), h);
+                    hits += 1;
+                } else {
+                    let id = ChunkId::new(request.video, c);
+                    if let Some(hot) = hot {
+                        if let Some(rank) = PopTable::hot_rank_of(dt, now, gamma) {
+                            hot.insert(id, rank, h);
+                        }
                     }
+                    missing.push((id, h, dt));
                 }
-                missing.push((id, h, dt));
-            }
-        }
-        self.video_seen.insert(request.video, now);
-        let s_total = (present.len() + missing.len()) as f64;
+            });
+        // The eviction scans skip the request's own cached chunks; every
+        // cached chunk inside the requested interval is one of them, so
+        // the test is a range test.
+        let requested = |id: &ChunkId| id.video == request.video && range.contains(id.index);
+        let s_total = (hits + missing.len()) as f64;
         let warmup = (self.disk.len() as u64) < capacity;
 
         // The §6 estimate is only ever read for missing chunks (in the
@@ -531,20 +494,15 @@ impl CachePolicy for CafeCache {
             let min_cost = costs.min_cost();
 
             // Eq. 6: fill cost now + expected future cost of evictees.
-            // (Requested chunks are few: a linear `contains` beats
-            // building a set per request.) The candidate walk reads the
-            // popularity slabs through each entry's aux handle — no hash
-            // probe per candidate.
+            // The candidate walk reads the popularity slabs through each
+            // entry's aux handle — no hash probe per candidate.
             let mut e_serve = missing.len() as f64 * costs.c_f();
             let pop = &self.pop;
-            self.disk.for_smallest_excluding(
-                evict_needed,
-                |id| present.contains(id),
-                |_, _, h| {
+            self.disk
+                .for_smallest_excluding(evict_needed, requested, |_, _, h| {
                     let iat = pop.iat_at(h, now, gamma);
                     e_serve += Self::future_requests(t_window, iat) * min_cost;
-                },
-            );
+                });
             // Eq. 7: redirect cost now + expected future cost of the
             // still-missing chunks.
             let mut e_redirect = s_total * costs.c_r();
@@ -565,11 +523,8 @@ impl CachePolicy for CafeCache {
                 ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
             let mut evicted = Vec::new();
             if evict_needed > 0 {
-                self.disk.for_smallest_excluding(
-                    evict_needed,
-                    |id| present.contains(id),
-                    |id, _, _| evicted.push(id),
-                );
+                self.disk
+                    .for_smallest_excluding(evict_needed, requested, |id, _, _| evicted.push(id));
                 for &id in &evicted {
                     self.remove_chunk(id);
                 }
@@ -582,12 +537,11 @@ impl CachePolicy for CafeCache {
                 self.insert_chunk(id, key, h);
             }
             Decision::Serve(ServeOutcome {
-                hit_chunks: present.len() as u64,
+                hit_chunks: hits as u64,
                 filled_chunks: missing.len() as u64,
                 evicted,
             })
         };
-        self.scratch_present = present;
         self.scratch_missing = missing;
         self.obs.record_decision(&decision, self.disk.len() as u64);
         decision
@@ -681,12 +635,12 @@ mod tests {
             })
             .collect();
         let gamma = 0.25;
+        // Eq. 9: key_x(t) = t − IAT_x(t).
+        let key = |h: u32, t: u64| t as f64 - pop.iat_at(h, Timestamp(t), gamma).unwrap();
         for &a in &handles {
             for &b in &handles {
-                let d1 = pop.key_at(a, Timestamp(1_000), gamma, 0.0)
-                    - pop.key_at(b, Timestamp(1_000), gamma, 0.0);
-                let d2 = pop.key_at(a, Timestamp(50_000), gamma, 0.0)
-                    - pop.key_at(b, Timestamp(50_000), gamma, 0.0);
+                let d1 = key(a, 1_000) - key(b, 1_000);
+                let d2 = key(a, 50_000) - key(b, 50_000);
                 assert!(
                     (d1 - d2).abs() < 1e-6,
                     "key difference changed over time: {d1} vs {d2}"
@@ -710,7 +664,9 @@ mod tests {
         warm(&mut c, 2, 1, 10);
         assert!(c.handle_request(&req(50, 0, 99, 1_000)).is_redirect());
         // ...but demand is recorded, so a prompt re-request can qualify.
-        assert!(c.video_seen.contains_key(&VideoId(50)));
+        assert!(c
+            .video_seen_entries()
+            .contains(&(VideoId(50), Timestamp(1_000))));
     }
 
     #[test]
@@ -858,9 +814,101 @@ mod tests {
             c.pop.handle_of(&ChunkId::new(VideoId(77), 0)).is_none(),
             "stale chunk state survived cleanup"
         );
-        assert!(!c.video_seen.contains_key(&VideoId(77)));
-        // Cached chunks' state always survives.
-        assert!(c.pop.handle_of(&ChunkId::new(VideoId(0), 0)).is_some());
+        assert!(c
+            .video_seen_entries()
+            .iter()
+            .all(|(v, _)| *v != VideoId(77)));
+        // Cached chunks' state always survives — and nothing else does.
+        let survivors: Vec<ChunkId> = c.iat_entries().iter().map(|e| e.0).collect();
+        assert_eq!(
+            survivors,
+            [ChunkId::new(VideoId(0), 0), ChunkId::new(VideoId(1), 0)]
+        );
+        let videos: Vec<VideoId> = c.video_seen_entries().iter().map(|e| e.0).collect();
+        assert_eq!(videos, [VideoId(0), VideoId(1)]);
+        // The cache stays young while the clock moves, so each of the four
+        // cutoffs is above the last and each sweep walks the table.
+        assert_eq!(c.pop.sweeps(), 4);
+    }
+
+    #[test]
+    fn no_table_walk_while_the_cutoff_stays_zero() {
+        // A disk that never fills keeps the first video's chunk, which
+        // nobody asks for again: the cache age is the age of the replay,
+        // twice that reaches back past its start, and every cutoff is 0.
+        let mut c = cache(64, 2.0);
+        c.handle_request(&req(999, 0, 99, 1));
+        for i in 0..3 * CLEANUP_INTERVAL {
+            c.handle_request(&req(i % 40, 0, 99, 10 + i * 7));
+        }
+        assert_eq!(c.handled_count(), 3 * CLEANUP_INTERVAL + 1);
+        assert_eq!(c.pop.sweeps(), 0);
+        assert_eq!(c.tracked_chunks(), 41);
+    }
+
+    #[test]
+    fn chunk_evicted_cold_is_swept_even_when_the_cutoff_falls() {
+        // The one case where skipping a sweep would be wrong. Chunk X
+        // (v1#0) sits on disk with a record far older than the first
+        // sweep's cutoff (700) — cached, so the sweep keeps it. It is
+        // then evicted, and the cache goes idle behind a chunk that ages:
+        // the next cutoff (487) is *lower* than the last, which would
+        // otherwise prove the sweep empty, but X's record (t = 100) is
+        // below it and must go.
+        let a = ChunkId::new(VideoId(0), 0);
+        let x = ChunkId::new(VideoId(1), 0);
+        let config = CafeConfig::new(
+            2,
+            ChunkSize::new(100).unwrap(),
+            CostModel::from_alpha(2.0).unwrap(),
+        );
+        let iat = [
+            (a, Some(10.0), Timestamp(990)),
+            (x, Some(10.0), Timestamp(100)),
+        ];
+        let seen = [(VideoId(0), Timestamp(990)), (VideoId(1), Timestamp(100))];
+        let disk = [(x, 850.0), (a, 900.0)];
+        let first_sweep = CLEANUP_INTERVAL - 1;
+        let mut c = CafeCache::from_parts(config, &iat, &seen, &disk, first_sweep, None);
+        c.handle_request(&req(0, 0, 99, 1_000));
+        assert_eq!(c.pop.sweeps(), 1, "cutoff 1000 - 2*150 = 700");
+        assert!(c.pop.handle_of(&x).is_some(), "cached: kept");
+        // A sibling of the hot chunk displaces X.
+        let d = c.handle_request(&req(0, 100, 199, 1_001));
+        assert_eq!(d.serve_outcome().unwrap().evicted, [x]);
+        // Only `a` is requested until the next sweep instant; its sibling
+        // (key ≈ 993) becomes the cache age.
+        for i in 0..CLEANUP_INTERVAL - 2 {
+            c.handle_request(&req(0, 0, 99, 1_002 + i / 10));
+        }
+        assert_eq!(c.pop.sweeps(), 1);
+        c.handle_request(&req(0, 0, 99, 1_500));
+        assert_eq!(c.handled_count(), 2 * CLEANUP_INTERVAL);
+        assert_eq!(
+            c.pop.sweeps(),
+            2,
+            "cutoff 1500 - 2*506 = 487 < 700, yet it ran"
+        );
+        assert!(c.pop.handle_of(&x).is_none(), "stale record survived");
+        assert_eq!(c.video_seen_entries(), [(VideoId(0), Timestamp(1_500))]);
+        assert_eq!(c.tracked_chunks(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index 1048576 is beyond the 1048576-chunk bound of a video")]
+    fn chunk_index_past_the_bound_is_refused() {
+        let mut c = cache(2, 1.0);
+        // Chunk size 100: byte 104_857_600 is the first of chunk 2^20.
+        c.handle_request(&req(1, 104_857_600, 104_857_600, 1));
+    }
+
+    #[test]
+    fn last_chunk_index_inside_the_bound_is_served() {
+        let mut c = cache(2, 1.0);
+        assert!(c
+            .handle_request(&req(1, 104_857_599, 104_857_599, 1))
+            .is_serve());
+        assert!(c.contains_chunk(ChunkId::new(VideoId(1), MAX_CHUNK_INDEX - 1)));
     }
 
     #[test]

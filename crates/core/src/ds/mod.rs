@@ -8,8 +8,10 @@
 //! * [`RankIndex`] — the bucketed (timing-wheel-style) replacement Cafe's
 //!   hot path runs on: O(1) amortized re-keying with lazily sorted
 //!   buckets, bit-identical ordering to [`KeyedSet`].
-//! * [`PopTable`] — Cafe's struct-of-arrays EWMA popularity slabs
-//!   addressed by compact handles.
+//! * [`PopTable`] — Cafe's per-video chunk directory: one hash probe per
+//!   request, dense chunk runs, EWMA state in struct-of-arrays slabs
+//!   addressed by compact handles, and sweeps that walk only when
+//!   something can expire.
 
 pub mod keyed_set;
 pub mod lru_list;

@@ -1,57 +1,151 @@
-//! Cafe's struct-of-arrays popularity table (paper §6, Eq. 8).
+//! Cafe's popularity directory (paper §6, Eq. 8): one record per video,
+//! one dense run of chunk records inside it, EWMA state in shared slabs.
 //!
-//! Replaces the `FastMap<ChunkId, IatState>` layout: the hash map now
-//! maps `ChunkId → handle` only, and the EWMA state lives in parallel
-//! slabs (`Vec<f64>` inter-arrival averages, `Vec<Timestamp>` last-seen
-//! stamps) indexed by that compact handle. The Eq. 6/7 batch cost
-//! evaluation walks the requested / missing / eviction-candidate sets by
-//! handle — contiguous slab loads instead of a hash probe per chunk.
+//! A request is one video and one contiguous chunk interval, so the
+//! directory is keyed by *video*: one hash probe finds the video's record
+//! and [`PopTable::touch_run`] then reads `chunks[c0..=c1]` sequentially.
+//! A chunk record is the pair `{ h, backref }`. `h` is the **handle**: the
+//! index of the chunk's EWMA state in the parallel slabs (`Vec<f64>`
+//! inter-arrival averages, `Vec<Timestamp>` last-seen stamps,
+//! `Vec<ChunkId>` owners). `backref` is the caller-owned "cached, and
+//! where" word (Cafe stores the chunk's disk rank-index slot). Either is
+//! [`NO_HANDLE`] when absent: a chunk can be tracked and uncached, cached
+//! with no record (restored from a snapshot whose record had been swept),
+//! both, or neither (a gap in the run). The video record also carries the
+//! video-level last-seen time and how many chunks of its run are cached
+//! — all the never-seen-video rule and the sweep need.
 //!
 //! Handles are **stable** (slots are free-listed, never compacted): the
 //! disk/hot rank indexes cache the handle as their `aux` payload for the
 //! lifetime of an entry. Handle *values* are an allocation artifact
 //! (free-list reuse order) and must never influence ordering or output —
-//! every ordered export sorts by `(key, ChunkId)` or by `ChunkId`,
-//! exactly as the hash-map layout did.
+//! every ordered export sorts by `(key, ChunkId)` or by `ChunkId`.
 
-use vcdn_types::{ChunkId, FastMap, Timestamp};
+use vcdn_types::{ChunkId, ChunkRange, FastMap, Timestamp, VideoId};
 
 /// Minimum inter-arrival time (ms) used in divisions (shared with the
 /// Eq. 6/7 cost terms in `cafe.rs`).
 pub const MIN_IAT_MS: f64 = 1.0;
 
 /// Sentinel handle meaning "no popularity record" (e.g. a disk entry
-/// restored from a snapshot whose popularity state was swept).
+/// restored from a snapshot whose popularity state was swept); as a
+/// back-reference, "not cached".
 pub const NO_HANDLE: u32 = u32::MAX;
+
+/// Exclusive bound on the chunk indices the directory accepts — the one
+/// [`ChunkId::packed`] documents. A video's run is indexed by chunk
+/// number, so the bound caps a run at 8 MiB however hostile the request.
+pub const MAX_CHUNK_INDEX: u32 = 1 << ChunkId::INDEX_BITS;
 
 /// Slab sentinel for "no interval observed yet" (`IatState.dt = None` in
 /// the old layout): real EWMA values are gaps in milliseconds, ≥ 0.
 const NO_INTERVAL: f64 = -1.0;
 
-/// `t_last` sentinel marking a free-listed slot, letting [`PopTable::retain`]
-/// sweep the slabs sequentially without consulting the hash map. Real
-/// stamps are trace times, far below `u64::MAX` ms.
-const FREE_STAMP: Timestamp = Timestamp(u64::MAX);
+/// `t_last` sentinel marking a free-listed slot; it is above every sweep
+/// cutoff, so [`PopTable::sweep`] passes over free slots with the same
+/// comparison that passes over fresh records. Real stamps are trace
+/// times, far below `u64::MAX` ms.
+pub(crate) const FREE_STAMP: Timestamp = Timestamp(u64::MAX);
 
-/// Map record: the slab handle plus the caller-owned back-reference
-/// ([`NO_HANDLE`] = unset). Cafe stores the chunk's disk rank-index slab
-/// slot in `backref`, so the one [`PopTable::touch`] probe answers "is
-/// this chunk cached, and where" with no further lookups — the pair rides
-/// in the map value precisely so no extra cache line is touched.
-#[derive(Debug, Clone, Copy)]
+/// One chunk of a video's run (see the module docs).
+#[derive(Debug, Clone, Copy, PartialEq)]
 struct Rec {
     h: u32,
     backref: u32,
 }
 
-/// Per-chunk EWMA inter-arrival popularity state in SoA layout.
+impl Rec {
+    const NONE: Rec = Rec {
+        h: NO_HANDLE,
+        backref: NO_HANDLE,
+    };
+}
+
+/// One directory entry: the video-level tracker plus the chunk run.
 #[derive(Debug, Clone, Default)]
-pub struct PopTable {
-    map: FastMap<ChunkId, Rec>,
+struct Video {
+    /// Last request for any chunk of the video (`None`: no video-level
+    /// record — swept, or never restored).
+    last_seen: Option<Timestamp>,
+    /// Chunks of the run with a back-reference.
+    cached: u32,
+    /// Indexed by chunk number; grows to the highest index seen.
+    chunks: Vec<Rec>,
+}
+
+impl Video {
+    /// The record of chunk `index`, growing the run to reach it.
+    fn rec_mut(&mut self, index: u32) -> &mut Rec {
+        let i = index as usize;
+        if self.chunks.len() <= i {
+            self.chunks.resize(i + 1, Rec::NONE);
+        }
+        &mut self.chunks[i]
+    }
+
+    /// Nothing left to remember: not seen, nothing cached, nothing tracked.
+    fn is_dead(&self) -> bool {
+        self.last_seen.is_none() && self.chunks.iter().all(|r| *r == Rec::NONE)
+    }
+}
+
+/// The EWMA state slabs, addressed by handle.
+#[derive(Debug, Clone, Default)]
+struct Slabs {
     ids: Vec<ChunkId>,
     dt: Vec<f64>,
     t_last: Vec<Timestamp>,
     free: Vec<u32>,
+}
+
+impl Slabs {
+    // lint: hot
+    /// Takes a free slot (or grows the slabs) for a new record.
+    fn alloc(&mut self, id: ChunkId, dt: f64, t_last: Timestamp) -> u32 {
+        match self.free.pop() {
+            Some(h) => {
+                let i = h as usize;
+                self.ids[i] = id;
+                self.dt[i] = dt;
+                self.t_last[i] = t_last;
+                h
+            }
+            None => {
+                self.ids.push(id);
+                self.dt.push(dt);
+                self.t_last.push(t_last);
+                (self.ids.len() - 1) as u32
+            }
+        }
+    }
+}
+
+/// Per-video chunk directory over struct-of-arrays EWMA inter-arrival
+/// state.
+#[derive(Debug, Clone)]
+pub struct PopTable {
+    dir: FastMap<VideoId, Video>,
+    slabs: Slabs,
+    /// Tracked chunks (records with a handle).
+    len: usize,
+    /// Lower bound on the stamp of everything [`Self::sweep`] could drop:
+    /// `t_last` of every uncached tracked record and `last_seen` of every
+    /// video without a cached chunk.
+    stale_floor: Timestamp,
+    sweeps: u64,
+}
+
+impl Default for PopTable {
+    fn default() -> Self {
+        PopTable {
+            dir: FastMap::default(),
+            slabs: Slabs::default(),
+            len: 0,
+            // Nothing to drop yet: the bound is vacuous.
+            stale_floor: Timestamp(u64::MAX),
+            sweeps: 0,
+        }
+    }
 }
 
 impl PopTable {
@@ -62,83 +156,82 @@ impl PopTable {
 
     /// Number of tracked chunks.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.len
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len == 0
     }
 
     // lint: hot
     /// The handle of `id`, if tracked.
     pub fn handle_of(&self, id: &ChunkId) -> Option<u32> {
-        self.map.get(id).map(|r| r.h)
+        let rec = self.dir.get(&id.video)?.chunks.get(id.index as usize)?;
+        (rec.h != NO_HANDLE).then_some(rec.h)
     }
 
     // lint: hot
-    /// Records an access to `id` at `now` and returns
-    /// `(handle, backref, dt)`: the handle, the caller-owned
-    /// back-reference ([`NO_HANDLE`] when unset), and the post-update
-    /// EWMA (negative while no interval has been observed — feed it to
-    /// [`Self::iat_fresh`]/[`Self::key_fresh`] to avoid re-reading the
+    /// Records a request for chunks `range` of `video` at `now`: one
+    /// directory probe, then per chunk, in ascending order, the Eq. 8
+    /// update and a call `visit(index, handle, backref, dt)` with the
+    /// chunk's handle, its caller-owned back-reference ([`NO_HANDLE`]
+    /// when not cached) and the post-update EWMA (negative while no
+    /// interval has been observed — feed it to [`Self::iat_fresh`] /
+    /// [`Self::key_fresh`] / [`Self::hot_rank_of`] to avoid re-reading the
     /// slabs). Eq. 8: a first sighting stores the timestamp with no
     /// interval; later accesses update `dt ← γ·gap + (1 − γ)·dt` (the
     /// first observed interval seeds the average) — bit-for-bit the
     /// arithmetic of the old per-entry `IatState::update`.
-    pub fn touch(&mut self, id: ChunkId, now: Timestamp, gamma: f64) -> (u32, u32, f64) {
-        let PopTable {
-            map,
-            ids,
-            dt,
-            t_last,
-            free,
-        } = self;
-        match map.entry(id) {
-            std::collections::hash_map::Entry::Occupied(e) => {
-                let rec = *e.get();
+    ///
+    /// Returns whether the video was known *before* this request (seen,
+    /// or holding a cached chunk), and stamps it seen at `now`.
+    pub fn touch_run(
+        &mut self,
+        video: VideoId,
+        range: ChunkRange,
+        now: Timestamp,
+        gamma: f64,
+        mut visit: impl FnMut(u32, u32, u32, f64),
+    ) -> bool {
+        // Every stamp written below is `now`: keep the floor under it
+        // even if time runs backwards.
+        self.stale_floor = self.stale_floor.min(now);
+        let v = self.dir.entry(video).or_default();
+        let known = v.last_seen.is_some() || v.cached > 0;
+        v.last_seen = Some(now);
+        v.rec_mut(range.end); // grows the run to cover the interval
+        let slabs = &mut self.slabs;
+        let run = &mut v.chunks[range.start as usize..=range.end as usize];
+        for (c, rec) in range.iter().zip(run) {
+            let d = if rec.h == NO_HANDLE {
+                rec.h = slabs.alloc(ChunkId::new(video, c), NO_INTERVAL, now);
+                self.len += 1;
+                NO_INTERVAL
+            } else {
                 let i = rec.h as usize;
-                let gap = (now - t_last[i]).as_millis() as f64;
-                let d = if dt[i] < 0.0 {
+                let gap = (now - slabs.t_last[i]).as_millis() as f64;
+                let d = if slabs.dt[i] < 0.0 {
                     gap
                 } else {
-                    gamma * gap + (1.0 - gamma) * dt[i]
+                    gamma * gap + (1.0 - gamma) * slabs.dt[i]
                 };
-                dt[i] = d;
-                t_last[i] = now;
-                (rec.h, rec.backref, d)
-            }
-            std::collections::hash_map::Entry::Vacant(e) => {
-                let h = match free.pop() {
-                    Some(h) => {
-                        let i = h as usize;
-                        ids[i] = id;
-                        dt[i] = NO_INTERVAL;
-                        t_last[i] = now;
-                        h
-                    }
-                    None => {
-                        ids.push(id);
-                        dt.push(NO_INTERVAL);
-                        t_last.push(now);
-                        (ids.len() - 1) as u32
-                    }
-                };
-                e.insert(Rec {
-                    h,
-                    backref: NO_HANDLE,
-                });
-                (h, NO_HANDLE, NO_INTERVAL)
-            }
+                slabs.dt[i] = d;
+                slabs.t_last[i] = now;
+                d
+            };
+            visit(c, rec.h, rec.backref, d);
         }
+        known
     }
 
     // lint: hot
     /// Eq. 8 query for a record touched at `now` (so `t_last == now`),
-    /// fed by the `dt` that [`Self::touch`] just returned: the elapsed-gap
-    /// term is zero and the IAT reduces to `(1 − γ)·dt` (clamped), with
-    /// no slab reads. Bit-identical to `iat_at(h, now, γ)` because
-    /// `γ·0 + x == x` exactly for the non-negative finite `dt` values.
+    /// fed by the `dt` that [`Self::touch_run`] just handed out: the
+    /// elapsed-gap term is zero and the IAT reduces to `(1 − γ)·dt`
+    /// (clamped), with no slab reads. Bit-identical to
+    /// `iat_at(h, now, γ)` because `γ·0 + x == x` exactly for the
+    /// non-negative finite `dt` values.
     pub fn iat_fresh(dt: f64, gamma: f64) -> Option<f64> {
         if dt < 0.0 {
             return None;
@@ -147,30 +240,66 @@ impl PopTable {
     }
 
     // lint: hot
-    /// [`Self::key_at`] for a record touched at `now` — see
-    /// [`Self::iat_fresh`].
+    /// Eq. 9, the virtual-timestamp key `key_x(t) = t − IAT_x(t)`, for a
+    /// record touched at `now` (see [`Self::iat_fresh`]), falling back to
+    /// `t − fallback_iat` while no interval has been observed.
     pub fn key_fresh(dt: f64, now: Timestamp, gamma: f64, fallback_iat: f64) -> f64 {
         let iat = PopTable::iat_fresh(dt, gamma).unwrap_or(fallback_iat);
         now.as_millis() as f64 - iat
     }
 
     // lint: hot
-    /// Sets the caller-owned back-reference of tracked chunk `id` (use
-    /// [`NO_HANDLE`] to clear); a no-op for untracked chunks.
-    pub fn set_backref(&mut self, id: &ChunkId, backref: u32) {
-        if let Some(rec) = self.map.get_mut(id) {
-            rec.backref = backref;
+    /// Marks `id` cached, with `backref` as its caller-owned
+    /// back-reference (any value but [`NO_HANDLE`]).
+    pub fn set_cached(&mut self, id: ChunkId, backref: u32) {
+        let v = self.dir.entry(id.video).or_default();
+        let rec = v.rec_mut(id.index);
+        let was = std::mem::replace(&mut rec.backref, backref);
+        if was == NO_HANDLE {
+            v.cached += 1;
         }
     }
 
     // lint: hot
-    /// Clears the back-reference of `id` and returns its handle, or
-    /// `None` if untracked — `remove_chunk`'s one-probe combination of
-    /// [`Self::handle_of`] + [`Self::set_backref`].
-    pub fn clear_backref(&mut self, id: &ChunkId) -> Option<u32> {
-        let rec = self.map.get_mut(id)?;
-        rec.backref = NO_HANDLE;
-        Some(rec.h)
+    /// Marks `id` uncached and returns its handle ([`NO_HANDLE`] when it
+    /// has no popularity record). What this exposes to the next sweep —
+    /// the chunk's record, and the video once its last cached chunk goes
+    /// — lowers the sweep floor.
+    pub fn clear_cached(&mut self, id: ChunkId) -> u32 {
+        let Some(v) = self.dir.get_mut(&id.video) else {
+            return NO_HANDLE;
+        };
+        let Some(rec) = v.chunks.get_mut(id.index as usize) else {
+            return NO_HANDLE;
+        };
+        let h = rec.h;
+        if std::mem::replace(&mut rec.backref, NO_HANDLE) == NO_HANDLE {
+            return h;
+        }
+        v.cached -= 1;
+        if h != NO_HANDLE {
+            self.stale_floor = self.stale_floor.min(self.slabs.t_last[h as usize]);
+        }
+        if let (0, Some(t)) = (v.cached, v.last_seen) {
+            self.stale_floor = self.stale_floor.min(t);
+        } else if v.is_dead() {
+            self.dir.remove(&id.video);
+        }
+        h
+    }
+
+    // lint: hot
+    /// The largest Eq. 8 IAT at `now` among `video`'s cached chunks (the
+    /// §6 unseen-chunk estimate), or `None` if none is cached with a
+    /// known interval: a walk over the video's run that stops at its
+    /// last cached chunk.
+    pub fn max_cached_iat(&self, video: VideoId, now: Timestamp, gamma: f64) -> Option<f64> {
+        let v = self.dir.get(&video)?;
+        let cached = v.chunks.iter().filter(|r| r.backref != NO_HANDLE);
+        cached
+            .take(v.cached as usize)
+            .filter_map(|r| self.iat_at(r.h, now, gamma))
+            .reduce(f64::max)
     }
 
     // lint: hot
@@ -183,155 +312,206 @@ impl PopTable {
             return None;
         }
         let i = h as usize;
-        let d = self.dt[i];
+        let d = self.slabs.dt[i];
         if d < 0.0 {
             return None;
         }
         Some(
-            (gamma * (now - self.t_last[i]).as_millis() as f64 + (1.0 - gamma) * d).max(MIN_IAT_MS),
+            (gamma * (now - self.slabs.t_last[i]).as_millis() as f64 + (1.0 - gamma) * d)
+                .max(MIN_IAT_MS),
         )
-    }
-
-    // lint: hot
-    /// Eq. 9: the virtual-timestamp insertion key
-    /// `key_x(t) = t − IAT_x(t)`, falling back to `t − fallback_iat` when
-    /// no interval has been observed yet.
-    pub fn key_at(&self, h: u32, now: Timestamp, gamma: f64, fallback_iat: f64) -> f64 {
-        let iat = self.iat_at(h, now, gamma).unwrap_or(fallback_iat);
-        now.as_millis() as f64 - iat
     }
 
     // lint: hot
     /// Rank key for the uncached-chunk mirror: by the Theorem 1 algebra
     /// `((1 − γ)/γ)·dt_x − t_x` is a per-chunk constant whose ascending
     /// order equals ascending-IAT order at any common evaluation time.
-    /// `None` until an interval is known.
+    /// `None` until an interval is known, and for [`NO_HANDLE`].
     pub fn hot_rank(&self, h: u32, gamma: f64) -> Option<f64> {
-        let i = h as usize;
-        let d = self.dt[i];
-        if d < 0.0 {
+        if h == NO_HANDLE {
             return None;
         }
-        Some((1.0 - gamma) / gamma * d - self.t_last[i].as_millis() as f64)
+        let i = h as usize;
+        PopTable::hot_rank_of(self.slabs.dt[i], self.slabs.t_last[i], gamma)
+    }
+
+    // lint: hot
+    /// [`Self::hot_rank`] from a record's raw `(dt, t_last)` — with
+    /// `t_last = now` for the `dt` that [`Self::touch_run`] just handed
+    /// out.
+    pub fn hot_rank_of(dt: f64, t_last: Timestamp, gamma: f64) -> Option<f64> {
+        if dt < 0.0 {
+            return None;
+        }
+        Some((1.0 - gamma) / gamma * dt - t_last.as_millis() as f64)
     }
 
     /// The raw `(dt, t_last)` pair of handle `h` (snapshot export).
     pub fn raw(&self, h: u32) -> (Option<f64>, Timestamp) {
         let i = h as usize;
-        let d = self.dt[i];
-        (if d < 0.0 { None } else { Some(d) }, self.t_last[i])
+        let d = self.slabs.dt[i];
+        (if d < 0.0 { None } else { Some(d) }, self.slabs.t_last[i])
     }
 
     /// Inserts a record with explicit raw state (snapshot restore),
     /// replacing any existing record for `id`. Returns the handle.
+    /// Restored stamps are arbitrary, so the sweep floor drops to the
+    /// epoch.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t_last` is `u64::MAX` ms (the free-slot sentinel).
     pub fn insert_raw(&mut self, id: ChunkId, dt: Option<f64>, t_last: Timestamp) -> u32 {
-        debug_assert!(
+        assert!(
             t_last != FREE_STAMP,
             "t_last collides with the free-slot sentinel"
         );
+        self.stale_floor = Timestamp::EPOCH;
         let d = dt.unwrap_or(NO_INTERVAL);
-        if let Some(rec) = self.map.get(&id) {
-            let i = rec.h as usize;
-            self.dt[i] = d;
-            self.t_last[i] = t_last;
-            return rec.h;
+        let v = self.dir.entry(id.video).or_default();
+        let rec = v.rec_mut(id.index);
+        let h = rec.h;
+        if h != NO_HANDLE {
+            self.slabs.dt[h as usize] = d;
+            self.slabs.t_last[h as usize] = t_last;
+            return h;
         }
-        let h = match self.free.pop() {
-            Some(h) => {
-                let i = h as usize;
-                self.ids[i] = id;
-                self.dt[i] = d;
-                self.t_last[i] = t_last;
-                h
-            }
-            None => {
-                self.ids.push(id);
-                self.dt.push(d);
-                self.t_last.push(t_last);
-                (self.ids.len() - 1) as u32
-            }
-        };
-        self.map.insert(
-            id,
-            Rec {
-                h,
-                backref: NO_HANDLE,
-            },
-        );
+        let h = self.slabs.alloc(id, d, t_last);
+        rec.h = h;
+        self.len += 1;
         h
     }
 
-    /// Keeps only records for which `keep(id, t_last)` holds, free-listing
-    /// the dropped slots (handles of survivors are untouched).
-    ///
-    /// Sweeps the `t_last` slab sequentially instead of iterating the hash
-    /// map: the periodic cleanup visits every tracked chunk, and a linear
-    /// pass over contiguous stamps is the cache-friendly way to do that —
-    /// the map is only probed for the (few) entries actually dropped.
-    /// Free-listed slots carry a `FREE_STAMP` stamp and are skipped.
-    pub fn retain(&mut self, mut keep: impl FnMut(&ChunkId, Timestamp) -> bool) {
-        let PopTable {
-            map,
-            ids,
-            t_last,
-            free,
-            ..
-        } = self;
-        for (i, t) in t_last.iter_mut().enumerate() {
-            if *t == FREE_STAMP || keep(&ids[i], *t) {
-                continue;
-            }
-            map.remove(&ids[i]);
-            *t = FREE_STAMP;
-            free.push(i as u32);
-        }
+    /// Sets `video`'s last-seen time (snapshot restore); like
+    /// [`Self::insert_raw`] it resets the sweep floor.
+    pub fn set_last_seen(&mut self, video: VideoId, t: Timestamp) {
+        self.stale_floor = Timestamp::EPOCH;
+        self.dir.entry(video).or_default().last_seen = Some(t);
     }
 
-    /// Iterates `(id, handle)` over all tracked chunks in hasher-dependent
-    /// order — callers must sort before any ordered use.
+    /// Drops every uncached record last touched before `cutoff` and the
+    /// video-level record of every video without a cached chunk last seen
+    /// before it, free-listing the dropped slots (survivors keep their
+    /// handles). Returns whether the slabs were actually walked.
+    ///
+    /// The walk is skipped when `cutoff <= stale_floor`, and skipping is
+    /// exact: the floor is a lower bound on the stamp of every record and
+    /// video the predicates above could drop. A stamp enters that set in
+    /// three ways, each keeping the bound — written as `now` by
+    /// [`Self::touch_run`] (which first lowers the floor to `now`), exposed
+    /// by [`Self::clear_cached`] (which lowers it to the exposed stamps),
+    /// or restored (which resets it to the epoch) — and a walk leaves
+    /// nothing below `cutoff`, so it raises the floor to `cutoff`.
+    ///
+    /// The walk is sequential over the `t_last` slab (free slots carry a
+    /// stamp above any cutoff); the directory is probed only for the
+    /// stale minority.
+    pub fn sweep(&mut self, cutoff: Timestamp) -> bool {
+        if cutoff <= self.stale_floor {
+            return false;
+        }
+        let PopTable {
+            dir, slabs, len, ..
+        } = self;
+        for (i, t) in slabs.t_last.iter_mut().enumerate() {
+            if *t >= cutoff {
+                continue;
+            }
+            let id = slabs.ids[i];
+            let Some(v) = dir.get_mut(&id.video) else {
+                continue;
+            };
+            let rec = &mut v.chunks[id.index as usize];
+            if rec.backref != NO_HANDLE {
+                continue; // cached chunks keep their record
+            }
+            rec.h = NO_HANDLE;
+            *len -= 1;
+            *t = FREE_STAMP;
+            slabs.free.push(i as u32);
+        }
+        dir.retain(|_, v| {
+            if v.cached == 0 && v.last_seen.is_some_and(|t| t < cutoff) {
+                v.last_seen = None;
+            }
+            !v.is_dead()
+        });
+        self.stale_floor = cutoff;
+        self.sweeps += 1;
+        true
+    }
+
+    /// How many [`Self::sweep`] calls walked the slabs (for tests).
+    pub fn sweeps(&self) -> u64 {
+        self.sweeps
+    }
+
+    /// Iterates `(id, handle)` over all tracked chunks in slab order.
     pub fn iter(&self) -> impl Iterator<Item = (ChunkId, u32)> + '_ {
-        self.map.iter().map(|(id, rec)| (*id, rec.h))
+        let slots = self.slabs.ids.iter().zip(&self.slabs.t_last).enumerate();
+        slots
+            .filter(|(_, (_, t))| **t != FREE_STAMP)
+            .map(|(h, (id, _))| (*id, h as u32))
+    }
+
+    /// `(video, last_seen)` for every video with a video-level record, in
+    /// hasher-dependent order — callers must sort before any ordered use.
+    pub fn videos_seen(&self) -> impl Iterator<Item = (VideoId, Timestamp)> + '_ {
+        self.dir
+            .iter()
+            .filter_map(|(v, rec)| rec.last_seen.map(|t| (*v, t)))
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::VideoId;
 
     fn id(v: u64, c: u32) -> ChunkId {
         ChunkId::new(VideoId(v), c)
     }
 
+    /// One-chunk [`PopTable::touch_run`]: `(handle, backref, dt)`.
+    fn touch(p: &mut PopTable, id: ChunkId, now: u64, gamma: f64) -> (u32, u32, f64) {
+        let mut out = None;
+        let range = ChunkRange::new(id.index, id.index).unwrap();
+        p.touch_run(id.video, range, Timestamp(now), gamma, |_, h, b, dt| {
+            out = Some((h, b, dt));
+        });
+        out.unwrap()
+    }
+
     #[test]
     fn ewma_update_matches_eq8() {
         let mut p = PopTable::new();
-        let (h, _, _) = p.touch(id(1, 0), Timestamp(0), 0.25);
+        let (h, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
         assert_eq!(p.iat_at(h, Timestamp(10), 0.25), None);
-        assert_eq!(p.touch(id(1, 0), Timestamp(100), 0.25).0, h);
+        assert_eq!(touch(&mut p, id(1, 0), 100, 0.25).0, h);
         assert!((p.raw(h).0.unwrap() - 100.0).abs() < 1e-9);
-        p.touch(id(1, 0), Timestamp(140), 0.25); // 0.25*40 + 0.75*100 = 85
+        touch(&mut p, id(1, 0), 140, 0.25); // 0.25*40 + 0.75*100 = 85
         assert!((p.raw(h).0.unwrap() - 85.0).abs() < 1e-9);
         // IAT at t=200: 0.25*60 + 0.75*85 = 78.75.
         assert!((p.iat_at(h, Timestamp(200), 0.25).unwrap() - 78.75).abs() < 1e-9);
-        // key_at = t - IAT; fallback applies only with no interval.
-        assert!((p.key_at(h, Timestamp(200), 0.25, 7.0) - (200.0 - 78.75)).abs() < 1e-9);
     }
 
     #[test]
     fn fallback_key_and_no_handle() {
         let mut p = PopTable::new();
-        let (h, _, _) = p.touch(id(2, 1), Timestamp(500), 0.25);
-        assert!((p.key_at(h, Timestamp(500), 0.25, 30.0) - 470.0).abs() < 1e-9);
+        let (h, _, dt) = touch(&mut p, id(2, 1), 500, 0.25);
+        assert_eq!(p.iat_at(h, Timestamp(500), 0.25), None);
         assert_eq!(p.iat_at(NO_HANDLE, Timestamp(500), 0.25), None);
-        assert!((p.key_at(NO_HANDLE, Timestamp(500), 0.25, 30.0) - 470.0).abs() < 1e-9);
+        // No interval yet: the key falls back to t - fallback.
+        assert!((PopTable::key_fresh(dt, Timestamp(500), 0.25, 30.0) - 470.0).abs() < 1e-9);
+        // With one: t - (1 - γ)·dt, whatever the fallback.
+        let (_, _, dt) = touch(&mut p, id(2, 1), 600, 0.25);
+        assert!((PopTable::key_fresh(dt, Timestamp(600), 0.25, 30.0) - 525.0).abs() < 1e-9);
     }
 
     #[test]
     fn iat_clamps_at_floor() {
         let mut p = PopTable::new();
-        let (h, _, _) = p.touch(id(1, 0), Timestamp(0), 0.25);
-        p.touch(id(1, 0), Timestamp(1), 0.25); // dt = 1ms
+        let (h, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
+        touch(&mut p, id(1, 0), 1, 0.25); // dt = 1ms
         let iat = p.iat_at(h, Timestamp(1), 0.25).unwrap();
         assert!((iat - MIN_IAT_MS).abs() < 1e-12, "clamped to floor");
     }
@@ -339,26 +519,93 @@ mod tests {
     #[test]
     fn hot_rank_matches_formula() {
         let mut p = PopTable::new();
-        let (h, _, _) = p.touch(id(3, 0), Timestamp(100), 0.25);
+        let (h, _, _) = touch(&mut p, id(3, 0), 100, 0.25);
         assert_eq!(p.hot_rank(h, 0.25), None);
-        p.touch(id(3, 0), Timestamp(300), 0.25); // dt = 200
+        let (_, _, dt) = touch(&mut p, id(3, 0), 300, 0.25); // dt = 200
         let want = (1.0 - 0.25) / 0.25 * 200.0 - 300.0;
         assert!((p.hot_rank(h, 0.25).unwrap() - want).abs() < 1e-9);
+        assert_eq!(
+            PopTable::hot_rank_of(dt, Timestamp(300), 0.25),
+            p.hot_rank(h, 0.25)
+        );
+    }
+
+    #[test]
+    fn touch_run_visits_the_interval_in_order() {
+        let mut p = PopTable::new();
+        let mut seen = Vec::new();
+        let range = ChunkRange::new(2, 5).unwrap();
+        let known = p.touch_run(VideoId(9), range, Timestamp(10), 0.25, |c, h, b, dt| {
+            seen.push((c, h, b, dt));
+        });
+        assert!(!known, "first request of the video");
+        let want: Vec<_> = (2..=5).map(|c| (c, c - 2, NO_HANDLE, -1.0)).collect();
+        assert_eq!(seen, want);
+        assert_eq!(p.len(), 4);
+        // Chunks 0 and 1 are gaps in the run: reachable, untracked.
+        assert_eq!(p.handle_of(&id(9, 1)), None);
+        assert_eq!(p.handle_of(&id(9, 3)), Some(1));
+        assert_eq!(p.handle_of(&id(9, 6)), None);
+        // An overlapping request reuses the handles and reports the video.
+        p.set_cached(id(9, 3), 77);
+        seen.clear();
+        let range = ChunkRange::new(3, 6).unwrap();
+        let known = p.touch_run(VideoId(9), range, Timestamp(30), 0.25, |c, h, b, dt| {
+            seen.push((c, h, b, dt));
+        });
+        assert!(known);
+        assert_eq!(
+            seen,
+            vec![
+                (3, 1, 77, 20.0),
+                (4, 2, NO_HANDLE, 20.0),
+                (5, 3, NO_HANDLE, 20.0),
+                (6, 4, NO_HANDLE, -1.0)
+            ]
+        );
+    }
+
+    #[test]
+    fn cached_counts_drive_known_and_the_estimate() {
+        let mut p = PopTable::new();
+        // Cached with no record and no video-level entry (a restore can
+        // produce this): the video is known through its cached chunk.
+        p.set_cached(id(4, 2), 0);
+        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(50), 0.25), None);
+        let (h, b, _) = touch(&mut p, id(4, 2), 100, 0.25);
+        assert_eq!(b, 0, "back-reference survives the first touch");
+        touch(&mut p, id(4, 2), 200, 0.25); // dt = 100
+        touch(&mut p, id(4, 7), 200, 0.25);
+        touch(&mut p, id(4, 7), 210, 0.25); // hotter, but not cached
+        let want = p.iat_at(h, Timestamp(300), 0.25);
+        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), want);
+        assert_eq!(p.clear_cached(id(4, 2)), h);
+        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), None);
+        assert_eq!(p.clear_cached(id(4, 2)), h, "idempotent");
+        // A video that is neither seen, cached nor tracked leaves no entry.
+        p.set_cached(id(5, 0), 1);
+        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
+        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
+        assert_eq!(p.videos_seen().count(), 1);
     }
 
     #[test]
     fn retain_freelists_and_reuses_slots() {
         let mut p = PopTable::new();
-        let (ha, _, _) = p.touch(id(1, 0), Timestamp(10), 0.25);
-        let (hb, _, _) = p.touch(id(2, 0), Timestamp(20), 0.25);
-        p.touch(id(3, 0), Timestamp(30), 0.25);
-        p.retain(|_, t| t.as_millis() >= 25);
+        let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
+        let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
+        touch(&mut p, id(3, 0), 30, 0.25);
+        assert!(p.sweep(Timestamp(25)));
         assert_eq!(p.len(), 1);
         assert_eq!(p.handle_of(&id(1, 0)), None);
         assert_eq!(p.handle_of(&id(2, 0)), None);
+        assert_eq!(
+            p.videos_seen().collect::<Vec<_>>(),
+            [(VideoId(3), Timestamp(30))]
+        );
         // New entries reuse the freed slots; survivors keep their handle.
-        let (hd, _, _) = p.touch(id(4, 0), Timestamp(40), 0.25);
-        let (he, _, _) = p.touch(id(5, 0), Timestamp(50), 0.25);
+        let (hd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
+        let (he, _, _) = touch(&mut p, id(5, 0), 50, 0.25);
         let mut reused = vec![hd, he];
         reused.sort_unstable();
         let mut freed = vec![ha, hb];
@@ -370,20 +617,76 @@ mod tests {
     #[test]
     fn repeated_retain_skips_freed_slots() {
         let mut p = PopTable::new();
-        let (ha, _, _) = p.touch(id(1, 0), Timestamp(10), 0.25);
-        let (hb, _, _) = p.touch(id(2, 0), Timestamp(20), 0.25);
-        p.retain(|_, t| t != Timestamp(10)); // drops slot `ha`
-        p.retain(|_, _| true); // must not revisit the freed slot
+        let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
+        let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
+        assert!(p.sweep(Timestamp(15))); // drops slot `ha`
+        assert!(p.sweep(Timestamp(16))); // must not revisit the freed slot
         assert_eq!(p.len(), 1);
-        p.retain(|_, _| false); // drops slot `hb`, skips the free one
+        assert!(p.sweep(Timestamp(1_000))); // drops slot `hb`, skips the free one
         assert_eq!(p.len(), 0);
+        assert_eq!(p.iter().count(), 0);
         // Both slots come back exactly once each.
-        let (hc, _, _) = p.touch(id(3, 0), Timestamp(30), 0.25);
-        let (hd, _, _) = p.touch(id(4, 0), Timestamp(40), 0.25);
+        let (hc, _, _) = touch(&mut p, id(3, 0), 30, 0.25);
+        let (hd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
         let mut reused = vec![hc, hd];
         reused.sort_unstable();
         assert_eq!(reused, vec![ha.min(hb), ha.max(hb)]);
         assert_eq!(p.len(), 2);
+    }
+
+    #[test]
+    fn sweep_runs_only_above_the_floor() {
+        let mut p = PopTable::new();
+        assert!(!p.sweep(Timestamp(5)), "empty table: nothing can expire");
+        touch(&mut p, id(1, 0), 10, 0.25);
+        touch(&mut p, id(2, 0), 20, 0.25);
+        p.set_cached(id(2, 0), 0);
+        touch(&mut p, id(3, 0), 30, 0.25);
+        // Nothing is older than the first request.
+        assert!(!p.sweep(Timestamp(10)));
+        assert!(p.sweep(Timestamp(25)));
+        assert_eq!(p.len(), 2, "v1 dropped, cached v2 kept");
+        // The walk left nothing below 25 — except the cached record.
+        assert!(!p.sweep(Timestamp(25)));
+        assert!(!p.sweep(Timestamp(22)));
+        assert_eq!(p.sweeps(), 1);
+        // Evicting the cold cached chunk exposes its stamp (20).
+        p.clear_cached(id(2, 0));
+        assert!(!p.sweep(Timestamp(20)));
+        assert!(p.sweep(Timestamp(21)));
+        assert_eq!(p.len(), 1);
+        assert_eq!(
+            p.videos_seen().collect::<Vec<_>>(),
+            [(VideoId(3), Timestamp(30))]
+        );
+        // A restored stamp can be anything: the floor returns to the epoch.
+        p.insert_raw(id(8, 0), None, Timestamp(3));
+        assert!(p.sweep(Timestamp(4)));
+        assert_eq!(p.handle_of(&id(8, 0)), None);
+        // Time running backwards lowers the floor with it.
+        touch(&mut p, id(9, 0), 2, 0.25);
+        assert!(p.sweep(Timestamp(3)));
+        assert_eq!(p.handle_of(&id(9, 0)), None);
+        assert_eq!(p.sweeps(), 4);
+    }
+
+    #[test]
+    fn sweep_keeps_video_record_of_cached_videos() {
+        let mut p = PopTable::new();
+        touch(&mut p, id(1, 0), 10, 0.25);
+        touch(&mut p, id(1, 1), 10, 0.25);
+        p.set_cached(id(1, 0), 0);
+        assert!(p.sweep(Timestamp(50)));
+        // The uncached sibling goes; the video stays known, seen at 10.
+        assert_eq!(p.len(), 1);
+        assert_eq!(
+            p.videos_seen().collect::<Vec<_>>(),
+            [(VideoId(1), Timestamp(10))]
+        );
+        // Its last cached chunk goes: the video itself can now expire.
+        p.clear_cached(id(1, 0));
+        assert!(p.sweep(Timestamp(50)));
+        assert_eq!((p.len(), p.videos_seen().count()), (0, 0));
     }
 
     #[test]
@@ -395,13 +698,26 @@ mod tests {
         assert_eq!(h, h2, "re-insert replaces in place");
         assert_eq!(p.raw(h), (None, Timestamp(1_000)));
         assert_eq!(p.len(), 1);
+        // A chunk record alone does not make the video seen.
+        assert_eq!(p.videos_seen().count(), 0);
+        p.set_last_seen(VideoId(7), Timestamp(5));
+        assert_eq!(
+            p.videos_seen().collect::<Vec<_>>(),
+            [(VideoId(7), Timestamp(5))]
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "free-slot sentinel")]
+    fn insert_raw_refuses_the_free_stamp() {
+        PopTable::new().insert_raw(id(1, 0), None, Timestamp(u64::MAX));
     }
 
     #[test]
     fn iter_visits_every_entry() {
         let mut p = PopTable::new();
         for v in 0..10 {
-            p.touch(id(v, 0), Timestamp(v), 0.25);
+            touch(&mut p, id(v, 0), v, 0.25);
         }
         let mut seen: Vec<ChunkId> = p.iter().map(|(c, _)| c).collect();
         seen.sort_unstable();

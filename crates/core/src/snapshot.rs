@@ -26,6 +26,7 @@ use vcdn_types::{impl_json_struct, ChunkId, ChunkSize, CostModel, Timestamp, Vid
 
 use crate::{
     cafe::{CafeCache, CafeConfig, WindowPolicy},
+    ds::pop_table::{FREE_STAMP, MAX_CHUNK_INDEX},
     policy::CacheConfig,
     xlru::XlruCache,
 };
@@ -164,6 +165,20 @@ impl CafeSnapshot {
     }
 }
 
+fn inconsistent<T>(what: String) -> Result<T, SnapshotError> {
+    Err(SnapshotError::Inconsistent(what))
+}
+
+/// A key that occurs more than once in `keys`, if any.
+fn duplicate<K: Ord + Copy>(keys: impl Iterator<Item = K>) -> Option<K> {
+    let mut sorted: Vec<K> = keys.collect();
+    sorted.sort_unstable();
+    sorted.windows(2).find_map(|w| match w {
+        [a, b] if a == b => Some(*a),
+        _ => None,
+    })
+}
+
 impl XlruCache {
     /// Captures the cache's full state.
     pub fn snapshot(&self) -> XlruSnapshot {
@@ -238,6 +253,36 @@ impl CafeCache {
         }
         if snap.disk.iter().any(|(_, key)| key.is_nan()) {
             return Err(SnapshotError::Inconsistent("NaN disk key".into()));
+        }
+        // What the per-video chunk directory cannot represent: a stamp
+        // that reads as a free slot, an EWMA that reads as "no interval
+        // yet" (or poisons every later average), a chunk index past the
+        // dense run's bound, two entries for one key.
+        for &(id, dt, t_last) in &snap.iat {
+            if t_last == FREE_STAMP {
+                return inconsistent(format!("{id}: last-seen time {t_last} is reserved"));
+            }
+            if dt.is_some_and(|dt| dt.is_nan() || dt < 0.0) {
+                return inconsistent(format!("{id}: inter-arrival average {dt:?}"));
+            }
+        }
+        let chunks = || {
+            snap.iat
+                .iter()
+                .map(|e| e.0)
+                .chain(snap.disk.iter().map(|e| e.0))
+        };
+        if let Some(id) = chunks().find(|id| id.index >= MAX_CHUNK_INDEX) {
+            return inconsistent(format!("{id}: chunk index beyond {MAX_CHUNK_INDEX}"));
+        }
+        if let Some(id) = duplicate(snap.iat.iter().map(|e| e.0)) {
+            return inconsistent(format!("{id}: two popularity entries"));
+        }
+        if let Some(id) = duplicate(snap.disk.iter().map(|e| e.0)) {
+            return inconsistent(format!("{id}: two disk entries"));
+        }
+        if let Some(v) = duplicate(snap.video_seen.iter().map(|e| e.0)) {
+            return inconsistent(format!("{v}: two video entries"));
         }
         Ok(CafeCache::from_parts(
             config,
@@ -378,5 +423,70 @@ mod tests {
         assert!(snap.disk.len() >= 2);
         snap.disk.reverse();
         assert!(XlruCache::restore(&snap).is_err());
+    }
+
+    /// Restores a healthy two-chunk Cafe snapshot after `edit` and returns
+    /// the inconsistency it is refused for.
+    fn refused(edit: impl FnOnce(&mut CafeSnapshot)) -> String {
+        let mut cache = CafeCache::new(CafeConfig::new(4, k100(), CostModel::balanced()));
+        cache.handle_request(&req(1, 0, 199, 1));
+        cache.handle_request(&req(1, 0, 199, 9));
+        let mut snap = cache.snapshot();
+        assert_eq!(
+            (snap.iat.len(), snap.disk.len(), snap.video_seen.len()),
+            (2, 2, 1)
+        );
+        assert!(CafeCache::restore(&snap).is_ok());
+        edit(&mut snap);
+        match CafeCache::restore(&snap) {
+            Err(SnapshotError::Inconsistent(what)) => what,
+            other => panic!("expected an inconsistency, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn reserved_last_seen_time_rejected() {
+        let what = refused(|s| s.iat[0].2 = Timestamp(u64::MAX));
+        assert!(what.contains("v1#0: last-seen time"), "{what}");
+    }
+
+    #[test]
+    fn nan_interarrival_average_rejected() {
+        let what = refused(|s| s.iat[1].1 = Some(f64::NAN));
+        assert!(what.contains("v1#1: inter-arrival average"), "{what}");
+    }
+
+    #[test]
+    fn negative_interarrival_average_rejected() {
+        // -1.0 is the table's own "no interval yet" mark.
+        let what = refused(|s| s.iat[0].1 = Some(-1.0));
+        assert!(what.contains("v1#0: inter-arrival average"), "{what}");
+    }
+
+    #[test]
+    fn duplicate_popularity_entry_rejected() {
+        let what = refused(|s| s.iat.push(s.iat[0]));
+        assert!(what.contains("v1#0: two popularity entries"), "{what}");
+    }
+
+    #[test]
+    fn duplicate_disk_entry_rejected() {
+        let what = refused(|s| s.disk.push((s.disk[1].0, 5.0)));
+        assert!(what.contains("two disk entries"), "{what}");
+    }
+
+    #[test]
+    fn duplicate_video_entry_rejected() {
+        let what = refused(|s| s.video_seen.push((VideoId(1), Timestamp(3))));
+        assert!(what.contains("v1: two video entries"), "{what}");
+    }
+
+    #[test]
+    fn chunk_index_past_the_bound_rejected() {
+        let far = ChunkId::new(VideoId(1), MAX_CHUNK_INDEX);
+        let what = refused(|s| s.iat.push((far, None, Timestamp(9))));
+        assert!(what.contains("v1#1048576: chunk index beyond"), "{what}");
+        let what = refused(|s| s.disk.push((far, 9.0)));
+        assert!(what.contains("v1#1048576: chunk index beyond"), "{what}");
     }
 }

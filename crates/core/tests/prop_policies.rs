@@ -5,7 +5,7 @@
 //! framework these loop over [`DetRng`]-generated cases; failures print the
 //! case number.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, DecisionDetail, LruCache, PsychicCache,
@@ -295,6 +295,284 @@ fn psychic_matches_reference() {
         ties_never > 0 && ties_same_request > 0 && oversized > 0,
         "cases must cover both tie kinds and oversized requests: \
          {ties_never} / {ties_same_request} / {oversized}"
+    );
+}
+
+/// §6 as the text reads: one ordered map per table, every quantity
+/// recomputed from the maps when it is needed, and a full sweep of both
+/// trackers at every 4096th request whether or not anything can expire.
+struct NaiveCafe {
+    capacity: usize,
+    costs: CostModel,
+    /// Chunk → (EWMA of inter-arrival gaps, last request time).
+    iat: BTreeMap<ChunkId, (Option<f64>, u64)>,
+    video_seen: BTreeMap<VideoId, u64>,
+    /// Cached chunk → virtual timestamp (Eq. 9).
+    disk: BTreeMap<ChunkId, f64>,
+    handled: u64,
+    swept_chunks: usize,
+    swept_videos: usize,
+    positive_cutoffs: usize,
+    last_cutoff: u64,
+    falling_cutoffs: usize,
+}
+
+const GAMMA: f64 = 0.25;
+
+impl NaiveCafe {
+    fn new(capacity: u64, costs: CostModel) -> Self {
+        NaiveCafe {
+            capacity: capacity as usize,
+            costs,
+            iat: BTreeMap::new(),
+            video_seen: BTreeMap::new(),
+            disk: BTreeMap::new(),
+            handled: 0,
+            swept_chunks: 0,
+            swept_videos: 0,
+            positive_cutoffs: 0,
+            last_cutoff: 0,
+            falling_cutoffs: 0,
+        }
+    }
+
+    /// Eq. 8 at `now`; `None` until the chunk has been requested twice.
+    fn iat_at(&self, id: &ChunkId, now: u64) -> Option<f64> {
+        let &(dt, t_last) = self.iat.get(id)?;
+        let gap = now.saturating_sub(t_last) as f64;
+        Some((GAMMA * gap + (1.0 - GAMMA) * dt?).max(1.0))
+    }
+
+    /// Cached chunks, least popular first.
+    fn eviction_order(&self) -> Vec<(ChunkId, f64)> {
+        let mut order: Vec<(ChunkId, f64)> = self.disk.iter().map(|(id, k)| (*id, *k)).collect();
+        order.sort_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
+        order
+    }
+
+    fn cache_age(&self, now: u64) -> f64 {
+        match self.eviction_order().first() {
+            Some(&(_, key)) => (now as f64 - key).max(0.0),
+            None => 0.0,
+        }
+    }
+
+    fn cached_chunks_of(&self, v: VideoId) -> impl Iterator<Item = &ChunkId> {
+        self.disk.keys().filter(move |id| id.video == v)
+    }
+
+    fn sweep(&mut self, now: u64) {
+        let age = self.cache_age(now);
+        if age <= 0.0 {
+            return;
+        }
+        let cutoff = now.saturating_sub((2.0 * age) as u64);
+        self.positive_cutoffs += usize::from(cutoff > 0);
+        self.falling_cutoffs += usize::from(0 < cutoff && cutoff <= self.last_cutoff);
+        self.last_cutoff = cutoff;
+        let (chunks, videos) = (self.iat.len(), self.video_seen.len());
+        let disk = &self.disk;
+        self.iat
+            .retain(|id, &mut (_, t_last)| t_last >= cutoff || disk.contains_key(id));
+        self.video_seen
+            .retain(|v, t| *t >= cutoff || disk.keys().any(|id| id.video == *v));
+        self.swept_chunks += chunks - self.iat.len();
+        self.swept_videos += videos - self.video_seen.len();
+    }
+
+    /// `CafeCache::prefetch`: fill a tracked chunk if there is room or it
+    /// is strictly more popular than the least popular cached chunk.
+    #[allow(clippy::result_unit_err)]
+    fn prefetch(&mut self, id: ChunkId, now: u64) -> Result<Option<ChunkId>, ()> {
+        if self.disk.contains_key(&id) {
+            return Err(());
+        }
+        let key = now as f64 - self.iat_at(&id, now).ok_or(())?;
+        let evicted = match self.eviction_order().first() {
+            _ if self.disk.len() < self.capacity => None,
+            Some(&(victim, victim_key)) if victim_key < key => Some(victim),
+            _ => return Err(()),
+        };
+        if let Some(victim) = evicted {
+            self.disk.remove(&victim);
+        }
+        self.disk.insert(id, key);
+        Ok(evicted)
+    }
+
+    fn handle(&mut self, r: &Request) -> (Decision, DecisionDetail) {
+        let now = r.t.0;
+        self.handled += 1;
+        if self.handled.is_multiple_of(4096) {
+            self.sweep(now);
+        }
+        let known = self.video_seen.contains_key(&r.video)
+            || self.cached_chunks_of(r.video).next().is_some();
+        let ids: Vec<ChunkId> = r
+            .chunk_range(k())
+            .iter()
+            .map(|c| ChunkId::new(r.video, c))
+            .collect();
+        let mut missing = Vec::new();
+        for id in &ids {
+            match self.iat.get_mut(id) {
+                None => {
+                    self.iat.insert(*id, (None, now));
+                }
+                Some((dt, t_last)) => {
+                    let gap = now.saturating_sub(*t_last) as f64;
+                    *dt = Some(dt.map_or(gap, |dt| GAMMA * gap + (1.0 - GAMMA) * dt));
+                    *t_last = now;
+                }
+            }
+            let iat = self.iat_at(id, now);
+            match self.disk.get_mut(id) {
+                Some(key) => *key = now as f64 - iat.unwrap_or(0.0),
+                None => missing.push((*id, iat)),
+            }
+        }
+        self.video_seen.insert(r.video, now);
+
+        let warmup = self.disk.len() < self.capacity;
+        let cached = self.cached_chunks_of(r.video);
+        let estimate = cached
+            .filter_map(|id| self.iat_at(id, now))
+            .reduce(f64::max);
+        let age = self.cache_age(now);
+        let evict_needed = (self.disk.len() + missing.len()).saturating_sub(self.capacity);
+        let victims: Vec<ChunkId> = self
+            .eviction_order()
+            .iter()
+            .map(|(id, _)| *id)
+            .filter(|id| !ids.contains(id))
+            .take(evict_needed)
+            .collect();
+        let mut detail = DecisionDetail::age_only(age);
+        let serve = warmup
+            || (known
+                && (missing.is_empty() || {
+                    let future = |iat: Option<f64>| iat.map_or(0.0, |iat| age / iat.max(1.0));
+                    let min_cost = self.costs.min_cost();
+                    let mut e_serve = missing.len() as f64 * self.costs.c_f();
+                    for v in &victims {
+                        e_serve += future(self.iat_at(v, now)) * min_cost;
+                    }
+                    let mut e_redirect = ids.len() as f64 * self.costs.c_r();
+                    for (_, iat) in &missing {
+                        e_redirect += future(iat.or(estimate)) * min_cost;
+                    }
+                    detail = DecisionDetail::costs(e_serve, e_redirect, age);
+                    e_serve <= e_redirect
+                }));
+        if !serve {
+            return (Decision::Redirect, detail);
+        }
+        for v in &victims {
+            self.disk.remove(v);
+        }
+        // A request larger than the disk keeps only its tail.
+        let free = self.capacity - self.disk.len();
+        for (id, iat) in &missing[missing.len().saturating_sub(free)..] {
+            let key = now as f64 - iat.or(estimate).unwrap_or(0.0);
+            self.disk.insert(*id, key);
+        }
+        let outcome = ServeOutcome {
+            hit_chunks: (ids.len() - missing.len()) as u64,
+            filled_chunks: missing.len() as u64,
+            evicted: victims,
+        };
+        (Decision::Serve(outcome), detail)
+    }
+}
+
+/// A long time-ordered trace: a few hot videos among `videos`, so a small
+/// disk stays young while the cold tail's state goes stale. One long
+/// silence just before the second sweep instant ages the whole cache at
+/// once, so that sweep's cutoff falls below the previous one.
+fn long_requests(rng: &mut DetRng, n: usize, videos: u64) -> Vec<Request> {
+    let mut t = 0u64;
+    (0..n)
+        .map(|i| {
+            let video = match rng.below(4) {
+                0 => rng.below(videos),
+                _ => rng.below(3),
+            };
+            let start = rng.below(900);
+            t += 1 + rng.below(49);
+            if i % 8192 == 8190 {
+                t += 150_000;
+            }
+            Request::new(
+                VideoId(video),
+                ByteRange::new(start, start + rng.below(400)).expect("start <= end"),
+                Timestamp(t),
+            )
+        })
+        .collect()
+}
+
+#[test]
+fn cafe_matches_reference() {
+    let (mut swept_chunks, mut swept_videos, mut idle_runs) = (0, 0, 0);
+    let (mut falling, mut prefetched) = (0, 0);
+    // (requests, videos, disk): the first shape never fills its disk and
+    // opens with a video nobody asks for again, so the cache age is the
+    // age of the trace and every cutoff is 0; the others keep a small hot
+    // cache whose sweeps really drop state.
+    let shapes = [(9_000, 8, 500), (13_000, 60, 9), (9_000, 200, 24)];
+    for (case, &(n, videos, d)) in shapes.iter().cycle().take(9).enumerate() {
+        let mut rng = DetRng::new(0x11C7 ^ case as u64);
+        let mut reqs = long_requests(&mut rng, n, videos);
+        if d == 500 {
+            reqs[0].video = VideoId(videos);
+        }
+        let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
+        // Some cases keep the hot mirror live, some swap the cache for a
+        // restored snapshot of itself half-way, some both.
+        let mirror = case % 2 == 1;
+        let restore_at = (case % 3 != 2).then(|| 1 + rng.below(n as u64 - 1) as usize);
+        let mut cache = CafeCache::new(CafeConfig::new(d, k(), costs));
+        let mut naive = NaiveCafe::new(d, costs);
+        for (seq, r) in reqs.iter().enumerate() {
+            if Some(seq) == restore_at {
+                cache = CafeCache::restore(&cache.snapshot()).expect("own snapshot restores");
+            }
+            if mirror && (seq == 0 || Some(seq) == restore_at) {
+                cache.prefetch_candidates(0, r.t);
+            }
+            let at = || format!("case {case} request #{seq} {r}");
+            // Prefetching is the one way a chunk gets cached with a key
+            // above its own last request — cold enough for a sweep's
+            // cutoff to pass it while it sits on disk.
+            if rng.below(16) == 0 {
+                let id = ChunkId::new(VideoId(rng.below(videos)), rng.below(13) as u32);
+                let want = naive.prefetch(id, r.t.0);
+                prefetched += usize::from(want.is_ok());
+                assert_eq!(cache.prefetch(id, r.t), want, "{}", at());
+            }
+            let want = naive.handle(r);
+            let got = cache.handle_request(r);
+            assert_eq!((got, cache.decision_detail()), want, "{}", at());
+            assert_eq!(cache.tracked_chunks(), naive.iat.len(), "{}", at());
+            assert_eq!(cache.cache_age_ms(r.t), naive.cache_age(r.t.0), "{}", at());
+            assert_eq!(
+                cache.disk_used_chunks(),
+                naive.disk.len() as u64,
+                "{}",
+                at()
+            );
+        }
+        swept_chunks += naive.swept_chunks;
+        swept_videos += naive.swept_videos;
+        idle_runs += usize::from(naive.positive_cutoffs == 0);
+        falling += naive.falling_cutoffs;
+        assert_eq!(d == 500, naive.positive_cutoffs == 0, "case {case}");
+    }
+    assert!(
+        swept_chunks > 0 && swept_videos > 0 && idle_runs > 0 && falling > 0 && prefetched > 0,
+        "cases must cover sweeps that drop chunks and videos, runs whose cutoff stays 0, positive \
+         cutoffs that do not rise and prefetches that land: \
+         {swept_chunks} / {swept_videos} / {idle_runs} / {falling} / {prefetched}"
     );
 }
 
