@@ -33,6 +33,9 @@ use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Mutex, PoisonError};
 use std::time::{Duration, Instant};
 
+/// The default `workers` for [`run_grid`]: the workspace-wide setting.
+pub use vcdn_types::worker_count;
+
 /// A cell's boxed closure.
 type Job<'a, T> = Box<dyn FnOnce() -> T + Send + 'a>;
 
@@ -110,22 +113,6 @@ impl<T> GridRun<T> {
         }
         self.cell_wall_sum().as_secs_f64() / total
     }
-}
-
-/// The worker count to use: the `VCDN_WORKERS` environment variable if set
-/// to a positive integer, else the machine's available parallelism, else 1.
-pub fn worker_count() -> usize {
-    if let Ok(v) = std::env::var("VCDN_WORKERS") {
-        if let Ok(n) = v.trim().parse::<usize>() {
-            if n >= 1 {
-                return n;
-            }
-        }
-        eprintln!("VCDN_WORKERS={v:?} is not a positive integer; ignoring");
-    }
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1)
 }
 
 /// Runs every cell, fanning out over at most `workers` scoped threads, and

@@ -146,6 +146,10 @@ impl Catalog {
                 push(Timestamp(t as u64), DurationMs::ZERO, rng);
             }
         }
+        debug_assert!(
+            videos.windows(2).all(|w| w[0].birth <= w[1].birth),
+            "births are non-decreasing: the initial block at the epoch, then arrivals in time order"
+        );
         Catalog {
             videos,
             config: config.clone(),
@@ -189,14 +193,34 @@ impl Catalog {
     /// Builds a weighted sampler over videos uploaded by time `t`, using
     /// effective weights at `t`. Returns `None` if no video is live yet.
     pub fn sampler_at(&self, t: Timestamp) -> Option<AliasSampler> {
-        let live: Vec<(usize, f64)> = self
-            .videos
-            .iter()
-            .enumerate()
-            .filter(|(_, v)| v.birth <= t)
-            .map(|(i, v)| (i, self.effective_weight(v, t)))
-            .collect();
-        AliasSampler::new(live)
+        let mut sampler = AliasSampler::with_capacity(self.live_at(t));
+        self.fill_sampler(t, &mut sampler, &mut AliasScratch::default())
+            .then_some(sampler)
+    }
+
+    /// [`Catalog::sampler_at`] into a recycled table: refills `sampler`
+    /// for time `t` and returns whether any video is live (the table is
+    /// left empty otherwise). Allocates nothing once `sampler` and
+    /// `scratch` have held [`Catalog::len`] entries.
+    pub fn fill_sampler(
+        &self,
+        t: Timestamp,
+        sampler: &mut AliasSampler,
+        scratch: &mut AliasScratch,
+    ) -> bool {
+        let live = &self.videos[..self.live_at(t)];
+        sampler.fill(
+            live.iter()
+                .enumerate()
+                .map(|(i, v)| (i, self.effective_weight(v, t))),
+            scratch,
+        )
+    }
+
+    /// Videos uploaded by time `t`: a prefix, because the catalog is in
+    /// birth order (checked in [`Catalog::generate`]).
+    fn live_at(&self, t: Timestamp) -> usize {
+        self.videos.partition_point(|v| v.birth <= t)
     }
 
     /// Looks up the full video record.
@@ -217,39 +241,105 @@ impl Catalog {
 /// let idx = s.sample(&mut r);
 /// assert!(idx == 0 || idx == 5);
 /// ```
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct AliasSampler {
-    indices: Vec<usize>,
+    indices: Vec<u32>,
     prob: Vec<f64>,
     alias: Vec<u32>,
+}
+
+/// The two work stacks of alias-table construction, kept between
+/// [`AliasSampler::fill`] calls so a refill allocates nothing.
+#[derive(Debug, Clone, Default)]
+pub struct AliasScratch {
+    small: Vec<u32>,
+    large: Vec<u32>,
+}
+
+impl AliasScratch {
+    /// Scratch for tables of up to `entries` entries.
+    pub fn with_capacity(entries: usize) -> Self {
+        AliasScratch {
+            small: Vec::with_capacity(entries),
+            large: Vec::with_capacity(entries),
+        }
+    }
 }
 
 impl AliasSampler {
     /// Builds the alias table from `(index, weight)` pairs. Entries with
     /// non-finite or non-positive weight are dropped; returns `None` if no
     /// positive-weight entry remains.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index does not fit in `u32`.
     pub fn new(entries: Vec<(usize, f64)>) -> Option<Self> {
-        let filtered: Vec<(usize, f64)> = entries
-            .into_iter()
-            .filter(|(_, w)| w.is_finite() && *w > 0.0)
-            .collect();
-        if filtered.is_empty() {
-            return None;
+        let mut sampler = AliasSampler::with_capacity(entries.len());
+        sampler
+            .fill(entries, &mut AliasScratch::default())
+            .then_some(sampler)
+    }
+
+    /// An empty table that [`AliasSampler::fill`] can fill with up to
+    /// `entries` entries without allocating.
+    pub fn with_capacity(entries: usize) -> Self {
+        AliasSampler {
+            indices: Vec::with_capacity(entries),
+            prob: Vec::with_capacity(entries),
+            alias: Vec::with_capacity(entries),
         }
-        let n = filtered.len();
-        let total: f64 = filtered.iter().map(|(_, w)| w).sum();
-        let mut prob: Vec<f64> = filtered.iter().map(|(_, w)| w / total * n as f64).collect();
-        let indices: Vec<usize> = filtered.iter().map(|(i, _)| *i).collect();
-        let mut alias = vec![0u32; n];
-        let mut small: Vec<u32> = Vec::new();
-        let mut large: Vec<u32> = Vec::new();
-        for (i, &p) in prob.iter().enumerate() {
-            if p < 1.0 {
+    }
+
+    /// Rebuilds the table in place from `(index, weight)` pairs, with the
+    /// drop rule of [`AliasSampler::new`]; returns whether any entry
+    /// survived (the table is empty, and must not be sampled, if not).
+    ///
+    /// Every trace in the repo is a function of these tables, so the
+    /// arithmetic and the stack order below are a byte contract.
+    ///
+    /// # Panics
+    ///
+    /// Panics if an index does not fit in `u32`.
+    pub fn fill(
+        &mut self,
+        entries: impl IntoIterator<Item = (usize, f64)>,
+        scratch: &mut AliasScratch,
+    ) -> bool {
+        let AliasSampler {
+            indices,
+            prob,
+            alias,
+        } = self;
+        let AliasScratch { small, large } = scratch;
+        indices.clear();
+        prob.clear();
+        // Raw weights first, summed left to right.
+        let mut total = 0.0f64;
+        for (i, w) in entries {
+            if w.is_finite() && w > 0.0 {
+                indices.push(u32::try_from(i).expect("alias index fits u32"));
+                prob.push(w);
+                total += w;
+            }
+        }
+        let n = prob.len();
+        alias.clear();
+        alias.resize(n, 0);
+        small.clear();
+        large.clear();
+        for (i, p) in prob.iter_mut().enumerate() {
+            *p = *p / total * n as f64;
+            if *p < 1.0 {
                 small.push(i as u32);
             } else {
                 large.push(i as u32);
             }
         }
+        // Both stacks are popped before either is tested, so when one runs
+        // dry the entry just popped from the other is dropped: it keeps its
+        // scaled probability and alias 0 instead of probability 1. Part of
+        // the byte contract — do not "fix".
         while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
             alias[s as usize] = l;
             prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
@@ -260,14 +350,10 @@ impl AliasSampler {
             }
         }
         // Numerical leftovers: everything remaining keeps probability 1.
-        for s in small.into_iter().chain(large) {
+        for &s in small.iter().chain(large.iter()) {
             prob[s as usize] = 1.0;
         }
-        Some(AliasSampler {
-            indices,
-            prob,
-            alias,
-        })
+        n > 0
     }
 
     /// Number of sampleable entries.
@@ -275,7 +361,8 @@ impl AliasSampler {
         self.indices.len()
     }
 
-    /// Whether the sampler has no entries (never: `new` returns `None`).
+    /// Whether the sampler has no entries (only a table whose last
+    /// [`AliasSampler::fill`] returned `false`; `new` returns `None`).
     pub fn is_empty(&self) -> bool {
         self.indices.is_empty()
     }
@@ -285,9 +372,9 @@ impl AliasSampler {
         let n = self.prob.len();
         let slot = rng.below(n as u64) as usize;
         if rng.f64() < self.prob[slot] {
-            self.indices[slot]
+            self.indices[slot] as usize
         } else {
-            self.indices[self.alias[slot] as usize]
+            self.indices[self.alias[slot] as usize] as usize
         }
     }
 }
@@ -415,6 +502,170 @@ mod tests {
         assert_eq!(s.len(), 1);
         let mut rng = DetRng::new(7);
         assert_eq!(s.sample(&mut rng), 4);
+    }
+
+    /// `AliasSampler::new` as it stood before [`AliasSampler::fill`]
+    /// (fresh `Vec`s, `usize` indices): the table-for-table oracle.
+    fn naive_alias(entries: Vec<(usize, f64)>) -> Option<(Vec<usize>, Vec<f64>, Vec<u32>)> {
+        let filtered: Vec<(usize, f64)> = entries
+            .into_iter()
+            .filter(|(_, w)| w.is_finite() && *w > 0.0)
+            .collect();
+        if filtered.is_empty() {
+            return None;
+        }
+        let n = filtered.len();
+        let total: f64 = filtered.iter().map(|(_, w)| w).sum();
+        let mut prob: Vec<f64> = filtered.iter().map(|(_, w)| w / total * n as f64).collect();
+        let indices: Vec<usize> = filtered.iter().map(|(i, _)| *i).collect();
+        let mut alias = vec![0u32; n];
+        let mut small: Vec<u32> = Vec::new();
+        let mut large: Vec<u32> = Vec::new();
+        for (i, &p) in prob.iter().enumerate() {
+            if p < 1.0 {
+                small.push(i as u32);
+            } else {
+                large.push(i as u32);
+            }
+        }
+        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+            alias[s as usize] = l;
+            prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
+            if prob[l as usize] < 1.0 {
+                small.push(l);
+            } else {
+                large.push(l);
+            }
+        }
+        // Numerical leftovers: everything remaining keeps probability 1.
+        for s in small.into_iter().chain(large) {
+            prob[s as usize] = 1.0;
+        }
+        Some((indices, prob, alias))
+    }
+
+    /// Asserts `table` (just filled from `entries`, `live` = what `fill`
+    /// returned) equals the oracle's table bit for bit.
+    fn assert_matches_naive(table: &AliasSampler, live: bool, entries: &[(usize, f64)]) {
+        let Some((indices, prob, alias)) = naive_alias(entries.to_vec()) else {
+            assert!(!live && table.is_empty(), "oracle has no survivor");
+            return;
+        };
+        assert!(live);
+        let got: Vec<usize> = table.indices.iter().map(|&i| i as usize).collect();
+        assert_eq!(got, indices);
+        assert_eq!(table.alias, alias);
+        let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
+        assert_eq!(bits(&table.prob), bits(&prob));
+    }
+
+    #[test]
+    fn fill_matches_the_naive_table_bit_for_bit() {
+        let mut rng = DetRng::new(17);
+        // One table and one scratch for the whole test: every fill after
+        // the first is a refill, mostly with a different live count.
+        let mut table = AliasSampler::default();
+        let mut scratch = AliasScratch::default();
+        let mut check = |entries: &[(usize, f64)]| {
+            let live = table.fill(entries.iter().copied(), &mut scratch);
+            assert_matches_naive(&table, live, entries);
+            live.then(|| table.clone())
+        };
+
+        let (mut dropped_large, mut dropped_small) = (0, 0);
+        for round in 0..400 {
+            let n = 1 + rng.below(40) as usize;
+            let entries: Vec<(usize, f64)> = (0..n)
+                .map(|i| {
+                    let w = match rng.below(12) {
+                        0 => f64::NAN,
+                        1 => f64::INFINITY,
+                        2 => f64::NEG_INFINITY,
+                        3 => 0.0,
+                        4 => -rng.f64(),
+                        // Heavy-tailed like the catalog's Pareto weights.
+                        _ => 1.0 / (rng.f64() + 1e-3).powf(1.5),
+                    };
+                    (i * 3 + round, w)
+                })
+                .collect();
+            let Some(t) = check(&entries) else { continue };
+            // The pairing loop pops both stacks before testing either. An
+            // entry above 1 can only be a popped-and-dropped `large` (kept
+            // leftovers are reset to exactly 1) ...
+            dropped_large += usize::from(t.prob.iter().any(|&p| p > 1.0));
+            // ... and when slot 0 started `small` it is never anyone's
+            // alias, so a slot below 1 with alias 0 was dropped unpaired.
+            let first = entries.iter().find(|(_, w)| w.is_finite() && *w > 0.0);
+            let total: f64 = entries
+                .iter()
+                .map(|e| e.1)
+                .filter(|w| w.is_finite() && *w > 0.0)
+                .sum();
+            let slot0_small = first.is_some_and(|(_, w)| w / total * (t.len() as f64) < 1.0);
+            let unpaired = t
+                .prob
+                .iter()
+                .zip(&t.alias)
+                .any(|(&p, &a)| p < 1.0 && a == 0);
+            dropped_small += usize::from(slot0_small && unpaired);
+        }
+        assert!(
+            dropped_large > 0,
+            "no set left the loop with `small` empty first"
+        );
+        assert!(
+            dropped_small > 0,
+            "no set left the loop with `large` empty first"
+        );
+
+        // No survivor, a single survivor, all-equal weights (every slot
+        // starts `large`), then a big set followed by a smaller one: the
+        // stale tail of the recycled buffers must not leak.
+        assert!(check(&[(0, 0.0), (1, -2.0), (2, f64::NAN), (3, f64::INFINITY)]).is_none());
+        let single = check(&[(3, f64::NAN), (9, 5.0), (4, 0.0)]).unwrap();
+        assert_eq!((single.len(), single.prob[0]), (1, 1.0));
+        let equal = check(&[(0, 1.0); 8]).unwrap();
+        assert!(equal.prob.iter().all(|&p| p == 1.0));
+        let big: Vec<(usize, f64)> = (0..500).map(|i| (i, 1.0 + rng.f64())).collect();
+        assert_eq!(check(&big).unwrap().len(), 500);
+        let refill = check(&big[100..107]).unwrap();
+        assert_eq!(
+            (refill.len(), refill.alias.len(), refill.prob.len()),
+            (7, 7, 7)
+        );
+    }
+
+    #[test]
+    fn fill_sampler_matches_the_naive_table_at_any_time() {
+        let mut rng = DetRng::new(18);
+        let cat = Catalog::generate(&cfg(), DurationMs::from_days(6), &mut rng);
+        let mut table = AliasSampler::with_capacity(cat.len());
+        let mut scratch = AliasScratch::with_capacity(cat.len());
+        // Latest first, so every later fill is a refill with fewer videos;
+        // the last two are an arrival's own birth instant and the epoch.
+        let arrival = cat.get(cfg().initial_videos + 3).birth;
+        let times = [DurationMs::from_days(6), DurationMs::from_hours(30)]
+            .map(|d| Timestamp::EPOCH + d)
+            .into_iter()
+            .chain([arrival, Timestamp::EPOCH]);
+        for t in times {
+            let live: Vec<(usize, f64)> = cat
+                .videos()
+                .iter()
+                .enumerate()
+                .filter(|(_, v)| v.birth <= t)
+                .map(|(i, v)| (i, cat.effective_weight(v, t)))
+                .collect();
+            let filled = cat.fill_sampler(t, &mut table, &mut scratch);
+            assert_matches_naive(&table, filled, &live);
+            assert_eq!(table.len(), live.len());
+            let fresh = cat.sampler_at(t).unwrap();
+            assert_eq!(
+                (&fresh.indices, &fresh.alias),
+                (&table.indices, &table.alias)
+            );
+        }
     }
 
     #[test]

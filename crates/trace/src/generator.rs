@@ -7,20 +7,70 @@
 //! weights change continuously, so the weighted sampler is rebuilt once per
 //! *epoch* (one hour), which is far finer than the popularity-decay time
 //! constant.
+//!
+//! Rebuilding the sampler is most of the work and draws no random number,
+//! so the epochs' tables are built ahead on worker threads (`ahead.rs`)
+//! while this thread consumes them in epoch order, the only place the pick
+//! and session streams advance. Requests leave in time-sorted runs, one per
+//! epoch (`flush_before`). DESIGN.md "Generator pipeline" has the argument
+//! for why the trace is the same at any worker count.
 
-use vcdn_types::{DurationMs, Request, Timestamp};
+use vcdn_types::{worker_count, DurationMs, Request, Timestamp};
 
 use crate::{
-    catalog::Catalog,
+    ahead::build_ahead,
+    catalog::{AliasSampler, AliasScratch, Catalog},
     dist::sample_exp,
     profile::ServerProfile,
     rng::DetRng,
-    session::expand_session,
+    session::expand_session_into,
     trace::{Trace, TraceMeta},
 };
 
 /// Sampler-rebuild granularity.
 const EPOCH: DurationMs = DurationMs::HOUR;
+
+/// One hour of the trace that has at least one session start.
+struct Epoch<'a> {
+    /// Where the hour's sampler is evaluated.
+    mid: Timestamp,
+    /// The session starts inside the hour, ascending.
+    starts: &'a [Timestamp],
+    /// First instant of the next hour.
+    end: Timestamp,
+}
+
+/// Groups ascending session starts by hour; hours without a start need no
+/// sampler and get no entry.
+fn epoch_table(starts: &[Timestamp]) -> Vec<Epoch<'_>> {
+    let hour = |s: &Timestamp| s.as_millis() / EPOCH.as_millis();
+    starts
+        .chunk_by(|a, b| hour(a) == hour(b))
+        .map(|starts| {
+            let begin = Timestamp(hour(&starts[0]) * EPOCH.as_millis());
+            Epoch {
+                mid: Timestamp(begin.as_millis() + EPOCH.as_millis() / 2),
+                starts,
+                end: begin + EPOCH,
+            }
+        })
+        .collect()
+}
+
+/// Passes every pending request with `t < end` to `sink`, in the order a
+/// stable sort by time gives them, and keeps the rest, sorted the same way.
+///
+/// Called with each epoch's `end` once the epoch's sessions are in
+/// `pending`, this emits the trace in the order one stable sort of all
+/// requests would: no later session starts before `end`, so nothing below
+/// it is still to come, and what is carried over was pushed before — and
+/// stays ahead of — anything a later epoch pushes at the same instant.
+fn flush_before(pending: &mut Vec<Request>, end: Timestamp, sink: &mut impl FnMut(&[Request])) {
+    pending.sort_by_key(|r| r.t);
+    let ready = pending.partition_point(|r| r.t < end);
+    sink(&pending[..ready]);
+    pending.drain(..ready);
+}
 
 /// Deterministic workload generator for one server profile.
 ///
@@ -74,7 +124,41 @@ impl TraceGenerator {
     }
 
     /// Generates `duration` worth of requests starting at the replay epoch.
+    ///
+    /// Sampler tables are built on [`worker_count`] threads; the trace is
+    /// the same for any count.
     pub fn generate(&self, duration: DurationMs) -> Trace {
+        self.generate_with_workers(duration, worker_count())
+    }
+
+    /// [`TraceGenerator::generate`] at a given worker count (the tests'
+    /// handle on worker-count invariance).
+    fn generate_with_workers(&self, duration: DurationMs, workers: usize) -> Trace {
+        let mut requests: Vec<Request> = Vec::new();
+        let sessions = self.runs(duration, workers, |run| requests.extend_from_slice(run));
+        Trace::new(
+            TraceMeta {
+                name: self.profile.name.clone(),
+                seed: self.seed,
+                duration,
+                description: format!(
+                    "synthetic profile '{}', seed {}, {} sessions",
+                    self.profile.name, self.seed, sessions
+                ),
+            },
+            requests,
+        )
+    }
+
+    /// Generates the trace as consecutive time-sorted runs — one per epoch
+    /// with sessions, then the tail that outlives the last epoch — whose
+    /// concatenation is the trace. Returns the number of sessions started.
+    fn runs(
+        &self,
+        duration: DurationMs,
+        workers: usize,
+        mut sink: impl FnMut(&[Request]),
+    ) -> usize {
         let p = &self.profile;
         let mut root = DetRng::new(self.seed ^ fnv1a(&p.name));
         let mut catalog_rng = root.fork();
@@ -102,55 +186,42 @@ impl TraceGenerator {
             }
         }
 
-        // Expand sessions epoch by epoch with a per-epoch weighted sampler.
-        let mut requests: Vec<Request> = Vec::new();
-        let mut cursor = 0usize;
-        let mut epoch_start = Timestamp::EPOCH;
-        while epoch_start.as_millis() < duration.as_millis() {
-            let epoch_end = epoch_start + EPOCH;
-            let mid = Timestamp(epoch_start.as_millis() + EPOCH.as_millis() / 2);
-            let slice_end = starts[cursor..]
-                .iter()
-                .position(|s| *s >= epoch_end)
-                .map(|off| cursor + off)
-                .unwrap_or(starts.len());
-            if slice_end > cursor {
-                if let Some(sampler) = catalog.sampler_at(mid) {
-                    for &start in &starts[cursor..slice_end] {
-                        let idx = sampler.sample(&mut pick_rng);
-                        let video = catalog.get(idx);
-                        requests.extend(expand_session(
+        // Expand sessions epoch by epoch, each with its own weighted
+        // sampler. Sessions outlive their epoch, so requests wait in
+        // `pending` until no later session can precede them.
+        let epochs = epoch_table(&starts);
+        let mut pending: Vec<Request> = Vec::new();
+        build_ahead(
+            epochs.len(),
+            workers,
+            || AliasSampler::with_capacity(catalog.len()),
+            || {
+                let mut scratch = AliasScratch::with_capacity(catalog.len());
+                let (catalog, epochs) = (&catalog, &epochs);
+                move |e: usize, sampler: &mut AliasSampler| {
+                    catalog.fill_sampler(epochs[e].mid, sampler, &mut scratch);
+                }
+            },
+            |e, sampler| {
+                // An empty table: no video is live yet, the sessions are lost.
+                if !sampler.is_empty() {
+                    for &start in epochs[e].starts {
+                        let video = catalog.get(sampler.sample(&mut pick_rng));
+                        expand_session_into(
+                            &mut pending,
                             video.id,
                             video.size_bytes,
                             start,
                             &p.session,
                             &mut session_rng,
-                        ));
+                        );
                     }
                 }
-            }
-            cursor = slice_end;
-            epoch_start = epoch_end;
-        }
-
-        // Sessions interleave; restore global time order (stable to keep
-        // per-session request order on timestamp ties).
-        requests.sort_by_key(|r| r.t);
-
-        Trace::new(
-            TraceMeta {
-                name: p.name.clone(),
-                seed: self.seed,
-                duration,
-                description: format!(
-                    "synthetic profile '{}', seed {}, {} sessions",
-                    p.name,
-                    self.seed,
-                    starts.len()
-                ),
+                flush_before(&mut pending, epochs[e].end, &mut sink);
             },
-            requests,
-        )
+        );
+        sink(&pending);
+        starts.len()
     }
 }
 
@@ -169,6 +240,135 @@ mod tests {
     fn deterministic_per_seed() {
         assert_eq!(small_trace(1, 12), small_trace(1, 12));
         assert_ne!(small_trace(1, 12).requests, small_trace(2, 12).requests);
+    }
+
+    #[test]
+    fn any_worker_count_generates_the_same_trace() {
+        let cases = [
+            (ServerProfile::tiny_test(), 7, DurationMs::from_hours(48)),
+            (
+                ServerProfile::europe().scaled(0.004),
+                20140413,
+                DurationMs::from_days(4),
+            ),
+        ];
+        for (profile, seed, duration) in cases {
+            let gen = TraceGenerator::new(profile, seed);
+            let one = gen.generate_with_workers(duration, 1);
+            assert!(!one.is_empty());
+            for workers in [2, 3, 8] {
+                let many = gen.generate_with_workers(duration, workers);
+                assert!(one == many, "{}: {workers} workers", one.meta.name);
+            }
+            assert!(
+                one == gen.generate(duration),
+                "{}: default count",
+                one.meta.name
+            );
+        }
+    }
+
+    #[test]
+    fn runs_are_sorted_and_concatenate_to_the_trace() {
+        let gen = TraceGenerator::new(ServerProfile::tiny_test(), 11);
+        let duration = DurationMs::from_hours(30);
+        let mut runs: Vec<Vec<Request>> = Vec::new();
+        gen.runs(duration, 2, |run| runs.push(run.to_vec()));
+        // One run per epoch with sessions plus the tail; each stays on its
+        // side of every later run.
+        assert!(runs.len() > 20 && runs.len() <= 31, "{} runs", runs.len());
+        for pair in runs.windows(2) {
+            if let (Some(a), Some(b)) = (pair[0].last(), pair[1].first()) {
+                assert!(a.t <= b.t);
+            }
+        }
+        assert_eq!(runs.concat(), gen.generate(duration).requests);
+    }
+
+    /// A session of `n` requests of video `v`, `pace` ms apart from `start`.
+    fn session(v: u64, start: u64, n: u64, pace: u64) -> Vec<Request> {
+        (0..n)
+            .map(|i| {
+                let bytes = vcdn_types::ByteRange::new(i * 10, i * 10 + 9).unwrap();
+                Request::new(VideoId(v), bytes, Timestamp(start + i * pace))
+            })
+            .collect()
+    }
+
+    #[test]
+    fn epoch_flush_is_one_stable_sort_of_everything() {
+        let h = EPOCH.as_millis();
+        // Per epoch with sessions: (sessions in start order, epoch end).
+        let epochs: Vec<(Vec<Vec<Request>>, u64)> = vec![
+            (
+                vec![
+                    // Lands a request exactly on the boundary `h` ...
+                    session(1, h - 2_000, 3, 1_000),
+                    // ... spans three epochs, tying with it at `h` ...
+                    session(2, h / 2, 5, h / 2),
+                    // ... and a later start that ties with both at `h`.
+                    session(3, h - 500, 2, 500),
+                ],
+                h,
+            ),
+            (
+                vec![
+                    // Starts on the boundary: ties with three carried requests.
+                    session(4, h, 4, 30),
+                    session(5, h + 30, 2, 30),
+                ],
+                2 * h,
+            ),
+            // Hours 2..=6 have no session start: no entry, no flush. The
+            // tail of session 2 (at 2.5 h) is still pending when hour 7's
+            // sessions arrive, one of them at the very end of the hour.
+            (
+                vec![session(6, 7 * h + 5, 2, h), session(7, 8 * h - 1, 3, 1)],
+                8 * h,
+            ),
+        ];
+
+        let mut pushed: Vec<Request> = Vec::new();
+        let mut pending: Vec<Request> = Vec::new();
+        let mut runs: Vec<Vec<Request>> = Vec::new();
+        let mut sink = |run: &[Request]| runs.push(run.to_vec());
+        for (sessions, end) in &epochs {
+            for s in sessions {
+                pushed.extend_from_slice(s);
+                pending.extend_from_slice(s);
+            }
+            flush_before(&mut pending, Timestamp(*end), &mut sink);
+        }
+        sink(&pending);
+
+        let ties = pushed.iter().filter(|r| r.t == Timestamp(h)).count();
+        assert_eq!(ties, 4, "the fixture must tie across the boundary");
+        assert!(runs
+            .iter()
+            .zip(&epochs)
+            .all(|(run, (_, end))| run.iter().all(|r| r.t.0 < *end)));
+        pushed.sort_by_key(|r| r.t);
+        assert_eq!(runs.concat(), pushed);
+    }
+
+    #[test]
+    fn epoch_table_groups_starts_by_hour_and_skips_empty_hours() {
+        let h = EPOCH.as_millis();
+        let starts = [0, 1, h - 1, h, 5 * h + 7, 6 * h - 1, 9 * h].map(Timestamp);
+        let table: Vec<(u64, Vec<u64>, u64)> = epoch_table(&starts)
+            .iter()
+            .map(|e| (e.mid.0, e.starts.iter().map(|s| s.0).collect(), e.end.0))
+            .collect();
+        assert_eq!(
+            table,
+            vec![
+                (h / 2, vec![0, 1, h - 1], h),
+                (h + h / 2, vec![h], 2 * h),
+                (5 * h + h / 2, vec![5 * h + 7, 6 * h - 1], 6 * h),
+                (9 * h + h / 2, vec![9 * h], 10 * h),
+            ]
+        );
+        assert!(epoch_table(&[]).is_empty());
     }
 
     #[test]

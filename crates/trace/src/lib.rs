@@ -34,6 +34,7 @@
 
 #![forbid(unsafe_code)]
 
+mod ahead;
 pub mod binfmt;
 pub mod catalog;
 pub mod dist;

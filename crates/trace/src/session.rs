@@ -95,10 +95,30 @@ pub fn expand_session(
     config: &SessionConfig,
     rng: &mut DetRng,
 ) -> Vec<Request> {
-    assert!(video_size_bytes > 0, "video size must be > 0");
     config
         .validate()
         .unwrap_or_else(|e| panic!("invalid SessionConfig: {e}"));
+    let mut requests = Vec::new();
+    expand_session_into(&mut requests, video, video_size_bytes, start, config, rng);
+    requests
+}
+
+/// [`expand_session`] for a caller that expands many sessions: appends the
+/// session's requests to `out` and trusts `config`, which the caller has
+/// validated once (the generator does, in `TraceGenerator::new`).
+///
+/// # Panics
+///
+/// Panics if `video_size_bytes == 0`.
+pub fn expand_session_into(
+    out: &mut Vec<Request>,
+    video: VideoId,
+    video_size_bytes: u64,
+    start: Timestamp,
+    config: &SessionConfig,
+    rng: &mut DetRng,
+) {
+    assert!(video_size_bytes > 0, "video size must be > 0");
 
     // Where playback begins.
     let seek_offset = if rng.chance(config.p_seek_start) && video_size_bytes > 1 {
@@ -114,7 +134,6 @@ pub fn expand_session(
     let end = seek_offset + watched - 1; // inclusive
 
     // Emit consecutive range requests paced at the playback bitrate.
-    let mut requests = Vec::new();
     let mut cursor = seek_offset;
     let mut t = start;
     let pace = DurationMs(
@@ -123,11 +142,10 @@ pub fn expand_session(
     while cursor <= end {
         let req_end = (cursor.saturating_add(config.request_bytes) - 1).min(end);
         let bytes = ByteRange::new(cursor, req_end).expect("cursor <= req_end by construction");
-        requests.push(Request::new(video, bytes, t));
+        out.push(Request::new(video, bytes, t));
         cursor = req_end + 1;
         t += pace;
     }
-    requests
 }
 
 #[cfg(test)]

@@ -49,3 +49,13 @@ fn europe_sixteenth_thirty_days_is_the_paper_point() {
     let got = vctb(profile, 20140413, DurationMs::from_days(30), "paper");
     assert_eq!(got, (181_607, 5_811_535, 0x1fb7_151a_46cb_7dad));
 }
+
+/// The benchmark's `xlru_large.vctb` / `cafe_large.vctb` at the default
+/// seed. 1.7 M requests: seconds optimised, minutes in a debug build.
+#[test]
+#[cfg_attr(debug_assertions, ignore = "full-size: run with --release")]
+fn europe_half_thirty_days_is_the_large_workload() {
+    let profile = ServerProfile::europe().scaled(0.5);
+    let got = vctb(profile, 20140413, DurationMs::from_days(30), "large");
+    assert_eq!(got, (1_711_552, 54_769_776, 0x7dd3_c048_8d38_55ec));
+}

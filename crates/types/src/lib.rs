@@ -40,6 +40,7 @@ pub mod metrics;
 pub mod range;
 pub mod request;
 pub mod time;
+pub mod workers;
 
 pub use cost::{CostError, CostModel};
 pub use decision::{Decision, ServeOutcome};
@@ -51,3 +52,4 @@ pub use metrics::TrafficCounter;
 pub use range::{ByteRange, ChunkRange, ChunkSize, RangeError};
 pub use request::Request;
 pub use time::{DurationMs, Timestamp};
+pub use workers::worker_count;
