@@ -12,12 +12,16 @@
 //!   request, dense chunk runs, EWMA state in struct-of-arrays slabs
 //!   addressed by compact handles, and sweeps that walk only when
 //!   something can expire.
+//! * [`BitTree`] — a set of small integers as a 64-ary tree of bitmaps
+//!   with a predecessor query: Psychic's calendar of due requests.
 
+pub mod bit_tree;
 pub mod keyed_set;
 pub mod lru_list;
 pub mod pop_table;
 pub mod rank_index;
 
+pub use bit_tree::BitTree;
 pub use keyed_set::{KeyedSet, OrdF64};
 pub use lru_list::IndexedLruList;
 pub use pop_table::{PopTable, NO_HANDLE};

@@ -19,19 +19,21 @@
 //! Being offline, Psychic must replay exactly the trace it was built from;
 //! this is asserted at run time.
 
-use std::collections::BTreeSet;
 use std::ops::Range;
 
 use vcdn_obs::{DecisionDetail, PolicyObs};
-use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome, Timestamp};
+use vcdn_types::{
+    ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome, Timestamp, VideoId,
+};
 
+use crate::ds::BitTree;
 use crate::policy::{CacheConfig, CachePolicy};
 
 /// Minimum time-to-next-request (ms) used in divisions.
 const MIN_GAP_MS: f64 = 1.0;
 
-/// "Never requested again" in the sequence half of a Belady key. No
-/// request carries it: [`PsychicCache::new`] refuses traces that long.
+/// "Never requested again" as a next-request sequence number. No request
+/// carries it: [`PsychicCache::new`] refuses traces that long.
 const NEVER: u32 = u32::MAX;
 
 /// Configuration of a [`PsychicCache`].
@@ -90,11 +92,6 @@ fn index_u32(count: u64, what: &str) -> u32 {
     count as u32
 }
 
-/// The sequence half and the rank half of a Belady key.
-fn belady_key(next_seq: u32, rank: usize) -> u64 {
-    u64::from(next_seq) << 32 | rank as u64
-}
-
 /// The Psychic offline cache.
 ///
 /// Being offline, it knows every chunk it will ever see before the first
@@ -127,20 +124,27 @@ pub struct PsychicCache {
     /// The trace's distinct chunks, ascending; index = rank.
     chunks: Vec<ChunkId>,
     /// CSR schedules: chunk `r` is requested by requests
-    /// `occ_seq[occ_off[r]..occ_off[r + 1]]` (ascending) at times `occ_t[..]`.
+    /// `occ_seq[occ_off[r]..occ_off[r + 1]]` (ascending), at their
+    /// `expected[..].t`.
     occ_off: Vec<u32>,
     occ_seq: Vec<u32>,
-    occ_t: Vec<Timestamp>,
-    /// Per rank, the position in `occ_seq`/`occ_t` of the chunk's first
+    /// Per rank, the position in `occ_seq` of the chunk's first
     /// not-yet-replayed request: `L_x` starts here.
     cursor: Vec<u32>,
     /// Per request, what [`CachePolicy::handle_request`] must be handed.
     expected: Vec<Expected>,
     seq: u32,
-    /// Cached chunks as `next request's sequence number << 32 | rank`
-    /// ([`NEVER`] if there is none): the largest key is the chunk requested
-    /// farthest in the future, the first victim.
-    order: BTreeSet<u64>,
+    /// The Belady order as a calendar. `due[s]` counts the cached chunks
+    /// whose next request is `s`, and `due_seqs` holds the `s` with a
+    /// non-zero count. Such a chunk is one of `expected[s].ranks()`, so a
+    /// day of the calendar needs no member list: it is the cached ranks of
+    /// that interval whose next request is `s`.
+    due: Vec<u32>,
+    due_seqs: BitTree,
+    /// The cached ranks with no request left: the first victims.
+    never: BitTree,
+    /// Number of cached chunks.
+    cached: usize,
     on_disk: Vec<bool>,
     /// Per rank; meaningful while `on_disk`.
     insert_time: Vec<Timestamp>,
@@ -150,9 +154,9 @@ pub struct PsychicCache {
     replay_start: Option<Timestamp>,
     obs: PolicyObs,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffer of victim keys: the decide path
+    /// Reusable per-request buffer of victim ranks: the decide path
     /// allocates nothing but the `evicted` list it returns.
-    victims: Vec<u64>,
+    victims: Vec<u32>,
 }
 
 impl PsychicCache {
@@ -172,40 +176,46 @@ impl PsychicCache {
         );
         index_u32(requests.len() as u64, "requests");
         let k = config.cache.chunk_size;
-        // (video, first chunk, last chunk, sequence number), sorted: one
-        // sweep meets every video's chunks in ascending order.
-        let mut spans = Vec::with_capacity(requests.len());
+        // One integer per request, `video << 64 | first chunk << 32 |
+        // sequence number`, sorted: one sweep meets every video's chunks in
+        // ascending order. The request's length waits in `expected`.
+        let mut spans: Vec<u128> = Vec::with_capacity(requests.len());
+        let mut expected: Vec<Expected> = Vec::with_capacity(requests.len());
         let mut occurrences = 0u64;
         for (seq, r) in (0u32..).zip(requests) {
             let range = r.chunk_range(k);
             occurrences += range.len();
-            spans.push((r.video, range.start, range.end, seq));
+            spans.push(
+                u128::from(r.video.0) << 64 | u128::from(range.start) << 32 | u128::from(seq),
+            );
+            expected.push(Expected {
+                t: r.t,
+                first: 0,
+                // Cannot truncate: a longer request fails the check below.
+                len: range.len() as u32,
+            });
         }
         let occurrences = index_u32(occurrences, "chunk occurrences") as usize;
         spans.sort_unstable();
 
         // Ranks. `next` is one past the highest chunk of the current video
         // that has a rank; spans start in ascending order, so a span
-        // starting below it overlaps the tail of `chunks`.
+        // starting below it overlaps the tail of `chunks`. Spans with one
+        // start arrive in sequence order, not by end — the sweep does not
+        // care: whichever comes first, together they append the chunks up
+        // to the larger end once, and both read the same first rank.
         let mut chunks: Vec<ChunkId> = Vec::new();
-        let mut expected: Vec<Expected> = requests
-            .iter()
-            .map(|r| Expected {
-                t: r.t,
-                first: 0,
-                len: 0,
-            })
-            .collect();
         let (mut video, mut next) = (None, 0u64);
-        for &(v, start, end, seq) in &spans {
+        for &span in &spans {
+            let v = VideoId((span >> 64) as u64);
+            let (start, seq) = (u64::from((span >> 32) as u32), span as u32);
             if video != Some(v) {
                 (video, next) = (Some(v), 0);
             }
-            let (start, end) = (u64::from(start), u64::from(end));
-            let new_from = next.max(start);
             let e = &mut expected[seq as usize];
+            let end = start + u64::from(e.len) - 1;
+            let new_from = next.max(start);
             e.first = (chunks.len() as u64 - (new_from - start)) as u32;
-            e.len = (end - start + 1) as u32;
             chunks.extend((new_from..=end).map(|c| ChunkId::new(v, c as u32)));
             next = next.max(end + 1);
         }
@@ -225,12 +235,9 @@ impl PsychicCache {
         }
         let mut cursor = occ_off[..n].to_vec();
         let mut occ_seq = vec![0u32; occurrences];
-        let mut occ_t = vec![Timestamp(0); occurrences];
         for (seq, e) in (0u32..).zip(&expected) {
             for rank in e.ranks() {
-                let at = cursor[rank] as usize;
-                occ_seq[at] = seq;
-                occ_t[at] = e.t;
+                occ_seq[cursor[rank] as usize] = seq;
                 cursor[rank] += 1;
             }
         }
@@ -241,11 +248,13 @@ impl PsychicCache {
             chunks,
             occ_off,
             occ_seq,
-            occ_t,
             cursor,
-            expected,
             seq: 0,
-            order: BTreeSet::new(),
+            due: vec![0; expected.len()],
+            due_seqs: BitTree::new(expected.len()),
+            never: BitTree::new(n),
+            cached: 0,
+            expected,
             on_disk: vec![false; n],
             insert_time: vec![Timestamp(0); n],
             mean_residency_ms: 0.0,
@@ -273,11 +282,13 @@ impl PsychicCache {
 
     // lint: hot
     /// `L_x`: the next (up to) `N` request times of chunk `rank`.
-    fn future_times(&self, rank: usize) -> &[Timestamp] {
+    fn future_times(&self, rank: usize) -> impl Iterator<Item = Timestamp> + '_ {
         let from = self.cursor[rank] as usize;
         let end = self.occ_off[rank + 1] as usize;
         let to = from.saturating_add(self.config.future_list_bound).min(end);
-        &self.occ_t[from..to]
+        self.occ_seq[from..to]
+            .iter()
+            .map(|&s| self.expected[s as usize].t)
     }
 
     // lint: hot
@@ -285,21 +296,65 @@ impl PsychicCache {
     /// Eqs. 13–14); the current request's occurrence is already consumed.
     fn future_value(&self, rank: usize, now: Timestamp, t_window: f64) -> f64 {
         self.future_times(rank)
-            .iter()
-            .map(|&t| t_window / ((t - now).as_millis() as f64).max(MIN_GAP_MS))
+            .map(|t| t_window / ((t - now).as_millis() as f64).max(MIN_GAP_MS))
             .sum()
     }
 
     // lint: hot
-    /// Chunk `rank`'s place in the Belady order, from its next request.
-    fn key_of(&self, rank: usize) -> u64 {
+    /// The sequence number of chunk `rank`'s next request, or [`NEVER`].
+    fn next_seq(&self, rank: usize) -> u32 {
         let at = self.cursor[rank];
-        let next_seq = if at < self.occ_off[rank + 1] {
+        if at < self.occ_off[rank + 1] {
             self.occ_seq[at as usize]
         } else {
             NEVER
+        }
+    }
+
+    // lint: hot
+    /// Enters cached chunk `rank` in the calendar under its next request.
+    fn file(&mut self, rank: usize) {
+        let next = self.next_seq(rank);
+        if next == NEVER {
+            self.never.insert(rank);
+            return;
+        }
+        let due = &mut self.due[next as usize];
+        if *due == 0 {
+            self.due_seqs.insert(next as usize);
+        }
+        *due += 1;
+    }
+
+    // lint: hot
+    /// Takes cached chunk `rank` out of the calendar.
+    fn unfile(&mut self, rank: usize) {
+        let next = self.next_seq(rank);
+        if next == NEVER {
+            self.never.remove(rank);
+            return;
+        }
+        let due = &mut self.due[next as usize];
+        *due -= 1;
+        if *due == 0 {
+            self.due_seqs.remove(next as usize);
+        }
+    }
+
+    // lint: hot
+    /// The cached ranks, the one requested farthest in the future first:
+    /// those never requested again from the highest rank down, then day by
+    /// day from the last due request back, each day from its highest rank
+    /// down. Reads the calendar, changes nothing.
+    fn farthest_first(&self) -> impl Iterator<Item = usize> + '_ {
+        let day = move |s: usize| {
+            let due_then =
+                move |&rank: &usize| self.on_disk[rank] && self.next_seq(rank) == s as u32;
+            self.expected[s].ranks().rev().filter(due_then)
         };
-        belady_key(next_seq, rank)
+        self.never
+            .descending()
+            .chain(self.due_seqs.descending().flat_map(day))
     }
 
     /// Number of evictions so far (for tests).
@@ -330,34 +385,42 @@ impl CachePolicy for PsychicCache {
         let costs = self.config.cache.costs;
 
         // Consume this request's occurrences: L_x must describe the future.
-        // A cached chunk is keyed on its next request — for the present
-        // chunks, this one — so re-key them, regardless of the decision.
+        // A cached chunk is filed under its next request — for the present
+        // chunks, this one — so re-file them, regardless of the decision:
+        // each under its new next request, then this request's day is
+        // cleared in one go.
         let mut hits = 0;
         for rank in lo..hi {
-            debug_assert_eq!(self.occ_seq[self.cursor[rank] as usize], seq);
+            debug_assert_eq!(self.next_seq(rank), seq);
             self.cursor[rank] += 1;
             if self.on_disk[rank] {
-                let was_keyed_here = self.order.remove(&belady_key(seq, rank));
-                debug_assert!(was_keyed_here);
-                self.order.insert(self.key_of(rank));
+                self.file(rank);
                 hits += 1;
             }
+        }
+        // Every chunk that was due now is one of those hits.
+        debug_assert_eq!(self.due[seq as usize] as usize, hits);
+        if hits > 0 {
+            self.due[seq as usize] = 0;
+            self.due_seqs.remove(seq as usize);
         }
         let misses = hi - lo - hits;
 
         // S'': the cached chunks requested farthest in the future, this
-        // request's own excluded — a range test on the key's rank half.
-        let evict_needed = ((self.order.len() + misses) as u64).saturating_sub(capacity) as usize;
-        self.victims.clear();
-        self.victims.extend(
-            self.order
-                .iter()
-                .rev()
-                .filter(|&&key| !(lo..hi).contains(&(key as u32 as usize)))
-                .take(evict_needed),
+        // request's own excluded — a range test on the rank. They stay
+        // filed: a redirect evicts nothing. The walk is lazy: a request that
+        // needs no room (every full hit) asks the calendar nothing.
+        let evict_needed = ((self.cached + misses) as u64).saturating_sub(capacity) as usize;
+        let mut victims = std::mem::take(&mut self.victims);
+        victims.clear();
+        victims.extend(
+            self.farthest_first()
+                .filter(|rank| !(lo..hi).contains(rank))
+                .take(evict_needed)
+                .map(|rank| rank as u32),
         );
 
-        let warmup = (self.order.len() as u64) < capacity;
+        let warmup = (self.cached as u64) < capacity;
         let t_window = self.cache_age_ms(now);
         self.last_detail = DecisionDetail::age_only(t_window);
         let serve = if warmup || misses == 0 {
@@ -366,8 +429,8 @@ impl CachePolicy for PsychicCache {
             let min_cost = costs.min_cost();
             // Eq. 13.
             let mut e_serve = misses as f64 * costs.c_f();
-            for &key in &self.victims {
-                e_serve += self.future_value(key as u32 as usize, now, t_window) * min_cost;
+            for &rank in &victims {
+                e_serve += self.future_value(rank as usize, now, t_window) * min_cost;
             }
             // Eq. 14.
             let mut e_redirect = (hi - lo) as f64 * costs.c_r();
@@ -389,10 +452,11 @@ impl CachePolicy for PsychicCache {
             // IP's constraint 10f). Requests larger than the whole disk
             // keep only their tail chunks.
             let mut evicted = Vec::new();
-            for &key in &self.victims {
-                let rank = key as u32 as usize;
-                self.order.remove(&key);
+            for &rank in &victims {
+                let rank = rank as usize;
+                self.unfile(rank);
                 self.on_disk[rank] = false;
+                self.cached -= 1;
                 let residency = (now - self.insert_time[rank]).as_millis() as f64;
                 self.evictions += 1;
                 // Cumulative mean: mean += (x - mean) / n.
@@ -400,7 +464,7 @@ impl CachePolicy for PsychicCache {
                     (residency - self.mean_residency_ms) / self.evictions as f64;
                 evicted.push(self.chunks[rank]);
             }
-            let free = (capacity - self.order.len() as u64) as usize;
+            let free = (capacity - self.cached as u64) as usize;
             let mut dropped = misses.saturating_sub(free);
             for rank in lo..hi {
                 if self.on_disk[rank] {
@@ -412,7 +476,8 @@ impl CachePolicy for PsychicCache {
                 }
                 self.on_disk[rank] = true;
                 self.insert_time[rank] = now;
-                self.order.insert(self.key_of(rank));
+                self.cached += 1;
+                self.file(rank);
             }
             Decision::Serve(ServeOutcome {
                 hit_chunks: hits as u64,
@@ -420,7 +485,8 @@ impl CachePolicy for PsychicCache {
                 evicted,
             })
         };
-        self.obs.record_decision(&decision, self.order.len() as u64);
+        self.victims = victims;
+        self.obs.record_decision(&decision, self.cached as u64);
         decision
     }
 
@@ -437,7 +503,7 @@ impl CachePolicy for PsychicCache {
     }
 
     fn disk_used_chunks(&self) -> u64 {
-        self.order.len() as u64
+        self.cached as u64
     }
 
     fn disk_capacity_chunks(&self) -> u64 {
@@ -460,9 +526,39 @@ impl CachePolicy for PsychicCache {
 }
 
 #[cfg(test)]
+impl PsychicCache {
+    /// Recomputes the calendar from `on_disk` and the cursors and checks
+    /// `due`, `due_seqs`, `never` and `cached` against it.
+    fn audit(&self) {
+        let mut due = vec![0u32; self.expected.len()];
+        let mut never = Vec::new();
+        for rank in (0..self.chunks.len()).filter(|&rank| self.on_disk[rank]) {
+            match self.next_seq(rank) {
+                NEVER => never.push(rank),
+                s => {
+                    assert!(self.expected[s as usize].ranks().contains(&rank));
+                    due[s as usize] += 1;
+                }
+            }
+        }
+        assert_eq!(self.cached, never.len() + due.iter().sum::<u32>() as usize);
+        assert_eq!(self.due, due);
+        let members = |set: &BitTree| -> Vec<usize> {
+            let mut found: Vec<usize> = set.descending().collect();
+            found.reverse();
+            found
+        };
+        assert_eq!(members(&self.never), never);
+        let due_seqs: Vec<usize> = (0..due.len()).filter(|&s| due[s] > 0).collect();
+        assert_eq!(members(&self.due_seqs), due_seqs);
+    }
+}
+
+#[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::{ByteRange, VideoId};
+    use vcdn_trace::rng::DetRng;
+    use vcdn_types::ByteRange;
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
         Request::new(
@@ -697,7 +793,10 @@ mod tests {
         // v7#2 (rank 4) is requested by requests 0 and 2, in that order.
         assert_eq!(c.occ_off[4..6], [4, 6]);
         assert_eq!(c.occ_seq[4..6], [0, 2]);
-        assert_eq!(c.occ_t[4..6], [Timestamp(1), Timestamp(3)]);
+        assert_eq!(
+            c.future_times(4).collect::<Vec<_>>(),
+            [Timestamp(1), Timestamp(3)]
+        );
         assert_eq!(*c.occ_off.last().unwrap() as usize, c.occ_seq.len());
     }
 
@@ -709,24 +808,57 @@ mod tests {
             .with_future_list_bound(3);
         assert_eq!(cfg.future_list_bound, 3);
         let mut c = PsychicCache::new(cfg, &reqs);
-        assert_eq!(c.key_of(0), belady_key(0, 0));
+        assert_eq!(c.next_seq(0), 0);
         for r in &reqs[..5] {
             c.handle_request(r);
         }
         // Requests 0..=4 are consumed: L_x starts at request 5, capped at N.
         assert_eq!(c.cursor[0], 5);
-        assert_eq!(c.key_of(0), belady_key(5, 0));
+        assert_eq!(c.next_seq(0), 5);
         assert_eq!(
-            c.future_times(0),
+            c.future_times(0).collect::<Vec<_>>(),
             [Timestamp(50), Timestamp(60), Timestamp(70)]
         );
-        assert_eq!(c.order.iter().copied().collect::<Vec<_>>(), [c.key_of(0)]);
+        // The one cached chunk is filed under request 5 and nowhere else.
+        assert_eq!(c.due[5], 1);
+        assert_eq!(c.farthest_first().collect::<Vec<_>>(), [0]);
+        c.audit();
         for r in &reqs[5..] {
             c.handle_request(r);
         }
         assert_eq!(c.cursor[0], c.occ_off[1]);
-        assert_eq!(c.key_of(0), belady_key(NEVER, 0));
-        assert!(c.future_times(0).is_empty());
+        assert_eq!(c.next_seq(0), NEVER);
+        assert_eq!(c.future_times(0).count(), 0);
+        assert_eq!(c.never.last_below(usize::MAX), Some(0));
+        c.audit();
+    }
+
+    #[test]
+    fn calendar_audited_after_every_request() {
+        // Small disks over few videos (evictions, redirects and requests
+        // larger than the disk), then a roomy one that serves everything.
+        for (case, disk) in [(0u64, 1), (1, 3), (2, 7), (3, 12), (4, 60)] {
+            let mut rng = DetRng::new(0xCA1E ^ case);
+            let mut t = 0;
+            let reqs: Vec<Request> = (0..400)
+                .map(|_| {
+                    let start = rng.below(900);
+                    t += rng.below(40);
+                    req(rng.below(6), start, start + rng.below(500), t)
+                })
+                .collect();
+            let costs = CostModel::from_alpha([0.5, 1.0, 2.0, 4.0][case as usize % 4]).unwrap();
+            let k = ChunkSize::new(100).unwrap();
+            let mut c = PsychicCache::new(PsychicConfig::new(disk, k, costs), &reqs);
+            c.audit();
+            let mut redirects = 0;
+            for r in &reqs {
+                redirects += usize::from(c.handle_request(r).is_redirect());
+                c.audit();
+            }
+            assert!(c.evictions() > 0, "case {case}");
+            assert_eq!(redirects > 0, disk < 60, "case {case}");
+        }
     }
 
     #[test]

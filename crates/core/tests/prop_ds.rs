@@ -4,7 +4,9 @@
 //! framework these replay random operation sequences drawn from
 //! [`DetRng`]; failures print the case seed.
 
-use vcdn_core::ds::{IndexedLruList, KeyedSet};
+use std::collections::BTreeSet;
+
+use vcdn_core::ds::{BitTree, IndexedLruList, KeyedSet};
 use vcdn_trace::rng::DetRng;
 use vcdn_types::Timestamp;
 
@@ -146,5 +148,64 @@ fn smallest_excluding_is_sound() {
         assert!(picked.windows(2).all(|w| w[0].1 <= w[1].1), "case {case}");
         let eligible = entries.iter().filter(|(k, _)| **k >= threshold).count();
         assert_eq!(picked.len(), n.min(eligible), "case {case}");
+    }
+}
+
+#[test]
+fn bit_tree_matches_model() {
+    // One, two and three levels, each at, just under and just over a power
+    // of 64.
+    let universes = [
+        1, 2, 63, 64, 65, 127, 128, 4095, 4096, 4097, 262_144, 262_145,
+    ];
+    for (case, universe) in (0u64..).zip(universes) {
+        let mut rng = DetRng::new(0xB177_18A7 ^ case);
+        let mut set = BitTree::new(universe);
+        let mut model: BTreeSet<usize> = BTreeSet::new();
+        let last_below = |model: &BTreeSet<usize>, bound| model.range(..bound).next_back().copied();
+        // Members cluster around a few centres, so whole words and whole
+        // second-level words stay empty between them, and fall on the
+        // universe's first and last members often.
+        let centres: Vec<u64> = (0..4).map(|_| rng.below(universe as u64)).collect();
+        for step in 0..1500 {
+            let i = match rng.below(8) {
+                0 => 0,
+                1 => universe - 1,
+                2 => rng.below(universe as u64) as usize,
+                _ => {
+                    let near = centres[rng.below(4) as usize] + rng.below(200);
+                    (near as usize).min(universe - 1)
+                }
+            };
+            // Mostly inserts at first, mostly removes later: the set fills
+            // and empties again.
+            if rng.below(1500) >= step {
+                set.insert(i);
+                model.insert(i);
+            } else {
+                set.remove(i);
+                model.remove(&i);
+            }
+            let at = || format!("universe {universe} step {step}");
+            assert_eq!(set.last_below(universe), model.last().copied(), "{}", at());
+            assert_eq!(set.last_below(i), last_below(&model, i), "{}", at());
+            assert_eq!(set.last_below(i + 1), last_below(&model, i + 1), "{}", at());
+            let bound = rng.below(universe as u64 + 71) as usize;
+            assert_eq!(set.last_below(bound), last_below(&model, bound), "{}", at());
+        }
+        for i in [0, universe / 2, universe - 1] {
+            set.insert(i);
+            model.insert(i);
+        }
+        assert!(
+            set.descending().eq(model.iter().rev().copied()),
+            "universe {universe}"
+        );
+        let mut drained = Vec::new();
+        while let Some(i) = set.last_below(usize::MAX) {
+            set.remove(i);
+            drained.push(i);
+        }
+        assert!(drained.iter().eq(model.iter().rev()), "universe {universe}");
     }
 }

@@ -5,7 +5,7 @@
 //! framework these loop over [`DetRng`]-generated cases; failures print the
 //! case number.
 
-use std::collections::{BTreeMap, HashMap};
+use std::collections::{BTreeMap, HashMap, HashSet};
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, DecisionDetail, LruCache, PsychicCache,
@@ -150,6 +150,14 @@ struct NaivePsychic {
     mean_residency_ms: f64,
     evictions: u64,
     start: Option<u64>,
+    /// The victims the last request picked, evicted or not.
+    picked: Vec<ChunkId>,
+    /// Requests whose victims were never-again chunks *and* chunks waiting
+    /// for two or more different requests.
+    walks_never_and_two_days: usize,
+    /// Requests whose victim search went past a future request that, of
+    /// the cached chunks, only the request's own were waiting for.
+    walks_past_own_day: usize,
 }
 
 impl NaivePsychic {
@@ -170,7 +178,41 @@ impl NaivePsychic {
             mean_residency_ms: 0.0,
             evictions: 0,
             start: None,
+            picked: Vec::new(),
+            walks_never_and_two_days: 0,
+            walks_past_own_day: 0,
         }
+    }
+
+    /// The sequence number of the chunk's next request, `usize::MAX` for
+    /// never.
+    fn next_of(&self, id: &ChunkId) -> usize {
+        self.future[id].first().map_or(usize::MAX, |o| o.0)
+    }
+
+    /// Counts what the victim search for a request of `ids` went through.
+    fn note_walk(&mut self, ids: &[ChunkId], victims: &[ChunkId], evict_needed: usize) {
+        let mut days: Vec<usize> = victims.iter().map(|v| self.next_of(v)).collect();
+        // How far down the order the search went: to its last victim, or
+        // through everything if it fell short.
+        let reached = match days.last() {
+            Some(&last) if victims.len() == evict_needed => last,
+            _ => 0,
+        };
+        days.dedup();
+        let never = days.first() == Some(&usize::MAX);
+        self.walks_never_and_two_days += usize::from(never && days.len() >= 3);
+        let shared = |day: usize| {
+            let mut waiting = self.disk.keys().filter(|id| self.next_of(id) == day);
+            waiting.any(|id| !ids.contains(id))
+        };
+        let mut own_days = ids
+            .iter()
+            .filter(|id| self.disk.contains_key(id))
+            .map(|id| self.next_of(id))
+            .filter(|&day| day > reached && day != usize::MAX);
+        let past_own_day = evict_needed > 0 && own_days.any(|day| !shared(day));
+        self.walks_past_own_day += usize::from(past_own_day);
     }
 
     fn handle(&mut self, seq: usize, r: &Request) -> (Decision, DecisionDetail) {
@@ -196,10 +238,6 @@ impl NaivePsychic {
             0 => (now - start) as f64,
             _ => self.mean_residency_ms,
         };
-        let value = |id: &ChunkId| -> f64 {
-            let times = self.future[id].iter().take(self.n);
-            times.map(|&(_, t)| age / ((t - now) as f64).max(1.0)).sum()
-        };
         // Belady: the largest (next sequence number or ∞, ChunkId) first.
         let evict_needed = (self.disk.len() + missing.len()).saturating_sub(self.capacity);
         let mut victims: Vec<ChunkId> = Vec::new();
@@ -208,12 +246,18 @@ impl NaivePsychic {
                 .disk
                 .keys()
                 .filter(|id| !ids.contains(id) && !victims.contains(id))
-                .max_by_key(|id| (self.future[*id].first().map_or(usize::MAX, |o| o.0), **id));
+                .max_by_key(|id| (self.next_of(id), **id));
             match farthest {
                 Some(&id) => victims.push(id),
                 None => break,
             }
         }
+        self.note_walk(&ids, &victims, evict_needed);
+        self.picked.clone_from(&victims);
+        let value = |id: &ChunkId| -> f64 {
+            let times = self.future[id].iter().take(self.n);
+            times.map(|&(_, t)| age / ((t - now) as f64).max(1.0)).sum()
+        };
         let mut detail = DecisionDetail::age_only(age);
         let serve = self.disk.len() < self.capacity || missing.is_empty() || {
             let min_cost = self.costs.min_cost();
@@ -250,51 +294,126 @@ impl NaivePsychic {
     }
 }
 
+/// What the cases of `psychic_matches_reference` went through.
+#[derive(Debug, Default)]
+struct PsychicCoverage {
+    ties_never: usize,
+    ties_same_request: usize,
+    oversized: usize,
+    walks_never_and_two_days: usize,
+    walks_past_own_day: usize,
+    /// Serves that evicted a chunk an earlier redirect had picked as a
+    /// victim and left alone.
+    evicted_after_reprieve: usize,
+}
+
+/// Replays `reqs` through `PsychicCache` and the naive reference and
+/// requires every decision and every cost term to be equal.
+fn psychic_agrees(
+    reqs: &[Request],
+    d: u64,
+    costs: CostModel,
+    n: usize,
+    case: &str,
+    seen: &mut PsychicCoverage,
+) {
+    let cfg = PsychicConfig::new(d, k(), costs).with_future_list_bound(n);
+    let mut cache = PsychicCache::new(cfg, reqs);
+    let mut naive = NaivePsychic::new(d, costs, n, reqs);
+    let mut reprieved: HashSet<ChunkId> = HashSet::new();
+    for (seq, r) in reqs.iter().enumerate() {
+        seen.oversized += usize::from(r.chunk_len(k()) > d);
+        // The tie-breaks an order on integers could get wrong: two cached
+        // never-again chunks, two cached chunks waiting for the same
+        // future request.
+        let mut nexts: Vec<usize> = naive.disk.keys().map(|id| naive.next_of(id)).collect();
+        nexts.sort_unstable();
+        for w in nexts.windows(2).filter(|w| w[0] == w[1]) {
+            if w[0] == usize::MAX {
+                seen.ties_never += 1;
+            } else {
+                seen.ties_same_request += 1;
+            }
+        }
+        let want = naive.handle(seq, r);
+        match &want.0 {
+            Decision::Redirect => reprieved.extend(&naive.picked),
+            Decision::Serve(o) => {
+                let again = o.evicted.iter().filter(|id| reprieved.remove(id)).count();
+                seen.evicted_after_reprieve += usize::from(again > 0);
+            }
+        }
+        let got = cache.handle_request(r);
+        assert_eq!(
+            (got, cache.decision_detail()),
+            want,
+            "case {case} N={n} request #{seq} {r}"
+        );
+        assert_eq!(cache.disk_used_chunks(), naive.disk.len() as u64);
+    }
+    seen.walks_never_and_two_days += naive.walks_never_and_two_days;
+    seen.walks_past_own_day += naive.walks_past_own_day;
+}
+
 #[test]
 fn psychic_matches_reference() {
-    let (mut ties_never, mut ties_same_request, mut oversized) = (0, 0, 0);
+    let mut seen = PsychicCoverage::default();
     for case in 0..CASES {
         let mut rng = DetRng::new(0x11C6 ^ case);
         let reqs = requests(&mut rng);
         let d = disk(&mut rng);
         let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
         for n in [1, 3, 10] {
-            let cfg = PsychicConfig::new(d, k(), costs).with_future_list_bound(n);
-            let mut cache = PsychicCache::new(cfg, &reqs);
-            let mut naive = NaivePsychic::new(d, costs, n, &reqs);
-            for (seq, r) in reqs.iter().enumerate() {
-                oversized += usize::from(r.chunk_len(k()) > d);
-                // The tie-breaks a packed integer key could get wrong: two
-                // cached never-again chunks, two cached chunks waiting for
-                // the same future request.
-                let mut nexts: Vec<usize> = naive
-                    .disk
-                    .keys()
-                    .map(|id| naive.future[id].first().map_or(usize::MAX, |o| o.0))
-                    .collect();
-                nexts.sort_unstable();
-                for w in nexts.windows(2).filter(|w| w[0] == w[1]) {
-                    if w[0] == usize::MAX {
-                        ties_never += 1;
-                    } else {
-                        ties_same_request += 1;
-                    }
-                }
-                let want = naive.handle(seq, r);
-                let got = cache.handle_request(r);
-                assert_eq!(
-                    (got, cache.decision_detail()),
-                    want,
-                    "case {case} N={n} request #{seq} {r}"
-                );
-                assert_eq!(cache.disk_used_chunks(), naive.disk.len() as u64);
-            }
+            psychic_agrees(&reqs, d, costs, n, &case.to_string(), &mut seen);
         }
     }
+    // Long cases: more than 4096 requests and more than 4096 distinct
+    // chunks, so the calendar's two bitmaps (one bit per request, one per
+    // chunk) run three levels deep. Half the requests go to three hot
+    // videos a disk of this size holds a good part of.
+    for (case, d) in [(0u64, 64), (1, 128), (2, 256)] {
+        let mut rng = DetRng::new(0x11C8 ^ case);
+        let mut t = 0u64;
+        let reqs: Vec<Request> = (0..6_000)
+            .map(|_| {
+                let video = match rng.below(2) {
+                    0 => rng.below(100),
+                    _ => rng.below(3),
+                };
+                let start = rng.below(9_000);
+                t += 1 + rng.below(49);
+                Request::new(
+                    VideoId(video),
+                    ByteRange::new(start, start + rng.below(400)).expect("start <= end"),
+                    Timestamp(t),
+                )
+            })
+            .collect();
+        let videos: HashSet<VideoId> = reqs.iter().map(|r| r.video).collect();
+        let chunks: HashSet<ChunkId> = reqs
+            .iter()
+            .flat_map(|r| r.chunk_range(k()).iter().map(|c| ChunkId::new(r.video, c)))
+            .collect();
+        assert!(
+            videos.len() >= 64 && chunks.len() > 4096,
+            "long case {case}"
+        );
+        let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
+        psychic_agrees(&reqs, d, costs, 10, &format!("long {case}"), &mut seen);
+    }
+    let counts = [
+        seen.ties_never,
+        seen.ties_same_request,
+        seen.oversized,
+        seen.walks_never_and_two_days,
+        seen.walks_past_own_day,
+        seen.evicted_after_reprieve,
+    ];
     assert!(
-        ties_never > 0 && ties_same_request > 0 && oversized > 0,
-        "cases must cover both tie kinds and oversized requests: \
-         {ties_never} / {ties_same_request} / {oversized}"
+        counts.iter().all(|&count| count > 0),
+        "cases must cover both tie kinds, oversized requests, victims from never-again and two \
+         future requests at once, a search past a request only the own chunks wait for, and an \
+         eviction after a reprieve: {seen:?}"
     );
 }
 

@@ -274,7 +274,9 @@ impl ReplayObserver for TelemetryObserver {
 ///
 /// The bundle's meta line records the policy, cost model, chunk size,
 /// sample interval and trace identity; its metrics are the policy's
-/// scoped counters/gauges/histograms in registration order.
+/// scoped counters/gauges/histograms in registration order. The policy is
+/// detached again on return: the registry it wrote to is private to this
+/// call.
 pub fn replay_with_telemetry(
     replayer: &Replayer,
     trace: &Trace,
@@ -301,6 +303,7 @@ pub fn replay_with_telemetry(
     observer.meta_entry("trace", Json::Str(trace.meta.name.clone()));
     observer.meta_entry("requests", Json::Int(trace.len() as i128));
     let report = replayer.replay_observed(trace, policy, &mut observer);
+    policy.attach_obs(PolicyObs::noop());
     (report, observer.finish())
 }
 
@@ -378,6 +381,66 @@ mod tests {
         assert!(!bundle.windows.is_empty());
         assert!(!bundle.series.is_empty());
         assert!(!bundle.events.is_empty());
+    }
+
+    /// An xLRU that remembers whether the last handle it was given is
+    /// live, and whether it was while requests arrived.
+    struct Attachment {
+        inner: XlruCache,
+        attached: bool,
+        attached_at_requests: Vec<bool>,
+    }
+
+    impl CachePolicy for Attachment {
+        fn handle_request(&mut self, request: &vcdn_types::Request) -> vcdn_types::Decision {
+            self.attached_at_requests.push(self.attached);
+            self.inner.handle_request(request)
+        }
+        fn name(&self) -> &'static str {
+            self.inner.name()
+        }
+        fn chunk_size(&self) -> ChunkSize {
+            self.inner.chunk_size()
+        }
+        fn costs(&self) -> CostModel {
+            self.inner.costs()
+        }
+        fn disk_used_chunks(&self) -> u64 {
+            self.inner.disk_used_chunks()
+        }
+        fn disk_capacity_chunks(&self) -> u64 {
+            self.inner.disk_capacity_chunks()
+        }
+        fn contains_chunk(&self, chunk: vcdn_types::ChunkId) -> bool {
+            self.inner.contains_chunk(chunk)
+        }
+        fn attach_obs(&mut self, obs: PolicyObs) {
+            self.attached = obs.enabled();
+            self.inner.attach_obs(obs);
+        }
+        fn decision_detail(&self) -> vcdn_core::DecisionDetail {
+            self.inner.decision_detail()
+        }
+    }
+
+    #[test]
+    fn telemetry_replay_detaches_the_policy() {
+        let t = trace();
+        let costs = CostModel::from_alpha(2.0).unwrap();
+        let xlru = || XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
+        let mut policy = Attachment {
+            inner: xlru(),
+            attached: false,
+            attached_at_requests: Vec::new(),
+        };
+        let (_, bundle) =
+            replay_with_telemetry(&replayer(costs), &t, &mut policy, &TelemetryConfig::new());
+        assert_eq!(policy.attached_at_requests, vec![true; t.len()]);
+        assert!(!policy.attached, "the private registry must be let go");
+        // Detaching costs the bundle nothing.
+        let (_, direct) =
+            replay_with_telemetry(&replayer(costs), &t, &mut xlru(), &TelemetryConfig::new());
+        assert_eq!(bundle.to_jsonl(), direct.to_jsonl());
     }
 
     #[test]
