@@ -26,10 +26,7 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::{
-        pop_table::{MAX_CHUNK_INDEX, MIN_IAT_MS},
-        PopTable, RankIndex, NO_HANDLE,
-    },
+    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NO_HANDLE},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -420,11 +417,7 @@ impl CachePolicy for CafeCache {
         let capacity = self.config.cache.disk_chunks;
         let costs = self.config.cache.costs;
         let range = request.chunk_range(k);
-        assert!(
-            range.end < MAX_CHUNK_INDEX,
-            "chunk index {} is beyond the {MAX_CHUNK_INDEX}-chunk bound of a video",
-            range.end
-        );
+        assert_chunk_index(range.end);
         self.replay_start.get_or_insert(now);
         self.handled += 1;
         if self.handled.is_multiple_of(CLEANUP_INTERVAL) {
@@ -583,6 +576,7 @@ impl CachePolicy for CafeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ds::MAX_CHUNK_INDEX;
     use vcdn_types::ByteRange;
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {

@@ -39,9 +39,10 @@ struct Node<K> {
 /// use vcdn_types::Timestamp;
 ///
 /// let mut lru: IndexedLruList<&str> = IndexedLruList::new();
-/// lru.touch("a", Timestamp(1));
+/// assert_eq!(lru.touch("a", Timestamp(1)), None);
 /// lru.touch("b", Timestamp(2));
-/// lru.touch("a", Timestamp(3)); // "a" moves to head
+/// // "a" moves to head; its previous access time comes back.
+/// assert_eq!(lru.touch("a", Timestamp(3)), Some(Timestamp(1)));
 /// assert_eq!(lru.oldest(), Some((&"b", Timestamp(2))));
 /// assert_eq!(lru.pop_oldest(), Some(("b", Timestamp(2))));
 /// assert_eq!(lru.len(), 1);
@@ -116,7 +117,9 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
 
     // lint: hot
     /// Inserts `key` at the head with access time `t`, or moves an existing
-    /// entry to the head and updates its time.
+    /// entry to the head and updates its time; returns the entry's previous
+    /// access time (`None` for a new key), so a read-then-update — Figure 1
+    /// lines 1–2 — is one probe.
     ///
     /// # Panics
     ///
@@ -124,7 +127,7 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
     /// structure keeps times sorted and, per the paper, "insertion of a
     /// \[key\] with an arbitrary access time smaller than list head is not
     /// possible".
-    pub fn touch(&mut self, key: K, t: Timestamp) {
+    pub fn touch(&mut self, key: K, t: Timestamp) -> Option<Timestamp> {
         if let Some(head_t) = self.newest_time() {
             assert!(
                 t >= head_t,
@@ -133,10 +136,9 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
         }
         if let Some(&i) = self.index.get(&key) {
             self.unlink(i);
-            let n = &mut self.nodes[i as usize];
-            n.time = t;
+            let prev = std::mem::replace(&mut self.nodes[i as usize].time, t);
             self.link_front(i);
-            return;
+            return Some(prev);
         }
         let node = Node {
             key,
@@ -157,6 +159,7 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
         };
         self.index.insert(key, i);
         self.link_front(i);
+        None
     }
 
     // lint: hot

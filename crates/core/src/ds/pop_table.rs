@@ -32,11 +32,6 @@ pub const MIN_IAT_MS: f64 = 1.0;
 /// back-reference, "not cached".
 pub const NO_HANDLE: u32 = u32::MAX;
 
-/// Exclusive bound on the chunk indices the directory accepts — the one
-/// [`ChunkId::packed`] documents. A video's run is indexed by chunk
-/// number, so the bound caps a run at 8 MiB however hostile the request.
-pub const MAX_CHUNK_INDEX: u32 = 1 << ChunkId::INDEX_BITS;
-
 /// Slab sentinel for "no interval observed yet" (`IatState.dt = None` in
 /// the old layout): real EWMA values are gaps in milliseconds, ≥ 0.
 const NO_INTERVAL: f64 = -1.0;

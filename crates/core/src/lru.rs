@@ -9,7 +9,7 @@ use vcdn_obs::{DecisionDetail, PolicyObs};
 use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome};
 
 use crate::{
-    ds::IndexedLruList,
+    ds::{assert_chunk_index, ChunkLru},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -32,11 +32,12 @@ use crate::{
 #[derive(Debug, Clone)]
 pub struct LruCache {
     config: CacheConfig,
-    disk: IndexedLruList<ChunkId>,
+    disk: ChunkLru,
     obs: PolicyObs,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffer: the decide path allocates nothing.
-    scratch_missing: Vec<ChunkId>,
+    /// Reusable per-request buffer (the decide path allocates nothing):
+    /// chunk numbers of the request's uncached chunks.
+    scratch_missing: Vec<u32>,
 }
 
 impl LruCache {
@@ -44,7 +45,7 @@ impl LruCache {
     pub fn new(config: CacheConfig) -> Self {
         LruCache {
             config,
-            disk: IndexedLruList::new(),
+            disk: ChunkLru::new(),
             obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             scratch_missing: Vec::new(),
@@ -63,20 +64,31 @@ impl LruCache {
 
 impl CachePolicy for LruCache {
     // lint: hot
+    /// # Panics
+    ///
+    /// Panics if the request reaches chunk index `2^20`
+    /// ([`ChunkId::INDEX_BITS`]; 2 TiB into a video at 2 MiB chunks) or
+    /// beyond: the disk directory is a dense per-video run indexed by
+    /// chunk number, and the bound keeps one stray offset from sizing it.
     fn handle_request(&mut self, request: &Request) -> Decision {
         let k = self.config.chunk_size;
-        self.last_detail = DecisionDetail::age_only(self.cache_age(request.t).as_millis() as f64);
         let range = request.chunk_range(k);
+        assert_chunk_index(range.end);
+        self.last_detail = DecisionDetail::age_only(self.cache_age(request.t).as_millis() as f64);
+        // One directory probe for the request, one slot read per chunk;
+        // hits refresh as they are found (nothing leaves the disk here, so
+        // the slot stays valid).
         let mut hit = 0u64;
         let mut missing = std::mem::take(&mut self.scratch_missing);
         missing.clear();
+        let slot = self.disk.video(request.video);
         for c in range.iter() {
-            let id = ChunkId::new(request.video, c);
-            if self.disk.contains(&id) {
-                hit += 1;
-                self.disk.touch(id, request.t);
-            } else {
-                missing.push(id);
+            match slot.and_then(|s| self.disk.handle(s, c)) {
+                Some(h) => {
+                    hit += 1;
+                    self.disk.touch_handle(h, request.t);
+                }
+                None => missing.push(c),
             }
         }
         // A request larger than the whole disk cannot be fully cached; keep
@@ -87,16 +99,15 @@ impl CachePolicy for LruCache {
         let keep_from = missing
             .len()
             .saturating_sub(self.config.disk_chunks as usize);
-        for (i, id) in missing.iter().enumerate() {
-            if i < keep_from {
-                continue;
-            }
+        for &c in &missing[keep_from..] {
             if self.disk.len() as u64 >= self.config.disk_chunks {
                 if let Some((old, _)) = self.disk.pop_oldest() {
                     evicted.push(old);
                 }
             }
-            self.disk.touch(*id, request.t);
+            // By video, not by `slot`: the eviction above may have released
+            // (and this insert re-creates) the request's own video entry.
+            self.disk.insert(request.video, c, request.t);
         }
         self.scratch_missing = missing;
         let decision = Decision::Serve(ServeOutcome {
@@ -129,7 +140,7 @@ impl CachePolicy for LruCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.disk.contains(&chunk)
+        self.disk.contains(chunk)
     }
 
     fn attach_obs(&mut self, obs: PolicyObs) {
@@ -144,6 +155,7 @@ impl CachePolicy for LruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ds::MAX_CHUNK_INDEX;
     use vcdn_types::{ByteRange, Timestamp, VideoId};
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
@@ -206,6 +218,21 @@ mod tests {
         assert!(c.contains_chunk(ChunkId::new(VideoId(1), 3)));
         assert!(c.contains_chunk(ChunkId::new(VideoId(1), 4)));
         assert!(!c.contains_chunk(ChunkId::new(VideoId(1), 0)));
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index 1048576 is beyond the 1048576-chunk bound of a video")]
+    fn chunk_index_past_the_bound_is_refused() {
+        let mut c = cache(2);
+        // Chunk size 100: byte 104_857_600 is the first of chunk 2^20.
+        c.handle_request(&req(1, 104_857_600, 104_857_600, 1));
+    }
+
+    #[test]
+    fn last_chunk_index_inside_the_bound_is_served() {
+        let mut c = cache(2);
+        c.handle_request(&req(1, 104_857_599, 104_857_599, 1));
+        assert!(c.contains_chunk(ChunkId::new(VideoId(1), MAX_CHUNK_INDEX - 1)));
     }
 
     #[test]

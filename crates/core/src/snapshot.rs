@@ -26,7 +26,7 @@ use vcdn_types::{impl_json_struct, ChunkId, ChunkSize, CostModel, Timestamp, Vid
 
 use crate::{
     cafe::{CafeCache, CafeConfig, WindowPolicy},
-    ds::pop_table::{FREE_STAMP, MAX_CHUNK_INDEX},
+    ds::{pop_table::FREE_STAMP, MAX_CHUNK_INDEX},
     policy::CacheConfig,
     xlru::XlruCache,
 };
@@ -210,6 +210,18 @@ impl XlruCache {
             return Err(SnapshotError::Inconsistent(
                 "tracker entries not oldest-first".into(),
             ));
+        }
+        // What the per-video chunk directory cannot represent (and a hash
+        // map would silently fold into a move-to-head): two entries for
+        // one key, a chunk index past the dense run's bound.
+        if let Some((id, _)) = snap.disk.iter().find(|e| e.0.index >= MAX_CHUNK_INDEX) {
+            return inconsistent(format!("{id}: chunk index beyond {MAX_CHUNK_INDEX}"));
+        }
+        if let Some(id) = duplicate(snap.disk.iter().map(|e| e.0)) {
+            return inconsistent(format!("{id}: two disk entries"));
+        }
+        if let Some(v) = duplicate(snap.tracker.iter().map(|e| e.0)) {
+            return inconsistent(format!("{v}: two tracker entries"));
         }
         Ok(XlruCache::from_parts(
             config,
@@ -423,6 +435,40 @@ mod tests {
         assert!(snap.disk.len() >= 2);
         snap.disk.reverse();
         assert!(XlruCache::restore(&snap).is_err());
+    }
+
+    /// Restores a healthy two-chunk xLRU snapshot after `edit` and returns
+    /// the inconsistency it is refused for.
+    fn xlru_refused(edit: impl FnOnce(&mut XlruSnapshot)) -> String {
+        let mut cache = XlruCache::new(CacheConfig::new(4, k100(), CostModel::balanced()));
+        cache.handle_request(&req(1, 0, 199, 1));
+        let mut snap = cache.snapshot();
+        assert_eq!((snap.disk.len(), snap.tracker.len()), (2, 1));
+        assert!(XlruCache::restore(&snap).is_ok());
+        edit(&mut snap);
+        match XlruCache::restore(&snap) {
+            Err(SnapshotError::Inconsistent(what)) => what,
+            other => panic!("expected an inconsistency, got {:?}", other.map(|_| ())),
+        }
+    }
+
+    #[test]
+    fn xlru_duplicate_disk_chunk_rejected() {
+        let what = xlru_refused(|s| s.disk.push((s.disk[0].0, Timestamp(5))));
+        assert!(what.contains("v1#0: two disk entries"), "{what}");
+    }
+
+    #[test]
+    fn xlru_duplicate_tracker_video_rejected() {
+        let what = xlru_refused(|s| s.tracker.push((VideoId(1), Timestamp(5))));
+        assert!(what.contains("v1: two tracker entries"), "{what}");
+    }
+
+    #[test]
+    fn xlru_chunk_index_past_the_bound_rejected() {
+        let far = ChunkId::new(VideoId(1), MAX_CHUNK_INDEX);
+        let what = xlru_refused(|s| s.disk.push((far, Timestamp(5))));
+        assert!(what.contains("v1#1048576: chunk index beyond"), "{what}");
     }
 
     /// Restores a healthy two-chunk Cafe snapshot after `edit` and returns

@@ -20,7 +20,7 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::IndexedLruList,
+    ds::{assert_chunk_index, ChunkLru, IndexedLruList},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -50,13 +50,15 @@ pub struct XlruCache {
     /// Video popularity tracker: video → last access time.
     tracker: IndexedLruList<VideoId>,
     /// Disk cache: chunk → last access time, LRU-ordered.
-    disk: IndexedLruList<ChunkId>,
+    disk: ChunkLru,
     handled: u64,
     obs: PolicyObs,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffers: the decide path allocates nothing.
-    scratch_present: Vec<ChunkId>,
-    scratch_missing: Vec<ChunkId>,
+    /// Reusable per-request buffers (the decide path allocates nothing):
+    /// disk handles of the request's cached chunks, chunk numbers of the
+    /// others.
+    scratch_present: Vec<u32>,
+    scratch_missing: Vec<u32>,
 }
 
 impl XlruCache {
@@ -65,7 +67,7 @@ impl XlruCache {
         XlruCache {
             config,
             tracker: IndexedLruList::new(),
-            disk: IndexedLruList::new(),
+            disk: ChunkLru::new(),
             handled: 0,
             obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
@@ -108,7 +110,7 @@ impl XlruCache {
 
     /// Disk entries oldest-first (snapshot support).
     pub(crate) fn disk_oldest_first(&self) -> Vec<(ChunkId, Timestamp)> {
-        let mut v: Vec<(ChunkId, Timestamp)> = self.disk.iter().map(|(id, t)| (*id, t)).collect();
+        let mut v: Vec<(ChunkId, Timestamp)> = self.disk.iter().collect();
         v.reverse();
         v
     }
@@ -126,8 +128,9 @@ impl XlruCache {
         self.handled
     }
 
-    /// Rebuilds a cache from persisted parts; entries must be oldest-first
-    /// (validated by the snapshot layer).
+    /// Rebuilds a cache from persisted parts; entries must be oldest-first,
+    /// without duplicates and inside the chunk-index bound (validated by
+    /// the snapshot layer).
     pub(crate) fn from_parts(
         config: CacheConfig,
         disk: &[(ChunkId, Timestamp)],
@@ -145,7 +148,8 @@ impl XlruCache {
                 (None, _) => false,
             };
             if take_disk {
-                cache.disk.touch(disk[di].0, disk[di].1);
+                let (id, t) = disk[di];
+                cache.disk.insert(id.video, id.index, t);
                 di += 1;
             } else {
                 cache.tracker.touch(tracker[ti].0, tracker[ti].1);
@@ -174,29 +178,35 @@ impl XlruCache {
 
 impl CachePolicy for XlruCache {
     // lint: hot
+    /// # Panics
+    ///
+    /// Panics if the request reaches chunk index `2^20`
+    /// ([`ChunkId::INDEX_BITS`]; 2 TiB into a video at 2 MiB chunks) or
+    /// beyond: the disk directory is a dense per-video run indexed by
+    /// chunk number, and the bound keeps one stray offset from sizing it.
     fn handle_request(&mut self, request: &Request) -> Decision {
         let now = request.t;
         let k = self.config.chunk_size;
+        let range = request.chunk_range(k);
+        assert_chunk_index(range.end);
         self.handled += 1;
         if self.handled.is_multiple_of(CLEANUP_INTERVAL) {
             self.cleanup_tracker(now);
         }
 
         // Lines 1–2 of Figure 1: read then update the popularity tracker.
-        let prev = self.tracker.last_access(&request.video);
-        self.tracker.touch(request.video, now);
+        let prev = self.tracker.touch(request.video, now);
 
+        // One directory probe for the request, one slot read per chunk.
         let mut present = std::mem::take(&mut self.scratch_present);
         let mut missing = std::mem::take(&mut self.scratch_missing);
         present.clear();
         missing.clear();
-        let range = request.chunk_range(k);
+        let slot = self.disk.video(request.video);
         for c in range.iter() {
-            let id = ChunkId::new(request.video, c);
-            if self.disk.contains(&id) {
-                present.push(id);
-            } else {
-                missing.push(id);
+            match slot.and_then(|s| self.disk.handle(s, c)) {
+                Some(h) => present.push(h),
+                None => missing.push(c),
             }
         }
 
@@ -217,9 +227,9 @@ impl CachePolicy for XlruCache {
             Decision::Redirect // lines 3–4
         } else {
             // Serve: refresh hits first so eviction targets genuinely old
-            // data.
-            for id in &present {
-                self.disk.touch(*id, now);
+            // data. Handles stay valid here: nothing has left the disk yet.
+            for &h in &present {
+                self.disk.touch_handle(h, now);
             }
             // Lines 5–7: evict the oldest |missing| chunks, fill the
             // misses. Requests larger than the whole disk keep only their
@@ -228,16 +238,16 @@ impl CachePolicy for XlruCache {
             let keep_from = missing
                 .len()
                 .saturating_sub(self.config.disk_chunks as usize);
-            for (i, id) in missing.iter().enumerate() {
-                if i < keep_from {
-                    continue;
-                }
+            for &c in &missing[keep_from..] {
                 if self.disk.len() as u64 >= self.config.disk_chunks {
                     if let Some((old, _)) = self.disk.pop_oldest() {
                         evicted.push(old);
                     }
                 }
-                self.disk.touch(*id, now);
+                // By video, not by `slot`: the eviction above may have
+                // released (and this insert re-creates) the request's own
+                // video entry.
+                self.disk.insert(request.video, c, now);
             }
             Decision::Serve(ServeOutcome {
                 hit_chunks: present.len() as u64,
@@ -272,7 +282,7 @@ impl CachePolicy for XlruCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.disk.contains(&chunk)
+        self.disk.contains(chunk)
     }
 
     fn attach_obs(&mut self, obs: PolicyObs) {
@@ -287,6 +297,7 @@ impl CachePolicy for XlruCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::ds::MAX_CHUNK_INDEX;
     use vcdn_types::ByteRange;
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
@@ -451,6 +462,38 @@ mod tests {
         // Redirected request for video 1's chunk must not refresh it.
         assert!(c.handle_request(&req(3, 0, 99, 50)).is_redirect());
         assert_eq!(c.cache_age(Timestamp(100)), age_before);
+    }
+
+    #[test]
+    #[should_panic(expected = "chunk index 1048576 is beyond the 1048576-chunk bound of a video")]
+    fn chunk_index_past_the_bound_is_refused() {
+        let mut c = cache(2, 1.0);
+        // Chunk size 100: byte 104_857_600 is the first of chunk 2^20.
+        c.handle_request(&req(1, 104_857_600, 104_857_600, 1));
+    }
+
+    #[test]
+    fn last_chunk_index_inside_the_bound_is_served() {
+        let mut c = cache(2, 1.0);
+        assert!(c
+            .handle_request(&req(1, 104_857_599, 104_857_599, 1))
+            .is_serve());
+        assert!(c.contains_chunk(ChunkId::new(VideoId(1), MAX_CHUNK_INDEX - 1)));
+    }
+
+    #[test]
+    fn serve_that_evicts_its_own_video_keeps_the_directory_whole() {
+        // Disk of one chunk: serving v1#1 evicts v1#0, the video's only
+        // cached chunk, so its directory entry is released and re-created
+        // within one request.
+        let mut c = cache(1, 1.0);
+        assert!(c.handle_request(&req(1, 0, 99, 1)).is_serve());
+        let d = c.handle_request(&req(1, 100, 199, 2));
+        let o = d.serve_outcome().unwrap();
+        assert_eq!(o.evicted, vec![ChunkId::new(VideoId(1), 0)]);
+        assert!(c.contains_chunk(ChunkId::new(VideoId(1), 1)));
+        assert!(!c.contains_chunk(ChunkId::new(VideoId(1), 0)));
+        c.disk.audit();
     }
 
     #[test]

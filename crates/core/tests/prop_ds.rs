@@ -6,9 +6,9 @@
 
 use std::collections::BTreeSet;
 
-use vcdn_core::ds::{BitTree, IndexedLruList, KeyedSet};
+use vcdn_core::ds::{BitTree, ChunkLru, IndexedLruList, KeyedSet};
 use vcdn_trace::rng::DetRng;
-use vcdn_types::Timestamp;
+use vcdn_types::{ChunkId, Timestamp, VideoId};
 
 /// Operations applicable to both the LRU list and its reference model.
 #[derive(Debug, Clone)]
@@ -68,6 +68,57 @@ fn lru_list_matches_model() {
             );
             let got: Vec<(u8, Timestamp)> = lru.iter().map(|(k, t)| (*k, t)).collect();
             assert_eq!(got, model, "case {case}");
+        }
+    }
+}
+
+/// `IndexedLruList::touch` spelled in `ChunkLru`'s vocabulary: one
+/// directory probe, a slot read, then a refresh or an insert.
+fn chunk_lru_touch(lru: &mut ChunkLru, id: ChunkId, t: Timestamp) {
+    match lru
+        .video(id.video)
+        .and_then(|slot| lru.handle(slot, id.index))
+    {
+        Some(h) => lru.touch_handle(h, t),
+        None => lru.insert(id.video, id.index, t),
+    }
+}
+
+#[test]
+fn chunk_lru_matches_lru_list() {
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0xC4_18A7 ^ case);
+        let n_ops = 1 + rng.below(600) as usize;
+        // Few videos and few chunks: entries empty out and are re-created,
+        // runs have gaps, and pops often land on the touched video.
+        let videos = 1 + rng.below(6);
+        let chunks = 1 + rng.below(8);
+        let mut lru = ChunkLru::new();
+        let mut list: IndexedLruList<ChunkId> = IndexedLruList::new();
+        let mut clock = 0u64;
+        for step in 0..n_ops {
+            // Time advances on some steps only: equal stamps are legal.
+            clock += rng.below(2);
+            let t = Timestamp(clock);
+            let id = ChunkId::new(VideoId(rng.below(videos)), rng.below(chunks) as u32);
+            if rng.below(3) < 2 {
+                chunk_lru_touch(&mut lru, id, t);
+                list.touch(id, t);
+            } else {
+                assert_eq!(lru.pop_oldest(), list.pop_oldest(), "case {case}");
+            }
+            let at = || format!("case {case} step {step}");
+            assert_eq!(lru.len(), list.len(), "{}", at());
+            assert_eq!(lru.is_empty(), list.is_empty(), "{}", at());
+            assert_eq!(lru.contains(id), list.contains(&id), "{}", at());
+            assert_eq!(
+                lru.oldest(),
+                list.oldest().map(|(k, t)| (*k, t)),
+                "{}",
+                at()
+            );
+            assert!(lru.iter().eq(list.iter().map(|(k, t)| (*k, t))), "{}", at());
+            lru.audit();
         }
     }
 }

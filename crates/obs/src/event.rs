@@ -224,7 +224,10 @@ impl EventRing {
             self.buf.push(event);
         } else {
             self.buf[self.head] = event;
-            self.head = (self.head + 1) % self.capacity;
+            self.head += 1;
+            if self.head == self.capacity {
+                self.head = 0;
+            }
             self.dropped += 1;
         }
     }
@@ -286,6 +289,19 @@ mod tests {
         assert_eq!(seqs, vec![7, 8, 9]);
         assert_eq!(ring.dropped(), 7);
         assert_eq!(ring.len(), 3);
+    }
+
+    #[test]
+    fn ring_wraps_at_every_phase() {
+        for capacity in 1..5usize {
+            let mut ring = EventRing::new(capacity);
+            for seq in 0..13u64 {
+                ring.push(event(seq));
+                let seqs: Vec<u64> = ring.iter_oldest_first().map(|e| e.seq).collect();
+                let first = (seq + 1).saturating_sub(capacity as u64);
+                assert!(seqs.iter().copied().eq(first..=seq), "capacity {capacity}");
+            }
+        }
     }
 
     #[test]

@@ -381,6 +381,10 @@ pub struct WindowRing {
     width_ms: u64,
     retain: usize,
     open: WindowStats,
+    /// The open window's `[start, end)` in ms of trace time: a record
+    /// inside it costs two compares, and only one outside it a division.
+    open_start_ms: u64,
+    open_end_ms: u64,
     open_dirty: bool,
     closed: VecDeque<WindowStats>,
     dropped: u64,
@@ -402,6 +406,8 @@ impl WindowRing {
             width_ms,
             retain,
             open: WindowStats::empty(0),
+            open_start_ms: 0,
+            open_end_ms: width_ms,
             open_dirty: false,
             closed: VecDeque::new(),
             dropped: 0,
@@ -440,6 +446,10 @@ impl WindowRing {
     fn close_open(&mut self, on_close: &mut dyn FnMut(&WindowStats)) {
         let next = WindowStats::empty(self.open.index + 1);
         let done = std::mem::replace(&mut self.open, next);
+        // Saturation only meets windows no `u64` time can reach, which the
+        // order and grid checks in `record` refuse as before.
+        self.open_start_ms = self.open.index.saturating_mul(self.width_ms);
+        self.open_end_ms = self.open_start_ms.saturating_add(self.width_ms);
         on_close(&done);
         self.closed.push_back(done);
         if self.closed.len() > self.retain {
@@ -460,20 +470,22 @@ impl WindowRing {
     /// in window [`MAX_WINDOWS`] or later ("exceeds MAX_WINDOWS"): a
     /// far-future timestamp is refused at once, not walked to.
     pub fn record(&mut self, input: &WindowInput, on_close: &mut dyn FnMut(&WindowStats)) {
-        let index = input.t_ms / self.width_ms;
-        assert!(
-            index >= self.open.index,
-            "window ring fed out of order: t={}ms before window start {}ms",
-            input.t_ms,
-            self.open.index.saturating_mul(self.width_ms)
-        );
-        self.saw_request = true;
-        if index > self.open.index {
-            assert_window_in_grid(index, input.t_ms, self.width_ms);
-            while self.open.index < index {
-                self.close_open(on_close);
+        if input.t_ms < self.open_start_ms || input.t_ms >= self.open_end_ms {
+            let index = input.t_ms / self.width_ms;
+            assert!(
+                index >= self.open.index,
+                "window ring fed out of order: t={}ms before window start {}ms",
+                input.t_ms,
+                self.open.index.saturating_mul(self.width_ms)
+            );
+            if index > self.open.index {
+                assert_window_in_grid(index, input.t_ms, self.width_ms);
+                while self.open.index < index {
+                    self.close_open(on_close);
+                }
             }
         }
+        self.saw_request = true;
         let w = &mut self.open;
         w.traffic.record_hit(input.hit_bytes);
         w.traffic.record_fill(input.fill_bytes);
@@ -681,6 +693,47 @@ mod tests {
         let mut ring = WindowRing::new(100, 4);
         feed(&mut ring, 500, 1, 0);
         feed(&mut ring, 10, 1, 0);
+    }
+
+    #[test]
+    #[should_panic(expected = "before window start 200ms")]
+    fn time_reversal_after_a_flush_is_rejected() {
+        // `finish` opens window 2; the last instant of window 1 is behind it.
+        let mut ring = WindowRing::new(100, 4);
+        feed(&mut ring, 150, 1, 0);
+        ring.finish(&mut |_| {});
+        feed(&mut ring, 199, 1, 0);
+    }
+
+    #[test]
+    fn window_edges_fall_where_the_division_put_them() {
+        // Last instant of a window, first of the next, across a flush, and
+        // a width no multiple of which fits in a u64.
+        let mut ring = WindowRing::new(100, 8);
+        for t in [0, 99, 100, 199] {
+            feed(&mut ring, t, 1, 0);
+        }
+        ring.finish(&mut |_| {});
+        for t in [200, 299, 300] {
+            feed(&mut ring, t, 1, 0);
+        }
+        let per_window: Vec<(u64, u64)> = ring
+            .snapshot_windows()
+            .iter()
+            .map(|w| (w.index, w.traffic.hit_bytes))
+            .collect();
+        assert_eq!(per_window, vec![(0, 2), (1, 2), (2, 2), (3, 1)]);
+
+        let mut wide = WindowRing::new(u64::MAX - 1, 2);
+        for t in [0, u64::MAX - 2, u64::MAX - 1, u64::MAX] {
+            feed(&mut wide, t, 1, 0);
+        }
+        let per_window: Vec<(u64, u64)> = wide
+            .snapshot_windows()
+            .iter()
+            .map(|w| (w.index, w.traffic.hit_bytes))
+            .collect();
+        assert_eq!(per_window, vec![(0, 2), (1, 2)]);
     }
 
     #[test]

@@ -74,6 +74,11 @@ impl From<std::io::Error> for BinTraceError {
 /// Upper bound on header string lengths (sanity check against garbage).
 const MAX_STRING: u32 = 1 << 16;
 
+/// Read-buffer size of [`load_binary`]: large enough that a record read is
+/// a copy out of the buffer, small enough that the file is never resident
+/// beside the decoded trace.
+const READ_BUFFER: usize = 64 << 10;
+
 fn write_u32(w: &mut impl Write, v: u32) -> std::io::Result<()> {
     w.write_all(&v.to_le_bytes())
 }
@@ -124,7 +129,7 @@ pub fn save_binary(trace: &Trace, path: &Path) -> Result<(), BinTraceError> {
 /// Loads a trace saved by [`save_binary`], validating structure, record
 /// sanity and the checksum.
 pub fn load_binary(path: &Path) -> Result<Trace, BinTraceError> {
-    let mut r = BufReader::new(File::open(path)?);
+    let mut r = BufReader::with_capacity(READ_BUFFER, File::open(path)?);
     let mut magic = [0u8; 4];
     r.read_exact(&mut magic)?;
     if &magic != MAGIC {
@@ -155,9 +160,12 @@ pub fn load_binary(path: &Path) -> Result<Trace, BinTraceError> {
     let mut checksum = 0u64;
     let mut last_t = 0u64;
     for index in 0..count {
+        // One read per record, not per word.
+        let mut record = [0u8; 32];
+        r.read_exact(&mut record)?;
         let mut words = [0u64; 4];
-        for wd in &mut words {
-            *wd = read_u64(&mut r)?;
+        for (wd, bytes) in words.iter_mut().zip(record.as_chunks::<8>().0) {
+            *wd = u64::from_le_bytes(*bytes);
             checksum ^= wd.rotate_left((checksum % 63) as u32);
         }
         let [video, start, end, t] = words;
@@ -289,6 +297,51 @@ mod tests {
         let bytes = std::fs::read(&p).expect("read");
         std::fs::write(&p, &bytes[..bytes.len() - 9]).expect("rewrite");
         assert!(load_binary(&p).is_err(), "truncation not detected");
+        std::fs::remove_file(&p).ok();
+    }
+
+    /// The bytes of a four-request trace saved at `p`, and the offset of
+    /// its first record.
+    fn small(p: &Path) -> (Vec<u8>, usize) {
+        let mut t = sample();
+        t.requests.truncate(4);
+        save_binary(&t, p).expect("save");
+        let bytes = std::fs::read(p).expect("read");
+        let records = bytes.len() - 8 - 32 * t.len();
+        (bytes, records)
+    }
+
+    #[test]
+    fn truncation_at_every_offset_is_an_error() {
+        let p = tmp("every-offset.vctb");
+        let (bytes, _) = small(&p);
+        for len in 0..bytes.len() {
+            std::fs::write(&p, &bytes[..len]).expect("rewrite");
+            assert!(load_binary(&p).is_err(), "{len} of {} bytes", bytes.len());
+        }
+        std::fs::write(&p, &bytes).expect("rewrite");
+        assert!(load_binary(&p).is_ok());
+        std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn any_flipped_record_bit_is_caught() {
+        let p = tmp("every-bit.vctb");
+        let (mut bytes, records) = small(&p);
+        for at in records..bytes.len() - 8 {
+            for bit in 0..8 {
+                bytes[at] ^= 1 << bit;
+                std::fs::write(&p, &bytes).expect("rewrite");
+                assert!(
+                    matches!(
+                        load_binary(&p),
+                        Err(BinTraceError::ChecksumMismatch | BinTraceError::CorruptRecord { .. })
+                    ),
+                    "byte {at} bit {bit}"
+                );
+                bytes[at] ^= 1 << bit;
+            }
+        }
         std::fs::remove_file(&p).ok();
     }
 
