@@ -11,7 +11,7 @@
 //! regardless of worker count or machine. See `OBSERVABILITY.md` for the
 //! line-by-line schema.
 
-use vcdn_types::json::{Json, ToJson};
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::CostModel;
 
 use crate::detect::AlertEvent;
@@ -24,22 +24,19 @@ use crate::window::{WindowRecord, WindowStats};
 /// Schema tag written into every bundle's meta line.
 pub const SCHEMA: &str = "vcdn-telemetry/1";
 
-impl ToJson for MetricSnapshot {
-    fn to_json(&self) -> Json {
-        let mut fields = vec![
-            ("type".into(), Json::Str("metric".into())),
-            ("name".into(), Json::Str(self.name.clone())),
-            ("kind".into(), Json::Str(self.kind.name().into())),
-            ("value".into(), Json::Int(self.value as i128)),
-        ];
-        if let Some(hist) = &self.histogram {
-            fields.push(("sum".into(), Json::Int(hist.sum as i128)));
-            fields.push((
-                "buckets".into(),
-                Json::Arr(hist.buckets.iter().map(|&b| Json::Int(b as i128)).collect()),
-            ));
+impl MetricSnapshot {
+    /// Appends this metric's bundle line (newline included) to `out`.
+    pub fn write_line(&self, out: &mut String) {
+        let obj = ObjectWriter::new(out)
+            .str("type", "metric")
+            .str("name", &self.name)
+            .str("kind", self.kind.name())
+            .u64("value", self.value);
+        match &self.histogram {
+            Some(hist) => obj.u64("sum", hist.sum).u64s("buckets", &hist.buckets),
+            None => obj,
         }
-        Json::Obj(fields)
+        .finish_line();
     }
 }
 
@@ -95,61 +92,38 @@ impl TelemetryBundle {
         self.windows_dropped = dropped;
     }
 
-    /// The bundle's meta line as a JSON object.
-    fn meta_json(&self) -> Json {
-        let mut fields = vec![
-            ("type".into(), Json::Str("meta".into())),
-            ("schema".into(), Json::Str(SCHEMA.into())),
-        ];
-        fields.extend(self.meta.iter().cloned());
-        fields.push(("metrics".into(), Json::Int(self.metrics.len() as i128)));
-        fields.push(("topk".into(), Json::Int(self.topk.len() as i128)));
-        fields.push(("windows".into(), Json::Int(self.windows.len() as i128)));
-        fields.push((
-            "windows_dropped".into(),
-            Json::Int(self.windows_dropped as i128),
-        ));
-        fields.push(("alerts".into(), Json::Int(self.alerts.len() as i128)));
-        fields.push(("samples".into(), Json::Int(self.series.len() as i128)));
-        fields.push(("events".into(), Json::Int(self.events.len() as i128)));
-        fields.push((
-            "events_dropped".into(),
-            Json::Int(self.events_dropped as i128),
-        ));
-        Json::Obj(fields)
+    /// Appends the bundle's meta line: the schema tag, the caller's
+    /// entries, then the section counts.
+    fn write_meta_line(&self, out: &mut String) {
+        let head = ObjectWriter::new(out)
+            .str("type", "meta")
+            .str("schema", SCHEMA);
+        (self.meta.iter())
+            .fold(head, |obj, (key, value)| obj.raw(key, value))
+            .u64("metrics", self.metrics.len() as u64)
+            .u64("topk", self.topk.len() as u64)
+            .u64("windows", self.windows.len() as u64)
+            .u64("windows_dropped", self.windows_dropped)
+            .u64("alerts", self.alerts.len() as u64)
+            .u64("samples", self.series.len() as u64)
+            .u64("events", self.events.len() as u64)
+            .u64("events_dropped", self.events_dropped)
+            .finish_line();
     }
 
     /// Serialises the bundle: one JSON object per line, trailing newline,
     /// fixed order (meta, metrics, topk, windows, alerts, samples,
-    /// events).
+    /// events). Every line is written straight into the output — no
+    /// [`Json`] tree is built.
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
-        out.push_str(&self.meta_json().to_string());
-        out.push('\n');
-        for metric in &self.metrics {
-            out.push_str(&metric.to_json().to_string());
-            out.push('\n');
-        }
-        for record in &self.topk {
-            out.push_str(&record.to_json().to_string());
-            out.push('\n');
-        }
-        for window in &self.windows {
-            out.push_str(&window.to_json().to_string());
-            out.push('\n');
-        }
-        for alert in &self.alerts {
-            out.push_str(&alert.to_json().to_string());
-            out.push('\n');
-        }
-        for sample in &self.series {
-            out.push_str(&sample.to_json().to_string());
-            out.push('\n');
-        }
-        for event in &self.events {
-            out.push_str(&event.to_json().to_string());
-            out.push('\n');
-        }
+        self.write_meta_line(&mut out);
+        self.metrics.iter().for_each(|m| m.write_line(&mut out));
+        self.topk.iter().for_each(|r| r.write_line(&mut out));
+        self.windows.iter().for_each(|w| w.write_line(&mut out));
+        self.alerts.iter().for_each(|a| a.write_line(&mut out));
+        self.series.iter().for_each(|s| s.write_line(&mut out));
+        self.events.iter().for_each(|e| e.write_line(&mut out));
         out
     }
 }

@@ -27,7 +27,7 @@
 //! they carry no signal, and letting them zero an EWMA would fire false
 //! efficiency-drop alerts on every traffic gap.
 
-use vcdn_types::json::{Json, ToJson};
+use vcdn_types::json::ObjectWriter;
 use vcdn_types::CostModel;
 
 use crate::window::WindowStats;
@@ -300,16 +300,17 @@ pub struct AlertEvent {
     pub observed: f64,
 }
 
-impl ToJson for AlertEvent {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("type".into(), Json::Str("alert".into())),
-            ("window".into(), Json::Int(self.window as i128)),
-            ("rule".into(), Json::Str(self.rule.clone())),
-            ("severity".into(), Json::Str(self.severity.name().into())),
-            ("baseline".into(), Json::Float(self.baseline)),
-            ("observed".into(), Json::Float(self.observed)),
-        ])
+impl AlertEvent {
+    /// Appends this alert's bundle line (newline included) to `out`.
+    pub fn write_line(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .str("type", "alert")
+            .u64("window", self.window)
+            .str("rule", &self.rule)
+            .str("severity", self.severity.name())
+            .f64("baseline", self.baseline)
+            .f64("observed", self.observed)
+            .finish_line();
     }
 }
 
@@ -434,6 +435,7 @@ pub fn render_alert_log(alerts: &[AlertEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcdn_types::json::Json;
 
     fn window(index: u64, hit: u64, redirect: u64) -> WindowStats {
         let mut w = WindowStats::empty(index);
@@ -582,8 +584,9 @@ mod tests {
             baseline: 0.75,
             observed: 0.41,
         };
-        let j = a.to_json().to_string();
-        let parsed = vcdn_types::json::parse(&j).unwrap();
+        let mut line = String::new();
+        a.write_line(&mut line);
+        let parsed = vcdn_types::json::parse(&line).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("alert"));
         assert_eq!(parsed.get("window"), Some(&Json::Int(7)));
         assert_eq!(

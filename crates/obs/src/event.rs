@@ -10,7 +10,7 @@
 //! bounded buffer that keeps the most recent `capacity` events and counts
 //! what it dropped, so tracing a month-long replay has fixed memory cost.
 
-use vcdn_types::json::{Json, ToJson};
+use vcdn_types::json::ObjectWriter;
 use vcdn_types::Request;
 
 /// The cost/age detail a policy computed for its most recent decision.
@@ -135,10 +135,9 @@ impl DecisionEvent {
             evicted,
         }
     }
-}
 
-impl ToJson for DecisionEvent {
-    fn to_json(&self) -> Json {
+    /// Appends this event's bundle line (newline included) to `out`.
+    pub fn write_line(&self, out: &mut String) {
         let (hit, fill) = match self.verdict {
             Verdict::Serve {
                 hit_chunks,
@@ -146,22 +145,22 @@ impl ToJson for DecisionEvent {
             } => (hit_chunks, filled_chunks),
             Verdict::Redirect => (0, 0),
         };
-        Json::Obj(vec![
-            ("type".into(), Json::Str("event".into())),
-            ("seq".into(), Json::Int(self.seq as i128)),
-            ("t_ms".into(), Json::Int(self.t_ms as i128)),
-            ("video".into(), Json::Int(self.video as i128)),
-            ("chunk".into(), Json::Int(self.chunk as i128)),
-            ("chunks".into(), Json::Int(self.chunks as i128)),
-            ("policy".into(), Json::Str(self.policy.into())),
-            ("verdict".into(), Json::Str(self.verdict.name().into())),
-            ("hit_chunks".into(), Json::Int(hit as i128)),
-            ("fill_chunks".into(), Json::Int(fill as i128)),
-            ("cost_serve".into(), self.cost_serve.to_json()),
-            ("cost_redirect".into(), self.cost_redirect.to_json()),
-            ("cache_age_ms".into(), self.cache_age_ms.to_json()),
-            ("evicted".into(), Json::Int(self.evicted as i128)),
-        ])
+        ObjectWriter::new(out)
+            .str("type", "event")
+            .u64("seq", self.seq)
+            .u64("t_ms", self.t_ms)
+            .u64("video", self.video)
+            .u64("chunk", self.chunk.into())
+            .u64("chunks", self.chunks.into())
+            .str("policy", self.policy)
+            .str("verdict", self.verdict.name())
+            .u64("hit_chunks", hit)
+            .u64("fill_chunks", fill)
+            .opt_f64("cost_serve", self.cost_serve)
+            .opt_f64("cost_redirect", self.cost_redirect)
+            .opt_f64("cache_age_ms", self.cache_age_ms)
+            .u64("evicted", self.evicted)
+            .finish_line();
     }
 }
 
@@ -258,7 +257,7 @@ impl EventRing {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use vcdn_types::json;
+    use vcdn_types::json::{self, Json};
 
     fn event(seq: u64) -> DecisionEvent {
         DecisionEvent {
@@ -277,6 +276,12 @@ mod tests {
             cache_age_ms: Some(100.0),
             evicted: 1,
         }
+    }
+
+    fn parse_line(e: &DecisionEvent) -> Json {
+        let mut line = String::new();
+        e.write_line(&mut line);
+        json::parse(&line).unwrap()
     }
 
     #[test]
@@ -316,8 +321,7 @@ mod tests {
 
     #[test]
     fn event_serialises_with_stable_fields() {
-        let j = event(4).to_json();
-        let parsed = json::parse(&j.to_string()).unwrap();
+        let parsed = parse_line(&event(4));
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("event"));
         assert_eq!(parsed.get("verdict").and_then(Json::as_str), Some("serve"));
         assert_eq!(parsed.get("seq"), Some(&Json::Int(4)));
@@ -334,7 +338,7 @@ mod tests {
             cache_age_ms: None,
             ..event(1)
         };
-        let parsed = json::parse(&e.to_json().to_string()).unwrap();
+        let parsed = parse_line(&e);
         assert_eq!(
             parsed.get("verdict").and_then(Json::as_str),
             Some("redirect")

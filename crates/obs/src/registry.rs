@@ -5,10 +5,11 @@
 //!
 //! 1. **Lock-free on the hot path.** Every update
 //!    ([`MetricsSink::counter_add`], [`MetricsSink::gauge_set`],
-//!    [`MetricsSink::observe`]) is a single atomic RMW on a pre-allocated
-//!    slot — no locks, no allocation, no branching beyond the bounds
-//!    check. Only [`MetricsSink::register`] (called at attach time, never
-//!    per request) takes a mutex.
+//!    [`MetricsSink::observe`]) is at most two atomic operations on a
+//!    pre-allocated slot — no locks, no allocation — and an update that
+//!    would change nothing (adding 0) is no atomic at all: a served hit is
+//!    three read-modify-writes, not six. Only [`MetricsSink::register`]
+//!    (called at attach time, never per request) takes a mutex.
 //! 2. **Zero cost when disabled.** [`NoopSink`] answers
 //!    [`MetricsSink::enabled`] with `false`; instrumented code gates its
 //!    bookkeeping on that flag, so a bench replay with the no-op sink
@@ -21,7 +22,7 @@
 //!    deterministic exports.
 
 use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
-use std::sync::{Arc, Mutex};
+use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 
@@ -77,7 +78,7 @@ impl MetricId {
 /// The sink instrumented code writes through.
 ///
 /// The hot-path methods take `&self` and must be cheap and thread-safe;
-/// [`MetricsRegistry`] implements them as single atomic operations.
+/// [`MetricsRegistry`] implements them as one or two atomic operations.
 /// Instrumented code holds an `Arc<dyn MetricsSink>` plus the
 /// [`MetricId`]s it registered up front.
 pub trait MetricsSink: Send + Sync {
@@ -111,12 +112,8 @@ pub struct NoopSink;
 impl NoopSink {
     /// A shared no-op sink.
     pub fn shared() -> Arc<NoopSink> {
-        static SHARED: Mutex<Option<Arc<NoopSink>>> = Mutex::new(None);
-        SHARED
-            .lock()
-            .expect("noop sink mutex poisoned")
-            .get_or_insert_with(|| Arc::new(NoopSink))
-            .clone()
+        static SHARED: OnceLock<Arc<NoopSink>> = OnceLock::new();
+        SHARED.get_or_init(|| Arc::new(NoopSink)).clone()
     }
 }
 
@@ -138,8 +135,9 @@ impl MetricsSink for NoopSink {
 
 /// One metric's pre-allocated atomic storage.
 ///
-/// Counters and gauges use `value`; histograms use `value` as the sample
-/// count, `sum` as the sample sum, and the per-bucket counts.
+/// Counters and gauges use `value`; histograms use `sum` as the sample sum
+/// and the per-bucket counts — their sample count is the sum of the
+/// buckets, so a reader can never see the two disagree.
 struct Slot {
     value: AtomicU64,
     sum: AtomicU64,
@@ -282,25 +280,27 @@ impl MetricsRegistry {
             .filter(|(_, (_, kind))| !deterministic_only || kind.deterministic())
             .map(|(i, (name, kind))| {
                 let slot = &self.slots[i + 1];
-                let histogram = match kind {
-                    MetricKind::Histogram | MetricKind::TimingHistogram => {
-                        Some(HistogramSnapshot {
-                            count: slot.value.load(Ordering::Acquire),
-                            sum: slot.sum.load(Ordering::Acquire),
-                            buckets: slot
-                                .buckets
-                                .iter()
-                                .map(|b| b.load(Ordering::Acquire))
-                                .collect(),
-                        })
+                let sum = slot.sum.load(Ordering::Acquire);
+                let is_histogram =
+                    matches!(kind, MetricKind::Histogram | MetricKind::TimingHistogram);
+                let histogram = is_histogram.then(|| {
+                    let buckets: Vec<u64> = (slot.buckets.iter())
+                        .map(|b| b.load(Ordering::Acquire))
+                        .collect();
+                    HistogramSnapshot {
+                        count: buckets.iter().sum(),
+                        sum,
+                        buckets,
                     }
-                    _ => None,
-                };
+                });
                 MetricSnapshot {
                     name: name.clone(),
                     kind: *kind,
-                    value: slot.value.load(Ordering::Acquire),
-                    sum: slot.sum.load(Ordering::Acquire),
+                    value: match &histogram {
+                        Some(hist) => hist.count,
+                        None => slot.value.load(Ordering::Acquire),
+                    },
+                    sum,
                     histogram,
                 }
             })
@@ -364,22 +364,29 @@ impl MetricsSink for MetricsRegistry {
         MetricId(next as u32)
     }
 
+    // lint: hot
     fn counter_add(&self, id: MetricId, delta: u64) {
+        if delta == 0 {
+            return;
+        }
         if let Some(slot) = self.slot(id) {
             slot.value.fetch_add(delta, Ordering::Relaxed);
         }
     }
 
+    // lint: hot
     fn gauge_set(&self, id: MetricId, value: u64) {
         if let Some(slot) = self.slot(id) {
             slot.value.store(value, Ordering::Relaxed);
         }
     }
 
+    // lint: hot
     fn observe(&self, id: MetricId, value: u64) {
         if let Some(slot) = self.slot(id) {
-            slot.value.fetch_add(1, Ordering::Relaxed);
-            slot.sum.fetch_add(value, Ordering::Relaxed);
+            if value != 0 {
+                slot.sum.fetch_add(value, Ordering::Relaxed);
+            }
             slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         }
     }
@@ -446,6 +453,11 @@ mod tests {
         reg.counter_add(MetricId::NOOP, 100);
         reg.counter_add(c, 1);
         assert_eq!(reg.snapshot(true)[0].value, 1);
+        // Adding zero — to the sink-hole or to a live id — changes nothing.
+        let before = reg.snapshot(false);
+        reg.counter_add(MetricId::NOOP, 0);
+        reg.counter_add(c, 0);
+        assert_eq!(reg.snapshot(false), before);
     }
 
     #[test]
@@ -518,16 +530,27 @@ mod tests {
     fn concurrent_updates_sum_exactly() {
         let reg = std::sync::Arc::new(MetricsRegistry::new());
         let c = reg.register("c", MetricKind::Counter);
+        let h = reg.register("h", MetricKind::Histogram);
+        // Observed values include zeros: they take the path that skips `sum`.
+        let observed = |thread: u64| (0..10_000).map(move |i| (i + thread) % 7);
         std::thread::scope(|s| {
-            for _ in 0..4 {
+            for thread in 0..4 {
                 let reg = reg.clone();
                 s.spawn(move || {
-                    for _ in 0..10_000 {
+                    for value in observed(thread) {
                         reg.counter_add(c, 1);
+                        reg.observe(h, value);
                     }
                 });
             }
         });
-        assert_eq!(reg.snapshot(true)[0].value, 40_000);
+        let snap = reg.snapshot(true);
+        assert_eq!(snap[0].value, 40_000);
+        // A histogram's count is its buckets' sum, and the sample sum is exact.
+        let hist = snap[1].histogram.as_ref().unwrap();
+        assert_eq!((snap[1].value, hist.count), (40_000, 40_000));
+        assert_eq!(hist.buckets.iter().sum::<u64>(), 40_000);
+        let sum: u64 = (0..4).flat_map(observed).sum();
+        assert_eq!((snap[1].sum, hist.sum), (sum, sum));
     }
 }

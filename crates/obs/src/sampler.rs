@@ -22,7 +22,7 @@
 //! exactly: the last sample's `cum_*` fields equal the run's overall
 //! [`TrafficCounter`], making the Eq. 2 identity testable to the bit.
 
-use vcdn_types::json::{Json, ToJson};
+use vcdn_types::json::ObjectWriter;
 use vcdn_types::{CostModel, TrafficCounter};
 
 use crate::window::{WindowInput, WindowRing, WindowStats};
@@ -50,55 +50,26 @@ pub struct SeriesSample {
     pub cache_age_ms: Option<f64>,
 }
 
-impl ToJson for SeriesSample {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("type".into(), Json::Str("sample".into())),
-            ("t_ms".into(), Json::Int(self.t_ms as i128)),
-            (
-                "hit_bytes".into(),
-                Json::Int(self.interval.hit_bytes as i128),
-            ),
-            (
-                "fill_bytes".into(),
-                Json::Int(self.interval.fill_bytes as i128),
-            ),
-            (
-                "redirect_bytes".into(),
-                Json::Int(self.interval.redirect_bytes as i128),
-            ),
-            (
-                "served_requests".into(),
-                Json::Int(self.interval.served_requests as i128),
-            ),
-            (
-                "redirected_requests".into(),
-                Json::Int(self.interval.redirected_requests as i128),
-            ),
-            ("efficiency".into(), Json::Float(self.efficiency)),
-            (
-                "cum_hit_bytes".into(),
-                Json::Int(self.cum.hit_bytes as i128),
-            ),
-            (
-                "cum_fill_bytes".into(),
-                Json::Int(self.cum.fill_bytes as i128),
-            ),
-            (
-                "cum_redirect_bytes".into(),
-                Json::Int(self.cum.redirect_bytes as i128),
-            ),
-            ("cum_efficiency".into(), Json::Float(self.cum_efficiency)),
-            (
-                "occupancy_chunks".into(),
-                Json::Int(self.occupancy_chunks as i128),
-            ),
-            (
-                "capacity_chunks".into(),
-                Json::Int(self.capacity_chunks as i128),
-            ),
-            ("cache_age_ms".into(), self.cache_age_ms.to_json()),
-        ])
+impl SeriesSample {
+    /// Appends this sample's bundle line (newline included) to `out`.
+    pub fn write_line(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .str("type", "sample")
+            .u64("t_ms", self.t_ms)
+            .u64("hit_bytes", self.interval.hit_bytes)
+            .u64("fill_bytes", self.interval.fill_bytes)
+            .u64("redirect_bytes", self.interval.redirect_bytes)
+            .u64("served_requests", self.interval.served_requests)
+            .u64("redirected_requests", self.interval.redirected_requests)
+            .f64("efficiency", self.efficiency)
+            .u64("cum_hit_bytes", self.cum.hit_bytes)
+            .u64("cum_fill_bytes", self.cum.fill_bytes)
+            .u64("cum_redirect_bytes", self.cum.redirect_bytes)
+            .f64("cum_efficiency", self.cum_efficiency)
+            .u64("occupancy_chunks", self.occupancy_chunks)
+            .u64("capacity_chunks", self.capacity_chunks)
+            .opt_f64("cache_age_ms", self.cache_age_ms)
+            .finish_line();
     }
 }
 
@@ -236,6 +207,7 @@ impl ReplaySampler {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcdn_types::json::Json;
 
     fn at(t_ms: u64, hit_bytes: u64, fill_bytes: u64, redirect_bytes: u64) -> WindowInput {
         WindowInput {
@@ -335,7 +307,9 @@ mod tests {
         let mut s = ReplaySampler::new(100, CostModel::balanced());
         s.record(&at(10, 80, 20, 0), 3, 8, Some(7.5));
         let sample = &s.finish()[0];
-        let parsed = vcdn_types::json::parse(&sample.to_json().to_string()).unwrap();
+        let mut line = String::new();
+        sample.write_line(&mut line);
+        let parsed = vcdn_types::json::parse(&line).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("sample"));
         assert_eq!(parsed.get("hit_bytes"), Some(&Json::Int(80)));
         assert_eq!(parsed.get("occupancy_chunks"), Some(&Json::Int(3)));

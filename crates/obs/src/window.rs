@@ -38,7 +38,7 @@
 
 use std::collections::VecDeque;
 
-use vcdn_types::json::{Json, ToJson};
+use vcdn_types::json::ObjectWriter;
 use vcdn_types::{CostModel, Decision, TrafficCounter};
 
 use crate::histogram::HistogramSnapshot;
@@ -232,56 +232,27 @@ impl WindowRecord {
     }
 }
 
-impl ToJson for WindowRecord {
-    fn to_json(&self) -> Json {
-        Json::Obj(vec![
-            ("type".into(), Json::Str("window".into())),
-            ("index".into(), Json::Int(self.index as i128)),
-            ("hit_bytes".into(), Json::Int(self.hit_bytes as i128)),
-            ("fill_bytes".into(), Json::Int(self.fill_bytes as i128)),
-            (
-                "redirect_bytes".into(),
-                Json::Int(self.redirect_bytes as i128),
-            ),
-            (
-                "served_requests".into(),
-                Json::Int(self.served_requests as i128),
-            ),
-            (
-                "redirected_requests".into(),
-                Json::Int(self.redirected_requests as i128),
-            ),
-            ("efficiency".into(), Json::Float(self.efficiency)),
-            ("redirect_rate".into(), Json::Float(self.redirect_rate)),
-            (
-                "filled_chunks".into(),
-                Json::Int(self.filled_chunks as i128),
-            ),
-            (
-                "evicted_chunks".into(),
-                Json::Int(self.evicted_chunks as i128),
-            ),
-            (
-                "max_stream_requests".into(),
-                Json::Int(self.max_stream_requests as i128),
-            ),
-            (
-                "queue_gap_count".into(),
-                Json::Int(self.queue_gap_count as i128),
-            ),
-            (
-                "queue_gap_sum".into(),
-                Json::Int(self.queue_gap_sum as i128),
-            ),
-            (
-                "queue_gap_p99".into(),
-                Json::Int(self.queue_gap_p99 as i128),
-            ),
-            (
-                "request_chunks_p99".into(),
-                Json::Int(self.request_chunks_p99 as i128),
-            ),
-        ])
+impl WindowRecord {
+    /// Appends this window's bundle line (newline included) to `out`.
+    pub fn write_line(&self, out: &mut String) {
+        ObjectWriter::new(out)
+            .str("type", "window")
+            .u64("index", self.index)
+            .u64("hit_bytes", self.hit_bytes)
+            .u64("fill_bytes", self.fill_bytes)
+            .u64("redirect_bytes", self.redirect_bytes)
+            .u64("served_requests", self.served_requests)
+            .u64("redirected_requests", self.redirected_requests)
+            .f64("efficiency", self.efficiency)
+            .f64("redirect_rate", self.redirect_rate)
+            .u64("filled_chunks", self.filled_chunks)
+            .u64("evicted_chunks", self.evicted_chunks)
+            .u64("max_stream_requests", self.max_stream_requests)
+            .u64("queue_gap_count", self.queue_gap_count)
+            .u64("queue_gap_sum", self.queue_gap_sum)
+            .u64("queue_gap_p99", self.queue_gap_p99)
+            .u64("request_chunks_p99", self.request_chunks_p99)
+            .finish_line();
     }
 }
 
@@ -565,6 +536,7 @@ pub fn merge_windows(sets: &[Vec<WindowStats>]) -> Vec<WindowStats> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use vcdn_types::json::Json;
 
     fn feed(ring: &mut WindowRing, t_ms: u64, hit: u64, red: u64) {
         ring.record(
@@ -771,8 +743,9 @@ mod tests {
         w.max_stream_requests = 1;
         w.request_chunks.observe(2);
         let rec = WindowRecord::from_stats(&w, CostModel::balanced());
-        let j = rec.to_json().to_string();
-        let parsed = vcdn_types::json::parse(&j).unwrap();
+        let mut line = String::new();
+        rec.write_line(&mut line);
+        let parsed = vcdn_types::json::parse(&line).unwrap();
         assert_eq!(parsed.get("type").and_then(Json::as_str), Some("window"));
         assert_eq!(parsed.get("index"), Some(&Json::Int(3)));
         assert_eq!(parsed.get("hit_bytes"), Some(&Json::Int(100)));

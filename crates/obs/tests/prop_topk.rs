@@ -170,3 +170,78 @@ fn uniform_stream_respects_bounds_even_when_sketch_is_useless() {
         assert!(e.count >= t && e.count - e.err <= t, "entry {e:?} true {t}");
     }
 }
+
+/// Space-Saving as the module docs state it, the slow obvious way: a
+/// `HashMap` of `key → (count, err)`, a full scan for the victim, ties to
+/// the largest key.
+#[derive(Default)]
+struct Textbook {
+    slots: HashMap<u64, (u64, u64)>,
+    tracked_hits: u64,
+    tied_evictions: u64,
+}
+
+impl Textbook {
+    fn record(&mut self, key: u64, k: usize) {
+        if let Some((count, _)) = self.slots.get_mut(&key) {
+            *count += 1;
+            self.tracked_hits += 1;
+        } else if self.slots.len() < k {
+            self.slots.insert(key, (1, 0));
+        } else {
+            let min = self.slots.values().map(|&(c, _)| c).min().unwrap();
+            let tied = self.slots.iter().filter(|(_, &(c, _))| c == min);
+            let victims: Vec<u64> = tied.map(|(&key, _)| key).collect();
+            self.tied_evictions += u64::from(victims.len() > 1);
+            self.slots.remove(victims.iter().max().unwrap());
+            self.slots.insert(key, (min + 1, min));
+        }
+    }
+
+    /// `(key, count, err)` in the sketch's export order.
+    fn entries(&self) -> Vec<(u64, u64, u64)> {
+        let mut out: Vec<_> = self.slots.iter().map(|(&k, &(c, e))| (k, c, e)).collect();
+        out.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
+        out
+    }
+}
+
+/// The sketch must be the textbook algorithm slot for slot after every
+/// record — including which of several minimum-count keys an eviction
+/// takes — at the production `k = 8`, at `k = 1` (every miss evicts) and
+/// on universes small enough that ties are the rule.
+#[test]
+fn sketch_agrees_with_a_textbook_space_saving_after_every_record() {
+    let (mut tracked_hits, mut tied_evictions) = (0, 0);
+    for (k, universe) in [(1usize, 3u64), (2, 5), (8, 12), (8, 400), (16, 40)] {
+        let mut rng = DetRng::new(20140413 + k as u64 + universe);
+        let mut stream = skewed_stream(&mut rng, 1500, universe);
+        // A uniform stretch: equal counts, so evictions meet ties.
+        stream.extend((0..1500).map(|_| rng.below(universe)));
+        let mut sketch = SpaceSaving::new(k);
+        let mut oracle = Textbook::default();
+        for (i, &key) in stream.iter().enumerate() {
+            sketch.record(key);
+            oracle.record(key, k);
+            let got: Vec<_> = sketch
+                .entries()
+                .iter()
+                .map(|e| (e.key, e.count, e.err))
+                .collect();
+            assert_eq!(
+                got,
+                oracle.entries(),
+                "k {k} universe {universe} record {i}"
+            );
+            assert_eq!(sketch.total(), i as u64 + 1);
+            for probe in [key, key + 1, universe] {
+                let want = oracle.slots.get(&probe).map(|&(c, _)| c);
+                assert_eq!(sketch.count(probe), want, "k {k} count({probe})");
+            }
+        }
+        tracked_hits += oracle.tracked_hits;
+        tied_evictions += oracle.tied_evictions;
+    }
+    assert!(tracked_hits > 0, "the tracked-key path never ran");
+    assert!(tied_evictions > 0, "no eviction ever had to break a tie");
+}

@@ -25,7 +25,7 @@
 //! ```
 
 use std::collections::BTreeMap;
-use std::fmt;
+use std::fmt::{self, Write as _};
 use std::io::Write;
 
 /// A parsed JSON value.
@@ -135,20 +135,50 @@ impl std::error::Error for JsonError {}
 
 fn write_escaped(out: &mut String, s: &str) {
     out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
+    // Keys and almost every value need no escaping: one copy, not one push
+    // per `char`.
+    if s.bytes().all(|b| b >= 0x20 && b != b'"' && b != b'\\') {
+        out.push_str(s);
+    } else {
+        for c in s.chars() {
+            match c {
+                '"' => out.push_str("\\\""),
+                '\\' => out.push_str("\\\\"),
+                '\n' => out.push_str("\\n"),
+                '\r' => out.push_str("\\r"),
+                '\t' => out.push_str("\\t"),
+                c if (c as u32) < 0x20 => {
+                    let _ = write!(out, "\\u{:04x}", c as u32);
+                }
+                c => out.push(c),
             }
-            c => out.push(c),
         }
     }
     out.push('"');
+}
+
+fn write_int(out: &mut String, i: i128) {
+    // 64-bit formatting is several times cheaper than 128-bit, and nearly
+    // every integer the workspace writes fits.
+    let _ = match i64::try_from(i) {
+        Ok(small) => write!(out, "{small}"),
+        Err(_) => write!(out, "{i}"),
+    };
+}
+
+fn write_float(out: &mut String, x: f64) {
+    if x.is_finite() {
+        // Rust's shortest round-trip formatting; force a fractional
+        // marker so the value re-parses as Float.
+        let start = out.len();
+        let _ = write!(out, "{x}");
+        if !out[start..].contains(['.', 'e', 'E']) {
+            out.push_str(".0");
+        }
+    } else {
+        // JSON has no NaN/Infinity; match the conventional fallback.
+        out.push_str("null");
+    }
 }
 
 fn write_value(out: &mut String, v: &Json) {
@@ -156,21 +186,8 @@ fn write_value(out: &mut String, v: &Json) {
         Json::Null => out.push_str("null"),
         Json::Bool(true) => out.push_str("true"),
         Json::Bool(false) => out.push_str("false"),
-        Json::Int(i) => out.push_str(&i.to_string()),
-        Json::Float(x) => {
-            if x.is_finite() {
-                // Rust's shortest round-trip formatting; force a fractional
-                // marker so the value re-parses as Float.
-                let s = format!("{x}");
-                out.push_str(&s);
-                if !s.contains(['.', 'e', 'E']) {
-                    out.push_str(".0");
-                }
-            } else {
-                // JSON has no NaN/Infinity; match the conventional fallback.
-                out.push_str("null");
-            }
-        }
+        Json::Int(i) => write_int(out, *i),
+        Json::Float(x) => write_float(out, *x),
         Json::Str(s) => write_escaped(out, s),
         Json::Arr(items) => {
             out.push('[');
@@ -182,18 +199,18 @@ fn write_value(out: &mut String, v: &Json) {
             }
             out.push(']');
         }
-        Json::Obj(fields) => {
-            out.push('{');
-            for (i, (k, v)) in fields.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                write_escaped(out, k);
-                out.push(':');
-                write_value(out, v);
-            }
-            out.push('}');
-        }
+        Json::Obj(fields) => fields
+            .iter()
+            .fold(ObjectWriter::new(out), |obj, (k, v)| obj.raw(k, v))
+            .finish(),
+    }
+}
+
+impl Json {
+    /// Appends the compact rendering (the bytes [`Display`](fmt::Display)
+    /// produces) to `out`.
+    pub fn write_to(&self, out: &mut String) {
+        write_value(out, self);
     }
 }
 
@@ -202,6 +219,102 @@ impl fmt::Display for Json {
         let mut s = String::new();
         write_value(&mut s, self);
         f.write_str(&s)
+    }
+}
+
+/// Writes one JSON object straight into a caller's buffer, field by field,
+/// without building a [`Json`] tree: the same bytes as
+/// `Json::Obj(..).to_string()` for the same fields in the same order.
+///
+/// # Examples
+///
+/// ```
+/// use vcdn_types::json::ObjectWriter;
+///
+/// let mut line = String::new();
+/// ObjectWriter::new(&mut line)
+///     .str("type", "topk")
+///     .u64("rank", 1)
+///     .opt_f64("age", None)
+///     .finish_line();
+/// assert_eq!(line, "{\"type\":\"topk\",\"rank\":1,\"age\":null}\n");
+/// ```
+#[must_use = "the object stays open until `finish` or `finish_line`"]
+pub struct ObjectWriter<'a> {
+    out: &'a mut String,
+    first: bool,
+}
+
+impl<'a> ObjectWriter<'a> {
+    /// Opens an object at the end of `out`.
+    pub fn new(out: &'a mut String) -> ObjectWriter<'a> {
+        out.push('{');
+        ObjectWriter { out, first: true }
+    }
+
+    fn key(&mut self, key: &str) {
+        if !std::mem::take(&mut self.first) {
+            self.out.push(',');
+        }
+        write_escaped(self.out, key);
+        self.out.push(':');
+    }
+
+    /// A string field.
+    pub fn str(mut self, key: &str, value: &str) -> Self {
+        self.key(key);
+        write_escaped(self.out, value);
+        self
+    }
+
+    /// An unsigned integer field.
+    pub fn u64(mut self, key: &str, value: u64) -> Self {
+        self.key(key);
+        let _ = write!(self.out, "{value}");
+        self
+    }
+
+    /// An array-of-unsigned-integers field.
+    pub fn u64s(mut self, key: &str, values: &[u64]) -> Self {
+        self.key(key);
+        self.out.push('[');
+        for (i, value) in values.iter().enumerate() {
+            if i > 0 {
+                self.out.push(',');
+            }
+            let _ = write!(self.out, "{value}");
+        }
+        self.out.push(']');
+        self
+    }
+
+    /// A float field (`null` when not finite, like [`Json::Float`]).
+    pub fn f64(mut self, key: &str, value: f64) -> Self {
+        self.key(key);
+        write_float(self.out, value);
+        self
+    }
+
+    /// A float-or-`null` field: `None` is written as a non-finite float is.
+    pub fn opt_f64(self, key: &str, value: Option<f64>) -> Self {
+        self.f64(key, value.unwrap_or(f64::NAN))
+    }
+
+    /// A field holding an already-built value.
+    pub fn raw(mut self, key: &str, value: &Json) -> Self {
+        self.key(key);
+        write_value(self.out, value);
+        self
+    }
+
+    /// Closes the object.
+    pub fn finish(self) {
+        self.out.push('}');
+    }
+
+    /// Closes the object and ends its line (JSONL).
+    pub fn finish_line(self) {
+        self.out.push_str("}\n");
     }
 }
 

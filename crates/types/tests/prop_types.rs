@@ -5,6 +5,7 @@
 //! framework these run a fixed number of cases drawn from a small
 //! deterministic SplitMix64 generator; failures print the case seed.
 
+use vcdn_types::json::{self, Json, ObjectWriter};
 use vcdn_types::{
     ByteRange, ChunkRange, ChunkSize, CostModel, DurationMs, Request, Timestamp, TrafficCounter,
     VideoId,
@@ -209,4 +210,154 @@ fn json_roundtrips_arbitrary_values() {
         let back: CostModel = json::from_str(&json::to_string(&m)).expect("parses");
         assert_eq!(back, m, "case {case}");
     });
+}
+
+/// One generated object field: how [`ObjectWriter`] is asked to write it,
+/// and the [`Json`] value that must render to the same bytes.
+enum Field {
+    Str(String),
+    U64(u64),
+    U64s(Vec<u64>),
+    F64(f64),
+    OptF64(Option<f64>),
+    Raw(Json),
+}
+
+impl Field {
+    fn tree(&self) -> Json {
+        match self {
+            Field::Str(s) => Json::Str(s.clone()),
+            Field::U64(v) => Json::Int(i128::from(*v)),
+            Field::U64s(vs) => Json::Arr(vs.iter().map(|&v| Json::Int(i128::from(v))).collect()),
+            Field::F64(x) | Field::OptF64(Some(x)) => Json::Float(*x),
+            Field::OptF64(None) => Json::Null,
+            Field::Raw(j) => j.clone(),
+        }
+    }
+}
+
+/// A string over an alphabet that is mostly the bytes the writer must
+/// escape or may not split: quotes, backslashes, control bytes, non-ASCII.
+fn tricky_string(rng: &mut TestRng) -> String {
+    const ALPHABET: [char; 12] = [
+        'a', 'Z', ' ', '"', '\\', '\n', '\r', '\t', '\u{1}', '\u{1f}', 'é', '😀',
+    ];
+    let plain = rng.range(0, 3) == 0;
+    (0..rng.range(0, 9))
+        .map(|_| ALPHABET[rng.range(0, if plain { 3 } else { 12 }) as usize])
+        .collect()
+}
+
+fn tricky_f64(rng: &mut TestRng) -> f64 {
+    match rng.range(0, 8) {
+        0 => f64::NAN,
+        1 => f64::INFINITY,
+        2 => f64::NEG_INFINITY,
+        3 => -0.0,
+        4 => rng.range(0, 1 << 53) as f64, // integral: the forced `.0`
+        5 => f64::from_bits(rng.next()),
+        _ => rng.f64_range(-1e6, 1e6),
+    }
+}
+
+#[test]
+fn object_writer_matches_the_json_tree_byte_for_byte() {
+    use std::cell::Cell;
+    let (escaped, wide, nulls, forced) = (Cell::new(0), Cell::new(0), Cell::new(0), Cell::new(0));
+    for_each_case(|rng, case| {
+        let fields: Vec<(String, Field)> = (0..rng.range(0, 8))
+            .map(|_| {
+                let field = match rng.range(0, 7) {
+                    0 => Field::Str(tricky_string(rng)),
+                    1 => Field::U64([0, rng.next(), u64::MAX][rng.range(0, 3) as usize]),
+                    2 => Field::U64s((0..rng.range(0, 4)).map(|_| rng.next() >> 40).collect()),
+                    3 => Field::F64(tricky_f64(rng)),
+                    4 => Field::OptF64((rng.range(0, 2) == 0).then(|| tricky_f64(rng))),
+                    5 => Field::Raw(Json::Int(
+                        [
+                            i128::from(i64::MIN),
+                            i128::from(u64::MAX) + 1 + i128::from(rng.next()),
+                            i128::MIN,
+                            -i128::from(rng.next() >> 1),
+                        ][rng.range(0, 4) as usize],
+                    )),
+                    _ => Field::Raw(Json::Obj(vec![
+                        (tricky_string(rng), Json::Bool(rng.range(0, 2) == 0)),
+                        ("x".into(), Json::Arr(vec![Json::Null, Json::Float(0.5)])),
+                    ])),
+                };
+                (tricky_string(rng), field)
+            })
+            .collect();
+
+        let mut line = String::new();
+        let open = ObjectWriter::new(&mut line);
+        let written = fields.iter().fold(open, |obj, (key, field)| match field {
+            Field::Str(s) => obj.str(key, s),
+            Field::U64(v) => obj.u64(key, *v),
+            Field::U64s(vs) => obj.u64s(key, vs),
+            Field::F64(x) => obj.f64(key, *x),
+            Field::OptF64(x) => obj.opt_f64(key, *x),
+            Field::Raw(j) => obj.raw(key, j),
+        });
+        written.finish();
+
+        let tree = Json::Obj(fields.iter().map(|(k, f)| (k.clone(), f.tree())).collect());
+        assert_eq!(line, tree.to_string(), "case {case}");
+        let mut appended = String::from("x");
+        tree.write_to(&mut appended);
+        assert_eq!(&appended[1..], line, "case {case}");
+        // The line is JSON, and a fixed point of parse → write.
+        let parsed = json::parse(&line).unwrap_or_else(|e| panic!("case {case}: {line}: {e}"));
+        assert_eq!(parsed.to_string(), line, "case {case}");
+
+        escaped.set(escaped.get() + line.matches("\\u00").count());
+        wide.set(wide.get() + line.matches("18446744073709551615").count());
+        nulls.set(nulls.get() + line.matches("null").count());
+        forced.set(forced.get() + line.matches(".0").count());
+    });
+    for (what, seen) in [
+        ("a \\u escape", escaped),
+        ("u64::MAX", wide),
+        ("null", nulls),
+        (".0", forced),
+    ] {
+        assert!(seen.get() > 0, "no generated object exercised {what}");
+    }
+}
+
+/// The edge cases spelled out: these bytes are what every committed bundle
+/// and golden was written with.
+#[test]
+fn object_writer_edge_cases_are_pinned() {
+    let mut line = String::new();
+    ObjectWriter::new(&mut line)
+        .str("s", "a\"b\\c\nd\re\tf\u{1}\u{1f}é😀")
+        .u64("max", u64::MAX)
+        .u64s("none", &[])
+        .u64s("some", &[0, 7, u64::MAX])
+        .f64("neg_zero", -0.0)
+        .f64("integral", 2.0)
+        .f64("big", 1e21)
+        .f64("third", 1.0 / 3.0)
+        .f64("nan", f64::NAN)
+        .opt_f64("inf", Some(f64::NEG_INFINITY))
+        .opt_f64("absent", None)
+        .raw("i64_min", &Json::Int(i128::from(i64::MIN)))
+        .raw("wide", &Json::Int(-(1i128 << 100)))
+        .finish();
+    assert_eq!(
+        line,
+        concat!(
+            r#"{"s":"a\"b\\c\nd\re\tf\u0001\u001fé😀","max":18446744073709551615,"#,
+            r#""none":[],"some":[0,7,18446744073709551615],"neg_zero":-0.0,"#,
+            r#""integral":2.0,"big":1000000000000000000000.0,"third":0.3333333333333333,"#,
+            r#""nan":null,"inf":null,"absent":null,"i64_min":-9223372036854775808,"#,
+            r#""wide":-1267650600228229401496703205376}"#
+        )
+    );
+    let mut empty = String::new();
+    ObjectWriter::new(&mut empty).finish();
+    ObjectWriter::new(&mut empty).u64("n", 1).finish_line();
+    assert_eq!(empty, "{}{\"n\":1}\n");
 }

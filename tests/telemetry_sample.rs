@@ -10,7 +10,12 @@
 //!     --out results/telemetry_sample.jsonl
 //! ```
 //!
-//! If this test fails after a deliberate workload or schema change, re-run
+//! The file is byte-reproducible, and CI's `observe-smoke` job holds it to
+//! that: it re-runs the command and `cmp`s the output against the committed
+//! file, which pins every bundle line of all four policies at the paper
+//! point. This test only reads the file.
+//!
+//! If either fails after a deliberate workload or schema change, re-run
 //! that command and re-validate with `obs_check` before committing.
 
 use vcdn::obs::SCHEMA;
