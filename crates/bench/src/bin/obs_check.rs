@@ -1,6 +1,6 @@
 //! Telemetry JSONL validator: structural and semantic checks over a
-//! `vcdn-telemetry/1` export, used by the CI observe-smoke and
-//! report-smoke jobs.
+//! `vcdn-telemetry/1` export, used by the CI observe-smoke job and
+//! the engine-bundle pin test (`tests/pins.rs`).
 //!
 //! For every bundle (delimited by `"type":"meta"` lines) it verifies:
 //! the schema tag, that the meta line's section counts match the actual

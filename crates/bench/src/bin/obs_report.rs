@@ -12,8 +12,8 @@
 //!   float fields (efficiency, latency quantile estimates, alpha) within
 //!   `--tol` (default 1e-9). Metrics are matched by name, topk lines by
 //!   (shard, rank), samples and events by index. Exits non-zero and
-//!   prints one line per mismatch if the documents differ — CI's
-//!   report-smoke job diffs a 1-worker against a 4-worker engine export
+//!   prints one line per mismatch if the documents differ —
+//!   `tests/pins.rs` diffs a 1-worker against a 4-worker engine export
 //!   and requires zero differences.
 
 use std::process::ExitCode;

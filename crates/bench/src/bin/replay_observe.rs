@@ -18,6 +18,7 @@
 //! `--time-decisions` to also fill the (unexported) latency histogram.
 
 use vcdn_bench::{sweep, trace_for, Algo, Args, EXPERIMENT_SEED, PAPER_DISK_BYTES};
+use vcdn_core::CacheConfig;
 use vcdn_sim::observe::{grid_jsonl, telemetry_cell, TelemetryConfig};
 use vcdn_sim::report::{eff, Table};
 use vcdn_sim::{ReplayConfig, Replayer};
@@ -63,7 +64,7 @@ fn main() {
                 Replayer::new(ReplayConfig::bench(k, costs)),
                 trace_ref,
                 telemetry,
-                move || algo.build(trace_ref, disk, k, costs),
+                move || algo.build(&trace_ref.requests, CacheConfig::new(disk, k, costs)),
             )
         })
         .collect();

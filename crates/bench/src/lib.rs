@@ -11,7 +11,6 @@
 #![forbid(unsafe_code)]
 
 pub mod args;
-pub mod baseline;
 pub mod figures;
 pub mod scenario;
 pub mod telemetry;
@@ -28,7 +27,7 @@ use vcdn_core::{
 use vcdn_sim::runner::{run_grid, worker_count, Cell, GridRun};
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{downsample, DownsampleConfig, ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkSize, CostModel, DurationMs, Timestamp};
+use vcdn_types::{ChunkSize, CostModel, DurationMs, Request, Timestamp};
 
 /// The paper's reference disk size (Figures 3–5, 7): 1 TB.
 pub const PAPER_DISK_BYTES: u64 = 1024 * 1024 * 1024 * 1024;
@@ -129,15 +128,10 @@ impl Algo {
         }
     }
 
-    /// Builds the policy for a trace (Psychic needs the trace itself).
-    pub fn build(
-        &self,
-        trace: &Trace,
-        disk_chunks: u64,
-        k: ChunkSize,
-        costs: CostModel,
-    ) -> Box<dyn CachePolicy> {
-        let cache = CacheConfig::new(disk_chunks, k, costs);
+    /// Builds the policy on `cache` (Psychic needs the requests it will
+    /// be replayed on: a whole trace's, or one engine shard's).
+    pub fn build(&self, requests: &[Request], cache: CacheConfig) -> Box<dyn CachePolicy> {
+        let (disk_chunks, k, costs) = (cache.disk_chunks, cache.chunk_size, cache.costs);
         match self {
             Algo::Lru => Box::new(LruCache::new(cache)),
             Algo::Xlru => Box::new(XlruCache::new(cache)),
@@ -147,7 +141,7 @@ impl Algo {
             })),
             Algo::Psychic => Box::new(PsychicCache::new(
                 PsychicConfig::new(disk_chunks, k, costs),
-                &trace.requests,
+                requests,
             )),
         }
     }
@@ -161,7 +155,7 @@ pub fn run_algo(
     k: ChunkSize,
     costs: CostModel,
 ) -> ReplayReport {
-    let mut policy = algo.build(trace, disk_chunks, k, costs);
+    let mut policy = algo.build(&trace.requests, CacheConfig::new(disk_chunks, k, costs));
     Replayer::new(ReplayConfig::bench(k, costs)).replay(trace, policy.as_mut())
 }
 
@@ -240,24 +234,35 @@ pub fn efficiencies(group: &[ReplayReport; 3]) -> [f64; 3] {
     group.each_ref().map(ReplayReport::efficiency)
 }
 
-/// Generates the traces of a multi-trace experiment as one [`sweep`]: a
-/// cell labelled `"trace {label}"` per `(label, profile, scale, seed)`,
-/// traces returned in input order.
+/// Generates the traces of a multi-trace experiment one after another,
+/// each on all [`grid_workers`] sampler threads — inside grid cells the
+/// generator's threads would multiply by the grid's — with a stderr line
+/// per `(label, profile, scale, seed)`; traces returned in input order.
 pub fn sweep_traces(
     title: &str,
     days: u64,
     specs: Vec<(String, ServerProfile, Scale, u64)>,
 ) -> Vec<Trace> {
-    let cells: Vec<Cell<Trace>> = specs
+    let total = specs.len();
+    eprintln!(
+        "[{title}] {total} traces, each on {} sampler worker(s)",
+        grid_workers()
+    );
+    specs
         .into_iter()
-        .map(|(label, profile, scale, seed)| {
-            Cell::new(format!("trace {label}"), move || {
-                TraceGenerator::new(scale.profile(profile), seed)
-                    .generate(DurationMs::from_days(days))
-            })
+        .enumerate()
+        .map(|(i, (label, profile, scale, seed))| {
+            let t0 = Instant::now();
+            let trace = TraceGenerator::new(scale.profile(profile), seed)
+                .generate(DurationMs::from_days(days));
+            let n = i + 1;
+            eprintln!(
+                "[{title}] {n}/{total} done: trace {label} ({:.2?})",
+                t0.elapsed()
+            );
+            trace
         })
-        .collect();
-    sweep(title, cells).values()
+        .collect()
 }
 
 #[cfg(test)]

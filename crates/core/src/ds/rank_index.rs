@@ -310,12 +310,6 @@ impl<T: Eq + Hash + Ord + Copy> RankIndex<T> {
     }
 
     // lint: hot
-    /// The slab slot of `item` (see [`Self::insert`]), if present.
-    pub fn slot_of(&self, item: &T) -> Option<u32> {
-        self.map.get(item).copied()
-    }
-
-    // lint: hot
     /// Moves slab entry `idx` to (already normalized) `key` in bucket `g`.
     fn rekey_idx(&mut self, idx: u32, key: f64, aux: u32, g: i64) {
         let (old_key, old_g) = {

@@ -66,7 +66,7 @@ WHAT  Inside a function marked with a standalone `// lint: hot` comment,
       .clone() / .to_string() / .to_owned() / .to_vec() / .collect().
 WHY   The decide/evict/admission paths of all four policies are
       allocation-free by construction (PR 2: scratch buffers, FastMap,
-      keyed sets); BENCH_PR2.json tracks the resulting throughput. A
+      keyed sets); benchmark/ measures the resulting throughput. A
       single format! or HashMap::new in a decide path regresses every
       replay by an allocator round-trip per request.
 FIX   Reuse scratch buffers owned by the policy struct; use
@@ -135,17 +135,19 @@ ALLOW Flows that are provably order-independent beyond the recognized
     },
     Rule {
         name: "lock-discipline",
-        summary: "leaf-level lock scopes and paired condvar waits in vcdn_sim",
+        summary: "leaf-level lock scopes and paired condvar waits in library code",
         explain: "\
-WHAT  In crates/sim library code: while a mutex guard from x.lock() is
-      live in scope, no other .lock() may be taken (leaf-level scopes —
-      no lock-ordering rule is needed, and self-deadlocking double-locks
-      are banned); Condvar.wait(guard) must consume a guard that is
-      live in the same scope and belongs to the same object as the
-      condvar (a state/can_push/can_pop struct waits only on its own
-      mutex's guard). The sharded engine holds no locks; the live
-      subject is the grid runner's per-cell slots (runner.rs).
-WHY   The crate's deadlock-freedom argument is structural: every lock
+WHAT  In every crate's non-test library code: while a mutex guard from
+      x.lock() is live in scope, no other .lock() may be taken
+      (leaf-level scopes — no lock-ordering rule is needed, and
+      self-deadlocking double-locks are banned); Condvar.wait(guard)
+      must consume a guard that is live in the same scope and belongs
+      to the same object as the condvar (a state/can_push/can_pop
+      struct waits only on its own mutex's guard). The sharded engine
+      holds no locks; the live subjects are the grid runner's per-cell
+      slots (sim/runner.rs), the generator's free-buffer receiver
+      (trace/ahead.rs) and the registry's name table (obs/registry.rs).
+WHY   The workspace's deadlock-freedom argument is structural: every lock
       scope is a leaf, so no lock-order cycle can exist. One nested
       acquire silently reintroduces the possibility; a condvar waiting
       under a foreign mutex loses its wakeups.

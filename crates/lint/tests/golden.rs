@@ -38,6 +38,11 @@ fn seeded_fixture_reports_one_exact_finding_per_rule() {
         ("crates/core/src/lib.rs".to_string(), 11, "hot-path"),
         ("crates/core/src/lib.rs".to_string(), 17, "panic"),
         ("crates/sim/src/engine.rs".to_string(), 7, "lock-discipline"),
+        (
+            "crates/types/src/ahead.rs".to_string(),
+            7,
+            "lock-discipline",
+        ),
         ("crates/types/src/counters.rs".to_string(), 7, "clock-arith"),
         ("crates/types/src/lib.rs".to_string(), 5, "float-eq"),
         ("crates/types/src/lib.rs".to_string(), 8, "feature-gate"),
@@ -134,6 +139,7 @@ fn cli_exit_codes_match_contract() {
         "crates/core/src/lib.rs:11: [hot-path]",
         "crates/core/src/lib.rs:17: [panic]",
         "crates/sim/src/engine.rs:7: [lock-discipline]",
+        "crates/types/src/ahead.rs:7: [lock-discipline]",
         "crates/types/src/counters.rs:7: [clock-arith]",
         "crates/types/src/lib.rs:5: [float-eq]",
         "crates/types/src/lib.rs:8: [feature-gate]",

@@ -53,7 +53,7 @@ fn json_output_parses_and_matches_human_format() {
     let doc = parse(&stdout).expect("stdout parses as JSON");
 
     // Summary counters are present and truthful.
-    assert_eq!(num_field(&doc, "files_scanned"), 5);
+    assert_eq!(num_field(&doc, "files_scanned"), 6);
     assert_eq!(num_field(&doc, "suppressed"), 0);
     assert_eq!(doc.get("clean"), Some(&Json::Bool(false)));
     assert!(array(&doc, "allow_errors").is_empty());

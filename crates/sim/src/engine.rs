@@ -375,8 +375,8 @@ fn serve_owned(
 ///
 /// Equality compares the accounting payload only; `top_videos` is
 /// deliberately excluded so an instrumented engine's report compares
-/// equal to a detached baseline's (the contention bench's off-means-free
-/// assertion).
+/// equal to a detached baseline's (the off-means-free assertion of
+/// `crates/bench/tests/pins.rs`).
 #[derive(Debug, Clone)]
 pub struct ShardReport {
     /// Shard index (also the partition id).

@@ -22,7 +22,7 @@ use vcdn_obs::topk::{SpaceSaving, TopKRecord};
 use vcdn_obs::window::{WindowInput, WindowRing};
 use vcdn_obs::{
     default_rules, DecisionEvent, EventRing, MetricId, MetricKind, MetricsRegistry, MetricsSink,
-    PolicyObs, ReplaySampler, Rule, TelemetryBundle, Verdict, Watchdog,
+    PolicyObs, ReplaySampler, TelemetryBundle, Verdict, Watchdog,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -106,17 +106,6 @@ impl TelemetryConfig {
         self.window = width;
         self
     }
-
-    /// Overrides the window-ring bound.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `retain` is zero.
-    pub fn with_window_retain(mut self, retain: usize) -> Self {
-        assert!(retain > 0, "window retain must be > 0");
-        self.window_retain = retain;
-        self
-    }
 }
 
 impl Default for TelemetryConfig {
@@ -176,12 +165,6 @@ impl TelemetryObserver {
             time_decisions: telemetry.time_decisions,
             meta: Vec::new(),
         }
-    }
-
-    /// Replaces the watchdog's rule set (call before replaying; the
-    /// default is [`vcdn_obs::default_rules`]).
-    pub fn set_rules(&mut self, rules: Vec<Rule>) {
-        self.watchdog = Watchdog::new(rules, self.costs, 1);
     }
 
     /// Adds a metadata entry to the eventual bundle's meta line.

@@ -14,7 +14,7 @@
 //!
 //! `exactly_*` compile to the same machine comparison the raw operator
 //! would, so converting a call site is metric-neutral by construction —
-//! the golden replay files and `BENCH_PR2.json` are unaffected.
+//! the golden replay files and the pinned counters are unaffected.
 
 /// Default absolute tolerance for cost-math comparisons.
 ///
