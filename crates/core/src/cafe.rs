@@ -26,7 +26,7 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NO_HANDLE},
+    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, RankMap, NO_HANDLE},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -118,16 +118,17 @@ pub struct CafeCache {
     /// the never-seen-video rule.
     pop: PopTable,
     /// Cached chunks ordered by virtual timestamp (Eq. 9) in the bucketed
-    /// rank index; each entry carries its [`PopTable`] handle as the aux
-    /// payload so eviction scans never probe the directory. Handles are
-    /// stable while a chunk stays cached: a sweep never drops a cached
-    /// chunk's record.
+    /// rank index, addressed by the slot the directory keeps as each
+    /// chunk's back-reference; each entry carries its [`PopTable`] handle
+    /// as the aux payload so eviction scans never probe the directory.
+    /// Handles are stable while a chunk stays cached: a sweep never drops
+    /// a cached chunk's record.
     disk: RankIndex<ChunkId>,
     /// Tracked-but-uncached chunks ranked hottest-first (smallest
     /// [`PopTable::hot_rank`]); built by the first
     /// [`Self::prefetch_candidates`] call and maintained incrementally
     /// from then on — plain replay pays nothing for it.
-    hot: Option<RankIndex<ChunkId>>,
+    hot: Option<RankMap<ChunkId>>,
     handled: u64,
     replay_start: Option<Timestamp>,
     obs: PolicyObs,
@@ -136,6 +137,8 @@ pub struct CafeCache {
     /// Missing chunks travel with their popularity handle and fresh EWMA
     /// so the Eq. 7 loop and the fill loop never go back to the table.
     scratch_missing: Vec<(ChunkId, u32, f64)>,
+    /// The candidates the Eq. 6 walk costed: a serve evicts these.
+    scratch_candidates: Vec<ChunkId>,
 }
 
 impl CafeCache {
@@ -151,6 +154,7 @@ impl CafeCache {
             obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             scratch_missing: Vec::new(),
+            scratch_candidates: Vec::new(),
         }
     }
 
@@ -198,9 +202,10 @@ impl CafeCache {
 
     // lint: hot
     fn remove_chunk(&mut self, id: ChunkId) {
-        self.disk.remove(&id);
         // The disk slot is freed for reuse: drop the back-reference.
-        let h = self.pop.clear_cached(id);
+        let (h, slot) = self.pop.clear_cached(id);
+        debug_assert_eq!(self.disk.get(slot).map(|e| e.0), Some(id));
+        self.disk.remove_slot(slot);
         if let Some(hot) = &mut self.hot {
             // Still tracked, with a known interval: a candidate.
             if let Some(rank) = self.pop.hot_rank(h, self.config.gamma) {
@@ -210,10 +215,10 @@ impl CafeCache {
     }
 
     // lint: hot
-    /// Admits `id` at virtual key `key`; `h` is its popularity handle
-    /// ([`NO_HANDLE`] when the chunk has no popularity record).
+    /// Admits `id`, not cached, at virtual key `key`; `h` is its popularity
+    /// handle ([`NO_HANDLE`] when the chunk has no popularity record).
     fn insert_chunk(&mut self, id: ChunkId, key: f64, h: u32) {
-        let slot = self.disk.insert(id, key, h);
+        let slot = self.disk.insert_new(id, key, h);
         self.pop.set_cached(id, slot);
         if let Some(hot) = &mut self.hot {
             hot.remove(&id);
@@ -238,11 +243,11 @@ impl CafeCache {
 
     /// Builds the hot uncached-chunk mirror from scratch; once stored in
     /// `self.hot` the decide path keeps it current.
-    fn build_hot(&self) -> RankIndex<ChunkId> {
+    fn build_hot(&self) -> RankMap<ChunkId> {
         let gamma = self.config.gamma;
-        let mut hot = RankIndex::new();
+        let mut hot = RankMap::new();
         for (id, h) in self.pop.iter() {
-            if !self.disk.contains(&id) {
+            if !self.contains_chunk(id) {
                 if let Some(rank) = self.pop.hot_rank(h, gamma) {
                     hot.insert(id, rank, h);
                 }
@@ -254,6 +259,20 @@ impl CafeCache {
     /// Number of chunk popularity records currently held (for tests).
     pub fn tracked_chunks(&self) -> usize {
         self.pop.len()
+    }
+
+    /// Checks the disk index ([`RankIndex::audit`]) and that every cached
+    /// chunk's back-reference in the directory names its entry (tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn audit(&self) {
+        self.disk.audit();
+        for (id, _) in self.disk_entries() {
+            let at = self.disk.get(self.pop.backref_of(&id));
+            assert_eq!(at.map(|e| e.0), Some(id), "{id}: back-reference");
+        }
     }
 
     /// Popularity entries sorted by chunk id (snapshot support). Keys are
@@ -374,7 +393,7 @@ impl CafeCache {
     /// victim — prefetch must never make the cache worse.
     #[allow(clippy::result_unit_err)]
     pub fn prefetch(&mut self, chunk: ChunkId, now: Timestamp) -> Result<Option<ChunkId>, ()> {
-        if self.disk.contains(&chunk) {
+        if self.contains_chunk(chunk) {
             return Err(());
         }
         let gamma = self.config.gamma;
@@ -435,6 +454,8 @@ impl CachePolicy for CafeCache {
         // membership), so fusing the passes changes no outcome.
         let mut missing = std::mem::take(&mut self.scratch_missing);
         missing.clear();
+        let mut candidates = std::mem::take(&mut self.scratch_candidates);
+        candidates.clear();
         let mut hits = 0usize;
         let (disk, hot) = (&mut self.disk, &mut self.hot);
         let video_known = self
@@ -442,9 +463,11 @@ impl CachePolicy for CafeCache {
             .touch_run(request.video, range, now, gamma, |c, h, slot, dt| {
                 if slot != NO_HANDLE {
                     // The record's back-reference says "cached, and where
-                    // in the rank index": a present chunk re-keys (an O(1)
-                    // bucket move to the refreshed virtual timestamp) with
-                    // no lookup of its own.
+                    // in the rank index": a present chunk re-keys (a store
+                    // of the refreshed, higher virtual timestamp) with no
+                    // lookup of its own.
+                    let id = Some(ChunkId::new(request.video, c));
+                    debug_assert_eq!(disk.get(slot).map(|e| e.0), id);
                     disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), h);
                     hits += 1;
                 } else {
@@ -463,6 +486,8 @@ impl CachePolicy for CafeCache {
         let requested = |id: &ChunkId| id.video == request.video && range.contains(id.index);
         let s_total = (hits + missing.len()) as f64;
         let warmup = (self.disk.len() as u64) < capacity;
+        let evict_needed =
+            ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
 
         // The §6 estimate is only ever read for missing chunks (in the
         // Eq. 7 sum and as the fill-key fallback), so a full hit — the
@@ -482,17 +507,17 @@ impl CachePolicy for CafeCache {
             true // full hit: serving costs nothing
         } else {
             let t_window = self.window_ms(now);
-            let evict_needed =
-                ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
             let min_cost = costs.min_cost();
 
             // Eq. 6: fill cost now + expected future cost of evictees.
             // The candidate walk reads the popularity slabs through each
-            // entry's aux handle — no hash probe per candidate.
+            // entry's aux handle — no hash probe per candidate — and
+            // keeps the candidates: they are the victims if this serves.
             let mut e_serve = missing.len() as f64 * costs.c_f();
             let pop = &self.pop;
             self.disk
-                .for_smallest_excluding(evict_needed, requested, |_, _, h| {
+                .for_smallest_excluding(evict_needed, requested, |id, _, h| {
+                    candidates.push(id);
                     let iat = pop.iat_at(h, now, gamma);
                     e_serve += Self::future_requests(t_window, iat) * min_cost;
                 });
@@ -511,16 +536,17 @@ impl CachePolicy for CafeCache {
             Decision::Redirect
         } else {
             // Evict, then fill. Requests larger than the disk keep their
-            // tail.
-            let evict_needed =
-                ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
-            let mut evicted = Vec::new();
-            if evict_needed > 0 {
+            // tail. A costed serve evicts the candidates it costed (the
+            // index is as it was); an overflowing warm-up serve walks here.
+            let mut evicted = Vec::with_capacity(evict_needed);
+            if candidates.is_empty() {
                 self.disk
                     .for_smallest_excluding(evict_needed, requested, |id, _, _| evicted.push(id));
-                for &id in &evicted {
-                    self.remove_chunk(id);
-                }
+            } else {
+                evicted.extend_from_slice(&candidates);
+            }
+            for &id in &evicted {
+                self.remove_chunk(id);
             }
             let free = capacity - self.disk.len() as u64;
             let keep_from = missing.len().saturating_sub(free as usize);
@@ -536,6 +562,7 @@ impl CachePolicy for CafeCache {
             })
         };
         self.scratch_missing = missing;
+        self.scratch_candidates = candidates;
         self.obs.record_decision(&decision, self.disk.len() as u64);
         decision
     }
@@ -561,7 +588,7 @@ impl CachePolicy for CafeCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.disk.contains(&chunk)
+        self.pop.backref_of(&chunk) != NO_HANDLE
     }
 
     fn attach_obs(&mut self, obs: PolicyObs) {
@@ -576,7 +603,7 @@ impl CachePolicy for CafeCache {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::ds::MAX_CHUNK_INDEX;
+    use crate::ds::{BUCKET_WIDTH_MS, MAX_CHUNK_INDEX};
     use vcdn_types::ByteRange;
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
@@ -948,13 +975,57 @@ mod tests {
         assert!((c.window_ms(Timestamp(1_000_000)) - 9_000.0).abs() < 1e-9);
     }
 
+    #[test]
+    fn time_stepping_backwards_keeps_the_disk_in_order() {
+        // A clock that jumps back by minutes lowers virtual timestamps by
+        // whole buckets — the one re-key the index may not defer — while
+        // the forward stretches leave stale entries for those moves, the
+        // scans and the evictions to meet.
+        let mut c = cache(24, 1.0);
+        let (mut t, mut seed) = (3_600_000u64, 7u64);
+        let (mut lowered, mut evictions) = (0, 0);
+        for step in 0..4_000u64 {
+            seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);
+            let draw = seed >> 33;
+            t = match step % 97 {
+                96 => t - 1_500_000,
+                _ => t + 20_000 + draw % 90_000,
+            };
+            let before = c.disk_entries();
+            let d = c.handle_request(&req(draw % 9, (draw >> 8) % 900, 1_200, t));
+            evictions += d.serve_outcome().map_or(0, |o| o.evicted.len());
+            c.audit();
+            // The ordered scan and the sorted export are the same sequence,
+            // and it is the `(key, ChunkId)`-sorted truth.
+            let entries = c.disk_entries();
+            assert!(entries.is_sorted_by(|a, b| (a.1, a.0) < (b.1, b.0)));
+            assert_eq!(c.disk.clone().smallest_excluding(99, |_| false), entries);
+            assert_eq!(c.disk.smallest(), entries.first().copied());
+            assert_eq!(entries.len() as u64, c.disk_used_chunks());
+            lowered += entries
+                .iter()
+                .filter(|(id, key)| {
+                    before
+                        .iter()
+                        .any(|(b, old)| b == id && key + BUCKET_WIDTH_MS < *old)
+                })
+                .count();
+        }
+        assert!(
+            lowered > 0 && evictions > 0 && c.disk.relocations() > 0,
+            "keys must fall by a bucket or more, chunks be evicted and settles relocate: \
+             {lowered} / {evictions} / {}",
+            c.disk.relocations()
+        );
+    }
+
     /// Oracle for the mirror: scan the whole popularity table for
     /// uncached chunks and sort by (IAT, id).
     fn scan_candidates(c: &CafeCache, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
         let mut hot: Vec<(ChunkId, f64)> = c
             .pop
             .iter()
-            .filter(|(id, _)| !c.disk.contains(id))
+            .filter(|(id, _)| !c.contains_chunk(*id))
             .filter_map(|(id, h)| c.pop.iat_at(h, now, c.config.gamma).map(|iat| (id, iat)))
             .collect();
         hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));

@@ -10,12 +10,14 @@
 //!   reference structure (only the §3 baselines still run on it, and the
 //!   rank-index property tests treat it as the ordering oracle).
 //! * [`RankIndex`] — the bucketed (timing-wheel-style) replacement Cafe's
-//!   hot path runs on: O(1) amortized re-keying with lazily sorted
-//!   buckets, bit-identical ordering to [`KeyedSet`].
+//!   hot path runs on, addressed by slab slot with no hash map: a re-key
+//!   is a field store, the bucket move and the sort wait for the ordered
+//!   read that gets there; bit-identical ordering to [`KeyedSet`].
+//!   [`RankMap`] is the same index behind an item → slot map.
 //! * [`PopTable`] — Cafe's per-video chunk directory: one hash probe per
-//!   request, dense chunk runs, EWMA state in struct-of-arrays slabs
-//!   addressed by compact handles, and sweeps that walk only when
-//!   something can expire.
+//!   request, dense chunk runs that also hold each cached chunk's
+//!   [`RankIndex`] slot, EWMA state in struct-of-arrays slabs addressed by
+//!   compact handles, and sweeps that walk only when something can expire.
 //! * [`BitTree`] — a set of small integers as a 64-ary tree of bitmaps
 //!   with a predecessor query: Psychic's calendar of due requests.
 
@@ -33,7 +35,7 @@ pub use chunk_lru::ChunkLru;
 pub use keyed_set::{KeyedSet, OrdF64};
 pub use lru_list::IndexedLruList;
 pub use pop_table::{PopTable, NO_HANDLE};
-pub use rank_index::{RankIndex, BUCKET_WIDTH_MS, NO_AUX};
+pub use rank_index::{RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
 
 /// Exclusive bound on the chunk indices the per-video directories
 /// ([`PopTable`], [`ChunkLru`]) accept — the one [`ChunkId::packed`]

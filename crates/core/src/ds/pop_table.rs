@@ -8,7 +8,8 @@
 //! index of the chunk's EWMA state in the parallel slabs (`Vec<f64>`
 //! inter-arrival averages, `Vec<Timestamp>` last-seen stamps,
 //! `Vec<ChunkId>` owners). `backref` is the caller-owned "cached, and
-//! where" word (Cafe stores the chunk's disk rank-index slot). Either is
+//! where" word (Cafe stores the chunk's disk rank-index slot there — the
+//! index keeps no map of its own, so this word *is* its address). Either is
 //! [`NO_HANDLE`] when absent: a chunk can be tracked and uncached, cached
 //! with no record (restored from a snapshot whose record had been swept),
 //! both, or neither (a gap in the run). The video record also carries the
@@ -256,20 +257,30 @@ impl PopTable {
     }
 
     // lint: hot
+    /// The back-reference of `id` ([`NO_HANDLE`] when it is not cached).
+    pub fn backref_of(&self, id: &ChunkId) -> u32 {
+        let v = self.dir.get(&id.video);
+        let rec = v.and_then(|v| v.chunks.get(id.index as usize));
+        rec.map_or(NO_HANDLE, |rec| rec.backref)
+    }
+
+    // lint: hot
     /// Marks `id` uncached and returns its handle ([`NO_HANDLE`] when it
-    /// has no popularity record). What this exposes to the next sweep —
-    /// the chunk's record, and the video once its last cached chunk goes
-    /// — lowers the sweep floor.
-    pub fn clear_cached(&mut self, id: ChunkId) -> u32 {
+    /// has no popularity record) and the back-reference it held
+    /// ([`NO_HANDLE`] when it was not cached). What this exposes to the
+    /// next sweep — the chunk's record, and the video once its last cached
+    /// chunk goes — lowers the sweep floor.
+    pub fn clear_cached(&mut self, id: ChunkId) -> (u32, u32) {
         let Some(v) = self.dir.get_mut(&id.video) else {
-            return NO_HANDLE;
+            return (NO_HANDLE, NO_HANDLE);
         };
         let Some(rec) = v.chunks.get_mut(id.index as usize) else {
-            return NO_HANDLE;
+            return (NO_HANDLE, NO_HANDLE);
         };
         let h = rec.h;
-        if std::mem::replace(&mut rec.backref, NO_HANDLE) == NO_HANDLE {
-            return h;
+        let backref = std::mem::replace(&mut rec.backref, NO_HANDLE);
+        if backref == NO_HANDLE {
+            return (h, NO_HANDLE);
         }
         v.cached -= 1;
         if h != NO_HANDLE {
@@ -280,7 +291,7 @@ impl PopTable {
         } else if v.is_dead() {
             self.dir.remove(&id.video);
         }
-        h
+        (h, backref)
     }
 
     // lint: hot
@@ -574,13 +585,16 @@ mod tests {
         touch(&mut p, id(4, 7), 210, 0.25); // hotter, but not cached
         let want = p.iat_at(h, Timestamp(300), 0.25);
         assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), want);
-        assert_eq!(p.clear_cached(id(4, 2)), h);
+        assert_eq!(p.backref_of(&id(4, 2)), 0);
+        assert_eq!(p.clear_cached(id(4, 2)), (h, 0));
         assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), None);
-        assert_eq!(p.clear_cached(id(4, 2)), h, "idempotent");
+        assert_eq!(p.clear_cached(id(4, 2)), (h, NO_HANDLE), "idempotent");
+        assert_eq!(p.backref_of(&id(4, 2)), NO_HANDLE);
         // A video that is neither seen, cached nor tracked leaves no entry.
         p.set_cached(id(5, 0), 1);
-        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
-        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
+        assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, 1));
+        assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, NO_HANDLE));
+        assert_eq!(p.backref_of(&id(5, 0)), NO_HANDLE, "no such video");
         assert_eq!(p.videos_seen().count(), 1);
     }
 

@@ -1,30 +1,40 @@
 //! Cafe's bucketed rank index: a timing-wheel-style order structure over
-//! `f64` virtual-timestamp keys with O(1) amortized re-keying.
+//! `f64` virtual-timestamp keys where re-keying is a field store.
 //!
 //! [`KeyedSet`](crate::ds::KeyedSet) implements the paper's §6 structure
 //! literally — a binary tree set plus a hash map — which makes re-keying a
 //! present chunk an O(log N) tree remove+insert *per chunk per request*.
 //! By Theorem 1 the pairwise order of Cafe's virtual keys
-//! (`key_x = t − IAT_x`) is evaluation-time invariant, so the order never
-//! needs global rebalancing: this index partitions the key line into
-//! fixed-width buckets (`BUCKET_WIDTH_MS`) and keeps each bucket as an
-//! unordered vector that is **lazily sorted only when an eviction scan
-//! actually enters it**. Re-keying becomes a bucket move (two vector
-//! swaps); the common same-bucket re-key is a field store.
+//! (`key_x = t − IAT_x`) is evaluation-time invariant, a touch raises a
+//! key (`DESIGN.md` §8), and only the smallest-key end is ever read in
+//! order. So the key line is cut into fixed-width buckets
+//! (`BUCKET_WIDTH_MS`), each an unordered vector, and the index is lazy:
 //!
-//! Determinism contract: every ordered read — [`RankIndex::smallest`],
-//! [`RankIndex::pop_smallest`], [`RankIndex::for_smallest_excluding`],
-//! [`RankIndex::entries_ascending`] — yields *exactly* the ascending
-//! `(key, item)` order a `BTreeSet<(OrdF64, T)>` would, including
-//! tie-breaks on equal keys. Bucketing is a monotone map (equal keys share
-//! a bucket; larger keys never land in a smaller bucket, even under the
-//! span clamp), and within a bucket entries are compared by
-//! `(total_cmp(key), item)` with `-0.0` normalized to `+0.0` at insertion
-//! — the same order [`OrdF64`](crate::ds::OrdF64) defines. Lazy sorting
-//! only changes *when* the comparisons happen, never their result, so
-//! replay byte counters are bit-identical to the `KeyedSet` ones
+//! * an entry's stored bucket is a *lower bound* on the bucket its key
+//!   maps to (**stored ≤ true**). Raising a key writes the key and flags
+//!   the stored bucket dirty; only a re-key that lowers the bucket (time
+//!   running backwards, arbitrary by-item keys) moves the entry at once;
+//! * every ordered read **settles** each dirty bucket it enters: entries
+//!   whose key now maps to a later bucket are appended there, the rest are
+//!   sorted. Buckets no read reaches are never sorted.
+//!
+//! Entries are **slot-addressed**: [`RankIndex::insert_new`] returns a slab
+//! slot, stable until [`RankIndex::remove_slot`], and there is no hash map
+//! (Cafe keeps the slot in its chunk directory); [`RankMap`] puts one in
+//! front of the same buckets for callers that address by item.
+//!
+//! Determinism contract: every ordered read yields *exactly* the ascending
+//! `(key, item)` order a `BTreeSet<(OrdF64, T)>` would, ties included.
+//! Bucketing is monotone (equal keys share a bucket; larger keys never
+//! land in a smaller one, even under the span clamp); a read enters
+//! buckets in ascending order, and by *stored ≤ true* whatever a settle
+//! sends onwards, or waits in a later bucket, orders above the residents;
+//! residents compare by `(total_cmp(key), item)` with `-0.0` normalized to
+//! `+0.0` at insertion, as [`OrdF64`](crate::ds::OrdF64) does. Laziness
+//! changes *when* comparisons happen, never their result
 //! (`crates/core/tests/prop_rank_index.rs` holds the model oracle).
 
+use std::cmp::Ordering;
 use std::collections::VecDeque;
 use std::hash::Hash;
 
@@ -38,14 +48,14 @@ pub const BUCKET_WIDTH_MS: f64 = 65_536.0;
 /// Half-width of the bucket-id window kept addressable around the first
 /// inserted key (2^20 buckets ≈ ±2.2 virtual years at the default width).
 /// Keys beyond the window clamp into the edge buckets — the mapping stays
-/// monotone so ordering stays exact; only the lazy-sort batches grow.
+/// monotone so ordering stays exact; only the settle batches grow.
 const MAX_BUCKET_SPAN: i64 = 1 << 20;
 
-/// Sentinel slab index meaning "no entry".
+/// Sentinel slab index meaning "no entry"; as a bucket position, the dead
+/// marker of a free-listed slot.
 const NONE_IDX: u32 = u32::MAX;
 
-/// Sentinel for [`RankIndex::insert`]'s aux payload when the caller has
-/// no sidecar handle to attach.
+/// Aux payload of a caller with no sidecar handle to attach.
 pub const NO_AUX: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
@@ -55,28 +65,31 @@ struct Entry<T> {
     /// Caller-owned sidecar (Cafe stores the popularity-table handle here
     /// so eviction scans read IAT slabs without a hash lookup).
     aux: u32,
-    /// Global bucket id currently holding this entry.
+    /// Global id of the bucket holding this entry: never above the bucket
+    /// `key` maps to.
     bucket: i64,
-    /// Position inside that bucket's item vector.
-    slot: u32,
+    /// Position inside that bucket's item vector ([`NONE_IDX`]: free slot).
+    pos: u32,
 }
 
-/// One key-range bucket: slab indices, sorted *descending* by
-/// `(key, item)` when `sorted` — the global minimum sits at the tail, so
-/// popping it preserves sortedness.
+/// One key-range bucket: slab slots. Unless `dirty`, every entry is a
+/// resident (its key maps here) and the order is *descending* by
+/// `(key, item)` — the global minimum sits at the tail, so removing it
+/// preserves sortedness.
 #[derive(Debug, Clone, Default)]
 struct Bucket {
     items: Vec<u32>,
-    sorted: bool,
+    dirty: bool,
 }
 
-/// A set of items ordered by a mutable `f64` key, bucketed for O(1)
-/// amortized insert/re-key/remove with exact `BTreeSet`-equivalent
-/// ascending iteration (smaller key = less popular = evicted first).
+/// A slot-addressed set of items ordered by a mutable `f64` key, bucketed
+/// for O(1) insert/re-key/remove with exact `BTreeSet`-equivalent ascending
+/// iteration (smaller key = less popular = evicted first).
 ///
-/// Ordered scans take `&mut self` because they lazily sort the buckets
-/// they enter; [`Self::smallest`] stays `&self` via an incrementally
-/// maintained minimum.
+/// Ordered scans take `&mut self` because they settle the buckets they
+/// enter; [`Self::smallest`] stays `&self` via an incrementally maintained
+/// minimum, which is always a resident of its bucket with every bucket
+/// below it empty.
 ///
 /// # Examples
 ///
@@ -84,15 +97,15 @@ struct Bucket {
 /// use vcdn_core::ds::{RankIndex, NO_AUX};
 ///
 /// let mut s: RankIndex<&str> = RankIndex::new();
-/// s.insert("a", 5.0, NO_AUX);
-/// s.insert("b", 1.0, NO_AUX);
-/// s.insert("a", 0.5, NO_AUX); // re-keying an existing item
+/// let a = s.insert_new("a", 5.0, NO_AUX);
+/// s.insert_new("b", 1.0, NO_AUX);
+/// s.rekey_slot(a, 0.5, NO_AUX);
 /// assert_eq!(s.smallest(), Some(("a", 0.5)));
-/// assert_eq!(s.key_of(&"b"), Some(1.0));
+/// assert_eq!(s.remove_slot(a), 0.5);
+/// assert_eq!(s.smallest(), Some(("b", 1.0)));
 /// ```
-#[derive(Debug, Clone, Default)]
-pub struct RankIndex<T: Eq + Hash + Ord + Copy> {
-    map: FastMap<T, u32>,
+#[derive(Debug, Clone)]
+pub struct RankIndex<T: Ord + Copy> {
     slab: Vec<Entry<T>>,
     free: Vec<u32>,
     /// Buckets for global ids `base ..= base + buckets.len() − 1`.
@@ -102,55 +115,58 @@ pub struct RankIndex<T: Eq + Hash + Ord + Copy> {
     /// index was empty (fixed until the index drains, so the key→bucket
     /// map never changes under live entries).
     anchor: Option<i64>,
-    /// Slab index of the lexicographic `(key, item)` minimum.
+    /// Slab slot of the lexicographic `(key, item)` minimum.
     min_idx: u32,
+    relocations: u64,
 }
 
-fn order<T: Ord>(ak: f64, ai: &T, bk: f64, bi: &T) -> std::cmp::Ordering {
+fn order<T: Ord>(ak: f64, ai: &T, bk: f64, bi: &T) -> Ordering {
     ak.total_cmp(&bk).then_with(|| ai.cmp(bi))
 }
 
-impl<T: Eq + Hash + Ord + Copy> RankIndex<T> {
-    /// Creates an empty index.
-    pub fn new() -> Self {
+impl<T: Ord + Copy> Default for RankIndex<T> {
+    fn default() -> Self {
         RankIndex {
-            map: FastMap::default(),
             slab: Vec::new(),
             free: Vec::new(),
             buckets: VecDeque::new(),
             base: 0,
             anchor: None,
             min_idx: NONE_IDX,
+            relocations: 0,
         }
+    }
+}
+
+impl<T: Ord + Copy> RankIndex<T> {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        RankIndex::default()
     }
 
     /// Number of items.
     pub fn len(&self) -> usize {
-        self.map.len()
+        self.slab.len() - self.free.len()
     }
 
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
+        self.len() == 0
     }
 
     // lint: hot
-    /// Whether `item` is present.
-    pub fn contains(&self, item: &T) -> bool {
-        self.map.contains_key(item)
-    }
-
-    // lint: hot
-    /// The current key of `item`, if present.
-    pub fn key_of(&self, item: &T) -> Option<f64> {
-        self.map.get(item).map(|&i| self.slab[i as usize].key)
+    /// The `(item, key)` at `slot`, or `None` when the slot is not live.
+    pub fn get(&self, slot: u32) -> Option<(T, f64)> {
+        let e = self.slab.get(slot as usize)?;
+        (e.pos != NONE_IDX).then_some((e.item, e.key))
     }
 
     /// The global bucket id for `key`, clamped to the anchored window.
-    fn bucket_of(&self, key: f64, anchor: i64) -> i64 {
+    fn bucket_of(&self, key: f64) -> i64 {
         // `as i64` saturates, and clamping is monotone: ordering across
         // buckets is preserved for every representable key.
         let raw = (key / BUCKET_WIDTH_MS).floor() as i64;
+        let anchor = self.anchor.unwrap_or(raw);
         raw.clamp(
             anchor.saturating_sub(MAX_BUCKET_SPAN),
             anchor.saturating_add(MAX_BUCKET_SPAN),
@@ -161,197 +177,112 @@ impl<T: Eq + Hash + Ord + Copy> RankIndex<T> {
     fn ensure_bucket(&mut self, g: i64) -> usize {
         if self.buckets.is_empty() {
             self.base = g;
-            self.buckets.push_back(Bucket::default());
-            return 0;
         }
         while g < self.base {
             self.buckets.push_front(Bucket::default());
             self.base -= 1;
         }
-        let mut off = (g - self.base) as usize;
+        let off = (g - self.base) as usize;
         while off >= self.buckets.len() {
             self.buckets.push_back(Bucket::default());
         }
-        off = (g - self.base) as usize;
         off
     }
 
-    /// Appends slab entry `idx` (with key/aux already set) to bucket `g`.
+    /// Appends slab entry `idx` (key already set, mapping to `g`) to `g`.
     fn attach(&mut self, idx: u32, g: i64) {
         let off = self.ensure_bucket(g);
-        let slab = &mut self.slab;
-        let e_key = slab[idx as usize].key;
         let bucket = &mut self.buckets[off];
-        // Appending keeps a sorted (descending) bucket sorted only when
-        // the new entry is the bucket's new minimum.
-        if !bucket.items.is_empty() && bucket.sorted {
-            let last = bucket.items[bucket.items.len() - 1] as usize;
-            if order(
-                e_key,
-                &slab[idx as usize].item,
-                slab[last].key,
-                &slab[last].item,
-            ) != std::cmp::Ordering::Less
-            {
-                bucket.sorted = false;
-            }
-        } else if bucket.items.is_empty() {
-            bucket.sorted = true;
-        }
-        bucket.items.push(idx);
-        let e = &mut slab[idx as usize];
+        // A lone resident is in order; any other append is not known to be.
+        bucket.dirty = !bucket.items.is_empty();
+        let e = &mut self.slab[idx as usize];
         e.bucket = g;
-        e.slot = (bucket.items.len() - 1) as u32;
+        e.pos = bucket.items.len() as u32;
+        bucket.items.push(idx);
     }
 
     /// Unlinks slab entry `idx` from its bucket (does not free the slot).
     fn detach(&mut self, idx: u32) {
-        let (g, slot) = {
-            let e = &self.slab[idx as usize];
-            (e.bucket, e.slot as usize)
-        };
-        let off = (g - self.base) as usize;
-        let bucket = &mut self.buckets[off];
-        let last = bucket.items.len() - 1;
-        if slot != last {
-            let moved = bucket.items[last];
-            bucket.items[slot] = moved;
-            self.slab[moved as usize].slot = slot as u32;
+        let e = &self.slab[idx as usize];
+        let pos = e.pos as usize;
+        let bucket = &mut self.buckets[(e.bucket - self.base) as usize];
+        bucket.items.swap_remove(pos);
+        if let Some(&moved) = bucket.items.get(pos) {
             // The tail element jumped forward: order is no longer known.
-            bucket.sorted = false;
+            self.slab[moved as usize].pos = pos as u32;
+            bucket.dirty = true;
         }
-        bucket.items.pop();
-    }
-
-    /// Recomputes the cached minimum; every remaining entry is known to
-    /// live in bucket `start_g` or later. Also trims drained front
-    /// buckets so long-gone key ranges stop costing scan time.
-    fn recompute_min_from(&mut self, start_g: i64) {
-        while let Some(front) = self.buckets.front() {
-            if front.items.is_empty() && self.buckets.len() > 1 && self.base < start_g {
-                self.buckets.pop_front();
-                self.base += 1;
-            } else {
-                break;
-            }
-        }
-        let mut off = (start_g.max(self.base) - self.base) as usize;
-        while off < self.buckets.len() {
-            let bucket = &self.buckets[off];
-            if let Some((&first, rest)) = bucket.items.split_first() {
-                let mut best = first;
-                for &i in rest {
-                    let (a, b) = (&self.slab[i as usize], &self.slab[best as usize]);
-                    if order(a.key, &a.item, b.key, &b.item) == std::cmp::Ordering::Less {
-                        best = i;
-                    }
-                }
-                self.min_idx = best;
-                return;
-            }
-            off += 1;
-        }
-        self.min_idx = NONE_IDX;
     }
 
     // lint: hot
-    /// Inserts `item` with `key`, replacing any previous key; `aux` is an
-    /// opaque caller payload handed back by ordered scans ([`NO_AUX`]
-    /// when unused). Returns the entry's **slab slot** — stable for the
-    /// entry's whole lifetime (until [`Self::remove`]) — which the caller
-    /// may keep to use the probe-free [`Self::rekey_slot`].
+    /// Settles bucket `off`: entries whose key now maps to a later bucket
+    /// move there, the residents are sorted descending by `(key, item)`.
+    fn settle(&mut self, off: usize) {
+        let g = self.base + off as i64;
+        let mut items = std::mem::take(&mut self.buckets[off].items);
+        items.retain(|&idx| {
+            let home = self.bucket_of(self.slab[idx as usize].key);
+            debug_assert!(home >= g, "stored bucket above the key's");
+            if home != g {
+                self.attach(idx, home);
+                self.relocations += 1;
+            }
+            home == g
+        });
+        let slab = &mut self.slab;
+        items.sort_unstable_by(|&a, &b| {
+            let (ea, eb) = (&slab[a as usize], &slab[b as usize]);
+            order(eb.key, &eb.item, ea.key, &ea.item)
+        });
+        for (pos, &idx) in items.iter().enumerate() {
+            slab[idx as usize].pos = pos as u32;
+        }
+        self.buckets[off].items = items;
+        self.buckets[off].dirty = false;
+    }
+
+    /// Re-finds the minimum after it was removed or re-keyed upward. Every
+    /// bucket below its old one is empty, so the settled front bucket's
+    /// tail is the new minimum; drained front buckets are trimmed.
+    fn refind_min(&mut self) {
+        self.min_idx = NONE_IDX;
+        while let Some(front) = self.buckets.front() {
+            if front.dirty {
+                self.settle(0);
+            }
+            if let Some(&tail) = self.buckets.front().and_then(|b| b.items.last()) {
+                self.min_idx = tail;
+                return;
+            }
+            self.buckets.pop_front();
+            self.base += 1;
+        }
+    }
+
+    // lint: hot
+    /// Inserts `item`, which must not be present, with `key`; `aux` is an
+    /// opaque caller payload handed back by ordered scans ([`NO_AUX`] when
+    /// unused). Returns the entry's **slab slot** — stable until
+    /// [`Self::remove_slot`] — the address [`Self::rekey_slot`] takes.
     ///
     /// # Panics
     ///
     /// Panics if `key` is NaN.
-    pub fn insert(&mut self, item: T, key: f64, aux: u32) -> u32 {
+    pub fn insert_new(&mut self, item: T, key: f64, aux: u32) -> u32 {
         assert!(!key.is_nan(), "RankIndex cannot hold a NaN key");
         // Normalize -0.0 so stored keys follow the IEEE order exactly
         // (same as OrdF64 in the tree-based KeyedSet).
         let key = key + 0.0;
-        let anchor = match self.anchor {
-            Some(a) => a,
-            None => {
-                let a = (key / BUCKET_WIDTH_MS).floor() as i64;
-                self.anchor = Some(a);
-                a
-            }
-        };
-        let g = self.bucket_of(key, anchor);
-        if let Some(&idx) = self.map.get(&item) {
-            self.rekey_idx(idx, key, aux, g);
-            return idx;
-        }
-        let idx = self.alloc(item, key, aux);
-        self.map.insert(item, idx);
-        self.attach(idx, g);
-        self.challenge_min(idx);
-        idx
-    }
-
-    // lint: hot
-    /// Re-keys the entry at slab slot `slot` (as returned by
-    /// [`Self::insert`]) without any hash probe, refreshing `aux`.
-    ///
-    /// The caller must pass a slot obtained from [`Self::insert`] for an
-    /// item that has not been removed since — slots are reused after
-    /// removal, so a stale slot would silently re-key a different item.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is NaN.
-    pub fn rekey_slot(&mut self, slot: u32, key: f64, aux: u32) {
-        assert!(!key.is_nan(), "RankIndex cannot hold a NaN key");
-        let key = key + 0.0;
-        // A live slot implies a non-empty index, so the anchor is set.
-        let anchor = self.anchor.unwrap_or_default();
-        let g = self.bucket_of(key, anchor);
-        self.rekey_idx(slot, key, aux, g);
-    }
-
-    // lint: hot
-    /// Moves slab entry `idx` to (already normalized) `key` in bucket `g`.
-    fn rekey_idx(&mut self, idx: u32, key: f64, aux: u32, g: i64) {
-        let (old_key, old_g) = {
-            let e = &self.slab[idx as usize];
-            (e.key, e.bucket)
-        };
-        self.slab[idx as usize].aux = aux;
-        if old_key.total_cmp(&key) == std::cmp::Ordering::Equal {
-            return; // identical key: tree re-insert would be a no-op
-        }
-        self.slab[idx as usize].key = key;
-        if g == old_g {
-            let off = (g - self.base) as usize;
-            let bucket = &mut self.buckets[off];
-            if bucket.items.len() > 1 {
-                bucket.sorted = false;
-            }
-        } else {
-            self.detach(idx);
-            self.attach(idx, g);
-        }
-        // Minimum maintenance: a shrinking key keeps (or takes) the
-        // minimum; the minimum growing must be re-found.
-        if idx == self.min_idx {
-            if key > old_key {
-                self.recompute_min_from(old_g);
-            }
-        } else {
-            self.challenge_min(idx);
-        }
-    }
-
-    /// Takes a free slab slot (or grows the slab) for a new entry.
-    fn alloc(&mut self, item: T, key: f64, aux: u32) -> u32 {
+        let g = self.bucket_of(key);
+        self.anchor.get_or_insert(g);
         let entry = Entry {
             item,
             key,
             aux,
-            bucket: 0,
-            slot: 0,
+            bucket: g,
+            pos: 0,
         };
-        match self.free.pop() {
+        let idx = match self.free.pop() {
             Some(idx) => {
                 self.slab[idx as usize] = entry;
                 idx
@@ -360,92 +291,119 @@ impl<T: Eq + Hash + Ord + Copy> RankIndex<T> {
                 self.slab.push(entry);
                 (self.slab.len() - 1) as u32
             }
+        };
+        self.attach(idx, g);
+        self.challenge_min(idx);
+        idx
+    }
+
+    // lint: hot
+    /// Re-keys the entry at `slot`, refreshing `aux`. A key that rises —
+    /// a Cafe touch — is a field store that leaves the entry in its stored
+    /// bucket for the next ordered read to settle.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is NaN, or with `RankIndex slot {slot} is not live`
+    /// if `slot` holds no entry (a slot kept past its entry's removal may
+    /// by then name another item: slots are reused).
+    pub fn rekey_slot(&mut self, slot: u32, key: f64, aux: u32) {
+        assert!(!key.is_nan(), "RankIndex cannot hold a NaN key");
+        let live = self.get(slot).is_some();
+        assert!(live, "RankIndex slot {slot} is not live");
+        let key = key + 0.0;
+        let e = &mut self.slab[slot as usize];
+        e.aux = aux;
+        let old_key = std::mem::replace(&mut e.key, key);
+        let stored = e.bucket;
+        if key > old_key {
+            // Bucketing is monotone: the stored bucket is still a lower
+            // bound. Only the minimum rising must be acted on at once.
+            self.buckets[(stored - self.base) as usize].dirty = true;
+            if slot == self.min_idx {
+                self.refind_min();
+            }
+        } else if key < old_key {
+            let g = self.bucket_of(key);
+            if g < stored {
+                // The one eager move: stored must stay a lower bound.
+                self.detach(slot);
+                self.attach(slot, g);
+            } else {
+                self.buckets[(stored - self.base) as usize].dirty = true;
+            }
+            // A shrinking key keeps, or takes, the minimum.
+            self.challenge_min(slot);
         }
     }
 
     // lint: hot
     /// Makes `idx` the cached minimum if it orders below it.
     fn challenge_min(&mut self, idx: u32) {
-        if self.min_idx == NONE_IDX {
-            self.min_idx = idx;
-            return;
-        }
-        let (c, m) = (&self.slab[idx as usize], &self.slab[self.min_idx as usize]);
-        if order(c.key, &c.item, m.key, &m.item) == std::cmp::Ordering::Less {
+        let c = &self.slab[idx as usize];
+        let min = self.slab.get(self.min_idx as usize);
+        if min.is_none_or(|m| order(c.key, &c.item, m.key, &m.item) == Ordering::Less) {
             self.min_idx = idx;
         }
     }
 
     // lint: hot
-    /// Removes `item`; returns its key if it was present.
-    pub fn remove(&mut self, item: &T) -> Option<f64> {
-        let idx = self.map.remove(item)?;
-        let (key, g) = {
-            let e = &self.slab[idx as usize];
-            (e.key, e.bucket)
-        };
-        self.detach(idx);
-        self.free.push(idx);
-        if self.map.is_empty() {
-            self.reset_buckets();
-        } else if idx == self.min_idx {
-            self.recompute_min_from(g);
+    /// Removes the entry at `slot`; returns its key.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `RankIndex slot {slot} is not live` if `slot` does not
+    /// hold an entry (never inserted, or already removed).
+    pub fn remove_slot(&mut self, slot: u32) -> f64 {
+        let live = self.get(slot).is_some();
+        assert!(live, "RankIndex slot {slot} is not live");
+        self.detach(slot);
+        let e = &mut self.slab[slot as usize];
+        e.pos = NONE_IDX;
+        let key = e.key;
+        self.free.push(slot);
+        if self.is_empty() {
+            // Drained: drop all buckets and re-arm the clamp anchor.
+            self.buckets.clear();
+            self.anchor = None;
+            self.min_idx = NONE_IDX;
+        } else if slot == self.min_idx {
+            self.refind_min();
         }
-        Some(key)
-    }
-
-    /// Drops all buckets and re-arms the clamp anchor once drained.
-    fn reset_buckets(&mut self) {
-        self.buckets.clear();
-        self.base = 0;
-        self.anchor = None;
-        self.min_idx = NONE_IDX;
+        key
     }
 
     // lint: hot
     /// The smallest-key (least popular) item — O(1), no sorting.
     pub fn smallest(&self) -> Option<(T, f64)> {
-        if self.min_idx == NONE_IDX {
-            return None;
-        }
-        let e = &self.slab[self.min_idx as usize];
-        Some((e.item, e.key))
-    }
-
-    // lint: hot
-    /// Removes and returns the smallest-key item.
-    pub fn pop_smallest(&mut self) -> Option<(T, f64)> {
-        let (item, key) = self.smallest()?;
-        self.remove(&item);
-        Some((item, key))
+        self.get(self.min_idx)
     }
 
     // lint: hot
     /// Visits the `n` smallest-key items that do not satisfy `exclude`,
     /// in exact ascending `(key, item)` order (fewer if the index runs
-    /// out), as `visit(item, key, aux)`. Buckets are sorted lazily as the
-    /// scan enters them; buckets the scan never reaches stay unsorted.
+    /// out), as `visit(item, key, aux)`. Buckets are settled as the scan
+    /// enters them; buckets the scan never reaches stay as they are.
     pub fn for_smallest_excluding(
         &mut self,
         n: usize,
         exclude: impl Fn(&T) -> bool,
         mut visit: impl FnMut(T, f64, u32),
     ) {
-        if n == 0 || self.map.is_empty() {
+        let Some(min) = self.slab.get(self.min_idx as usize) else {
             return;
-        }
+        };
+        // Every bucket below the minimum's is empty.
+        let mut off = (min.bucket - self.base) as usize;
         let mut taken = 0usize;
-        let slab = &mut self.slab;
-        for bucket in self.buckets.iter_mut() {
-            if bucket.items.is_empty() {
-                continue;
-            }
-            if !bucket.sorted {
-                sort_bucket(bucket, slab);
+        // A settle can add buckets at the far end: re-read the length.
+        while taken < n && off < self.buckets.len() {
+            if self.buckets[off].dirty {
+                self.settle(off);
             }
             // Descending storage read back-to-front = ascending order.
-            for &idx in bucket.items.iter().rev() {
-                let e = &slab[idx as usize];
+            for &idx in self.buckets[off].items.iter().rev() {
+                let e = &self.slab[idx as usize];
                 if exclude(&e.item) {
                     continue;
                 }
@@ -455,44 +413,162 @@ impl<T: Eq + Hash + Ord + Copy> RankIndex<T> {
                     return;
                 }
             }
+            off += 1;
         }
     }
 
-    /// Collecting form of [`Self::for_smallest_excluding`] (tests and
-    /// cold paths).
+    /// Collecting [`Self::for_smallest_excluding`] (tests and cold paths).
     pub fn smallest_excluding(&mut self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
         let mut out = Vec::new();
         self.for_smallest_excluding(n, exclude, |item, key, _| out.push((item, key)));
         out
     }
 
-    /// Every `(item, key)` in ascending `(key, item)` order — allocates
-    /// and sorts a fresh vector; snapshot/export path, not for the hot
-    /// loop.
+    /// Every `(item, key)` in ascending `(key, item)` order — allocates and
+    /// sorts a fresh vector; snapshot/export path, not for the hot loop.
     pub fn entries_ascending(&self) -> Vec<(T, f64)> {
-        let mut out: Vec<(T, f64)> = self
-            .map
-            .values()
-            .map(|&i| {
-                let e = &self.slab[i as usize];
-                (e.item, e.key)
-            })
-            .collect();
+        let live = self.slab.iter().filter(|e| e.pos != NONE_IDX);
+        let mut out: Vec<(T, f64)> = live.map(|e| (e.item, e.key)).collect();
         out.sort_unstable_by(|a, b| order(a.1, &a.0, b.1, &b.0));
         out
     }
+
+    /// How many entries settles have moved to a later bucket (for tests).
+    pub fn relocations(&self) -> u64 {
+        self.relocations
+    }
+
+    /// Checks every structural invariant (tests): stored ≤ true and exact
+    /// back-pointers for every entry, clean buckets hold only residents in
+    /// descending `(key, item)` order, the minimum is the true one with
+    /// every bucket below it empty, `len` counts the entries in buckets,
+    /// free slots are marked dead.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn audit(&self) {
+        let mut live = 0usize;
+        for (g, b) in (self.base..).zip(&self.buckets) {
+            for (pos, &idx) in b.items.iter().enumerate() {
+                let e = &self.slab[idx as usize];
+                assert_eq!((e.bucket, e.pos as usize), (g, pos), "slot {idx}: place");
+                let home = self.bucket_of(e.key);
+                assert!(g <= home, "slot {idx}: stored in {g}, key maps to {home}");
+                assert!(b.dirty || g == home, "slot {idx}: stale in a clean bucket");
+            }
+            let at = |idx: &u32| &self.slab[*idx as usize];
+            let descending = b.items.is_sorted_by(|x, y| {
+                let (x, y) = (at(x), at(y));
+                order(x.key, &x.item, y.key, &y.item) == Ordering::Greater
+            });
+            assert!(b.dirty || descending, "bucket {g}: clean but out of order");
+            live += b.items.len();
+        }
+        assert_eq!(live, self.len(), "entries in buckets");
+        let dead = |&i: &u32| self.slab[i as usize].pos == NONE_IDX;
+        assert!(self.free.iter().all(dead), "free slot not marked dead");
+        let min = self.entries_ascending().first().copied();
+        assert!(self.smallest() == min, "cached minimum is not the minimum");
+        if let Some(min) = self.slab.get(self.min_idx as usize) {
+            let below = (min.bucket - self.base) as usize;
+            let drained = self.buckets.iter().take(below).all(|b| b.items.is_empty());
+            assert!(drained, "entries below the minimum's bucket");
+        }
+    }
 }
 
-/// Sorts a bucket descending by `(key, item)` and rewrites entry slots.
-fn sort_bucket<T: Eq + Ord + Copy>(bucket: &mut Bucket, slab: &mut [Entry<T>]) {
-    bucket.items.sort_unstable_by(|&a, &b| {
-        let (ea, eb) = (&slab[a as usize], &slab[b as usize]);
-        order(eb.key, &eb.item, ea.key, &ea.item)
-    });
-    for (pos, &idx) in bucket.items.iter().enumerate() {
-        slab[idx as usize].slot = pos as u32;
+/// [`RankIndex`] addressed by item: one `FastMap<T, u32>` of slots in
+/// front of the same buckets, for callers with no directory of their own
+/// to keep slots in (Cafe's `hot` prefetch mirror) and for the
+/// [`KeyedSet`](crate::ds::KeyedSet) oracle tests; `insert` is an upsert.
+/// Reads that settle nothing ([`RankIndex::smallest`], [`RankIndex::len`],
+/// [`RankIndex::entries_ascending`], …) come through `Deref`.
+#[derive(Debug, Clone)]
+pub struct RankMap<T: Eq + Hash + Ord + Copy> {
+    slots: FastMap<T, u32>,
+    index: RankIndex<T>,
+}
+
+impl<T: Eq + Hash + Ord + Copy> Default for RankMap<T> {
+    fn default() -> Self {
+        RankMap {
+            slots: FastMap::default(),
+            index: RankIndex::new(),
+        }
     }
-    bucket.sorted = true;
+}
+
+impl<T: Eq + Hash + Ord + Copy> std::ops::Deref for RankMap<T> {
+    type Target = RankIndex<T>;
+
+    fn deref(&self) -> &RankIndex<T> {
+        &self.index
+    }
+}
+
+impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
+    /// Creates an empty index.
+    pub fn new() -> Self {
+        RankMap::default()
+    }
+
+    /// Whether `item` is present.
+    pub fn contains(&self, item: &T) -> bool {
+        self.slots.contains_key(item)
+    }
+
+    /// The current key of `item`, if present.
+    pub fn key_of(&self, item: &T) -> Option<f64> {
+        let (_, key) = self.index.get(*self.slots.get(item)?)?;
+        Some(key)
+    }
+
+    // lint: hot
+    /// Inserts `item` with `key` and `aux`, replacing any previous ones.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` is NaN.
+    pub fn insert(&mut self, item: T, key: f64, aux: u32) {
+        match self.slots.get(&item) {
+            Some(&slot) => self.index.rekey_slot(slot, key, aux),
+            None => {
+                let slot = self.index.insert_new(item, key, aux);
+                self.slots.insert(item, slot);
+            }
+        }
+    }
+
+    // lint: hot
+    /// Removes `item`; returns its key if it was present.
+    pub fn remove(&mut self, item: &T) -> Option<f64> {
+        let slot = self.slots.remove(item)?;
+        Some(self.index.remove_slot(slot))
+    }
+
+    /// Removes and returns the smallest-key item.
+    pub fn pop_smallest(&mut self) -> Option<(T, f64)> {
+        let (item, key) = self.index.smallest()?;
+        self.remove(&item);
+        Some((item, key))
+    }
+
+    // lint: hot
+    /// [`RankIndex::for_smallest_excluding`].
+    pub fn for_smallest_excluding(
+        &mut self,
+        n: usize,
+        exclude: impl Fn(&T) -> bool,
+        visit: impl FnMut(T, f64, u32),
+    ) {
+        self.index.for_smallest_excluding(n, exclude, visit);
+    }
+
+    /// [`RankIndex::smallest_excluding`].
+    pub fn smallest_excluding(&mut self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
+        self.index.smallest_excluding(n, exclude)
+    }
 }
 
 #[cfg(test)]
@@ -502,7 +578,7 @@ mod tests {
 
     #[test]
     fn insert_lookup_remove() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(1u32, 3.0, NO_AUX);
         s.insert(2, 1.0, NO_AUX);
         s.insert(3, 2.0, NO_AUX);
@@ -516,7 +592,7 @@ mod tests {
 
     #[test]
     fn ordering_and_pops() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert("c", 30.0, NO_AUX);
         s.insert("a", 10.0, NO_AUX);
         s.insert("b", 20.0, NO_AUX);
@@ -530,7 +606,7 @@ mod tests {
 
     #[test]
     fn rekeying_moves_items_across_buckets() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(1u8, 10.0, NO_AUX);
         s.insert(2, 20.0, NO_AUX);
         // Far re-key: different bucket in both directions.
@@ -546,7 +622,7 @@ mod tests {
 
     #[test]
     fn equal_keys_disambiguated_by_item() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(5u32, 1.0, NO_AUX);
         s.insert(3, 1.0, NO_AUX);
         s.insert(4, 1.0, NO_AUX);
@@ -558,7 +634,7 @@ mod tests {
 
     #[test]
     fn smallest_excluding_skips() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         for i in 0..6u32 {
             s.insert(i, i as f64, NO_AUX);
         }
@@ -573,7 +649,7 @@ mod tests {
 
     #[test]
     fn aux_payload_rides_along() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(7u8, 2.0, 42);
         s.insert(8, 1.0, 43);
         let mut seen = Vec::new();
@@ -589,12 +665,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN")]
     fn nan_keys_rejected() {
-        RankIndex::new().insert(1u8, f64::NAN, NO_AUX);
+        RankMap::new().insert(1u8, f64::NAN, NO_AUX);
     }
 
     #[test]
     fn negative_zero_normalizes_to_positive_zero() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(1u8, -0.0, NO_AUX);
         let key = s.key_of(&1).expect("present");
         assert!(key.is_sign_positive());
@@ -605,7 +681,7 @@ mod tests {
 
     #[test]
     fn far_flung_keys_clamp_but_stay_ordered() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(1u8, 0.0, NO_AUX);
         // Both far beyond the anchored window: clamped into edge buckets.
         s.insert(2, 1e300, NO_AUX);
@@ -620,7 +696,7 @@ mod tests {
 
     #[test]
     fn drain_and_refill_reanchors() {
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         s.insert(1u8, 1e9, NO_AUX);
         assert_eq!(s.pop_smallest(), Some((1, 1e9)));
         assert!(s.is_empty());
@@ -630,10 +706,90 @@ mod tests {
     }
 
     #[test]
+    fn upward_rekeys_wait_for_the_next_ordered_read() {
+        let mut s = RankIndex::new();
+        let slots: Vec<u32> = (0..8u32)
+            .map(|i| s.insert_new(i, f64::from(i), i))
+            .collect();
+        // Items 1..8 leave bucket 0 for buckets 1..8; nothing moves yet.
+        for (i, &slot) in slots.iter().enumerate().skip(1) {
+            s.rekey_slot(slot, i as f64 * BUCKET_WIDTH_MS, NO_AUX);
+        }
+        assert_eq!((s.relocations(), s.buckets.len()), (0, 1));
+        assert_eq!(s.smallest(), Some((0, 0.0)));
+        s.audit();
+        // A scan of two settles bucket 0 (seven move out) and bucket 1.
+        let got = s.smallest_excluding(2, |_| false);
+        assert_eq!(got, [(0, 0.0), (1, BUCKET_WIDTH_MS)]);
+        assert_eq!(s.relocations(), 7);
+        s.audit();
+        // The minimum rising is the other ordered read: it settles on the
+        // way to the new minimum and trims the drained front.
+        s.rekey_slot(slots[0], 9.0 * BUCKET_WIDTH_MS, NO_AUX);
+        assert_eq!(s.smallest(), Some((1, BUCKET_WIDTH_MS)));
+        assert_eq!((s.base, s.relocations()), (1, 8));
+        assert_eq!(s.remove_slot(slots[1]), BUCKET_WIDTH_MS);
+        assert_eq!(s.smallest(), Some((2, 2.0 * BUCKET_WIDTH_MS)));
+        // A key that falls below its stored bucket moves at once.
+        s.rekey_slot(slots[5], -1.0, 55);
+        assert_eq!(s.slab[slots[5] as usize].bucket, -1);
+        assert_eq!(s.smallest(), Some((5, -1.0)));
+        s.audit();
+        let mut seen = Vec::new();
+        s.for_smallest_excluding(2, |_| false, |item, _, aux| seen.push((item, aux)));
+        assert_eq!(seen, [(5, 55), (2, NO_AUX)]);
+        let order: Vec<u32> = s.entries_ascending().iter().map(|e| e.0).collect();
+        assert_eq!(order, [5, 2, 3, 4, 6, 7, 0]);
+    }
+
+    #[test]
+    fn slots_are_reused_and_dead_slots_answer_none() {
+        let mut s = RankIndex::new();
+        let a = s.insert_new('a', 1.0, NO_AUX);
+        let b = s.insert_new('b', 2.0, NO_AUX);
+        assert_eq!(s.get(a), Some(('a', 1.0)));
+        assert_eq!(s.remove_slot(a), 1.0);
+        assert_eq!((s.get(a), s.get(99), s.len()), (None, None, 1));
+        s.audit();
+        assert_eq!(s.insert_new('c', 0.5, NO_AUX), a);
+        assert_eq!(s.smallest(), Some(('c', 0.5)));
+        assert_eq!(s.get(b), Some(('b', 2.0)));
+        s.audit();
+    }
+
+    #[test]
+    #[should_panic(expected = "RankIndex slot 0 is not live")]
+    fn rekeying_a_removed_slot_panics() {
+        let mut s = RankIndex::new();
+        let a = s.insert_new(1u8, 1.0, NO_AUX);
+        s.insert_new(2, 2.0, NO_AUX);
+        s.remove_slot(a);
+        s.rekey_slot(a, 3.0, NO_AUX);
+    }
+
+    #[test]
+    #[should_panic(expected = "RankIndex slot 7 is not live")]
+    fn removing_a_slot_never_handed_out_panics() {
+        let mut s = RankIndex::new();
+        s.insert_new(1u8, 1.0, NO_AUX);
+        s.remove_slot(7);
+    }
+
+    #[test]
+    #[should_panic(expected = "RankIndex slot 1 is not live")]
+    fn removing_a_slot_twice_panics() {
+        let mut s = RankIndex::new();
+        s.insert_new(1u8, 1.0, NO_AUX);
+        let b = s.insert_new(2, 2.0, NO_AUX);
+        s.remove_slot(b);
+        s.remove_slot(b);
+    }
+
+    #[test]
     fn model_based_random_ops() {
         // Reference model: HashMap + full scan for min (same model the
         // KeyedSet test uses, so both structures answer identically).
-        let mut s = RankIndex::new();
+        let mut s = RankMap::new();
         let mut model: HashMap<u64, f64> = HashMap::new();
         let mut seed = 99u64;
         let mut next = || {
@@ -672,5 +828,6 @@ mod tests {
                 .map(|(k, v)| (*k, *v));
             assert_eq!(s.smallest(), want_min);
         }
+        s.audit();
     }
 }

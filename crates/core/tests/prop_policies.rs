@@ -607,8 +607,9 @@ impl NaiveCafe {
 /// A long time-ordered trace: a few hot videos among `videos`, so a small
 /// disk stays young while the cold tail's state goes stale. One long
 /// silence just before the second sweep instant ages the whole cache at
-/// once, so that sweep's cutoff falls below the previous one.
-fn long_requests(rng: &mut DetRng, n: usize, videos: u64) -> Vec<Request> {
+/// once, so that sweep's cutoff falls below the previous one. The clock
+/// advances `pace.0 .. pace.0 + pace.1` ms per request.
+fn long_requests(rng: &mut DetRng, n: usize, videos: u64, pace: (u64, u64)) -> Vec<Request> {
     let mut t = 0u64;
     (0..n)
         .map(|i| {
@@ -617,7 +618,7 @@ fn long_requests(rng: &mut DetRng, n: usize, videos: u64) -> Vec<Request> {
                 _ => rng.below(3),
             };
             let start = rng.below(900);
-            t += 1 + rng.below(49);
+            t += pace.0 + rng.below(pace.1);
             if i % 8192 == 8190 {
                 t += 150_000;
             }
@@ -633,15 +634,26 @@ fn long_requests(rng: &mut DetRng, n: usize, videos: u64) -> Vec<Request> {
 #[test]
 fn cafe_matches_reference() {
     let (mut swept_chunks, mut swept_videos, mut idle_runs) = (0, 0, 0);
-    let (mut falling, mut prefetched) = (0, 0);
-    // (requests, videos, disk): the first shape never fills its disk and
-    // opens with a video nobody asks for again, so the cache age is the
-    // age of the trace and every cutoff is 0; the others keep a small hot
-    // cache whose sweeps really drop state.
-    let shapes = [(9_000, 8, 500), (13_000, 60, 9), (9_000, 200, 24)];
-    for (case, &(n, videos, d)) in shapes.iter().cycle().take(9).enumerate() {
+    let (mut falling, mut prefetched, mut widest) = (0, 0, 0.0f64);
+    // (requests, videos, disk, pace): the first shape never fills its disk
+    // and opens with a video nobody asks for again, so the cache age is the
+    // age of the trace and every cutoff is 0; the next two keep a small hot
+    // cache whose sweeps really drop state. Those three see a request
+    // every 1–49 ms and keep their disk within a few rank-index buckets
+    // (65.5 s each); the last one's clock advances 5–40 s per request, so
+    // its disk spans hundreds of them.
+    let fast = (1, 49);
+    let shapes = [
+        (9_000, 8, 500, fast),
+        (13_000, 60, 9, fast),
+        (9_000, 200, 24, fast),
+    ];
+    let slow = (9_000, 300, 160, (5_000, 35_001));
+    let cases = shapes.iter().cycle().take(9);
+    let cases = cases.chain(std::iter::repeat_n(&slow, 3));
+    for (case, &(n, videos, d, pace)) in cases.enumerate() {
         let mut rng = DetRng::new(0x11C7 ^ case as u64);
-        let mut reqs = long_requests(&mut rng, n, videos);
+        let mut reqs = long_requests(&mut rng, n, videos, pace);
         if d == 500 {
             reqs[0].video = VideoId(videos);
         }
@@ -654,7 +666,9 @@ fn cafe_matches_reference() {
         let mut naive = NaiveCafe::new(d, costs);
         for (seq, r) in reqs.iter().enumerate() {
             if Some(seq) == restore_at {
+                cache.audit();
                 cache = CafeCache::restore(&cache.snapshot()).expect("own snapshot restores");
+                cache.audit();
             }
             if mirror && (seq == 0 || Some(seq) == restore_at) {
                 cache.prefetch_candidates(0, r.t);
@@ -681,6 +695,11 @@ fn cafe_matches_reference() {
                 at()
             );
         }
+        cache.audit();
+        let keys: Vec<f64> = cache.snapshot().disk.iter().map(|e| e.1).collect();
+        if let (Some(low), Some(high)) = (keys.first(), keys.last()) {
+            widest = widest.max((high - low) / vcdn_core::ds::BUCKET_WIDTH_MS);
+        }
         swept_chunks += naive.swept_chunks;
         swept_videos += naive.swept_videos;
         idle_runs += usize::from(naive.positive_cutoffs == 0);
@@ -693,6 +712,7 @@ fn cafe_matches_reference() {
          cutoffs that do not rise and prefetches that land: \
          {swept_chunks} / {swept_videos} / {idle_runs} / {falling} / {prefetched}"
     );
+    assert!(widest >= 200.0, "widest disk: {widest} buckets");
 }
 
 #[test]

@@ -1,5 +1,6 @@
-//! Model oracle: [`RankIndex`] against [`KeyedSet`], the paper-literal
-//! structure it replaces on Cafe's hot path.
+//! Model oracle: [`RankIndex`] — by slot, and by item through [`RankMap`]
+//! — against [`KeyedSet`], the paper-literal structure it replaces on
+//! Cafe's hot path.
 //!
 //! The bucketed index must reproduce the `BTreeSet<(OrdF64, T)>` ascending
 //! `(key, item)` order *exactly* — including equal-key tie-breaks — or
@@ -13,9 +14,14 @@
 //!   makes `key = t − 1.0` collisions routine in real replays),
 //! * `-0.0` vs `+0.0` (both sides normalize to `+0.0`),
 //! * far-flung keys that exceed the bucket span clamp,
-//! * interleaved re-keying, removal, and eviction scans with exclusions.
+//! * interleaved re-keying, removal, and eviction scans with exclusions,
+//! * laziness (`lazy_rekeys_settle_in_exact_order`): long runs of upward
+//!   re-keys across many buckets with no ordered read between them, then
+//!   reads, removals and downward re-keys that meet the stale entries.
 
-use vcdn_core::ds::{KeyedSet, RankIndex, NO_AUX};
+use std::collections::HashMap;
+
+use vcdn_core::ds::{KeyedSet, RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
 use vcdn_trace::rng::DetRng;
 
 #[derive(Debug, Clone)]
@@ -55,7 +61,7 @@ fn rank_index_matches_keyed_set_oracle() {
     for case in 0..96u64 {
         let mut rng = DetRng::new(0x4A4B_1D38 ^ case);
         let n_ops = 1 + rng.below(500) as usize;
-        let mut idx: RankIndex<u16> = RankIndex::new();
+        let mut idx: RankMap<u16> = RankMap::new();
         let mut oracle: KeyedSet<u16> = KeyedSet::new();
         for step in 0..n_ops {
             match gen_op(&mut rng) {
@@ -103,7 +109,7 @@ fn rank_index_matches_keyed_set_oracle() {
 fn cafe_shaped_eviction_sequences_are_identical() {
     for case in 0..48u64 {
         let mut rng = DetRng::new(0xCAFE_0B57 ^ case);
-        let mut idx: RankIndex<u16> = RankIndex::new();
+        let mut idx: RankMap<u16> = RankMap::new();
         let mut oracle: KeyedSet<u16> = KeyedSet::new();
         let mut t = 0.0f64;
         for step in 0..400 {
@@ -133,4 +139,216 @@ fn cafe_shaped_eviction_sequences_are_identical() {
         let want: Vec<(u16, f64)> = oracle.iter_ascending().collect();
         assert_eq!(idx.entries_ascending(), want, "case {case}");
     }
+}
+
+/// The three structures of `lazy_rekeys_settle_in_exact_order` in lockstep:
+/// the index by item, the index by slot (the test keeps the slots, as
+/// Cafe's directory does) and the oracle.
+#[derive(Default)]
+struct Trio {
+    by_item: RankMap<u16>,
+    by_slot: RankIndex<u16>,
+    slots: HashMap<u16, u32>,
+    oracle: KeyedSet<u16>,
+    step: usize,
+    /// Counts ordered reads (scans, and re-finds after the minimum left or
+    /// rose): an entry that crossed a bucket boundary upward at the current
+    /// count cannot have been settled since.
+    reads: usize,
+    crossed_at: HashMap<u16, usize>,
+    /// The lowest bucket each item's keys have mapped to since insertion —
+    /// a lower bound on its stored bucket.
+    low: HashMap<u16, i64>,
+    eager_moves: usize,
+    stale_removed: usize,
+    min_raised: usize,
+    wide_scans: usize,
+}
+
+fn bucket(key: f64) -> i64 {
+    (key / BUCKET_WIDTH_MS).floor() as i64
+}
+
+impl Trio {
+    /// Inserts or re-keys `item` on all three sides.
+    fn set(&mut self, item: u16, key: f64, at: &str) {
+        let is_min = self.oracle.smallest().is_some_and(|m| m.0 == item);
+        match self.oracle.key_of(&item) {
+            Some(old) => {
+                if is_min && key > old {
+                    self.min_raised += 1;
+                    self.reads += 1;
+                }
+                if bucket(key) > bucket(old) {
+                    self.crossed_at.insert(item, self.reads);
+                } else if key < old {
+                    self.crossed_at.remove(&item);
+                    let low = self.low.get_mut(&item).expect("present");
+                    self.eager_moves += usize::from(bucket(key) < *low);
+                    *low = (*low).min(bucket(key));
+                }
+                self.by_slot.rekey_slot(self.slots[&item], key, NO_AUX);
+            }
+            None => {
+                self.slots
+                    .insert(item, self.by_slot.insert_new(item, key, NO_AUX));
+                self.low.insert(item, bucket(key));
+            }
+        }
+        self.by_item.insert(item, key, NO_AUX);
+        self.oracle.insert(item, key);
+        self.check(at);
+    }
+
+    fn remove(&mut self, item: u16, at: &str) {
+        let want = self.oracle.remove(&item);
+        assert_eq!(self.by_item.remove(&item), want, "{at}");
+        let got = self
+            .slots
+            .remove(&item)
+            .map(|s| self.by_slot.remove_slot(s));
+        assert_eq!(got, want, "{at}");
+        if self.crossed_at.remove(&item) == Some(self.reads) {
+            self.stale_removed += 1;
+        }
+        // Taking the minimum away is an ordered read for the next one.
+        self.reads += 1;
+        self.check(at);
+    }
+
+    /// An eviction scan: the victim sequence, order included.
+    fn scan(&mut self, n: usize, threshold: u16, at: &str) {
+        let want = self.oracle.smallest_excluding(n, |item| *item < threshold);
+        let got = self.by_item.smallest_excluding(n, |item| *item < threshold);
+        assert_eq!(got, want, "{at} step {}: by item", self.step);
+        let got = self.by_slot.smallest_excluding(n, |item| *item < threshold);
+        assert_eq!(got, want, "{at} step {}: by slot", self.step);
+        let (first, last) = (want.first(), want.last());
+        let crossed = first
+            .zip(last)
+            .map_or(0, |(a, b)| bucket(b.1) - bucket(a.1));
+        self.wide_scans += usize::from(crossed >= 2);
+        self.reads += 1;
+        self.check(at);
+    }
+
+    fn check(&mut self, at: &str) {
+        let at = format!("{at} step {}", self.step);
+        assert_eq!(self.by_item.len(), self.oracle.len(), "{at}");
+        assert_eq!(self.by_slot.len(), self.oracle.len(), "{at}");
+        assert_eq!(self.by_item.smallest(), self.oracle.smallest(), "{at}");
+        assert_eq!(self.by_slot.smallest(), self.oracle.smallest(), "{at}");
+        if self.step.is_multiple_of(16) {
+            self.by_item.audit();
+            self.by_slot.audit();
+        }
+        self.step += 1;
+    }
+
+    /// A present item other than the minimum (a storm must not read).
+    fn pick(&self, rng: &mut DetRng) -> Option<(u16, f64)> {
+        let min = self.oracle.smallest()?.0;
+        let item = rng.below(64) as u16;
+        let key = self.oracle.key_of(&item)?;
+        (item != min).then_some((item, key))
+    }
+}
+
+/// Keys sit on a lattice of eighths of a bucket, so exact ties happen by
+/// themselves; `cell` counts lattice points.
+fn lattice(cell: i64) -> f64 {
+    cell as f64 * (BUCKET_WIDTH_MS / 8.0)
+}
+
+/// Laziness under test: an upward re-key leaves the entry where it is
+/// stored, so every ordered read, removal and downward re-key after a
+/// storm of them meets stale entries — and must still answer as the tree
+/// does, tie for tie.
+#[test]
+fn lazy_rekeys_settle_in_exact_order() {
+    let (mut relocated, mut eager, mut stale, mut raised, mut wide) = (0, 0, 0, 0, 0);
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0x1A27_5E77 ^ case);
+        let mut t = Trio::default();
+        let at = format!("case {case}");
+        for item in 0..48u16 {
+            t.set(item, lattice(rng.below(96 * 8) as i64), &at);
+        }
+        for _ in 0..24 {
+            match rng.below(8) {
+                // A storm: upward re-keys by up to six buckets, one in
+                // eight landing exactly on another entry's larger key.
+                0..=2 => {
+                    for _ in 0..50 + rng.below(451) {
+                        let Some((item, key)) = t.pick(&mut rng) else {
+                            continue;
+                        };
+                        let tie = t.pick(&mut rng).filter(|_| rng.below(8) == 0);
+                        let up = key + lattice(rng.below(6 * 8) as i64);
+                        let to = tie.map_or(up, |(_, other)| other.max(key));
+                        t.set(item, to, &at);
+                    }
+                }
+                // Downward, possibly below everything stored.
+                3 => {
+                    if let Some((item, key)) = t.pick(&mut rng) {
+                        t.set(item, key - lattice(rng.below(40 * 8) as i64), &at);
+                    }
+                }
+                // The minimum rises past its bucket.
+                4 => {
+                    if let Some((item, key)) = t.oracle.smallest() {
+                        t.set(item, key + lattice(1 + rng.below(4 * 8) as i64), &at);
+                    }
+                }
+                5 => {
+                    for _ in 0..1 + rng.below(4) {
+                        if let Some((item, _)) = t.pick(&mut rng) {
+                            t.remove(item, &at);
+                        }
+                    }
+                }
+                6 => t.set(rng.below(62) as u16, lattice(rng.below(96 * 8) as i64), &at),
+                _ => t.scan(rng.below(13) as usize, rng.below(32) as u16, &at),
+            }
+        }
+        if case % 8 == 0 {
+            // Keys beyond the span clamp on both sides: stale entries bound
+            // for the edge bucket, one scan across the whole window, and
+            // the minimum rising from one edge to the other.
+            t.set(62, 1.0e12, &at);
+            t.set(63, -1.0e12, &at);
+            for _ in 0..3 {
+                if let Some((item, _)) = t.pick(&mut rng) {
+                    t.set(item, 2.0e12, &at);
+                }
+            }
+            t.scan(64, 0, &at);
+            t.set(63, 3.0e12, &at);
+        }
+        relocated += t.by_item.relocations().min(t.by_slot.relocations());
+        eager += t.eager_moves;
+        stale += t.stale_removed;
+        raised += t.min_raised;
+        wide += t.wide_scans;
+        // The full ascending drain, read twice: sorted at once, then
+        // minimum by minimum through every bucket.
+        let want: Vec<(u16, f64)> = t.oracle.iter_ascending().collect();
+        assert_eq!(t.by_item.entries_ascending(), want, "{at}");
+        assert_eq!(t.by_slot.entries_ascending(), want, "{at}");
+        for &(item, key) in &want {
+            assert_eq!(t.by_item.pop_smallest(), Some((item, key)), "{at}");
+            assert_eq!(t.by_slot.smallest(), Some((item, key)), "{at}");
+            t.by_slot.remove_slot(t.slots[&item]);
+        }
+        assert!(t.by_item.is_empty() && t.by_slot.is_empty(), "{at}");
+        t.by_item.audit();
+        t.by_slot.audit();
+    }
+    assert!(
+        relocated > 0 && eager > 0 && stale > 0 && raised > 0 && wide > 0,
+        "cases must cover entries relocated by a settle, eager downward moves, removals of stale \
+         entries, the minimum re-keyed upward and scans across three buckets or more: \
+         {relocated} / {eager} / {stale} / {raised} / {wide}"
+    );
 }

@@ -85,7 +85,8 @@ fn replay_bytes_match_pins_for_all_policies() {
     }
 }
 
-/// The hot mirror (second `RankIndex`, switched on by the first
+/// The hot mirror (a `RankMap`: the rank index behind an item → slot hash
+/// map, the only one on Cafe's request path; switched on by the first
 /// `prefetch_candidates` read and maintained incrementally through every
 /// touch/fill/evict after it) must be decision-neutral: a Cafe replay
 /// with the mirror live produces the exact pinned bytes of the plain
