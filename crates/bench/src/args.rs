@@ -1,4 +1,4 @@
-//! Strict command-line flags for `figures` and the tool binaries.
+//! Strict command-line flags for `figures` and `obs`.
 //!
 //! A command reads every flag it accepts and then calls [`Args::finish`]
 //! before it prints anything; whatever is left on the command line is
@@ -73,6 +73,17 @@ impl Args {
         self.values(name, 0).is_some()
     }
 
+    /// Removes and returns the first unread token that is not a flag: a
+    /// positional operand, named `what` in the error when there is none.
+    /// Read the command's flags first — a flag's values go with it.
+    pub fn operand(&self, what: &str) -> String {
+        let at = (self.rest.borrow().iter()).position(|t| !t.starts_with("--"));
+        match at {
+            Some(i) => self.rest.borrow_mut().remove(i),
+            None => self.fail(&format!("missing operand {what}")),
+        }
+    }
+
     /// Declares the command's flag set complete: any token not read by
     /// now is an error. Call it before the first byte of output.
     pub fn finish(&self) {
@@ -126,6 +137,14 @@ mod tests {
         let a = args("--scale 0.5 --alpha 4");
         assert_eq!(a.take("scale", 1), Ok(strings(&["0.5"])));
         assert_eq!(*a.rest.borrow(), ["--alpha", "4"]);
+        // Operands are what the flags leave behind, in order.
+        let a = args("a.jsonl --in x b.jsonl");
+        assert_eq!(a.take("in", 1), Ok(strings(&["x"])));
+        assert_eq!(
+            (a.operand("<a>"), a.operand("<b>")),
+            ("a.jsonl".into(), "b.jsonl".into())
+        );
+        assert!(a.rest.borrow().is_empty());
         // A repeated flag is read once; the repeat is left over.
         let a = args("--days 1 --days 2");
         assert_eq!(a.take("days", 1), Ok(strings(&["1"])));

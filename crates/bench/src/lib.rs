@@ -13,7 +13,6 @@
 pub mod args;
 pub mod figures;
 pub mod scenario;
-pub mod telemetry;
 
 pub use args::Args;
 

@@ -33,7 +33,7 @@ fn index_matches_tracked_results() {
         .filter_map(|f| f.strip_suffix(".txt").map(String::from))
         .collect();
     // Documented exceptions: a `--scale 1.0` run of fig3_timeseries and the
-    // replay_observe tool's table are tracked without being figures; the
+    // `obs record` table (under its former name) are tracked without being figures; the
     // calibration smoke run is a figure without a tracked table.
     assert!(tracked.remove("fig3_fullscale") && tracked.remove("replay_observe"));
     tracked.insert("smoke".into());

@@ -44,7 +44,7 @@ fn flash_crowd_fires_the_expected_rules_in_the_expected_windows() {
     assert_eq!(
         run.alert_log, GOLDEN,
         "alert log drifted from crates/bench/goldens/flash_crowd_alerts.txt \
-         (re-pin with obs_watch --write-golden only if the change is intended)"
+         (re-pin with obs watch --write-golden only if the change is intended)"
     );
 }
 

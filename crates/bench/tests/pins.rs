@@ -4,7 +4,7 @@
 //! `goldens/perf_smoke.json` and `goldens/contention_smoke.json`. Every
 //! pinned value must also come out the same observed or detached and on
 //! one worker or four; the engine's telemetry bundles must too, and must
-//! read cleanly in `obs_check` and `obs_report`.
+//! read cleanly in `obs check`, `obs report` and `obs diff`.
 
 use std::path::Path;
 use std::process::Command;
@@ -264,13 +264,14 @@ fn engine_bundles_pass_the_tools() {
     let (a, b) = (path("engine_w1.jsonl"), path("engine_w4.jsonl"));
     std::fs::write(&a, one.concat()).unwrap();
     std::fs::write(&b, four.concat()).unwrap();
-    for (exe, args) in [
-        (env!("CARGO_BIN_EXE_obs_check"), vec!["--in", &a]),
-        (env!("CARGO_BIN_EXE_obs_report"), vec!["--in", &a]),
-        (env!("CARGO_BIN_EXE_obs_report"), vec!["--diff", &a, &b]),
+    for args in [
+        vec!["check", "--in", &a],
+        vec!["report", "--in", &a],
+        vec!["diff", &a, &b],
     ] {
-        let out = Command::new(exe).args(&args).output().expect("tool runs");
+        let obs = Command::new(env!("CARGO_BIN_EXE_obs")).args(&args).output();
+        let out = obs.expect("obs runs");
         let stderr = String::from_utf8_lossy(&out.stderr);
-        assert_eq!(out.status.code(), Some(0), "{exe} {args:?}: {stderr}");
+        assert_eq!(out.status.code(), Some(0), "obs {args:?}: {stderr}");
     }
 }

@@ -11,12 +11,14 @@
 //! regardless of worker count or machine. See `OBSERVABILITY.md` for the
 //! line-by-line schema.
 
-use vcdn_types::json::{Json, ObjectWriter};
+use vcdn_types::json::{FromJson, Json, ObjectWriter};
 use vcdn_types::CostModel;
 
 use crate::detect::AlertEvent;
 use crate::event::DecisionEvent;
-use crate::registry::MetricSnapshot;
+use crate::histogram::HistogramSnapshot;
+use crate::read::field;
+use crate::registry::{MetricKind, MetricSnapshot};
 use crate::sampler::SeriesSample;
 use crate::topk::TopKRecord;
 use crate::window::{WindowRecord, WindowStats};
@@ -37,6 +39,31 @@ impl MetricSnapshot {
             None => obj,
         }
         .finish_line();
+    }
+
+    /// Reads the metric [`MetricSnapshot::write_line`] wrote.
+    pub(crate) fn from_json(line: &Json) -> Result<MetricSnapshot, String> {
+        use MetricKind::{Counter, Gauge, Histogram, TimingHistogram};
+        let name: String = field(line, "kind")?;
+        let kinds = [Counter, Gauge, Histogram, TimingHistogram];
+        let kind = (kinds.into_iter().find(|k| k.name() == name))
+            .ok_or_else(|| format!("field `kind`: unknown metric kind {name:?}"))?;
+        let value = field(line, "value")?;
+        let histogram = match kind {
+            Counter | Gauge => None,
+            Histogram | TimingHistogram => Some(HistogramSnapshot {
+                count: value,
+                sum: field(line, "sum")?,
+                buckets: field(line, "buckets")?,
+            }),
+        };
+        Ok(MetricSnapshot {
+            name: field(line, "name")?,
+            kind,
+            value,
+            sum: histogram.as_ref().map_or(0, |hist| hist.sum),
+            histogram,
+        })
     }
 }
 
@@ -77,6 +104,22 @@ impl TelemetryBundle {
         self
     }
 
+    /// The meta entry `key`, decoded as `T`; `None` if it is absent or
+    /// of another type.
+    pub fn meta_get<T: FromJson>(&self, key: &str) -> Option<T> {
+        let (_, value) = self.meta.iter().find(|(k, _)| k == key)?;
+        T::from_json(value).ok()
+    }
+
+    /// A short name for the bundle in messages: its `cell`, `source` or
+    /// `policy` meta entry, whichever exists first.
+    pub fn label(&self) -> String {
+        ["cell", "source", "policy"]
+            .iter()
+            .find_map(|key| self.meta_get(key))
+            .unwrap_or_else(|| "?".into())
+    }
+
     /// Fills the window section from `windows` (index order), flattened
     /// against `costs`, with `dropped` windows already evicted upstream.
     pub fn set_windows<'a>(
@@ -93,8 +136,11 @@ impl TelemetryBundle {
     }
 
     /// Appends the bundle's meta line: the schema tag, the caller's
-    /// entries, then the section counts.
-    fn write_meta_line(&self, out: &mut String) {
+    /// entries, then the section counts. The reader calls this too, to
+    /// compare; it stays part of [`TelemetryBundle::to_jsonl`]'s body, as
+    /// it was when that was its one caller.
+    #[inline(always)]
+    pub(crate) fn write_meta_line(&self, out: &mut String) {
         let head = ObjectWriter::new(out)
             .str("type", "meta")
             .str("schema", SCHEMA);

@@ -27,9 +27,10 @@
 //! they carry no signal, and letting them zero an EWMA would fire false
 //! efficiency-drop alerts on every traffic gap.
 
-use vcdn_types::json::ObjectWriter;
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::CostModel;
 
+use crate::read::{field, float};
 use crate::window::WindowStats;
 
 /// The default rule set shipped in-repo (`results/default.rules`).
@@ -39,13 +40,13 @@ pub const DEFAULT_RULES_TEXT: &str = include_str!("../../../results/default.rule
 /// (`baseline ← (1−w)·baseline + w·observed`).
 pub const EWMA_WEIGHT: f64 = 0.2;
 
-/// Alert severity. `Critical` alerts make `obs_watch` exit nonzero —
+/// Alert severity. `Critical` alerts make `obs watch` exit nonzero —
 /// the CI regression-gate contract.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub enum Severity {
     /// Worth a look; does not gate CI.
     Warning,
-    /// An SLO breach; gates CI via `obs_watch`'s exit status.
+    /// An SLO breach; gates CI via `obs watch`'s exit status.
     Critical,
 }
 
@@ -254,7 +255,7 @@ pub fn parse_rules(text: &str) -> Result<Vec<Rule>, String> {
 
 /// Renders rules back to canonical grammar text (always including the
 /// `for N` clause), such that `parse_rules(render_rules(r)) == r` — the
-/// round-trip `obs_check` validates.
+/// round-trip `obs check --rules` validates.
 pub fn render_rules(rules: &[Rule]) -> String {
     let mut out = String::new();
     for r in rules {
@@ -311,6 +312,19 @@ impl AlertEvent {
             .f64("baseline", self.baseline)
             .f64("observed", self.observed)
             .finish_line();
+    }
+
+    /// Reads the alert [`AlertEvent::write_line`] wrote.
+    pub(crate) fn from_json(line: &Json) -> Result<AlertEvent, String> {
+        let severity: String = field(line, "severity")?;
+        Ok(AlertEvent {
+            window: field(line, "window")?,
+            rule: field(line, "rule")?,
+            severity: Severity::parse(&severity)
+                .ok_or_else(|| format!("field `severity`: unknown severity {severity:?}"))?,
+            baseline: float(line, "baseline")?,
+            observed: float(line, "observed")?,
+        })
     }
 }
 

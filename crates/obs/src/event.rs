@@ -10,8 +10,13 @@
 //! bounded buffer that keeps the most recent `capacity` events and counts
 //! what it dropped, so tracing a month-long replay has fixed memory cost.
 
-use vcdn_types::json::ObjectWriter;
+use std::collections::BTreeSet;
+use std::sync::Mutex;
+
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::Request;
+
+use crate::read::field;
 
 /// The cost/age detail a policy computed for its most recent decision.
 ///
@@ -162,6 +167,47 @@ impl DecisionEvent {
             .u64("evicted", self.evicted)
             .finish_line();
     }
+
+    /// Reads the event [`DecisionEvent::write_line`] wrote. A redirect
+    /// has no chunk split to read: one that carries hit or fill chunks
+    /// re-serialises with zeros and is refused by the reader's round trip.
+    pub(crate) fn from_json(line: &Json) -> Result<DecisionEvent, String> {
+        let verdict: String = field(line, "verdict")?;
+        let verdict = match verdict.as_str() {
+            "serve" => Verdict::Serve {
+                hit_chunks: field(line, "hit_chunks")?,
+                filled_chunks: field(line, "fill_chunks")?,
+            },
+            "redirect" => Verdict::Redirect,
+            _ => return Err(format!("field `verdict`: unknown verdict {verdict:?}")),
+        };
+        Ok(DecisionEvent {
+            seq: field(line, "seq")?,
+            t_ms: field(line, "t_ms")?,
+            video: field(line, "video")?,
+            chunk: field(line, "chunk")?,
+            chunks: field(line, "chunks")?,
+            policy: intern(field(line, "policy")?),
+            verdict,
+            cost_serve: field(line, "cost_serve")?,
+            cost_redirect: field(line, "cost_redirect")?,
+            cache_age_ms: field(line, "cache_age_ms")?,
+            evicted: field(line, "evicted")?,
+        })
+    }
+}
+
+/// A `'static` copy of a policy name read from a bundle:
+/// [`DecisionEvent::policy`] is `&'static str` because every recorder
+/// holds its policy's name that way. Each distinct name is leaked once
+/// per process — a handful for any bundle the writer produced.
+fn intern(name: String) -> &'static str {
+    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    let mut names = NAMES.lock().expect("no panic while interning");
+    if !names.contains(name.as_str()) {
+        names.insert(Box::leak(name.clone().into_boxed_str()));
+    }
+    names.get(name.as_str()).expect("interned above")
 }
 
 /// A bounded ring buffer of [`DecisionEvent`]s: keeps the newest

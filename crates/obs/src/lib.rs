@@ -26,16 +26,23 @@
 //!   watchdog ([`detect`]) evaluating each window as it closes.
 //!
 //! A [`TelemetryBundle`] gathers all of it into a deterministic JSONL
-//! document (see `OBSERVABILITY.md` for the schema). Everything here
+//! document (see `OBSERVABILITY.md` for the schema), and is the format's
+//! one reader: [`TelemetryBundle::parse_jsonl`] accepts exactly what
+//! [`TelemetryBundle::to_jsonl`] writes ([`read`]), [`check`] holds a
+//! bundle to its semantic invariants and [`diff`] compares two documents
+//! line for line. Everything here
 //! depends only on `vcdn-types`; the replay wiring lives in `vcdn-sim`.
 
 #![deny(missing_docs)]
 
 mod bundle;
+mod check;
 pub mod detect;
+mod diff;
 mod event;
 pub mod histogram;
 mod policy_obs;
+pub mod read;
 mod registry;
 mod sampler;
 pub mod span;
@@ -43,13 +50,16 @@ pub mod topk;
 pub mod window;
 
 pub use bundle::{TelemetryBundle, SCHEMA};
+pub use check::check;
 pub use detect::{
     default_rules, parse_rules, render_alert_log, render_rules, AlertEvent, Rule, Severity,
     Watchdog, DEFAULT_RULES_TEXT,
 };
+pub use diff::diff;
 pub use event::{DecisionDetail, DecisionEvent, EventRing, Verdict};
 pub use histogram::HistogramSnapshot;
 pub use policy_obs::PolicyObs;
+pub use read::ReadError;
 pub use registry::{MetricId, MetricKind, MetricSnapshot, MetricsRegistry, MetricsSink, NoopSink};
 pub use sampler::{ReplaySampler, SeriesSample};
 pub use span::{DispatchSpans, ShardSpans};

@@ -22,9 +22,10 @@
 //! exactly: the last sample's `cum_*` fields equal the run's overall
 //! [`TrafficCounter`], making the Eq. 2 identity testable to the bit.
 
-use vcdn_types::json::ObjectWriter;
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::{CostModel, TrafficCounter};
 
+use crate::read::{field, float};
 use crate::window::{WindowInput, WindowRing, WindowStats};
 
 /// One interval's snapshot of replay behavior.
@@ -70,6 +71,32 @@ impl SeriesSample {
             .u64("capacity_chunks", self.capacity_chunks)
             .opt_f64("cache_age_ms", self.cache_age_ms)
             .finish_line();
+    }
+
+    /// Reads the sample [`SeriesSample::write_line`] wrote. The line does
+    /// not carry `cum`'s request counts; they read back as zero.
+    pub(crate) fn from_json(line: &Json) -> Result<SeriesSample, String> {
+        Ok(SeriesSample {
+            t_ms: field(line, "t_ms")?,
+            interval: TrafficCounter {
+                hit_bytes: field(line, "hit_bytes")?,
+                fill_bytes: field(line, "fill_bytes")?,
+                redirect_bytes: field(line, "redirect_bytes")?,
+                served_requests: field(line, "served_requests")?,
+                redirected_requests: field(line, "redirected_requests")?,
+            },
+            cum: TrafficCounter {
+                hit_bytes: field(line, "cum_hit_bytes")?,
+                fill_bytes: field(line, "cum_fill_bytes")?,
+                redirect_bytes: field(line, "cum_redirect_bytes")?,
+                ..TrafficCounter::default()
+            },
+            efficiency: float(line, "efficiency")?,
+            cum_efficiency: float(line, "cum_efficiency")?,
+            occupancy_chunks: field(line, "occupancy_chunks")?,
+            capacity_chunks: field(line, "capacity_chunks")?,
+            cache_age_ms: field(line, "cache_age_ms")?,
+        })
     }
 }
 

@@ -42,8 +42,10 @@
 //! and an `insert`. A sketch of hundreds of slots would want the index
 //! back.
 
-use vcdn_types::json::ObjectWriter;
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::ChunkId;
+
+use crate::read::field;
 
 /// One tracked key exported from the sketch.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -103,6 +105,17 @@ impl TopKRecord {
             .u64("count", self.count)
             .u64("err", self.err)
             .finish_line();
+    }
+
+    /// Reads the record [`TopKRecord::write_line`] wrote.
+    pub(crate) fn from_json(line: &Json) -> Result<TopKRecord, String> {
+        Ok(TopKRecord {
+            shard: field(line, "shard")?,
+            rank: field(line, "rank")?,
+            video: field(line, "video")?,
+            count: field(line, "count")?,
+            err: field(line, "err")?,
+        })
     }
 }
 

@@ -32,16 +32,17 @@
 //! refused with a panic on arrival, so a far-future timestamp costs
 //! nothing instead of one empty window per hour of the gap.
 //!
-//! Conservation invariant (pinned by `prop_window.rs` and `obs_check`):
+//! Conservation invariant (pinned by `prop_window.rs` and [`crate::check`]):
 //! the sum of all window traffic deltas — closed, dropped and open —
 //! equals the ring's cumulative [`TrafficCounter`].
 
 use std::collections::VecDeque;
 
-use vcdn_types::json::ObjectWriter;
+use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::{CostModel, Decision, TrafficCounter};
 
 use crate::histogram::HistogramSnapshot;
+use crate::read::{field, float};
 
 /// The longest window grid any trace may span: a request whose trace time
 /// falls in window `MAX_WINDOWS` or later is refused with a panic instead
@@ -253,6 +254,27 @@ impl WindowRecord {
             .u64("queue_gap_p99", self.queue_gap_p99)
             .u64("request_chunks_p99", self.request_chunks_p99)
             .finish_line();
+    }
+
+    /// Reads the window [`WindowRecord::write_line`] wrote.
+    pub(crate) fn from_json(line: &Json) -> Result<WindowRecord, String> {
+        Ok(WindowRecord {
+            index: field(line, "index")?,
+            hit_bytes: field(line, "hit_bytes")?,
+            fill_bytes: field(line, "fill_bytes")?,
+            redirect_bytes: field(line, "redirect_bytes")?,
+            served_requests: field(line, "served_requests")?,
+            redirected_requests: field(line, "redirected_requests")?,
+            efficiency: float(line, "efficiency")?,
+            redirect_rate: float(line, "redirect_rate")?,
+            filled_chunks: field(line, "filled_chunks")?,
+            evicted_chunks: field(line, "evicted_chunks")?,
+            max_stream_requests: field(line, "max_stream_requests")?,
+            queue_gap_count: field(line, "queue_gap_count")?,
+            queue_gap_sum: field(line, "queue_gap_sum")?,
+            queue_gap_p99: field(line, "queue_gap_p99")?,
+            request_chunks_p99: field(line, "request_chunks_p99")?,
+        })
     }
 }
 

@@ -145,7 +145,7 @@ fn main() {
     row("TelemetryObserver, all", &mut || {
         let registry = registry();
         let obs = PolicyObs::attach(registry.clone(), "xlru");
-        let mut observer = TelemetryObserver::new(registry, &replayer, &cfg, "xlru");
+        let mut observer = TelemetryObserver::new(registry, &replayer, &cfg);
         let spent = timed((), |_| {
             for (seq, (request, d)) in steps.iter().enumerate() {
                 obs.record_decision(&d.decision, d.occupancy);

@@ -21,8 +21,8 @@ use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
 use vcdn_obs::window::{WindowInput, WindowRing};
 use vcdn_obs::{
-    default_rules, DecisionEvent, EventRing, MetricId, MetricKind, MetricsRegistry, MetricsSink,
-    PolicyObs, ReplaySampler, TelemetryBundle, Verdict, Watchdog,
+    default_rules, DecisionEvent, EventRing, MetricsRegistry, MetricsSink, PolicyObs,
+    ReplaySampler, TelemetryBundle, Verdict, Watchdog,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -39,11 +39,6 @@ pub struct TelemetryConfig {
     /// Decision events retained (the [`EventRing`] capacity); older events
     /// are displaced and counted as dropped.
     pub event_capacity: usize,
-    /// Wall-clock-time every `handle_request` call into the
-    /// `decision_latency_ns` timing histogram. Inherently
-    /// non-deterministic, so the histogram never appears in exported
-    /// bundles; off by default.
-    pub time_decisions: bool,
     /// Slots in the Space-Saving heavy-hitter sketch over the replay's
     /// video stream (0 disables the sketch and the bundle's topk lines).
     pub topk_k: usize,
@@ -58,12 +53,11 @@ pub struct TelemetryConfig {
 impl TelemetryConfig {
     /// Hourly samples, 4096 retained events, an 8-slot heavy-hitter
     /// sketch, hourly health windows retaining the last 768 (32 days of
-    /// trace time), no wall-clock timing.
+    /// trace time).
     pub fn new() -> TelemetryConfig {
         TelemetryConfig {
             sample_interval: DurationMs::HOUR,
             event_capacity: 4096,
-            time_decisions: false,
             topk_k: 8,
             window: DurationMs::HOUR,
             window_retain: 768,
@@ -85,12 +79,6 @@ impl TelemetryConfig {
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "event capacity must be > 0");
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Enables wall-clock decision timing.
-    pub fn with_time_decisions(mut self, on: bool) -> Self {
-        self.time_decisions = on;
         self
     }
 
@@ -123,7 +111,6 @@ impl Default for TelemetryConfig {
 /// [`TelemetryObserver::finish`] for the bundle.
 pub struct TelemetryObserver {
     registry: Arc<MetricsRegistry>,
-    latency_id: MetricId,
     ring: EventRing,
     sampler: ReplaySampler,
     topk: Option<SpaceSaving>,
@@ -131,28 +118,20 @@ pub struct TelemetryObserver {
     watchdog: Watchdog,
     costs: CostModel,
     chunk_bytes: u64,
-    time_decisions: bool,
     meta: Vec<(String, Json)>,
 }
 
 impl TelemetryObserver {
-    /// Creates an observer recording into `registry` under `scope` (the
-    /// same scope the policy's [`PolicyObs`] uses, so the latency
-    /// histogram lands next to the policy's own metrics).
+    /// Creates an observer whose bundle exports `registry`'s metrics —
+    /// the registry the policy's [`PolicyObs`] records into.
     pub fn new(
         registry: Arc<MetricsRegistry>,
         replayer: &Replayer,
         telemetry: &TelemetryConfig,
-        scope: &str,
     ) -> TelemetryObserver {
         let cfg = replayer.config();
-        let latency_id = registry.register(
-            &format!("{scope}.decision_latency_ns"),
-            MetricKind::TimingHistogram,
-        );
         TelemetryObserver {
             registry,
-            latency_id,
             ring: EventRing::new(telemetry.event_capacity),
             sampler: ReplaySampler::new(telemetry.sample_interval.as_millis(), cfg.costs),
             topk: (telemetry.topk_k > 0).then(|| SpaceSaving::new(telemetry.topk_k)),
@@ -162,7 +141,6 @@ impl TelemetryObserver {
             watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
             costs: cfg.costs,
             chunk_bytes: cfg.chunk_size.bytes(),
-            time_decisions: telemetry.time_decisions,
             meta: Vec::new(),
         }
     }
@@ -171,11 +149,6 @@ impl TelemetryObserver {
     pub fn meta_entry(&mut self, key: &str, value: Json) -> &mut Self {
         self.meta.push((key.to_string(), value));
         self
-    }
-
-    /// The registry this observer records into.
-    pub fn registry(&self) -> &Arc<MetricsRegistry> {
-        &self.registry
     }
 
     /// Consumes the observer, assembling the bundle: meta entries, the
@@ -202,10 +175,6 @@ impl TelemetryObserver {
 }
 
 impl ReplayObserver for TelemetryObserver {
-    fn wants_timing(&self) -> bool {
-        self.time_decisions
-    }
-
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
         if let Some(sketch) = self.topk.as_mut() {
             sketch.record(ChunkId::new(ctx.request.video, 0).packed());
@@ -245,9 +214,6 @@ impl ReplayObserver for TelemetryObserver {
             let watchdog = &mut self.watchdog;
             ring.record(&input, &mut |w| watchdog.on_window(w));
         }
-        if let Some(ns) = ctx.latency_ns {
-            self.registry.observe(self.latency_id, ns);
-        }
     }
 }
 
@@ -272,7 +238,7 @@ pub fn replay_with_telemetry(
         Arc::clone(&registry) as Arc<dyn MetricsSink>,
         scope,
     ));
-    let mut observer = TelemetryObserver::new(Arc::clone(&registry), replayer, telemetry, scope);
+    let mut observer = TelemetryObserver::new(Arc::clone(&registry), replayer, telemetry);
     let cfg = replayer.config();
     observer.meta_entry("policy", Json::Str(scope.into()));
     observer.meta_entry("alpha", Json::Float(cfg.costs.alpha()));
@@ -320,7 +286,7 @@ where
 }
 
 /// Concatenates a telemetry grid's bundles as one JSONL document, in cell
-/// input order — the deterministic export the observe bench writes and
+/// input order — the deterministic export `obs record` writes and
 /// the determinism tests byte-compare.
 pub fn grid_jsonl(results: &[CellResult<(ReplayReport, TelemetryBundle)>]) -> String {
     let mut out = String::new();
@@ -561,19 +527,6 @@ mod tests {
             metric("lru.fill_chunks_total") * k,
             report.overall.fill_bytes
         );
-    }
-
-    #[test]
-    fn timing_histogram_never_exported() {
-        let t = trace();
-        let costs = CostModel::balanced();
-        let mut cache = LruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
-        let cfg = TelemetryConfig::new().with_time_decisions(true);
-        let (_, bundle) = replay_with_telemetry(&replayer(costs), &t, &mut cache, &cfg);
-        assert!(bundle
-            .metrics
-            .iter()
-            .all(|m| !m.name.ends_with("decision_latency_ns")));
     }
 
     #[test]

@@ -8,7 +8,7 @@
 use std::sync::Arc;
 
 use vcdn_core::{CacheConfig, CachePolicy, CafeCache, CafeConfig, XlruCache};
-use vcdn_obs::{MetricsRegistry, MetricsSink};
+use vcdn_obs::{diff, MetricSnapshot, MetricsRegistry, MetricsSink, TelemetryBundle};
 use vcdn_sim::engine::{engine_bundle, EngineConfig, EngineReport, ShardedEngine};
 use vcdn_sim::observe::{grid_jsonl, telemetry_cell, TelemetryConfig};
 use vcdn_sim::runner::{run_grid, Cell, CellResult};
@@ -106,9 +106,13 @@ fn telemetry_export_is_byte_identical_across_worker_counts() {
     let sequential = telemetry_jsonl(&trace, 1);
     let parallel = telemetry_jsonl(&trace, 8);
     assert!(!sequential.is_empty());
-    assert_eq!(
-        sequential, parallel,
-        "telemetry JSONL diverged across worker counts"
+    assert!(
+        sequential == parallel,
+        "telemetry JSONL diverged across worker counts: {:#?}",
+        diff(
+            &TelemetryBundle::parse_jsonl(&sequential).expect("1-worker export reads"),
+            &TelemetryBundle::parse_jsonl(&parallel).expect("8-worker export reads"),
+        )
     );
 }
 
@@ -187,45 +191,32 @@ fn engine_bundle_identical_at_1_2_4_8_workers() {
         .expect("engine builds");
         engine.attach_obs(&sink, "det");
         let report = engine.run(&trace, workers);
-        engine_bundle(&report, &registry, &vcdn_obs::default_rules()).to_jsonl()
+        [engine_bundle(
+            &report,
+            &registry,
+            &vcdn_obs::default_rules(),
+        )]
     };
     let baseline = bundle_at(1);
     let golden = include_str!("../../bench/goldens/engine_bundle_xlru_4shards.jsonl");
-    assert!(
-        baseline == golden,
-        "engine telemetry bundle drifted from the pinned golden; first differing line: {:?}",
-        baseline
-            .lines()
-            .zip(golden.lines())
-            .find(|(got, want)| got != want)
+    let golden = TelemetryBundle::parse_jsonl(golden).expect("the golden reads");
+    // `diff` is empty exactly when the two serialise to the same bytes,
+    // and otherwise names the lines that drifted.
+    assert_eq!(
+        diff(&baseline, &golden),
+        Vec::<String>::new(),
+        "engine telemetry bundle (A) drifted from the pinned golden (B)"
     );
-    assert!(baseline.contains("\"type\":\"topk\""), "sketch exported");
-    assert!(baseline.contains("span.dispatched_total"), "spans exported");
-    assert!(baseline.contains("\"type\":\"window\""), "windows exported");
+    let [b] = &baseline;
+    assert!(!b.topk.is_empty(), "sketch exported");
+    assert!(!b.windows.is_empty(), "windows exported");
+    let spans = |m: &MetricSnapshot| m.name.ends_with("span.dispatched_total");
+    assert!(b.metrics.iter().any(spans), "spans exported");
     for workers in [2, 4, 8] {
-        let run = bundle_at(workers);
         assert_eq!(
-            baseline, run,
-            "engine telemetry bundle diverged at {workers} workers"
-        );
-        // Spell out the new sections so a future drift failure names
-        // them: every window and alert line is byte-identical too.
-        let section = |jsonl: &str, kind: &str| -> Vec<String> {
-            jsonl
-                .lines()
-                .filter(|l| l.contains(&format!("\"type\":\"{kind}\"")))
-                .map(str::to_string)
-                .collect()
-        };
-        assert_eq!(
-            section(&baseline, "window"),
-            section(&run, "window"),
-            "window sections diverged at {workers} workers"
-        );
-        assert_eq!(
-            section(&baseline, "alert"),
-            section(&run, "alert"),
-            "alert sections diverged at {workers} workers"
+            diff(&baseline, &bundle_at(workers)),
+            Vec::<String>::new(),
+            "engine telemetry bundle diverged at {workers} workers (B)"
         );
     }
 }
