@@ -7,7 +7,9 @@
 //!   `--interval-mins <n>` sample interval (60), `--window-mins <n>`
 //!   health-window width (1440; 0 disables the window and alert
 //!   sections), `--events <n>` retained per policy (4096), `--out <path>`
-//!   (`results/telemetry.jsonl`). Byte-identical for any `VCDN_WORKERS`.
+//!   (`results/telemetry.jsonl`). One of the interval and the window must
+//!   be a whole multiple of the other (both fold from one ring; see
+//!   [`TelemetryConfig::folds`]). Byte-identical for any `VCDN_WORKERS`.
 //! * `check --in <path> [--rules <path>]` reads a document and holds
 //!   every bundle to [`vcdn_obs::check`]; with `--rules`, also that a
 //!   watchdog rules file parses and round-trips. One `FAIL` line per
@@ -108,6 +110,12 @@ fn record(args: &Args) -> Result<(), String> {
         .with_sample_interval(DurationMs::from_secs(interval_mins * 60))
         .with_window(DurationMs::from_secs(window_mins * 60))
         .with_event_capacity(events);
+    if !telemetry.folds() {
+        args.fail(&format!(
+            "--interval-mins {interval_mins} and --window-mins {window_mins}: \
+             neither is a whole multiple of the other"
+        ));
+    }
     eprintln!(
         "[obs record] scale={} days={days} disk={disk} chunks, alpha=2, \
          interval={interval_mins}min window={window_mins}min events={events} \

@@ -30,6 +30,10 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         vec!["diff", "a.jsonl", "b.jsonl", "c.jsonl"],
         // A flag a command's predecessor took is as unknown as any other.
         vec!["diff", "a.jsonl", "b.jsonl", "--in", "c.jsonl"],
+        // Samples and health windows fold from one ring: neither width
+        // divides the other here.
+        vec!["record", "--interval-mins", "90", "--window-mins", "60"],
+        vec!["record", "--window-mins", "1000"],
     ];
     // Every command closes its flag set before it starts working.
     for command in ["record", "check", "report", "diff", "watch"] {

@@ -6,9 +6,9 @@
 //! — and serialises it as one JSON object per line. Line order is fixed
 //! (meta, metrics in registration order, topk by shard then rank,
 //! windows by index, alerts in window order, samples in time order,
-//! events in replay order), and by default only deterministic metrics
-//! are included, so two identical replays produce byte-identical bundles
-//! regardless of worker count or machine. See `OBSERVABILITY.md` for the
+//! events in replay order), and every metric kind is deterministic, so two
+//! identical replays produce byte-identical bundles regardless of worker
+//! count or machine. See `OBSERVABILITY.md` for the
 //! line-by-line schema.
 
 use vcdn_types::json::{FromJson, Json, ObjectWriter};
@@ -43,15 +43,15 @@ impl MetricSnapshot {
 
     /// Reads the metric [`MetricSnapshot::write_line`] wrote.
     pub(crate) fn from_json(line: &Json) -> Result<MetricSnapshot, String> {
-        use MetricKind::{Counter, Gauge, Histogram, TimingHistogram};
+        use MetricKind::{Counter, Gauge, Histogram};
         let name: String = field(line, "kind")?;
-        let kinds = [Counter, Gauge, Histogram, TimingHistogram];
+        let kinds = [Counter, Gauge, Histogram];
         let kind = (kinds.into_iter().find(|k| k.name() == name))
             .ok_or_else(|| format!("field `kind`: unknown metric kind {name:?}"))?;
         let value = field(line, "value")?;
         let histogram = match kind {
             Counter | Gauge => None,
-            Histogram | TimingHistogram => Some(HistogramSnapshot {
+            Histogram => Some(HistogramSnapshot {
                 count: value,
                 sum: field(line, "sum")?,
                 buckets: field(line, "buckets")?,
@@ -184,14 +184,17 @@ mod tests {
 
     fn tiny_bundle() -> TelemetryBundle {
         let reg = Arc::new(MetricsRegistry::new());
-        let c = reg.register("demo.fill_chunks_total", MetricKind::Counter);
-        reg.counter_add(c, 9);
-        let h = reg.register("demo.eviction_batch_chunks", MetricKind::Histogram);
-        reg.observe(h, 4);
+        let tally = reg.register(&[
+            ("demo.fill_chunks_total".into(), MetricKind::Counter),
+            ("demo.eviction_batch_chunks".into(), MetricKind::Histogram),
+        ]);
+        let [fills, batches] = tally.ids();
+        tally.add(fills, 9);
+        tally.observe(batches, 4);
 
         let mut bundle = TelemetryBundle::new();
         bundle.meta_entry("policy", Json::Str("demo".into()));
-        bundle.metrics = reg.snapshot(true);
+        bundle.metrics = reg.snapshot();
         bundle.topk.push(TopKRecord {
             shard: 0,
             rank: 1,

@@ -7,14 +7,14 @@ use vcdn_types::CostModel;
 
 use crate::bundle::TelemetryBundle;
 use crate::event::Verdict;
-use crate::registry::{MetricKind, MetricSnapshot};
+use crate::registry::MetricSnapshot;
 use crate::window::WindowRecord;
 
 /// Every invariant bundle `b` breaks, one message each; empty when it
 /// holds together.
 ///
-/// Checked: at least one metric and (off the engine) one sample; only
-/// deterministic metric kinds, histograms conserving their samples;
+/// Checked: at least one metric and (off the engine) one sample;
+/// histograms conserving their samples;
 /// top-K tables shard-major with ranks sequential from 1, counts
 /// non-increasing with video-ascending ties, `err < count`, at most
 /// `topk_k` entries per shard and no count above the run's requests; on
@@ -42,14 +42,10 @@ pub fn check(b: &TelemetryBundle) -> Vec<String> {
 
     for m in &b.metrics {
         let name = &m.name;
-        match &m.histogram {
-            _ if m.kind == MetricKind::TimingHistogram => err(format!(
-                "metric {name}: timing histograms are not deterministic and must not be exported"
-            )),
-            Some(hist) if sum(&hist.buckets) != u128::from(m.value) => {
-                err(format!("histogram {name}: buckets sum != count"))
+        if let Some(hist) = &m.histogram {
+            if sum(&hist.buckets) != u128::from(m.value) {
+                err(format!("histogram {name}: buckets sum != count"));
             }
-            _ => {}
         }
     }
 
@@ -272,11 +268,6 @@ mod tests {
                 "\"buckets\":[1,0,2]",
                 "\"buckets\":[1,0,3]",
                 "histogram demo.h: buckets sum != count",
-            ),
-            (
-                "\"kind\":\"histogram\"",
-                "\"kind\":\"timing_histogram\"",
-                "metric demo.h: timing histograms",
             ),
             (
                 "\"count\":3,\"err\":0",

@@ -6,9 +6,9 @@
 //! — nanosecond latencies, per-request fill chunk counts and eviction
 //! batch sizes all land in the same fixed, allocation-free layout.
 //!
-//! The bucket functions here are pure; the atomic storage lives in
-//! [`crate::MetricsRegistry`], and [`HistogramSnapshot`] is the exported
-//! (plain integer) form.
+//! The bucket functions here are pure; the per-writer cells live in a
+//! [`crate::Tally`], and [`HistogramSnapshot`] is the exported (plain
+//! integer) form the registry merges them into.
 
 use vcdn_types::impl_json_struct;
 
@@ -85,8 +85,8 @@ impl_json_struct!(HistogramSnapshot {
 impl HistogramSnapshot {
     /// Bins one value directly into the snapshot, allocating the fixed
     /// [`BUCKETS`] layout on first use. This is the single-threaded
-    /// sketch path (window accumulation); the atomic path lives in
-    /// [`crate::MetricsRegistry`].
+    /// sketch path (window accumulation); metrics record through a
+    /// [`crate::Tally`].
     pub fn observe(&mut self, value: u64) {
         if self.buckets.len() < BUCKETS {
             self.buckets.resize(BUCKETS, 0);

@@ -3,17 +3,19 @@
 //!
 //! The crate has three layers, matching how a replay is observed:
 //!
-//! * **Metrics** — a lock-free-on-the-hot-path [`MetricsRegistry`] of
-//!   named counters, gauges and log-bucketed histograms behind the
-//!   [`MetricsSink`] trait, with [`NoopSink`] as the free disabled mode.
-//!   Policies hold a [`PolicyObs`] handle bundling their registered ids.
+//! * **Metrics** — a [`MetricsRegistry`] of named counters, gauges and
+//!   log-bucketed histograms behind the [`MetricsSink`] trait, with
+//!   [`NoopSink`] as the free disabled mode. Each writer records into a
+//!   [`Tally`] of its own, registered once; the registry merges the
+//!   tallies by name when read. Policies hold a [`PolicyObs`] handle
+//!   bundling their tally and its ids.
 //! * **Decision traces** — one [`DecisionEvent`] per replayed request
 //!   (verdict, per-policy cost terms, cache age, evictions) retained in a
 //!   bounded [`EventRing`], explaining individual serve-vs-redirect
 //!   choices against the paper's Eq. 5 / Eqs. 6–7 / Eqs. 13–14.
-//! * **Time series** — a [`ReplaySampler`] snapshotting Eq. 2 efficiency,
-//!   fill/redirect byte rates, occupancy and cache age per fixed interval
-//!   of trace time.
+//! * **Time series** — a [`ReplaySampler`] folding a [`WindowRing`]'s
+//!   closed windows into Eq. 2 efficiency, fill/redirect byte rates,
+//!   occupancy and cache age per fixed interval of trace time.
 //! * **Spans** — deterministic stage accounting for the sharded engine's
 //!   dispatch → shard-decide → evict stages, driven by a logical
 //!   dispatch clock — a request's trace index ([`span`]).
@@ -60,8 +62,10 @@ pub use event::{DecisionDetail, DecisionEvent, EventRing, Verdict};
 pub use histogram::HistogramSnapshot;
 pub use policy_obs::PolicyObs;
 pub use read::ReadError;
-pub use registry::{MetricId, MetricKind, MetricSnapshot, MetricsRegistry, MetricsSink, NoopSink};
+pub use registry::{
+    MetricId, MetricKind, MetricSnapshot, MetricsRegistry, MetricsSink, NoopSink, Tally,
+};
 pub use sampler::{ReplaySampler, SeriesSample};
 pub use span::{DispatchSpans, ShardSpans};
 pub use topk::{SpaceSaving, TopKEntry, TopKRecord};
-pub use window::{merge_windows, WindowInput, WindowRecord, WindowRing, WindowStats};
+pub use window::{merge_windows, WindowFold, WindowInput, WindowRecord, WindowRing, WindowStats};

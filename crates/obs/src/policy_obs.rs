@@ -1,11 +1,14 @@
 //! The per-policy instrumentation handle.
 //!
-//! A [`PolicyObs`] bundles a shared [`MetricsSink`] with the
-//! [`MetricId`]s one cache instance registered at attach time, so the
-//! policy's hot path never touches the registry's name table. Detached
-//! policies hold the no-op handle; every recording method first checks
-//! the cached `enabled` flag, so the disabled cost is one predictable
-//! branch per call site and zero allocation.
+//! A [`PolicyObs`] is the [`Tally`] one cache instance registered at
+//! attach time plus the [`MetricId`]s of its metrics in it, so the
+//! policy's hot path never touches the registry: recording a decision is
+//! a handful of relaxed loads and stores into cells only this handle
+//! writes — no `dyn` call, no lock-prefixed instruction. The registry
+//! reads the cells when it is snapshotted. Detached policies hold the
+//! no-op handle, which owns no cells; every recording call first checks
+//! for them, so the disabled cost is one predictable branch per call site
+//! and zero allocation.
 //!
 //! Metric names are scoped by an attach-time prefix (e.g. `xlru.` or
 //! `s03.cafe.`), which is how several policies — or several shard
@@ -16,124 +19,72 @@ use std::sync::Arc;
 
 use vcdn_types::Decision;
 
-use crate::registry::{MetricId, MetricKind, MetricsSink, NoopSink};
+use crate::registry::{MetricId, MetricKind, MetricsSink, Tally};
 
-/// A policy's registered metric handles plus the sink they live in.
-#[derive(Clone)]
+/// Every policy's metric family, in registration (export) order.
+const METRICS: [(&str, MetricKind); 8] = [
+    ("serve_requests_total", MetricKind::Counter),
+    ("redirect_requests_total", MetricKind::Counter),
+    ("hit_chunks_total", MetricKind::Counter),
+    ("fill_chunks_total", MetricKind::Counter),
+    ("evicted_chunks_total", MetricKind::Counter),
+    ("fill_chunks_per_request", MetricKind::Histogram),
+    ("eviction_batch_chunks", MetricKind::Histogram),
+    ("occupancy_chunks", MetricKind::Gauge),
+];
+
+/// A policy's tally plus where each of its metrics lives in it.
+///
+/// The handle is the metrics' one writer. Cloning it — which cloning a
+/// policy does, since every policy derives `Clone` — yields a
+/// **detached** handle: a copy of a policy records nothing until it is
+/// attached in its own right, so it can neither double-count into the
+/// original's metrics nor race it for the occupancy gauge.
+#[derive(Debug, Default)]
 pub struct PolicyObs {
-    enabled: bool,
-    sink: Arc<dyn MetricsSink>,
-    serve_requests: MetricId,
-    redirect_requests: MetricId,
-    hit_chunks: MetricId,
-    fill_chunks: MetricId,
-    evicted_chunks: MetricId,
-    fill_per_request: MetricId,
-    eviction_batch: MetricId,
-    occupancy: MetricId,
-    decision_latency_ns: MetricId,
+    attached: Option<([MetricId; 8], Tally)>,
 }
 
-impl std::fmt::Debug for PolicyObs {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("PolicyObs")
-            .field("enabled", &self.enabled)
-            .finish()
+impl Clone for PolicyObs {
+    /// A detached handle (see the type's docs).
+    fn clone(&self) -> PolicyObs {
+        PolicyObs::noop()
     }
 }
 
 impl PolicyObs {
-    /// A detached handle writing to the shared [`NoopSink`]. This is what
-    /// every policy starts with; replays that don't observe never pay more
-    /// than the `enabled` check.
+    /// A detached handle: no cells, nothing recorded. This is what every
+    /// policy starts with; replays that don't observe never pay more than
+    /// the check for cells.
     pub fn noop() -> PolicyObs {
-        let sink: Arc<dyn MetricsSink> = NoopSink::shared();
-        PolicyObs {
-            enabled: false,
-            serve_requests: MetricId::NOOP,
-            redirect_requests: MetricId::NOOP,
-            hit_chunks: MetricId::NOOP,
-            fill_chunks: MetricId::NOOP,
-            evicted_chunks: MetricId::NOOP,
-            fill_per_request: MetricId::NOOP,
-            eviction_batch: MetricId::NOOP,
-            occupancy: MetricId::NOOP,
-            decision_latency_ns: MetricId::NOOP,
-            sink,
-        }
+        PolicyObs { attached: None }
     }
 
     /// Attaches to `sink`, registering this policy's metric set under
-    /// `scope` (names come out as `{scope}.serve_requests_total` etc.).
+    /// `scope` (names come out as `{scope}.serve_requests_total` etc.) —
+    /// or returns the detached handle if the sink records nothing.
     /// Registration is the only non-hot-path work; keep the handle and
     /// reuse it for the whole replay.
+    ///
+    /// # Panics
+    ///
+    /// As [`MetricsSink::register`]: if `{scope}.occupancy_chunks` already
+    /// has a live writer in `sink` — one policy per scope at a time.
     pub fn attach(sink: Arc<dyn MetricsSink>, scope: &str) -> PolicyObs {
-        let name = |metric: &str| format!("{scope}.{metric}");
+        if !sink.enabled() {
+            return PolicyObs::noop();
+        }
+        let tally =
+            sink.register(&METRICS.map(|(metric, kind)| (format!("{scope}.{metric}"), kind)));
         PolicyObs {
-            enabled: sink.enabled(),
-            serve_requests: sink.register(&name("serve_requests_total"), MetricKind::Counter),
-            redirect_requests: sink.register(&name("redirect_requests_total"), MetricKind::Counter),
-            hit_chunks: sink.register(&name("hit_chunks_total"), MetricKind::Counter),
-            fill_chunks: sink.register(&name("fill_chunks_total"), MetricKind::Counter),
-            evicted_chunks: sink.register(&name("evicted_chunks_total"), MetricKind::Counter),
-            fill_per_request: sink
-                .register(&name("fill_chunks_per_request"), MetricKind::Histogram),
-            eviction_batch: sink.register(&name("eviction_batch_chunks"), MetricKind::Histogram),
-            occupancy: sink.register(&name("occupancy_chunks"), MetricKind::Gauge),
-            decision_latency_ns: sink
-                .register(&name("decision_latency_ns"), MetricKind::TimingHistogram),
-            sink,
+            attached: Some((tally.ids(), tally)),
         }
     }
 
-    /// Whether recording does anything. Instrumented code gates optional
-    /// bookkeeping (e.g. reading the clock for the latency histogram) on
-    /// this.
+    /// Whether recording does anything.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.enabled
-    }
-
-    /// Records a serve decision with its hit/fill chunk split.
-    #[inline]
-    pub fn record_serve(&self, hit_chunks: u64, fill_chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.serve_requests, 1);
-        self.sink.counter_add(self.hit_chunks, hit_chunks);
-        self.sink.counter_add(self.fill_chunks, fill_chunks);
-        self.sink.observe(self.fill_per_request, fill_chunks);
-    }
-
-    /// Records a redirect decision.
-    #[inline]
-    pub fn record_redirect(&self) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.redirect_requests, 1);
-    }
-
-    /// Records one eviction batch of `chunks` chunks (call once per
-    /// cleanup pass that evicted anything).
-    #[inline]
-    pub fn record_eviction_batch(&self, chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.counter_add(self.evicted_chunks, chunks);
-        self.sink.observe(self.eviction_batch, chunks);
-    }
-
-    /// Updates the disk-occupancy gauge (chunks resident after the
-    /// current decision).
-    #[inline]
-    pub fn set_occupancy(&self, chunks: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.gauge_set(self.occupancy, chunks);
+        self.attached.is_some()
     }
 
     /// Records a full decision outcome — verdict counters, hit/fill
@@ -141,52 +92,54 @@ impl PolicyObs {
     /// occupancy. The one call a policy makes per request.
     #[inline]
     pub fn record_decision(&self, decision: &Decision, occupancy_chunks: u64) {
-        if !self.enabled {
-            return;
+        if let Some((ids, tally)) = &self.attached {
+            record(ids, tally, decision, occupancy_chunks);
         }
-        match decision {
-            Decision::Serve(o) => {
-                self.record_serve(o.hit_chunks, o.filled_chunks);
-                if !o.evicted.is_empty() {
-                    self.record_eviction_batch(o.evicted.len() as u64);
-                }
-            }
-            Decision::Redirect => self.record_redirect(),
-        }
-        self.set_occupancy(occupancy_chunks);
-    }
-
-    /// Records one decision's wall-clock latency. The metric is a
-    /// [`MetricKind::TimingHistogram`], so deterministic exports skip it.
-    #[inline]
-    pub fn record_decision_latency_ns(&self, nanos: u64) {
-        if !self.enabled {
-            return;
-        }
-        self.sink.observe(self.decision_latency_ns, nanos);
     }
 }
 
-impl Default for PolicyObs {
-    fn default() -> Self {
-        PolicyObs::noop()
+/// The attached half of [`PolicyObs::record_decision`], kept out of line
+/// so that a detached policy's decide path inlines the branch and no more.
+#[inline(never)]
+fn record(ids: &[MetricId; 8], t: &Tally, decision: &Decision, occupancy_chunks: u64) {
+    let [serve, redirect, hit, fill, evicted, per_request, batch, occupancy] = *ids;
+    match decision {
+        Decision::Serve(o) => {
+            t.add(serve, 1);
+            t.add(hit, o.hit_chunks);
+            t.add(fill, o.filled_chunks);
+            t.observe(per_request, o.filled_chunks);
+            if !o.evicted.is_empty() {
+                let chunks = o.evicted.len() as u64;
+                t.add(evicted, chunks);
+                t.observe(batch, chunks);
+            }
+        }
+        Decision::Redirect => t.add(redirect, 1),
     }
+    t.set(occupancy, occupancy_chunks);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::registry::MetricsRegistry;
+    use vcdn_types::{ChunkId, ServeOutcome, VideoId};
+
+    fn serve(hit_chunks: u64, filled_chunks: u64, evicted: usize) -> Decision {
+        Decision::Serve(ServeOutcome {
+            hit_chunks,
+            filled_chunks,
+            evicted: vec![ChunkId::new(VideoId(1), 0); evicted],
+        })
+    }
 
     #[test]
     fn noop_handle_is_disabled_and_inert() {
         let obs = PolicyObs::noop();
         assert!(!obs.enabled());
-        obs.record_serve(4, 2);
-        obs.record_redirect();
-        obs.record_eviction_batch(10);
-        obs.set_occupancy(5);
-        obs.record_decision_latency_ns(123);
+        obs.record_decision(&serve(4, 2, 10), 5);
+        obs.record_decision(&Decision::Redirect, 5);
     }
 
     #[test]
@@ -194,13 +147,11 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = PolicyObs::attach(reg.clone(), "xlru");
         assert!(obs.enabled());
-        obs.record_serve(3, 1);
-        obs.record_serve(0, 4);
-        obs.record_redirect();
-        obs.record_eviction_batch(7);
-        obs.set_occupancy(42);
+        obs.record_decision(&serve(3, 1, 0), 40);
+        obs.record_decision(&serve(0, 4, 7), 41);
+        obs.record_decision(&Decision::Redirect, 42);
 
-        let snap = reg.snapshot(true);
+        let snap = reg.snapshot();
         let get = |name: &str| {
             snap.iter()
                 .find(|m| m.name == name)
@@ -215,6 +166,8 @@ mod tests {
         let fills = get("xlru.fill_chunks_per_request");
         assert_eq!(fills.value, 2);
         assert_eq!(fills.sum, 5);
+        let batches = get("xlru.eviction_batch_chunks");
+        assert_eq!((batches.value, batches.sum), (1, 7));
     }
 
     #[test]
@@ -222,9 +175,9 @@ mod tests {
         let reg = Arc::new(MetricsRegistry::new());
         let a = PolicyObs::attach(reg.clone(), "s00.cafe");
         let b = PolicyObs::attach(reg.clone(), "s01.cafe");
-        a.record_redirect();
-        b.record_serve(1, 0);
-        let snap = reg.snapshot(true);
+        a.record_decision(&Decision::Redirect, 0);
+        b.record_decision(&serve(1, 0, 0), 1);
+        let snap = reg.snapshot();
         let get = |name: &str| snap.iter().find(|m| m.name == name).unwrap().value;
         assert_eq!(get("s00.cafe.redirect_requests_total"), 1);
         assert_eq!(get("s00.cafe.serve_requests_total"), 0);
@@ -232,17 +185,17 @@ mod tests {
     }
 
     #[test]
-    fn timing_metric_is_hidden_from_deterministic_snapshots() {
+    fn a_clone_is_detached_and_the_noop_sink_registers_nothing() {
         let reg = Arc::new(MetricsRegistry::new());
         let obs = PolicyObs::attach(reg.clone(), "p");
-        obs.record_decision_latency_ns(1_000);
-        assert!(reg
-            .snapshot(true)
-            .iter()
-            .all(|m| m.name != "p.decision_latency_ns"));
-        assert!(reg
-            .snapshot(false)
-            .iter()
-            .any(|m| m.name == "p.decision_latency_ns" && m.value == 1));
+        let copy = obs.clone();
+        assert!(!copy.enabled());
+        copy.record_decision(&serve(5, 0, 0), 9);
+        obs.record_decision(&serve(1, 0, 0), 1);
+        let snap = reg.snapshot();
+        assert_eq!(snap[0].value, 1, "the copy wrote nothing");
+        assert_eq!(snap[7].value, 1, "nor raced the gauge");
+        let noop = PolicyObs::attach(crate::registry::NoopSink::shared(), "p");
+        assert!(!noop.enabled());
     }
 }

@@ -354,6 +354,14 @@ pub(crate) mod tests {
                 2,
                 "field `kind`: unknown metric kind",
             ),
+            // No kind is excluded from exports, so none is left to name a
+            // wall-clock histogram.
+            (
+                "\"kind\":\"histogram\"",
+                "\"kind\":\"timing_histogram\"",
+                3,
+                "field `kind`: unknown metric kind \"timing_histogram\"",
+            ),
             (",\"sum\":9", "", 3, "missing field `sum`"),
             (
                 "\"value\":4}",

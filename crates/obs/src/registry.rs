@@ -1,27 +1,34 @@
 //! The metrics registry: named counters, gauges and log-bucketed
-//! histograms behind the [`MetricsSink`] trait.
+//! histograms, each written through a per-writer [`Tally`] and merged by
+//! name when the registry is read.
 //!
 //! Design constraints, in order:
 //!
-//! 1. **Lock-free on the hot path.** Every update
-//!    ([`MetricsSink::counter_add`], [`MetricsSink::gauge_set`],
-//!    [`MetricsSink::observe`]) is at most two atomic operations on a
-//!    pre-allocated slot — no locks, no allocation — and an update that
-//!    would change nothing (adding 0) is no atomic at all: a served hit is
-//!    three read-modify-writes, not six. Only [`MetricsSink::register`]
-//!    (called at attach time, never per request) takes a mutex.
-//! 2. **Zero cost when disabled.** [`NoopSink`] answers
+//! 1. **One writer per cell, by construction.** [`MetricsSink::register`]
+//!    (called at attach time, never per request) hands each writer — a
+//!    policy, a shard's span accountant, a shard's share of the engine
+//!    totals — its own [`Tally`]: a block of cells nothing else writes.
+//!    An update is a relaxed load and a store into that block, with no
+//!    `dyn` call, no lock-prefixed instruction and no cache line shared
+//!    with another writer. A `Tally` is not `Clone`; registering again is
+//!    how a second writer gets cells of its own.
+//! 2. **Merged at snapshot.** [`MetricsRegistry::snapshot`] reads every
+//!    writer's cells at quiescence (end of run, report time) and merges
+//!    them by name: counters and histograms by sum, bucket by bucket — the
+//!    commutative monoid [`HistogramSnapshot`] already is — so any split of
+//!    a stream across writers, registered in any order, exports the same
+//!    integers. A gauge has exactly one live writer: registering a gauge
+//!    name whose writer still exists panics at attach time.
+//! 3. **Zero cost when disabled.** [`NoopSink`] answers
 //!    [`MetricsSink::enabled`] with `false`; instrumented code gates its
 //!    bookkeeping on that flag, so a bench replay with the no-op sink
 //!    stays allocation-free and at full throughput.
-//! 3. **Deterministic export.** [`MetricsRegistry::snapshot`] returns
-//!    metrics in registration order with plain integer values, so a
+//! 4. **Deterministic export.** Snapshots list metrics in the order their
+//!    names were first registered, with plain integer values, so a
 //!    per-replay registry serialises byte-identically across runs and
-//!    worker counts. Wall-clock-derived metrics are registered as
-//!    [`MetricKind::TimingHistogram`] and can be filtered out of
-//!    deterministic exports.
+//!    worker counts.
 
-use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
 use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
@@ -29,18 +36,13 @@ use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 /// What a registered metric measures.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MetricKind {
-    /// A monotonically increasing sum (`counter_add`).
+    /// A monotonically increasing sum ([`Tally::add`]).
     Counter,
-    /// A last-write-wins instantaneous value (`gauge_set`).
+    /// A last-write-wins instantaneous value ([`Tally::set`]).
     Gauge,
-    /// A log-bucketed distribution of deterministic values (`observe`),
-    /// e.g. fill chunks per request or eviction batch sizes.
+    /// A log-bucketed distribution ([`Tally::observe`]), e.g. fill chunks
+    /// per request or eviction batch sizes.
     Histogram,
-    /// A log-bucketed distribution of wall-clock-derived values
-    /// (`observe`), e.g. decision latency in nanoseconds. Excluded from
-    /// deterministic exports because timings differ across machines and
-    /// runs.
-    TimingHistogram,
 }
 
 impl MetricKind {
@@ -50,56 +52,111 @@ impl MetricKind {
             MetricKind::Counter => "counter",
             MetricKind::Gauge => "gauge",
             MetricKind::Histogram => "histogram",
-            MetricKind::TimingHistogram => "timing_histogram",
         }
     }
 
-    /// Whether the metric's values are reproducible across identical
-    /// replays (everything except wall-clock timings).
-    pub fn deterministic(self) -> bool {
-        !matches!(self, MetricKind::TimingHistogram)
+    /// Cells a metric of this kind occupies in a [`Tally`]: one value, or
+    /// a histogram's sample sum followed by its [`BUCKETS`] counts.
+    fn cells(self) -> usize {
+        match self {
+            MetricKind::Counter | MetricKind::Gauge => 1,
+            MetricKind::Histogram => 1 + BUCKETS,
+        }
     }
 }
 
-/// Opaque handle to a registered metric; indexes the registry's slot
-/// table. Obtained from [`MetricsSink::register`] and passed back to the
-/// update methods.
+/// Where one metric lives in its writer's [`Tally`]; obtained from
+/// [`Tally::ids`] at attach time and passed back to the update methods.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MetricId(pub(crate) u32);
+pub struct MetricId(u32);
 
-impl MetricId {
-    /// The id every [`NoopSink`] registration returns. Updates against it
-    /// on a real registry are ignored (slot 0 is reserved as a sink-hole),
-    /// so mixing a handle from a no-op attach into a live registry cannot
-    /// corrupt named metrics.
-    pub const NOOP: MetricId = MetricId(0);
+/// One writer's cells, in the order its metrics were registered.
+///
+/// The cells are shared with the registry that reads them, but only the
+/// tally writes them: an update is a relaxed load and a store, which is
+/// exact because there is no second writer. Keep the tally where its
+/// writer's per-request state lives and update it from there.
+#[derive(Debug)]
+pub struct Tally {
+    cells: Arc<[AtomicU64]>,
+    ids: Box<[MetricId]>,
 }
 
-/// The sink instrumented code writes through.
-///
-/// The hot-path methods take `&self` and must be cheap and thread-safe;
-/// [`MetricsRegistry`] implements them as one or two atomic operations.
-/// Instrumented code holds an `Arc<dyn MetricsSink>` plus the
-/// [`MetricId`]s it registered up front.
-pub trait MetricsSink: Send + Sync {
-    /// Whether this sink records anything. Instrumentation gates optional
-    /// bookkeeping (e.g. reading the clock for latency histograms) on
-    /// this, so the no-op sink costs one predictable branch.
-    fn enabled(&self) -> bool;
+impl Tally {
+    fn new(metrics: &[(String, MetricKind)]) -> Tally {
+        let mut next = 0;
+        let ids = (metrics.iter())
+            .map(|(_, kind)| {
+                let id = MetricId(next as u32);
+                next += kind.cells();
+                id
+            })
+            .collect();
+        Tally {
+            cells: (0..next).map(|_| AtomicU64::new(0)).collect(),
+            ids,
+        }
+    }
 
-    /// Registers (or looks up) a metric by name. Not a hot-path method:
-    /// call it once at attach time and keep the returned id. Registering
-    /// the same name twice returns the same id; the kind must match.
-    fn register(&self, name: &str, kind: MetricKind) -> MetricId;
+    /// The ids of the first `N` metrics this tally was registered with,
+    /// in order.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `N` exceeds the number of registered metrics.
+    pub fn ids<const N: usize>(&self) -> [MetricId; N] {
+        std::array::from_fn(|i| self.ids[i])
+    }
 
-    /// Adds `delta` to a counter.
-    fn counter_add(&self, id: MetricId, delta: u64);
+    #[inline]
+    fn cell(&self, id: MetricId, offset: usize) -> &AtomicU64 {
+        &self.cells[id.0 as usize + offset]
+    }
+
+    /// Adds `delta` to a counter (wrapping, as the sum it exports does).
+    #[inline]
+    pub fn add(&self, id: MetricId, delta: u64) {
+        let cell = self.cell(id, 0);
+        cell.store(
+            cell.load(Ordering::Relaxed).wrapping_add(delta),
+            Ordering::Relaxed,
+        );
+    }
 
     /// Sets a gauge to `value`.
-    fn gauge_set(&self, id: MetricId, value: u64);
+    #[inline]
+    pub fn set(&self, id: MetricId, value: u64) {
+        self.cell(id, 0).store(value, Ordering::Relaxed);
+    }
 
-    /// Records `value` into a histogram.
-    fn observe(&self, id: MetricId, value: u64);
+    /// Records `value` into a histogram: its sum and one bucket count.
+    #[inline]
+    pub fn observe(&self, id: MetricId, value: u64) {
+        self.add(id, value);
+        let bucket = self.cell(id, 1 + bucket_index(value));
+        bucket.store(bucket.load(Ordering::Relaxed) + 1, Ordering::Relaxed);
+    }
+}
+
+/// Where instrumented code registers its metrics.
+///
+/// Instrumented code holds the [`Tally`] it registered up front and never
+/// calls the sink per request.
+pub trait MetricsSink: Send + Sync {
+    /// Whether this sink records anything. Instrumentation gates optional
+    /// bookkeeping on this, so the no-op sink costs one predictable
+    /// branch.
+    fn enabled(&self) -> bool;
+
+    /// Registers one writer's metrics — `(name, kind)`, in order — and
+    /// returns the tally the writer updates them through. Not a hot-path
+    /// method: call it once at attach time and keep the tally.
+    ///
+    /// # Panics
+    ///
+    /// A registering sink panics if a name comes back with a different
+    /// kind, or names a gauge whose writer still exists.
+    fn register(&self, metrics: &[(String, MetricKind)]) -> Tally;
 }
 
 /// A sink that records nothing and reports itself disabled.
@@ -122,53 +179,38 @@ impl MetricsSink for NoopSink {
         false
     }
 
-    fn register(&self, _name: &str, _kind: MetricKind) -> MetricId {
-        MetricId::NOOP
-    }
-
-    fn counter_add(&self, _id: MetricId, _delta: u64) {}
-
-    fn gauge_set(&self, _id: MetricId, _value: u64) {}
-
-    fn observe(&self, _id: MetricId, _value: u64) {}
-}
-
-/// One metric's pre-allocated atomic storage.
-///
-/// Counters and gauges use `value`; histograms use `sum` as the sample sum
-/// and the per-bucket counts — their sample count is the sum of the
-/// buckets, so a reader can never see the two disagree.
-struct Slot {
-    value: AtomicU64,
-    sum: AtomicU64,
-    buckets: Box<[AtomicU64]>,
-}
-
-impl Slot {
-    fn new() -> Slot {
-        Slot {
-            value: AtomicU64::new(0),
-            sum: AtomicU64::new(0),
-            buckets: (0..BUCKETS).map(|_| AtomicU64::new(0)).collect(),
-        }
+    /// A tally no snapshot reads.
+    fn register(&self, metrics: &[(String, MetricKind)]) -> Tally {
+        Tally::new(metrics)
     }
 }
 
-/// Registration-time metadata, guarded by a mutex (cold path only).
-struct Names {
-    /// `(name, kind)` per live slot, indexed by `MetricId - 1`.
-    entries: Vec<(String, MetricKind)>,
+/// One exported metric and the writers' cells it merges.
+struct Entry {
+    name: String,
+    kind: MetricKind,
+    /// `(writer, first cell)` per registration of the name.
+    sources: Vec<(usize, usize)>,
 }
 
-/// The concrete sink: a fixed-capacity table of atomic slots.
+/// Registration-time state, guarded by a mutex (cold path only).
+#[derive(Default)]
+struct Table {
+    entries: Vec<Entry>,
+    /// Every registered writer's cells, by registration.
+    writers: Vec<Arc<[AtomicU64]>>,
+    /// Names refused because the table was full.
+    overflow: u64,
+}
+
+/// The concrete sink: a table of names over per-writer tallies.
 ///
-/// Capacity is fixed at construction so the hot path indexes a stable
-/// allocation without any lock. A full registry degrades gracefully:
-/// [`MetricsSink::register`] returns [`MetricId::NOOP`] (updates land in
-/// the slot-0 sink-hole) and bumps an overflow count that
-/// [`MetricsRegistry::snapshot`] surfaces as a synthetic
-/// `obs.registry_overflow` counter — observability loses a metric, the
-/// replay never dies, and the loss itself is observable.
+/// The table holds at most `capacity` names. A full registry degrades
+/// gracefully: a new name is refused — its writer's cells still take the
+/// writes, no snapshot reads them — and the refusal is counted, surfaced
+/// by [`MetricsRegistry::snapshot`] as a synthetic `obs.registry_overflow`
+/// counter. Observability loses a metric, the replay never dies, and the
+/// loss itself is observable.
 ///
 /// # Examples
 ///
@@ -176,28 +218,25 @@ struct Names {
 /// use vcdn_obs::{MetricKind, MetricsRegistry, MetricsSink};
 ///
 /// let reg = MetricsRegistry::new();
-/// let fills = reg.register("fill_chunks_total", MetricKind::Counter);
-/// reg.counter_add(fills, 3);
-/// reg.counter_add(fills, 4);
-/// let snap = reg.snapshot(true);
+/// let fills = vec![("fill_chunks_total".to_string(), MetricKind::Counter)];
+/// // Two writers of one name: each owns its cells, the snapshot sums them.
+/// let (a, b) = (reg.register(&fills), reg.register(&fills));
+/// let [id] = a.ids();
+/// assert_eq!(b.ids(), [id]);
+/// a.add(id, 3);
+/// b.add(id, 4);
+/// let snap = reg.snapshot();
 /// assert_eq!(snap[0].name, "fill_chunks_total");
 /// assert_eq!(snap[0].value, 7);
 /// ```
 pub struct MetricsRegistry {
-    /// Slot 0 is a reserved sink-hole for [`MetricId::NOOP`]; live metrics
-    /// start at slot 1.
-    slots: Box<[Slot]>,
-    names: Mutex<Names>,
-    /// Live slot count, including the reserved slot 0.
-    len: AtomicUsize,
-    /// Registrations refused because every slot was taken.
-    overflow: AtomicU64,
+    capacity: usize,
+    table: Mutex<Table>,
 }
 
 /// Default capacity: far above what one replay (a few dozen metrics) or
 /// one fully instrumented engine registers — a 16-shard engine with span
-/// accounting, per-shard sketches and per-worker timings uses ~270 slots.
-/// A slot is ~0.5 KiB, so the default table stays around half a MiB.
+/// accounting and per-shard policy scopes uses ~200 names.
 const DEFAULT_CAPACITY: usize = 1024;
 
 /// A metric's exported state: deterministic integers only.
@@ -216,12 +255,12 @@ pub struct MetricSnapshot {
 }
 
 impl MetricsRegistry {
-    /// Creates a registry with the default slot capacity.
+    /// Creates a registry with the default name capacity.
     pub fn new() -> MetricsRegistry {
         MetricsRegistry::with_capacity(DEFAULT_CAPACITY)
     }
 
-    /// Creates a registry holding at most `capacity` metrics.
+    /// Creates a registry holding at most `capacity` metric names.
     ///
     /// # Panics
     ///
@@ -229,88 +268,52 @@ impl MetricsRegistry {
     pub fn with_capacity(capacity: usize) -> MetricsRegistry {
         assert!(capacity > 0, "registry capacity must be > 0");
         MetricsRegistry {
-            // +1 for the reserved NOOP sink-hole slot.
-            slots: (0..capacity + 1).map(|_| Slot::new()).collect(),
-            names: Mutex::new(Names {
-                entries: Vec::new(),
-            }),
-            len: AtomicUsize::new(1),
-            overflow: AtomicU64::new(0),
+            capacity,
+            table: Mutex::default(),
         }
     }
 
-    /// Registrations refused because the registry was full. Also exported
-    /// by [`MetricsRegistry::snapshot`] as the synthetic
-    /// `obs.registry_overflow` counter whenever nonzero.
-    pub fn overflow(&self) -> u64 {
-        self.overflow.load(Ordering::Acquire)
+    fn table(&self) -> std::sync::MutexGuard<'_, Table> {
+        self.table.lock().expect("registry mutex poisoned")
     }
 
-    /// Number of registered metrics.
-    pub fn len(&self) -> usize {
-        self.len.load(Ordering::Acquire) - 1
-    }
-
-    /// Whether no metrics are registered.
-    pub fn is_empty(&self) -> bool {
-        self.len() == 0
-    }
-
-    fn slot(&self, id: MetricId) -> Option<&Slot> {
-        let i = id.0 as usize;
-        // Slot 0 (NOOP) and out-of-range ids are ignored, never UB.
-        if i == 0 || i >= self.len.load(Ordering::Acquire) {
-            return None;
-        }
-        Some(&self.slots[i])
-    }
-
-    /// Exports every metric in registration order. With
-    /// `deterministic_only`, wall-clock timing histograms are skipped so
-    /// the result is byte-identical across identical replays. If any
-    /// registration was refused by a full registry, a synthetic
-    /// `obs.registry_overflow` counter is appended so the loss is visible
-    /// in every export.
-    pub fn snapshot(&self, deterministic_only: bool) -> Vec<MetricSnapshot> {
-        let names = self.names.lock().expect("registry mutex poisoned");
-        let mut out: Vec<MetricSnapshot> = names
-            .entries
-            .iter()
-            .enumerate()
-            .filter(|(_, (_, kind))| !deterministic_only || kind.deterministic())
-            .map(|(i, (name, kind))| {
-                let slot = &self.slots[i + 1];
-                let sum = slot.sum.load(Ordering::Acquire);
-                let is_histogram =
-                    matches!(kind, MetricKind::Histogram | MetricKind::TimingHistogram);
-                let histogram = is_histogram.then(|| {
-                    let buckets: Vec<u64> = (slot.buckets.iter())
-                        .map(|b| b.load(Ordering::Acquire))
-                        .collect();
+    /// Exports every metric in first-registration order, each writer's
+    /// cells merged: counters and histogram buckets summed, a gauge read
+    /// from its writer. Read at quiescence — after the writers' run has
+    /// joined — for values consistent with the run. If any registration
+    /// was refused by a full registry, a synthetic `obs.registry_overflow`
+    /// counter is appended so the loss is visible in every export.
+    pub fn snapshot(&self) -> Vec<MetricSnapshot> {
+        let table = self.table();
+        let mut out: Vec<MetricSnapshot> = (table.entries.iter())
+            .map(|e| {
+                let merged = |cell: usize| {
+                    (e.sources.iter())
+                        .map(|&(w, at)| table.writers[w][at + cell].load(Ordering::Relaxed))
+                        .fold(0, u64::wrapping_add)
+                };
+                let histogram = (e.kind == MetricKind::Histogram).then(|| {
+                    let buckets: Vec<u64> = (1..=BUCKETS).map(merged).collect();
                     HistogramSnapshot {
                         count: buckets.iter().sum(),
-                        sum,
+                        sum: merged(0),
                         buckets,
                     }
                 });
                 MetricSnapshot {
-                    name: name.clone(),
-                    kind: *kind,
-                    value: match &histogram {
-                        Some(hist) => hist.count,
-                        None => slot.value.load(Ordering::Acquire),
-                    },
-                    sum,
+                    name: e.name.clone(),
+                    kind: e.kind,
+                    value: histogram.as_ref().map_or_else(|| merged(0), |h| h.count),
+                    sum: histogram.as_ref().map_or(0, |h| h.sum),
                     histogram,
                 }
             })
             .collect();
-        let refused = self.overflow.load(Ordering::Acquire);
-        if refused > 0 {
+        if table.overflow > 0 {
             out.push(MetricSnapshot {
                 name: "obs.registry_overflow".to_string(),
                 kind: MetricKind::Counter,
-                value: refused,
+                value: table.overflow,
                 sum: 0,
                 histogram: None,
             });
@@ -328,8 +331,8 @@ impl Default for MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("len", &self.len())
-            .field("capacity", &(self.slots.len() - 1))
+            .field("len", &self.table().entries.len())
+            .field("capacity", &self.capacity)
             .finish()
     }
 }
@@ -339,56 +342,46 @@ impl MetricsSink for MetricsRegistry {
         true
     }
 
-    fn register(&self, name: &str, kind: MetricKind) -> MetricId {
-        let mut names = self.names.lock().expect("registry mutex poisoned");
-        if let Some(i) = names.entries.iter().position(|(n, _)| n == name) {
-            assert_eq!(
-                names.entries[i].1, kind,
-                "metric `{name}` re-registered with a different kind"
-            );
-            return MetricId(i as u32 + 1);
-        }
-        let next = self.len.load(Ordering::Acquire);
-        if next >= self.slots.len() {
-            // Graceful exhaustion: refuse the slot, count the refusal
-            // (surfaced as `obs.registry_overflow` in snapshots), and hand
-            // back the sink-hole id so the caller's updates are ignored
-            // rather than crashing the replay.
-            self.overflow.fetch_add(1, Ordering::Relaxed);
-            return MetricId::NOOP;
-        }
-        names.entries.push((name.to_string(), kind));
-        // Publish the new slot only after the metadata exists; readers
-        // acquire-load `len`, so they never see a slot without its name.
-        self.len.store(next + 1, Ordering::Release);
-        MetricId(next as u32)
-    }
-
-    // lint: hot
-    fn counter_add(&self, id: MetricId, delta: u64) {
-        if delta == 0 {
-            return;
-        }
-        if let Some(slot) = self.slot(id) {
-            slot.value.fetch_add(delta, Ordering::Relaxed);
-        }
-    }
-
-    // lint: hot
-    fn gauge_set(&self, id: MetricId, value: u64) {
-        if let Some(slot) = self.slot(id) {
-            slot.value.store(value, Ordering::Relaxed);
-        }
-    }
-
-    // lint: hot
-    fn observe(&self, id: MetricId, value: u64) {
-        if let Some(slot) = self.slot(id) {
-            if value != 0 {
-                slot.sum.fetch_add(value, Ordering::Relaxed);
+    fn register(&self, metrics: &[(String, MetricKind)]) -> Tally {
+        let tally = Tally::new(metrics);
+        let mut table = self.table();
+        let Table {
+            entries,
+            writers,
+            overflow,
+        } = &mut *table;
+        let writer = writers.len();
+        writers.push(Arc::clone(&tally.cells));
+        for ((name, kind), id) in metrics.iter().zip(tally.ids.iter()) {
+            let source = (writer, id.0 as usize);
+            let full = entries.len() >= self.capacity;
+            match entries.iter_mut().find(|e| e.name == *name) {
+                Some(e) => {
+                    assert_eq!(
+                        e.kind, *kind,
+                        "metric `{name}` re-registered with a different kind"
+                    );
+                    if e.kind == MetricKind::Gauge {
+                        // A writer is live while its tally holds the
+                        // second reference to its cells.
+                        let live =
+                            (e.sources.iter()).any(|&(w, _)| Arc::strong_count(&writers[w]) > 1);
+                        assert!(!live, "gauge `{name}` already has a live writer");
+                        e.sources.clear();
+                    }
+                    e.sources.push(source);
+                }
+                // Graceful exhaustion: refuse the name and count the
+                // refusal; the writer's cells take its writes unread.
+                None if full => *overflow += 1,
+                None => entries.push(Entry {
+                    name: name.clone(),
+                    kind: *kind,
+                    sources: vec![source],
+                }),
             }
-            slot.buckets[bucket_index(value)].fetch_add(1, Ordering::Relaxed);
         }
+        tally
     }
 }
 
@@ -396,32 +389,39 @@ impl MetricsSink for MetricsRegistry {
 mod tests {
     use super::*;
 
+    fn one(name: &str, kind: MetricKind) -> Vec<(String, MetricKind)> {
+        vec![(name.to_string(), kind)]
+    }
+
     #[test]
     fn counters_accumulate() {
         let reg = MetricsRegistry::new();
-        let c = reg.register("c", MetricKind::Counter);
-        reg.counter_add(c, 1);
-        reg.counter_add(c, 41);
-        assert_eq!(reg.snapshot(true)[0].value, 42);
+        let t = reg.register(&one("c", MetricKind::Counter));
+        let [c] = t.ids();
+        t.add(c, 1);
+        t.add(c, 41);
+        assert_eq!(reg.snapshot()[0].value, 42);
     }
 
     #[test]
     fn gauges_take_last_value() {
         let reg = MetricsRegistry::new();
-        let g = reg.register("g", MetricKind::Gauge);
-        reg.gauge_set(g, 7);
-        reg.gauge_set(g, 3);
-        assert_eq!(reg.snapshot(true)[0].value, 3);
+        let t = reg.register(&one("g", MetricKind::Gauge));
+        let [g] = t.ids();
+        t.set(g, 7);
+        t.set(g, 3);
+        assert_eq!(reg.snapshot()[0].value, 3);
     }
 
     #[test]
     fn histograms_track_count_sum_buckets() {
         let reg = MetricsRegistry::new();
-        let h = reg.register("h", MetricKind::Histogram);
+        let t = reg.register(&one("h", MetricKind::Histogram));
+        let [h] = t.ids();
         for v in [0, 1, 5, 5, 1024] {
-            reg.observe(h, v);
+            t.observe(h, v);
         }
-        let snap = &reg.snapshot(true)[0];
+        let snap = &reg.snapshot()[0];
         assert_eq!(snap.value, 5);
         assert_eq!(snap.sum, 1035);
         let hist = snap.histogram.as_ref().unwrap();
@@ -431,88 +431,123 @@ mod tests {
 
     #[test]
     fn reregistration_returns_same_id() {
+        // A name registered twice is one metric; each registration is a
+        // writer of its own at the same place in its tally, and counters
+        // and histograms merge by sum.
         let reg = MetricsRegistry::new();
-        let a = reg.register("x", MetricKind::Counter);
-        let b = reg.register("x", MetricKind::Counter);
-        assert_eq!(a, b);
-        assert_eq!(reg.len(), 1);
+        let metrics = vec![
+            ("x".to_string(), MetricKind::Counter),
+            ("h".to_string(), MetricKind::Histogram),
+        ];
+        let (a, b) = (reg.register(&metrics), reg.register(&metrics));
+        let [x, h] = a.ids();
+        assert_eq!(b.ids(), [x, h]);
+        assert_eq!(reg.snapshot().len(), 2);
+        a.add(x, 2);
+        b.add(x, 5);
+        a.observe(h, 3);
+        b.observe(h, 3);
+        b.observe(h, 100);
+        let snap = reg.snapshot();
+        assert_eq!(snap[0].value, 7);
+        let hist = snap[1].histogram.as_ref().unwrap();
+        assert_eq!((hist.count, hist.sum), (3, 106));
+        assert_eq!(hist.buckets[bucket_index(3)], 2);
     }
 
     #[test]
     #[should_panic(expected = "different kind")]
     fn kind_conflict_panics() {
         let reg = MetricsRegistry::new();
-        reg.register("x", MetricKind::Counter);
-        reg.register("x", MetricKind::Gauge);
+        reg.register(&one("x", MetricKind::Counter));
+        reg.register(&one("x", MetricKind::Gauge));
+    }
+
+    #[test]
+    #[should_panic(expected = "gauge `occupancy` already has a live writer")]
+    fn a_live_gauge_has_one_writer() {
+        let reg = MetricsRegistry::new();
+        let _first = reg.register(&one("occupancy", MetricKind::Gauge));
+        reg.register(&one("occupancy", MetricKind::Gauge));
+    }
+
+    #[test]
+    fn a_gauge_follows_its_next_writer() {
+        let reg = MetricsRegistry::new();
+        let first = reg.register(&one("g", MetricKind::Gauge));
+        let [g] = first.ids();
+        first.set(g, 9);
+        drop(first);
+        assert_eq!(reg.snapshot()[0].value, 9, "kept after its writer goes");
+        let next = reg.register(&one("g", MetricKind::Gauge));
+        next.set(g, 4);
+        assert_eq!(reg.snapshot()[0].value, 4);
+        assert_eq!(reg.snapshot().len(), 1);
     }
 
     #[test]
     fn noop_id_is_a_sink_hole() {
+        // The no-op sink's tally takes writes that no registry reads, even
+        // under a name a registry exports.
         let reg = MetricsRegistry::new();
-        let c = reg.register("c", MetricKind::Counter);
-        reg.counter_add(MetricId::NOOP, 100);
-        reg.counter_add(c, 1);
-        assert_eq!(reg.snapshot(true)[0].value, 1);
-        // Adding zero — to the sink-hole or to a live id — changes nothing.
-        let before = reg.snapshot(false);
-        reg.counter_add(MetricId::NOOP, 0);
-        reg.counter_add(c, 0);
-        assert_eq!(reg.snapshot(false), before);
+        let live = reg.register(&one("c", MetricKind::Counter));
+        let hole = NoopSink.register(&one("c", MetricKind::Counter));
+        let [c] = live.ids();
+        hole.add(c, 100);
+        live.add(c, 1);
+        assert_eq!(reg.snapshot()[0].value, 1);
+        // Adding zero changes nothing.
+        let before = reg.snapshot();
+        live.add(c, 0);
+        assert_eq!(reg.snapshot(), before);
     }
 
     #[test]
     fn snapshot_preserves_registration_order() {
         let reg = MetricsRegistry::new();
-        reg.register("b", MetricKind::Counter);
-        reg.register("a", MetricKind::Gauge);
-        let snap = reg.snapshot(true);
+        reg.register(&one("b", MetricKind::Counter));
+        reg.register(&one("a", MetricKind::Gauge));
+        reg.register(&one("b", MetricKind::Counter));
+        let snap = reg.snapshot();
         let names: Vec<&str> = snap.iter().map(|m| m.name.as_str()).collect();
         assert_eq!(names, vec!["b", "a"]);
-    }
-
-    #[test]
-    fn deterministic_snapshot_skips_timing() {
-        let reg = MetricsRegistry::new();
-        reg.register("lat", MetricKind::TimingHistogram);
-        reg.register("fills", MetricKind::Counter);
-        assert_eq!(reg.snapshot(true).len(), 1);
-        assert_eq!(reg.snapshot(false).len(), 2);
     }
 
     #[test]
     fn noop_sink_is_disabled_and_inert() {
         let s = NoopSink::shared();
         assert!(!s.enabled());
-        let id = s.register("anything", MetricKind::Counter);
-        assert_eq!(id, MetricId::NOOP);
-        s.counter_add(id, 5);
-        s.gauge_set(id, 5);
-        s.observe(id, 5);
+        let t = s.register(&one("anything", MetricKind::Histogram));
+        let [h] = t.ids();
+        t.add(h, 5);
+        t.set(h, 5);
+        t.observe(h, 5);
     }
 
     #[test]
     fn capacity_exhaustion_degrades_to_noop_and_counts_overflow() {
         let reg = MetricsRegistry::with_capacity(1);
-        let a = reg.register("a", MetricKind::Counter);
-        assert_ne!(a, MetricId::NOOP);
-        // Registry is full: refused registrations return the sink-hole id.
-        let b = reg.register("b", MetricKind::Counter);
-        let c = reg.register("c", MetricKind::Histogram);
-        assert_eq!(b, MetricId::NOOP);
-        assert_eq!(c, MetricId::NOOP);
-        assert_eq!(reg.overflow(), 2);
-        // Updates through the refused ids are ignored, never UB or panic.
-        reg.counter_add(b, 100);
-        reg.observe(c, 7);
-        reg.counter_add(a, 1);
+        let a = reg.register(&one("a", MetricKind::Counter));
+        // Registry is full: the new names are refused, their writer keeps
+        // cells of its own.
+        let refused = reg.register(&[
+            ("b".to_string(), MetricKind::Counter),
+            ("c".to_string(), MetricKind::Histogram),
+        ]);
+        // Updates through the refused ids land unread, never UB or panic.
+        let [b, c] = refused.ids();
+        refused.add(b, 100);
+        refused.observe(c, 7);
+        let [id] = a.ids();
+        a.add(id, 1);
         // Re-registering an existing name still works while full.
-        assert_eq!(reg.register("a", MetricKind::Counter), a);
-        assert_eq!(reg.overflow(), 2);
+        let again = reg.register(&one("a", MetricKind::Counter));
+        again.add(id, 1);
         // The loss is visible: snapshots append obs.registry_overflow.
-        let snap = reg.snapshot(true);
+        let snap = reg.snapshot();
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].name, "a");
-        assert_eq!(snap[0].value, 1);
+        assert_eq!(snap[0].value, 2);
         assert_eq!(snap[1].name, "obs.registry_overflow");
         assert_eq!(snap[1].kind, MetricKind::Counter);
         assert_eq!(snap[1].value, 2);
@@ -521,30 +556,34 @@ mod tests {
     #[test]
     fn snapshot_has_no_overflow_entry_when_nothing_was_refused() {
         let reg = MetricsRegistry::new();
-        reg.register("a", MetricKind::Counter);
-        let snap = reg.snapshot(true);
+        reg.register(&one("a", MetricKind::Counter));
+        let snap = reg.snapshot();
         assert!(snap.iter().all(|m| m.name != "obs.registry_overflow"));
     }
 
     #[test]
     fn concurrent_updates_sum_exactly() {
+        // Four threads, each its own writer of the same two names.
         let reg = std::sync::Arc::new(MetricsRegistry::new());
-        let c = reg.register("c", MetricKind::Counter);
-        let h = reg.register("h", MetricKind::Histogram);
-        // Observed values include zeros: they take the path that skips `sum`.
+        let metrics = vec![
+            ("c".to_string(), MetricKind::Counter),
+            ("h".to_string(), MetricKind::Histogram),
+        ];
+        // Observed values include zeros, which leave the sum alone.
         let observed = |thread: u64| (0..10_000).map(move |i| (i + thread) % 7);
         std::thread::scope(|s| {
             for thread in 0..4 {
-                let reg = reg.clone();
+                let tally = reg.register(&metrics);
                 s.spawn(move || {
+                    let [c, h] = tally.ids();
                     for value in observed(thread) {
-                        reg.counter_add(c, 1);
-                        reg.observe(h, value);
+                        tally.add(c, 1);
+                        tally.observe(h, value);
                     }
                 });
             }
         });
-        let snap = reg.snapshot(true);
+        let snap = reg.snapshot();
         assert_eq!(snap[0].value, 40_000);
         // A histogram's count is its buckets' sum, and the sample sum is exact.
         let hist = snap[1].histogram.as_ref().unwrap();

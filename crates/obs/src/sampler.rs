@@ -8,12 +8,14 @@
 //! it emits one [`SeriesSample`] per elapsed interval of trace time,
 //! including empty ones, so the series is a complete, evenly spaced grid.
 //!
-//! The sampler buckets nothing itself. It owns a
-//! [`WindowRing`](crate::window::WindowRing) of its interval's width — the
-//! crate's one open/close/flush accumulator — and turns each window the
-//! ring closes into a sample, adding the two things a window does not
-//! carry: the running sum of closed windows (`cum`) and the policy state
-//! (occupancy, capacity, cache age) held when the window closes.
+//! The sampler buckets nothing itself and owns no ring. It is a fold
+//! over the windows a [`WindowRing`](crate::window::WindowRing) closes —
+//! the one ring a telemetry observer keeps, also feeding its health
+//! windows — summing `interval / width` consecutive windows into one
+//! sample ([`WindowFold`]), and adding the two things a window does not
+//! carry: the running sum of closed samples (`cum`) and the policy state
+//! (occupancy, capacity, cache age) held when the sample's last window
+//! closes.
 //!
 //! Determinism: samples carry exact integer byte counters plus floats
 //! derived only from them, so a sampler fed the same replay produces
@@ -26,7 +28,7 @@ use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::{CostModel, TrafficCounter};
 
 use crate::read::{field, float};
-use crate::window::{WindowInput, WindowRing, WindowStats};
+use crate::window::{WindowFold, WindowStats};
 
 /// One interval's snapshot of replay behavior.
 #[derive(Debug, Clone, PartialEq)]
@@ -100,17 +102,19 @@ impl SeriesSample {
     }
 }
 
-/// Turns a replay's decisions into an evenly spaced series over trace
-/// time: one [`SeriesSample`] per window its [`WindowRing`] closes.
+/// Turns a ring's closed windows into an evenly spaced series over
+/// trace time: one [`SeriesSample`] per `interval / width` windows.
 ///
-/// Feed every request through [`ReplaySampler::record`]; call
-/// [`ReplaySampler::finish`] after the replay to flush the open interval
-/// and take the samples.
+/// Hand it every window the ring closes through
+/// [`ReplaySampler::on_window`], and after each recorded request the
+/// policy's state through [`ReplaySampler::stamp`]; after the ring's own
+/// `finish`, call [`ReplaySampler::finish`] to flush a trailing partial
+/// interval and take the samples.
 ///
 /// # Examples
 ///
 /// ```
-/// use vcdn_obs::window::WindowInput;
+/// use vcdn_obs::window::{WindowInput, WindowRing};
 /// use vcdn_obs::ReplaySampler;
 /// use vcdn_types::CostModel;
 ///
@@ -121,9 +125,14 @@ impl SeriesSample {
 ///     redirect_bytes,
 ///     ..WindowInput::default()
 /// };
-/// let mut s = ReplaySampler::new(1_000, CostModel::balanced());
-/// s.record(&at(100, 80, 20, 0), 4, 8, None); // t=100ms: 80B hit, 20B fill
-/// s.record(&at(2_500, 0, 0, 50), 4, 8, None); // t=2.5s: 50B redirected
+/// // One-second samples folded from half-second windows.
+/// let mut ring = WindowRing::new(500, 1);
+/// let mut s = ReplaySampler::new(1_000, 500, CostModel::balanced());
+/// for input in [at(100, 80, 20, 0), at(2_500, 0, 0, 50)] {
+///     ring.record(&input, &mut |w| s.on_window(w));
+///     s.stamp(4, 8, None);
+/// }
+/// ring.finish(&mut |w| s.on_window(w));
 /// let samples = s.finish();
 /// assert_eq!(samples.len(), 3); // intervals [0,1s) [1s,2s) [2s,3s)
 /// assert_eq!(samples[1].interval.requested_bytes(), 0); // empty, not NaN
@@ -132,16 +141,7 @@ impl SeriesSample {
 /// ```
 #[derive(Debug, Clone)]
 pub struct ReplaySampler {
-    /// The only time-bucketing here: closed windows come back through
-    /// `on_close` and are not read again, so the ring retains one.
-    ring: WindowRing,
-    series: Series,
-}
-
-/// What a sample carries beyond its window's own traffic: the running sum
-/// of closed windows and the policy state held since the last record.
-#[derive(Debug, Clone)]
-struct Series {
+    fold: WindowFold,
     interval_ms: u64,
     costs: CostModel,
     cum: TrafficCounter,
@@ -151,7 +151,52 @@ struct Series {
     samples: Vec<SeriesSample>,
 }
 
-impl Series {
+impl ReplaySampler {
+    /// Creates a sampler emitting one sample per `interval_ms` of trace
+    /// time, folded from the closed windows of a `width_ms`-wide ring.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `width_ms == 0`, or if `interval_ms` is not a positive
+    /// whole multiple of `width_ms`.
+    pub fn new(interval_ms: u64, width_ms: u64, costs: CostModel) -> ReplaySampler {
+        assert!(
+            width_ms > 0 && interval_ms > 0 && interval_ms.is_multiple_of(width_ms),
+            "sample interval {interval_ms} ms is not a whole number of {width_ms} ms windows"
+        );
+        ReplaySampler {
+            fold: WindowFold::new(interval_ms / width_ms),
+            interval_ms,
+            costs,
+            cum: TrafficCounter::default(),
+            occupancy_chunks: 0,
+            capacity_chunks: 0,
+            cache_age_ms: None,
+            samples: Vec::new(),
+        }
+    }
+
+    /// Folds the next window the ring closed; the window that completes an
+    /// interval becomes a sample carrying the state stamped before it.
+    pub fn on_window(&mut self, w: &WindowStats) {
+        if let Some(wide) = self.fold.push(w) {
+            self.push(&wide);
+        }
+    }
+
+    /// Stamps the policy's disk state after a decision — `occupancy` and
+    /// `capacity` in chunks, and `cache_age_ms` where the policy defines
+    /// one (an undefined age keeps the last defined one). Call it after
+    /// the ring has recorded the decision, so the windows that request
+    /// closed carry the state held before it.
+    pub fn stamp(&mut self, occupancy: u64, capacity: u64, cache_age_ms: Option<f64>) {
+        self.occupancy_chunks = occupancy;
+        self.capacity_chunks = capacity;
+        if cache_age_ms.is_some() {
+            self.cache_age_ms = cache_age_ms;
+        }
+    }
+
     fn push(&mut self, w: &WindowStats) {
         self.cum += w.traffic;
         self.samples.push(SeriesSample {
@@ -165,76 +210,50 @@ impl Series {
             cache_age_ms: self.cache_age_ms,
         });
     }
-}
 
-impl ReplaySampler {
-    /// Creates a sampler emitting one sample per `interval_ms` of trace
-    /// time.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `interval_ms == 0`.
-    pub fn new(interval_ms: u64, costs: CostModel) -> ReplaySampler {
-        assert!(interval_ms > 0, "sample interval must be > 0");
-        ReplaySampler {
-            ring: WindowRing::new(interval_ms, 1),
-            series: Series {
-                interval_ms,
-                costs,
-                cum: TrafficCounter::default(),
-                occupancy_chunks: 0,
-                capacity_chunks: 0,
-                cache_age_ms: None,
-                samples: Vec::new(),
-            },
-        }
-    }
-
-    /// The configured interval (ms).
-    pub fn interval_ms(&self) -> u64 {
-        self.series.interval_ms
-    }
-
-    /// Records one decided request: `input` is its window delta
-    /// ([`WindowInput::from_decision`]), `occupancy`/`capacity` the
-    /// policy's disk state after the decision, and `cache_age_ms` the
-    /// policy's cache age where defined. Every interval that ended before
-    /// `input.t_ms` becomes a sample carrying the state held at its close.
-    ///
-    /// # Panics
-    ///
-    /// As [`WindowRing::record`]: if `input.t_ms` moves backwards past an
-    /// already closed interval (replay time is non-decreasing), or falls
-    /// in interval [`crate::window::MAX_WINDOWS`] or later.
-    pub fn record(
-        &mut self,
-        input: &WindowInput,
-        occupancy: u64,
-        capacity: u64,
-        cache_age_ms: Option<f64>,
-    ) {
-        let series = &mut self.series;
-        self.ring.record(input, &mut |w| series.push(w));
-        series.occupancy_chunks = occupancy;
-        series.capacity_chunks = capacity;
-        if cache_age_ms.is_some() {
-            series.cache_age_ms = cache_age_ms;
-        }
-    }
-
-    /// Flushes the open interval and returns the complete series. An
-    /// entirely unfed sampler returns no samples.
+    /// Flushes the trailing partial interval and returns the complete
+    /// series. A sampler that was handed no window returns no samples.
     pub fn finish(mut self) -> Vec<SeriesSample> {
-        let series = &mut self.series;
-        self.ring.finish(&mut |w| series.push(w));
-        self.series.samples
+        if let Some(wide) = self.fold.finish() {
+            self.push(&wide);
+        }
+        self.samples
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::{WindowInput, WindowRing};
     use vcdn_types::json::Json;
+
+    /// A sampler at `interval_ms` over a ring `width_ms` wide, fed the way
+    /// the telemetry observer feeds it.
+    struct Fed {
+        ring: WindowRing,
+        sampler: ReplaySampler,
+    }
+
+    impl Fed {
+        fn new(interval_ms: u64, width_ms: u64, costs: CostModel) -> Fed {
+            Fed {
+                ring: WindowRing::new(width_ms, 1),
+                sampler: ReplaySampler::new(interval_ms, width_ms, costs),
+            }
+        }
+
+        fn record(&mut self, input: &WindowInput, occupancy: u64, capacity: u64, age: Option<f64>) {
+            let sampler = &mut self.sampler;
+            self.ring.record(input, &mut |w| sampler.on_window(w));
+            sampler.stamp(occupancy, capacity, age);
+        }
+
+        fn finish(mut self) -> Vec<SeriesSample> {
+            let sampler = &mut self.sampler;
+            self.ring.finish(&mut |w| sampler.on_window(w));
+            self.sampler.finish()
+        }
+    }
 
     fn at(t_ms: u64, hit_bytes: u64, fill_bytes: u64, redirect_bytes: u64) -> WindowInput {
         WindowInput {
@@ -249,7 +268,7 @@ mod tests {
     #[test]
     fn cumulative_counters_match_total_exactly() {
         let costs = CostModel::from_alpha(2.0).unwrap();
-        let mut s = ReplaySampler::new(500, costs);
+        let mut s = Fed::new(500, 100, costs);
         let mut total = TrafficCounter::default();
         for i in 0..50u64 {
             let (h, f, r) = match i % 3 {
@@ -280,7 +299,7 @@ mod tests {
 
     #[test]
     fn empty_intervals_are_emitted_with_zero_efficiency() {
-        let mut s = ReplaySampler::new(100, CostModel::balanced());
+        let mut s = Fed::new(100, 50, CostModel::balanced());
         s.record(&at(50, 10, 0, 0), 1, 4, None);
         s.record(&at(950, 10, 0, 0), 2, 4, None);
         let samples = s.finish();
@@ -297,7 +316,7 @@ mod tests {
 
     #[test]
     fn sample_grid_is_evenly_spaced() {
-        let mut s = ReplaySampler::new(250, CostModel::balanced());
+        let mut s = Fed::new(250, 250, CostModel::balanced());
         s.record(&at(0, 1, 0, 0), 1, 1, None);
         s.record(&at(1_100, 1, 0, 0), 1, 1, None);
         let samples = s.finish();
@@ -306,14 +325,20 @@ mod tests {
     }
 
     #[test]
+    #[should_panic(expected = "is not a whole number of 60 ms windows")]
+    fn an_interval_the_windows_do_not_tile_is_refused() {
+        ReplaySampler::new(90, 60, CostModel::balanced());
+    }
+
+    #[test]
     fn unfed_sampler_yields_no_samples() {
-        let s = ReplaySampler::new(1000, CostModel::balanced());
+        let s = Fed::new(1000, 250, CostModel::balanced());
         assert!(s.finish().is_empty());
     }
 
     #[test]
     fn cache_age_holds_last_known_value() {
-        let mut s = ReplaySampler::new(100, CostModel::balanced());
+        let mut s = Fed::new(100, 25, CostModel::balanced());
         s.record(&at(10, 1, 0, 0), 1, 2, Some(42.0));
         s.record(&at(150, 1, 0, 0), 1, 2, None);
         let samples = s.finish();
@@ -324,14 +349,14 @@ mod tests {
     #[test]
     #[should_panic(expected = "out of order")]
     fn time_reversal_is_rejected() {
-        let mut s = ReplaySampler::new(100, CostModel::balanced());
+        let mut s = Fed::new(100, 50, CostModel::balanced());
         s.record(&at(500, 1, 0, 0), 1, 1, None);
         s.record(&at(10, 1, 0, 0), 1, 1, None);
     }
 
     #[test]
     fn sample_serialises_to_flat_object() {
-        let mut s = ReplaySampler::new(100, CostModel::balanced());
+        let mut s = Fed::new(100, 25, CostModel::balanced());
         s.record(&at(10, 80, 20, 0), 3, 8, Some(7.5));
         let sample = &s.finish()[0];
         let mut line = String::new();

@@ -13,8 +13,8 @@
 //! * [`DispatchSpans`] — one per shard stream, recorded by the shard's
 //!   owner with the request's tick:
 //!   - `{scope}.engine.span.dispatched_total` — requests entering the
-//!     engine (one shared counter, added to atomically by whichever
-//!     worker served the request).
+//!     engine (every stream's accountant is one writer of it; the
+//!     registry sums them).
 //!   - `{scope}.s{i:02}.span.queue_gap` — per-stream histogram of the
 //!     logical gap (in global dispatch ticks) between consecutive
 //!     arrivals at stream `i`: a deterministic proxy for how bursty a
@@ -27,30 +27,30 @@
 //!   - `{scope}.s{i:02}.span.evict_events_total` — decisions that
 //!     reached the evict stage (evicted ≥ 1 chunk).
 //!
-//! Conservation: at quiescence, `dispatched_total` equals the sum of
-//! per-shard `processed_total` — every dispatched request is decided
-//! exactly once (`obs_check` verifies this on engine bundles).
+//! Both record into a [`Tally`] of their own — one writer per cell, like
+//! every recorder in the crate. Conservation: at quiescence,
+//! `dispatched_total` equals the sum of per-shard `processed_total` —
+//! every dispatched request is decided exactly once (`vcdn_obs::check`
+//! verifies this on engine bundles).
 
 use std::sync::Arc;
 
-use crate::registry::{MetricId, MetricKind, MetricsSink};
+use crate::registry::{MetricId, MetricKind, MetricsSink, Tally};
 
 /// One shard stream's dispatch-stage accounting on the logical clock:
 /// its arrival count, last tick, queue-gap histogram and load-share
-/// gauge, plus a handle on the engine-wide `dispatched_total` counter.
+/// gauge, plus its share of the engine-wide `dispatched_total` counter.
 ///
 /// Owned and mutated by the one worker that owns the shard, which is what
-/// keeps the exported values worker-count-invariant; only
-/// `dispatched_total` is shared, and it is a commutative atomic add.
+/// keeps the exported values worker-count-invariant.
 #[derive(Debug)]
 pub struct DispatchSpans {
-    dispatched: MetricId,
+    tally: Tally,
+    ids: [MetricId; 3],
     /// Last dispatch tick seen on this stream, plus one (0 = never).
     last_plus1: u64,
     /// Requests dispatched to this stream so far.
     count: u64,
-    queue_gap: MetricId,
-    load_share: MetricId,
 }
 
 impl DispatchSpans {
@@ -59,23 +59,28 @@ impl DispatchSpans {
     /// `dispatched_total` first, then each stream's pair in stream order —
     /// and returns one accountant per stream.
     pub fn attach(sink: &Arc<dyn MetricsSink>, scope: &str, streams: usize) -> Vec<DispatchSpans> {
-        let dispatched = sink.register(
-            &format!("{scope}.engine.span.dispatched_total"),
-            MetricKind::Counter,
-        );
         (0..streams)
-            .map(|i| DispatchSpans {
-                dispatched,
-                last_plus1: 0,
-                count: 0,
-                queue_gap: sink.register(
-                    &format!("{scope}.s{i:02}.span.queue_gap"),
-                    MetricKind::Histogram,
-                ),
-                load_share: sink.register(
-                    &format!("{scope}.s{i:02}.span.load_share_x1000"),
-                    MetricKind::Gauge,
-                ),
+            .map(|i| {
+                let tally = sink.register(&[
+                    (
+                        format!("{scope}.engine.span.dispatched_total"),
+                        MetricKind::Counter,
+                    ),
+                    (
+                        format!("{scope}.s{i:02}.span.queue_gap"),
+                        MetricKind::Histogram,
+                    ),
+                    (
+                        format!("{scope}.s{i:02}.span.load_share_x1000"),
+                        MetricKind::Gauge,
+                    ),
+                ]);
+                DispatchSpans {
+                    ids: tally.ids(),
+                    tally,
+                    last_plus1: 0,
+                    count: 0,
+                }
             })
             .collect()
     }
@@ -87,48 +92,53 @@ impl DispatchSpans {
     /// measures its distance from the stream's start.
     ///
     /// Ticks must increase across calls on one stream.
-    pub fn record(&mut self, sink: &dyn MetricsSink, tick: u64) -> u64 {
+    pub fn record(&mut self, tick: u64) -> u64 {
         let gap = tick + 1 - self.last_plus1;
         self.last_plus1 = tick + 1;
         self.count += 1;
-        sink.counter_add(self.dispatched, 1);
-        sink.observe(self.queue_gap, gap);
-        sink.gauge_set(self.load_share, self.count * 1000 / (tick + 1));
+        let [dispatched, queue_gap, load_share] = self.ids;
+        self.tally.add(dispatched, 1);
+        self.tally.observe(queue_gap, gap);
+        self.tally.set(load_share, self.count * 1000 / (tick + 1));
         gap
     }
 }
 
 /// Shard-side logical stage counters: decide and evict, recorded by the
-/// worker that owns the shard. Counters are atomic, and each shard is
-/// touched by exactly one worker per run, so the totals are exact.
-#[derive(Debug, Clone)]
+/// worker that owns the shard — the tally's one writer — so the totals
+/// are exact.
+#[derive(Debug)]
 pub struct ShardSpans {
-    processed: MetricId,
-    evict_events: MetricId,
+    tally: Tally,
+    /// `processed_total`, `evict_events_total`.
+    ids: [MetricId; 2],
 }
 
 impl ShardSpans {
     /// Registers shard `i`'s decide/evict stage counters under `scope`.
     pub fn attach(sink: &Arc<dyn MetricsSink>, scope: &str, i: usize) -> ShardSpans {
+        let tally = sink.register(&[
+            (
+                format!("{scope}.s{i:02}.span.processed_total"),
+                MetricKind::Counter,
+            ),
+            (
+                format!("{scope}.s{i:02}.span.evict_events_total"),
+                MetricKind::Counter,
+            ),
+        ]);
         ShardSpans {
-            processed: sink.register(
-                &format!("{scope}.s{i:02}.span.processed_total"),
-                MetricKind::Counter,
-            ),
-            evict_events: sink.register(
-                &format!("{scope}.s{i:02}.span.evict_events_total"),
-                MetricKind::Counter,
-            ),
+            ids: tally.ids(),
+            tally,
         }
     }
 
     /// Counts one completed shard-decide stage; `evicted` decisions also
     /// count an evict stage.
-    pub fn record(&self, sink: &dyn MetricsSink, evicted: bool) {
-        sink.counter_add(self.processed, 1);
-        if evicted {
-            sink.counter_add(self.evict_events, 1);
-        }
+    pub fn record(&self, evicted: bool) {
+        let [processed, evict_events] = self.ids;
+        self.tally.add(processed, 1);
+        self.tally.add(evict_events, u64::from(evicted));
     }
 }
 
@@ -144,7 +154,7 @@ mod tests {
     }
 
     fn value(reg: &MetricsRegistry, name: &str) -> u64 {
-        reg.snapshot(false)
+        reg.snapshot()
             .into_iter()
             .find(|m| m.name == name)
             .unwrap_or_else(|| panic!("metric {name} missing"))
@@ -157,7 +167,7 @@ mod tests {
         let mut spans = DispatchSpans::attach(sink, "e", streams);
         seq.iter()
             .enumerate()
-            .map(|(tick, &s)| spans[s].record(sink.as_ref(), tick as u64))
+            .map(|(tick, &s)| spans[s].record(tick as u64))
             .collect()
     }
 
@@ -180,7 +190,7 @@ mod tests {
         // Stream 0: gaps 1 (tick 0, first) and 3 (tick 3 − tick 0).
         // Stream 1: gaps 2 (tick 1, first) and 1 (tick 2 − tick 1).
         assert_eq!(gaps, vec![1, 2, 1, 3]);
-        let snap = reg.snapshot(false);
+        let snap = reg.snapshot();
         let hist = |name: &str| {
             snap.iter()
                 .find(|m| m.name == name)
@@ -199,9 +209,9 @@ mod tests {
     fn shard_spans_count_decide_and_evict() {
         let (reg, sink) = registry();
         let spans = ShardSpans::attach(&sink, "e", 3);
-        spans.record(sink.as_ref(), false);
-        spans.record(sink.as_ref(), true);
-        spans.record(sink.as_ref(), false);
+        spans.record(false);
+        spans.record(true);
+        spans.record(false);
         assert_eq!(value(&reg, "e.s03.span.processed_total"), 3);
         assert_eq!(value(&reg, "e.s03.span.evict_events_total"), 1);
     }
@@ -212,10 +222,16 @@ mod tests {
         let seq: Vec<usize> = (0..16).map(|i| i % 4).collect();
         dispatch(&sink, 4, &seq);
         for i in 0..4 {
-            ShardSpans::attach(&sink, "e", i).record(sink.as_ref(), i % 2 == 0);
+            ShardSpans::attach(&sink, "e", i).record(i % 2 == 0);
         }
-        let det = reg.snapshot(true);
-        let all = reg.snapshot(false);
-        assert_eq!(det.len(), all.len(), "span logical metrics must export");
+        // One shared dispatch counter, two metrics per stream, two per
+        // shard: every one exports, the four dispatch writers as one.
+        let snap = reg.snapshot();
+        assert_eq!(
+            snap.len(),
+            1 + 4 * 2 + 4 * 2,
+            "span logical metrics must export"
+        );
+        assert_eq!(value(&reg, "e.engine.span.dispatched_total"), 16);
     }
 }

@@ -25,9 +25,12 @@
 //!   window can be evicted, so bounded memory never loses an alert.
 //!
 //! This is the crate's only time-bucketing accumulator: the sharded
-//! engine's per-shard rings, the Replayer's health windows and the
-//! time-series sampler all record into a [`WindowRing`], each building its
-//! per-request delta with [`WindowInput::from_decision`]. The grid is
+//! engine's per-shard rings and the Replayer's telemetry observer each
+//! record into a [`WindowRing`], building the per-request delta with
+//! [`WindowInput::from_decision`]. The observer's one ring runs at the
+//! finer of its two widths; a [`WindowFold`] builds the coarser one —
+//! health windows or time-series samples — from the windows it closes,
+//! so a request is bucketed once, not once per consumer. The grid is
 //! capped at [`MAX_WINDOWS`]: a request that would open a later window is
 //! refused with a panic on arrival, so a far-future timestamp costs
 //! nothing instead of one empty window per hour of the gap.
@@ -414,11 +417,6 @@ impl WindowRing {
         self.width_ms
     }
 
-    /// The ring bound: closed windows retained.
-    pub fn retain(&self) -> usize {
-        self.retain
-    }
-
     /// Closed windows evicted from the ring so far.
     pub fn dropped(&self) -> u64 {
         self.dropped
@@ -429,11 +427,6 @@ impl WindowRing {
     /// (closed, dropped and open).
     pub fn cum(&self) -> TrafficCounter {
         self.cum
-    }
-
-    /// The retained closed windows, oldest first.
-    pub fn closed_windows(&self) -> impl Iterator<Item = &WindowStats> {
-        self.closed.iter()
     }
 
     fn close_open(&mut self, on_close: &mut dyn FnMut(&WindowStats)) {
@@ -525,6 +518,55 @@ impl WindowRing {
     }
 }
 
+/// Folds one stream's closed windows `every` at a time into windows
+/// `every` times as wide: what a ring of the wider width would have
+/// closed, built from the narrower ring's output.
+///
+/// Feed it every window a [`WindowRing`] closes, in order (indices
+/// consecutive from 0, empty windows included); [`WindowFold::push`]
+/// returns each wide window as its last narrow window arrives, and
+/// [`WindowFold::finish`] the partial one a run ends in. Wide window `j`
+/// sums narrow windows `j·every .. (j+1)·every`; its stream peak is their
+/// request count, as a one-producer ring's is.
+#[derive(Debug, Clone)]
+pub struct WindowFold {
+    every: u64,
+    open: Option<WindowStats>,
+}
+
+impl WindowFold {
+    /// A fold of `every` narrow windows into one (`1` passes each through).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `every == 0`.
+    pub fn new(every: u64) -> WindowFold {
+        assert!(every > 0, "a fold takes at least one window");
+        WindowFold { every, open: None }
+    }
+
+    /// Folds the next closed narrow window; returns the wide window it
+    /// completes, if any.
+    pub fn push(&mut self, w: &WindowStats) -> Option<WindowStats> {
+        let index = w.index / self.every;
+        let wide = self.open.get_or_insert_with(|| WindowStats::empty(index));
+        let requests = wide.max_stream_requests + w.max_stream_requests;
+        wide.merge(&WindowStats { index, ..w.clone() });
+        wide.max_stream_requests = requests;
+        if (w.index + 1).is_multiple_of(self.every) {
+            self.open.take()
+        } else {
+            None
+        }
+    }
+
+    /// The partial wide window folded since the last complete one, if the
+    /// run ended inside it.
+    pub fn finish(&mut self) -> Option<WindowStats> {
+        self.open.take()
+    }
+}
+
 /// Folds per-producer window sets into one set keyed by window index,
 /// filling index gaps with empty windows so the result is a contiguous
 /// grid from the smallest to the largest index seen. Because
@@ -607,7 +649,7 @@ mod tests {
         ring.finish(&mut |w| seen.push(w.index));
         // All 7 windows reported to the callback, ring keeps only 2.
         assert_eq!(seen, vec![0, 1, 2, 3, 4, 5, 6]);
-        assert_eq!(ring.closed_windows().count(), 2);
+        assert_eq!(ring.snapshot_windows().len(), 2);
         assert_eq!(ring.dropped(), 5);
     }
 

@@ -1,6 +1,8 @@
 //! Randomized property tests for the log-bucketed histogram: bucket
 //! geometry, sample conservation and exact count/sum recovery through the
-//! registry's atomic slots.
+//! registry's per-writer tallies — and the merge those tallies rest on:
+//! any split of a decision stream across writers exports what one writer
+//! fed the whole stream does.
 //!
 //! The workspace builds offline, so instead of an external property-test
 //! framework these run a fixed number of cases drawn from a small
@@ -9,7 +11,9 @@
 use std::sync::Arc;
 
 use vcdn_obs::histogram::{bucket_index, bucket_lower, bucket_upper, BUCKETS};
-use vcdn_obs::{MetricKind, MetricsRegistry, MetricsSink};
+use vcdn_obs::{MetricKind, MetricsRegistry, MetricsSink, Tally};
+use vcdn_trace::rng::DetRng;
+use vcdn_types::{ChunkId, Decision, ServeOutcome, VideoId};
 
 const CASES: u64 = 512;
 
@@ -91,17 +95,18 @@ fn every_value_lands_inside_its_bucket() {
 fn no_sample_is_lost_and_count_sum_recover_exactly() {
     for_each_case(|rng, case| {
         let registry = Arc::new(MetricsRegistry::new());
-        let id = registry.register("t.h", MetricKind::Histogram);
+        let tally = registry.register(&[("t.h".to_string(), MetricKind::Histogram)]);
+        let [h] = tally.ids();
         let n = rng.range(1, 200);
         let mut expected_count = 0u64;
         let mut expected_sum = 0u128;
         for _ in 0..n {
             let v = rng.spread();
-            registry.observe(id, v);
+            tally.observe(h, v);
             expected_count += 1;
             expected_sum += v as u128;
         }
-        let snap = registry.snapshot(true);
+        let snap = registry.snapshot();
         let h = snap[0].histogram.as_ref().expect("histogram snapshot");
         // Conservation: bucket counts sum to the observation count.
         assert_eq!(
@@ -110,7 +115,7 @@ fn no_sample_is_lost_and_count_sum_recover_exactly() {
             "case {case}: samples lost"
         );
         assert_eq!(h.count, expected_count, "case {case}: count mismatch");
-        // Sum recovers exactly (modulo u64 wrap, which the atomic shares).
+        // Sum recovers exactly (modulo u64 wrap, which the tally shares).
         assert_eq!(h.sum, expected_sum as u64, "case {case}: sum mismatch");
     });
 }
@@ -121,16 +126,17 @@ fn bucketed_samples_bound_the_true_values() {
     // brackets the true sum — the guarantee quantile estimates rest on.
     for_each_case(|rng, case| {
         let registry = Arc::new(MetricsRegistry::new());
-        let id = registry.register("t.h", MetricKind::Histogram);
+        let tally = registry.register(&[("t.h".to_string(), MetricKind::Histogram)]);
+        let [h] = tally.ids();
         let n = rng.range(1, 100);
         let mut true_sum = 0u128;
         for _ in 0..n {
             // Cap at 2^32 so the upper-bound sum cannot overflow u128.
             let v = rng.spread() & 0xFFFF_FFFF;
-            registry.observe(id, v);
+            tally.observe(h, v);
             true_sum += v as u128;
         }
-        let snap = registry.snapshot(true);
+        let snap = registry.snapshot();
         let h = snap[0].histogram.as_ref().expect("histogram snapshot");
         let lower: u128 = h
             .buckets
@@ -149,4 +155,84 @@ fn bucketed_samples_bound_the_true_values() {
             "case {case}: true sum {true_sum} outside bucket bounds [{lower}, {upper}]"
         );
     });
+}
+
+/// A policy's counter and histogram family — the gauge aside, which has
+/// one writer by definition.
+const FAMILY: [(&str, MetricKind); 7] = [
+    ("p.serve_requests_total", MetricKind::Counter),
+    ("p.redirect_requests_total", MetricKind::Counter),
+    ("p.hit_chunks_total", MetricKind::Counter),
+    ("p.fill_chunks_total", MetricKind::Counter),
+    ("p.evicted_chunks_total", MetricKind::Counter),
+    ("p.fill_chunks_per_request", MetricKind::Histogram),
+    ("p.eviction_batch_chunks", MetricKind::Histogram),
+];
+
+fn writer(registry: &MetricsRegistry) -> Tally {
+    registry.register(&FAMILY.map(|(name, kind)| (name.to_string(), kind)))
+}
+
+/// Records `decision` the way `PolicyObs::record_decision` does.
+fn record(t: &Tally, decision: &Decision) {
+    let [serve, redirect, hit, fill, evicted, fill_per_request, eviction_batch] = t.ids();
+    match decision {
+        Decision::Serve(o) => {
+            t.add(serve, 1);
+            t.add(hit, o.hit_chunks);
+            t.add(fill, o.filled_chunks);
+            t.observe(fill_per_request, o.filled_chunks);
+            if !o.evicted.is_empty() {
+                t.add(evicted, o.evicted.len() as u64);
+                t.observe(eviction_batch, o.evicted.len() as u64);
+            }
+        }
+        Decision::Redirect => t.add(redirect, 1),
+    }
+}
+
+#[test]
+fn partitioned_tallies_merge_to_one_tally() {
+    for seed in [5u64, 6, 20140413] {
+        let mut rng = DetRng::new(seed);
+        let stream: Vec<Decision> = (0..2_000)
+            .map(|_| match rng.below(4) {
+                0 => Decision::Redirect,
+                _ => Decision::Serve(ServeOutcome {
+                    hit_chunks: rng.below(40),
+                    filled_chunks: {
+                        let magnitude = rng.below(12);
+                        rng.below(1 << magnitude)
+                    },
+                    evicted: vec![ChunkId::new(VideoId(1), 0); rng.below(3) as usize * 7],
+                }),
+            })
+            .collect();
+        let whole = MetricsRegistry::new();
+        let one = writer(&whole);
+        stream.iter().for_each(|d| record(&one, d));
+        let want = whole.snapshot();
+        for parts in [1usize, 2, 3, 8] {
+            // Each decision goes to a random writer; the writers register
+            // in a rotated order, some before any decision and some after.
+            let split = MetricsRegistry::new();
+            let late = rng.below(parts as u64 + 1) as usize;
+            let mut tallies: Vec<Option<Tally>> = (0..parts)
+                .map(|i| (i >= late).then(|| writer(&split)))
+                .collect();
+            let owner: Vec<usize> = (0..stream.len())
+                .map(|_| rng.below(parts as u64) as usize)
+                .collect();
+            for (d, &w) in stream.iter().zip(&owner).filter(|(_, &w)| w >= late) {
+                record(tallies[w].as_ref().unwrap(), d);
+            }
+            for w in (0..late).rev() {
+                let t = tallies[w].insert(writer(&split));
+                for (d, _) in stream.iter().zip(&owner).filter(|(_, &o)| o == w) {
+                    record(t, d);
+                }
+            }
+            assert_eq!(split.snapshot(), want, "seed {seed}, {parts} writers");
+        }
+    }
 }

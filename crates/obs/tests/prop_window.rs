@@ -11,15 +11,18 @@
 //!   windows equals the ring's cumulative counter, regardless of window
 //!   width, gaps, or ring eviction (detectors see every window at close
 //!   time, so eviction loses no signal).
-//! * **Sampler ≡ ring** — the time-series sampler is a consumer of the
-//!   same ring: with equal widths its samples are the ring's windows,
-//!   their prefix sums, and the policy state held at each close.
+//! * **Sampler ≡ ring** — the time-series sampler is a fold over the
+//!   same ring's closed windows: with equal widths its samples are the
+//!   ring's windows, their prefix sums, and the policy state held at each
+//!   close; folding hourly windows into 1-, 6- and 24-hour samples gives
+//!   what a ring of the sample width gave the sampler before it owned none.
 //! * **Partition invariance** — splitting one stream across P rings and
 //!   merging equals one ring fed everything (the shard model).
 
-use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
-use vcdn_obs::{HistogramSnapshot, ReplaySampler};
+use vcdn_obs::window::{merge_windows, WindowFold, WindowInput, WindowRing, WindowStats};
+use vcdn_obs::{HistogramSnapshot, ReplaySampler, SeriesSample};
 use vcdn_trace::rng::DetRng;
+use vcdn_types::{CostModel, TrafficCounter};
 
 /// A deterministic random request stream with non-decreasing timestamps
 /// and occasional redirects, fills and evictions.
@@ -155,24 +158,27 @@ fn conservation_sum_of_deltas_equals_cumulative_counter() {
             let mut sum = vcdn_types::TrafficCounter::default();
             let mut gap_samples = 0u64;
             let mut windows: Vec<WindowStats> = Vec::new();
-            // The sampler rides along at the same width; request `n`
-            // reports occupancy `n` and — unless 3 divides `n` — cache
-            // age `n`.
-            let costs = vcdn_types::CostModel::from_alpha(2.0).expect("valid alpha");
-            let mut sampler = ReplaySampler::new(width, costs);
+            // The sampler folds the same ring's windows one to one;
+            // request `n` reports occupancy `n` and — unless 3 divides `n`
+            // — cache age `n`.
+            let costs = CostModel::from_alpha(2.0).expect("valid alpha");
+            let mut sampler = ReplaySampler::new(width, width, costs);
             let age_of = |n: usize| (!n.is_multiple_of(3)).then_some(n as f64);
-            for (n, input) in inputs.iter().enumerate() {
-                ring.record(input, &mut |w| {
-                    sum += w.traffic;
-                    gap_samples += w.queue_gap.count;
-                    windows.push(w.clone());
-                });
-                sampler.record(input, n as u64, 1 << 20, age_of(n));
-            }
-            ring.finish(&mut |w| {
+            let mut closed = |w: &WindowStats| {
                 sum += w.traffic;
                 gap_samples += w.queue_gap.count;
                 windows.push(w.clone());
+            };
+            for (n, input) in inputs.iter().enumerate() {
+                ring.record(input, &mut |w| {
+                    closed(w);
+                    sampler.on_window(w);
+                });
+                sampler.stamp(n as u64, 1 << 20, age_of(n));
+            }
+            ring.finish(&mut |w| {
+                closed(w);
+                sampler.on_window(w);
             });
             let samples = sampler.finish();
             assert_eq!(samples.len(), windows.len(), "seed {seed} width {width}");
@@ -208,8 +214,9 @@ fn conservation_sum_of_deltas_equals_cumulative_counter() {
             assert_eq!(sum.total_requests(), len as u64);
             assert_eq!(gap_samples, len as u64, "gap sketch lost samples");
             // The ring stayed bounded and accounted for every eviction.
-            assert!(ring.closed_windows().count() <= retain);
-            let total_closed = ring.closed_windows().count() as u64 + ring.dropped();
+            // (After `finish` the snapshot is the closed windows alone.)
+            assert!(ring.snapshot_windows().len() <= retain);
+            let total_closed = ring.snapshot_windows().len() as u64 + ring.dropped();
             assert!(total_closed >= 1);
         }
     }
@@ -288,4 +295,94 @@ fn sketch_merge_matches_direct_observation() {
             assert_eq!(merged, direct, "seed {seed} parts {parts}");
         }
     }
+}
+
+/// The series a sampler owning a ring of the interval's width produced:
+/// one sample per window that ring closed, carrying the prefix sum and the
+/// state of the last request recorded before the closing one.
+fn own_ring_series(
+    inputs: &[WindowInput],
+    state: impl Fn(usize) -> (u64, Option<f64>),
+    interval: u64,
+    costs: CostModel,
+) -> Vec<SeriesSample> {
+    let mut ring = WindowRing::new(interval, 1);
+    let (mut cum, mut samples) = (TrafficCounter::default(), Vec::new());
+    let (mut occupancy, mut age) = (0, None);
+    let mut sample = |w: &WindowStats, occupancy: u64, age: Option<f64>| {
+        cum += w.traffic;
+        samples.push(SeriesSample {
+            t_ms: w.index * interval,
+            interval: w.traffic,
+            cum,
+            efficiency: w.traffic.efficiency(costs),
+            cum_efficiency: cum.efficiency(costs),
+            occupancy_chunks: occupancy,
+            capacity_chunks: 1 << 20,
+            cache_age_ms: age,
+        });
+    };
+    for (n, input) in inputs.iter().enumerate() {
+        ring.record(input, &mut |w| sample(w, occupancy, age));
+        let (o, a) = state(n);
+        occupancy = o;
+        age = a.or(age);
+    }
+    ring.finish(&mut |w| sample(w, occupancy, age));
+    samples
+}
+
+#[test]
+fn folded_hourly_windows_equal_the_own_ring_sampler() {
+    const HOUR: u64 = 3_600_000;
+    let costs = CostModel::from_alpha(2.0).expect("valid alpha");
+    let state = |n: usize| (n as u64, (!n.is_multiple_of(4)).then_some(n as f64 * 1.5));
+    for seed in [31u64, 32, 20140413] {
+        let mut rng = DetRng::new(seed);
+        // About a week of trace time: steps of up to 40 minutes, and now
+        // and then a silence of a day or two, so whole samples are empty.
+        let mut inputs = random_inputs(&mut rng, 400, 40 * 60_000);
+        let mut shift = 0;
+        for input in &mut inputs {
+            if rng.below(100) == 0 {
+                shift += HOUR * (24 + rng.below(24));
+            }
+            input.t_ms += shift;
+        }
+        for hours in [1u64, 6, 24] {
+            let interval = hours * HOUR;
+            let mut ring = WindowRing::new(HOUR, 1);
+            let mut sampler = ReplaySampler::new(interval, HOUR, costs);
+            for (n, input) in inputs.iter().enumerate() {
+                ring.record(input, &mut |w| sampler.on_window(w));
+                let (occupancy, age) = state(n);
+                sampler.stamp(occupancy, 1 << 20, age);
+            }
+            ring.finish(&mut |w| sampler.on_window(w));
+            let folded = sampler.finish();
+            let own = own_ring_series(&inputs, state, interval, costs);
+            assert!(own.len() > 3, "seed {seed}: {hours} h: too short a series");
+            assert_eq!(folded, own, "seed {seed}: {hours} h samples");
+        }
+    }
+}
+
+#[test]
+fn a_fold_of_narrow_windows_is_the_wide_ring() {
+    // The health-window direction: hourly windows folded to 6 hours equal
+    // a 6-hour ring's windows, stream peak included.
+    let mut rng = DetRng::new(41);
+    let inputs = random_inputs(&mut rng, 500, 50_000);
+    let (mut narrow, mut wide) = (WindowRing::new(10_000, 1), WindowRing::new(60_000, 1));
+    let (mut folded, mut direct) = (Vec::new(), Vec::new());
+    let mut fold = WindowFold::new(6);
+    for input in &inputs {
+        narrow.record(input, &mut |w| folded.extend(fold.push(w)));
+        wide.record(input, &mut |w| direct.push(w.clone()));
+    }
+    narrow.finish(&mut |w| folded.extend(fold.push(w)));
+    folded.extend(fold.finish());
+    wide.finish(&mut |w| direct.push(w.clone()));
+    assert!(direct.len() > 10);
+    assert_eq!(folded, direct);
 }

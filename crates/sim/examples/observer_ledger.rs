@@ -4,12 +4,13 @@
 //! `TelemetryObserver` and its `to_jsonl` last. No policy in the loop is
 //! what makes the rows readable on a box whose clock speed wanders.
 //! `cargo run --release -p vcdn-sim --example observer_ledger -- 0.0625 15`
+use std::collections::VecDeque;
 use std::hint::black_box;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use vcdn_core::{CacheConfig, XlruCache};
 use vcdn_obs::topk::SpaceSaving;
-use vcdn_obs::window::{WindowInput, WindowRing};
+use vcdn_obs::window::{WindowFold, WindowInput, WindowRing};
 use vcdn_obs::{default_rules, DecisionDetail, DecisionEvent, EventRing, MetricsRegistry};
 use vcdn_obs::{PolicyObs, ReplaySampler, Verdict, Watchdog};
 use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver};
@@ -88,7 +89,7 @@ fn main() {
             }
         })
     });
-    row("PolicyObs -> registry", &mut || {
+    row("Tally (PolicyObs)", &mut || {
         timed(PolicyObs::attach(registry(), "xlru"), |obs| {
             (steps.iter()).for_each(|(_, d)| obs.record_decision(&d.decision, d.occupancy))
         })
@@ -122,21 +123,29 @@ fn main() {
             }
         })
     });
-    row("ReplaySampler", &mut || {
-        timed(ReplaySampler::new(hour, costs), |sampler| {
-            for (r, d) in &steps {
-                sampler.record(&input(r, d), d.occupancy, disk, d.detail.cache_age_ms);
-            }
-        })
-    });
-    row("WindowRing + Watchdog", &mut || {
+    // The observer's one ring at its default (hourly samples, hourly
+    // health windows): each closed window folded into a health window the
+    // watchdog judges and the last `retain` keep, and into a sample.
+    row("1 ring+watchdog+series", &mut || {
         let state = (
-            WindowRing::new(hour, retain),
-            Watchdog::new(default_rules(), costs, 1),
+            WindowRing::new(hour, 1),
+            (WindowFold::new(1), Watchdog::new(default_rules(), costs, 1)),
+            VecDeque::new(),
+            ReplaySampler::new(hour, hour, costs),
         );
-        timed(state, |(ring, watchdog)| {
+        timed(state, |(ring, (fold, watchdog), kept, sampler)| {
             for (r, d) in &steps {
-                ring.record(&input(r, d), &mut |w| watchdog.on_window(w));
+                ring.record(&input(r, d), &mut |w| {
+                    if let Some(wide) = fold.push(w) {
+                        watchdog.on_window(&wide);
+                        kept.push_back(wide);
+                        if kept.len() > retain {
+                            kept.pop_front();
+                        }
+                    }
+                    sampler.on_window(w);
+                });
+                sampler.stamp(d.occupancy, disk, d.detail.cache_age_ms);
             }
         })
     });

@@ -39,11 +39,12 @@
 //!   nothing else is mutable while workers run. Instrumentation
 //!   ([`ShardedEngine::attach_obs`]) is one [`ReplayObserver`] per shard,
 //!   fed by the kernel with the request's trace index as `seq`; its
-//!   metrics aggregate through `vcdn-obs` atomic sinks — per-shard scoped
-//!   counters plus engine-level totals, each update a single atomic RMW,
-//!   so a snapshot taken at quiescence is consistent with the per-shard
-//!   reports. A detached shard is served with the `()` observer: off
-//!   means free.
+//!   metrics go into `vcdn-obs` tallies the shard's worker alone writes —
+//!   per-shard scoped counters plus the shard's share of the engine-level
+//!   totals, which the registry sums by name — so no two workers share a
+//!   counter's cache line, and a snapshot taken at quiescence is
+//!   consistent with the per-shard reports. A detached shard is served
+//!   with the `()` observer: off means free.
 //! * **Failure.** A panicking shard policy (or a failed invariant check)
 //!   unwinds its worker; the other workers run to the end of the slice —
 //!   they wait on nothing — and the panic then propagates out of
@@ -76,7 +77,8 @@ use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
 use vcdn_obs::{
-    MetricId, MetricKind, MetricsRegistry, MetricsSink, PolicyObs, Rule, TelemetryBundle, Watchdog,
+    MetricId, MetricKind, MetricsRegistry, MetricsSink, PolicyObs, Rule, Tally, TelemetryBundle,
+    Watchdog,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -242,49 +244,47 @@ impl EngineConfig {
     }
 }
 
-/// Engine-level aggregate metric handles: one atomic counter per traffic
-/// bucket, updated by whichever worker handled the request. Totals equal
-/// the sum of per-shard counters in any quiescent snapshot.
-#[derive(Clone)]
-struct EngineObs {
-    sink: Arc<dyn MetricsSink>,
-    served: MetricId,
-    redirected: MetricId,
-    hit_chunks: MetricId,
-    fill_chunks: MetricId,
-    redirect_chunks: MetricId,
-    evicted_chunks: MetricId,
-    /// Shard-imbalance gauges: max/mean ×1000 over per-shard request and
-    /// requested-byte totals, refreshed at the end of every run.
-    skew_requests: MetricId,
-    skew_bytes: MetricId,
+/// Registers `metrics` under `{scope}.engine.` and returns the tally with
+/// their ids in order.
+fn engine_tally<const N: usize>(
+    sink: &Arc<dyn MetricsSink>,
+    scope: &str,
+    metrics: [(&str, MetricKind); N],
+) -> ([MetricId; N], Tally) {
+    let tally = sink.register(&metrics.map(|(m, kind)| (format!("{scope}.engine.{m}"), kind)));
+    (tally.ids(), tally)
 }
 
-impl EngineObs {
-    fn attach(sink: &Arc<dyn MetricsSink>, scope: &str) -> EngineObs {
-        let name = |metric: &str| format!("{scope}.engine.{metric}");
-        EngineObs {
-            served: sink.register(&name("serve_requests_total"), MetricKind::Counter),
-            redirected: sink.register(&name("redirect_requests_total"), MetricKind::Counter),
-            hit_chunks: sink.register(&name("hit_chunks_total"), MetricKind::Counter),
-            fill_chunks: sink.register(&name("fill_chunks_total"), MetricKind::Counter),
-            redirect_chunks: sink.register(&name("redirect_chunks_total"), MetricKind::Counter),
-            evicted_chunks: sink.register(&name("evicted_chunks_total"), MetricKind::Counter),
-            skew_requests: sink.register(&name("span.skew_requests_x1000"), MetricKind::Gauge),
-            skew_bytes: sink.register(&name("span.skew_bytes_x1000"), MetricKind::Gauge),
-            sink: Arc::clone(sink),
-        }
-    }
-}
+/// The engine-level traffic totals, one writer per shard: each shard's
+/// observer adds its own requests into its own tally, and the registry
+/// sums the shards' tallies by name, so the totals equal the sum of the
+/// per-shard counters in any quiescent snapshot.
+const TOTALS: [(&str, MetricKind); 6] = [
+    ("serve_requests_total", MetricKind::Counter),
+    ("redirect_requests_total", MetricKind::Counter),
+    ("hit_chunks_total", MetricKind::Counter),
+    ("fill_chunks_total", MetricKind::Counter),
+    ("redirect_chunks_total", MetricKind::Counter),
+    ("evicted_chunks_total", MetricKind::Counter),
+];
+
+/// The shard-imbalance gauges — max/mean ×1000 over per-shard request and
+/// requested-byte totals — written by the engine itself at the end of
+/// every run.
+const SKEW: [(&str, MetricKind); 2] = [
+    ("span.skew_requests_x1000", MetricKind::Gauge),
+    ("span.skew_bytes_x1000", MetricKind::Gauge),
+];
 
 /// One shard's instrumentation, created by [`ShardedEngine::attach_obs`]:
-/// the engine aggregates, the shard's stage counters and dispatch-stage
-/// accounting on the logical clock, a heavy-hitter sketch over its video
-/// stream and a health-window ring over its request sub-stream. The ring
-/// is never flushed mid-lifetime: warm continuation keeps feeding the open
-/// window, and reports merge non-destructive snapshots.
+/// its share of the engine totals, the shard's stage counters and
+/// dispatch-stage accounting on the logical clock, a heavy-hitter sketch
+/// over its video stream and a health-window ring over its request
+/// sub-stream. The ring is never flushed mid-lifetime: warm continuation
+/// keeps feeding the open window, and reports merge non-destructive
+/// snapshots.
 struct ShardObserver {
-    engine: EngineObs,
+    totals: ([MetricId; 6], Tally),
     chunk_bytes: u64,
     spans: ShardSpans,
     dispatch: DispatchSpans,
@@ -298,10 +298,9 @@ struct ShardObserver {
 impl ReplayObserver for ShardObserver {
     // lint: hot
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
-        let (obs, sink) = (&self.engine, self.engine.sink.as_ref());
         self.topk
             .record(ChunkId::new(ctx.request.video, 0).packed());
-        let queue_gap = self.dispatch.record(sink, ctx.seq);
+        let queue_gap = self.dispatch.record(ctx.seq);
         let input = WindowInput::from_decision(
             ctx.request.t.as_millis(),
             ctx.decision,
@@ -309,19 +308,20 @@ impl ReplayObserver for ShardObserver {
             self.chunk_bytes,
             Some(queue_gap),
         );
+        let ([served, redirected, hit, fill, redirect_chunks, evicted], t) = &self.totals;
         match ctx.decision {
             Decision::Serve(o) => {
-                sink.counter_add(obs.served, 1);
-                sink.counter_add(obs.hit_chunks, o.hit_chunks);
-                sink.counter_add(obs.fill_chunks, o.filled_chunks);
-                sink.counter_add(obs.evicted_chunks, input.evicted_chunks);
+                t.add(*served, 1);
+                t.add(*hit, o.hit_chunks);
+                t.add(*fill, o.filled_chunks);
+                t.add(*evicted, input.evicted_chunks);
             }
             Decision::Redirect => {
-                sink.counter_add(obs.redirected, 1);
-                sink.counter_add(obs.redirect_chunks, ctx.chunks);
+                t.add(*redirected, 1);
+                t.add(*redirect_chunks, ctx.chunks);
             }
         }
-        self.spans.record(sink, input.evicted_chunks > 0);
+        self.spans.record(input.evicted_chunks > 0);
         // Shard-level detection runs at report time over the merged
         // windows (Watchdog::run in engine_bundle), so closing needs no
         // callback here.
@@ -482,7 +482,8 @@ impl EngineReport {
 pub struct ShardedEngine {
     cfg: EngineConfig,
     shards: Vec<EngineShard>,
-    obs: Option<EngineObs>,
+    /// The skew gauges' tally, once attached.
+    skew: Option<([MetricId; 2], Tally)>,
     dispatched: u64,
     last_workers: usize,
 }
@@ -544,7 +545,7 @@ impl ShardedEngine {
         Ok(ShardedEngine {
             cfg,
             shards,
-            obs: None,
+            skew: None,
             dispatched: 0,
             last_workers: 1,
         })
@@ -569,9 +570,10 @@ impl ShardedEngine {
     }
 
     /// Attaches shared metrics: each shard's policy records under
-    /// `{scope}.s{i:02}.{policy}`, the engine registers
-    /// `{scope}.engine.*` aggregate counters updated atomically by the
-    /// workers, and the span/sketch/window instrumentation comes alive —
+    /// `{scope}.s{i:02}.{policy}`, every shard adds its requests into its
+    /// own share of the `{scope}.engine.*` aggregate counters (summed by
+    /// the registry), and the span/sketch/window instrumentation comes
+    /// alive —
     /// per-shard stage counters and queue-gap histograms
     /// (`{scope}.s{i:02}.span.*`), the dispatch count
     /// (`{scope}.engine.span.dispatched_total`), shard-imbalance gauges,
@@ -580,10 +582,17 @@ impl ShardedEngine {
     /// engines skip all of it (off means free). Call before
     /// [`ShardedEngine::run`]; snapshots taken at quiescence (after `run`
     /// returns) are consistent with the report.
+    ///
+    /// # Panics
+    ///
+    /// As [`MetricsSink::register`]: if `sink` already holds a live writer
+    /// of one of this engine's gauges — an engine attached twice to one
+    /// registry under one scope.
     pub fn attach_obs(&mut self, sink: &Arc<dyn MetricsSink>, scope: &str) {
         // Registration order is export order: every shard's policy and
         // stage counters, then the dispatch-stage metrics, then the engine
-        // aggregates.
+        // aggregates (each shard a writer of the totals, then the skew
+        // gauges).
         let spans: Vec<ShardSpans> = self
             .shards
             .iter_mut()
@@ -597,13 +606,16 @@ impl ShardedEngine {
             })
             .collect();
         let dispatch = DispatchSpans::attach(sink, scope, self.cfg.shards);
-        let engine = EngineObs::attach(sink, scope);
+        let totals: Vec<_> = (0..self.cfg.shards)
+            .map(|_| engine_tally(sink, scope, TOTALS))
+            .collect();
+        self.skew = Some(engine_tally(sink, scope, SKEW));
         let sizes = TelemetryConfig::new();
-        for (shard, (spans, dispatch)) in
-            self.shards.iter_mut().zip(spans.into_iter().zip(dispatch))
+        for (shard, ((spans, dispatch), totals)) in
+            (self.shards.iter_mut()).zip(spans.into_iter().zip(dispatch).zip(totals))
         {
             shard.obs = Some(ShardObserver {
-                engine: engine.clone(),
+                totals,
                 chunk_bytes: self.cfg.chunk_size.bytes(),
                 spans,
                 dispatch,
@@ -611,7 +623,6 @@ impl ShardedEngine {
                 window: WindowRing::new(sizes.window.as_millis(), sizes.window_retain),
             });
         }
-        self.obs = Some(engine);
     }
 
     /// Runs the whole trace through the engine on `workers` threads — the
@@ -703,7 +714,7 @@ impl ShardedEngine {
     /// A perfectly balanced partition reads 1000; pure functions of the
     /// per-shard counters, hence worker-count-invariant.
     fn refresh_skew_gauges(&self) {
-        let Some(obs) = &self.obs else {
+        let Some(([skew_requests, skew_bytes], tally)) = &self.skew else {
             return;
         };
         let n = self.shards.len() as u128;
@@ -712,15 +723,13 @@ impl ShardedEngine {
         let req_max = self.shards.iter().map(requests).max().unwrap_or(0);
         let req_total: u64 = self.shards.iter().map(requests).sum();
         if req_total > 0 {
-            obs.sink
-                .gauge_set(obs.skew_requests, skew(req_max, req_total));
+            tally.set(*skew_requests, skew(req_max, req_total));
         }
         let bytes = |s: &EngineShard| s.traffic.overall.requested_bytes();
         let byte_max = self.shards.iter().map(bytes).max().unwrap_or(0);
         let byte_total: u64 = self.shards.iter().map(bytes).sum();
         if byte_total > 0 {
-            obs.sink
-                .gauge_set(obs.skew_bytes, skew(byte_max, byte_total));
+            tally.set(*skew_bytes, skew(byte_max, byte_total));
         }
     }
 
@@ -801,7 +810,7 @@ pub fn engine_bundle(
     bundle.meta_entry("redirect_bytes", Json::Int(agg.redirect_bytes as i128));
     bundle.meta_entry("topk_k", Json::Int(report.topk_k as i128));
     bundle.meta_entry("window_ms", Json::Int(report.window_ms as i128));
-    bundle.metrics = registry.snapshot(true);
+    bundle.metrics = registry.snapshot();
     for shard in &report.shards {
         bundle
             .topk
@@ -1068,7 +1077,7 @@ mod tests {
         let mut engine = xlru_engine(4, 96);
         engine.attach_obs(&sink, "e0");
         let report = engine.run(&t, 4);
-        let snap = registry.snapshot(true);
+        let snap = registry.snapshot();
         let metric = |name: &str| {
             snap.iter()
                 .find(|m| m.name == name)
@@ -1184,7 +1193,7 @@ mod tests {
         let mut engine = xlru_engine(shards, 96);
         engine.attach_obs(&sink, "e0");
         let report = engine.run(&t, 3);
-        let snap = registry.snapshot(true);
+        let snap = registry.snapshot();
         let metric = |name: &str| {
             snap.iter()
                 .find(|m| m.name == name)

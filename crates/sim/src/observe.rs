@@ -1,10 +1,12 @@
 //! Telemetry collection for replays: wires a [`ReplayObserver`] to the
-//! `vcdn-obs` registry, decision-event ring and time-series sampler, and
-//! packages one replay's output as a [`TelemetryBundle`].
+//! `vcdn-obs` registry, decision-event ring, health windows and
+//! time-series sampler, and packages one replay's output as a
+//! [`TelemetryBundle`].
 //!
-//! Every recorder takes its per-request delta from the one
-//! [`WindowInput::from_decision`]: the sampler and the health-window ring
-//! here, the engine's per-shard rings in [`crate::engine`].
+//! Every window recorder takes its per-request delta from the one
+//! [`WindowInput::from_decision`]: the observer's one ring here — whose
+//! closed windows fold into both the health windows and the series — and
+//! the engine's per-shard rings in [`crate::engine`].
 //! [`TelemetryConfig::new`] is also the single source of the engine's
 //! instrumentation sizes (sketch slots, window width, ring bound).
 //!
@@ -15,11 +17,12 @@
 //! policy, registry, ring and sampler, so a grid's bundles are
 //! byte-identical for any worker count.
 
+use std::collections::VecDeque;
 use std::sync::Arc;
 
 use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
-use vcdn_obs::window::{WindowInput, WindowRing};
+use vcdn_obs::window::{WindowFold, WindowInput, WindowRing, WindowStats};
 use vcdn_obs::{
     default_rules, DecisionEvent, EventRing, MetricsRegistry, MetricsSink, PolicyObs,
     ReplaySampler, TelemetryBundle, Verdict, Watchdog,
@@ -94,6 +97,33 @@ impl TelemetryConfig {
         self.window = width;
         self
     }
+
+    /// Whether the sample interval and the health-window width fold onto
+    /// the observer's one ring: windows off, or one width a whole multiple
+    /// of the other.
+    pub fn folds(&self) -> bool {
+        let (interval, window) = (self.sample_interval.as_millis(), self.window.as_millis());
+        window == 0 || interval.is_multiple_of(window) || window.is_multiple_of(interval)
+    }
+
+    /// The width (ms) of the observer's one window ring: the finer of the
+    /// sample interval and the health-window width — the interval alone
+    /// with windows off. The coarser of the two is folded from the windows
+    /// it closes ([`WindowFold`]).
+    ///
+    /// # Panics
+    ///
+    /// Panics unless [`TelemetryConfig::folds`]: 90-minute samples over
+    /// hourly windows have no ring both could be folded from.
+    pub fn ring_width_ms(&self) -> u64 {
+        let (interval, window) = (self.sample_interval.as_millis(), self.window.as_millis());
+        assert!(
+            self.folds(),
+            "sample interval {interval} ms and health window {window} ms: \
+             neither is a whole multiple of the other"
+        );
+        interval.min(if window == 0 { interval } else { window })
+    }
 }
 
 impl Default for TelemetryConfig {
@@ -103,42 +133,95 @@ impl Default for TelemetryConfig {
 }
 
 /// A [`ReplayObserver`] that records every decision into a metrics
-/// registry, a bounded event ring and a trace-time sampler.
+/// registry, a bounded event ring, health windows and a trace-time
+/// sampler.
 ///
 /// Construct with [`TelemetryObserver::new`], attach the same registry to
 /// the policy (see [`replay_with_telemetry`], which does both), replay
 /// with [`Replayer::replay_observed`], then call
 /// [`TelemetryObserver::finish`] for the bundle.
+///
+/// A request is bucketed into trace time once: the observer holds one
+/// [`WindowRing`], [`TelemetryConfig::ring_width_ms`] wide, and every
+/// window it closes is folded into the health windows (judged by the
+/// watchdog as each closes) and into the sampler's series.
 pub struct TelemetryObserver {
     registry: Arc<MetricsRegistry>,
     ring: EventRing,
-    sampler: ReplaySampler,
     topk: Option<SpaceSaving>,
-    windows: Option<WindowRing>,
-    watchdog: Watchdog,
+    windows: WindowRing,
+    health: Option<Health>,
+    sampler: ReplaySampler,
     costs: CostModel,
     chunk_bytes: u64,
     meta: Vec<(String, Json)>,
 }
 
+/// The health-window plane: the ring's windows folded to the health
+/// width, each handed to the watchdog as it closes, the last `retain`
+/// kept for the bundle.
+struct Health {
+    fold: WindowFold,
+    watchdog: Watchdog,
+    closed: VecDeque<WindowStats>,
+    retain: usize,
+    dropped: u64,
+}
+
+impl Health {
+    fn close(&mut self, w: WindowStats) {
+        self.watchdog.on_window(&w);
+        self.closed.push_back(w);
+        if self.closed.len() > self.retain {
+            self.closed.pop_front();
+            self.dropped += 1;
+        }
+    }
+}
+
+/// Hands one window the ring closed to both of its consumers.
+fn on_window(health: &mut Option<Health>, sampler: &mut ReplaySampler, w: &WindowStats) {
+    if let Some(h) = health {
+        if let Some(wide) = h.fold.push(w) {
+            h.close(wide);
+        }
+    }
+    sampler.on_window(w);
+}
+
 impl TelemetryObserver {
     /// Creates an observer whose bundle exports `registry`'s metrics —
     /// the registry the policy's [`PolicyObs`] records into.
+    ///
+    /// # Panics
+    ///
+    /// As [`TelemetryConfig::ring_width_ms`]: if neither the sample
+    /// interval nor the enabled health-window width is a whole multiple
+    /// of the other.
     pub fn new(
         registry: Arc<MetricsRegistry>,
         replayer: &Replayer,
         telemetry: &TelemetryConfig,
     ) -> TelemetryObserver {
         let cfg = replayer.config();
+        let width = telemetry.ring_width_ms();
+        let window = telemetry.window.as_millis();
         TelemetryObserver {
             registry,
             ring: EventRing::new(telemetry.event_capacity),
-            sampler: ReplaySampler::new(telemetry.sample_interval.as_millis(), cfg.costs),
             topk: (telemetry.topk_k > 0).then(|| SpaceSaving::new(telemetry.topk_k)),
-            windows: (telemetry.window.as_millis() > 0)
-                .then(|| WindowRing::new(telemetry.window.as_millis(), telemetry.window_retain)),
-            // The unsharded replayer is one request stream.
-            watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
+            // Nothing reads the ring's own closed windows: its consumers
+            // take them as they close.
+            windows: WindowRing::new(width, 1),
+            health: (window > 0).then(|| Health {
+                fold: WindowFold::new(window / width),
+                // The unsharded replayer is one request stream.
+                watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
+                closed: VecDeque::new(),
+                retain: telemetry.window_retain,
+                dropped: 0,
+            }),
+            sampler: ReplaySampler::new(telemetry.sample_interval.as_millis(), width, cfg.costs),
             costs: cfg.costs,
             chunk_bytes: cfg.chunk_size.bytes(),
             meta: Vec::new(),
@@ -157,13 +240,16 @@ impl TelemetryObserver {
     pub fn finish(mut self) -> TelemetryBundle {
         let mut bundle = TelemetryBundle::new();
         bundle.meta = self.meta;
-        bundle.metrics = self.registry.snapshot(true);
-        if let Some(mut ring) = self.windows.take() {
-            let watchdog = &mut self.watchdog;
-            ring.finish(&mut |w| watchdog.on_window(w));
-            bundle.set_windows(ring.closed_windows(), self.costs, ring.dropped());
+        bundle.metrics = self.registry.snapshot();
+        let (health, sampler) = (&mut self.health, &mut self.sampler);
+        self.windows.finish(&mut |w| on_window(health, sampler, w));
+        if let Some(mut h) = self.health {
+            if let Some(partial) = h.fold.finish() {
+                h.close(partial);
+            }
+            bundle.set_windows(&h.closed, self.costs, h.dropped);
+            bundle.alerts = h.watchdog.into_alerts();
         }
-        bundle.alerts = self.watchdog.into_alerts();
         if let Some(sketch) = &self.topk {
             bundle.topk.extend(TopKRecord::ranked(0, &sketch.entries()));
         }
@@ -204,16 +290,14 @@ impl ReplayObserver for TelemetryObserver {
             ctx.detail,
             input.evicted_chunks,
         ));
-        self.sampler.record(
-            &input,
+        let (health, sampler) = (&mut self.health, &mut self.sampler);
+        self.windows
+            .record(&input, &mut |w| on_window(health, sampler, w));
+        sampler.stamp(
             ctx.occupancy_chunks,
             ctx.capacity_chunks,
             ctx.detail.cache_age_ms,
         );
-        if let Some(ring) = self.windows.as_mut() {
-            let watchdog = &mut self.watchdog;
-            ring.record(&input, &mut |w| watchdog.on_window(w));
-        }
     }
 }
 
@@ -226,6 +310,11 @@ impl ReplayObserver for TelemetryObserver {
 /// scoped counters/gauges/histograms in registration order. The policy is
 /// detached again on return: the registry it wrote to is private to this
 /// call.
+///
+/// # Panics
+///
+/// As [`TelemetryObserver::new`], on a sample interval and window width
+/// that do not fold ([`TelemetryConfig::folds`]).
 pub fn replay_with_telemetry(
     replayer: &Replayer,
     trace: &Trace,
@@ -581,5 +670,126 @@ mod tests {
             grid_jsonl(&run_grid(cells, workers).results)
         };
         assert_eq!(jsonl_for(1), jsonl_for(4));
+    }
+
+    #[test]
+    fn a_clone_of_an_attached_policy_is_not_a_second_writer() {
+        let t = trace();
+        let costs = CostModel::from_alpha(2.0).unwrap();
+        let registry = Arc::new(MetricsRegistry::new());
+        let mut original = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
+        original.attach_obs(PolicyObs::attach(registry.clone(), "xlru"));
+        let mut copy = original.clone();
+        let half = Trace::new(t.meta.clone(), t.requests[..t.len() / 2].to_vec());
+        let mut observer =
+            TelemetryObserver::new(registry.clone(), &replayer(costs), &TelemetryConfig::new());
+        let report = replayer(costs).replay_observed(&half, &mut original, &mut observer);
+        // The copy runs the whole trace — and records none of it.
+        replayer(costs).replay(&t, &mut copy);
+        let bundle = observer.finish();
+        let metric = |name: &str| {
+            bundle
+                .metrics
+                .iter()
+                .find(|m| m.name == name)
+                .unwrap()
+                .value
+        };
+        assert_eq!(
+            metric("xlru.serve_requests_total") + metric("xlru.redirect_requests_total"),
+            half.len() as u64
+        );
+        assert_eq!(
+            metric("xlru.serve_requests_total"),
+            report.overall.served_requests
+        );
+        assert_eq!(metric("xlru.occupancy_chunks"), original.disk_used_chunks());
+    }
+
+    /// What a benchmark-side timing wrapper forwards: these nine methods
+    /// and nothing else, so every defaulted `CachePolicy` method is the
+    /// default behind it.
+    struct Forward(Box<dyn CachePolicy>);
+
+    impl CachePolicy for Forward {
+        fn handle_request(&mut self, request: &vcdn_types::Request) -> vcdn_types::Decision {
+            self.0.handle_request(request)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn chunk_size(&self) -> ChunkSize {
+            self.0.chunk_size()
+        }
+        fn costs(&self) -> CostModel {
+            self.0.costs()
+        }
+        fn disk_used_chunks(&self) -> u64 {
+            self.0.disk_used_chunks()
+        }
+        fn disk_capacity_chunks(&self) -> u64 {
+            self.0.disk_capacity_chunks()
+        }
+        fn contains_chunk(&self, chunk: vcdn_types::ChunkId) -> bool {
+            self.0.contains_chunk(chunk)
+        }
+        fn attach_obs(&mut self, obs: PolicyObs) {
+            self.0.attach_obs(obs);
+        }
+        fn decision_detail(&self) -> vcdn_core::DecisionDetail {
+            self.0.decision_detail()
+        }
+    }
+
+    #[test]
+    fn a_forwarding_wrapper_exports_the_bare_policys_bundle() {
+        let t = trace();
+        let costs = CostModel::from_alpha(2.0).unwrap();
+        let cache = CacheConfig::new(64, ChunkSize::DEFAULT, costs);
+        type Build = fn(&Trace, CacheConfig) -> Box<dyn CachePolicy>;
+        let policies: [Build; 4] = [
+            |_, c| Box::new(LruCache::new(c)),
+            |_, c| Box::new(XlruCache::new(c)),
+            |_, c| {
+                Box::new(CafeCache::new(CafeConfig::new(
+                    c.disk_chunks,
+                    c.chunk_size,
+                    c.costs,
+                )))
+            },
+            |t, c| {
+                Box::new(vcdn_core::PsychicCache::new(
+                    vcdn_core::PsychicConfig::new(c.disk_chunks, c.chunk_size, c.costs),
+                    &t.requests,
+                ))
+            },
+        ];
+        for build in policies {
+            let cfg = TelemetryConfig::new().with_event_capacity(256);
+            let bundle = |policy: &mut dyn CachePolicy| {
+                replay_with_telemetry(&replayer(costs), &t, policy, &cfg)
+                    .1
+                    .to_jsonl()
+            };
+            let bare = bundle(build(&t, cache).as_mut());
+            let wrapped = bundle(&mut Forward(build(&t, cache)));
+            assert!(bare.contains("serve_requests_total\",\"kind\":\"counter\",\"value\":"));
+            assert_eq!(wrapped, bare, "{}", build(&t, cache).name());
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "neither is a whole multiple of the other")]
+    fn an_interval_and_window_that_do_not_fold_are_refused() {
+        let cfg = TelemetryConfig::new().with_sample_interval(DurationMs::from_secs(90 * 60));
+        assert!(!cfg.folds());
+        assert!(cfg.with_window(DurationMs::ZERO).folds());
+        assert!(cfg.with_window(DurationMs::from_secs(30 * 60)).folds());
+        assert!(cfg.with_window(DurationMs::from_secs(3 * 3600)).folds());
+        TelemetryObserver::new(
+            Arc::new(MetricsRegistry::new()),
+            &replayer(CostModel::balanced()),
+            &cfg,
+        );
     }
 }

@@ -317,7 +317,7 @@ mod tests {
         attach_colocated_obs(&mut cs, &sink);
         let rep = replay_colocated(&t, &mut cs, Assignment::Sharded);
 
-        let snap = registry.snapshot(true);
+        let snap = registry.snapshot();
         // Every server registered its scoped metric family.
         for i in 0..3 {
             assert!(
