@@ -184,6 +184,10 @@ pub fn sweep<'a, T: Send>(title: &str, cells: Vec<Cell<'a, T>>) -> GridRun<T> {
             let echo = label.clone();
             let title = title.to_string();
             Cell::new(label, move || {
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "progress line on stderr; never part of a cell's value"
+                )]
                 let t0 = Instant::now();
                 let value = job();
                 let i = done.fetch_add(1, Ordering::Relaxed) + 1;
@@ -251,6 +255,10 @@ pub fn sweep_traces(
         .into_iter()
         .enumerate()
         .map(|(i, (label, profile, scale, seed))| {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "progress line on stderr; never part of the trace"
+            )]
             let t0 = Instant::now();
             let trace = TraceGenerator::new(scale.profile(profile), seed)
                 .generate(DurationMs::from_days(days));

@@ -39,6 +39,16 @@
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
+// Policies run inside million-request replays: no panic path in library code
+// (unit tests are exempt through clippy.toml; `assert!` stays allowed).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod baselines;
 pub mod cafe;

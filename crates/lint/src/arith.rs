@@ -19,7 +19,7 @@
 //! Fix with `saturating_*` / `checked_*` / `wrapping_*` — the marker is
 //! for sites where wrap math is the point (hashing, ring indices).
 
-use crate::ast::{Ast, Block, Expr, ExprKind, Stmt};
+use crate::ast::{walk_block, Ast, Expr, ExprKind, Node};
 use crate::rules::{FileInput, Finding};
 use crate::symbols::{SymbolTable, VarClass};
 
@@ -33,7 +33,7 @@ pub fn check(input: &FileInput<'_>, ast: &Ast, out: &mut Vec<Finding>) {
             input,
             out,
         };
-        ctx.walk_block(body);
+        walk_block(body, &mut |node| ctx.visit(node));
     });
 }
 
@@ -44,100 +44,23 @@ struct Ctx<'a, 'b> {
 }
 
 impl Ctx<'_, '_> {
-    fn walk_block(&mut self, b: &Block) {
-        for stmt in &b.stmts {
-            match stmt {
-                Stmt::Let {
-                    names, ty, init, ..
-                } => {
-                    if let Some(e) = init {
-                        self.walk_expr(e);
-                    }
-                    self.syms.note_let(names, ty.as_deref(), init.as_ref());
+    fn visit(&mut self, node: Node<'_>) {
+        match node {
+            Node::Let {
+                names, ty, init, ..
+            } => self.syms.note_let(names, ty, init),
+            Node::Expr(e) => match &e.kind {
+                ExprKind::Binary { op, lhs, rhs } if matches!(op.as_str(), "+" | "-" | "*") => {
+                    self.check_op(e.line, op, lhs, rhs)
                 }
-                Stmt::Expr(e) => self.walk_expr(e),
-                Stmt::Item(_) => {}
-            }
-        }
-    }
-
-    fn walk_expr(&mut self, e: &Expr) {
-        match &e.kind {
-            ExprKind::Binary { op, lhs, rhs } => {
-                if matches!(op.as_str(), "+" | "-" | "*") {
-                    self.check_op(e.line, op, lhs, rhs);
+                ExprKind::Assign { op, target, value }
+                    if matches!(op.as_str(), "+=" | "-=" | "*=") =>
+                {
+                    self.check_op(e.line, op, target, value)
                 }
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            ExprKind::Assign { op, target, value } => {
-                if matches!(op.as_str(), "+=" | "-=" | "*=") {
-                    self.check_op(e.line, op, target, value);
-                }
-                self.walk_expr(target);
-                self.walk_expr(value);
-            }
-            ExprKind::MethodCall { base, args, .. } => {
-                self.walk_expr(base);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            ExprKind::Call { func, args } => {
-                self.walk_expr(func);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            ExprKind::Macro { args, .. } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            ExprKind::Field(base, _) => self.walk_expr(base),
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => self.walk_expr(expr),
-            ExprKind::Index { base, index } => {
-                self.walk_expr(base);
-                self.walk_expr(index);
-            }
-            ExprKind::Tuple(elems) => {
-                for el in elems {
-                    self.walk_expr(el);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.walk_expr(v);
-                    }
-                }
-            }
-            ExprKind::Closure { body, .. } => self.walk_expr(body),
-            ExprKind::Block(b) => self.walk_block(b),
-            ExprKind::If { cond, then, else_ } => {
-                self.walk_expr(cond);
-                self.walk_block(then);
-                if let Some(e2) = else_ {
-                    self.walk_expr(e2);
-                }
-            }
-            ExprKind::Match { scrutinee, arms } => {
-                self.walk_expr(scrutinee);
-                for arm in arms {
-                    self.walk_expr(&arm.body);
-                }
-            }
-            ExprKind::For { iter, body, .. } => {
-                self.walk_expr(iter);
-                self.walk_block(body);
-            }
-            ExprKind::While { cond, body } => {
-                self.walk_expr(cond);
-                self.walk_block(body);
-            }
-            ExprKind::Loop { body } => self.walk_block(body),
-            ExprKind::Return(Some(v)) => self.walk_expr(v),
-            ExprKind::Path(_) | ExprKind::Lit(..) | ExprKind::Return(None) | ExprKind::Other => {}
+                _ => {}
+            },
+            Node::Item(_) => {}
         }
     }
 
@@ -208,7 +131,6 @@ mod tests {
         let input = FileInput {
             rel_path: "crates/types/src/metrics.rs",
             crate_name: "types",
-            declared_features: &[],
             lexed: &lexed,
             ast: &ast,
         };

@@ -2,11 +2,13 @@
 //! stream.
 //!
 //! The parser produces a **simplified** item/expression tree — functions,
-//! impls, modules, structs, blocks, let bindings, calls, method chains,
-//! match arms, closures, binary/assignment operators and casts — which is
-//! exactly the shape the flow rules (`determinism-flow`,
-//! `lock-discipline`, `clock-arith`) walk per function. It is *not* a
-//! full Rust grammar:
+//! impls, traits, modules, structs, blocks, let bindings, calls, method
+//! chains, match arms, closures, binary/assignment operators and casts —
+//! which is exactly the shape every vcdn-lint rule walks per function:
+//! `hot-path`, `float-eq`, `literal-index` and `clock-arith` through
+//! [`walk_block`], `determinism-flow` and `lock-discipline` with their own
+//! scoping and [`Expr::children`] for the rest. It is *not* a full Rust
+//! grammar:
 //!
 //! * patterns are skipped (only their bound identifiers are collected);
 //! * types are captured as raw token text (enough to classify
@@ -44,9 +46,9 @@ pub struct Item {
 pub enum ItemKind {
     /// A free or associated function with an optional body.
     Fn(FnItem),
-    /// `impl [Trait for] Type { items }`.
+    /// `impl [Trait for] Type { items }`, or `trait Name { items }`.
     Impl {
-        /// The `Self` type's last path segment (`RankIndex`, …).
+        /// The `Self` type's (or trait's) last path segment (`RankIndex`, …).
         type_name: String,
         /// Associated items.
         items: Vec<Item>,
@@ -65,7 +67,8 @@ pub enum ItemKind {
         /// Named fields with raw type text.
         fields: Vec<FieldDecl>,
     },
-    /// Any other item (use, enum, trait, const, …), skipped structurally.
+    /// Any other item (use, enum, const, an item-level macro call, …),
+    /// skipped structurally.
     Other,
 }
 
@@ -86,6 +89,8 @@ pub struct FieldDecl {
 pub struct FnItem {
     /// Function name.
     pub name: String,
+    /// 1-based line of the `fn` keyword.
+    pub line: u32,
     /// Parameters (excluding bare `self`; `self: Type` forms excluded too).
     pub params: Vec<FieldDecl>,
     /// Body block; `None` for trait-method declarations.
@@ -113,6 +118,8 @@ pub enum Stmt {
         ty: Option<String>,
         /// Initializer expression, if any.
         init: Option<Expr>,
+        /// The `else` block of a let-else.
+        else_: Option<Block>,
         /// 1-based line of the `let`.
         line: u32,
     },
@@ -131,12 +138,14 @@ pub struct Expr {
     pub line: u32,
 }
 
-/// A match arm: bound pattern identifiers plus the arm body.
+/// A match arm: bound pattern identifiers, guard and body.
 #[derive(Debug)]
 pub struct Arm {
     /// Lowercase identifiers appearing in the pattern (bound names,
-    /// approximately — guards are skipped together with the pattern).
+    /// approximately).
     pub pat_names: Vec<String>,
+    /// The `if` guard, if any.
+    pub guard: Option<Expr>,
     /// The arm's body expression.
     pub body: Expr,
 }
@@ -166,7 +175,7 @@ pub enum ExprKind {
         /// Arguments.
         args: Vec<Expr>,
     },
-    /// `name!(args)` / `name![…]`; brace-delimited macros have no args.
+    /// `name!(args)` / `name![…]` / `name! {…}`.
     Macro {
         /// Macro name (last path segment).
         name: String,
@@ -262,6 +271,8 @@ pub enum ExprKind {
     },
     /// `return [expr]`.
     Return(Option<Box<Expr>>),
+    /// `break ['label] [expr]`.
+    Break(Option<Box<Expr>>),
     /// `(a, b, …)` tuples, `[a, b]` arrays, parenthesised groups.
     Tuple(Vec<Expr>),
     /// `Path { field: expr, … }` struct literal.
@@ -270,14 +281,139 @@ pub enum ExprKind {
         path: Vec<String>,
         /// `(name, value)` pairs; shorthand fields have no value.
         fields: Vec<(String, Option<Expr>)>,
+        /// The `..base` of a struct update.
+        rest: Option<Box<Expr>>,
     },
     /// Anything the parser skipped.
     Other,
 }
 
+/// A direct sub-node of an expression.
+#[derive(Debug, Clone, Copy)]
+pub enum Child<'a> {
+    /// A sub-expression.
+    Expr(&'a Expr),
+    /// A block owned by the expression (a body, a branch).
+    Block(&'a Block),
+}
+
+/// A node reached by [`walk_block`].
+#[derive(Debug, Clone, Copy)]
+pub enum Node<'a> {
+    /// An expression, reached before its sub-expressions.
+    Expr(&'a Expr),
+    /// A `let`, reached after its initializer: the names are bound only
+    /// from here on.
+    Let {
+        /// Identifiers the pattern binds.
+        names: &'a [String],
+        /// Raw annotated type text, if any.
+        ty: Option<&'a str>,
+        /// Initializer expression, if any.
+        init: Option<&'a Expr>,
+        /// 1-based line of the `let`.
+        line: u32,
+    },
+    /// An item nested in the body (not entered).
+    Item(&'a Item),
+}
+
+/// Walks a block in source order, pre-order: every expression before its
+/// children, every `let` after its initializer and `else` block. Nested
+/// items are reported, not entered ([`for_each_fn`] visits their fns).
+pub fn walk_block<'a>(b: &'a Block, f: &mut impl FnMut(Node<'a>)) {
+    for stmt in &b.stmts {
+        match stmt {
+            Stmt::Let {
+                names,
+                ty,
+                init,
+                else_,
+                line,
+            } => {
+                if let Some(e) = init {
+                    walk_expr(e, f);
+                }
+                if let Some(b) = else_ {
+                    walk_block(b, f);
+                }
+                f(Node::Let {
+                    names,
+                    ty: ty.as_deref(),
+                    init: init.as_ref(),
+                    line: *line,
+                });
+            }
+            Stmt::Expr(e) => walk_expr(e, f),
+            Stmt::Item(item) => f(Node::Item(item)),
+        }
+    }
+}
+
+/// [`walk_block`] from one expression.
+fn walk_expr<'a>(e: &'a Expr, f: &mut impl FnMut(Node<'a>)) {
+    f(Node::Expr(e));
+    for child in e.children() {
+        match child {
+            Child::Expr(c) => walk_expr(c, f),
+            Child::Block(b) => walk_block(b, f),
+        }
+    }
+}
+
 impl Expr {
     fn new(kind: ExprKind, line: u32) -> Expr {
         Expr { kind, line }
+    }
+
+    /// The direct sub-nodes, in source order.
+    pub fn children(&self) -> Vec<Child<'_>> {
+        use Child::{Block as B, Expr as E};
+        match &self.kind {
+            ExprKind::Field(x, _)
+            | ExprKind::Unary { expr: x, .. }
+            | ExprKind::Cast { expr: x, .. }
+            | ExprKind::Closure { body: x, .. }
+            | ExprKind::Return(Some(x))
+            | ExprKind::Break(Some(x)) => vec![E(x)],
+            ExprKind::MethodCall {
+                base: x, args: xs, ..
+            }
+            | ExprKind::Call { func: x, args: xs } => {
+                std::iter::once(E(x)).chain(xs.iter().map(E)).collect()
+            }
+            ExprKind::Macro { args: xs, .. } | ExprKind::Tuple(xs) => xs.iter().map(E).collect(),
+            ExprKind::Binary { lhs: a, rhs: b, .. }
+            | ExprKind::Assign {
+                target: a,
+                value: b,
+                ..
+            }
+            | ExprKind::Index { base: a, index: b } => vec![E(a), E(b)],
+            ExprKind::StructLit { fields, rest, .. } => fields
+                .iter()
+                .filter_map(|(_, v)| v.as_ref())
+                .chain(rest.as_deref())
+                .map(E)
+                .collect(),
+            ExprKind::Block(b) | ExprKind::Loop { body: b } => vec![B(b)],
+            ExprKind::If { cond, then, else_ } => [E(cond), B(then)]
+                .into_iter()
+                .chain(else_.as_deref().map(E))
+                .collect(),
+            ExprKind::Match { scrutinee, arms } => std::iter::once(scrutinee.as_ref())
+                .chain(arms.iter().flat_map(|a| a.guard.iter().chain([&a.body])))
+                .map(E)
+                .collect(),
+            ExprKind::For { iter: x, body, .. } | ExprKind::While { cond: x, body } => {
+                vec![E(x), B(body)]
+            }
+            ExprKind::Path(_)
+            | ExprKind::Lit(..)
+            | ExprKind::Return(None)
+            | ExprKind::Break(None)
+            | ExprKind::Other => Vec::new(),
+        }
     }
 
     /// The last path segment when the expression is a bare path or field
@@ -300,9 +436,14 @@ pub fn parse(lexed: &Lexed) -> Ast {
         t: &lexed.toks,
         i: 0,
     };
-    Ast {
-        items: p.items_until_close(),
+    let mut items = p.items_until_close();
+    // A stray `}` (unbalanced input) ends an item list; at file level,
+    // skip it and keep going so the rest of the file is still analysed.
+    while !p.done() {
+        p.bump();
+        items.extend(p.items_until_close());
     }
+    Ast { items }
 }
 
 struct Parser<'a> {
@@ -324,6 +465,26 @@ const ITEM_KEYWORDS: &[&str] = &[
     "macro_rules",
     "extern",
 ];
+
+/// Binary operators by precedence, loosest first.
+const BINARY_LEVELS: &[&[&str]] = &[
+    &["||"],
+    &["&&"],
+    &["==", "!=", "<", ">", "<=", ">="],
+    &["|"],
+    &["^"],
+    &["&"],
+    &["<<", ">>"],
+    &["+", "-"],
+    &["*", "/", "%"],
+];
+
+/// `lhs op rhs`, on the left operand's line.
+fn binary(op: String, lhs: Expr, rhs: Expr) -> Expr {
+    let line = lhs.line;
+    let (lhs, rhs) = (Box::new(lhs), Box::new(rhs));
+    Expr::new(ExprKind::Binary { op, lhs, rhs }, line)
+}
 
 impl Parser<'_> {
     // ------------------------------------------------------- primitives --
@@ -529,8 +690,21 @@ impl Parser<'_> {
         if self.eat_ident("struct") {
             return Some(self.struct_item(line, is_test));
         }
-        if self.eat_ident("impl") {
+        if self.eat_ident("impl") || self.eat_ident("trait") {
             return Some(self.impl_item(line, is_test));
+        }
+        // An item-level macro call (`impl_json_struct!(T { a, b });`): its
+        // braces are the macro's, not a body.
+        if self.at_any_ident() && !self.at_ident("macro_rules") && self.nth_is_punct(1, "!") {
+            self.bump();
+            self.bump();
+            self.skip_balanced();
+            self.eat_punct(";");
+            return Some(Item {
+                kind: ItemKind::Other,
+                line,
+                is_test,
+            });
         }
         if self.eat_ident("mod") {
             let name = self.take_ident().unwrap_or_default();
@@ -594,6 +768,7 @@ impl Parser<'_> {
     }
 
     fn fn_item(&mut self, line: u32, is_test: bool) -> Item {
+        let fn_line = self.t[self.i - 1].line; // the `fn` just eaten
         let name = self.take_ident().unwrap_or_default();
         if self.at_punct("<") {
             self.skip_angles();
@@ -615,7 +790,12 @@ impl Parser<'_> {
             None
         };
         Item {
-            kind: ItemKind::Fn(FnItem { name, params, body }),
+            kind: ItemKind::Fn(FnItem {
+                name,
+                line: fn_line,
+                params,
+                body,
+            }),
             line,
             is_test,
         }
@@ -895,48 +1075,21 @@ impl Parser<'_> {
     fn let_stmt(&mut self) -> Stmt {
         let line = self.line();
         self.bump(); // `let`
-        let mut names = Vec::new();
-        let mut depth = 0i32;
-        // Pattern: until `:`, `=`, or `;` at depth 0.
-        while let Some(t) = self.cur() {
-            match (t.kind, t.text.as_str()) {
-                (TokKind::Punct, ":") | (TokKind::Punct, "=") | (TokKind::Punct, ";")
-                    if depth == 0 =>
-                {
-                    break
-                }
-                (TokKind::Punct, "(") | (TokKind::Punct, "[") | (TokKind::Punct, "{") => depth += 1,
-                (TokKind::Punct, ")") | (TokKind::Punct, "]") | (TokKind::Punct, "}") => depth -= 1,
-                (TokKind::Ident, id) if is_binding_ident(id) => {
-                    names.push(id.to_string());
-                }
-                _ => {}
-            }
-            self.bump();
-        }
+        let names = self.pattern(&[":", "=", ";"]);
         let ty = if self.eat_punct(":") {
             Some(self.type_text_until(&[",", ")"]))
         } else {
             None
         };
-        let init = if self.eat_punct("=") {
-            let e = self.expr(false);
-            // let-else: `let … = expr else { … };`
-            if self.at_ident("else") {
-                self.bump();
-                if self.at_punct("{") {
-                    self.block();
-                }
-            }
-            Some(e)
-        } else {
-            None
-        };
+        let init = self.eat_punct("=").then(|| self.expr(false));
+        // let-else: `let … = expr else { … };`
+        let else_ = (init.is_some() && self.eat_ident("else")).then(|| self.block());
         self.eat_punct(";");
         Stmt::Let {
             names,
             ty,
             init,
+            else_,
             line,
         }
     }
@@ -977,45 +1130,23 @@ impl Parser<'_> {
     }
 
     fn range_expr(&mut self, ns: bool) -> Expr {
-        if self.at_punct("..") || self.at_punct("..=") {
-            // Prefix range `..hi`.
-            let line = self.line();
-            let op = self.t[self.i].text.clone();
-            self.bump();
-            let rhs = if self.at_expr_start() {
-                self.or_expr(ns)
-            } else {
-                Expr::new(ExprKind::Other, line)
-            };
-            return Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(Expr::new(ExprKind::Other, line)),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
+        // A prefix range `..hi` has no left operand.
+        let lhs = if self.at_punct("..") || self.at_punct("..=") {
+            Expr::new(ExprKind::Other, self.line())
+        } else {
+            self.binary_expr(ns, 0)
+        };
+        if !(self.at_punct("..") || self.at_punct("..=")) {
+            return lhs;
         }
-        let lhs = self.or_expr(ns);
-        if self.at_punct("..") || self.at_punct("..=") {
-            let op = self.t[self.i].text.clone();
-            let line = lhs.line;
-            self.bump();
-            let rhs = if self.at_expr_start() {
-                self.or_expr(ns)
-            } else {
-                Expr::new(ExprKind::Other, line)
-            };
-            return Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
+        let op = self.t[self.i].text.clone();
+        self.bump();
+        let rhs = if self.at_expr_start() {
+            self.binary_expr(ns, 0)
+        } else {
+            Expr::new(ExprKind::Other, lhs.line)
+        };
+        binary(op, lhs, rhs)
     }
 
     /// Rough "an expression can start here" test, for open ranges.
@@ -1031,200 +1162,39 @@ impl Parser<'_> {
         }
     }
 
-    fn or_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.and_expr(ns);
-        while self.at_punct("||") {
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.and_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: "||".into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
+    /// Left-associative binary operators of [`BINARY_LEVELS`] from `level`
+    /// down, by precedence climbing.
+    fn binary_expr(&mut self, ns: bool, level: usize) -> Expr {
+        let Some(ops) = BINARY_LEVELS.get(level) else {
+            return self.cast_expr(ns);
+        };
+        let mut lhs = self.binary_expr(ns, level + 1);
+        while let Some(op) = self.binary_op(ops) {
+            let rhs = self.binary_expr(ns, level + 1);
+            lhs = binary(op, lhs, rhs);
         }
         lhs
     }
 
-    fn and_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.cmp_expr(ns);
-        while self.at_punct("&&") {
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.cmp_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: "&&".into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
+    /// Consumes the operator under the cursor if it is one of `ops`. The
+    /// lexer leaves `<<` / `>>` as two tokens (they may close generics).
+    fn binary_op(&mut self, ops: &[&str]) -> Option<String> {
+        let shift = ["<", ">"]
+            .into_iter()
+            .find(|c| self.at_punct(c) && self.nth_is_punct(1, c));
+        let op = match shift {
+            Some(c) => format!("{c}{c}"),
+            None => self
+                .cur()
+                .filter(|t| t.kind == TokKind::Punct)?
+                .text
+                .clone(),
+        };
+        if !ops.contains(&op.as_str()) {
+            return None;
         }
-        lhs
-    }
-
-    fn cmp_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitor_expr(ns);
-        loop {
-            let op = match self.cur() {
-                Some(t)
-                    if t.kind == TokKind::Punct
-                        && matches!(t.text.as_str(), "==" | "!=" | "<" | ">" | "<=" | ">=")
-                        // `<` `<` / `>` `>` are shifts, handled below cmp.
-                        && !(t.text == "<" && self.nth_is_punct(1, "<"))
-                        && !(t.text == ">" && self.nth_is_punct(1, ">")) =>
-                {
-                    t.text.clone()
-                }
-                _ => break,
-            };
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.bitor_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn bitor_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitxor_expr(ns);
-        while self.at_punct("|") {
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.bitxor_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: "|".into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn bitxor_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.bitand_expr(ns);
-        while self.at_punct("^") {
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.bitand_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: "^".into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn bitand_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.shift_expr(ns);
-        while self.at_punct("&") && !self.nth_is_punct(1, "&") {
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.shift_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: "&".into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn shift_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.add_expr(ns);
-        loop {
-            let op = if self.at_punct("<") && self.nth_is_punct(1, "<") {
-                "<<"
-            } else if self.at_punct(">") && self.nth_is_punct(1, ">") {
-                ">>"
-            } else {
-                break;
-            };
-            let line = lhs.line;
-            self.bump();
-            self.bump();
-            let rhs = self.add_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op: op.into(),
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn add_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.mul_expr(ns);
-        loop {
-            let op = match self.cur() {
-                Some(t) if t.kind == TokKind::Punct && (t.text == "+" || t.text == "-") => {
-                    t.text.clone()
-                }
-                _ => break,
-            };
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.mul_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
-    }
-
-    fn mul_expr(&mut self, ns: bool) -> Expr {
-        let mut lhs = self.cast_expr(ns);
-        loop {
-            let op = match self.cur() {
-                Some(t)
-                    if t.kind == TokKind::Punct && matches!(t.text.as_str(), "*" | "/" | "%") =>
-                {
-                    t.text.clone()
-                }
-                _ => break,
-            };
-            let line = lhs.line;
-            self.bump();
-            let rhs = self.cast_expr(ns);
-            lhs = Expr::new(
-                ExprKind::Binary {
-                    op,
-                    lhs: Box::new(lhs),
-                    rhs: Box::new(rhs),
-                },
-                line,
-            );
-        }
-        lhs
+        self.i += if shift.is_some() { 2 } else { 1 };
+        Some(op)
     }
 
     fn cast_expr(&mut self, ns: bool) -> Expr {
@@ -1548,7 +1518,8 @@ impl Parser<'_> {
             "while" => {
                 self.bump();
                 if self.eat_ident("let") {
-                    self.skip_pattern_until_eq();
+                    self.pattern(&["=", ";"]);
+                    self.eat_punct("=");
                 }
                 let cond = self.expr(true);
                 let body = self.block();
@@ -1567,21 +1538,7 @@ impl Parser<'_> {
             }
             "for" => {
                 self.bump();
-                let mut pat_names = Vec::new();
-                let mut depth = 0i32;
-                while let Some(t) = self.cur() {
-                    match (t.kind, t.text.as_str()) {
-                        (TokKind::Ident, "in") if depth == 0 => break,
-                        (TokKind::Punct, "(") | (TokKind::Punct, "[") => depth += 1,
-                        (TokKind::Punct, ")") | (TokKind::Punct, "]") => depth -= 1,
-                        (TokKind::Punct, "{") if depth == 0 => break, // runaway
-                        (TokKind::Ident, id) if is_binding_ident(id) => {
-                            pat_names.push(id.to_string());
-                        }
-                        _ => {}
-                    }
-                    self.bump();
-                }
+                let pat_names = self.pattern(&["in", "{"]);
                 self.eat_ident("in");
                 let iter = self.expr(true);
                 let body = self.block();
@@ -1601,33 +1558,16 @@ impl Parser<'_> {
                 if self.eat_punct("{") {
                     while !self.done() && !self.at_punct("}") {
                         let before = self.i;
-                        let mut pat_names = Vec::new();
-                        let mut depth = 0i32;
-                        while let Some(t) = self.cur() {
-                            match (t.kind, t.text.as_str()) {
-                                (TokKind::Punct, "=>") if depth == 0 => break,
-                                (TokKind::Punct, "(")
-                                | (TokKind::Punct, "[")
-                                | (TokKind::Punct, "{") => depth += 1,
-                                (TokKind::Punct, ")")
-                                | (TokKind::Punct, "]")
-                                | (TokKind::Punct, "}") => {
-                                    if t.text == "}" && depth == 0 {
-                                        break; // runaway: match close
-                                    }
-                                    depth -= 1;
-                                }
-                                (TokKind::Ident, id) if is_binding_ident(id) => {
-                                    pat_names.push(id.to_string());
-                                }
-                                _ => {}
-                            }
-                            self.bump();
-                        }
+                        let pat_names = self.pattern(&["=>", "if"]);
+                        let guard = self.eat_ident("if").then(|| self.expr(false));
                         if self.eat_punct("=>") {
                             let body = self.expr(false);
                             self.eat_punct(",");
-                            arms.push(Arm { pat_names, body });
+                            arms.push(Arm {
+                                pat_names,
+                                guard,
+                                body,
+                            });
                         }
                         if self.i == before {
                             self.bump();
@@ -1653,14 +1593,19 @@ impl Parser<'_> {
                 return Expr::new(ExprKind::Return(val), line);
             }
             "break" | "continue" => {
+                let is_break = self.at_ident("break");
                 self.bump();
                 if self.cur().is_some_and(|t| t.kind == TokKind::Lifetime) {
                     self.bump();
                 }
-                if self.at_expr_start() && !self.at_ident("else") {
-                    let _ = self.expr(false);
-                }
-                return Expr::new(ExprKind::Other, line);
+                let val = (self.at_expr_start() && !self.at_ident("else"))
+                    .then(|| Box::new(self.expr(false)));
+                let kind = if is_break {
+                    ExprKind::Break(val)
+                } else {
+                    ExprKind::Other
+                };
+                return Expr::new(kind, line);
             }
             "unsafe" if self.nth_is_punct(1, "{") => {
                 self.bump();
@@ -1695,13 +1640,15 @@ impl Parser<'_> {
         if self.at_punct("!") && !self.nth_is_punct(1, "=") {
             self.bump();
             let name = segs.last().cloned().unwrap_or_default();
-            let args = if self.at_punct("(") || self.at_punct("[") {
-                let close = if self.at_punct("(") { ")" } else { "]" };
+            let mut args = Vec::new();
+            if let Some(close) = [("(", ")"), ("[", "]"), ("{", "}")]
+                .into_iter()
+                .find_map(|(open, close)| self.at_punct(open).then_some(close))
+            {
                 self.bump();
-                let mut out = Vec::new();
                 while !self.done() && !self.at_punct(close) {
                     let before = self.i;
-                    out.push(self.expr(false));
+                    args.push(self.expr(false));
                     if !self.eat_punct(",") {
                         self.eat_punct(";");
                     }
@@ -1710,13 +1657,7 @@ impl Parser<'_> {
                     }
                 }
                 self.eat_punct(close);
-                out
-            } else {
-                if self.at_punct("{") {
-                    self.skip_balanced();
-                }
-                Vec::new()
-            };
+            }
             return Expr::new(ExprKind::Macro { name, args }, line);
         }
         // Struct literal: `Path { … }` outside condition positions, when
@@ -1729,12 +1670,12 @@ impl Parser<'_> {
                 .is_some_and(|c| c.is_ascii_uppercase())
         {
             self.bump();
-            let mut fields = Vec::new();
+            let (mut fields, mut rest) = (Vec::new(), None);
             while !self.done() && !self.at_punct("}") {
                 let before = self.i;
                 if self.eat_punct("..") {
                     // Struct update: `..base`.
-                    let _ = self.expr(false);
+                    rest = Some(Box::new(self.expr(false)));
                     break;
                 }
                 if let Some(fname) = self.take_ident() {
@@ -1751,14 +1692,22 @@ impl Parser<'_> {
                 }
             }
             self.eat_punct("}");
-            return Expr::new(ExprKind::StructLit { path: segs, fields }, line);
+            return Expr::new(
+                ExprKind::StructLit {
+                    path: segs,
+                    fields,
+                    rest,
+                },
+                line,
+            );
         }
         Expr::new(ExprKind::Path(segs), line)
     }
 
     fn if_tail(&mut self, line: u32) -> Expr {
         if self.eat_ident("let") {
-            self.skip_pattern_until_eq();
+            self.pattern(&["=", ";"]);
+            self.eat_punct("=");
         }
         let cond = self.expr(true);
         let then = self.block();
@@ -1784,30 +1733,27 @@ impl Parser<'_> {
         )
     }
 
-    /// Skips an `if let` / `while let` pattern up to (and including) the
-    /// `=` at depth 0.
-    fn skip_pattern_until_eq(&mut self) {
+    /// Skips a pattern up to (not including) the first of `stops` outside
+    /// brackets, or an unmatched closer; returns its binding names.
+    fn pattern(&mut self, stops: &[&str]) -> Vec<String> {
+        let mut names = Vec::new();
         let mut depth = 0i32;
         while let Some(t) = self.cur() {
-            if t.kind == TokKind::Punct {
-                match t.text.as_str() {
-                    "=" if depth == 0 => {
-                        self.bump();
-                        return;
-                    }
-                    "(" | "[" | "{" => depth += 1,
-                    ")" | "]" | "}" => depth -= 1,
-                    ";" => return, // runaway
-                    _ => {}
-                }
+            match (t.kind, t.text.as_str()) {
+                (TokKind::Punct | TokKind::Ident, s) if depth == 0 && stops.contains(&s) => break,
+                (TokKind::Punct, "(" | "[" | "{") => depth += 1,
+                (TokKind::Punct, ")" | "]" | "}") if depth == 0 => break,
+                (TokKind::Punct, ")" | "]" | "}") => depth -= 1,
+                (TokKind::Ident, id) if is_binding_ident(id) => names.push(id.to_string()),
+                _ => {}
             }
             self.bump();
         }
+        names
     }
 }
 
-/// `#[cfg(test)]`, `#[cfg(all(test, …))]`, or bare `#[test]` — same
-/// predicate the token-needle rules use.
+/// `#[cfg(test)]`, `#[cfg(all(test, …))]`, or bare `#[test]`.
 fn attr_is_test(attr: &[Tok]) -> bool {
     match attr.first() {
         Some(t) if t.kind == TokKind::Ident && t.text == "test" => attr.len() == 1,
@@ -1831,26 +1777,48 @@ fn is_binding_ident(id: &str) -> bool {
 // ---------------------------------------------------------------- walks --
 
 /// Calls `f` for every function item (with its enclosing-impl type name,
-/// if any) that is **not** inside a `#[cfg(test)]`/`#[test]` subtree.
+/// if any) that is **not** inside a `#[cfg(test)]`/`#[test]` subtree, in
+/// source order: a function before the functions nested in its body.
 pub fn for_each_fn<'a>(ast: &'a Ast, f: &mut impl FnMut(&'a FnItem, Option<&'a str>)) {
-    fn walk<'a>(
-        items: &'a [Item],
+    fn visit<'a>(
+        item: &'a Item,
         impl_ty: Option<&'a str>,
         f: &mut impl FnMut(&'a FnItem, Option<&'a str>),
     ) {
-        for item in items {
-            if item.is_test {
-                continue;
+        if item.is_test {
+            return;
+        }
+        match &item.kind {
+            ItemKind::Fn(func) => {
+                f(func, impl_ty);
+                let mut nested = Vec::new();
+                if let Some(body) = &func.body {
+                    walk_block(body, &mut |node| {
+                        if let Node::Item(item) = node {
+                            nested.push(item);
+                        }
+                    });
+                }
+                for item in nested {
+                    visit(item, None, f);
+                }
             }
-            match &item.kind {
-                ItemKind::Fn(func) => f(func, impl_ty),
-                ItemKind::Impl { type_name, items } => walk(items, Some(type_name), f),
-                ItemKind::Mod { items, .. } => walk(items, impl_ty, f),
-                _ => {}
+            ItemKind::Impl { type_name, items } => {
+                for item in items {
+                    visit(item, Some(type_name), f);
+                }
             }
+            ItemKind::Mod { items, .. } => {
+                for item in items {
+                    visit(item, impl_ty, f);
+                }
+            }
+            _ => {}
         }
     }
-    walk(&ast.items, None, f);
+    for item in &ast.items {
+        visit(item, None, f);
+    }
 }
 
 /// Calls `f` for every struct item outside test subtrees.
@@ -2083,6 +2051,37 @@ mod tests {
         };
         assert_eq!(ty, "f64");
         assert!(matches!(&expr.kind, ExprKind::Binary { op, .. } if op == "+"));
+    }
+
+    #[test]
+    fn code_in_every_position_is_walked() {
+        // An item-level macro's braces do not end the file; trait default
+        // methods, let-else blocks, match guards, struct-update bases,
+        // `break` values and nested fns are all reached.
+        let ast = parse_src(
+            "impl_json!(T { a, b });
+trait Tr { fn d(&self) { m1!(); } }
+fn f(x: Option<u8>) {
+    let Some(v) = x else { m2!(); return; };
+    match v { n if m3!() => {}, _ => {} }
+    let s = S { a: 1, ..m4!() };
+    loop { break m5!(); }
+    fn inner() { m6! { 1 } }
+}",
+        );
+        let mut names = Vec::new();
+        for_each_fn(&ast, &mut |f, _| {
+            walk_block(f.body.as_ref().expect("body"), &mut |node| {
+                if let Node::Expr(Expr {
+                    kind: ExprKind::Macro { name, .. },
+                    ..
+                }) = node
+                {
+                    names.push(name.clone());
+                }
+            })
+        });
+        assert_eq!(names, ["m1", "m2", "m3", "m4", "m5", "m6"]);
     }
 
     #[test]

@@ -30,7 +30,7 @@
 //! Scope: library code of `crates/core`, `crates/sim`, `crates/obs` —
 //! the crates whose output is cmp-checked bit-identical in CI.
 
-use crate::ast::{Ast, Block, Expr, ExprKind, Stmt};
+use crate::ast::{Ast, Block, Child, Expr, ExprKind, Stmt};
 use crate::rules::{FileInput, Finding};
 use crate::symbols::{SymbolTable, VarClass};
 use std::collections::HashSet;
@@ -115,10 +115,17 @@ impl Ctx<'_, '_> {
         for stmt in &b.stmts {
             match stmt {
                 Stmt::Let {
-                    names, ty, init, ..
+                    names,
+                    ty,
+                    init,
+                    else_,
+                    ..
                 } => {
                     if let Some(e) = init {
                         self.walk_expr(e);
+                    }
+                    if let Some(b) = else_ {
+                        self.walk_block(b);
                     }
                     self.syms.note_let(names, ty.as_deref(), init.as_ref());
                     let tainted = match (ty, init) {
@@ -158,10 +165,7 @@ impl Ctx<'_, '_> {
             ExprKind::MethodCall {
                 base, name, args, ..
             } => {
-                self.walk_expr(base);
-                for a in args {
-                    self.walk_expr(a);
-                }
+                self.walk_children(e);
                 if PUSH_METHODS.contains(&name.as_str()) {
                     let value_tainted =
                         self.loop_depth > 0 || args.iter().any(|a| self.is_tainted(a));
@@ -191,10 +195,7 @@ impl Ctx<'_, '_> {
                 }
             }
             ExprKind::Call { func, args } => {
-                self.walk_expr(func);
-                for a in args {
-                    self.walk_expr(a);
-                }
+                self.walk_children(e);
                 if let ExprKind::Path(segs) = &func.kind {
                     if let Some(last) = segs.last() {
                         if is_sink_name(last)
@@ -210,9 +211,7 @@ impl Ctx<'_, '_> {
                 }
             }
             ExprKind::Macro { name, args } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
+                self.walk_children(e);
                 if WRITE_MACROS.contains(&name.as_str())
                     && (self.loop_depth > 0 || args.iter().any(|a| self.is_tainted(a)))
                 {
@@ -224,8 +223,7 @@ impl Ctx<'_, '_> {
                 }
             }
             ExprKind::Assign { target, value, .. } => {
-                self.walk_expr(value);
-                self.walk_expr(target);
+                self.walk_children(e);
                 if self.is_tainted(value) {
                     if let Some(root) = target.name_root() {
                         if is_field_access(target) {
@@ -273,13 +271,6 @@ impl Ctx<'_, '_> {
                     self.tainted.remove(&n);
                 }
             }
-            ExprKind::If { cond, then, else_ } => {
-                self.walk_expr(cond);
-                self.walk_block(then);
-                if let Some(e2) = else_ {
-                    self.walk_expr(e2);
-                }
-            }
             ExprKind::Match { scrutinee, arms } => {
                 self.walk_expr(scrutinee);
                 let scrut_tainted = self.is_tainted(scrutinee);
@@ -292,43 +283,26 @@ impl Ctx<'_, '_> {
                             }
                         }
                     }
+                    if let Some(g) = &arm.guard {
+                        self.walk_expr(g);
+                    }
                     self.walk_expr(&arm.body);
                     for n in added {
                         self.tainted.remove(&n);
                     }
                 }
             }
-            ExprKind::While { cond, body } => {
-                self.walk_expr(cond);
-                self.walk_block(body);
+            _ => self.walk_children(e),
+        }
+    }
+
+    /// Walks the sub-nodes of an expression this walk does not inspect.
+    fn walk_children(&mut self, e: &Expr) {
+        for child in e.children() {
+            match child {
+                Child::Expr(c) => self.walk_expr(c),
+                Child::Block(b) => self.walk_block(b),
             }
-            ExprKind::Loop { body } => self.walk_block(body),
-            ExprKind::Block(b) => self.walk_block(b),
-            ExprKind::Closure { body, .. } => self.walk_expr(body),
-            ExprKind::Field(base, _) => self.walk_expr(base),
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => self.walk_expr(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            ExprKind::Index { base, index } => {
-                self.walk_expr(base);
-                self.walk_expr(index);
-            }
-            ExprKind::Tuple(elems) => {
-                for el in elems {
-                    self.walk_expr(el);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.walk_expr(v);
-                    }
-                }
-            }
-            ExprKind::Return(Some(v)) => self.walk_expr(v),
-            ExprKind::Path(_) | ExprKind::Lit(..) | ExprKind::Return(None) | ExprKind::Other => {}
         }
     }
 
@@ -449,7 +423,6 @@ mod tests {
         let input = FileInput {
             rel_path: "crates/x/src/lib.rs",
             crate_name,
-            declared_features: &[],
             lexed: &lexed,
             ast: &ast,
         };

@@ -1,11 +1,11 @@
-//! A small, dependency-free Rust lexer sufficient for rule matching.
+//! A small, dependency-free Rust lexer: the input of the AST-lite parser.
 //!
 //! The lexer does **not** aim to be a full Rust tokenizer. It produces the
-//! token classes the rule engine needs — identifiers, integer/float
-//! literals, string/char literals, and punctuation (with the handful of
-//! multi-character operators the rules match on, e.g. `==`, `!=`, `::`)
-//! — while correctly *skipping* comments and every string form, so rule
-//! needles never fire inside a doc comment or a format string.
+//! token classes the parser needs — identifiers, integer/float literals,
+//! string/char literals, and punctuation (with the handful of
+//! multi-character operators the grammar distinguishes, e.g. `==`, `!=`,
+//! `::`) — while correctly *skipping* comments and every string form, so
+//! nothing inside a doc comment or a format string is ever parsed as code.
 //!
 //! Two side channels are captured during lexing because the rules need
 //! them:
@@ -18,7 +18,7 @@
 //! Allow/deny decisions beyond those two markers live in `lint.allow`,
 //! not in source comments, so justifications stay centrally reviewable.
 
-/// The classes of token the rule engine distinguishes.
+/// The classes of token the parser distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum TokKind {
     /// Identifier or keyword (`fn`, `HashMap`, `unwrap`, …).
@@ -363,47 +363,26 @@ impl Lexer<'_> {
     }
 
     fn punct(&mut self) {
-        let line = self.line;
-        let two: &[u8] = &self.b[self.i..(self.i + 2).min(self.b.len())];
-        let three: &[u8] = &self.b[self.i..(self.i + 3).min(self.b.len())];
-        let text = if three == b"..=" {
-            "..="
-        } else {
-            match two {
-                b"==" => "==",
-                b"!=" => "!=",
-                b"::" => "::",
-                b"->" => "->",
-                b"=>" => "=>",
-                b"<=" => "<=",
-                b">=" => ">=",
-                b".." => "..",
-                b"&&" => "&&",
-                b"||" => "||",
-                b"+=" => "+=",
-                b"-=" => "-=",
-                b"*=" => "*=",
-                b"/=" => "/=",
-                b"%=" => "%=",
-                b"&=" => "&=",
-                b"|=" => "|=",
-                b"^=" => "^=",
-                _ => {
-                    let c = self.b[self.i] as char;
-                    self.i += 1;
-                    self.push_at(TokKind::Punct, c.to_string(), line);
-                    return;
-                }
-            }
+        let rest = &self.b[self.i..];
+        let (text, len) = match MULTI_PUNCT.iter().find(|p| rest.starts_with(p.as_bytes())) {
+            Some(p) => (p.to_string(), p.len()),
+            None => ((rest[0] as char).to_string(), 1),
         };
-        self.i += text.len();
-        self.push_at(TokKind::Punct, text.to_string(), line);
+        self.i += len;
+        self.push_at(TokKind::Punct, text, self.line);
     }
 
     fn push_at(&mut self, kind: TokKind, text: String, line: u32) {
         self.out.toks.push(Tok { kind, text, line });
     }
 }
+
+/// The operators lexed as one token (longest first where one prefixes
+/// another); every other punctuation character is a token of its own.
+const MULTI_PUNCT: &[&str] = &[
+    "..=", "==", "!=", "::", "->", "=>", "<=", ">=", "..", "&&", "||", "+=", "-=", "*=", "/=",
+    "%=", "&=", "|=", "^=",
+];
 
 fn is_ident_char(c: u8) -> bool {
     c == b'_' || c.is_ascii_alphanumeric()

@@ -24,7 +24,7 @@
 //! Guards die at end of scope or at an explicit `drop(guard)`. Scope:
 //! every crate's non-test library code, like `float-eq`.
 
-use crate::ast::{Ast, Block, Expr, ExprKind, Stmt};
+use crate::ast::{Ast, Block, Child, Expr, ExprKind, Stmt};
 use crate::rules::{FileInput, Finding};
 
 const WAIT_METHODS: &[&str] = &["wait", "wait_timeout", "wait_while", "wait_timeout_while"];
@@ -68,11 +68,21 @@ impl Ctx<'_, '_> {
         for stmt in &b.stmts {
             match stmt {
                 Stmt::Let {
-                    names, init, line, ..
+                    names,
+                    init,
+                    else_,
+                    line,
+                    ..
                 } => {
                     if let Some(e) = init {
                         // walk_expr flags nested acquisition itself.
                         self.walk_expr(e);
+                        if let Some(b) = else_ {
+                            // A diverging branch, joined like an `if` arm.
+                            let snapshot = self.guards.clone();
+                            self.walk_block(b);
+                            self.guards = snapshot;
+                        }
                         // Bind a guard only when the chain still *is* the
                         // guard after error handling — `lock().take()`
                         // extracts a value and drops the guard with the
@@ -124,50 +134,8 @@ impl Ctx<'_, '_> {
                 if WAIT_METHODS.contains(&name.as_str()) {
                     self.check_wait(e.line, base, args);
                 }
-                self.walk_expr(base);
-                for a in args {
-                    self.walk_expr(a);
-                }
+                self.walk_children(e);
             }
-            ExprKind::Call { func, args } => {
-                self.walk_expr(func);
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            ExprKind::Macro { args, .. } => {
-                for a in args {
-                    self.walk_expr(a);
-                }
-            }
-            ExprKind::Assign { target, value, .. } => {
-                self.walk_expr(value);
-                self.walk_expr(target);
-            }
-            ExprKind::Field(base, _) => self.walk_expr(base),
-            ExprKind::Unary { expr, .. } | ExprKind::Cast { expr, .. } => self.walk_expr(expr),
-            ExprKind::Binary { lhs, rhs, .. } => {
-                self.walk_expr(lhs);
-                self.walk_expr(rhs);
-            }
-            ExprKind::Index { base, index } => {
-                self.walk_expr(base);
-                self.walk_expr(index);
-            }
-            ExprKind::Tuple(elems) => {
-                for el in elems {
-                    self.walk_expr(el);
-                }
-            }
-            ExprKind::StructLit { fields, .. } => {
-                for (_, v) in fields {
-                    if let Some(v) = v {
-                        self.walk_expr(v);
-                    }
-                }
-            }
-            ExprKind::Closure { body, .. } => self.walk_expr(body),
-            ExprKind::Block(b) => self.walk_block(b),
             // Branches are joined toward "still held": a drop() inside one
             // arm (typically followed by an early return) must not release
             // the guard on the fall-through path.
@@ -185,21 +153,24 @@ impl Ctx<'_, '_> {
                 self.walk_expr(scrutinee);
                 let snapshot = self.guards.clone();
                 for arm in arms {
+                    if let Some(g) = &arm.guard {
+                        self.walk_expr(g);
+                    }
                     self.walk_expr(&arm.body);
                     self.guards = snapshot.clone();
                 }
             }
-            ExprKind::For { iter, body, .. } => {
-                self.walk_expr(iter);
-                self.walk_block(body);
+            _ => self.walk_children(e),
+        }
+    }
+
+    /// Walks the sub-nodes of an expression this walk does not inspect.
+    fn walk_children(&mut self, e: &Expr) {
+        for child in e.children() {
+            match child {
+                Child::Expr(c) => self.walk_expr(c),
+                Child::Block(b) => self.walk_block(b),
             }
-            ExprKind::While { cond, body } => {
-                self.walk_expr(cond);
-                self.walk_block(body);
-            }
-            ExprKind::Loop { body } => self.walk_block(body),
-            ExprKind::Return(Some(v)) => self.walk_expr(v),
-            ExprKind::Path(_) | ExprKind::Lit(..) | ExprKind::Return(None) | ExprKind::Other => {}
         }
     }
 
@@ -321,7 +292,6 @@ mod tests {
         let input = FileInput {
             rel_path: "crates/trace/src/ahead.rs",
             crate_name: "trace",
-            declared_features: &[],
             lexed: &lexed,
             ast: &ast,
         };

@@ -1,16 +1,20 @@
-//! The rule engine: five workspace-specific rules over the token stream.
+//! The rule catalogue and the per-file driver. Every rule reads the
+//! AST-lite tree ([`crate::ast`]); the token-level invariants the
+//! toolchain can check (determinism, panics, feature gates) live in
+//! `clippy.toml` and crate attributes instead (LINTS.md).
 //!
 //! Scoping conventions shared by all rules:
 //!
-//! * **Test code is exempt** where a rule says "non-test": anything under
-//!   an item carrying `#[cfg(test)]` (or `#[test]`) is masked out, and the
-//!   workspace walker never feeds `tests/` or `benches/` directories.
-//! * **Hot regions** are the bodies of functions announced by a standalone
-//!   `// lint: hot` marker comment; the marker binds to the next `fn`.
+//! * **Test code is exempt**: functions under an item carrying
+//!   `#[cfg(test)]` (or `#[test]`) are never walked, and the workspace
+//!   walker never feeds `tests/`, `benches/` or `examples/` directories.
+//! * **Hot functions** are announced by a standalone `// lint: hot`
+//!   marker comment; the marker binds to the next function.
 //! * Rules are scoped to crates by directory name under `crates/`
 //!   (`core`, `sim`, …); the root package scans as `vcdn`.
 
-use crate::lexer::{Lexed, Tok, TokKind};
+use crate::ast::{walk_block, Expr, ExprKind, Node};
+use crate::lexer::TokKind;
 
 /// One diagnostic produced by a rule.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -41,34 +45,20 @@ pub struct Rule {
 /// The rule catalogue.
 pub const RULES: &[Rule] = &[
     Rule {
-        name: "determinism",
-        summary: "no wall clocks, OS randomness or environment reads in core/sim/obs library code",
-        explain: "\
-WHAT  Forbids SystemTime, Instant::now, thread_rng/RandomState,
-      std::env::var and available_parallelism in non-test library code of
-      crates/core, crates/sim and crates/obs.
-WHY   Replay telemetry is cmp-checked bit-identical across worker counts
-      and hashers (CI: 1-vs-N workers, fasthash-vs-std). One stray clock or
-      environment read silently breaks that contract for every policy.
-FIX   Thread timestamps in from the trace (vcdn_types::Timestamp); derive
-      randomness from vcdn_trace::DetRng with an explicit seed. Bench
-      binaries (crates/bench) are exempt and may time freely.
-ALLOW Timing that is provably reporting-only (excluded from deterministic
-      payloads) may be suppressed in lint.allow with a justification.",
-    },
-    Rule {
         name: "hot-path",
         summary: "no allocation or std-hash containers inside `// lint: hot` functions",
         explain: "\
-WHAT  Inside a function marked with a standalone `// lint: hot` comment,
-      forbids HashMap/HashSet/BTreeMap mentions, format!, vec!,
-      Vec::new/with_capacity, String::new/from, Box::new, and the methods
-      .clone() / .to_string() / .to_owned() / .to_vec() / .collect().
+WHAT  Inside the function a standalone `// lint: hot` comment announces
+      (the next fn after the marker), forbids HashMap/HashSet/BTreeMap in
+      paths, turbofish and let types; format! and vec!; Vec::new,
+      Vec::with_capacity, String::new, String::from and Box::new; and the
+      methods .clone() / .to_string() / .to_owned() / .to_vec() /
+      .collect().
 WHY   The decide/evict/admission paths of all four policies are
-      allocation-free by construction (PR 2: scratch buffers, FastMap,
-      keyed sets); benchmark/ measures the resulting throughput. A
-      single format! or HashMap::new in a decide path regresses every
-      replay by an allocator round-trip per request.
+      allocation-free by construction (scratch buffers, FastMap, slab
+      indices); benchmark/ measures the resulting throughput. A single
+      format! or HashMap::new in a decide path regresses every replay by
+      an allocator round-trip per request.
 FIX   Reuse scratch buffers owned by the policy struct; use
       vcdn_types::{FastMap, FastSet} declared outside the hot function;
       return iterators instead of collecting.
@@ -81,7 +71,8 @@ ALLOW The `evicted` list handed to ServeOutcome is owned by the decision
         summary: "no direct ==/!= against float literals; use vcdn_types::float helpers",
         explain: "\
 WHAT  Forbids == and != where either operand is a floating-point literal,
-      in non-test code across the whole workspace.
+      in every crate's non-test functions. (clippy::float_cmp is no
+      substitute: it exempts comparisons against zero, the common case.)
 WHY   Eq. 6-7 (Cafe) and Eq. 13-14 (Psychic) compare accumulated f64
       costs; raw equality on such values is either a rounding bug or an
       undocumented exactness assumption. Both deserve a named helper.
@@ -93,21 +84,22 @@ ALLOW Exactness-critical numerical kernels (e.g. simplex pivot
       justification instead of taking a vcdn-types dependency.",
     },
     Rule {
-        name: "panic",
-        summary: "no unwrap/expect/panic!/literal indexing in core/sim library code",
+        name: "literal-index",
+        summary: "no indexing by integer literal (x[0]) in core/sim library code",
         explain: "\
-WHAT  Forbids .unwrap(), .expect(), panic!, unreachable!, todo!,
-      unimplemented! and indexing-by-integer-literal (x[0]) in non-test
-      library code of crates/core and crates/sim.
-WHY   Policies run inside million-request replays and (eventually) a
-      serving path; a panic tears down the whole experiment grid. assert!
-      remains allowed: contract violations should fail loudly, but
-      recoverable states must not be expressed as unwrap.
-FIX   Return Result (see CafeCache try-constructors), use let-else /
-      match with a safe fallback, or f64::total_cmp for comparator
-      positions that previously unwrapped partial_cmp.
-ALLOW Sites where the invariant is locally provable and a fallback would
-      mask real corruption may be suppressed with a justification.",
+WHAT  Forbids indexing by an integer literal (`x[0]`, `f()[1]`) in the
+      non-test functions of crates/core and crates/sim. Slice patterns
+      and array types are not indexing and stay silent. The rest of the
+      panic family (unwrap, expect, panic!, unreachable!, todo!,
+      unimplemented!) is clippy's, warned in those crates' lib.rs.
+WHY   Policies run inside million-request replays; a panic tears down the
+      whole experiment grid. clippy::indexing_slicing would flag every
+      index; a literal index is the case that is almost always a hidden
+      length assumption.
+FIX   .first() / .get(0) with a guarded match, or a slice pattern
+      (`let [a, b] = …` / `if let [first, ..] = …`).
+ALLOW Sites where the length is asserted on the line above and a fallback
+      would mask real corruption may be suppressed with a justification.",
     },
     Rule {
         name: "determinism-flow",
@@ -178,20 +170,6 @@ FIX   saturating_add/saturating_sub/saturating_mul for metric
 ALLOW Prefer the wrap-ok marker at the site; lint.allow entries are
       accepted for generated or vendored code.",
     },
-    Rule {
-        name: "feature-gate",
-        summary: "every #[cfg(feature = \"…\")] name must be declared in that crate's Cargo.toml",
-        explain: "\
-WHAT  Every `feature = \"name\"` occurrence in a crate's source must name
-      a feature declared in that crate's Cargo.toml [features] table.
-WHY   cfg on an undeclared feature silently compiles the gated code out
-      forever — the std-hash determinism check would quietly stop
-      checking anything if the feature name drifted.
-FIX   Declare the feature in Cargo.toml or fix the typo. (Cargo's own
-      unexpected_cfgs lint covers some of this, but only for targets that
-      compile; vcdn-lint checks every scanned file uniformly.)
-ALLOW Should never need suppression; entries are accepted for symmetry.",
-    },
 ];
 
 /// Returns the catalogue entry for `name`, if any.
@@ -205,479 +183,141 @@ pub struct FileInput<'a> {
     pub rel_path: &'a str,
     /// Crate directory name under `crates/` (or `vcdn` for the root).
     pub crate_name: &'a str,
-    /// Features declared in the owning crate's `Cargo.toml`.
-    pub declared_features: &'a [String],
-    /// Lexed source.
-    pub lexed: &'a Lexed,
+    /// Lexed source (its marker side channels).
+    pub lexed: &'a crate::lexer::Lexed,
     /// AST-lite parse of the same source (see [`crate::ast`]).
     pub ast: &'a crate::ast::Ast,
 }
 
 /// Runs every rule on one file, appending findings.
 pub fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>) {
+    let index_scoped = LITERAL_INDEX_CRATES.contains(&input.crate_name);
+    let finding = |rule, line, snippet: String, message: String| Finding {
+        rule,
+        file: input.rel_path.to_string(),
+        line,
+        snippet,
+        message,
+    };
+    let hot_finding = |line, snippet: String| {
+        let message =
+            format!("{snippet} inside a `// lint: hot` function (allocation-free decide paths)");
+        finding("hot-path", line, snippet, message)
+    };
+    // A marker binds to the next `fn` keyword below it.
     let toks = &input.lexed.toks;
-    let test_mask = test_mask(toks);
-    let hot_mask = hot_mask(input.lexed);
+    let hot_fn_lines: Vec<u32> = input
+        .lexed
+        .hot_marker_lines
+        .iter()
+        .filter_map(|&m| {
+            toks.iter()
+                .find(|t| t.line > m && t.kind == TokKind::Ident && t.text == "fn")
+        })
+        .map(|t| t.line)
+        .collect();
+    crate::ast::for_each_fn(input.ast, &mut |func, _| {
+        let Some(body) = &func.body else { return };
+        let hot = hot_fn_lines.contains(&func.line);
+        walk_block(body, &mut |node| match node {
+            Node::Let {
+                ty: Some(ty), line, ..
+            } if hot => hot_types(ty, &mut |s| out.push(hot_finding(line, s))),
+            Node::Let { .. } | Node::Item(_) => {}
+            Node::Expr(e) => {
+                if hot {
+                    hot_needles(e, &mut |s| out.push(hot_finding(e.line, s)));
+                }
+                if let Some(op) = float_literal_eq(e) {
+                    out.push(finding(
+                        "float-eq",
+                        e.line,
+                        format!("{op} float literal"),
+                        format!("direct `{op}` on f64; use vcdn_types::float (approx_eq / exactly_zero)"),
+                    ));
+                }
+                if let Some(n) = literal_index(e).filter(|_| index_scoped) {
+                    out.push(finding(
+                        "literal-index",
+                        e.line,
+                        format!("[{n}]"),
+                        format!("indexing by literal `[{n}]` can panic; use .get({n}) or a slice pattern"),
+                    ));
+                }
+            }
+        });
+    });
 
-    determinism_rule(input, toks, &test_mask, out);
-    hot_path_rule(input, toks, &hot_mask, out);
-    float_eq_rule(input, toks, &test_mask, out);
-    panic_rule(input, toks, &test_mask, out);
-    feature_gate_rule(input, toks, out);
-
-    // AST-lite rule families (each scopes itself by crate internally).
     crate::flow::check(input, input.ast, out);
     crate::locks::check(input, input.ast, out);
     crate::arith::check(input, input.ast, out);
 }
 
-// ---------------------------------------------------------------- masks --
+const LITERAL_INDEX_CRATES: &[&str] = &["core", "sim"];
 
-/// Marks every token inside an item annotated `#[cfg(test)]` / `#[test]`.
-fn test_mask(toks: &[Tok]) -> Vec<bool> {
-    let mut mask = vec![false; toks.len()];
-    let mut i = 0;
-    while i < toks.len() {
-        if !(is_punct(toks, i, "#") && is_punct(toks, i + 1, "[")) {
-            i += 1;
-            continue;
-        }
-        let attr_end = match close_bracket(toks, i + 1) {
-            Some(e) => e,
-            None => break,
-        };
-        if !attr_is_test(&toks[i + 2..attr_end]) {
-            i = attr_end + 1;
-            continue;
-        }
-        // Skip any further attributes, then mask the item itself.
-        let mut j = attr_end + 1;
-        while is_punct(toks, j, "#") && is_punct(toks, j + 1, "[") {
-            match close_bracket(toks, j + 1) {
-                Some(e) => j = e + 1,
-                None => return mask,
+const HOT_TYPES: &[&str] = &["HashMap", "HashSet", "BTreeMap"];
+const HOT_MACROS: &[&str] = &["format", "vec"];
+const HOT_CTORS: &[[&str; 2]] = &[
+    ["Vec", "new"],
+    ["Vec", "with_capacity"],
+    ["String", "new"],
+    ["String", "from"],
+    ["Box", "new"],
+];
+const HOT_METHODS: &[&str] = &["clone", "to_string", "to_owned", "to_vec", "collect"];
+
+/// Reports each `hot-path` needle the node itself spells (not its children).
+fn hot_needles(e: &Expr, hit: &mut impl FnMut(String)) {
+    match &e.kind {
+        ExprKind::Path(segs) => {
+            for s in segs.iter().filter(|s| HOT_TYPES.contains(&s.as_str())) {
+                hit(s.clone());
             }
-        }
-        let item_end = item_end(toks, j);
-        for m in mask.iter_mut().take(item_end + 1).skip(i) {
-            *m = true;
-        }
-        i = item_end + 1;
-    }
-    mask
-}
-
-/// `#[cfg(test)]`, `#[cfg(all(test, …))]`, or bare `#[test]`.
-fn attr_is_test(attr: &[Tok]) -> bool {
-    match attr.first() {
-        Some(t) if t.kind == TokKind::Ident && t.text == "test" => attr.len() == 1,
-        Some(t) if t.kind == TokKind::Ident && t.text == "cfg" => attr
-            .iter()
-            .any(|t| t.kind == TokKind::Ident && t.text == "test"),
-        _ => false,
-    }
-}
-
-/// Index of the token ending the item that starts at `start`: the matching
-/// `}` of its first top-level `{`, or the first top-level `;`.
-fn item_end(toks: &[Tok], start: usize) -> usize {
-    let mut depth = 0i32;
-    let mut j = start;
-    while j < toks.len() {
-        match toks[j].text.as_str() {
-            "{" if toks[j].kind == TokKind::Punct => {
-                if let Some(e) = close_brace(toks, j) {
-                    return e;
+            for pair in segs.windows(2) {
+                if HOT_CTORS.iter().any(|c| c[0] == pair[0] && c[1] == pair[1]) {
+                    hit(pair.join("::"));
                 }
-                return toks.len() - 1;
-            }
-            "(" | "[" if toks[j].kind == TokKind::Punct => depth += 1,
-            ")" | "]" if toks[j].kind == TokKind::Punct => depth -= 1,
-            ";" if toks[j].kind == TokKind::Punct && depth == 0 => return j,
-            _ => {}
-        }
-        j += 1;
-    }
-    toks.len().saturating_sub(1)
-}
-
-/// Marks every token inside a function announced by `// lint: hot`.
-fn hot_mask(lexed: &Lexed) -> Vec<bool> {
-    let toks = &lexed.toks;
-    let mut mask = vec![false; toks.len()];
-    for &marker_line in &lexed.hot_marker_lines {
-        // First `fn` token after the marker line.
-        let Some(fn_idx) = toks
-            .iter()
-            .position(|t| t.line > marker_line && t.kind == TokKind::Ident && t.text == "fn")
-        else {
-            continue;
-        };
-        // Its body: first `{` after the signature, brace-matched.
-        let Some(open) =
-            (fn_idx..toks.len()).find(|&j| toks[j].kind == TokKind::Punct && toks[j].text == "{")
-        else {
-            continue;
-        };
-        let end = close_brace(toks, open).unwrap_or(toks.len() - 1);
-        for m in mask.iter_mut().take(end + 1).skip(open) {
-            *m = true;
-        }
-    }
-    mask
-}
-
-fn close_brace(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "{" => depth += 1,
-                "}" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(j);
-                    }
-                }
-                _ => {}
             }
         }
-    }
-    None
-}
-
-fn close_bracket(toks: &[Tok], open: usize) -> Option<usize> {
-    let mut depth = 0i32;
-    for (j, t) in toks.iter().enumerate().skip(open) {
-        if t.kind == TokKind::Punct {
-            match t.text.as_str() {
-                "[" => depth += 1,
-                "]" => {
-                    depth -= 1;
-                    if depth == 0 {
-                        return Some(j);
-                    }
-                }
-                _ => {}
+        ExprKind::Macro { name, .. } if HOT_MACROS.contains(&name.as_str()) => {
+            hit(format!("{name}!"))
+        }
+        ExprKind::MethodCall {
+            name, turbofish, ..
+        } => {
+            if HOT_METHODS.contains(&name.as_str()) {
+                hit(format!(".{name}()"));
             }
+            hot_types(turbofish, hit);
         }
-    }
-    None
-}
-
-// ------------------------------------------------------------- matching --
-
-fn is_punct(toks: &[Tok], i: usize, text: &str) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Punct && t.text == text)
-}
-
-fn is_ident(toks: &[Tok], i: usize, text: &str) -> bool {
-    toks.get(i)
-        .is_some_and(|t| t.kind == TokKind::Ident && t.text == text)
-}
-
-/// A needle: alternating idents and puncts matched exactly at a position.
-#[derive(Clone, Copy)]
-struct Needle {
-    /// `(is_ident, text)` pairs, matched consecutively.
-    pat: &'static [(bool, &'static str)],
-    /// Snippet to report (human-oriented, also the allow-needle target).
-    show: &'static str,
-}
-
-fn needle_at(toks: &[Tok], i: usize, n: &Needle) -> bool {
-    n.pat.iter().enumerate().all(|(k, &(ident, text))| {
-        if ident {
-            is_ident(toks, i + k, text)
-        } else {
-            is_punct(toks, i + k, text)
-        }
-    })
-}
-
-// --------------------------------------------------------------- rules ---
-
-const DETERMINISM_CRATES: &[&str] = &["core", "sim", "obs"];
-const PANIC_CRATES: &[&str] = &["core", "sim"];
-
-fn determinism_rule(
-    input: &FileInput<'_>,
-    toks: &[Tok],
-    test_mask: &[bool],
-    out: &mut Vec<Finding>,
-) {
-    if !DETERMINISM_CRATES.contains(&input.crate_name) {
-        return;
-    }
-    const NEEDLES: &[Needle] = &[
-        Needle {
-            pat: &[(true, "SystemTime")],
-            show: "SystemTime",
-        },
-        Needle {
-            pat: &[(true, "Instant"), (false, "::"), (true, "now")],
-            show: "Instant::now",
-        },
-        Needle {
-            pat: &[(true, "thread_rng")],
-            show: "thread_rng",
-        },
-        Needle {
-            pat: &[(true, "RandomState")],
-            show: "RandomState",
-        },
-        Needle {
-            pat: &[(true, "from_entropy")],
-            show: "from_entropy",
-        },
-        Needle {
-            pat: &[(true, "env"), (false, "::"), (true, "var")],
-            show: "env::var",
-        },
-        Needle {
-            pat: &[(true, "env"), (false, "::"), (true, "var_os")],
-            show: "env::var_os",
-        },
-        Needle {
-            pat: &[(true, "available_parallelism")],
-            show: "available_parallelism",
-        },
-    ];
-    scan_needles(
-        input,
-        toks,
-        Some(test_mask),
-        NEEDLES,
-        "determinism",
-        out,
-        |show| format!("{show} makes library replay output time- or environment-dependent"),
-    );
-}
-
-fn hot_path_rule(input: &FileInput<'_>, toks: &[Tok], hot_mask: &[bool], out: &mut Vec<Finding>) {
-    if !hot_mask.contains(&true) {
-        return;
-    }
-    const NEEDLES: &[Needle] = &[
-        Needle {
-            pat: &[(true, "HashMap")],
-            show: "HashMap",
-        },
-        Needle {
-            pat: &[(true, "HashSet")],
-            show: "HashSet",
-        },
-        Needle {
-            pat: &[(true, "BTreeMap")],
-            show: "BTreeMap",
-        },
-        Needle {
-            pat: &[(true, "format"), (false, "!")],
-            show: "format!",
-        },
-        Needle {
-            pat: &[(true, "vec"), (false, "!")],
-            show: "vec!",
-        },
-        Needle {
-            pat: &[(true, "Vec"), (false, "::"), (true, "new")],
-            show: "Vec::new",
-        },
-        Needle {
-            pat: &[(true, "Vec"), (false, "::"), (true, "with_capacity")],
-            show: "Vec::with_capacity",
-        },
-        Needle {
-            pat: &[(true, "String"), (false, "::"), (true, "new")],
-            show: "String::new",
-        },
-        Needle {
-            pat: &[(true, "String"), (false, "::"), (true, "from")],
-            show: "String::from",
-        },
-        Needle {
-            pat: &[(true, "Box"), (false, "::"), (true, "new")],
-            show: "Box::new",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "to_string"), (false, "(")],
-            show: ".to_string()",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "to_owned"), (false, "(")],
-            show: ".to_owned()",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "to_vec"), (false, "(")],
-            show: ".to_vec()",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "clone"), (false, "(")],
-            show: ".clone()",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "collect")],
-            show: ".collect",
-        },
-    ];
-    // Restrict the scan to hot tokens by masking everything else "test".
-    let inverted: Vec<bool> = hot_mask.iter().map(|h| !h).collect();
-    scan_needles(
-        input,
-        toks,
-        Some(&inverted),
-        NEEDLES,
-        "hot-path",
-        out,
-        |show| format!("{show} inside a `// lint: hot` function (allocation-free decide paths)"),
-    );
-}
-
-fn float_eq_rule(input: &FileInput<'_>, toks: &[Tok], test_mask: &[bool], out: &mut Vec<Finding>) {
-    for (i, t) in toks.iter().enumerate() {
-        if test_mask[i] || t.kind != TokKind::Punct || (t.text != "==" && t.text != "!=") {
-            continue;
-        }
-        let float_neighbour = [i.wrapping_sub(1), i + 1]
-            .iter()
-            .any(|&j| toks.get(j).is_some_and(|t| t.kind == TokKind::Float));
-        if float_neighbour {
-            out.push(Finding {
-                rule: "float-eq",
-                file: input.rel_path.to_string(),
-                line: t.line,
-                snippet: format!("{} float literal", t.text),
-                message: format!(
-                    "direct `{}` on f64; use vcdn_types::float (approx_eq / exactly_zero)",
-                    t.text
-                ),
-            });
-        }
+        _ => {}
     }
 }
 
-fn panic_rule(input: &FileInput<'_>, toks: &[Tok], test_mask: &[bool], out: &mut Vec<Finding>) {
-    if !PANIC_CRATES.contains(&input.crate_name) {
-        return;
-    }
-    const NEEDLES: &[Needle] = &[
-        Needle {
-            pat: &[(false, "."), (true, "unwrap"), (false, "(")],
-            show: ".unwrap()",
-        },
-        Needle {
-            pat: &[(false, "."), (true, "expect"), (false, "(")],
-            show: ".expect(",
-        },
-        Needle {
-            pat: &[(true, "panic"), (false, "!")],
-            show: "panic!",
-        },
-        Needle {
-            pat: &[(true, "unreachable"), (false, "!")],
-            show: "unreachable!",
-        },
-        Needle {
-            pat: &[(true, "todo"), (false, "!")],
-            show: "todo!",
-        },
-        Needle {
-            pat: &[(true, "unimplemented"), (false, "!")],
-            show: "unimplemented!",
-        },
-    ];
-    scan_needles(
-        input,
-        toks,
-        Some(test_mask),
-        NEEDLES,
-        "panic",
-        out,
-        |show| format!("{show} in library code; return Result or use a guarded match"),
-    );
-
-    // Indexing by integer literal: `x[0]`, `f()[1]`, `a[2][3]`.
-    for i in 0..toks.len() {
-        if test_mask[i] || !is_punct(toks, i, "[") {
-            continue;
-        }
-        let indexable_before = i > 0
-            && (toks[i - 1].kind == TokKind::Ident
-                || (toks[i - 1].kind == TokKind::Punct
-                    && (toks[i - 1].text == "]" || toks[i - 1].text == ")")));
-        // Exclude attribute openers `#[` and `let`/`if let` slice patterns.
-        let attr_before = i > 0 && is_punct(toks, i - 1, "#");
-        let pattern_pos = i > 0 && (is_ident(toks, i - 1, "let") || is_ident(toks, i - 1, "in"));
-        if indexable_before
-            && !attr_before
-            && !pattern_pos
-            && toks.get(i + 1).is_some_and(|t| t.kind == TokKind::Int)
-            && is_punct(toks, i + 2, "]")
-        {
-            out.push(Finding {
-                rule: "panic",
-                file: input.rel_path.to_string(),
-                line: toks[i].line,
-                snippet: format!("[{}]", toks[i + 1].text),
-                message: format!(
-                    "indexing by literal `[{}]` can panic; use .get({}) or a slice pattern",
-                    toks[i + 1].text,
-                    toks[i + 1].text
-                ),
-            });
-        }
-    }
+/// Reports each forbidden container named in raw type text.
+fn hot_types(ty: &str, hit: &mut impl FnMut(String)) {
+    ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
+        .filter(|w| HOT_TYPES.contains(w))
+        .for_each(|w| hit(w.to_string()));
 }
 
-fn feature_gate_rule(input: &FileInput<'_>, toks: &[Tok], out: &mut Vec<Finding>) {
-    for i in 0..toks.len() {
-        if is_ident(toks, i, "feature")
-            && is_punct(toks, i + 1, "=")
-            && toks.get(i + 2).is_some_and(|t| t.kind == TokKind::Str)
-        {
-            let name = &toks[i + 2].text;
-            if !input.declared_features.iter().any(|f| f == name) {
-                out.push(Finding {
-                    rule: "feature-gate",
-                    file: input.rel_path.to_string(),
-                    line: toks[i].line,
-                    snippet: format!("feature = \"{name}\""),
-                    message: format!(
-                        "feature \"{name}\" is not declared in {}'s Cargo.toml [features]",
-                        input.crate_name
-                    ),
-                });
-            }
-        }
-    }
+/// `==` / `!=` with a float-literal operand: the operator.
+fn float_literal_eq(e: &Expr) -> Option<&str> {
+    let ExprKind::Binary { op, lhs, rhs } = &e.kind else {
+        return None;
+    };
+    let is_float = |x: &Expr| matches!(x.kind, ExprKind::Lit(TokKind::Float, _));
+    (matches!(op.as_str(), "==" | "!=") && (is_float(lhs) || is_float(rhs))).then_some(op)
 }
 
-#[allow(clippy::too_many_arguments)]
-fn scan_needles(
-    input: &FileInput<'_>,
-    toks: &[Tok],
-    skip_mask: Option<&[bool]>,
-    needles: &[Needle],
-    rule: &'static str,
-    out: &mut Vec<Finding>,
-    message: impl Fn(&str) -> String,
-) {
-    for i in 0..toks.len() {
-        if skip_mask.is_some_and(|m| m[i]) {
-            continue;
-        }
-        for n in needles {
-            if needle_at(toks, i, n) {
-                out.push(Finding {
-                    rule,
-                    file: input.rel_path.to_string(),
-                    line: toks[i].line,
-                    snippet: n.show.to_string(),
-                    message: message(n.show),
-                });
-            }
-        }
+/// `base[<integer literal>]`: the literal.
+fn literal_index(e: &Expr) -> Option<&str> {
+    match &e.kind {
+        ExprKind::Index { index, .. } => match &index.kind {
+            ExprKind::Lit(TokKind::Int, n) => Some(n),
+            _ => None,
+        },
+        _ => None,
     }
 }
 
@@ -694,7 +334,6 @@ mod tests {
             &FileInput {
                 rel_path: "crates/x/src/lib.rs",
                 crate_name,
-                declared_features: &["std-hash".to_string()],
                 lexed: &lexed,
                 ast: &ast,
             },
@@ -703,22 +342,17 @@ mod tests {
         out
     }
 
-    #[test]
-    fn determinism_flags_clocks_only_in_scoped_crates() {
-        let src = "fn f() { let t = Instant::now(); }";
-        assert_eq!(check("core", src).len(), 1);
-        assert_eq!(check("sim", src)[0].snippet, "Instant::now");
-        assert!(check("trace", src).is_empty(), "trace is out of scope");
-        assert!(check("bench", src).is_empty(), "bench is exempt");
+    fn snippets(f: &[Finding]) -> Vec<&str> {
+        f.iter().map(|f| f.snippet.as_str()).collect()
     }
 
     #[test]
     fn test_code_is_exempt() {
-        let src = "#[cfg(test)]\nmod tests { fn f() { x.unwrap(); let t = Instant::now(); } }";
+        let src = "#[cfg(test)]\nmod tests { fn f(v: &[u8]) -> bool { v[0] == 1 && 0.5 == 1.0 } }";
         assert!(check("core", src).is_empty());
         // ...but the same body outside the test mod is flagged.
-        let src = "mod m { fn f() { x.unwrap(); } }";
-        assert_eq!(check("core", src).len(), 1);
+        let src = "mod m { fn f(v: &[u8]) -> bool { v[0] == 1 && 0.5 == 1.0 } }";
+        assert_eq!(check("core", src).len(), 2);
     }
 
     #[test]
@@ -728,9 +362,37 @@ mod tests {
 fn hot_fn(&mut self) { let v = Vec::new(); s.clone(); }
 fn cold_fn() { let v = Vec::new(); format!(\"x\"); }";
         let f = check("trace", src);
-        let snippets: Vec<&str> = f.iter().map(|f| f.snippet.as_str()).collect();
-        assert_eq!(snippets, vec!["Vec::new", ".clone()"]);
+        assert_eq!(snippets(&f), vec!["Vec::new", ".clone()"]);
         assert!(f.iter().all(|f| f.rule == "hot-path"));
+        // A marker above test code binds to it, not to the fn after it.
+        let src = "// lint: hot\n#[test]\nfn t() { vec![1]; }\nfn cold() { vec![1]; }";
+        assert!(check("trace", src).is_empty());
+        // Paths, macros, methods, turbofish and let types all count, each
+        // once, in walk order (a method call before its receiver).
+        let src = "\
+// lint: hot
+fn f(&mut self) {
+    let m: HashMap<u32, u32> = x.iter().collect::<BTreeMap<_, _>>();
+    let b = Box::new(vec![1]);
+    let s = Vec::<u8>::with_capacity(1).to_vec();
+}";
+        let f = check("trace", src);
+        assert_eq!(
+            snippets(&f),
+            vec![
+                ".collect()",
+                "BTreeMap",
+                "HashMap",
+                "Box::new",
+                "vec!",
+                ".to_vec()",
+                "Vec::with_capacity"
+            ]
+        );
+        assert_eq!(
+            f.iter().map(|f| f.line).collect::<Vec<_>>(),
+            [3, 3, 3, 4, 4, 5, 5]
+        );
     }
 
     #[test]
@@ -745,34 +407,27 @@ fn cold_fn() { let v = Vec::new(); format!(\"x\"); }";
     }
 
     #[test]
-    fn panic_rule_flags_unwrap_and_literal_indexing() {
-        let f = check("sim", "fn f(v: &[u8]) -> u8 { v.first().unwrap(); v[0] }");
-        let snippets: Vec<&str> = f.iter().map(|f| f.snippet.as_str()).collect();
-        assert_eq!(snippets, vec![".unwrap()", "[0]"]);
-        // unwrap_or / expect-in-attribute are fine.
-        let ok = "#[expect(clippy::x)]\nfn f(v: Option<u8>) -> u8 { v.unwrap_or(0) }";
-        assert!(check("sim", ok).is_empty());
-        // assert! is allowed (contract checks fail loudly by design).
-        assert!(check("core", "fn f(n: u64) { assert!(n > 0, \"n\"); }").is_empty());
-        // Variable indexing and array types are fine.
+    fn literal_index_flags_integer_literals_only() {
+        let f = check(
+            "sim",
+            "fn f(v: &[u8], m: &[[u8; 2]]) -> u8 { v[0] + m[1][0] + f()[2] }",
+        );
+        assert_eq!(snippets(&f), vec!["[0]", "[0]", "[1]", "[2]"]);
+        assert!(f.iter().all(|f| f.rule == "literal-index"));
+        // Variable indexing, array types and literals, slice patterns are fine.
         assert!(check("core", "fn f(v: &[u8], i: usize) -> u8 { v[i] }").is_empty());
         assert!(check("core", "fn f() { let t: [u8; 4] = [0u8; 4]; }").is_empty());
-    }
-
-    #[test]
-    fn feature_gate_checks_declarations() {
-        let ok = "#[cfg(feature = \"std-hash\")]\nfn f() {}";
-        assert!(check("types", ok).is_empty());
-        let bad = "#[cfg(feature = \"std-hsah\")]\nfn f() {}";
-        let f = check("types", bad);
-        assert_eq!(f.len(), 1);
-        assert_eq!(f[0].rule, "feature-gate");
-        assert!(f[0].snippet.contains("std-hsah"));
+        let pats = "fn f(v: &[u8]) { let [a, b] = [1, 2]; if let [x, ..] = v { g(x); } }";
+        assert!(check("core", pats).is_empty());
+        // Scoped to crates/{core,sim}.
+        assert!(check("trace", "fn f(v: &[u8]) -> u8 { v[0] }").is_empty());
     }
 
     #[test]
     fn needles_in_strings_and_comments_do_not_fire() {
-        let src = "fn f() { let s = \"call .unwrap() or panic!\"; } // .unwrap()";
+        let src = "\
+// lint: hot
+fn f() { let s = \"v[0] == 1.0 or .clone()\"; } // x[0] == 0.0 .to_vec()";
         assert!(check("core", src).is_empty());
     }
 

@@ -123,7 +123,6 @@ pub fn check_workspace(root: &Path) -> Result<CheckReport, String> {
                 &FileInput {
                     rel_path: &rel,
                     crate_name: &c.name,
-                    declared_features: &c.features,
                     lexed: &lexed,
                     ast: &ast,
                 },
@@ -169,12 +168,11 @@ pub fn check_workspace(root: &Path) -> Result<CheckReport, String> {
     Ok(report)
 }
 
-/// One member crate: directory, rule-scoping name, declared features.
+/// One member crate: directory and rule-scoping name.
 struct MemberCrate {
     dir: PathBuf,
     /// Directory name under `crates/` (`core`, `sim`, …) used for scoping.
     name: String,
-    features: Vec<String>,
 }
 
 fn member_crates(root: &Path) -> Result<Vec<MemberCrate>, String> {
@@ -192,18 +190,10 @@ fn member_crates(root: &Path) -> Result<Vec<MemberCrate>, String> {
         for entry in entries {
             let entry = entry.map_err(|e| e.to_string())?;
             let dir = entry.path();
-            let manifest = dir.join("Cargo.toml");
-            if !manifest.is_file() {
-                continue;
+            if dir.join("Cargo.toml").is_file() {
+                let name = entry.file_name().to_string_lossy().into_owned();
+                out.push(MemberCrate { dir, name });
             }
-            let name = entry.file_name().to_string_lossy().into_owned();
-            let manifest_text = fs::read_to_string(&manifest)
-                .map_err(|e| format!("read {}: {e}", manifest.display()))?;
-            out.push(MemberCrate {
-                dir,
-                name,
-                features: declared_features(&manifest_text),
-            });
         }
     }
     // A root [package] (non-virtual workspace) scans as crate `vcdn`.
@@ -212,36 +202,9 @@ fn member_crates(root: &Path) -> Result<Vec<MemberCrate>, String> {
         out.push(MemberCrate {
             dir: root.to_path_buf(),
             name: "vcdn".to_string(),
-            features: declared_features(&root_manifest),
         });
     }
     Ok(out)
-}
-
-/// TOML-lite: feature names are the keys of the `[features]` table. Good
-/// enough for this workspace's hand-written manifests; no external deps.
-fn declared_features(manifest: &str) -> Vec<String> {
-    let mut in_features = false;
-    let mut out = Vec::new();
-    for raw in manifest.lines() {
-        let line = raw.trim();
-        if line.starts_with('[') {
-            in_features = line == "[features]";
-            continue;
-        }
-        if !in_features || line.is_empty() || line.starts_with('#') {
-            continue;
-        }
-        if let Some((key, _)) = line.split_once('=') {
-            let key = key.trim().trim_matches('"');
-            if !key.is_empty() {
-                out.push(key.to_string());
-            }
-        }
-    }
-    // `default` is implicitly a feature even when not declared; and every
-    // crate may gate on `test`-like built-ins only via cfg, not features.
-    out
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
@@ -288,22 +251,6 @@ pub fn find_root(start: &Path) -> Option<PathBuf> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn feature_keys_are_extracted_from_features_table_only() {
-        let manifest = "\
-[package]
-name = \"x\"
-edition = \"2021\"
-
-[features]
-std-hash = []
-extra = [\"dep?/feat\"]
-
-[dependencies]
-serde = { version = \"1\" }";
-        assert_eq!(declared_features(manifest), vec!["std-hash", "extra"]);
-    }
 
     #[test]
     fn rel_paths_use_forward_slashes() {

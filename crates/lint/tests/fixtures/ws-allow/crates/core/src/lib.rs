@@ -1,5 +1,5 @@
-//! One seeded panic violation, suppressed by the fixture's lint.allow.
+//! One seeded literal-index violation, suppressed by the fixture's lint.allow.
 
 pub fn pick_first(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
+    xs[0]
 }

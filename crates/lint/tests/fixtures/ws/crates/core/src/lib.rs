@@ -1,10 +1,5 @@
-//! Seeded violations: determinism (line 5), hot-path (line 11), panic
-//! (line 17). Golden tests assert these exact file:line:rule triples.
-
-pub fn decide_with_clock() -> u64 {
-    let t = std::time::Instant::now();
-    t.elapsed().as_millis() as u64
-}
+//! Seeded violations: hot-path (line 6) and literal-index (line 12).
+//! Golden tests assert these exact file:line:rule triples.
 
 // lint: hot
 pub fn hot_decide(xs: &[u64]) -> Vec<u64> {
@@ -14,14 +9,20 @@ pub fn hot_decide(xs: &[u64]) -> Vec<u64> {
 }
 
 pub fn pick_first(xs: &[u64]) -> u64 {
-    *xs.first().unwrap()
+    xs[0]
+}
+
+pub fn pick_first_checked(xs: &[u64]) -> u64 {
+    let [first, ..] = xs else { return 0 };
+    *first
 }
 
 #[cfg(test)]
 mod tests {
     // Test code is exempt: none of these may be reported.
+    // lint: hot
     pub fn exempt() -> u64 {
-        let v = vec![std::time::Instant::now().elapsed().as_millis() as u64];
-        *v.first().unwrap()
+        let v = vec![1.0 == 1.0];
+        v[0] as u64
     }
 }

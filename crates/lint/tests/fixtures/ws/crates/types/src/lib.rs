@@ -1,12 +1,6 @@
-//! Seeded violations: float-eq (line 5) and feature-gate (line 8, a typo
-//! of the declared `fast-hash` feature).
+//! Seeded violation: float-eq (line 5). Feature gates are rustc's
+//! `unexpected_cfgs` now (crates/lint/examples/retired_rules.rs).
 
 pub fn is_unit(x: f64) -> bool {
     x == 1.0
 }
-
-#[cfg(feature = "fast-hsah")]
-pub fn gated() {}
-
-#[cfg(feature = "fast-hash")]
-pub fn correctly_gated() {}

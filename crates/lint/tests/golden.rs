@@ -34,9 +34,8 @@ fn seeded_fixture_reports_one_exact_finding_per_rule() {
             13,
             "determinism-flow",
         ),
-        ("crates/core/src/lib.rs".to_string(), 5, "determinism"),
-        ("crates/core/src/lib.rs".to_string(), 11, "hot-path"),
-        ("crates/core/src/lib.rs".to_string(), 17, "panic"),
+        ("crates/core/src/lib.rs".to_string(), 6, "hot-path"),
+        ("crates/core/src/lib.rs".to_string(), 12, "literal-index"),
         ("crates/sim/src/engine.rs".to_string(), 7, "lock-discipline"),
         (
             "crates/types/src/ahead.rs".to_string(),
@@ -45,7 +44,6 @@ fn seeded_fixture_reports_one_exact_finding_per_rule() {
         ),
         ("crates/types/src/counters.rs".to_string(), 7, "clock-arith"),
         ("crates/types/src/lib.rs".to_string(), 5, "float-eq"),
-        ("crates/types/src/lib.rs".to_string(), 8, "feature-gate"),
     ];
     assert_eq!(got, want, "full findings: {:#?}", report.findings);
     assert_eq!(report.suppressed, 0);
@@ -68,7 +66,7 @@ fn seeded_fixture_covers_every_rule() {
 #[test]
 fn allow_fixture_suppresses_flags_stale_and_rejects_bad_justification() {
     let report = check_workspace(&fixture("ws-allow")).expect("fixture ws-allow checks");
-    // The seeded unwrap is suppressed by the valid entry...
+    // The seeded literal index is suppressed by the valid entry...
     assert!(
         report.findings.is_empty(),
         "findings: {:#?}",
@@ -135,14 +133,12 @@ fn cli_exit_codes_match_contract() {
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
         "crates/core/src/flow.rs:13: [determinism-flow]",
-        "crates/core/src/lib.rs:5: [determinism]",
-        "crates/core/src/lib.rs:11: [hot-path]",
-        "crates/core/src/lib.rs:17: [panic]",
+        "crates/core/src/lib.rs:6: [hot-path]",
+        "crates/core/src/lib.rs:12: [literal-index]",
         "crates/sim/src/engine.rs:7: [lock-discipline]",
         "crates/types/src/ahead.rs:7: [lock-discipline]",
         "crates/types/src/counters.rs:7: [clock-arith]",
         "crates/types/src/lib.rs:5: [float-eq]",
-        "crates/types/src/lib.rs:8: [feature-gate]",
     ] {
         assert!(stdout.contains(needle), "missing `{needle}` in:\n{stdout}");
     }

@@ -43,6 +43,7 @@ impl ReplayObserver for Recorder {
 
 /// One timed pass of `drive` over freshly built `state`.
 fn timed<S>(mut state: S, drive: impl FnOnce(&mut S)) -> Duration {
+    #[expect(clippy::disallowed_methods, reason = "the ledger's stopwatch")]
     let start = Instant::now();
     drive(&mut state);
     let spent = start.elapsed();

@@ -181,11 +181,13 @@ impl SegmentAllocator {
     /// Returns the freed length, or `None` if the id is unknown.
     pub fn free(&mut self, id: u64) -> Option<u64> {
         let block = self.allocations.remove(&id)?;
-        // Insert sorted by offset.
+        // Insert sorted by offset. A live allocation's offset is never on
+        // the free list, so `Ok` cannot occur; both arms carry a valid
+        // insertion point, so taking either keeps the list sorted.
         let pos = self
             .free
             .binary_search_by_key(&block.offset, |b| b.offset)
-            .unwrap_err();
+            .unwrap_or_else(|pos| pos);
         self.free.insert(pos, block);
         // Coalesce with the next block, then the previous one.
         if pos + 1 < self.free.len()
@@ -282,6 +284,25 @@ mod tests {
         a.free(2); // middle free must merge all three
         assert_eq!(a.free.len(), 1);
         assert_eq!(a.largest_free_block(), 90);
+        a.check_invariants().expect("invariants");
+    }
+
+    #[test]
+    fn free_inserts_at_front_middle_and_end_of_the_free_list() {
+        // Ten 10-byte allocations fill the disk; freeing every other one
+        // leaves non-adjacent holes, so no free coalesces.
+        let mut a = SegmentAllocator::new(100);
+        for id in 0..10 {
+            a.alloc(id, 10).expect("fits");
+        }
+        let offsets = |a: &SegmentAllocator| a.free.iter().map(|b| b.offset).collect::<Vec<_>>();
+        a.free(4).expect("allocated");
+        a.free(8).expect("allocated"); // end
+        assert_eq!(offsets(&a), [40, 80]);
+        a.free(0).expect("allocated"); // front
+        assert_eq!(offsets(&a), [0, 40, 80]);
+        a.free(6).expect("allocated"); // middle
+        assert_eq!(offsets(&a), [0, 40, 60, 80]);
         a.check_invariants().expect("invariants");
     }
 

@@ -25,6 +25,17 @@
 //! ```
 
 #![forbid(unsafe_code)]
+// Replays drive every policy for millions of requests: no panic path in
+// library code (unit tests are exempt through clippy.toml; `assert!` stays
+// allowed).
+#![warn(
+    clippy::unwrap_used,
+    clippy::expect_used,
+    clippy::panic,
+    clippy::unreachable,
+    clippy::todo,
+    clippy::unimplemented
+)]
 
 pub mod diskalloc;
 pub mod engine;

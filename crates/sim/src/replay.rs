@@ -199,6 +199,10 @@ impl Kernel {
         observer: &mut O,
     ) -> Decision {
         let (chunks, chunk_bytes) = (request.chunk_len(self.chunk_size), self.chunk_size.bytes());
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "opt-in latency histogram only; excluded from deterministic telemetry payloads"
+        )]
         let started = (O::ACTIVE && observer.wants_timing()).then(std::time::Instant::now);
         let decision = policy.handle_request(request);
         let latency_ns = started.map(|t| t.elapsed().as_nanos() as u64);

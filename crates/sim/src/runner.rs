@@ -123,6 +123,10 @@ impl<T> GridRun<T> {
 /// panicking cell propagates the panic to the caller after the remaining
 /// workers finish their in-flight cells.
 pub fn run_grid<'a, T: Send>(cells: Vec<Cell<'a, T>>, workers: usize) -> GridRun<T> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "wall-clock speedup reporting only; cell values are worker-count-invariant"
+    )]
     let started = Instant::now();
     let n = cells.len();
     let workers = workers.max(1).min(n.max(1));
@@ -151,6 +155,10 @@ pub fn run_grid<'a, T: Send>(cells: Vec<Cell<'a, T>>, workers: usize) -> GridRun
         else {
             continue;
         };
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "per-cell wall time for the speedup report; never part of a cell's value"
+        )]
         let cell_start = Instant::now();
         let value = job();
         *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =

@@ -14,7 +14,9 @@ fn main() {
     let duration = DurationMs::from_days(arg(2).unwrap_or(30.0) as u64);
     let (hour, mut rng) = (DurationMs::HOUR.as_millis(), DetRng::new(20140413));
     let row = |stage: &str, d: Duration| println!("{stage:<10}{:>7.3} s", d.as_secs_f64());
+    #[expect(clippy::disallowed_methods, reason = "the ledger's stopwatch")]
     let mut last = Instant::now();
+    #[expect(clippy::disallowed_methods, reason = "the ledger's stopwatch")]
     let mut lap = || std::mem::replace(&mut last, Instant::now()).elapsed();
 
     let catalog = Catalog::generate(&p.catalog, duration, &mut rng);

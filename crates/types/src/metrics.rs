@@ -60,24 +60,24 @@ impl_json_struct!(TrafficCounter {
 impl TrafficCounter {
     /// Records `bytes` served from cache.
     pub fn record_hit(&mut self, bytes: u64) {
-        self.hit_bytes += bytes;
+        self.hit_bytes = self.hit_bytes.saturating_add(bytes);
     }
 
     /// Records `bytes` served via cache-fill (ingress).
     pub fn record_fill(&mut self, bytes: u64) {
-        self.fill_bytes += bytes;
+        self.fill_bytes = self.fill_bytes.saturating_add(bytes);
     }
 
     /// Records `bytes` redirected away.
     pub fn record_redirect(&mut self, bytes: u64) {
-        self.redirect_bytes += bytes;
+        self.redirect_bytes = self.redirect_bytes.saturating_add(bytes);
     }
 
     /// Accounts one request's [`Decision`]: a serve adds its hit and fill
     /// chunks (× `chunk_bytes`) and one served request; a redirect adds
     /// all `request_chunks` (× `chunk_bytes`) and one redirected request.
-    /// The chunk → byte products saturate, so a hostile trace degrades to
-    /// pinned counters instead of overflowing.
+    /// The chunk → byte products and the byte sums saturate, so a hostile
+    /// trace degrades to pinned counters instead of overflowing.
     ///
     /// # Examples
     ///
@@ -112,12 +112,14 @@ impl TrafficCounter {
     /// Total requested bytes: every requested byte is a hit, a fill or a
     /// redirect.
     pub fn requested_bytes(&self) -> u64 {
-        self.hit_bytes + self.fill_bytes + self.redirect_bytes
+        self.hit_bytes
+            .saturating_add(self.fill_bytes)
+            .saturating_add(self.redirect_bytes)
     }
 
     /// Bytes served to users from this server (egress): hits plus fills.
     pub fn served_bytes(&self) -> u64 {
-        self.hit_bytes + self.fill_bytes
+        self.hit_bytes.saturating_add(self.fill_bytes)
     }
 
     /// Cache efficiency per Eq. 2 of the paper, in `[-1, 1]`.
@@ -177,9 +179,9 @@ impl Add for TrafficCounter {
 
     fn add(self, rhs: TrafficCounter) -> TrafficCounter {
         TrafficCounter {
-            hit_bytes: self.hit_bytes + rhs.hit_bytes,
-            fill_bytes: self.fill_bytes + rhs.fill_bytes,
-            redirect_bytes: self.redirect_bytes + rhs.redirect_bytes,
+            hit_bytes: self.hit_bytes.saturating_add(rhs.hit_bytes),
+            fill_bytes: self.fill_bytes.saturating_add(rhs.fill_bytes),
+            redirect_bytes: self.redirect_bytes.saturating_add(rhs.redirect_bytes),
             served_requests: self.served_requests + rhs.served_requests,
             redirected_requests: self.redirected_requests + rhs.redirected_requests,
         }

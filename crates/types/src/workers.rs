@@ -7,6 +7,10 @@
 
 /// The worker count to use: the `VCDN_WORKERS` environment variable if set
 /// to a positive integer, else the machine's available parallelism, else 1.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the workspace's one environment read and host probe; every parallel result is worker-count-invariant"
+)]
 pub fn worker_count() -> usize {
     if let Ok(v) = std::env::var("VCDN_WORKERS") {
         if let Ok(n) = v.trim().parse::<usize>() {
