@@ -179,14 +179,14 @@ impl CafeCache {
     }
 
     // lint: hot
-    /// The §6 estimate for a never-seen chunk of video `v`: the largest
-    /// IAT among `v`'s cached chunks, or `None` if `v` has none (or the
-    /// optimisation is disabled).
-    fn video_iat_estimate(&self, v: VideoId, now: Timestamp) -> Option<f64> {
+    /// The §6 estimate for a never-seen chunk of the video at directory
+    /// `slot`: the largest IAT among its cached chunks, or `None` if it
+    /// has none (or the optimisation is disabled).
+    fn video_iat_estimate(&self, slot: u32, now: Timestamp) -> Option<f64> {
         if !self.config.unseen_chunk_estimate {
             return None;
         }
-        self.pop.max_cached_iat(v, now, self.config.gamma)
+        self.pop.max_cached_iat(slot, now, self.config.gamma)
     }
 
     // lint: hot
@@ -215,11 +215,12 @@ impl CafeCache {
     }
 
     // lint: hot
-    /// Admits `id`, not cached, at virtual key `key`; `h` is its popularity
-    /// handle ([`NO_HANDLE`] when the chunk has no popularity record).
-    fn insert_chunk(&mut self, id: ChunkId, key: f64, h: u32) {
+    /// Admits `id`, not cached, at virtual key `key`; `video` is its
+    /// video's directory slot and `h` its popularity handle ([`NO_HANDLE`]
+    /// when the chunk has no popularity record).
+    fn insert_chunk(&mut self, video: u32, id: ChunkId, key: f64, h: u32) {
         let slot = self.disk.insert_new(id, key, h);
-        self.pop.set_cached(id, slot);
+        self.pop.set_cached(video, id.index, slot);
         if let Some(hot) = &mut self.hot {
             hot.remove(&id);
         }
@@ -261,14 +262,16 @@ impl CafeCache {
         self.pop.len()
     }
 
-    /// Checks the disk index ([`RankIndex::audit`]) and that every cached
-    /// chunk's back-reference in the directory names its entry (tests).
+    /// Checks the disk index ([`RankIndex::audit`]), the directory
+    /// ([`PopTable::audit`]) and that every cached chunk's back-reference
+    /// in the directory names its entry (tests).
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
     pub fn audit(&self) {
         self.disk.audit();
+        self.pop.audit();
         for (id, _) in self.disk_entries() {
             let at = self.disk.get(self.pop.backref_of(&id));
             assert_eq!(at.map(|e| e.0), Some(id), "{id}: back-reference");
@@ -335,7 +338,8 @@ impl CafeCache {
             // snapshot carries the no-record sentinel, exactly as the
             // hash-map layout answered `None` for it.
             let h = cache.pop.handle_of(&id).unwrap_or(NO_HANDLE);
-            cache.insert_chunk(id, key, h);
+            let video = cache.pop.slot(id.video);
+            cache.insert_chunk(video, id, key, h);
         }
         cache.handled = handled;
         cache.replay_start = replay_start;
@@ -416,7 +420,8 @@ impl CafeCache {
                 _ => return Err(()),
             }
         };
-        self.insert_chunk(chunk, key, h);
+        let video = self.pop.slot(chunk.video);
+        self.insert_chunk(video, chunk, key, h);
         Ok(evicted)
     }
 }
@@ -458,7 +463,7 @@ impl CachePolicy for CafeCache {
         candidates.clear();
         let mut hits = 0usize;
         let (disk, hot) = (&mut self.disk, &mut self.hot);
-        let video_known = self
+        let touched = self
             .pop
             .touch_run(request.video, range, now, gamma, |c, h, slot, dt| {
                 if slot != NO_HANDLE {
@@ -480,6 +485,9 @@ impl CachePolicy for CafeCache {
                     missing.push((id, h, dt));
                 }
             });
+        // The video's directory slot: the fills and the §6 estimate below
+        // use it instead of probing again.
+        let (video, video_known) = touched;
         // The eviction scans skip the request's own cached chunks; every
         // cached chunk inside the requested interval is one of them, so
         // the test is a range test.
@@ -495,7 +503,7 @@ impl CachePolicy for CafeCache {
         let video_estimate = if missing.is_empty() {
             None
         } else {
-            self.video_iat_estimate(request.video, now)
+            self.video_iat_estimate(video, now)
         };
         self.last_detail = DecisionDetail::age_only(self.cache_age_ms(now));
         let serve = if warmup {
@@ -553,7 +561,7 @@ impl CachePolicy for CafeCache {
             let fallback = video_estimate.unwrap_or(0.0);
             for &(id, h, dt) in &missing[keep_from..] {
                 let key = PopTable::key_fresh(dt, now, gamma, fallback);
-                self.insert_chunk(id, key, h);
+                self.insert_chunk(video, id, key, h);
             }
             Decision::Serve(ServeOutcome {
                 hit_chunks: hits as u64,

@@ -160,20 +160,8 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
     /// The `n` smallest-key items that do not satisfy `exclude`, in
     /// ascending key order (fewer if the set runs out).
     pub fn smallest_excluding(&self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
-        self.iter_smallest_excluding(n, exclude).collect()
-    }
-
-    /// Non-allocating form of [`Self::smallest_excluding`].
-    pub fn iter_smallest_excluding<'a>(
-        &'a self,
-        n: usize,
-        exclude: impl Fn(&T) -> bool + 'a,
-    ) -> impl Iterator<Item = (T, f64)> + 'a {
-        self.tree
-            .iter()
-            .filter(move |(_, t)| !exclude(t))
-            .take(n)
-            .map(|(k, t)| (*t, k.get()))
+        let kept = self.tree.iter().filter(|(_, t)| !exclude(t));
+        kept.take(n).map(|(k, t)| (*t, k.get())).collect()
     }
 }
 

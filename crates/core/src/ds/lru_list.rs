@@ -8,8 +8,12 @@
 //! entries at list head. Note that insertion of a video ID with an
 //! arbitrary access time smaller than list head is not possible."
 //!
-//! The list is arena-backed (indices into a `Vec`, with a free list) so
-//! entries never move and no unsafe pointer juggling is needed.
+//! [`LruList`] is the list: arena-backed (indices into a `Vec`, with a
+//! free list) so entries never move and no unsafe pointer juggling is
+//! needed, and addressed by the node **handle** that
+//! [`LruList::push_front`] returns. [`IndexedLruList`] puts a key → handle
+//! map in front of it (the tracker); [`ChunkLru`](super::ChunkLru) keeps
+//! the handles in its per-video directory instead (the disk).
 
 use std::hash::Hash;
 
@@ -18,19 +22,169 @@ use vcdn_types::{FastMap, Timestamp};
 const NIL: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
-struct Node<K> {
-    key: K,
+struct Node<T> {
+    item: T,
     time: Timestamp,
     prev: u32,
     next: u32,
 }
 
-/// An access-time-ordered LRU structure with O(1) head insertion, lookup,
-/// touch, and tail eviction.
+/// An access-time-ordered list with O(1) head insertion, touch and tail
+/// eviction, addressed by node handle.
 ///
-/// Head = most recently used; tail = least recently used. The structure
+/// Head = most recently used; tail = least recently used. The list
 /// enforces the paper's monotonicity rule: entries can only be (re)inserted
-/// at the head with a time no older than the current head.
+/// at the head with a time no older than the current head. Handles are
+/// allocation artifacts (free-list reuse order) and never influence
+/// ordering: the list order is the order of the calls alone.
+#[derive(Debug, Clone)]
+pub struct LruList<T> {
+    nodes: Vec<Node<T>>,
+    free: Vec<u32>,
+    head: u32,
+    tail: u32,
+}
+
+impl<T: Copy> Default for LruList<T> {
+    fn default() -> Self {
+        LruList {
+            nodes: Vec::new(),
+            free: Vec::new(),
+            head: NIL,
+            tail: NIL,
+        }
+    }
+}
+
+impl<T: Copy> LruList<T> {
+    /// Number of entries.
+    pub fn len(&self) -> usize {
+        self.nodes.len() - self.free.len()
+    }
+
+    /// Whether the list is empty.
+    pub fn is_empty(&self) -> bool {
+        self.head == NIL
+    }
+
+    /// The item behind handle `h`.
+    pub fn item(&self, h: u32) -> &T {
+        &self.nodes[h as usize].item
+    }
+
+    // lint: hot
+    /// The least recently used entry and its access time.
+    pub fn oldest(&self) -> Option<(&T, Timestamp)> {
+        self.nodes
+            .get(self.tail as usize)
+            .map(|n| (&n.item, n.time))
+    }
+
+    // lint: hot
+    /// The most recently used entry's access time.
+    pub fn newest_time(&self) -> Option<Timestamp> {
+        Some(self.nodes.get(self.head as usize)?.time)
+    }
+
+    // lint: hot
+    /// Inserts `item` at the head with access time `t`; returns its handle,
+    /// stable until the entry is popped.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is older than the current head's access time.
+    pub fn push_front(&mut self, item: T, t: Timestamp) -> u32 {
+        self.assert_monotone(t);
+        let node = Node {
+            item,
+            time: t,
+            prev: NIL,
+            next: NIL,
+        };
+        let h = super::alloc(&mut self.nodes, &mut self.free, node);
+        self.link_front(h);
+        h
+    }
+
+    // lint: hot
+    /// Moves the entry behind handle `h` to the head with access time `t`;
+    /// returns its previous access time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `t` is older than the current head's access time — the
+    /// list keeps times sorted and, per the paper, "insertion of a \[key\]
+    /// with an arbitrary access time smaller than list head is not
+    /// possible".
+    pub fn touch(&mut self, h: u32, t: Timestamp) -> Timestamp {
+        self.assert_monotone(t);
+        self.unlink(h);
+        let prev = std::mem::replace(&mut self.nodes[h as usize].time, t);
+        self.link_front(h);
+        prev
+    }
+
+    // lint: hot
+    /// Removes the least recently used entry; returns its handle (free for
+    /// reuse from now on), item and access time.
+    pub fn pop_oldest(&mut self) -> Option<(u32, T, Timestamp)> {
+        let h = self.tail;
+        let n = self.nodes.get(h as usize)?;
+        let (item, time) = (n.item, n.time);
+        self.unlink(h);
+        self.free.push(h);
+        Some((h, item, time))
+    }
+
+    /// Iterates entries from most to least recently used.
+    pub fn iter(&self) -> impl Iterator<Item = (&T, Timestamp)> + '_ {
+        let mut cursor = self.head;
+        std::iter::from_fn(move || {
+            let n = self.nodes.get(cursor as usize)?;
+            cursor = n.next;
+            Some((&n.item, n.time))
+        })
+    }
+
+    // lint: hot
+    fn assert_monotone(&self, t: Timestamp) {
+        assert!(
+            t >= self.newest_time().unwrap_or(t),
+            "touch time must be >= current head time (monotone insertions)"
+        );
+    }
+
+    // lint: hot
+    fn unlink(&mut self, i: u32) {
+        let n = &self.nodes[i as usize];
+        let (prev, next) = (n.prev, n.next);
+        match self.nodes.get_mut(prev as usize) {
+            Some(p) => p.next = next,
+            None => self.head = next,
+        }
+        match self.nodes.get_mut(next as usize) {
+            Some(n) => n.prev = prev,
+            None => self.tail = prev,
+        }
+    }
+
+    // lint: hot
+    fn link_front(&mut self, i: u32) {
+        let n = &mut self.nodes[i as usize];
+        n.prev = NIL;
+        n.next = self.head;
+        match self.nodes.get_mut(self.head as usize) {
+            Some(head) => head.prev = i,
+            None => self.tail = i,
+        }
+        self.head = i;
+    }
+}
+
+/// [`LruList`] addressed by key: the paper's list plus hash map, with O(1)
+/// head insertion, lookup, touch and tail eviction. Reads that need no
+/// key ([`LruList::oldest`], [`LruList::len`], [`LruList::iter`], …) come
+/// through `Deref`.
 ///
 /// # Examples
 ///
@@ -49,70 +203,37 @@ struct Node<K> {
 /// ```
 #[derive(Debug, Clone)]
 pub struct IndexedLruList<K: Eq + Hash + Copy> {
-    nodes: Vec<Node<K>>,
-    free: Vec<u32>,
     index: FastMap<K, u32>,
-    head: u32,
-    tail: u32,
+    list: LruList<K>,
 }
 
 impl<K: Eq + Hash + Copy> Default for IndexedLruList<K> {
     fn default() -> Self {
-        Self::new()
+        IndexedLruList {
+            index: FastMap::default(),
+            list: LruList::default(),
+        }
+    }
+}
+
+impl<K: Eq + Hash + Copy> std::ops::Deref for IndexedLruList<K> {
+    type Target = LruList<K>;
+
+    fn deref(&self) -> &LruList<K> {
+        &self.list
     }
 }
 
 impl<K: Eq + Hash + Copy> IndexedLruList<K> {
     /// Creates an empty list.
     pub fn new() -> Self {
-        IndexedLruList {
-            nodes: Vec::new(),
-            free: Vec::new(),
-            index: FastMap::default(),
-            head: NIL,
-            tail: NIL,
-        }
-    }
-
-    /// Number of entries.
-    pub fn len(&self) -> usize {
-        self.index.len()
-    }
-
-    /// Whether the list is empty.
-    pub fn is_empty(&self) -> bool {
-        self.index.is_empty()
-    }
-
-    // lint: hot
-    /// Last access time of `key`, if tracked.
-    pub fn last_access(&self, key: &K) -> Option<Timestamp> {
-        self.index.get(key).map(|&i| self.nodes[i as usize].time)
+        IndexedLruList::default()
     }
 
     // lint: hot
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
         self.index.contains_key(key)
-    }
-
-    // lint: hot
-    /// The least recently used entry and its access time.
-    pub fn oldest(&self) -> Option<(&K, Timestamp)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let n = &self.nodes[self.tail as usize];
-        Some((&n.key, n.time))
-    }
-
-    // lint: hot
-    /// The most recently used entry's access time.
-    pub fn newest_time(&self) -> Option<Timestamp> {
-        if self.head == NIL {
-            return None;
-        }
-        Some(self.nodes[self.head as usize].time)
     }
 
     // lint: hot
@@ -123,128 +244,25 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
     ///
     /// # Panics
     ///
-    /// Panics if `t` is older than the current head's access time — the
-    /// structure keeps times sorted and, per the paper, "insertion of a
-    /// \[key\] with an arbitrary access time smaller than list head is not
-    /// possible".
+    /// Panics if `t` is older than the current head's access time (see
+    /// [`LruList::touch`]).
     pub fn touch(&mut self, key: K, t: Timestamp) -> Option<Timestamp> {
-        if let Some(head_t) = self.newest_time() {
-            assert!(
-                t >= head_t,
-                "touch time must be >= current head time (monotone insertions)"
-            );
-        }
-        if let Some(&i) = self.index.get(&key) {
-            self.unlink(i);
-            let prev = std::mem::replace(&mut self.nodes[i as usize].time, t);
-            self.link_front(i);
-            return Some(prev);
-        }
-        let node = Node {
-            key,
-            time: t,
-            prev: NIL,
-            next: NIL,
-        };
-        let i = match self.free.pop() {
-            Some(slot) => {
-                self.nodes[slot as usize] = node;
-                slot
-            }
+        match self.index.get(&key) {
+            Some(&h) => Some(self.list.touch(h, t)),
             None => {
-                assert!(self.nodes.len() < NIL as usize, "arena full");
-                self.nodes.push(node);
-                (self.nodes.len() - 1) as u32
+                let h = self.list.push_front(key, t);
+                self.index.insert(key, h);
+                None
             }
-        };
-        self.index.insert(key, i);
-        self.link_front(i);
-        None
+        }
     }
 
     // lint: hot
     /// Removes and returns the least recently used entry.
     pub fn pop_oldest(&mut self) -> Option<(K, Timestamp)> {
-        if self.tail == NIL {
-            return None;
-        }
-        let i = self.tail;
-        self.unlink(i);
-        self.free.push(i);
-        let n = &self.nodes[i as usize];
-        let key = n.key;
-        let time = n.time;
+        let (_, key, time) = self.list.pop_oldest()?;
         self.index.remove(&key);
         Some((key, time))
-    }
-
-    // lint: hot
-    /// Removes an arbitrary entry; returns its access time if present.
-    pub fn remove(&mut self, key: &K) -> Option<Timestamp> {
-        let i = self.index.remove(key)?;
-        self.unlink(i);
-        self.free.push(i);
-        Some(self.nodes[i as usize].time)
-    }
-
-    /// Iterates entries from most to least recently used.
-    pub fn iter(&self) -> impl Iterator<Item = (&K, Timestamp)> {
-        LruIter {
-            list: self,
-            cursor: self.head,
-        }
-    }
-
-    // lint: hot
-    fn unlink(&mut self, i: u32) {
-        let (prev, next) = {
-            let n = &self.nodes[i as usize];
-            (n.prev, n.next)
-        };
-        if prev != NIL {
-            self.nodes[prev as usize].next = next;
-        } else if self.head == i {
-            self.head = next;
-        }
-        if next != NIL {
-            self.nodes[next as usize].prev = prev;
-        } else if self.tail == i {
-            self.tail = prev;
-        }
-        let n = &mut self.nodes[i as usize];
-        n.prev = NIL;
-        n.next = NIL;
-    }
-
-    // lint: hot
-    fn link_front(&mut self, i: u32) {
-        self.nodes[i as usize].prev = NIL;
-        self.nodes[i as usize].next = self.head;
-        if self.head != NIL {
-            self.nodes[self.head as usize].prev = i;
-        }
-        self.head = i;
-        if self.tail == NIL {
-            self.tail = i;
-        }
-    }
-}
-
-struct LruIter<'a, K: Eq + Hash + Copy> {
-    list: &'a IndexedLruList<K>,
-    cursor: u32,
-}
-
-impl<'a, K: Eq + Hash + Copy> Iterator for LruIter<'a, K> {
-    type Item = (&'a K, Timestamp);
-
-    fn next(&mut self) -> Option<Self::Item> {
-        if self.cursor == NIL {
-            return None;
-        }
-        let n = &self.list.nodes[self.cursor as usize];
-        self.cursor = n.next;
-        Some((&n.key, n.time))
     }
 }
 
@@ -281,27 +299,11 @@ mod tests {
     }
 
     #[test]
-    fn remove_arbitrary_entries() {
-        let mut l = IndexedLruList::new();
-        for i in 0..4 {
-            l.touch(i, Timestamp(i));
-        }
-        assert_eq!(l.remove(&2), Some(Timestamp(2)));
-        assert_eq!(l.remove(&2), None);
-        assert_eq!(l.len(), 3);
-        assert_eq!(l.iter().map(|(k, _)| *k).collect::<Vec<_>>(), vec![3, 1, 0]);
-        // Removing head and tail keeps links consistent.
-        assert_eq!(l.remove(&3), Some(Timestamp(3)));
-        assert_eq!(l.remove(&0), Some(Timestamp(0)));
-        assert_eq!(l.oldest(), Some((&1, Timestamp(1))));
-    }
-
-    #[test]
     fn last_access_lookup() {
+        // The previous access time is what `touch` hands back.
         let mut l = IndexedLruList::new();
         l.touch("x", Timestamp(7));
-        assert_eq!(l.last_access(&"x"), Some(Timestamp(7)));
-        assert_eq!(l.last_access(&"y"), None);
+        assert_eq!(l.touch("x", Timestamp(9)), Some(Timestamp(7)));
         assert!(l.contains(&"x"));
         assert!(!l.contains(&"y"));
     }
@@ -374,28 +376,15 @@ mod tests {
             seed >> 33
         };
         for _ in 0..5000 {
-            let op = next() % 3;
             clock += 1;
             let t = Timestamp(clock);
-            match op {
-                0 => {
-                    let k = next() % 50;
-                    l.touch(k, t);
-                    model.retain(|(mk, _)| *mk != k);
-                    model.push_front((k, t));
-                }
-                1 => {
-                    let got = l.pop_oldest();
-                    let want = model.pop_back();
-                    assert_eq!(got, want);
-                }
-                _ => {
-                    let k = next() % 50;
-                    let got = l.remove(&k);
-                    let pos = model.iter().position(|(mk, _)| *mk == k);
-                    let want = pos.map(|p| model.remove(p).unwrap().1);
-                    assert_eq!(got, want);
-                }
+            if next() % 2 == 0 {
+                let k = next() % 50;
+                l.touch(k, t);
+                model.retain(|(mk, _)| *mk != k);
+                model.push_front((k, t));
+            } else {
+                assert_eq!(l.pop_oldest(), model.pop_back());
             }
             assert_eq!(l.len(), model.len());
             assert_eq!(

@@ -1,10 +1,14 @@
 //! Cache-internal data structures.
 //!
-//! * [`IndexedLruList`] — xLRU's linked list + hash map (paper §5); the
-//!   video popularity tracker runs on it.
-//! * [`ChunkLru`] — the same recency list under a per-video chunk
-//!   directory: the disk of LRU and xLRU, one hash probe per request and a
-//!   dense slot read per chunk.
+//! * [`LruList`] — xLRU's recency list (paper §5): arena-backed, addressed
+//!   by node handle. [`IndexedLruList`] is the same list behind a key →
+//!   handle map: the video popularity tracker runs on it.
+//! * [`VideoDir`] — the per-video chunk directory: one hash probe per
+//!   request finds a video's slot, whose dense run holds one record per
+//!   chunk, bounded by [`MAX_CHUNK_INDEX`]; slots are free-listed and
+//!   released when the owner says the video holds nothing.
+//! * [`ChunkLru`] — the disk of LRU and xLRU: an [`LruList`] of chunks
+//!   whose handles live in a [`VideoDir`].
 //! * [`KeyedSet`] — Cafe's binary-tree set + hash map over virtual
 //!   timestamps, as the paper §6 describes it literally. Kept as the
 //!   reference structure (only the §3 baselines still run on it, and the
@@ -14,14 +18,12 @@
 //!   is a field store, the bucket move and the sort wait for the ordered
 //!   read that gets there; bit-identical ordering to [`KeyedSet`].
 //!   [`RankMap`] is the same index behind an item → slot map.
-//! * [`PopTable`] — Cafe's per-video chunk directory: one hash probe per
-//!   request, dense chunk runs that also hold each cached chunk's
-//!   [`RankIndex`] slot, EWMA state in struct-of-arrays slabs addressed by
-//!   compact handles, and sweeps that walk only when something can expire.
+//! * [`PopTable`] — Cafe's popularity state on a [`VideoDir`]: runs that
+//!   also hold each cached chunk's [`RankIndex`] slot, EWMA state in
+//!   struct-of-arrays slabs addressed by compact handles, and sweeps that
+//!   walk only when something can expire.
 //! * [`BitTree`] — a set of small integers as a 64-ary tree of bitmaps
 //!   with a predecessor query: Psychic's calendar of due requests.
-
-use vcdn_types::ChunkId;
 
 pub mod bit_tree;
 pub mod chunk_lru;
@@ -29,29 +31,28 @@ pub mod keyed_set;
 pub mod lru_list;
 pub mod pop_table;
 pub mod rank_index;
+pub mod video_dir;
 
 pub use bit_tree::BitTree;
 pub use chunk_lru::ChunkLru;
 pub use keyed_set::{KeyedSet, OrdF64};
-pub use lru_list::IndexedLruList;
+pub use lru_list::{IndexedLruList, LruList};
 pub use pop_table::{PopTable, NO_HANDLE};
 pub use rank_index::{RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
+pub use video_dir::{assert_chunk_index, Absent, VideoDir, MAX_CHUNK_INDEX};
 
-/// Exclusive bound on the chunk indices the per-video directories
-/// ([`PopTable`], [`ChunkLru`]) accept — the one [`ChunkId::packed`]
-/// documents. A video's run is indexed by chunk number, so the bound caps
-/// a run at 8 MiB at most, however hostile the request.
-pub const MAX_CHUNK_INDEX: u32 = 1 << ChunkId::INDEX_BITS;
-
-/// Refuses a chunk index before it can size a per-video run.
+/// Stores `value` in a free-listed slot of `slab` (the last one freed), or
+/// appends it; returns the slot. Every slab in this module allocates here.
 ///
 /// # Panics
 ///
-/// Panics if `index` is [`MAX_CHUNK_INDEX`] or beyond.
-#[inline]
-pub fn assert_chunk_index(index: u32) {
-    assert!(
-        index < MAX_CHUNK_INDEX,
-        "chunk index {index} is beyond the {MAX_CHUNK_INDEX}-chunk bound of a video"
-    );
+/// Panics if the slab already holds `u32::MAX` slots.
+fn alloc<T>(slab: &mut Vec<T>, free: &mut Vec<u32>, value: T) -> u32 {
+    if let Some(slot) = free.pop() {
+        slab[slot as usize] = value;
+        return slot;
+    }
+    assert!(slab.len() < u32::MAX as usize, "slab full");
+    slab.push(value);
+    (slab.len() - 1) as u32
 }

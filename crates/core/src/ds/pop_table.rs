@@ -1,20 +1,24 @@
-//! Cafe's popularity directory (paper §6, Eq. 8): one record per video,
-//! one dense run of chunk records inside it, EWMA state in shared slabs.
+//! Cafe's popularity directory (paper §6, Eq. 8): one [`VideoDir`] entry
+//! per video, one dense run of chunk records inside it, EWMA state in
+//! shared slabs.
 //!
-//! A request is one video and one contiguous chunk interval, so the
-//! directory is keyed by *video*: one hash probe finds the video's record
-//! and [`PopTable::touch_run`] then reads `chunks[c0..=c1]` sequentially.
+//! [`PopTable::touch_run`] makes the request's one directory probe, reads
+//! the run's `c0..=c1` records sequentially and hands the video's slot
+//! back, so the request's fills ([`PopTable::set_cached`]) and the §6
+//! estimate ([`PopTable::max_cached_iat`]) probe nothing.
 //! A chunk record is the pair `{ h, backref }`. `h` is the **handle**: the
 //! index of the chunk's EWMA state in the parallel slabs (`Vec<f64>`
-//! inter-arrival averages, `Vec<Timestamp>` last-seen stamps,
-//! `Vec<ChunkId>` owners). `backref` is the caller-owned "cached, and
+//! inter-arrival averages, `Vec<Timestamp>` last-seen stamps, and the
+//! owners: each record's video slot and chunk number). `backref` is the
+//! caller-owned "cached, and
 //! where" word (Cafe stores the chunk's disk rank-index slot there — the
 //! index keeps no map of its own, so this word *is* its address). Either is
 //! [`NO_HANDLE`] when absent: a chunk can be tracked and uncached, cached
 //! with no record (restored from a snapshot whose record had been swept),
-//! both, or neither (a gap in the run). The video record also carries the
-//! video-level last-seen time and how many chunks of its run are cached
-//! — all the never-seen-video rule and the sweep need.
+//! both, or neither (a gap in the run). The entry's value is the
+//! video-level last-seen time and its live count is how many chunks of its
+//! run are cached — all the never-seen-video rule and the sweep need. An
+//! entry is released once it holds none of the three.
 //!
 //! Handles are **stable** (slots are free-listed, never compacted): the
 //! disk/hot rank indexes cache the handle as their `aux` payload for the
@@ -22,7 +26,9 @@
 //! (free-list reuse order) and must never influence ordering or output —
 //! every ordered export sorts by `(key, ChunkId)` or by `ChunkId`.
 
-use vcdn_types::{ChunkId, ChunkRange, FastMap, Timestamp, VideoId};
+use vcdn_types::{ChunkId, ChunkRange, Timestamp, VideoId};
+
+use super::{Absent, VideoDir};
 
 /// Minimum inter-arrival time (ms) used in divisions (shared with the
 /// Eq. 6/7 cost terms in `cafe.rs`).
@@ -50,45 +56,34 @@ struct Rec {
     backref: u32,
 }
 
-impl Rec {
+impl Absent for Rec {
     const NONE: Rec = Rec {
         h: NO_HANDLE,
         backref: NO_HANDLE,
     };
 }
 
-/// One directory entry: the video-level tracker plus the chunk run.
-#[derive(Debug, Clone, Default)]
-struct Video {
-    /// Last request for any chunk of the video (`None`: no video-level
-    /// record — swept, or never restored).
-    last_seen: Option<Timestamp>,
-    /// Chunks of the run with a back-reference.
-    cached: u32,
-    /// Indexed by chunk number; grows to the highest index seen.
-    chunks: Vec<Rec>,
+/// The free-slot sentinel doubles as "not seen": no video-level record
+/// (swept, or never restored).
+impl Absent for Timestamp {
+    const NONE: Timestamp = FREE_STAMP;
 }
 
-impl Video {
-    /// The record of chunk `index`, growing the run to reach it.
-    fn rec_mut(&mut self, index: u32) -> &mut Rec {
-        let i = index as usize;
-        if self.chunks.len() <= i {
-            self.chunks.resize(i + 1, Rec::NONE);
-        }
-        &mut self.chunks[i]
-    }
+/// A directory entry: the run, cached chunks as its live count, and the
+/// last request for any chunk of the video as its value.
+type Video = super::video_dir::Video<Rec, Timestamp>;
 
-    /// Nothing left to remember: not seen, nothing cached, nothing tracked.
-    fn is_dead(&self) -> bool {
-        self.last_seen.is_none() && self.chunks.iter().all(|r| *r == Rec::NONE)
-    }
+/// Nothing left to remember: not seen, nothing cached, nothing tracked.
+fn is_dead(v: &Video) -> bool {
+    v.meta == Timestamp::NONE && v.run().iter().all(|r| *r == Rec::NONE)
 }
 
 /// The EWMA state slabs, addressed by handle.
 #[derive(Debug, Clone, Default)]
 struct Slabs {
-    ids: Vec<ChunkId>,
+    /// `(video slot, chunk number)`: a record keeps its video's entry
+    /// alive, so the slot stays its owner's.
+    owners: Vec<(u32, u32)>,
     dt: Vec<f64>,
     t_last: Vec<Timestamp>,
     free: Vec<u32>,
@@ -97,20 +92,20 @@ struct Slabs {
 impl Slabs {
     // lint: hot
     /// Takes a free slot (or grows the slabs) for a new record.
-    fn alloc(&mut self, id: ChunkId, dt: f64, t_last: Timestamp) -> u32 {
+    fn alloc(&mut self, owner: (u32, u32), dt: f64, t_last: Timestamp) -> u32 {
         match self.free.pop() {
             Some(h) => {
                 let i = h as usize;
-                self.ids[i] = id;
+                self.owners[i] = owner;
                 self.dt[i] = dt;
                 self.t_last[i] = t_last;
                 h
             }
             None => {
-                self.ids.push(id);
+                self.owners.push(owner);
                 self.dt.push(dt);
                 self.t_last.push(t_last);
-                (self.ids.len() - 1) as u32
+                (self.owners.len() - 1) as u32
             }
         }
     }
@@ -120,10 +115,8 @@ impl Slabs {
 /// state.
 #[derive(Debug, Clone)]
 pub struct PopTable {
-    dir: FastMap<VideoId, Video>,
+    dir: VideoDir<Rec, Timestamp>,
     slabs: Slabs,
-    /// Tracked chunks (records with a handle).
-    len: usize,
     /// Lower bound on the stamp of everything [`Self::sweep`] could drop:
     /// `t_last` of every uncached tracked record and `last_seen` of every
     /// video without a cached chunk.
@@ -134,9 +127,8 @@ pub struct PopTable {
 impl Default for PopTable {
     fn default() -> Self {
         PopTable {
-            dir: FastMap::default(),
+            dir: VideoDir::default(),
             slabs: Slabs::default(),
-            len: 0,
             // Nothing to drop yet: the bound is vacuous.
             stale_floor: Timestamp(u64::MAX),
             sweeps: 0,
@@ -150,21 +142,27 @@ impl PopTable {
         PopTable::default()
     }
 
-    /// Number of tracked chunks.
+    /// Number of tracked chunks (records with a handle).
     pub fn len(&self) -> usize {
-        self.len
+        self.slabs.owners.len() - self.slabs.free.len()
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
     // lint: hot
     /// The handle of `id`, if tracked.
     pub fn handle_of(&self, id: &ChunkId) -> Option<u32> {
-        let rec = self.dir.get(&id.video)?.chunks.get(id.index as usize)?;
-        (rec.h != NO_HANDLE).then_some(rec.h)
+        let h = self.dir[self.dir.slot(id.video)?].rec(id.index).h;
+        (h != NO_HANDLE).then_some(h)
+    }
+
+    /// The directory slot of `video`, taken for an empty entry if it has
+    /// none — for callers with no request in hand (a prefetch, a restore).
+    pub fn slot(&mut self, video: VideoId) -> u32 {
+        self.dir.insert(video)
     }
 
     // lint: hot
@@ -180,8 +178,14 @@ impl PopTable {
     /// first observed interval seeds the average) — bit-for-bit the
     /// arithmetic of the old per-entry `IatState::update`.
     ///
-    /// Returns whether the video was known *before* this request (seen,
-    /// or holding a cached chunk), and stamps it seen at `now`.
+    /// Returns the video's directory slot — valid for the rest of the
+    /// request, since a video seen at `now` is not released before the
+    /// next sweep — and whether the video was known *before* this request
+    /// (seen, or holding a cached chunk); stamps it seen at `now`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `range` reaches [`MAX_CHUNK_INDEX`](super::MAX_CHUNK_INDEX).
     pub fn touch_run(
         &mut self,
         video: VideoId,
@@ -189,20 +193,19 @@ impl PopTable {
         now: Timestamp,
         gamma: f64,
         mut visit: impl FnMut(u32, u32, u32, f64),
-    ) -> bool {
+    ) -> (u32, bool) {
         // Every stamp written below is `now`: keep the floor under it
         // even if time runs backwards.
         self.stale_floor = self.stale_floor.min(now);
-        let v = self.dir.entry(video).or_default();
-        let known = v.last_seen.is_some() || v.cached > 0;
-        v.last_seen = Some(now);
-        v.rec_mut(range.end); // grows the run to cover the interval
+        let slot = self.dir.insert(video);
+        let v = &mut self.dir[slot];
+        let known = v.meta != Timestamp::NONE || v.live > 0;
+        v.meta = now;
         let slabs = &mut self.slabs;
-        let run = &mut v.chunks[range.start as usize..=range.end as usize];
+        let run = &mut v.run_mut(range.end)[range.start as usize..];
         for (c, rec) in range.iter().zip(run) {
             let d = if rec.h == NO_HANDLE {
-                rec.h = slabs.alloc(ChunkId::new(video, c), NO_INTERVAL, now);
-                self.len += 1;
+                rec.h = slabs.alloc((slot, c), NO_INTERVAL, now);
                 NO_INTERVAL
             } else {
                 let i = rec.h as usize;
@@ -218,7 +221,7 @@ impl PopTable {
             };
             visit(c, rec.h, rec.backref, d);
         }
-        known
+        (slot, known)
     }
 
     // lint: hot
@@ -245,23 +248,19 @@ impl PopTable {
     }
 
     // lint: hot
-    /// Marks `id` cached, with `backref` as its caller-owned
-    /// back-reference (any value but [`NO_HANDLE`]).
-    pub fn set_cached(&mut self, id: ChunkId, backref: u32) {
-        let v = self.dir.entry(id.video).or_default();
-        let rec = v.rec_mut(id.index);
-        let was = std::mem::replace(&mut rec.backref, backref);
-        if was == NO_HANDLE {
-            v.cached += 1;
-        }
+    /// Marks chunk `index` of the video at `slot` cached, with `backref`
+    /// as its caller-owned back-reference (any value but [`NO_HANDLE`]).
+    pub fn set_cached(&mut self, slot: u32, index: u32, backref: u32) {
+        let v = &mut self.dir[slot];
+        let was = std::mem::replace(&mut v.rec_mut(index).backref, backref);
+        v.live += u32::from(was == NO_HANDLE);
     }
 
     // lint: hot
     /// The back-reference of `id` ([`NO_HANDLE`] when it is not cached).
     pub fn backref_of(&self, id: &ChunkId) -> u32 {
-        let v = self.dir.get(&id.video);
-        let rec = v.and_then(|v| v.chunks.get(id.index as usize));
-        rec.map_or(NO_HANDLE, |rec| rec.backref)
+        let slot = self.dir.slot(id.video);
+        slot.map_or(NO_HANDLE, |slot| self.dir[slot].rec(id.index).backref)
     }
 
     // lint: hot
@@ -271,39 +270,37 @@ impl PopTable {
     /// next sweep — the chunk's record, and the video once its last cached
     /// chunk goes — lowers the sweep floor.
     pub fn clear_cached(&mut self, id: ChunkId) -> (u32, u32) {
-        let Some(v) = self.dir.get_mut(&id.video) else {
+        let Some(slot) = self.dir.slot(id.video) else {
             return (NO_HANDLE, NO_HANDLE);
         };
-        let Some(rec) = v.chunks.get_mut(id.index as usize) else {
-            return (NO_HANDLE, NO_HANDLE);
-        };
-        let h = rec.h;
-        let backref = std::mem::replace(&mut rec.backref, NO_HANDLE);
-        if backref == NO_HANDLE {
-            return (h, NO_HANDLE);
+        let v = &mut self.dir[slot];
+        let rec = v.rec(id.index);
+        if rec.backref == NO_HANDLE {
+            return (rec.h, NO_HANDLE);
         }
-        v.cached -= 1;
-        if h != NO_HANDLE {
-            self.stale_floor = self.stale_floor.min(self.slabs.t_last[h as usize]);
+        v.rec_mut(id.index).backref = NO_HANDLE;
+        v.live -= 1;
+        if rec.h != NO_HANDLE {
+            self.stale_floor = self.stale_floor.min(self.slabs.t_last[rec.h as usize]);
         }
-        if let (0, Some(t)) = (v.cached, v.last_seen) {
-            self.stale_floor = self.stale_floor.min(t);
-        } else if v.is_dead() {
-            self.dir.remove(&id.video);
+        if v.live == 0 && v.meta != Timestamp::NONE {
+            self.stale_floor = self.stale_floor.min(v.meta);
+        } else if is_dead(v) {
+            self.dir.release(slot);
         }
-        (h, backref)
+        (rec.h, rec.backref)
     }
 
     // lint: hot
-    /// The largest Eq. 8 IAT at `now` among `video`'s cached chunks (the
-    /// §6 unseen-chunk estimate), or `None` if none is cached with a
-    /// known interval: a walk over the video's run that stops at its
-    /// last cached chunk.
-    pub fn max_cached_iat(&self, video: VideoId, now: Timestamp, gamma: f64) -> Option<f64> {
-        let v = self.dir.get(&video)?;
-        let cached = v.chunks.iter().filter(|r| r.backref != NO_HANDLE);
+    /// The largest Eq. 8 IAT at `now` among the cached chunks of the video
+    /// at `slot` (the §6 unseen-chunk estimate), or `None` if none is
+    /// cached with a known interval: a walk over the video's run that
+    /// stops at its last cached chunk.
+    pub fn max_cached_iat(&self, slot: u32, now: Timestamp, gamma: f64) -> Option<f64> {
+        let v = &self.dir[slot];
+        let cached = v.run().iter().filter(|r| r.backref != NO_HANDLE);
         cached
-            .take(v.cached as usize)
+            .take(v.live as usize)
             .filter_map(|r| self.iat_at(r.h, now, gamma))
             .reduce(f64::max)
     }
@@ -374,25 +371,25 @@ impl PopTable {
         );
         self.stale_floor = Timestamp::EPOCH;
         let d = dt.unwrap_or(NO_INTERVAL);
-        let v = self.dir.entry(id.video).or_default();
-        let rec = v.rec_mut(id.index);
+        let slot = self.dir.insert(id.video);
+        let rec = self.dir[slot].rec_mut(id.index);
         let h = rec.h;
         if h != NO_HANDLE {
             self.slabs.dt[h as usize] = d;
             self.slabs.t_last[h as usize] = t_last;
             return h;
         }
-        let h = self.slabs.alloc(id, d, t_last);
-        rec.h = h;
-        self.len += 1;
-        h
+        rec.h = self.slabs.alloc((slot, id.index), d, t_last);
+        rec.h
     }
 
     /// Sets `video`'s last-seen time (snapshot restore); like
-    /// [`Self::insert_raw`] it resets the sweep floor.
+    /// [`Self::insert_raw`] it resets the sweep floor. `t` at `u64::MAX`
+    /// ms (the free-slot sentinel) reads as "not seen".
     pub fn set_last_seen(&mut self, video: VideoId, t: Timestamp) {
         self.stale_floor = Timestamp::EPOCH;
-        self.dir.entry(video).or_default().last_seen = Some(t);
+        let slot = self.dir.insert(video);
+        self.dir[slot].meta = t;
     }
 
     /// Drops every uncached record last touched before `cutoff` and the
@@ -410,37 +407,31 @@ impl PopTable {
     /// nothing below `cutoff`, so it raises the floor to `cutoff`.
     ///
     /// The walk is sequential over the `t_last` slab (free slots carry a
-    /// stamp above any cutoff); the directory is probed only for the
-    /// stale minority.
+    /// stamp above any cutoff); a stale record is reached through its
+    /// owner's slot, with no probe.
     pub fn sweep(&mut self, cutoff: Timestamp) -> bool {
         if cutoff <= self.stale_floor {
             return false;
         }
-        let PopTable {
-            dir, slabs, len, ..
-        } = self;
+        let PopTable { dir, slabs, .. } = self;
         for (i, t) in slabs.t_last.iter_mut().enumerate() {
             if *t >= cutoff {
                 continue;
             }
-            let id = slabs.ids[i];
-            let Some(v) = dir.get_mut(&id.video) else {
-                continue;
-            };
-            let rec = &mut v.chunks[id.index as usize];
+            let (slot, index) = slabs.owners[i];
+            let rec = dir[slot].rec_mut(index);
             if rec.backref != NO_HANDLE {
                 continue; // cached chunks keep their record
             }
             rec.h = NO_HANDLE;
-            *len -= 1;
             *t = FREE_STAMP;
             slabs.free.push(i as u32);
         }
-        dir.retain(|_, v| {
-            if v.cached == 0 && v.last_seen.is_some_and(|t| t < cutoff) {
-                v.last_seen = None;
+        dir.retain(|v| {
+            if v.live == 0 && v.meta < cutoff {
+                v.meta = Timestamp::NONE;
             }
-            !v.is_dead()
+            !is_dead(v)
         });
         self.stale_floor = cutoff;
         self.sweeps += 1;
@@ -454,18 +445,26 @@ impl PopTable {
 
     /// Iterates `(id, handle)` over all tracked chunks in slab order.
     pub fn iter(&self) -> impl Iterator<Item = (ChunkId, u32)> + '_ {
-        let slots = self.slabs.ids.iter().zip(&self.slabs.t_last).enumerate();
-        slots
-            .filter(|(_, (_, t))| **t != FREE_STAMP)
-            .map(|(h, (id, _))| (*id, h as u32))
+        let slots = self.slabs.owners.iter().zip(&self.slabs.t_last).enumerate();
+        let live = slots.filter(|(_, (_, t))| **t != FREE_STAMP);
+        live.map(|(h, (&(slot, index), _))| (ChunkId::new(self.dir[slot].id(), index), h as u32))
     }
 
     /// `(video, last_seen)` for every video with a video-level record, in
     /// hasher-dependent order — callers must sort before any ordered use.
     pub fn videos_seen(&self) -> impl Iterator<Item = (VideoId, Timestamp)> + '_ {
-        self.dir
-            .iter()
-            .filter_map(|(v, rec)| rec.last_seen.map(|t| (*v, t)))
+        let seen = self.dir.iter().filter(|(_, v)| v.meta != Timestamp::NONE);
+        seen.map(|(_, v)| (v.id(), v.meta))
+    }
+
+    /// Checks the directory (tests): [`VideoDir::audit`], with `live`
+    /// counting the records that carry a back-reference.
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn audit(&self) {
+        self.dir.audit(|r| r.backref != NO_HANDLE);
     }
 }
 
@@ -485,6 +484,12 @@ mod tests {
             out = Some((h, b, dt));
         });
         out.unwrap()
+    }
+
+    /// [`PopTable::set_cached`] by chunk id.
+    fn cache(p: &mut PopTable, id: ChunkId, backref: u32) {
+        let slot = p.slot(id.video);
+        p.set_cached(slot, id.index, backref);
     }
 
     #[test]
@@ -541,7 +546,7 @@ mod tests {
         let mut p = PopTable::new();
         let mut seen = Vec::new();
         let range = ChunkRange::new(2, 5).unwrap();
-        let known = p.touch_run(VideoId(9), range, Timestamp(10), 0.25, |c, h, b, dt| {
+        let (_, known) = p.touch_run(VideoId(9), range, Timestamp(10), 0.25, |c, h, b, dt| {
             seen.push((c, h, b, dt));
         });
         assert!(!known, "first request of the video");
@@ -553,10 +558,10 @@ mod tests {
         assert_eq!(p.handle_of(&id(9, 3)), Some(1));
         assert_eq!(p.handle_of(&id(9, 6)), None);
         // An overlapping request reuses the handles and reports the video.
-        p.set_cached(id(9, 3), 77);
+        cache(&mut p, id(9, 3), 77);
         seen.clear();
         let range = ChunkRange::new(3, 6).unwrap();
-        let known = p.touch_run(VideoId(9), range, Timestamp(30), 0.25, |c, h, b, dt| {
+        let (_, known) = p.touch_run(VideoId(9), range, Timestamp(30), 0.25, |c, h, b, dt| {
             seen.push((c, h, b, dt));
         });
         assert!(known);
@@ -576,22 +581,23 @@ mod tests {
         let mut p = PopTable::new();
         // Cached with no record and no video-level entry (a restore can
         // produce this): the video is known through its cached chunk.
-        p.set_cached(id(4, 2), 0);
-        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(50), 0.25), None);
+        cache(&mut p, id(4, 2), 0);
+        let v4 = p.slot(VideoId(4));
+        assert_eq!(p.max_cached_iat(v4, Timestamp(50), 0.25), None);
         let (h, b, _) = touch(&mut p, id(4, 2), 100, 0.25);
         assert_eq!(b, 0, "back-reference survives the first touch");
         touch(&mut p, id(4, 2), 200, 0.25); // dt = 100
         touch(&mut p, id(4, 7), 200, 0.25);
         touch(&mut p, id(4, 7), 210, 0.25); // hotter, but not cached
         let want = p.iat_at(h, Timestamp(300), 0.25);
-        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), want);
+        assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), want);
         assert_eq!(p.backref_of(&id(4, 2)), 0);
         assert_eq!(p.clear_cached(id(4, 2)), (h, 0));
-        assert_eq!(p.max_cached_iat(VideoId(4), Timestamp(300), 0.25), None);
+        assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), None);
         assert_eq!(p.clear_cached(id(4, 2)), (h, NO_HANDLE), "idempotent");
         assert_eq!(p.backref_of(&id(4, 2)), NO_HANDLE);
         // A video that is neither seen, cached nor tracked leaves no entry.
-        p.set_cached(id(5, 0), 1);
+        cache(&mut p, id(5, 0), 1);
         assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, 1));
         assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, NO_HANDLE));
         assert_eq!(p.backref_of(&id(5, 0)), NO_HANDLE, "no such video");
@@ -649,7 +655,7 @@ mod tests {
         assert!(!p.sweep(Timestamp(5)), "empty table: nothing can expire");
         touch(&mut p, id(1, 0), 10, 0.25);
         touch(&mut p, id(2, 0), 20, 0.25);
-        p.set_cached(id(2, 0), 0);
+        cache(&mut p, id(2, 0), 0);
         touch(&mut p, id(3, 0), 30, 0.25);
         // Nothing is older than the first request.
         assert!(!p.sweep(Timestamp(10)));
@@ -684,7 +690,7 @@ mod tests {
         let mut p = PopTable::new();
         touch(&mut p, id(1, 0), 10, 0.25);
         touch(&mut p, id(1, 1), 10, 0.25);
-        p.set_cached(id(1, 0), 0);
+        cache(&mut p, id(1, 0), 0);
         assert!(p.sweep(Timestamp(50)));
         // The uncached sibling goes; the video stays known, seen at 10.
         assert_eq!(p.len(), 1);

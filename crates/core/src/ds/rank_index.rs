@@ -282,16 +282,7 @@ impl<T: Ord + Copy> RankIndex<T> {
             bucket: g,
             pos: 0,
         };
-        let idx = match self.free.pop() {
-            Some(idx) => {
-                self.slab[idx as usize] = entry;
-                idx
-            }
-            None => {
-                self.slab.push(entry);
-                (self.slab.len() - 1) as u32
-            }
-        };
+        let idx = super::alloc(&mut self.slab, &mut self.free, entry);
         self.attach(idx, g);
         self.challenge_min(idx);
         idx
@@ -513,17 +504,6 @@ impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
         RankMap::default()
     }
 
-    /// Whether `item` is present.
-    pub fn contains(&self, item: &T) -> bool {
-        self.slots.contains_key(item)
-    }
-
-    /// The current key of `item`, if present.
-    pub fn key_of(&self, item: &T) -> Option<f64> {
-        let (_, key) = self.index.get(*self.slots.get(item)?)?;
-        Some(key)
-    }
-
     // lint: hot
     /// Inserts `item` with `key` and `aux`, replacing any previous ones.
     ///
@@ -583,8 +563,6 @@ mod tests {
         s.insert(2, 1.0, NO_AUX);
         s.insert(3, 2.0, NO_AUX);
         assert_eq!(s.len(), 3);
-        assert!(s.contains(&1));
-        assert_eq!(s.key_of(&3), Some(2.0));
         assert_eq!(s.remove(&3), Some(2.0));
         assert_eq!(s.remove(&3), None);
         assert_eq!(s.len(), 2);
@@ -617,7 +595,7 @@ mod tests {
         assert_eq!(s.smallest(), Some((1, -5.0 * BUCKET_WIDTH_MS)));
         // Same-bucket down-keying keeps the order exact too.
         s.insert(2, 19.5, NO_AUX);
-        assert_eq!(s.key_of(&2), Some(19.5));
+        assert_eq!(s.entries_ascending()[1], (2, 19.5));
     }
 
     #[test]
@@ -672,7 +650,7 @@ mod tests {
     fn negative_zero_normalizes_to_positive_zero() {
         let mut s = RankMap::new();
         s.insert(1u8, -0.0, NO_AUX);
-        let key = s.key_of(&1).expect("present");
+        let key = s.smallest().expect("present").1;
         assert!(key.is_sign_positive());
         s.insert(2, 0.0, NO_AUX);
         assert_eq!(s.pop_smallest(), Some((1, 0.0)));

@@ -52,6 +52,15 @@ impl LruCache {
         }
     }
 
+    /// Checks the disk: directory and list ([`ChunkLru::audit`]; tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn audit(&self) {
+        self.disk.audit();
+    }
+
     // lint: hot
     /// Disk cache age: now minus the oldest chunk's last access.
     pub fn cache_age(&self, now: vcdn_types::Timestamp) -> vcdn_types::DurationMs {

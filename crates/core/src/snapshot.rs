@@ -270,6 +270,9 @@ impl CafeCache {
         // that reads as a free slot, an EWMA that reads as "no interval
         // yet" (or poisons every later average), a chunk index past the
         // dense run's bound, two entries for one key.
+        if let Some((v, t)) = snap.video_seen.iter().find(|e| e.1 == FREE_STAMP) {
+            return inconsistent(format!("{v}: last-seen time {t} is reserved"));
+        }
         for &(id, dt, t_last) in &snap.iat {
             if t_last == FREE_STAMP {
                 return inconsistent(format!("{id}: last-seen time {t_last} is reserved"));
@@ -494,6 +497,8 @@ mod tests {
     fn reserved_last_seen_time_rejected() {
         let what = refused(|s| s.iat[0].2 = Timestamp(u64::MAX));
         assert!(what.contains("v1#0: last-seen time"), "{what}");
+        let what = refused(|s| s.video_seen[0].1 = Timestamp(u64::MAX));
+        assert!(what.contains("v1: last-seen time"), "{what}");
     }
 
     #[test]

@@ -91,6 +91,23 @@ impl XlruCache {
         self.tracker.len()
     }
 
+    /// Checks the disk ([`ChunkLru::audit`]: directory and list) and that
+    /// the tracker lists each video it holds once, newest first (tests).
+    ///
+    /// # Panics
+    ///
+    /// Panics on the first violation.
+    pub fn audit(&self) {
+        self.disk.audit();
+        let listed = self
+            .tracker
+            .iter()
+            .filter(|(v, _)| self.tracker.contains(v));
+        assert_eq!(listed.count(), self.tracker.len(), "tracker index");
+        let order = self.tracker.iter().is_sorted_by(|a, b| a.1 >= b.1);
+        assert!(order, "tracker order");
+    }
+
     // lint: hot
     /// Eq. 5: should the request be redirected given the video's last
     /// access `prev` and the current cache age?
@@ -493,7 +510,7 @@ mod tests {
         assert_eq!(o.evicted, vec![ChunkId::new(VideoId(1), 0)]);
         assert!(c.contains_chunk(ChunkId::new(VideoId(1), 1)));
         assert!(!c.contains_chunk(ChunkId::new(VideoId(1), 0)));
-        c.disk.audit();
+        c.audit();
     }
 
     #[test]

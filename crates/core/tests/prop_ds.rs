@@ -4,9 +4,9 @@
 //! framework these replay random operation sequences drawn from
 //! [`DetRng`]; failures print the case seed.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 
-use vcdn_core::ds::{BitTree, ChunkLru, IndexedLruList, KeyedSet};
+use vcdn_core::ds::{BitTree, ChunkLru, IndexedLruList, KeyedSet, VideoDir, MAX_CHUNK_INDEX};
 use vcdn_trace::rng::DetRng;
 use vcdn_types::{ChunkId, Timestamp, VideoId};
 
@@ -15,14 +15,12 @@ use vcdn_types::{ChunkId, Timestamp, VideoId};
 enum LruOp {
     Touch(u8),
     PopOldest,
-    Remove(u8),
 }
 
 fn lru_op(rng: &mut DetRng) -> LruOp {
     match rng.below(3) {
-        0 => LruOp::Touch(rng.below(24) as u8),
-        1 => LruOp::PopOldest,
-        _ => LruOp::Remove(rng.below(24) as u8),
+        0 | 1 => LruOp::Touch(rng.below(24) as u8),
+        _ => LruOp::PopOldest,
     }
 }
 
@@ -46,13 +44,6 @@ fn lru_list_matches_model() {
                 }
                 LruOp::PopOldest => {
                     assert_eq!(lru.pop_oldest(), model.pop(), "case {case}");
-                }
-                LruOp::Remove(k) => {
-                    let want = model
-                        .iter()
-                        .position(|(mk, _)| *mk == k)
-                        .map(|i| model.remove(i).1);
-                    assert_eq!(lru.remove(&k), want, "case {case}");
                 }
             }
             assert_eq!(lru.len(), model.len(), "case {case}");
@@ -120,6 +111,119 @@ fn chunk_lru_matches_lru_list() {
             assert!(lru.iter().eq(list.iter().map(|(k, t)| (*k, t))), "{}", at());
             lru.audit();
         }
+    }
+}
+
+/// A new `VideoDir` entry takes a free slot while there is one, and grows
+/// the slab by one otherwise.
+fn take_slot(slot: u32, free: &mut BTreeSet<u32>, slab: &mut u32, at: &str) {
+    let grew = free.is_empty();
+    assert!(
+        if grew {
+            slot == *slab
+        } else {
+            free.remove(&slot)
+        },
+        "{at}: slot {slot}"
+    );
+    *slab += u32::from(grew);
+}
+
+#[test]
+fn video_dir_matches_model() {
+    const NONE: u32 = u32::MAX;
+    for case in 0..64u64 {
+        let mut rng = DetRng::new(0x0D12_18A7 ^ case);
+        let mut dir: VideoDir<u32, u32> = VideoDir::default();
+        // The owner's view: each video's slot, run and value, and the free
+        // slots (a retain frees in hasher order, so reuse is checked by
+        // membership).
+        let mut model: HashMap<u64, (u32, Vec<u32>, u32)> = HashMap::new();
+        let mut free: BTreeSet<u32> = BTreeSet::new();
+        let mut slab = 0u32;
+        let videos = 1 + rng.below(12);
+        for step in 0..1 + rng.below(500) {
+            let at = || format!("case {case} step {step}");
+            let video = rng.below(videos);
+            match rng.below(16) {
+                0..=8 => {
+                    let slot = dir.insert(VideoId(video));
+                    let (want, run, meta) = model.entry(video).or_insert_with(|| {
+                        take_slot(slot, &mut free, &mut slab, &at());
+                        (slot, Vec::new(), NONE)
+                    });
+                    assert_eq!(slot, *want, "{}", at());
+                    // Short runs with gaps.
+                    let index = rng.below(12) as usize;
+                    let value = if rng.below(4) == 0 {
+                        NONE
+                    } else {
+                        rng.below(1000) as u32
+                    };
+                    if run.len() <= index {
+                        run.resize(index + 1, NONE);
+                    }
+                    run[index] = value;
+                    *meta = rng.below(1000) as u32;
+                    let v = &mut dir[slot];
+                    *v.rec_mut(index as u32) = value;
+                    v.live = run.iter().filter(|&&r| r != NONE).count() as u32;
+                    v.meta = *meta;
+                }
+                9..=11 => {
+                    if let Some((slot, _, _)) = model.remove(&video) {
+                        dir.release(slot);
+                        free.insert(slot);
+                    }
+                }
+                12 => {
+                    // Keep the videos holding something, or an odd value.
+                    dir.retain(|v| v.live > 0 || v.meta % 2 == 1);
+                    model.retain(|_, (slot, run, meta)| {
+                        let keep = run.iter().any(|&r| r != NONE) || *meta % 2 == 1;
+                        if !keep {
+                            free.insert(*slot);
+                        }
+                        keep
+                    });
+                }
+                13 if !model.contains_key(&video) => {
+                    // The last index the bound admits, then straight out.
+                    let slot = dir.insert(VideoId(video));
+                    take_slot(slot, &mut free, &mut slab, &at());
+                    *dir[slot].rec_mut(MAX_CHUNK_INDEX - 1) = 7;
+                    let v = &dir[slot];
+                    assert_eq!(v.run().len() as u32, MAX_CHUNK_INDEX, "{}", at());
+                    assert_eq!((v.rec(MAX_CHUNK_INDEX - 1), v.rec(0)), (7, NONE));
+                    dir.release(slot);
+                    free.insert(slot);
+                }
+                _ => {}
+            }
+            // Every video reads back its slot, run and value, gaps and
+            // past the end included; no other video has a slot.
+            for (&video, (slot, run, meta)) in &model {
+                assert_eq!(dir.slot(VideoId(video)), Some(*slot), "{}", at());
+                let v = &dir[*slot];
+                assert_eq!(v.id(), VideoId(video), "{}", at());
+                assert_eq!((v.run(), v.meta), (&run[..], *meta), "{}", at());
+                for index in 0..14 {
+                    let want = run.get(index as usize).copied().unwrap_or(NONE);
+                    assert_eq!(v.rec(index), want, "{}", at());
+                }
+            }
+            for video in (0..videos).filter(|v| !model.contains_key(v)) {
+                assert_eq!(dir.slot(VideoId(video)), None, "{}", at());
+            }
+            let mut listed: Vec<u64> = dir.iter().map(|(_, v)| v.id().0).collect();
+            listed.sort_unstable();
+            let mut want: Vec<u64> = model.keys().copied().collect();
+            want.sort_unstable();
+            assert_eq!(listed, want, "{}", at());
+            dir.audit(|&r| r != NONE);
+        }
+        // The slab never grew past the peak number of videos held.
+        assert_eq!(slab as usize, model.len() + free.len(), "case {case}");
     }
 }
 

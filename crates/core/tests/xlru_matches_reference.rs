@@ -7,7 +7,8 @@
 //! the disk use, the cache age and the tracker size must agree request by
 //! request over [`DetRng`] traces, across a snapshot → restore in the
 //! middle of a run, and the cases together must reach the corners the
-//! per-video directory adds (see `Coverage`).
+//! per-video directory adds (see `Coverage`). The caches audit their
+//! directory and lists every 64 requests and after each restore.
 
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::hash::Hash;
@@ -295,6 +296,10 @@ fn xlru_matches_reference() {
                     naive.tracker.backdate(r.video);
                 }
                 cache = XlruCache::restore(&snap).expect("snapshot restores");
+                cache.audit();
+            }
+            if seq % 64 == 0 {
+                cache.audit();
             }
             let at = || format!("case {case} (disk {d}, alpha {alpha}) request #{seq} {r}");
             let want = naive.handle(r, &mut cov);
@@ -344,6 +349,9 @@ fn lru_matches_reference() {
             disk: NaiveDisk::new(d),
         };
         for (seq, r) in reqs.iter().enumerate() {
+            if seq % 64 == 0 {
+                cache.audit();
+            }
             let at = || format!("case {case} (disk {d}) request #{seq} {r}");
             let want = naive.handle(r, &mut cov);
             let got = cache.handle_request(r);

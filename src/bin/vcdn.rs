@@ -124,7 +124,10 @@ fn profile_by_name(name: &str) -> Result<ServerProfile, String> {
 
 fn chunk_size(args: &Args, default_mb: u64) -> Result<ChunkSize, String> {
     let mb: u64 = args.parse_flag("chunk-mb", default_mb)?;
-    ChunkSize::new(mb * 1024 * 1024).map_err(|e| e.to_string())
+    let bytes = mb
+        .checked_mul(1024 * 1024)
+        .ok_or_else(|| format!("--chunk-mb: {mb} MiB does not fit in a byte count"))?;
+    ChunkSize::new(bytes).map_err(|e| e.to_string())
 }
 
 /// Whether a path uses the compact binary trace format.
@@ -314,6 +317,9 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
         .required("disk-chunks")?
         .parse()
         .map_err(|_| "--disk-chunks: not a number".to_owned())?;
+    if disk_chunks == 0 {
+        return Err("disk must hold at least one chunk".into());
+    }
     let max_requests: usize = args.parse_flag("requests", 120)?;
     trace.requests.truncate(max_requests);
     let cfg = CacheConfig::new(disk_chunks, k, costs);

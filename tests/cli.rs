@@ -129,6 +129,54 @@ fn replay_requires_disk_size() {
     std::fs::remove_file(&path).ok();
 }
 
+/// Runs `vcdn <args>` expecting the one-line `error: …` exit 1 that names
+/// `what`.
+fn refused(args: &[&str], what: &str) {
+    let out = vcdn(args);
+    let err = stderr(&out);
+    assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert!(
+        err.starts_with("error: ") && err.contains(what),
+        "{args:?}: {err}"
+    );
+    assert_eq!(err.lines().count(), 1, "{args:?}: {err}");
+}
+
+#[test]
+fn zero_disk_and_overflowing_chunk_size_are_refused() {
+    let path = temp_trace("refusals.jsonl");
+    let p = path.to_str().expect("utf-8 path");
+    vcdn(&["gen", "--days", "1", "--out", p]);
+    let zero = "disk must hold at least one chunk";
+    refused(&["bound", "--trace", p, "--disk-chunks", "0"], zero);
+    refused(&["replay", "--trace", p, "--disk-chunks", "0"], zero);
+    // 2^44 + 1 MiB: times 2^20 it wraps to 1 MiB in an unchecked release
+    // build.
+    let huge = "17592186044417";
+    refused(&["stats", "--trace", p, "--chunk-mb", huge], "--chunk-mb");
+    let replay = [
+        "replay",
+        "--trace",
+        p,
+        "--chunk-mb",
+        huge,
+        "--disk-chunks",
+        "8",
+    ];
+    refused(&replay, "--chunk-mb");
+    let bound = [
+        "bound",
+        "--trace",
+        p,
+        "--chunk-mb",
+        huge,
+        "--disk-chunks",
+        "8",
+    ];
+    refused(&bound, "--chunk-mb");
+    std::fs::remove_file(&path).ok();
+}
+
 #[test]
 fn gen_rejects_bad_inputs() {
     let out = vcdn(&["gen", "--profile", "mars", "--out", "/tmp/x.jsonl"]);
