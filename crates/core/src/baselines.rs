@@ -17,7 +17,6 @@
 //! and uniform fetch cost its priority `H = L + cost/size` degenerates to
 //! (aged) LRU.
 
-use vcdn_obs::PolicyObs;
 use vcdn_types::{
     ChunkId, ChunkSize, CostModel, Decision, FastMap, Request, ServeOutcome, Timestamp,
 };
@@ -52,7 +51,6 @@ pub struct LfuCache {
     disk: KeyedSet<ChunkId>,
     counts: FastMap<ChunkId, u64>,
     last_access: FastMap<ChunkId, Timestamp>,
-    obs: PolicyObs,
     /// Reusable per-request buffer: the decide path allocates nothing.
     scratch_missing: Vec<ChunkId>,
 }
@@ -68,7 +66,6 @@ impl LfuCache {
             disk: KeyedSet::new(),
             counts: FastMap::default(),
             last_access: FastMap::default(),
-            obs: PolicyObs::noop(),
             scratch_missing: Vec::new(),
         }
     }
@@ -131,13 +128,11 @@ impl CachePolicy for LfuCache {
         }
         let filled = missing.len() as u64;
         self.scratch_missing = missing;
-        let decision = Decision::Serve(ServeOutcome {
+        Decision::Serve(ServeOutcome {
             hit_chunks: hit,
             filled_chunks: filled,
             evicted,
-        });
-        self.obs.record_decision(&decision, self.disk.len() as u64);
-        decision
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -163,10 +158,6 @@ impl CachePolicy for LfuCache {
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.disk.contains(&chunk)
     }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
-    }
 }
 
 /// LRU-K (O'Neil et al. \[17\]): evicts the chunk whose K-th most recent
@@ -184,7 +175,6 @@ pub struct LruKCache {
     disk: KeyedSet<ChunkId>,
     /// Most recent accesses per cached chunk, newest first, length ≤ K.
     history: FastMap<ChunkId, Vec<Timestamp>>,
-    obs: PolicyObs,
     /// Reusable per-request buffer: the decide path allocates nothing.
     scratch_missing: Vec<ChunkId>,
 }
@@ -202,7 +192,6 @@ impl LruKCache {
             k_history,
             disk: KeyedSet::new(),
             history: FastMap::default(),
-            obs: PolicyObs::noop(),
             scratch_missing: Vec::new(),
         }
     }
@@ -276,13 +265,11 @@ impl CachePolicy for LruKCache {
         }
         let filled = missing.len() as u64;
         self.scratch_missing = missing;
-        let decision = Decision::Serve(ServeOutcome {
+        Decision::Serve(ServeOutcome {
             hit_chunks: hit,
             filled_chunks: filled,
             evicted,
-        });
-        self.obs.record_decision(&decision, self.disk.len() as u64);
-        decision
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -307,10 +294,6 @@ impl CachePolicy for LruKCache {
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.disk.contains(&chunk)
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 }
 
@@ -463,7 +446,6 @@ pub struct GdspCache {
     counts: FastMap<ChunkId, u64>,
     /// Inflation value: priority of the most recent eviction.
     inflation: f64,
-    obs: PolicyObs,
     /// Reusable per-request buffer: the decide path allocates nothing.
     scratch_missing: Vec<ChunkId>,
 }
@@ -476,7 +458,6 @@ impl GdspCache {
             disk: KeyedSet::new(),
             counts: FastMap::default(),
             inflation: 0.0,
-            obs: PolicyObs::noop(),
             scratch_missing: Vec::new(),
         }
     }
@@ -532,13 +513,11 @@ impl CachePolicy for GdspCache {
         }
         let filled = missing.len() as u64;
         self.scratch_missing = missing;
-        let decision = Decision::Serve(ServeOutcome {
+        Decision::Serve(ServeOutcome {
             hit_chunks: hit,
             filled_chunks: filled,
             evicted,
-        });
-        self.obs.record_decision(&decision, self.disk.len() as u64);
-        decision
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -563,10 +542,6 @@ impl CachePolicy for GdspCache {
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.disk.contains(&chunk)
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 }
 

@@ -20,7 +20,7 @@
 //! partially cached video as the largest IAT among that video's cached
 //! chunks — is implemented and can be toggled for ablation.
 
-use vcdn_obs::{DecisionDetail, PolicyObs};
+use vcdn_obs::DecisionDetail;
 use vcdn_types::{
     ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, ServeOutcome, Timestamp, VideoId,
 };
@@ -131,7 +131,6 @@ pub struct CafeCache {
     hot: Option<RankMap<ChunkId>>,
     handled: u64,
     replay_start: Option<Timestamp>,
-    obs: PolicyObs,
     last_detail: DecisionDetail,
     /// Reusable per-request buffer: the decide path allocates nothing.
     /// Missing chunks travel with their popularity handle and fresh EWMA
@@ -151,7 +150,6 @@ impl CafeCache {
             hot: None,
             handled: 0,
             replay_start: None,
-            obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             scratch_missing: Vec::new(),
             scratch_candidates: Vec::new(),
@@ -571,7 +569,6 @@ impl CachePolicy for CafeCache {
         };
         self.scratch_missing = missing;
         self.scratch_candidates = candidates;
-        self.obs.record_decision(&decision, self.disk.len() as u64);
         decision
     }
 
@@ -597,10 +594,6 @@ impl CachePolicy for CafeCache {
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.pop.backref_of(&chunk) != NO_HANDLE
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 
     fn decision_detail(&self) -> DecisionDetail {

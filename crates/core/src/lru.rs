@@ -5,7 +5,7 @@
 //! maximal. It exists as the context baseline for the experiments and as
 //! the simplest reference implementation of the [`CachePolicy`] contract.
 
-use vcdn_obs::{DecisionDetail, PolicyObs};
+use vcdn_obs::DecisionDetail;
 use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome};
 
 use crate::{
@@ -33,7 +33,6 @@ use crate::{
 pub struct LruCache {
     config: CacheConfig,
     disk: ChunkLru,
-    obs: PolicyObs,
     last_detail: DecisionDetail,
     /// Reusable per-request buffer (the decide path allocates nothing):
     /// chunk numbers of the request's uncached chunks.
@@ -46,7 +45,6 @@ impl LruCache {
         LruCache {
             config,
             disk: ChunkLru::new(),
-            obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             scratch_missing: Vec::new(),
         }
@@ -119,13 +117,11 @@ impl CachePolicy for LruCache {
             self.disk.insert(request.video, c, request.t);
         }
         self.scratch_missing = missing;
-        let decision = Decision::Serve(ServeOutcome {
+        Decision::Serve(ServeOutcome {
             hit_chunks: hit,
             filled_chunks: fill,
             evicted,
-        });
-        self.obs.record_decision(&decision, self.disk.len() as u64);
-        decision
+        })
     }
 
     fn name(&self) -> &'static str {
@@ -150,10 +146,6 @@ impl CachePolicy for LruCache {
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.disk.contains(chunk)
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 
     fn decision_detail(&self) -> DecisionDetail {

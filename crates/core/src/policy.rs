@@ -15,6 +15,13 @@ use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request};
 /// * **Time monotonicity** — requests arrive with non-decreasing
 ///   timestamps (the replay engine guarantees this).
 ///
+/// A policy decides and records nothing: whoever drives it sees every
+/// decision and the occupancy after it, and records them — the replay's
+/// telemetry observer and each engine shard's observer own the policy
+/// metric family. So a wrapper policy forwards the seven required methods
+/// (and [`CachePolicy::decision_detail`] if it wants its inner policy's
+/// cost terms traced) and nothing else.
+///
 /// The `Send` bound lets experiment harnesses replay several policies on
 /// worker threads; policies own all their state, so this is free.
 pub trait CachePolicy: Send {
@@ -41,10 +48,10 @@ pub trait CachePolicy: Send {
     /// and invariant checks).
     fn contains_chunk(&self, chunk: ChunkId) -> bool;
 
-    /// Attaches an instrumentation handle; subsequent decisions are
-    /// recorded through it. Policies start detached (no-op handle), so
-    /// uninstrumented replays pay nothing; the default implementation
-    /// ignores the handle entirely.
+    /// Ignored: no policy records its own decisions (see the trait docs),
+    /// and nothing in the workspace calls this. It stays only because the
+    /// frozen benchmark crate still forwards and calls it; ROADMAP item 1
+    /// deletes it together with that crate's `Noop` driver.
     fn attach_obs(&mut self, obs: PolicyObs) {
         let _ = obs;
     }

@@ -169,10 +169,6 @@ impl CachePolicy for ProactiveCafeCache {
         self.inner.contains_chunk(chunk)
     }
 
-    fn attach_obs(&mut self, obs: vcdn_obs::PolicyObs) {
-        self.inner.attach_obs(obs);
-    }
-
     fn decision_detail(&self) -> vcdn_obs::DecisionDetail {
         self.inner.decision_detail()
     }

@@ -21,7 +21,7 @@
 
 use std::ops::Range;
 
-use vcdn_obs::{DecisionDetail, PolicyObs};
+use vcdn_obs::DecisionDetail;
 use vcdn_types::{
     ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome, Timestamp, VideoId,
 };
@@ -152,7 +152,6 @@ pub struct PsychicCache {
     mean_residency_ms: f64,
     evictions: u64,
     replay_start: Option<Timestamp>,
-    obs: PolicyObs,
     last_detail: DecisionDetail,
     /// Reusable per-request buffer of victim ranks: the decide path
     /// allocates nothing but the `evicted` list it returns.
@@ -260,7 +259,6 @@ impl PsychicCache {
             mean_residency_ms: 0.0,
             evictions: 0,
             replay_start: None,
-            obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             victims: Vec::new(),
         }
@@ -486,7 +484,6 @@ impl CachePolicy for PsychicCache {
             })
         };
         self.victims = victims;
-        self.obs.record_decision(&decision, self.cached as u64);
         decision
     }
 
@@ -514,10 +511,6 @@ impl CachePolicy for PsychicCache {
         self.chunks
             .binary_search(&chunk)
             .is_ok_and(|rank| self.on_disk[rank])
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 
     fn decision_detail(&self) -> DecisionDetail {

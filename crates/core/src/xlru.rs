@@ -14,7 +14,7 @@
 //! pseudocode; we admit every request while free space remains (popularity
 //! state still updates), for all caches alike.
 
-use vcdn_obs::{DecisionDetail, PolicyObs};
+use vcdn_obs::DecisionDetail;
 use vcdn_types::{
     ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, ServeOutcome, Timestamp, VideoId,
 };
@@ -52,7 +52,6 @@ pub struct XlruCache {
     /// Disk cache: chunk → last access time, LRU-ordered.
     disk: ChunkLru,
     handled: u64,
-    obs: PolicyObs,
     last_detail: DecisionDetail,
     /// Reusable per-request buffers (the decide path allocates nothing):
     /// disk handles of the request's cached chunks, chunk numbers of the
@@ -69,7 +68,6 @@ impl XlruCache {
             tracker: IndexedLruList::new(),
             disk: ChunkLru::new(),
             handled: 0,
-            obs: PolicyObs::noop(),
             last_detail: DecisionDetail::default(),
             scratch_present: Vec::new(),
             scratch_missing: Vec::new(),
@@ -274,7 +272,6 @@ impl CachePolicy for XlruCache {
         };
         self.scratch_present = present;
         self.scratch_missing = missing;
-        self.obs.record_decision(&decision, self.disk.len() as u64);
         decision
     }
 
@@ -300,10 +297,6 @@ impl CachePolicy for XlruCache {
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
         self.disk.contains(chunk)
-    }
-
-    fn attach_obs(&mut self, obs: PolicyObs) {
-        self.obs = obs;
     }
 
     fn decision_detail(&self) -> DecisionDetail {

@@ -1,7 +1,7 @@
 //! `vcdn-lint` CLI.
 //!
 //! ```text
-//! vcdn-lint --check [--json] [--root <dir>]   # exit 0 clean, 1 findings, 2 usage
+//! vcdn-lint --check [--root <dir>]   # exit 0 clean, 1 findings, 2 usage
 //! vcdn-lint --explain <rule>
 //! vcdn-lint --list-rules
 //! ```
@@ -18,12 +18,10 @@ fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
     let mut mode = Mode::Check;
     let mut root: Option<PathBuf> = None;
-    let mut json = false;
     let mut i = 0;
     while i < args.len() {
         match args[i].as_str() {
             "--check" => mode = Mode::Check,
-            "--json" => json = true,
             "--list-rules" => mode = Mode::ListRules,
             "--explain" => {
                 i += 1;
@@ -74,7 +72,7 @@ fn main() -> ExitCode {
                 ExitCode::from(2)
             }
         },
-        Mode::Check => run_check(root, json),
+        Mode::Check => run_check(root),
     }
 }
 
@@ -84,7 +82,7 @@ enum Mode {
     Explain(String),
 }
 
-fn run_check(root: Option<PathBuf>, json: bool) -> ExitCode {
+fn run_check(root: Option<PathBuf>) -> ExitCode {
     let root = match root {
         Some(r) => r,
         None => {
@@ -115,17 +113,6 @@ fn run_check(root: Option<PathBuf>, json: bool) -> ExitCode {
             return ExitCode::from(2);
         }
     };
-
-    if json {
-        // Machine mode: stdout is exactly one JSON document, diagnostics
-        // stay on stderr, exit codes are unchanged.
-        print!("{}", report.to_json());
-        return if report.is_clean() {
-            ExitCode::SUCCESS
-        } else {
-            ExitCode::FAILURE
-        };
-    }
 
     for e in &report.allow_errors {
         eprintln!("{e}");
@@ -160,7 +147,6 @@ fn print_usage() {
 
 USAGE:
   vcdn-lint --check [--root <dir>]   check the workspace (default mode)
-  vcdn-lint --check --json ...       same, but emit one JSON document on stdout
   vcdn-lint --explain <rule>         print a rule's rationale and fixes
   vcdn-lint --list-rules             list rule names and summaries
 

@@ -30,70 +30,6 @@ impl CheckReport {
     pub fn is_clean(&self) -> bool {
         self.findings.is_empty() && self.allow_errors.is_empty()
     }
-
-    /// Machine-readable report for `vcdn-lint --json`.
-    ///
-    /// Field order is fixed (file, line, rule, message, snippet; then
-    /// allow_errors, files_scanned, suppressed, clean) and findings are
-    /// already sorted by (file, line, rule), so the output is byte-stable
-    /// for a given workspace state.
-    pub fn to_json(&self) -> String {
-        let mut out = String::from("{\n  \"findings\": [");
-        for (i, f) in self.findings.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"file\": \"{}\", \"line\": {}, \"rule\": \"{}\", \"message\": \"{}\", \"snippet\": \"{}\"}}",
-                json_escape(&f.file),
-                f.line,
-                json_escape(f.rule),
-                json_escape(&f.message),
-                json_escape(&f.snippet)
-            ));
-        }
-        if !self.findings.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str("],\n  \"allow_errors\": [");
-        for (i, e) in self.allow_errors.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            out.push_str(&format!(
-                "\n    {{\"line\": {}, \"message\": \"{}\"}}",
-                e.line,
-                json_escape(&e.message)
-            ));
-        }
-        if !self.allow_errors.is_empty() {
-            out.push_str("\n  ");
-        }
-        out.push_str(&format!(
-            "],\n  \"files_scanned\": {},\n  \"suppressed\": {},\n  \"clean\": {}\n}}\n",
-            self.files_scanned,
-            self.suppressed,
-            self.is_clean()
-        ));
-        out
-    }
-}
-
-/// Minimal JSON string escaping: the control set, quotes, backslash.
-fn json_escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => out.push_str(&format!("\\u{:04x}", c as u32)),
-            c => out.push(c),
-        }
-    }
-    out
 }
 
 /// Checks the workspace rooted at `root` (the directory holding the

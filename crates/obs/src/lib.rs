@@ -7,8 +7,9 @@
 //!   log-bucketed histograms behind the [`MetricsSink`] trait, with
 //!   [`NoopSink`] as the free disabled mode. Each writer records into a
 //!   [`Tally`] of its own, registered once; the registry merges the
-//!   tallies by name when read. Policies hold a [`PolicyObs`] handle
-//!   bundling their tally and its ids.
+//!   tallies by name when read. The policy metric family is a
+//!   [`PolicyObs`] handle bundling one tally and its ids, held by the
+//!   observer that drives the policy, never by the policy.
 //! * **Decision traces** — one [`DecisionEvent`] per replayed request
 //!   (verdict, per-policy cost terms, cache age, evictions) retained in a
 //!   bounded [`EventRing`], explaining individual serve-vs-redirect

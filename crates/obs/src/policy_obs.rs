@@ -1,14 +1,16 @@
-//! The per-policy instrumentation handle.
+//! The policy metric family's recording handle.
 //!
-//! A [`PolicyObs`] is the [`Tally`] one cache instance registered at
-//! attach time plus the [`MetricId`]s of its metrics in it, so the
-//! policy's hot path never touches the registry: recording a decision is
-//! a handful of relaxed loads and stores into cells only this handle
-//! writes — no `dyn` call, no lock-prefixed instruction. The registry
-//! reads the cells when it is snapshotted. Detached policies hold the
-//! no-op handle, which owns no cells; every recording call first checks
-//! for them, so the disabled cost is one predictable branch per call site
-//! and zero allocation.
+//! A [`PolicyObs`] is the [`Tally`] registered for one policy's decisions
+//! plus the [`MetricId`]s of its metrics in it, so recording never touches
+//! the registry: a decision is a handful of relaxed loads and stores into
+//! cells only this handle writes — no `dyn` call, no lock-prefixed
+//! instruction. The registry reads the cells when it is snapshotted.
+//!
+//! Its owner is whoever drives the policy, never the policy itself: the
+//! replay's telemetry observer and each engine shard's observer hold one
+//! and record every decision (and the occupancy after it) that the request
+//! kernel hands them. A sink that records nothing yields the no-op handle,
+//! which owns no cells; recording first checks for them.
 //!
 //! Metric names are scoped by an attach-time prefix (e.g. `xlru.` or
 //! `s03.cafe.`), which is how several policies — or several shard
@@ -33,34 +35,20 @@ const METRICS: [(&str, MetricKind); 8] = [
     ("occupancy_chunks", MetricKind::Gauge),
 ];
 
-/// A policy's tally plus where each of its metrics lives in it.
-///
-/// The handle is the metrics' one writer. Cloning it — which cloning a
-/// policy does, since every policy derives `Clone` — yields a
-/// **detached** handle: a copy of a policy records nothing until it is
-/// attached in its own right, so it can neither double-count into the
-/// original's metrics nor race it for the occupancy gauge.
+/// A policy's tally plus where each of its metrics lives in it. The
+/// handle is the metrics' one writer, and it is not `Clone`.
 #[derive(Debug, Default)]
 pub struct PolicyObs {
     attached: Option<([MetricId; 8], Tally)>,
 }
 
-impl Clone for PolicyObs {
-    /// A detached handle (see the type's docs).
-    fn clone(&self) -> PolicyObs {
-        PolicyObs::noop()
-    }
-}
-
 impl PolicyObs {
-    /// A detached handle: no cells, nothing recorded. This is what every
-    /// policy starts with; replays that don't observe never pay more than
-    /// the check for cells.
+    /// A detached handle: no cells, nothing recorded.
     pub fn noop() -> PolicyObs {
         PolicyObs { attached: None }
     }
 
-    /// Attaches to `sink`, registering this policy's metric set under
+    /// Attaches to `sink`, registering the policy metric set under
     /// `scope` (names come out as `{scope}.serve_requests_total` etc.) —
     /// or returns the detached handle if the sink records nothing.
     /// Registration is the only non-hot-path work; keep the handle and
@@ -89,7 +77,7 @@ impl PolicyObs {
 
     /// Records a full decision outcome — verdict counters, hit/fill
     /// chunks, the eviction batch if any — plus the resulting disk
-    /// occupancy. The one call a policy makes per request.
+    /// occupancy. One call per observed request.
     #[inline]
     pub fn record_decision(&self, decision: &Decision, occupancy_chunks: u64) {
         if let Some((ids, tally)) = &self.attached {
@@ -98,8 +86,10 @@ impl PolicyObs {
     }
 }
 
-/// The attached half of [`PolicyObs::record_decision`], kept out of line
-/// so that a detached policy's decide path inlines the branch and no more.
+/// The attached half of [`PolicyObs::record_decision`], kept out of line:
+/// the observers that call it inline the attached check and pay one call
+/// for the tally, the unit the observer ledger's "Tally (PolicyObs)" row
+/// times.
 #[inline(never)]
 fn record(ids: &[MetricId; 8], t: &Tally, decision: &Decision, occupancy_chunks: u64) {
     let [serve, redirect, hit, fill, evicted, per_request, batch, occupancy] = *ids;
@@ -185,16 +175,7 @@ mod tests {
     }
 
     #[test]
-    fn a_clone_is_detached_and_the_noop_sink_registers_nothing() {
-        let reg = Arc::new(MetricsRegistry::new());
-        let obs = PolicyObs::attach(reg.clone(), "p");
-        let copy = obs.clone();
-        assert!(!copy.enabled());
-        copy.record_decision(&serve(5, 0, 0), 9);
-        obs.record_decision(&serve(1, 0, 0), 1);
-        let snap = reg.snapshot();
-        assert_eq!(snap[0].value, 1, "the copy wrote nothing");
-        assert_eq!(snap[7].value, 1, "nor raced the gauge");
+    fn the_noop_sink_registers_nothing() {
         let noop = PolicyObs::attach(crate::registry::NoopSink::shared(), "p");
         assert!(!noop.enabled());
     }

@@ -161,8 +161,8 @@ pub trait MetricsSink: Send + Sync {
 
 /// A sink that records nothing and reports itself disabled.
 ///
-/// [`NoopSink::shared`] returns a process-wide instance so detached
-/// policies don't allocate one each.
+/// [`NoopSink::shared`] returns a process-wide instance so callers that
+/// want metrics off don't allocate one each.
 #[derive(Debug, Default, Clone, Copy)]
 pub struct NoopSink;
 

@@ -153,12 +153,9 @@ fn main() {
 
     let mut bundle = None;
     row("TelemetryObserver, all", &mut || {
-        let registry = registry();
-        let obs = PolicyObs::attach(registry.clone(), "xlru");
-        let mut observer = TelemetryObserver::new(registry, &replayer, &cfg);
+        let mut observer = TelemetryObserver::new(registry(), "xlru", &replayer, &cfg);
         let spent = timed((), |_| {
             for (seq, (request, d)) in steps.iter().enumerate() {
-                obs.record_decision(&d.decision, d.occupancy);
                 observer.on_decision(&DecisionCtx {
                     seq: seq as u64,
                     request,

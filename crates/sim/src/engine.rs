@@ -40,11 +40,12 @@
 //!   ([`ShardedEngine::attach_obs`]) is one [`ReplayObserver`] per shard,
 //!   fed by the kernel with the request's trace index as `seq`; its
 //!   metrics go into `vcdn-obs` tallies the shard's worker alone writes —
-//!   per-shard scoped counters plus the shard's share of the engine-level
-//!   totals, which the registry sums by name — so no two workers share a
-//!   counter's cache line, and a snapshot taken at quiescence is
-//!   consistent with the per-shard reports. A detached shard is served
-//!   with the `()` observer: off means free.
+//!   the shard's policy metric family (recorded by the observer from each
+//!   decision; the policy itself records nothing), its stage counters, and
+//!   its share of the engine-level totals, which the registry sums by
+//!   name — so no two workers share a counter's cache line, and a snapshot
+//!   taken at quiescence is consistent with the per-shard reports. A
+//!   detached shard is served with the `()` observer: off means free.
 //! * **Failure.** A panicking shard policy (or a failed invariant check)
 //!   unwinds its worker; the other workers run to the end of the slice —
 //!   they wait on nothing — and the panic then propagates out of
@@ -277,13 +278,14 @@ const SKEW: [(&str, MetricKind); 2] = [
 ];
 
 /// One shard's instrumentation, created by [`ShardedEngine::attach_obs`]:
-/// its share of the engine totals, the shard's stage counters and
-/// dispatch-stage accounting on the logical clock, a heavy-hitter sketch
-/// over its video stream and a health-window ring over its request
-/// sub-stream. The ring is never flushed mid-lifetime: warm continuation
+/// the shard policy's metric family, its share of the engine totals, the
+/// shard's stage counters and dispatch-stage accounting on the logical
+/// clock, a heavy-hitter sketch over its video stream and a health-window
+/// ring over its request sub-stream. The ring is never flushed mid-lifetime: warm continuation
 /// keeps feeding the open window, and reports merge non-destructive
 /// snapshots.
 struct ShardObserver {
+    policy: PolicyObs,
     totals: ([MetricId; 6], Tally),
     chunk_bytes: u64,
     spans: ShardSpans,
@@ -298,6 +300,8 @@ struct ShardObserver {
 impl ReplayObserver for ShardObserver {
     // lint: hot
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
+        self.policy
+            .record_decision(ctx.decision, ctx.occupancy_chunks);
         self.topk
             .record(ChunkId::new(ctx.request.video, 0).packed());
         let queue_gap = self.dispatch.record(ctx.seq);
@@ -569,11 +573,11 @@ impl ShardedEngine {
             .contains_chunk(chunk)
     }
 
-    /// Attaches shared metrics: each shard's policy records under
-    /// `{scope}.s{i:02}.{policy}`, every shard adds its requests into its
-    /// own share of the `{scope}.engine.*` aggregate counters (summed by
-    /// the registry), and the span/sketch/window instrumentation comes
-    /// alive —
+    /// Attaches shared metrics: each shard's observer records its policy's
+    /// decisions under `{scope}.s{i:02}.{policy}` (the policy itself is
+    /// handed nothing), every shard adds its requests into its own share of
+    /// the `{scope}.engine.*` aggregate counters (summed by the registry),
+    /// and the span/sketch/window instrumentation comes alive —
     /// per-shard stage counters and queue-gap histograms
     /// (`{scope}.s{i:02}.span.*`), the dispatch count
     /// (`{scope}.engine.span.dispatched_total`), shard-imbalance gauges,
@@ -593,16 +597,13 @@ impl ShardedEngine {
         // stage counters, then the dispatch-stage metrics, then the engine
         // aggregates (each shard a writer of the totals, then the skew
         // gauges).
-        let spans: Vec<ShardSpans> = self
-            .shards
-            .iter_mut()
-            .enumerate()
+        let families: Vec<(PolicyObs, ShardSpans)> = (self.shards.iter().enumerate())
             .map(|(i, shard)| {
                 let shard_scope = format!("{scope}.s{i:02}.{}", shard.policy.name());
-                shard
-                    .policy
-                    .attach_obs(PolicyObs::attach(Arc::clone(sink), &shard_scope));
-                ShardSpans::attach(sink, scope, i)
+                (
+                    PolicyObs::attach(Arc::clone(sink), &shard_scope),
+                    ShardSpans::attach(sink, scope, i),
+                )
             })
             .collect();
         let dispatch = DispatchSpans::attach(sink, scope, self.cfg.shards);
@@ -611,10 +612,11 @@ impl ShardedEngine {
             .collect();
         self.skew = Some(engine_tally(sink, scope, SKEW));
         let sizes = TelemetryConfig::new();
-        for (shard, ((spans, dispatch), totals)) in
-            (self.shards.iter_mut()).zip(spans.into_iter().zip(dispatch).zip(totals))
+        for (shard, (((policy, spans), dispatch), totals)) in
+            (self.shards.iter_mut()).zip(families.into_iter().zip(dispatch).zip(totals))
         {
             shard.obs = Some(ShardObserver {
+                policy,
                 totals,
                 chunk_bytes: self.cfg.chunk_size.bytes(),
                 spans,
@@ -1118,21 +1120,83 @@ mod tests {
         }
     }
 
+    /// Forwards the seven required `CachePolicy` methods and nothing else,
+    /// so the engine's telemetry must not depend on anything a wrapper
+    /// could forget to forward.
+    struct Required(Box<dyn CachePolicy>);
+
+    impl CachePolicy for Required {
+        fn handle_request(&mut self, request: &Request) -> Decision {
+            self.0.handle_request(request)
+        }
+        fn name(&self) -> &'static str {
+            self.0.name()
+        }
+        fn chunk_size(&self) -> ChunkSize {
+            self.0.chunk_size()
+        }
+        fn costs(&self) -> CostModel {
+            self.0.costs()
+        }
+        fn disk_used_chunks(&self) -> u64 {
+            self.0.disk_used_chunks()
+        }
+        fn disk_capacity_chunks(&self) -> u64 {
+            self.0.disk_capacity_chunks()
+        }
+        fn contains_chunk(&self, chunk: ChunkId) -> bool {
+            self.0.contains_chunk(chunk)
+        }
+    }
+
     #[test]
     fn engine_bundle_is_worker_count_invariant_jsonl() {
         let t = trace();
-        let jsonl_for = |workers: usize| {
+        let per_shard = shard_requests(&t, 4);
+        type Build = fn(&[Request], CacheConfig) -> Box<dyn CachePolicy>;
+        let jsonl_for = |build: Build, wrapped: bool, workers: usize| {
             let registry = Arc::new(MetricsRegistry::new());
             let sink: Arc<dyn MetricsSink> = registry.clone();
-            let mut engine = xlru_engine(4, 96);
+            let cfg = EngineConfig::new(4, 96, ChunkSize::DEFAULT, costs()).unwrap();
+            let mut engine =
+                ShardedEngine::try_new(cfg, |i, cache| match build(&per_shard[i], cache) {
+                    policy if wrapped => Box::new(Required(policy)),
+                    policy => policy,
+                })
+                .unwrap();
             engine.attach_obs(&sink, "e0");
             let report = engine.run(&t, workers);
             engine_bundle(&report, &registry, &vcdn_obs::default_rules()).to_jsonl()
         };
-        let w1 = jsonl_for(1);
-        let w4 = jsonl_for(4);
-        assert!(!w1.is_empty());
-        assert_eq!(w1, w4, "engine telemetry diverged across worker counts");
+        let policies: [Build; 4] = [
+            |_, c| Box::new(LruCache::new(c)),
+            |_, c| Box::new(XlruCache::new(c)),
+            |_, c| {
+                Box::new(CafeCache::new(CafeConfig::new(
+                    c.disk_chunks,
+                    c.chunk_size,
+                    c.costs,
+                )))
+            },
+            |shard, c| {
+                let psychic = PsychicConfig::new(c.disk_chunks, c.chunk_size, c.costs);
+                Box::new(PsychicCache::new(psychic, shard))
+            },
+        ];
+        for build in policies {
+            let bare = jsonl_for(build, false, 1);
+            let name = build(&[], CacheConfig::new(1, ChunkSize::DEFAULT, costs())).name();
+            assert!(bare.contains(&format!("\"e0.s00.{name}.serve_requests_total\"")));
+            // The same bytes at 4 workers, and behind a wrapper at either.
+            for (wrapped, workers) in [(false, 4), (true, 1), (true, 4)] {
+                assert_eq!(
+                    jsonl_for(build, wrapped, workers),
+                    bare,
+                    "{name}: wrapped {wrapped}, {workers} worker(s)"
+                );
+            }
+        }
+        let w1 = jsonl_for(policies[1], false, 1);
         for line in w1.lines() {
             vcdn_types::json::parse(line)
                 .unwrap_or_else(|e| panic!("bad JSONL line {line}: {e:?}"));

@@ -8,6 +8,9 @@
 //! time order, exactly as a real capture site would see it. Because the
 //! edges peak at different local hours, the parent observes a smoothed
 //! aggregate — the effect that makes dedicated capture sites economical.
+//!
+//! The edge → parent → origin loop lives here once: a two-level
+//! [`crate::hierarchy::replay_hierarchy`] is this replay with one edge.
 
 use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
@@ -57,6 +60,17 @@ pub fn replay_fleet(
     edges: &mut [Box<dyn CachePolicy>],
     parent: &mut dyn CachePolicy,
 ) -> FleetReport {
+    let mut edges: Vec<&mut dyn CachePolicy> = edges.iter_mut().map(|e| &mut **e as _).collect();
+    replay_tiers(traces, &mut edges, parent)
+}
+
+/// The two-tier loop behind [`replay_fleet`] and
+/// [`crate::hierarchy::replay_hierarchy`], with their panics.
+pub(crate) fn replay_tiers(
+    traces: &[Trace],
+    edges: &mut [&mut dyn CachePolicy],
+    parent: &mut dyn CachePolicy,
+) -> FleetReport {
     assert_eq!(
         traces.len(),
         edges.len(),
@@ -99,8 +113,7 @@ pub fn replay_fleet(
         };
         let (kernel, seq) = (&kernels[i], cursors[i] as u64);
         cursors[i] += 1;
-        let edge = edges[i].as_mut();
-        let decision = kernel.serve_one(edge, request, seq, &mut at_edges[i], &mut ());
+        let decision = kernel.serve_one(&mut *edges[i], request, seq, &mut at_edges[i], &mut ());
         // A redirected user retries at the shared parent; what the parent
         // redirects too leaves the CDN.
         if decision.is_redirect()

@@ -22,7 +22,7 @@ use vcdn_core::CachePolicy;
 use vcdn_trace::Trace;
 use vcdn_types::TrafficCounter;
 
-use crate::replay::{Kernel, StreamTraffic, STEADY_AFTER};
+use crate::fleet::replay_tiers;
 
 /// Per-tier and combined results of a hierarchy replay.
 #[derive(Debug, Clone, PartialEq)]
@@ -57,7 +57,8 @@ impl HierarchyReport {
     }
 }
 
-/// Replays `trace` through an edge/parent pair.
+/// Replays `trace` through an edge/parent pair: a
+/// [`crate::fleet::replay_fleet`] with one edge.
 ///
 /// # Panics
 ///
@@ -69,36 +70,13 @@ pub fn replay_hierarchy(
     edge: &mut dyn CachePolicy,
     parent: &mut dyn CachePolicy,
 ) -> HierarchyReport {
-    assert_eq!(
-        edge.chunk_size(),
-        parent.chunk_size(),
-        "edge/parent chunk size mismatch"
-    );
-    let k = edge.chunk_size();
-    let kernel = Kernel::for_trace(trace, k, STEADY_AFTER, true);
-    let mut at_edge = StreamTraffic::default();
-    let mut at_parent = StreamTraffic::default();
-    let (mut origin_bytes, mut origin_requests) = (0u64, 0u64);
-    for (seq, request) in trace.requests.iter().enumerate() {
-        let seq = seq as u64;
-        let decision = kernel.serve_one(edge, request, seq, &mut at_edge, &mut ());
-        // A redirected user retries at the parent location; what the
-        // parent redirects too leaves the CDN.
-        if decision.is_redirect()
-            && kernel
-                .serve_one(parent, request, seq, &mut at_parent, &mut ())
-                .is_redirect()
-        {
-            let bytes = request.chunk_len(k).saturating_mul(k.bytes());
-            origin_bytes = origin_bytes.saturating_add(bytes);
-            origin_requests += 1;
-        }
-    }
+    let fleet = replay_tiers(std::slice::from_ref(trace), &mut [edge], parent);
     HierarchyReport {
-        edge: at_edge.overall,
-        parent: at_parent.overall,
-        origin_bytes,
-        origin_requests,
+        // The one edge's traffic.
+        edge: fleet.edges.first().copied().unwrap_or_default(),
+        parent: fleet.parent,
+        origin_bytes: fleet.origin_bytes,
+        origin_requests: fleet.parent.redirected_requests,
     }
 }
 

@@ -10,9 +10,14 @@
 //! [`TelemetryConfig::new`] is also the single source of the engine's
 //! instrumentation sizes (sketch slots, window width, ring bound).
 //!
-//! [`replay_with_telemetry`] is the one-call entry point: it attaches
-//! scoped policy metrics, observes the replay, and returns the report
-//! plus a JSONL-ready bundle. [`telemetry_cell`] wraps the same call as a
+//! The policy metric family is recorded here too, not by the policy:
+//! [`TelemetryObserver`] registers it under the policy's name and records
+//! each decision and the occupancy after it from the [`DecisionCtx`], so a
+//! policy — or a wrapper around one — holds no writer and forwards nothing.
+//!
+//! [`replay_with_telemetry`] is the one-call entry point: it observes the
+//! replay into a fresh registry and returns the report plus a JSONL-ready
+//! bundle. [`telemetry_cell`] wraps the same call as a
 //! [`Cell`] for [`crate::runner::run_grid`] fan-out — each cell owns its
 //! policy, registry, ring and sampler, so a grid's bundles are
 //! byte-identical for any worker count.
@@ -24,8 +29,8 @@ use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
 use vcdn_obs::window::{WindowFold, WindowInput, WindowRing, WindowStats};
 use vcdn_obs::{
-    default_rules, DecisionEvent, EventRing, MetricsRegistry, MetricsSink, PolicyObs,
-    ReplaySampler, TelemetryBundle, Verdict, Watchdog,
+    default_rules, DecisionEvent, EventRing, MetricsRegistry, PolicyObs, ReplaySampler,
+    TelemetryBundle, Verdict, Watchdog,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -132,13 +137,12 @@ impl Default for TelemetryConfig {
     }
 }
 
-/// A [`ReplayObserver`] that records every decision into a metrics
-/// registry, a bounded event ring, health windows and a trace-time
-/// sampler.
+/// A [`ReplayObserver`] that records every decision into the policy
+/// metric family in a metrics registry, a bounded event ring, health
+/// windows and a trace-time sampler.
 ///
-/// Construct with [`TelemetryObserver::new`], attach the same registry to
-/// the policy (see [`replay_with_telemetry`], which does both), replay
-/// with [`Replayer::replay_observed`], then call
+/// Construct with [`TelemetryObserver::new`] (see [`replay_with_telemetry`]),
+/// replay with [`Replayer::replay_observed`], then call
 /// [`TelemetryObserver::finish`] for the bundle.
 ///
 /// A request is bucketed into trace time once: the observer holds one
@@ -147,6 +151,7 @@ impl Default for TelemetryConfig {
 /// watchdog as each closes) and into the sampler's series.
 pub struct TelemetryObserver {
     registry: Arc<MetricsRegistry>,
+    policy: PolicyObs,
     ring: EventRing,
     topk: Option<SpaceSaving>,
     windows: WindowRing,
@@ -190,16 +195,20 @@ fn on_window(health: &mut Option<Health>, sampler: &mut ReplaySampler, w: &Windo
 }
 
 impl TelemetryObserver {
-    /// Creates an observer whose bundle exports `registry`'s metrics —
-    /// the registry the policy's [`PolicyObs`] records into.
+    /// Creates an observer whose bundle exports `registry`'s metrics,
+    /// registering there the policy metric family under `scope` (names
+    /// come out as `{scope}.serve_requests_total` etc.; see
+    /// [`PolicyObs::attach`]) — the family this observer records.
     ///
     /// # Panics
     ///
     /// As [`TelemetryConfig::ring_width_ms`]: if neither the sample
     /// interval nor the enabled health-window width is a whole multiple
-    /// of the other.
+    /// of the other. As [`PolicyObs::attach`], if `registry` already
+    /// has a live writer of `{scope}.occupancy_chunks`.
     pub fn new(
         registry: Arc<MetricsRegistry>,
+        scope: &str,
         replayer: &Replayer,
         telemetry: &TelemetryConfig,
     ) -> TelemetryObserver {
@@ -207,6 +216,7 @@ impl TelemetryObserver {
         let width = telemetry.ring_width_ms();
         let window = telemetry.window.as_millis();
         TelemetryObserver {
+            policy: PolicyObs::attach(Arc::clone(&registry) as _, scope),
             registry,
             ring: EventRing::new(telemetry.event_capacity),
             topk: (telemetry.topk_k > 0).then(|| SpaceSaving::new(telemetry.topk_k)),
@@ -262,6 +272,8 @@ impl TelemetryObserver {
 
 impl ReplayObserver for TelemetryObserver {
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
+        self.policy
+            .record_decision(ctx.decision, ctx.occupancy_chunks);
         if let Some(sketch) = self.topk.as_mut() {
             sketch.record(ChunkId::new(ctx.request.video, 0).packed());
         }
@@ -301,15 +313,13 @@ impl ReplayObserver for TelemetryObserver {
     }
 }
 
-/// Replays `trace` through `policy` with full telemetry: attaches scoped
-/// policy metrics to a fresh registry, observes every decision, and
-/// returns the ordinary report alongside the telemetry bundle.
+/// Replays `trace` through `policy` with full telemetry: observes every
+/// decision into a fresh registry, and returns the ordinary report
+/// alongside the telemetry bundle.
 ///
 /// The bundle's meta line records the policy, cost model, chunk size,
-/// sample interval and trace identity; its metrics are the policy's
-/// scoped counters/gauges/histograms in registration order. The policy is
-/// detached again on return: the registry it wrote to is private to this
-/// call.
+/// sample interval and trace identity; its metrics are the policy metric
+/// family under the policy's name, in registration order.
 ///
 /// # Panics
 ///
@@ -321,13 +331,9 @@ pub fn replay_with_telemetry(
     policy: &mut dyn CachePolicy,
     telemetry: &TelemetryConfig,
 ) -> (ReplayReport, TelemetryBundle) {
-    let registry = Arc::new(MetricsRegistry::new());
     let scope = policy.name();
-    policy.attach_obs(PolicyObs::attach(
-        Arc::clone(&registry) as Arc<dyn MetricsSink>,
-        scope,
-    ));
-    let mut observer = TelemetryObserver::new(Arc::clone(&registry), replayer, telemetry);
+    let mut observer =
+        TelemetryObserver::new(Arc::new(MetricsRegistry::new()), scope, replayer, telemetry);
     let cfg = replayer.config();
     observer.meta_entry("policy", Json::Str(scope.into()));
     observer.meta_entry("alpha", Json::Float(cfg.costs.alpha()));
@@ -341,7 +347,6 @@ pub fn replay_with_telemetry(
     observer.meta_entry("trace", Json::Str(trace.meta.name.clone()));
     observer.meta_entry("requests", Json::Int(trace.len() as i128));
     let report = replayer.replay_observed(trace, policy, &mut observer);
-    policy.attach_obs(PolicyObs::noop());
     (report, observer.finish())
 }
 
@@ -419,66 +424,6 @@ mod tests {
         assert!(!bundle.windows.is_empty());
         assert!(!bundle.series.is_empty());
         assert!(!bundle.events.is_empty());
-    }
-
-    /// An xLRU that remembers whether the last handle it was given is
-    /// live, and whether it was while requests arrived.
-    struct Attachment {
-        inner: XlruCache,
-        attached: bool,
-        attached_at_requests: Vec<bool>,
-    }
-
-    impl CachePolicy for Attachment {
-        fn handle_request(&mut self, request: &vcdn_types::Request) -> vcdn_types::Decision {
-            self.attached_at_requests.push(self.attached);
-            self.inner.handle_request(request)
-        }
-        fn name(&self) -> &'static str {
-            self.inner.name()
-        }
-        fn chunk_size(&self) -> ChunkSize {
-            self.inner.chunk_size()
-        }
-        fn costs(&self) -> CostModel {
-            self.inner.costs()
-        }
-        fn disk_used_chunks(&self) -> u64 {
-            self.inner.disk_used_chunks()
-        }
-        fn disk_capacity_chunks(&self) -> u64 {
-            self.inner.disk_capacity_chunks()
-        }
-        fn contains_chunk(&self, chunk: vcdn_types::ChunkId) -> bool {
-            self.inner.contains_chunk(chunk)
-        }
-        fn attach_obs(&mut self, obs: PolicyObs) {
-            self.attached = obs.enabled();
-            self.inner.attach_obs(obs);
-        }
-        fn decision_detail(&self) -> vcdn_core::DecisionDetail {
-            self.inner.decision_detail()
-        }
-    }
-
-    #[test]
-    fn telemetry_replay_detaches_the_policy() {
-        let t = trace();
-        let costs = CostModel::from_alpha(2.0).unwrap();
-        let xlru = || XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
-        let mut policy = Attachment {
-            inner: xlru(),
-            attached: false,
-            attached_at_requests: Vec::new(),
-        };
-        let (_, bundle) =
-            replay_with_telemetry(&replayer(costs), &t, &mut policy, &TelemetryConfig::new());
-        assert_eq!(policy.attached_at_requests, vec![true; t.len()]);
-        assert!(!policy.attached, "the private registry must be let go");
-        // Detaching costs the bundle nothing.
-        let (_, direct) =
-            replay_with_telemetry(&replayer(costs), &t, &mut xlru(), &TelemetryConfig::new());
-        assert_eq!(bundle.to_jsonl(), direct.to_jsonl());
     }
 
     #[test]
@@ -672,43 +617,9 @@ mod tests {
         assert_eq!(jsonl_for(1), jsonl_for(4));
     }
 
-    #[test]
-    fn a_clone_of_an_attached_policy_is_not_a_second_writer() {
-        let t = trace();
-        let costs = CostModel::from_alpha(2.0).unwrap();
-        let registry = Arc::new(MetricsRegistry::new());
-        let mut original = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
-        original.attach_obs(PolicyObs::attach(registry.clone(), "xlru"));
-        let mut copy = original.clone();
-        let half = Trace::new(t.meta.clone(), t.requests[..t.len() / 2].to_vec());
-        let mut observer =
-            TelemetryObserver::new(registry.clone(), &replayer(costs), &TelemetryConfig::new());
-        let report = replayer(costs).replay_observed(&half, &mut original, &mut observer);
-        // The copy runs the whole trace — and records none of it.
-        replayer(costs).replay(&t, &mut copy);
-        let bundle = observer.finish();
-        let metric = |name: &str| {
-            bundle
-                .metrics
-                .iter()
-                .find(|m| m.name == name)
-                .unwrap()
-                .value
-        };
-        assert_eq!(
-            metric("xlru.serve_requests_total") + metric("xlru.redirect_requests_total"),
-            half.len() as u64
-        );
-        assert_eq!(
-            metric("xlru.serve_requests_total"),
-            report.overall.served_requests
-        );
-        assert_eq!(metric("xlru.occupancy_chunks"), original.disk_used_chunks());
-    }
-
-    /// What a benchmark-side timing wrapper forwards: these nine methods
-    /// and nothing else, so every defaulted `CachePolicy` method is the
-    /// default behind it.
+    /// What a benchmark-side timing wrapper forwards: these eight methods
+    /// and nothing else, so every other defaulted `CachePolicy` method —
+    /// `attach_obs` included — is the default behind it.
     struct Forward(Box<dyn CachePolicy>);
 
     impl CachePolicy for Forward {
@@ -732,9 +643,6 @@ mod tests {
         }
         fn contains_chunk(&self, chunk: vcdn_types::ChunkId) -> bool {
             self.0.contains_chunk(chunk)
-        }
-        fn attach_obs(&mut self, obs: PolicyObs) {
-            self.0.attach_obs(obs);
         }
         fn decision_detail(&self) -> vcdn_core::DecisionDetail {
             self.0.decision_detail()
@@ -788,6 +696,7 @@ mod tests {
         assert!(cfg.with_window(DurationMs::from_secs(3 * 3600)).folds());
         TelemetryObserver::new(
             Arc::new(MetricsRegistry::new()),
+            "lru",
             &replayer(CostModel::balanced()),
             &cfg,
         );

@@ -13,10 +13,7 @@
 //! exactly the two quantities the footnote names: per-server load balance
 //! and co-located duplicate chunks.
 
-use std::sync::Arc;
-
 use vcdn_core::CachePolicy;
-use vcdn_obs::{MetricsSink, PolicyObs};
 use vcdn_trace::Trace;
 use vcdn_types::float::exactly_zero;
 use vcdn_types::{ChunkId, TrafficCounter, VideoId};
@@ -125,17 +122,6 @@ impl ColocatedReport {
         } else {
             max / mean
         }
-    }
-}
-
-/// Attaches per-server scoped metrics to every co-located cache: server
-/// `i` running policy `p` records under `s{i:02}.{p}.…`, so one shared
-/// sink (typically a [`vcdn_obs::MetricsRegistry`]) separates the
-/// location's servers while keeping their metrics in one snapshot.
-pub fn attach_colocated_obs(caches: &mut [Box<dyn CachePolicy>], sink: &Arc<dyn MetricsSink>) {
-    for (i, cache) in caches.iter_mut().enumerate() {
-        let scope = format!("s{i:02}.{}", cache.name());
-        cache.attach_obs(PolicyObs::attach(Arc::clone(sink), &scope));
     }
 }
 
@@ -304,42 +290,5 @@ mod tests {
     #[should_panic(expected = "at least one cache")]
     fn empty_cache_group_rejected() {
         replay_colocated(&trace(), &mut [], Assignment::Sharded);
-    }
-
-    #[test]
-    fn colocated_obs_scopes_servers_separately() {
-        use vcdn_obs::MetricsRegistry;
-
-        let t = trace();
-        let mut cs = caches(3);
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink: Arc<dyn MetricsSink> = registry.clone();
-        attach_colocated_obs(&mut cs, &sink);
-        let rep = replay_colocated(&t, &mut cs, Assignment::Sharded);
-
-        let snap = registry.snapshot();
-        // Every server registered its scoped metric family.
-        for i in 0..3 {
-            assert!(
-                snap.iter()
-                    .any(|m| m.name == format!("s{i:02}.lru.serve_requests_total")),
-                "server {i} metrics missing"
-            );
-        }
-        // Per-server request counters agree with the replay's accounting.
-        for (i, server) in rep.servers.iter().enumerate() {
-            let served = snap
-                .iter()
-                .find(|m| m.name == format!("s{i:02}.lru.serve_requests_total"))
-                .unwrap()
-                .value;
-            assert_eq!(served, server.served_requests);
-        }
-        let total: u64 = snap
-            .iter()
-            .filter(|m| m.name.ends_with("serve_requests_total"))
-            .map(|m| m.value)
-            .sum();
-        assert_eq!(total as usize, t.len());
     }
 }

@@ -198,21 +198,33 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let k = chunk_size(args, 2)?;
     let alpha: f64 = args.parse_flag("alpha", 1.0)?;
     let costs = CostModel::from_alpha(alpha).map_err(|e| e.to_string())?;
-    let disk_chunks: u64 = match (args.get("disk-chunks"), args.get("disk-gb")) {
-        (Some(v), _) => v
-            .parse()
-            .map_err(|_| format!("--disk-chunks: cannot parse '{v}'"))?,
+    let (flag, disk_chunks): (&str, u64) = match (args.get("disk-chunks"), args.get("disk-gb")) {
+        (Some(v), _) => (
+            "--disk-chunks",
+            v.parse()
+                .map_err(|_| format!("--disk-chunks: cannot parse '{v}'"))?,
+        ),
         (None, Some(v)) => {
             let gb: f64 = v
                 .parse()
                 .map_err(|_| format!("--disk-gb: cannot parse '{v}'"))?;
-            ((gb * (1u64 << 30) as f64) / k.bytes() as f64).round() as u64
+            if !(gb.is_finite() && gb > 0.0) {
+                return Err("--disk-gb must be finite and > 0".into());
+            }
+            let chunks = ((gb * (1u64 << 30) as f64) / k.bytes() as f64).round() as u64;
+            ("--disk-gb", chunks)
         }
         (None, None) => return Err("--disk-chunks or --disk-gb is required".into()),
     };
     if disk_chunks == 0 {
         return Err("disk must hold at least one chunk".into());
     }
+    let disk_bytes = disk_chunks.checked_mul(k.bytes()).ok_or_else(|| {
+        format!(
+            "{flag}: {disk_chunks} chunks of {} bytes overflow a 64-bit byte count",
+            k.bytes()
+        )
+    })?;
     let algo = args.parse_flag("algo", "cafe".to_owned())?;
     let cache_cfg = CacheConfig::new(disk_chunks, k, costs);
     let load_state = args.get("load-state").map(PathBuf::from);
@@ -302,7 +314,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     println!(
         "algo={} alpha={alpha} disk={disk_chunks} chunks ({})",
         report.policy,
-        bytes(disk_chunks * k.bytes())
+        bytes(disk_bytes)
     );
     println!("{}", t.render());
     Ok(())

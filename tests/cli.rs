@@ -174,6 +174,15 @@ fn zero_disk_and_overflowing_chunk_size_are_refused() {
         "8",
     ];
     refused(&bound, "--chunk-mb");
+    // 9e12 chunks of 2 MiB is 17,166,138 TiB: past u64 bytes, so it must
+    // not print a wrapped size.
+    let disk = ["replay", "--trace", p, "--algo", "lru", "--disk-chunks"];
+    refused(&[&disk[..], &["9000000000000"]].concat(), "--disk-chunks");
+    let gb = ["replay", "--trace", p, "--algo", "lru", "--disk-gb"];
+    for bad in ["inf", "NaN", "-1", "0"] {
+        refused(&[&gb[..], &[bad]].concat(), "--disk-gb");
+    }
+    refused(&[&gb[..], &["1e12"]].concat(), "--disk-gb");
     std::fs::remove_file(&path).ok();
 }
 
