@@ -1,7 +1,7 @@
 //! The ablations A1–A10 (design choices the paper calls out, plus the
 //! methodology checks behind the scale model) and the §3 related-work study.
 
-use std::collections::{HashSet, VecDeque};
+use std::collections::VecDeque;
 
 use crate::{
     efficiencies, reduced_two_day_trace, reference_setup, run_algo, sweep, sweep_paper_three,
@@ -18,7 +18,7 @@ use vcdn_sim::report::{bytes, eff, Table};
 use vcdn_sim::runner::Cell;
 use vcdn_sim::{DiskIoModel, EgressModel, ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{ServerProfile, Trace};
-use vcdn_types::{ChunkSize, CostModel, DurationMs, Request};
+use vcdn_types::{ChunkSize, CostModel, DurationMs, FastSet, Request};
 
 /// Ablation A1 — Cafe's look-ahead window `T`.
 ///
@@ -580,7 +580,7 @@ fn churn(trace: &Trace, capacity: u64, granularity: Option<u64>) -> ChurnStats {
     let mut alloc = SegmentAllocator::new(capacity);
     let mut next_id = 0u64;
     let mut fifo: VecDeque<u64> = VecDeque::new();
-    let mut seen: HashSet<(u64, u64)> = HashSet::new();
+    let mut seen: FastSet<(u64, u64)> = FastSet::default();
     let mut stats = ChurnStats {
         payload_bytes: 0,
         stored_bytes: 0,

@@ -168,7 +168,7 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_lookup_remove() {
@@ -271,9 +271,9 @@ mod tests {
 
     #[test]
     fn model_based_random_ops() {
-        // Reference model: HashMap + full scan for min.
+        // Reference model: BTreeMap + full scan for min.
         let mut s = KeyedSet::new();
-        let mut model: HashMap<u64, f64> = HashMap::new();
+        let mut model: BTreeMap<u64, f64> = BTreeMap::new();
         let mut seed = 99u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);

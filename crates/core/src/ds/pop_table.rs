@@ -451,7 +451,7 @@ impl PopTable {
     }
 
     /// `(video, last_seen)` for every video with a video-level record, in
-    /// hasher-dependent order — callers must sort before any ordered use.
+    /// slot order.
     pub fn videos_seen(&self) -> impl Iterator<Item = (VideoId, Timestamp)> + '_ {
         let seen = self.dir.iter().filter(|(_, v)| v.meta != Timestamp::NONE);
         seen.map(|(_, v)| (v.id(), v.meta))

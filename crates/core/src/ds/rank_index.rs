@@ -554,7 +554,7 @@ impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
 
     #[test]
     fn insert_lookup_remove() {
@@ -765,10 +765,10 @@ mod tests {
 
     #[test]
     fn model_based_random_ops() {
-        // Reference model: HashMap + full scan for min (same model the
+        // Reference model: BTreeMap + full scan for min (same model the
         // KeyedSet test uses, so both structures answer identically).
         let mut s = RankMap::new();
-        let mut model: HashMap<u64, f64> = HashMap::new();
+        let mut model: BTreeMap<u64, f64> = BTreeMap::new();
         let mut seed = 99u64;
         let mut next = || {
             seed = seed.wrapping_mul(6364136223846793005).wrapping_add(1);

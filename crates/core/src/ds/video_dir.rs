@@ -14,7 +14,9 @@
 //! Slots are free-listed, never compacted: a slot stays valid until the
 //! owner [`VideoDir::release`]s it, which it does only once the video
 //! holds nothing the owner needs. Slot values are allocation artifacts
-//! (free-list reuse order) and never influence ordering or output.
+//! (free-list reuse order) and never influence ordering or output. Walks
+//! ([`VideoDir::retain`], [`VideoDir::iter`]) go over the slab in slot
+//! order; the video → slot probe is a lookup-only [`FastMap`].
 
 use std::ops::{Index, IndexMut};
 
@@ -60,6 +62,8 @@ impl Absent for () {
 #[derive(Debug, Clone)]
 pub struct Video<R, V> {
     id: VideoId,
+    /// Whether a video holds this slot (free-listed entries do not).
+    used: bool,
     /// Owner-kept count of the run's live records.
     pub live: u32,
     /// Owner-kept per-video value.
@@ -68,10 +72,11 @@ pub struct Video<R, V> {
 }
 
 impl<R: Absent, V: Absent> Video<R, V> {
-    /// An empty entry for `id`.
-    fn empty(id: VideoId) -> Self {
+    /// An empty entry for `id`; a free-listed one if not `used`.
+    fn empty(id: VideoId, used: bool) -> Self {
         Video {
             id,
+            used,
             live: 0,
             meta: V::NONE,
             run: Vec::new(),
@@ -172,7 +177,7 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
         } = self;
         *slots
             .entry(video)
-            .or_insert_with(|| super::alloc(videos, free, Video::empty(video)))
+            .or_insert_with(|| super::alloc(videos, free, Video::empty(video, true)))
     }
 
     /// Frees `slot`: its run's memory goes, the entry is reset and its
@@ -180,36 +185,30 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
     pub fn release(&mut self, slot: u32) {
         let v = &mut self.videos[slot as usize];
         self.slots.remove(&v.id);
-        *v = Video::empty(v.id);
+        *v = Video::empty(v.id, false);
         self.free.push(slot);
     }
 
     /// Keeps only the entries `keep` returns `true` for (it may edit them
-    /// first) and releases the rest, in hasher-dependent order.
+    /// first) and releases the rest, in slot order.
     pub fn retain(&mut self, mut keep: impl FnMut(&mut Video<R, V>) -> bool) {
         let VideoDir {
             slots,
             videos,
             free,
         } = self;
-        slots.retain(|_, &mut slot| {
-            let v = &mut videos[slot as usize];
-            let kept = keep(v);
-            if !kept {
-                *v = Video::empty(v.id);
+        for (slot, v) in (0u32..).zip(videos.iter_mut()) {
+            if v.used && !keep(v) {
+                slots.remove(&v.id);
+                *v = Video::empty(v.id, false);
                 free.push(slot);
             }
-            kept
-        });
+        }
     }
 
-    /// Every `(slot, entry)` with a video, in hasher-dependent order —
-    /// callers must sort before any ordered use.
+    /// Every `(slot, entry)` with a video, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Video<R, V>)> + '_ {
-        let videos = &self.videos;
-        self.slots
-            .values()
-            .map(|&slot| (slot, &videos[slot as usize]))
+        (0u32..).zip(&self.videos).filter(|(_, v)| v.used)
     }
 
     /// Checks the directory's invariants (tests): every slot maps back to
@@ -220,17 +219,21 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
     ///
     /// Panics on the first violation.
     pub fn audit(&self, is_live: impl Fn(&R) -> bool) {
-        for (&id, &slot) in &self.slots {
-            let v = &self[slot];
-            assert_eq!(v.id, id, "slot {slot}: video");
+        let mut used = 0;
+        for (slot, v) in self.iter() {
+            assert_eq!(self.slot(v.id), Some(slot), "slot {slot}: video");
             let live = v.run.iter().filter(|r| is_live(r)).count();
-            assert_eq!(live, v.live as usize, "{id}: live count");
+            assert_eq!(live, v.live as usize, "{}: live count", v.id);
+            used += 1;
         }
-        let entries = self.free.len() + self.slots.len();
-        assert_eq!(entries, self.videos.len(), "leaked entry");
+        assert_eq!(used, self.slots.len(), "leaked probe");
+        assert_eq!(self.free.len() + used, self.videos.len(), "leaked entry");
         for &slot in &self.free {
             let v = &self[slot];
-            assert!(v.run.is_empty() && v.live == 0, "{slot}: freed, held");
+            assert!(
+                !v.used && v.run.is_empty() && v.live == 0,
+                "{slot}: freed, held"
+            );
         }
     }
 }

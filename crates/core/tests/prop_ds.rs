@@ -4,7 +4,7 @@
 //! framework these replay random operation sequences drawn from
 //! [`DetRng`]; failures print the case seed.
 
-use std::collections::{BTreeSet, HashMap};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vcdn_core::ds::{BitTree, ChunkLru, IndexedLruList, KeyedSet, VideoDir, MAX_CHUNK_INDEX};
 use vcdn_trace::rng::DetRng;
@@ -114,19 +114,12 @@ fn chunk_lru_matches_lru_list() {
     }
 }
 
-/// A new `VideoDir` entry takes a free slot while there is one, and grows
-/// the slab by one otherwise.
-fn take_slot(slot: u32, free: &mut BTreeSet<u32>, slab: &mut u32, at: &str) {
-    let grew = free.is_empty();
-    assert!(
-        if grew {
-            slot == *slab
-        } else {
-            free.remove(&slot)
-        },
-        "{at}: slot {slot}"
-    );
-    *slab += u32::from(grew);
+/// A new `VideoDir` entry takes the last freed slot while there is one,
+/// and grows the slab by one otherwise.
+fn take_slot(slot: u32, free: &mut Vec<u32>, slab: &mut u32, at: &str) {
+    let want = free.pop().unwrap_or(*slab);
+    assert_eq!(slot, want, "{at}: slot");
+    *slab += u32::from(want == *slab);
 }
 
 #[test]
@@ -136,10 +129,10 @@ fn video_dir_matches_model() {
         let mut rng = DetRng::new(0x0D12_18A7 ^ case);
         let mut dir: VideoDir<u32, u32> = VideoDir::default();
         // The owner's view: each video's slot, run and value, and the free
-        // slots (a retain frees in hasher order, so reuse is checked by
-        // membership).
-        let mut model: HashMap<u64, (u32, Vec<u32>, u32)> = HashMap::new();
-        let mut free: BTreeSet<u32> = BTreeSet::new();
+        // slots in the order they were freed (a retain frees in slot
+        // order, so reuse is checked exactly).
+        let mut model: BTreeMap<u64, (u32, Vec<u32>, u32)> = BTreeMap::new();
+        let mut free: Vec<u32> = Vec::new();
         let mut slab = 0u32;
         let videos = 1 + rng.below(12);
         for step in 0..1 + rng.below(500) {
@@ -173,19 +166,22 @@ fn video_dir_matches_model() {
                 9..=11 => {
                     if let Some((slot, _, _)) = model.remove(&video) {
                         dir.release(slot);
-                        free.insert(slot);
+                        free.push(slot);
                     }
                 }
                 12 => {
                     // Keep the videos holding something, or an odd value.
                     dir.retain(|v| v.live > 0 || v.meta % 2 == 1);
+                    let mut freed = Vec::new();
                     model.retain(|_, (slot, run, meta)| {
                         let keep = run.iter().any(|&r| r != NONE) || *meta % 2 == 1;
                         if !keep {
-                            free.insert(*slot);
+                            freed.push(*slot);
                         }
                         keep
                     });
+                    freed.sort_unstable();
+                    free.extend(freed);
                 }
                 13 if !model.contains_key(&video) => {
                     // The last index the bound admits, then straight out.
@@ -196,7 +192,7 @@ fn video_dir_matches_model() {
                     assert_eq!(v.run().len() as u32, MAX_CHUNK_INDEX, "{}", at());
                     assert_eq!((v.rec(MAX_CHUNK_INDEX - 1), v.rec(0)), (7, NONE));
                     dir.release(slot);
-                    free.insert(slot);
+                    free.push(slot);
                 }
                 _ => {}
             }
@@ -215,9 +211,9 @@ fn video_dir_matches_model() {
             for video in (0..videos).filter(|v| !model.contains_key(v)) {
                 assert_eq!(dir.slot(VideoId(video)), None, "{}", at());
             }
-            let mut listed: Vec<u64> = dir.iter().map(|(_, v)| v.id().0).collect();
-            listed.sort_unstable();
-            let mut want: Vec<u64> = model.keys().copied().collect();
+            // The walk is in slot order.
+            let listed: Vec<(u32, u64)> = dir.iter().map(|(s, v)| (s, v.id().0)).collect();
+            let mut want: Vec<(u32, u64)> = model.iter().map(|(&v, e)| (e.0, v)).collect();
             want.sort_unstable();
             assert_eq!(listed, want, "{}", at());
             dir.audit(|&r| r != NONE);
@@ -248,8 +244,8 @@ fn keyed_set_matches_model() {
         let mut rng = DetRng::new(0x05E7_18A7 ^ case);
         let n_ops = 1 + rng.below(400) as usize;
         let mut set: KeyedSet<u8> = KeyedSet::new();
-        let mut model: std::collections::HashMap<u8, f64> = std::collections::HashMap::new();
-        let min_of = |m: &std::collections::HashMap<u8, f64>| {
+        let mut model: std::collections::BTreeMap<u8, f64> = std::collections::BTreeMap::new();
+        let min_of = |m: &std::collections::BTreeMap<u8, f64>| {
             m.iter()
                 .min_by(|a, b| a.1.partial_cmp(b.1).expect("no NaN").then(a.0.cmp(b.0)))
                 .map(|(k, v)| (*k, *v))
@@ -286,7 +282,7 @@ fn keyed_set_matches_model() {
 fn smallest_excluding_is_sound() {
     for case in 0..128u64 {
         let mut rng = DetRng::new(0x5AA11E57 ^ case);
-        let mut entries: std::collections::HashMap<u8, i32> = std::collections::HashMap::new();
+        let mut entries: std::collections::BTreeMap<u8, i32> = std::collections::BTreeMap::new();
         for _ in 0..rng.below(30) {
             entries.insert(rng.below(40) as u8, rng.below(200) as i32 - 100);
         }

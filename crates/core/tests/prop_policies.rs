@@ -5,7 +5,7 @@
 //! framework these loop over [`DetRng`]-generated cases; failures print the
 //! case number.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
+use std::collections::{BTreeMap, BTreeSet};
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, DecisionDetail, LruCache, PsychicCache,
@@ -51,8 +51,8 @@ fn disk(rng: &mut DetRng) -> u64 {
 
 /// Exercises one policy against the CachePolicy contract.
 fn check_contract(policy: &mut dyn CachePolicy, reqs: &[Request], case: u64) {
-    let mut present: std::collections::HashSet<vcdn_types::ChunkId> =
-        std::collections::HashSet::new();
+    let mut present: std::collections::BTreeSet<vcdn_types::ChunkId> =
+        std::collections::BTreeSet::new();
     for r in reqs {
         let chunks = r.chunk_len(k());
         match policy.handle_request(r) {
@@ -144,9 +144,9 @@ struct NaivePsychic {
     capacity: usize,
     costs: CostModel,
     n: usize,
-    future: HashMap<ChunkId, Vec<(usize, u64)>>,
+    future: BTreeMap<ChunkId, Vec<(usize, u64)>>,
     /// Cached chunk → insertion time.
-    disk: HashMap<ChunkId, u64>,
+    disk: BTreeMap<ChunkId, u64>,
     mean_residency_ms: f64,
     evictions: u64,
     start: Option<u64>,
@@ -162,7 +162,7 @@ struct NaivePsychic {
 
 impl NaivePsychic {
     fn new(capacity: u64, costs: CostModel, n: usize, reqs: &[Request]) -> Self {
-        let mut future: HashMap<ChunkId, Vec<(usize, u64)>> = HashMap::new();
+        let mut future: BTreeMap<ChunkId, Vec<(usize, u64)>> = BTreeMap::new();
         for (seq, r) in reqs.iter().enumerate() {
             for c in r.chunk_range(k()).iter() {
                 let id = ChunkId::new(r.video, c);
@@ -320,7 +320,7 @@ fn psychic_agrees(
     let cfg = PsychicConfig::new(d, k(), costs).with_future_list_bound(n);
     let mut cache = PsychicCache::new(cfg, reqs);
     let mut naive = NaivePsychic::new(d, costs, n, reqs);
-    let mut reprieved: HashSet<ChunkId> = HashSet::new();
+    let mut reprieved: BTreeSet<ChunkId> = BTreeSet::new();
     for (seq, r) in reqs.iter().enumerate() {
         seen.oversized += usize::from(r.chunk_len(k()) > d);
         // The tie-breaks an order on integers could get wrong: two cached
@@ -389,8 +389,8 @@ fn psychic_matches_reference() {
                 )
             })
             .collect();
-        let videos: HashSet<VideoId> = reqs.iter().map(|r| r.video).collect();
-        let chunks: HashSet<ChunkId> = reqs
+        let videos: BTreeSet<VideoId> = reqs.iter().map(|r| r.video).collect();
+        let chunks: BTreeSet<ChunkId> = reqs
             .iter()
             .flat_map(|r| r.chunk_range(k()).iter().map(|c| ChunkId::new(r.video, c)))
             .collect();
@@ -739,8 +739,8 @@ fn full_hits_are_always_served() {
         // request (same range) must be served once its chunks are in.
         let costs = CostModel::from_alpha(alpha(&mut rng)).expect("valid");
         let mut cache = CafeCache::new(CafeConfig::new(10_000, k(), costs));
-        let mut served_once: std::collections::HashSet<(VideoId, u64, u64)> =
-            std::collections::HashSet::new();
+        let mut served_once: std::collections::BTreeSet<(VideoId, u64, u64)> =
+            std::collections::BTreeSet::new();
         for r in &reqs {
             let key = (r.video, r.bytes.start, r.bytes.end);
             let d = cache.handle_request(r);

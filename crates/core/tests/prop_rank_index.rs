@@ -19,7 +19,7 @@
 //!   re-keys across many buckets with no ordered read between them, then
 //!   reads, removals and downward re-keys that meet the stale entries.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vcdn_core::ds::{KeyedSet, RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
 use vcdn_trace::rng::DetRng;
@@ -148,17 +148,17 @@ fn cafe_shaped_eviction_sequences_are_identical() {
 struct Trio {
     by_item: RankMap<u16>,
     by_slot: RankIndex<u16>,
-    slots: HashMap<u16, u32>,
+    slots: BTreeMap<u16, u32>,
     oracle: KeyedSet<u16>,
     step: usize,
     /// Counts ordered reads (scans, and re-finds after the minimum left or
     /// rose): an entry that crossed a bucket boundary upward at the current
     /// count cannot have been settled since.
     reads: usize,
-    crossed_at: HashMap<u16, usize>,
+    crossed_at: BTreeMap<u16, usize>,
     /// The lowest bucket each item's keys have mapped to since insertion —
     /// a lower bound on its stored bucket.
-    low: HashMap<u16, i64>,
+    low: BTreeMap<u16, i64>,
     eager_moves: usize,
     stale_removed: usize,
     min_raised: usize,

@@ -10,8 +10,7 @@
 //! per-video directory adds (see `Coverage`). The caches audit their
 //! directory and lists every 64 requests and after each restore.
 
-use std::collections::{BTreeMap, HashMap, HashSet};
-use std::hash::Hash;
+use std::collections::{BTreeMap, BTreeSet};
 
 use vcdn_core::{CacheConfig, CachePolicy, DecisionDetail, LruCache, XlruCache};
 use vcdn_trace::rng::DetRng;
@@ -30,15 +29,15 @@ fn k() -> ChunkSize {
 /// touch, so `(time, touch number)` orders entries exactly as a
 /// move-to-front list would.
 struct NaiveOrder<K> {
-    at: HashMap<K, (u64, u64)>,
+    at: BTreeMap<K, (u64, u64)>,
     order: BTreeMap<(u64, u64), K>,
     touches: u64,
 }
 
-impl<K: Copy + Eq + Hash> NaiveOrder<K> {
+impl<K: Copy + Ord> NaiveOrder<K> {
     fn new() -> Self {
         NaiveOrder {
-            at: HashMap::new(),
+            at: BTreeMap::new(),
             order: BTreeMap::new(),
             touches: 0,
         }
@@ -103,7 +102,7 @@ struct NaiveDisk {
     lru: NaiveOrder<ChunkId>,
     capacity: usize,
     /// Videos that lost their last cached chunk to an eviction.
-    emptied: HashSet<VideoId>,
+    emptied: BTreeSet<VideoId>,
 }
 
 impl NaiveDisk {
@@ -111,7 +110,7 @@ impl NaiveDisk {
         NaiveDisk {
             lru: NaiveOrder::new(),
             capacity: capacity as usize,
-            emptied: HashSet::new(),
+            emptied: BTreeSet::new(),
         }
     }
 
@@ -188,7 +187,7 @@ struct NaiveXlru {
     handled: u64,
     /// Videos a sweep dropped from the tracker while they had chunks on
     /// disk, until their next request.
-    forgotten: HashSet<VideoId>,
+    forgotten: BTreeSet<VideoId>,
 }
 
 impl NaiveXlru {
@@ -274,7 +273,7 @@ fn xlru_matches_reference() {
             tracker: NaiveOrder::new(),
             alpha,
             handled: 0,
-            forgotten: HashSet::new(),
+            forgotten: BTreeSet::new(),
         };
         // A third of the cases restore at a random point; a third restore
         // right before a tracker sweep, from a snapshot edited so the

@@ -23,6 +23,13 @@ fn wall_clock() -> std::time::Instant {
     std::time::Instant::now()
 }
 
+/// `determinism-flow`: `clippy::disallowed_types` keeps the std hash
+/// containers, whose iteration order is the hasher's, out of the code.
+#[expect(clippy::disallowed_types, reason = "seeded: determinism-flow")]
+fn hash_ordered() -> std::collections::HashSet<u64> {
+    std::collections::HashSet::from([1])
+}
+
 /// `panic`: `clippy::unwrap_used` from the `#![warn]` list above.
 #[expect(clippy::unwrap_used, reason = "seeded: panic")]
 fn first(xs: &[u64]) -> u64 {
@@ -37,6 +44,6 @@ fn misspelled_feature() -> bool {
 }
 
 fn main() {
-    let _ = wall_clock();
+    let _ = (wall_clock(), hash_ordered());
     println!("{} {}", first(&[1]), misspelled_feature());
 }

@@ -6,13 +6,13 @@
 //! chains, match arms, closures, binary/assignment operators and casts —
 //! which is exactly the shape every vcdn-lint rule walks per function:
 //! `hot-path`, `float-eq`, `literal-index` and `clock-arith` through
-//! [`walk_block`], `determinism-flow` and `lock-discipline` with their own
-//! scoping and [`Expr::children`] for the rest. It is *not* a full Rust
+//! [`walk_block`], `lock-discipline` with its own scoping and
+//! [`Expr::children`] for the rest. It is *not* a full Rust
 //! grammar:
 //!
 //! * patterns are skipped (only their bound identifiers are collected);
-//! * types are captured as raw token text (enough to classify
-//!   `FastMap<…>` vs `u64` vs `f64`);
+//! * types are captured as raw token text (enough to classify `u64` vs
+//!   `f64` vs anything else);
 //! * anything unparseable degrades to [`ExprKind::Other`] after skipping
 //!   to a sync point — the parser never fails and never panics, so one
 //!   exotic construct cannot take a whole file out of analysis.
@@ -138,12 +138,9 @@ pub struct Expr {
     pub line: u32,
 }
 
-/// A match arm: bound pattern identifiers, guard and body.
+/// A match arm: guard and body (the pattern is skipped).
 #[derive(Debug)]
 pub struct Arm {
-    /// Lowercase identifiers appearing in the pattern (bound names,
-    /// approximately).
-    pub pat_names: Vec<String>,
     /// The `if` guard, if any.
     pub guard: Option<Expr>,
     /// The arm's body expression.
@@ -248,10 +245,8 @@ pub enum ExprKind {
         /// Arms.
         arms: Vec<Arm>,
     },
-    /// `for pat in iter { … }`.
+    /// `for pat in iter { … }` (the pattern is skipped).
     For {
-        /// Pattern-bound names.
-        pat_names: Vec<String>,
         /// Iterated expression.
         iter: Box<Expr>,
         /// Loop body.
@@ -405,7 +400,7 @@ impl Expr {
                 .chain(arms.iter().flat_map(|a| a.guard.iter().chain([&a.body])))
                 .map(E)
                 .collect(),
-            ExprKind::For { iter: x, body, .. } | ExprKind::While { cond: x, body } => {
+            ExprKind::For { iter: x, body } | ExprKind::While { cond: x, body } => {
                 vec![E(x), B(body)]
             }
             ExprKind::Path(_)
@@ -1538,13 +1533,12 @@ impl Parser<'_> {
             }
             "for" => {
                 self.bump();
-                let pat_names = self.pattern(&["in", "{"]);
+                self.pattern(&["in", "{"]);
                 self.eat_ident("in");
                 let iter = self.expr(true);
                 let body = self.block();
                 return Expr::new(
                     ExprKind::For {
-                        pat_names,
                         iter: Box::new(iter),
                         body,
                     },
@@ -1558,16 +1552,12 @@ impl Parser<'_> {
                 if self.eat_punct("{") {
                     while !self.done() && !self.at_punct("}") {
                         let before = self.i;
-                        let pat_names = self.pattern(&["=>", "if"]);
+                        self.pattern(&["=>", "if"]);
                         let guard = self.eat_ident("if").then(|| self.expr(false));
                         if self.eat_punct("=>") {
                             let body = self.expr(false);
                             self.eat_punct(",");
-                            arms.push(Arm {
-                                pat_names,
-                                guard,
-                                body,
-                            });
+                            arms.push(Arm { guard, body });
                         }
                         if self.i == before {
                             self.bump();
@@ -1951,8 +1941,8 @@ mod tests {
             panic!("match, got {:?}", e.kind)
         };
         assert_eq!(arms.len(), 2);
-        assert_eq!(arms[0].pat_names, vec!["v"]);
-        assert!(arms[1].pat_names.is_empty());
+        assert!(matches!(&arms[0].body.kind, ExprKind::Binary { op, .. } if op == "+"));
+        assert!(matches!(arms[1].body.kind, ExprKind::Lit(TokKind::Int, _)));
     }
 
     #[test]

@@ -46,18 +46,18 @@ pub struct Rule {
 pub const RULES: &[Rule] = &[
     Rule {
         name: "hot-path",
-        summary: "no allocation or std-hash containers inside `// lint: hot` functions",
+        summary: "no allocation or map containers inside `// lint: hot` functions",
         explain: "\
 WHAT  Inside the function a standalone `// lint: hot` comment announces
-      (the next fn after the marker), forbids HashMap/HashSet/BTreeMap in
-      paths, turbofish and let types; format! and vec!; Vec::new,
-      Vec::with_capacity, String::new, String::from and Box::new; and the
-      methods .clone() / .to_string() / .to_owned() / .to_vec() /
-      .collect().
+      (the next fn after the marker), forbids FastMap/FastSet/BTreeMap/
+      BTreeSet in paths, turbofish and let types; format! and vec!;
+      Vec::new, Vec::with_capacity, String::new, String::from and
+      Box::new; and the methods .clone() / .to_string() / .to_owned() /
+      .to_vec() / .collect().
 WHY   The decide/evict/admission paths of all four policies are
       allocation-free by construction (scratch buffers, FastMap, slab
       indices); benchmark/ measures the resulting throughput. A single
-      format! or HashMap::new in a decide path regresses every replay by
+      format! or FastMap::default in a decide path regresses every replay by
       an allocator round-trip per request.
 FIX   Reuse scratch buffers owned by the policy struct; use
       vcdn_types::{FastMap, FastSet} declared outside the hot function;
@@ -100,30 +100,6 @@ FIX   .first() / .get(0) with a guarded match, or a slice pattern
       (`let [a, b] = …` / `if let [first, ..] = …`).
 ALLOW Sites where the length is asserted on the line above and a fallback
       would mask real corruption may be suppressed with a justification.",
-    },
-    Rule {
-        name: "determinism-flow",
-        summary: "unordered-container iteration must not reach output sinks unsanitized",
-        explain: "\
-WHAT  AST-lite taint analysis (crates/core, crates/sim, crates/obs):
-      values flowing from FastMap/FastSet/HashMap/HashSet iteration
-      (.iter/.keys/.values/.drain/.into_iter/…) may not reach an output
-      sink — writes into exported fields (.push/.extend/.append),
-      write!/writeln!/print! macros, or json/serialize/emit/render calls
-      — unless the flow passes a sanitizer first: an explicit sort
-      (sort/sort_by/sort_unstable_by_key/…), collection into a BTreeMap/
-      BTreeSet, or the vcdn_types::det_iter helpers.
-WHY   Replay output is cmp-checked bit-identical across worker counts
-      AND hashers (the std-hash CI leg swaps FxHash for SipHash).
-      Hash-map iteration order is hasher-dependent, so one unsorted
-      iteration that reaches a serialized bundle breaks the contract in
-      a way no single-configuration test can see.
-FIX   Iterate via vcdn_types::det_iter (key-sorted), or collect and sort
-      explicitly before the sink; order-insensitive folds (sum, count,
-      min/max, all/any) are recognized and stay clean.
-ALLOW Flows that are provably order-independent beyond the recognized
-      terminals (e.g. max-reduction written by hand) may be suppressed
-      with a justification.",
     },
     Rule {
         name: "lock-discipline",
@@ -248,14 +224,13 @@ pub fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>) {
         });
     });
 
-    crate::flow::check(input, input.ast, out);
     crate::locks::check(input, input.ast, out);
     crate::arith::check(input, input.ast, out);
 }
 
 const LITERAL_INDEX_CRATES: &[&str] = &["core", "sim"];
 
-const HOT_TYPES: &[&str] = &["HashMap", "HashSet", "BTreeMap"];
+const HOT_TYPES: &[&str] = &["FastMap", "FastSet", "BTreeMap", "BTreeSet"];
 const HOT_MACROS: &[&str] = &["format", "vec"];
 const HOT_CTORS: &[[&str; 2]] = &[
     ["Vec", "new"],
@@ -372,7 +347,7 @@ fn cold_fn() { let v = Vec::new(); format!(\"x\"); }";
         let src = "\
 // lint: hot
 fn f(&mut self) {
-    let m: HashMap<u32, u32> = x.iter().collect::<BTreeMap<_, _>>();
+    let m: FastMap<u32, u32> = x.iter().collect::<BTreeMap<_, _>>();
     let b = Box::new(vec![1]);
     let s = Vec::<u8>::with_capacity(1).to_vec();
 }";
@@ -382,7 +357,7 @@ fn f(&mut self) {
             vec![
                 ".collect()",
                 "BTreeMap",
-                "HashMap",
+                "FastMap",
                 "Box::new",
                 "vec!",
                 ".to_vec()",

@@ -1,6 +1,6 @@
-//! Best-effort symbol classification for the AST-lite rules.
+//! Best-effort symbol classification for `clock-arith`.
 //!
-//! vcdn-lint has no type checker, so the flow rules work from a
+//! vcdn-lint has no type checker, so the rule works from a
 //! per-file table mapping identifier names to coarse classes, built from
 //! the declarations the parser *can* see: struct fields, function
 //! parameters, `let` annotations, `as` casts, and literal initializers.
@@ -10,13 +10,11 @@
 
 use crate::ast::{Ast, Expr, ExprKind, FnItem};
 use crate::lexer::TokKind;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// Coarse classification of a name or expression.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum VarClass {
-    /// An iteration-order-unstable container (`FastMap`, `HashSet`, …).
-    Unordered,
     /// A primitive integer.
     Int,
     /// `f32` / `f64`.
@@ -25,13 +23,12 @@ pub enum VarClass {
     Other,
 }
 
-const UNORDERED_TYPES: &[&str] = &["FastMap", "FastSet", "HashMap", "HashSet"];
 const INT_TYPES: &[&str] = &[
     "u8", "u16", "u32", "u64", "u128", "usize", "i8", "i16", "i32", "i64", "i128", "isize",
 ];
 
 /// Classifies a raw type string as captured by the parser
-/// (`&mut FastMap<ChunkId,u32>` → [`VarClass::Unordered`]).
+/// (`&mut u64` → [`VarClass::Int`]).
 pub fn classify_type(ty: &str) -> VarClass {
     // Strip leading references/pointers and `mut`.
     let mut t = ty.trim();
@@ -40,50 +37,26 @@ pub fn classify_type(ty: &str) -> VarClass {
             .trim_start_matches(['&', '*', ' '])
             .trim_start_matches("mut ")
             .trim_start();
-        // `&mut FastMap` may render without a space after `mut`.
-        let next = match next.strip_prefix("mut") {
-            Some(rest) if rest.starts_with(|c: char| c.is_ascii_uppercase()) => rest,
-            _ => next,
-        };
         if next == t {
             break;
         }
         t = next;
     }
-    // Leading path/identifier segment (generics and paths cut off).
+    // Leading identifier (generics and paths cut off).
     let head_end = t
         .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
         .unwrap_or(t.len());
-    let head = &t[..head_end];
-    // `std::collections::HashMap<…>`: classify by the last segment too.
-    let last = t[..t.find('<').unwrap_or(t.len())]
-        .rsplit("::")
-        .next()
-        .map(|s| {
-            let e = s
-                .find(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-                .unwrap_or(s.len());
-            &s[..e]
-        })
-        .unwrap_or(head);
-    for cand in [head, last] {
-        if UNORDERED_TYPES.contains(&cand) {
-            return VarClass::Unordered;
-        }
-        if INT_TYPES.contains(&cand) {
-            return VarClass::Int;
-        }
-        if cand == "f32" || cand == "f64" {
-            return VarClass::Float;
-        }
+    match &t[..head_end] {
+        head if INT_TYPES.contains(&head) => VarClass::Int,
+        "f32" | "f64" => VarClass::Float,
+        _ => VarClass::Other,
     }
-    VarClass::Other
 }
 
 /// Name → class map with conflict demotion.
 #[derive(Debug, Clone, Default)]
 pub struct SymbolTable {
-    map: HashMap<String, VarClass>,
+    map: BTreeMap<String, VarClass>,
 }
 
 impl SymbolTable {
@@ -190,12 +163,9 @@ mod tests {
     fn classify_type_basics() {
         assert_eq!(classify_type("u64"), VarClass::Int);
         assert_eq!(classify_type("f64"), VarClass::Float);
-        assert_eq!(classify_type("FastMap<ChunkId,u32>"), VarClass::Unordered);
-        assert_eq!(classify_type("&mut FastMap<K,V>"), VarClass::Unordered);
-        assert_eq!(
-            classify_type("std::collections::HashMap<K,V>"),
-            VarClass::Unordered
-        );
+        assert_eq!(classify_type("&mut u32"), VarClass::Int);
+        assert_eq!(classify_type("&f32"), VarClass::Float);
+        assert_eq!(classify_type("FastMap<ChunkId,u32>"), VarClass::Other);
         assert_eq!(classify_type("Vec<u64>"), VarClass::Other);
         assert_eq!(classify_type("BTreeMap<K,V>"), VarClass::Other);
     }
@@ -217,7 +187,7 @@ mod tests {
         let mut func = None;
         crate::ast::for_each_fn(&ast, &mut |f, _| func = Some(f));
         let t = file.scoped_to(func.expect("fn"));
-        assert_eq!(t.class_of_name("chunks"), VarClass::Unordered);
+        assert_eq!(t.class_of_name("chunks"), VarClass::Other);
         assert_eq!(t.class_of_name("dt_ms"), VarClass::Int);
         assert_eq!(t.class_of_name("nope"), VarClass::Other);
     }

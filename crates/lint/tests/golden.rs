@@ -29,11 +29,6 @@ fn seeded_fixture_reports_one_exact_finding_per_rule() {
         .map(|f| (f.file.clone(), f.line, f.rule))
         .collect();
     let want = vec![
-        (
-            "crates/core/src/flow.rs".to_string(),
-            13,
-            "determinism-flow",
-        ),
         ("crates/core/src/lib.rs".to_string(), 6, "hot-path"),
         ("crates/core/src/lib.rs".to_string(), 12, "literal-index"),
         ("crates/sim/src/engine.rs".to_string(), 7, "lock-discipline"),
@@ -132,7 +127,6 @@ fn cli_exit_codes_match_contract() {
     assert_eq!(out.status.code(), Some(1));
     let stdout = String::from_utf8_lossy(&out.stdout);
     for needle in [
-        "crates/core/src/flow.rs:13: [determinism-flow]",
         "crates/core/src/lib.rs:6: [hot-path]",
         "crates/core/src/lib.rs:12: [literal-index]",
         "crates/sim/src/engine.rs:7: [lock-discipline]",

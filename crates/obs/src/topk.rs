@@ -314,7 +314,7 @@ mod tests {
             }
         }
         let mut s = SpaceSaving::new(4);
-        let mut truth = std::collections::HashMap::new();
+        let mut truth = std::collections::BTreeMap::new();
         for &key in &stream {
             s.record(key);
             *truth.entry(key).or_insert(0u64) += 1;

@@ -11,7 +11,7 @@
 //!
 //! and any key with `true_count > n / k` is guaranteed tracked.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 use vcdn_obs::topk::SpaceSaving;
 use vcdn_trace::rng::DetRng;
@@ -27,8 +27,8 @@ fn skewed_stream(rng: &mut DetRng, len: usize, universe: u64) -> Vec<u64> {
         .collect()
 }
 
-fn exact_counts(stream: &[u64]) -> HashMap<u64, u64> {
-    let mut truth = HashMap::new();
+fn exact_counts(stream: &[u64]) -> BTreeMap<u64, u64> {
+    let mut truth = BTreeMap::new();
     for &key in stream {
         *truth.entry(key).or_insert(0u64) += 1;
     }
@@ -172,11 +172,11 @@ fn uniform_stream_respects_bounds_even_when_sketch_is_useless() {
 }
 
 /// Space-Saving as the module docs state it, the slow obvious way: a
-/// `HashMap` of `key → (count, err)`, a full scan for the victim, ties to
+/// `BTreeMap` of `key → (count, err)`, a full scan for the victim, ties to
 /// the largest key.
 #[derive(Default)]
 struct Textbook {
-    slots: HashMap<u64, (u64, u64)>,
+    slots: BTreeMap<u64, (u64, u64)>,
     tracked_hits: u64,
     tied_evictions: u64,
 }

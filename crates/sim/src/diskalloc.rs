@@ -10,7 +10,7 @@
 //! segment storage forcing extra evictions once the free space shatters —
 //! overhead that fixed-size chunks avoid by construction.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
 /// A contiguous free region `[offset, offset + len)`.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -42,7 +42,7 @@ pub struct SegmentAllocator {
     /// non-adjacent — adjacent blocks are coalesced).
     free: Vec<FreeBlock>,
     /// Live allocations by caller-supplied id.
-    allocations: HashMap<u64, FreeBlock>,
+    allocations: BTreeMap<u64, FreeBlock>,
     /// Allocation attempts that failed due to fragmentation (enough free
     /// bytes in total, but no single hole large enough).
     pub fragmentation_failures: u64,
@@ -93,7 +93,7 @@ impl SegmentAllocator {
                 offset: 0,
                 len: capacity,
             }],
-            allocations: HashMap::new(),
+            allocations: BTreeMap::new(),
             fragmentation_failures: 0,
             capacity_failures: 0,
         }
@@ -409,7 +409,7 @@ mod tests {
         // Shadow model: set of (id, len); verify byte accounting and
         // invariants under random alloc/free.
         let mut a = SegmentAllocator::new(5_000);
-        let mut model: HashMap<u64, u64> = HashMap::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
         let mut rng = 7u64;
         let mut step = || {
             rng = rng.wrapping_mul(6364136223846793005).wrapping_add(1);

@@ -1294,7 +1294,7 @@ mod tests {
         assert_eq!(report.topk_k, 8);
         let per = shard_requests(&t, shards);
         for s in &report.shards {
-            let mut truth: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+            let mut truth: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
             for r in &per[s.shard] {
                 *truth.entry(r.video.0).or_insert(0) += 1;
             }

@@ -484,7 +484,7 @@ mod tests {
         let mut cache = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
         let (_, bundle) =
             replay_with_telemetry(&replayer(costs), &t, &mut cache, &TelemetryConfig::new());
-        let mut truth: std::collections::HashMap<u64, u64> = std::collections::HashMap::new();
+        let mut truth: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
         for r in &t.requests {
             *truth.entry(r.video.0).or_insert(0) += 1;
         }

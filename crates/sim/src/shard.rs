@@ -162,18 +162,19 @@ pub fn replay_colocated(
     }
     // Count duplicates over the union of requested chunks.
     let mut requested: vcdn_types::FastSet<ChunkId> = vcdn_types::FastSet::default();
-    for r in &trace.requests {
-        for c in r.chunk_range(k).iter() {
-            requested.insert(ChunkId::new(r.video, c));
-        }
-    }
     let mut distinct = 0u64;
     let mut total = 0u64;
-    for chunk in requested {
-        let copies = caches.iter().filter(|c| c.contains_chunk(chunk)).count() as u64;
-        if copies > 0 {
-            distinct += 1;
-            total += copies;
+    for r in &trace.requests {
+        for c in r.chunk_range(k).iter() {
+            let chunk = ChunkId::new(r.video, c);
+            if !requested.insert(chunk) {
+                continue;
+            }
+            let copies = caches.iter().filter(|c| c.contains_chunk(chunk)).count() as u64;
+            if copies > 0 {
+                distinct += 1;
+                total += copies;
+            }
         }
     }
     ColocatedReport {

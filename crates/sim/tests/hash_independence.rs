@@ -1,8 +1,8 @@
 //! Replay output must not depend on the hash function behind the hot maps.
 //!
 //! Every policy keeps its working state in `FastMap`/`FastSet`
-//! (`vcdn_types::fasthash`); the `std-hash` cargo feature swaps those
-//! aliases back to the std `RandomState` hasher, which is randomized *per
+//! (`vcdn_types::fasthash`); the `std-hash` cargo feature swaps the hasher
+//! under them back to the std `RandomState`, which is randomized *per
 //! process*. These tests pin full byte accounting for all four policies on
 //! a deterministically generated trace — the same pins must hold:
 //!
@@ -11,8 +11,8 @@
 //! - across repeated runs within one process (fresh randomized hasher
 //!   state each time under std-hash).
 //!
-//! Together that is the witness that no decision path leaks map iteration
-//! order into replay output.
+//! The maps are lookup-only, so no iteration order can leak by
+//! construction; these pins are the end-to-end witness.
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
@@ -115,7 +115,7 @@ fn hot_tracking_cafe_replay_matches_pins() {
 
 #[test]
 fn repeated_replays_are_byte_identical() {
-    // Two full replays in one process: under std-hash each HashMap gets a
+    // Two full replays in one process: under std-hash each FastMap gets a
     // fresh random seed, so equality here means iteration order never
     // reaches the output. Full ReplayReport equality covers windows too.
     let trace = trace();

@@ -69,8 +69,8 @@ fn changing_server_count_remaps_whole_buckets_only() {
         let new = ShardMap::new(after, buckets);
         // bucket -> (old server, new server), checked consistent across
         // every video observed in that bucket.
-        let mut seen: std::collections::HashMap<u64, (usize, usize)> =
-            std::collections::HashMap::new();
+        let mut seen: std::collections::BTreeMap<u64, (usize, usize)> =
+            std::collections::BTreeMap::new();
         for _ in 0..512 {
             let v = VideoId(rng.next_u64());
             let b = old.bucket_of(v);

@@ -481,7 +481,7 @@ mod tests {
     fn alias_sampler_matches_weights() {
         let s = AliasSampler::new(vec![(7, 1.0), (8, 2.0), (9, 7.0)]).unwrap();
         let mut rng = DetRng::new(6);
-        let mut counts = std::collections::HashMap::new();
+        let mut counts = std::collections::BTreeMap::new();
         let n = 200_000;
         for _ in 0..n {
             *counts.entry(s.sample(&mut rng)).or_insert(0u64) += 1;

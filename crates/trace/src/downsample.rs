@@ -10,9 +10,7 @@
 //!
 //! [`downsample`] reproduces exactly that procedure.
 
-use std::collections::HashSet;
-
-use vcdn_types::{ByteRange, ChunkSize, Request, Timestamp, VideoId};
+use vcdn_types::{ByteRange, ChunkSize, FastSet, Request, Timestamp, VideoId};
 
 use crate::{stats::video_hit_counts, trace::Trace};
 
@@ -61,7 +59,7 @@ pub fn downsample(trace: &Trace, config: &DownsampleConfig) -> Trace {
 
     // Uniform selection across the sorted list — "selected uniformly from
     // the list of files sorted by their hit count".
-    let keep: HashSet<VideoId> = if ranked.len() <= config.files {
+    let keep: FastSet<VideoId> = if ranked.len() <= config.files {
         ranked.iter().map(|(v, _)| *v).collect()
     } else {
         (0..config.files)

@@ -228,7 +228,7 @@ impl TraceGenerator {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::collections::HashMap;
+    use std::collections::BTreeMap;
     use vcdn_types::VideoId;
 
     fn small_trace(seed: u64, hours: u64) -> Trace {
@@ -408,7 +408,7 @@ mod tests {
     #[test]
     fn popularity_is_skewed() {
         let trace = small_trace(5, 48);
-        let mut hits: HashMap<VideoId, u64> = HashMap::new();
+        let mut hits: BTreeMap<VideoId, u64> = BTreeMap::new();
         for r in &trace.requests {
             *hits.entry(r.video).or_default() += 1;
         }

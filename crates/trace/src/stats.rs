@@ -5,9 +5,9 @@
 //! popularity, diurnal volume), and by experiment binaries to describe
 //! the workloads they replay.
 
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 
-use vcdn_types::{ChunkId, ChunkSize, DurationMs, VideoId};
+use vcdn_types::{ChunkId, ChunkSize, DurationMs, FastMap, VideoId};
 
 use crate::trace::Trace;
 
@@ -34,8 +34,8 @@ pub struct TraceStats {
 }
 
 /// Per-video hit counts (by request count).
-pub fn video_hit_counts(trace: &Trace) -> HashMap<VideoId, u64> {
-    let mut hits = HashMap::new();
+pub fn video_hit_counts(trace: &Trace) -> BTreeMap<VideoId, u64> {
+    let mut hits = BTreeMap::new();
     for r in &trace.requests {
         *hits.entry(r.video).or_insert(0u64) += 1;
     }
@@ -43,8 +43,8 @@ pub fn video_hit_counts(trace: &Trace) -> HashMap<VideoId, u64> {
 }
 
 /// Per-chunk hit counts at chunk size `k`.
-pub fn chunk_hit_counts(trace: &Trace, k: ChunkSize) -> HashMap<ChunkId, u64> {
-    let mut hits = HashMap::new();
+pub fn chunk_hit_counts(trace: &Trace, k: ChunkSize) -> FastMap<ChunkId, u64> {
+    let mut hits = FastMap::default();
     for r in &trace.requests {
         for c in r.chunk_range(k).iter() {
             *hits.entry(ChunkId::new(r.video, c)).or_insert(0u64) += 1;
@@ -115,7 +115,7 @@ pub fn trace_stats(trace: &Trace, k: ChunkSize) -> TraceStats {
 /// paper).
 pub fn chunk_position_profile(trace: &Trace, k: ChunkSize) -> Vec<f64> {
     // Per video: number of chunks seen (max index + 1) and hits per chunk.
-    let mut per_video: HashMap<VideoId, HashMap<u32, u64>> = HashMap::new();
+    let mut per_video: BTreeMap<VideoId, BTreeMap<u32, u64>> = BTreeMap::new();
     for r in &trace.requests {
         let entry = per_video.entry(r.video).or_default();
         for c in r.chunk_range(k).iter() {

@@ -157,7 +157,7 @@ fn downsample_never_invents_requests() {
         };
         let d = downsample(&trace, &cfg);
         assert!(d.len() <= trace.len(), "seed {seed}");
-        let videos: std::collections::HashSet<VideoId> =
+        let videos: std::collections::BTreeSet<VideoId> =
             d.requests.iter().map(|r| r.video).collect();
         assert!(videos.len() <= files, "seed {seed}");
         for r in &d.requests {

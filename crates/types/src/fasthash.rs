@@ -1,20 +1,25 @@
-//! A fast, non-cryptographic hasher for the simulator's hot maps.
+//! A fast, non-cryptographic hasher and the workspace's only hash
+//! containers.
 //!
-//! Replay spends most of its time in `HashMap` lookups keyed by
+//! Replay spends most of its time in hash lookups keyed by
 //! [`ChunkId`](crate::ChunkId)/[`VideoId`](crate::VideoId); the std
 //! `RandomState`/SipHash default is DoS-resistant but costs tens of cycles
 //! per lookup, which the single-process simulator does not need. This
 //! module provides an FxHash-style multiply-xor hasher (the family used by
 //! rustc's interner tables) implemented in-repo — the build is offline, so
-//! no external crates — plus [`FastMap`]/[`FastSet`] aliases used by every
-//! policy and the sharding layer.
+//! no external crates — plus [`FastMap`]/[`FastSet`], used by every policy
+//! and the sharding layer.
 //!
-//! Determinism: unlike `RandomState`, `FxBuildHasher` is deterministic
-//! across processes and runs. Replay *output* never depends on map
-//! iteration order anyway (all ordered output is explicitly sorted), which
-//! the `std-hash` cargo feature verifies: enabling it swaps the aliases
-//! back to the std hasher, and the full test suite — golden replays
-//! included — must pass bit-for-bit either way.
+//! Determinism by type: [`FastMap`] and [`FastSet`] answer lookups and
+//! nothing else. They have no `iter`, `keys`, `values`, `drain`,
+//! `retain` or `IntoIterator`, and their `Debug` prints only the length,
+//! so no hash order can reach a caller, let alone an output. Code that
+//! needs an order walks a slab or a `BTreeMap`. The std `HashMap` and
+//! `HashSet` are `clippy::disallowed_types` everywhere else (root
+//! `clippy.toml`); this module is their one sanctioned home. The `std-hash`
+//! cargo feature swaps the hasher back to std's `RandomState`, and the
+//! full test suite — golden replays included — passes bit-for-bit either
+//! way.
 //!
 //! # Examples
 //!
@@ -29,9 +34,28 @@
 //! s.insert(3);
 //! assert!(s.contains(&3));
 //! ```
+//!
+//! Iteration does not compile:
+//!
+//! ```compile_fail
+//! use vcdn_types::FastMap;
+//!
+//! let m: FastMap<u64, u64> = FastMap::default();
+//! for (k, v) in m.iter() {
+//!     println!("{k}={v}");
+//! }
+//! ```
 
+#![expect(
+    clippy::disallowed_types,
+    reason = "the one home of the std hash containers, wrapped lookup-only"
+)]
+
+use std::collections::hash_map::Entry;
 use std::collections::{HashMap, HashSet};
-use std::hash::{BuildHasherDefault, Hasher};
+use std::fmt;
+use std::hash::{BuildHasherDefault, Hash, Hasher};
+use std::ops::Index;
 
 /// Multiplicative constant: 2^64 / φ, the same odd constant Fibonacci
 /// hashing uses, so single-`u64` keys get well-mixed high bits.
@@ -159,23 +183,141 @@ pub fn shard_for(key: u64, shards: usize) -> usize {
     (hash_u64(key) % shards as u64) as usize
 }
 
-/// `HashMap` on the fast hasher (std `RandomState` under `--features
-/// std-hash`, the cross-hasher determinism check).
+/// The hasher behind [`FastMap`] / [`FastSet`]: [`FxBuildHasher`], or
+/// std's `RandomState` under `--features std-hash` (the cross-hasher
+/// determinism check).
 #[cfg(not(feature = "std-hash"))]
-pub type FastMap<K, V> = HashMap<K, V, FxBuildHasher>;
-/// `HashSet` on the fast hasher (std `RandomState` under `--features
-/// std-hash`, the cross-hasher determinism check).
-#[cfg(not(feature = "std-hash"))]
-pub type FastSet<T> = HashSet<T, FxBuildHasher>;
+type Build = FxBuildHasher;
+#[cfg(feature = "std-hash")]
+type Build = std::hash::RandomState;
 
-/// `HashMap` on the std `RandomState` hasher (the `std-hash`
-/// cross-hasher determinism check; default builds use [`FxBuildHasher`]).
-#[cfg(feature = "std-hash")]
-pub type FastMap<K, V> = HashMap<K, V>;
-/// `HashSet` on the std `RandomState` hasher (the `std-hash`
-/// cross-hasher determinism check; default builds use [`FxBuildHasher`]).
-#[cfg(feature = "std-hash")]
-pub type FastSet<T> = HashSet<T>;
+/// A lookup-only hash map on the fast hasher: get, insert, remove and
+/// [`Entry`], but no iteration (see the [module docs](self)).
+#[derive(Clone)]
+pub struct FastMap<K, V>(HashMap<K, V, Build>);
+
+/// A lookup-only hash set on the fast hasher: insert and membership, but
+/// no iteration (see the [module docs](self)).
+#[derive(Clone)]
+pub struct FastSet<T>(HashSet<T, Build>);
+
+impl<K, V> Default for FastMap<K, V> {
+    fn default() -> Self {
+        FastMap(HashMap::default())
+    }
+}
+
+impl<T> Default for FastSet<T> {
+    fn default() -> Self {
+        FastSet(HashSet::default())
+    }
+}
+
+impl<K, V> fmt::Debug for FastMap<K, V> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastMap")
+            .field("len", &self.0.len())
+            .finish()
+    }
+}
+
+impl<T> fmt::Debug for FastSet<T> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("FastSet")
+            .field("len", &self.0.len())
+            .finish()
+    }
+}
+
+impl<K: Eq + Hash, V> FastMap<K, V> {
+    /// Number of entries.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the map holds no entry.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// The value under `key`.
+    #[inline]
+    pub fn get(&self, key: &K) -> Option<&V> {
+        self.0.get(key)
+    }
+
+    /// Whether `key` has an entry.
+    #[inline]
+    pub fn contains_key(&self, key: &K) -> bool {
+        self.0.contains_key(key)
+    }
+
+    /// Sets `key` to `value`, returning the value it replaced.
+    #[inline]
+    pub fn insert(&mut self, key: K, value: V) -> Option<V> {
+        self.0.insert(key, value)
+    }
+
+    /// Removes `key`, returning its value.
+    #[inline]
+    pub fn remove(&mut self, key: &K) -> Option<V> {
+        self.0.remove(key)
+    }
+
+    /// The entry of `key`, for in-place insert-or-update.
+    #[inline]
+    pub fn entry(&mut self, key: K) -> Entry<'_, K, V> {
+        self.0.entry(key)
+    }
+}
+
+impl<K: Eq + Hash, V> Index<&K> for FastMap<K, V> {
+    type Output = V;
+
+    /// The value under `key`.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `key` has no entry.
+    #[inline]
+    fn index(&self, key: &K) -> &V {
+        &self.0[key]
+    }
+}
+
+impl<T: Eq + Hash> FromIterator<T> for FastSet<T> {
+    fn from_iter<I: IntoIterator<Item = T>>(iter: I) -> Self {
+        FastSet(iter.into_iter().collect())
+    }
+}
+
+impl<T: Eq + Hash> FastSet<T> {
+    /// Number of elements.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.0.len()
+    }
+
+    /// Whether the set holds no element.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.0.is_empty()
+    }
+
+    /// Whether `value` is in the set.
+    #[inline]
+    pub fn contains(&self, value: &T) -> bool {
+        self.0.contains(value)
+    }
+
+    /// Adds `value`; `false` if it was already present.
+    #[inline]
+    pub fn insert(&mut self, value: T) -> bool {
+        self.0.insert(value)
+    }
+}
 
 #[cfg(test)]
 mod tests {
@@ -269,11 +411,9 @@ mod tests {
             }
             assert_eq!(fast.len(), model.len());
         }
-        let mut a: Vec<_> = fast.into_iter().collect();
-        let mut b: Vec<_> = model.into_iter().collect();
-        a.sort_unstable();
-        b.sort_unstable();
-        assert_eq!(a, b);
+        for (key, value) in &model {
+            assert_eq!(fast.get(key), Some(value));
+        }
     }
 
     #[test]

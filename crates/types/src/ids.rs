@@ -101,8 +101,7 @@ mod tests {
 
     #[test]
     fn packed_is_injective_in_range() {
-        use std::collections::HashSet;
-        let mut seen = HashSet::new();
+        let mut seen = crate::FastSet::default();
         for v in [0u64, 1, 2, 1 << 20, (1 << 44) - 1] {
             for c in [0u32, 1, 999, (1 << 20) - 1] {
                 assert!(
@@ -115,8 +114,7 @@ mod tests {
 
     #[test]
     fn chunk_id_is_hashable_key() {
-        use std::collections::HashMap;
-        let mut m = HashMap::new();
+        let mut m = crate::FastMap::default();
         m.insert(ChunkId::new(VideoId(1), 2), "x");
         assert_eq!(m.get(&ChunkId::new(VideoId(1), 2)), Some(&"x"));
         assert_eq!(m.get(&ChunkId::new(VideoId(1), 3)), None);

@@ -31,7 +31,6 @@
 
 pub mod cost;
 pub mod decision;
-pub mod det_iter;
 pub mod fasthash;
 pub mod float;
 pub mod ids;
@@ -44,8 +43,7 @@ pub mod workers;
 
 pub use cost::{CostError, CostModel};
 pub use decision::{Decision, ServeOutcome};
-pub use det_iter::{det_drain, det_elems, det_iter, det_keys, det_values};
-pub use fasthash::{FastMap, FastSet, FxBuildHasher, FxHasher};
+pub use fasthash::{FastMap, FastSet};
 pub use float::{approx_eq, exactly_eq, exactly_zero, COST_EPS};
 pub use ids::{ChunkId, VideoId};
 pub use metrics::TrafficCounter;
