@@ -79,7 +79,6 @@ impl LfuCache {
         count as f64 + t.as_millis() as f64 * RECENCY_SCALE
     }
 
-    // lint: hot
     fn remove_chunk(&mut self, id: &ChunkId) {
         self.disk.remove(id);
         self.counts.remove(id);
@@ -88,7 +87,6 @@ impl LfuCache {
 }
 
 impl CachePolicy for LfuCache {
-    // lint: hot
     fn handle_request(&mut self, request: &Request) -> Decision {
         let now = request.t;
         let k = self.config.chunk_size;
@@ -222,7 +220,6 @@ impl LruKCache {
         self.disk.insert(id, key);
     }
 
-    // lint: hot
     fn remove_chunk(&mut self, id: &ChunkId) {
         self.disk.remove(id);
         self.history.remove(id);
@@ -230,7 +227,6 @@ impl LruKCache {
 }
 
 impl CachePolicy for LruKCache {
-    // lint: hot
     fn handle_request(&mut self, request: &Request) -> Decision {
         let now = request.t;
         let k = self.config.chunk_size;
@@ -476,7 +472,6 @@ impl GdspCache {
 }
 
 impl CachePolicy for GdspCache {
-    // lint: hot
     fn handle_request(&mut self, request: &Request) -> Decision {
         let k = self.config.chunk_size;
         let range = request.chunk_range(k);

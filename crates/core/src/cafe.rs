@@ -156,7 +156,6 @@ impl CafeCache {
         }
     }
 
-    // lint: hot
     /// The virtual cache age at `now`: `now` minus the least popular cached
     /// chunk's virtual timestamp. Because `IAT_x(t) = t − key_x`, this is
     /// exactly the IAT of the least popular chunk (`IAT₀`).
@@ -167,7 +166,6 @@ impl CafeCache {
         }
     }
 
-    // lint: hot
     /// The look-ahead window `T` (ms) per the configured policy.
     fn window_ms(&self, now: Timestamp) -> f64 {
         match self.config.window {
@@ -176,7 +174,6 @@ impl CafeCache {
         }
     }
 
-    // lint: hot
     /// The §6 estimate for a never-seen chunk of the video at directory
     /// `slot`: the largest IAT among its cached chunks, or `None` if it
     /// has none (or the optimisation is disabled).
@@ -187,7 +184,6 @@ impl CafeCache {
         self.pop.max_cached_iat(slot, now, self.config.gamma)
     }
 
-    // lint: hot
     /// Expected count of near-future requests for a chunk with
     /// inter-arrival `iat` over window `t_window`: `T / IAT_x` (Eqs. 6–7).
     fn future_requests(t_window: f64, iat: Option<f64>) -> f64 {
@@ -198,7 +194,6 @@ impl CafeCache {
         }
     }
 
-    // lint: hot
     fn remove_chunk(&mut self, id: ChunkId) {
         // The disk slot is freed for reuse: drop the back-reference.
         let (h, slot) = self.pop.clear_cached(id);
@@ -212,7 +207,6 @@ impl CafeCache {
         }
     }
 
-    // lint: hot
     /// Admits `id`, not cached, at virtual key `key`; `video` is its
     /// video's directory slot and `h` its popularity handle ([`NO_HANDLE`]
     /// when the chunk has no popularity record).
@@ -425,7 +419,6 @@ impl CafeCache {
 }
 
 impl CachePolicy for CafeCache {
-    // lint: hot
     /// # Panics
     ///
     /// Panics if the request reaches chunk index `2^20`

@@ -45,7 +45,6 @@ impl BitTree {
         BitTree { universe, levels }
     }
 
-    // lint: hot
     /// Adds `i`; a no-op if it is a member already.
     ///
     /// # Panics
@@ -64,7 +63,6 @@ impl BitTree {
         }
     }
 
-    // lint: hot
     /// Removes `i`; a no-op if it is not a member.
     ///
     /// # Panics
@@ -82,7 +80,6 @@ impl BitTree {
         }
     }
 
-    // lint: hot
     /// The largest member strictly below `bound` (any `bound`: one at or
     /// above the universe asks for the maximum).
     pub fn last_below(&self, bound: usize) -> Option<usize> {
@@ -105,7 +102,6 @@ impl BitTree {
         None
     }
 
-    // lint: hot
     /// The members from the largest down. Asks nothing of the set until
     /// the first `next`.
     pub fn descending(&self) -> impl Iterator<Item = usize> + '_ {

@@ -66,7 +66,6 @@ impl ChunkLru {
         self.list.is_empty()
     }
 
-    // lint: hot
     /// The directory slot of `video`, if any of its chunks is cached —
     /// the one hash probe of a request. The slot stays valid until a
     /// [`Self::pop_oldest`] removes the video's last cached chunk.
@@ -74,7 +73,6 @@ impl ChunkLru {
         self.dir.slot(video)
     }
 
-    // lint: hot
     /// The node handle of chunk `index` of the video at `slot`, if cached.
     pub fn handle(&self, slot: u32, index: u32) -> Option<u32> {
         let h = self.dir[slot].rec(index);
@@ -87,13 +85,11 @@ impl ChunkLru {
             .is_some_and(|slot| self.handle(slot, chunk.index).is_some())
     }
 
-    // lint: hot
     /// The least recently used chunk and its access time.
     pub fn oldest(&self) -> Option<(ChunkId, Timestamp)> {
         self.list.oldest().map(|(&loc, t)| (self.chunk_of(loc), t))
     }
 
-    // lint: hot
     /// Moves the cached chunk behind handle `h` to the head with access
     /// time `t`.
     ///
@@ -107,7 +103,6 @@ impl ChunkLru {
         self.list.touch(h, t);
     }
 
-    // lint: hot
     /// Caches chunk `index` of `video`, known to be absent, at the head
     /// with access time `t`; creates the video's entry if this is its
     /// first cached chunk.
@@ -127,7 +122,6 @@ impl ChunkLru {
         v.live += 1;
     }
 
-    // lint: hot
     /// Removes and returns the least recently used chunk; releases the
     /// video's directory entry when that was its last cached chunk.
     pub fn pop_oldest(&mut self) -> Option<(ChunkId, Timestamp)> {

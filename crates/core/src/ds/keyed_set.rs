@@ -103,19 +103,16 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
         self.keys.is_empty()
     }
 
-    // lint: hot
     /// Whether `item` is present.
     pub fn contains(&self, item: &T) -> bool {
         self.keys.contains_key(item)
     }
 
-    // lint: hot
     /// The current key of `item`, if present.
     pub fn key_of(&self, item: &T) -> Option<f64> {
         self.keys.get(item).map(|k| k.get())
     }
 
-    // lint: hot
     /// Inserts `item` with `key`, replacing any previous key.
     ///
     /// # Panics
@@ -129,7 +126,6 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
         self.tree.insert((key, item));
     }
 
-    // lint: hot
     /// Removes `item`; returns its key if it was present.
     pub fn remove(&mut self, item: &T) -> Option<f64> {
         let old = self.keys.remove(item)?;
@@ -137,13 +133,11 @@ impl<T: Eq + Hash + Ord + Copy> KeyedSet<T> {
         Some(old.get())
     }
 
-    // lint: hot
     /// The smallest-key (least popular) item.
     pub fn smallest(&self) -> Option<(T, f64)> {
         self.tree.first().map(|(k, t)| (*t, k.get()))
     }
 
-    // lint: hot
     /// Removes and returns the smallest-key item.
     pub fn pop_smallest(&mut self) -> Option<(T, f64)> {
         let (k, t) = *self.tree.first()?;

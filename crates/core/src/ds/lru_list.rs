@@ -72,7 +72,6 @@ impl<T: Copy> LruList<T> {
         &self.nodes[h as usize].item
     }
 
-    // lint: hot
     /// The least recently used entry and its access time.
     pub fn oldest(&self) -> Option<(&T, Timestamp)> {
         self.nodes
@@ -80,13 +79,11 @@ impl<T: Copy> LruList<T> {
             .map(|n| (&n.item, n.time))
     }
 
-    // lint: hot
     /// The most recently used entry's access time.
     pub fn newest_time(&self) -> Option<Timestamp> {
         Some(self.nodes.get(self.head as usize)?.time)
     }
 
-    // lint: hot
     /// Inserts `item` at the head with access time `t`; returns its handle,
     /// stable until the entry is popped.
     ///
@@ -106,7 +103,6 @@ impl<T: Copy> LruList<T> {
         h
     }
 
-    // lint: hot
     /// Moves the entry behind handle `h` to the head with access time `t`;
     /// returns its previous access time.
     ///
@@ -124,7 +120,6 @@ impl<T: Copy> LruList<T> {
         prev
     }
 
-    // lint: hot
     /// Removes the least recently used entry; returns its handle (free for
     /// reuse from now on), item and access time.
     pub fn pop_oldest(&mut self) -> Option<(u32, T, Timestamp)> {
@@ -146,7 +141,6 @@ impl<T: Copy> LruList<T> {
         })
     }
 
-    // lint: hot
     fn assert_monotone(&self, t: Timestamp) {
         assert!(
             t >= self.newest_time().unwrap_or(t),
@@ -154,7 +148,6 @@ impl<T: Copy> LruList<T> {
         );
     }
 
-    // lint: hot
     fn unlink(&mut self, i: u32) {
         let n = &self.nodes[i as usize];
         let (prev, next) = (n.prev, n.next);
@@ -168,7 +161,6 @@ impl<T: Copy> LruList<T> {
         }
     }
 
-    // lint: hot
     fn link_front(&mut self, i: u32) {
         let n = &mut self.nodes[i as usize];
         n.prev = NIL;
@@ -230,13 +222,11 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
         IndexedLruList::default()
     }
 
-    // lint: hot
     /// Whether `key` is present.
     pub fn contains(&self, key: &K) -> bool {
         self.index.contains_key(key)
     }
 
-    // lint: hot
     /// Inserts `key` at the head with access time `t`, or moves an existing
     /// entry to the head and updates its time; returns the entry's previous
     /// access time (`None` for a new key), so a read-then-update — Figure 1
@@ -257,7 +247,6 @@ impl<K: Eq + Hash + Copy> IndexedLruList<K> {
         }
     }
 
-    // lint: hot
     /// Removes and returns the least recently used entry.
     pub fn pop_oldest(&mut self) -> Option<(K, Timestamp)> {
         let (_, key, time) = self.list.pop_oldest()?;

@@ -90,7 +90,6 @@ struct Slabs {
 }
 
 impl Slabs {
-    // lint: hot
     /// Takes a free slot (or grows the slabs) for a new record.
     fn alloc(&mut self, owner: (u32, u32), dt: f64, t_last: Timestamp) -> u32 {
         match self.free.pop() {
@@ -152,7 +151,6 @@ impl PopTable {
         self.len() == 0
     }
 
-    // lint: hot
     /// The handle of `id`, if tracked.
     pub fn handle_of(&self, id: &ChunkId) -> Option<u32> {
         let h = self.dir[self.dir.slot(id.video)?].rec(id.index).h;
@@ -165,7 +163,6 @@ impl PopTable {
         self.dir.insert(video)
     }
 
-    // lint: hot
     /// Records a request for chunks `range` of `video` at `now`: one
     /// directory probe, then per chunk, in ascending order, the Eq. 8
     /// update and a call `visit(index, handle, backref, dt)` with the
@@ -224,7 +221,6 @@ impl PopTable {
         (slot, known)
     }
 
-    // lint: hot
     /// Eq. 8 query for a record touched at `now` (so `t_last == now`),
     /// fed by the `dt` that [`Self::touch_run`] just handed out: the
     /// elapsed-gap term is zero and the IAT reduces to `(1 − γ)·dt`
@@ -238,7 +234,6 @@ impl PopTable {
         Some(((1.0 - gamma) * dt).max(MIN_IAT_MS))
     }
 
-    // lint: hot
     /// Eq. 9, the virtual-timestamp key `key_x(t) = t − IAT_x(t)`, for a
     /// record touched at `now` (see [`Self::iat_fresh`]), falling back to
     /// `t − fallback_iat` while no interval has been observed.
@@ -247,7 +242,6 @@ impl PopTable {
         now.as_millis() as f64 - iat
     }
 
-    // lint: hot
     /// Marks chunk `index` of the video at `slot` cached, with `backref`
     /// as its caller-owned back-reference (any value but [`NO_HANDLE`]).
     pub fn set_cached(&mut self, slot: u32, index: u32, backref: u32) {
@@ -256,14 +250,12 @@ impl PopTable {
         v.live += u32::from(was == NO_HANDLE);
     }
 
-    // lint: hot
     /// The back-reference of `id` ([`NO_HANDLE`] when it is not cached).
     pub fn backref_of(&self, id: &ChunkId) -> u32 {
         let slot = self.dir.slot(id.video);
         slot.map_or(NO_HANDLE, |slot| self.dir[slot].rec(id.index).backref)
     }
 
-    // lint: hot
     /// Marks `id` uncached and returns its handle ([`NO_HANDLE`] when it
     /// has no popularity record) and the back-reference it held
     /// ([`NO_HANDLE`] when it was not cached). What this exposes to the
@@ -291,7 +283,6 @@ impl PopTable {
         (rec.h, rec.backref)
     }
 
-    // lint: hot
     /// The largest Eq. 8 IAT at `now` among the cached chunks of the video
     /// at `slot` (the §6 unseen-chunk estimate), or `None` if none is
     /// cached with a known interval: a walk over the video's run that
@@ -305,7 +296,6 @@ impl PopTable {
             .reduce(f64::max)
     }
 
-    // lint: hot
     /// Eq. 8 query for handle `h`:
     /// `IAT_x(t) = γ(t − t_x) + (1 − γ)·dt` (ms, clamped to
     /// [`MIN_IAT_MS`]), or `None` while the chunk has been seen only once
@@ -325,7 +315,6 @@ impl PopTable {
         )
     }
 
-    // lint: hot
     /// Rank key for the uncached-chunk mirror: by the Theorem 1 algebra
     /// `((1 − γ)/γ)·dt_x − t_x` is a per-chunk constant whose ascending
     /// order equals ascending-IAT order at any common evaluation time.
@@ -338,7 +327,6 @@ impl PopTable {
         PopTable::hot_rank_of(self.slabs.dt[i], self.slabs.t_last[i], gamma)
     }
 
-    // lint: hot
     /// [`Self::hot_rank`] from a record's raw `(dt, t_last)` — with
     /// `t_last = now` for the `dt` that [`Self::touch_run`] just handed
     /// out.

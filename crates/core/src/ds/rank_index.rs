@@ -154,7 +154,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         self.len() == 0
     }
 
-    // lint: hot
     /// The `(item, key)` at `slot`, or `None` when the slot is not live.
     pub fn get(&self, slot: u32) -> Option<(T, f64)> {
         let e = self.slab.get(slot as usize)?;
@@ -214,7 +213,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         }
     }
 
-    // lint: hot
     /// Settles bucket `off`: entries whose key now maps to a later bucket
     /// move there, the residents are sorted descending by `(key, item)`.
     fn settle(&mut self, off: usize) {
@@ -259,7 +257,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         }
     }
 
-    // lint: hot
     /// Inserts `item`, which must not be present, with `key`; `aux` is an
     /// opaque caller payload handed back by ordered scans ([`NO_AUX`] when
     /// unused). Returns the entry's **slab slot** — stable until
@@ -288,7 +285,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         idx
     }
 
-    // lint: hot
     /// Re-keys the entry at `slot`, refreshing `aux`. A key that rises —
     /// a Cafe touch — is a field store that leaves the entry in its stored
     /// bucket for the next ordered read to settle.
@@ -328,7 +324,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         }
     }
 
-    // lint: hot
     /// Makes `idx` the cached minimum if it orders below it.
     fn challenge_min(&mut self, idx: u32) {
         let c = &self.slab[idx as usize];
@@ -338,7 +333,6 @@ impl<T: Ord + Copy> RankIndex<T> {
         }
     }
 
-    // lint: hot
     /// Removes the entry at `slot`; returns its key.
     ///
     /// # Panics
@@ -364,13 +358,11 @@ impl<T: Ord + Copy> RankIndex<T> {
         key
     }
 
-    // lint: hot
     /// The smallest-key (least popular) item — O(1), no sorting.
     pub fn smallest(&self) -> Option<(T, f64)> {
         self.get(self.min_idx)
     }
 
-    // lint: hot
     /// Visits the `n` smallest-key items that do not satisfy `exclude`,
     /// in exact ascending `(key, item)` order (fewer if the index runs
     /// out), as `visit(item, key, aux)`. Buckets are settled as the scan
@@ -504,7 +496,6 @@ impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
         RankMap::default()
     }
 
-    // lint: hot
     /// Inserts `item` with `key` and `aux`, replacing any previous ones.
     ///
     /// # Panics
@@ -520,7 +511,6 @@ impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
         }
     }
 
-    // lint: hot
     /// Removes `item`; returns its key if it was present.
     pub fn remove(&mut self, item: &T) -> Option<f64> {
         let slot = self.slots.remove(item)?;
@@ -534,7 +524,6 @@ impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
         Some((item, key))
     }
 
-    // lint: hot
     /// [`RankIndex::for_smallest_excluding`].
     pub fn for_smallest_excluding(
         &mut self,

@@ -88,7 +88,6 @@ impl<R: Absent, V: Absent> Video<R, V> {
         self.id
     }
 
-    // lint: hot
     /// The record of chunk `index` ([`Absent::NONE`] past the run's end).
     pub fn rec(&self, index: u32) -> R {
         self.run.get(index as usize).copied().unwrap_or(R::NONE)
@@ -99,7 +98,6 @@ impl<R: Absent, V: Absent> Video<R, V> {
         &self.run
     }
 
-    // lint: hot
     /// The whole run, grown to reach chunk `last`.
     ///
     /// # Panics
@@ -113,7 +111,6 @@ impl<R: Absent, V: Absent> Video<R, V> {
         &mut self.run
     }
 
-    // lint: hot
     /// The record of chunk `index`, growing the run to reach it.
     ///
     /// # Panics
@@ -160,7 +157,6 @@ impl<R, V> Default for VideoDir<R, V> {
 }
 
 impl<R: Absent, V: Absent> VideoDir<R, V> {
-    // lint: hot
     /// The slot of `video`, if it has one — the one hash probe of a
     /// request.
     pub fn slot(&self, video: VideoId) -> Option<u32> {

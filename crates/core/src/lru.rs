@@ -59,7 +59,6 @@ impl LruCache {
         self.disk.audit();
     }
 
-    // lint: hot
     /// Disk cache age: now minus the oldest chunk's last access.
     pub fn cache_age(&self, now: vcdn_types::Timestamp) -> vcdn_types::DurationMs {
         match self.disk.oldest() {
@@ -70,7 +69,6 @@ impl LruCache {
 }
 
 impl CachePolicy for LruCache {
-    // lint: hot
     /// # Panics
     ///
     /// Panics if the request reaches chunk index `2^20`

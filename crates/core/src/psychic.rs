@@ -264,7 +264,6 @@ impl PsychicCache {
         }
     }
 
-    // lint: hot
     /// Psychic's cache age (ms): the average residence time of evicted
     /// chunks, or time-since-replay-start before the first eviction.
     pub fn cache_age_ms(&self, now: Timestamp) -> f64 {
@@ -278,7 +277,6 @@ impl PsychicCache {
         }
     }
 
-    // lint: hot
     /// `L_x`: the next (up to) `N` request times of chunk `rank`.
     fn future_times(&self, rank: usize) -> impl Iterator<Item = Timestamp> + '_ {
         let from = self.cursor[rank] as usize;
@@ -289,7 +287,6 @@ impl PsychicCache {
             .map(|&s| self.expected[s as usize].t)
     }
 
-    // lint: hot
     /// `Σ_{t∈L_x} T/(t − now)` for one chunk (the inner sums of
     /// Eqs. 13–14); the current request's occurrence is already consumed.
     fn future_value(&self, rank: usize, now: Timestamp, t_window: f64) -> f64 {
@@ -298,7 +295,6 @@ impl PsychicCache {
             .sum()
     }
 
-    // lint: hot
     /// The sequence number of chunk `rank`'s next request, or [`NEVER`].
     fn next_seq(&self, rank: usize) -> u32 {
         let at = self.cursor[rank];
@@ -309,7 +305,6 @@ impl PsychicCache {
         }
     }
 
-    // lint: hot
     /// Enters cached chunk `rank` in the calendar under its next request.
     fn file(&mut self, rank: usize) {
         let next = self.next_seq(rank);
@@ -324,7 +319,6 @@ impl PsychicCache {
         *due += 1;
     }
 
-    // lint: hot
     /// Takes cached chunk `rank` out of the calendar.
     fn unfile(&mut self, rank: usize) {
         let next = self.next_seq(rank);
@@ -339,7 +333,6 @@ impl PsychicCache {
         }
     }
 
-    // lint: hot
     /// The cached ranks, the one requested farthest in the future first:
     /// those never requested again from the highest rank down, then day by
     /// day from the last due request back, each day from its highest rank
@@ -362,7 +355,6 @@ impl PsychicCache {
 }
 
 impl CachePolicy for PsychicCache {
-    // lint: hot
     fn handle_request(&mut self, request: &Request) -> Decision {
         let seq = self.seq;
         let range = request.chunk_range(self.config.cache.chunk_size);

@@ -74,7 +74,6 @@ impl XlruCache {
         }
     }
 
-    // lint: hot
     /// Disk cache age at `now`: how long ago the least recently used chunk
     /// on disk was accessed (`IAT₀` in the paper's reading).
     pub fn cache_age(&self, now: Timestamp) -> DurationMs {
@@ -106,7 +105,6 @@ impl XlruCache {
         assert!(order, "tracker order");
     }
 
-    // lint: hot
     /// Eq. 5: should the request be redirected given the video's last
     /// access `prev` and the current cache age?
     fn fails_popularity_test(&self, prev: Option<Timestamp>, now: Timestamp) -> bool {
@@ -192,7 +190,6 @@ impl XlruCache {
 }
 
 impl CachePolicy for XlruCache {
-    // lint: hot
     /// # Panics
     ///
     /// Panics if the request reaches chunk index `2^20`

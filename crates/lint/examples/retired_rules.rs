@@ -3,7 +3,8 @@
 //! fails with "this lint expectation is unfulfilled" the day one of these
 //! lints stops firing, so a weakened `clippy.toml` entry or a toolchain
 //! that no longer reports one of them cannot go unnoticed. See LINTS.md,
-//! "Toolchain rules".
+//! "Toolchain rules". (`hot-path` went to a measurement instead: its seed,
+//! an allocating xLRU, runs inside `crates/sim/tests/alloc_golden.rs`.)
 //!
 //! `cargo run -p vcdn-lint --example retired_rules`
 
@@ -30,6 +31,13 @@ fn hash_ordered() -> std::collections::HashSet<u64> {
     std::collections::HashSet::from([1])
 }
 
+/// `lock-discipline`: `clippy::disallowed_types` keeps `std::sync::Mutex`
+/// (and `RwLock`, `Condvar`) out of the code but for its two homes.
+#[expect(clippy::disallowed_types, reason = "seeded: lock-discipline")]
+fn locked() -> std::sync::Mutex<u64> {
+    std::sync::Mutex::new(1)
+}
+
 /// `panic`: `clippy::unwrap_used` from the `#![warn]` list above.
 #[expect(clippy::unwrap_used, reason = "seeded: panic")]
 fn first(xs: &[u64]) -> u64 {
@@ -44,6 +52,6 @@ fn misspelled_feature() -> bool {
 }
 
 fn main() {
-    let _ = (wall_clock(), hash_ordered());
+    let _ = (wall_clock(), hash_ordered(), locked());
     println!("{} {}", first(&[1]), misspelled_feature());
 }

@@ -174,7 +174,7 @@ mod tests {
     fn parses_entries_and_skips_comments() {
         let text = "\
 # comment
-hot-path | crates/core/src/xlru.rs | Vec::new | empty Vec::new does not allocate
+float-eq | crates/lp/src/simplex.rs | float literal | exact zero tests on pivots
 
 literal-index | crates/core/src/cafe.rs | [0] | bounds pre-checked by caller";
         let list = AllowList::parse(text);
@@ -185,13 +185,18 @@ literal-index | crates/core/src/cafe.rs | [0] | bounds pre-checked by caller";
     #[test]
     fn suppression_requires_rule_path_and_needle_match() {
         let mut list = AllowList::parse(
-            "hot-path | crates/core/src/xlru.rs | Vec::new | empty Vec::new does not allocate",
+            "float-eq | crates/lp/src/simplex.rs | float literal | exact zero tests on pivots",
         );
-        assert!(list.suppresses(&finding("hot-path", "crates/core/src/xlru.rs", "Vec::new")));
+        let file = "crates/lp/src/simplex.rs";
+        assert!(list.suppresses(&finding("float-eq", file, "== float literal")));
         // Wrong file.
-        assert!(!list.suppresses(&finding("hot-path", "crates/core/src/lru.rs", "Vec::new")));
+        assert!(!list.suppresses(&finding(
+            "float-eq",
+            "crates/lp/src/problem.rs",
+            "== float literal"
+        )));
         // Wrong rule.
-        assert!(!list.suppresses(&finding("float-eq", "crates/core/src/xlru.rs", "Vec::new")));
+        assert!(!list.suppresses(&finding("clock-arith", file, "float literal")));
     }
 
     #[test]

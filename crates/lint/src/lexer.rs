@@ -7,16 +7,12 @@
 //! `::`) — while correctly *skipping* comments and every string form, so
 //! nothing inside a doc comment or a format string is ever parsed as code.
 //!
-//! Two side channels are captured during lexing because the rules need
-//! them:
+//! One side channel is captured during lexing because a rule needs it:
+//! `// lint: wrap-ok` marker comments, recorded with their line numbers
+//! (they waive the `clock-arith` rule on the same or the next line).
 //!
-//! * `// lint: hot` marker comments, recorded with their line numbers
-//!   (they mark the next `fn` item as a hot path);
-//! * `// lint: wrap-ok` marker comments, recorded with their line numbers
-//!   (they waive the `clock-arith` rule on the same or the next line).
-//!
-//! Allow/deny decisions beyond those two markers live in `lint.allow`,
-//! not in source comments, so justifications stay centrally reviewable.
+//! Allow/deny decisions beyond that marker live in `lint.allow`, not in
+//! source comments, so justifications stay centrally reviewable.
 
 /// The classes of token the parser distinguishes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -49,13 +45,11 @@ pub struct Tok {
     pub line: u32,
 }
 
-/// The output of lexing one file: tokens plus marker side channels.
+/// The output of lexing one file: tokens plus the marker side channel.
 #[derive(Debug, Default)]
 pub struct Lexed {
     /// All tokens in source order (comments and whitespace removed).
     pub toks: Vec<Tok>,
-    /// Lines carrying a `// lint: hot` marker comment.
-    pub hot_marker_lines: Vec<u32>,
     /// Lines carrying a `// lint: wrap-ok` marker comment.
     pub wrap_ok_lines: Vec<u32>,
 }
@@ -114,14 +108,10 @@ impl Lexer<'_> {
             self.i += 1;
         }
         let text = &self.b[start..self.i];
-        // Marker syntax is deliberately rigid: "// lint: hot" or
-        // "// lint: wrap-ok" (with optional leading "//" padding),
-        // nothing else on the comment.
+        // Marker syntax is deliberately rigid: "// lint: wrap-ok" (with
+        // optional leading "//" padding), nothing else on the comment.
         if let Ok(s) = std::str::from_utf8(text) {
-            let s = s.trim_start_matches('/').trim();
-            if s == "lint: hot" {
-                self.out.hot_marker_lines.push(self.line);
-            } else if s == "lint: wrap-ok" {
+            if s.trim_start_matches('/').trim() == "lint: wrap-ok" {
                 self.out.wrap_ok_lines.push(self.line);
             }
         }
@@ -459,12 +449,6 @@ mod tests {
         assert_eq!(toks.len(), 2);
         assert_eq!(toks[0].0, TokKind::Str);
         assert_eq!(toks[1], (TokKind::Ident, "z".into()));
-    }
-
-    #[test]
-    fn hot_markers_are_recorded_with_lines() {
-        let lexed = lex("fn a() {}\n// lint: hot\nfn b() {}\n// lint: hotdog\n");
-        assert_eq!(lexed.hot_marker_lines, vec![2]);
     }
 
     #[test]

@@ -8,11 +8,11 @@
 
 #![forbid(unsafe_code)]
 
-use std::path::PathBuf;
+use std::fs;
+use std::path::{Path, PathBuf};
 use std::process::ExitCode;
 
-use vcdn_lint::rules::rule_by_name;
-use vcdn_lint::{check_workspace, RULES};
+use vcdn_lint::{check_workspace, rule_by_name, RULES};
 
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
@@ -93,7 +93,7 @@ fn run_check(root: Option<PathBuf>) -> ExitCode {
                     return ExitCode::from(2);
                 }
             };
-            match vcdn_lint::workspace::find_root(&cwd) {
+            match find_root(&cwd) {
                 Some(r) => r,
                 None => {
                     eprintln!(
@@ -153,4 +153,22 @@ USAGE:
 Exit codes: 0 clean, 1 findings or allowlist errors, 2 usage/IO error.
 Suppressions live in <root>/lint.allow: `rule | path | needle | justification`."
     );
+}
+
+/// Locates the enclosing workspace root by walking up from `start` until
+/// a `Cargo.toml` containing `[workspace]` is found.
+pub fn find_root(start: &Path) -> Option<PathBuf> {
+    let mut dir = Some(start.to_path_buf());
+    while let Some(d) = dir {
+        let manifest = d.join("Cargo.toml");
+        if manifest.is_file() {
+            if let Ok(text) = fs::read_to_string(&manifest) {
+                if text.contains("[workspace]") {
+                    return Some(d);
+                }
+            }
+        }
+        dir = d.parent().map(Path::to_path_buf);
+    }
+    None
 }

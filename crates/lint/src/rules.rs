@@ -1,15 +1,14 @@
 //! The rule catalogue and the per-file driver. Every rule reads the
-//! AST-lite tree ([`crate::ast`]); the token-level invariants the
-//! toolchain can check (determinism, panics, feature gates) live in
-//! `clippy.toml` and crate attributes instead (LINTS.md).
+//! AST-lite tree ([`crate::ast`]); the invariants the toolchain can check
+//! (determinism, panics, feature gates, locks) live in `clippy.toml` and
+//! crate attributes instead, and allocation on decide paths is measured
+//! by `crates/sim/tests/alloc_golden.rs` (LINTS.md).
 //!
 //! Scoping conventions shared by all rules:
 //!
 //! * **Test code is exempt**: functions under an item carrying
 //!   `#[cfg(test)]` (or `#[test]`) are never walked, and the workspace
 //!   walker never feeds `tests/`, `benches/` or `examples/` directories.
-//! * **Hot functions** are announced by a standalone `// lint: hot`
-//!   marker comment; the marker binds to the next function.
 //! * Rules are scoped to crates by directory name under `crates/`
 //!   (`core`, `sim`, …); the root package scans as `vcdn`.
 
@@ -44,28 +43,6 @@ pub struct Rule {
 
 /// The rule catalogue.
 pub const RULES: &[Rule] = &[
-    Rule {
-        name: "hot-path",
-        summary: "no allocation or map containers inside `// lint: hot` functions",
-        explain: "\
-WHAT  Inside the function a standalone `// lint: hot` comment announces
-      (the next fn after the marker), forbids FastMap/FastSet/BTreeMap/
-      BTreeSet in paths, turbofish and let types; format! and vec!;
-      Vec::new, Vec::with_capacity, String::new, String::from and
-      Box::new; and the methods .clone() / .to_string() / .to_owned() /
-      .to_vec() / .collect().
-WHY   The decide/evict/admission paths of all four policies are
-      allocation-free by construction (scratch buffers, FastMap, slab
-      indices); benchmark/ measures the resulting throughput. A single
-      format! or FastMap::default in a decide path regresses every replay by
-      an allocator round-trip per request.
-FIX   Reuse scratch buffers owned by the policy struct; use
-      vcdn_types::{FastMap, FastSet} declared outside the hot function;
-      return iterators instead of collecting.
-ALLOW The `evicted` list handed to ServeOutcome is owned by the decision
-      by API contract; its empty-Vec construction is the sanctioned
-      allowlisted exception (Vec::new allocates nothing until pushed).",
-    },
     Rule {
         name: "float-eq",
         summary: "no direct ==/!= against float literals; use vcdn_types::float helpers",
@@ -102,30 +79,6 @@ ALLOW Sites where the length is asserted on the line above and a fallback
       would mask real corruption may be suppressed with a justification.",
     },
     Rule {
-        name: "lock-discipline",
-        summary: "leaf-level lock scopes and paired condvar waits in library code",
-        explain: "\
-WHAT  In every crate's non-test library code: while a mutex guard from
-      x.lock() is live in scope, no other .lock() may be taken
-      (leaf-level scopes — no lock-ordering rule is needed, and
-      self-deadlocking double-locks are banned); Condvar.wait(guard)
-      must consume a guard that is live in the same scope and belongs
-      to the same object as the condvar (a state/can_push/can_pop
-      struct waits only on its own mutex's guard). The sharded engine
-      holds no locks; the live subjects are the grid runner's per-cell
-      slots (sim/runner.rs), the generator's free-buffer receiver
-      (trace/ahead.rs) and the registry's name table (obs/registry.rs).
-WHY   The workspace's deadlock-freedom argument is structural: every lock
-      scope is a leaf, so no lock-order cycle can exist. One nested
-      acquire silently reintroduces the possibility; a condvar waiting
-      under a foreign mutex loses its wakeups.
-FIX   Narrow the first guard's scope (drop(guard) or a block) before the
-      second acquisition; wait only on the guard of the condvar's own
-      paired mutex.
-ALLOW Intentional two-lock algorithms must document their global order
-      in DESIGN.md §7 and suppress with a justification referencing it.",
-    },
-    Rule {
         name: "clock-arith",
         summary: "no unchecked + - * on ms/ns clock and byte-counter identifiers",
         explain: "\
@@ -159,7 +112,7 @@ pub struct FileInput<'a> {
     pub rel_path: &'a str,
     /// Crate directory name under `crates/` (or `vcdn` for the root).
     pub crate_name: &'a str,
-    /// Lexed source (its marker side channels).
+    /// Lexed source (its `wrap-ok` marker side channel).
     pub lexed: &'a crate::lexer::Lexed,
     /// AST-lite parse of the same source (see [`crate::ast`]).
     pub ast: &'a crate::ast::Ast,
@@ -175,35 +128,11 @@ pub fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>) {
         snippet,
         message,
     };
-    let hot_finding = |line, snippet: String| {
-        let message =
-            format!("{snippet} inside a `// lint: hot` function (allocation-free decide paths)");
-        finding("hot-path", line, snippet, message)
-    };
-    // A marker binds to the next `fn` keyword below it.
-    let toks = &input.lexed.toks;
-    let hot_fn_lines: Vec<u32> = input
-        .lexed
-        .hot_marker_lines
-        .iter()
-        .filter_map(|&m| {
-            toks.iter()
-                .find(|t| t.line > m && t.kind == TokKind::Ident && t.text == "fn")
-        })
-        .map(|t| t.line)
-        .collect();
     crate::ast::for_each_fn(input.ast, &mut |func, _| {
         let Some(body) = &func.body else { return };
-        let hot = hot_fn_lines.contains(&func.line);
         walk_block(body, &mut |node| match node {
-            Node::Let {
-                ty: Some(ty), line, ..
-            } if hot => hot_types(ty, &mut |s| out.push(hot_finding(line, s))),
             Node::Let { .. } | Node::Item(_) => {}
             Node::Expr(e) => {
-                if hot {
-                    hot_needles(e, &mut |s| out.push(hot_finding(e.line, s)));
-                }
                 if let Some(op) = float_literal_eq(e) {
                     out.push(finding(
                         "float-eq",
@@ -224,57 +153,10 @@ pub fn check_file(input: &FileInput<'_>, out: &mut Vec<Finding>) {
         });
     });
 
-    crate::locks::check(input, input.ast, out);
     crate::arith::check(input, input.ast, out);
 }
 
 const LITERAL_INDEX_CRATES: &[&str] = &["core", "sim"];
-
-const HOT_TYPES: &[&str] = &["FastMap", "FastSet", "BTreeMap", "BTreeSet"];
-const HOT_MACROS: &[&str] = &["format", "vec"];
-const HOT_CTORS: &[[&str; 2]] = &[
-    ["Vec", "new"],
-    ["Vec", "with_capacity"],
-    ["String", "new"],
-    ["String", "from"],
-    ["Box", "new"],
-];
-const HOT_METHODS: &[&str] = &["clone", "to_string", "to_owned", "to_vec", "collect"];
-
-/// Reports each `hot-path` needle the node itself spells (not its children).
-fn hot_needles(e: &Expr, hit: &mut impl FnMut(String)) {
-    match &e.kind {
-        ExprKind::Path(segs) => {
-            for s in segs.iter().filter(|s| HOT_TYPES.contains(&s.as_str())) {
-                hit(s.clone());
-            }
-            for pair in segs.windows(2) {
-                if HOT_CTORS.iter().any(|c| c[0] == pair[0] && c[1] == pair[1]) {
-                    hit(pair.join("::"));
-                }
-            }
-        }
-        ExprKind::Macro { name, .. } if HOT_MACROS.contains(&name.as_str()) => {
-            hit(format!("{name}!"))
-        }
-        ExprKind::MethodCall {
-            name, turbofish, ..
-        } => {
-            if HOT_METHODS.contains(&name.as_str()) {
-                hit(format!(".{name}()"));
-            }
-            hot_types(turbofish, hit);
-        }
-        _ => {}
-    }
-}
-
-/// Reports each forbidden container named in raw type text.
-fn hot_types(ty: &str, hit: &mut impl FnMut(String)) {
-    ty.split(|c: char| !(c.is_ascii_alphanumeric() || c == '_'))
-        .filter(|w| HOT_TYPES.contains(w))
-        .for_each(|w| hit(w.to_string()));
-}
 
 /// `==` / `!=` with a float-literal operand: the operator.
 fn float_literal_eq(e: &Expr) -> Option<&str> {
@@ -331,46 +213,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_rule_binds_marker_to_next_fn_only() {
-        let src = "\
-// lint: hot
-fn hot_fn(&mut self) { let v = Vec::new(); s.clone(); }
-fn cold_fn() { let v = Vec::new(); format!(\"x\"); }";
-        let f = check("trace", src);
-        assert_eq!(snippets(&f), vec!["Vec::new", ".clone()"]);
-        assert!(f.iter().all(|f| f.rule == "hot-path"));
-        // A marker above test code binds to it, not to the fn after it.
-        let src = "// lint: hot\n#[test]\nfn t() { vec![1]; }\nfn cold() { vec![1]; }";
-        assert!(check("trace", src).is_empty());
-        // Paths, macros, methods, turbofish and let types all count, each
-        // once, in walk order (a method call before its receiver).
-        let src = "\
-// lint: hot
-fn f(&mut self) {
-    let m: FastMap<u32, u32> = x.iter().collect::<BTreeMap<_, _>>();
-    let b = Box::new(vec![1]);
-    let s = Vec::<u8>::with_capacity(1).to_vec();
-}";
-        let f = check("trace", src);
-        assert_eq!(
-            snippets(&f),
-            vec![
-                ".collect()",
-                "BTreeMap",
-                "FastMap",
-                "Box::new",
-                "vec!",
-                ".to_vec()",
-                "Vec::with_capacity"
-            ]
-        );
-        assert_eq!(
-            f.iter().map(|f| f.line).collect::<Vec<_>>(),
-            [3, 3, 3, 4, 4, 5, 5]
-        );
-    }
-
-    #[test]
     fn float_eq_flags_literal_comparisons() {
         let f = check("lp", "fn f(x: f64) -> bool { x == 0.0 || 1.5 != x }");
         assert_eq!(f.len(), 2);
@@ -400,9 +242,7 @@ fn f(&mut self) {
 
     #[test]
     fn needles_in_strings_and_comments_do_not_fire() {
-        let src = "\
-// lint: hot
-fn f() { let s = \"v[0] == 1.0 or .clone()\"; } // x[0] == 0.0 .to_vec()";
+        let src = "fn f() { let s = \"v[0] == 1.0\"; } // x[0] == 0.0";
         assert!(check("core", src).is_empty());
     }
 

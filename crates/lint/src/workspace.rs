@@ -166,24 +166,6 @@ fn rel_path(root: &Path, file: &Path) -> String {
         .join("/")
 }
 
-/// Locates the enclosing workspace root by walking up from `start` until
-/// a `Cargo.toml` containing `[workspace]` is found.
-pub fn find_root(start: &Path) -> Option<PathBuf> {
-    let mut dir = Some(start.to_path_buf());
-    while let Some(d) = dir {
-        let manifest = d.join("Cargo.toml");
-        if manifest.is_file() {
-            if let Ok(text) = fs::read_to_string(&manifest) {
-                if text.contains("[workspace]") {
-                    return Some(d);
-                }
-            }
-        }
-        dir = d.parent().map(Path::to_path_buf);
-    }
-    None
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

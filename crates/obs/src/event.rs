@@ -11,7 +11,6 @@
 //! what it dropped, so tracing a month-long replay has fixed memory cost.
 
 use std::collections::BTreeSet;
-use std::sync::Mutex;
 
 use vcdn_types::json::{Json, ObjectWriter};
 use vcdn_types::Request;
@@ -201,8 +200,12 @@ impl DecisionEvent {
 /// [`DecisionEvent::policy`] is `&'static str` because every recorder
 /// holds its policy's name that way. Each distinct name is leaked once
 /// per process — a handful for any bundle the writer produced.
+#[expect(
+    clippy::disallowed_types,
+    reason = "one of the workspace's two locks, a leaf: the process-wide name set, locked only while one name is looked up"
+)]
 fn intern(name: String) -> &'static str {
-    static NAMES: Mutex<BTreeSet<&'static str>> = Mutex::new(BTreeSet::new());
+    static NAMES: std::sync::Mutex<BTreeSet<&'static str>> = std::sync::Mutex::new(BTreeSet::new());
     let mut names = NAMES.lock().expect("no panic while interning");
     if !names.contains(name.as_str()) {
         names.insert(Box::leak(name.clone().into_boxed_str()));

@@ -29,7 +29,7 @@
 //!    worker counts.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, OnceLock};
+use std::sync::{Arc, OnceLock};
 
 use crate::histogram::{bucket_index, HistogramSnapshot, BUCKETS};
 
@@ -231,7 +231,15 @@ struct Table {
 /// ```
 pub struct MetricsRegistry {
     capacity: usize,
-    table: Mutex<Table>,
+    /// One of the workspace's two locks (the other is the bundle reader's
+    /// interned policy names). A leaf: taken only inside
+    /// [`MetricsRegistry::with_table`], which runs a closure that takes no
+    /// other lock and lets no guard escape.
+    #[expect(
+        clippy::disallowed_types,
+        reason = "registration from any thread at attach time; never on the request path"
+    )]
+    table: std::sync::Mutex<Table>,
 }
 
 /// Default capacity: far above what one replay (a few dozen metrics) or
@@ -269,12 +277,14 @@ impl MetricsRegistry {
         assert!(capacity > 0, "registry capacity must be > 0");
         MetricsRegistry {
             capacity,
-            table: Mutex::default(),
+            table: Default::default(),
         }
     }
 
-    fn table(&self) -> std::sync::MutexGuard<'_, Table> {
-        self.table.lock().expect("registry mutex poisoned")
+    /// Runs `f` on the name table under its lock; the guard lives only for
+    /// the call.
+    fn with_table<R>(&self, f: impl FnOnce(&mut Table) -> R) -> R {
+        f(&mut self.table.lock().expect("registry mutex poisoned"))
     }
 
     /// Exports every metric in first-registration order, each writer's
@@ -284,41 +294,42 @@ impl MetricsRegistry {
     /// was refused by a full registry, a synthetic `obs.registry_overflow`
     /// counter is appended so the loss is visible in every export.
     pub fn snapshot(&self) -> Vec<MetricSnapshot> {
-        let table = self.table();
-        let mut out: Vec<MetricSnapshot> = (table.entries.iter())
-            .map(|e| {
-                let merged = |cell: usize| {
-                    (e.sources.iter())
-                        .map(|&(w, at)| table.writers[w][at + cell].load(Ordering::Relaxed))
-                        .fold(0, u64::wrapping_add)
-                };
-                let histogram = (e.kind == MetricKind::Histogram).then(|| {
-                    let buckets: Vec<u64> = (1..=BUCKETS).map(merged).collect();
-                    HistogramSnapshot {
-                        count: buckets.iter().sum(),
-                        sum: merged(0),
-                        buckets,
+        self.with_table(|table| {
+            let mut out: Vec<MetricSnapshot> = (table.entries.iter())
+                .map(|e| {
+                    let merged = |cell: usize| {
+                        (e.sources.iter())
+                            .map(|&(w, at)| table.writers[w][at + cell].load(Ordering::Relaxed))
+                            .fold(0, u64::wrapping_add)
+                    };
+                    let histogram = (e.kind == MetricKind::Histogram).then(|| {
+                        let buckets: Vec<u64> = (1..=BUCKETS).map(merged).collect();
+                        HistogramSnapshot {
+                            count: buckets.iter().sum(),
+                            sum: merged(0),
+                            buckets,
+                        }
+                    });
+                    MetricSnapshot {
+                        name: e.name.clone(),
+                        kind: e.kind,
+                        value: histogram.as_ref().map_or_else(|| merged(0), |h| h.count),
+                        sum: histogram.as_ref().map_or(0, |h| h.sum),
+                        histogram,
                     }
+                })
+                .collect();
+            if table.overflow > 0 {
+                out.push(MetricSnapshot {
+                    name: "obs.registry_overflow".to_string(),
+                    kind: MetricKind::Counter,
+                    value: table.overflow,
+                    sum: 0,
+                    histogram: None,
                 });
-                MetricSnapshot {
-                    name: e.name.clone(),
-                    kind: e.kind,
-                    value: histogram.as_ref().map_or_else(|| merged(0), |h| h.count),
-                    sum: histogram.as_ref().map_or(0, |h| h.sum),
-                    histogram,
-                }
-            })
-            .collect();
-        if table.overflow > 0 {
-            out.push(MetricSnapshot {
-                name: "obs.registry_overflow".to_string(),
-                kind: MetricKind::Counter,
-                value: table.overflow,
-                sum: 0,
-                histogram: None,
-            });
-        }
-        out
+            }
+            out
+        })
     }
 }
 
@@ -331,7 +342,7 @@ impl Default for MetricsRegistry {
 impl std::fmt::Debug for MetricsRegistry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("MetricsRegistry")
-            .field("len", &self.table().entries.len())
+            .field("len", &self.with_table(|table| table.entries.len()))
             .field("capacity", &self.capacity)
             .finish()
     }
@@ -344,43 +355,44 @@ impl MetricsSink for MetricsRegistry {
 
     fn register(&self, metrics: &[(String, MetricKind)]) -> Tally {
         let tally = Tally::new(metrics);
-        let mut table = self.table();
-        let Table {
-            entries,
-            writers,
-            overflow,
-        } = &mut *table;
-        let writer = writers.len();
-        writers.push(Arc::clone(&tally.cells));
-        for ((name, kind), id) in metrics.iter().zip(tally.ids.iter()) {
-            let source = (writer, id.0 as usize);
-            let full = entries.len() >= self.capacity;
-            match entries.iter_mut().find(|e| e.name == *name) {
-                Some(e) => {
-                    assert_eq!(
-                        e.kind, *kind,
-                        "metric `{name}` re-registered with a different kind"
-                    );
-                    if e.kind == MetricKind::Gauge {
-                        // A writer is live while its tally holds the
-                        // second reference to its cells.
-                        let live =
-                            (e.sources.iter()).any(|&(w, _)| Arc::strong_count(&writers[w]) > 1);
-                        assert!(!live, "gauge `{name}` already has a live writer");
-                        e.sources.clear();
+        self.with_table(|table| {
+            let Table {
+                entries,
+                writers,
+                overflow,
+            } = table;
+            let writer = writers.len();
+            writers.push(Arc::clone(&tally.cells));
+            for ((name, kind), id) in metrics.iter().zip(tally.ids.iter()) {
+                let source = (writer, id.0 as usize);
+                let full = entries.len() >= self.capacity;
+                match entries.iter_mut().find(|e| e.name == *name) {
+                    Some(e) => {
+                        assert_eq!(
+                            e.kind, *kind,
+                            "metric `{name}` re-registered with a different kind"
+                        );
+                        if e.kind == MetricKind::Gauge {
+                            // A writer is live while its tally holds the
+                            // second reference to its cells.
+                            let live = (e.sources.iter())
+                                .any(|&(w, _)| Arc::strong_count(&writers[w]) > 1);
+                            assert!(!live, "gauge `{name}` already has a live writer");
+                            e.sources.clear();
+                        }
+                        e.sources.push(source);
                     }
-                    e.sources.push(source);
+                    // Graceful exhaustion: refuse the name and count the
+                    // refusal; the writer's cells take its writes unread.
+                    None if full => *overflow += 1,
+                    None => entries.push(Entry {
+                        name: name.clone(),
+                        kind: *kind,
+                        sources: vec![source],
+                    }),
                 }
-                // Graceful exhaustion: refuse the name and count the
-                // refusal; the writer's cells take its writes unread.
-                None if full => *overflow += 1,
-                None => entries.push(Entry {
-                    name: name.clone(),
-                    kind: *kind,
-                    sources: vec![source],
-                }),
             }
-        }
+        });
         tally
     }
 }

@@ -190,7 +190,6 @@ impl SpaceSaving {
     /// Records one occurrence of `key`. O(k): one scan of the slots for
     /// the key and, when it is untracked and no slot is free, one more for
     /// the victim.
-    // lint: hot
     pub fn record(&mut self, key: u64) {
         self.total += 1;
         if let Some(slot) = self.slots.iter_mut().find(|s| s.key == key) {

@@ -100,7 +100,6 @@ use crate::replay::{DecisionCtx, Kernel, ReplayObserver, StreamTraffic, STEADY_A
 ///
 /// Panics if `shards == 0`.
 #[inline]
-// lint: hot
 pub fn shard_of_video(video: VideoId, shards: usize) -> usize {
     fasthash::shard_for(ChunkId::new(video, 0).packed(), shards)
 }
@@ -112,7 +111,6 @@ pub fn shard_of_video(video: VideoId, shards: usize) -> usize {
 ///
 /// Panics if `shards == 0`.
 #[inline]
-// lint: hot
 pub fn shard_of_chunk(chunk: ChunkId, shards: usize) -> usize {
     shard_of_video(chunk.video, shards)
 }
@@ -298,7 +296,6 @@ struct ShardObserver {
 /// index (trace order over the engine's lifetime) — the logical clock
 /// behind the span plane and the window plane's queue-gap sketch.
 impl ReplayObserver for ShardObserver {
-    // lint: hot
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
         self.policy
             .record_decision(ctx.decision, ctx.occupancy_chunks);
@@ -348,7 +345,6 @@ struct EngineShard {
 /// this loop; with one worker the filter is always true. This — plus
 /// [`shard_of_video`] — is the engine's per-request path: no allocation,
 /// no map churn, no locks.
-// lint: hot
 fn serve_owned(
     w: usize,
     own: &mut [&mut EngineShard],

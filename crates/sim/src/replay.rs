@@ -189,7 +189,6 @@ impl Kernel {
     /// With `check_invariants`, panics if a `Serve` does not cover the
     /// full request or leaves the policy over capacity.
     #[inline]
-    // lint: hot
     pub(crate) fn serve_one<O: ReplayObserver>(
         &self,
         policy: &mut dyn CachePolicy,

@@ -7,11 +7,12 @@
 //! sequential run**:
 //!
 //! * Each cell is a `(label, closure)` pair that owns all of its state
-//!   (policy, RNG, trace slice). Nothing is shared between cells except an
-//!   atomic work index, so execution order cannot influence any cell's
-//!   value.
-//! * Results are collected into their cell's input slot, so the returned
-//!   vector is in input order regardless of completion order.
+//!   (policy, RNG, trace slice). Nothing is shared between cells: the
+//!   calling thread hands each cell to whichever worker reports back next,
+//!   so execution order cannot influence any cell's value.
+//! * Results come back over a channel tagged with their cell's index and
+//!   are put in its input slot, so the returned vector is in input order
+//!   regardless of completion order. No lock is involved.
 //!
 //! Worker threads come from [`std::thread::scope`] — no external
 //! dependencies, and cells may borrow from the caller's stack (e.g. a
@@ -29,8 +30,8 @@
 //! assert_eq!(run.values(), vec![0, 1, 4, 9, 16, 25, 36, 49]);
 //! ```
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{Mutex, PoisonError};
+use std::panic::{catch_unwind, AssertUnwindSafe};
+use std::sync::mpsc;
 use std::time::{Duration, Instant};
 
 /// The default `workers` for [`run_grid`]: the workspace-wide setting.
@@ -120,8 +121,9 @@ impl<T> GridRun<T> {
 ///
 /// Determinism contract: each cell owns its state, so the result vector is
 /// identical (labels and values) for any worker count, including 1. A
-/// panicking cell propagates the panic to the caller after the remaining
-/// workers finish their in-flight cells.
+/// panicking cell does not stop the grid: every other cell still runs, and
+/// then the panic reaches the caller with its original payload (the first
+/// one to finish, if several cells panic).
 pub fn run_grid<'a, T: Send>(cells: Vec<Cell<'a, T>>, workers: usize) -> GridRun<T> {
     #[expect(
         clippy::disallowed_methods,
@@ -132,64 +134,79 @@ pub fn run_grid<'a, T: Send>(cells: Vec<Cell<'a, T>>, workers: usize) -> GridRun
     let workers = workers.max(1).min(n.max(1));
 
     let mut labels = Vec::with_capacity(n);
-    let mut jobs: Vec<Mutex<Option<Job<'a, T>>>> = Vec::with_capacity(n);
+    let mut jobs = Vec::with_capacity(n);
     for cell in cells {
         labels.push(cell.label);
-        jobs.push(Mutex::new(Some(cell.run)));
+        jobs.push(cell.run);
     }
-    let slots: Vec<Mutex<Option<(T, Duration)>>> = (0..n).map(|_| Mutex::new(None)).collect();
-    let next = AtomicUsize::new(0);
-
-    let work = |_worker: usize| loop {
-        let i = next.fetch_add(1, Ordering::Relaxed);
-        if i >= n {
-            break;
+    let mut slots: Vec<Option<(T, Duration)>> = (0..n).map(|_| None).collect();
+    let mut first_panic = None;
+    let mut record = |i: usize, outcome: std::thread::Result<(T, Duration)>| match outcome {
+        Ok(done) => slots[i] = Some(done),
+        Err(payload) => {
+            first_panic.get_or_insert(payload);
         }
-        // Poisoning cannot corrupt a job/slot Option, so recover the guard;
-        // the atomic index hands each job to exactly one worker, making an
-        // already-taken job unreachable — skip instead of panicking.
-        let Some(job) = jobs[i]
-            .lock()
-            .unwrap_or_else(PoisonError::into_inner)
-            .take()
-        else {
-            continue;
-        };
-        #[expect(
-            clippy::disallowed_methods,
-            reason = "per-cell wall time for the speedup report; never part of a cell's value"
-        )]
-        let cell_start = Instant::now();
-        let value = job();
-        *slots[i].lock().unwrap_or_else(PoisonError::into_inner) =
-            Some((value, cell_start.elapsed()));
     };
 
     if workers == 1 {
-        work(0);
+        for (i, job) in jobs.into_iter().enumerate() {
+            record(i, run_cell(job));
+        }
     } else {
+        // The calling thread dispatches: each worker has its own job
+        // channel and reports on the shared one, and whichever worker
+        // reports next gets the next cell.
+        let (done_tx, done_rx) = mpsc::channel();
         std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers).map(|w| scope.spawn(move || work(w))).collect();
-            for h in handles {
-                // Re-raise a cell's panic with its original payload (the
-                // documented propagation contract) instead of a new expect.
-                if let Err(payload) = h.join() {
-                    std::panic::resume_unwind(payload);
-                }
+            let to_workers: Vec<mpsc::Sender<(usize, Job<'a, T>)>> = (0..workers)
+                .map(|w| {
+                    let (job_tx, job_rx) = mpsc::channel::<(usize, Job<'a, T>)>();
+                    let done_tx = done_tx.clone();
+                    scope.spawn(move || {
+                        for (i, job) in job_rx {
+                            // The caller outlives the scope, so it hears this.
+                            let _ = done_tx.send((w, i, run_cell(job)));
+                        }
+                    });
+                    job_tx
+                })
+                .collect();
+            let mut queue = jobs.into_iter().enumerate();
+            // A worker lives until its job channel closes (cell panics are
+            // caught), so a send fails only if it died; its cell then never
+            // reports and the contract check below names the loss.
+            let mut dispatch = |w: usize| {
+                let sent = queue
+                    .next()
+                    .is_some_and(|next| to_workers[w].send(next).is_ok());
+                usize::from(sent)
+            };
+            let mut in_flight: usize = (0..workers).map(&mut dispatch).sum();
+            while in_flight > 0 {
+                // This thread holds a sender too, so `recv` cannot fail.
+                let Ok((w, i, outcome)) = done_rx.recv() else {
+                    break;
+                };
+                record(i, outcome);
+                in_flight = in_flight - 1 + dispatch(w);
             }
+            // Dropping the job channels here ends the workers' loops.
         });
     }
 
+    if let Some(payload) = first_panic {
+        std::panic::resume_unwind(payload);
+    }
     let results: Vec<CellResult<T>> = labels
         .into_iter()
         .zip(slots)
         .filter_map(|(label, slot)| {
-            let (value, wall) = slot.into_inner().unwrap_or_else(PoisonError::into_inner)?;
+            let (value, wall) = slot?;
             Some(CellResult { label, value, wall })
         })
         .collect();
-    // Every index is claimed exactly once and worker panics have already
-    // propagated, so every slot is filled; this is a contract check.
+    // Every cell was dispatched once and none panicked, so every slot is
+    // filled; this is a contract check.
     assert_eq!(results.len(), n, "every grid cell must produce a result");
 
     GridRun {
@@ -199,10 +216,20 @@ pub fn run_grid<'a, T: Send>(cells: Vec<Cell<'a, T>>, workers: usize) -> GridRun
     }
 }
 
+/// Runs one cell's closure, timing it and catching its panic.
+fn run_cell<T>(job: Job<'_, T>) -> std::thread::Result<(T, Duration)> {
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "per-cell wall time for the speedup report; never part of a cell's value"
+    )]
+    let cell_start = Instant::now();
+    catch_unwind(AssertUnwindSafe(job)).map(|value| (value, cell_start.elapsed()))
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicU64;
+    use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn results_come_back_in_input_order() {
@@ -268,6 +295,50 @@ mod tests {
         let run = run_grid(Vec::<Cell<u8>>::new(), 4);
         assert!(run.results.is_empty());
         assert_eq!(run.speedup(), 1.0);
+    }
+
+    #[test]
+    fn a_panicking_cell_re_raises_its_payload_after_every_other_cell_ran() {
+        use std::panic::{catch_unwind, AssertUnwindSafe};
+        use std::sync::mpsc;
+
+        const CELLS: usize = 12;
+        // (workers, the panicking cell): inline, a cell dispatched first,
+        // one mid-grid and the last.
+        for (workers, cursed) in [(1, CELLS - 1), (4, 0), (4, CELLS / 2), (4, CELLS - 1)] {
+            let (tx, rx) = mpsc::channel();
+            std::thread::spawn(move || {
+                let ran: Vec<AtomicU64> = (0..CELLS).map(|_| AtomicU64::new(0)).collect();
+                let outcome = catch_unwind(AssertUnwindSafe(|| {
+                    let cells: Vec<Cell<usize>> = (0..CELLS)
+                        .map(|i| {
+                            let ran = &ran;
+                            Cell::new(format!("c{i}"), move || {
+                                assert!(i != cursed, "cell {i} is cursed");
+                                ran[i].fetch_add(1, Ordering::Relaxed);
+                                i
+                            })
+                        })
+                        .collect();
+                    run_grid(cells, workers)
+                }));
+                let message = match outcome {
+                    Ok(_) => None,
+                    Err(payload) => payload.downcast_ref::<String>().cloned(),
+                };
+                let ran: Vec<u64> = ran.iter().map(|r| r.load(Ordering::Relaxed)).collect();
+                tx.send((message, ran)).expect("the test is waiting");
+            });
+            let (message, ran) = rx
+                .recv_timeout(Duration::from_secs(60))
+                .unwrap_or_else(|_| panic!("{workers} workers, cell {cursed}: run_grid hung"));
+            let want = format!("cell {cursed} is cursed");
+            assert_eq!(message.as_deref(), Some(want.as_str()), "{workers} workers");
+            for (i, &n) in ran.iter().enumerate() {
+                let expected = u64::from(i != cursed);
+                assert_eq!(n, expected, "{workers} workers, cell {cursed}: cell {i}");
+            }
+        }
     }
 
     #[test]

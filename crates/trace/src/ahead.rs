@@ -10,22 +10,23 @@
 
 use std::panic::{catch_unwind, resume_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::{mpsc, Mutex, PoisonError};
+use std::sync::mpsc;
 
-/// What a worker reports: the job it built and the slot — or the payload
-/// of its panic.
-type Built<T> = std::thread::Result<(usize, T)>;
+/// What a worker reports: the job it built, the worker's index and the
+/// slot — or the payload of its panic.
+type Built<T> = std::thread::Result<(usize, usize, T)>;
 
 /// Runs `build(job, &mut slot)` for every job in `0..jobs` and passes each
 /// built slot to `consume(job, &slot)` in job order, on the calling thread.
 ///
 /// With one worker (or one job) everything runs inline and no thread is
 /// spawned. Otherwise `workers` scoped threads claim jobs from a shared
-/// counter; a worker claims only while it holds a free slot, and a slot is
-/// free again once `consume` is done with it. Every slot and every builder
-/// is made by the calling thread (`new_slot` runs `workers + 1` times,
-/// `new_builder` once per worker, so a builder can own scratch space):
-/// workers only ever write into memory they were handed.
+/// counter; a worker claims only while it holds a free slot, and a slot
+/// goes back to the worker that built it once `consume` is done with it.
+/// Every slot and every builder is made by the calling thread (`new_slot`
+/// runs `workers + 1` times, `new_builder` once per worker, so a builder
+/// can own scratch space): workers only ever write into memory they were
+/// handed.
 ///
 /// # Panics
 ///
@@ -55,63 +56,60 @@ pub(crate) fn build_ahead<T, B>(
     // Only hands out indices; the slots themselves travel by channel.
     let next = AtomicUsize::new(0);
     let (built_tx, built_rx) = mpsc::channel::<Built<T>>();
-    // Free slots, one queue for all workers: a worker that has delivered
-    // picks up the next free slot itself and need not wait for this thread
-    // to notice. The mutex only shares the receiving end; it is held across
-    // `recv`, by a worker that has nothing to build, and by nothing else.
-    let (free_tx, free_rx) = mpsc::channel::<T>();
-    let free_rx = Mutex::new(free_rx);
-    // One slot per worker plus one for the consumer to be reading.
-    for _ in 0..workers + 1 {
-        free_tx.send(new_slot()).expect("free_rx is alive");
-    }
     std::thread::scope(|scope| {
-        // Owned by this closure so that leaving it — done or unwinding —
-        // closes the queue, which is what ends an idle worker; the scope
-        // joins the workers only after that.
-        let free_tx = free_tx;
-        for _ in 0..workers {
-            let mut build = new_builder();
-            let built_tx = built_tx.clone();
-            let (next, free_rx) = (&next, &free_rx);
-            scope.spawn(move || loop {
-                // No panic can happen under the lock, so poison is moot.
-                let free = free_rx.lock().unwrap_or_else(PoisonError::into_inner);
-                // Closed: the consumer is done, or unwinding.
-                let Ok(mut slot) = free.recv() else { break };
-                drop(free);
-                let job = next.fetch_add(1, Ordering::Relaxed);
-                if job >= jobs {
-                    break;
+        // Each worker's own free-slot queue: the consumer returns a slot to
+        // the worker that built it. The senders are owned by this closure so
+        // that leaving it — done or unwinding — closes every queue, which is
+        // what ends an idle worker; the scope joins the workers only after.
+        let free: Vec<mpsc::Sender<T>> = (0..workers)
+            .map(|w| {
+                let (free_tx, free_rx) = mpsc::channel::<T>();
+                // One slot per worker, plus one for the consumer to be
+                // reading (worker 0 starts with it).
+                for _ in 0..if w == 0 { 2 } else { 1 } {
+                    free_tx.send(new_slot()).expect("free_rx is alive");
                 }
-                // Caught so the consumer hears of it: it may be waiting for
-                // exactly this job while the other workers, out of slots,
-                // wait for the consumer.
-                let built =
-                    catch_unwind(AssertUnwindSafe(|| build(job, &mut slot))).map(|()| (job, slot));
-                let failed = built.is_err();
-                if built_tx.send(built).is_err() || failed {
-                    break;
-                }
-            });
-        }
+                let mut build = new_builder();
+                let (built_tx, next) = (built_tx.clone(), &next);
+                scope.spawn(move || {
+                    // Closed: the consumer is done, or unwinding.
+                    for mut slot in free_rx {
+                        let job = next.fetch_add(1, Ordering::Relaxed);
+                        if job >= jobs {
+                            break;
+                        }
+                        // Caught so the consumer hears of it: it may be
+                        // waiting for exactly this job while the other
+                        // workers, out of slots, wait for the consumer.
+                        let built = catch_unwind(AssertUnwindSafe(|| build(job, &mut slot)))
+                            .map(|()| (job, w, slot));
+                        let failed = built.is_err();
+                        if built_tx.send(built).is_err() || failed {
+                            break;
+                        }
+                    }
+                });
+                free_tx
+            })
+            .collect();
         drop(built_tx);
 
-        // Slots that finished ahead of their turn.
-        let mut early: Vec<Option<T>> = (0..jobs).map(|_| None).collect();
+        // Slots that finished ahead of their turn, with their builder.
+        let mut early: Vec<Option<(usize, T)>> = (0..jobs).map(|_| None).collect();
         for job in 0..jobs {
-            let slot = loop {
+            let (worker, slot) = loop {
                 if let Some(ready) = early[job].take() {
                     break ready;
                 }
                 match built_rx.recv() {
-                    Ok(Ok((j, slot))) => early[j] = Some(slot),
+                    Ok(Ok((j, w, slot))) => early[j] = Some((w, slot)),
                     Ok(Err(payload)) => resume_unwind(payload),
                     Err(_) => panic!("build-ahead workers exited with job {job} unbuilt"),
                 }
             };
             consume(job, &slot);
-            free_tx.send(slot).expect("free_rx outlives the scope");
+            // A worker that has run out of jobs has dropped its queue.
+            let _ = free[worker].send(slot);
         }
     });
 }
@@ -188,6 +186,37 @@ mod tests {
         let me = std::thread::current().id();
         assert!(builders(1).iter().all(|&id| id == me));
         assert!(builders(3).iter().all(|&id| id != me));
+    }
+
+    #[test]
+    fn each_slot_goes_back_to_the_worker_that_built_it() {
+        for workers in [2, 3, 8] {
+            let made = AtomicUsize::new(0);
+            let (tx, rx) = mpsc::channel();
+            build_ahead(
+                60,
+                workers,
+                || (made.fetch_add(1, Ordering::Relaxed), 0usize),
+                || {
+                    let tx = tx.clone();
+                    move |job: usize, slot: &mut (usize, usize)| {
+                        slot.1 = job;
+                        tx.send((slot.0, std::thread::current().id())).unwrap();
+                    }
+                },
+                |job, slot| assert_eq!(slot.1, job),
+            );
+            drop(tx);
+            let mut owner = std::collections::BTreeMap::new();
+            for (slot, thread) in rx.iter() {
+                let first = *owner.entry(slot).or_insert(thread);
+                assert_eq!(
+                    first, thread,
+                    "{workers} workers: slot {slot} changed hands"
+                );
+            }
+            assert_eq!(made.load(Ordering::Relaxed), workers + 1);
+        }
     }
 
     #[test]

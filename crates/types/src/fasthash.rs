@@ -76,7 +76,6 @@ pub struct FxHasher {
 
 impl FxHasher {
     #[inline]
-    // lint: hot
     fn mix(&mut self, word: u64) {
         self.state = (self.state.rotate_left(ROTATE) ^ word).wrapping_mul(SEED);
     }
@@ -84,7 +83,6 @@ impl FxHasher {
 
 impl Hasher for FxHasher {
     #[inline]
-    // lint: hot
     fn finish(&self) -> u64 {
         // Fold the high bits down: in a multiply-mix, bit `i` of the
         // product depends only on input bits `0..=i`, so the low bits are
@@ -96,7 +94,6 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    // lint: hot
     fn write(&mut self, bytes: &[u8]) {
         let mut chunks = bytes.chunks_exact(8);
         for c in chunks.by_ref() {
@@ -112,31 +109,26 @@ impl Hasher for FxHasher {
     }
 
     #[inline]
-    // lint: hot
     fn write_u8(&mut self, i: u8) {
         self.mix(i as u64);
     }
 
     #[inline]
-    // lint: hot
     fn write_u16(&mut self, i: u16) {
         self.mix(i as u64);
     }
 
     #[inline]
-    // lint: hot
     fn write_u32(&mut self, i: u32) {
         self.mix(i as u64);
     }
 
     #[inline]
-    // lint: hot
     fn write_u64(&mut self, i: u64) {
         self.mix(i);
     }
 
     #[inline]
-    // lint: hot
     fn write_u128(&mut self, i: u128) {
         self.mix(i as u64);
         self.mix((i >> 64) as u64);
@@ -160,7 +152,6 @@ pub type FxBuildHasher = BuildHasherDefault<FxHasher>;
 /// a `u64`, and — like everything in this module — deterministic across
 /// processes, so a shard partition derived from it is stable across runs.
 #[inline]
-// lint: hot
 pub fn hash_u64(key: u64) -> u64 {
     let mut h = FxHasher::default();
     h.write_u64(key);
@@ -178,7 +169,6 @@ pub fn hash_u64(key: u64) -> u64 {
 ///
 /// Panics if `shards == 0` (division by zero).
 #[inline]
-// lint: hot
 pub fn shard_for(key: u64, shards: usize) -> usize {
     (hash_u64(key) % shards as u64) as usize
 }
