@@ -1,22 +1,9 @@
-//! The checked-in suppression file, `lint.allow`.
-//!
-//! Format: one entry per line, four pipe-separated fields —
-//!
-//! ```text
-//! rule | path | needle | justification
-//! ```
-//!
-//! * `rule` — a rule name from [`crate::rules::RULES`];
-//! * `path` — workspace-relative file the suppression applies to;
-//! * `needle` — substring matched against the finding's snippet;
-//! * `justification` — required, non-trivial free text explaining *why*
-//!   the invariant may be waived at this site.
-//!
-//! Blank lines and `#` comments are ignored. Entries that are malformed,
-//! name an unknown rule, carry an empty/too-short justification, or match
-//! **no** finding (stale suppressions) are all hard errors in `--check`:
-//! the allowlist must stay exactly as large as the set of justified
-//! exceptions.
+//! The checked-in suppression file, `lint.allow`: one
+//! `rule | path | needle | justification` entry per line, suppressing the
+//! `rule`'s findings in `path` whose snippet contains `needle`. Blank
+//! lines and `#` comments are ignored. A malformed entry, an unknown rule,
+//! a missing or too-short justification, and an entry that matches no
+//! finding (a stale one) are all errors in `--check`.
 
 use crate::rules::{rule_by_name, Finding};
 
@@ -57,8 +44,8 @@ const MIN_JUSTIFICATION_LEN: usize = 10;
 /// The parsed allowlist plus per-entry usage tracking.
 #[derive(Debug, Default)]
 pub struct AllowList {
-    entries: Vec<AllowEntry>,
-    used: Vec<bool>,
+    /// Well-formed entries, each with whether it suppressed a finding.
+    entries: Vec<(AllowEntry, bool)>,
     /// Parse-time errors (malformed lines, unknown rules, no justification).
     pub errors: Vec<AllowError>,
 }
@@ -69,70 +56,25 @@ impl AllowList {
     pub fn parse(text: &str) -> Self {
         let mut list = AllowList::default();
         for (idx, raw) in text.lines().enumerate() {
-            let line_no = (idx + 1) as u32;
-            let line = raw.trim();
-            if line.is_empty() || line.starts_with('#') {
+            let line = (idx + 1) as u32;
+            let text = raw.trim();
+            if text.is_empty() || text.starts_with('#') {
                 continue;
             }
-            let fields: Vec<&str> = line.split('|').map(str::trim).collect();
-            if fields.len() != 4 {
-                list.errors.push(AllowError {
-                    line: line_no,
-                    message: format!(
-                        "expected 4 pipe-separated fields (rule | path | needle | justification), got {}",
-                        fields.len()
-                    ),
-                });
-                continue;
+            match parse_entry(text, line) {
+                Ok(entry) => list.entries.push((entry, false)),
+                Err(message) => list.errors.push(AllowError { line, message }),
             }
-            let (rule, path, needle, justification) = (fields[0], fields[1], fields[2], fields[3]);
-            if rule_by_name(rule).is_none() {
-                list.errors.push(AllowError {
-                    line: line_no,
-                    message: format!("unknown rule `{rule}`"),
-                });
-                continue;
-            }
-            if justification.len() < MIN_JUSTIFICATION_LEN {
-                list.errors.push(AllowError {
-                    line: line_no,
-                    message: format!(
-                        "justification is required (≥ {MIN_JUSTIFICATION_LEN} chars); got `{justification}`"
-                    ),
-                });
-                continue;
-            }
-            if needle.is_empty() {
-                list.errors.push(AllowError {
-                    line: line_no,
-                    message: "empty needle would suppress every finding in the file".into(),
-                });
-                continue;
-            }
-            list.entries.push(AllowEntry {
-                rule: rule.to_string(),
-                path: path.to_string(),
-                needle: needle.to_string(),
-                justification: justification.to_string(),
-                line: line_no,
-            });
-            list.used.push(false);
         }
         list
     }
 
     /// Whether `finding` is suppressed; marks the matching entry as used.
     pub fn suppresses(&mut self, finding: &Finding) -> bool {
-        for (i, e) in self.entries.iter().enumerate() {
-            if e.rule == finding.rule
-                && e.path == finding.file
-                && finding.snippet.contains(&e.needle)
-            {
-                self.used[i] = true;
-                return true;
-            }
-        }
-        false
+        let hit = self.entries.iter_mut().find(|(e, _)| {
+            e.rule == finding.rule && e.path == finding.file && finding.snippet.contains(&e.needle)
+        });
+        hit.map(|(_, used)| *used = true).is_some()
     }
 
     /// Entries that matched no finding — stale suppressions, reported as
@@ -140,8 +82,8 @@ impl AllowList {
     pub fn unused(&self) -> Vec<&AllowEntry> {
         self.entries
             .iter()
-            .zip(&self.used)
-            .filter_map(|(e, &u)| (!u).then_some(e))
+            .filter(|(_, used)| !used)
+            .map(|(e, _)| e)
             .collect()
     }
 
@@ -156,46 +98,76 @@ impl AllowList {
     }
 }
 
+fn parse_entry(text: &str, line: u32) -> Result<AllowEntry, String> {
+    let fields: Vec<&str> = text.split('|').map(str::trim).collect();
+    let &[rule, path, needle, justification] = fields.as_slice() else {
+        return Err(format!(
+            "expected 4 pipe-separated fields (rule | path | needle | justification), got {}",
+            fields.len()
+        ));
+    };
+    if rule_by_name(rule).is_none() {
+        return Err(format!("unknown rule `{rule}`"));
+    }
+    if justification.len() < MIN_JUSTIFICATION_LEN {
+        return Err(format!(
+            "justification is required (≥ {MIN_JUSTIFICATION_LEN} chars); got `{justification}`"
+        ));
+    }
+    if needle.is_empty() {
+        return Err("empty needle would suppress every finding in the file".into());
+    }
+    let [rule, path, needle, justification] = [rule, path, needle, justification].map(String::from);
+    Ok(AllowEntry {
+        rule,
+        path,
+        needle,
+        justification,
+        line,
+    })
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
 
     fn finding(rule: &'static str, file: &str, snippet: &str) -> Finding {
+        let (file, snippet, message) = (file.into(), snippet.into(), String::new());
         Finding {
             rule,
-            file: file.into(),
+            file,
             line: 1,
-            snippet: snippet.into(),
-            message: String::new(),
+            snippet,
+            message,
         }
     }
 
+    /// The messages of the errors one line of allowlist text makes.
+    fn errors(text: &str) -> Vec<String> {
+        let errors = AllowList::parse(text).errors.into_iter();
+        errors.map(|e| e.message).collect()
+    }
+
+    const SIMPLEX: &str =
+        "float-eq | crates/lp/src/simplex.rs | float literal | exact zero tests on pivots";
+
     #[test]
     fn parses_entries_and_skips_comments() {
-        let text = "\
-# comment
-float-eq | crates/lp/src/simplex.rs | float literal | exact zero tests on pivots
-
-literal-index | crates/core/src/cafe.rs | [0] | bounds pre-checked by caller";
-        let list = AllowList::parse(text);
+        let list = AllowList::parse(&format!(
+            "# comment\n{SIMPLEX}\n\nliteral-index | crates/core/src/cafe.rs | [0] | bounds pre-checked by caller"
+        ));
         assert_eq!(list.len(), 2);
         assert!(list.errors.is_empty());
     }
 
     #[test]
     fn suppression_requires_rule_path_and_needle_match() {
-        let mut list = AllowList::parse(
-            "float-eq | crates/lp/src/simplex.rs | float literal | exact zero tests on pivots",
-        );
+        let mut list = AllowList::parse(SIMPLEX);
         let file = "crates/lp/src/simplex.rs";
         assert!(list.suppresses(&finding("float-eq", file, "== float literal")));
-        // Wrong file.
-        assert!(!list.suppresses(&finding(
-            "float-eq",
-            "crates/lp/src/problem.rs",
-            "== float literal"
-        )));
-        // Wrong rule.
+        // Wrong file, wrong rule.
+        let other = "crates/lp/src/problem.rs";
+        assert!(!list.suppresses(&finding("float-eq", other, "== float literal")));
         assert!(!list.suppresses(&finding("clock-arith", file, "float literal")));
     }
 
@@ -211,18 +183,16 @@ literal-index | crates/core/src/cafe.rs | [0] | bounds pre-checked by caller";
 
     #[test]
     fn missing_or_short_justifications_are_errors() {
-        let list = AllowList::parse("literal-index | f.rs | [0] | ");
-        assert_eq!(list.errors.len(), 1);
-        assert!(list.errors[0].message.contains("justification"));
-        let list = AllowList::parse("literal-index | f.rs | [0] | ok");
-        assert_eq!(list.errors.len(), 1);
+        let e = errors("literal-index | f.rs | [0] | ");
+        assert!(e.len() == 1 && e[0].contains("justification"));
+        assert_eq!(errors("literal-index | f.rs | [0] | ok").len(), 1);
     }
 
     #[test]
     fn unknown_rules_and_malformed_lines_are_errors() {
-        let list = AllowList::parse("no-such-rule | f.rs | x | some justification here");
-        assert!(list.errors[0].message.contains("unknown rule"));
-        let list = AllowList::parse("float-eq | f.rs | missing-justification-field");
-        assert!(list.errors[0].message.contains("4 pipe-separated"));
+        let e = errors("no-such-rule | f.rs | x | some justification here");
+        assert!(e[0].contains("unknown rule"));
+        let e = errors("float-eq | f.rs | missing-justification-field");
+        assert!(e[0].contains("4 pipe-separated"));
     }
 }

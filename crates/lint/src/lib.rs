@@ -3,28 +3,21 @@
 //!
 //! Three invariants of the replay engine's cost math have no toolchain
 //! home: epsilon-guarded float comparisons, literal-index panics and
-//! overflow-guarded counters. This crate parses the workspace source with
-//! a small in-repo lexer and a tolerant AST-lite parser, and enforces
-//! those invariants as three rules over the tree, each individually
-//! suppressible via the checked-in `lint.allow` file — every suppression
-//! with a reviewable justification. The invariants the toolchain can
-//! check (no wall clock, no hash-ordered container, no panic in policy
-//! code, declared feature gates, no lock outside its two homes) live in
-//! `clippy.toml` and crate attributes instead, and allocation on the
-//! decide paths is measured by `crates/sim/tests/alloc_golden.rs`.
-//!
-//! See `LINTS.md` at the repository root for the rule catalogue, and run
-//! `cargo run -p vcdn-lint -- --explain <rule>` for the same text offline.
+//! overflow-guarded counters. Each rule reads one operator and its
+//! operands on the token stream of a small in-repo lexer; each finding is
+//! suppressible only through `lint.allow`, with a justification. What the
+//! toolchain can check lives in `clippy.toml` and crate attributes (see
+//! `LINTS.md`, or `cargo run -p vcdn-lint -- --explain <rule>`).
 
 #![forbid(unsafe_code)]
 #![deny(missing_docs)]
 
 mod allow;
 mod arith;
-mod ast;
 mod lexer;
+mod operand;
 mod rules;
-mod symbols;
+mod walk;
 mod workspace;
 
 pub use allow::{AllowEntry, AllowError, AllowList};

@@ -1,21 +1,19 @@
-//! Workspace discovery and the top-level `check_workspace` entry point.
-//!
-//! The walker mirrors the workspace layout this repo (and the test
-//! fixtures) use: a root `Cargo.toml` with `[workspace]`, member crates
-//! under `crates/<name>/` each with a `Cargo.toml` and a `src/` tree.
-//! Only `src/` is scanned — `tests/`, `benches/` and fixture trees are
-//! intentionally out of scope (rules target library and binary code).
+//! Workspace discovery and `check_workspace`: a root `Cargo.toml`, member
+//! crates under `crates/<name>/`, and only their `src/` trees (rules target
+//! library and binary code, not tests, benches or fixtures).
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
 use crate::allow::{AllowError, AllowList};
-use crate::rules::{check_file, FileInput, Finding};
+use crate::arith::Decls;
+use crate::rules::{check_file, Finding};
+use crate::walk::File;
 
 /// The result of checking one workspace.
 #[derive(Debug, Default)]
 pub struct CheckReport {
-    /// Unsuppressed findings, sorted by (file, line, rule).
+    /// Unsuppressed findings, sorted by (file, line, rule, snippet).
     pub findings: Vec<Finding>,
     /// Findings suppressed by `lint.allow`.
     pub suppressed: usize,
@@ -32,122 +30,83 @@ impl CheckReport {
     }
 }
 
+fn read_dir(dir: &Path) -> Result<Vec<PathBuf>, String> {
+    let entries = fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
+    let paths = entries.map(|e| e.map(|e| e.path()));
+    paths.collect::<Result<_, _>>().map_err(|e| e.to_string())
+}
+
 /// Checks the workspace rooted at `root` (the directory holding the
 /// workspace `Cargo.toml` and, optionally, `lint.allow`).
 pub fn check_workspace(root: &Path) -> Result<CheckReport, String> {
-    let mut crates = member_crates(root)?;
-    crates.sort_by(|a, b| a.dir.cmp(&b.dir));
-
-    let mut findings = Vec::new();
-    let mut files_scanned = 0usize;
-    for c in &crates {
-        let src = c.dir.join("src");
-        if !src.is_dir() {
-            continue;
-        }
-        let mut files = Vec::new();
-        collect_rs_files(&src, &mut files)?;
-        files.sort();
-        for file in files {
-            let text = fs::read(&file).map_err(|e| format!("read {}: {e}", file.display()))?;
-            let text = String::from_utf8_lossy(&text);
-            let lexed = crate::lexer::lex(&text);
-            let ast = crate::ast::parse(&lexed);
-            let rel = rel_path(root, &file);
-            files_scanned += 1;
-            check_file(
-                &FileInput {
-                    rel_path: &rel,
-                    crate_name: &c.name,
-                    lexed: &lexed,
-                    ast: &ast,
-                },
-                &mut findings,
-            );
-        }
+    let manifest = fs::read_to_string(root.join("Cargo.toml"))
+        .map_err(|_| format!("{}: no Cargo.toml (not a workspace root)", root.display()))?;
+    // Member crates under `crates/`, and a root [package] (non-virtual
+    // workspace), which scans as crate `vcdn`.
+    let mut dirs = vec![];
+    if root.join("crates").is_dir() {
+        dirs = read_dir(&root.join("crates"))?;
+        dirs.retain(|d| d.join("Cargo.toml").is_file());
     }
-    findings
-        .sort_by(|a, b| (a.file.as_str(), a.line, a.rule).cmp(&(b.file.as_str(), b.line, b.rule)));
-
-    // Apply the allowlist, if present.
-    let allow_path = root.join("lint.allow");
-    let mut allow = if allow_path.is_file() {
-        let text = fs::read_to_string(&allow_path)
-            .map_err(|e| format!("read {}: {e}", allow_path.display()))?;
-        AllowList::parse(&text)
-    } else {
-        AllowList::default()
-    };
-
-    let mut report = CheckReport {
-        files_scanned,
-        ..CheckReport::default()
-    };
-    for f in findings {
-        if allow.suppresses(&f) {
-            report.suppressed += 1;
-        } else {
-            report.findings.push(f);
-        }
+    dirs.extend(manifest.contains("[package]").then(|| root.to_path_buf()));
+    let mut paths = Vec::new();
+    for dir in dirs {
+        collect_rs_files(&dir.join("src"), &mut paths)?;
     }
-    report.allow_errors = allow.errors.clone();
-    for e in allow.unused() {
-        report.allow_errors.push(AllowError {
-            line: e.line,
-            message: format!(
-                "stale entry: no `{}` finding in {} matches needle `{}`",
-                e.rule, e.path, e.needle
-            ),
-        });
-    }
-    report.allow_errors.sort_by_key(|e| e.line);
-    Ok(report)
-}
-
-/// One member crate: directory and rule-scoping name.
-struct MemberCrate {
-    dir: PathBuf,
-    /// Directory name under `crates/` (`core`, `sim`, …) used for scoping.
-    name: String,
-}
-
-fn member_crates(root: &Path) -> Result<Vec<MemberCrate>, String> {
-    if !root.join("Cargo.toml").is_file() {
-        return Err(format!(
-            "{}: no Cargo.toml (not a workspace root)",
-            root.display()
+    paths.sort();
+    // Lex and walk every file first: `clock-arith` looks names up in the
+    // struct fields of the whole workspace.
+    let mut files = Vec::new();
+    for path in paths {
+        let text = fs::read(&path).map_err(|e| format!("read {}: {e}", path.display()))?;
+        let rel = rel_path(root, &path);
+        let crate_name = rel
+            .strip_prefix("crates/")
+            .and_then(|r| r.split('/').next());
+        files.push(File::new(
+            &rel,
+            crate_name.unwrap_or("vcdn"),
+            &String::from_utf8_lossy(&text),
         ));
     }
-    let crates_dir = root.join("crates");
-    let mut out = Vec::new();
-    if crates_dir.is_dir() {
-        let entries =
-            fs::read_dir(&crates_dir).map_err(|e| format!("read {}: {e}", crates_dir.display()))?;
-        for entry in entries {
-            let entry = entry.map_err(|e| e.to_string())?;
-            let dir = entry.path();
-            if dir.join("Cargo.toml").is_file() {
-                let name = entry.file_name().to_string_lossy().into_owned();
-                out.push(MemberCrate { dir, name });
-            }
-        }
+    let mut workspace = Decls::default();
+    files.iter().for_each(|f| workspace.add_fields(f));
+    let mut findings = Vec::new();
+    for f in &files {
+        check_file(f, &workspace, &mut findings);
     }
-    // A root [package] (non-virtual workspace) scans as crate `vcdn`.
-    let root_manifest = fs::read_to_string(root.join("Cargo.toml")).map_err(|e| e.to_string())?;
-    if root_manifest.contains("[package]") && root.join("src").is_dir() {
-        out.push(MemberCrate {
-            dir: root.to_path_buf(),
-            name: "vcdn".to_string(),
-        });
-    }
-    Ok(out)
+    findings.sort_by(|a, b| (&a.file, a.line, a.rule).cmp(&(&b.file, b.line, b.rule)));
+
+    let allow_path = root.join("lint.allow");
+    let mut allow = match fs::read_to_string(&allow_path) {
+        Ok(text) => AllowList::parse(&text),
+        Err(_) if !allow_path.exists() => AllowList::default(),
+        Err(e) => return Err(format!("read {}: {e}", allow_path.display())),
+    };
+    let (suppressed, findings): (Vec<_>, Vec<_>) =
+        findings.into_iter().partition(|f| allow.suppresses(f));
+    let mut allow_errors = allow.errors.clone();
+    allow_errors.extend(allow.unused().into_iter().map(|e| AllowError {
+        line: e.line,
+        message: format!(
+            "stale entry: no `{}` finding in {} matches needle `{}`",
+            e.rule, e.path, e.needle
+        ),
+    }));
+    allow_errors.sort_by_key(|e| e.line);
+    Ok(CheckReport {
+        findings,
+        suppressed: suppressed.len(),
+        allow_errors,
+        files_scanned: files.len(),
+    })
 }
 
 fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
-    let entries = fs::read_dir(dir).map_err(|e| format!("read {}: {e}", dir.display()))?;
-    for entry in entries {
-        let entry = entry.map_err(|e| e.to_string())?;
-        let path = entry.path();
+    if !dir.is_dir() {
+        return Ok(());
+    }
+    for path in read_dir(dir)? {
         if path.is_dir() {
             collect_rs_files(&path, out)?;
         } else if path.extension().is_some_and(|e| e == "rs") {
@@ -160,10 +119,11 @@ fn collect_rs_files(dir: &Path, out: &mut Vec<PathBuf>) -> Result<(), String> {
 /// Workspace-relative path with forward slashes (stable diagnostics).
 fn rel_path(root: &Path, file: &Path) -> String {
     let rel = file.strip_prefix(root).unwrap_or(file);
-    rel.components()
+    let parts: Vec<_> = rel
+        .components()
         .map(|c| c.as_os_str().to_string_lossy())
-        .collect::<Vec<_>>()
-        .join("/")
+        .collect();
+    parts.join("/")
 }
 
 #[cfg(test)]

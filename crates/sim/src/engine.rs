@@ -725,7 +725,11 @@ impl ShardedEngine {
         }
         let bytes = |s: &EngineShard| s.traffic.overall.requested_bytes();
         let byte_max = self.shards.iter().map(bytes).max().unwrap_or(0);
-        let byte_total: u64 = self.shards.iter().map(bytes).sum();
+        let byte_total = self
+            .shards
+            .iter()
+            .fold(TrafficCounter::default(), |a, s| a + s.traffic.overall)
+            .requested_bytes();
         if byte_total > 0 {
             tally.set(*skew_bytes, skew(byte_max, byte_total));
         }

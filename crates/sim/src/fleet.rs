@@ -32,17 +32,24 @@ pub struct FleetReport {
 impl FleetReport {
     /// Fraction of all requested bytes served from some CDN cache.
     pub fn cdn_hit_rate(&self) -> f64 {
-        let total: u64 = self.edges.iter().map(TrafficCounter::requested_bytes).sum();
+        let edges = self.edge_total();
+        let total = edges.requested_bytes();
         if total == 0 {
             return 0.0;
         }
-        let hits: u64 = self.edges.iter().map(|e| e.hit_bytes).sum::<u64>() + self.parent.hit_bytes;
-        hits as f64 / total as f64
+        edges.hit_bytes.saturating_add(self.parent.hit_bytes) as f64 / total as f64
     }
 
     /// Total fill bytes across every edge.
     pub fn edge_fill_bytes(&self) -> u64 {
-        self.edges.iter().map(|e| e.fill_bytes).sum()
+        self.edge_total().fill_bytes
+    }
+
+    /// Every edge's traffic summed; byte counters saturate at `u64::MAX`.
+    fn edge_total(&self) -> TrafficCounter {
+        self.edges
+            .iter()
+            .fold(TrafficCounter::default(), |a, &e| a + e)
     }
 }
 
@@ -141,6 +148,37 @@ mod tests {
 
     fn k() -> ChunkSize {
         ChunkSize::DEFAULT
+    }
+
+    #[test]
+    fn report_sums_saturate_like_their_counters() {
+        // Byte counters saturate at u64::MAX; the report-level sums over
+        // them must too, not panic in debug builds or wrap in release.
+        let full = TrafficCounter {
+            hit_bytes: u64::MAX,
+            fill_bytes: u64::MAX,
+            ..TrafficCounter::default()
+        };
+        let fleet = FleetReport {
+            edges: vec![full, full],
+            parent: full,
+            origin_bytes: 0,
+        };
+        assert_eq!(fleet.cdn_hit_rate(), 1.0);
+        assert_eq!(fleet.edge_fill_bytes(), u64::MAX);
+        let tiers = crate::HierarchyReport {
+            edge: full,
+            parent: full,
+            origin_bytes: 0,
+            origin_requests: 0,
+        };
+        assert_eq!(tiers.cdn_hit_rate(), 1.0);
+        let colocated = crate::shard::ColocatedReport {
+            servers: vec![full, full],
+            distinct_cached_chunks: 0,
+            total_cached_chunks: 0,
+        };
+        assert_eq!(colocated.load_imbalance(), 2.0);
     }
 
     fn edge_traces(n: usize) -> Vec<Trace> {

@@ -45,7 +45,7 @@ impl HierarchyReport {
         if total == 0 {
             return 0.0;
         }
-        (self.edge.hit_bytes + self.parent.hit_bytes) as f64 / total as f64
+        self.edge.hit_bytes.saturating_add(self.parent.hit_bytes) as f64 / total as f64
     }
 
     /// Total CDN cost: fills at each tier at that tier's `C_F`, plus

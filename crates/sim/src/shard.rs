@@ -116,7 +116,11 @@ impl ColocatedReport {
             .map(TrafficCounter::requested_bytes)
             .collect();
         let max = loads.iter().copied().max().unwrap_or(0) as f64;
-        let mean = loads.iter().sum::<u64>() as f64 / loads.len() as f64;
+        let total = self
+            .servers
+            .iter()
+            .fold(TrafficCounter::default(), |a, &s| a + s);
+        let mean = total.requested_bytes() as f64 / loads.len() as f64;
         if exactly_zero(mean) {
             1.0
         } else {
