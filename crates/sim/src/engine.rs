@@ -831,10 +831,11 @@ pub fn engine_bundle(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::replay::{ReplayConfig, Replayer};
     use vcdn_core::{CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig, XlruCache};
     use vcdn_trace::{ServerProfile, TraceGenerator};
     use vcdn_types::DurationMs;
+
+    use crate::matrix::{self, Source::Tiny};
 
     fn trace() -> Trace {
         TraceGenerator::new(ServerProfile::tiny_test(), 99).generate(DurationMs::from_hours(12))
@@ -916,159 +917,47 @@ mod tests {
         }
     }
 
+    /// The seed trace of these tests on a 96-chunk disk, and on 97 chunks
+    /// (shards of unequal capacity), through the replay matrix's rows for
+    /// all four policies.
+    const SEED: matrix::Point = (Tiny(99, 12), matrix::K, 2.0, 96);
+    const UNEVEN: matrix::Point = (Tiny(99, 12), matrix::K, 2.0, 97);
+
     #[test]
     fn single_shard_engine_matches_unsharded_replay() {
-        let t = trace();
-        let mut engine = xlru_engine(1, 96);
-        let engine_report = engine.run(&t, 1);
-
-        let mut cache = XlruCache::new(CacheConfig::new(96, ChunkSize::DEFAULT, costs()));
-        let replay =
-            Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs())).replay(&t, &mut cache);
-
-        let shard = &engine_report.shards[0];
-        assert_eq!(shard.overall, replay.overall);
-        assert_eq!(shard.steady, replay.steady);
-        assert_eq!(engine_report.efficiency(), replay.efficiency());
+        matrix::cells(SEED).for_each(|c| c.one_shard_row(&c.replay_row()));
     }
 
     #[test]
     fn worker_count_does_not_change_any_shard_counter() {
-        let t = trace();
-        let reports: Vec<EngineReport> = [1, 2, 3, 8]
-            .into_iter()
-            .map(|w| xlru_engine(4, 96).run(&t, w))
-            .collect();
-        for r in &reports[1..] {
-            assert_eq!(&reports[0], r);
+        for c in matrix::cells(SEED) {
+            c.workers_row(4);
         }
-        // Workers field reflects the actual (clamped) count but is
-        // excluded from equality.
-        assert_eq!(reports[3].workers, 4);
-        // Detached engines carry no sketches: off means free.
-        assert_eq!(reports[0].topk_k, 0);
-        assert!(reports[0].shards.iter().all(|s| s.top_videos.is_empty()));
     }
 
     #[test]
     fn every_request_lands_on_its_videos_shard() {
-        let t = trace();
-        let shards = 4;
-        let mut engine = xlru_engine(shards, 96);
-        let report = engine.run(&t, 2);
-        let per_shard = shard_requests(&t, shards);
-        for (s, expected) in per_shard.iter().enumerate() {
-            assert_eq!(
-                report.shards[s].requests,
-                expected.len() as u64,
-                "shard {s} request count"
-            );
-        }
-        assert_eq!(report.total_requests() as usize, t.len());
-        let requested: u64 = t
-            .requests
-            .iter()
-            .map(|r| r.chunk_len(ChunkSize::DEFAULT) * ChunkSize::DEFAULT.bytes())
-            .sum();
-        assert_eq!(report.aggregate_overall().requested_bytes(), requested);
+        matrix::cells(SEED).for_each(|c| c.per_shard_row(4));
     }
 
     #[test]
     fn sharded_engine_equals_per_shard_replays() {
-        // The strongest oracle: shard s of the engine behaves exactly like
-        // a stand-alone cache of the shard's capacity replaying the
-        // shard's sub-trace.
-        let t = trace();
-        let shards = 3;
-        let mut engine = xlru_engine(shards, 97);
-        let report = engine.run(&t, 3);
-        let caps = engine.config().shard_capacities();
-        for (s, requests) in shard_requests(&t, shards).into_iter().enumerate() {
-            let sub = Trace::new(t.meta.clone(), requests);
-            let mut cache = XlruCache::new(CacheConfig::new(caps[s], ChunkSize::DEFAULT, costs()));
-            let replay = Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs()))
-                .replay(&sub, &mut cache);
-            assert_eq!(report.shards[s].overall, replay.overall, "shard {s}");
-            assert_eq!(report.shards[s].steady, replay.steady, "shard {s}");
-        }
+        matrix::cells(UNEVEN).for_each(|c| c.per_shard_row(3));
     }
 
     #[test]
     fn run_prefix_equals_truncated_trace() {
-        let t = trace();
-        let cut = t.len() / 3;
-        let mut prefix_engine = xlru_engine(4, 96);
-        let prefix_report = prefix_engine.run_prefix(&t, 4, cut);
-
-        let truncated = Trace::new(t.meta.clone(), t.requests[..cut].to_vec());
-        let mut full_engine = xlru_engine(4, 96);
-        let full_report = full_engine.run(&truncated, 1);
-        assert_eq!(prefix_report, full_report);
-        assert_eq!(prefix_report.dispatched, cut as u64);
+        matrix::cells(SEED).for_each(|c| c.prefix_row(4));
     }
 
     #[test]
     fn warm_continuation_matches_uninterrupted_run() {
-        // Stopping after a prefix and continuing with the suffix must be
-        // indistinguishable from never stopping: cache state, counters and
-        // steady-state accounting all carry across run calls.
-        let t = trace();
-        let cut = t.len() / 2;
-        let mut split = xlru_engine(2, 96);
-        split.run_prefix(&t, 2, cut);
-        let suffix = Trace::new(t.meta.clone(), t.requests[cut..].to_vec());
-        let split_report = split.run(&suffix, 2);
-
-        let full_report = xlru_engine(2, 96).run(&t, 2);
-        assert_eq!(split_report, full_report);
-        assert_eq!(split_report.dispatched, t.len() as u64);
+        matrix::cells(SEED).for_each(|c| c.warm_row(2));
     }
 
     #[test]
     fn all_four_policies_run_sharded() {
-        let t = trace();
-        let k = ChunkSize::DEFAULT;
-        let shards = 4;
-        let per_shard = shard_requests(&t, shards);
-        let mut engines: Vec<(&str, ShardedEngine)> = Vec::new();
-        let cfg = EngineConfig::new(shards, 96, k, costs()).unwrap();
-        engines.push((
-            "lru",
-            ShardedEngine::try_new(cfg, |_, c| Box::new(LruCache::new(c))).unwrap(),
-        ));
-        engines.push((
-            "xlru",
-            ShardedEngine::try_new(cfg, |_, c| Box::new(XlruCache::new(c))).unwrap(),
-        ));
-        engines.push((
-            "cafe",
-            ShardedEngine::try_new(cfg, |_, c| {
-                Box::new(CafeCache::new(CafeConfig {
-                    cache: c,
-                    ..CafeConfig::new(c.disk_chunks, k, costs())
-                }))
-            })
-            .unwrap(),
-        ));
-        engines.push((
-            "psychic",
-            ShardedEngine::try_new(cfg, |i, c| {
-                Box::new(PsychicCache::new(
-                    PsychicConfig::new(c.disk_chunks, k, costs()),
-                    &per_shard[i],
-                ))
-            })
-            .unwrap(),
-        ));
-        for (name, engine) in &mut engines {
-            let report = engine.run(&t, 3);
-            assert_eq!(
-                report.total_requests() as usize,
-                t.len(),
-                "{name} engine lost requests"
-            );
-            assert_eq!(report.shards[0].policy, *name);
-        }
+        matrix::cells(SEED).for_each(|c| c.demand_row(&c.replay_row()));
     }
 
     #[test]

@@ -61,3 +61,11 @@ pub use observe::{
 pub use replay::{DecisionCtx, ReplayConfig, ReplayObserver, ReplayReport, Replayer, WindowStat};
 pub use report::Table;
 pub use runner::{run_grid, worker_count, Cell, CellResult, GridRun};
+
+// The engine's unit tests share the integration tests' replay matrix,
+// which names this crate by its path.
+#[cfg(test)]
+extern crate self as vcdn_sim;
+#[cfg(test)]
+#[path = "../tests/matrix/mod.rs"]
+mod matrix;

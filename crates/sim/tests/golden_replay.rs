@@ -1,19 +1,18 @@
 //! Golden-output regression test for the replay engine.
 //!
-//! A tiny hand-written trace goes through xLRU and Cafe; the resulting
-//! hit/fill/redirect byte counts are pinned to hard-coded values. Any
-//! change to policy decisions, chunk accounting or the replay loop shows
-//! up here as an exact-number diff, not a vague "efficiency moved".
+//! A tiny hand-written trace ([`matrix::golden_trace`]) goes through every
+//! cell of the replay matrix; the Replayer row's hit/fill/redirect byte
+//! counts are pinned to hard-coded values. Any change to policy decisions,
+//! chunk accounting or the replay loop shows up here as an exact-number
+//! diff, not a vague "efficiency moved".
 //!
 //! The trace is built by hand (not generated) so the goldens only depend
 //! on the policies and the replayer, never on the workload generator.
 
-use vcdn_core::{
-    CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
-};
-use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
-use vcdn_trace::{Trace, TraceMeta};
-use vcdn_types::{ByteRange, ChunkSize, CostModel, DurationMs, Request, Timestamp, VideoId};
+mod matrix;
+
+use matrix::{Policy, Source::Golden};
+use vcdn_types::ChunkSize;
 
 /// Chunk size: 100 bytes, so chunk counts read directly off byte ranges.
 const K: u64 = 100;
@@ -22,125 +21,50 @@ const DISK: u64 = 6;
 /// α_F2R = 2 (the paper's headline configuration).
 const ALPHA: f64 = 2.0;
 
-/// Expected overall (hit, fill, redirect) bytes per policy.
+/// Expected overall (hit, fill, redirect) bytes per policy. LRU's 10 hit
+/// chunks follow by hand from the 6-chunk recency list.
+const GOLDEN_LRU: (u64, u64, u64) = (1_000, 2_100, 0);
 const GOLDEN_XLRU: (u64, u64, u64) = (1_000, 1_000, 1_100);
 const GOLDEN_CAFE: (u64, u64, u64) = (1_400, 900, 800);
 const GOLDEN_PSYCHIC: (u64, u64, u64) = (1_600, 700, 800);
 
-fn k() -> ChunkSize {
-    ChunkSize::new(K).expect("non-zero")
+/// The trace declared an hour long through every cell, with the pinned
+/// bytes; then declared 28 minutes long, so the steady-state cut falls on
+/// its last request.
+fn check(policy: Policy, golden: (u64, u64, u64)) {
+    let report = matrix::every_cell(policy, (Golden(60), K, ALPHA, DISK));
+    let got = matrix::bytes(&report);
+    assert_eq!(got, golden, "{policy:?} (hit, fill, redirect) bytes");
+    matrix::every_cell(policy, (Golden(28), K, ALPHA, DISK));
 }
 
-/// The fixed trace: 14 requests over 3 videos within one hour, with
-/// enough re-requests that both policies admit content and enough
-/// distinct chunks (14 > DISK) that they must also evict and redirect.
-fn golden_trace() -> Trace {
-    let req = |video: u64, start: u64, end: u64, t: u64| {
-        Request::new(
-            VideoId(video),
-            ByteRange::new(start, end).expect("start <= end"),
-            Timestamp(t),
-        )
-    };
-    let requests = vec![
-        req(1, 0, 299, 60_000),
-        req(2, 0, 199, 120_000),
-        req(1, 0, 299, 180_000),
-        req(3, 0, 99, 240_000),
-        req(1, 100, 399, 300_000),
-        req(2, 0, 199, 360_000),
-        req(2, 200, 399, 420_000),
-        req(1, 0, 199, 480_000),
-        req(3, 0, 99, 540_000),
-        req(1, 0, 399, 600_000),
-        req(2, 0, 99, 660_000),
-        req(3, 100, 299, 720_000),
-        req(1, 200, 399, 780_000),
-        req(2, 100, 399, 840_000),
-    ];
-    Trace::new(
-        TraceMeta {
-            name: "golden".into(),
-            seed: 0,
-            duration: DurationMs::from_hours(1),
-            description: "hand-written golden-regression trace".into(),
-        },
-        requests,
-    )
-}
-
-fn replay(policy: &mut dyn CachePolicy) -> ReplayReport {
-    let trace = golden_trace();
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    Replayer::new(ReplayConfig::new(k(), costs)).replay(&trace, policy)
-}
-
-fn check(report: &ReplayReport, golden: (u64, u64, u64)) {
-    let t = &report.overall;
-    // Eq. 2 identity: every requested chunk byte is exactly one of
-    // hit, fill or redirect.
-    let requested: u64 = golden_trace()
-        .requests
-        .iter()
-        .map(|r| r.chunk_len(k()) * K)
-        .sum();
-    assert_eq!(
-        t.hit_bytes + t.fill_bytes + t.redirect_bytes,
-        requested,
-        "{}: Eq. 2 identity violated",
-        report.policy
-    );
-    assert_eq!(
-        (t.hit_bytes, t.fill_bytes, t.redirect_bytes),
-        golden,
-        "{}: golden hit/fill/redirect bytes changed",
-        report.policy
-    );
+#[test]
+fn lru_golden_bytes() {
+    check(Policy::Lru, GOLDEN_LRU);
 }
 
 #[test]
 fn xlru_golden_bytes() {
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    let mut cache = XlruCache::new(CacheConfig::new(DISK, k(), costs));
-    let report = replay(&mut cache);
-    eprintln!(
-        "xlru actual: ({}, {}, {})",
-        report.overall.hit_bytes, report.overall.fill_bytes, report.overall.redirect_bytes
-    );
-    check(&report, GOLDEN_XLRU);
+    check(Policy::Xlru, GOLDEN_XLRU);
 }
 
 #[test]
 fn cafe_golden_bytes() {
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    let mut cache = CafeCache::new(CafeConfig::new(DISK, k(), costs));
-    let report = replay(&mut cache);
-    eprintln!(
-        "cafe actual: ({}, {}, {})",
-        report.overall.hit_bytes, report.overall.fill_bytes, report.overall.redirect_bytes
-    );
-    check(&report, GOLDEN_CAFE);
+    check(Policy::Cafe, GOLDEN_CAFE);
 }
 
 #[test]
 fn psychic_golden_bytes() {
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    let trace = golden_trace();
-    let mut cache = PsychicCache::new(PsychicConfig::new(DISK, k(), costs), &trace.requests);
-    let report = replay(&mut cache);
-    eprintln!(
-        "psychic actual: ({}, {}, {})",
-        report.overall.hit_bytes, report.overall.fill_bytes, report.overall.redirect_bytes
-    );
-    check(&report, GOLDEN_PSYCHIC);
+    check(Policy::Psychic, GOLDEN_PSYCHIC);
 }
 
 #[test]
 fn golden_trace_is_well_formed() {
-    let trace = golden_trace();
+    let trace = matrix::golden_trace(60);
     assert_eq!(trace.len(), 14);
     assert!(trace.requests.windows(2).all(|w| w[0].t <= w[1].t));
     // 3 videos, 14 requests, 31 requested chunks in total.
-    let chunks: u64 = trace.requests.iter().map(|r| r.chunk_len(k())).sum();
+    let k = ChunkSize::new(K).expect("non-zero");
+    let chunks: u64 = trace.requests.iter().map(|r| r.chunk_len(k)).sum();
     assert_eq!(chunks, 31);
 }

@@ -4,7 +4,8 @@
 //! (`vcdn_types::fasthash`); the `std-hash` cargo feature swaps the hasher
 //! under them back to the std `RandomState`, which is randomized *per
 //! process*. These tests pin full byte accounting for all four policies on
-//! a deterministically generated trace — the same pins must hold:
+//! a deterministically generated trace, through the Replayer, repeat and
+//! hot-mirror rows of the replay matrix — the same pins must hold:
 //!
 //! - under the default FxHash build (`cargo test`),
 //! - under `cargo test --features vcdn-types/std-hash`, and
@@ -14,118 +15,49 @@
 //! The maps are lookup-only, so no iteration order can leak by
 //! construction; these pins are the end-to-end witness.
 
-use vcdn_core::{
-    CacheConfig, CachePolicy, CafeCache, CafeConfig, PsychicCache, PsychicConfig, XlruCache,
-};
-use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
-use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn_types::{ChunkSize, CostModel, DurationMs, Timestamp};
+mod matrix;
 
-/// Deterministic workload: tiny profile, fixed seed, two days.
-fn trace() -> Trace {
-    TraceGenerator::new(ServerProfile::tiny_test(), 1234).generate(DurationMs::from_days(2))
-}
+use matrix::{Cell, Point, Policy, Source::Tiny};
 
-const DISK: u64 = 256;
-const ALPHA: f64 = 2.0;
+/// Deterministic workload: tiny profile, fixed seed, two days, on a
+/// 256-chunk disk at α = 2.
+const POINT: Point = (Tiny(1234, 48), matrix::K, 2.0, 256);
 
-fn replay(policy: &mut dyn CachePolicy, trace: &Trace) -> ReplayReport {
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs)).replay(trace, policy)
-}
-
-fn policies(trace: &Trace) -> Vec<Box<dyn CachePolicy>> {
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    let cfg = CacheConfig::new(DISK, ChunkSize::DEFAULT, costs);
-    vec![
-        Box::new(vcdn_core::LruCache::new(cfg)),
-        Box::new(XlruCache::new(cfg)),
-        Box::new(CafeCache::new(CafeConfig::new(
-            DISK,
-            ChunkSize::DEFAULT,
-            costs,
-        ))),
-        Box::new(PsychicCache::new(
-            PsychicConfig::new(DISK, ChunkSize::DEFAULT, costs),
-            &trace.requests,
-        )),
-    ]
-}
-
-/// Pinned overall (hit, fill, redirect) bytes per policy, in the order
-/// produced by [`policies`]. Computed once with the std hasher and the Fx
-/// hasher producing identical numbers; any divergence between the two
-/// builds fails this test in whichever build no longer matches.
-const PINS: [(&str, u64, u64, u64); 4] = [
-    ("lru", 6469713920, 2428502016, 0),
-    ("xlru", 6394216448, 1803550720, 700448768),
-    ("cafe", 6719275008, 910163968, 1268776960),
-    ("psychic", 7195328512, 861929472, 840957952),
+/// Pinned overall (hit, fill, redirect) bytes per policy. Computed once
+/// with the std hasher and the Fx hasher producing identical numbers; any
+/// divergence between the two builds fails this test in whichever build
+/// no longer matches.
+const PINS: [(Policy, (u64, u64, u64)); 4] = [
+    (Policy::Lru, (6469713920, 2428502016, 0)),
+    (Policy::Xlru, (6394216448, 1803550720, 700448768)),
+    (Policy::Cafe, (6719275008, 910163968, 1268776960)),
+    (Policy::Psychic, (7195328512, 861929472, 840957952)),
 ];
 
+/// The Replayer row against the pins.
 #[test]
 fn replay_bytes_match_pins_for_all_policies() {
-    let trace = trace();
-    for (mut policy, pin) in policies(&trace).into_iter().zip(PINS) {
-        let r = replay(policy.as_mut(), &trace);
-        eprintln!(
-            "(\"{}\", {}, {}, {}),",
-            r.policy, r.overall.hit_bytes, r.overall.fill_bytes, r.overall.redirect_bytes
-        );
-        assert_eq!(
-            (
-                r.policy,
-                r.overall.hit_bytes,
-                r.overall.fill_bytes,
-                r.overall.redirect_bytes
-            ),
-            pin,
-            "replay output depends on hasher or changed"
-        );
+    for (policy, pin) in PINS {
+        let replay = Cell::new(policy, POINT).replay_row();
+        assert_eq!(matrix::bytes(&replay), pin, "{policy:?}: pinned bytes");
     }
 }
 
 /// The hot mirror (a `RankMap`: the rank index behind an item → slot hash
-/// map, the only one on Cafe's request path; switched on by the first
-/// `prefetch_candidates` read and maintained incrementally through every
-/// touch/fill/evict after it) must be decision-neutral: a Cafe replay
-/// with the mirror live produces the exact pinned bytes of the plain
-/// replay, under either hasher. This exercises the rank index's
+/// map, the only one on Cafe's request path) must be decision-neutral: a
+/// Cafe replay with the mirror live produces the exact pinned bytes of the
+/// plain replay, under either hasher. This exercises the rank index's
 /// non-disk configuration — hot-rank keys, mirror rebuilds on cleanup —
 /// against the same hasher-independence bar as the decide path.
 #[test]
 fn hot_tracking_cafe_replay_matches_pins() {
-    let trace = trace();
-    let costs = CostModel::from_alpha(ALPHA).expect("valid alpha");
-    let mut cafe = CafeCache::new(CafeConfig::new(DISK, ChunkSize::DEFAULT, costs));
-    assert!(cafe.prefetch_candidates(0, Timestamp(0)).is_empty());
-    let r = replay(&mut cafe, &trace);
-    let (name, hit, fill, redirect) = PINS[2];
-    assert_eq!(
-        (
-            r.policy,
-            r.overall.hit_bytes,
-            r.overall.fill_bytes,
-            r.overall.redirect_bytes
-        ),
-        (name, hit, fill, redirect),
-        "hot mirror altered replay output (or it depends on the hasher)"
-    );
+    let cell = Cell::new(Policy::Cafe, POINT);
+    let replay = cell.replay_row();
+    assert_eq!(matrix::bytes(&replay), PINS[2].1, "pinned bytes");
+    cell.mirror_row(&replay);
 }
 
 #[test]
 fn repeated_replays_are_byte_identical() {
-    // Two full replays in one process: under std-hash each FastMap gets a
-    // fresh random seed, so equality here means iteration order never
-    // reaches the output. Full ReplayReport equality covers windows too.
-    let trace = trace();
-    let runs: Vec<Vec<ReplayReport>> = (0..2)
-        .map(|_| {
-            policies(&trace)
-                .into_iter()
-                .map(|mut p| replay(p.as_mut(), &trace))
-                .collect()
-        })
-        .collect();
-    assert_eq!(runs[0], runs[1]);
+    matrix::cells(POINT).for_each(|c| c.repeat_row(&c.replay_row()));
 }

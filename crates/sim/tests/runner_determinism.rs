@@ -9,12 +9,16 @@ use std::sync::Arc;
 
 use vcdn_core::{CacheConfig, CachePolicy, CafeCache, CafeConfig, XlruCache};
 use vcdn_obs::{diff, MetricSnapshot, MetricsRegistry, MetricsSink, TelemetryBundle};
-use vcdn_sim::engine::{engine_bundle, EngineConfig, EngineReport, ShardedEngine};
+use vcdn_sim::engine::{engine_bundle, EngineConfig, ShardedEngine};
 use vcdn_sim::observe::{grid_jsonl, telemetry_cell, TelemetryConfig};
 use vcdn_sim::runner::{run_grid, Cell, CellResult};
 use vcdn_sim::{ReplayConfig, Replayer};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
 use vcdn_types::{ChunkSize, CostModel, DurationMs};
+
+mod matrix;
+
+use matrix::Source::{Empty, OneShard, Tiny};
 
 fn trace() -> Trace {
     TraceGenerator::new(ServerProfile::tiny_test(), 4217).generate(DurationMs::from_hours(12))
@@ -116,49 +120,16 @@ fn telemetry_export_is_byte_identical_across_worker_counts() {
     );
 }
 
-/// Runs the golden trace through a sharded engine (xLRU shards) at the
-/// given worker count.
-fn engine_run(trace: &Trace, shards: usize, workers: usize) -> EngineReport {
-    let k = ChunkSize::DEFAULT;
-    let costs = CostModel::from_alpha(2.0).expect("valid alpha");
-    let cfg = EngineConfig::new(shards, 96, k, costs).expect("valid engine config");
-    let mut engine = ShardedEngine::try_new(cfg, |_, cache| -> Box<dyn CachePolicy> {
-        Box::new(XlruCache::new(cache))
-    })
-    .expect("engine builds");
-    engine.run(trace, workers)
-}
-
-/// The engine-level extension of the same guarantee: the sharded serving
-/// engine produces bit-identical per-shard AND aggregate byte counters at
-/// 1, 2, 4 and 8 workers.
+/// The engine-level extension of the same guarantee: every policy's
+/// sharded engine produces identical per-shard and aggregate counters at
+/// 1, 2, 3, 4 and 8 workers — on this file's trace and on the empty one,
+/// which at 1–8 workers is a zero report with no windows. Every other row
+/// of the replay matrix runs on both too.
 #[test]
 fn engine_counters_identical_at_1_2_4_8_workers() {
-    let trace = trace();
-    let baseline = engine_run(&trace, 4, 1);
-    for workers in [2, 4, 8] {
-        let run = engine_run(&trace, 4, workers);
-        // Per-shard: EngineReport equality compares every shard's full
-        // accounting (and excludes the worker count by design).
-        assert_eq!(
-            baseline, run,
-            "per-shard counters diverged at {workers} workers"
-        );
-        // Aggregate: spelled out so a failure names the broken counter.
-        let (a, b) = (baseline.aggregate_overall(), run.aggregate_overall());
-        assert_eq!(a.hit_bytes, b.hit_bytes, "{workers} workers");
-        assert_eq!(a.fill_bytes, b.fill_bytes, "{workers} workers");
-        assert_eq!(a.redirect_bytes, b.redirect_bytes, "{workers} workers");
-        assert_eq!(a.served_requests, b.served_requests, "{workers} workers");
-        assert_eq!(
-            a.redirected_requests, b.redirected_requests,
-            "{workers} workers"
-        );
-        assert_eq!(
-            baseline.aggregate_steady(),
-            run.aggregate_steady(),
-            "{workers} workers"
-        );
+    for policy in matrix::POLICIES {
+        matrix::every_cell(policy, (Tiny(4217, 12), matrix::K, 2.0, 96));
+        matrix::every_cell(policy, (Empty, matrix::K, 2.0, 96));
     }
 }
 
@@ -171,9 +142,9 @@ fn engine_counters_identical_at_1_2_4_8_workers() {
 /// trace order, never on thread interleaving (the wall-clock timing
 /// histograms are excluded from the export by kind).
 ///
-/// The bundle is also pinned against a committed golden, written by the
-/// dispatcher-and-queues engine this one replaced: comparing worker
-/// counts only with each other would not notice `queue_gap`,
+/// The bundle is also pinned against a committed golden
+/// (`crates/bench/goldens/engine_bundle_xlru_4shards.jsonl`): comparing
+/// worker counts only with each other would not notice `queue_gap`,
 /// `load_share_x1000`, metric registration order or the window
 /// `queue_gap_*` fields all shifting together.
 #[test]
@@ -223,63 +194,24 @@ fn engine_bundle_identical_at_1_2_4_8_workers() {
 
 /// Sharded-vs-unsharded oracle, part 1: a one-shard engine is exactly the
 /// single-cache replay — same overall and steady accounting, same Eq. 2
-/// efficiency.
+/// efficiency — and so is the one hot shard of a trace whose every video
+/// hashes to it, while the other shards see nothing and the skew gauge
+/// reads its maximum. Every other row of the replay matrix runs too.
 #[test]
 fn one_shard_engine_equals_single_cache_replay() {
-    let trace = trace();
-    let k = ChunkSize::DEFAULT;
-    let costs = CostModel::from_alpha(2.0).expect("valid alpha");
-    let engine_report = engine_run(&trace, 1, 4);
-
-    let mut cache = XlruCache::new(CacheConfig::new(96, k, costs));
-    let replay = Replayer::new(ReplayConfig::new(k, costs)).replay(&trace, &mut cache);
-
-    assert_eq!(engine_report.shards[0].overall, replay.overall);
-    assert_eq!(engine_report.shards[0].steady, replay.steady);
-    assert_eq!(engine_report.efficiency(), replay.efficiency());
+    for policy in matrix::POLICIES {
+        matrix::every_cell(policy, (OneShard(99, 24), matrix::K, 2.0, 96));
+    }
 }
 
 /// Sharded-vs-unsharded oracle, part 2: for N > 1 the byte totals are
-/// conserved (every requested byte is hit, filled or redirected — same
-/// demand as the unsharded replay) and the Eq. 2 efficiency, computed
-/// over the summed shard counters, stays a well-formed efficiency close
-/// to the unsharded one (sharding partitions capacity, so small deviation
-/// is expected; divergence or NaN is a bug).
+/// conserved and the Eq. 2 efficiency over the summed shard counters stays
+/// within a partitioning tolerance of the unsharded one — here on a
+/// 97-chunk disk that the shards split unevenly.
 #[test]
 fn multi_shard_totals_conserve_demand_and_efficiency() {
-    let trace = trace();
-    let k = ChunkSize::DEFAULT;
-    let costs = CostModel::from_alpha(2.0).expect("valid alpha");
-
-    let mut cache = XlruCache::new(CacheConfig::new(96, k, costs));
-    let replay = Replayer::new(ReplayConfig::new(k, costs)).replay(&trace, &mut cache);
-
-    for shards in [2, 4, 8] {
-        let report = engine_run(&trace, shards, 4);
-        let agg = report.aggregate_overall();
-        // Demand conservation: the sharded engine serves the same request
-        // stream, so total requested bytes and request counts must match
-        // the unsharded replay exactly.
-        assert_eq!(
-            agg.requested_bytes(),
-            replay.overall.requested_bytes(),
-            "{shards} shards"
-        );
-        assert_eq!(
-            agg.total_requests(),
-            replay.overall.total_requests(),
-            "{shards} shards"
-        );
-        // Efficiency: Eq. 2 over summed shard counters is well-formed and
-        // within a partitioning tolerance of the unsharded cache.
-        let eff = report.efficiency();
-        assert!(eff.is_finite(), "{shards} shards: efficiency {eff}");
-        assert!(
-            (eff - replay.efficiency()).abs() < 0.15,
-            "{shards} shards: sharded efficiency {eff} too far from unsharded {}",
-            replay.efficiency()
-        );
-    }
+    let point = (Tiny(99, 12), matrix::K, 2.0, 97);
+    matrix::cells(point).for_each(|c| c.demand_row(&c.replay_row()));
 }
 
 #[test]

@@ -11,13 +11,15 @@
 //! dependency set minimal); every subcommand validates its inputs and
 //! exits with a readable error.
 
+use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
+use vcdn::cache::snapshot::CacheConfigSnapshot;
 use vcdn::cache::{
     baselines::{LfuCache, LruKCache},
-    lp_bound_reduced, CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache,
-    PsychicConfig, XlruCache,
+    lp_bound_reduced, CacheConfig, CachePolicy, CafeCache, CafeConfig, CafeSnapshot, LruCache,
+    PsychicCache, PsychicConfig, XlruCache, XlruSnapshot,
 };
 use vcdn::sim::report::{bytes, eff, Table};
 use vcdn::sim::{ReplayConfig, Replayer};
@@ -193,6 +195,27 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+/// A snapshot restores the cache it was saved from, while the replayer is
+/// built from the flags: the two must describe the same cache.
+fn flags_match_snapshot(saved: &CacheConfigSnapshot, flags: &CacheConfig) -> Result<(), String> {
+    let refuse = |field, saved: &dyn Display, flag: &dyn Display| {
+        Err(format!(
+            "--load-state: snapshot {field} is {saved} but the flags give {flag}"
+        ))
+    };
+    let chunk_bytes = flags.chunk_size.bytes();
+    let alpha = flags.costs.alpha();
+    if saved.disk_chunks != flags.disk_chunks {
+        refuse("disk_chunks", &saved.disk_chunks, &flags.disk_chunks)
+    } else if saved.chunk_bytes != chunk_bytes {
+        refuse("chunk_bytes", &saved.chunk_bytes, &chunk_bytes)
+    } else if saved.alpha.to_bits() != alpha.to_bits() {
+        refuse("alpha", &saved.alpha, &alpha)
+    } else {
+        Ok(())
+    }
+}
+
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let k = chunk_size(args, 2)?;
@@ -239,8 +262,9 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
                 Some(p) => {
                     let json =
                         std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap = vcdn::types::json::from_str(&json)
+                    let snap: CafeSnapshot = vcdn::types::json::from_str(&json)
                         .map_err(|e| format!("parse snapshot: {e}"))?;
+                    flags_match_snapshot(&snap.config, &cache_cfg)?;
                     CafeCache::restore(&snap).map_err(|e| e.to_string())?
                 }
                 None => CafeCache::new(CafeConfig::new(disk_chunks, k, costs)),
@@ -257,8 +281,21 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
                 Some(p) => {
                     let json =
                         std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap = vcdn::types::json::from_str(&json)
+                    let snap: XlruSnapshot = vcdn::types::json::from_str(&json)
                         .map_err(|e| format!("parse snapshot: {e}"))?;
+                    flags_match_snapshot(&snap.config, &cache_cfg)?;
+                    // xLRU's recency lists only move forward in time.
+                    let newest = snap.disk.last().map(|e| e.1);
+                    let newest = newest.max(snap.tracker.last().map(|e| e.1));
+                    if let (Some(newest), Some(first)) = (newest, trace.requests.first()) {
+                        if first.t < newest {
+                            return Err(format!(
+                                "--load-state: the trace starts at {} ms, before the \
+                                 snapshot's newest stamp at {} ms",
+                                first.t.0, newest.0
+                            ));
+                        }
+                    }
                     XlruCache::restore(&snap).map_err(|e| e.to_string())?
                 }
                 None => XlruCache::new(cache_cfg),

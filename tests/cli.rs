@@ -302,3 +302,45 @@ fn snapshot_save_and_load_through_cli() {
     std::fs::remove_file(&trace_path).ok();
     std::fs::remove_file(&state_path).ok();
 }
+
+#[test]
+fn load_state_refuses_flags_the_snapshot_disagrees_with() {
+    let trace_path = temp_trace("mismatch-trace.jsonl");
+    let tp = trace_path.to_str().expect("utf-8");
+    vcdn(&["gen", "--days", "1", "--seed", "3", "--out", tp]);
+    for algo in ["cafe", "xlru"] {
+        let state_path = temp_trace(&format!("{algo}-mismatch-state.json"));
+        let sp = state_path.to_str().expect("utf-8");
+        let replay = ["replay", "--trace", tp, "--algo", algo];
+        let saved = ["--alpha", "2", "--disk-chunks", "64", "--save-state", sp];
+        let out = vcdn(&[&replay[..], &saved].concat());
+        assert!(out.status.success(), "{algo} save-state: {}", stderr(&out));
+        for (flags, what) in [
+            (
+                ["--alpha", "1", "--chunk-mb", "2", "--disk-chunks", "64"],
+                "alpha is 2 but the flags give 1",
+            ),
+            (
+                ["--alpha", "2", "--chunk-mb", "4", "--disk-chunks", "64"],
+                "chunk_bytes is 2097152 but the flags give 4194304",
+            ),
+            (
+                ["--alpha", "2", "--chunk-mb", "2", "--disk-chunks", "8"],
+                "disk_chunks is 64 but the flags give 8",
+            ),
+        ] {
+            refused(&[&replay[..], &flags, &["--load-state", sp]].concat(), what);
+        }
+        // The same trace again starts before the cache's newest stamp:
+        // Cafe takes it, xLRU's recency lists cannot go back in time.
+        let again = [&replay[..], &saved[..4], &["--load-state", sp]].concat();
+        if algo == "cafe" {
+            let out = vcdn(&again);
+            assert!(out.status.success(), "{}", stderr(&out));
+        } else {
+            refused(&again, "before the snapshot's newest stamp");
+        }
+        std::fs::remove_file(&state_path).ok();
+    }
+    std::fs::remove_file(&trace_path).ok();
+}

@@ -7,7 +7,15 @@ use vcdn::cache::{
 };
 use vcdn::sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn::trace::{ServerProfile, Trace, TraceGenerator};
-use vcdn::types::{ChunkSize, CostModel, DurationMs, TrafficCounter};
+use vcdn::types::{ChunkSize, CostModel, DurationMs};
+
+// The replay matrix of the `vcdn-sim` tests: every policy through every
+// driver (Replayer, repeat, sharded engine at 1–8 workers, per-shard
+// replays, run_prefix, warm continuation) on one trace point.
+#[path = "../crates/sim/tests/matrix/mod.rs"]
+mod matrix;
+
+use matrix::{every_cell, Point, Source::Tiny, POLICIES};
 
 const K: ChunkSize = ChunkSize::DEFAULT;
 const DISK: u64 = 256;
@@ -34,21 +42,13 @@ fn run_all(trace: &Trace, alpha: f64) -> Vec<ReplayReport> {
         .collect()
 }
 
+/// Eq. 2 accounts every requested byte, every request is counted and the
+/// efficiency is within the metric's range (the Replayer row); every
+/// other row of the matrix runs on this shape too.
 #[test]
 fn every_algorithm_accounts_every_byte() {
-    let t = trace(2, 1);
-    let requested: u64 = t.requests.iter().map(|r| r.chunk_len(K) * K.bytes()).sum();
-    for report in run_all(&t, 2.0) {
-        assert_eq!(
-            report.overall.requested_bytes(),
-            requested,
-            "{} lost bytes",
-            report.policy
-        );
-        assert_eq!(report.overall.total_requests() as usize, t.len());
-        // Efficiency within the metric's documented range.
-        let e = report.efficiency();
-        assert!((-1.0..=1.0).contains(&e), "{}: eff {e}", report.policy);
+    for policy in POLICIES {
+        every_cell(policy, (Tiny(1, 48), matrix::K, 2.0, DISK));
     }
 }
 
@@ -107,50 +107,38 @@ fn alpha_knob_shrinks_cafe_ingress_monotonically() {
     }
 }
 
+/// The Replayer and repeat rows of every policy at `point`.
+fn replayer_rows(point: Point) {
+    matrix::cells(point).for_each(|c| c.repeat_row(&c.replay_row()));
+}
+
+/// The trace generated twice is the same, and replays to the same
+/// report (the repeat row).
 #[test]
 fn pipeline_is_deterministic() {
-    let t1 = trace(2, 5);
-    let t2 = trace(2, 5);
-    assert_eq!(t1, t2);
-    let r1 = run_all(&t1, 2.0);
-    let r2 = run_all(&t2, 2.0);
-    for (a, b) in r1.iter().zip(&r2) {
-        assert_eq!(a.overall, b.overall);
-        assert_eq!(a.steady, b.steady);
-    }
+    replayer_rows((Tiny(5, 48), matrix::K, 2.0, DISK));
 }
 
+/// The replayer checks capacity and the `CachePolicy` contract after every
+/// request, and so does every engine shard; a churny workload at α = 0.5.
 #[test]
 fn capacity_respected_throughout_by_all() {
-    // check_invariants in ReplayConfig asserts this per request; run a
-    // churny workload to exercise it.
-    let t = trace(3, 6);
-    for report in run_all(&t, 0.5) {
-        // Reaching here means no invariant assertion fired.
-        assert!(report.overall.total_requests() > 0);
+    for policy in POLICIES {
+        every_cell(policy, (Tiny(6, 72), matrix::K, 0.5, DISK));
     }
 }
 
+/// The hourly windows sum to the overall traffic (the Replayer row).
 #[test]
 fn windows_partition_overall_traffic() {
-    let t = trace(2, 7);
-    for report in run_all(&t, 2.0) {
-        let sum = report
-            .windows
-            .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
-        assert_eq!(sum, report.overall, "{} window leak", report.policy);
-    }
+    replayer_rows((Tiny(7, 48), matrix::K, 2.0, DISK));
 }
 
+/// Steady state is exactly the requests from half the horizon on, a
+/// non-empty part of the overall traffic (the Replayer row).
 #[test]
 fn steady_state_is_subset_of_overall() {
-    let t = trace(2, 8);
-    for report in run_all(&t, 1.0) {
-        assert!(report.steady.requested_bytes() <= report.overall.requested_bytes());
-        assert!(report.steady.total_requests() <= report.overall.total_requests());
-        assert!(report.steady.total_requests() > 0, "steady window empty");
-    }
+    replayer_rows((Tiny(8, 48), matrix::K, 1.0, DISK));
 }
 
 #[test]
