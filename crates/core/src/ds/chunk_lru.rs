@@ -1,6 +1,7 @@
 //! The chunk-level LRU disk of [`LruCache`](crate::LruCache) and
 //! [`XlruCache`](crate::XlruCache): the paper's recency list (§5) under a
-//! per-video chunk directory.
+//! per-video chunk directory, and the always-fill step both serve through
+//! ([`ChunkLru::serve`]).
 //!
 //! The directory is a [`VideoDir`]: one hash probe ([`ChunkLru::video`])
 //! finds the video's slot, and every chunk of the request is then a dense
@@ -12,7 +13,7 @@
 //! An entry lives exactly as long as the video has a cached chunk: the
 //! structure holds nothing for videos that left the disk.
 
-use vcdn_types::{ChunkId, Timestamp, VideoId};
+use vcdn_types::{ChunkId, ChunkRange, DurationMs, ServeOutcome, Timestamp, VideoId};
 
 use super::{Absent, LruList, VideoDir};
 
@@ -88,6 +89,68 @@ impl ChunkLru {
     /// The least recently used chunk and its access time.
     pub fn oldest(&self) -> Option<(ChunkId, Timestamp)> {
         self.list.oldest().map(|(&loc, t)| (self.chunk_of(loc), t))
+    }
+
+    /// Cache age at `now`: how long ago the least recently used chunk was
+    /// accessed (`IAT₀` in the paper's reading); zero on an empty disk.
+    pub fn age(&self, now: Timestamp) -> DurationMs {
+        self.list
+            .oldest()
+            .map_or(DurationMs::ZERO, |(_, t)| now - t)
+    }
+
+    /// Serves the chunks `range` of `video` at `now` on a disk of
+    /// `capacity` chunks, filling every miss: one directory probe for the
+    /// request and one slot read per chunk, hits refreshed as they are
+    /// found (nothing leaves the disk yet, so the slot stays valid), then
+    /// per miss the oldest chunk evicted once the disk is full and the
+    /// miss cached at the head. A request larger than the whole disk keeps
+    /// only its last `capacity` missing chunks (the earlier ones are still
+    /// served and filled, they just do not stay). `missing` is the
+    /// caller's reusable buffer.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::insert`] and [`Self::touch_handle`]: on a chunk index at
+    /// [`MAX_CHUNK_INDEX`](super::MAX_CHUNK_INDEX) or beyond, or a `now`
+    /// older than the head's access time.
+    pub fn serve(
+        &mut self,
+        video: VideoId,
+        range: ChunkRange,
+        now: Timestamp,
+        capacity: u64,
+        missing: &mut Vec<u32>,
+    ) -> ServeOutcome {
+        let mut hit_chunks = 0u64;
+        missing.clear();
+        let slot = self.video(video);
+        for c in range.iter() {
+            match slot.and_then(|s| self.handle(s, c)) {
+                Some(h) => {
+                    hit_chunks += 1;
+                    self.touch_handle(h, now);
+                }
+                None => missing.push(c),
+            }
+        }
+        let mut evicted = Vec::new();
+        let keep_from = missing.len().saturating_sub(capacity as usize);
+        for &c in &missing[keep_from..] {
+            if self.len() as u64 >= capacity {
+                if let Some((old, _)) = self.pop_oldest() {
+                    evicted.push(old);
+                }
+            }
+            // By video, not by `slot`: the eviction above may have released
+            // (and this insert re-creates) the request's own video entry.
+            self.insert(video, c, now);
+        }
+        ServeOutcome {
+            hit_chunks,
+            filled_chunks: missing.len() as u64,
+            evicted,
+        }
     }
 
     /// Moves the cached chunk behind handle `h` to the head with access

@@ -8,11 +8,14 @@
 //!   chunk, bounded by [`MAX_CHUNK_INDEX`]; slots are free-listed and
 //!   released when the owner says the video holds nothing.
 //! * [`ChunkLru`] — the disk of LRU and xLRU: an [`LruList`] of chunks
-//!   whose handles live in a [`VideoDir`].
+//!   whose handles live in a [`VideoDir`], and the one always-fill step
+//!   both serve through ([`ChunkLru::serve`]).
 //! * [`KeyedSet`] — Cafe's binary-tree set + hash map over virtual
-//!   timestamps, as the paper §6 describes it literally. Kept as the
-//!   reference structure (only the §3 baselines still run on it, and the
-//!   rank-index property tests treat it as the ordering oracle).
+//!   timestamps, as the paper §6 describes it literally. It is the disk
+//!   of the §3 baselines' [`RankedCache`](crate::RankedCache), whose LFU
+//!   and GDSP keys are small counts that a [`RankIndex`] would put in one
+//!   bucket (re-sorting the whole disk on every eviction after a hit),
+//!   and the rank-index property tests' ordering oracle.
 //! * [`RankIndex`] — the bucketed (timing-wheel-style) replacement Cafe's
 //!   hot path runs on, addressed by slab slot with no hash map: a re-key
 //!   is a field store, the bucket move and the sort wait for the ordered

@@ -6,12 +6,13 @@
 //! request, between **serving** it (cache-filling missing chunks) and
 //! **redirecting** it to an alternative server, under a configurable
 //! ingress-to-redirect preference `α_F2R` ([`vcdn_types::CostModel`]).
-//! This crate implements the paper's four algorithms plus a context
-//! baseline:
+//! This crate implements the paper's four algorithms plus context
+//! baselines:
 //!
 //! | Type | Paper § | Idea |
 //! |---|---|---|
 //! | [`LruCache`] | — | plain chunk LRU, fills every miss (baseline) |
+//! | [`RankedCache`] | §3 | LFU, LRU-K or GDSP: fills every miss, evicts the smallest key (related-work baselines) |
 //! | [`XlruCache`] | §5 | two LRU structures + the Eq. 5 popularity test |
 //! | [`CafeCache`] | §6 | per-chunk EWMA IATs, virtual-timestamp ordering, expected-cost admission (Eqs. 6–9) |
 //! | [`PsychicCache`] | §8 | offline greedy with future-request lists (Eqs. 13–14), Belady eviction |
@@ -62,7 +63,7 @@ pub mod psychic;
 pub mod snapshot;
 pub mod xlru;
 
-pub use baselines::{GdspCache, LfuCache, LruKCache};
+pub use baselines::RankedCache;
 pub use cafe::{CafeCache, CafeConfig, WindowPolicy};
 pub use control::{AlphaControlConfig, ControlledCafeCache};
 pub use lru::LruCache;

@@ -6,7 +6,7 @@
 //! the simplest reference implementation of the [`CachePolicy`] contract.
 
 use vcdn_obs::DecisionDetail;
-use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, Request, ServeOutcome};
+use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp};
 
 use crate::{
     ds::{assert_chunk_index, ChunkLru},
@@ -34,8 +34,8 @@ pub struct LruCache {
     config: CacheConfig,
     disk: ChunkLru,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffer (the decide path allocates nothing):
-    /// chunk numbers of the request's uncached chunks.
+    /// Reusable per-request buffer of [`ChunkLru::serve`] (the decide path
+    /// allocates nothing): chunk numbers of the request's uncached chunks.
     scratch_missing: Vec<u32>,
 }
 
@@ -60,11 +60,8 @@ impl LruCache {
     }
 
     /// Disk cache age: now minus the oldest chunk's last access.
-    pub fn cache_age(&self, now: vcdn_types::Timestamp) -> vcdn_types::DurationMs {
-        match self.disk.oldest() {
-            Some((_, t)) => now - t,
-            None => vcdn_types::DurationMs::ZERO,
-        }
+    pub fn cache_age(&self, now: Timestamp) -> DurationMs {
+        self.disk.age(now)
     }
 }
 
@@ -76,50 +73,14 @@ impl CachePolicy for LruCache {
     /// beyond: the disk directory is a dense per-video run indexed by
     /// chunk number, and the bound keeps one stray offset from sizing it.
     fn handle_request(&mut self, request: &Request) -> Decision {
-        let k = self.config.chunk_size;
-        let range = request.chunk_range(k);
+        let range = request.chunk_range(self.config.chunk_size);
         assert_chunk_index(range.end);
         self.last_detail = DecisionDetail::age_only(self.cache_age(request.t).as_millis() as f64);
-        // One directory probe for the request, one slot read per chunk;
-        // hits refresh as they are found (nothing leaves the disk here, so
-        // the slot stays valid).
-        let mut hit = 0u64;
-        let mut missing = std::mem::take(&mut self.scratch_missing);
-        missing.clear();
-        let slot = self.disk.video(request.video);
-        for c in range.iter() {
-            match slot.and_then(|s| self.disk.handle(s, c)) {
-                Some(h) => {
-                    hit += 1;
-                    self.disk.touch_handle(h, request.t);
-                }
-                None => missing.push(c),
-            }
-        }
-        // A request larger than the whole disk cannot be fully cached; keep
-        // only the last `disk_chunks` requested chunks (the earlier ones
-        // are still served/filled, they just do not stay).
-        let mut evicted = Vec::new();
-        let fill = missing.len() as u64;
-        let keep_from = missing
-            .len()
-            .saturating_sub(self.config.disk_chunks as usize);
-        for &c in &missing[keep_from..] {
-            if self.disk.len() as u64 >= self.config.disk_chunks {
-                if let Some((old, _)) = self.disk.pop_oldest() {
-                    evicted.push(old);
-                }
-            }
-            // By video, not by `slot`: the eviction above may have released
-            // (and this insert re-creates) the request's own video entry.
-            self.disk.insert(request.video, c, request.t);
-        }
-        self.scratch_missing = missing;
-        Decision::Serve(ServeOutcome {
-            hit_chunks: hit,
-            filled_chunks: fill,
-            evicted,
-        })
+        let (disk, missing) = (self.config.disk_chunks, &mut self.scratch_missing);
+        Decision::Serve(
+            self.disk
+                .serve(request.video, range, request.t, disk, missing),
+        )
     }
 
     fn name(&self) -> &'static str {
@@ -155,7 +116,7 @@ impl CachePolicy for LruCache {
 mod tests {
     use super::*;
     use crate::ds::MAX_CHUNK_INDEX;
-    use vcdn_types::{ByteRange, Timestamp, VideoId};
+    use vcdn_types::{ByteRange, VideoId};
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
         Request::new(
@@ -246,10 +207,10 @@ mod tests {
     #[test]
     fn cache_age_tracks_oldest() {
         let mut c = cache(10);
-        assert_eq!(c.cache_age(Timestamp(5)), vcdn_types::DurationMs::ZERO);
+        assert_eq!(c.cache_age(Timestamp(5)), DurationMs::ZERO);
         c.handle_request(&req(1, 0, 99, 10));
         c.handle_request(&req(2, 0, 99, 30));
-        assert_eq!(c.cache_age(Timestamp(40)), vcdn_types::DurationMs(30));
+        assert_eq!(c.cache_age(Timestamp(40)), DurationMs(30));
     }
 
     #[test]

@@ -16,7 +16,7 @@
 
 use vcdn_obs::DecisionDetail;
 use vcdn_types::{
-    ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, ServeOutcome, Timestamp, VideoId,
+    ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request, Timestamp, VideoId,
 };
 
 use crate::{
@@ -53,10 +53,8 @@ pub struct XlruCache {
     disk: ChunkLru,
     handled: u64,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffers (the decide path allocates nothing):
-    /// disk handles of the request's cached chunks, chunk numbers of the
-    /// others.
-    scratch_present: Vec<u32>,
+    /// Reusable per-request buffer of [`ChunkLru::serve`] (the decide path
+    /// allocates nothing): chunk numbers of the request's uncached chunks.
     scratch_missing: Vec<u32>,
 }
 
@@ -69,7 +67,6 @@ impl XlruCache {
             disk: ChunkLru::new(),
             handled: 0,
             last_detail: DecisionDetail::default(),
-            scratch_present: Vec::new(),
             scratch_missing: Vec::new(),
         }
     }
@@ -77,10 +74,7 @@ impl XlruCache {
     /// Disk cache age at `now`: how long ago the least recently used chunk
     /// on disk was accessed (`IAT₀` in the paper's reading).
     pub fn cache_age(&self, now: Timestamp) -> DurationMs {
-        match self.disk.oldest() {
-            Some((_, t)) => now - t,
-            None => DurationMs::ZERO,
-        }
+        self.disk.age(now)
     }
 
     /// Entries currently in the popularity tracker (for tests).
@@ -209,19 +203,6 @@ impl CachePolicy for XlruCache {
         // Lines 1–2 of Figure 1: read then update the popularity tracker.
         let prev = self.tracker.touch(request.video, now);
 
-        // One directory probe for the request, one slot read per chunk.
-        let mut present = std::mem::take(&mut self.scratch_present);
-        let mut missing = std::mem::take(&mut self.scratch_missing);
-        present.clear();
-        missing.clear();
-        let slot = self.disk.video(request.video);
-        for c in range.iter() {
-            match slot.and_then(|s| self.disk.handle(s, c)) {
-                Some(h) => present.push(h),
-                None => missing.push(c),
-            }
-        }
-
         // Warm-up ("disk not full", Figure 1 comment): admit while free
         // space remains; the popularity test engages once the disk fills.
         let warmup = (self.disk.len() as u64) < self.config.disk_chunks;
@@ -235,41 +216,13 @@ impl CachePolicy for XlruCache {
             ),
             _ => DecisionDetail::age_only(age_ms),
         };
-        let decision = if !warmup && self.fails_popularity_test(prev, now) {
-            Decision::Redirect // lines 3–4
-        } else {
-            // Serve: refresh hits first so eviction targets genuinely old
-            // data. Handles stay valid here: nothing has left the disk yet.
-            for &h in &present {
-                self.disk.touch_handle(h, now);
-            }
-            // Lines 5–7: evict the oldest |missing| chunks, fill the
-            // misses. Requests larger than the whole disk keep only their
-            // tail chunks.
-            let mut evicted = Vec::new();
-            let keep_from = missing
-                .len()
-                .saturating_sub(self.config.disk_chunks as usize);
-            for &c in &missing[keep_from..] {
-                if self.disk.len() as u64 >= self.config.disk_chunks {
-                    if let Some((old, _)) = self.disk.pop_oldest() {
-                        evicted.push(old);
-                    }
-                }
-                // By video, not by `slot`: the eviction above may have
-                // released (and this insert re-creates) the request's own
-                // video entry.
-                self.disk.insert(request.video, c, now);
-            }
-            Decision::Serve(ServeOutcome {
-                hit_chunks: present.len() as u64,
-                filled_chunks: missing.len() as u64,
-                evicted,
-            })
-        };
-        self.scratch_present = present;
-        self.scratch_missing = missing;
-        decision
+        if !warmup && self.fails_popularity_test(prev, now) {
+            return Decision::Redirect; // lines 3–4
+        }
+        // Lines 5–7: refresh the hits, evict the oldest |missing| chunks,
+        // fill the misses.
+        let (disk, missing) = (self.config.disk_chunks, &mut self.scratch_missing);
+        Decision::Serve(self.disk.serve(request.video, range, now, disk, missing))
     }
 
     fn name(&self) -> &'static str {

@@ -21,6 +21,8 @@
 //!   trace; a warm continuation ≡ an uninterrupted run.
 //!
 //! Psychic's shards know the full trace's per-shard futures in every cell.
+//! The §3 baselines (`Lfu`, `Lru2`, `Gdsp`) are cells too, for the
+//! Replayer and repeat rows the hash-independence pins run.
 //! Each row is a method of [`Cell`]; [`every_cell`] runs all of them and
 //! the facts of the empty and the one-shard traces. The test files that
 //! include this module (the engine's unit tests too, through `#[path]`)
@@ -34,7 +36,7 @@ use std::sync::Arc;
 
 use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
-    XlruCache,
+    RankedCache, XlruCache,
 };
 use vcdn_obs::{MetricsRegistry, MetricsSink};
 use vcdn_sim::engine::{shard_of_video, shard_requests, EngineConfig, EngineReport, ShardedEngine};
@@ -51,12 +53,28 @@ pub enum Policy {
     Xlru,
     Cafe,
     Psychic,
+    Lfu,
+    Lru2,
+    Gdsp,
 }
 
 /// The four policies of the matrix.
 pub const POLICIES: [Policy; 4] = [Policy::Lru, Policy::Xlru, Policy::Cafe, Policy::Psychic];
 
 impl Policy {
+    /// The policy's [`CachePolicy::name`].
+    fn name(self) -> &'static str {
+        match self {
+            Policy::Lru => "lru",
+            Policy::Xlru => "xlru",
+            Policy::Cafe => "cafe",
+            Policy::Psychic => "psychic",
+            Policy::Lfu => "lfu",
+            Policy::Lru2 => "lru-k",
+            Policy::Gdsp => "gdsp",
+        }
+    }
+
     /// The policy over `cache`; Psychic knows `future`.
     fn build(self, cache: CacheConfig, future: &[Request]) -> Box<dyn CachePolicy> {
         let (disk, k, costs) = (cache.disk_chunks, cache.chunk_size, cache.costs);
@@ -68,6 +86,9 @@ impl Policy {
                 let psychic = PsychicConfig::new(disk, k, costs);
                 Box::new(PsychicCache::new(psychic, future))
             }
+            Policy::Lfu => Box::new(RankedCache::lfu(cache)),
+            Policy::Lru2 => Box::new(RankedCache::lru2(cache)),
+            Policy::Gdsp => Box::new(RankedCache::gdsp(cache)),
         }
     }
 }
@@ -230,8 +251,7 @@ impl Cell {
         let (trace, at, n) = (&self.trace, &self.at, self.trace.len());
         let requested = self.requested_bytes();
         let replay = self.replay(&trace.requests, self.disk);
-        let name = format!("{:?}", self.policy).to_lowercase();
-        assert_eq!(replay.policy, name, "{at}: policy name");
+        assert_eq!(replay.policy, self.policy.name(), "{at}: policy name");
         let overall = replay.overall;
         assert_eq!(overall.requested_bytes(), requested, "{at}: Eq. 2");
         assert_eq!(overall.total_requests() as usize, n, "{at}");
@@ -299,7 +319,7 @@ impl Cell {
     /// counter and the aggregates; detached engines carry no sketches and
     /// no windows. Returns the one-worker report.
     pub fn workers_row(&self, shards: usize) -> EngineReport {
-        let (trace, name) = (&self.trace, format!("{:?}", self.policy).to_lowercase());
+        let (trace, name) = (&self.trace, self.policy.name());
         let base = self.engine(shards).run(trace, 1);
         for workers in [2, 3, 4, 8] {
             let run = self.engine(shards).run(trace, workers);

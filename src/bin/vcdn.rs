@@ -17,9 +17,8 @@ use std::process::ExitCode;
 
 use vcdn::cache::snapshot::CacheConfigSnapshot;
 use vcdn::cache::{
-    baselines::{LfuCache, LruKCache},
     lp_bound_reduced, CacheConfig, CachePolicy, CafeCache, CafeConfig, CafeSnapshot, LruCache,
-    PsychicCache, PsychicConfig, XlruCache, XlruSnapshot,
+    PsychicCache, PsychicConfig, RankedCache, XlruCache, XlruSnapshot,
 };
 use vcdn::sim::report::{bytes, eff, Table};
 use vcdn::sim::{ReplayConfig, Replayer};
@@ -310,8 +309,8 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
         other => {
             let mut policy: Box<dyn CachePolicy> = match other {
                 "lru" => Box::new(LruCache::new(cache_cfg)),
-                "lfu" => Box::new(LfuCache::new(cache_cfg)),
-                "lru2" => Box::new(LruKCache::lru2(cache_cfg)),
+                "lfu" => Box::new(RankedCache::lfu(cache_cfg)),
+                "lru2" => Box::new(RankedCache::lru2(cache_cfg)),
                 "psychic" => Box::new(PsychicCache::new(
                     PsychicConfig::new(disk_chunks, k, costs),
                     &trace.requests,
