@@ -153,7 +153,8 @@ pub struct PsychicCache {
     evictions: u64,
     replay_start: Option<Timestamp>,
     last_detail: DecisionDetail,
-    /// Reusable per-request buffer of victim ranks: the decide path
+    /// Reusable per-request buffer of victim ranks, sized for the longest
+    /// request (a request evicts at most its misses): the decide path
     /// allocates nothing but the `evicted` list it returns.
     victims: Vec<u32>,
 }
@@ -195,6 +196,7 @@ impl PsychicCache {
             });
         }
         let occurrences = index_u32(occurrences, "chunk occurrences") as usize;
+        let longest = expected.iter().map(|e| e.len as usize).max().unwrap_or(0);
         spans.sort_unstable();
 
         // Ranks. `next` is one past the highest chunk of the current video
@@ -260,7 +262,7 @@ impl PsychicCache {
             evictions: 0,
             replay_start: None,
             last_detail: DecisionDetail::default(),
-            victims: Vec::new(),
+            victims: Vec::with_capacity(longest),
         }
     }
 
@@ -441,7 +443,7 @@ impl CachePolicy for PsychicCache {
             // capacity is never exceeded even transiently (matching the
             // IP's constraint 10f). Requests larger than the whole disk
             // keep only their tail chunks.
-            let mut evicted = Vec::new();
+            let mut evicted = Vec::with_capacity(victims.len());
             for &rank in &victims {
                 let rank = rank as usize;
                 self.unfile(rank);

@@ -6,7 +6,7 @@ use std::time::{Duration, Instant};
 use vcdn_trace::catalog::{AliasSampler, AliasScratch, Catalog};
 use vcdn_trace::{dist::sample_exp, rng::DetRng, session::expand_session_into};
 use vcdn_trace::{ServerProfile, TraceGenerator};
-use vcdn_types::{worker_count, DurationMs, Request, Timestamp};
+use vcdn_types::{worker_count, DurationMs, Request, Timestamp, VideoId};
 
 fn main() {
     let arg = |i| std::env::args().nth(i).and_then(|a| a.parse::<f64>().ok());
@@ -34,15 +34,24 @@ fn main() {
     let mut table = AliasSampler::with_capacity(catalog.len());
     let mut scratch = AliasScratch::with_capacity(catalog.len());
     let (mut pend, mut out) = (Vec::<Request>::new(), Vec::<Request>::new());
-    let mut spent = [Duration::ZERO; 3];
+    let (mut spent, mut entries) = ([Duration::ZERO; 3], 0);
     for starts in starts.chunk_by(|a, b| a.as_millis() / hour == b.as_millis() / hour) {
         let end = (starts[0].as_millis() / hour + 1) * hour;
         lap();
         catalog.fill_sampler(Timestamp(end - hour / 2), &mut table, &mut scratch);
         spent[0] += lap();
+        entries += table.len();
         for &start in starts {
-            let v = catalog.get(table.sample(&mut rng));
-            expand_session_into(&mut pend, v.id, v.size_bytes, start, &p.session, &mut rng);
+            let v = table.sample(&mut rng);
+            let size = catalog.get(v).size_bytes;
+            expand_session_into(
+                &mut pend,
+                VideoId(v as u64),
+                size,
+                start,
+                &p.session,
+                &mut rng,
+            );
         }
         spent[1] += lap();
         pend.sort_by_key(|r| r.t);
@@ -52,6 +61,8 @@ fn main() {
     }
     out.append(&mut pend);
     (["sampler", "expansion", "flush"].into_iter().zip(spent)).for_each(|(s, d)| row(s, d));
+    let per_entry = spent[0].as_secs_f64() * 1e9 / entries.max(1) as f64;
+    println!("sampler: {entries} live-video entries, {per_entry:.1} ns each");
     lap();
     let trace = TraceGenerator::new(p, 20140413).generate(duration);
     row("generate", lap());

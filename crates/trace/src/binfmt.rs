@@ -40,6 +40,14 @@ pub enum BinTraceError {
     UnsupportedVersion(u32),
     /// A length or count field is implausible for the file size.
     CorruptHeader(String),
+    /// A header string is longer than a VCTB header holds; nothing was
+    /// written.
+    StringTooLong {
+        /// `"name"` or `"description"`.
+        field: &'static str,
+        /// Its length in bytes.
+        len: usize,
+    },
     /// A request record is invalid (range or time ordering).
     CorruptRecord { index: u64, reason: String },
     /// The footer checksum does not match.
@@ -55,6 +63,12 @@ impl std::fmt::Display for BinTraceError {
                 write!(f, "unsupported VCTB version {v} (supported: {VERSION})")
             }
             BinTraceError::CorruptHeader(why) => write!(f, "corrupt VCTB header: {why}"),
+            BinTraceError::StringTooLong { field, len } => {
+                write!(
+                    f,
+                    "trace {field} is {len} bytes; a VCTB header holds {MAX_STRING}"
+                )
+            }
             BinTraceError::CorruptRecord { index, reason } => {
                 write!(f, "corrupt VCTB record #{index}: {reason}")
             }
@@ -99,19 +113,34 @@ fn read_u64(r: &mut impl Read) -> std::io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
+/// A header string's length field and bytes, or why it does not fit.
+fn header_string<'a>(field: &'static str, s: &'a str) -> Result<(u32, &'a [u8]), BinTraceError> {
+    u32::try_from(s.len())
+        .ok()
+        .filter(|&len| len <= MAX_STRING)
+        .map(|len| (len, s.as_bytes()))
+        .ok_or(BinTraceError::StringTooLong {
+            field,
+            len: s.len(),
+        })
+}
+
 /// Saves a trace in the `VCTB` binary format.
+///
+/// A name or description longer than [`load_binary`] accepts is refused
+/// with [`BinTraceError::StringTooLong`] before the file is created.
 pub fn save_binary(trace: &Trace, path: &Path) -> Result<(), BinTraceError> {
+    let name = header_string("name", &trace.meta.name)?;
+    let desc = header_string("description", &trace.meta.description)?;
     let mut w = BufWriter::new(File::create(path)?);
     w.write_all(MAGIC)?;
     write_u32(&mut w, VERSION)?;
     write_u64(&mut w, trace.meta.seed)?;
     write_u64(&mut w, trace.meta.duration.as_millis())?;
-    let name = trace.meta.name.as_bytes();
-    let desc = trace.meta.description.as_bytes();
-    write_u32(&mut w, name.len() as u32)?;
-    w.write_all(name)?;
-    write_u32(&mut w, desc.len() as u32)?;
-    w.write_all(desc)?;
+    for (len, bytes) in [name, desc] {
+        write_u32(&mut w, len)?;
+        w.write_all(bytes)?;
+    }
     write_u64(&mut w, trace.requests.len() as u64)?;
     let mut checksum = 0u64;
     for r in &trace.requests {
@@ -360,6 +389,34 @@ mod tests {
         save_binary(&t, &p).expect("save");
         assert_eq!(load_binary(&p).expect("load"), t);
         std::fs::remove_file(&p).ok();
+    }
+
+    #[test]
+    fn header_strings_at_the_limit_roundtrip_and_longer_ones_are_refused() {
+        let limit = MAX_STRING as usize;
+        let mut t = sample();
+        t.meta.description = "d".repeat(limit);
+        let p = tmp("limit.vctb");
+        save_binary(&t, &p).expect("save");
+        assert_eq!(load_binary(&p).expect("load"), t);
+        std::fs::remove_file(&p).expect("remove");
+
+        for field in ["name", "description"] {
+            let mut t = sample();
+            let long = "x".repeat(limit + 1);
+            match field {
+                "name" => t.meta.name = long,
+                _ => t.meta.description = long,
+            }
+            let p = tmp(&format!("too-long-{field}.vctb"));
+            std::fs::remove_file(&p).ok();
+            let err = save_binary(&t, &p).expect_err("over the limit");
+            assert!(
+                matches!(err, BinTraceError::StringTooLong { field: f, len } if f == field && len == limit + 1),
+                "{err}"
+            );
+            assert!(!p.exists(), "a refused save leaves no file");
+        }
     }
 
     #[test]

@@ -16,28 +16,19 @@ use crate::{
     rng::DetRng,
 };
 
-/// Static properties of one catalog video.
+/// What generation reads of one catalog video. Its id is its position in
+/// the catalog, dense and in birth order; its birth is
+/// [`Catalog::birth`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Video {
-    /// Identifier (dense, assigned in birth order).
-    pub id: VideoId,
     /// File size in bytes.
     pub size_bytes: u64,
     /// Intrinsic (age-independent) popularity weight.
     pub weight: f64,
-    /// Upload time. Initial-corpus videos have births in the "past"
-    /// (before the replay epoch), encoded by `age_at_start`.
-    pub birth: Timestamp,
-    /// For initial-corpus videos: how old the video already was at replay
-    /// start. Zero for videos uploaded during the trace.
-    pub age_at_start: DurationMs,
-}
-
-impl Video {
-    /// The video's age at time `t`.
-    pub fn age_at(&self, t: Timestamp) -> DurationMs {
-        DurationMs(t.saturating_since(self.birth).as_millis() + self.age_at_start.as_millis())
-    }
+    /// How old the video was at replay start minus its birth, in ms
+    /// modulo 2^64 (an arrival's is negative): from its birth on, the
+    /// video's age at `t` is `t + age_offset`.
+    age_offset: u64,
 }
 
 /// Parameters of the catalog model.
@@ -92,9 +83,16 @@ impl CatalogConfig {
 }
 
 /// The video corpus over the course of one trace.
+///
+/// Holds only what generation reads: one [`Video`] per id, plus the births
+/// of the videos uploaded during the trace (the initial corpus is born at
+/// the epoch), which is all [`Catalog::fill_sampler`] needs to find the
+/// live prefix.
 #[derive(Debug, Clone)]
 pub struct Catalog {
     videos: Vec<Video>,
+    /// Births of `videos[config.initial_videos..]`, non-decreasing.
+    arrivals: Vec<Timestamp>,
     config: CatalogConfig,
 }
 
@@ -114,27 +112,24 @@ impl Catalog {
             Pareto::new(1.0, config.popularity_shape).expect("validated popularity_shape is > 0");
         let sizes = LogNormal::new((config.size_median_bytes as f64).ln(), config.size_sigma)
             .expect("validated size params");
-        let mut videos = Vec::new();
-        let mut next_id = 0u64;
+        let mut videos = Vec::with_capacity(config.initial_videos);
         let mut push = |birth: Timestamp, age0: DurationMs, rng: &mut DetRng| {
             let size = sizes
                 .sample(rng)
                 .clamp(config.size_min_bytes as f64, config.size_max_bytes as f64)
                 as u64;
             videos.push(Video {
-                id: VideoId(next_id),
                 size_bytes: size.max(1),
                 weight: pareto.sample(rng),
-                birth,
-                age_at_start: age0,
+                age_offset: age0.as_millis().wrapping_sub(birth.as_millis()),
             });
-            next_id += 1;
         };
         for _ in 0..config.initial_videos {
             let age0 = DurationMs(rng.below(config.initial_age_span.as_millis().max(1)));
             push(Timestamp::EPOCH, age0, rng);
         }
-        // Poisson arrivals during the trace window.
+        // Poisson arrivals during the trace window, in time order.
+        let mut arrivals = Vec::new();
         if config.arrivals_per_day > 0.0 {
             let rate_per_ms = config.arrivals_per_day / DurationMs::DAY.as_millis() as f64;
             let mut t = 0.0f64;
@@ -143,15 +138,17 @@ impl Catalog {
                 if t >= duration.as_millis() as f64 {
                     break;
                 }
-                push(Timestamp(t as u64), DurationMs::ZERO, rng);
+                let birth = Timestamp(t as u64);
+                push(birth, DurationMs::ZERO, rng);
+                arrivals.push(birth);
             }
         }
-        debug_assert!(
-            videos.windows(2).all(|w| w[0].birth <= w[1].birth),
-            "births are non-decreasing: the initial block at the epoch, then arrivals in time order"
-        );
+        // Grown by doubling: hand the slack back before generation starts.
+        videos.shrink_to_fit();
+        arrivals.shrink_to_fit();
         Catalog {
             videos,
+            arrivals,
             config: config.clone(),
         }
     }
@@ -176,16 +173,28 @@ impl Catalog {
         self.videos.get(id.0 as usize).map(|v| v.size_bytes)
     }
 
-    /// A video's effective popularity weight at time `t`: intrinsic weight
-    /// times power-law age decay; zero for not-yet-uploaded videos.
-    pub fn effective_weight(&self, v: &Video, t: Timestamp) -> f64 {
-        if v.birth > t {
+    /// Upload time of video `idx`: the epoch for the initial corpus, whose
+    /// age at replay start is folded into its [`Video`] record.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `idx` is not below [`Catalog::len`].
+    pub fn birth(&self, idx: usize) -> Timestamp {
+        idx.checked_sub(self.config.initial_videos)
+            .map_or(Timestamp::EPOCH, |arrival| self.arrivals[arrival])
+    }
+
+    /// Video `idx`'s effective popularity weight at time `t`: intrinsic
+    /// weight times power-law age decay; zero for a not-yet-uploaded video.
+    pub fn effective_weight(&self, idx: usize, t: Timestamp) -> f64 {
+        if self.birth(idx) > t {
             return 0.0;
         }
+        let v = &self.videos[idx];
         if exactly_zero(self.config.decay_beta) {
             return v.weight;
         }
-        let age = v.age_at(t).as_millis() as f64;
+        let age = t.as_millis().wrapping_add(v.age_offset) as f64;
         let tau = self.config.decay_tau.as_millis() as f64;
         v.weight * (1.0 + age / tau).powf(-self.config.decay_beta)
     }
@@ -200,30 +209,28 @@ impl Catalog {
 
     /// [`Catalog::sampler_at`] into a recycled table: refills `sampler`
     /// for time `t` and returns whether any video is live (the table is
-    /// left empty otherwise). Allocates nothing once `sampler` and
-    /// `scratch` have held [`Catalog::len`] entries.
+    /// left empty otherwise). Every live video is an entry whose index is
+    /// its slot, so the table stores no index column; it allocates nothing
+    /// once `sampler` and `scratch` have held [`Catalog::len`] entries.
     pub fn fill_sampler(
         &self,
         t: Timestamp,
         sampler: &mut AliasSampler,
         scratch: &mut AliasScratch,
     ) -> bool {
-        let live = &self.videos[..self.live_at(t)];
         sampler.fill(
-            live.iter()
-                .enumerate()
-                .map(|(i, v)| (i, self.effective_weight(v, t))),
+            (0..self.live_at(t)).map(|i| (i, self.effective_weight(i, t))),
             scratch,
         )
     }
 
     /// Videos uploaded by time `t`: a prefix, because the catalog is in
-    /// birth order (checked in [`Catalog::generate`]).
+    /// birth order.
     fn live_at(&self, t: Timestamp) -> usize {
-        self.videos.partition_point(|v| v.birth <= t)
+        self.config.initial_videos + self.arrivals.partition_point(|&b| b <= t)
     }
 
-    /// Looks up the full video record.
+    /// Looks up a video's record.
     pub fn get(&self, idx: usize) -> &Video {
         &self.videos[idx]
     }
@@ -243,26 +250,70 @@ impl Catalog {
 /// ```
 #[derive(Debug, Clone, Default)]
 pub struct AliasSampler {
+    /// Each slot's original index; empty while every slot is its own
+    /// index (the catalog's tables, which drop no entry).
     indices: Vec<u32>,
     prob: Vec<f64>,
     alias: Vec<u32>,
 }
 
-/// The two work stacks of alias-table construction, kept between
-/// [`AliasSampler::fill`] calls so a refill allocates nothing.
+/// The work stacks of alias-table construction, kept between
+/// [`AliasSampler::fill`] calls so a refill allocates nothing: `small` and
+/// `large` share one buffer of the table's length.
 #[derive(Debug, Clone, Default)]
 pub struct AliasScratch {
-    small: Vec<u32>,
-    large: Vec<u32>,
+    stacks: Vec<u32>,
 }
 
 impl AliasScratch {
     /// Scratch for tables of up to `entries` entries.
     pub fn with_capacity(entries: usize) -> Self {
         AliasScratch {
-            small: Vec::with_capacity(entries),
-            large: Vec::with_capacity(entries),
+            stacks: Vec::with_capacity(entries),
         }
+    }
+}
+
+/// Two stacks of slots in one buffer: `small` grows from the front and
+/// `large` from the back. Every slot is on at most one of them, so they
+/// never meet.
+struct Stacks<'a> {
+    buf: &'a mut [u32],
+    small: usize,
+    large: usize,
+}
+
+impl Stacks<'_> {
+    fn push(&mut self, slot: u32, small: bool) {
+        if small {
+            self.buf[self.small] = slot;
+            self.small += 1;
+        } else {
+            self.large += 1;
+            self.buf[self.buf.len() - self.large] = slot;
+        }
+    }
+
+    fn pop_small(&mut self) -> Option<u32> {
+        self.small = self.small.checked_sub(1)?;
+        Some(self.buf[self.small])
+    }
+
+    fn pop_large(&mut self) -> Option<u32> {
+        if self.large == 0 {
+            return None;
+        }
+        let slot = self.buf[self.buf.len() - self.large];
+        self.large -= 1;
+        Some(slot)
+    }
+
+    /// What is still on either stack.
+    fn remaining(&self) -> impl Iterator<Item = &u32> {
+        let n = self.buf.len();
+        self.buf[..self.small]
+            .iter()
+            .chain(&self.buf[n - self.large..])
     }
 }
 
@@ -282,10 +333,12 @@ impl AliasSampler {
     }
 
     /// An empty table that [`AliasSampler::fill`] can fill with up to
-    /// `entries` entries without allocating.
+    /// `entries` entries, each at the slot equal to its index, without
+    /// allocating (a table that must store indices allocates them on
+    /// first fill).
     pub fn with_capacity(entries: usize) -> Self {
         AliasSampler {
-            indices: Vec::with_capacity(entries),
+            indices: Vec::new(),
             prob: Vec::with_capacity(entries),
             alias: Vec::with_capacity(entries),
         }
@@ -311,14 +364,21 @@ impl AliasSampler {
             prob,
             alias,
         } = self;
-        let AliasScratch { small, large } = scratch;
         indices.clear();
         prob.clear();
-        // Raw weights first, summed left to right.
+        // Raw weights first, summed left to right. Indices are stored only
+        // from the first one that differs from its slot on (the slots
+        // before it are filled in then).
         let mut total = 0.0f64;
         for (i, w) in entries {
             if w.is_finite() && w > 0.0 {
-                indices.push(u32::try_from(i).expect("alias index fits u32"));
+                let index = u32::try_from(i).expect("alias index fits u32");
+                if !(indices.is_empty() && i == prob.len()) {
+                    if indices.is_empty() {
+                        indices.extend((0..).take(prob.len()));
+                    }
+                    indices.push(index);
+                }
                 prob.push(w);
                 total += w;
             }
@@ -326,31 +386,27 @@ impl AliasSampler {
         let n = prob.len();
         alias.clear();
         alias.resize(n, 0);
-        small.clear();
-        large.clear();
+        scratch.stacks.resize(n, 0);
+        let mut stacks = Stacks {
+            buf: &mut scratch.stacks,
+            small: 0,
+            large: 0,
+        };
         for (i, p) in prob.iter_mut().enumerate() {
             *p = *p / total * n as f64;
-            if *p < 1.0 {
-                small.push(i as u32);
-            } else {
-                large.push(i as u32);
-            }
+            stacks.push(i as u32, *p < 1.0);
         }
         // Both stacks are popped before either is tested, so when one runs
         // dry the entry just popped from the other is dropped: it keeps its
         // scaled probability and alias 0 instead of probability 1. Part of
         // the byte contract — do not "fix".
-        while let (Some(s), Some(l)) = (small.pop(), large.pop()) {
+        while let (Some(s), Some(l)) = (stacks.pop_small(), stacks.pop_large()) {
             alias[s as usize] = l;
             prob[l as usize] = (prob[l as usize] + prob[s as usize]) - 1.0;
-            if prob[l as usize] < 1.0 {
-                small.push(l);
-            } else {
-                large.push(l);
-            }
+            stacks.push(l, prob[l as usize] < 1.0);
         }
         // Numerical leftovers: everything remaining keeps probability 1.
-        for &s in small.iter().chain(large.iter()) {
+        for &s in stacks.remaining() {
             prob[s as usize] = 1.0;
         }
         n > 0
@@ -358,13 +414,18 @@ impl AliasSampler {
 
     /// Number of sampleable entries.
     pub fn len(&self) -> usize {
-        self.indices.len()
+        self.prob.len()
     }
 
     /// Whether the sampler has no entries (only a table whose last
     /// [`AliasSampler::fill`] returned `false`; `new` returns `None`).
     pub fn is_empty(&self) -> bool {
-        self.indices.is_empty()
+        self.prob.is_empty()
+    }
+
+    /// The original index of `slot`.
+    fn index(&self, slot: usize) -> usize {
+        self.indices.get(slot).map_or(slot, |&i| i as usize)
     }
 
     /// Draws one original index, proportional to its weight.
@@ -372,9 +433,9 @@ impl AliasSampler {
         let n = self.prob.len();
         let slot = rng.below(n as u64) as usize;
         if rng.f64() < self.prob[slot] {
-            self.indices[slot] as usize
+            self.index(slot)
         } else {
-            self.indices[self.alias[slot] as usize] as usize
+            self.index(self.alias[slot] as usize)
         }
     }
 }
@@ -427,14 +488,16 @@ mod tests {
     fn ids_are_dense_birth_ordered() {
         let mut rng = DetRng::new(2);
         let cat = Catalog::generate(&cfg(), DurationMs::from_days(2), &mut rng);
+        // The id is the position.
         for (i, v) in cat.videos().iter().enumerate() {
-            assert_eq!(v.id, VideoId(i as u64));
+            assert_eq!(cat.size_of(VideoId(i as u64)), Some(v.size_bytes));
         }
-        // Arrivals sorted by birth after the initial block.
-        let births: Vec<_> = cat.videos()[500..].iter().map(|v| v.birth).collect();
-        let mut sorted = births.clone();
-        sorted.sort();
-        assert_eq!(births, sorted);
+        assert_eq!(cat.size_of(VideoId(cat.len() as u64)), None);
+        // The initial block at the epoch, then arrivals sorted by birth.
+        let births: Vec<_> = (0..cat.len()).map(|i| cat.birth(i)).collect();
+        assert!(births[..500].iter().all(|&b| b == Timestamp::EPOCH));
+        assert!(births[500] > Timestamp::EPOCH);
+        assert!(births.is_sorted());
     }
 
     #[test]
@@ -451,10 +514,18 @@ mod tests {
     fn effective_weight_decays_with_age() {
         let mut rng = DetRng::new(4);
         let cat = Catalog::generate(&cfg(), DurationMs::from_days(1), &mut rng);
-        let v = cat.get(0);
-        let w_early = cat.effective_weight(v, Timestamp::EPOCH);
-        let w_late = cat.effective_weight(v, Timestamp::EPOCH + DurationMs::from_days(30));
+        let w_early = cat.effective_weight(0, Timestamp::EPOCH);
+        let w_late = cat.effective_weight(0, Timestamp::EPOCH + DurationMs::from_days(30));
         assert!(w_late < w_early, "decay should reduce weight");
+        // An arrival is zero until its birth, and weighs its full intrinsic
+        // weight at age zero.
+        let arrival = cfg().initial_videos;
+        let birth = cat.birth(arrival);
+        assert_eq!(cat.effective_weight(arrival, Timestamp(birth.0 - 1)), 0.0);
+        assert_eq!(
+            cat.effective_weight(arrival, birth),
+            cat.get(arrival).weight
+        );
     }
 
     #[test]
@@ -466,10 +537,8 @@ mod tests {
         };
         let mut rng = DetRng::new(5);
         let cat = Catalog::generate(&config, DurationMs::from_days(5), &mut rng);
-        let late_arrival = cat
-            .videos()
-            .iter()
-            .find(|v| v.birth > Timestamp(DurationMs::from_days(1).as_millis()))
+        let late_arrival = (0..cat.len())
+            .find(|&i| cat.birth(i) > Timestamp(DurationMs::from_days(1).as_millis()))
             .expect("some arrival after day 1");
         assert_eq!(cat.effective_weight(late_arrival, Timestamp::EPOCH), 0.0);
         let sampler = cat.sampler_at(Timestamp::EPOCH).unwrap();
@@ -552,8 +621,11 @@ mod tests {
             return;
         };
         assert!(live);
-        let got: Vec<usize> = table.indices.iter().map(|&i| i as usize).collect();
+        let got: Vec<usize> = (0..table.len()).map(|slot| table.index(slot)).collect();
         assert_eq!(got, indices);
+        // The index column is stored exactly when some slot is not its own.
+        let identity = indices.iter().enumerate().all(|(slot, &i)| i == slot);
+        assert_eq!(table.indices.is_empty(), identity);
         assert_eq!(table.alias, alias);
         let bits = |p: &[f64]| p.iter().map(|x| x.to_bits()).collect::<Vec<u64>>();
         assert_eq!(bits(&table.prob), bits(&prob));
@@ -627,6 +699,14 @@ mod tests {
         assert_eq!((single.len(), single.prob[0]), (1, 1.0));
         let equal = check(&[(0, 1.0); 8]).unwrap();
         assert!(equal.prob.iter().all(|&p| p == 1.0));
+        // Slot = index needs no index column until an index skips its
+        // slot: all identity, then a drop in the middle.
+        assert!(check(&[(0, 1.0), (1, 3.0), (2, 0.5)])
+            .unwrap()
+            .indices
+            .is_empty());
+        let gap = check(&[(0, 1.0), (1, f64::NAN), (2, 3.0)]).unwrap();
+        assert_eq!(gap.indices, [0, 2]);
         let big: Vec<(usize, f64)> = (0..500).map(|i| (i, 1.0 + rng.f64())).collect();
         assert_eq!(check(&big).unwrap().len(), 500);
         let refill = check(&big[100..107]).unwrap();
@@ -644,18 +724,15 @@ mod tests {
         let mut scratch = AliasScratch::with_capacity(cat.len());
         // Latest first, so every later fill is a refill with fewer videos;
         // the last two are an arrival's own birth instant and the epoch.
-        let arrival = cat.get(cfg().initial_videos + 3).birth;
+        let arrival = cat.birth(cfg().initial_videos + 3);
         let times = [DurationMs::from_days(6), DurationMs::from_hours(30)]
             .map(|d| Timestamp::EPOCH + d)
             .into_iter()
             .chain([arrival, Timestamp::EPOCH]);
         for t in times {
-            let live: Vec<(usize, f64)> = cat
-                .videos()
-                .iter()
-                .enumerate()
-                .filter(|(_, v)| v.birth <= t)
-                .map(|(i, v)| (i, cat.effective_weight(v, t)))
+            let live: Vec<(usize, f64)> = (0..cat.len())
+                .filter(|&i| cat.birth(i) <= t)
+                .map(|i| (i, cat.effective_weight(i, t)))
                 .collect();
             let filled = cat.fill_sampler(t, &mut table, &mut scratch);
             assert_matches_naive(&table, filled, &live);

@@ -15,7 +15,7 @@
 //! epoch (`flush_before`). DESIGN.md "Generator pipeline" has the argument
 //! for why the trace is the same at any worker count.
 
-use vcdn_types::{worker_count, DurationMs, Request, Timestamp};
+use vcdn_types::{worker_count, DurationMs, Request, Timestamp, VideoId};
 
 use crate::{
     ahead::build_ahead,
@@ -30,31 +30,79 @@ use crate::{
 /// Sampler-rebuild granularity.
 const EPOCH: DurationMs = DurationMs::HOUR;
 
-/// One hour of the trace that has at least one session start.
-struct Epoch<'a> {
-    /// Where the hour's sampler is evaluated.
-    mid: Timestamp,
-    /// The session starts inside the hour, ascending.
-    starts: &'a [Timestamp],
-    /// First instant of the next hour.
-    end: Timestamp,
+/// Session starts grouped by hour; hours without a start need no sampler
+/// and get no entry. A start is stored as its millisecond offset into its
+/// hour.
+#[derive(Debug, Default)]
+struct EpochTable {
+    /// Per hour with a start, ascending: the hour's index and the end of
+    /// its run of `offsets`.
+    hours: Vec<(u64, usize)>,
+    /// Every start's offset into its hour, ascending within each hour.
+    offsets: Vec<u32>,
 }
 
-/// Groups ascending session starts by hour; hours without a start need no
-/// sampler and get no entry.
-fn epoch_table(starts: &[Timestamp]) -> Vec<Epoch<'_>> {
-    let hour = |s: &Timestamp| s.as_millis() / EPOCH.as_millis();
-    starts
-        .chunk_by(|a, b| hour(a) == hour(b))
-        .map(|starts| {
-            let begin = Timestamp(hour(&starts[0]) * EPOCH.as_millis());
-            Epoch {
-                mid: Timestamp(begin.as_millis() + EPOCH.as_millis() / 2),
-                starts,
-                end: begin + EPOCH,
-            }
-        })
-        .collect()
+/// One hour of the trace that has at least one session start.
+struct Epoch<'a> {
+    /// First instant of the hour.
+    begin: Timestamp,
+    /// The session starts' offsets into the hour, ascending.
+    offsets: &'a [u32],
+}
+
+impl EpochTable {
+    /// Adds a session start; starts must arrive in ascending order.
+    fn push(&mut self, start: Timestamp) {
+        let (hour, offset) = (
+            start.as_millis() / EPOCH.as_millis(),
+            start.as_millis() % EPOCH.as_millis(),
+        );
+        match self.hours.last_mut() {
+            Some((last, end)) if *last == hour => *end += 1,
+            _ => self.hours.push((hour, self.offsets.len() + 1)),
+        }
+        self.offsets
+            .push(u32::try_from(offset).expect("an hour is under 2^32 ms"));
+    }
+
+    /// Number of hours with a start.
+    fn len(&self) -> usize {
+        self.hours.len()
+    }
+
+    /// Number of session starts.
+    fn sessions(&self) -> usize {
+        self.offsets.len()
+    }
+
+    /// The `e`-th hour with a start.
+    fn epoch(&self, e: usize) -> Epoch<'_> {
+        let from = e.checked_sub(1).map_or(0, |prev| self.hours[prev].1);
+        let (hour, to) = self.hours[e];
+        Epoch {
+            begin: Timestamp(hour * EPOCH.as_millis()),
+            offsets: &self.offsets[from..to],
+        }
+    }
+}
+
+impl Epoch<'_> {
+    /// Where the hour's sampler is evaluated.
+    fn mid(&self) -> Timestamp {
+        self.begin + DurationMs(EPOCH.as_millis() / 2)
+    }
+
+    /// First instant of the next hour.
+    fn end(&self) -> Timestamp {
+        self.begin + EPOCH
+    }
+
+    /// The session starts inside the hour, ascending.
+    fn starts(&self) -> impl Iterator<Item = Timestamp> + '_ {
+        self.offsets
+            .iter()
+            .map(|&offset| self.begin + DurationMs(u64::from(offset)))
+    }
 }
 
 /// Passes every pending request with `t < end` to `sink`, in the order a
@@ -123,6 +171,17 @@ impl TraceGenerator {
         &self.profile
     }
 
+    /// The catalog that `generate(duration)` draws its videos from.
+    pub fn catalog(&self, duration: DurationMs) -> Catalog {
+        Catalog::generate(&self.profile.catalog, duration, &mut self.root().fork())
+    }
+
+    /// The stream the generator's four streams fork from, in the order
+    /// catalog, arrivals, picks, sessions.
+    fn root(&self) -> DetRng {
+        DetRng::new(self.seed ^ fnv1a(&self.profile.name))
+    }
+
     /// Generates `duration` worth of requests starting at the replay epoch.
     ///
     /// Sampler tables are built on [`worker_count`] threads; the trace is
@@ -135,7 +194,17 @@ impl TraceGenerator {
     /// handle on worker-count invariance).
     fn generate_with_workers(&self, duration: DurationMs, workers: usize) -> Trace {
         let mut requests: Vec<Request> = Vec::new();
-        let sessions = self.runs(duration, workers, |run| requests.extend_from_slice(run));
+        let mut reserved = false;
+        let sessions = self.runs(duration, workers, |run, done, sessions| {
+            // Sized once, when about a sixteenth of the sessions are in, so
+            // that the output never doubles past the trace.
+            if !reserved && done > 0 && 16 * done >= sessions {
+                reserved = true;
+                let expected = expected_len(requests.len() + run.len(), done, sessions);
+                requests.reserve_exact(expected.saturating_sub(requests.len()));
+            }
+            requests.extend_from_slice(run);
+        });
         Trace::new(
             TraceMeta {
                 name: self.profile.name.clone(),
@@ -152,26 +221,27 @@ impl TraceGenerator {
 
     /// Generates the trace as consecutive time-sorted runs — one per epoch
     /// with sessions, then the tail that outlives the last epoch — whose
-    /// concatenation is the trace. Returns the number of sessions started.
+    /// concatenation is the trace. With each run, `sink` learns how many
+    /// of the trace's sessions have been expanded so far, and how many
+    /// there are. Returns the number of sessions started.
     fn runs(
         &self,
         duration: DurationMs,
         workers: usize,
-        mut sink: impl FnMut(&[Request]),
+        mut sink: impl FnMut(&[Request], usize, usize),
     ) -> usize {
         let p = &self.profile;
-        let mut root = DetRng::new(self.seed ^ fnv1a(&p.name));
-        let mut catalog_rng = root.fork();
+        let catalog = self.catalog(duration);
+        let mut root = self.root();
+        root.fork(); // the catalog's stream
         let mut arrival_rng = root.fork();
         let mut pick_rng = root.fork();
         let mut session_rng = root.fork();
 
-        let catalog = Catalog::generate(&p.catalog, duration, &mut catalog_rng);
-
         // Session start times: thinned Poisson at rate base·(1 + A·cos).
         let base_rate_per_ms = p.sessions_per_day / DurationMs::DAY.as_millis() as f64;
         let lambda_max = base_rate_per_ms * (1.0 + p.diurnal_amplitude);
-        let mut starts: Vec<Timestamp> = Vec::new();
+        let mut epochs = EpochTable::default();
         let mut t = 0.0f64;
         let horizon = duration.as_millis() as f64;
         loop {
@@ -182,15 +252,18 @@ impl TraceGenerator {
             let hour_of_day = t / DurationMs::HOUR.as_millis() as f64 % 24.0;
             let accept = p.diurnal_multiplier(hour_of_day) / (1.0 + p.diurnal_amplitude);
             if arrival_rng.chance(accept) {
-                starts.push(Timestamp(t as u64));
+                epochs.push(Timestamp(t as u64));
             }
         }
+        // Grown by doubling: hand the slack back before the tables are made.
+        epochs.offsets.shrink_to_fit();
+        let sessions = epochs.sessions();
 
         // Expand sessions epoch by epoch, each with its own weighted
         // sampler. Sessions outlive their epoch, so requests wait in
         // `pending` until no later session can precede them.
-        let epochs = epoch_table(&starts);
         let mut pending: Vec<Request> = Vec::new();
+        let mut done = 0;
         build_ahead(
             epochs.len(),
             workers,
@@ -199,37 +272,47 @@ impl TraceGenerator {
                 let mut scratch = AliasScratch::with_capacity(catalog.len());
                 let (catalog, epochs) = (&catalog, &epochs);
                 move |e: usize, sampler: &mut AliasSampler| {
-                    catalog.fill_sampler(epochs[e].mid, sampler, &mut scratch);
+                    catalog.fill_sampler(epochs.epoch(e).mid(), sampler, &mut scratch);
                 }
             },
             |e, sampler| {
+                let epoch = epochs.epoch(e);
                 // An empty table: no video is live yet, the sessions are lost.
                 if !sampler.is_empty() {
-                    for &start in epochs[e].starts {
-                        let video = catalog.get(sampler.sample(&mut pick_rng));
+                    for start in epoch.starts() {
+                        let video = sampler.sample(&mut pick_rng);
                         expand_session_into(
                             &mut pending,
-                            video.id,
-                            video.size_bytes,
+                            VideoId(video as u64),
+                            catalog.get(video).size_bytes,
                             start,
                             &p.session,
                             &mut session_rng,
                         );
                     }
                 }
-                flush_before(&mut pending, epochs[e].end, &mut sink);
+                done += epoch.offsets.len();
+                flush_before(&mut pending, epoch.end(), &mut |run| {
+                    sink(run, done, sessions)
+                });
             },
         );
-        sink(&pending);
-        starts.len()
+        sink(&pending, sessions, sessions);
+        sessions
     }
+}
+
+/// The trace's length extrapolated from its first runs — `so_far`
+/// requests from `done` of `sessions` sessions — plus an eighth, so that
+/// the spread between a sample and the whole rarely leaves it short.
+fn expected_len(so_far: usize, done: usize, sessions: usize) -> usize {
+    (so_far as f64 * sessions as f64 / done as f64 * 1.125) as usize
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
-    use vcdn_types::VideoId;
 
     fn small_trace(seed: u64, hours: u64) -> Trace {
         TraceGenerator::new(ServerProfile::tiny_test(), seed)
@@ -273,7 +356,15 @@ mod tests {
         let gen = TraceGenerator::new(ServerProfile::tiny_test(), 11);
         let duration = DurationMs::from_hours(30);
         let mut runs: Vec<Vec<Request>> = Vec::new();
-        gen.runs(duration, 2, |run| runs.push(run.to_vec()));
+        let mut progress = Vec::new();
+        let sessions = gen.runs(duration, 2, |run, done, of| {
+            runs.push(run.to_vec());
+            progress.push((done, of));
+        });
+        // Sessions expanded so far: rising, and all of them by the tail.
+        assert!(progress.iter().all(|&(_, of)| of == sessions));
+        assert!(progress.windows(2).all(|p| p[0].0 <= p[1].0));
+        assert_eq!(progress.last(), Some(&(sessions, sessions)));
         // One run per epoch with sessions plus the tail; each stays on its
         // side of every later run.
         assert!(runs.len() > 20 && runs.len() <= 31, "{} runs", runs.len());
@@ -354,10 +445,14 @@ mod tests {
     #[test]
     fn epoch_table_groups_starts_by_hour_and_skips_empty_hours() {
         let h = EPOCH.as_millis();
-        let starts = [0, 1, h - 1, h, 5 * h + 7, 6 * h - 1, 9 * h].map(Timestamp);
-        let table: Vec<(u64, Vec<u64>, u64)> = epoch_table(&starts)
-            .iter()
-            .map(|e| (e.mid.0, e.starts.iter().map(|s| s.0).collect(), e.end.0))
+        let mut epochs = EpochTable::default();
+        for start in [0, 1, h - 1, h, 5 * h + 7, 6 * h - 1, 9 * h] {
+            epochs.push(Timestamp(start));
+        }
+        assert_eq!(epochs.sessions(), 7);
+        let table: Vec<(u64, Vec<u64>, u64)> = (0..epochs.len())
+            .map(|e| epochs.epoch(e))
+            .map(|e| (e.mid().0, e.starts().map(|s| s.0).collect(), e.end().0))
             .collect();
         assert_eq!(
             table,
@@ -368,7 +463,7 @@ mod tests {
                 (9 * h + h / 2, vec![9 * h], 10 * h),
             ]
         );
-        assert!(epoch_table(&[]).is_empty());
+        assert_eq!(EpochTable::default().len(), 0);
     }
 
     #[test]
