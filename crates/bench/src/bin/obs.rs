@@ -424,7 +424,7 @@ fn watch(args: &Args) -> Result<(), String> {
         "flash-crowd: {} requests, {} windows ({} ms each), {} alert(s), efficiency {:.4}",
         run.report.total_requests(),
         run.bundle.windows.len(),
-        run.report.window_ms,
+        run.bundle.meta_get::<u64>("window_ms").unwrap_or(0),
         run.bundle.alerts.len(),
         run.report.efficiency(),
     );

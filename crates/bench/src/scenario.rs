@@ -114,7 +114,7 @@ pub fn flash_crowd_trace(spec: &FlashCrowdSpec) -> Trace {
 /// golden comparison and CI gating.
 #[derive(Debug)]
 pub struct FlashCrowdRun {
-    /// The engine report (windows merged across shards).
+    /// The engine's accounting.
     pub report: EngineReport,
     /// The full `vcdn-telemetry/1` bundle (windows + alerts included).
     pub bundle: TelemetryBundle,
@@ -125,8 +125,8 @@ pub struct FlashCrowdRun {
 /// Runs the canonical flash-crowd scenario: the [`flash_crowd_trace`]
 /// through a 4-shard xLRU engine sized so the burst's fills churn the
 /// working set, instrumented, on `workers` threads, judged by the stock
-/// `results/default.rules`. Deterministic: the report's windows, the
-/// bundle and the alert log are byte-identical for any `workers`.
+/// `results/default.rules`. Deterministic: the report's accounting, the
+/// bundle and the alert log are identical for any `workers`.
 pub fn run_flash_crowd(workers: usize) -> FlashCrowdRun {
     let trace = flash_crowd_trace(&FlashCrowdSpec::default());
     let k = ChunkSize::DEFAULT;
@@ -140,7 +140,7 @@ pub fn run_flash_crowd(workers: usize) -> FlashCrowdRun {
     let sink: Arc<dyn MetricsSink> = registry.clone();
     engine.attach_obs(&sink, "flash");
     let report = engine.run(&trace, workers);
-    let bundle = engine_bundle(&report, &registry, &default_rules());
+    let bundle = engine_bundle(&engine, &registry, &default_rules());
     let alert_log = render_alert_log(&bundle.alerts);
     FlashCrowdRun {
         report,

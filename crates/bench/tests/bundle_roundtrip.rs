@@ -99,8 +99,8 @@ fn engine_and_flash_crowd_bundles_read_back() {
     let registry = Arc::new(MetricsRegistry::new());
     let sink: Arc<dyn MetricsSink> = registry.clone();
     engine.attach_obs(&sink, "rt");
-    let report = engine.run(&trace(), 2);
-    let bundle = engine_bundle(&report, &registry, &vcdn_obs::default_rules());
+    engine.run(&trace(), 2);
+    let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
     assert_reads_back(&bundle, "4-shard engine");
     assert_reads_back(&run_flash_crowd(2).bundle, "flash crowd");
 }

@@ -12,12 +12,12 @@ use std::sync::Arc;
 
 use vcdn_bench::{trace_for, Algo, Scale, EXPERIMENT_SEED, PAPER_DISK_BYTES};
 use vcdn_core::CacheConfig;
-use vcdn_obs::{MetricsRegistry, MetricsSink};
+use vcdn_obs::{MetricsRegistry, MetricsSink, TelemetryBundle};
 use vcdn_sim::engine::{engine_bundle, shard_requests, EngineConfig, EngineReport, ShardedEngine};
 use vcdn_sim::{DecisionCtx, ReplayConfig, ReplayObserver, Replayer};
 use vcdn_trace::{ServerProfile, Trace};
 use vcdn_types::json::{self, Json};
-use vcdn_types::{ChunkId, ChunkSize, CostModel, Request};
+use vcdn_types::{ChunkSize, CostModel, Request};
 
 const SCALE: Scale = Scale(0.004);
 const DAYS: u64 = 4;
@@ -132,34 +132,35 @@ fn replay_counters_match_the_pinned_smoke_golden() {
 }
 
 /// One pass of the smoke trace through a fresh 16-shard engine on
-/// `workers` threads, instrumented into `registry` when one is given.
+/// `workers` threads, instrumented when `observed`: the report and the
+/// engine's bundle.
 fn engine_run(
     algo: Algo,
     trace: &Trace,
     per_shard: &[Vec<Request>],
     workers: usize,
-    registry: Option<&Arc<MetricsRegistry>>,
-) -> EngineReport {
+    observed: bool,
+) -> (EngineReport, TelemetryBundle) {
     let cfg = EngineConfig::bench(SHARDS, disk_chunks(), ChunkSize::DEFAULT, costs())
         .expect("valid config");
     let mut engine = ShardedEngine::try_new(cfg, |i, cache| algo.build(&per_shard[i], cache))
         .expect("engine builds");
-    if let Some(registry) = registry {
+    let registry = Arc::new(MetricsRegistry::new());
+    if observed {
         let sink: Arc<dyn MetricsSink> = registry.clone();
         engine.attach_obs(&sink, algo.name());
     }
-    engine.run(trace, workers)
+    let report = engine.run(trace, workers);
+    let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
+    (report, bundle)
 }
 
 /// The per-shard Space-Saving tables as one: shards partition videos, so
 /// entries never collide — concatenate, re-sort by `(count desc, video
 /// asc)` and keep the strongest 8.
-fn merged_top_videos(report: &EngineReport) -> Json {
-    let mut all: Vec<(u64, u64, u64)> = report
-        .shards
-        .iter()
-        .flat_map(|s| &s.top_videos)
-        .map(|e| (e.key >> ChunkId::INDEX_BITS, e.count, e.err))
+fn merged_top_videos(bundle: &TelemetryBundle) -> Json {
+    let mut all: Vec<(u64, u64, u64)> = (bundle.topk.iter())
+        .map(|r| (r.video, r.count, r.err))
         .collect();
     all.sort_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
     all.truncate(8);
@@ -187,19 +188,17 @@ fn engine_counters_match_the_pinned_smoke_golden_at_1_and_4_workers() {
         .iter()
         .map(|&algo| {
             let name = algo.name();
-            let report = engine_run(algo, &trace, &per_shard, 1, None);
-            let detached4 = engine_run(algo, &trace, &per_shard, 4, None);
+            let (report, _) = engine_run(algo, &trace, &per_shard, 1, false);
+            let (detached4, _) = engine_run(algo, &trace, &per_shard, 4, false);
             assert_eq!(report, detached4, "{name}: 4 workers moved a counter");
             let [top_videos, top_videos4] = [1, 4].map(|workers| {
-                let registry = Arc::new(MetricsRegistry::new());
-                let observed = engine_run(algo, &trace, &per_shard, workers, Some(&registry));
+                let (observed, bundle) = engine_run(algo, &trace, &per_shard, workers, true);
                 assert_eq!(
                     report, observed,
                     "{name}: observing moved a counter at {workers} worker(s)"
                 );
-                merged_top_videos(&observed)
+                merged_top_videos(&bundle)
             });
-            // `EngineReport` equality leaves the sketches out.
             assert_eq!(top_videos, top_videos4, "{name}: 4 workers moved a sketch");
             let shards = &report.shards;
             let per = |f: fn(&vcdn_sim::engine::ShardReport) -> u64| shards.iter().map(f);
@@ -242,13 +241,9 @@ fn engine_bundles_pass_the_tools() {
     let trace = smoke_trace();
     let per_shard = shard_requests(&trace, SHARDS);
     let bundles = |workers: usize| -> Vec<String> {
-        POLICIES
-            .iter()
-            .map(|&algo| {
-                let registry = Arc::new(MetricsRegistry::new());
-                let report = engine_run(algo, &trace, &per_shard, workers, Some(&registry));
-                engine_bundle(&report, &registry, &vcdn_obs::default_rules()).to_jsonl()
-            })
+        (POLICIES.iter())
+            .map(|&algo| engine_run(algo, &trace, &per_shard, workers, true).1)
+            .map(|bundle| bundle.to_jsonl())
             .collect()
     };
     let (one, four) = (bundles(1), bundles(4));

@@ -22,9 +22,10 @@ use crate::window::WindowRecord;
 /// counter equals `dispatched` and the sum of the shards'
 /// `processed_total` — and one queue-gap histogram, load-share gauge and
 /// processed counter per shard plus the two skew gauges; a contiguous
-/// window grid with rates in range whose deltas sum to the meta line's
-/// run totals when nothing was dropped; alerts in window order naming
-/// windows of the grid; samples on the `interval_ms` grid with monotone
+/// window grid that starts at index `windows_dropped`, with rates in
+/// range and deltas that sum to the meta line's run totals when nothing
+/// was dropped; alerts in window order naming windows of the grid;
+/// samples on the `interval_ms` grid with monotone
 /// cumulative bytes and a final cumulative efficiency that recomputes
 /// from them (Eq. 2); events with increasing `seq` whose served chunks
 /// add up.
@@ -130,6 +131,14 @@ pub fn check(b: &TelemetryBundle) -> Vec<String> {
         }
     }
 
+    // Windows are dropped oldest first, so the grid starts where the
+    // drops end.
+    if let Some(first) = b.windows.first().filter(|w| w.index != b.windows_dropped) {
+        err(format!(
+            "first window {} != windows_dropped {}",
+            first.index, b.windows_dropped
+        ));
+    }
     for (i, w) in b.windows.iter().enumerate() {
         let index = w.index;
         if let Some(prev) = i.checked_sub(1).map(|p| b.windows[p].index) {
@@ -293,6 +302,11 @@ mod tests {
                 "\"efficiency\":1.0,\"redirect_rate\"",
                 "\"efficiency\":1.5,\"redirect_rate\"",
                 "window 0: efficiency = 1.5 out of range",
+            ),
+            (
+                "\"windows_dropped\":0",
+                "\"windows_dropped\":3",
+                "first window 0 != windows_dropped 3",
             ),
             (
                 "\"alert\",\"window\":0",

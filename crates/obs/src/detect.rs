@@ -414,7 +414,7 @@ impl Watchdog {
 
     /// Batch evaluation: runs a fresh watchdog over an already-merged
     /// window sequence (the engine path, where windows are folded across
-    /// shards at report time).
+    /// shards at export).
     pub fn run(
         rules: &[Rule],
         costs: CostModel,

@@ -17,9 +17,6 @@
 //! * **Time series** — a [`ReplaySampler`] folding a [`WindowRing`]'s
 //!   closed windows into Eq. 2 efficiency, fill/redirect byte rates,
 //!   occupancy and cache age per fixed interval of trace time.
-//! * **Spans** — deterministic stage accounting for the sharded engine's
-//!   dispatch → shard-decide → evict stages, driven by a logical
-//!   dispatch clock — a request's trace index ([`span`]).
 //! * **Heavy hitters** — a per-shard Space-Saving top-K sketch
 //!   ([`topk::SpaceSaving`]) surfacing the hottest videos with certified
 //!   error bounds, deterministically tie-broken.
@@ -48,7 +45,6 @@ mod policy_obs;
 pub mod read;
 mod registry;
 mod sampler;
-pub mod span;
 pub mod topk;
 pub mod window;
 
@@ -67,6 +63,5 @@ pub use registry::{
     MetricId, MetricKind, MetricSnapshot, MetricsRegistry, MetricsSink, NoopSink, Tally,
 };
 pub use sampler::{ReplaySampler, SeriesSample};
-pub use span::{DispatchSpans, ShardSpans};
 pub use topk::{SpaceSaving, TopKEntry, TopKRecord};
 pub use window::{merge_windows, WindowFold, WindowInput, WindowRecord, WindowRing, WindowStats};

@@ -6,14 +6,15 @@
 //!
 //! 1. **One writer per cell, by construction.** [`MetricsSink::register`]
 //!    (called at attach time, never per request) hands each writer — a
-//!    policy, a shard's span accountant, a shard's share of the engine
-//!    totals — its own [`Tally`]: a block of cells nothing else writes.
+//!    policy, a shard's stage and dispatch counters, a shard's share of
+//!    the engine totals — its own [`Tally`]: a block of cells nothing
+//!    else writes.
 //!    An update is a relaxed load and a store into that block, with no
 //!    `dyn` call, no lock-prefixed instruction and no cache line shared
 //!    with another writer. A `Tally` is not `Clone`; registering again is
 //!    how a second writer gets cells of its own.
 //! 2. **Merged at snapshot.** [`MetricsRegistry::snapshot`] reads every
-//!    writer's cells at quiescence (end of run, report time) and merges
+//!    writer's cells at quiescence (end of run, export) and merges
 //!    them by name: counters and histograms by sum, bucket by bucket — the
 //!    commutative monoid [`HistogramSnapshot`] already is — so any split of
 //!    a stream across writers, registered in any order, exports the same

@@ -345,8 +345,8 @@ impl WindowInput {
 /// detection is streaming and unaffected by ring eviction. Call
 /// [`WindowRing::finish`] after the run to flush the open window, or
 /// [`WindowRing::snapshot_windows`] for a non-destructive view (closed
-/// windows plus the open one) — what the sharded engine merges at report
-/// time.
+/// windows plus the open one) — what the sharded engine merges at
+/// export.
 ///
 /// # Examples
 ///
@@ -507,8 +507,8 @@ impl WindowRing {
 
     /// A non-destructive view of the ring: the retained closed windows
     /// plus the open window if it holds data. The engine merges these
-    /// snapshots across shards at report time, leaving each ring intact
-    /// for warm continuation.
+    /// snapshots across shards at export, leaving each ring intact for
+    /// warm continuation.
     pub fn snapshot_windows(&self) -> Vec<WindowStats> {
         let mut out: Vec<WindowStats> = self.closed.iter().cloned().collect();
         if self.open_dirty {

@@ -13,7 +13,7 @@ use vcdn_obs::topk::SpaceSaving;
 use vcdn_obs::window::{WindowFold, WindowInput, WindowRing};
 use vcdn_obs::{default_rules, DecisionDetail, DecisionEvent, EventRing, MetricsRegistry};
 use vcdn_obs::{PolicyObs, ReplaySampler, Verdict, Watchdog};
-use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver};
+use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver, WINDOW_RETAIN};
 use vcdn_sim::{DecisionCtx, ReplayConfig, ReplayObserver, Replayer};
 use vcdn_trace::{ServerProfile, TraceGenerator};
 use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, DurationMs};
@@ -80,7 +80,7 @@ fn main() {
         WindowInput::from_decision(r.t.as_millis(), &d.decision, d.chunks, k.bytes(), None)
     };
     let cfg = TelemetryConfig::new();
-    let (hour, retain) = (cfg.window.as_millis(), cfg.window_retain);
+    let (hour, retain) = (cfg.window.as_millis(), WINDOW_RETAIN);
     let registry = || Arc::new(MetricsRegistry::new());
 
     row("WindowInput (shared)", &mut || {

@@ -37,15 +37,20 @@
 //!   one-shard engine *is* a Replayer without the hourly report grid.
 //! * **No locks.** A shard is touched by exactly one thread per run and
 //!   nothing else is mutable while workers run. Instrumentation
-//!   ([`ShardedEngine::attach_obs`]) is one [`ReplayObserver`] per shard,
-//!   fed by the kernel with the request's trace index as `seq`; its
-//!   metrics go into `vcdn-obs` tallies the shard's worker alone writes —
-//!   the shard's policy metric family (recorded by the observer from each
-//!   decision; the policy itself records nothing), its stage counters, and
-//!   its share of the engine-level totals, which the registry sums by
-//!   name — so no two workers share a counter's cache line, and a snapshot
-//!   taken at quiescence is consistent with the per-shard reports. A
-//!   detached shard is served with the `()` observer: off means free.
+//!   ([`ShardedEngine::attach_obs`]) lives in this module: one
+//!   [`ReplayObserver`] per shard, fed by the kernel with the request's
+//!   trace index as `seq`; its metrics go into `vcdn-obs` tallies the
+//!   shard's worker alone writes — the shard's policy metric family
+//!   (recorded by the observer from each decision; the policy itself
+//!   records nothing), its stage and dispatch counters on the logical
+//!   clock, and its share of the engine-level totals, which the registry
+//!   sums by name — so no two workers share a counter's cache line, and a
+//!   snapshot taken at quiescence is consistent with the per-shard
+//!   reports. A detached shard is served with the `()` observer: off
+//!   means free.
+//! * **Accounting apart from export.** [`EngineReport`] is the run's
+//!   accounting only. [`engine_bundle`] is the one telemetry export: it
+//!   merges the shards' sketches and health windows once, when called.
 //! * **Failure.** A panicking shard policy (or a failed invariant check)
 //!   unwinds its worker; the other workers run to the end of the slice —
 //!   they wait on nothing — and the panic then propagates out of
@@ -72,8 +77,7 @@
 use std::fmt;
 use std::sync::Arc;
 
-use vcdn_obs::span::{DispatchSpans, ShardSpans};
-use vcdn_obs::topk::{SpaceSaving, TopKEntry, TopKRecord};
+use vcdn_obs::topk::{SpaceSaving, TopKRecord};
 use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
@@ -87,7 +91,7 @@ use vcdn_types::{
     fasthash, ChunkId, ChunkSize, CostModel, Decision, Request, TrafficCounter, VideoId,
 };
 
-use crate::observe::TelemetryConfig;
+use crate::observe::{TelemetryConfig, WINDOW_RETAIN};
 use crate::replay::{DecisionCtx, Kernel, ReplayObserver, StreamTraffic, STEADY_AFTER};
 
 /// The shard that owns every chunk of `video`: fasthash over the packed
@@ -243,15 +247,26 @@ impl EngineConfig {
     }
 }
 
-/// Registers `metrics` under `{scope}.engine.` and returns the tally with
-/// their ids in order.
+/// Registers `metrics` in one tally and returns it with their ids in
+/// order.
+fn register<const N: usize>(
+    sink: &Arc<dyn MetricsSink>,
+    metrics: [(String, MetricKind); N],
+) -> ([MetricId; N], Tally) {
+    let tally = sink.register(&metrics);
+    (tally.ids(), tally)
+}
+
+/// Registers `metrics` under `{scope}.engine.`.
 fn engine_tally<const N: usize>(
     sink: &Arc<dyn MetricsSink>,
     scope: &str,
     metrics: [(&str, MetricKind); N],
 ) -> ([MetricId; N], Tally) {
-    let tally = sink.register(&metrics.map(|(m, kind)| (format!("{scope}.engine.{m}"), kind)));
-    (tally.ids(), tally)
+    register(
+        sink,
+        metrics.map(|(m, kind)| (format!("{scope}.engine.{m}"), kind)),
+    )
 }
 
 /// The engine-level traffic totals, one writer per shard: each shard's
@@ -276,32 +291,126 @@ const SKEW: [(&str, MetricKind); 2] = [
 ];
 
 /// One shard's instrumentation, created by [`ShardedEngine::attach_obs`]:
-/// the shard policy's metric family, its share of the engine totals, the
-/// shard's stage counters and dispatch-stage accounting on the logical
-/// clock, a heavy-hitter sketch over its video stream and a health-window
-/// ring over its request sub-stream. The ring is never flushed mid-lifetime: warm continuation
-/// keeps feeding the open window, and reports merge non-destructive
-/// snapshots.
+/// the shard policy's metric family, its share of the engine totals, its
+/// stage and dispatch accounting on the logical clock, a heavy-hitter
+/// sketch over its video stream and a health-window ring over its request
+/// sub-stream. The ring is never flushed mid-lifetime: warm continuation
+/// keeps feeding the open window, and [`engine_bundle`] merges
+/// non-destructive snapshots.
+///
+/// The stage and dispatch accounting (`{scope}.s{i:02}.span.*` and
+/// `{scope}.engine.span.dispatched_total`) runs on the logical dispatch
+/// clock — a request's trace index is its dispatch tick — so every value
+/// is a pure function of the trace, identical at any worker count:
+///
+/// * `processed_total` counts the requests shard `i` decided and
+///   `evict_events_total` those that evicted at least one chunk;
+/// * `dispatched_total` counts requests entering the engine (every shard
+///   is one writer of it; the registry sums them), so at quiescence it
+///   equals the sum of the shards' `processed_total`;
+/// * `queue_gap` is a histogram of the gap in dispatch ticks between
+///   consecutive arrivals at the shard (the first measures from tick 0),
+///   a proxy for how bursty its feed is;
+/// * `load_share_x1000` is the shard's running share of all dispatched
+///   requests, ×1000.
 struct ShardObserver {
     policy: PolicyObs,
+    /// `processed_total`, `evict_events_total`.
+    stages: ([MetricId; 2], Tally),
+    /// `dispatched_total`, `queue_gap`, `load_share_x1000`.
+    dispatch: ([MetricId; 3], Tally),
     totals: ([MetricId; 6], Tally),
+    /// Last dispatch tick seen on this shard, plus one (0 = never).
+    last_plus1: u64,
+    /// Requests dispatched to this shard so far.
+    dispatched: u64,
     chunk_bytes: u64,
-    spans: ShardSpans,
-    dispatch: DispatchSpans,
     topk: SpaceSaving,
     window: WindowRing,
 }
 
+impl ShardObserver {
+    /// One observer per shard of `shards`, in shard order.
+    /// Registration order is export order: every shard's policy family
+    /// and stage counters, then every shard's dispatch metrics, then every
+    /// shard's share of the engine totals.
+    fn attach(
+        sink: &Arc<dyn MetricsSink>,
+        scope: &str,
+        shards: &[EngineShard],
+        chunk_bytes: u64,
+    ) -> Vec<ShardObserver> {
+        use MetricKind::{Counter, Gauge, Histogram};
+        let families: Vec<_> = (shards.iter().enumerate())
+            .map(|(i, shard)| {
+                let name = shard.policy.name();
+                let policy =
+                    PolicyObs::attach(Arc::clone(sink), &format!("{scope}.s{i:02}.{name}"));
+                let stages = [
+                    (format!("{scope}.s{i:02}.span.processed_total"), Counter),
+                    (format!("{scope}.s{i:02}.span.evict_events_total"), Counter),
+                ];
+                (policy, register(sink, stages))
+            })
+            .collect();
+        let dispatch: Vec<_> = (0..shards.len())
+            .map(|i| {
+                let metrics = [
+                    (format!("{scope}.engine.span.dispatched_total"), Counter),
+                    (format!("{scope}.s{i:02}.span.queue_gap"), Histogram),
+                    (format!("{scope}.s{i:02}.span.load_share_x1000"), Gauge),
+                ];
+                register(sink, metrics)
+            })
+            .collect();
+        let sizes = TelemetryConfig::new();
+        (families.into_iter().zip(dispatch))
+            .map(|((policy, stages), dispatch)| ShardObserver {
+                policy,
+                stages,
+                dispatch,
+                totals: engine_tally(sink, scope, TOTALS),
+                last_plus1: 0,
+                dispatched: 0,
+                chunk_bytes,
+                topk: SpaceSaving::new(sizes.topk_k),
+                window: WindowRing::new(sizes.window.as_millis(), WINDOW_RETAIN),
+            })
+            .collect()
+    }
+
+    /// Records the request with dispatch tick `tick` arriving on this
+    /// shard — the dispatch count, queue gap and load share — and returns
+    /// its queue gap. Ticks increase across calls.
+    fn record_dispatch(&mut self, tick: u64) -> u64 {
+        let gap = tick + 1 - self.last_plus1;
+        self.last_plus1 = tick + 1;
+        self.dispatched += 1;
+        let ([dispatched, queue_gap, load_share], t) = &self.dispatch;
+        t.add(*dispatched, 1);
+        t.observe(*queue_gap, gap);
+        t.set(*load_share, self.dispatched * 1000 / (tick + 1));
+        gap
+    }
+
+    /// Counts one decided request, and an evict stage if it evicted.
+    fn record_stages(&self, evicted: bool) {
+        let ([processed, evict_events], t) = &self.stages;
+        t.add(*processed, 1);
+        t.add(*evict_events, u64::from(evicted));
+    }
+}
+
 /// The kernel's [`DecisionCtx::seq`] is the request's global dispatch
 /// index (trace order over the engine's lifetime) — the logical clock
-/// behind the span plane and the window plane's queue-gap sketch.
+/// behind the stage accounting and the window plane's queue-gap sketch.
 impl ReplayObserver for ShardObserver {
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
         self.policy
             .record_decision(ctx.decision, ctx.occupancy_chunks);
         self.topk
             .record(ChunkId::new(ctx.request.video, 0).packed());
-        let queue_gap = self.dispatch.record(ctx.seq);
+        let queue_gap = self.record_dispatch(ctx.seq);
         let input = WindowInput::from_decision(
             ctx.request.t.as_millis(),
             ctx.decision,
@@ -322,10 +431,9 @@ impl ReplayObserver for ShardObserver {
                 t.add(*redirect_chunks, ctx.chunks);
             }
         }
-        self.spans.record(input.evicted_chunks > 0);
-        // Shard-level detection runs at report time over the merged
-        // windows (Watchdog::run in engine_bundle), so closing needs no
-        // callback here.
+        self.record_stages(input.evicted_chunks > 0);
+        // Detection runs at export over the merged windows (Watchdog::run
+        // in engine_bundle), so closing needs no callback here.
         self.window.record(&input, &mut |_| {});
     }
 }
@@ -372,12 +480,7 @@ fn serve_owned(
 }
 
 /// One shard's share of an [`EngineReport`].
-///
-/// Equality compares the accounting payload only; `top_videos` is
-/// deliberately excluded so an instrumented engine's report compares
-/// equal to a detached baseline's (the off-means-free assertion of
-/// `crates/bench/tests/pins.rs`).
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ShardReport {
     /// Shard index (also the partition id).
     pub shard: usize,
@@ -393,30 +496,15 @@ pub struct ShardReport {
     pub overall: TrafficCounter,
     /// The shard's steady-state traffic.
     pub steady: TrafficCounter,
-    /// The shard's heavy hitters (empty when the engine runs detached):
-    /// Space-Saving entries keyed by the packed first chunk of each
-    /// video, sorted `(count desc, key asc)`. Excluded from equality.
-    pub top_videos: Vec<TopKEntry>,
 }
 
-impl PartialEq for ShardReport {
-    fn eq(&self, other: &Self) -> bool {
-        self.shard == other.shard
-            && self.policy == other.policy
-            && self.capacity_chunks == other.capacity_chunks
-            && self.used_chunks == other.used_chunks
-            && self.requests == other.requests
-            && self.overall == other.overall
-            && self.steady == other.steady
-    }
-}
-
-/// Outcome of running a trace through the sharded engine.
+/// Outcome of running a trace through the sharded engine: its accounting
+/// only. What an attached engine recorded is exported by
+/// [`engine_bundle`].
 ///
-/// Equality compares the deterministic payload — per-shard reports,
-/// dispatched count and cost model. `workers` is deliberately excluded so
-/// runs at different worker counts compare equal exactly when their
-/// shard-level accounting is bit-identical (the determinism contract).
+/// Equality compares everything but `workers`, so runs at different
+/// worker counts compare equal exactly when their shard-level accounting
+/// is bit-identical (the determinism contract).
 #[derive(Debug, Clone)]
 pub struct EngineReport {
     /// Per-shard reports, in shard order.
@@ -427,20 +515,6 @@ pub struct EngineReport {
     pub dispatched: u64,
     /// The cost model used for efficiency computation.
     pub costs: CostModel,
-    /// Per-shard sketch capacity in effect (0 when the engine ran
-    /// detached and no sketches existed). Excluded from equality.
-    pub topk_k: usize,
-    /// Health windows merged across shards, in index order (empty when
-    /// the engine ran detached). Excluded from equality like
-    /// `top_videos`: the windows themselves are worker-count-invariant,
-    /// but an instrumented report must still compare equal to a detached
-    /// baseline's.
-    pub windows: Vec<WindowStats>,
-    /// Window width in effect (0 when detached). Excluded from equality.
-    pub window_ms: u64,
-    /// Closed windows evicted from the per-shard rings before this
-    /// report, summed across shards. Excluded from equality.
-    pub windows_dropped: u64,
 }
 
 impl PartialEq for EngineReport {
@@ -573,15 +647,15 @@ impl ShardedEngine {
     /// decisions under `{scope}.s{i:02}.{policy}` (the policy itself is
     /// handed nothing), every shard adds its requests into its own share of
     /// the `{scope}.engine.*` aggregate counters (summed by the registry),
-    /// and the span/sketch/window instrumentation comes alive —
-    /// per-shard stage counters and queue-gap histograms
-    /// (`{scope}.s{i:02}.span.*`), the dispatch count
-    /// (`{scope}.engine.span.dispatched_total`), shard-imbalance gauges,
-    /// and per shard one Space-Saving sketch and one health-window ring,
-    /// sized as [`TelemetryConfig::new`] sizes the Replayer's. Detached
-    /// engines skip all of it (off means free). Call before
-    /// [`ShardedEngine::run`]; snapshots taken at quiescence (after `run`
-    /// returns) are consistent with the report.
+    /// and the rest of the instrumentation comes alive — per-shard stage
+    /// counters and queue-gap histograms (`{scope}.s{i:02}.span.*`), the
+    /// dispatch count (`{scope}.engine.span.dispatched_total`),
+    /// shard-imbalance gauges, and per shard one Space-Saving sketch and
+    /// one health-window ring, sized as [`TelemetryConfig::new`] sizes the
+    /// Replayer's and retaining [`WINDOW_RETAIN`] windows. Detached engines
+    /// skip all of it (off means free). Call before [`ShardedEngine::run`];
+    /// snapshots taken at quiescence (after `run` returns) are consistent
+    /// with the report.
     ///
     /// # Panics
     ///
@@ -589,37 +663,11 @@ impl ShardedEngine {
     /// of one of this engine's gauges — an engine attached twice to one
     /// registry under one scope.
     pub fn attach_obs(&mut self, sink: &Arc<dyn MetricsSink>, scope: &str) {
-        // Registration order is export order: every shard's policy and
-        // stage counters, then the dispatch-stage metrics, then the engine
-        // aggregates (each shard a writer of the totals, then the skew
-        // gauges).
-        let families: Vec<(PolicyObs, ShardSpans)> = (self.shards.iter().enumerate())
-            .map(|(i, shard)| {
-                let shard_scope = format!("{scope}.s{i:02}.{}", shard.policy.name());
-                (
-                    PolicyObs::attach(Arc::clone(sink), &shard_scope),
-                    ShardSpans::attach(sink, scope, i),
-                )
-            })
-            .collect();
-        let dispatch = DispatchSpans::attach(sink, scope, self.cfg.shards);
-        let totals: Vec<_> = (0..self.cfg.shards)
-            .map(|_| engine_tally(sink, scope, TOTALS))
-            .collect();
+        let chunk_bytes = self.cfg.chunk_size.bytes();
+        let observers = ShardObserver::attach(sink, scope, &self.shards, chunk_bytes);
         self.skew = Some(engine_tally(sink, scope, SKEW));
-        let sizes = TelemetryConfig::new();
-        for (shard, (((policy, spans), dispatch), totals)) in
-            (self.shards.iter_mut()).zip(families.into_iter().zip(dispatch).zip(totals))
-        {
-            shard.obs = Some(ShardObserver {
-                policy,
-                totals,
-                chunk_bytes: self.cfg.chunk_size.bytes(),
-                spans,
-                dispatch,
-                topk: SpaceSaving::new(sizes.topk_k),
-                window: WindowRing::new(sizes.window.as_millis(), sizes.window_retain),
-            });
+        for (shard, obs) in self.shards.iter_mut().zip(observers) {
+            shard.obs = Some(obs);
         }
     }
 
@@ -737,20 +785,8 @@ impl ShardedEngine {
 
     /// The engine's cumulative report (all requests run so far).
     pub fn report(&self) -> EngineReport {
-        // Non-destructive per-shard window snapshots (closed + dirty open)
-        // folded into one engine-level grid. The fold is associative and
-        // order-invariant, so the result is worker-count-invariant.
-        let observers: Vec<&ShardObserver> =
-            self.shards.iter().filter_map(|s| s.obs.as_ref()).collect();
-        let window_sets: Vec<Vec<WindowStats>> = observers
-            .iter()
-            .map(|o| o.window.snapshot_windows())
-            .collect();
         EngineReport {
-            shards: self
-                .shards
-                .iter()
-                .enumerate()
+            shards: (self.shards.iter().enumerate())
                 .map(|(i, s)| ShardReport {
                     shard: i,
                     policy: s.policy.name(),
@@ -759,50 +795,49 @@ impl ShardedEngine {
                     requests: s.traffic.overall.total_requests(),
                     overall: s.traffic.overall,
                     steady: s.traffic.steady,
-                    top_videos: s.obs.as_ref().map(|o| o.topk.entries()).unwrap_or_default(),
                 })
                 .collect(),
             workers: self.last_workers,
             dispatched: self.dispatched,
             costs: self.cfg.costs,
-            topk_k: observers.first().map_or(0, |o| o.topk.k()),
-            window_ms: observers.first().map_or(0, |o| o.window.width_ms()),
-            windows_dropped: observers.iter().map(|o| o.window.dropped()).sum(),
-            windows: merge_windows(&window_sets),
         }
     }
 }
 
-/// Packages an engine run as a `vcdn-telemetry/1` bundle: a meta line
-/// identifying the engine run plus the registry's deterministic metric
-/// snapshots (per-shard policy scopes and the engine aggregates), the
-/// merged health windows, and the watchdog alerts the `rules` produce
-/// over them (pass [`vcdn_obs::default_rules`] for the stock rule set).
+/// Packages what `engine` has run so far as a `vcdn-telemetry/1` bundle:
+/// a meta line identifying the engine run plus the registry's
+/// deterministic metric snapshots (per-shard policy scopes and the engine
+/// aggregates), the shards' heavy-hitter tables, the health windows merged
+/// across shards, and the watchdog alerts the `rules` produce over them
+/// (pass [`vcdn_obs::default_rules`] for the stock rule set). A detached
+/// engine exports empty `topk` and `window` sections.
+///
+/// Each shard's ring keeps its last [`WINDOW_RETAIN`] windows, so rings
+/// that dropped different numbers of windows start at different indices.
+/// Only the windows from the latest first-retained index on hold every
+/// shard's requests: the bundle exports those, and counts the engine
+/// windows before them as dropped. Alerts are judged over the exported
+/// windows only.
 ///
 /// The worker count is deliberately **not** part of the meta line: bundles
 /// are byte-identical across worker counts, extending the repo-wide
 /// telemetry determinism contract to the concurrent engine. Detection
-/// here is batch — the merged engine-level grid only exists at report
-/// time — and runs with `streams` = shard count, so the skew metric
-/// reads max-shard/mean-shard load.
+/// here is batch — the merged engine-level grid only exists at export —
+/// and runs with `streams` = shard count, so the skew metric reads
+/// max-shard/mean-shard load.
 pub fn engine_bundle(
-    report: &EngineReport,
+    engine: &ShardedEngine,
     registry: &MetricsRegistry,
     rules: &[Rule],
 ) -> TelemetryBundle {
+    let report = engine.report();
+    let observers: Vec<(usize, &ShardObserver)> = (engine.shards.iter().enumerate())
+        .filter_map(|(i, s)| Some((i, s.obs.as_ref()?)))
+        .collect();
     let mut bundle = TelemetryBundle::new();
     bundle.meta_entry("source", Json::Str("engine".into()));
-    bundle.meta_entry(
-        "policy",
-        Json::Str(
-            report
-                .shards
-                .first()
-                .map(|s| s.policy)
-                .unwrap_or("?")
-                .into(),
-        ),
-    );
+    let policy = report.shards.first().map_or("?", |s| s.policy);
+    bundle.meta_entry("policy", Json::Str(policy.into()));
     bundle.meta_entry("shards", Json::Int(report.shards.len() as i128));
     bundle.meta_entry("alpha", Json::Float(report.costs.alpha()));
     bundle.meta_entry("dispatched", Json::Int(report.dispatched as i128));
@@ -810,21 +845,30 @@ pub fn engine_bundle(
     bundle.meta_entry("hit_bytes", Json::Int(agg.hit_bytes as i128));
     bundle.meta_entry("fill_bytes", Json::Int(agg.fill_bytes as i128));
     bundle.meta_entry("redirect_bytes", Json::Int(agg.redirect_bytes as i128));
-    bundle.meta_entry("topk_k", Json::Int(report.topk_k as i128));
-    bundle.meta_entry("window_ms", Json::Int(report.window_ms as i128));
+    let first = observers.first().map(|(_, o)| o);
+    let topk_k = first.map_or(0, |o| o.topk.k());
+    bundle.meta_entry("topk_k", Json::Int(topk_k as i128));
+    let window_ms = first.map_or(0, |o| o.window.width_ms());
+    bundle.meta_entry("window_ms", Json::Int(window_ms as i128));
     bundle.metrics = registry.snapshot();
-    for shard in &report.shards {
-        bundle
-            .topk
-            .extend(TopKRecord::ranked(shard.shard as u32, &shard.top_videos));
+    for (i, o) in &observers {
+        let entries = o.topk.entries();
+        bundle.topk.extend(TopKRecord::ranked(*i as u32, &entries));
     }
-    bundle.set_windows(&report.windows, report.costs, report.windows_dropped);
-    bundle.alerts = Watchdog::run(
-        rules,
-        report.costs,
-        report.shards.len() as u64,
-        &report.windows,
-    );
+    // Non-destructive snapshots (closed + dirty open), cut to the windows
+    // every shard still holds, then folded into one grid. The fold is
+    // associative and order-invariant, so the result is
+    // worker-count-invariant.
+    let mut sets: Vec<Vec<WindowStats>> = (observers.iter())
+        .map(|(_, o)| o.window.snapshot_windows())
+        .collect();
+    let from = sets.iter().filter_map(|s| s.first()).map(|w| w.index).max();
+    let from = from.unwrap_or(0);
+    sets.iter_mut().for_each(|s| s.retain(|w| w.index >= from));
+    let windows = merge_windows(&sets);
+    bundle.set_windows(&windows, report.costs, from);
+    let shards = report.shards.len() as u64;
+    bundle.alerts = Watchdog::run(rules, report.costs, shards, &windows);
     bundle
 }
 
@@ -832,8 +876,9 @@ pub fn engine_bundle(
 mod tests {
     use super::*;
     use vcdn_core::{CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig, XlruCache};
+    use vcdn_obs::{MetricSnapshot, WindowRecord};
     use vcdn_trace::{ServerProfile, TraceGenerator};
-    use vcdn_types::DurationMs;
+    use vcdn_types::{ByteRange, DurationMs};
 
     use crate::matrix::{self, Source::Tiny};
 
@@ -848,6 +893,28 @@ mod tests {
     fn xlru_engine(shards: usize, disk: u64) -> ShardedEngine {
         let cfg = EngineConfig::new(shards, disk, ChunkSize::DEFAULT, costs()).unwrap();
         ShardedEngine::try_new(cfg, |_, cache| Box::new(XlruCache::new(cache))).unwrap()
+    }
+
+    /// An attached engine's bundle after `engine.run(trace, workers)`,
+    /// with the run's report.
+    fn attached_bundle(
+        mut engine: ShardedEngine,
+        trace: &Trace,
+        workers: usize,
+    ) -> (EngineReport, TelemetryBundle) {
+        let registry = Arc::new(MetricsRegistry::new());
+        let sink: Arc<dyn MetricsSink> = registry.clone();
+        engine.attach_obs(&sink, "e0");
+        let report = engine.run(trace, workers);
+        let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
+        (report, bundle)
+    }
+
+    fn value(metrics: &[MetricSnapshot], name: &str) -> u64 {
+        let Some(metric) = metrics.iter().find(|m| m.name == name) else {
+            panic!("metric {name} missing")
+        };
+        metric.value
     }
 
     #[test]
@@ -962,38 +1029,23 @@ mod tests {
 
     #[test]
     fn attached_registry_totals_match_report() {
-        let t = trace();
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink: Arc<dyn MetricsSink> = registry.clone();
-        let mut engine = xlru_engine(4, 96);
-        engine.attach_obs(&sink, "e0");
-        let report = engine.run(&t, 4);
-        let snap = registry.snapshot();
-        let metric = |name: &str| {
-            snap.iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .value
-        };
+        let (report, bundle) = attached_bundle(xlru_engine(4, 96), &trace(), 4);
+        let metric = |name: &str| value(&bundle.metrics, name);
         let agg = report.aggregate_overall();
-        assert_eq!(
-            metric("e0.engine.serve_requests_total"),
-            agg.served_requests
-        );
-        assert_eq!(
-            metric("e0.engine.redirect_requests_total"),
-            agg.redirected_requests
-        );
         let k = ChunkSize::DEFAULT.bytes();
-        assert_eq!(metric("e0.engine.hit_chunks_total") * k, agg.hit_bytes);
-        assert_eq!(metric("e0.engine.fill_chunks_total") * k, agg.fill_bytes);
-        assert_eq!(
-            metric("e0.engine.redirect_chunks_total") * k,
-            agg.redirect_bytes
-        );
+        // Chunk totals are compared in bytes (metric × k), so a byte total
+        // that is not a whole number of chunks fails.
+        for (name, unit, total) in [
+            ("serve_requests_total", 1, agg.served_requests),
+            ("redirect_requests_total", 1, agg.redirected_requests),
+            ("hit_chunks_total", k, agg.hit_bytes),
+            ("fill_chunks_total", k, agg.fill_bytes),
+            ("redirect_chunks_total", k, agg.redirect_bytes),
+        ] {
+            assert_eq!(metric(&format!("e0.engine.{name}")) * unit, total, "{name}");
+        }
         // Engine totals equal the sum of per-shard policy scopes.
-        let scoped_sum: u64 = snap
-            .iter()
+        let scoped_sum: u64 = (bundle.metrics.iter())
             .filter(|m| m.name.starts_with("e0.s") && m.name.ends_with("serve_requests_total"))
             .map(|m| m.value)
             .sum();
@@ -1054,8 +1106,8 @@ mod tests {
                 })
                 .unwrap();
             engine.attach_obs(&sink, "e0");
-            let report = engine.run(&t, workers);
-            engine_bundle(&report, &registry, &vcdn_obs::default_rules()).to_jsonl()
+            engine.run(&t, workers);
+            engine_bundle(&engine, &registry, &vcdn_obs::default_rules()).to_jsonl()
         };
         let policies: [Build; 4] = [
             |_, c| Box::new(LruCache::new(c)),
@@ -1104,55 +1156,82 @@ mod tests {
     #[test]
     fn engine_windows_conserve_report_totals() {
         let t = trace();
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink: Arc<dyn MetricsSink> = registry.clone();
-        let mut engine = xlru_engine(4, 96);
-        engine.attach_obs(&sink, "e0");
-        let report = engine.run(&t, 3);
-        assert_eq!(report.window_ms, DurationMs::HOUR.as_millis());
-        assert_eq!(report.windows_dropped, 0, "12h trace fits the ring");
-        assert!(!report.windows.is_empty());
-        // Merged windows form a contiguous grid starting at window 0.
-        for (i, w) in report.windows.iter().enumerate() {
-            assert_eq!(w.index, report.windows[0].index + i as u64);
-        }
-        assert_eq!(report.windows[0].index, 0);
-        // Σ(window deltas) equals the report's aggregate accounting: the
+        let (report, bundle) = attached_bundle(xlru_engine(4, 96), &t, 3);
+        let hour = DurationMs::HOUR.as_millis();
+        assert_eq!(bundle.meta_get::<u64>("window_ms"), Some(hour));
+        assert_eq!(bundle.windows_dropped, 0, "12h trace fits the ring");
+        assert!(!bundle.windows.is_empty());
+        // A contiguous grid from window 0 ...
+        assert_eq!(vcdn_obs::check(&bundle), Vec::<String>::new());
+        assert_eq!(bundle.windows[0].index, 0);
+        // ... whose deltas sum to the report's aggregate accounting: the
         // shard rings saw every request exactly once.
-        let sum = report
-            .windows
-            .iter()
-            .fold(TrafficCounter::default(), |acc, w| acc + w.traffic);
-        assert_eq!(sum, report.aggregate_overall());
+        let sum = |f: fn(&WindowRecord) -> u64| bundle.windows.iter().map(f).sum::<u64>();
+        let windows_total = TrafficCounter {
+            hit_bytes: sum(|w| w.hit_bytes),
+            fill_bytes: sum(|w| w.fill_bytes),
+            redirect_bytes: sum(|w| w.redirect_bytes),
+            served_requests: sum(|w| w.served_requests),
+            redirected_requests: sum(|w| w.redirected_requests),
+        };
+        assert_eq!(windows_total, report.aggregate_overall());
         // One queue-gap sample per dispatched request, mirroring the
-        // span-plane histograms.
-        let gaps: u64 = report.windows.iter().map(|w| w.queue_gap.count).sum();
-        assert_eq!(gaps, t.len() as u64);
+        // per-shard queue-gap histograms.
+        assert_eq!(sum(|w| w.queue_gap_count), t.len() as u64);
         // A detached engine exports no windows (off means free).
         let mut detached = xlru_engine(4, 96);
         let bare = detached.run(&t, 3);
-        assert!(bare.windows.is_empty());
-        assert_eq!(bare.window_ms, 0);
+        let registry = MetricsRegistry::new();
+        let bare_bundle = engine_bundle(&detached, &registry, &vcdn_obs::default_rules());
+        assert!(bare_bundle.windows.is_empty() && bare_bundle.topk.is_empty());
+        assert_eq!(bare_bundle.meta_get::<u64>("window_ms"), Some(0));
         // Equality still holds across the instrumentation divide.
         assert_eq!(bare, report);
+    }
+
+    /// Each shard ring keeps its last `WINDOW_RETAIN` windows. Video `a`
+    /// (shard 0) is requested hourly for hours 0..=850 and video `b`
+    /// (shard 1) for hours 0..=900: shard 0's ring keeps windows 82..=850,
+    /// shard 1's 132..=900. Windows 82..=131 hold shard 0's request alone,
+    /// so the export starts at window 132, where the drops end.
+    #[test]
+    fn ring_drops_export_only_windows_every_shard_holds() {
+        let video_on = |shard| (0..).map(VideoId).find(|&v| shard_of_video(v, 2) == shard);
+        let (a, b) = (video_on(0).unwrap(), video_on(1).unwrap());
+        let k = ChunkSize::DEFAULT;
+        let chunk = ByteRange::new(0, k.bytes() - 1).unwrap();
+        let hour = DurationMs::HOUR.as_millis();
+        let requests: Vec<Request> = (0..=900u64)
+            .flat_map(|h| [(a, h), (b, h)])
+            .filter(|&(v, h)| v == b || h <= 850)
+            .map(|(v, h)| Request::new(v, chunk, vcdn_types::Timestamp(h * hour)))
+            .collect();
+        let meta = vcdn_trace::TraceMeta {
+            name: "two-videos".into(),
+            seed: 0,
+            duration: DurationMs::from_hours(901),
+            description: "two videos, one request an hour each".into(),
+        };
+        let t = Trace::new(meta, requests);
+        let (_, bundle) = attached_bundle(xlru_engine(2, 4), &t, 2);
+        let shard1_first = 900 - WINDOW_RETAIN as u64;
+        assert_eq!(bundle.windows_dropped, shard1_first);
+        assert_eq!(bundle.windows.len(), WINDOW_RETAIN + 1);
+        for w in &bundle.windows {
+            let requests = w.served_requests + w.redirected_requests;
+            let want = if w.index <= 850 { 2 } else { 1 };
+            assert_eq!(requests, want, "window {}", w.index);
+        }
+        assert_eq!(bundle.windows[0].index, shard1_first);
+        assert_eq!(vcdn_obs::check(&bundle), Vec::<String>::new());
     }
 
     #[test]
     fn span_conservation_and_topk_bounds_hold() {
         let t = trace();
         let shards = 4;
-        let registry = Arc::new(MetricsRegistry::new());
-        let sink: Arc<dyn MetricsSink> = registry.clone();
-        let mut engine = xlru_engine(shards, 96);
-        engine.attach_obs(&sink, "e0");
-        let report = engine.run(&t, 3);
-        let snap = registry.snapshot();
-        let metric = |name: &str| {
-            snap.iter()
-                .find(|m| m.name == name)
-                .unwrap_or_else(|| panic!("metric {name} missing"))
-                .value
-        };
+        let (report, bundle) = attached_bundle(xlru_engine(shards, 96), &t, 3);
+        let metric = |name: &str| value(&bundle.metrics, name);
         // Conservation: every dispatched request decided exactly once.
         let dispatched = metric("e0.engine.span.dispatched_total");
         assert_eq!(dispatched, t.len() as u64);
@@ -1169,8 +1248,7 @@ mod tests {
             );
         }
         // Queue-gap histograms observe one gap per dispatched request.
-        let gap_count: u64 = snap
-            .iter()
+        let gap_count: u64 = (bundle.metrics.iter())
             .filter(|m| m.name.ends_with("span.queue_gap"))
             .map(|m| m.value)
             .sum();
@@ -1180,23 +1258,24 @@ mod tests {
         assert!(metric("e0.engine.span.skew_bytes_x1000") >= 1000);
         // Top-K sketches obey the Space-Saving bound against the exact
         // per-shard truth, and the heaviest video per shard is tracked.
-        assert_eq!(report.topk_k, 8);
-        let per = shard_requests(&t, shards);
-        for s in &report.shards {
+        assert_eq!(bundle.meta_get::<u64>("topk_k"), Some(8));
+        for (s, requests) in shard_requests(&t, shards).iter().enumerate() {
             let mut truth: std::collections::BTreeMap<u64, u64> = std::collections::BTreeMap::new();
-            for r in &per[s.shard] {
+            for r in requests {
                 *truth.entry(r.video.0).or_insert(0) += 1;
             }
-            assert!(!s.top_videos.is_empty(), "shard {} sketch empty", s.shard);
-            assert!(s.top_videos.len() <= 8);
-            let n_over_k = per[s.shard].len() as u64 / 8;
-            for e in &s.top_videos {
-                let video = e.key >> ChunkId::INDEX_BITS;
-                let true_count = truth.get(&video).copied().unwrap_or(0);
+            let top: Vec<&TopKRecord> = (bundle.topk.iter())
+                .filter(|r| r.shard as usize == s)
+                .collect();
+            assert!(!top.is_empty(), "shard {s} sketch empty");
+            assert!(top.len() <= 8);
+            let n_over_k = requests.len() as u64 / 8;
+            for e in &top {
+                let true_count = truth.get(&e.video).copied().unwrap_or(0);
                 assert!(
                     e.count >= true_count && e.count - e.err <= true_count,
-                    "shard {} video {video}: sketch [{}, {}] vs true {true_count}",
-                    s.shard,
+                    "shard {s} video {}: sketch [{}, {}] vs true {true_count}",
+                    e.video,
                     e.count - e.err,
                     e.count
                 );
@@ -1207,11 +1286,8 @@ mod tests {
             {
                 if hot_count > n_over_k {
                     assert!(
-                        s.top_videos
-                            .iter()
-                            .any(|e| e.key >> ChunkId::INDEX_BITS == hot),
-                        "shard {}: heavy video {hot} untracked",
-                        s.shard
+                        top.iter().any(|e| e.video == hot),
+                        "shard {s}: heavy video {hot} untracked"
                     );
                 }
             }
@@ -1234,5 +1310,88 @@ mod tests {
         let used: u64 = engine.report().shards.iter().map(|s| s.used_chunks).sum();
         assert!(cached > 0, "warm engine should hold requested chunks");
         assert!(used > 0);
+    }
+
+    fn registry() -> (Arc<MetricsRegistry>, Arc<dyn MetricsSink>) {
+        let reg = Arc::new(MetricsRegistry::new());
+        let sink: Arc<dyn MetricsSink> = reg.clone();
+        (reg, sink)
+    }
+
+    /// The observers [`ShardedEngine::attach_obs`] gives a `shards`-shard
+    /// engine under scope `e`.
+    fn observers(sink: &Arc<dyn MetricsSink>, shards: usize) -> Vec<ShardObserver> {
+        let engine = xlru_engine(shards, 96);
+        ShardObserver::attach(sink, "e", &engine.shards, ChunkSize::DEFAULT.bytes())
+    }
+
+    /// Feeds the shard sequence through per-shard observers the way the
+    /// engine does: position in the sequence is the dispatch tick.
+    fn dispatch(sink: &Arc<dyn MetricsSink>, shards: usize, seq: &[usize]) -> Vec<u64> {
+        let mut obs = observers(sink, shards);
+        (seq.iter().enumerate())
+            .map(|(tick, &s)| obs[s].record_dispatch(tick as u64))
+            .collect()
+    }
+
+    #[test]
+    fn dispatch_conserves_and_shares_sum() {
+        let (reg, sink) = registry();
+        // Shards: 0,0,1,0 — ticks 0..4.
+        dispatch(&sink, 2, &[0, 0, 1, 0]);
+        assert_eq!(value(&reg.snapshot(), "e.engine.span.dispatched_total"), 4);
+        // Shard 0 got 3 of 4 → share 750; shard 1 got 1 of 3 at its last
+        // update (tick 2) → share 333.
+        assert_eq!(value(&reg.snapshot(), "e.s00.span.load_share_x1000"), 750);
+        assert_eq!(value(&reg.snapshot(), "e.s01.span.load_share_x1000"), 333);
+    }
+
+    #[test]
+    fn queue_gap_measures_logical_interarrival() {
+        let (reg, sink) = registry();
+        let gaps = dispatch(&sink, 2, &[0, 1, 1, 0]);
+        // Shard 0: gaps 1 (tick 0, first) and 3 (tick 3 − tick 0).
+        // Shard 1: gaps 2 (tick 1, first) and 1 (tick 2 − tick 1).
+        assert_eq!(gaps, vec![1, 2, 1, 3]);
+        let snap = reg.snapshot();
+        let hist = |name: &str| {
+            snap.iter()
+                .find(|m| m.name == name)
+                .and_then(|m| m.histogram.clone())
+                .unwrap_or_else(|| panic!("histogram {name} missing"))
+        };
+        let (s0, s1) = (hist("e.s00.span.queue_gap"), hist("e.s01.span.queue_gap"));
+        assert_eq!([(s0.count, s0.sum), (s1.count, s1.sum)], [(2, 4), (2, 3)]);
+    }
+
+    #[test]
+    fn shard_spans_count_decide_and_evict() {
+        let (reg, sink) = registry();
+        let obs = observers(&sink, 4);
+        obs[3].record_stages(false);
+        obs[3].record_stages(true);
+        obs[3].record_stages(false);
+        assert_eq!(value(&reg.snapshot(), "e.s03.span.processed_total"), 3);
+        assert_eq!(value(&reg.snapshot(), "e.s03.span.evict_events_total"), 1);
+    }
+
+    #[test]
+    fn logical_plane_is_fully_deterministic_kind() {
+        let (reg, sink) = registry();
+        let mut obs = observers(&sink, 4);
+        for tick in 0..16 {
+            obs[tick % 4].record_dispatch(tick as u64);
+        }
+        for (i, o) in obs.iter().enumerate() {
+            o.record_stages(i % 2 == 0);
+        }
+        // Per shard the policy family and two stage counters, one shared
+        // dispatch counter, two dispatch metrics per shard, and the six
+        // shared engine totals: every one exports, shared names as one.
+        let snap = reg.snapshot();
+        let spans = snap.iter().filter(|m| m.name.contains(".span."));
+        assert_eq!(spans.count(), 1 + 4 * 2 + 4 * 2, "span metrics must export");
+        assert_eq!(snap.len(), 4 * (8 + 2) + 1 + 4 * 2 + 6);
+        assert_eq!(value(&reg.snapshot(), "e.engine.span.dispatched_total"), 16);
     }
 }

@@ -8,7 +8,8 @@
 //! closed windows fold into both the health windows and the series — and
 //! the engine's per-shard rings in [`crate::engine`].
 //! [`TelemetryConfig::new`] is also the single source of the engine's
-//! instrumentation sizes (sketch slots, window width, ring bound).
+//! instrumentation sizes (sketch slots, window width), and
+//! [`WINDOW_RETAIN`] bounds every retained window sequence.
 //!
 //! The policy metric family is recorded here too, not by the policy:
 //! [`TelemetryObserver`] registers it under the policy's name and records
@@ -39,6 +40,12 @@ use vcdn_types::{ChunkId, CostModel, Decision, DurationMs};
 use crate::replay::{DecisionCtx, ReplayObserver, ReplayReport, Replayer};
 use crate::runner::{Cell, CellResult};
 
+/// Closed health windows every recorder retains for export — the
+/// Replayer's health windows and each engine shard's ring — 32 days of
+/// hourly windows. Older windows are counted as dropped; the replay's
+/// watchdog still judges every window at close time.
+pub const WINDOW_RETAIN: usize = 768;
+
 /// Telemetry collection knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
@@ -53,22 +60,18 @@ pub struct TelemetryConfig {
     /// Trace-time width of one health window ([`vcdn_obs::window`]);
     /// [`DurationMs::ZERO`] disables the window plane and the watchdog.
     pub window: DurationMs,
-    /// Closed health windows retained in the bounded ring (the watchdog
-    /// still sees every window at close time; only the export is bounded).
-    pub window_retain: usize,
 }
 
 impl TelemetryConfig {
     /// Hourly samples, 4096 retained events, an 8-slot heavy-hitter
-    /// sketch, hourly health windows retaining the last 768 (32 days of
-    /// trace time).
+    /// sketch and hourly health windows (the last [`WINDOW_RETAIN`]
+    /// retained).
     pub fn new() -> TelemetryConfig {
         TelemetryConfig {
             sample_interval: DurationMs::HOUR,
             event_capacity: 4096,
             topk_k: 8,
             window: DurationMs::HOUR,
-            window_retain: 768,
         }
     }
 
@@ -163,13 +166,12 @@ pub struct TelemetryObserver {
 }
 
 /// The health-window plane: the ring's windows folded to the health
-/// width, each handed to the watchdog as it closes, the last `retain`
-/// kept for the bundle.
+/// width, each handed to the watchdog as it closes, the last
+/// [`WINDOW_RETAIN`] kept for the bundle.
 struct Health {
     fold: WindowFold,
     watchdog: Watchdog,
     closed: VecDeque<WindowStats>,
-    retain: usize,
     dropped: u64,
 }
 
@@ -177,7 +179,7 @@ impl Health {
     fn close(&mut self, w: WindowStats) {
         self.watchdog.on_window(&w);
         self.closed.push_back(w);
-        if self.closed.len() > self.retain {
+        if self.closed.len() > WINDOW_RETAIN {
             self.closed.pop_front();
             self.dropped += 1;
         }
@@ -228,7 +230,6 @@ impl TelemetryObserver {
                 // The unsharded replayer is one request stream.
                 watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
                 closed: VecDeque::new(),
-                retain: telemetry.window_retain,
                 dropped: 0,
             }),
             sampler: ReplaySampler::new(telemetry.sample_interval.as_millis(), width, cfg.costs),

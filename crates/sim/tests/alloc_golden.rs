@@ -70,12 +70,13 @@
 //!   request: `WindowFold::push` clones and merges a histogram per window
 //!   (184), the open window's histogram grows its buckets (45), the
 //!   watchdog, sampler, sketch and final snapshot the rest.
-//! - The 16-shard engine at one worker: xLRU 2,303 = 463 evicted lists +
-//!   181 run growth + 82 slab / map + 1,577 engine and observer; Cafe
-//!   2,532 = 67 + 174 + 696 + 18 scratch + 1,577. Of the 1,577,
-//!   `report()` at the end of each run call clones every shard's
-//!   windows (1,115) and the open windows' histograms grow (440). Two
-//!   workers add the spawned thread: 4 allocations per run call.
+//! - The 16-shard engine at one worker: xLRU 1,189 = 463 evicted lists +
+//!   181 run growth + 82 slab / map + 463 engine and observer; Cafe
+//!   1,418 = 67 + 174 + 696 + 18 scratch + 463. Of the 463, the open
+//!   windows' histograms grow (440). `report()` clones no windows: they
+//!   are merged once, by `engine_bundle`, which the golden does not
+//!   call. Two workers add the spawned thread: 4 allocations per run
+//!   call.
 //!
 //! Psychic's 3 once-unattributed allocations were its reused `victims`
 //! list reaching new high-water marks: sized in `PsychicCache::new` for
@@ -237,10 +238,10 @@ const GOLDEN: &[Golden] = &[
     ("telemetry xlru", 0, 1401, 1401266, 762, 561022, 340),
     ("telemetry cafe", 0, 2045, 2282760, 934, 993940, 57),
     ("telemetry psychic", 28, 609, 1098118, 279, 400715, 25),
-    ("engine xlru w1", 1394, 4218, 3288388, 2303, 1971376, 463),
-    ("engine xlru w2", 1394, 4226, 3288756, 2307, 1971560, 463),
-    ("engine cafe w1", 1394, 5272, 9541352, 2532, 5212768, 67),
-    ("engine cafe w2", 1394, 5280, 9541720, 2536, 5212952, 67),
+    ("engine xlru w1", 1394, 2529, 1398876, 1189, 700832, 463),
+    ("engine xlru w2", 1394, 2537, 1399244, 1193, 701016, 463),
+    ("engine cafe w1", 1394, 3583, 7651840, 1418, 3942224, 67),
+    ("engine cafe w2", 1394, 3591, 7652208, 1422, 3942408, 67),
 ];
 
 const SCALE: f64 = 0.004;

@@ -38,8 +38,10 @@ use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
     RankedCache, XlruCache,
 };
-use vcdn_obs::{MetricsRegistry, MetricsSink};
-use vcdn_sim::engine::{shard_of_video, shard_requests, EngineConfig, EngineReport, ShardedEngine};
+use vcdn_obs::{default_rules, MetricsRegistry, MetricsSink, TelemetryBundle};
+use vcdn_sim::engine::{
+    engine_bundle, shard_of_video, shard_requests, EngineConfig, EngineReport, ShardedEngine,
+};
 use vcdn_sim::{ReplayConfig, ReplayReport, Replayer};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator, TraceMeta};
 use vcdn_types::{
@@ -221,16 +223,14 @@ impl Cell {
     }
 
     /// An attached `SHARDS`-shard engine's report at `workers`, and its
-    /// request-skew gauge.
-    fn attached(&self, workers: usize) -> (EngineReport, Option<u64>) {
+    /// bundle.
+    fn attached(&self, workers: usize) -> (EngineReport, TelemetryBundle) {
         let registry = Arc::new(MetricsRegistry::new());
         let sink: Arc<dyn MetricsSink> = registry.clone();
         let mut engine = self.engine(SHARDS);
         engine.attach_obs(&sink, "m");
         let report = engine.run(&self.trace, workers);
-        let skew = "m.engine.span.skew_requests_x1000";
-        let skew = registry.snapshot().into_iter().find(|m| m.name == skew);
-        (report, skew.map(|m| m.value))
+        (report, engine_bundle(&engine, &registry, &default_rules()))
     }
 
     fn requested_bytes(&self) -> u64 {
@@ -316,21 +316,24 @@ impl Cell {
     }
 
     /// The `shards`-shard engine at 1, 2, 3, 4 and 8 workers: every shard
-    /// counter and the aggregates; detached engines carry no sketches and
-    /// no windows. Returns the one-worker report.
+    /// counter and the aggregates; a detached engine exports empty `topk`
+    /// and `window` sections. Returns the one-worker report.
     pub fn workers_row(&self, shards: usize) -> EngineReport {
         let (trace, name) = (&self.trace, self.policy.name());
         let base = self.engine(shards).run(trace, 1);
         for workers in [2, 3, 4, 8] {
-            let run = self.engine(shards).run(trace, workers);
+            let mut engine = self.engine(shards);
+            let run = engine.run(trace, workers);
             let at = format!("{}, {workers} workers", self.at);
             assert_eq!(run, base, "{at}");
             assert_eq!(run.workers, workers.min(shards), "{at}: clamp");
             assert_eq!(run.aggregate_overall(), base.aggregate_overall(), "{at}");
             assert_eq!(run.aggregate_steady(), base.aggregate_steady(), "{at}");
-            assert_eq!((run.topk_k, run.window_ms), (0, 0), "{at}");
-            assert!(run.windows.is_empty(), "{at}");
-            assert!(run.shards.iter().all(|s| s.top_videos.is_empty()), "{at}");
+            let bundle = engine_bundle(&engine, &MetricsRegistry::new(), &default_rules());
+            assert!(bundle.topk.is_empty() && bundle.windows.is_empty(), "{at}");
+            for key in ["topk_k", "window_ms"] {
+                assert_eq!(bundle.meta_get::<u64>(key), Some(0), "{at}: {key}");
+            }
             assert!(run.shards.iter().all(|s| s.policy == name), "{at}");
         }
         base
@@ -453,19 +456,22 @@ pub fn every_cell(policy: Policy, point: Point) -> ReplayReport {
         Empty => {
             assert!(replay.overall == zero && replay.windows.is_empty(), "{at}");
             for workers in 1..=8 {
-                let (report, _) = c.attached(workers);
+                let (report, bundle) = c.attached(workers);
                 let at = format!("{at}, {workers} workers");
                 assert_eq!(report, engine, "{at}");
                 let totals = (report.aggregate_overall(), report.dispatched);
                 assert_eq!(totals, (zero, 0), "{at}");
-                assert!(report.windows.is_empty(), "{at}");
+                assert!(bundle.windows.is_empty(), "{at}");
             }
         }
         OneShard(..) => {
             let on_zero = |r: &Request| shard_of_video(r.video, SHARDS) == 0;
             assert!(c.trace.len() > 100, "{at}: trace size");
             assert!(c.trace.requests.iter().all(on_zero), "{at}: one shard");
-            let (report, skew) = c.attached(2);
+            let (report, bundle) = c.attached(2);
+            let skew = "m.engine.span.skew_requests_x1000";
+            let skew = (bundle.metrics.iter()).find(|m| m.name == skew);
+            let skew = skew.map(|m| m.value);
             assert_eq!(report, engine, "{at}");
             // The hot shard is its own replay: the whole trace on a
             // quarter of the disk; the others see nothing.

@@ -161,9 +161,9 @@ fn engine_bundle_identical_at_1_2_4_8_workers() {
         })
         .expect("engine builds");
         engine.attach_obs(&sink, "det");
-        let report = engine.run(&trace, workers);
+        engine.run(&trace, workers);
         [engine_bundle(
-            &report,
+            &engine,
             &registry,
             &vcdn_obs::default_rules(),
         )]

@@ -62,30 +62,31 @@ COMMANDS:
     help    print this message
 ";
 
-/// Minimal `--flag value` argument map.
+/// Minimal `--flag value` argument map: each flag at most once, and only
+/// the flags its command takes.
 struct Args {
-    cmd: String,
     flags: Vec<(String, String)>,
 }
 
 impl Args {
-    fn parse() -> Result<Args, String> {
-        let mut it = std::env::args().skip(1);
-        let cmd = it.next().ok_or("missing command; try `vcdn help`")?;
-        let mut flags = Vec::new();
-        let rest: Vec<String> = it.collect();
-        let mut i = 0;
-        while i < rest.len() {
-            let name = rest[i]
+    fn parse(cmd: &str, rest: &[String], known: &[&str]) -> Result<Args, String> {
+        let mut flags: Vec<(String, String)> = Vec::new();
+        for pair in rest.chunks(2) {
+            let name = pair[0]
                 .strip_prefix("--")
-                .ok_or_else(|| format!("expected --flag, got '{}'", rest[i]))?;
-            let value = rest
-                .get(i + 1)
+                .ok_or_else(|| format!("expected --flag, got '{}'", pair[0]))?;
+            if !known.contains(&name) {
+                return Err(format!("unknown flag --{name} for `vcdn {cmd}`"));
+            }
+            if flags.iter().any(|(n, _)| n == name) {
+                return Err(format!("--{name} given twice"));
+            }
+            let value = pair
+                .get(1)
                 .ok_or_else(|| format!("--{name} requires a value"))?;
             flags.push((name.to_owned(), value.clone()));
-            i += 2;
         }
-        Ok(Args { cmd, flags })
+        Ok(Args { flags })
     }
 
     fn get(&self, name: &str) -> Option<&str> {
@@ -221,7 +222,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     let alpha: f64 = args.parse_flag("alpha", 1.0)?;
     let costs = CostModel::from_alpha(alpha).map_err(|e| e.to_string())?;
     let (flag, disk_chunks): (&str, u64) = match (args.get("disk-chunks"), args.get("disk-gb")) {
-        (Some(v), _) => (
+        (Some(v), None) => (
             "--disk-chunks",
             v.parse()
                 .map_err(|_| format!("--disk-chunks: cannot parse '{v}'"))?,
@@ -237,6 +238,7 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
             ("--disk-gb", chunks)
         }
         (None, None) => return Err("--disk-chunks or --disk-gb is required".into()),
+        (Some(_), Some(_)) => return Err("--disk-chunks and --disk-gb: give one".into()),
     };
     if disk_chunks == 0 {
         return Err("disk must hold at least one chunk".into());
@@ -391,19 +393,47 @@ fn cmd_bound(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
+type Command = fn(&Args) -> Result<(), String>;
+
+/// Every command, the flags it takes, and what runs it.
+const COMMANDS: [(&str, &[&str], Command); 4] = [
+    ("gen", &["profile", "scale", "days", "seed", "out"], cmd_gen),
+    ("stats", &["trace", "chunk-mb"], cmd_stats),
+    (
+        "replay",
+        &[
+            "trace",
+            "algo",
+            "alpha",
+            "disk-chunks",
+            "disk-gb",
+            "chunk-mb",
+            "load-state",
+            "save-state",
+        ],
+        cmd_replay,
+    ),
+    (
+        "bound",
+        &["trace", "alpha", "disk-chunks", "chunk-mb", "requests"],
+        cmd_bound,
+    ),
+];
+
 fn run() -> Result<(), String> {
-    let args = Args::parse()?;
-    match args.cmd.as_str() {
-        "gen" => cmd_gen(&args),
-        "stats" => cmd_stats(&args),
-        "replay" => cmd_replay(&args),
-        "bound" => cmd_bound(&args),
-        "help" | "--help" | "-h" => {
-            print!("{USAGE}");
-            Ok(())
-        }
-        other => Err(format!("unknown command '{other}'; try `vcdn help`")),
+    let argv: Vec<String> = std::env::args().skip(1).collect();
+    let (cmd, rest) = argv
+        .split_first()
+        .ok_or("missing command; try `vcdn help`")?;
+    if matches!(cmd.as_str(), "help" | "--help" | "-h") {
+        Args::parse(cmd, rest, &[])?;
+        print!("{USAGE}");
+        return Ok(());
     }
+    let (_, known, command) = (COMMANDS.iter())
+        .find(|(name, ..)| name == cmd)
+        .ok_or_else(|| format!("unknown command '{cmd}'; try `vcdn help`"))?;
+    command(&Args::parse(cmd, rest, known)?)
 }
 
 fn main() -> ExitCode {

@@ -130,11 +130,12 @@ fn replay_requires_disk_size() {
 }
 
 /// Runs `vcdn <args>` expecting the one-line `error: …` exit 1 that names
-/// `what`.
+/// `what`, and nothing on stdout.
 fn refused(args: &[&str], what: &str) {
     let out = vcdn(args);
     let err = stderr(&out);
     assert_eq!(out.status.code(), Some(1), "{args:?}: {err}");
+    assert_eq!(stdout(&out), "", "{args:?}");
     assert!(
         err.starts_with("error: ") && err.contains(what),
         "{args:?}: {err}"
@@ -183,6 +184,39 @@ fn zero_disk_and_overflowing_chunk_size_are_refused() {
         refused(&[&gb[..], &[bad]].concat(), "--disk-gb");
     }
     refused(&[&gb[..], &["1e12"]].concat(), "--disk-gb");
+    std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn unknown_repeated_and_conflicting_flags_are_refused() {
+    let path = temp_trace("flags.jsonl");
+    let p = path.to_str().expect("utf-8 path");
+    vcdn(&["gen", "--days", "1", "--out", p]);
+    let replay = format!("replay --trace {p} --algo xlru --disk-chunks 64");
+    for (line, what) in [
+        (format!("{replay} --alhpa 2"), "unknown flag --alhpa"),
+        (
+            format!("{replay} --disk-gb 0.001"),
+            "--disk-chunks and --disk-gb",
+        ),
+        (
+            format!("{replay} --alpha 1 --alpha 2"),
+            "--alpha given twice",
+        ),
+        // Each command takes its own flags only.
+        (
+            format!("stats --trace {p} --alpha 2"),
+            "unknown flag --alpha",
+        ),
+        (format!("gen --out {p} --trace {p}"), "unknown flag --trace"),
+        (
+            format!("bound --trace {p} --disk-gb 1"),
+            "unknown flag --disk-gb",
+        ),
+        (format!("help --trace {p}"), "unknown flag --trace"),
+    ] {
+        refused(&line.split(' ').collect::<Vec<_>>(), what);
+    }
     std::fs::remove_file(&path).ok();
 }
 

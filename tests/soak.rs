@@ -43,7 +43,7 @@ fn concurrent_engine_stress_repeats_bit_identical_telemetry() {
         engine.attach_obs(&sink, "stress");
         let report = engine.run(&trace, 8);
         (
-            engine_bundle(&report, &registry, &vcdn::obs::default_rules()).to_jsonl(),
+            engine_bundle(&engine, &registry, &vcdn::obs::default_rules()).to_jsonl(),
             report,
         )
     };
