@@ -10,6 +10,8 @@
 use std::cell::RefCell;
 use std::str::FromStr;
 
+use vcdn_types::DurationMs;
+
 use crate::Scale;
 
 /// The command-line tokens of one command that it has not read yet.
@@ -102,9 +104,13 @@ impl Args {
     }
 
     /// `--days <n>`: experiment duration (default 30 — the paper's "one
-    /// month period").
+    /// month period"); a count whose milliseconds overflow is refused.
     pub fn days(&self) -> u64 {
-        self.get("days").unwrap_or(30)
+        let days: u64 = self.get("days").unwrap_or(30);
+        if days.checked_mul(DurationMs::DAY.as_millis()).is_none() {
+            self.fail(&format!("--days {days}: too many days"));
+        }
+        days
     }
 }
 

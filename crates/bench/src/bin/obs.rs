@@ -4,16 +4,15 @@
 //! * `record` replays the standard workload through LRU, xLRU, Cafe and
 //!   Psychic with full telemetry and writes the four bundles as one
 //!   document. Flags: `--scale <f>` (default 1/16), `--days <n>` (30),
-//!   `--interval-mins <n>` sample interval (60), `--window-mins <n>`
-//!   health-window width (1440; 0 disables the window and alert
-//!   sections), `--events <n>` retained per policy (4096), `--out <path>`
-//!   (`results/telemetry.jsonl`). One of the interval and the window must
+//!   `--interval-mins <n>` sample interval (60; > 0), `--window-mins
+//!   <n>` health-window width (1440; 0 disables the window and alert
+//!   sections), `--events <n>` retained per policy (4096; > 0), `--out
+//!   <path>` (`results/telemetry.jsonl`). One of the interval and the window must
 //!   be a whole multiple of the other (both fold from one ring; see
 //!   [`TelemetryConfig::folds`]). Byte-identical for any `VCDN_WORKERS`.
-//! * `check --in <path> [--rules <path>]` reads a document and holds
-//!   every bundle to [`vcdn_obs::check`]; with `--rules`, also that a
-//!   watchdog rules file parses and round-trips. One `FAIL` line per
-//!   violation, exit 1.
+//! * `check --in <path>` reads a document and holds every bundle to
+//!   [`vcdn_obs::check`], which recomputes each bundle's alerts from its
+//!   windows. One `FAIL` line per violation, exit 1.
 //! * `report --in <path>` prints each bundle for a human: meta entries,
 //!   the six sections' sizes, metrics, heavy hitters, alerts, last sample.
 //! * `diff <a> <b>` compares two documents exactly ([`vcdn_obs::diff`]):
@@ -95,11 +94,27 @@ fn write_file(path: &str, text: &str) {
     std::fs::write(path, text).unwrap_or_else(|e| panic!("write {path}: {e}"));
 }
 
+/// `--<name> <minutes>` (default `default`) as a duration; zero is refused
+/// unless `zero_ok`, and so is a count whose milliseconds overflow.
+fn minutes(args: &Args, name: &str, default: u64, zero_ok: bool) -> (u64, DurationMs) {
+    let mins: u64 = args.get(name).unwrap_or(default);
+    if mins == 0 && !zero_ok {
+        args.fail(&format!("--{name} must be > 0"));
+    }
+    match mins.checked_mul(DurationMs::MINUTE.as_millis()) {
+        Some(ms) => (mins, DurationMs(ms)),
+        None => args.fail(&format!("--{name} {mins}: too many minutes")),
+    }
+}
+
 fn record(args: &Args) -> Result<(), String> {
     let (scale, days) = (args.scale(), args.days());
-    let interval_mins: u64 = args.get("interval-mins").unwrap_or(60);
-    let window_mins: u64 = args.get("window-mins").unwrap_or(1440);
+    let (interval_mins, interval) = minutes(args, "interval-mins", 60, false);
+    let (window_mins, window) = minutes(args, "window-mins", 1440, true);
     let events: usize = args.get("events").unwrap_or(4096);
+    if events == 0 {
+        args.fail("--events must be > 0");
+    }
     let out: String = args.get("out").unwrap_or_else(|| DEFAULT_DOCUMENT.into());
     args.finish();
 
@@ -107,8 +122,8 @@ fn record(args: &Args) -> Result<(), String> {
     let disk = scale.disk_chunks(PAPER_DISK_BYTES, k);
     let costs = CostModel::from_alpha(2.0).expect("valid alpha");
     let telemetry = TelemetryConfig::new()
-        .with_sample_interval(DurationMs::from_secs(interval_mins * 60))
-        .with_window(DurationMs::from_secs(window_mins * 60))
+        .with_sample_interval(interval)
+        .with_window(window)
         .with_event_capacity(events);
     if !telemetry.folds() {
         args.fail(&format!(
@@ -201,31 +216,11 @@ fn record(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// Verifies a watchdog rules file parses and round-trips: parse, render
-/// canonically, re-parse, compare. A rules file the watchdog would
-/// reject — or one whose canonical form drifts — fails the check.
-fn check_rules_file(path: &str) -> Result<(), String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("cannot read: {e}"))?;
-    let rules = vcdn_obs::parse_rules(&text).map_err(|e| e.to_string())?;
-    if rules.is_empty() {
-        return Err("no rules defined".into());
-    }
-    match vcdn_obs::parse_rules(&vcdn_obs::render_rules(&rules)) {
-        Ok(again) if again == rules => Ok(()),
-        Ok(_) => Err("canonical rendering drifts on re-parse".into()),
-        Err(e) => Err(format!("canonical rendering unparseable: {e}")),
-    }
-}
-
 fn check(args: &Args) -> Result<(), String> {
     let path: String = args.get("in").unwrap_or_else(|| DEFAULT_DOCUMENT.into());
-    let rules_path: Option<String> = args.get("rules");
     args.finish();
 
     let mut errs: Vec<String> = Vec::new();
-    if let Some(rules) = &rules_path {
-        errs.extend((check_rules_file(rules).err()).map(|e| format!("rules {rules}: {e}")));
-    }
     let bundles = read_document(&path).unwrap_or_else(|e| {
         errs.push(e);
         Vec::new()

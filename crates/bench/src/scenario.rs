@@ -8,8 +8,8 @@
 //! the working set, the cache age collapses, and xLRU's Eq. 5 defense
 //! starts redirecting the long tail. Interval efficiency drops and the
 //! redirect rate spikes for the duration of the burst — exactly the
-//! signature the `efficiency-drop` and `redirect-spike` rules in
-//! `results/default.rules` exist to catch.
+//! signature the `efficiency-drop` and `redirect-spike` rules of
+//! [`vcdn_obs::RULES`] exist to catch.
 //!
 //! Everything here is seeded and trace-clock-driven, so the scenario's
 //! windows, alerts and rendered alert log are byte-identical across
@@ -18,7 +18,7 @@
 use std::sync::Arc;
 
 use vcdn_core::{CachePolicy, XlruCache};
-use vcdn_obs::{default_rules, render_alert_log, MetricsRegistry, MetricsSink, TelemetryBundle};
+use vcdn_obs::{render_alert_log, MetricsRegistry, MetricsSink, TelemetryBundle};
 use vcdn_sim::engine::{engine_bundle, EngineConfig, EngineReport, ShardedEngine};
 use vcdn_trace::rng::DetRng;
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
@@ -125,7 +125,7 @@ pub struct FlashCrowdRun {
 /// Runs the canonical flash-crowd scenario: the [`flash_crowd_trace`]
 /// through a 4-shard xLRU engine sized so the burst's fills churn the
 /// working set, instrumented, on `workers` threads, judged by the stock
-/// `results/default.rules`. Deterministic: the report's accounting, the
+/// [`vcdn_obs::RULES`]. Deterministic: the report's accounting, the
 /// bundle and the alert log are identical for any `workers`.
 pub fn run_flash_crowd(workers: usize) -> FlashCrowdRun {
     let trace = flash_crowd_trace(&FlashCrowdSpec::default());
@@ -140,7 +140,7 @@ pub fn run_flash_crowd(workers: usize) -> FlashCrowdRun {
     let sink: Arc<dyn MetricsSink> = registry.clone();
     engine.attach_obs(&sink, "flash");
     let report = engine.run(&trace, workers);
-    let bundle = engine_bundle(&engine, &registry, &default_rules());
+    let bundle = engine_bundle(&engine, &registry);
     let alert_log = render_alert_log(&bundle.alerts);
     FlashCrowdRun {
         report,

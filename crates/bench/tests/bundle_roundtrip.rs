@@ -100,7 +100,7 @@ fn engine_and_flash_crowd_bundles_read_back() {
     let sink: Arc<dyn MetricsSink> = registry.clone();
     engine.attach_obs(&sink, "rt");
     engine.run(&trace(), 2);
-    let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
+    let bundle = engine_bundle(&engine, &registry);
     assert_reads_back(&bundle, "4-shard engine");
     assert_reads_back(&run_flash_crowd(2).bundle, "flash crowd");
 }

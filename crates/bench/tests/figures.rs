@@ -53,6 +53,8 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         vec!["fig4_alpha_sweep", "--scale"],
         vec!["fig4_alpha_sweep", "--alpha", "4"],
         vec!["fig6_disk_sweep", "--alpha", "2", "stray"],
+        // Days whose milliseconds overflow a u64.
+        vec!["fig4_alpha_sweep", "--days", "213503982336"],
     ];
     // Every figure closes its flag set before it starts working.
     cases.extend(FIGURES.iter().map(|(n, _)| vec![*n, "--no-such-flag"]));

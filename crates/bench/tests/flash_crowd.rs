@@ -1,4 +1,4 @@
-//! Watchdog validation on the synthetic flash crowd: a video goes viral
+//! The watchdog's validation on the synthetic flash crowd: a video goes viral
 //! mid-trace, the burst's fills churn the working set, and the
 //! `efficiency-drop` and `redirect-spike` rules must fire in the
 //! expected windows — pinned against the golden alert log so any drift

@@ -34,6 +34,19 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         // divides the other here.
         vec!["record", "--interval-mins", "90", "--window-mins", "60"],
         vec!["record", "--window-mins", "1000"],
+        // Zero samples per interval or events per ring, and minutes whose
+        // milliseconds overflow a u64 (once wrapped to 44 s).
+        vec!["record", "--interval-mins", "0"],
+        vec!["record", "--events", "0"],
+        vec![
+            "record",
+            "--interval-mins",
+            "307445734561825861",
+            "--window-mins",
+            "0",
+        ],
+        vec!["record", "--window-mins", "307445734561825861"],
+        vec!["record", "--days", "213503982336"],
     ];
     // Every command closes its flag set before it starts working.
     for command in ["record", "check", "report", "diff", "watch"] {

@@ -151,7 +151,7 @@ fn engine_run(
         engine.attach_obs(&sink, algo.name());
     }
     let report = engine.run(trace, workers);
-    let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
+    let bundle = engine_bundle(&engine, &registry);
     (report, bundle)
 }
 

@@ -14,7 +14,7 @@
 use vcdn_types::json::{FromJson, Json, ObjectWriter};
 use vcdn_types::CostModel;
 
-use crate::detect::AlertEvent;
+use crate::detect::{detect, AlertEvent, RULES};
 use crate::event::DecisionEvent;
 use crate::histogram::HistogramSnapshot;
 use crate::read::field;
@@ -80,7 +80,8 @@ pub struct TelemetryBundle {
     pub topk: Vec<TopKRecord>,
     /// Health windows in index order (merged across shards).
     pub windows: Vec<WindowRecord>,
-    /// Watchdog alerts in window order.
+    /// The watchdog's alerts over [`TelemetryBundle::windows`], in window
+    /// order.
     pub alerts: Vec<AlertEvent>,
     /// Closed windows the bounded ring evicted before export.
     pub windows_dropped: u64,
@@ -121,18 +122,23 @@ impl TelemetryBundle {
     }
 
     /// Fills the window section from `windows` (index order), flattened
-    /// against `costs`, with `dropped` windows already evicted upstream.
+    /// against `costs`, with `dropped` windows already evicted upstream,
+    /// and the alert section with what [`RULES`] raise over exactly those
+    /// windows from `streams` request streams (shard count; 1 for the
+    /// replayer) — what [`crate::check`] recomputes.
     pub fn set_windows<'a>(
         &mut self,
         windows: impl IntoIterator<Item = &'a WindowStats>,
         costs: CostModel,
         dropped: u64,
+        streams: u64,
     ) {
         self.windows = windows
             .into_iter()
             .map(|w| WindowRecord::from_stats(w, costs))
             .collect();
         self.windows_dropped = dropped;
+        self.alerts = detect(&RULES, &self.windows, streams);
     }
 
     /// Appends the bundle's meta line: the schema tag, the caller's

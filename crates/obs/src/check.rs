@@ -6,6 +6,7 @@ use vcdn_types::float::exactly_zero;
 use vcdn_types::CostModel;
 
 use crate::bundle::TelemetryBundle;
+use crate::detect::{detect, AlertEvent, RULES};
 use crate::event::Verdict;
 use crate::registry::MetricSnapshot;
 use crate::window::WindowRecord;
@@ -24,11 +25,11 @@ use crate::window::WindowRecord;
 /// processed counter per shard plus the two skew gauges; a contiguous
 /// window grid that starts at index `windows_dropped`, with rates in
 /// range and deltas that sum to the meta line's run totals when nothing
-/// was dropped; alerts in window order naming windows of the grid;
-/// samples on the `interval_ms` grid with monotone
-/// cumulative bytes and a final cumulative efficiency that recomputes
-/// from them (Eq. 2); events with increasing `seq` whose served chunks
-/// add up.
+/// was dropped; an alert section equal to what [`RULES`] raise over the
+/// window section (over `meta.shards` streams, 1 without); samples on the
+/// `interval_ms` grid with monotone cumulative bytes and a final
+/// cumulative efficiency that recomputes from them (Eq. 2); events with
+/// increasing `seq` whose served chunks add up.
 pub fn check(b: &TelemetryBundle) -> Vec<String> {
     let mut errs = Vec::new();
     let mut err = |msg: String| errs.push(msg);
@@ -174,28 +175,23 @@ pub fn check(b: &TelemetryBundle) -> Vec<String> {
         }
     }
 
-    // Alerts fire at close time and may outlive a dropped window, so
-    // without the whole grid membership is only bounded from above.
-    let window_max = b.windows.last().map(|w| w.index);
-    for (i, a) in b.alerts.iter().enumerate() {
-        let (rule, window) = (&a.rule, a.window);
-        if rule.is_empty() {
-            err(format!("alert at window {window}: empty rule name"));
-        }
-        if i.checked_sub(1)
-            .is_some_and(|p| window < b.alerts[p].window)
-        {
-            err(format!("alert {rule}: window {window} out of order"));
-        }
-        if window_max.is_none_or(|max| window > max) {
-            err(format!(
-                "alert {rule}: window {window} beyond the exported grid"
-            ));
-        } else if b.windows_dropped == 0 && !b.windows.iter().any(|w| w.index == window) {
-            err(format!(
-                "alert {rule}: window {window} missing from the grid"
-            ));
-        }
+    // Both producers judge exactly the windows they export, so the alert
+    // section recomputes from the window section alone.
+    let want = detect(&RULES, &b.windows, meta_u64("shards").unwrap_or(1));
+    let len = b.alerts.len().max(want.len());
+    if let Some(i) = (0..len).find(|&i| b.alerts.get(i) != want.get(i)) {
+        let show = |a: Option<&AlertEvent>| match a {
+            Some(a) => format!(
+                "{} at window {} (observed {}, baseline {})",
+                a.rule, a.window, a.observed, a.baseline
+            ),
+            None => "no alert".into(),
+        };
+        err(format!(
+            "alert {i}: {} where the rules give {}",
+            show(b.alerts.get(i)),
+            show(want.get(i))
+        ));
     }
 
     let interval = meta_u64("interval_ms").unwrap_or(0);
@@ -311,7 +307,20 @@ mod tests {
             (
                 "\"alert\",\"window\":0",
                 "\"alert\",\"window\":1",
-                "alert demo-rule: window 1 beyond the exported grid",
+                "alert 0: occupancy-churn at window 1 (observed 2500, baseline 2000) \
+                 where the rules give occupancy-churn at window 0",
+            ),
+            (
+                "\"observed\":2500.0",
+                "\"observed\":2400.0",
+                "alert 0: occupancy-churn at window 0 (observed 2400, baseline 2000) \
+                 where the rules give occupancy-churn at window 0 (observed 2500, baseline 2000)",
+            ),
+            (
+                "\"evicted_chunks\":2500",
+                "\"evicted_chunks\":2000",
+                "alert 0: occupancy-churn at window 0 (observed 2500, baseline 2000) \
+                 where the rules give no alert",
             ),
             (
                 "\"sample\",\"t_ms\":0",
@@ -336,10 +345,37 @@ mod tests {
             ),
         ] {
             assert!(DOC.contains(from), "{from}");
-            let bundles = TelemetryBundle::parse_jsonl(&DOC.replacen(from, to, 1)).unwrap();
-            let errs = check(&bundles[0]);
-            assert_eq!(errs.len(), 1, "{from} -> {to}: {errs:?}");
-            assert!(errs[0].contains(what), "{errs:?} should say {what:?}");
+            one_message(&DOC.replacen(from, to, 1), what);
         }
+        // An alert line removed and one added, the meta line's count with it.
+        let alert = format!(
+            "{}\n",
+            DOC.lines().find(|l| l.contains("\"alert\"")).unwrap()
+        );
+        let alerts = |n: usize, lines: &str| {
+            (DOC.replacen("\"alerts\":1,", &format!("\"alerts\":{n},"), 1))
+                .replacen(&alert, lines, 1)
+        };
+        one_message(
+            &alerts(0, ""),
+            "alert 0: no alert where the rules give occupancy-churn at window 0",
+        );
+        one_message(
+            &alerts(2, &alert.repeat(2)),
+            "alert 1: occupancy-churn at window 0 (observed 2500, baseline 2000) \
+             where the rules give no alert",
+        );
+    }
+
+    /// `doc` reads, and breaks exactly one invariant: the one saying `what`.
+    fn one_message(doc: &str, what: &str) {
+        let bundles = TelemetryBundle::parse_jsonl(doc).unwrap();
+        let errs = check(&bundles[0]);
+        assert_eq!(
+            errs.len(),
+            1,
+            "{errs:?} should be one message saying {what:?}"
+        );
+        assert!(errs[0].contains(what), "{errs:?} should say {what:?}");
     }
 }

@@ -1,40 +1,37 @@
-//! Deterministic SLO/anomaly watchdog over the window plane.
+//! Deterministic SLO/anomaly watchdog over a bundle's exported windows.
 //!
-//! A [`Watchdog`] evaluates a parsed rule set against each
-//! [`WindowStats`] the moment it closes (hook it into
-//! [`crate::WindowRing::record`]'s `on_close`), so detection is
-//! streaming, bounded-memory, and a pure function of the window sequence
-//! — the alert log is byte-identical at any worker count. Three detector
-//! shapes cover the operator questions from the paper's production
-//! setting:
+//! [`detect`] judges the window section of a bundle — [`WindowRecord`]s in
+//! index order — against a rule table and returns the alert log. Both
+//! producers call it once, from [`crate::TelemetryBundle::set_windows`],
+//! with the stock table [`RULES`], so a bundle's alerts are a pure
+//! function of the windows it exports: byte-identical at any worker count,
+//! never naming a window the bundle does not carry, and recomputed by
+//! [`crate::check`] from the bundle alone. Three detector shapes cover the
+//! operator questions from the paper's production setting:
 //!
-//! * **EWMA-baseline drift** (`drop` / `rise`): the observed metric is
-//!   compared against an exponentially weighted moving average of its own
-//!   history; a breach is an *absolute* deviation beyond the rule value
-//!   (e.g. "efficiency fell ≥ 0.15 below its recent baseline"). The EWMA
-//!   is seeded by the first non-empty window and updated after the
-//!   comparison, so a sudden step change is judged against the
-//!   pre-change baseline.
-//! * **Absolute threshold** (`gt` / `lt`): shard skew, queue-gap p99
+//! * **EWMA-baseline drift** ([`RuleOp::DropBelowEwma`] /
+//!   [`RuleOp::RiseAboveEwma`]): the observed metric is compared against an
+//!   `f64` exponentially weighted moving average of its own history
+//!   ([`EWMA_WEIGHT`] on the newest value); a breach is an *absolute*
+//!   deviation beyond the rule value (e.g. "efficiency fell ≥ 0.15 below
+//!   its recent baseline"). The EWMA is seeded by the first window with
+//!   requests and updated after the comparison on every such window,
+//!   breaching ones included, so a sudden step change is judged against
+//!   the pre-change baseline.
+//! * **Absolute threshold** ([`RuleOp::Gt`]): shard skew, queue-gap p99
 //!   growth, occupancy churn.
-//! * **Debouncing** (`for N`): a rule fires only after `N` consecutive
-//!   breaching windows, and re-arms once the metric recovers — one alert
-//!   per excursion, not one per window.
+//! * **Debouncing** (`consecutive`): a rule fires only after that many
+//!   consecutive breaching windows, and re-arms once the metric recovers —
+//!   one alert per excursion, not one per window.
 //!
-//! Rules are parsed from a tiny text file (`results/default.rules`,
-//! embedded as [`DEFAULT_RULES_TEXT`]), never hardcoded; see
-//! [`parse_rules`] for the grammar. Empty windows are skipped entirely:
-//! they carry no signal, and letting them zero an EWMA would fire false
-//! efficiency-drop alerts on every traffic gap.
+//! Windows with no requests are skipped entirely: they carry no signal,
+//! and letting them zero an EWMA would fire false efficiency-drop alerts
+//! on every traffic gap.
 
 use vcdn_types::json::{Json, ObjectWriter};
-use vcdn_types::CostModel;
 
 use crate::read::{field, float};
-use crate::window::WindowStats;
-
-/// The default rule set shipped in-repo (`results/default.rules`).
-pub const DEFAULT_RULES_TEXT: &str = include_str!("../../../results/default.rules");
+use crate::window::WindowRecord;
 
 /// Weight of the newest observation in the EWMA baseline
 /// (`baseline ← (1−w)·baseline + w·observed`).
@@ -51,7 +48,7 @@ pub enum Severity {
 }
 
 impl Severity {
-    /// Canonical lowercase name used in the rules grammar and exports.
+    /// Canonical lowercase name used in exports.
     pub fn name(self) -> &'static str {
         match self {
             Severity::Warning => "warning",
@@ -84,35 +81,13 @@ pub enum MetricSel {
 }
 
 impl MetricSel {
-    /// Canonical name used in the rules grammar.
-    pub fn name(self) -> &'static str {
+    /// The metric's value for one exported window, over `streams` request
+    /// streams (shard count; 1 for the unsharded replayer).
+    pub fn value(self, w: &WindowRecord, streams: u64) -> f64 {
         match self {
-            MetricSel::Efficiency => "efficiency",
-            MetricSel::RedirectRate => "redirect_rate",
-            MetricSel::QueueGapP99 => "queue_gap_p99",
-            MetricSel::ChurnChunks => "churn_chunks",
-            MetricSel::SkewX1000 => "skew_x1000",
-        }
-    }
-
-    fn parse(s: &str) -> Option<MetricSel> {
-        match s {
-            "efficiency" => Some(MetricSel::Efficiency),
-            "redirect_rate" => Some(MetricSel::RedirectRate),
-            "queue_gap_p99" => Some(MetricSel::QueueGapP99),
-            "churn_chunks" => Some(MetricSel::ChurnChunks),
-            "skew_x1000" => Some(MetricSel::SkewX1000),
-            _ => None,
-        }
-    }
-
-    /// The metric's value for one window, under `costs` and `streams`
-    /// request streams (shard count; 1 for the unsharded replayer).
-    pub fn value(self, w: &WindowStats, costs: CostModel, streams: u64) -> f64 {
-        match self {
-            MetricSel::Efficiency => w.efficiency(costs),
-            MetricSel::RedirectRate => w.redirect_rate(),
-            MetricSel::QueueGapP99 => w.queue_gap.quantile_upper_bound(0.99) as f64,
+            MetricSel::Efficiency => w.efficiency,
+            MetricSel::RedirectRate => w.redirect_rate,
+            MetricSel::QueueGapP99 => w.queue_gap_p99 as f64,
             MetricSel::ChurnChunks => w.churn_chunks() as f64,
             MetricSel::SkewX1000 => w.skew_x1000(streams) as f64,
         }
@@ -128,160 +103,71 @@ pub enum RuleOp {
     RiseAboveEwma,
     /// Breach when observed > value (absolute threshold).
     Gt,
-    /// Breach when observed < value (absolute threshold).
-    Lt,
 }
 
-impl RuleOp {
-    /// Canonical name used in the rules grammar.
-    pub fn name(self) -> &'static str {
-        match self {
-            RuleOp::DropBelowEwma => "drop",
-            RuleOp::RiseAboveEwma => "rise",
-            RuleOp::Gt => "gt",
-            RuleOp::Lt => "lt",
-        }
-    }
-
-    fn parse(s: &str) -> Option<RuleOp> {
-        match s {
-            "drop" => Some(RuleOp::DropBelowEwma),
-            "rise" => Some(RuleOp::RiseAboveEwma),
-            "gt" => Some(RuleOp::Gt),
-            "lt" => Some(RuleOp::Lt),
-            _ => None,
-        }
-    }
-
-    /// Whether the op tracks an EWMA baseline (drift detector) rather
-    /// than a fixed threshold.
-    pub fn is_drift(self) -> bool {
-        matches!(self, RuleOp::DropBelowEwma | RuleOp::RiseAboveEwma)
-    }
-}
-
-/// One parsed watchdog rule.
-#[derive(Debug, Clone, PartialEq)]
+/// One watchdog rule.
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Rule {
     /// Rule name, reported verbatim in alerts (e.g. `efficiency-drop`).
-    pub name: String,
+    pub name: &'static str,
     /// Alert severity when the rule fires.
     pub severity: Severity,
     /// The per-window metric watched.
     pub metric: MetricSel,
     /// Comparison shape.
     pub op: RuleOp,
-    /// Threshold (for `gt`/`lt`) or absolute deviation vs the EWMA
-    /// baseline (for `drop`/`rise`).
+    /// Threshold (for `Gt`) or absolute deviation vs the EWMA
+    /// baseline (for the drift ops).
     pub value: f64,
     /// Debounce: fire only after this many consecutive breaching
     /// windows (≥ 1).
     pub consecutive: u32,
 }
 
-/// Parses a rules file. Grammar, one rule per line (`#` comments,
-/// blank lines ignored):
-///
-/// ```text
-/// rule <name> <severity> <metric> <op> <value> [for <N>]
-/// ```
-///
-/// with `severity ∈ {warning, critical}`, `metric ∈ {efficiency,
-/// redirect_rate, queue_gap_p99, churn_chunks, skew_x1000}` and
-/// `op ∈ {drop, rise, gt, lt}`.
-///
-/// # Errors
-///
-/// Returns a message naming the offending line on any syntax error,
-/// unknown keyword, non-finite value, `for 0`, or duplicate rule name.
-/// An empty (or comment-only) file parses to an empty rule set.
-pub fn parse_rules(text: &str) -> Result<Vec<Rule>, String> {
-    let mut rules = Vec::new();
-    for (lineno, raw) in text.lines().enumerate() {
-        let line = raw.split('#').next().unwrap_or("").trim();
-        if line.is_empty() {
-            continue;
-        }
-        let err = |msg: &str| format!("rules line {}: {msg}: `{line}`", lineno + 1);
-        let toks: Vec<&str> = line.split_whitespace().collect();
-        if toks[0] != "rule" {
-            return Err(err("expected `rule`"));
-        }
-        if toks.len() != 6 && toks.len() != 8 {
-            return Err(err(
-                "expected `rule <name> <severity> <metric> <op> <value> [for <N>]`",
-            ));
-        }
-        let severity = Severity::parse(toks[2]).ok_or_else(|| err("unknown severity"))?;
-        let metric = MetricSel::parse(toks[3]).ok_or_else(|| err("unknown metric"))?;
-        let op = RuleOp::parse(toks[4]).ok_or_else(|| err("unknown op"))?;
-        let value: f64 = toks[5].parse().map_err(|_| err("bad value"))?;
-        if !value.is_finite() {
-            return Err(err("value must be finite"));
-        }
-        let consecutive = if toks.len() == 8 {
-            if toks[6] != "for" {
-                return Err(err("expected `for <N>`"));
-            }
-            let n: u32 = toks[7].parse().map_err(|_| err("bad window count"))?;
-            if n == 0 {
-                return Err(err("`for` count must be >= 1"));
-            }
-            n
-        } else {
-            1
-        };
-        // Rule names key alert streams and re-arm state downstream, so a
-        // duplicate would silently merge two excursion trackers. Reject it
-        // here with the offending line rather than last-wins later.
-        if let Some(prev) = rules.iter().position(|r: &Rule| r.name == toks[1]) {
-            return Err(err(&format!(
-                "duplicate rule name `{}` (first defined by rule {})",
-                toks[1],
-                prev + 1
-            )));
-        }
-        rules.push(Rule {
-            name: toks[1].to_string(),
-            severity,
-            metric,
-            op,
-            value,
-            consecutive,
-        });
-    }
-    Ok(rules)
-}
-
-/// Renders rules back to canonical grammar text (always including the
-/// `for N` clause), such that `parse_rules(render_rules(r)) == r` — the
-/// round-trip `obs check --rules` validates.
-pub fn render_rules(rules: &[Rule]) -> String {
-    let mut out = String::new();
-    for r in rules {
-        out.push_str(&format!(
-            "rule {} {} {} {} {} for {}\n",
-            r.name,
-            r.severity.name(),
-            r.metric.name(),
-            r.op.name(),
-            r.value,
-            r.consecutive
-        ));
-    }
-    out
-}
-
-/// The default rule set, parsed from the embedded
-/// `results/default.rules`.
-///
-/// # Panics
-///
-/// Panics if the in-repo rules file fails to parse (a build-time asset
-/// defect; covered by a unit test).
-pub fn default_rules() -> Vec<Rule> {
-    parse_rules(DEFAULT_RULES_TEXT).expect("in-repo default.rules must parse")
-}
+/// The stock rule table every bundle is judged by. Names are distinct:
+/// they key the alert streams.
+pub const RULES: [Rule; 5] = [
+    Rule {
+        name: "efficiency-drop",
+        severity: Severity::Critical,
+        metric: MetricSel::Efficiency,
+        op: RuleOp::DropBelowEwma,
+        value: 0.15,
+        consecutive: 2,
+    },
+    Rule {
+        name: "redirect-spike",
+        severity: Severity::Critical,
+        metric: MetricSel::RedirectRate,
+        op: RuleOp::RiseAboveEwma,
+        value: 0.2,
+        consecutive: 2,
+    },
+    Rule {
+        name: "queue-gap-p99",
+        severity: Severity::Warning,
+        metric: MetricSel::QueueGapP99,
+        op: RuleOp::Gt,
+        value: 65536.0,
+        consecutive: 1,
+    },
+    Rule {
+        name: "occupancy-churn",
+        severity: Severity::Warning,
+        metric: MetricSel::ChurnChunks,
+        op: RuleOp::Gt,
+        value: 2000.0,
+        consecutive: 1,
+    },
+    Rule {
+        name: "shard-skew",
+        severity: Severity::Warning,
+        metric: MetricSel::SkewX1000,
+        op: RuleOp::Gt,
+        value: 2500.0,
+        consecutive: 3,
+    },
+];
 
 /// One watchdog firing: which rule breached, on which window, and the
 /// baseline/observed pair that crossed. Serialises as
@@ -294,8 +180,8 @@ pub struct AlertEvent {
     pub rule: String,
     /// Severity copied from the rule.
     pub severity: Severity,
-    /// The comparison baseline: the rule threshold for `gt`/`lt`, the
-    /// EWMA at comparison time for `drop`/`rise`.
+    /// The comparison baseline: the rule threshold for `Gt`, the
+    /// EWMA at comparison time for the drift ops.
     pub baseline: f64,
     /// The observed metric value in the breaching window.
     pub observed: f64,
@@ -328,105 +214,43 @@ impl AlertEvent {
     }
 }
 
-#[derive(Debug, Clone, Default)]
-struct RuleState {
-    ewma: Option<f64>,
-    streak: u32,
-}
-
-/// Streaming rule evaluator: feed it every closed window in order and
-/// collect the deterministic alert log.
-#[derive(Debug, Clone)]
-pub struct Watchdog {
-    rules: Vec<Rule>,
-    costs: CostModel,
-    streams: u64,
-    state: Vec<RuleState>,
-    alerts: Vec<AlertEvent>,
-}
-
-impl Watchdog {
-    /// A watchdog over `rules`, evaluating metrics under `costs` with
-    /// `streams` request streams (shard count; 1 for the replayer).
-    pub fn new(rules: Vec<Rule>, costs: CostModel, streams: u64) -> Watchdog {
-        let state = vec![RuleState::default(); rules.len()];
-        Watchdog {
-            rules,
-            costs,
-            streams,
-            state,
-            alerts: Vec::new(),
-        }
-    }
-
-    /// Evaluates every rule against one closed window. Empty windows
-    /// are skipped: they carry no signal and must not poison EWMAs.
-    pub fn on_window(&mut self, w: &WindowStats) {
-        if w.is_empty() {
-            return;
-        }
-        for (rule, st) in self.rules.iter().zip(self.state.iter_mut()) {
-            let x = rule.metric.value(w, self.costs, self.streams);
-            let (breach, baseline) = match rule.op {
-                RuleOp::Gt => (x > rule.value, rule.value),
-                RuleOp::Lt => (x < rule.value, rule.value),
-                RuleOp::DropBelowEwma => match st.ewma {
-                    None => (false, x),
-                    Some(b) => (x < b - rule.value, b),
-                },
-                RuleOp::RiseAboveEwma => match st.ewma {
-                    None => (false, x),
-                    Some(b) => (x > b + rule.value, b),
-                },
+/// The alert log `rules` raise over `windows` (index order), with
+/// `streams` request streams (shard count; 1 for the replayer). Alerts
+/// come out in window order, and by rule order within a window.
+pub fn detect(rules: &[Rule], windows: &[WindowRecord], streams: u64) -> Vec<AlertEvent> {
+    // Per rule: the EWMA baseline (drift ops) and the breach streak.
+    let mut state: Vec<(Option<f64>, u32)> = vec![(None, 0); rules.len()];
+    let mut alerts = Vec::new();
+    let with_requests = |w: &&WindowRecord| w.requests() > 0;
+    for w in windows.iter().filter(with_requests) {
+        for (rule, (ewma, streak)) in rules.iter().zip(&mut state) {
+            let x = rule.metric.value(w, streams);
+            let (breach, baseline) = match (rule.op, *ewma) {
+                (RuleOp::Gt, _) => (x > rule.value, rule.value),
+                (_, None) => (false, x),
+                (RuleOp::DropBelowEwma, Some(b)) => (x < b - rule.value, b),
+                (RuleOp::RiseAboveEwma, Some(b)) => (x > b + rule.value, b),
             };
-            if rule.op.is_drift() {
-                st.ewma = Some(match st.ewma {
-                    None => x,
-                    Some(b) => b * (1.0 - EWMA_WEIGHT) + x * EWMA_WEIGHT,
+            if rule.op != RuleOp::Gt {
+                *ewma = Some(ewma.map_or(x, |b| b * (1.0 - EWMA_WEIGHT) + x * EWMA_WEIGHT));
+            }
+            if !breach {
+                *streak = 0;
+                continue;
+            }
+            *streak = streak.saturating_add(1);
+            if *streak == rule.consecutive {
+                alerts.push(AlertEvent {
+                    window: w.index,
+                    rule: rule.name.into(),
+                    severity: rule.severity,
+                    baseline,
+                    observed: x,
                 });
             }
-            if breach {
-                st.streak += 1;
-                if st.streak == rule.consecutive {
-                    self.alerts.push(AlertEvent {
-                        window: w.index,
-                        rule: rule.name.clone(),
-                        severity: rule.severity,
-                        baseline,
-                        observed: x,
-                    });
-                }
-            } else {
-                st.streak = 0;
-            }
         }
     }
-
-    /// Alerts emitted so far, in window order.
-    pub fn alerts(&self) -> &[AlertEvent] {
-        &self.alerts
-    }
-
-    /// Consumes the watchdog, returning its alert log.
-    pub fn into_alerts(self) -> Vec<AlertEvent> {
-        self.alerts
-    }
-
-    /// Batch evaluation: runs a fresh watchdog over an already-merged
-    /// window sequence (the engine path, where windows are folded across
-    /// shards at export).
-    pub fn run(
-        rules: &[Rule],
-        costs: CostModel,
-        streams: u64,
-        windows: &[WindowStats],
-    ) -> Vec<AlertEvent> {
-        let mut dog = Watchdog::new(rules.to_vec(), costs, streams);
-        for w in windows {
-            dog.on_window(w);
-        }
-        dog.into_alerts()
-    }
+    alerts
 }
 
 /// Renders an alert log as fixed-format text lines — the form pinned by
@@ -449,9 +273,15 @@ pub fn render_alert_log(alerts: &[AlertEvent]) -> String {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::window::WindowStats;
     use vcdn_types::json::Json;
+    use vcdn_types::CostModel;
 
-    fn window(index: u64, hit: u64, redirect: u64) -> WindowStats {
+    fn record(w: &WindowStats) -> WindowRecord {
+        WindowRecord::from_stats(w, CostModel::balanced())
+    }
+
+    fn window(index: u64, hit: u64, redirect: u64) -> WindowRecord {
         let mut w = WindowStats::empty(index);
         w.traffic.record_hit(hit);
         w.traffic.record_redirect(redirect);
@@ -462,12 +292,12 @@ mod tests {
             w.traffic.served_requests += 1;
         }
         w.max_stream_requests = w.traffic.total_requests();
-        w
+        record(&w)
     }
 
-    fn one_rule(op: RuleOp, metric: MetricSel, value: f64, consecutive: u32) -> Vec<Rule> {
-        vec![Rule {
-            name: "t".into(),
+    fn one_rule(op: RuleOp, metric: MetricSel, value: f64, consecutive: u32) -> [Rule; 1] {
+        [Rule {
+            name: "t",
             severity: Severity::Critical,
             metric,
             op,
@@ -478,64 +308,41 @@ mod tests {
 
     #[test]
     fn default_rules_parse() {
-        let rules = default_rules();
-        assert!(rules.len() >= 4);
-        assert!(rules.iter().any(|r| r.name == "efficiency-drop"));
-        assert!(rules.iter().any(|r| r.name == "redirect-spike"));
-    }
-
-    #[test]
-    fn rules_round_trip_through_render() {
-        let rules = default_rules();
-        let rendered = render_rules(&rules);
-        assert_eq!(parse_rules(&rendered).unwrap(), rules);
-    }
-
-    #[test]
-    fn parse_errors_name_the_line() {
-        for bad in [
-            "rule",
-            "nope x",
-            "rule a sev efficiency gt 1",
-            "rule a warning nope gt 1",
-            "rule a warning efficiency nope 1",
-            "rule a warning efficiency gt abc",
-            "rule a warning efficiency gt 1 for 0",
-            "rule a warning efficiency gt 1 until 3",
-        ] {
-            let text = format!("# leading comment\n{bad}\n");
-            let err = parse_rules(&text).unwrap_err();
-            assert!(err.contains("line 2"), "{bad} -> {err}");
-        }
-        // Comments and blanks parse to nothing.
-        assert_eq!(parse_rules("# only\n\n  \n").unwrap(), vec![]);
-    }
-
-    #[test]
-    fn empty_rules_file_parses_to_no_rules() {
-        assert_eq!(parse_rules("").unwrap(), vec![]);
-        assert_eq!(parse_rules("\n").unwrap(), vec![]);
+        let drift = |name: &str, metric: MetricSel, op: RuleOp| {
+            RULES.iter().any(|r| {
+                (r.name, r.severity, r.metric, r.op) == (name, Severity::Critical, metric, op)
+            })
+        };
+        assert!(drift(
+            "efficiency-drop",
+            MetricSel::Efficiency,
+            RuleOp::DropBelowEwma
+        ));
+        assert!(drift(
+            "redirect-spike",
+            MetricSel::RedirectRate,
+            RuleOp::RiseAboveEwma
+        ));
+        assert!(RULES
+            .iter()
+            .all(|r| r.consecutive >= 1 && r.value.is_finite()));
     }
 
     #[test]
     fn duplicate_rule_names_are_rejected_with_the_line() {
-        let text = "rule a warning efficiency gt 1\n\
-                    rule b warning efficiency gt 2\n\
-                    rule a critical redirect_rate lt 3\n";
-        let err = parse_rules(text).unwrap_err();
-        assert!(err.contains("line 3"), "{err}");
-        assert!(err.contains("duplicate rule name `a`"), "{err}");
-        assert!(err.contains("first defined by rule 1"), "{err}");
-        // Distinct names with otherwise identical bodies stay legal.
-        let ok = "rule a warning efficiency gt 1\nrule b warning efficiency gt 1\n";
-        assert_eq!(parse_rules(ok).unwrap().len(), 2);
+        // Names key alert streams: two rules of one name would read as one.
+        for (i, a) in RULES.iter().enumerate() {
+            for b in &RULES[i + 1..] {
+                assert_ne!(a.name, b.name);
+            }
+        }
     }
 
     #[test]
     fn threshold_rule_fires_and_debounces() {
         let rules = one_rule(RuleOp::RiseAboveEwma, MetricSel::RedirectRate, 0.3, 2);
         // Baseline windows ~0 redirect rate, then a sustained spike.
-        let ws: Vec<WindowStats> = vec![
+        let ws = [
             window(0, 100, 0),
             window(1, 100, 0),
             window(2, 10, 90), // breach 1
@@ -543,7 +350,7 @@ mod tests {
             window(4, 10, 90), // still breaching: no second alert
             window(5, 100, 0), // recovery re-arms
         ];
-        let alerts = Watchdog::run(&rules, CostModel::balanced(), 1, &ws);
+        let alerts = detect(&rules, &ws, 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].window, 3);
         assert_eq!(alerts[0].rule, "t");
@@ -554,12 +361,12 @@ mod tests {
     #[test]
     fn efficiency_drop_judged_against_pre_change_baseline() {
         let rules = one_rule(RuleOp::DropBelowEwma, MetricSel::Efficiency, 0.15, 1);
-        let ws: Vec<WindowStats> = vec![
+        let ws = [
             window(0, 100, 0), // seeds EWMA at 1.0 (no breach possible)
             window(1, 100, 0),
             window(2, 20, 80), // efficiency craters -> fires
         ];
-        let alerts = Watchdog::run(&rules, CostModel::balanced(), 1, &ws);
+        let alerts = detect(&rules, &ws, 1);
         assert_eq!(alerts.len(), 1);
         assert_eq!(alerts[0].window, 2);
         assert!((alerts[0].baseline - 1.0).abs() < 1e-9);
@@ -568,12 +375,12 @@ mod tests {
     #[test]
     fn empty_windows_do_not_poison_the_ewma() {
         let rules = one_rule(RuleOp::DropBelowEwma, MetricSel::Efficiency, 0.15, 1);
-        let ws: Vec<WindowStats> = vec![
+        let ws = [
             window(0, 100, 0),
-            WindowStats::empty(1), // skipped: no false drop to 0.0
+            record(&WindowStats::empty(1)), // skipped: no false drop to 0.0
             window(2, 100, 0),
         ];
-        let alerts = Watchdog::run(&rules, CostModel::balanced(), 1, &ws);
+        let alerts = detect(&rules, &ws, 1);
         assert!(alerts.is_empty());
     }
 
@@ -583,7 +390,7 @@ mod tests {
         let mut w = window(0, 100, 0);
         w.filled_chunks = 40;
         w.evicted_chunks = 30;
-        let alerts = Watchdog::run(&rules, CostModel::balanced(), 1, &[w]);
+        let alerts = detect(&rules, &[w], 1);
         assert_eq!(alerts.len(), 1);
         assert!((alerts[0].baseline - 50.0).abs() < 1e-9);
         assert!((alerts[0].observed - 70.0).abs() < 1e-9);

@@ -22,8 +22,9 @@
 //!   error bounds, deterministically tie-broken.
 //! * **Health windows** — tumbling windows on the logical trace clock
 //!   ([`window`]) holding per-window counter deltas and mergeable sketch
-//!   snapshots in a bounded ring, with a deterministic rules-file-driven
-//!   watchdog ([`detect`]) evaluating each window as it closes.
+//!   snapshots in a bounded ring, with a deterministic watchdog
+//!   ([`detect()`]) judging the exported windows against a const rule
+//!   table.
 //!
 //! A [`TelemetryBundle`] gathers all of it into a deterministic JSONL
 //! document (see `OBSERVABILITY.md` for the schema), and is the format's
@@ -50,10 +51,7 @@ pub mod window;
 
 pub use bundle::{TelemetryBundle, SCHEMA};
 pub use check::check;
-pub use detect::{
-    default_rules, parse_rules, render_alert_log, render_rules, AlertEvent, Rule, Severity,
-    Watchdog, DEFAULT_RULES_TEXT,
-};
+pub use detect::{detect, render_alert_log, AlertEvent, Rule, Severity, RULES};
 pub use diff::diff;
 pub use event::{DecisionDetail, DecisionEvent, EventRing, Verdict};
 pub use histogram::HistogramSnapshot;

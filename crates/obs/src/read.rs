@@ -243,8 +243,8 @@ pub(crate) mod tests {
 {\"type\":\"metric\",\"name\":\"demo.x\",\"kind\":\"counter\",\"value\":4}\n\
 {\"type\":\"metric\",\"name\":\"demo.h\",\"kind\":\"histogram\",\"value\":3,\"sum\":9,\"buckets\":[1,0,2]}\n\
 {\"type\":\"topk\",\"shard\":0,\"rank\":1,\"video\":7,\"count\":3,\"err\":0}\n\
-{\"type\":\"window\",\"index\":0,\"hit_bytes\":80,\"fill_bytes\":0,\"redirect_bytes\":0,\"served_requests\":1,\"redirected_requests\":0,\"efficiency\":1.0,\"redirect_rate\":0.0,\"filled_chunks\":0,\"evicted_chunks\":0,\"max_stream_requests\":1,\"queue_gap_count\":0,\"queue_gap_sum\":0,\"queue_gap_p99\":0,\"request_chunks_p99\":0}\n\
-{\"type\":\"alert\",\"window\":0,\"rule\":\"demo-rule\",\"severity\":\"warning\",\"baseline\":0.9,\"observed\":null}\n\
+{\"type\":\"window\",\"index\":0,\"hit_bytes\":80,\"fill_bytes\":0,\"redirect_bytes\":0,\"served_requests\":1,\"redirected_requests\":0,\"efficiency\":1.0,\"redirect_rate\":0.0,\"filled_chunks\":0,\"evicted_chunks\":2500,\"max_stream_requests\":1,\"queue_gap_count\":0,\"queue_gap_sum\":0,\"queue_gap_p99\":0,\"request_chunks_p99\":0}\n\
+{\"type\":\"alert\",\"window\":0,\"rule\":\"occupancy-churn\",\"severity\":\"warning\",\"baseline\":2000.0,\"observed\":2500.0}\n\
 {\"type\":\"sample\",\"t_ms\":0,\"hit_bytes\":80,\"fill_bytes\":0,\"redirect_bytes\":0,\"served_requests\":1,\"redirected_requests\":0,\"efficiency\":1.0,\"cum_hit_bytes\":80,\"cum_fill_bytes\":0,\"cum_redirect_bytes\":0,\"cum_efficiency\":1.0,\"occupancy_chunks\":1,\"capacity_chunks\":8,\"cache_age_ms\":null}\n\
 {\"type\":\"event\",\"seq\":7,\"t_ms\":10,\"video\":3,\"chunk\":0,\"chunks\":2,\"policy\":\"demo\",\"verdict\":\"serve\",\"hit_chunks\":1,\"fill_chunks\":1,\"cost_serve\":null,\"cost_redirect\":null,\"cache_age_ms\":5.0,\"evicted\":0}\n\
 {\"type\":\"event\",\"seq\":8,\"t_ms\":11,\"video\":3,\"chunk\":0,\"chunks\":2,\"policy\":\"demo\",\"verdict\":\"redirect\",\"hit_chunks\":0,\"fill_chunks\":0,\"cost_serve\":1.5,\"cost_redirect\":0.5,\"cache_age_ms\":5.0,\"evicted\":0}\n";
@@ -268,7 +268,13 @@ pub(crate) mod tests {
         assert_eq!((b.alerts.len(), b.series.len(), b.events.len()), (1, 1, 2));
         assert_eq!((b.windows_dropped, b.events_dropped), (0, 7));
         assert_eq!(b.metrics[1].histogram.as_ref().unwrap().sum, 9);
-        assert!(b.alerts[0].observed.is_nan(), "null reads as not finite");
+        assert_eq!(b.alerts[0].observed, 2500.0);
+        let nulled = DOC.replacen("\"observed\":2500.0", "\"observed\":null", 1);
+        let nulled = TelemetryBundle::parse_jsonl(&nulled).unwrap();
+        assert!(
+            nulled[0].alerts[0].observed.is_nan(),
+            "null reads as not finite"
+        );
         assert_eq!(b.series[0].cum.hit_bytes, 80);
         assert_eq!(b.series[0].cum.served_requests, 0, "not on the wire");
         // One leaked name, however often it is met.
@@ -389,8 +395,8 @@ pub(crate) mod tests {
                 "field `severity`",
             ),
             (
-                "\"rule\":\"demo-rule\"",
-                "\"rule_name\":\"demo-rule\"",
+                "\"rule\":\"occupancy-churn\"",
+                "\"rule_name\":\"occupancy-churn\"",
                 6,
                 "missing field `rule`",
             ),

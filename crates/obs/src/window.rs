@@ -4,9 +4,9 @@
 //! The sampler ([`crate::ReplaySampler`]) answers "what did the whole run
 //! look like over time"; the *window plane* answers the operator's
 //! question: "is the cache healthy **right now**" — per-window traffic
-//! deltas, Eq. 2 interval efficiency, and log-bucketed sketch snapshots
-//! that a watchdog ([`crate::detect`]) can evaluate the moment a window
-//! closes. Three properties drive the design:
+//! deltas, Eq. 2 interval efficiency, and log-bucketed sketch snapshots,
+//! exported as [`WindowRecord`]s that the watchdog ([`crate::detect()`])
+//! judges. Three properties drive the design:
 //!
 //! * **Logical clock.** Windows tumble on *trace time* (default one hour
 //!   of trace time), never wall-clock, so the whole plane is a pure
@@ -21,8 +21,8 @@
 //! * **Bounded.** A [`WindowRing`] retains only the last `retain` closed
 //!   windows; a month-long replay holds ~720 hourly windows and the ring
 //!   never grows past its bound (evictions are counted in
-//!   [`WindowRing::dropped`]). Detectors run *at close time*, before a
-//!   window can be evicted, so bounded memory never loses an alert.
+//!   [`WindowRing::dropped`]). Detection runs over the exported windows,
+//!   so an evicted window raises no alert.
 //!
 //! This is the crate's only time-bucketing accumulator: the sharded
 //! engine's per-shard rings and the Replayer's telemetry observer each
@@ -151,26 +151,6 @@ impl WindowStats {
             self.traffic.redirect_bytes as f64 / total as f64
         }
     }
-
-    /// Disk churn within the window: chunks written plus chunks evicted —
-    /// the "how hard is the disk working for its hits" signal the
-    /// occupancy-churn watchdog rule thresholds.
-    pub fn churn_chunks(&self) -> u64 {
-        self.filled_chunks + self.evicted_chunks
-    }
-
-    /// Shard-imbalance within the window: `max/mean × 1000` over `streams`
-    /// request streams (1000 = perfectly balanced; meaningful after an
-    /// engine-level merge, and identically 1000 for a single stream).
-    /// Returns 1000 for an empty window.
-    pub fn skew_x1000(&self, streams: u64) -> u64 {
-        let total = self.traffic.total_requests();
-        if total == 0 || streams == 0 {
-            1000
-        } else {
-            (self.max_stream_requests as u128 * 1000 * streams as u128 / total as u128) as u64
-        }
-    }
 }
 
 /// One exported window line of a `vcdn-telemetry/1` bundle: a
@@ -232,6 +212,33 @@ impl WindowRecord {
             queue_gap_sum: w.queue_gap.sum,
             queue_gap_p99: w.queue_gap.quantile_upper_bound(0.99),
             request_chunks_p99: w.request_chunks.quantile_upper_bound(0.99),
+        }
+    }
+
+    /// Requests within the window, served or redirected. Every request
+    /// adds one request-size sample, so a window with none is empty.
+    pub fn requests(&self) -> u128 {
+        u128::from(self.served_requests) + u128::from(self.redirected_requests)
+    }
+
+    /// Disk churn within the window: chunks written plus chunks evicted —
+    /// the "how hard is the disk working for its hits" signal the
+    /// occupancy-churn watchdog rule thresholds.
+    pub fn churn_chunks(&self) -> u64 {
+        self.filled_chunks.saturating_add(self.evicted_chunks)
+    }
+
+    /// Shard-imbalance within the window: `max/mean × 1000` over `streams`
+    /// request streams (1000 = perfectly balanced; meaningful after an
+    /// engine-level merge, and identically 1000 for a single stream).
+    /// Returns 1000 for an empty window.
+    pub fn skew_x1000(&self, streams: u64) -> u64 {
+        let total = self.requests();
+        if total == 0 || streams == 0 {
+            1000
+        } else {
+            let peak = u128::from(self.max_stream_requests) * 1000;
+            (peak.saturating_mul(u128::from(streams)) / total) as u64
         }
     }
 }
@@ -341,8 +348,8 @@ impl WindowInput {
 ///
 /// Feed every decided request through [`WindowRing::record`]; each window
 /// that closes is handed to the `on_close` callback *before* entering the
-/// ring (this is where a [`crate::detect::Watchdog`] evaluates it), so
-/// detection is streaming and unaffected by ring eviction. Call
+/// ring, so a consumer that folds windows as they close (the replay
+/// observer's health windows and series) sees every one. Call
 /// [`WindowRing::finish`] after the run to flush the open window, or
 /// [`WindowRing::snapshot_windows`] for a non-destructive view (closed
 /// windows plus the open one) — what the sharded engine merges at
@@ -711,7 +718,7 @@ mod tests {
         assert_eq!(a.traffic.redirect_bytes, 6);
         assert_eq!(a.traffic.total_requests(), 4);
         assert_eq!(a.max_stream_requests, 3);
-        assert_eq!(a.churn_chunks(), 7);
+        assert_eq!(a.filled_chunks + a.evicted_chunks, 7);
         assert_eq!(a.queue_gap.count, 2);
         assert_eq!(a.queue_gap.sum, 16);
     }
@@ -788,15 +795,16 @@ mod tests {
 
     #[test]
     fn skew_and_rates_have_zero_guards() {
+        let costs = CostModel::balanced();
         let w = WindowStats::empty(0);
-        assert_eq!(w.skew_x1000(4), 1000);
+        assert_eq!(WindowRecord::from_stats(&w, costs).skew_x1000(4), 1000);
         assert_eq!(w.redirect_rate(), 0.0);
-        assert_eq!(w.efficiency(CostModel::balanced()), 0.0);
+        assert_eq!(w.efficiency(costs), 0.0);
         let mut hot = WindowStats::empty(0);
         hot.traffic.served_requests = 4;
         hot.max_stream_requests = 2;
         // max/mean over 4 streams: 2 / (4/4) = 2 → 2000.
-        assert_eq!(hot.skew_x1000(4), 2000);
+        assert_eq!(WindowRecord::from_stats(&hot, costs).skew_x1000(4), 2000);
     }
 
     #[test]

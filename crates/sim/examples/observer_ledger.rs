@@ -11,8 +11,8 @@ use std::time::{Duration, Instant};
 use vcdn_core::{CacheConfig, XlruCache};
 use vcdn_obs::topk::SpaceSaving;
 use vcdn_obs::window::{WindowFold, WindowInput, WindowRing};
-use vcdn_obs::{default_rules, DecisionDetail, DecisionEvent, EventRing, MetricsRegistry};
-use vcdn_obs::{PolicyObs, ReplaySampler, Verdict, Watchdog};
+use vcdn_obs::{detect, DecisionDetail, DecisionEvent, EventRing, MetricsRegistry};
+use vcdn_obs::{PolicyObs, ReplaySampler, Verdict, WindowRecord, RULES};
 use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver, WINDOW_RETAIN};
 use vcdn_sim::{DecisionCtx, ReplayConfig, ReplayObserver, Replayer};
 use vcdn_trace::{ServerProfile, TraceGenerator};
@@ -126,19 +126,20 @@ fn main() {
     });
     // The observer's one ring at its default (hourly samples, hourly
     // health windows): each closed window folded into a health window the
-    // watchdog judges and the last `retain` keep, and into a sample.
+    // last `retain` keep, and into a sample; the kept windows exported and
+    // judged by the watchdog at the end, as `TelemetryBundle::set_windows`
+    // does.
     row("1 ring+watchdog+series", &mut || {
         let state = (
             WindowRing::new(hour, 1),
-            (WindowFold::new(1), Watchdog::new(default_rules(), costs, 1)),
+            WindowFold::new(1),
             VecDeque::new(),
             ReplaySampler::new(hour, hour, costs),
         );
-        timed(state, |(ring, (fold, watchdog), kept, sampler)| {
+        timed(state, |(ring, fold, kept, sampler)| {
             for (r, d) in &steps {
                 ring.record(&input(r, d), &mut |w| {
                     if let Some(wide) = fold.push(w) {
-                        watchdog.on_window(&wide);
                         kept.push_back(wide);
                         if kept.len() > retain {
                             kept.pop_front();
@@ -148,6 +149,10 @@ fn main() {
                 });
                 sampler.stamp(d.occupancy, disk, d.detail.cache_age_ms);
             }
+            let windows: Vec<WindowRecord> = (kept.iter())
+                .map(|w| WindowRecord::from_stats(w, costs))
+                .collect();
+            black_box(detect(&RULES, &windows, 1));
         })
     });
 

@@ -82,8 +82,7 @@ use vcdn_obs::window::{merge_windows, WindowInput, WindowRing, WindowStats};
 
 use vcdn_core::{CacheConfig, CachePolicy};
 use vcdn_obs::{
-    MetricId, MetricKind, MetricsRegistry, MetricsSink, PolicyObs, Rule, Tally, TelemetryBundle,
-    Watchdog,
+    MetricId, MetricKind, MetricsRegistry, MetricsSink, PolicyObs, Tally, TelemetryBundle,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -432,8 +431,8 @@ impl ReplayObserver for ShardObserver {
             }
         }
         self.record_stages(input.evicted_chunks > 0);
-        // Detection runs at export over the merged windows (Watchdog::run
-        // in engine_bundle), so closing needs no callback here.
+        // Detection runs at export over the merged windows (in
+        // engine_bundle), so closing needs no callback here.
         self.window.record(&input, &mut |_| {});
     }
 }
@@ -808,9 +807,9 @@ impl ShardedEngine {
 /// a meta line identifying the engine run plus the registry's
 /// deterministic metric snapshots (per-shard policy scopes and the engine
 /// aggregates), the shards' heavy-hitter tables, the health windows merged
-/// across shards, and the watchdog alerts the `rules` produce over them
-/// (pass [`vcdn_obs::default_rules`] for the stock rule set). A detached
-/// engine exports empty `topk` and `window` sections.
+/// across shards, and the watchdog alerts [`vcdn_obs::RULES`] raise over
+/// them. A detached engine exports empty `topk`, `window` and `alert`
+/// sections.
 ///
 /// Each shard's ring keeps its last [`WINDOW_RETAIN`] windows, so rings
 /// that dropped different numbers of windows start at different indices.
@@ -822,14 +821,9 @@ impl ShardedEngine {
 /// The worker count is deliberately **not** part of the meta line: bundles
 /// are byte-identical across worker counts, extending the repo-wide
 /// telemetry determinism contract to the concurrent engine. Detection
-/// here is batch — the merged engine-level grid only exists at export —
-/// and runs with `streams` = shard count, so the skew metric reads
+/// runs with `streams` = shard count, so the skew metric reads
 /// max-shard/mean-shard load.
-pub fn engine_bundle(
-    engine: &ShardedEngine,
-    registry: &MetricsRegistry,
-    rules: &[Rule],
-) -> TelemetryBundle {
+pub fn engine_bundle(engine: &ShardedEngine, registry: &MetricsRegistry) -> TelemetryBundle {
     let report = engine.report();
     let observers: Vec<(usize, &ShardObserver)> = (engine.shards.iter().enumerate())
         .filter_map(|(i, s)| Some((i, s.obs.as_ref()?)))
@@ -866,9 +860,8 @@ pub fn engine_bundle(
     let from = from.unwrap_or(0);
     sets.iter_mut().for_each(|s| s.retain(|w| w.index >= from));
     let windows = merge_windows(&sets);
-    bundle.set_windows(&windows, report.costs, from);
     let shards = report.shards.len() as u64;
-    bundle.alerts = Watchdog::run(rules, report.costs, shards, &windows);
+    bundle.set_windows(&windows, report.costs, from, shards);
     bundle
 }
 
@@ -906,7 +899,7 @@ mod tests {
         let sink: Arc<dyn MetricsSink> = registry.clone();
         engine.attach_obs(&sink, "e0");
         let report = engine.run(trace, workers);
-        let bundle = engine_bundle(&engine, &registry, &vcdn_obs::default_rules());
+        let bundle = engine_bundle(&engine, &registry);
         (report, bundle)
     }
 
@@ -1107,7 +1100,7 @@ mod tests {
                 .unwrap();
             engine.attach_obs(&sink, "e0");
             engine.run(&t, workers);
-            engine_bundle(&engine, &registry, &vcdn_obs::default_rules()).to_jsonl()
+            engine_bundle(&engine, &registry).to_jsonl()
         };
         let policies: [Build; 4] = [
             |_, c| Box::new(LruCache::new(c)),
@@ -1182,7 +1175,7 @@ mod tests {
         let mut detached = xlru_engine(4, 96);
         let bare = detached.run(&t, 3);
         let registry = MetricsRegistry::new();
-        let bare_bundle = engine_bundle(&detached, &registry, &vcdn_obs::default_rules());
+        let bare_bundle = engine_bundle(&detached, &registry);
         assert!(bare_bundle.windows.is_empty() && bare_bundle.topk.is_empty());
         assert_eq!(bare_bundle.meta_get::<u64>("window_ms"), Some(0));
         // Equality still holds across the instrumentation divide.
@@ -1224,6 +1217,59 @@ mod tests {
         }
         assert_eq!(bundle.windows[0].index, shard1_first);
         assert_eq!(vcdn_obs::check(&bundle), Vec::<String>::new());
+    }
+
+    #[test]
+    fn replay_and_engine_judge_only_the_windows_they_export() {
+        // One request an hour for 900 hours, a fresh video only in hours
+        // 20–22: a 4-chunk LRU fills for those three, an efficiency drop in
+        // windows the 768-window ring has dropped by the end of the run.
+        let k = ChunkSize::DEFAULT;
+        let chunk = ByteRange::new(0, k.bytes() - 1).unwrap();
+        let hour = DurationMs::HOUR.as_millis();
+        let trace = |hours: u64| {
+            let requests: Vec<Request> = (0..hours)
+                .map(|h| {
+                    let video = VideoId(if (20..=22).contains(&h) { h } else { 0 });
+                    Request::new(video, chunk, vcdn_types::Timestamp(h * hour))
+                })
+                .collect();
+            let meta = vcdn_trace::TraceMeta {
+                name: "fresh-videos-at-hour-20".into(),
+                seed: 0,
+                duration: DurationMs::from_hours(hours),
+                description: "one request an hour, fresh videos in hours 20-22".into(),
+            };
+            Trace::new(meta, requests)
+        };
+        let cache = CacheConfig::new(4, k, costs());
+        let replay = |t: &Trace| {
+            let replayer = crate::replay::Replayer::new(crate::ReplayConfig::new(k, costs()));
+            let telemetry = crate::observe::TelemetryConfig::new();
+            let mut lru = LruCache::new(cache);
+            crate::observe::replay_with_telemetry(&replayer, t, &mut lru, &telemetry).1
+        };
+        // Exported whole, the incident raises its alert.
+        let short = replay(&trace(100));
+        let fired: Vec<(&str, u64)> = (short.alerts.iter())
+            .map(|a| (a.rule.as_str(), a.window))
+            .collect();
+        assert_eq!(fired, [("efficiency-drop", 21)]);
+
+        let t = trace(900);
+        let cfg = EngineConfig::new(1, 4, k, costs()).unwrap();
+        let engine = ShardedEngine::try_new(cfg, |_, c| Box::new(LruCache::new(c))).unwrap();
+        let (_, engine) = attached_bundle(engine, &t, 1);
+        let replay = replay(&t);
+        for bundle in [&replay, &engine] {
+            // The engine exports its open window too: 131 or 132 dropped.
+            let dropped = bundle.windows_dropped;
+            assert!(dropped >= 900 - WINDOW_RETAIN as u64 - 1, "{dropped}");
+            assert!(bundle.alerts.iter().all(|a| a.window >= dropped));
+            assert_eq!(vcdn_obs::check(bundle), Vec::<String>::new());
+        }
+        assert_eq!(replay.alerts, engine.alerts);
+        assert_eq!(replay.alerts, []);
     }
 
     #[test]

@@ -30,8 +30,7 @@ use vcdn_core::CachePolicy;
 use vcdn_obs::topk::{SpaceSaving, TopKRecord};
 use vcdn_obs::window::{WindowFold, WindowInput, WindowRing, WindowStats};
 use vcdn_obs::{
-    default_rules, DecisionEvent, EventRing, MetricsRegistry, PolicyObs, ReplaySampler,
-    TelemetryBundle, Verdict, Watchdog,
+    DecisionEvent, EventRing, MetricsRegistry, PolicyObs, ReplaySampler, TelemetryBundle, Verdict,
 };
 use vcdn_trace::Trace;
 use vcdn_types::json::Json;
@@ -42,8 +41,8 @@ use crate::runner::{Cell, CellResult};
 
 /// Closed health windows every recorder retains for export — the
 /// Replayer's health windows and each engine shard's ring — 32 days of
-/// hourly windows. Older windows are counted as dropped; the replay's
-/// watchdog still judges every window at close time.
+/// hourly windows. Older windows are counted as dropped, and the watchdog,
+/// which judges the exported windows only, never sees them.
 pub const WINDOW_RETAIN: usize = 768;
 
 /// Telemetry collection knobs.
@@ -150,8 +149,8 @@ impl Default for TelemetryConfig {
 ///
 /// A request is bucketed into trace time once: the observer holds one
 /// [`WindowRing`], [`TelemetryConfig::ring_width_ms`] wide, and every
-/// window it closes is folded into the health windows (judged by the
-/// watchdog as each closes) and into the sampler's series.
+/// window it closes is folded into the health windows and into the
+/// sampler's series.
 pub struct TelemetryObserver {
     registry: Arc<MetricsRegistry>,
     policy: PolicyObs,
@@ -166,18 +165,15 @@ pub struct TelemetryObserver {
 }
 
 /// The health-window plane: the ring's windows folded to the health
-/// width, each handed to the watchdog as it closes, the last
-/// [`WINDOW_RETAIN`] kept for the bundle.
+/// width, the last [`WINDOW_RETAIN`] kept for the bundle.
 struct Health {
     fold: WindowFold,
-    watchdog: Watchdog,
     closed: VecDeque<WindowStats>,
     dropped: u64,
 }
 
 impl Health {
     fn close(&mut self, w: WindowStats) {
-        self.watchdog.on_window(&w);
         self.closed.push_back(w);
         if self.closed.len() > WINDOW_RETAIN {
             self.closed.pop_front();
@@ -227,8 +223,6 @@ impl TelemetryObserver {
             windows: WindowRing::new(width, 1),
             health: (window > 0).then(|| Health {
                 fold: WindowFold::new(window / width),
-                // The unsharded replayer is one request stream.
-                watchdog: Watchdog::new(default_rules(), cfg.costs, 1),
                 closed: VecDeque::new(),
                 dropped: 0,
             }),
@@ -247,7 +241,8 @@ impl TelemetryObserver {
 
     /// Consumes the observer, assembling the bundle: meta entries, the
     /// registry's deterministic metric snapshots, the health windows and
-    /// watchdog alerts, the time series and the retained events.
+    /// the watchdog alerts over them, the time series and the retained
+    /// events.
     pub fn finish(mut self) -> TelemetryBundle {
         let mut bundle = TelemetryBundle::new();
         bundle.meta = self.meta;
@@ -258,8 +253,8 @@ impl TelemetryObserver {
             if let Some(partial) = h.fold.finish() {
                 h.close(partial);
             }
-            bundle.set_windows(&h.closed, self.costs, h.dropped);
-            bundle.alerts = h.watchdog.into_alerts();
+            // The unsharded replayer is one request stream.
+            bundle.set_windows(&h.closed, self.costs, h.dropped, 1);
         }
         if let Some(sketch) = &self.topk {
             bundle.topk.extend(TopKRecord::ranked(0, &sketch.entries()));

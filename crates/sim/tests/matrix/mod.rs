@@ -38,7 +38,7 @@ use vcdn_core::{
     CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache, PsychicConfig,
     RankedCache, XlruCache,
 };
-use vcdn_obs::{default_rules, MetricsRegistry, MetricsSink, TelemetryBundle};
+use vcdn_obs::{MetricsRegistry, MetricsSink, TelemetryBundle};
 use vcdn_sim::engine::{
     engine_bundle, shard_of_video, shard_requests, EngineConfig, EngineReport, ShardedEngine,
 };
@@ -230,7 +230,7 @@ impl Cell {
         let mut engine = self.engine(SHARDS);
         engine.attach_obs(&sink, "m");
         let report = engine.run(&self.trace, workers);
-        (report, engine_bundle(&engine, &registry, &default_rules()))
+        (report, engine_bundle(&engine, &registry))
     }
 
     fn requested_bytes(&self) -> u64 {
@@ -329,7 +329,7 @@ impl Cell {
             assert_eq!(run.workers, workers.min(shards), "{at}: clamp");
             assert_eq!(run.aggregate_overall(), base.aggregate_overall(), "{at}");
             assert_eq!(run.aggregate_steady(), base.aggregate_steady(), "{at}");
-            let bundle = engine_bundle(&engine, &MetricsRegistry::new(), &default_rules());
+            let bundle = engine_bundle(&engine, &MetricsRegistry::new());
             assert!(bundle.topk.is_empty() && bundle.windows.is_empty(), "{at}");
             for key in ["topk_k", "window_ms"] {
                 assert_eq!(bundle.meta_get::<u64>(key), Some(0), "{at}: {key}");

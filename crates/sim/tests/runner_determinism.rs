@@ -162,11 +162,7 @@ fn engine_bundle_identical_at_1_2_4_8_workers() {
         .expect("engine builds");
         engine.attach_obs(&sink, "det");
         engine.run(&trace, workers);
-        [engine_bundle(
-            &engine,
-            &registry,
-            &vcdn_obs::default_rules(),
-        )]
+        [engine_bundle(&engine, &registry)]
     };
     let baseline = bundle_at(1);
     let golden = include_str!("../../bench/goldens/engine_bundle_xlru_4shards.jsonl");

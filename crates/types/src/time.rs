@@ -38,18 +38,40 @@ impl DurationMs {
     pub const DAY: DurationMs = DurationMs(86_400_000);
 
     /// Creates a duration from whole seconds.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `secs` seconds overflow a `u64` of milliseconds.
     pub const fn from_secs(secs: u64) -> Self {
-        DurationMs(secs * 1_000)
+        match secs.checked_mul(Self::SECOND.0) {
+            Some(ms) => DurationMs(ms),
+            None => panic!("DurationMs::from_secs: milliseconds overflow u64"),
+        }
     }
 
     /// Creates a duration from whole hours.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `hours` hours overflow a `u64` of milliseconds.
     pub const fn from_hours(hours: u64) -> Self {
-        DurationMs(hours * 3_600_000)
+        match hours.checked_mul(Self::HOUR.0) {
+            Some(ms) => DurationMs(ms),
+            None => panic!("DurationMs::from_hours: milliseconds overflow u64"),
+        }
     }
 
     /// Creates a duration from whole days.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `days` days overflow a `u64` of milliseconds
+    /// (`days > u64::MAX / 86_400_000`, about 213 billion).
     pub const fn from_days(days: u64) -> Self {
-        DurationMs(days * 86_400_000)
+        match days.checked_mul(Self::DAY.0) {
+            Some(ms) => DurationMs(ms),
+            None => panic!("DurationMs::from_days: milliseconds overflow u64"),
+        }
     }
 
     /// The raw millisecond count.
@@ -180,6 +202,18 @@ mod tests {
         assert_eq!(DurationMs::from_secs(60), DurationMs::MINUTE);
         assert_eq!(DurationMs::from_hours(24), DurationMs::DAY);
         assert_eq!(DurationMs::from_days(1), DurationMs::from_hours(24));
+        let last_day = u64::MAX / DurationMs::DAY.as_millis();
+        assert_eq!(
+            DurationMs::from_days(last_day).as_millis(),
+            last_day * DurationMs::DAY.as_millis()
+        );
+    }
+
+    #[test]
+    #[should_panic(expected = "DurationMs::from_days: milliseconds overflow u64")]
+    fn a_day_count_past_u64_milliseconds_panics() {
+        // 213_503_982_336 days wrapped to 1.40 days before the check.
+        DurationMs::from_days(213_503_982_336);
     }
 
     #[test]

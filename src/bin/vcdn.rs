@@ -153,10 +153,11 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         return Err("--scale must be finite and > 0".into());
     }
     let days: u64 = args.parse_flag("days", 2)?;
+    let duration = (days.checked_mul(DurationMs::DAY.as_millis()))
+        .ok_or_else(|| format!("--days {days}: too many days"))?;
     let seed: u64 = args.parse_flag("seed", 42)?;
     let out = PathBuf::from(args.required("out")?);
-    let trace =
-        TraceGenerator::new(profile.scaled(scale), seed).generate(DurationMs::from_days(days));
+    let trace = TraceGenerator::new(profile.scaled(scale), seed).generate(DurationMs(duration));
     if is_binary(&out) {
         save_binary(&trace, &out).map_err(|e| e.to_string())?;
     } else {

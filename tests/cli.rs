@@ -209,6 +209,11 @@ fn unknown_repeated_and_conflicting_flags_are_refused() {
             "unknown flag --alpha",
         ),
         (format!("gen --out {p} --trace {p}"), "unknown flag --trace"),
+        // Days whose milliseconds overflow a u64 once wrapped to 1.40 days.
+        (
+            format!("gen --days 213503982336 --out {p}"),
+            "--days 213503982336: too many days",
+        ),
         (
             format!("bound --trace {p} --disk-gb 1"),
             "unknown flag --disk-gb",

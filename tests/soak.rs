@@ -42,10 +42,7 @@ fn concurrent_engine_stress_repeats_bit_identical_telemetry() {
         .expect("engine builds");
         engine.attach_obs(&sink, "stress");
         let report = engine.run(&trace, 8);
-        (
-            engine_bundle(&engine, &registry, &vcdn::obs::default_rules()).to_jsonl(),
-            report,
-        )
+        (engine_bundle(&engine, &registry).to_jsonl(), report)
     };
 
     let (first_jsonl, first_report) = run_once();
