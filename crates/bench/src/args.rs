@@ -104,9 +104,19 @@ impl Args {
     }
 
     /// `--days <n>`: experiment duration (default 30 — the paper's "one
-    /// month period"); a count whose milliseconds overflow is refused.
+    /// month period"). See [`Self::days_or`].
     pub fn days(&self) -> u64 {
-        let days: u64 = self.get("days").unwrap_or(30);
+        self.days_or(30)
+    }
+
+    /// `--days <n>`, `default` when absent. Zero days is refused — an
+    /// empty trace would print a table of 0.000 efficiencies — and so is
+    /// a count whose milliseconds overflow.
+    pub fn days_or(&self, default: u64) -> u64 {
+        let days: u64 = self.get("days").unwrap_or(default);
+        if days == 0 {
+            self.fail("--days must be at least 1, got 0");
+        }
         if days.checked_mul(DurationMs::DAY.as_millis()).is_none() {
             self.fail(&format!("--days {days}: too many days"));
         }

@@ -1,4 +1,4 @@
-//! The experiments: one function per figure, ablation and extension.
+//! The experiments: one function per figure and ablation.
 //!
 //! [`FIGURES`] is the whole index. A name is the stem of the tracked file
 //! under `results/`, so `figures <name> > results/<name>.txt` regenerates
@@ -9,15 +9,13 @@
 use crate::Args;
 
 mod ablations;
-mod extensions;
 mod paper;
 
 /// One experiment: reads its flags, prints its table.
 pub type Figure = fn(&Args);
 
 /// Every experiment, by name: the paper's figures, the ablations (A1–A10
-/// by name), the extensions, the related-work study and the calibration
-/// smoke run.
+/// by name), the related-work study and the calibration smoke run.
 pub const FIGURES: &[(&str, Figure)] = &[
     ("fig2_optimal_vs_psychic", paper::fig2_optimal_vs_psychic),
     ("fig3_timeseries", paper::fig3_timeseries),
@@ -38,11 +36,6 @@ pub const FIGURES: &[(&str, Figure)] = &[
     ("ablation_seeds", ablations::ablation_seeds),
     ("ablation_unseen_iat", ablations::ablation_unseen_iat),
     ("ablation_window", ablations::ablation_window),
-    ("ext_alpha_control", extensions::ext_alpha_control),
-    ("ext_colocated_shards", extensions::ext_colocated_shards),
-    ("ext_fleet", extensions::ext_fleet),
-    ("ext_hierarchy", extensions::ext_hierarchy),
-    ("ext_proactive", extensions::ext_proactive),
     ("related_work_baselines", ablations::related_work_baselines),
     ("smoke", paper::smoke),
 ];

@@ -488,7 +488,7 @@ pub fn fig7_world_servers(args: &Args) {
 /// Usage: `figures smoke [--scale f] [--days n]`
 pub fn smoke(args: &Args) {
     let scale = args.scale();
-    let days: u64 = args.get("days").unwrap_or(10);
+    let days = args.days_or(10);
     args.finish();
     let (trace, disk, k) = reference_setup("smoke", scale, days);
     let stats = trace_stats(&trace, k);

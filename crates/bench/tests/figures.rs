@@ -53,8 +53,11 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         vec!["fig4_alpha_sweep", "--scale"],
         vec!["fig4_alpha_sweep", "--alpha", "4"],
         vec!["fig6_disk_sweep", "--alpha", "2", "stray"],
-        // Days whose milliseconds overflow a u64.
+        // Days whose milliseconds overflow a u64, and zero days, which
+        // once printed a table of 0.000 efficiencies.
         vec!["fig4_alpha_sweep", "--days", "213503982336"],
+        vec!["fig4_alpha_sweep", "--days", "0"],
+        vec!["smoke", "--days", "0"],
     ];
     // Every figure closes its flag set before it starts working.
     cases.extend(FIGURES.iter().map(|(n, _)| vec![*n, "--no-such-flag"]));

@@ -47,6 +47,7 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         ],
         vec!["record", "--window-mins", "307445734561825861"],
         vec!["record", "--days", "213503982336"],
+        vec!["record", "--days", "0"],
     ];
     // Every command closes its flag set before it starts working.
     for command in ["record", "check", "report", "diff", "watch"] {

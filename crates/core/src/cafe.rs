@@ -26,7 +26,7 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, RankMap, NO_HANDLE},
+    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NO_HANDLE},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -124,11 +124,6 @@ pub struct CafeCache {
     /// Handles are stable while a chunk stays cached: a sweep never drops
     /// a cached chunk's record.
     disk: RankIndex<ChunkId>,
-    /// Tracked-but-uncached chunks ranked hottest-first (smallest
-    /// [`PopTable::hot_rank`]); built by the first
-    /// [`Self::prefetch_candidates`] call and maintained incrementally
-    /// from then on — plain replay pays nothing for it.
-    hot: Option<RankMap<ChunkId>>,
     handled: u64,
     replay_start: Option<Timestamp>,
     last_detail: DecisionDetail,
@@ -147,7 +142,6 @@ impl CafeCache {
             config,
             pop: PopTable::new(),
             disk: RankIndex::new(),
-            hot: None,
             handled: 0,
             replay_start: None,
             last_detail: DecisionDetail::default(),
@@ -196,15 +190,9 @@ impl CafeCache {
 
     fn remove_chunk(&mut self, id: ChunkId) {
         // The disk slot is freed for reuse: drop the back-reference.
-        let (h, slot) = self.pop.clear_cached(id);
+        let slot = self.pop.clear_cached(id);
         debug_assert_eq!(self.disk.get(slot).map(|e| e.0), Some(id));
         self.disk.remove_slot(slot);
-        if let Some(hot) = &mut self.hot {
-            // Still tracked, with a known interval: a candidate.
-            if let Some(rank) = self.pop.hot_rank(h, self.config.gamma) {
-                hot.insert(id, rank, h);
-            }
-        }
     }
 
     /// Admits `id`, not cached, at virtual key `key`; `video` is its
@@ -213,9 +201,6 @@ impl CafeCache {
     fn insert_chunk(&mut self, video: u32, id: ChunkId, key: f64, h: u32) {
         let slot = self.disk.insert_new(id, key, h);
         self.pop.set_cached(video, id.index, slot);
-        if let Some(hot) = &mut self.hot {
-            hot.remove(&id);
-        }
     }
 
     /// Drops popularity state for chunks and videos not seen within twice
@@ -228,25 +213,7 @@ impl CafeCache {
             return;
         }
         let cutoff = Timestamp(now.as_millis().saturating_sub((2.0 * age) as u64));
-        if self.pop.sweep(cutoff) && self.hot.is_some() {
-            // Rebuild rather than diff the retained set; sweeps are rare.
-            self.hot = Some(self.build_hot());
-        }
-    }
-
-    /// Builds the hot uncached-chunk mirror from scratch; once stored in
-    /// `self.hot` the decide path keeps it current.
-    fn build_hot(&self) -> RankMap<ChunkId> {
-        let gamma = self.config.gamma;
-        let mut hot = RankMap::new();
-        for (id, h) in self.pop.iter() {
-            if !self.contains_chunk(id) {
-                if let Some(rank) = self.pop.hot_rank(h, gamma) {
-                    hot.insert(id, rank, h);
-                }
-            }
-        }
-        hot
+        self.pop.sweep(cutoff);
     }
 
     /// Number of chunk popularity records currently held (for tests).
@@ -338,83 +305,9 @@ impl CafeCache {
         cache
     }
 
-    /// Replaces the fill/redirect cost model in place.
-    ///
-    /// Supports the paper's §10 "dynamic adjustment of α_F2R ... in a
-    /// small range through a control loop"; see
-    /// [`crate::control::ControlledCafeCache`]. Cached contents and
-    /// popularity state are untouched — only future admission decisions
-    /// change.
-    pub fn set_costs(&mut self, costs: CostModel) {
-        self.config.cache.costs = costs;
-    }
-
     /// The current configuration.
     pub fn config(&self) -> &CafeConfig {
         &self.config
-    }
-
-    /// The hottest tracked-but-uncached chunks: prefetch candidates for
-    /// the §10 "proactive caching" extension, ordered by ascending
-    /// inter-arrival time (hottest first). Reads the bucketed mirror of
-    /// uncached chunks: the first call builds it from the popularity
-    /// table, every later call is amortized O(n) in the candidate count
-    /// plus a one-off O(S log S) sort of each not-yet-sorted bucket the
-    /// read enters (`&mut self` pays for the build and that lazy sorting).
-    pub fn prefetch_candidates(&mut self, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
-        let mut hot = self.hot.take().unwrap_or_else(|| self.build_hot());
-        let gamma = self.config.gamma;
-        let mut out = Vec::new();
-        // Mirror entries always have a known IAT (they are inserted on
-        // the second arrival); a missing one would be a tracker bug, and
-        // skipping it degrades gracefully instead of tearing down a run.
-        hot.for_smallest_excluding(
-            n,
-            |_| false,
-            |id, _, h| {
-                if let Some(iat) = self.pop.iat_at(h, now, gamma) {
-                    out.push((id, iat));
-                }
-            },
-        );
-        self.hot = Some(hot);
-        out
-    }
-
-    /// Proactively fills `chunk` (already known to the popularity
-    /// tracker), evicting the least popular cached chunk if the disk is
-    /// full. Returns the evicted chunk, or `None` if there was free
-    /// space; returns `Err(())` (no-op) if the chunk is already cached,
-    /// unknown to the tracker, or not more popular than the eviction
-    /// victim — prefetch must never make the cache worse.
-    #[allow(clippy::result_unit_err)]
-    pub fn prefetch(&mut self, chunk: ChunkId, now: Timestamp) -> Result<Option<ChunkId>, ()> {
-        if self.contains_chunk(chunk) {
-            return Err(());
-        }
-        let gamma = self.config.gamma;
-        let Some(h) = self.pop.handle_of(&chunk) else {
-            return Err(());
-        };
-        let Some(iat) = self.pop.iat_at(h, now, gamma) else {
-            return Err(());
-        };
-        let key = now.as_millis() as f64 - iat;
-        let evicted = if (self.disk.len() as u64) < self.config.cache.disk_chunks {
-            None
-        } else {
-            match self.disk.smallest() {
-                // Only displace strictly less popular content.
-                Some((victim, victim_key)) if victim_key < key => {
-                    self.remove_chunk(victim);
-                    Some(victim)
-                }
-                _ => return Err(()),
-            }
-        };
-        let video = self.pop.slot(chunk.video);
-        self.insert_chunk(video, chunk, key, h);
-        Ok(evicted)
     }
 }
 
@@ -453,7 +346,7 @@ impl CachePolicy for CafeCache {
         let mut candidates = std::mem::take(&mut self.scratch_candidates);
         candidates.clear();
         let mut hits = 0usize;
-        let (disk, hot) = (&mut self.disk, &mut self.hot);
+        let disk = &mut self.disk;
         let touched = self
             .pop
             .touch_run(request.video, range, now, gamma, |c, h, slot, dt| {
@@ -467,13 +360,7 @@ impl CachePolicy for CafeCache {
                     disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), h);
                     hits += 1;
                 } else {
-                    let id = ChunkId::new(request.video, c);
-                    if let Some(hot) = hot {
-                        if let Some(rank) = PopTable::hot_rank_of(dt, now, gamma) {
-                            hot.insert(id, rank, h);
-                        }
-                    }
-                    missing.push((id, h, dt));
+                    missing.push((ChunkId::new(request.video, c), h, dt));
                 }
             });
         // The video's directory slot: the fills and the §6 estimate below
@@ -1011,46 +898,5 @@ mod tests {
              {lowered} / {evictions} / {}",
             c.disk.relocations()
         );
-    }
-
-    /// Oracle for the mirror: scan the whole popularity table for
-    /// uncached chunks and sort by (IAT, id).
-    fn scan_candidates(c: &CafeCache, n: usize, now: Timestamp) -> Vec<(ChunkId, f64)> {
-        let mut hot: Vec<(ChunkId, f64)> = c
-            .pop
-            .iter()
-            .filter(|(id, _)| !c.contains_chunk(*id))
-            .filter_map(|(id, h)| c.pop.iat_at(h, now, c.config.gamma).map(|iat| (id, iat)))
-            .collect();
-        hot.sort_unstable_by(|a, b| a.1.total_cmp(&b.1).then(a.0.cmp(&b.0)));
-        hot.truncate(n);
-        hot
-    }
-
-    #[test]
-    fn hot_mirror_agrees_with_scan_path() {
-        // The mirror is switched on before the first request, so every
-        // read below sees incrementally maintained state. Inter-arrival
-        // gaps are seconds apart and distinct per video, so no rank ties
-        // and no 1 ms IAT-floor clamps — the mirror read must agree
-        // exactly with a scan-and-sort of the popularity table.
-        let mut mirror = cache(4, 2.0);
-        assert!(mirror.prefetch_candidates(0, Timestamp(0)).is_empty());
-        let mut t = 0u64;
-        for round in 1..6u64 {
-            for v in 0..12u64 {
-                // Distinct, video-dependent gaps: hotter for low IDs.
-                t += 1_000 + 137 * v + 11 * round;
-                mirror.handle_request(&req(v, 0, 199, t));
-            }
-            let now = Timestamp(t + 500);
-            let a = scan_candidates(&mirror, 6, now);
-            let b = mirror.prefetch_candidates(6, now);
-            assert_eq!(a.len(), b.len());
-            for ((ida, iata), (idb, iatb)) in a.iter().zip(&b) {
-                assert_eq!(ida, idb, "round {round}: candidate order diverged");
-                assert!((iata - iatb).abs() < 1e-6, "round {round}: IAT diverged");
-            }
-        }
     }
 }

@@ -20,7 +20,6 @@
 //!   hot path runs on, addressed by slab slot with no hash map: a re-key
 //!   is a field store, the bucket move and the sort wait for the ordered
 //!   read that gets there; bit-identical ordering to [`KeyedSet`].
-//!   [`RankMap`] is the same index behind an item → slot map.
 //! * [`PopTable`] — Cafe's popularity state on a [`VideoDir`]: runs that
 //!   also hold each cached chunk's [`RankIndex`] slot, EWMA state in
 //!   struct-of-arrays slabs addressed by compact handles, and sweeps that
@@ -41,7 +40,7 @@ pub use chunk_lru::ChunkLru;
 pub use keyed_set::{KeyedSet, OrdF64};
 pub use lru_list::{IndexedLruList, LruList};
 pub use pop_table::{PopTable, NO_HANDLE};
-pub use rank_index::{RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
+pub use rank_index::{RankIndex, BUCKET_WIDTH_MS, NO_AUX};
 pub use video_dir::{assert_chunk_index, Absent, VideoDir, MAX_CHUNK_INDEX};
 
 /// Stores `value` in a free-listed slot of `slab` (the last one freed), or

@@ -21,8 +21,8 @@
 //! entry is released once it holds none of the three.
 //!
 //! Handles are **stable** (slots are free-listed, never compacted): the
-//! disk/hot rank indexes cache the handle as their `aux` payload for the
-//! lifetime of an entry. Handle *values* are an allocation artifact
+//! disk rank index caches the handle as its `aux` payload for the lifetime
+//! of an entry. Handle *values* are an allocation artifact
 //! (free-list reuse order) and must never influence ordering or output —
 //! every ordered export sorts by `(key, ChunkId)` or by `ChunkId`.
 
@@ -158,7 +158,7 @@ impl PopTable {
     }
 
     /// The directory slot of `video`, taken for an empty entry if it has
-    /// none — for callers with no request in hand (a prefetch, a restore).
+    /// none — for callers with no request in hand (a snapshot restore).
     pub fn slot(&mut self, video: VideoId) -> u32 {
         self.dir.insert(video)
     }
@@ -169,11 +169,11 @@ impl PopTable {
     /// chunk's handle, its caller-owned back-reference ([`NO_HANDLE`]
     /// when not cached) and the post-update EWMA (negative while no
     /// interval has been observed — feed it to [`Self::iat_fresh`] /
-    /// [`Self::key_fresh`] / [`Self::hot_rank_of`] to avoid re-reading the
-    /// slabs). Eq. 8: a first sighting stores the timestamp with no
-    /// interval; later accesses update `dt ← γ·gap + (1 − γ)·dt` (the
-    /// first observed interval seeds the average) — bit-for-bit the
-    /// arithmetic of the old per-entry `IatState::update`.
+    /// [`Self::key_fresh`] to avoid re-reading the slabs). Eq. 8: a first
+    /// sighting stores the timestamp with no interval; later accesses
+    /// update `dt ← γ·gap + (1 − γ)·dt` (the first observed interval
+    /// seeds the average) — bit-for-bit the arithmetic of the old
+    /// per-entry `IatState::update`.
     ///
     /// Returns the video's directory slot — valid for the rest of the
     /// request, since a video seen at `now` is not released before the
@@ -256,19 +256,18 @@ impl PopTable {
         slot.map_or(NO_HANDLE, |slot| self.dir[slot].rec(id.index).backref)
     }
 
-    /// Marks `id` uncached and returns its handle ([`NO_HANDLE`] when it
-    /// has no popularity record) and the back-reference it held
+    /// Marks `id` uncached and returns the back-reference it held
     /// ([`NO_HANDLE`] when it was not cached). What this exposes to the
     /// next sweep — the chunk's record, and the video once its last cached
     /// chunk goes — lowers the sweep floor.
-    pub fn clear_cached(&mut self, id: ChunkId) -> (u32, u32) {
+    pub fn clear_cached(&mut self, id: ChunkId) -> u32 {
         let Some(slot) = self.dir.slot(id.video) else {
-            return (NO_HANDLE, NO_HANDLE);
+            return NO_HANDLE;
         };
         let v = &mut self.dir[slot];
         let rec = v.rec(id.index);
         if rec.backref == NO_HANDLE {
-            return (rec.h, NO_HANDLE);
+            return NO_HANDLE;
         }
         v.rec_mut(id.index).backref = NO_HANDLE;
         v.live -= 1;
@@ -280,7 +279,7 @@ impl PopTable {
         } else if is_dead(v) {
             self.dir.release(slot);
         }
-        (rec.h, rec.backref)
+        rec.backref
     }
 
     /// The largest Eq. 8 IAT at `now` among the cached chunks of the video
@@ -313,28 +312,6 @@ impl PopTable {
             (gamma * (now - self.slabs.t_last[i]).as_millis() as f64 + (1.0 - gamma) * d)
                 .max(MIN_IAT_MS),
         )
-    }
-
-    /// Rank key for the uncached-chunk mirror: by the Theorem 1 algebra
-    /// `((1 − γ)/γ)·dt_x − t_x` is a per-chunk constant whose ascending
-    /// order equals ascending-IAT order at any common evaluation time.
-    /// `None` until an interval is known, and for [`NO_HANDLE`].
-    pub fn hot_rank(&self, h: u32, gamma: f64) -> Option<f64> {
-        if h == NO_HANDLE {
-            return None;
-        }
-        let i = h as usize;
-        PopTable::hot_rank_of(self.slabs.dt[i], self.slabs.t_last[i], gamma)
-    }
-
-    /// [`Self::hot_rank`] from a record's raw `(dt, t_last)` — with
-    /// `t_last = now` for the `dt` that [`Self::touch_run`] just handed
-    /// out.
-    pub fn hot_rank_of(dt: f64, t_last: Timestamp, gamma: f64) -> Option<f64> {
-        if dt < 0.0 {
-            return None;
-        }
-        Some((1.0 - gamma) / gamma * dt - t_last.as_millis() as f64)
     }
 
     /// The raw `(dt, t_last)` pair of handle `h` (snapshot export).
@@ -383,7 +360,7 @@ impl PopTable {
     /// Drops every uncached record last touched before `cutoff` and the
     /// video-level record of every video without a cached chunk last seen
     /// before it, free-listing the dropped slots (survivors keep their
-    /// handles). Returns whether the slabs were actually walked.
+    /// handles). [`Self::sweeps`] counts the calls that walk the slabs.
     ///
     /// The walk is skipped when `cutoff <= stale_floor`, and skipping is
     /// exact: the floor is a lower bound on the stamp of every record and
@@ -397,9 +374,9 @@ impl PopTable {
     /// The walk is sequential over the `t_last` slab (free slots carry a
     /// stamp above any cutoff); a stale record is reached through its
     /// owner's slot, with no probe.
-    pub fn sweep(&mut self, cutoff: Timestamp) -> bool {
+    pub fn sweep(&mut self, cutoff: Timestamp) {
         if cutoff <= self.stale_floor {
-            return false;
+            return;
         }
         let PopTable { dir, slabs, .. } = self;
         for (i, t) in slabs.t_last.iter_mut().enumerate() {
@@ -423,7 +400,6 @@ impl PopTable {
         });
         self.stale_floor = cutoff;
         self.sweeps += 1;
-        true
     }
 
     /// How many [`Self::sweep`] calls walked the slabs (for tests).
@@ -462,6 +438,13 @@ mod tests {
 
     fn id(v: u64, c: u32) -> ChunkId {
         ChunkId::new(VideoId(v), c)
+    }
+
+    /// [`PopTable::sweep`] at `cutoff`; whether it walked the slabs.
+    fn walked(p: &mut PopTable, cutoff: Timestamp) -> bool {
+        let before = p.sweeps();
+        p.sweep(cutoff);
+        p.sweeps() > before
     }
 
     /// One-chunk [`PopTable::touch_run`]: `(handle, backref, dt)`.
@@ -516,20 +499,6 @@ mod tests {
     }
 
     #[test]
-    fn hot_rank_matches_formula() {
-        let mut p = PopTable::new();
-        let (h, _, _) = touch(&mut p, id(3, 0), 100, 0.25);
-        assert_eq!(p.hot_rank(h, 0.25), None);
-        let (_, _, dt) = touch(&mut p, id(3, 0), 300, 0.25); // dt = 200
-        let want = (1.0 - 0.25) / 0.25 * 200.0 - 300.0;
-        assert!((p.hot_rank(h, 0.25).unwrap() - want).abs() < 1e-9);
-        assert_eq!(
-            PopTable::hot_rank_of(dt, Timestamp(300), 0.25),
-            p.hot_rank(h, 0.25)
-        );
-    }
-
-    #[test]
     fn touch_run_visits_the_interval_in_order() {
         let mut p = PopTable::new();
         let mut seen = Vec::new();
@@ -580,14 +549,14 @@ mod tests {
         let want = p.iat_at(h, Timestamp(300), 0.25);
         assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), want);
         assert_eq!(p.backref_of(&id(4, 2)), 0);
-        assert_eq!(p.clear_cached(id(4, 2)), (h, 0));
+        assert_eq!(p.clear_cached(id(4, 2)), 0);
         assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), None);
-        assert_eq!(p.clear_cached(id(4, 2)), (h, NO_HANDLE), "idempotent");
+        assert_eq!(p.clear_cached(id(4, 2)), NO_HANDLE, "idempotent");
         assert_eq!(p.backref_of(&id(4, 2)), NO_HANDLE);
         // A video that is neither seen, cached nor tracked leaves no entry.
         cache(&mut p, id(5, 0), 1);
-        assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, 1));
-        assert_eq!(p.clear_cached(id(5, 0)), (NO_HANDLE, NO_HANDLE));
+        assert_eq!(p.clear_cached(id(5, 0)), 1);
+        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
         assert_eq!(p.backref_of(&id(5, 0)), NO_HANDLE, "no such video");
         assert_eq!(p.videos_seen().count(), 1);
     }
@@ -598,7 +567,7 @@ mod tests {
         let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
         let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
         touch(&mut p, id(3, 0), 30, 0.25);
-        assert!(p.sweep(Timestamp(25)));
+        assert!(walked(&mut p, Timestamp(25)));
         assert_eq!(p.len(), 1);
         assert_eq!(p.handle_of(&id(1, 0)), None);
         assert_eq!(p.handle_of(&id(2, 0)), None);
@@ -622,10 +591,10 @@ mod tests {
         let mut p = PopTable::new();
         let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
         let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
-        assert!(p.sweep(Timestamp(15))); // drops slot `ha`
-        assert!(p.sweep(Timestamp(16))); // must not revisit the freed slot
+        assert!(walked(&mut p, Timestamp(15))); // drops slot `ha`
+        assert!(walked(&mut p, Timestamp(16))); // must not revisit the freed slot
         assert_eq!(p.len(), 1);
-        assert!(p.sweep(Timestamp(1_000))); // drops slot `hb`, skips the free one
+        assert!(walked(&mut p, Timestamp(1_000))); // drops slot `hb`, skips the free one
         assert_eq!(p.len(), 0);
         assert_eq!(p.iter().count(), 0);
         // Both slots come back exactly once each.
@@ -640,23 +609,26 @@ mod tests {
     #[test]
     fn sweep_runs_only_above_the_floor() {
         let mut p = PopTable::new();
-        assert!(!p.sweep(Timestamp(5)), "empty table: nothing can expire");
+        assert!(
+            !walked(&mut p, Timestamp(5)),
+            "empty table: nothing can expire"
+        );
         touch(&mut p, id(1, 0), 10, 0.25);
         touch(&mut p, id(2, 0), 20, 0.25);
         cache(&mut p, id(2, 0), 0);
         touch(&mut p, id(3, 0), 30, 0.25);
         // Nothing is older than the first request.
-        assert!(!p.sweep(Timestamp(10)));
-        assert!(p.sweep(Timestamp(25)));
+        assert!(!walked(&mut p, Timestamp(10)));
+        assert!(walked(&mut p, Timestamp(25)));
         assert_eq!(p.len(), 2, "v1 dropped, cached v2 kept");
         // The walk left nothing below 25 — except the cached record.
-        assert!(!p.sweep(Timestamp(25)));
-        assert!(!p.sweep(Timestamp(22)));
+        assert!(!walked(&mut p, Timestamp(25)));
+        assert!(!walked(&mut p, Timestamp(22)));
         assert_eq!(p.sweeps(), 1);
         // Evicting the cold cached chunk exposes its stamp (20).
         p.clear_cached(id(2, 0));
-        assert!(!p.sweep(Timestamp(20)));
-        assert!(p.sweep(Timestamp(21)));
+        assert!(!walked(&mut p, Timestamp(20)));
+        assert!(walked(&mut p, Timestamp(21)));
         assert_eq!(p.len(), 1);
         assert_eq!(
             p.videos_seen().collect::<Vec<_>>(),
@@ -664,11 +636,11 @@ mod tests {
         );
         // A restored stamp can be anything: the floor returns to the epoch.
         p.insert_raw(id(8, 0), None, Timestamp(3));
-        assert!(p.sweep(Timestamp(4)));
+        assert!(walked(&mut p, Timestamp(4)));
         assert_eq!(p.handle_of(&id(8, 0)), None);
         // Time running backwards lowers the floor with it.
         touch(&mut p, id(9, 0), 2, 0.25);
-        assert!(p.sweep(Timestamp(3)));
+        assert!(walked(&mut p, Timestamp(3)));
         assert_eq!(p.handle_of(&id(9, 0)), None);
         assert_eq!(p.sweeps(), 4);
     }
@@ -679,7 +651,7 @@ mod tests {
         touch(&mut p, id(1, 0), 10, 0.25);
         touch(&mut p, id(1, 1), 10, 0.25);
         cache(&mut p, id(1, 0), 0);
-        assert!(p.sweep(Timestamp(50)));
+        assert!(walked(&mut p, Timestamp(50)));
         // The uncached sibling goes; the video stays known, seen at 10.
         assert_eq!(p.len(), 1);
         assert_eq!(
@@ -688,7 +660,7 @@ mod tests {
         );
         // Its last cached chunk goes: the video itself can now expire.
         p.clear_cached(id(1, 0));
-        assert!(p.sweep(Timestamp(50)));
+        assert!(walked(&mut p, Timestamp(50)));
         assert_eq!((p.len(), p.videos_seen().count()), (0, 0));
     }
 

@@ -19,9 +19,9 @@
 //!   sorted. Buckets no read reaches are never sorted.
 //!
 //! Entries are **slot-addressed**: [`RankIndex::insert_new`] returns a slab
-//! slot, stable until [`RankIndex::remove_slot`], and there is no hash map
-//! (Cafe keeps the slot in its chunk directory); [`RankMap`] puts one in
-//! front of the same buckets for callers that address by item.
+//! slot, stable until [`RankIndex::remove_slot`], and there is no hash map:
+//! the caller keeps each item's slot (Cafe keeps it in its chunk
+//! directory).
 //!
 //! Determinism contract: every ordered read yields *exactly* the ascending
 //! `(key, item)` order a `BTreeSet<(OrdF64, T)>` would, ties included.
@@ -36,9 +36,6 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
-use std::hash::Hash;
-
-use vcdn_types::FastMap;
 
 /// Fixed bucket width on the key line, in key units (milliseconds for
 /// Cafe's virtual timestamps): 2^16 ms ≈ 65.5 s. See `DESIGN.md` §8 for
@@ -461,93 +458,66 @@ impl<T: Ord + Copy> RankIndex<T> {
     }
 }
 
-/// [`RankIndex`] addressed by item: one `FastMap<T, u32>` of slots in
-/// front of the same buckets, for callers with no directory of their own
-/// to keep slots in (Cafe's `hot` prefetch mirror) and for the
-/// [`KeyedSet`](crate::ds::KeyedSet) oracle tests; `insert` is an upsert.
-/// Reads that settle nothing ([`RankIndex::smallest`], [`RankIndex::len`],
-/// [`RankIndex::entries_ascending`], …) come through `Deref`.
-#[derive(Debug, Clone)]
-pub struct RankMap<T: Eq + Hash + Ord + Copy> {
-    slots: FastMap<T, u32>,
-    index: RankIndex<T>,
-}
-
-impl<T: Eq + Hash + Ord + Copy> Default for RankMap<T> {
-    fn default() -> Self {
-        RankMap {
-            slots: FastMap::default(),
-            index: RankIndex::new(),
-        }
-    }
-}
-
-impl<T: Eq + Hash + Ord + Copy> std::ops::Deref for RankMap<T> {
-    type Target = RankIndex<T>;
-
-    fn deref(&self) -> &RankIndex<T> {
-        &self.index
-    }
-}
-
-impl<T: Eq + Hash + Ord + Copy> RankMap<T> {
-    /// Creates an empty index.
-    pub fn new() -> Self {
-        RankMap::default()
-    }
-
-    /// Inserts `item` with `key` and `aux`, replacing any previous ones.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `key` is NaN.
-    pub fn insert(&mut self, item: T, key: f64, aux: u32) {
-        match self.slots.get(&item) {
-            Some(&slot) => self.index.rekey_slot(slot, key, aux),
-            None => {
-                let slot = self.index.insert_new(item, key, aux);
-                self.slots.insert(item, slot);
-            }
-        }
-    }
-
-    /// Removes `item`; returns its key if it was present.
-    pub fn remove(&mut self, item: &T) -> Option<f64> {
-        let slot = self.slots.remove(item)?;
-        Some(self.index.remove_slot(slot))
-    }
-
-    /// Removes and returns the smallest-key item.
-    pub fn pop_smallest(&mut self) -> Option<(T, f64)> {
-        let (item, key) = self.index.smallest()?;
-        self.remove(&item);
-        Some((item, key))
-    }
-
-    /// [`RankIndex::for_smallest_excluding`].
-    pub fn for_smallest_excluding(
-        &mut self,
-        n: usize,
-        exclude: impl Fn(&T) -> bool,
-        visit: impl FnMut(T, f64, u32),
-    ) {
-        self.index.for_smallest_excluding(n, exclude, visit);
-    }
-
-    /// [`RankIndex::smallest_excluding`].
-    pub fn smallest_excluding(&mut self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
-        self.index.smallest_excluding(n, exclude)
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::collections::BTreeMap;
 
+    /// The index with an item → slot directory in front, kept the way
+    /// Cafe's chunk directory keeps each cached chunk's slot.
+    struct Dir<T: Ord + Copy> {
+        index: RankIndex<T>,
+        slots: BTreeMap<T, u32>,
+    }
+
+    impl<T: Ord + Copy> Dir<T> {
+        fn new() -> Self {
+            Dir {
+                index: RankIndex::new(),
+                slots: BTreeMap::new(),
+            }
+        }
+
+        /// Inserts `item`, or re-keys it in its slot when present.
+        fn insert(&mut self, item: T, key: f64, aux: u32) {
+            match self.slots.get(&item) {
+                Some(&slot) => self.index.rekey_slot(slot, key, aux),
+                None => {
+                    let slot = self.index.insert_new(item, key, aux);
+                    self.slots.insert(item, slot);
+                }
+            }
+        }
+
+        fn remove(&mut self, item: &T) -> Option<f64> {
+            let slot = self.slots.remove(item)?;
+            Some(self.index.remove_slot(slot))
+        }
+
+        fn pop_smallest(&mut self) -> Option<(T, f64)> {
+            let (item, key) = self.index.smallest()?;
+            self.remove(&item);
+            Some((item, key))
+        }
+    }
+
+    impl<T: Ord + Copy> std::ops::Deref for Dir<T> {
+        type Target = RankIndex<T>;
+
+        fn deref(&self) -> &RankIndex<T> {
+            &self.index
+        }
+    }
+
+    impl<T: Ord + Copy> std::ops::DerefMut for Dir<T> {
+        fn deref_mut(&mut self) -> &mut RankIndex<T> {
+            &mut self.index
+        }
+    }
+
     #[test]
     fn insert_lookup_remove() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(1u32, 3.0, NO_AUX);
         s.insert(2, 1.0, NO_AUX);
         s.insert(3, 2.0, NO_AUX);
@@ -559,7 +529,7 @@ mod tests {
 
     #[test]
     fn ordering_and_pops() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert("c", 30.0, NO_AUX);
         s.insert("a", 10.0, NO_AUX);
         s.insert("b", 20.0, NO_AUX);
@@ -573,7 +543,7 @@ mod tests {
 
     #[test]
     fn rekeying_moves_items_across_buckets() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(1u8, 10.0, NO_AUX);
         s.insert(2, 20.0, NO_AUX);
         // Far re-key: different bucket in both directions.
@@ -589,7 +559,7 @@ mod tests {
 
     #[test]
     fn equal_keys_disambiguated_by_item() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(5u32, 1.0, NO_AUX);
         s.insert(3, 1.0, NO_AUX);
         s.insert(4, 1.0, NO_AUX);
@@ -601,7 +571,7 @@ mod tests {
 
     #[test]
     fn smallest_excluding_skips() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         for i in 0..6u32 {
             s.insert(i, i as f64, NO_AUX);
         }
@@ -616,7 +586,7 @@ mod tests {
 
     #[test]
     fn aux_payload_rides_along() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(7u8, 2.0, 42);
         s.insert(8, 1.0, 43);
         let mut seen = Vec::new();
@@ -632,12 +602,12 @@ mod tests {
     #[test]
     #[should_panic(expected = "NaN")]
     fn nan_keys_rejected() {
-        RankMap::new().insert(1u8, f64::NAN, NO_AUX);
+        Dir::new().insert(1u8, f64::NAN, NO_AUX);
     }
 
     #[test]
     fn negative_zero_normalizes_to_positive_zero() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(1u8, -0.0, NO_AUX);
         let key = s.smallest().expect("present").1;
         assert!(key.is_sign_positive());
@@ -648,7 +618,7 @@ mod tests {
 
     #[test]
     fn far_flung_keys_clamp_but_stay_ordered() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(1u8, 0.0, NO_AUX);
         // Both far beyond the anchored window: clamped into edge buckets.
         s.insert(2, 1e300, NO_AUX);
@@ -663,7 +633,7 @@ mod tests {
 
     #[test]
     fn drain_and_refill_reanchors() {
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         s.insert(1u8, 1e9, NO_AUX);
         assert_eq!(s.pop_smallest(), Some((1, 1e9)));
         assert!(s.is_empty());
@@ -756,7 +726,7 @@ mod tests {
     fn model_based_random_ops() {
         // Reference model: BTreeMap + full scan for min (same model the
         // KeyedSet test uses, so both structures answer identically).
-        let mut s = RankMap::new();
+        let mut s = Dir::new();
         let mut model: BTreeMap<u64, f64> = BTreeMap::new();
         let mut seed = 99u64;
         let mut next = || {

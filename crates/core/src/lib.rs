@@ -53,23 +53,19 @@
 
 pub mod baselines;
 pub mod cafe;
-pub mod control;
 pub mod ds;
 pub mod lru;
 pub mod optimal;
 pub mod policy;
-pub mod prefetch;
 pub mod psychic;
 pub mod snapshot;
 pub mod xlru;
 
 pub use baselines::RankedCache;
 pub use cafe::{CafeCache, CafeConfig, WindowPolicy};
-pub use control::{AlphaControlConfig, ControlledCafeCache};
 pub use lru::LruCache;
 pub use optimal::{lp_bound_paper, lp_bound_reduced, OptimalBound};
 pub use policy::{CacheConfig, CachePolicy};
-pub use prefetch::{PrefetchConfig, ProactiveCafeCache};
 pub use psychic::{PsychicCache, PsychicConfig};
 pub use snapshot::{CafeSnapshot, SnapshotError, XlruSnapshot};
 pub use vcdn_obs::{DecisionDetail, PolicyObs};

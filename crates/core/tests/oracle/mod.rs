@@ -9,8 +9,7 @@
 //! same `decision_detail()`, the same disk use and the same [`Probe`], and
 //! it checks the `CachePolicy` contract on the fast side; the fast policies
 //! audit their structures every 64 requests. A case's plan adds what runs
-//! between requests: a snapshot → restore, an edited tracker, Cafe's hot
-//! mirror and prefetches.
+//! between requests: a snapshot → restore, or an edited tracker.
 //!
 //! Each `pub fn` below is one family of cases, with its own seed; the test
 //! files `prop_policies.rs` and `xlru_matches_reference.rs` name them. The
@@ -203,19 +202,15 @@ trait Reference {
     fn probe(&self, now: u64) -> Probe;
 }
 
-/// A chunk a plan filled outside a request, and the chunk it evicted to
-/// make room.
-type Filled = Option<(ChunkId, Option<ChunkId>)>;
-
 /// Runs `requests` through `fast` and `naive` side by side and requires
-/// them to agree on everything; `plan` runs before each request and says
-/// what it filled. Adds the corners reached to `coverage`; returns the
-/// fast policy and its decisions.
+/// them to agree on everything; `plan` runs before each request. Adds the
+/// corners reached to `coverage`; returns the fast policy and its
+/// decisions.
 fn lockstep<F: Fast, R: Reference>(
     mut fast: F,
     mut naive: R,
     requests: &[Request],
-    mut plan: impl FnMut(usize, &Request, &mut F, &mut R, &mut Coverage) -> Filled,
+    mut plan: impl FnMut(usize, &Request, &mut F, &mut R),
     coverage: &mut Coverage,
     case: &str,
 ) -> (F, Vec<Decision>) {
@@ -224,9 +219,7 @@ fn lockstep<F: Fast, R: Reference>(
     let mut decisions = Vec::with_capacity(requests.len());
     for (seq, r) in requests.iter().enumerate() {
         let at = || format!("{case} request #{seq} {r}");
-        if let Some((id, evicted)) = plan(seq, r, &mut fast, &mut naive, coverage) {
-            settle(&fast, &mut present, evicted, [id], &at);
-        }
+        plan(seq, r, &mut fast, &mut naive);
         if seq % 64 == 0 {
             audit(&fast, &present, &at);
         }
@@ -284,9 +277,7 @@ fn settle(
 }
 
 /// A plan for a case that needs none.
-fn straight<F, R>(_: usize, _: &Request, _: &mut F, _: &mut R, _: &mut Coverage) -> Filled {
-    None
-}
+fn straight<F, R>(_: usize, _: &Request, _: &mut F, _: &mut R) {}
 
 // ---------------------------------------------------------------------------
 // Figure 1: LRU and xLRU
@@ -554,22 +545,20 @@ pub fn xlru_restores() {
             1 => Some((CLEANUP_INTERVAL * (1 + rng.below(2))) as usize - 1),
             _ => None,
         };
-        let plan =
-            |seq, r: &Request, fast: &mut XlruCache, model: &mut NaiveXlru, _: &mut Coverage| {
-                if Some(seq) != restore_at {
-                    return None;
-                }
-                let mut snap = fast.snapshot();
-                let cached = model.disk.has_chunk_of(r.video);
-                if case % 3 == 1 && cached && model.tracker.at.contains_key(&r.video) {
-                    snap.tracker.retain(|e| e.0 != r.video);
-                    snap.tracker.insert(0, (r.video, Timestamp(0)));
-                    model.tracker.backdate(r.video);
-                }
-                *fast = XlruCache::restore(&snap).expect("snapshot restores");
-                fast.audit();
-                None
-            };
+        let plan = |seq, r: &Request, fast: &mut XlruCache, model: &mut NaiveXlru| {
+            if Some(seq) != restore_at {
+                return;
+            }
+            let mut snap = fast.snapshot();
+            let cached = model.disk.has_chunk_of(r.video);
+            if case % 3 == 1 && cached && model.tracker.at.contains_key(&r.video) {
+                snap.tracker.retain(|e| e.0 != r.video);
+                snap.tracker.insert(0, (r.video, Timestamp(0)));
+                model.tracker.backdate(r.video);
+            }
+            *fast = XlruCache::restore(&snap).expect("snapshot restores");
+            fast.audit();
+        };
         let pair = (XlruCache::new(config(d, alpha)), naive_xlru(d, alpha));
         let at = format!("case {case} (disk {d}, alpha {alpha})");
         lockstep(pair.0, pair.1, &reqs, plan, &mut cov, &at);
@@ -655,26 +644,6 @@ impl NaiveCafe {
             .retain(|v, t| *t >= cutoff || disk.keys().any(|id| id.video == *v));
         note(cov, "swept chunks", chunks - self.iat.len());
         note(cov, "swept videos", videos - self.video_seen.len());
-    }
-
-    /// `CafeCache::prefetch`: fill a tracked chunk if there is room or it
-    /// is strictly more popular than the least popular cached chunk.
-    #[allow(clippy::result_unit_err)]
-    fn prefetch(&mut self, id: ChunkId, now: u64) -> Result<Option<ChunkId>, ()> {
-        if self.disk.contains_key(&id) {
-            return Err(());
-        }
-        let key = now as f64 - self.iat_at(&id, now).ok_or(())?;
-        let evicted = match self.eviction_order().first() {
-            _ if self.disk.len() < self.capacity => None,
-            Some(&(victim, victim_key)) if victim_key < key => Some(victim),
-            _ => return Err(()),
-        };
-        if let Some(victim) = evicted {
-            self.disk.remove(&victim);
-        }
-        self.disk.insert(id, key);
-        Ok(evicted)
     }
 }
 
@@ -845,33 +814,16 @@ pub fn cafe_long() {
             reqs[0].video = VideoId(videos);
         }
         let cfg = config(d, alpha(&mut rng));
-        // Some cases keep the hot mirror live, some swap the cache for a
-        // restored snapshot of itself half-way, some both.
-        let mirror = case % 2 == 1;
+        // Two thirds of the cases swap the cache for a restored snapshot
+        // of itself at a random request.
         let restore_at = (case % 3 != 2).then(|| 1 + rng.below(n as u64 - 1) as usize);
-        let plan =
-            |seq, r: &Request, fast: &mut CafeCache, naive: &mut NaiveCafe, cov: &mut Coverage| {
-                if Some(seq) == restore_at {
-                    fast.audit();
-                    *fast = CafeCache::restore(&fast.snapshot()).expect("own snapshot restores");
-                    fast.audit();
-                }
-                if mirror && (seq == 0 || Some(seq) == restore_at) {
-                    fast.prefetch_candidates(0, r.t);
-                }
-                // Prefetching is the one way a chunk gets cached with a key
-                // above its own last request — cold enough for a sweep's
-                // cutoff to pass it while it sits on disk.
-                if rng.below(16) != 0 {
-                    return None;
-                }
-                let id = ChunkId::new(VideoId(rng.below(videos)), rng.below(13) as u32);
-                let want = naive.prefetch(id, r.t.0);
-                note(cov, "prefetches that land", want.is_ok());
-                let at = format!("case {case} request #{seq} {r}");
-                assert_eq!(fast.prefetch(id, r.t), want, "{at}");
-                want.ok().map(|evicted| (id, evicted))
-            };
+        let plan = |seq, _: &Request, fast: &mut CafeCache, _: &mut NaiveCafe| {
+            if Some(seq) == restore_at {
+                fast.audit();
+                *fast = CafeCache::restore(&fast.snapshot()).expect("own snapshot restores");
+                fast.audit();
+            }
+        };
         let fast = CafeCache::new(CafeConfig::new(d, k(), cfg.costs));
         let naive = NaiveCafe::new(cfg);
         let (mut case_cov, at) = (Coverage::new(), format!("case {case}"));
@@ -894,7 +846,6 @@ pub fn cafe_long() {
             "swept videos",
             "runs whose cutoff stays 0",
             "positive cutoffs that do not rise",
-            "prefetches that land",
         ],
     );
     assert!(widest >= 200.0, "widest disk: {widest} buckets");

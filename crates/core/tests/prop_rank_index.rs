@@ -1,6 +1,6 @@
-//! Model oracle: [`RankIndex`] — by slot, and by item through [`RankMap`]
-//! — against [`KeyedSet`], the paper-literal structure it replaces on
-//! Cafe's hot path.
+//! Model oracle: [`RankIndex`], driven by slot through an item → slot
+//! directory as Cafe's chunk directory drives it, against [`KeyedSet`],
+//! the paper-literal structure it replaces on Cafe's hot path.
 //!
 //! The bucketed index must reproduce the `BTreeSet<(OrdF64, T)>` ascending
 //! `(key, item)` order *exactly* — including equal-key tie-breaks — or
@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use vcdn_core::ds::{KeyedSet, RankIndex, RankMap, BUCKET_WIDTH_MS, NO_AUX};
+use vcdn_core::ds::{KeyedSet, RankIndex, BUCKET_WIDTH_MS, NO_AUX};
 use vcdn_trace::rng::DetRng;
 
 #[derive(Debug, Clone)]
@@ -56,17 +56,50 @@ fn gen_op(rng: &mut DetRng) -> Op {
     }
 }
 
+/// The index with the directory a caller keeps: each item's slot, the
+/// way Cafe's popularity directory holds each cached chunk's.
+#[derive(Default)]
+struct Slotted {
+    index: RankIndex<u16>,
+    slots: BTreeMap<u16, u32>,
+}
+
+impl Slotted {
+    /// Inserts `item`, or re-keys it in its slot when present (the
+    /// oracle's `insert` is an upsert too).
+    fn insert(&mut self, item: u16, key: f64) {
+        match self.slots.get(&item) {
+            Some(&slot) => self.index.rekey_slot(slot, key, NO_AUX),
+            None => {
+                let slot = self.index.insert_new(item, key, NO_AUX);
+                self.slots.insert(item, slot);
+            }
+        }
+    }
+
+    fn remove(&mut self, item: &u16) -> Option<f64> {
+        let slot = self.slots.remove(item)?;
+        Some(self.index.remove_slot(slot))
+    }
+
+    fn pop_smallest(&mut self) -> Option<(u16, f64)> {
+        let (item, key) = self.index.smallest()?;
+        self.remove(&item);
+        Some((item, key))
+    }
+}
+
 #[test]
 fn rank_index_matches_keyed_set_oracle() {
     for case in 0..96u64 {
         let mut rng = DetRng::new(0x4A4B_1D38 ^ case);
         let n_ops = 1 + rng.below(500) as usize;
-        let mut idx: RankMap<u16> = RankMap::new();
+        let mut idx = Slotted::default();
         let mut oracle: KeyedSet<u16> = KeyedSet::new();
         for step in 0..n_ops {
             match gen_op(&mut rng) {
                 Op::Insert(item, key) => {
-                    idx.insert(item, key, NO_AUX);
+                    idx.insert(item, key);
                     oracle.insert(item, key);
                 }
                 Op::Remove(item) => {
@@ -86,17 +119,18 @@ fn rank_index_matches_keyed_set_oracle() {
                 Op::Evict(n, threshold) => {
                     // The eviction-victim sequence — order included — must
                     // be identical under the same exclusion predicate.
-                    let got = idx.smallest_excluding(n, |item| *item < threshold);
+                    let got = idx.index.smallest_excluding(n, |item| *item < threshold);
                     let want = oracle.smallest_excluding(n, |item| *item < threshold);
                     assert_eq!(got, want, "case {case} step {step}");
                 }
             }
-            assert_eq!(idx.len(), oracle.len(), "case {case} step {step}");
-            assert_eq!(idx.smallest(), oracle.smallest(), "case {case} step {step}");
+            assert_eq!(idx.index.len(), oracle.len(), "case {case} step {step}");
+            let smallest = idx.index.smallest();
+            assert_eq!(smallest, oracle.smallest(), "case {case} step {step}");
         }
         // Full ascending drain agrees, ties and all.
         let want: Vec<(u16, f64)> = oracle.iter_ascending().collect();
-        assert_eq!(idx.entries_ascending(), want, "case {case}");
+        assert_eq!(idx.index.entries_ascending(), want, "case {case}");
     }
 }
 
@@ -109,7 +143,7 @@ fn rank_index_matches_keyed_set_oracle() {
 fn cafe_shaped_eviction_sequences_are_identical() {
     for case in 0..48u64 {
         let mut rng = DetRng::new(0xCAFE_0B57 ^ case);
-        let mut idx: RankMap<u16> = RankMap::new();
+        let mut idx = Slotted::default();
         let mut oracle: KeyedSet<u16> = KeyedSet::new();
         let mut t = 0.0f64;
         for step in 0..400 {
@@ -121,13 +155,13 @@ fn cafe_shaped_eviction_sequences_are_identical() {
                 // binds for ~a quarter of the touches.
                 let iat = (rng.below(16) as f64 * 0.25).max(1.0);
                 let key = t - iat;
-                idx.insert(item, key, NO_AUX);
+                idx.insert(item, key);
                 oracle.insert(item, key);
             }
             if rng.below(3) == 0 {
                 let n = 1 + rng.below(4) as usize;
                 let requested = rng.below(64) as u16;
-                let got = idx.smallest_excluding(n, |item| *item == requested);
+                let got = idx.index.smallest_excluding(n, |item| *item == requested);
                 let want = oracle.smallest_excluding(n, |item| *item == requested);
                 assert_eq!(got, want, "case {case} step {step}");
                 for (victim, _) in &got {
@@ -137,18 +171,16 @@ fn cafe_shaped_eviction_sequences_are_identical() {
             }
         }
         let want: Vec<(u16, f64)> = oracle.iter_ascending().collect();
-        assert_eq!(idx.entries_ascending(), want, "case {case}");
+        assert_eq!(idx.index.entries_ascending(), want, "case {case}");
     }
 }
 
-/// The three structures of `lazy_rekeys_settle_in_exact_order` in lockstep:
-/// the index by item, the index by slot (the test keeps the slots, as
-/// Cafe's directory does) and the oracle.
+/// The two structures of `lazy_rekeys_settle_in_exact_order` in lockstep:
+/// the index by slot (the test keeps the slots, as Cafe's directory does)
+/// and the oracle.
 #[derive(Default)]
-struct Trio {
-    by_item: RankMap<u16>,
-    by_slot: RankIndex<u16>,
-    slots: BTreeMap<u16, u32>,
+struct Pair {
+    by_slot: Slotted,
     oracle: KeyedSet<u16>,
     step: usize,
     /// Counts ordered reads (scans, and re-finds after the minimum left or
@@ -169,8 +201,8 @@ fn bucket(key: f64) -> i64 {
     (key / BUCKET_WIDTH_MS).floor() as i64
 }
 
-impl Trio {
-    /// Inserts or re-keys `item` on all three sides.
+impl Pair {
+    /// Inserts or re-keys `item` on both sides.
     fn set(&mut self, item: u16, key: f64, at: &str) {
         let is_min = self.oracle.smallest().is_some_and(|m| m.0 == item);
         match self.oracle.key_of(&item) {
@@ -187,27 +219,19 @@ impl Trio {
                     self.eager_moves += usize::from(bucket(key) < *low);
                     *low = (*low).min(bucket(key));
                 }
-                self.by_slot.rekey_slot(self.slots[&item], key, NO_AUX);
             }
             None => {
-                self.slots
-                    .insert(item, self.by_slot.insert_new(item, key, NO_AUX));
                 self.low.insert(item, bucket(key));
             }
         }
-        self.by_item.insert(item, key, NO_AUX);
+        self.by_slot.insert(item, key);
         self.oracle.insert(item, key);
         self.check(at);
     }
 
     fn remove(&mut self, item: u16, at: &str) {
         let want = self.oracle.remove(&item);
-        assert_eq!(self.by_item.remove(&item), want, "{at}");
-        let got = self
-            .slots
-            .remove(&item)
-            .map(|s| self.by_slot.remove_slot(s));
-        assert_eq!(got, want, "{at}");
+        assert_eq!(self.by_slot.remove(&item), want, "{at}");
         if self.crossed_at.remove(&item) == Some(self.reads) {
             self.stale_removed += 1;
         }
@@ -219,10 +243,11 @@ impl Trio {
     /// An eviction scan: the victim sequence, order included.
     fn scan(&mut self, n: usize, threshold: u16, at: &str) {
         let want = self.oracle.smallest_excluding(n, |item| *item < threshold);
-        let got = self.by_item.smallest_excluding(n, |item| *item < threshold);
-        assert_eq!(got, want, "{at} step {}: by item", self.step);
-        let got = self.by_slot.smallest_excluding(n, |item| *item < threshold);
-        assert_eq!(got, want, "{at} step {}: by slot", self.step);
+        let got = self
+            .by_slot
+            .index
+            .smallest_excluding(n, |item| *item < threshold);
+        assert_eq!(got, want, "{at} step {}", self.step);
         let (first, last) = (want.first(), want.last());
         let crossed = first
             .zip(last)
@@ -234,13 +259,11 @@ impl Trio {
 
     fn check(&mut self, at: &str) {
         let at = format!("{at} step {}", self.step);
-        assert_eq!(self.by_item.len(), self.oracle.len(), "{at}");
-        assert_eq!(self.by_slot.len(), self.oracle.len(), "{at}");
-        assert_eq!(self.by_item.smallest(), self.oracle.smallest(), "{at}");
-        assert_eq!(self.by_slot.smallest(), self.oracle.smallest(), "{at}");
+        let index = &self.by_slot.index;
+        assert_eq!(index.len(), self.oracle.len(), "{at}");
+        assert_eq!(index.smallest(), self.oracle.smallest(), "{at}");
         if self.step.is_multiple_of(16) {
-            self.by_item.audit();
-            self.by_slot.audit();
+            index.audit();
         }
         self.step += 1;
     }
@@ -269,7 +292,7 @@ fn lazy_rekeys_settle_in_exact_order() {
     let (mut relocated, mut eager, mut stale, mut raised, mut wide) = (0, 0, 0, 0, 0);
     for case in 0..64u64 {
         let mut rng = DetRng::new(0x1A27_5E77 ^ case);
-        let mut t = Trio::default();
+        let mut t = Pair::default();
         let at = format!("case {case}");
         for item in 0..48u16 {
             t.set(item, lattice(rng.below(96 * 8) as i64), &at);
@@ -326,7 +349,7 @@ fn lazy_rekeys_settle_in_exact_order() {
             t.scan(64, 0, &at);
             t.set(63, 3.0e12, &at);
         }
-        relocated += t.by_item.relocations().min(t.by_slot.relocations());
+        relocated += t.by_slot.index.relocations();
         eager += t.eager_moves;
         stale += t.stale_removed;
         raised += t.min_raised;
@@ -334,16 +357,12 @@ fn lazy_rekeys_settle_in_exact_order() {
         // The full ascending drain, read twice: sorted at once, then
         // minimum by minimum through every bucket.
         let want: Vec<(u16, f64)> = t.oracle.iter_ascending().collect();
-        assert_eq!(t.by_item.entries_ascending(), want, "{at}");
-        assert_eq!(t.by_slot.entries_ascending(), want, "{at}");
+        assert_eq!(t.by_slot.index.entries_ascending(), want, "{at}");
         for &(item, key) in &want {
-            assert_eq!(t.by_item.pop_smallest(), Some((item, key)), "{at}");
-            assert_eq!(t.by_slot.smallest(), Some((item, key)), "{at}");
-            t.by_slot.remove_slot(t.slots[&item]);
+            assert_eq!(t.by_slot.pop_smallest(), Some((item, key)), "{at}");
         }
-        assert!(t.by_item.is_empty() && t.by_slot.is_empty(), "{at}");
-        t.by_item.audit();
-        t.by_slot.audit();
+        assert!(t.by_slot.index.is_empty(), "{at}");
+        t.by_slot.index.audit();
     }
     assert!(
         relocated > 0 && eager > 0 && stale > 0 && raised > 0 && wide > 0,

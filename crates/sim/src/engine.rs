@@ -97,7 +97,9 @@ use crate::replay::{DecisionCtx, Kernel, ReplayObserver, StreamTraffic, STEADY_A
 /// [`ChunkId`] of the video's first chunk, mod the shard count. Keying on
 /// the video (rather than the individual chunk index) keeps a whole
 /// request on one shard, so a policy sees the same request stream it would
-/// see as a stand-alone cache for its partition.
+/// see as a stand-alone cache for its partition. This is the practice the
+/// paper's §2 footnote 2 recommends for co-located servers: dividing the
+/// file-ID space over them, so that no two hold the same chunk.
 ///
 /// # Panics
 ///

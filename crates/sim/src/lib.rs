@@ -39,21 +39,16 @@
 
 pub mod diskalloc;
 pub mod engine;
-pub mod fleet;
-pub mod hierarchy;
 pub mod models;
 pub mod observe;
 pub mod replay;
 pub mod report;
 pub mod runner;
-pub mod shard;
 
 pub use engine::{
     engine_bundle, shard_of_chunk, shard_of_video, shard_requests, EngineConfig, EngineError,
     EngineReport, ShardReport, ShardedEngine,
 };
-pub use fleet::{replay_fleet, FleetReport};
-pub use hierarchy::{replay_hierarchy, HierarchyReport};
 pub use models::{DiskIoModel, EgressModel, EgressSummary};
 pub use observe::{
     grid_jsonl, replay_with_telemetry, telemetry_cell, TelemetryConfig, TelemetryObserver,

@@ -3,10 +3,10 @@
 //!
 //! The per-request step — decide, check the serve contract, account the
 //! full run and its steady-state part, hand the decision to an observer —
-//! exists once, as the crate-private `Kernel::serve_one`. [`Replayer`] is
-//! its one-stream driver and adds only the hourly report grid; the sharded
-//! engine ([`crate::engine`]) and the co-located, fleet and hierarchy
-//! replays drive the same kernel over several streams.
+//! exists once, as the crate-private `Kernel::serve_one`, and has two
+//! drivers: [`Replayer`], the one-stream driver, which adds only the
+//! hourly report grid, and the sharded engine ([`crate::engine`]), which
+//! drives the same kernel over one stream per shard.
 //!
 //! Accounting is in chunk-granularity bytes (`chunks × K`) on all three
 //! buckets — hits, fills, redirects — because a chunk is fetched and
@@ -146,7 +146,7 @@ pub(crate) struct StreamTraffic {
 }
 
 /// The request kernel: the one decide → verify → account → observe step
-/// behind every replay loop in this crate. A driver picks the policy a
+/// behind both replay loops in this crate. A driver picks the policy a
 /// request goes to and owns that stream's [`StreamTraffic`]; the kernel
 /// does the rest.
 #[derive(Debug)]

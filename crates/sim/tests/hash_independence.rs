@@ -5,8 +5,8 @@
 //! under them back to the std `RandomState`, which is randomized *per
 //! process*. These tests pin full byte accounting for the four paper
 //! policies and the three §3 baselines on a deterministically generated
-//! trace, through the Replayer, repeat and hot-mirror rows of the replay
-//! matrix — the same pins must hold:
+//! trace, through the Replayer and repeat rows of the replay matrix — the
+//! same pins must hold:
 //!
 //! - under the default FxHash build (`cargo test`),
 //! - under `cargo test --features vcdn-types/std-hash`, and
@@ -45,20 +45,6 @@ fn replay_bytes_match_pins_for_all_policies() {
         let replay = Cell::new(policy, POINT).replay_row();
         assert_eq!(matrix::bytes(&replay), pin, "{policy:?}: pinned bytes");
     }
-}
-
-/// The hot mirror (a `RankMap`: the rank index behind an item → slot hash
-/// map, the only one on Cafe's request path) must be decision-neutral: a
-/// Cafe replay with the mirror live produces the exact pinned bytes of the
-/// plain replay, under either hasher. This exercises the rank index's
-/// non-disk configuration — hot-rank keys, mirror rebuilds on cleanup —
-/// against the same hasher-independence bar as the decide path.
-#[test]
-fn hot_tracking_cafe_replay_matches_pins() {
-    let cell = Cell::new(Policy::Cafe, POINT);
-    let replay = cell.replay_row();
-    assert_eq!(matrix::bytes(&replay), PINS[2].1, "pinned bytes");
-    cell.mirror_row(&replay);
 }
 
 #[test]

@@ -12,7 +12,6 @@
 //!   process gives the same report, windows included — under
 //!   `--features vcdn-types/std-hash` every hot map gets a fresh random
 //!   hasher, so this is the end-to-end witness that no hash order leaks;
-//! - Cafe with its hot mirror live ≡ the plain Cafe replay;
 //! - the engine rows: a one-shard engine ≡ the replay; the engine at 1, 2,
 //!   3, 4 and 8 workers, per shard and aggregate; each engine shard ≡ a
 //!   replay of its `shard_requests` sub-trace; at 2, 4 and 8 shards, the
@@ -290,17 +289,6 @@ impl Cell {
         assert_eq!(&repeat, replay, "{at}: repeat");
     }
 
-    /// The hot mirror (a `RankMap` behind an item → slot hash map, switched
-    /// on by the first `prefetch_candidates` read and kept up through every
-    /// touch, fill and evict after it) is decision-neutral.
-    pub fn mirror_row(&self, replay: &ReplayReport) {
-        assert_eq!(self.policy, Policy::Cafe, "the hot mirror is Cafe's");
-        let mut cafe = CafeCache::new(CafeConfig::new(self.disk, self.k, self.costs));
-        assert!(cafe.prefetch_candidates(0, Timestamp(0)).is_empty());
-        let mirrored = self.replayer().replay(&self.trace, &mut cafe);
-        assert_eq!(&mirrored, replay, "{}: hot mirror", self.at);
-    }
-
     /// One shard is the replay, whatever the worker count asks for.
     pub fn one_shard_row(&self, replay: &ReplayReport) {
         let one = self.engine(1).run(&self.trace, 4);
@@ -447,9 +435,6 @@ pub fn every_cell(policy: Policy, point: Point) -> ReplayReport {
     let at = &c.at;
     let replay = c.replay_row();
     c.repeat_row(&replay);
-    if policy == Policy::Cafe {
-        c.mirror_row(&replay);
-    }
     let engine = c.engine_rows(&replay);
     let zero = TrafficCounter::default();
     match point.0 {

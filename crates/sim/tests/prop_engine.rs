@@ -14,8 +14,9 @@
 //!   requests never loses or double-counts a request, at any worker count;
 //! * fault propagation — a shard policy that panics mid-run unwinds
 //!   `run` with its own message in bounded time, at any worker count;
-//! * one invariant walk — an under-covering policy is refused by every
-//!   replay driver, the topology loops included, in release builds too;
+//! * one serve contract — a policy whose serve under-covers its request,
+//!   or whose disk reads over capacity, is refused with the kernel's own
+//!   message by both drivers of the kernel, in bounded time;
 //! * bounded time on a hostile clock — a far-future timestamp is refused
 //!   with a documented panic, never walked to one window at a time.
 
@@ -28,10 +29,7 @@ use vcdn_obs::{MetricsRegistry, MetricsSink};
 use vcdn_sim::engine::{
     shard_of_chunk, shard_of_video, shard_requests, EngineConfig, ShardedEngine,
 };
-use vcdn_sim::shard::{replay_colocated, Assignment};
-use vcdn_sim::{
-    replay_fleet, replay_hierarchy, replay_with_telemetry, ReplayConfig, Replayer, TelemetryConfig,
-};
+use vcdn_sim::{replay_with_telemetry, ReplayConfig, Replayer, TelemetryConfig};
 use vcdn_trace::rng::DetRng;
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator, TraceMeta};
 use vcdn_types::{
@@ -172,12 +170,15 @@ fn random_stop_drain_conserves_every_request() {
 }
 
 /// How a [`Faulty`] policy breaks its contract.
+#[derive(Debug, Clone, Copy)]
 enum Fault {
     /// Panics on its n-th request — a stand-in for any policy bug.
     PanicsAt(u64),
-    /// Claims `Serve` while delivering one chunk too few — the breach the
+    /// Claims `Serve` while delivering one chunk too few — one breach the
     /// kernel's invariant walk exists to catch.
     UnderCovers,
+    /// Reports one chunk more on disk than its capacity — the other.
+    OverCapacity,
 }
 
 /// A policy that behaves like its inner cache except for one [`Fault`].
@@ -228,7 +229,10 @@ impl<P: CachePolicy> CachePolicy for Faulty<P> {
     }
 
     fn disk_used_chunks(&self) -> u64 {
-        self.inner.disk_used_chunks()
+        match self.fault {
+            Fault::OverCapacity => self.inner.disk_capacity_chunks() + 1,
+            _ => self.inner.disk_used_chunks(),
+        }
     }
 
     fn disk_capacity_chunks(&self) -> u64 {
@@ -305,44 +309,43 @@ fn honest() -> LruCache {
     LruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs()))
 }
 
-fn under_covering() -> Box<dyn CachePolicy> {
-    faulty(honest(), Fault::UnderCovers)
-}
-
-// The topology loops run the kernel's invariant walk unconditionally
-// (before this they checked in debug builds only, or not at all).
-
+/// Both drivers of the kernel — the Replayer, and the engine at 1 and 4
+/// workers — refuse each serve-contract breach with the kernel's own
+/// message, within 10 s. The checks are on by default (`ReplayConfig::new`,
+/// `EngineConfig::new`) and run in release builds too.
 #[test]
-#[should_panic(expected = "serve must cover the full request")]
-fn hierarchy_refuses_an_under_covering_edge() {
-    replay_hierarchy(
-        &golden_trace(7, 2),
-        under_covering().as_mut(),
-        &mut honest(),
-    );
-}
-
-#[test]
-#[should_panic(expected = "serve must cover the full request")]
-fn hierarchy_refuses_an_under_covering_parent() {
-    // xLRU redirects every first-seen video, so the parent is reached.
-    let mut edge = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs()));
-    replay_hierarchy(&golden_trace(7, 2), &mut edge, under_covering().as_mut());
-}
-
-#[test]
-#[should_panic(expected = "serve must cover the full request")]
-fn fleet_refuses_an_under_covering_edge() {
-    let traces = [golden_trace(7, 2), golden_trace(8, 2)];
-    let mut edges = [Box::new(honest()) as Box<dyn CachePolicy>, under_covering()];
-    replay_fleet(&traces, &mut edges, &mut honest());
-}
-
-#[test]
-#[should_panic(expected = "serve must cover the full request")]
-fn colocated_refuses_an_under_covering_server() {
-    let mut caches = [Box::new(honest()) as Box<dyn CachePolicy>, under_covering()];
-    replay_colocated(&golden_trace(7, 2), &mut caches, Assignment::RoundRobin);
+fn both_drivers_refuse_a_serve_contract_breach() {
+    /// Replays the tiny trace with every policy at fault: through the
+    /// Replayer (`None`), or through a 4-shard engine at `workers`.
+    fn drive(fault: Fault, workers: Option<usize>) {
+        let trace = golden_trace(7, 2);
+        let Some(workers) = workers else {
+            let replayer = Replayer::new(ReplayConfig::new(ChunkSize::DEFAULT, costs()));
+            replayer.replay(&trace, faulty(honest(), fault).as_mut());
+            return;
+        };
+        let cfg =
+            EngineConfig::new(4, 96, ChunkSize::DEFAULT, costs()).expect("valid engine config");
+        let mut engine = ShardedEngine::try_new(cfg, |_, cache| -> Box<dyn CachePolicy> {
+            faulty(LruCache::new(cache), fault)
+        })
+        .expect("engine builds");
+        engine.run(&trace, workers);
+    }
+    let faults = [
+        (Fault::UnderCovers, "lru: serve must cover the full request"),
+        (Fault::OverCapacity, "lru: capacity exceeded"),
+    ];
+    for (fault, want) in faults {
+        for workers in [None, Some(1), Some(4)] {
+            let what = format!("{fault:?} policy, engine workers {workers:?}");
+            let message = panic_message_within(10, &what, move || drive(fault, workers));
+            assert!(
+                message.as_deref().is_some_and(|m| m.contains(want)),
+                "{what}: expected the kernel's \"{want}\" panic, got {message:?}"
+            );
+        }
+    }
 }
 
 /// A time-ordered two-request trace whose second timestamp is far out (a

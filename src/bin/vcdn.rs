@@ -153,6 +153,9 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
         return Err("--scale must be finite and > 0".into());
     }
     let days: u64 = args.parse_flag("days", 2)?;
+    if days == 0 {
+        return Err("--days must be at least 1, got 0".into());
+    }
     let duration = (days.checked_mul(DurationMs::DAY.as_millis()))
         .ok_or_else(|| format!("--days {days}: too many days"))?;
     let seed: u64 = args.parse_flag("seed", 42)?;

@@ -214,6 +214,11 @@ fn unknown_repeated_and_conflicting_flags_are_refused() {
             format!("gen --days 213503982336 --out {p}"),
             "--days 213503982336: too many days",
         ),
+        // Zero days once wrote a 0-request trace.
+        (
+            format!("gen --days 0 --out {p}"),
+            "--days must be at least 1",
+        ),
         (
             format!("bound --trace {p} --disk-gb 1"),
             "unknown flag --disk-gb",
