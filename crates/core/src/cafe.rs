@@ -26,7 +26,7 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NO_HANDLE},
+    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NOT_CACHED},
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -119,18 +119,18 @@ pub struct CafeCache {
     pop: PopTable,
     /// Cached chunks ordered by virtual timestamp (Eq. 9) in the bucketed
     /// rank index, addressed by the slot the directory keeps as each
-    /// chunk's back-reference; each entry carries its [`PopTable`] handle
-    /// as the aux payload so eviction scans never probe the directory.
-    /// Handles are stable while a chunk stays cached: a sweep never drops
-    /// a cached chunk's record.
+    /// chunk's back-reference; each entry carries its video's
+    /// [`PopTable`] directory slot as the aux payload, so eviction scans
+    /// read a candidate's record with no probe. That slot is stable while
+    /// a chunk stays cached: a video with a cached chunk keeps its entry.
     disk: RankIndex<ChunkId>,
     handled: u64,
     replay_start: Option<Timestamp>,
     last_detail: DecisionDetail,
     /// Reusable per-request buffer: the decide path allocates nothing.
-    /// Missing chunks travel with their popularity handle and fresh EWMA
-    /// so the Eq. 7 loop and the fill loop never go back to the table.
-    scratch_missing: Vec<(ChunkId, u32, f64)>,
+    /// Missing chunks travel with their fresh EWMA so the Eq. 7 loop and
+    /// the fill loop never go back to the table.
+    scratch_missing: Vec<(ChunkId, f64)>,
     /// The candidates the Eq. 6 walk costed: a serve evicts these.
     scratch_candidates: Vec<ChunkId>,
 }
@@ -196,10 +196,9 @@ impl CafeCache {
     }
 
     /// Admits `id`, not cached, at virtual key `key`; `video` is its
-    /// video's directory slot and `h` its popularity handle ([`NO_HANDLE`]
-    /// when the chunk has no popularity record).
-    fn insert_chunk(&mut self, video: u32, id: ChunkId, key: f64, h: u32) {
-        let slot = self.disk.insert_new(id, key, h);
+    /// video's directory slot, which the rank-index entry carries.
+    fn insert_chunk(&mut self, video: u32, id: ChunkId, key: f64) {
+        let slot = self.disk.insert_new(id, key, video);
         self.pop.set_cached(video, id.index, slot);
     }
 
@@ -241,14 +240,7 @@ impl CafeCache {
     /// unique, so the unstable sort is deterministic without the stable
     /// sort's temporary buffer.
     pub(crate) fn iat_entries(&self) -> Vec<(ChunkId, Option<f64>, Timestamp)> {
-        let mut v: Vec<(ChunkId, Option<f64>, Timestamp)> = self
-            .pop
-            .iter()
-            .map(|(id, h)| {
-                let (dt, t_last) = self.pop.raw(h);
-                (id, dt, t_last)
-            })
-            .collect();
+        let mut v: Vec<(ChunkId, Option<f64>, Timestamp)> = self.pop.records().collect();
         v.sort_unstable_by_key(|(id, _, _)| *id);
         v
     }
@@ -294,11 +286,10 @@ impl CafeCache {
         }
         for &(id, key) in disk {
             // A disk chunk whose popularity record was swept before the
-            // snapshot carries the no-record sentinel, exactly as the
-            // hash-map layout answered `None` for it.
-            let h = cache.pop.handle_of(&id).unwrap_or(NO_HANDLE);
+            // snapshot stays untracked: its IAT reads `None`, exactly as
+            // the hash-map layout answered for it.
             let video = cache.pop.slot(id.video);
-            cache.insert_chunk(video, id, key, h);
+            cache.insert_chunk(video, id, key);
         }
         cache.handled = handled;
         cache.replay_start = replay_start;
@@ -349,18 +340,18 @@ impl CachePolicy for CafeCache {
         let disk = &mut self.disk;
         let touched = self
             .pop
-            .touch_run(request.video, range, now, gamma, |c, h, slot, dt| {
-                if slot != NO_HANDLE {
+            .touch_run(request.video, range, now, gamma, |video, c, slot, dt| {
+                if slot != NOT_CACHED {
                     // The record's back-reference says "cached, and where
                     // in the rank index": a present chunk re-keys (a store
                     // of the refreshed, higher virtual timestamp) with no
                     // lookup of its own.
                     let id = Some(ChunkId::new(request.video, c));
                     debug_assert_eq!(disk.get(slot).map(|e| e.0), id);
-                    disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), h);
+                    disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), video);
                     hits += 1;
                 } else {
-                    missing.push((ChunkId::new(request.video, c), h, dt));
+                    missing.push((ChunkId::new(request.video, c), dt));
                 }
             });
         // The video's directory slot: the fills and the §6 estimate below
@@ -396,21 +387,21 @@ impl CachePolicy for CafeCache {
             let min_cost = costs.min_cost();
 
             // Eq. 6: fill cost now + expected future cost of evictees.
-            // The candidate walk reads the popularity slabs through each
-            // entry's aux handle — no hash probe per candidate — and
+            // The candidate walk reads each candidate's record through its
+            // entry's aux video slot — no hash probe per candidate — and
             // keeps the candidates: they are the victims if this serves.
             let mut e_serve = missing.len() as f64 * costs.c_f();
             let pop = &self.pop;
             self.disk
-                .for_smallest_excluding(evict_needed, requested, |id, _, h| {
+                .for_smallest_excluding(evict_needed, requested, |id, _, video| {
                     candidates.push(id);
-                    let iat = pop.iat_at(h, now, gamma);
+                    let iat = pop.iat_at(video, id.index, now, gamma);
                     e_serve += Self::future_requests(t_window, iat) * min_cost;
                 });
             // Eq. 7: redirect cost now + expected future cost of the
             // still-missing chunks.
             let mut e_redirect = s_total * costs.c_r();
-            for &(_, _, dt) in &missing {
+            for &(_, dt) in &missing {
                 let iat = PopTable::iat_fresh(dt, gamma).or(video_estimate);
                 e_redirect += Self::future_requests(t_window, iat) * min_cost;
             }
@@ -437,9 +428,9 @@ impl CachePolicy for CafeCache {
             let free = capacity - self.disk.len() as u64;
             let keep_from = missing.len().saturating_sub(free as usize);
             let fallback = video_estimate.unwrap_or(0.0);
-            for &(id, h, dt) in &missing[keep_from..] {
+            for &(id, dt) in &missing[keep_from..] {
                 let key = PopTable::key_fresh(dt, now, gamma, fallback);
-                self.insert_chunk(video, id, key, h);
+                self.insert_chunk(video, id, key);
             }
             Decision::Serve(ServeOutcome {
                 hit_chunks: hits as u64,
@@ -473,7 +464,7 @@ impl CachePolicy for CafeCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.pop.backref_of(&chunk) != NO_HANDLE
+        self.pop.backref_of(&chunk) != NOT_CACHED
     }
 
     fn decision_detail(&self) -> DecisionDetail {
@@ -503,6 +494,11 @@ mod tests {
         ))
     }
 
+    /// Whether `id` has a popularity record.
+    fn tracked(c: &CafeCache, id: ChunkId) -> bool {
+        c.iat_entries().iter().any(|e| e.0 == id)
+    }
+
     /// Warm the disk full with `n` single-chunk videos at times t0, t0+gap, …
     /// then re-request each once so their IATs become known.
     fn warm(c: &mut CafeCache, n: u64, t0: u64, gap: u64) -> u64 {
@@ -529,7 +525,7 @@ mod tests {
             (5.0, Timestamp(100)),
             (250.0, Timestamp(750)),
         ];
-        let handles: Vec<u32> = states
+        let slots: Vec<u32> = states
             .iter()
             .enumerate()
             .map(|(i, &(dt, t_last))| {
@@ -538,9 +534,9 @@ mod tests {
             .collect();
         let gamma = 0.25;
         // Eq. 9: key_x(t) = t − IAT_x(t).
-        let key = |h: u32, t: u64| t as f64 - pop.iat_at(h, Timestamp(t), gamma).unwrap();
-        for &a in &handles {
-            for &b in &handles {
+        let key = |v: u32, t: u64| t as f64 - pop.iat_at(v, 0, Timestamp(t), gamma).unwrap();
+        for &a in &slots {
+            for &b in &slots {
                 let d1 = key(a, 1_000) - key(b, 1_000);
                 let d2 = key(a, 50_000) - key(b, 50_000);
                 assert!(
@@ -713,7 +709,7 @@ mod tests {
             t += 10;
         }
         assert!(
-            c.pop.handle_of(&ChunkId::new(VideoId(77), 0)).is_none(),
+            !tracked(&c, ChunkId::new(VideoId(77), 0)),
             "stale chunk state survived cleanup"
         );
         assert!(c
@@ -774,7 +770,7 @@ mod tests {
         let mut c = CafeCache::from_parts(config, &iat, &seen, &disk, first_sweep, None);
         c.handle_request(&req(0, 0, 99, 1_000));
         assert_eq!(c.pop.sweeps(), 1, "cutoff 1000 - 2*150 = 700");
-        assert!(c.pop.handle_of(&x).is_some(), "cached: kept");
+        assert!(tracked(&c, x), "cached: kept");
         // A sibling of the hot chunk displaces X.
         let d = c.handle_request(&req(0, 100, 199, 1_001));
         assert_eq!(d.serve_outcome().unwrap().evicted, [x]);
@@ -791,7 +787,7 @@ mod tests {
             2,
             "cutoff 1500 - 2*506 = 487 < 700, yet it ran"
         );
-        assert!(c.pop.handle_of(&x).is_none(), "stale record survived");
+        assert!(!tracked(&c, x), "stale record survived");
         assert_eq!(c.video_seen_entries(), [(VideoId(0), Timestamp(1_500))]);
         assert_eq!(c.tracked_chunks(), 2);
     }
@@ -811,6 +807,20 @@ mod tests {
             .handle_request(&req(1, 104_857_599, 104_857_599, 1))
             .is_serve());
         assert!(c.contains_chunk(ChunkId::new(VideoId(1), MAX_CHUNK_INDEX - 1)));
+    }
+
+    #[test]
+    fn a_request_for_the_last_chunk_costs_one_record() {
+        // Runs start at the lowest chunk they hold: not 2^20 records
+        // (24 MiB) for one request, but one.
+        let mut c = cache(2, 1.0);
+        c.handle_request(&req(1, 104_857_599, 104_857_599, 1));
+        assert_eq!(c.pop.run_len(VideoId(1)), 1);
+        // A request further down the video extends the run downwards.
+        c.handle_request(&req(1, 104_857_300, 104_857_399, 2));
+        assert_eq!(c.pop.run_len(VideoId(1)), 3);
+        assert_eq!(c.tracked_chunks(), 2);
+        c.audit();
     }
 
     #[test]

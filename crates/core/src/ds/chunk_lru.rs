@@ -200,6 +200,13 @@ impl ChunkLru {
         Some((id, time))
     }
 
+    /// How many records `video`'s run holds (0 without an entry): its
+    /// directory cost, gaps included.
+    pub fn run_len(&self, video: VideoId) -> usize {
+        self.video(video)
+            .map_or(0, |slot| self.dir[slot].run().len())
+    }
+
     /// Iterates cached chunks from most to least recently used.
     pub fn iter(&self) -> impl Iterator<Item = (ChunkId, Timestamp)> + '_ {
         self.list.iter().map(|(&loc, t)| (self.chunk_of(loc), t))
@@ -219,7 +226,7 @@ impl ChunkLru {
         for (slot, v) in self.dir.iter() {
             assert!(v.live > 0, "{}: entry outlived its last chunk", v.id());
             records += v.live as usize;
-            for (index, &h) in (0u32..).zip(v.run()).filter(|e| *e.1 != NIL) {
+            for (index, &h) in (v.base()..).zip(v.run()).filter(|e| *e.1 != NIL) {
                 assert_eq!(*self.list.item(h), (slot, index), "{}: node", v.id());
             }
         }

@@ -5,8 +5,9 @@
 //!   handle map: the video popularity tracker runs on it.
 //! * [`VideoDir`] — the per-video chunk directory: one hash probe per
 //!   request finds a video's slot, whose dense run holds one record per
-//!   chunk, bounded by [`MAX_CHUNK_INDEX`]; slots are free-listed and
-//!   released when the owner says the video holds nothing.
+//!   chunk from the lowest chunk it holds to the highest, bounded by
+//!   [`MAX_CHUNK_INDEX`]; slots are free-listed and released when the
+//!   owner says the video holds nothing.
 //! * [`ChunkLru`] — the disk of LRU and xLRU: an [`LruList`] of chunks
 //!   whose handles live in a [`VideoDir`], and the one always-fill step
 //!   both serve through ([`ChunkLru::serve`]).
@@ -20,10 +21,10 @@
 //!   hot path runs on, addressed by slab slot with no hash map: a re-key
 //!   is a field store, the bucket move and the sort wait for the ordered
 //!   read that gets there; bit-identical ordering to [`KeyedSet`].
-//! * [`PopTable`] — Cafe's popularity state on a [`VideoDir`]: runs that
-//!   also hold each cached chunk's [`RankIndex`] slot, EWMA state in
-//!   struct-of-arrays slabs addressed by compact handles, and sweeps that
-//!   walk only when something can expire.
+//! * [`PopTable`] — Cafe's popularity records on a [`VideoDir`]: each
+//!   chunk's EWMA state and [`RankIndex`] slot in one 24-byte run record,
+//!   addressed by video slot and chunk number, runs reserved tightly, and
+//!   sweeps that walk the directory only when something can expire.
 //! * [`BitTree`] — a set of small integers as a 64-ary tree of bitmaps
 //!   with a predecessor query: Psychic's calendar of due requests.
 
@@ -39,7 +40,7 @@ pub use bit_tree::BitTree;
 pub use chunk_lru::ChunkLru;
 pub use keyed_set::{KeyedSet, OrdF64};
 pub use lru_list::{IndexedLruList, LruList};
-pub use pop_table::{PopTable, NO_HANDLE};
+pub use pop_table::{PopTable, NOT_CACHED};
 pub use rank_index::{RankIndex, BUCKET_WIDTH_MS, NO_AUX};
 pub use video_dir::{assert_chunk_index, Absent, VideoDir, MAX_CHUNK_INDEX};
 

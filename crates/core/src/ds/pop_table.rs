@@ -1,30 +1,36 @@
-//! Cafe's popularity directory (paper §6, Eq. 8): one [`VideoDir`] entry
-//! per video, one dense run of chunk records inside it, EWMA state in
-//! shared slabs.
+//! Cafe's popularity records (paper §6, Eq. 8): one [`VideoDir`] entry per
+//! video, and in its run one record per chunk, EWMA state and disk
+//! back-reference side by side.
 //!
-//! [`PopTable::touch_run`] makes the request's one directory probe, reads
-//! the run's `c0..=c1` records sequentially and hands the video's slot
-//! back, so the request's fills ([`PopTable::set_cached`]) and the §6
-//! estimate ([`PopTable::max_cached_iat`]) probe nothing.
-//! A chunk record is the pair `{ h, backref }`. `h` is the **handle**: the
-//! index of the chunk's EWMA state in the parallel slabs (`Vec<f64>`
-//! inter-arrival averages, `Vec<Timestamp>` last-seen stamps, and the
-//! owners: each record's video slot and chunk number). `backref` is the
-//! caller-owned "cached, and
-//! where" word (Cafe stores the chunk's disk rank-index slot there — the
-//! index keeps no map of its own, so this word *is* its address). Either is
-//! [`NO_HANDLE`] when absent: a chunk can be tracked and uncached, cached
-//! with no record (restored from a snapshot whose record had been swept),
-//! both, or neither (a gap in the run). The entry's value is the
-//! video-level last-seen time and its live count is how many chunks of its
-//! run are cached — all the never-seen-video rule and the sweep need. An
-//! entry is released once it holds none of the three.
+//! [`PopTable::touch_run`] makes the request's one directory probe, updates
+//! the run's `c0..=c1` records in place, sequentially, and hands the
+//! video's slot back, so the request's fills ([`PopTable::set_cached`]) and
+//! the §6 estimate ([`PopTable::max_cached_iat`]) probe nothing.
+//! A chunk record is the 24-byte `{ dt, t_last, backref }`: the Eq. 8
+//! inter-arrival average (negative while no interval has been observed),
+//! the last touch, and the caller-owned "cached, and where" word (Cafe
+//! stores the chunk's disk rank-index slot there — the index keeps no map
+//! of its own, so this word *is* its address). `t_last` is `u64::MAX` ms
+//! (`FREE_STAMP`) when the chunk is untracked, and `backref` is
+//! [`NOT_CACHED`] when it is not cached: a chunk can be tracked and
+//! uncached, cached with no record (restored from a snapshot whose record
+//! had been swept), both, or neither (a gap in the run). The entry's value is the video-level
+//! last-seen time and its live count is how many chunks of its run are
+//! cached — all the never-seen-video rule and the sweep need. An entry is
+//! released once it holds none of the three.
 //!
-//! Handles are **stable** (slots are free-listed, never compacted): the
-//! disk rank index caches the handle as its `aux` payload for the lifetime
-//! of an entry. Handle *values* are an allocation artifact
-//! (free-list reuse order) and must never influence ordering or output —
-//! every ordered export sorts by `(key, ChunkId)` or by `ChunkId`.
+//! A record's address is its video's slot and its chunk number. The slot
+//! is stable while the video holds anything (slots are free-listed, never
+//! compacted), so the disk rank index keeps it as each cached chunk's
+//! `aux` payload. Slot *values* are an allocation artifact (free-list
+//! reuse order) and must never influence ordering or output — every
+//! ordered export sorts by `(key, ChunkId)` or by `ChunkId`.
+//!
+//! Runs are reserved tightly
+//! ([`Video::reserve_tight`](super::video_dir::Video::reserve_tight)): a
+//! fresh run to exactly the chunks its request covers, a growing one to
+//! its new length plus `max(len / 8, 4)` records. At 24 bytes a record,
+//! `Vec`'s doubling would leave the table's largest slack.
 
 use vcdn_types::{ChunkId, ChunkRange, Timestamp, VideoId};
 
@@ -34,36 +40,36 @@ use super::{Absent, VideoDir};
 /// Eq. 6/7 cost terms in `cafe.rs`).
 pub const MIN_IAT_MS: f64 = 1.0;
 
-/// Sentinel handle meaning "no popularity record" (e.g. a disk entry
-/// restored from a snapshot whose popularity state was swept); as a
-/// back-reference, "not cached".
-pub const NO_HANDLE: u32 = u32::MAX;
+/// The back-reference of a chunk that is not cached.
+pub const NOT_CACHED: u32 = u32::MAX;
 
-/// Slab sentinel for "no interval observed yet" (`IatState.dt = None` in
-/// the old layout): real EWMA values are gaps in milliseconds, ≥ 0.
+/// `dt` sentinel for "no interval observed yet": real EWMA values are gaps
+/// in milliseconds, ≥ 0.
 const NO_INTERVAL: f64 = -1.0;
 
-/// `t_last` sentinel marking a free-listed slot; it is above every sweep
-/// cutoff, so [`PopTable::sweep`] passes over free slots with the same
-/// comparison that passes over fresh records. Real stamps are trace
+/// `t_last` sentinel marking an untracked chunk; it is above every sweep
+/// cutoff, so [`PopTable::sweep`] passes over untracked chunks with the
+/// same comparison that passes over fresh records. Real stamps are trace
 /// times, far below `u64::MAX` ms.
 pub(crate) const FREE_STAMP: Timestamp = Timestamp(u64::MAX);
 
 /// One chunk of a video's run (see the module docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
 struct Rec {
-    h: u32,
+    dt: f64,
+    t_last: Timestamp,
     backref: u32,
 }
 
 impl Absent for Rec {
     const NONE: Rec = Rec {
-        h: NO_HANDLE,
-        backref: NO_HANDLE,
+        dt: NO_INTERVAL,
+        t_last: FREE_STAMP,
+        backref: NOT_CACHED,
     };
 }
 
-/// The free-slot sentinel doubles as "not seen": no video-level record
+/// The untracked stamp doubles as "not seen": no video-level record
 /// (swept, or never restored).
 impl Absent for Timestamp {
     const NONE: Timestamp = FREE_STAMP;
@@ -75,47 +81,30 @@ type Video = super::video_dir::Video<Rec, Timestamp>;
 
 /// Nothing left to remember: not seen, nothing cached, nothing tracked.
 fn is_dead(v: &Video) -> bool {
-    v.meta == Timestamp::NONE && v.run().iter().all(|r| *r == Rec::NONE)
+    v.meta == Timestamp::NONE && v.live == 0 && v.run().iter().all(|r| *r == Rec::NONE)
 }
 
-/// The EWMA state slabs, addressed by handle.
-#[derive(Debug, Clone, Default)]
-struct Slabs {
-    /// `(video slot, chunk number)`: a record keeps its video's entry
-    /// alive, so the slot stays its owner's.
-    owners: Vec<(u32, u32)>,
-    dt: Vec<f64>,
-    t_last: Vec<Timestamp>,
-    free: Vec<u32>,
+/// The record of chunk `index` of `v`, its run reserved tightly.
+fn rec_mut(v: &mut Video, index: u32) -> &mut Rec {
+    v.reserve_tight(index, index);
+    v.rec_mut(index)
 }
 
-impl Slabs {
-    /// Takes a free slot (or grows the slabs) for a new record.
-    fn alloc(&mut self, owner: (u32, u32), dt: f64, t_last: Timestamp) -> u32 {
-        match self.free.pop() {
-            Some(h) => {
-                let i = h as usize;
-                self.owners[i] = owner;
-                self.dt[i] = dt;
-                self.t_last[i] = t_last;
-                h
-            }
-            None => {
-                self.owners.push(owner);
-                self.dt.push(dt);
-                self.t_last.push(t_last);
-                (self.owners.len() - 1) as u32
-            }
-        }
+/// Eq. 8 for record `r` at `now`: `IAT_x(t) = γ(t − t_x) + (1 − γ)·dt`
+/// (ms, clamped to [`MIN_IAT_MS`]), or `None` while it has no interval.
+fn iat(r: Rec, now: Timestamp, gamma: f64) -> Option<f64> {
+    if r.dt < 0.0 {
+        return None;
     }
+    Some((gamma * (now - r.t_last).as_millis() as f64 + (1.0 - gamma) * r.dt).max(MIN_IAT_MS))
 }
 
-/// Per-video chunk directory over struct-of-arrays EWMA inter-arrival
-/// state.
+/// Per-video chunk directory of EWMA inter-arrival records.
 #[derive(Debug, Clone)]
 pub struct PopTable {
     dir: VideoDir<Rec, Timestamp>,
-    slabs: Slabs,
+    /// Records with a stamp: the tracked chunks.
+    tracked: usize,
     /// Lower bound on the stamp of everything [`Self::sweep`] could drop:
     /// `t_last` of every uncached tracked record and `last_seen` of every
     /// video without a cached chunk.
@@ -127,7 +116,7 @@ impl Default for PopTable {
     fn default() -> Self {
         PopTable {
             dir: VideoDir::default(),
-            slabs: Slabs::default(),
+            tracked: 0,
             // Nothing to drop yet: the bound is vacuous.
             stale_floor: Timestamp(u64::MAX),
             sweeps: 0,
@@ -141,20 +130,14 @@ impl PopTable {
         PopTable::default()
     }
 
-    /// Number of tracked chunks (records with a handle).
+    /// Number of tracked chunks.
     pub fn len(&self) -> usize {
-        self.slabs.owners.len() - self.slabs.free.len()
+        self.tracked
     }
 
     /// Whether the table is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
-    }
-
-    /// The handle of `id`, if tracked.
-    pub fn handle_of(&self, id: &ChunkId) -> Option<u32> {
-        let h = self.dir[self.dir.slot(id.video)?].rec(id.index).h;
-        (h != NO_HANDLE).then_some(h)
     }
 
     /// The directory slot of `video`, taken for an empty entry if it has
@@ -165,15 +148,15 @@ impl PopTable {
 
     /// Records a request for chunks `range` of `video` at `now`: one
     /// directory probe, then per chunk, in ascending order, the Eq. 8
-    /// update and a call `visit(index, handle, backref, dt)` with the
-    /// chunk's handle, its caller-owned back-reference ([`NO_HANDLE`]
-    /// when not cached) and the post-update EWMA (negative while no
-    /// interval has been observed — feed it to [`Self::iat_fresh`] /
-    /// [`Self::key_fresh`] to avoid re-reading the slabs). Eq. 8: a first
-    /// sighting stores the timestamp with no interval; later accesses
-    /// update `dt ← γ·gap + (1 − γ)·dt` (the first observed interval
-    /// seeds the average) — bit-for-bit the arithmetic of the old
-    /// per-entry `IatState::update`.
+    /// update and a call `visit(slot, index, backref, dt)` with the
+    /// video's slot, the chunk's caller-owned back-reference
+    /// ([`NOT_CACHED`] when not cached) and the post-update EWMA
+    /// (negative while no interval has been observed — feed it to
+    /// [`Self::iat_fresh`] / [`Self::key_fresh`] to avoid re-reading the
+    /// record). Eq. 8: a first sighting stores the timestamp with no
+    /// interval; later accesses update `dt ← γ·gap + (1 − γ)·dt` (the first
+    /// observed interval seeds the average) — bit-for-bit the arithmetic
+    /// of the old per-entry `IatState::update`.
     ///
     /// Returns the video's directory slot — valid for the rest of the
     /// request, since a video seen at `now` is not released before the
@@ -198,25 +181,22 @@ impl PopTable {
         let v = &mut self.dir[slot];
         let known = v.meta != Timestamp::NONE || v.live > 0;
         v.meta = now;
-        let slabs = &mut self.slabs;
-        let run = &mut v.run_mut(range.end)[range.start as usize..];
+        v.reserve_tight(range.start, range.end);
+        let run = v.span_mut(range.start, range.end);
         for (c, rec) in range.iter().zip(run) {
-            let d = if rec.h == NO_HANDLE {
-                rec.h = slabs.alloc((slot, c), NO_INTERVAL, now);
-                NO_INTERVAL
+            // An untracked record's `dt` is already `NO_INTERVAL`.
+            if rec.t_last == FREE_STAMP {
+                self.tracked += 1;
             } else {
-                let i = rec.h as usize;
-                let gap = (now - slabs.t_last[i]).as_millis() as f64;
-                let d = if slabs.dt[i] < 0.0 {
+                let gap = (now - rec.t_last).as_millis() as f64;
+                rec.dt = if rec.dt < 0.0 {
                     gap
                 } else {
-                    gamma * gap + (1.0 - gamma) * slabs.dt[i]
+                    gamma * gap + (1.0 - gamma) * rec.dt
                 };
-                slabs.dt[i] = d;
-                slabs.t_last[i] = now;
-                d
-            };
-            visit(c, rec.h, rec.backref, d);
+            }
+            rec.t_last = now;
+            visit(slot, c, rec.backref, rec.dt);
         }
         (slot, known)
     }
@@ -224,8 +204,8 @@ impl PopTable {
     /// Eq. 8 query for a record touched at `now` (so `t_last == now`),
     /// fed by the `dt` that [`Self::touch_run`] just handed out: the
     /// elapsed-gap term is zero and the IAT reduces to `(1 − γ)·dt`
-    /// (clamped), with no slab reads. Bit-identical to
-    /// `iat_at(h, now, γ)` because `γ·0 + x == x` exactly for the
+    /// (clamped), with no record read. Bit-identical to
+    /// [`Self::iat_at`] at `now` because `γ·0 + x == x` exactly for the
     /// non-negative finite `dt` values.
     pub fn iat_fresh(dt: f64, gamma: f64) -> Option<f64> {
         if dt < 0.0 {
@@ -243,37 +223,36 @@ impl PopTable {
     }
 
     /// Marks chunk `index` of the video at `slot` cached, with `backref`
-    /// as its caller-owned back-reference (any value but [`NO_HANDLE`]).
+    /// as its caller-owned back-reference (any value but [`NOT_CACHED`]).
     pub fn set_cached(&mut self, slot: u32, index: u32, backref: u32) {
         let v = &mut self.dir[slot];
-        let was = std::mem::replace(&mut v.rec_mut(index).backref, backref);
-        v.live += u32::from(was == NO_HANDLE);
+        let was = std::mem::replace(&mut rec_mut(v, index).backref, backref);
+        v.live += u32::from(was == NOT_CACHED);
     }
 
-    /// The back-reference of `id` ([`NO_HANDLE`] when it is not cached).
+    /// The back-reference of `id` ([`NOT_CACHED`] when it is not cached).
     pub fn backref_of(&self, id: &ChunkId) -> u32 {
         let slot = self.dir.slot(id.video);
-        slot.map_or(NO_HANDLE, |slot| self.dir[slot].rec(id.index).backref)
+        slot.map_or(NOT_CACHED, |slot| self.dir[slot].rec(id.index).backref)
     }
 
     /// Marks `id` uncached and returns the back-reference it held
-    /// ([`NO_HANDLE`] when it was not cached). What this exposes to the
+    /// ([`NOT_CACHED`] when it was not cached). What this exposes to the
     /// next sweep — the chunk's record, and the video once its last cached
     /// chunk goes — lowers the sweep floor.
     pub fn clear_cached(&mut self, id: ChunkId) -> u32 {
         let Some(slot) = self.dir.slot(id.video) else {
-            return NO_HANDLE;
+            return NOT_CACHED;
         };
         let v = &mut self.dir[slot];
         let rec = v.rec(id.index);
-        if rec.backref == NO_HANDLE {
-            return NO_HANDLE;
+        if rec.backref == NOT_CACHED {
+            return NOT_CACHED;
         }
-        v.rec_mut(id.index).backref = NO_HANDLE;
+        v.rec_mut(id.index).backref = NOT_CACHED;
         v.live -= 1;
-        if rec.h != NO_HANDLE {
-            self.stale_floor = self.stale_floor.min(self.slabs.t_last[rec.h as usize]);
-        }
+        // An untracked chunk's stamp is above every floor.
+        self.stale_floor = self.stale_floor.min(rec.t_last);
         if v.live == 0 && v.meta != Timestamp::NONE {
             self.stale_floor = self.stale_floor.min(v.meta);
         } else if is_dead(v) {
@@ -288,69 +267,46 @@ impl PopTable {
     /// stops at its last cached chunk.
     pub fn max_cached_iat(&self, slot: u32, now: Timestamp, gamma: f64) -> Option<f64> {
         let v = &self.dir[slot];
-        let cached = v.run().iter().filter(|r| r.backref != NO_HANDLE);
+        let cached = v.run().iter().filter(|r| r.backref != NOT_CACHED);
         cached
             .take(v.live as usize)
-            .filter_map(|r| self.iat_at(r.h, now, gamma))
+            .filter_map(|&r| iat(r, now, gamma))
             .reduce(f64::max)
     }
 
-    /// Eq. 8 query for handle `h`:
+    /// Eq. 8 query for chunk `index` of the video at `slot`:
     /// `IAT_x(t) = γ(t − t_x) + (1 − γ)·dt` (ms, clamped to
     /// [`MIN_IAT_MS`]), or `None` while the chunk has been seen only once
-    /// — or when `h` is [`NO_HANDLE`].
-    pub fn iat_at(&self, h: u32, now: Timestamp, gamma: f64) -> Option<f64> {
-        if h == NO_HANDLE {
-            return None;
-        }
-        let i = h as usize;
-        let d = self.slabs.dt[i];
-        if d < 0.0 {
-            return None;
-        }
-        Some(
-            (gamma * (now - self.slabs.t_last[i]).as_millis() as f64 + (1.0 - gamma) * d)
-                .max(MIN_IAT_MS),
-        )
-    }
-
-    /// The raw `(dt, t_last)` pair of handle `h` (snapshot export).
-    pub fn raw(&self, h: u32) -> (Option<f64>, Timestamp) {
-        let i = h as usize;
-        let d = self.slabs.dt[i];
-        (if d < 0.0 { None } else { Some(d) }, self.slabs.t_last[i])
+    /// — or is untracked.
+    pub fn iat_at(&self, slot: u32, index: u32, now: Timestamp, gamma: f64) -> Option<f64> {
+        iat(self.dir[slot].rec(index), now, gamma)
     }
 
     /// Inserts a record with explicit raw state (snapshot restore),
-    /// replacing any existing record for `id`. Returns the handle.
-    /// Restored stamps are arbitrary, so the sweep floor drops to the
-    /// epoch.
+    /// replacing any existing record for `id`, and returns its video's
+    /// slot. Restored stamps are arbitrary, so the sweep floor drops to
+    /// the epoch.
     ///
     /// # Panics
     ///
-    /// Panics if `t_last` is `u64::MAX` ms (the free-slot sentinel).
+    /// Panics if `t_last` is `u64::MAX` ms (the untracked sentinel).
     pub fn insert_raw(&mut self, id: ChunkId, dt: Option<f64>, t_last: Timestamp) -> u32 {
         assert!(
             t_last != FREE_STAMP,
-            "t_last collides with the free-slot sentinel"
+            "t_last collides with the untracked sentinel"
         );
         self.stale_floor = Timestamp::EPOCH;
-        let d = dt.unwrap_or(NO_INTERVAL);
         let slot = self.dir.insert(id.video);
-        let rec = self.dir[slot].rec_mut(id.index);
-        let h = rec.h;
-        if h != NO_HANDLE {
-            self.slabs.dt[h as usize] = d;
-            self.slabs.t_last[h as usize] = t_last;
-            return h;
-        }
-        rec.h = self.slabs.alloc((slot, id.index), d, t_last);
-        rec.h
+        let rec = rec_mut(&mut self.dir[slot], id.index);
+        self.tracked += usize::from(rec.t_last == FREE_STAMP);
+        rec.dt = dt.unwrap_or(NO_INTERVAL);
+        rec.t_last = t_last;
+        slot
     }
 
     /// Sets `video`'s last-seen time (snapshot restore); like
     /// [`Self::insert_raw`] it resets the sweep floor. `t` at `u64::MAX`
-    /// ms (the free-slot sentinel) reads as "not seen".
+    /// ms (the untracked sentinel) reads as "not seen".
     pub fn set_last_seen(&mut self, video: VideoId, t: Timestamp) {
         self.stale_floor = Timestamp::EPOCH;
         let slot = self.dir.insert(video);
@@ -359,8 +315,9 @@ impl PopTable {
 
     /// Drops every uncached record last touched before `cutoff` and the
     /// video-level record of every video without a cached chunk last seen
-    /// before it, free-listing the dropped slots (survivors keep their
-    /// handles). [`Self::sweeps`] counts the calls that walk the slabs.
+    /// before it, then releases the entries left holding nothing — one
+    /// [`VideoDir::retain`] pass over the directory. [`Self::sweeps`]
+    /// counts the calls that walk it.
     ///
     /// The walk is skipped when `cutoff <= stale_floor`, and skipping is
     /// exact: the floor is a lower bound on the stamp of every record and
@@ -370,29 +327,19 @@ impl PopTable {
     /// by [`Self::clear_cached`] (which lowers it to the exposed stamps),
     /// or restored (which resets it to the epoch) — and a walk leaves
     /// nothing below `cutoff`, so it raises the floor to `cutoff`.
-    ///
-    /// The walk is sequential over the `t_last` slab (free slots carry a
-    /// stamp above any cutoff); a stale record is reached through its
-    /// owner's slot, with no probe.
     pub fn sweep(&mut self, cutoff: Timestamp) {
         if cutoff <= self.stale_floor {
             return;
         }
-        let PopTable { dir, slabs, .. } = self;
-        for (i, t) in slabs.t_last.iter_mut().enumerate() {
-            if *t >= cutoff {
-                continue;
-            }
-            let (slot, index) = slabs.owners[i];
-            let rec = dir[slot].rec_mut(index);
-            if rec.backref != NO_HANDLE {
-                continue; // cached chunks keep their record
-            }
-            rec.h = NO_HANDLE;
-            *t = FREE_STAMP;
-            slabs.free.push(i as u32);
-        }
+        let PopTable { dir, tracked, .. } = self;
         dir.retain(|v| {
+            // Untracked chunks carry a stamp above any cutoff; cached
+            // chunks keep their record.
+            let stale = |r: &Rec| r.t_last < cutoff && r.backref == NOT_CACHED;
+            for r in v.run_mut().iter_mut().filter(|r| stale(r)) {
+                *r = Rec::NONE;
+                *tracked -= 1;
+            }
             if v.live == 0 && v.meta < cutoff {
                 v.meta = Timestamp::NONE;
             }
@@ -402,16 +349,31 @@ impl PopTable {
         self.sweeps += 1;
     }
 
-    /// How many [`Self::sweep`] calls walked the slabs (for tests).
+    /// How many [`Self::sweep`] calls walked the directory (for tests).
     pub fn sweeps(&self) -> u64 {
         self.sweeps
     }
 
-    /// Iterates `(id, handle)` over all tracked chunks in slab order.
-    pub fn iter(&self) -> impl Iterator<Item = (ChunkId, u32)> + '_ {
-        let slots = self.slabs.owners.iter().zip(&self.slabs.t_last).enumerate();
-        let live = slots.filter(|(_, (_, t))| **t != FREE_STAMP);
-        live.map(|(h, (&(slot, index), _))| (ChunkId::new(self.dir[slot].id(), index), h as u32))
+    /// `(id, dt, t_last)` for every tracked chunk, in slot order and
+    /// ascending chunk order within a video (snapshot export).
+    pub fn records(&self) -> impl Iterator<Item = (ChunkId, Option<f64>, Timestamp)> + '_ {
+        self.dir.iter().flat_map(|(_, v)| {
+            let tracked = (v.base()..)
+                .zip(v.run())
+                .filter(|(_, r)| r.t_last != FREE_STAMP);
+            tracked.map(|(c, r)| {
+                let dt = if r.dt < 0.0 { None } else { Some(r.dt) };
+                (ChunkId::new(v.id(), c), dt, r.t_last)
+            })
+        })
+    }
+
+    /// How many records `video`'s run holds (0 without an entry): its
+    /// directory cost, gaps included.
+    pub fn run_len(&self, video: VideoId) -> usize {
+        self.dir
+            .slot(video)
+            .map_or(0, |slot| self.dir[slot].run().len())
     }
 
     /// `(video, last_seen)` for every video with a video-level record, in
@@ -422,37 +384,43 @@ impl PopTable {
     }
 
     /// Checks the directory (tests): [`VideoDir::audit`], with `live`
-    /// counting the records that carry a back-reference.
+    /// counting the records that carry a back-reference, and the tracked
+    /// count.
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
     pub fn audit(&self) {
-        self.dir.audit(|r| r.backref != NO_HANDLE);
+        self.dir.audit(|r| r.backref != NOT_CACHED);
+        assert_eq!(self.records().count(), self.tracked, "tracked count");
     }
 }
 
 #[cfg(test)]
 mod tests {
+    use std::collections::BTreeMap;
+
+    use vcdn_trace::rng::DetRng;
+
     use super::*;
 
     fn id(v: u64, c: u32) -> ChunkId {
         ChunkId::new(VideoId(v), c)
     }
 
-    /// [`PopTable::sweep`] at `cutoff`; whether it walked the slabs.
+    /// [`PopTable::sweep`] at `cutoff`; whether it walked the directory.
     fn walked(p: &mut PopTable, cutoff: Timestamp) -> bool {
         let before = p.sweeps();
         p.sweep(cutoff);
         p.sweeps() > before
     }
 
-    /// One-chunk [`PopTable::touch_run`]: `(handle, backref, dt)`.
+    /// One-chunk [`PopTable::touch_run`]: `(slot, backref, dt)`.
     fn touch(p: &mut PopTable, id: ChunkId, now: u64, gamma: f64) -> (u32, u32, f64) {
         let mut out = None;
         let range = ChunkRange::new(id.index, id.index).unwrap();
-        p.touch_run(id.video, range, Timestamp(now), gamma, |_, h, b, dt| {
-            out = Some((h, b, dt));
+        p.touch_run(id.video, range, Timestamp(now), gamma, |slot, _, b, dt| {
+            out = Some((slot, b, dt));
         });
         out.unwrap()
     }
@@ -463,25 +431,40 @@ mod tests {
         p.set_cached(slot, id.index, backref);
     }
 
+    /// The raw `(dt, t_last)` of `id`, if tracked.
+    fn raw(p: &PopTable, id: ChunkId) -> Option<(Option<f64>, Timestamp)> {
+        let mut hit = p.records().filter(|r| r.0 == id);
+        hit.next().map(|(_, dt, t)| (dt, t))
+    }
+
+    /// Every tracked chunk, sorted.
+    fn tracked(p: &PopTable) -> Vec<ChunkId> {
+        let mut ids: Vec<ChunkId> = p.records().map(|r| r.0).collect();
+        ids.sort_unstable();
+        ids
+    }
+
     #[test]
     fn ewma_update_matches_eq8() {
         let mut p = PopTable::new();
-        let (h, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
-        assert_eq!(p.iat_at(h, Timestamp(10), 0.25), None);
-        assert_eq!(touch(&mut p, id(1, 0), 100, 0.25).0, h);
-        assert!((p.raw(h).0.unwrap() - 100.0).abs() < 1e-9);
+        let (v, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
+        assert_eq!(p.iat_at(v, 0, Timestamp(10), 0.25), None);
+        assert_eq!(touch(&mut p, id(1, 0), 100, 0.25).0, v);
+        assert_eq!(raw(&p, id(1, 0)), Some((Some(100.0), Timestamp(100))));
         touch(&mut p, id(1, 0), 140, 0.25); // 0.25*40 + 0.75*100 = 85
-        assert!((p.raw(h).0.unwrap() - 85.0).abs() < 1e-9);
+        assert!((raw(&p, id(1, 0)).unwrap().0.unwrap() - 85.0).abs() < 1e-9);
         // IAT at t=200: 0.25*60 + 0.75*85 = 78.75.
-        assert!((p.iat_at(h, Timestamp(200), 0.25).unwrap() - 78.75).abs() < 1e-9);
+        assert!((p.iat_at(v, 0, Timestamp(200), 0.25).unwrap() - 78.75).abs() < 1e-9);
     }
 
     #[test]
     fn fallback_key_and_no_handle() {
         let mut p = PopTable::new();
-        let (h, _, dt) = touch(&mut p, id(2, 1), 500, 0.25);
-        assert_eq!(p.iat_at(h, Timestamp(500), 0.25), None);
-        assert_eq!(p.iat_at(NO_HANDLE, Timestamp(500), 0.25), None);
+        let (v, _, dt) = touch(&mut p, id(2, 1), 500, 0.25);
+        assert_eq!(p.iat_at(v, 1, Timestamp(500), 0.25), None);
+        // Untracked chunks, inside the run and outside it, have no IAT.
+        assert_eq!(p.iat_at(v, 0, Timestamp(500), 0.25), None);
+        assert_eq!(p.iat_at(v, 9, Timestamp(500), 0.25), None);
         // No interval yet: the key falls back to t - fallback.
         assert!((PopTable::key_fresh(dt, Timestamp(500), 0.25, 30.0) - 470.0).abs() < 1e-9);
         // With one: t - (1 - γ)·dt, whatever the fallback.
@@ -492,9 +475,9 @@ mod tests {
     #[test]
     fn iat_clamps_at_floor() {
         let mut p = PopTable::new();
-        let (h, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
+        let (v, _, _) = touch(&mut p, id(1, 0), 0, 0.25);
         touch(&mut p, id(1, 0), 1, 0.25); // dt = 1ms
-        let iat = p.iat_at(h, Timestamp(1), 0.25).unwrap();
+        let iat = p.iat_at(v, 0, Timestamp(1), 0.25).unwrap();
         assert!((iat - MIN_IAT_MS).abs() < 1e-12, "clamped to floor");
     }
 
@@ -503,34 +486,35 @@ mod tests {
         let mut p = PopTable::new();
         let mut seen = Vec::new();
         let range = ChunkRange::new(2, 5).unwrap();
-        let (_, known) = p.touch_run(VideoId(9), range, Timestamp(10), 0.25, |c, h, b, dt| {
-            seen.push((c, h, b, dt));
+        let (slot, known) = p.touch_run(VideoId(9), range, Timestamp(10), 0.25, |s, c, b, dt| {
+            seen.push((s, c, b, dt));
         });
         assert!(!known, "first request of the video");
-        let want: Vec<_> = (2..=5).map(|c| (c, c - 2, NO_HANDLE, -1.0)).collect();
+        let want: Vec<_> = (2..=5).map(|c| (slot, c, NOT_CACHED, -1.0)).collect();
         assert_eq!(seen, want);
         assert_eq!(p.len(), 4);
-        // Chunks 0 and 1 are gaps in the run: reachable, untracked.
-        assert_eq!(p.handle_of(&id(9, 1)), None);
-        assert_eq!(p.handle_of(&id(9, 3)), Some(1));
-        assert_eq!(p.handle_of(&id(9, 6)), None);
-        // An overlapping request reuses the handles and reports the video.
+        // The run starts at chunk 2; chunks 0, 1 and 6 are untracked.
+        assert_eq!(p.run_len(VideoId(9)), 4);
+        assert_eq!(tracked(&p), (2..=5).map(|c| id(9, c)).collect::<Vec<_>>());
+        // An overlapping request updates the records in place and
+        // reports the video.
         cache(&mut p, id(9, 3), 77);
         seen.clear();
         let range = ChunkRange::new(3, 6).unwrap();
-        let (_, known) = p.touch_run(VideoId(9), range, Timestamp(30), 0.25, |c, h, b, dt| {
-            seen.push((c, h, b, dt));
+        let (_, known) = p.touch_run(VideoId(9), range, Timestamp(30), 0.25, |s, c, b, dt| {
+            seen.push((s, c, b, dt));
         });
         assert!(known);
         assert_eq!(
             seen,
             vec![
-                (3, 1, 77, 20.0),
-                (4, 2, NO_HANDLE, 20.0),
-                (5, 3, NO_HANDLE, 20.0),
-                (6, 4, NO_HANDLE, -1.0)
+                (slot, 3, 77, 20.0),
+                (slot, 4, NOT_CACHED, 20.0),
+                (slot, 5, NOT_CACHED, 20.0),
+                (slot, 6, NOT_CACHED, -1.0)
             ]
         );
+        assert_eq!((p.len(), p.run_len(VideoId(9))), (5, 5));
     }
 
     #[test]
@@ -541,68 +525,74 @@ mod tests {
         cache(&mut p, id(4, 2), 0);
         let v4 = p.slot(VideoId(4));
         assert_eq!(p.max_cached_iat(v4, Timestamp(50), 0.25), None);
-        let (h, b, _) = touch(&mut p, id(4, 2), 100, 0.25);
+        assert_eq!(p.len(), 0, "cached, untracked");
+        let (_, b, _) = touch(&mut p, id(4, 2), 100, 0.25);
         assert_eq!(b, 0, "back-reference survives the first touch");
         touch(&mut p, id(4, 2), 200, 0.25); // dt = 100
         touch(&mut p, id(4, 7), 200, 0.25);
         touch(&mut p, id(4, 7), 210, 0.25); // hotter, but not cached
-        let want = p.iat_at(h, Timestamp(300), 0.25);
+        let want = p.iat_at(v4, 2, Timestamp(300), 0.25);
         assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), want);
         assert_eq!(p.backref_of(&id(4, 2)), 0);
         assert_eq!(p.clear_cached(id(4, 2)), 0);
         assert_eq!(p.max_cached_iat(v4, Timestamp(300), 0.25), None);
-        assert_eq!(p.clear_cached(id(4, 2)), NO_HANDLE, "idempotent");
-        assert_eq!(p.backref_of(&id(4, 2)), NO_HANDLE);
+        assert_eq!(p.clear_cached(id(4, 2)), NOT_CACHED, "idempotent");
+        assert_eq!(p.backref_of(&id(4, 2)), NOT_CACHED);
         // A video that is neither seen, cached nor tracked leaves no entry.
         cache(&mut p, id(5, 0), 1);
         assert_eq!(p.clear_cached(id(5, 0)), 1);
-        assert_eq!(p.clear_cached(id(5, 0)), NO_HANDLE);
-        assert_eq!(p.backref_of(&id(5, 0)), NO_HANDLE, "no such video");
+        assert_eq!(p.clear_cached(id(5, 0)), NOT_CACHED);
+        assert_eq!(p.backref_of(&id(5, 0)), NOT_CACHED, "no such video");
+        assert_eq!(p.run_len(VideoId(5)), 0);
         assert_eq!(p.videos_seen().count(), 1);
+        p.audit();
     }
 
     #[test]
     fn retain_freelists_and_reuses_slots() {
         let mut p = PopTable::new();
-        let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
-        let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
+        let (va, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
+        let (vb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
         touch(&mut p, id(3, 0), 30, 0.25);
         assert!(walked(&mut p, Timestamp(25)));
         assert_eq!(p.len(), 1);
-        assert_eq!(p.handle_of(&id(1, 0)), None);
-        assert_eq!(p.handle_of(&id(2, 0)), None);
+        assert_eq!(tracked(&p), [id(3, 0)]);
         assert_eq!(
             p.videos_seen().collect::<Vec<_>>(),
             [(VideoId(3), Timestamp(30))]
         );
-        // New entries reuse the freed slots; survivors keep their handle.
-        let (hd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
-        let (he, _, _) = touch(&mut p, id(5, 0), 50, 0.25);
-        let mut reused = vec![hd, he];
+        // The sweep released both dead videos' entries: new videos reuse
+        // their slots, and the survivor keeps its own.
+        let (vd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
+        let (ve, _, _) = touch(&mut p, id(5, 0), 50, 0.25);
+        let mut reused = vec![vd, ve];
         reused.sort_unstable();
-        let mut freed = vec![ha, hb];
+        let mut freed = vec![va, vb];
         freed.sort_unstable();
         assert_eq!(reused, freed);
         assert_eq!(p.len(), 3);
+        p.audit();
     }
 
     #[test]
     fn repeated_retain_skips_freed_slots() {
         let mut p = PopTable::new();
-        let (ha, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
-        let (hb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
-        assert!(walked(&mut p, Timestamp(15))); // drops slot `ha`
+        let (va, _, _) = touch(&mut p, id(1, 0), 10, 0.25);
+        let (vb, _, _) = touch(&mut p, id(2, 0), 20, 0.25);
+        assert!(walked(&mut p, Timestamp(15))); // releases slot `va`
         assert!(walked(&mut p, Timestamp(16))); // must not revisit the freed slot
         assert_eq!(p.len(), 1);
-        assert!(walked(&mut p, Timestamp(1_000))); // drops slot `hb`, skips the free one
+        p.audit();
+        assert!(walked(&mut p, Timestamp(1_000))); // releases slot `vb`
         assert_eq!(p.len(), 0);
-        assert_eq!(p.iter().count(), 0);
+        assert_eq!(p.records().count(), 0);
+        p.audit();
         // Both slots come back exactly once each.
-        let (hc, _, _) = touch(&mut p, id(3, 0), 30, 0.25);
-        let (hd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
-        let mut reused = vec![hc, hd];
+        let (vc, _, _) = touch(&mut p, id(3, 0), 30, 0.25);
+        let (vd, _, _) = touch(&mut p, id(4, 0), 40, 0.25);
+        let mut reused = vec![vc, vd];
         reused.sort_unstable();
-        assert_eq!(reused, vec![ha.min(hb), ha.max(hb)]);
+        assert_eq!(reused, vec![va.min(vb), va.max(vb)]);
         assert_eq!(p.len(), 2);
     }
 
@@ -637,12 +627,13 @@ mod tests {
         // A restored stamp can be anything: the floor returns to the epoch.
         p.insert_raw(id(8, 0), None, Timestamp(3));
         assert!(walked(&mut p, Timestamp(4)));
-        assert_eq!(p.handle_of(&id(8, 0)), None);
+        assert_eq!(raw(&p, id(8, 0)), None);
         // Time running backwards lowers the floor with it.
         touch(&mut p, id(9, 0), 2, 0.25);
         assert!(walked(&mut p, Timestamp(3)));
-        assert_eq!(p.handle_of(&id(9, 0)), None);
+        assert_eq!(raw(&p, id(9, 0)), None);
         assert_eq!(p.sweeps(), 4);
+        p.audit();
     }
 
     #[test]
@@ -662,17 +653,18 @@ mod tests {
         p.clear_cached(id(1, 0));
         assert!(walked(&mut p, Timestamp(50)));
         assert_eq!((p.len(), p.videos_seen().count()), (0, 0));
+        assert_eq!(p.run_len(VideoId(1)), 0, "entry released");
+        p.audit();
     }
 
     #[test]
     fn insert_raw_round_trips() {
         let mut p = PopTable::new();
-        let h = p.insert_raw(id(7, 3), Some(123.5), Timestamp(999));
-        assert_eq!(p.raw(h), (Some(123.5), Timestamp(999)));
-        let h2 = p.insert_raw(id(7, 3), None, Timestamp(1_000));
-        assert_eq!(h, h2, "re-insert replaces in place");
-        assert_eq!(p.raw(h), (None, Timestamp(1_000)));
-        assert_eq!(p.len(), 1);
+        let slot = p.insert_raw(id(7, 3), Some(123.5), Timestamp(999));
+        assert_eq!(raw(&p, id(7, 3)), Some((Some(123.5), Timestamp(999))));
+        assert_eq!(p.insert_raw(id(7, 3), None, Timestamp(1_000)), slot);
+        assert_eq!(raw(&p, id(7, 3)), Some((None, Timestamp(1_000))));
+        assert_eq!(p.len(), 1, "re-insert replaces in place");
         // A chunk record alone does not make the video seen.
         assert_eq!(p.videos_seen().count(), 0);
         p.set_last_seen(VideoId(7), Timestamp(5));
@@ -680,10 +672,11 @@ mod tests {
             p.videos_seen().collect::<Vec<_>>(),
             [(VideoId(7), Timestamp(5))]
         );
+        p.audit();
     }
 
     #[test]
-    #[should_panic(expected = "free-slot sentinel")]
+    #[should_panic(expected = "untracked sentinel")]
     fn insert_raw_refuses_the_free_stamp() {
         PopTable::new().insert_raw(id(1, 0), None, Timestamp(u64::MAX));
     }
@@ -692,11 +685,169 @@ mod tests {
     fn iter_visits_every_entry() {
         let mut p = PopTable::new();
         for v in 0..10 {
-            touch(&mut p, id(v, 0), v, 0.25);
+            touch(&mut p, id(v, v as u32), v, 0.25);
         }
-        let mut seen: Vec<ChunkId> = p.iter().map(|(c, _)| c).collect();
-        seen.sort_unstable();
-        let want: Vec<ChunkId> = (0..10).map(|v| id(v, 0)).collect();
-        assert_eq!(seen, want);
+        let want: Vec<ChunkId> = (0..10).map(|v| id(v, v as u32)).collect();
+        assert_eq!(tracked(&p), want);
+        // One record a video, however high its chunk.
+        assert!((0..10).all(|v| p.run_len(VideoId(v)) == 1));
+    }
+
+    /// What the table should hold, by chunk: `(dt, t_last, backref)`
+    /// ([`NO_INTERVAL`], [`FREE_STAMP`], [`NOT_CACHED`] when absent), and
+    /// by video: the last-seen stamp.
+    #[derive(Default)]
+    struct Model {
+        chunks: BTreeMap<ChunkId, (f64, Timestamp, u32)>,
+        seen: BTreeMap<VideoId, Timestamp>,
+    }
+
+    impl Model {
+        fn entry(&mut self, id: ChunkId) -> &mut (f64, Timestamp, u32) {
+            self.chunks
+                .entry(id)
+                .or_insert((NO_INTERVAL, FREE_STAMP, NOT_CACHED))
+        }
+
+        /// Drops entries that are neither tracked nor cached.
+        fn tidy(&mut self) {
+            self.chunks
+                .retain(|_, e| e.1 != FREE_STAMP || e.2 != NOT_CACHED);
+        }
+
+        fn cached(&self, video: VideoId) -> bool {
+            let mut of = self.chunks.iter().filter(|(c, _)| c.video == video);
+            of.any(|(_, e)| e.2 != NOT_CACHED)
+        }
+
+        /// The unconditional sweep.
+        fn sweep(&mut self, cutoff: Timestamp) {
+            for e in self.chunks.values_mut() {
+                if e.2 == NOT_CACHED && e.1 < cutoff {
+                    *e = (NO_INTERVAL, FREE_STAMP, NOT_CACHED);
+                }
+            }
+            let stale: Vec<VideoId> = (self.seen.iter())
+                .filter(|(v, t)| **t < cutoff && !self.cached(**v))
+                .map(|(v, _)| *v)
+                .collect();
+            for v in stale {
+                self.seen.remove(&v);
+            }
+            self.tidy();
+        }
+
+        /// Every tracked chunk's `(id, dt, t_last)`, sorted.
+        fn records(&self) -> Vec<(ChunkId, Option<f64>, Timestamp)> {
+            let tracked = self.chunks.iter().filter(|(_, e)| e.1 != FREE_STAMP);
+            let dt = |d: f64| if d < 0.0 { None } else { Some(d) };
+            tracked.map(|(c, e)| (*c, dt(e.0), e.1)).collect()
+        }
+    }
+
+    #[test]
+    fn matches_a_btreemap_model() {
+        let gamma = 0.25;
+        for case in 0..48u64 {
+            let mut rng = DetRng::new(0x9097_AB1E ^ case);
+            let mut p = PopTable::new();
+            let mut m = Model::default();
+            let mut now = 1_000u64;
+            let mut next_backref = 0u32;
+            let videos = 1 + rng.below(6);
+            for step in 0..1 + rng.below(400) {
+                let at = format!("case {case} step {step}");
+                let video = VideoId(rng.below(videos));
+                let chunk = ChunkId::new(video, rng.below(24) as u32);
+                match rng.below(20) {
+                    0..=8 => {
+                        // A request; now and then the clock steps back.
+                        now = if rng.below(16) == 0 {
+                            now - rng.below(200)
+                        } else {
+                            now + rng.below(60)
+                        };
+                        let t = Timestamp(now);
+                        let end = chunk.index + rng.below(5) as u32;
+                        let range = ChunkRange::new(chunk.index, end).unwrap();
+                        let want_known = m.seen.contains_key(&video) || m.cached(video);
+                        let mut visits = Vec::new();
+                        let (slot, known) = p.touch_run(video, range, t, gamma, |s, c, b, dt| {
+                            visits.push((s, c, b, dt));
+                        });
+                        assert_eq!(known, want_known, "{at}");
+                        m.seen.insert(video, t);
+                        for (c, (s, index, b, dt)) in range.iter().zip(visits) {
+                            let e = m.entry(ChunkId::new(video, c));
+                            if e.1 == FREE_STAMP {
+                                e.0 = NO_INTERVAL;
+                            } else {
+                                let gap = (t - e.1).as_millis() as f64;
+                                e.0 = if e.0 < 0.0 {
+                                    gap
+                                } else {
+                                    gamma * gap + (1.0 - gamma) * e.0
+                                };
+                            }
+                            e.1 = t;
+                            assert_eq!((s, index, b, dt), (slot, c, e.2, e.0), "{at}");
+                        }
+                        let estimate = (m.chunks.iter())
+                            .filter(|(c, e)| c.video == video && e.2 != NOT_CACHED)
+                            .filter_map(|(_, e)| {
+                                let r = Rec {
+                                    dt: e.0,
+                                    t_last: e.1,
+                                    backref: e.2,
+                                };
+                                iat(r, t, gamma)
+                            })
+                            .reduce(f64::max);
+                        assert_eq!(p.max_cached_iat(slot, t, gamma), estimate, "{at}");
+                    }
+                    9..=11 => {
+                        if m.entry(chunk).2 == NOT_CACHED {
+                            let slot = p.slot(video);
+                            p.set_cached(slot, chunk.index, next_backref);
+                            m.entry(chunk).2 = next_backref;
+                            next_backref += 1;
+                        }
+                        m.tidy();
+                    }
+                    12..=14 => {
+                        let want = m.entry(chunk).2;
+                        assert_eq!(p.clear_cached(chunk), want, "{at}");
+                        m.entry(chunk).2 = NOT_CACHED;
+                        m.tidy();
+                    }
+                    15..=17 => {
+                        let cutoff = Timestamp(now - rng.below(150));
+                        p.sweep(cutoff);
+                        m.sweep(cutoff);
+                    }
+                    _ => {
+                        // A restore: a record, and the video's last-seen.
+                        let dt = (rng.below(3) > 0).then(|| rng.below(500) as f64);
+                        let t = Timestamp(now - rng.below(300));
+                        p.insert_raw(chunk, dt, t);
+                        *m.entry(chunk) = (dt.unwrap_or(NO_INTERVAL), t, m.entry(chunk).2);
+                        p.set_last_seen(video, t);
+                        m.seen.insert(video, t);
+                    }
+                }
+                let mut records: Vec<_> = p.records().collect();
+                records.sort_unstable_by_key(|r| r.0);
+                assert_eq!(records, m.records(), "{at}");
+                let mut seen: Vec<_> = p.videos_seen().collect();
+                seen.sort_unstable();
+                let want: Vec<_> = m.seen.iter().map(|(v, t)| (*v, *t)).collect();
+                assert_eq!(seen, want, "{at}");
+                assert_eq!(p.len(), m.records().len(), "{at}");
+                for (c, e) in &m.chunks {
+                    assert_eq!(p.backref_of(c), e.2, "{at}: {c}");
+                }
+                p.audit();
+            }
+        }
     }
 }

@@ -59,8 +59,9 @@ pub const NO_AUX: u32 = u32::MAX;
 struct Entry<T> {
     item: T,
     key: f64,
-    /// Caller-owned sidecar (Cafe stores the popularity-table handle here
-    /// so eviction scans read IAT slabs without a hash lookup).
+    /// Caller-owned sidecar (Cafe stores the chunk's video directory slot
+    /// here, so eviction scans read the chunk's popularity record without
+    /// a hash lookup).
     aux: u32,
     /// Global id of the bucket holding this entry: never above the bucket
     /// `key` maps to.

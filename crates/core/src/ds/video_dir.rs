@@ -1,15 +1,21 @@
 //! The per-video chunk directory under [`ChunkLru`](super::ChunkLru) (the
 //! LRU / xLRU disk) and [`PopTable`](super::PopTable) (Cafe's popularity
-//! state).
+//! records).
 //!
 //! A request is one video and one contiguous chunk interval (§4.2), so the
 //! directory is keyed by *video*: one hash probe ([`VideoDir::slot`]) finds
 //! the video's **slot**, and every chunk of the request is then a dense
 //! read of the video's run, indexed by chunk number. A run holds one record
-//! `R` per chunk, [`Absent::NONE`] in its gaps and past its end; it grows
-//! to the highest index written and no further than [`MAX_CHUNK_INDEX`].
+//! `R` per chunk from its **base** — the lowest chunk ever written to it —
+//! to the highest, [`Absent::NONE`] in its gaps and outside it; it grows to
+//! cover each chunk written, never below chunk 0 or past
+//! [`MAX_CHUNK_INDEX`], and never shrinks while the entry lives. So one
+//! request for the last chunk of a fresh video costs one record.
 //! Beside the run, an entry carries the owner's count of live records and
 //! one owner-defined per-video value, [`Absent::NONE`] in a fresh entry.
+//!
+//! A run grows by `Vec`'s doubling ([`Video::span_mut`]), or exactly, with
+//! a fixed slack, when the owner reserves first ([`Video::reserve_tight`]).
 //!
 //! Slots are free-listed, never compacted: a slot stays valid until the
 //! owner [`VideoDir::release`]s it, which it does only once the video
@@ -23,8 +29,8 @@ use std::ops::{Index, IndexMut};
 use vcdn_types::{ChunkId, FastMap, VideoId};
 
 /// Exclusive bound on the chunk indices a run accepts — the one
-/// [`ChunkId::packed`] documents. A run is indexed by chunk number, so the
-/// bound caps it at 8 MiB at most, however hostile the request.
+/// [`ChunkId::packed`] documents. A run spans chunk numbers, so the bound
+/// caps it at 2^20 records, however hostile the requests.
 pub const MAX_CHUNK_INDEX: u32 = 1 << ChunkId::INDEX_BITS;
 
 /// Refuses a chunk index before it can size a run.
@@ -58,14 +64,19 @@ impl Absent for () {
     const NONE: () = ();
 }
 
+/// The base of a free-listed entry: real bases are chunk indices, below
+/// [`MAX_CHUNK_INDEX`].
+const FREE_BASE: u32 = u32::MAX;
+
 /// One video's directory entry.
 #[derive(Debug, Clone)]
 pub struct Video<R, V> {
     id: VideoId,
-    /// Whether a video holds this slot (free-listed entries do not).
-    used: bool,
     /// Owner-kept count of the run's live records.
     pub live: u32,
+    /// The chunk number of `run[0]`; [`FREE_BASE`] while no video holds
+    /// the slot.
+    base: u32,
     /// Owner-kept per-video value.
     pub meta: V,
     run: Vec<R>,
@@ -76,11 +87,16 @@ impl<R: Absent, V: Absent> Video<R, V> {
     fn empty(id: VideoId, used: bool) -> Self {
         Video {
             id,
-            used,
             live: 0,
+            base: if used { 0 } else { FREE_BASE },
             meta: V::NONE,
             run: Vec::new(),
         }
+    }
+
+    /// Whether a video holds this slot.
+    fn used(&self) -> bool {
+        self.base != FREE_BASE
     }
 
     /// The video this entry belongs to.
@@ -88,36 +104,84 @@ impl<R: Absent, V: Absent> Video<R, V> {
         self.id
     }
 
-    /// The record of chunk `index` ([`Absent::NONE`] past the run's end).
+    /// The record of chunk `index` ([`Absent::NONE`] outside the run).
     pub fn rec(&self, index: u32) -> R {
-        self.run.get(index as usize).copied().unwrap_or(R::NONE)
+        let at = index.wrapping_sub(self.base) as usize;
+        self.run.get(at).copied().unwrap_or(R::NONE)
     }
 
-    /// The whole run, chunk 0 first.
+    /// The chunk number of the run's first record.
+    pub fn base(&self) -> u32 {
+        self.base
+    }
+
+    /// The whole run, chunk [`Self::base`] first.
     pub fn run(&self) -> &[R] {
         &self.run
     }
 
-    /// The whole run, grown to reach chunk `last`.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `last` is [`MAX_CHUNK_INDEX`] or beyond.
-    pub fn run_mut(&mut self, last: u32) -> &mut [R] {
-        assert_chunk_index(last);
-        if self.run.len() <= last as usize {
-            self.run.resize(last as usize + 1, R::NONE);
-        }
+    /// The whole run, chunk [`Self::base`] first, as it stands.
+    pub fn run_mut(&mut self) -> &mut [R] {
         &mut self.run
     }
 
-    /// The record of chunk `index`, growing the run to reach it.
+    /// The run's base and length once it covers chunks `first..=last`.
+    fn covering(&self, first: u32, last: u32) -> (u32, usize) {
+        let Some(end) = (self.run.len() as u32).checked_sub(1) else {
+            return (first, (last - first) as usize + 1);
+        };
+        let base = self.base.min(first);
+        (base, ((self.base + end).max(last) - base) as usize + 1)
+    }
+
+    /// Reserves, exactly, the room the run needs to cover chunks
+    /// `first..=last`: a fresh run gets their count, a run that grows its
+    /// new length plus `max(len / 8, 4)` records. The [`Self::span_mut`]
+    /// that follows then grows within it.
+    pub fn reserve_tight(&mut self, first: u32, last: u32) {
+        let (_, len) = self.covering(first, last);
+        if len > self.run.capacity() {
+            let slack = if self.run.is_empty() {
+                0
+            } else {
+                (len / 8).max(4)
+            };
+            self.run.reserve_exact(len + slack - self.run.len());
+        }
+    }
+
+    /// Chunks `first..=last` of the run, which grows to cover them: by
+    /// `Vec`'s doubling, unless [`Self::reserve_tight`] made room first.
+    /// A new base moves the run's records up.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `last` is [`MAX_CHUNK_INDEX`] or beyond, or below `first`.
+    pub fn span_mut(&mut self, first: u32, last: u32) -> &mut [R] {
+        assert_chunk_index(last);
+        assert!(first <= last, "chunk span {first}..={last} is empty");
+        let (base, len) = self.covering(first, last);
+        let old = self.run.len();
+        if len > old {
+            let shift = if old == 0 { 0 } else { self.base - base } as usize;
+            self.run.resize(len, R::NONE);
+            if shift > 0 {
+                self.run.copy_within(..old, shift);
+                self.run[..shift].fill(R::NONE);
+            }
+            self.base = base;
+        }
+        &mut self.run[(first - base) as usize..=(last - base) as usize]
+    }
+
+    /// The record of chunk `index`, growing the run to cover it.
     ///
     /// # Panics
     ///
     /// Panics if `index` is [`MAX_CHUNK_INDEX`] or beyond.
     pub fn rec_mut(&mut self, index: u32) -> &mut R {
-        &mut self.run_mut(index)[index as usize]
+        self.span_mut(index, index);
+        &mut self.run[(index - self.base) as usize]
     }
 }
 
@@ -131,10 +195,12 @@ impl<R: Absent, V: Absent> Video<R, V> {
 ///
 /// let mut dir: VideoDir<u32, ()> = VideoDir::default();
 /// let slot = dir.insert(VideoId(7));
-/// *dir[slot].rec_mut(3) = 42; // chunks 0..=2 become gaps
+/// *dir[slot].rec_mut(3) = 42; // the run starts at chunk 3
+/// *dir[slot].rec_mut(1) = 41; // ... and now at 1, with a gap at 2
 /// dir[slot].live += 1;
 /// assert_eq!(dir.slot(VideoId(7)), Some(slot));
-/// assert_eq!((dir[slot].rec(3), dir[slot].rec(1)), (42, u32::MAX));
+/// assert_eq!(dir[slot].run(), [41, u32::MAX, 42]);
+/// assert_eq!((dir[slot].rec(3), dir[slot].rec(0)), (42, u32::MAX));
 /// dir.release(slot);
 /// assert_eq!(dir.slot(VideoId(7)), None);
 /// assert_eq!(dir.insert(VideoId(8)), slot, "slots are reused");
@@ -194,7 +260,7 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
             free,
         } = self;
         for (slot, v) in (0u32..).zip(videos.iter_mut()) {
-            if v.used && !keep(v) {
+            if v.used() && !keep(v) {
                 slots.remove(&v.id);
                 *v = Video::empty(v.id, false);
                 free.push(slot);
@@ -204,7 +270,7 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
 
     /// Every `(slot, entry)` with a video, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Video<R, V>)> + '_ {
-        (0u32..).zip(&self.videos).filter(|(_, v)| v.used)
+        (0u32..).zip(&self.videos).filter(|(_, v)| v.used())
     }
 
     /// Checks the directory's invariants (tests): every slot maps back to
@@ -227,7 +293,7 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
         for &slot in &self.free {
             let v = &self[slot];
             assert!(
-                !v.used && v.run.is_empty() && v.live == 0,
+                !v.used() && v.run.capacity() == 0 && v.live == 0,
                 "{slot}: freed, held"
             );
         }
@@ -258,5 +324,47 @@ mod tests {
         let mut dir: VideoDir<u32, ()> = VideoDir::default();
         let slot = dir.insert(VideoId(1));
         dir[slot].rec_mut(MAX_CHUNK_INDEX);
+    }
+
+    #[test]
+    fn a_run_starts_at_the_lowest_chunk_it_holds() {
+        let mut dir: VideoDir<u32, ()> = VideoDir::default();
+        let slot = dir.insert(VideoId(1));
+        let v = &mut dir[slot];
+        // The last chunk the bound admits, on a fresh video: one record.
+        *v.rec_mut(MAX_CHUNK_INDEX - 1) = 7;
+        assert_eq!((v.base(), v.run().len()), (MAX_CHUNK_INDEX - 1, 1));
+        assert!(v.run.capacity() < 8, "{}", v.run.capacity());
+        // A lower span moves the run's records up; gaps read absent.
+        v.span_mut(MAX_CHUNK_INDEX - 4, MAX_CHUNK_INDEX - 3).fill(5);
+        assert_eq!(v.run(), [5, 5, u32::NONE, 7]);
+        assert_eq!(v.rec(MAX_CHUNK_INDEX - 5), u32::NONE);
+        assert_eq!(v.rec(MAX_CHUNK_INDEX - 2), u32::NONE);
+        // A span inside the run grows nothing.
+        assert_eq!(
+            v.span_mut(MAX_CHUNK_INDEX - 3, MAX_CHUNK_INDEX - 2),
+            [5, u32::NONE]
+        );
+        assert_eq!((v.base(), v.run().len()), (MAX_CHUNK_INDEX - 4, 4));
+        dir.audit(|_| false);
+    }
+
+    #[test]
+    fn a_tight_run_reserves_its_length_and_then_an_eighth() {
+        let mut v: Video<u32, ()> = Video::empty(VideoId(1), true);
+        v.reserve_tight(10, 19);
+        v.span_mut(10, 19);
+        assert_eq!((v.base(), v.run.len(), v.run.capacity()), (10, 10, 10));
+        // Growing by one reserves max(len / 8, 4) more, exactly.
+        v.reserve_tight(20, 20);
+        v.span_mut(20, 20);
+        assert_eq!((v.run.len(), v.run.capacity()), (11, 15));
+        // Within the slack nothing moves; past it, 100 + 100 / 8.
+        v.reserve_tight(21, 24);
+        v.span_mut(21, 24);
+        assert_eq!(v.run.capacity(), 15);
+        v.reserve_tight(0, 99);
+        v.span_mut(0, 99);
+        assert_eq!((v.base(), v.run.len(), v.run.capacity()), (0, 100, 112));
     }
 }

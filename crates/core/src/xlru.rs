@@ -442,6 +442,18 @@ mod tests {
     }
 
     #[test]
+    fn a_request_for_the_last_chunk_costs_one_record() {
+        // Runs start at the lowest chunk they hold: not 2^20 node handles
+        // (4 MiB) for one request, but one.
+        let mut c = cache(2, 1.0);
+        c.handle_request(&req(1, 104_857_599, 104_857_599, 1));
+        assert_eq!(c.disk.run_len(VideoId(1)), 1);
+        c.handle_request(&req(1, 104_857_300, 104_857_399, 2));
+        assert_eq!(c.disk.run_len(VideoId(1)), 3);
+        c.audit();
+    }
+
+    #[test]
     fn serve_that_evicts_its_own_video_keeps_the_directory_whole() {
         // Disk of one chunk: serving v1#1 evicts v1#0, the video's only
         // cached chunk, so its directory entry is released and re-created

@@ -128,10 +128,12 @@ fn video_dir_matches_model() {
     for case in 0..64u64 {
         let mut rng = DetRng::new(0x0D12_18A7 ^ case);
         let mut dir: VideoDir<u32, u32> = VideoDir::default();
-        // The owner's view: each video's slot, run and value, and the free
-        // slots in the order they were freed (a retain frees in slot
-        // order, so reuse is checked exactly).
-        let mut model: BTreeMap<u64, (u32, Vec<u32>, u32)> = BTreeMap::new();
+        // The owner's view: each video's slot, run from chunk 0 and value,
+        // and the free slots in the order they were freed (a retain frees
+        // in slot order, so reuse is checked exactly). A directory run
+        // starts at the lowest chunk written: the first one not `None`
+        // here.
+        let mut model: BTreeMap<u64, (u32, Vec<Option<u32>>, u32)> = BTreeMap::new();
         let mut free: Vec<u32> = Vec::new();
         let mut slab = 0u32;
         let videos = 1 + rng.below(12);
@@ -154,13 +156,16 @@ fn video_dir_matches_model() {
                         rng.below(1000) as u32
                     };
                     if run.len() <= index {
-                        run.resize(index + 1, NONE);
+                        run.resize(index + 1, None);
                     }
-                    run[index] = value;
+                    run[index] = Some(value);
                     *meta = rng.below(1000) as u32;
                     let v = &mut dir[slot];
                     *v.rec_mut(index as u32) = value;
-                    v.live = run.iter().filter(|&&r| r != NONE).count() as u32;
+                    v.live = run
+                        .iter()
+                        .filter(|&&r| r.is_some_and(|r| r != NONE))
+                        .count() as u32;
                     v.meta = *meta;
                 }
                 9..=11 => {
@@ -174,7 +179,8 @@ fn video_dir_matches_model() {
                     dir.retain(|v| v.live > 0 || v.meta % 2 == 1);
                     let mut freed = Vec::new();
                     model.retain(|_, (slot, run, meta)| {
-                        let keep = run.iter().any(|&r| r != NONE) || *meta % 2 == 1;
+                        let keep =
+                            run.iter().any(|&r| r.is_some_and(|r| r != NONE)) || *meta % 2 == 1;
                         if !keep {
                             freed.push(*slot);
                         }
@@ -188,8 +194,14 @@ fn video_dir_matches_model() {
                     let slot = dir.insert(VideoId(video));
                     take_slot(slot, &mut free, &mut slab, &at());
                     *dir[slot].rec_mut(MAX_CHUNK_INDEX - 1) = 7;
+                    // One record, not 2^20.
                     let v = &dir[slot];
-                    assert_eq!(v.run().len() as u32, MAX_CHUNK_INDEX, "{}", at());
+                    assert_eq!(
+                        (v.base(), v.run()),
+                        (MAX_CHUNK_INDEX - 1, &[7][..]),
+                        "{}",
+                        at()
+                    );
                     assert_eq!((v.rec(MAX_CHUNK_INDEX - 1), v.rec(0)), (7, NONE));
                     dir.release(slot);
                     free.push(slot);
@@ -202,9 +214,12 @@ fn video_dir_matches_model() {
                 assert_eq!(dir.slot(VideoId(video)), Some(*slot), "{}", at());
                 let v = &dir[*slot];
                 assert_eq!(v.id(), VideoId(video), "{}", at());
-                assert_eq!((v.run(), v.meta), (&run[..], *meta), "{}", at());
+                let base = run.iter().position(Option::is_some).unwrap_or(0);
+                let want: Vec<u32> = run[base..].iter().map(|r| r.unwrap_or(NONE)).collect();
+                assert_eq!(v.meta, *meta, "{}", at());
+                assert_eq!((v.base() as usize, v.run()), (base, &want[..]), "{}", at());
                 for index in 0..14 {
-                    let want = run.get(index as usize).copied().unwrap_or(NONE);
+                    let want = run.get(index as usize).and_then(|&r| r).unwrap_or(NONE);
                     assert_eq!(v.rec(index), want, "{}", at());
                 }
             }

@@ -48,19 +48,25 @@
 //!
 //! | case    | steady | evicted `Vec` | `VideoDir` run growth | slab / map growth | driver, scratch | unattributed |
 //! |---------|-------:|--------------:|----------------------:|------------------:|----------------:|-------------:|
-//! | lru     |    722 |           474 |                   239 |                 8 |               1 |            0 |
-//! | xlru    |    510 |           340 |                   157 |                12 |               1 |            0 |
-//! | cafe    |    681 |            57 |                   174 |               447 |           1 + 2 |            0 |
+//! | lru     |    721 |           474 |                   238 |                 8 |               1 |            0 |
+//! | xlru    |    520 |           340 |                   167 |                12 |               1 |            0 |
+//! | cafe    |    723 |            57 |                   219 |               444 |           1 + 2 |            0 |
 //! | psychic |     26 |            25 |                     0 |                 0 |               1 |            0 |
 //! | lfu     |  1,227 |           465 |                     0 |               761 |               1 |            0 |
 //! | lru2    |  3,264 |           465 |                     0 |             2,798 |               1 |            0 |
 //! | gdsp    |  1,173 |           436 |                     0 |               736 |               1 |            0 |
 //!
+//! - `VideoDir` run growth: a run starts at the lowest chunk it holds and
+//!   grows to cover each chunk written — LRU's and xLRU's runs of node
+//!   handles by `Vec`'s doubling, Cafe's 24-byte popularity records
+//!   exactly, plus `max(len / 8, 4)` records when a run grows, so Cafe
+//!   pays more, smaller reallocations for less slack.
 //! - Slab / map growth: slab and free-list pushes under `LruList`,
-//!   `VideoDir` and `PopTable`, and `FastMap` resizes (LRU 8, xLRU 12, of
-//!   which 2 and 2 are map resizes). Cafe's 447 are 439 `RankIndex` bucket
-//!   vectors growing as entries attach and settle into fresh buckets, 5
-//!   slab pushes, 2 free-list pushes and 1 map resize. LFU's and GDSP's
+//!   `VideoDir` and `RankIndex`, and `FastMap` resizes (LRU 8, xLRU 12, of
+//!   which 2 and 2 are map resizes). Cafe's 444 are 439 `RankIndex` bucket
+//!   vectors growing as entries attach and settle into fresh buckets (one
+//!   of them the bucket deque), 2 slab pushes, 2 free-list pushes and 1
+//!   map resize. Cafe's popularity records keep no slab of their own. LFU's and GDSP's
 //!   are `KeyedSet` (a `BTreeSet`) node allocations, one or more per
 //!   insert; LRU-2 adds 1,919 per-chunk `Vec<Timestamp>` histories (one per filled chunk).
 //! - Driver: the Replayer's hourly report grid doubling once. Scratch:
@@ -72,9 +78,9 @@
 //!   sampler, sketch and final snapshot the rest, among them the
 //!   watchdog's state, alert list and alert names: it runs once, at
 //!   export, so all of its allocations fall in the steady half.
-//! - The 16-shard engine at one worker: xLRU 1,189 = 463 evicted lists +
-//!   181 run growth + 82 slab / map + 463 engine and observer; Cafe
-//!   1,418 = 67 + 174 + 696 + 18 scratch + 463. Of the 463, the open
+//! - The 16-shard engine at one worker: xLRU 1,202 = 463 evicted lists +
+//!   194 run growth + 82 slab / map + 463 engine and observer; Cafe
+//!   1,400 = 67 + 219 + 633 + 18 scratch + 463. Of the 463, the open
 //!   windows' histograms grow (440). `report()` clones no windows: they
 //!   are merged once, by `engine_bundle`, which the golden does not
 //!   call. Two workers add the spawned thread: 4 allocations per run
@@ -86,9 +92,11 @@
 //! steady half (39 → 36; sizing `evicted` exactly took it to 26).
 //!
 //! Open findings for ROADMAP item 3, recorded here and not fixed:
-//! - Run growth is 33 % of LRU's steady half, 31 % of xLRU's and 26 % of
-//!   Cafe's: every new high chunk index of a video resizes its run.
-//! - Cafe's rank buckets allocate afresh as time opens new buckets (64.5 %
+//! - Run growth is 33 % of LRU's steady half, 32 % of xLRU's and 30 % of
+//!   Cafe's: every chunk past either end of a video's run resizes it, and
+//!   Cafe's tight reserve (an eighth of slack) resizes more often than
+//!   doubling would.
+//! - Cafe's rank buckets allocate afresh as time opens new buckets (60.7 %
 //!   of its steady half), and the §3 baselines' `KeyedSet` allocates on
 //!   inserts: neither is the slab growth the design expects.
 //!
@@ -230,20 +238,20 @@ impl Row {
 }
 
 const GOLDEN: &[Golden] = &[
-    ("replay lru", 0, 1024, 311900, 722, 173484, 474),
-    ("replay xlru", 0, 824, 316900, 510, 168056, 340),
-    ("replay cafe", 0, 1467, 1198380, 681, 600960, 57),
+    ("replay lru", 0, 1024, 311004, 721, 172720, 474),
+    ("replay xlru", 0, 835, 314792, 520, 166080, 340),
+    ("replay cafe", 0, 1525, 1249180, 723, 620112, 57),
     ("replay psychic", 28, 31, 13664, 26, 7712, 25),
     ("replay lfu", 0, 2032, 909720, 1227, 268792, 465),
     ("replay lru2", 0, 6018, 1224616, 3264, 366792, 465),
     ("replay gdsp", 0, 1963, 896152, 1173, 258656, 436),
-    ("telemetry xlru", 0, 1384, 1399759, 766, 561396, 340),
-    ("telemetry cafe", 0, 2028, 2281253, 938, 994314, 57),
+    ("telemetry xlru", 0, 1395, 1397651, 776, 559420, 340),
+    ("telemetry cafe", 0, 2086, 2332053, 980, 1013466, 57),
     ("telemetry psychic", 28, 592, 1096611, 283, 401089, 25),
-    ("engine xlru w1", 1394, 2529, 1398876, 1189, 700832, 463),
-    ("engine xlru w2", 1394, 2537, 1399244, 1193, 701016, 463),
-    ("engine cafe w1", 1394, 3583, 7651840, 1418, 3942224, 67),
-    ("engine cafe w2", 1394, 3591, 7652208, 1422, 3942408, 67),
+    ("engine xlru w1", 1394, 2545, 1396924, 1202, 699428, 463),
+    ("engine xlru w2", 1394, 2553, 1397292, 1206, 699612, 463),
+    ("engine cafe w1", 1394, 3332, 7665520, 1400, 3943712, 67),
+    ("engine cafe w2", 1394, 3340, 7665888, 1404, 3943896, 67),
 ];
 
 const SCALE: f64 = 0.004;

@@ -137,13 +137,19 @@ fn is_binary(path: &std::path::Path) -> bool {
     path.extension().and_then(|e| e.to_str()) == Some("vctb")
 }
 
+/// Loads `--trace`, refusing one with no requests: every command that
+/// reads a trace would otherwise print a table of zeros.
 fn load_trace(args: &Args) -> Result<Trace, String> {
     let path = PathBuf::from(args.required("trace")?);
-    if is_binary(&path) {
-        load_binary(&path).map_err(|e| e.to_string())
+    let trace = if is_binary(&path) {
+        load_binary(&path).map_err(|e| e.to_string())?
     } else {
-        Trace::load_jsonl(&path).map_err(|e| e.to_string())
+        Trace::load_jsonl(&path).map_err(|e| e.to_string())?
+    };
+    if trace.is_empty() {
+        return Err(format!("{}: the trace holds no requests", path.display()));
     }
+    Ok(trace)
 }
 
 fn cmd_gen(args: &Args) -> Result<(), String> {

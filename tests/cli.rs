@@ -4,6 +4,8 @@
 use std::path::PathBuf;
 use std::process::{Command, Output};
 
+use vcdn::trace::{save_binary, Trace};
+
 fn vcdn(args: &[&str]) -> Output {
     Command::new(env!("CARGO_BIN_EXE_vcdn"))
         .args(args)
@@ -228,6 +230,31 @@ fn unknown_repeated_and_conflicting_flags_are_refused() {
         refused(&line.split(' ').collect::<Vec<_>>(), what);
     }
     std::fs::remove_file(&path).ok();
+}
+
+#[test]
+fn traces_without_requests_are_refused() {
+    // A header-only JSONL, cut from a generated trace.
+    let full = temp_trace("empty-src.jsonl");
+    let p = full.to_str().expect("utf-8 path");
+    vcdn(&["gen", "--days", "1", "--out", p]);
+    let text = std::fs::read_to_string(&full).expect("generated trace");
+    let header = text.lines().next().expect("header line");
+    let jsonl = temp_trace("empty.jsonl");
+    std::fs::write(&jsonl, format!("{header}\n")).expect("write");
+    // A 0-record VCTB.
+    let vctb = temp_trace("empty.vctb");
+    let meta = Trace::load_jsonl(&full).expect("generated trace").meta;
+    save_binary(&Trace::new(meta, Vec::new()), &vctb).expect("write");
+    for path in [&jsonl, &vctb] {
+        let t = path.to_str().expect("utf-8 path");
+        let what = "the trace holds no requests";
+        refused(&["stats", "--trace", t], what);
+        refused(&["replay", "--trace", t, "--disk-chunks", "8"], what);
+        refused(&["bound", "--trace", t, "--disk-chunks", "8"], what);
+        std::fs::remove_file(path).ok();
+    }
+    std::fs::remove_file(&full).ok();
 }
 
 #[test]
