@@ -18,6 +18,13 @@
 //!
 //! Being offline, Psychic must replay exactly the trace it was built from;
 //! this is asserted at run time.
+//!
+//! The index holds only what the decide path reads: 20 B per distinct
+//! chunk (a 12 B `Rank` record and an 8 B `Key`), 16 B per request (its
+//! `Expected` record), 4 B per chunk occurrence (its schedule entry), 8 B
+//! per distinct video, and two bitmap sets of about one bit per chunk and
+//! per request. Building it needs 16 B per request more, freed before the
+//! schedules are allocated.
 
 use std::ops::Range;
 
@@ -35,6 +42,10 @@ const MIN_GAP_MS: f64 = 1.0;
 /// "Never requested again" as a next-request sequence number. No request
 /// carries it: [`PsychicCache::new`] refuses traces that long.
 const NEVER: u32 = u32::MAX;
+
+/// "Not on disk" as a rank's insert sequence number; like [`NEVER`], no
+/// request carries it.
+const NOT_CACHED: u32 = u32::MAX;
 
 /// Configuration of a [`PsychicCache`].
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -82,8 +93,28 @@ impl Expected {
     }
 }
 
+/// One distinct chunk's state. Its schedule's unreplayed part is
+/// `occ_seq[cursor..end]`; `inserted` is the sequence number of the
+/// request that stored it, or [`NOT_CACHED`], so its insertion time is
+/// `expected[inserted].t`.
+#[derive(Debug, Clone, Copy)]
+struct Rank {
+    cursor: u32,
+    end: u32,
+    inserted: u32,
+}
+
+/// One distinct chunk's name: its video's position in the sorted
+/// `videos` table, and its chunk index. Ordering keys orders the
+/// [`ChunkId`]s they name.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Key {
+    video: u32,
+    index: u32,
+}
+
 /// Narrows a build-time count to the `u32` the index stores it in,
-/// keeping `u32::MAX` free for [`NEVER`].
+/// keeping `u32::MAX` free for [`NEVER`] and [`NOT_CACHED`].
 fn index_u32(count: u64, what: &str) -> u32 {
     assert!(
         count < u64::from(NEVER),
@@ -92,14 +123,42 @@ fn index_u32(count: u64, what: &str) -> u32 {
     count as u32
 }
 
+/// Walks `spans` (sorted `video << 64 | first chunk << 32 | seq`) and
+/// hands `visit` each request's video, record, first chunk and the chunks
+/// it is the first to reach (empty when earlier spans covered them).
+/// Spans with one start arrive in sequence order, not by end — the sweep
+/// does not care: whichever comes first, together they reach the chunks
+/// up to the larger end once.
+fn sweep(
+    spans: &[u128],
+    expected: &mut [Expected],
+    mut visit: impl FnMut(VideoId, &mut Expected, u64, Range<u64>),
+) {
+    // One past the highest chunk of the current video reached so far.
+    let (mut video, mut next) = (None, 0u64);
+    for &span in spans {
+        let v = VideoId((span >> 64) as u64);
+        let (start, seq) = (u64::from((span >> 32) as u32), span as u32);
+        if video != Some(v) {
+            (video, next) = (Some(v), 0);
+        }
+        let e = &mut expected[seq as usize];
+        let end = start + u64::from(e.len);
+        visit(v, e, start, next.max(start)..end.max(next));
+        next = next.max(end);
+    }
+}
+
 /// The Psychic offline cache.
 ///
 /// Being offline, it knows every chunk it will ever see before the first
 /// request, so [`PsychicCache::new`] lays the whole future out densely:
 /// the trace's distinct chunks sorted by [`ChunkId`] (a chunk's *rank* is
 /// its position, so one request's chunks are one contiguous rank
-/// interval), every chunk's request schedule in CSR arrays, and all
-/// per-chunk state in `Vec`s indexed by rank. The decide path hashes
+/// interval), each named by its video's position in one sorted table of
+/// videos and its chunk index; every chunk's request schedule in CSR
+/// arrays; and one 12 B record per rank holding its schedule cursor, its
+/// schedule's end and the request that stored it. The decide path hashes
 /// nothing and orders nothing by floats.
 ///
 /// # Examples
@@ -121,33 +180,29 @@ fn index_u32(count: u64, what: &str) -> u32 {
 #[derive(Debug, Clone)]
 pub struct PsychicCache {
     config: PsychicConfig,
-    /// The trace's distinct chunks, ascending; index = rank.
-    chunks: Vec<ChunkId>,
+    /// The trace's distinct videos, ascending.
+    videos: Vec<VideoId>,
+    /// Per rank, the chunk it names; ascending.
+    keys: Vec<Key>,
+    /// Per rank, its schedule cursor and end and its insert request.
+    ranks: Vec<Rank>,
     /// CSR schedules: chunk `r` is requested by requests
-    /// `occ_seq[occ_off[r]..occ_off[r + 1]]` (ascending), at their
-    /// `expected[..].t`.
-    occ_off: Vec<u32>,
+    /// `occ_seq[start..ranks[r].end]` (ascending), at their
+    /// `expected[..].t`, where `start` is the previous rank's end.
     occ_seq: Vec<u32>,
-    /// Per rank, the position in `occ_seq` of the chunk's first
-    /// not-yet-replayed request: `L_x` starts here.
-    cursor: Vec<u32>,
     /// Per request, what [`CachePolicy::handle_request`] must be handed.
     expected: Vec<Expected>,
     seq: u32,
-    /// The Belady order as a calendar. `due[s]` counts the cached chunks
-    /// whose next request is `s`, and `due_seqs` holds the `s` with a
-    /// non-zero count. Such a chunk is one of `expected[s].ranks()`, so a
-    /// day of the calendar needs no member list: it is the cached ranks of
-    /// that interval whose next request is `s`.
-    due: Vec<u32>,
+    /// The Belady order as a calendar: the requests `s` some cached chunk
+    /// is filed under, i.e. has as its next request. Such a chunk is one
+    /// of `expected[s].ranks()`, so a day of the calendar needs no member
+    /// list or count: it is the cached ranks of that interval whose next
+    /// request is `s`.
     due_seqs: BitTree,
     /// The cached ranks with no request left: the first victims.
     never: BitTree,
     /// Number of cached chunks.
     cached: usize,
-    on_disk: Vec<bool>,
-    /// Per rank; meaningful while `on_disk`.
-    insert_time: Vec<Timestamp>,
     /// Cumulative mean residence time (ms) of evicted chunks.
     mean_residency_ms: f64,
     evictions: u64,
@@ -168,7 +223,8 @@ impl PsychicCache {
     /// Panics if `requests` are not sorted by non-decreasing timestamp, or
     /// if the trace has `u32::MAX` or more requests or chunk occurrences
     /// (requests × chunks each): sequence numbers, ranks and schedule
-    /// offsets are stored as `u32`, with `u32::MAX` meaning "never again".
+    /// offsets are stored as `u32`, with `u32::MAX` meaning "never again"
+    /// or "not cached".
     pub fn new(config: PsychicConfig, requests: &[Request]) -> Self {
         assert!(
             requests.is_sorted_by_key(|r| r.t),
@@ -199,65 +255,69 @@ impl PsychicCache {
         let longest = expected.iter().map(|e| e.len as usize).max().unwrap_or(0);
         spans.sort_unstable();
 
-        // Ranks. `next` is one past the highest chunk of the current video
-        // that has a rank; spans start in ascending order, so a span
-        // starting below it overlaps the tail of `chunks`. Spans with one
-        // start arrive in sequence order, not by end — the sweep does not
-        // care: whichever comes first, together they append the chunks up
-        // to the larger end once, and both read the same first rank.
-        let mut chunks: Vec<ChunkId> = Vec::new();
-        let (mut video, mut next) = (None, 0u64);
-        for &span in &spans {
-            let v = VideoId((span >> 64) as u64);
-            let (start, seq) = (u64::from((span >> 32) as u32), span as u32);
-            if video != Some(v) {
-                (video, next) = (Some(v), 0);
+        // Ranks: one sweep counts the videos and chunks, a second one
+        // names them into tables of exactly that length and reads every
+        // request's first rank off the tail of `keys`.
+        let (mut video_count, mut rank_count) = (0, 0);
+        let mut last = None;
+        sweep(&spans, &mut expected, |v, _, _, new| {
+            video_count += usize::from(last != Some(v));
+            last = Some(v);
+            rank_count += (new.end - new.start) as usize;
+        });
+        let mut videos: Vec<VideoId> = Vec::with_capacity(video_count);
+        let mut keys: Vec<Key> = Vec::with_capacity(rank_count);
+        sweep(&spans, &mut expected, |v, e, start, new| {
+            if videos.last() != Some(&v) {
+                videos.push(v);
             }
-            let e = &mut expected[seq as usize];
-            let end = start + u64::from(e.len) - 1;
-            let new_from = next.max(start);
-            e.first = (chunks.len() as u64 - (new_from - start)) as u32;
-            chunks.extend((new_from..=end).map(|c| ChunkId::new(v, c as u32)));
-            next = next.max(end + 1);
-        }
+            let video = (videos.len() - 1) as u32;
+            e.first = (keys.len() as u64 - (new.start - start)) as u32;
+            keys.extend(new.map(|index| Key {
+                video,
+                index: index as u32,
+            }));
+        });
         drop(spans); // before the schedule arrays are allocated
 
-        // Schedules: count, prefix-sum, then fill in replay order — each
-        // chunk's occurrences come out sorted without sorting.
-        let n = chunks.len();
-        let mut occ_off = vec![0u32; n + 1];
+        // Schedules: count each rank's occurrences into `end`, turn the
+        // counts into row starts, then fill in replay order with `end` as
+        // the write position — each row comes out sorted without sorting,
+        // `cursor` at its start and `end` one past its last entry.
+        let unstored = Rank {
+            cursor: 0,
+            end: 0,
+            inserted: NOT_CACHED,
+        };
+        let mut ranks = vec![unstored; keys.len()];
         for e in &expected {
-            for rank in e.ranks() {
-                occ_off[rank + 1] += 1;
+            for rank in &mut ranks[e.ranks()] {
+                rank.end += 1;
             }
         }
-        for rank in 0..n {
-            occ_off[rank + 1] += occ_off[rank];
+        let mut offset = 0;
+        for rank in &mut ranks {
+            (rank.cursor, rank.end, offset) = (offset, offset, offset + rank.end);
         }
-        let mut cursor = occ_off[..n].to_vec();
         let mut occ_seq = vec![0u32; occurrences];
         for (seq, e) in (0u32..).zip(&expected) {
-            for rank in e.ranks() {
-                occ_seq[cursor[rank] as usize] = seq;
-                cursor[rank] += 1;
+            for rank in &mut ranks[e.ranks()] {
+                occ_seq[rank.end as usize] = seq;
+                rank.end += 1;
             }
         }
-        cursor.copy_from_slice(&occ_off[..n]);
 
         PsychicCache {
             config,
-            chunks,
-            occ_off,
-            occ_seq,
-            cursor,
-            seq: 0,
-            due: vec![0; expected.len()],
+            videos,
             due_seqs: BitTree::new(expected.len()),
-            never: BitTree::new(n),
-            cached: 0,
+            never: BitTree::new(keys.len()),
+            keys,
+            ranks,
+            occ_seq,
             expected,
-            on_disk: vec![false; n],
-            insert_time: vec![Timestamp(0); n],
+            seq: 0,
+            cached: 0,
             mean_residency_ms: 0.0,
             evictions: 0,
             replay_start: None,
@@ -279,11 +339,24 @@ impl PsychicCache {
         }
     }
 
+    /// The chunk `rank` names.
+    fn chunk(&self, rank: usize) -> ChunkId {
+        let Key { video, index } = self.keys[rank];
+        ChunkId::new(self.videos[video as usize], index)
+    }
+
+    /// Whether chunk `rank` is on disk.
+    fn is_cached(&self, rank: usize) -> bool {
+        self.ranks[rank].inserted != NOT_CACHED
+    }
+
     /// `L_x`: the next (up to) `N` request times of chunk `rank`.
     fn future_times(&self, rank: usize) -> impl Iterator<Item = Timestamp> + '_ {
-        let from = self.cursor[rank] as usize;
-        let end = self.occ_off[rank + 1] as usize;
-        let to = from.saturating_add(self.config.future_list_bound).min(end);
+        let Rank { cursor, end, .. } = self.ranks[rank];
+        let from = cursor as usize;
+        let to = from
+            .saturating_add(self.config.future_list_bound)
+            .min(end as usize);
         self.occ_seq[from..to]
             .iter()
             .map(|&s| self.expected[s as usize].t)
@@ -299,9 +372,9 @@ impl PsychicCache {
 
     /// The sequence number of chunk `rank`'s next request, or [`NEVER`].
     fn next_seq(&self, rank: usize) -> u32 {
-        let at = self.cursor[rank];
-        if at < self.occ_off[rank + 1] {
-            self.occ_seq[at as usize]
+        let Rank { cursor, end, .. } = self.ranks[rank];
+        if cursor < end {
+            self.occ_seq[cursor as usize]
         } else {
             NEVER
         }
@@ -309,29 +382,30 @@ impl PsychicCache {
 
     /// Enters cached chunk `rank` in the calendar under its next request.
     fn file(&mut self, rank: usize) {
-        let next = self.next_seq(rank);
-        if next == NEVER {
-            self.never.insert(rank);
-            return;
+        match self.next_seq(rank) {
+            NEVER => self.never.insert(rank),
+            next => self.due_seqs.insert(next as usize),
         }
-        let due = &mut self.due[next as usize];
-        if *due == 0 {
-            self.due_seqs.insert(next as usize);
-        }
-        *due += 1;
     }
 
-    /// Takes cached chunk `rank` out of the calendar.
-    fn unfile(&mut self, rank: usize) {
-        let next = self.next_seq(rank);
-        if next == NEVER {
-            self.never.remove(rank);
-            return;
-        }
-        let due = &mut self.due[next as usize];
-        *due -= 1;
-        if *due == 0 {
-            self.due_seqs.remove(next as usize);
+    /// Whether cached chunk `rank` is filed under request `s`.
+    fn filed_under(&self, rank: usize, s: u32) -> bool {
+        self.is_cached(rank) && self.next_seq(rank) == s
+    }
+
+    /// Takes day `s` off the calendar unless one of its ranks is still
+    /// filed under it, once an eviction has taken victims from the day's
+    /// top down to rank `lowest`. The victim walk passed over no filed
+    /// rank above `lowest` but those of the request being served (`own`),
+    /// so only those and the ranks below `lowest` are looked at, the
+    /// latter from `lowest` down: the first filed one found is where the
+    /// walk would have gone on.
+    fn recount(&mut self, s: u32, lowest: usize, own: &Range<usize>) {
+        let day = self.expected[s as usize].ranks();
+        let passed = own.start.max(lowest)..own.end.min(day.end);
+        let below = (day.start..lowest).rev();
+        if !passed.chain(below).any(|rank| self.filed_under(rank, s)) {
+            self.due_seqs.remove(s as usize);
         }
     }
 
@@ -341,8 +415,7 @@ impl PsychicCache {
     /// down. Reads the calendar, changes nothing.
     fn farthest_first(&self) -> impl Iterator<Item = usize> + '_ {
         let day = move |s: usize| {
-            let due_then =
-                move |&rank: &usize| self.on_disk[rank] && self.next_seq(rank) == s as u32;
+            let due_then = move |&rank: &usize| self.filed_under(rank, s as u32);
             self.expected[s].ranks().rev().filter(due_then)
         };
         self.never
@@ -364,7 +437,7 @@ impl CachePolicy for PsychicCache {
             self.expected.get(seq as usize).is_some_and(|e| {
                 e.t == request.t
                     && u64::from(e.len) == range.len()
-                    && self.chunks[e.first as usize] == ChunkId::new(request.video, range.start)
+                    && self.chunk(e.first as usize) == ChunkId::new(request.video, range.start)
             }),
             "PsychicCache must replay exactly the trace it was built from \
              (request #{seq} diverges)"
@@ -379,23 +452,24 @@ impl CachePolicy for PsychicCache {
         // Consume this request's occurrences: L_x must describe the future.
         // A cached chunk is filed under its next request — for the present
         // chunks, this one — so re-file them, regardless of the decision:
-        // each under its new next request, then this request's day is
-        // cleared in one go.
+        // each under its new next request, then this request's day, whose
+        // members were all among them, leaves the calendar.
         let mut hits = 0;
         for rank in lo..hi {
             debug_assert_eq!(self.next_seq(rank), seq);
-            self.cursor[rank] += 1;
-            if self.on_disk[rank] {
+            self.ranks[rank].cursor += 1;
+            if self.is_cached(rank) {
                 self.file(rank);
                 hits += 1;
             }
         }
-        // Every chunk that was due now is one of those hits.
-        debug_assert_eq!(self.due[seq as usize] as usize, hits);
         if hits > 0 {
-            self.due[seq as usize] = 0;
             self.due_seqs.remove(seq as usize);
         }
+        debug_assert_ne!(
+            self.due_seqs.last_below(seq as usize + 1),
+            Some(seq as usize)
+        );
         let misses = hi - lo - hits;
 
         // S'': the cached chunks requested farthest in the future, this
@@ -427,7 +501,7 @@ impl CachePolicy for PsychicCache {
             // Eq. 14.
             let mut e_redirect = (hi - lo) as f64 * costs.c_r();
             for rank in lo..hi {
-                if !self.on_disk[rank] {
+                if !self.is_cached(rank) {
                     e_redirect += self.future_value(rank, now, t_window) * min_cost;
                 }
             }
@@ -442,32 +516,47 @@ impl CachePolicy for PsychicCache {
             // the §2 model fetches and stores chunks to serve them, so
             // capacity is never exceeded even transiently (matching the
             // IP's constraint 10f). Requests larger than the whole disk
-            // keep only their tail chunks.
+            // keep only their tail chunks. Victims come day by day, so a
+            // day is recounted once, when the walk has left it.
             let mut evicted = Vec::with_capacity(victims.len());
+            let own = lo..hi;
+            // The day the victims are being taken from, and its lowest
+            // victim so far.
+            let (mut day, mut lowest) = (NEVER, 0);
             for &rank in &victims {
                 let rank = rank as usize;
-                self.unfile(rank);
-                self.on_disk[rank] = false;
+                match self.next_seq(rank) {
+                    NEVER => self.never.remove(rank),
+                    next => {
+                        if next != day && day != NEVER {
+                            self.recount(day, lowest, &own);
+                        }
+                        (day, lowest) = (next, rank);
+                    }
+                }
+                let inserted = std::mem::replace(&mut self.ranks[rank].inserted, NOT_CACHED);
                 self.cached -= 1;
-                let residency = (now - self.insert_time[rank]).as_millis() as f64;
+                let residency = (now - self.expected[inserted as usize].t).as_millis() as f64;
                 self.evictions += 1;
                 // Cumulative mean: mean += (x - mean) / n.
                 self.mean_residency_ms +=
                     (residency - self.mean_residency_ms) / self.evictions as f64;
-                evicted.push(self.chunks[rank]);
+                evicted.push(self.chunk(rank));
+            }
+            if day != NEVER {
+                self.recount(day, lowest, &own);
             }
             let free = (capacity - self.cached as u64) as usize;
             let mut dropped = misses.saturating_sub(free);
             for rank in lo..hi {
-                if self.on_disk[rank] {
+                if self.is_cached(rank) {
                     continue;
                 }
                 if dropped > 0 {
                     dropped -= 1;
                     continue;
                 }
-                self.on_disk[rank] = true;
-                self.insert_time[rank] = now;
+                self.ranks[rank].inserted = seq;
                 self.cached += 1;
                 self.file(rank);
             }
@@ -502,9 +591,16 @@ impl CachePolicy for PsychicCache {
     }
 
     fn contains_chunk(&self, chunk: ChunkId) -> bool {
-        self.chunks
-            .binary_search(&chunk)
-            .is_ok_and(|rank| self.on_disk[rank])
+        let Ok(video) = self.videos.binary_search(&chunk.video) else {
+            return false;
+        };
+        let key = Key {
+            video: video as u32,
+            index: chunk.index,
+        };
+        self.keys
+            .binary_search(&key)
+            .is_ok_and(|rank| self.is_cached(rank))
     }
 
     fn decision_detail(&self) -> DecisionDetail {
@@ -514,29 +610,36 @@ impl CachePolicy for PsychicCache {
 
 #[cfg(test)]
 impl PsychicCache {
-    /// Recomputes the calendar from `on_disk` and the cursors and checks
-    /// `due`, `due_seqs`, `never` and `cached` against it.
+    /// Recomputes the calendar from the rank records and checks
+    /// `due_seqs`, `never` and `cached` against it.
     fn audit(&self) {
-        let mut due = vec![0u32; self.expected.len()];
+        let mut due = vec![false; self.expected.len()];
         let mut never = Vec::new();
-        for rank in (0..self.chunks.len()).filter(|&rank| self.on_disk[rank]) {
+        let mut cached = 0;
+        for rank in (0..self.ranks.len()).filter(|&rank| self.is_cached(rank)) {
+            cached += 1;
+            let inserted = self.ranks[rank].inserted;
+            assert!(
+                inserted < self.seq,
+                "rank {rank} stored by a future request"
+            );
+            assert!(self.expected[inserted as usize].ranks().contains(&rank));
             match self.next_seq(rank) {
                 NEVER => never.push(rank),
                 s => {
                     assert!(self.expected[s as usize].ranks().contains(&rank));
-                    due[s as usize] += 1;
+                    due[s as usize] = true;
                 }
             }
         }
-        assert_eq!(self.cached, never.len() + due.iter().sum::<u32>() as usize);
-        assert_eq!(self.due, due);
+        assert_eq!(self.cached, cached);
         let members = |set: &BitTree| -> Vec<usize> {
             let mut found: Vec<usize> = set.descending().collect();
             found.reverse();
             found
         };
         assert_eq!(members(&self.never), never);
-        let due_seqs: Vec<usize> = (0..due.len()).filter(|&s| due[s] > 0).collect();
+        let due_seqs: Vec<usize> = (0..due.len()).filter(|&s| due[s]).collect();
         assert_eq!(members(&self.due_seqs), due_seqs);
     }
 }
@@ -544,6 +647,8 @@ impl PsychicCache {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use std::collections::{BTreeMap, BTreeSet};
+    use std::mem::{size_of, size_of_val};
     use vcdn_trace::rng::DetRng;
     use vcdn_types::ByteRange;
 
@@ -553,6 +658,11 @@ mod tests {
             ByteRange::new(start, end).unwrap(),
             Timestamp(t),
         )
+    }
+
+    /// The chunk of every rank, in rank order.
+    fn chunks(c: &PsychicCache) -> Vec<ChunkId> {
+        (0..c.keys.len()).map(|rank| c.chunk(rank)).collect()
     }
 
     fn run(disk: u64, alpha: f64, reqs: Vec<Request>) -> (Vec<Decision>, PsychicCache) {
@@ -766,25 +876,29 @@ mod tests {
             cs.iter().map(|&i| ChunkId::new(VideoId(v), i)).collect()
         };
         assert_eq!(
-            c.chunks,
+            chunks(&c),
             [ids(3, &[0, 1]), ids(7, &[0, 1, 2, 3, 4, 8])].concat()
         );
+        assert_eq!(c.videos, [VideoId(3), VideoId(7)]);
         for (r, e) in reqs.iter().zip(&c.expected) {
             let want: Vec<ChunkId> = r
                 .chunk_range(k)
                 .iter()
                 .map(|i| ChunkId::new(r.video, i))
                 .collect();
-            assert_eq!(c.chunks[e.ranks()], want[..], "{r}");
+            assert_eq!(chunks(&c)[e.ranks()], want[..], "{r}");
         }
         // v7#2 (rank 4) is requested by requests 0 and 2, in that order.
-        assert_eq!(c.occ_off[4..6], [4, 6]);
+        assert_eq!(
+            (c.ranks[3].end, c.ranks[4].cursor, c.ranks[4].end),
+            (4, 4, 6)
+        );
         assert_eq!(c.occ_seq[4..6], [0, 2]);
         assert_eq!(
             c.future_times(4).collect::<Vec<_>>(),
             [Timestamp(1), Timestamp(3)]
         );
-        assert_eq!(*c.occ_off.last().unwrap() as usize, c.occ_seq.len());
+        assert_eq!(c.ranks.last().unwrap().end as usize, c.occ_seq.len());
     }
 
     #[test]
@@ -800,24 +914,205 @@ mod tests {
             c.handle_request(r);
         }
         // Requests 0..=4 are consumed: L_x starts at request 5, capped at N.
-        assert_eq!(c.cursor[0], 5);
+        assert_eq!(c.ranks[0].cursor, 5);
         assert_eq!(c.next_seq(0), 5);
         assert_eq!(
             c.future_times(0).collect::<Vec<_>>(),
             [Timestamp(50), Timestamp(60), Timestamp(70)]
         );
         // The one cached chunk is filed under request 5 and nowhere else.
-        assert_eq!(c.due[5], 1);
+        assert_eq!(c.due_seqs.descending().collect::<Vec<_>>(), [5]);
         assert_eq!(c.farthest_first().collect::<Vec<_>>(), [0]);
         c.audit();
         for r in &reqs[5..] {
             c.handle_request(r);
         }
-        assert_eq!(c.cursor[0], c.occ_off[1]);
+        assert_eq!(c.ranks[0].cursor, c.ranks[0].end);
+        assert_eq!(c.due_seqs.last_below(usize::MAX), None);
         assert_eq!(c.next_seq(0), NEVER);
         assert_eq!(c.future_times(0).count(), 0);
         assert_eq!(c.never.last_below(usize::MAX), Some(0));
         c.audit();
+    }
+
+    /// A trace over ids at the edges of the id space: videos near 2^44 and
+    /// `u64::MAX` beside small ones, spans starting at chunk 0 and at
+    /// 2^20 − 1, and nested, adjacent, gapped and repeated (identical)
+    /// spans, on 100-byte chunks.
+    fn edge_trace(rng: &mut DetRng, n: usize) -> Vec<Request> {
+        const VIDEOS: [u64; 6] = [0, 5, (1 << 44) - 1, 1 << 44, u64::MAX - 1, u64::MAX];
+        const STARTS: [u64; 6] = [0, 1, 3, 7, (1 << 20) - 8, (1 << 20) - 1];
+        let mut t = 0;
+        let mut reqs: Vec<Request> = Vec::with_capacity(n);
+        for _ in 0..n {
+            t += rng.below(3);
+            let r = match reqs.len() {
+                len if len > 0 && rng.chance(0.2) => reqs[rng.below(len as u64) as usize],
+                _ => {
+                    let video = VIDEOS[rng.below(6) as usize];
+                    let first = STARTS[rng.below(6) as usize] + rng.below(3);
+                    let last = first + rng.below(4);
+                    let from = first * 100 + rng.below(100);
+                    req(video, from, (last * 100 + rng.below(100)).max(from), 0)
+                }
+            };
+            reqs.push(Request::new(r.video, r.bytes, Timestamp(t)));
+        }
+        reqs
+    }
+
+    #[test]
+    fn index_matches_a_btreemap_model() {
+        let k = ChunkSize::new(100).unwrap();
+        for case in 0..24u64 {
+            let mut rng = DetRng::new(0x1DE7 ^ case);
+            let reqs = edge_trace(&mut rng, 40 + 8 * case as usize);
+            let mut model: BTreeMap<ChunkId, Vec<u32>> = BTreeMap::new();
+            for (seq, r) in (0u32..).zip(&reqs) {
+                for index in r.chunk_range(k).iter() {
+                    model
+                        .entry(ChunkId::new(r.video, index))
+                        .or_default()
+                        .push(seq);
+                }
+            }
+            let disk = 1 + case % 6;
+            let mut c =
+                PsychicCache::new(PsychicConfig::new(disk, k, CostModel::balanced()), &reqs);
+
+            // Ranks, schedules and each request's first rank.
+            let ids: Vec<ChunkId> = model.keys().copied().collect();
+            assert_eq!(chunks(&c), ids, "case {case}");
+            let mut start = 0;
+            for (rank, seqs) in model.values().enumerate() {
+                let Rank { cursor, end, .. } = c.ranks[rank];
+                assert_eq!(cursor, start, "case {case}, rank {rank}");
+                assert_eq!(
+                    c.occ_seq[cursor as usize..end as usize],
+                    seqs[..],
+                    "case {case}"
+                );
+                start = end;
+            }
+            assert_eq!(start as usize, c.occ_seq.len(), "case {case}");
+            for (r, e) in reqs.iter().zip(&c.expected) {
+                let range = r.chunk_range(k);
+                let first = ids.binary_search(&ChunkId::new(r.video, range.start));
+                assert_eq!(Ok(e.first as usize), first, "case {case}: {r}");
+                assert_eq!(u64::from(e.len), range.len(), "case {case}: {r}");
+            }
+
+            // `contains_chunk` against a disk kept from the decisions: a
+            // serve evicts its list and stores the hits and, of the misses,
+            // the tail that fits.
+            let unseen_videos = [1, 6, 1 << 43, (1 << 44) + 1, u64::MAX - 2];
+            let mut disk_model: BTreeSet<ChunkId> = BTreeSet::new();
+            for r in &reqs {
+                let decision = c.handle_request(r);
+                if let Some(o) = decision.serve_outcome() {
+                    for victim in &o.evicted {
+                        assert!(disk_model.remove(victim), "case {case}: evicted {victim}");
+                    }
+                    let range = r.chunk_range(k).iter().map(|i| ChunkId::new(r.video, i));
+                    let misses: Vec<ChunkId> = range.filter(|x| !disk_model.contains(x)).collect();
+                    let free = (disk - disk_model.len() as u64) as usize;
+                    disk_model.extend(&misses[misses.len().saturating_sub(free)..]);
+                }
+                c.audit();
+                for &id in &ids {
+                    let held = disk_model.contains(&id);
+                    assert_eq!(c.contains_chunk(id), held, "case {case}: {id}");
+                    for index in [id.index + 1, id.index.wrapping_sub(1), u32::MAX] {
+                        let other = ChunkId::new(id.video, index);
+                        let unseen = model.contains_key(&other);
+                        assert!(unseen || !c.contains_chunk(other), "case {case}: {other}");
+                    }
+                }
+                for v in unseen_videos {
+                    assert!(
+                        !c.contains_chunk(ChunkId::new(VideoId(v), 0)),
+                        "case {case}"
+                    );
+                }
+                assert_eq!(c.disk_used_chunks(), disk_model.len() as u64, "case {case}");
+            }
+            assert!(c.evictions() > 0, "case {case}");
+        }
+    }
+
+    #[test]
+    fn index_costs_20_bytes_a_rank_16_a_request_and_4_an_occurrence() {
+        assert_eq!(size_of::<Rank>() + size_of::<Key>(), 20);
+        assert_eq!(size_of::<Expected>(), 16);
+        for case in 0..4u64 {
+            let mut rng = DetRng::new(0xB17E ^ case);
+            let reqs = edge_trace(&mut rng, 300);
+            let k = ChunkSize::new(100).unwrap();
+            let c = PsychicCache::new(PsychicConfig::new(8, k, CostModel::balanced()), &reqs);
+            let occurrences: u64 = reqs.iter().map(|r| r.chunk_len(k)).sum();
+            // Every table is allocated once, at exactly its length.
+            assert_eq!(c.videos.capacity(), c.videos.len(), "case {case}");
+            assert_eq!(c.keys.capacity(), c.keys.len(), "case {case}");
+            assert_eq!(c.ranks.capacity(), c.ranks.len(), "case {case}");
+            assert_eq!(c.occ_seq.capacity(), occurrences as usize, "case {case}");
+            assert_eq!(c.expected.capacity(), reqs.len(), "case {case}");
+            let heap = size_of_val(&c.videos[..])
+                + size_of_val(&c.keys[..])
+                + size_of_val(&c.ranks[..])
+                + size_of_val(&c.occ_seq[..])
+                + size_of_val(&c.expected[..]);
+            let (ranks, videos) = (c.keys.len(), c.videos.len());
+            let bound = 20 * ranks + 16 * reqs.len() + 4 * occurrences as usize + 8 * videos;
+            assert_eq!(heap, bound, "case {case}");
+        }
+    }
+
+    #[test]
+    fn a_day_of_thousands_of_victims_is_recounted_once() {
+        // A 2^12-chunk disk. Each round, one request spans 2^16 chunks of
+        // video 0 and keeps its tail 2^12 chunks, all due at the next
+        // round's span: one calendar day. Four 2^10-chunk requests, each
+        // re-requested within the round, then evict them from the top of
+        // that day down, 1,024 at a time. The walk passes each rank once
+        // and the day is recounted once per eviction; re-scanning the day
+        // per victim (2^12 victims × 2^16 ranks a round) does not finish
+        // inside the bound.
+        const SPAN: u64 = 1 << 16;
+        const SMALL: u64 = 1 << 10;
+        let mut reqs = Vec::new();
+        for round in 0..32u64 {
+            let t = round * 1_000;
+            reqs.push(req(0, 0, SPAN - 1, t));
+            for again in [1, 5] {
+                for i in 0..4 {
+                    reqs.push(req(1 + round * 4 + i, 0, SMALL - 1, t + again + i));
+                }
+            }
+        }
+        let (done, finished) = std::sync::mpsc::channel();
+        let replay = std::thread::spawn(move || {
+            let k = ChunkSize::new(1).unwrap();
+            let cfg = PsychicConfig::new(1 << 12, k, CostModel::balanced());
+            let mut c = PsychicCache::new(cfg, &reqs);
+            let mut evicted_from_span = 0;
+            for r in &reqs {
+                if let Some(o) = c.handle_request(r).serve_outcome() {
+                    evicted_from_span += o.evicted.iter().filter(|x| x.video.0 == 0).count();
+                }
+                c.audit();
+            }
+            let _ = done.send(());
+            evicted_from_span
+        });
+        let waited = finished.recv_timeout(std::time::Duration::from_secs(60));
+        let timeout = std::sync::mpsc::RecvTimeoutError::Timeout;
+        assert_ne!(
+            waited,
+            Err(timeout),
+            "32 rounds of thousands of victims hung"
+        );
+        let evicted = replay.join().expect("the replay finished");
+        assert_eq!(evicted, 32 * (1 << 12));
     }
 
     #[test]

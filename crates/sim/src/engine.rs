@@ -123,13 +123,18 @@ pub fn shard_of_chunk(chunk: ChunkId, shards: usize) -> usize {
 /// Splits `trace` into per-shard request streams under the engine's
 /// partition, preserving trace order within each shard. Used to build
 /// policies that need their shard's future (Psychic) and by tests as the
-/// per-shard oracle.
+/// per-shard oracle. Each stream is counted before it is filled, so it is
+/// allocated once, at exactly its length.
 ///
 /// # Panics
 ///
 /// Panics if `shards == 0`.
 pub fn shard_requests(trace: &Trace, shards: usize) -> Vec<Vec<Request>> {
-    let mut per: Vec<Vec<Request>> = (0..shards).map(|_| Vec::new()).collect();
+    let mut counts = vec![0usize; shards];
+    for request in &trace.requests {
+        counts[shard_of_video(request.video, shards)] += 1;
+    }
+    let mut per: Vec<Vec<Request>> = counts.iter().map(|&n| Vec::with_capacity(n)).collect();
     for request in &trace.requests {
         per[shard_of_video(request.video, shards)].push(*request);
     }
@@ -1082,6 +1087,21 @@ mod tests {
         }
         fn contains_chunk(&self, chunk: ChunkId) -> bool {
             self.0.contains_chunk(chunk)
+        }
+    }
+
+    #[test]
+    fn shard_requests_partitions_in_order_at_exact_capacity() {
+        let t = trace();
+        for shards in [1, 3, 8] {
+            let per = shard_requests(&t, shards);
+            assert_eq!(per.len(), shards);
+            for (s, requests) in per.iter().enumerate() {
+                assert_eq!(requests.capacity(), requests.len(), "shard {s} of {shards}");
+                let mine = |r: &&Request| shard_of_video(r.video, shards) == s;
+                let want: Vec<Request> = t.requests.iter().filter(mine).copied().collect();
+                assert_eq!(*requests, want, "shard {s} of {shards}");
+            }
         }
     }
 

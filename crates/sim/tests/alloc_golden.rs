@@ -80,16 +80,23 @@
 //!   export, so all of its allocations fall in the steady half.
 //! - The 16-shard engine at one worker: xLRU 1,202 = 463 evicted lists +
 //!   194 run growth + 82 slab / map + 463 engine and observer; Cafe
-//!   1,400 = 67 + 219 + 633 + 18 scratch + 463. Of the 463, the open
-//!   windows' histograms grow (440). `report()` clones no windows: they
-//!   are merged once, by `engine_bundle`, which the golden does not
-//!   call. Two workers add the spawned thread: 4 allocations per run
-//!   call.
+//!   1,400 = 67 + 219 + 633 + 18 scratch + 463; Psychic 489 = 26 + 463.
+//!   Of the 463, the open windows' histograms grow (440). `report()`
+//!   clones no windows: they are merged once, by `engine_bundle`, which
+//!   the golden does not call. Two workers add the spawned thread: 4
+//!   allocations per run call.
 //!
 //! Psychic's 3 once-unattributed allocations were its reused `victims`
 //! list reaching new high-water marks: sized in `PsychicCache::new` for
 //! the longest request, they moved into `build` (27 → 28) and left the
 //! steady half (39 → 36; sizing `evicted` exactly took it to 26).
+//! Psychic's build is its index, every table allocated once at its final
+//! length (15; it was 28 while the rank list grew by doubling beside the
+//! per-rank `occ_off`, `cursor`, `on_disk` and `insert_time` and the
+//! per-request `due`). The engine's Psychic build includes the partition,
+//! `shard_requests`, which allocates one stream per shard, the list of
+//! streams and the per-shard counts: `main` checks that count on its
+//! own (18 here, where doubling the streams took 91).
 //!
 //! Open findings for ROADMAP item 3, recorded here and not fixed:
 //! - Run growth is 33 % of LRU's steady half, 32 % of xLRU's and 30 % of
@@ -123,7 +130,7 @@ use vcdn_core::{
     RankedCache, XlruCache,
 };
 use vcdn_obs::{MetricsRegistry, MetricsSink};
-use vcdn_sim::engine::{EngineConfig, ShardedEngine};
+use vcdn_sim::engine::{shard_requests, EngineConfig, ShardedEngine};
 use vcdn_sim::{replay_with_telemetry, ReplayConfig, Replayer, TelemetryConfig};
 use vcdn_trace::{ServerProfile, Trace, TraceGenerator};
 use vcdn_types::{worker_count, ChunkId, ChunkSize, CostModel, Decision, DurationMs, Request};
@@ -241,17 +248,19 @@ const GOLDEN: &[Golden] = &[
     ("replay lru", 0, 1024, 311004, 721, 172720, 474),
     ("replay xlru", 0, 835, 314792, 520, 166080, 340),
     ("replay cafe", 0, 1525, 1249180, 723, 620112, 57),
-    ("replay psychic", 28, 31, 13664, 26, 7712, 25),
+    ("replay psychic", 15, 31, 13664, 26, 7712, 25),
     ("replay lfu", 0, 2032, 909720, 1227, 268792, 465),
     ("replay lru2", 0, 6018, 1224616, 3264, 366792, 465),
     ("replay gdsp", 0, 1963, 896152, 1173, 258656, 436),
     ("telemetry xlru", 0, 1395, 1397651, 776, 559420, 340),
     ("telemetry cafe", 0, 2086, 2332053, 980, 1013466, 57),
-    ("telemetry psychic", 28, 592, 1096611, 283, 401089, 25),
+    ("telemetry psychic", 15, 592, 1096611, 283, 401089, 25),
     ("engine xlru w1", 1394, 2545, 1396924, 1202, 699428, 463),
     ("engine xlru w2", 1394, 2553, 1397292, 1206, 699612, 463),
     ("engine cafe w1", 1394, 3332, 7665520, 1400, 3943712, 67),
     ("engine cafe w2", 1394, 3340, 7665888, 1404, 3943896, 67),
+    ("engine psychic w1", 1600, 1005, 1066208, 489, 544352, 26),
+    ("engine psychic w2", 1600, 1013, 1066576, 493, 544536, 26),
 ];
 
 const SCALE: f64 = 0.004;
@@ -430,13 +439,14 @@ fn telemetry<P: CachePolicy>(
 }
 
 /// A sharded engine with observers attached: the first half, then the
-/// rest as a warm continuation, on `workers` threads.
-fn engine<P: CachePolicy + 'static>(
+/// rest as a warm continuation, on `workers` threads. `policies` runs
+/// inside the build and returns the per-shard policy factory.
+fn engine<P: CachePolicy + 'static, F: FnMut(usize, CacheConfig) -> P>(
     case: &'static str,
     halves: &(Trace, Trace),
     workers: usize,
     exact: bool,
-    policy: fn(CacheConfig) -> P,
+    policies: impl FnOnce() -> F,
 ) -> Row {
     let (first, rest) = halves;
     measure(
@@ -445,8 +455,9 @@ fn engine<P: CachePolicy + 'static>(
             let c = cache();
             let cfg = EngineConfig::bench(SHARDS, c.disk_chunks, c.chunk_size, c.costs)
                 .expect("valid engine config");
-            let mut engine = ShardedEngine::try_new(cfg, |_, c| {
-                Box::new(Watched::new(policy(c), exact, usize::MAX))
+            let mut policy = policies();
+            let mut engine = ShardedEngine::try_new(cfg, |shard, c| {
+                Box::new(Watched::new(policy(shard, c), exact, usize::MAX))
             })
             .expect("valid shards");
             let sink: Arc<dyn MetricsSink> = Arc::new(MetricsRegistry::new());
@@ -500,29 +511,53 @@ fn main() {
         Trace::new(trace.meta.clone(), trace.requests[..half].to_vec()),
         Trace::new(trace.meta.clone(), trace.requests[half..].to_vec()),
     );
-    let requests = trace.requests.clone();
-    let psychic = |c: CacheConfig| {
+    let psychic = |c: CacheConfig, requests: &[Request]| {
         PsychicCache::new(
             PsychicConfig::new(c.disk_chunks, c.chunk_size, c.costs),
-            &requests,
+            requests,
         )
+    };
+    // Each engine shard's Psychic knows its own future: the partition is
+    // part of the build.
+    let sharded_psychic = || {
+        let futures = shard_requests(&trace, SHARDS);
+        move |shard: usize, c| psychic(c, &futures[shard])
+    };
+    // The partition allocates each shard's stream once, beside the list
+    // of streams and the per-shard counts.
+    let partition = {
+        let start = Allocs::now();
+        let futures = black_box(shard_requests(&trace, SHARDS));
+        let allocs = Allocs::now().since(start).count;
+        let filled = futures.iter().filter(|f| !f.is_empty()).count() as u64;
+        (allocs, filled)
     };
 
     let rows = [
         replay("replay lru", &trace, false, || LruCache::new(cache())),
         replay("replay xlru", &trace, false, || XlruCache::new(cache())),
         replay("replay cafe", &trace, true, || cafe(cache())),
-        replay("replay psychic", &trace, true, || psychic(cache())),
+        replay("replay psychic", &trace, true, || {
+            psychic(cache(), &trace.requests)
+        }),
         replay("replay lfu", &trace, false, || RankedCache::lfu(cache())),
         replay("replay lru2", &trace, false, || RankedCache::lru2(cache())),
         replay("replay gdsp", &trace, false, || RankedCache::gdsp(cache())),
         telemetry("telemetry xlru", &trace, false, || XlruCache::new(cache())),
         telemetry("telemetry cafe", &trace, true, || cafe(cache())),
-        telemetry("telemetry psychic", &trace, true, || psychic(cache())),
-        engine("engine xlru w1", &halves, 1, false, XlruCache::new),
-        engine("engine xlru w2", &halves, 2, false, XlruCache::new),
-        engine("engine cafe w1", &halves, 1, true, cafe),
-        engine("engine cafe w2", &halves, 2, true, cafe),
+        telemetry("telemetry psychic", &trace, true, || {
+            psychic(cache(), &trace.requests)
+        }),
+        engine("engine xlru w1", &halves, 1, false, || {
+            |_, c| XlruCache::new(c)
+        }),
+        engine("engine xlru w2", &halves, 2, false, || {
+            |_, c| XlruCache::new(c)
+        }),
+        engine("engine cafe w1", &halves, 1, true, || |_, c| cafe(c)),
+        engine("engine cafe w2", &halves, 2, true, || |_, c| cafe(c)),
+        engine("engine psychic w1", &halves, 1, true, sharded_psychic),
+        engine("engine psychic w2", &halves, 2, true, sharded_psychic),
     ];
 
     // The replacement fires: one seeded allocation per request shows up
@@ -556,6 +591,14 @@ fn main() {
             "FAIL seeded xLRU: {seeded_extra:?} more (allocations, bytes) than the bare pass, \
              expected one 8-byte allocation per request: ({n}, {})",
             8 * n
+        );
+        failed = true;
+    }
+    if partition.0 != partition.1 + 2 {
+        println!(
+            "FAIL shard_requests: {} allocations for {} non-empty shards, expected one a \
+             shard plus the list and the counts",
+            partition.0, partition.1
         );
         failed = true;
     }

@@ -6,7 +6,7 @@
 //! process*. These tests pin full byte accounting for the four paper
 //! policies and the three §3 baselines on a deterministically generated
 //! trace, through the Replayer and repeat rows of the replay matrix — the
-//! same pins must hold:
+//! same pins must hold (and, for every policy, the time-shift row):
 //!
 //! - under the default FxHash build (`cargo test`),
 //! - under `cargo test --features vcdn-types/std-hash`, and
@@ -44,6 +44,14 @@ fn replay_bytes_match_pins_for_all_policies() {
     for (policy, pin) in PINS {
         let replay = Cell::new(policy, POINT).replay_row();
         assert_eq!(matrix::bytes(&replay), pin, "{policy:?}: pinned bytes");
+    }
+}
+
+#[test]
+fn time_shifts_change_no_counter() {
+    for (policy, _) in PINS {
+        let cell = Cell::new(policy, POINT);
+        cell.time_shift_row(&cell.replay_row());
     }
 }
 

@@ -17,7 +17,9 @@
 //!   replay of its `shard_requests` sub-trace; at 2, 4 and 8 shards, the
 //!   same demand as the replay and an Eq. 2 efficiency within a
 //!   partitioning tolerance of it; `run_prefix` ≡ a run of the truncated
-//!   trace; a warm continuation ≡ an uninterrupted run.
+//!   trace; a warm continuation ≡ an uninterrupted run;
+//! - the time-shift row: the same counters, Replayer and engine, with every
+//!   request moved later by up to 2^40 ms.
 //!
 //! Psychic's shards know the full trace's per-shard futures in every cell.
 //! The §3 baselines (`Lfu`, `Lru2`, `Gdsp`) are cells too, for the
@@ -400,6 +402,39 @@ impl Cell {
         let continued = split.run(&self.sub(&trace.requests[n / 2..]), 2);
         assert_eq!(continued, self.engine(shards).run(trace, 2), "{at}: warm");
         assert_eq!(continued.dispatched, n as u64, "{at}");
+    }
+
+    /// Moving the trace later in time changes no counter. Every request is
+    /// shifted by 1 ms, 7 d + 13 ms and 2^40 ms, and the declared horizon
+    /// grows by twice the shift, so the steady-state cut (half the horizon)
+    /// moves with the requests. The Replayer's and a detached
+    /// `SHARDS`-shard engine's overall and steady counters must stay
+    /// byte-equal to the unshifted runs'.
+    pub fn time_shift_row(&self, replay: &ReplayReport) {
+        let counters = |r: &EngineReport| -> Vec<_> {
+            (r.shards.iter())
+                .map(|s| (s.requests, s.overall, s.steady))
+                .collect()
+        };
+        let base = counters(&self.engine(SHARDS).run(&self.trace, 1));
+        for shift in [1, DurationMs::from_days(7).as_millis() + 13, 1 << 40] {
+            let mut trace = self.trace.clone();
+            for r in &mut trace.requests {
+                r.t = Timestamp(r.t.as_millis() + shift);
+            }
+            trace.meta.duration = DurationMs(trace.meta.duration.as_millis() + 2 * shift);
+            let shifted = Cell {
+                trace,
+                at: format!("{}, shifted {shift} ms", self.at),
+                ..*self
+            };
+            let at = &shifted.at;
+            let moved = shifted.replay(&shifted.trace.requests, self.disk);
+            let moved = (moved.overall, moved.steady);
+            assert_eq!(moved, (replay.overall, replay.steady), "{at}: replay");
+            let engine = shifted.engine(SHARDS).run(&shifted.trace, 1);
+            assert_eq!(counters(&engine), base, "{at}: engine");
+        }
     }
 
     /// Every engine row; returns the `SHARDS`-shard engine's report.
