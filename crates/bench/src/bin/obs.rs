@@ -131,14 +131,14 @@ fn record(args: &Args) -> Result<(), String> {
              neither is a whole multiple of the other"
         ));
     }
+    // A trace with no requests is refused before anything is printed.
+    let trace = trace_for(ServerProfile::europe(), scale, days);
     eprintln!(
         "[obs record] scale={} days={days} disk={disk} chunks, alpha=2, \
          interval={interval_mins}min window={window_mins}min events={events} \
          seed={EXPERIMENT_SEED}",
         scale.0
     );
-
-    let trace = trace_for(ServerProfile::europe(), scale, days);
     eprintln!("[obs record] trace: {} requests", trace.len());
 
     let trace_ref = &trace;

@@ -58,10 +58,25 @@ impl Scale {
 /// `EXPERIMENTS.md`; change it and every number changes together).
 pub const EXPERIMENT_SEED: u64 = 20140413; // EuroSys'14 opening day
 
-/// Generates a scaled trace for a profile under the experiment seed.
+/// Generates a scaled trace for a profile under the experiment seed;
+/// ends the command, as a bad command line does, if it holds no requests.
 pub fn trace_for(profile: ServerProfile, scale: Scale, days: u64) -> Trace {
-    TraceGenerator::new(scale.profile(profile), EXPERIMENT_SEED)
-        .generate(DurationMs::from_days(days))
+    refuse_empty(
+        TraceGenerator::new(scale.profile(profile), EXPERIMENT_SEED)
+            .generate(DurationMs::from_days(days)),
+    )
+}
+
+/// Ends a `figures` or `obs` command as a bad command line does (exit 2)
+/// if `trace`, just generated, holds no requests
+/// ([`Trace::require_requests`]), with its one `error:` line on stderr —
+/// before the command prints a table or writes a bundle.
+fn refuse_empty(trace: Trace) -> Trace {
+    if let Err(e) = trace.require_requests() {
+        eprintln!("error: {e}");
+        std::process::exit(2);
+    }
+    trace
 }
 
 /// §9.1's limited-scale trace for the LP experiments: two days of
@@ -260,8 +275,10 @@ pub fn sweep_traces(
                 reason = "progress line on stderr; never part of the trace"
             )]
             let t0 = Instant::now();
-            let trace = TraceGenerator::new(scale.profile(profile), seed)
-                .generate(DurationMs::from_days(days));
+            let trace = refuse_empty(
+                TraceGenerator::new(scale.profile(profile), seed)
+                    .generate(DurationMs::from_days(days)),
+            );
             let n = i + 1;
             eprintln!(
                 "[{title}] {n}/{total} done: trace {label} ({:.2?})",

@@ -1,7 +1,8 @@
 //! Deterministic scenario traces for the watchdog validation suite.
 //!
-//! ROADMAP item 5 asks for scenario suites that stress the telemetry
-//! plane the way production incidents do. The first one is the classic
+//! Scenario suites stress the telemetry plane the way production
+//! incidents do (ROADMAP keeps the rest of them, the live-edge
+//! scenarios, parked). The first one is the classic
 //! CDN incident: a **flash crowd** — a video goes viral mid-trace and a
 //! surge of sessions for its (previously cold) renditions slams one
 //! server. The surge churns the cache: fills for the viral chunks evict

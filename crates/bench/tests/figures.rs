@@ -58,6 +58,9 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         vec!["fig4_alpha_sweep", "--days", "213503982336"],
         vec!["fig4_alpha_sweep", "--days", "0"],
         vec!["smoke", "--days", "0"],
+        // A scale at which no session starts: an empty trace, refused
+        // with one `error:` line before any table.
+        vec!["fig4_alpha_sweep", "--scale", "1e-9", "--days", "1"],
     ];
     // Every figure closes its flag set before it starts working.
     cases.extend(FIGURES.iter().map(|(n, _)| vec![*n, "--no-such-flag"]));
@@ -68,6 +71,23 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert_eq!(err.lines().count(), 1, "{case:?} stderr: {err}");
     }
+}
+
+#[test]
+fn an_empty_trace_in_a_multi_trace_figure_is_refused() {
+    // The trace grid announces itself on stderr before the first trace;
+    // the first empty one ends the run with its `error:` line, no table.
+    let out = figures(
+        &["fig7_world_servers", "--scale", "1e-9", "--days", "1"],
+        "1",
+    );
+    assert_eq!(out.status.code(), Some(2));
+    assert!(out.stdout.is_empty(), "printed to stdout");
+    let err = String::from_utf8(out.stderr).unwrap();
+    let errors: Vec<&str> = err.lines().filter(|l| l.starts_with("error:")).collect();
+    assert_eq!(errors.len(), 1, "{err}");
+    assert!(errors[0].contains("holds no requests"), "{err}");
+    assert_eq!(err.lines().last(), Some(errors[0]), "{err}");
 }
 
 #[test]

@@ -48,6 +48,17 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         vec!["record", "--window-mins", "307445734561825861"],
         vec!["record", "--days", "213503982336"],
         vec!["record", "--days", "0"],
+        // A scale at which no session starts: an empty trace, refused
+        // before the bundle is written.
+        vec![
+            "record",
+            "--scale",
+            "1e-9",
+            "--days",
+            "1",
+            "--out",
+            "unwritten.jsonl",
+        ],
     ];
     // Every command closes its flag set before it starts working.
     for command in ["record", "check", "report", "diff", "watch"] {
@@ -60,6 +71,7 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         let err = String::from_utf8(out.stderr).unwrap();
         assert_eq!(err.lines().count(), 1, "{case:?} stderr: {err}");
     }
+    assert!(!std::path::Path::new("unwritten.jsonl").exists());
 }
 
 fn write_tmp(name: &str, text: &str) -> String {

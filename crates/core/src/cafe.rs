@@ -26,7 +26,11 @@ use vcdn_types::{
 };
 
 use crate::{
-    ds::{assert_chunk_index, pop_table::MIN_IAT_MS, PopTable, RankIndex, NOT_CACHED},
+    ds::{
+        assert_chunk_index,
+        pop_table::{ewma, iat, Touch, MIN_IAT_MS},
+        PopTable, RankIndex, NOT_CACHED,
+    },
     policy::{CacheConfig, CachePolicy},
 };
 
@@ -95,6 +99,17 @@ impl CafeConfig {
     }
 }
 
+/// What the disk index carries for each cached chunk: its video's
+/// [`PopTable`] directory slot — stable while the chunk is cached, because
+/// a video with a cached chunk keeps its entry — and its Eq. 8 average,
+/// which lives here from fill to eviction while the chunk's record holds
+/// the entry's slot instead.
+#[derive(Debug, Clone, Copy, PartialEq)]
+struct Cached {
+    video: u32,
+    dt: f64,
+}
+
 /// The Cafe cache.
 ///
 /// # Examples
@@ -119,11 +134,10 @@ pub struct CafeCache {
     pop: PopTable,
     /// Cached chunks ordered by virtual timestamp (Eq. 9) in the bucketed
     /// rank index, addressed by the slot the directory keeps as each
-    /// chunk's back-reference; each entry carries its video's
-    /// [`PopTable`] directory slot as the aux payload, so eviction scans
-    /// read a candidate's record with no probe. That slot is stable while
-    /// a chunk stays cached: a video with a cached chunk keeps its entry.
-    disk: RankIndex<ChunkId>,
+    /// chunk's back-reference; each entry carries the chunk's [`Cached`]
+    /// payload, so eviction scans cost a candidate and evict it with no
+    /// probe.
+    disk: RankIndex<ChunkId, Cached>,
     handled: u64,
     replay_start: Option<Timestamp>,
     last_detail: DecisionDetail,
@@ -131,8 +145,9 @@ pub struct CafeCache {
     /// Missing chunks travel with their fresh EWMA so the Eq. 7 loop and
     /// the fill loop never go back to the table.
     scratch_missing: Vec<(ChunkId, f64)>,
-    /// The candidates the Eq. 6 walk costed: a serve evicts these.
-    scratch_candidates: Vec<ChunkId>,
+    /// The disk slots of the candidates the Eq. 6 walk costed: a serve
+    /// evicts these.
+    scratch_candidates: Vec<u32>,
 }
 
 impl CafeCache {
@@ -175,7 +190,9 @@ impl CafeCache {
         if !self.config.unseen_chunk_estimate {
             return None;
         }
-        self.pop.max_cached_iat(slot, now, self.config.gamma)
+        let disk = &self.disk;
+        let dt_of = |at| disk.payload(at).dt;
+        self.pop.max_cached_iat(slot, now, self.config.gamma, dt_of)
     }
 
     /// Expected count of near-future requests for a chunk with
@@ -188,18 +205,23 @@ impl CafeCache {
         }
     }
 
-    fn remove_chunk(&mut self, id: ChunkId) {
-        // The disk slot is freed for reuse: drop the back-reference.
-        let slot = self.pop.clear_cached(id);
-        debug_assert_eq!(self.disk.get(slot).map(|e| e.0), Some(id));
+    /// Evicts the chunk at disk slot `slot` and returns it: its average
+    /// goes back to its record, and the slot is freed for reuse.
+    fn remove_chunk(&mut self, slot: u32) -> ChunkId {
+        let (id, Cached { video, dt }) = (self.disk.item(slot), *self.disk.payload(slot));
         self.disk.remove_slot(slot);
+        self.pop.clear_cached(video, id.index, dt);
+        id
     }
 
     /// Admits `id`, not cached, at virtual key `key`; `video` is its
-    /// video's directory slot, which the rank-index entry carries.
+    /// video's directory slot. The rank-index entry takes the chunk's
+    /// average over from its record.
     fn insert_chunk(&mut self, video: u32, id: ChunkId, key: f64) {
-        let slot = self.disk.insert_new(id, key, video);
-        self.pop.set_cached(video, id.index, slot);
+        let disk = &mut self.disk;
+        self.pop.set_cached(video, id.index, |dt| {
+            disk.insert_new(id, key, Cached { video, dt })
+        });
     }
 
     /// Drops popularity state for chunks and videos not seen within twice
@@ -220,19 +242,35 @@ impl CafeCache {
         self.pop.len()
     }
 
+    /// Heap bytes Cafe's state holds, from capacities: the popularity
+    /// runs, the directory's entries, free list and video → slot map
+    /// ([`PopTable::state_bytes`]), and the disk index's slab, bucket
+    /// window and body pool ([`RankIndex::state_bytes`]). The
+    /// deterministic reading of what the cache costs in memory.
+    pub fn state_bytes(&self) -> usize {
+        self.pop.state_bytes() + self.disk.state_bytes()
+    }
+
     /// Checks the disk index ([`RankIndex::audit`]), the directory
-    /// ([`PopTable::audit`]) and that every cached chunk's back-reference
-    /// in the directory names its entry (tests).
+    /// ([`PopTable::audit`], against the averages the entries keep), that
+    /// every cached chunk's back-reference in the directory names its
+    /// entry, and that the entry names the chunk's video slot (tests).
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
     pub fn audit(&self) {
         self.disk.audit();
-        self.pop.audit();
+        self.pop.audit(|at| self.disk.payload(at).dt);
         for (id, _) in self.disk_entries() {
-            let at = self.disk.get(self.pop.backref_of(&id));
-            assert_eq!(at.map(|e| e.0), Some(id), "{id}: back-reference");
+            let slot = self.pop.backref_of(&id);
+            assert_eq!(
+                self.disk.get(slot).map(|e| e.0),
+                Some(id),
+                "{id}: back-reference"
+            );
+            let video = self.disk.payload(slot).video;
+            assert_eq!(self.pop.slot_of(id.video), Some(video), "{id}: video slot");
         }
     }
 
@@ -240,7 +278,9 @@ impl CafeCache {
     /// unique, so the unstable sort is deterministic without the stable
     /// sort's temporary buffer.
     pub(crate) fn iat_entries(&self) -> Vec<(ChunkId, Option<f64>, Timestamp)> {
-        let mut v: Vec<(ChunkId, Option<f64>, Timestamp)> = self.pop.records().collect();
+        let disk = &self.disk;
+        let dt_of = |at| disk.payload(at).dt;
+        let mut v: Vec<(ChunkId, Option<f64>, Timestamp)> = self.pop.records(dt_of).collect();
         v.sort_unstable_by_key(|(id, _, _)| *id);
         v
     }
@@ -338,22 +378,25 @@ impl CachePolicy for CafeCache {
         candidates.clear();
         let mut hits = 0usize;
         let disk = &mut self.disk;
-        let touched = self
-            .pop
-            .touch_run(request.video, range, now, gamma, |video, c, slot, dt| {
-                if slot != NOT_CACHED {
-                    // The record's back-reference says "cached, and where
-                    // in the rank index": a present chunk re-keys (a store
-                    // of the refreshed, higher virtual timestamp) with no
-                    // lookup of its own.
-                    let id = Some(ChunkId::new(request.video, c));
-                    debug_assert_eq!(disk.get(slot).map(|e| e.0), id);
-                    disk.rekey_slot(slot, PopTable::key_fresh(dt, now, gamma, 0.0), video);
-                    hits += 1;
-                } else {
-                    missing.push((ChunkId::new(request.video, c), dt));
-                }
-            });
+        let touched =
+            self.pop
+                .touch_run(request.video, range, now, gamma, |c, touch| match touch {
+                    Touch::Cached { slot, gap } => {
+                        // The record's back-reference says "cached, and where
+                        // in the rank index": the entry keeps the chunk's
+                        // average, and a present chunk re-keys (a store of the
+                        // refreshed, higher virtual timestamp) with no lookup
+                        // of its own.
+                        let id = Some(ChunkId::new(request.video, c));
+                        debug_assert_eq!(disk.get(slot).map(|e| e.0), id);
+                        let cached = disk.payload_mut(slot);
+                        cached.dt = ewma(cached.dt, gap, gamma);
+                        let key = PopTable::key_fresh(cached.dt, now, gamma, 0.0);
+                        disk.rekey_slot(slot, key);
+                        hits += 1;
+                    }
+                    Touch::Uncached(dt) => missing.push((ChunkId::new(request.video, c), dt)),
+                });
         // The video's directory slot: the fills and the §6 estimate below
         // use it instead of probing again.
         let (video, video_known) = touched;
@@ -366,13 +409,15 @@ impl CachePolicy for CafeCache {
         let evict_needed =
             ((self.disk.len() + missing.len()) as u64).saturating_sub(capacity) as usize;
 
-        // The §6 estimate is only ever read for missing chunks (in the
-        // Eq. 7 sum and as the fill-key fallback), so a full hit — the
-        // common case — skips the per-video IAT max entirely.
-        let video_estimate = if missing.is_empty() {
-            None
-        } else {
+        // The §6 estimate stands in only for a missing chunk with no
+        // interval yet (in the Eq. 7 sum and as the fill-key fallback), so
+        // a full hit — the common case — or a request whose missing chunks
+        // all have one skips the per-video walk, which reads each cached
+        // chunk's average from its rank entry.
+        let video_estimate = if missing.iter().any(|&(_, dt)| dt < 0.0) {
             self.video_iat_estimate(video, now)
+        } else {
+            None
         };
         self.last_detail = DecisionDetail::age_only(self.cache_age_ms(now));
         let serve = if warmup {
@@ -387,15 +432,17 @@ impl CachePolicy for CafeCache {
             let min_cost = costs.min_cost();
 
             // Eq. 6: fill cost now + expected future cost of evictees.
-            // The candidate walk reads each candidate's record through its
-            // entry's aux video slot — no hash probe per candidate — and
-            // keeps the candidates: they are the victims if this serves.
+            // The candidate walk reads each candidate's average from its
+            // entry and its last touch through the entry's video slot — no
+            // hash probe per candidate — and keeps the candidates' slots:
+            // they are the victims if this serves.
             let mut e_serve = missing.len() as f64 * costs.c_f();
             let pop = &self.pop;
             self.disk
-                .for_smallest_excluding(evict_needed, requested, |id, _, video| {
-                    candidates.push(id);
-                    let iat = pop.iat_at(video, id.index, now, gamma);
+                .for_smallest_excluding(evict_needed, requested, |slot, id, _, c| {
+                    candidates.push(slot);
+                    let t_last = pop.last_touch(c.video, id.index);
+                    let iat = iat(c.dt, t_last, now, gamma);
                     e_serve += Self::future_requests(t_window, iat) * min_cost;
                 });
             // Eq. 7: redirect cost now + expected future cost of the
@@ -415,15 +462,15 @@ impl CachePolicy for CafeCache {
             // Evict, then fill. Requests larger than the disk keep their
             // tail. A costed serve evicts the candidates it costed (the
             // index is as it was); an overflowing warm-up serve walks here.
-            let mut evicted = Vec::with_capacity(evict_needed);
             if candidates.is_empty() {
                 self.disk
-                    .for_smallest_excluding(evict_needed, requested, |id, _, _| evicted.push(id));
-            } else {
-                evicted.extend_from_slice(&candidates);
+                    .for_smallest_excluding(evict_needed, requested, |slot, _, _, _| {
+                        candidates.push(slot);
+                    });
             }
-            for &id in &evicted {
-                self.remove_chunk(id);
+            let mut evicted = Vec::with_capacity(evict_needed);
+            for &slot in &candidates {
+                evicted.push(self.remove_chunk(slot));
             }
             let free = capacity - self.disk.len() as u64;
             let keep_from = missing.len().saturating_sub(free as usize);
@@ -517,26 +564,19 @@ mod tests {
         // Random-ish pairs: the sign of key_x(t) - key_y(t) must not
         // depend on t (Theorem 1). (Eq. 8 arithmetic itself is covered by
         // the PopTable unit tests in ds/pop_table.rs.)
-        use crate::ds::PopTable;
-        let mut pop = PopTable::new();
         let states = [
             (50.0, Timestamp(900)),
             (500.0, Timestamp(990)),
             (5.0, Timestamp(100)),
             (250.0, Timestamp(750)),
         ];
-        let slots: Vec<u32> = states
-            .iter()
-            .enumerate()
-            .map(|(i, &(dt, t_last))| {
-                pop.insert_raw(ChunkId::new(VideoId(i as u64), 0), Some(dt), t_last)
-            })
-            .collect();
         let gamma = 0.25;
         // Eq. 9: key_x(t) = t − IAT_x(t).
-        let key = |v: u32, t: u64| t as f64 - pop.iat_at(v, 0, Timestamp(t), gamma).unwrap();
-        for &a in &slots {
-            for &b in &slots {
+        let key = |(dt, t_last): (f64, Timestamp), t: u64| {
+            t as f64 - iat(dt, t_last, Timestamp(t), gamma).unwrap()
+        };
+        for &a in &states {
+            for &b in &states {
                 let d1 = key(a, 1_000) - key(b, 1_000);
                 let d2 = key(a, 50_000) - key(b, 50_000);
                 assert!(

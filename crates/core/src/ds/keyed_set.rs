@@ -1,5 +1,9 @@
-//! Cafe's popularity structure: a binary-tree set ordered by virtual
-//! timestamps plus a hash map for O(1) lookups.
+//! The paper's structure for Cafe's disk, as §6 writes it: a binary-tree
+//! set ordered by virtual timestamps plus a hash map for O(1) lookups.
+//! Cafe itself runs on the bucketed [`RankIndex`](crate::ds::RankIndex),
+//! which answers every ordered read as this set does; this one is the
+//! disk of the §3 baselines' [`RankedCache`](crate::RankedCache) and the
+//! rank index's ordering oracle.
 //!
 //! Per the paper (§6): "as a data structure that enables such insertions,
 //! we employ a binary tree maintaining the chunks in ascending order of

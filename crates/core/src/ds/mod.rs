@@ -11,8 +11,9 @@
 //! * [`ChunkLru`] — the disk of LRU and xLRU: an [`LruList`] of chunks
 //!   whose handles live in a [`VideoDir`], and the one always-fill step
 //!   both serve through ([`ChunkLru::serve`]).
-//! * [`KeyedSet`] — Cafe's binary-tree set + hash map over virtual
-//!   timestamps, as the paper §6 describes it literally. It is the disk
+//! * [`KeyedSet`] — a binary-tree set + hash map over `f64` keys: the
+//!   structure the paper's §6 gives Cafe, kept as written, though Cafe
+//!   runs on [`RankIndex`]. It is the disk
 //!   of the §3 baselines' [`RankedCache`](crate::RankedCache), whose LFU
 //!   and GDSP keys are small counts that a [`RankIndex`] would put in one
 //!   bucket (re-sorting the whole disk on every eviction after a hit),
@@ -20,11 +21,15 @@
 //! * [`RankIndex`] — the bucketed (timing-wheel-style) replacement Cafe's
 //!   hot path runs on, addressed by slab slot with no hash map: a re-key
 //!   is a field store, the bucket move and the sort wait for the ordered
-//!   read that gets there; bit-identical ordering to [`KeyedSet`].
+//!   read that gets there; bit-identical ordering to [`KeyedSet`]. An
+//!   empty bucket is a 4-byte window slot, and bucket bodies come from a
+//!   pool that takes them back as buckets empty.
 //! * [`PopTable`] — Cafe's popularity records on a [`VideoDir`]: each
-//!   chunk's EWMA state and [`RankIndex`] slot in one 24-byte run record,
-//!   addressed by video slot and chunk number, runs reserved tightly, and
-//!   sweeps that walk the directory only when something can expire.
+//!   chunk's last touch and one word in a 16-byte run record — its EWMA
+//!   average while uncached, its [`RankIndex`] slot while cached (the
+//!   average then rides in the index entry) — addressed by video slot
+//!   and chunk number, runs reserved tightly and trimmed by the sweeps,
+//!   which walk the directory only when something can expire.
 //! * [`BitTree`] — a set of small integers as a 64-ary tree of bitmaps
 //!   with a predecessor query: Psychic's calendar of due requests.
 
@@ -41,7 +46,7 @@ pub use chunk_lru::ChunkLru;
 pub use keyed_set::{KeyedSet, OrdF64};
 pub use lru_list::{IndexedLruList, LruList};
 pub use pop_table::{PopTable, NOT_CACHED};
-pub use rank_index::{RankIndex, BUCKET_WIDTH_MS, NO_AUX};
+pub use rank_index::{RankIndex, BUCKET_WIDTH_MS};
 pub use video_dir::{assert_chunk_index, Absent, VideoDir, MAX_CHUNK_INDEX};
 
 /// Stores `value` in a free-listed slot of `slab` (the last one freed), or

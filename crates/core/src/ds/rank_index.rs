@@ -21,7 +21,16 @@
 //! Entries are **slot-addressed**: [`RankIndex::insert_new`] returns a slab
 //! slot, stable until [`RankIndex::remove_slot`], and there is no hash map:
 //! the caller keeps each item's slot (Cafe keeps it in its chunk
-//! directory).
+//! directory). Each entry carries a caller-typed payload `P` beside its
+//! item and key (Cafe's is the chunk's directory slot and Eq. 8 average).
+//!
+//! Memory follows what the index holds. The bucket window is a deque of
+//! 4-byte body numbers, `NO_BODY` for an empty bucket; the item vectors
+//! live in one pool of bodies, and a bucket that empties hands its body,
+//! capacity and all, to a spare list that the next bucket to open takes
+//! from. So the key range the window spans costs 4 bytes a bucket, the
+//! pool never holds more bodies than buckets were ever non-empty at once,
+//! and reopening a bucket allocates nothing.
 //!
 //! Determinism contract: every ordered read yields *exactly* the ascending
 //! `(key, item)` order a `BTreeSet<(OrdF64, T)>` would, ties included.
@@ -36,6 +45,7 @@
 
 use std::cmp::Ordering;
 use std::collections::VecDeque;
+use std::mem::size_of;
 
 /// Fixed bucket width on the key line, in key units (milliseconds for
 /// Cafe's virtual timestamps): 2^16 ms ≈ 65.5 s. See `DESIGN.md` §8 for
@@ -52,37 +62,37 @@ const MAX_BUCKET_SPAN: i64 = 1 << 20;
 /// marker of a free-listed slot.
 const NONE_IDX: u32 = u32::MAX;
 
-/// Aux payload of a caller with no sidecar handle to attach.
-pub const NO_AUX: u32 = u32::MAX;
+/// The window's mark of an empty bucket: it holds no body.
+const NO_BODY: u32 = u32::MAX;
 
 #[derive(Debug, Clone)]
-struct Entry<T> {
+struct Entry<T, P> {
     item: T,
     key: f64,
-    /// Caller-owned sidecar (Cafe stores the chunk's video directory slot
-    /// here, so eviction scans read the chunk's popularity record without
-    /// a hash lookup).
-    aux: u32,
-    /// Global id of the bucket holding this entry: never above the bucket
+    /// Caller-owned sidecar, handed back by ordered scans.
+    payload: P,
+    /// The bucket holding this entry, as an offset from the anchor's (the
+    /// clamp keeps it within ±[`MAX_BUCKET_SPAN`]): never above the bucket
     /// `key` maps to.
-    bucket: i64,
+    bucket: i32,
     /// Position inside that bucket's item vector ([`NONE_IDX`]: free slot).
     pos: u32,
 }
 
-/// One key-range bucket: slab slots. Unless `dirty`, every entry is a
-/// resident (its key maps here) and the order is *descending* by
-/// `(key, item)` — the global minimum sits at the tail, so removing it
-/// preserves sortedness.
+/// One non-empty bucket's slab slots, or a spare body's empty vector.
+/// Unless `dirty`, every entry is a resident (its key maps here) and the
+/// order is *descending* by `(key, item)` — the global minimum sits at
+/// the tail, so removing it preserves sortedness.
 #[derive(Debug, Clone, Default)]
-struct Bucket {
+struct Body {
     items: Vec<u32>,
     dirty: bool,
 }
 
 /// A slot-addressed set of items ordered by a mutable `f64` key, bucketed
 /// for O(1) insert/re-key/remove with exact `BTreeSet`-equivalent ascending
-/// iteration (smaller key = less popular = evicted first).
+/// iteration (smaller key = less popular = evicted first). Each entry
+/// carries a payload `P` (`()` for none).
 ///
 /// Ordered scans take `&mut self` because they settle the buckets they
 /// enter; [`Self::smallest`] stays `&self` via an incrementally maintained
@@ -92,24 +102,32 @@ struct Bucket {
 /// # Examples
 ///
 /// ```
-/// use vcdn_core::ds::{RankIndex, NO_AUX};
+/// use vcdn_core::ds::RankIndex;
 ///
 /// let mut s: RankIndex<&str> = RankIndex::new();
-/// let a = s.insert_new("a", 5.0, NO_AUX);
-/// s.insert_new("b", 1.0, NO_AUX);
-/// s.rekey_slot(a, 0.5, NO_AUX);
+/// let a = s.insert_new("a", 5.0, ());
+/// s.insert_new("b", 1.0, ());
+/// s.rekey_slot(a, 0.5);
 /// assert_eq!(s.smallest(), Some(("a", 0.5)));
 /// assert_eq!(s.remove_slot(a), 0.5);
 /// assert_eq!(s.smallest(), Some(("b", 1.0)));
 /// ```
 #[derive(Debug, Clone)]
-pub struct RankIndex<T: Ord + Copy> {
-    slab: Vec<Entry<T>>,
+pub struct RankIndex<T: Ord + Copy, P: Copy = ()> {
+    slab: Vec<Entry<T, P>>,
     free: Vec<u32>,
-    /// Buckets for global ids `base ..= base + buckets.len() − 1`.
-    buckets: VecDeque<Bucket>,
-    base: i64,
-    /// Clamp anchor: global bucket id of the first key inserted while the
+    /// The body of each bucket `base ..= base + window.len() − 1`
+    /// (offsets from the anchor's bucket), [`NO_BODY`] while it is empty.
+    window: VecDeque<u32>,
+    base: i32,
+    /// Every body ever opened: those the window names, each non-empty,
+    /// and the `spare` ones, each empty.
+    bodies: Vec<Body>,
+    spare: Vec<u32>,
+    /// A settle's movers, between leaving their bucket and joining the
+    /// next (empty, capacity kept).
+    moving: Vec<u32>,
+    /// Clamp anchor: raw bucket id of the first key inserted while the
     /// index was empty (fixed until the index drains, so the key→bucket
     /// map never changes under live entries).
     anchor: Option<i64>,
@@ -122,13 +140,21 @@ fn order<T: Ord>(ak: f64, ai: &T, bk: f64, bi: &T) -> Ordering {
     ak.total_cmp(&bk).then_with(|| ai.cmp(bi))
 }
 
-impl<T: Ord + Copy> Default for RankIndex<T> {
+/// The unclamped bucket id of `key`; `as i64` saturates.
+fn raw_bucket(key: f64) -> i64 {
+    (key / BUCKET_WIDTH_MS).floor() as i64
+}
+
+impl<T: Ord + Copy, P: Copy> Default for RankIndex<T, P> {
     fn default() -> Self {
         RankIndex {
             slab: Vec::new(),
             free: Vec::new(),
-            buckets: VecDeque::new(),
+            window: VecDeque::new(),
             base: 0,
+            bodies: Vec::new(),
+            spare: Vec::new(),
+            moving: Vec::new(),
             anchor: None,
             min_idx: NONE_IDX,
             relocations: 0,
@@ -136,7 +162,7 @@ impl<T: Ord + Copy> Default for RankIndex<T> {
     }
 }
 
-impl<T: Ord + Copy> RankIndex<T> {
+impl<T: Ord + Copy, P: Copy> RankIndex<T, P> {
     /// Creates an empty index.
     pub fn new() -> Self {
         RankIndex::default()
@@ -158,70 +184,149 @@ impl<T: Ord + Copy> RankIndex<T> {
         (e.pos != NONE_IDX).then_some((e.item, e.key))
     }
 
-    /// The global bucket id for `key`, clamped to the anchored window.
-    fn bucket_of(&self, key: f64) -> i64 {
-        // `as i64` saturates, and clamping is monotone: ordering across
-        // buckets is preserved for every representable key.
-        let raw = (key / BUCKET_WIDTH_MS).floor() as i64;
-        let anchor = self.anchor.unwrap_or(raw);
-        raw.clamp(
-            anchor.saturating_sub(MAX_BUCKET_SPAN),
-            anchor.saturating_add(MAX_BUCKET_SPAN),
-        )
+    /// The live entry at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// Panics with `RankIndex slot {slot} is not live` if `slot` holds no
+    /// entry (a slot kept past its entry's removal may by then name
+    /// another item: slots are reused).
+    fn live(&self, slot: u32) -> &Entry<T, P> {
+        let live = self.get(slot).is_some();
+        assert!(live, "RankIndex slot {slot} is not live");
+        &self.slab[slot as usize]
     }
 
-    /// Grows the bucket window to cover global id `g`; returns its offset.
-    fn ensure_bucket(&mut self, g: i64) -> usize {
-        if self.buckets.is_empty() {
+    /// The item of the entry at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::remove_slot`], if `slot` holds no entry.
+    pub fn item(&self, slot: u32) -> T {
+        self.live(slot).item
+    }
+
+    /// The payload of the entry at `slot`.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::remove_slot`], if `slot` holds no entry.
+    pub fn payload(&self, slot: u32) -> &P {
+        &self.live(slot).payload
+    }
+
+    /// The payload of the entry at `slot`, for the caller to update.
+    ///
+    /// # Panics
+    ///
+    /// As [`Self::remove_slot`], if `slot` holds no entry.
+    pub fn payload_mut(&mut self, slot: u32) -> &mut P {
+        self.live(slot);
+        &mut self.slab[slot as usize].payload
+    }
+
+    /// The bucket for `key`, as an offset from the anchor's, clamped to
+    /// the anchored window.
+    fn bucket_of(&self, key: f64) -> i32 {
+        // Saturating and clamping are both monotone: ordering across
+        // buckets is preserved for every representable key.
+        let raw = raw_bucket(key);
+        let anchor = self.anchor.unwrap_or(raw);
+        raw.saturating_sub(anchor)
+            .clamp(-MAX_BUCKET_SPAN, MAX_BUCKET_SPAN) as i32
+    }
+
+    /// Grows the bucket window to cover bucket `g`; returns its offset.
+    fn ensure_bucket(&mut self, g: i32) -> usize {
+        if self.window.is_empty() {
             self.base = g;
         }
         while g < self.base {
-            self.buckets.push_front(Bucket::default());
+            self.window.push_front(NO_BODY);
             self.base -= 1;
         }
         let off = (g - self.base) as usize;
-        while off >= self.buckets.len() {
-            self.buckets.push_back(Bucket::default());
+        while off >= self.window.len() {
+            self.window.push_back(NO_BODY);
         }
         off
     }
 
-    /// Appends slab entry `idx` (key already set, mapping to `g`) to `g`.
-    fn attach(&mut self, idx: u32, g: i64) {
-        let off = self.ensure_bucket(g);
-        let bucket = &mut self.buckets[off];
-        // A lone resident is in order; any other append is not known to be.
-        bucket.dirty = !bucket.items.is_empty();
-        let e = &mut self.slab[idx as usize];
-        e.bucket = g;
-        e.pos = bucket.items.len() as u32;
-        bucket.items.push(idx);
+    /// The body of the bucket at window offset `off` (which is open).
+    fn body_mut(&mut self, off: usize) -> &mut Body {
+        &mut self.bodies[self.window[off] as usize]
     }
 
-    /// Unlinks slab entry `idx` from its bucket (does not free the slot).
+    /// The body of the bucket at `off`, giving it a spare body (or a new
+    /// one) if it is empty.
+    fn open(&mut self, off: usize) -> &mut Body {
+        if self.window[off] == NO_BODY {
+            self.window[off] = self.spare.pop().unwrap_or_else(|| {
+                self.bodies.push(Body::default());
+                (self.bodies.len() - 1) as u32
+            });
+        }
+        self.body_mut(off)
+    }
+
+    /// Hands the emptied bucket at `off`'s body, capacity kept, to the
+    /// spare list.
+    fn close(&mut self, off: usize) {
+        let body = std::mem::replace(&mut self.window[off], NO_BODY);
+        debug_assert!(self.bodies[body as usize].items.is_empty());
+        self.bodies[body as usize].dirty = false;
+        self.spare.push(body);
+    }
+
+    /// Appends slab entry `idx` (key already set, mapping to `g`) to `g`.
+    fn attach(&mut self, idx: u32, g: i32) {
+        let off = self.ensure_bucket(g);
+        let body = self.open(off);
+        // A lone resident is in order; any other append is not known to be.
+        body.dirty = !body.items.is_empty();
+        let pos = body.items.len() as u32;
+        body.items.push(idx);
+        let e = &mut self.slab[idx as usize];
+        e.bucket = g;
+        e.pos = pos;
+    }
+
+    /// Unlinks slab entry `idx` from its bucket (does not free the slot);
+    /// a bucket it leaves empty closes.
     fn detach(&mut self, idx: u32) {
         let e = &self.slab[idx as usize];
         let pos = e.pos as usize;
-        let bucket = &mut self.buckets[(e.bucket - self.base) as usize];
-        bucket.items.swap_remove(pos);
-        if let Some(&moved) = bucket.items.get(pos) {
+        let off = (e.bucket - self.base) as usize;
+        let RankIndex {
+            slab,
+            window,
+            bodies,
+            ..
+        } = self;
+        let body = &mut bodies[window[off] as usize];
+        body.items.swap_remove(pos);
+        if let Some(&moved) = body.items.get(pos) {
             // The tail element jumped forward: order is no longer known.
-            self.slab[moved as usize].pos = pos as u32;
-            bucket.dirty = true;
+            slab[moved as usize].pos = pos as u32;
+            body.dirty = true;
+        } else if body.items.is_empty() {
+            self.close(off);
         }
     }
 
-    /// Settles bucket `off`: entries whose key now maps to a later bucket
-    /// move there, the residents are sorted descending by `(key, item)`.
+    /// Settles bucket `off`: the residents are sorted descending by
+    /// `(key, item)` — a bucket left with none closes first, so a mover may
+    /// take its body — and the entries whose key now maps to a later
+    /// bucket move there.
     fn settle(&mut self, off: usize) {
-        let g = self.base + off as i64;
-        let mut items = std::mem::take(&mut self.buckets[off].items);
+        let g = self.base + off as i32;
+        let mut items = std::mem::take(&mut self.body_mut(off).items);
+        let mut moving = std::mem::take(&mut self.moving);
         items.retain(|&idx| {
             let home = self.bucket_of(self.slab[idx as usize].key);
             debug_assert!(home >= g, "stored bucket above the key's");
             if home != g {
-                self.attach(idx, home);
-                self.relocations += 1;
+                moving.push(idx);
             }
             home == g
         });
@@ -233,8 +338,19 @@ impl<T: Ord + Copy> RankIndex<T> {
         for (pos, &idx) in items.iter().enumerate() {
             slab[idx as usize].pos = pos as u32;
         }
-        self.buckets[off].items = items;
-        self.buckets[off].dirty = false;
+        let body = self.body_mut(off);
+        body.items = items;
+        body.dirty = false;
+        if body.items.is_empty() {
+            self.close(off);
+        }
+        // Later buckets only: `off` stays where it is.
+        for &idx in &moving {
+            self.attach(idx, self.bucket_of(self.slab[idx as usize].key));
+        }
+        self.relocations += moving.len() as u64;
+        moving.clear();
+        self.moving = moving;
     }
 
     /// Re-finds the minimum after it was removed or re-keyed upward. Every
@@ -242,38 +358,40 @@ impl<T: Ord + Copy> RankIndex<T> {
     /// tail is the new minimum; drained front buckets are trimmed.
     fn refind_min(&mut self) {
         self.min_idx = NONE_IDX;
-        while let Some(front) = self.buckets.front() {
-            if front.dirty {
+        while let Some(&front) = self.window.front() {
+            if self.bodies.get(front as usize).is_some_and(|b| b.dirty) {
                 self.settle(0);
             }
-            if let Some(&tail) = self.buckets.front().and_then(|b| b.items.last()) {
+            // An open body is never empty: an empty bucket's is `NO_BODY`.
+            let front = (self.window.front()).and_then(|&b| self.bodies.get(b as usize));
+            if let Some(&tail) = front.and_then(|b| b.items.last()) {
                 self.min_idx = tail;
                 return;
             }
-            self.buckets.pop_front();
+            self.window.pop_front();
             self.base += 1;
         }
     }
 
-    /// Inserts `item`, which must not be present, with `key`; `aux` is an
-    /// opaque caller payload handed back by ordered scans ([`NO_AUX`] when
-    /// unused). Returns the entry's **slab slot** — stable until
-    /// [`Self::remove_slot`] — the address [`Self::rekey_slot`] takes.
+    /// Inserts `item`, which must not be present, with `key` and
+    /// `payload` (handed back by ordered scans). Returns the entry's
+    /// **slab slot** — stable until [`Self::remove_slot`] — the address
+    /// [`Self::rekey_slot`] takes.
     ///
     /// # Panics
     ///
     /// Panics if `key` is NaN.
-    pub fn insert_new(&mut self, item: T, key: f64, aux: u32) -> u32 {
+    pub fn insert_new(&mut self, item: T, key: f64, payload: P) -> u32 {
         assert!(!key.is_nan(), "RankIndex cannot hold a NaN key");
         // Normalize -0.0 so stored keys follow the IEEE order exactly
         // (same as OrdF64 in the tree-based KeyedSet).
         let key = key + 0.0;
+        self.anchor.get_or_insert(raw_bucket(key));
         let g = self.bucket_of(key);
-        self.anchor.get_or_insert(g);
         let entry = Entry {
             item,
             key,
-            aux,
+            payload,
             bucket: g,
             pos: 0,
         };
@@ -283,39 +401,36 @@ impl<T: Ord + Copy> RankIndex<T> {
         idx
     }
 
-    /// Re-keys the entry at `slot`, refreshing `aux`. A key that rises —
-    /// a Cafe touch — is a field store that leaves the entry in its stored
-    /// bucket for the next ordered read to settle.
+    /// Re-keys the entry at `slot`. A key that rises — a Cafe touch — is
+    /// a field store that leaves the entry in its stored bucket for the
+    /// next ordered read to settle.
     ///
     /// # Panics
     ///
-    /// Panics if `key` is NaN, or with `RankIndex slot {slot} is not live`
-    /// if `slot` holds no entry (a slot kept past its entry's removal may
-    /// by then name another item: slots are reused).
-    pub fn rekey_slot(&mut self, slot: u32, key: f64, aux: u32) {
+    /// Panics if `key` is NaN, or as [`Self::remove_slot`] if `slot`
+    /// holds no entry.
+    pub fn rekey_slot(&mut self, slot: u32, key: f64) {
         assert!(!key.is_nan(), "RankIndex cannot hold a NaN key");
-        let live = self.get(slot).is_some();
-        assert!(live, "RankIndex slot {slot} is not live");
+        self.live(slot);
         let key = key + 0.0;
         let e = &mut self.slab[slot as usize];
-        e.aux = aux;
         let old_key = std::mem::replace(&mut e.key, key);
-        let stored = e.bucket;
+        let stored = (e.bucket - self.base) as usize;
         if key > old_key {
             // Bucketing is monotone: the stored bucket is still a lower
             // bound. Only the minimum rising must be acted on at once.
-            self.buckets[(stored - self.base) as usize].dirty = true;
+            self.body_mut(stored).dirty = true;
             if slot == self.min_idx {
                 self.refind_min();
             }
         } else if key < old_key {
             let g = self.bucket_of(key);
-            if g < stored {
+            if g < self.base + stored as i32 {
                 // The one eager move: stored must stay a lower bound.
                 self.detach(slot);
                 self.attach(slot, g);
             } else {
-                self.buckets[(stored - self.base) as usize].dirty = true;
+                self.body_mut(stored).dirty = true;
             }
             // A shrinking key keeps, or takes, the minimum.
             self.challenge_min(slot);
@@ -338,16 +453,16 @@ impl<T: Ord + Copy> RankIndex<T> {
     /// Panics with `RankIndex slot {slot} is not live` if `slot` does not
     /// hold an entry (never inserted, or already removed).
     pub fn remove_slot(&mut self, slot: u32) -> f64 {
-        let live = self.get(slot).is_some();
-        assert!(live, "RankIndex slot {slot} is not live");
+        self.live(slot);
         self.detach(slot);
         let e = &mut self.slab[slot as usize];
         e.pos = NONE_IDX;
         let key = e.key;
         self.free.push(slot);
         if self.is_empty() {
-            // Drained: drop all buckets and re-arm the clamp anchor.
-            self.buckets.clear();
+            // Drained, and every body spare: drop the window and re-arm
+            // the clamp anchor.
+            self.window.clear();
             self.anchor = None;
             self.min_idx = NONE_IDX;
         } else if slot == self.min_idx {
@@ -363,13 +478,14 @@ impl<T: Ord + Copy> RankIndex<T> {
 
     /// Visits the `n` smallest-key items that do not satisfy `exclude`,
     /// in exact ascending `(key, item)` order (fewer if the index runs
-    /// out), as `visit(item, key, aux)`. Buckets are settled as the scan
-    /// enters them; buckets the scan never reaches stay as they are.
+    /// out), as `visit(slot, item, key, payload)`. Buckets are settled as
+    /// the scan enters them; buckets the scan never reaches stay as they
+    /// are.
     pub fn for_smallest_excluding(
         &mut self,
         n: usize,
         exclude: impl Fn(&T) -> bool,
-        mut visit: impl FnMut(T, f64, u32),
+        mut visit: impl FnMut(u32, T, f64, &P),
     ) {
         let Some(min) = self.slab.get(self.min_idx as usize) else {
             return;
@@ -378,20 +494,26 @@ impl<T: Ord + Copy> RankIndex<T> {
         let mut off = (min.bucket - self.base) as usize;
         let mut taken = 0usize;
         // A settle can add buckets at the far end: re-read the length.
-        while taken < n && off < self.buckets.len() {
-            if self.buckets[off].dirty {
+        while taken < n && off < self.window.len() {
+            if self
+                .bodies
+                .get(self.window[off] as usize)
+                .is_some_and(|b| b.dirty)
+            {
                 self.settle(off);
             }
-            // Descending storage read back-to-front = ascending order.
-            for &idx in self.buckets[off].items.iter().rev() {
-                let e = &self.slab[idx as usize];
-                if exclude(&e.item) {
-                    continue;
-                }
-                visit(e.item, e.key, e.aux);
-                taken += 1;
-                if taken == n {
-                    return;
+            if let Some(body) = self.bodies.get(self.window[off] as usize) {
+                // Descending storage read back-to-front = ascending order.
+                for &idx in body.items.iter().rev() {
+                    let e = &self.slab[idx as usize];
+                    if exclude(&e.item) {
+                        continue;
+                    }
+                    visit(idx, e.item, e.key, &e.payload);
+                    taken += 1;
+                    if taken == n {
+                        return;
+                    }
                 }
             }
             off += 1;
@@ -401,7 +523,7 @@ impl<T: Ord + Copy> RankIndex<T> {
     /// Collecting [`Self::for_smallest_excluding`] (tests and cold paths).
     pub fn smallest_excluding(&mut self, n: usize, exclude: impl Fn(&T) -> bool) -> Vec<(T, f64)> {
         let mut out = Vec::new();
-        self.for_smallest_excluding(n, exclude, |item, key, _| out.push((item, key)));
+        self.for_smallest_excluding(n, exclude, |_, item, key, _| out.push((item, key)));
         out
     }
 
@@ -419,18 +541,43 @@ impl<T: Ord + Copy> RankIndex<T> {
         self.relocations
     }
 
+    /// How many buckets hold an entry (each has a body), and how many
+    /// bodies the pool holds — the most that were ever open at once.
+    pub fn bodies(&self) -> (usize, usize) {
+        (self.bodies.len() - self.spare.len(), self.bodies.len())
+    }
+
+    /// Heap bytes the index holds, from its capacities: the slab and its
+    /// free list, the bucket window, and the body pool with its spare list,
+    /// every body's item vector and the settles' mover list.
+    pub fn state_bytes(&self) -> usize {
+        let items: usize = self.bodies.iter().map(|b| b.items.capacity()).sum();
+        let lists = [&self.free, &self.spare, &self.moving].map(Vec::capacity);
+        self.slab.capacity() * size_of::<Entry<T, P>>()
+            + (lists.iter().sum::<usize>() + self.window.capacity() + items) * size_of::<u32>()
+            + self.bodies.capacity() * size_of::<Body>()
+    }
+
     /// Checks every structural invariant (tests): stored ≤ true and exact
     /// back-pointers for every entry, clean buckets hold only residents in
     /// descending `(key, item)` order, the minimum is the true one with
     /// every bucket below it empty, `len` counts the entries in buckets,
-    /// free slots are marked dead.
+    /// free slots are marked dead, every open body is non-empty, every
+    /// spare one empty and no body is named twice.
     ///
     /// # Panics
     ///
     /// Panics on the first violation.
     pub fn audit(&self) {
         let mut live = 0usize;
-        for (g, b) in (self.base..).zip(&self.buckets) {
+        let mut named = vec![0u8; self.bodies.len()];
+        for (g, &body) in (self.base..).zip(&self.window) {
+            if body == NO_BODY {
+                continue;
+            }
+            named[body as usize] += 1;
+            let b = &self.bodies[body as usize];
+            assert!(!b.items.is_empty(), "bucket {g}: open but empty");
             for (pos, &idx) in b.items.iter().enumerate() {
                 let e = &self.slab[idx as usize];
                 assert_eq!((e.bucket, e.pos as usize), (g, pos), "slot {idx}: place");
@@ -446,6 +593,12 @@ impl<T: Ord + Copy> RankIndex<T> {
             assert!(b.dirty || descending, "bucket {g}: clean but out of order");
             live += b.items.len();
         }
+        for &body in &self.spare {
+            named[body as usize] += 1;
+            let b = &self.bodies[body as usize];
+            assert!(b.items.is_empty() && !b.dirty, "spare body {body} in use");
+        }
+        assert!(named.iter().all(|&n| n == 1), "a body named twice, or lost");
         assert_eq!(live, self.len(), "entries in buckets");
         let dead = |&i: &u32| self.slab[i as usize].pos == NONE_IDX;
         assert!(self.free.iter().all(dead), "free slot not marked dead");
@@ -453,7 +606,7 @@ impl<T: Ord + Copy> RankIndex<T> {
         assert!(self.smallest() == min, "cached minimum is not the minimum");
         if let Some(min) = self.slab.get(self.min_idx as usize) {
             let below = (min.bucket - self.base) as usize;
-            let drained = self.buckets.iter().take(below).all(|b| b.items.is_empty());
+            let drained = self.window.iter().take(below).all(|&b| b == NO_BODY);
             assert!(drained, "entries below the minimum's bucket");
         }
     }
@@ -466,12 +619,12 @@ mod tests {
 
     /// The index with an item → slot directory in front, kept the way
     /// Cafe's chunk directory keeps each cached chunk's slot.
-    struct Dir<T: Ord + Copy> {
-        index: RankIndex<T>,
+    struct Dir<T: Ord + Copy, P: Copy = ()> {
+        index: RankIndex<T, P>,
         slots: BTreeMap<T, u32>,
     }
 
-    impl<T: Ord + Copy> Dir<T> {
+    impl<T: Ord + Copy, P: Copy> Dir<T, P> {
         fn new() -> Self {
             Dir {
                 index: RankIndex::new(),
@@ -479,12 +632,16 @@ mod tests {
             }
         }
 
-        /// Inserts `item`, or re-keys it in its slot when present.
-        fn insert(&mut self, item: T, key: f64, aux: u32) {
+        /// Inserts `item`, or re-keys it in its slot and replaces its
+        /// payload when present.
+        fn insert(&mut self, item: T, key: f64, payload: P) {
             match self.slots.get(&item) {
-                Some(&slot) => self.index.rekey_slot(slot, key, aux),
+                Some(&slot) => {
+                    self.index.rekey_slot(slot, key);
+                    *self.index.payload_mut(slot) = payload;
+                }
                 None => {
-                    let slot = self.index.insert_new(item, key, aux);
+                    let slot = self.index.insert_new(item, key, payload);
                     self.slots.insert(item, slot);
                 }
             }
@@ -502,16 +659,16 @@ mod tests {
         }
     }
 
-    impl<T: Ord + Copy> std::ops::Deref for Dir<T> {
-        type Target = RankIndex<T>;
+    impl<T: Ord + Copy, P: Copy> std::ops::Deref for Dir<T, P> {
+        type Target = RankIndex<T, P>;
 
-        fn deref(&self) -> &RankIndex<T> {
+        fn deref(&self) -> &RankIndex<T, P> {
             &self.index
         }
     }
 
-    impl<T: Ord + Copy> std::ops::DerefMut for Dir<T> {
-        fn deref_mut(&mut self) -> &mut RankIndex<T> {
+    impl<T: Ord + Copy, P: Copy> std::ops::DerefMut for Dir<T, P> {
+        fn deref_mut(&mut self) -> &mut RankIndex<T, P> {
             &mut self.index
         }
     }
@@ -519,9 +676,9 @@ mod tests {
     #[test]
     fn insert_lookup_remove() {
         let mut s = Dir::new();
-        s.insert(1u32, 3.0, NO_AUX);
-        s.insert(2, 1.0, NO_AUX);
-        s.insert(3, 2.0, NO_AUX);
+        s.insert(1u32, 3.0, ());
+        s.insert(2, 1.0, ());
+        s.insert(3, 2.0, ());
         assert_eq!(s.len(), 3);
         assert_eq!(s.remove(&3), Some(2.0));
         assert_eq!(s.remove(&3), None);
@@ -531,9 +688,9 @@ mod tests {
     #[test]
     fn ordering_and_pops() {
         let mut s = Dir::new();
-        s.insert("c", 30.0, NO_AUX);
-        s.insert("a", 10.0, NO_AUX);
-        s.insert("b", 20.0, NO_AUX);
+        s.insert("c", 30.0, ());
+        s.insert("a", 10.0, ());
+        s.insert("b", 20.0, ());
         assert_eq!(s.smallest(), Some(("a", 10.0)));
         assert_eq!(s.pop_smallest(), Some(("a", 10.0)));
         assert_eq!(s.pop_smallest(), Some(("b", 20.0)));
@@ -545,25 +702,25 @@ mod tests {
     #[test]
     fn rekeying_moves_items_across_buckets() {
         let mut s = Dir::new();
-        s.insert(1u8, 10.0, NO_AUX);
-        s.insert(2, 20.0, NO_AUX);
+        s.insert(1u8, 10.0, ());
+        s.insert(2, 20.0, ());
         // Far re-key: different bucket in both directions.
-        s.insert(1, 10.0 + 10.0 * BUCKET_WIDTH_MS, NO_AUX);
+        s.insert(1, 10.0 + 10.0 * BUCKET_WIDTH_MS, ());
         assert_eq!(s.len(), 2);
         assert_eq!(s.smallest(), Some((2, 20.0)));
-        s.insert(1, -5.0 * BUCKET_WIDTH_MS, NO_AUX);
+        s.insert(1, -5.0 * BUCKET_WIDTH_MS, ());
         assert_eq!(s.smallest(), Some((1, -5.0 * BUCKET_WIDTH_MS)));
         // Same-bucket down-keying keeps the order exact too.
-        s.insert(2, 19.5, NO_AUX);
+        s.insert(2, 19.5, ());
         assert_eq!(s.entries_ascending()[1], (2, 19.5));
     }
 
     #[test]
     fn equal_keys_disambiguated_by_item() {
         let mut s = Dir::new();
-        s.insert(5u32, 1.0, NO_AUX);
-        s.insert(3, 1.0, NO_AUX);
-        s.insert(4, 1.0, NO_AUX);
+        s.insert(5u32, 1.0, ());
+        s.insert(3, 1.0, ());
+        s.insert(4, 1.0, ());
         let order: Vec<u32> = s.entries_ascending().iter().map(|&(t, _)| t).collect();
         assert_eq!(order, vec![3, 4, 5]);
         assert_eq!(s.pop_smallest(), Some((3, 1.0)));
@@ -574,7 +731,7 @@ mod tests {
     fn smallest_excluding_skips() {
         let mut s = Dir::new();
         for i in 0..6u32 {
-            s.insert(i, i as f64, NO_AUX);
+            s.insert(i, i as f64, ());
         }
         let picked = s.smallest_excluding(3, |t| *t % 2 == 0);
         assert_eq!(
@@ -591,28 +748,31 @@ mod tests {
         s.insert(7u8, 2.0, 42);
         s.insert(8, 1.0, 43);
         let mut seen = Vec::new();
-        s.for_smallest_excluding(10, |_| false, |item, key, aux| seen.push((item, key, aux)));
+        s.for_smallest_excluding(10, |_| false, |_, item, key, p| seen.push((item, key, *p)));
         assert_eq!(seen, vec![(8, 1.0, 43), (7, 2.0, 42)]);
-        // Re-keying refreshes the payload.
-        s.insert(7, 2.0, 99);
+        // A re-key leaves the payload; the caller edits it in place.
+        let slot = s.slots[&7];
+        s.rekey_slot(slot, 3.0);
+        assert_eq!(*s.payload(slot), 42);
+        *s.payload_mut(slot) = 99;
         let mut seen = Vec::new();
-        s.for_smallest_excluding(10, |t| *t == 8, |item, _, aux| seen.push((item, aux)));
-        assert_eq!(seen, vec![(7, 99)]);
+        s.for_smallest_excluding(10, |t| *t == 8, |at, item, _, p| seen.push((at, item, *p)));
+        assert_eq!(seen, vec![(slot, 7, 99)]);
     }
 
     #[test]
     #[should_panic(expected = "NaN")]
     fn nan_keys_rejected() {
-        Dir::new().insert(1u8, f64::NAN, NO_AUX);
+        Dir::new().insert(1u8, f64::NAN, ());
     }
 
     #[test]
     fn negative_zero_normalizes_to_positive_zero() {
         let mut s = Dir::new();
-        s.insert(1u8, -0.0, NO_AUX);
+        s.insert(1u8, -0.0, ());
         let key = s.smallest().expect("present").1;
         assert!(key.is_sign_positive());
-        s.insert(2, 0.0, NO_AUX);
+        s.insert(2, 0.0, ());
         assert_eq!(s.pop_smallest(), Some((1, 0.0)));
         assert_eq!(s.pop_smallest(), Some((2, 0.0)));
     }
@@ -620,12 +780,12 @@ mod tests {
     #[test]
     fn far_flung_keys_clamp_but_stay_ordered() {
         let mut s = Dir::new();
-        s.insert(1u8, 0.0, NO_AUX);
+        s.insert(1u8, 0.0, ());
         // Both far beyond the anchored window: clamped into edge buckets.
-        s.insert(2, 1e300, NO_AUX);
-        s.insert(3, -1e300, NO_AUX);
-        s.insert(4, f64::INFINITY, NO_AUX);
-        s.insert(5, f64::NEG_INFINITY, NO_AUX);
+        s.insert(2, 1e300, ());
+        s.insert(3, -1e300, ());
+        s.insert(4, f64::INFINITY, ());
+        s.insert(5, f64::NEG_INFINITY, ());
         let got: Vec<u8> = s.entries_ascending().iter().map(|&(t, _)| t).collect();
         assert_eq!(got, vec![5, 3, 1, 2, 4]);
         assert_eq!(s.pop_smallest(), Some((5, f64::NEG_INFINITY)));
@@ -635,11 +795,11 @@ mod tests {
     #[test]
     fn drain_and_refill_reanchors() {
         let mut s = Dir::new();
-        s.insert(1u8, 1e9, NO_AUX);
+        s.insert(1u8, 1e9, ());
         assert_eq!(s.pop_smallest(), Some((1, 1e9)));
         assert!(s.is_empty());
         // A fresh anchor far from the first one must work fine.
-        s.insert(2, -1e9, NO_AUX);
+        s.insert(2, -1e9, ());
         assert_eq!(s.smallest(), Some((2, -1e9)));
     }
 
@@ -651,9 +811,12 @@ mod tests {
             .collect();
         // Items 1..8 leave bucket 0 for buckets 1..8; nothing moves yet.
         for (i, &slot) in slots.iter().enumerate().skip(1) {
-            s.rekey_slot(slot, i as f64 * BUCKET_WIDTH_MS, NO_AUX);
+            s.rekey_slot(slot, i as f64 * BUCKET_WIDTH_MS);
         }
-        assert_eq!((s.relocations(), s.buckets.len()), (0, 1));
+        assert_eq!(
+            (s.relocations(), s.window.len(), s.bodies()),
+            (0, 1, (1, 1))
+        );
         assert_eq!(s.smallest(), Some((0, 0.0)));
         s.audit();
         // A scan of two settles bucket 0 (seven move out) and bucket 1.
@@ -663,33 +826,71 @@ mod tests {
         s.audit();
         // The minimum rising is the other ordered read: it settles on the
         // way to the new minimum and trims the drained front.
-        s.rekey_slot(slots[0], 9.0 * BUCKET_WIDTH_MS, NO_AUX);
+        s.rekey_slot(slots[0], 9.0 * BUCKET_WIDTH_MS);
         assert_eq!(s.smallest(), Some((1, BUCKET_WIDTH_MS)));
         assert_eq!((s.base, s.relocations()), (1, 8));
         assert_eq!(s.remove_slot(slots[1]), BUCKET_WIDTH_MS);
         assert_eq!(s.smallest(), Some((2, 2.0 * BUCKET_WIDTH_MS)));
         // A key that falls below its stored bucket moves at once.
-        s.rekey_slot(slots[5], -1.0, 55);
+        s.rekey_slot(slots[5], -1.0);
+        *s.payload_mut(slots[5]) = 55;
         assert_eq!(s.slab[slots[5] as usize].bucket, -1);
         assert_eq!(s.smallest(), Some((5, -1.0)));
         s.audit();
         let mut seen = Vec::new();
-        s.for_smallest_excluding(2, |_| false, |item, _, aux| seen.push((item, aux)));
-        assert_eq!(seen, [(5, 55), (2, NO_AUX)]);
+        s.for_smallest_excluding(2, |_| false, |_, item, _, p| seen.push((item, *p)));
+        assert_eq!(seen, [(5, 55), (2, 2)]);
         let order: Vec<u32> = s.entries_ascending().iter().map(|e| e.0).collect();
         assert_eq!(order, [5, 2, 3, 4, 6, 7, 0]);
     }
 
     #[test]
+    fn an_empty_bucket_costs_a_four_byte_window_slot() {
+        fn slot_bytes<S>(_: &VecDeque<S>) -> usize {
+            size_of::<S>()
+        }
+        let mut s: RankIndex<u32> = RankIndex::new();
+        assert_eq!((slot_bytes(&s.window), size_of::<Body>()), (4, 32));
+        // An entry with Cafe's item and payload (a chunk, and a directory
+        // slot beside an `f64` average) packs into 48 bytes.
+        #[derive(Clone, Copy)]
+        struct Cached {
+            _video: u32,
+            _dt: f64,
+        }
+        assert_eq!(size_of::<Entry<vcdn_types::ChunkId, Cached>>(), 48);
+        // One entry every other bucket across 1,000 buckets: 500 bodies,
+        // and the 500 empty buckets between them are window slots.
+        let slots: Vec<u32> = (0..500u32)
+            .map(|i| s.insert_new(i, f64::from(2 * i) * BUCKET_WIDTH_MS, ()))
+            .collect();
+        assert_eq!((s.window.len(), s.bodies()), (999, (500, 500)));
+        s.audit();
+        for slot in slots {
+            s.remove_slot(slot);
+        }
+        assert_eq!(s.bodies(), (0, 500));
+        s.audit();
+        // Reopening them, from the top down, takes the spare bodies and
+        // the window's room: no new memory.
+        let held = s.state_bytes();
+        for i in (0..500u32).rev() {
+            s.insert_new(i, f64::from(2 * i) * BUCKET_WIDTH_MS, ());
+        }
+        assert_eq!((s.bodies(), s.state_bytes()), ((500, 500), held));
+        s.audit();
+    }
+
+    #[test]
     fn slots_are_reused_and_dead_slots_answer_none() {
         let mut s = RankIndex::new();
-        let a = s.insert_new('a', 1.0, NO_AUX);
-        let b = s.insert_new('b', 2.0, NO_AUX);
+        let a = s.insert_new('a', 1.0, ());
+        let b = s.insert_new('b', 2.0, ());
         assert_eq!(s.get(a), Some(('a', 1.0)));
         assert_eq!(s.remove_slot(a), 1.0);
         assert_eq!((s.get(a), s.get(99), s.len()), (None, None, 1));
         s.audit();
-        assert_eq!(s.insert_new('c', 0.5, NO_AUX), a);
+        assert_eq!(s.insert_new('c', 0.5, ()), a);
         assert_eq!(s.smallest(), Some(('c', 0.5)));
         assert_eq!(s.get(b), Some(('b', 2.0)));
         s.audit();
@@ -699,17 +900,17 @@ mod tests {
     #[should_panic(expected = "RankIndex slot 0 is not live")]
     fn rekeying_a_removed_slot_panics() {
         let mut s = RankIndex::new();
-        let a = s.insert_new(1u8, 1.0, NO_AUX);
-        s.insert_new(2, 2.0, NO_AUX);
+        let a = s.insert_new(1u8, 1.0, ());
+        s.insert_new(2, 2.0, ());
         s.remove_slot(a);
-        s.rekey_slot(a, 3.0, NO_AUX);
+        s.rekey_slot(a, 3.0);
     }
 
     #[test]
     #[should_panic(expected = "RankIndex slot 7 is not live")]
     fn removing_a_slot_never_handed_out_panics() {
         let mut s = RankIndex::new();
-        s.insert_new(1u8, 1.0, NO_AUX);
+        s.insert_new(1u8, 1.0, ());
         s.remove_slot(7);
     }
 
@@ -717,8 +918,8 @@ mod tests {
     #[should_panic(expected = "RankIndex slot 1 is not live")]
     fn removing_a_slot_twice_panics() {
         let mut s = RankIndex::new();
-        s.insert_new(1u8, 1.0, NO_AUX);
-        let b = s.insert_new(2, 2.0, NO_AUX);
+        s.insert_new(1u8, 1.0, ());
+        let b = s.insert_new(2, 2.0, ());
         s.remove_slot(b);
         s.remove_slot(b);
     }
@@ -740,7 +941,7 @@ mod tests {
                     let k = next() % 40;
                     // Spread keys across several buckets, with ties.
                     let key = (next() % 1000) as f64 * 250.0;
-                    s.insert(k, key, NO_AUX);
+                    s.insert(k, key, ());
                     model.insert(k, key);
                 }
                 2 => {

@@ -6,16 +6,19 @@
 //! directory is keyed by *video*: one hash probe ([`VideoDir::slot`]) finds
 //! the video's **slot**, and every chunk of the request is then a dense
 //! read of the video's run, indexed by chunk number. A run holds one record
-//! `R` per chunk from its **base** — the lowest chunk ever written to it —
-//! to the highest, [`Absent::NONE`] in its gaps and outside it; it grows to
+//! `R` per chunk from its **base** — the lowest chunk written to it since
+//! it was last trimmed — to the highest, [`Absent::NONE`] in its gaps and
+//! outside it; it grows to
 //! cover each chunk written, never below chunk 0 or past
-//! [`MAX_CHUNK_INDEX`], and never shrinks while the entry lives. So one
-//! request for the last chunk of a fresh video costs one record.
+//! [`MAX_CHUNK_INDEX`], and shrinks only when its owner trims it
+//! ([`Video::trim`]). So one request for the last chunk of a fresh video
+//! costs one record.
 //! Beside the run, an entry carries the owner's count of live records and
 //! one owner-defined per-video value, [`Absent::NONE`] in a fresh entry.
 //!
 //! A run grows by `Vec`'s doubling ([`Video::span_mut`]), or exactly, with
-//! a fixed slack, when the owner reserves first ([`Video::reserve_tight`]).
+//! a fixed slack, when the owner reserves first ([`Video::reserve_tight`]);
+//! a trim gives back what lies past that slack.
 //!
 //! Slots are free-listed, never compacted: a slot stays valid until the
 //! owner [`VideoDir::release`]s it, which it does only once the video
@@ -24,6 +27,7 @@
 //! ([`VideoDir::retain`], [`VideoDir::iter`]) go over the slab in slot
 //! order; the video → slot probe is a lookup-only [`FastMap`].
 
+use std::mem::size_of;
 use std::ops::{Index, IndexMut};
 
 use vcdn_types::{ChunkId, FastMap, VideoId};
@@ -67,6 +71,11 @@ impl Absent for () {
 /// The base of a free-listed entry: real bases are chunk indices, below
 /// [`MAX_CHUNK_INDEX`].
 const FREE_BASE: u32 = u32::MAX;
+
+/// The records a growing run reserves beyond its new length `len`.
+fn slack(len: usize) -> usize {
+    (len / 8).max(4)
+}
 
 /// One video's directory entry.
 #[derive(Debug, Clone)]
@@ -141,12 +150,33 @@ impl<R: Absent, V: Absent> Video<R, V> {
     pub fn reserve_tight(&mut self, first: u32, last: u32) {
         let (_, len) = self.covering(first, last);
         if len > self.run.capacity() {
-            let slack = if self.run.is_empty() {
-                0
-            } else {
-                (len / 8).max(4)
-            };
+            let slack = if self.run.is_empty() { 0 } else { slack(len) };
             self.run.reserve_exact(len + slack - self.run.len());
+        }
+    }
+
+    /// Drops the absent records at both ends of the run, moving its base
+    /// up past those at the low end, then gives back any capacity beyond
+    /// the run's length plus the slack [`Self::reserve_tight`] grows by
+    /// (all of it, once the run is empty).
+    pub fn trim(&mut self) {
+        let Some(first) = self.run.iter().position(|r| *r != R::NONE) else {
+            self.run = Vec::new();
+            return;
+        };
+        let end = self
+            .run
+            .iter()
+            .rposition(|r| *r != R::NONE)
+            .map_or(0, |last| last + 1);
+        self.run.truncate(end);
+        if first > 0 {
+            self.run.drain(..first);
+            self.base += first as u32;
+        }
+        let keep = self.run.len() + slack(self.run.len());
+        if self.run.capacity() > keep {
+            self.run.shrink_to(keep);
         }
     }
 
@@ -271,6 +301,16 @@ impl<R: Absent, V: Absent> VideoDir<R, V> {
     /// Every `(slot, entry)` with a video, in slot order.
     pub fn iter(&self) -> impl Iterator<Item = (u32, &Video<R, V>)> + '_ {
         (0u32..).zip(&self.videos).filter(|(_, v)| v.used())
+    }
+
+    /// Heap bytes the directory holds, from capacities: every entry's run,
+    /// the entries and their free list, and the video → slot map.
+    pub fn state_bytes(&self) -> usize {
+        let runs: usize = self.videos.iter().map(|v| v.run.capacity()).sum();
+        runs * size_of::<R>()
+            + self.videos.capacity() * size_of::<Video<R, V>>()
+            + self.free.capacity() * size_of::<u32>()
+            + self.slots.heap_bytes()
     }
 
     /// Checks the directory's invariants (tests): every slot maps back to

@@ -391,6 +391,53 @@ mod tests {
     }
 
     #[test]
+    fn cafe_round_trip_keeps_every_kind_of_chunk() {
+        let c = |v: u64, i: u32| ChunkId::new(VideoId(v), i);
+        let mut snap = CafeCache::new(CafeConfig::new(8, k100(), CostModel::balanced())).snapshot();
+        // v1#0 cached with an average, v1#1 cached and seen once, v1#2
+        // cached with no record (swept before the snapshot), v2#0 tracked
+        // and not cached, v2#1 seen once and not cached, v3 seen with no
+        // chunk record left.
+        snap.iat = vec![
+            (c(1, 0), Some(40.0), Timestamp(900)),
+            (c(1, 1), None, Timestamp(950)),
+            (c(2, 0), Some(15.5), Timestamp(990)),
+            (c(2, 1), None, Timestamp(700)),
+        ];
+        snap.video_seen = vec![
+            (VideoId(1), Timestamp(950)),
+            (VideoId(2), Timestamp(990)),
+            (VideoId(3), Timestamp(400)),
+        ];
+        snap.disk = vec![(c(1, 2), 100.0), (c(1, 1), 850.0), (c(1, 0), 870.0)];
+        snap.handled = 77;
+        snap.replay_start = Some(Timestamp(1));
+        let mut original = CafeCache::restore(&snap).expect("restores");
+        original.audit();
+        assert_eq!(original.snapshot(), snap);
+        // The restored cache moves averages between records and entries
+        // as it serves; every snapshot along the way round-trips, and the
+        // copy decides as the original does.
+        let requests = [
+            req(1, 0, 299, 1_000),
+            req(2, 0, 199, 1_010),
+            req(1, 100, 299, 1_020),
+            req(4, 0, 599, 1_030),
+            req(2, 0, 199, 1_040),
+            req(1, 0, 99, 1_050),
+        ];
+        for r in &requests {
+            let snap = original.snapshot();
+            let mut copy = CafeCache::restore(&snap).expect("restores");
+            copy.audit();
+            assert_eq!(copy.snapshot(), snap, "before {r}");
+            assert_eq!(copy.handle_request(r), original.handle_request(r), "{r}");
+            assert_eq!(copy.snapshot(), original.snapshot(), "after {r}");
+            original.audit();
+        }
+    }
+
+    #[test]
     fn snapshots_roundtrip_through_json() {
         let (prefix, _) = workload();
         let config = CafeConfig::new(8, k100(), CostModel::from_alpha(2.0).unwrap());

@@ -21,7 +21,7 @@
 
 use std::collections::BTreeMap;
 
-use vcdn_core::ds::{KeyedSet, RankIndex, BUCKET_WIDTH_MS, NO_AUX};
+use vcdn_core::ds::{KeyedSet, RankIndex, BUCKET_WIDTH_MS};
 use vcdn_trace::rng::DetRng;
 
 #[derive(Debug, Clone)]
@@ -69,9 +69,9 @@ impl Slotted {
     /// oracle's `insert` is an upsert too).
     fn insert(&mut self, item: u16, key: f64) {
         match self.slots.get(&item) {
-            Some(&slot) => self.index.rekey_slot(slot, key, NO_AUX),
+            Some(&slot) => self.index.rekey_slot(slot, key),
             None => {
-                let slot = self.index.insert_new(item, key, NO_AUX);
+                let slot = self.index.insert_new(item, key, ());
                 self.slots.insert(item, slot);
             }
         }
@@ -370,4 +370,89 @@ fn lazy_rekeys_settle_in_exact_order() {
          entries, the minimum re-keyed upward and scans across three buckets or more: \
          {relocated} / {eager} / {stale} / {raised} / {wide}"
     );
+}
+
+/// Memory: a bucket's body goes back to the pool when the bucket empties
+/// and the next bucket to open takes it, so however many buckets the
+/// window sweeps across, the pool never holds more bodies than the most
+/// buckets that were non-empty at once (read after every operation). A
+/// Cafe-shaped run: the clock crosses thousands of buckets, new items
+/// arrive at the present, some present items are touched (their keys
+/// rise, lazily), and eviction scans remove the oldest, settling the
+/// buckets they read.
+#[test]
+fn body_pool_stays_within_the_busiest_moment() {
+    for case in 0..8u64 {
+        let mut rng = DetRng::new(0x00B0_D1E5 ^ case);
+        let mut index: RankIndex<u32> = RankIndex::new();
+        let mut oracle: KeyedSet<u32> = KeyedSet::new();
+        let mut slots: BTreeMap<u32, u32> = BTreeMap::new();
+        let (mut t, mut next, mut opened) = (0.0f64, 0u32, 0usize);
+        let mut peak = 0usize;
+        // After each operation: the busiest moment so far, and the pool.
+        let mut note = |index: &RankIndex<u32>, at: &str| {
+            let (open, pool) = index.bodies();
+            peak = peak.max(open);
+            assert!(
+                pool <= peak,
+                "{at}: {pool} bodies, at most {peak} buckets held entries"
+            );
+            peak
+        };
+        for step in 0..6_000 {
+            let at = format!("case {case} step {step}");
+            // Up to three buckets of trace time a step.
+            t += rng.below(3 * BUCKET_WIDTH_MS as u64) as f64;
+            for _ in 0..rng.below(4) {
+                let before = index.bodies().0;
+                let key = t - rng.below(4 * BUCKET_WIDTH_MS as u64) as f64;
+                slots.insert(next, index.insert_new(next, key, ()));
+                oracle.insert(next, key);
+                next += 1;
+                opened += index.bodies().0 - before;
+                note(&index, &at);
+            }
+            for _ in 0..rng.below(3) {
+                // A touch: a present item's key rises to near the present.
+                let item = rng.below(u64::from(next.max(1))) as u32;
+                if let Some(&slot) = slots.get(&item) {
+                    let key = t - rng.below(BUCKET_WIDTH_MS as u64) as f64;
+                    let key = key.max(index.get(slot).map_or(key, |e| e.1));
+                    index.rekey_slot(slot, key);
+                    oracle.insert(item, key);
+                    note(&index, &at);
+                }
+            }
+            // Eviction keeps the index near 64 items.
+            let over = slots.len().saturating_sub(64);
+            let victims = index.smallest_excluding(over, |_| false);
+            note(&index, &at);
+            assert_eq!(victims, oracle.smallest_excluding(over, |_| false), "{at}");
+            for (item, _) in victims {
+                let slot = slots.remove(&item).expect("present");
+                index.remove_slot(slot);
+                oracle.remove(&item);
+                note(&index, &at);
+            }
+            if rng.below(64) == 0 {
+                // Now and then the whole index drains.
+                while let Some((item, _)) = index.smallest() {
+                    index.remove_slot(slots.remove(&item).expect("present"));
+                    oracle.remove(&item);
+                    note(&index, &at);
+                }
+            }
+            assert_eq!(index.smallest(), oracle.smallest(), "{at}");
+            if step % 256 == 0 {
+                index.audit();
+            }
+        }
+        index.audit();
+        let peak = note(&index, "end");
+        let moved = index.relocations();
+        assert!(
+            opened > 2_000 && peak < 200 && moved > 0,
+            "case {case}: {opened} buckets opened, at most {peak} at once, {moved} settled moves"
+        );
+    }
 }

@@ -50,7 +50,7 @@
 //! |---------|-------:|--------------:|----------------------:|------------------:|----------------:|-------------:|
 //! | lru     |    721 |           474 |                   238 |                 8 |               1 |            0 |
 //! | xlru    |    520 |           340 |                   167 |                12 |               1 |            0 |
-//! | cafe    |    723 |            57 |                   219 |               444 |           1 + 2 |            0 |
+//! | cafe    |    484 |            57 |                   219 |               205 |           1 + 2 |            0 |
 //! | psychic |     26 |            25 |                     0 |                 0 |               1 |            0 |
 //! | lfu     |  1,227 |           465 |                     0 |               761 |               1 |            0 |
 //! | lru2    |  3,264 |           465 |                     0 |             2,798 |               1 |            0 |
@@ -58,15 +58,21 @@
 //!
 //! - `VideoDir` run growth: a run starts at the lowest chunk it holds and
 //!   grows to cover each chunk written — LRU's and xLRU's runs of node
-//!   handles by `Vec`'s doubling, Cafe's 24-byte popularity records
+//!   handles by `Vec`'s doubling, Cafe's 16-byte popularity records
 //!   exactly, plus `max(len / 8, 4)` records when a run grows, so Cafe
 //!   pays more, smaller reallocations for less slack.
 //! - Slab / map growth: slab and free-list pushes under `LruList`,
 //!   `VideoDir` and `RankIndex`, and `FastMap` resizes (LRU 8, xLRU 12, of
-//!   which 2 and 2 are map resizes). Cafe's 444 are 439 `RankIndex` bucket
-//!   vectors growing as entries attach and settle into fresh buckets (one
-//!   of them the bucket deque), 2 slab pushes, 2 free-list pushes and 1
-//!   map resize. Cafe's popularity records keep no slab of their own. LFU's and GDSP's
+//!   which 2 and 2 are map resizes). Cafe's 205 are 193 `RankIndex` body
+//!   vectors growing as entries attach (96) and settle (97) into a bucket
+//!   that holds more than its body ever did, 3 spare-list and 2 free-list
+//!   pushes, 3 for the settles' mover list, 1 for the bucket window, 1
+//!   rank-slab and 1 directory-slab push, and 1 map resize. A bucket that
+//!   opens takes a spare body, capacity and all, and a bucket that
+//!   empties gives its body back, so opening one allocates only when every
+//!   body is in use; before the pool every new bucket was a fresh
+//!   vector and these were 444, 439 of them bucket vectors. Cafe's
+//!   popularity records keep no slab of their own. LFU's and GDSP's
 //!   are `KeyedSet` (a `BTreeSet`) node allocations, one or more per
 //!   insert; LRU-2 adds 1,919 per-chunk `Vec<Timestamp>` histories (one per filled chunk).
 //! - Driver: the Replayer's hourly report grid doubling once. Scratch:
@@ -80,7 +86,8 @@
 //!   export, so all of its allocations fall in the steady half.
 //! - The 16-shard engine at one worker: xLRU 1,202 = 463 evicted lists +
 //!   194 run growth + 82 slab / map + 463 engine and observer; Cafe
-//!   1,400 = 67 + 219 + 633 + 18 scratch + 463; Psychic 489 = 26 + 463.
+//!   1,137 = 67 + 219 + 370 + 18 scratch + 463 (its slab / map column was
+//!   633 before the body pool); Psychic 489 = 26 + 463.
 //!   Of the 463, the open windows' histograms grow (440). `report()`
 //!   clones no windows: they are merged once, by `engine_bundle`, which
 //!   the golden does not call. Two workers add the spawned thread: 4
@@ -99,12 +106,14 @@
 //! own (18 here, where doubling the streams took 91).
 //!
 //! Open findings for ROADMAP item 3, recorded here and not fixed:
-//! - Run growth is 33 % of LRU's steady half, 32 % of xLRU's and 30 % of
+//! - Run growth is 33 % of LRU's steady half, 32 % of xLRU's and 45 % of
 //!   Cafe's: every chunk past either end of a video's run resizes it, and
 //!   Cafe's tight reserve (an eighth of slack) resizes more often than
 //!   doubling would.
-//! - Cafe's rank buckets allocate afresh as time opens new buckets (60.7 %
-//!   of its steady half), and the §3 baselines' `KeyedSet` allocates on
+//! - Cafe's bucket bodies are reused, but a spare body still grows when
+//!   its new bucket holds more entries than it ever held (193 of the
+//!   steady half's 484, 39.9 %; the fresh bucket vectors were 60.7 % of
+//!   723 before the pool), and the §3 baselines' `KeyedSet` allocates on
 //!   inserts: neither is the slab growth the design expects.
 //!
 //! Under `--features vcdn-types/std-hash` the counts are the same: no row
@@ -247,18 +256,18 @@ impl Row {
 const GOLDEN: &[Golden] = &[
     ("replay lru", 0, 1024, 311004, 721, 172720, 474),
     ("replay xlru", 0, 835, 314792, 520, 166080, 340),
-    ("replay cafe", 0, 1525, 1249180, 723, 620112, 57),
+    ("replay cafe", 0, 1295, 776524, 484, 367008, 57),
     ("replay psychic", 15, 31, 13664, 26, 7712, 25),
     ("replay lfu", 0, 2032, 909720, 1227, 268792, 465),
     ("replay lru2", 0, 6018, 1224616, 3264, 366792, 465),
     ("replay gdsp", 0, 1963, 896152, 1173, 258656, 436),
     ("telemetry xlru", 0, 1395, 1397651, 776, 559420, 340),
-    ("telemetry cafe", 0, 2086, 2332053, 980, 1013466, 57),
+    ("telemetry cafe", 0, 1856, 1859397, 741, 760362, 57),
     ("telemetry psychic", 15, 592, 1096611, 283, 401089, 25),
     ("engine xlru w1", 1394, 2545, 1396924, 1202, 699428, 463),
     ("engine xlru w2", 1394, 2553, 1397292, 1206, 699612, 463),
-    ("engine cafe w1", 1394, 3332, 7665520, 1400, 3943712, 67),
-    ("engine cafe w2", 1394, 3340, 7665888, 1404, 3943896, 67),
+    ("engine cafe w1", 1394, 2865, 2481104, 1137, 1230544, 67),
+    ("engine cafe w2", 1394, 2873, 2481472, 1141, 1230728, 67),
     ("engine psychic w1", 1600, 1005, 1066208, 489, 544352, 26),
     ("engine psychic w2", 1600, 1013, 1066576, 493, 544536, 26),
 ];

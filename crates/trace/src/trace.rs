@@ -105,6 +105,21 @@ impl Trace {
         self.requests.is_empty()
     }
 
+    /// Refuses a trace with no requests — what a generator profile scaled
+    /// or cut so short that no session starts produces: every replay of it
+    /// would print a table of zeros. Each command that generates a trace
+    /// calls this before it writes any file, table or bundle, and turns
+    /// the `Err` into its one error line.
+    pub fn require_requests(&self) -> Result<(), String> {
+        if self.is_empty() {
+            return Err(format!(
+                "the generated trace holds no requests ({}, {}): raise the scale or the days",
+                self.meta.description, self.meta.duration
+            ));
+        }
+        Ok(())
+    }
+
     /// Total requested bytes across all requests.
     pub fn total_requested_bytes(&self) -> u64 {
         self.requests.iter().map(|r| r.byte_len()).sum()

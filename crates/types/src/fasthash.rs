@@ -232,6 +232,22 @@ impl<K: Eq + Hash, V> FastMap<K, V> {
         self.0.is_empty()
     }
 
+    /// Heap bytes of the map's table, from its capacity as the std
+    /// SwissTable lays it out: a power-of-two count of buckets with room
+    /// for 7/8 as many entries (one fewer below 8 buckets), one entry and
+    /// one control byte a bucket. It reads the bucket count because
+    /// `capacity()` itself drops by the tombstones removals leave, and by
+    /// how many depends on where the hasher put the keys.
+    pub fn heap_bytes(&self) -> usize {
+        let room = self.0.capacity();
+        let buckets = match room {
+            0 => 0,
+            1..8 => (room + 1).next_power_of_two(),
+            _ => (room * 8 / 7).next_power_of_two(),
+        };
+        buckets * (std::mem::size_of::<(K, V)>() + 1)
+    }
+
     /// The value under `key`.
     #[inline]
     pub fn get(&self, key: &K) -> Option<&V> {

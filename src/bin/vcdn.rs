@@ -167,6 +167,7 @@ fn cmd_gen(args: &Args) -> Result<(), String> {
     let seed: u64 = args.parse_flag("seed", 42)?;
     let out = PathBuf::from(args.required("out")?);
     let trace = TraceGenerator::new(profile.scaled(scale), seed).generate(DurationMs(duration));
+    trace.require_requests()?;
     if is_binary(&out) {
         save_binary(&trace, &out).map_err(|e| e.to_string())?;
     } else {

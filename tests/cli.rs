@@ -255,6 +255,26 @@ fn traces_without_requests_are_refused() {
         std::fs::remove_file(path).ok();
     }
     std::fs::remove_file(&full).ok();
+    // A generated trace with no requests (no session starts at this
+    // scale) is refused before the file is written, in either format.
+    for name in ["unwritten.jsonl", "unwritten.vctb"] {
+        let out = temp_trace(name);
+        let o = out.to_str().expect("utf-8 path");
+        let tiny = [
+            "gen",
+            "--profile",
+            "europe",
+            "--scale",
+            "1e-9",
+            "--days",
+            "1",
+        ];
+        refused(
+            &[&tiny[..], &["--out", o]].concat(),
+            "the generated trace holds no requests",
+        );
+        assert!(!out.exists(), "{name} was written");
+    }
 }
 
 #[test]
