@@ -68,7 +68,8 @@ pub fn trace_for(profile: ServerProfile, scale: Scale, days: u64) -> Trace {
 }
 
 /// Ends a `figures` or `obs` command as a bad command line does (exit 2)
-/// if `trace`, just generated, holds no requests
+/// if `trace`, just generated or cut from a generated one, holds no
+/// requests
 /// ([`Trace::require_requests`]), with its one `error:` line on stderr —
 /// before the command prints a table or writes a bundle.
 fn refuse_empty(trace: Trace) -> Trace {
@@ -81,7 +82,8 @@ fn refuse_empty(trace: Trace) -> Trace {
 
 /// §9.1's limited-scale trace for the LP experiments: two days of
 /// `profile` at `profile_scale`, down-sampled to `files` files uniformly
-/// from the hit-count-sorted list (20 MB size cap), first `max_requests`.
+/// from the hit-count-sorted list (20 MB size cap), first `max_requests`;
+/// ends the command, as [`trace_for`] does, if that leaves no requests.
 pub fn reduced_two_day_trace(
     profile: ServerProfile,
     profile_scale: f64,
@@ -95,7 +97,7 @@ pub fn reduced_two_day_trace(
     };
     let mut t = downsample(&full, &cfg);
     t.requests.truncate(max_requests);
-    t
+    refuse_empty(t)
 }
 
 /// The evaluation's reference setup (Figs. 3–5 and most ablations): the

@@ -74,7 +74,6 @@ fn replay_bundles_of_every_policy_and_shape_read_back() {
             "windows disabled",
             TelemetryConfig::new().with_window(DurationMs::ZERO),
         ),
-        ("top-K disabled", TelemetryConfig::new().with_topk(0)),
     ];
     for algo in [Algo::Lru, Algo::Xlru, Algo::Cafe, Algo::Psychic] {
         for (shape, telemetry) in &shapes {

@@ -61,6 +61,8 @@ fn bad_command_lines_exit_2_with_empty_stdout() {
         // A scale at which no session starts: an empty trace, refused
         // with one `error:` line before any table.
         vec!["fig4_alpha_sweep", "--scale", "1e-9", "--days", "1"],
+        // No requests kept after the cut: once a table of zero-cost rows.
+        vec!["ablation_lp_forms", "--requests", "0"],
     ];
     // Every figure closes its flag set before it starts working.
     cases.extend(FIGURES.iter().map(|(n, _)| vec![*n, "--no-such-flag"]));

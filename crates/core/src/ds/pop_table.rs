@@ -524,7 +524,7 @@ impl PopTable {
                     let dt = dt_of(r.backref());
                     assert_eq!(r.timed(), dt >= 0.0, "{at}: interval bit, dt {dt}");
                     assert!(
-                        r.t_last != FREE_STAMP || dt == NO_INTERVAL,
+                        r.t_last != FREE_STAMP || dt.to_bits() == NO_INTERVAL.to_bits(),
                         "{at}: untracked, {dt}"
                     );
                 } else {

@@ -58,7 +58,7 @@ pub mod lru;
 pub mod optimal;
 pub mod policy;
 pub mod psychic;
-pub mod snapshot;
+mod snapshot;
 pub mod xlru;
 
 pub use baselines::RankedCache;
@@ -67,6 +67,7 @@ pub use lru::LruCache;
 pub use optimal::{lp_bound_paper, lp_bound_reduced, OptimalBound};
 pub use policy::{CacheConfig, CachePolicy};
 pub use psychic::{PsychicCache, PsychicConfig};
+#[doc(hidden)]
 pub use snapshot::{CafeSnapshot, SnapshotError, XlruSnapshot};
 pub use vcdn_obs::{DecisionDetail, PolicyObs};
 pub use xlru::XlruCache;

@@ -1,12 +1,12 @@
-//! Warm-restart snapshots for the online caches.
+//! Whole-state captures of the online caches, for the lockstep oracle.
 //!
-//! A production cache server restarts for upgrades without losing a
-//! terabyte of hot disk state; what it must persist is the *index* — which
-//! chunks are on disk and the popularity bookkeeping that admission
-//! decisions need. These snapshot types capture exactly that state for
-//! [`XlruCache`] and [`CafeCache`] in a JSON-friendly shape, with the
-//! invariant that a restored cache makes byte-for-byte identical decisions
-//! from that point on.
+//! [`XlruCache::snapshot`] and [`CafeCache::snapshot`] copy out the state
+//! a cache decides from — which chunks are on disk and the popularity
+//! bookkeeping behind admission — and `restore` rebuilds a cache that
+//! makes byte-for-byte identical decisions from that point on. The
+//! oracle swaps a cache for its own restored snapshot mid-replay, and
+//! edits snapshots to reach states plain replay cannot; `restore` refuses
+//! any edit the cache's structures cannot represent.
 //!
 //! ```
 //! use vcdn_core::{CachePolicy, CafeCache, CafeConfig};
@@ -22,79 +22,37 @@
 //! assert_eq!(restored.disk_used_chunks(), cache.disk_used_chunks());
 //! ```
 
-use vcdn_types::{impl_json_struct, ChunkId, ChunkSize, CostModel, Timestamp, VideoId};
+use vcdn_types::{ChunkId, Timestamp, VideoId};
 
 use crate::{
-    cafe::{CafeCache, CafeConfig, WindowPolicy},
+    cafe::{CafeCache, CafeConfig},
     ds::{pop_table::FREE_STAMP, MAX_CHUNK_INDEX},
     policy::CacheConfig,
     xlru::XlruCache,
 };
 
-/// Serialisable form of a [`CacheConfig`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct CacheConfigSnapshot {
-    /// Disk capacity in chunks.
-    pub disk_chunks: u64,
-    /// Chunk size in bytes.
-    pub chunk_bytes: u64,
-    /// `α_F2R`.
-    pub alpha: f64,
-}
-
-impl_json_struct!(CacheConfigSnapshot {
-    disk_chunks,
-    chunk_bytes,
-    alpha,
-});
-
-impl CacheConfigSnapshot {
-    pub(crate) fn capture(c: &CacheConfig) -> Self {
-        CacheConfigSnapshot {
-            disk_chunks: c.disk_chunks,
-            chunk_bytes: c.chunk_size.bytes(),
-            alpha: c.costs.alpha(),
-        }
-    }
-
-    pub(crate) fn rebuild(&self) -> Result<CacheConfig, SnapshotError> {
-        let chunk_size =
-            ChunkSize::new(self.chunk_bytes).map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        let costs =
-            CostModel::from_alpha(self.alpha).map_err(|e| SnapshotError::Invalid(e.to_string()))?;
-        if self.disk_chunks == 0 {
-            return Err(SnapshotError::Invalid("zero disk".into()));
-        }
-        Ok(CacheConfig::new(self.disk_chunks, chunk_size, costs))
-    }
-}
-
-/// Errors restoring a snapshot.
+/// Why a snapshot was refused: its state is inconsistent (e.g. more
+/// chunks than capacity, unordered recency lists).
 #[derive(Debug, Clone, PartialEq)]
 pub enum SnapshotError {
-    /// A configuration field is invalid.
-    Invalid(String),
-    /// Snapshot internal state is inconsistent (e.g. more chunks than
-    /// capacity, unordered recency lists).
+    /// What is inconsistent.
     Inconsistent(String),
 }
 
 impl std::fmt::Display for SnapshotError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            SnapshotError::Invalid(s) => write!(f, "invalid snapshot config: {s}"),
-            SnapshotError::Inconsistent(s) => write!(f, "inconsistent snapshot: {s}"),
-        }
+        let SnapshotError::Inconsistent(s) = self;
+        write!(f, "inconsistent snapshot: {s}")
     }
 }
 
 impl std::error::Error for SnapshotError {}
 
-/// Full persisted state of an [`XlruCache`].
+/// Full state of an [`XlruCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct XlruSnapshot {
     /// Configuration.
-    pub config: CacheConfigSnapshot,
+    pub config: CacheConfig,
     /// Disk chunks oldest-first with last access times.
     pub disk: Vec<(ChunkId, Timestamp)>,
     /// Popularity tracker entries oldest-first.
@@ -103,24 +61,11 @@ pub struct XlruSnapshot {
     pub handled: u64,
 }
 
-impl_json_struct!(XlruSnapshot {
-    config,
-    disk,
-    tracker,
-    handled,
-});
-
-/// Full persisted state of a [`CafeCache`].
+/// Full state of a [`CafeCache`].
 #[derive(Debug, Clone, PartialEq)]
 pub struct CafeSnapshot {
     /// Configuration.
-    pub config: CacheConfigSnapshot,
-    /// EWMA γ.
-    pub gamma: f64,
-    /// Fixed look-ahead window in ms, or `None` for cache-age.
-    pub fixed_window_ms: Option<u64>,
-    /// Unseen-chunk estimate toggle.
-    pub unseen_chunk_estimate: bool,
+    pub config: CafeConfig,
     /// Popularity state: `(chunk, dt_ms, t_last)`; `dt_ms = None` until a
     /// second access.
     pub iat: Vec<(ChunkId, Option<f64>, Timestamp)>,
@@ -132,37 +77,6 @@ pub struct CafeSnapshot {
     pub handled: u64,
     /// Replay start time, if any requests were seen.
     pub replay_start: Option<Timestamp>,
-}
-
-impl_json_struct!(CafeSnapshot {
-    config,
-    gamma,
-    fixed_window_ms,
-    unseen_chunk_estimate,
-    iat,
-    video_seen,
-    disk,
-    handled,
-    replay_start,
-});
-
-impl CafeSnapshot {
-    /// Rebuilds the [`CafeConfig`] embedded in the snapshot.
-    pub fn rebuild_config(&self) -> Result<CafeConfig, SnapshotError> {
-        if !(self.gamma > 0.0 && self.gamma <= 1.0) {
-            return Err(SnapshotError::Invalid(format!("gamma {}", self.gamma)));
-        }
-        let window = match self.fixed_window_ms {
-            Some(ms) => WindowPolicy::Fixed(vcdn_types::DurationMs(ms)),
-            None => WindowPolicy::CacheAge,
-        };
-        Ok(CafeConfig {
-            cache: self.config.rebuild()?,
-            gamma: self.gamma,
-            window,
-            unseen_chunk_estimate: self.unseen_chunk_estimate,
-        })
-    }
 }
 
 fn inconsistent<T>(what: String) -> Result<T, SnapshotError> {
@@ -181,9 +95,10 @@ fn duplicate<K: Ord + Copy>(keys: impl Iterator<Item = K>) -> Option<K> {
 
 impl XlruCache {
     /// Captures the cache's full state.
+    #[doc(hidden)]
     pub fn snapshot(&self) -> XlruSnapshot {
         XlruSnapshot {
-            config: CacheConfigSnapshot::capture(self.config_ref()),
+            config: *self.config_ref(),
             disk: self.disk_oldest_first(),
             tracker: self.tracker_oldest_first(),
             handled: self.handled_count(),
@@ -192,24 +107,20 @@ impl XlruCache {
 
     /// Rebuilds a cache from a snapshot; subsequent decisions are
     /// identical to the original's.
+    #[doc(hidden)]
     pub fn restore(snap: &XlruSnapshot) -> Result<XlruCache, SnapshotError> {
-        let config = snap.config.rebuild()?;
-        if snap.disk.len() as u64 > config.disk_chunks {
-            return Err(SnapshotError::Inconsistent(format!(
-                "{} chunks exceed capacity {}",
-                snap.disk.len(),
-                config.disk_chunks
-            )));
+        let capacity = snap.config.disk_chunks;
+        if snap.disk.len() as u64 > capacity {
+            return inconsistent(format!(
+                "{} chunks exceed capacity {capacity}",
+                snap.disk.len()
+            ));
         }
         if !snap.disk.is_sorted_by_key(|e| e.1) {
-            return Err(SnapshotError::Inconsistent(
-                "disk entries not oldest-first".into(),
-            ));
+            return inconsistent("disk entries not oldest-first".into());
         }
         if !snap.tracker.is_sorted_by_key(|e| e.1) {
-            return Err(SnapshotError::Inconsistent(
-                "tracker entries not oldest-first".into(),
-            ));
+            return inconsistent("tracker entries not oldest-first".into());
         }
         // What the per-video chunk directory cannot represent (and a hash
         // map would silently fold into a move-to-head): two entries for
@@ -224,7 +135,7 @@ impl XlruCache {
             return inconsistent(format!("{v}: two tracker entries"));
         }
         Ok(XlruCache::from_parts(
-            config,
+            snap.config,
             &snap.disk,
             &snap.tracker,
             snap.handled,
@@ -234,16 +145,10 @@ impl XlruCache {
 
 impl CafeCache {
     /// Captures the cache's full state.
+    #[doc(hidden)]
     pub fn snapshot(&self) -> CafeSnapshot {
-        let cfg = self.config();
         CafeSnapshot {
-            config: CacheConfigSnapshot::capture(&cfg.cache),
-            gamma: cfg.gamma,
-            fixed_window_ms: match cfg.window {
-                WindowPolicy::CacheAge => None,
-                WindowPolicy::Fixed(d) => Some(d.as_millis()),
-            },
-            unseen_chunk_estimate: cfg.unseen_chunk_estimate,
+            config: *self.config(),
             iat: self.iat_entries(),
             video_seen: self.video_seen_entries(),
             disk: self.disk_entries(),
@@ -254,17 +159,17 @@ impl CafeCache {
 
     /// Rebuilds a cache from a snapshot; subsequent decisions are
     /// identical to the original's.
+    #[doc(hidden)]
     pub fn restore(snap: &CafeSnapshot) -> Result<CafeCache, SnapshotError> {
-        let config = snap.rebuild_config()?;
-        if snap.disk.len() as u64 > config.cache.disk_chunks {
-            return Err(SnapshotError::Inconsistent(format!(
-                "{} chunks exceed capacity {}",
-                snap.disk.len(),
-                config.cache.disk_chunks
-            )));
+        let capacity = snap.config.cache.disk_chunks;
+        if snap.disk.len() as u64 > capacity {
+            return inconsistent(format!(
+                "{} chunks exceed capacity {capacity}",
+                snap.disk.len()
+            ));
         }
         if snap.disk.iter().any(|(_, key)| key.is_nan()) {
-            return Err(SnapshotError::Inconsistent("NaN disk key".into()));
+            return inconsistent("NaN disk key".into());
         }
         // What the per-video chunk directory cannot represent: a stamp
         // that reads as a free slot, an EWMA that reads as "no interval
@@ -300,7 +205,7 @@ impl CafeCache {
             return inconsistent(format!("{v}: two video entries"));
         }
         Ok(CafeCache::from_parts(
-            config,
+            snap.config,
             &snap.iat,
             &snap.video_seen,
             &snap.disk,
@@ -314,7 +219,7 @@ impl CafeCache {
 mod tests {
     use super::*;
     use crate::policy::CachePolicy;
-    use vcdn_types::{ByteRange, Request};
+    use vcdn_types::{ByteRange, ChunkSize, CostModel, Request};
 
     fn req(video: u64, start: u64, end: u64, t: u64) -> Request {
         Request::new(
@@ -438,32 +343,10 @@ mod tests {
     }
 
     #[test]
-    fn snapshots_roundtrip_through_json() {
-        let (prefix, _) = workload();
-        let config = CafeConfig::new(8, k100(), CostModel::from_alpha(2.0).unwrap());
-        let mut cache = CafeCache::new(config);
-        for r in &prefix {
-            cache.handle_request(r);
-        }
-        let snap = cache.snapshot();
-        let json = vcdn_types::json::to_string(&snap);
-        let back: CafeSnapshot = vcdn_types::json::from_str(&json).expect("parses");
-        assert_eq!(back, snap);
-        let restored = CafeCache::restore(&back).expect("restores");
-        assert_eq!(restored.disk_used_chunks(), cache.disk_used_chunks());
-    }
-
-    #[test]
     fn corrupt_snapshots_rejected() {
         let config = CafeConfig::new(2, k100(), CostModel::balanced());
         let mut cache = CafeCache::new(config);
         cache.handle_request(&req(1, 0, 99, 1));
-        let mut snap = cache.snapshot();
-        snap.gamma = 0.0;
-        assert!(CafeCache::restore(&snap).is_err());
-        let mut snap = cache.snapshot();
-        snap.config.disk_chunks = 0;
-        assert!(CafeCache::restore(&snap).is_err());
         let mut snap = cache.snapshot();
         snap.disk.push((ChunkId::new(VideoId(9), 0), f64::NAN));
         assert!(CafeCache::restore(&snap).is_err());

@@ -10,8 +10,6 @@
 //! [`crate::Tally`], and [`HistogramSnapshot`] is the exported (plain
 //! integer) form the registry merges them into.
 
-use vcdn_types::impl_json_struct;
-
 /// Number of buckets: one for zero plus one per value bit.
 pub const BUCKETS: usize = 65;
 
@@ -75,12 +73,6 @@ pub struct HistogramSnapshot {
     /// Per-bucket sample counts.
     pub buckets: Vec<u64>,
 }
-
-impl_json_struct!(HistogramSnapshot {
-    count,
-    sum,
-    buckets,
-});
 
 impl HistogramSnapshot {
     /// Bins one value directly into the snapshot, allocating the fixed

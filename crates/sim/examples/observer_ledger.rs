@@ -13,7 +13,7 @@ use vcdn_obs::topk::SpaceSaving;
 use vcdn_obs::window::{WindowFold, WindowInput, WindowRing};
 use vcdn_obs::{detect, DecisionDetail, DecisionEvent, EventRing, MetricsRegistry};
 use vcdn_obs::{PolicyObs, ReplaySampler, Verdict, WindowRecord, RULES};
-use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver, WINDOW_RETAIN};
+use vcdn_sim::observe::{TelemetryConfig, TelemetryObserver, TOPK_K, WINDOW_RETAIN};
 use vcdn_sim::{DecisionCtx, ReplayConfig, ReplayObserver, Replayer};
 use vcdn_trace::{ServerProfile, TraceGenerator};
 use vcdn_types::{ChunkId, ChunkSize, CostModel, Decision, DurationMs};
@@ -96,7 +96,7 @@ fn main() {
         })
     });
     row("SpaceSaving (k = 8)", &mut || {
-        timed(SpaceSaving::new(cfg.topk_k), |sketch| {
+        timed(SpaceSaving::new(TOPK_K), |sketch| {
             (steps.iter()).for_each(|(r, _)| sketch.record(ChunkId::new(r.video, 0).packed()))
         })
     });

@@ -90,7 +90,7 @@ use vcdn_types::{
     fasthash, ChunkId, ChunkSize, CostModel, Decision, Request, TrafficCounter, VideoId,
 };
 
-use crate::observe::{TelemetryConfig, WINDOW_RETAIN};
+use crate::observe::{TelemetryConfig, TOPK_K, WINDOW_RETAIN};
 use crate::replay::{DecisionCtx, Kernel, ReplayObserver, StreamTraffic, STEADY_AFTER};
 
 /// The shard that owns every chunk of `video`: fasthash over the packed
@@ -379,7 +379,7 @@ impl ShardObserver {
                 last_plus1: 0,
                 dispatched: 0,
                 chunk_bytes,
-                topk: SpaceSaving::new(sizes.topk_k),
+                topk: SpaceSaving::new(TOPK_K),
                 window: WindowRing::new(sizes.window.as_millis(), WINDOW_RETAIN),
             })
             .collect()

@@ -45,6 +45,11 @@ use crate::runner::{Cell, CellResult};
 /// which judges the exported windows only, never sees them.
 pub const WINDOW_RETAIN: usize = 768;
 
+/// Slots in each Space-Saving heavy-hitter sketch over a video stream —
+/// the Replayer's one and each engine shard's — and the bundle's
+/// `topk_k`.
+pub const TOPK_K: usize = 8;
+
 /// Telemetry collection knobs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct TelemetryConfig {
@@ -53,23 +58,18 @@ pub struct TelemetryConfig {
     /// Decision events retained (the [`EventRing`] capacity); older events
     /// are displaced and counted as dropped.
     pub event_capacity: usize,
-    /// Slots in the Space-Saving heavy-hitter sketch over the replay's
-    /// video stream (0 disables the sketch and the bundle's topk lines).
-    pub topk_k: usize,
     /// Trace-time width of one health window ([`vcdn_obs::window`]);
     /// [`DurationMs::ZERO`] disables the window plane and the watchdog.
     pub window: DurationMs,
 }
 
 impl TelemetryConfig {
-    /// Hourly samples, 4096 retained events, an 8-slot heavy-hitter
-    /// sketch and hourly health windows (the last [`WINDOW_RETAIN`]
-    /// retained).
+    /// Hourly samples, 4096 retained events and hourly health windows
+    /// (the last [`WINDOW_RETAIN`] retained).
     pub fn new() -> TelemetryConfig {
         TelemetryConfig {
             sample_interval: DurationMs::HOUR,
             event_capacity: 4096,
-            topk_k: 8,
             window: DurationMs::HOUR,
         }
     }
@@ -89,12 +89,6 @@ impl TelemetryConfig {
     pub fn with_event_capacity(mut self, capacity: usize) -> Self {
         assert!(capacity > 0, "event capacity must be > 0");
         self.event_capacity = capacity;
-        self
-    }
-
-    /// Overrides the heavy-hitter sketch capacity (0 disables).
-    pub fn with_topk(mut self, k: usize) -> Self {
-        self.topk_k = k;
         self
     }
 
@@ -155,7 +149,7 @@ pub struct TelemetryObserver {
     registry: Arc<MetricsRegistry>,
     policy: PolicyObs,
     ring: EventRing,
-    topk: Option<SpaceSaving>,
+    topk: SpaceSaving,
     windows: WindowRing,
     health: Option<Health>,
     sampler: ReplaySampler,
@@ -217,7 +211,7 @@ impl TelemetryObserver {
             policy: PolicyObs::attach(Arc::clone(&registry) as _, scope),
             registry,
             ring: EventRing::new(telemetry.event_capacity),
-            topk: (telemetry.topk_k > 0).then(|| SpaceSaving::new(telemetry.topk_k)),
+            topk: SpaceSaving::new(TOPK_K),
             // Nothing reads the ring's own closed windows: its consumers
             // take them as they close.
             windows: WindowRing::new(width, 1),
@@ -256,9 +250,9 @@ impl TelemetryObserver {
             // The unsharded replayer is one request stream.
             bundle.set_windows(&h.closed, self.costs, h.dropped, 1);
         }
-        if let Some(sketch) = &self.topk {
-            bundle.topk.extend(TopKRecord::ranked(0, &sketch.entries()));
-        }
+        bundle
+            .topk
+            .extend(TopKRecord::ranked(0, &self.topk.entries()));
         bundle.events_dropped = self.ring.dropped();
         bundle.events = self.ring.iter_oldest_first().cloned().collect();
         bundle.series = self.sampler.finish();
@@ -270,9 +264,8 @@ impl ReplayObserver for TelemetryObserver {
     fn on_decision(&mut self, ctx: &DecisionCtx<'_>) {
         self.policy
             .record_decision(ctx.decision, ctx.occupancy_chunks);
-        if let Some(sketch) = self.topk.as_mut() {
-            sketch.record(ChunkId::new(ctx.request.video, 0).packed());
-        }
+        self.topk
+            .record(ChunkId::new(ctx.request.video, 0).packed());
         let verdict = match ctx.decision {
             Decision::Serve(o) => Verdict::Serve {
                 hit_chunks: o.hit_chunks,
@@ -339,7 +332,7 @@ pub fn replay_with_telemetry(
         Json::Int(telemetry.sample_interval.as_millis() as i128),
     );
     observer.meta_entry("window_ms", Json::Int(telemetry.window.as_millis() as i128));
-    observer.meta_entry("topk_k", Json::Int(telemetry.topk_k as i128));
+    observer.meta_entry("topk_k", Json::Int(TOPK_K as i128));
     observer.meta_entry("trace", Json::Str(trace.meta.name.clone()));
     observer.meta_entry("requests", Json::Int(trace.len() as i128));
     let report = replayer.replay_observed(trace, policy, &mut observer);
@@ -507,11 +500,6 @@ mod tests {
                 );
             }
         }
-        // Disabling the sketch removes the lines and the meta points at 0.
-        let off = TelemetryConfig::new().with_topk(0);
-        let mut cache = XlruCache::new(CacheConfig::new(64, ChunkSize::DEFAULT, costs));
-        let (_, bundle_off) = replay_with_telemetry(&replayer(costs), &t, &mut cache, &off);
-        assert!(bundle_off.topk.is_empty());
     }
 
     #[test]

@@ -11,8 +11,6 @@
 
 use std::fmt;
 
-use crate::impl_json_struct;
-
 /// Errors constructing a [`CostModel`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub enum CostError {
@@ -58,8 +56,6 @@ pub struct CostModel {
     c_f: f64,
     c_r: f64,
 }
-
-impl_json_struct!(CostModel { alpha, c_f, c_r });
 
 impl CostModel {
     /// Builds the model from the fill-to-redirect ratio `α_F2R`.

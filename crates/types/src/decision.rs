@@ -2,11 +2,7 @@
 
 use std::fmt;
 
-use crate::{
-    ids::ChunkId,
-    impl_json_struct,
-    json::{FromJson, Json, JsonError, ToJson},
-};
+use crate::ids::ChunkId;
 
 /// Chunk-level accounting of a served request.
 ///
@@ -31,12 +27,6 @@ impl ServeOutcome {
     }
 }
 
-impl_json_struct!(ServeOutcome {
-    hit_chunks,
-    filled_chunks,
-    evicted,
-});
-
 /// The decision a cache makes for one request (paper, Problem 1):
 /// serve it (cache-filling any missing chunks) or redirect it.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -45,29 +35,6 @@ pub enum Decision {
     Serve(ServeOutcome),
     /// Redirect the request (HTTP 302) to an alternative server.
     Redirect,
-}
-
-// Externally tagged, matching the JSON shape the workspace has always
-// written: `{"Serve": {...}}` or `"Redirect"`.
-impl ToJson for Decision {
-    fn to_json(&self) -> Json {
-        match self {
-            Decision::Serve(o) => Json::Obj(vec![("Serve".to_string(), o.to_json())]),
-            Decision::Redirect => Json::Str("Redirect".to_string()),
-        }
-    }
-}
-
-impl FromJson for Decision {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Str(s) if s == "Redirect" => Ok(Decision::Redirect),
-            Json::Obj(fields) if fields.len() == 1 && fields[0].0 == "Serve" => {
-                Ok(Decision::Serve(ServeOutcome::from_json(&fields[0].1)?))
-            }
-            other => Err(JsonError::type_mismatch("Decision variant", other)),
-        }
-    }
 }
 
 impl Decision {

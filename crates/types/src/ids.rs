@@ -2,7 +2,7 @@
 
 use std::fmt;
 
-use crate::{impl_json_newtype, impl_json_struct};
+use crate::impl_json_newtype;
 
 /// Opaque identifier of a video file in the CDN catalog.
 ///
@@ -42,8 +42,6 @@ pub struct ChunkId {
     /// Zero-based chunk number within the video.
     pub index: u32,
 }
-
-impl_json_struct!(ChunkId { video, index });
 
 impl ChunkId {
     /// Bits of the packed representation holding the chunk index; the

@@ -1,18 +1,18 @@
 //! A small, dependency-free JSON layer.
 //!
-//! The workspace persists traces, snapshots and reports as JSON but must
-//! build in fully offline environments, so instead of an external
-//! serialisation crate this module implements the subset of JSON the
-//! workspace needs: a DOM value ([`Json`]), a strict recursive-descent
-//! parser, a writer that round-trips `u64`/`f64` exactly, and the
-//! [`ToJson`]/[`FromJson`] traits the domain types implement (usually via
+//! The workspace writes three JSON formats — JSONL traces, telemetry
+//! bundles and the benchmark's result lines — but must build in fully
+//! offline environments, so instead of an external serialisation crate
+//! this module implements the subset of JSON those formats need: a DOM
+//! value ([`Json`]), a strict recursive-descent parser, a writer that
+//! round-trips `u64`/`f64` exactly, and the [`ToJson`]/[`FromJson`]
+//! traits the trace types implement (via
 //! [`impl_json_struct!`](crate::impl_json_struct) /
 //! [`impl_json_newtype!`](crate::impl_json_newtype)).
 //!
 //! Wire compatibility: structs serialise as objects keyed by field name,
-//! newtypes as their inner value, tuples as fixed-length arrays, and
-//! `Option` as `null`-or-value — the same shape the workspace's files have
-//! always used.
+//! newtypes as their inner value, and `Option` as `null`-or-value — the
+//! same shape the workspace's files have always used.
 //!
 //! # Examples
 //!
@@ -24,7 +24,6 @@
 //! assert_eq!(json::parse(&v.to_string()).unwrap(), v);
 //! ```
 
-use std::collections::BTreeMap;
 use std::fmt::{self, Write as _};
 use std::io::Write;
 
@@ -622,7 +621,7 @@ macro_rules! impl_json_int {
     )*};
 }
 
-impl_json_int!(u8, u16, u32, u64, usize, i8, i16, i32, i64, isize);
+impl_json_int!(u32, u64);
 
 impl ToJson for f64 {
     fn to_json(&self) -> Json {
@@ -640,21 +639,6 @@ impl FromJson for f64 {
     }
 }
 
-impl ToJson for bool {
-    fn to_json(&self) -> Json {
-        Json::Bool(*self)
-    }
-}
-
-impl FromJson for bool {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Bool(b) => Ok(*b),
-            other => Err(JsonError::type_mismatch("bool", other)),
-        }
-    }
-}
-
 impl ToJson for String {
     fn to_json(&self) -> Json {
         Json::Str(self.clone())
@@ -667,12 +651,6 @@ impl FromJson for String {
             Json::Str(s) => Ok(s.clone()),
             other => Err(JsonError::type_mismatch("string", other)),
         }
-    }
-}
-
-impl ToJson for str {
-    fn to_json(&self) -> Json {
-        Json::Str(self.to_string())
     }
 }
 
@@ -706,64 +684,6 @@ impl<T: FromJson> FromJson for Vec<T> {
             Json::Arr(items) => items.iter().map(T::from_json).collect(),
             other => Err(JsonError::type_mismatch("array", other)),
         }
-    }
-}
-
-impl<T: ToJson> ToJson for [T] {
-    fn to_json(&self) -> Json {
-        Json::Arr(self.iter().map(ToJson::to_json).collect())
-    }
-}
-
-impl<K: ToJson, V: ToJson> ToJson for BTreeMap<K, V> {
-    fn to_json(&self) -> Json {
-        Json::Arr(
-            self.iter()
-                .map(|(k, v)| Json::Arr(vec![k.to_json(), v.to_json()]))
-                .collect(),
-        )
-    }
-}
-
-impl<A: ToJson, B: ToJson> ToJson for (A, B) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson> FromJson for (A, B) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Arr(items) if items.len() == 2 => {
-                Ok((A::from_json(&items[0])?, B::from_json(&items[1])?))
-            }
-            other => Err(JsonError::type_mismatch("2-element array", other)),
-        }
-    }
-}
-
-impl<A: ToJson, B: ToJson, C: ToJson> ToJson for (A, B, C) {
-    fn to_json(&self) -> Json {
-        Json::Arr(vec![self.0.to_json(), self.1.to_json(), self.2.to_json()])
-    }
-}
-
-impl<A: FromJson, B: FromJson, C: FromJson> FromJson for (A, B, C) {
-    fn from_json(v: &Json) -> Result<Self, JsonError> {
-        match v {
-            Json::Arr(items) if items.len() == 3 => Ok((
-                A::from_json(&items[0])?,
-                B::from_json(&items[1])?,
-                C::from_json(&items[2])?,
-            )),
-            other => Err(JsonError::type_mismatch("3-element array", other)),
-        }
-    }
-}
-
-impl<T: ToJson + ?Sized> ToJson for &T {
-    fn to_json(&self) -> Json {
-        (**self).to_json()
     }
 }
 
@@ -858,9 +778,9 @@ mod tests {
 
     #[test]
     fn containers_roundtrip() {
-        let v: Vec<(u64, Option<f64>)> = vec![(1, Some(0.5)), (2, None)];
+        let v: Vec<Option<f64>> = vec![Some(0.5), None];
         let s = to_string(&v);
-        assert_eq!(from_str::<Vec<(u64, Option<f64>)>>(&s).unwrap(), v);
+        assert_eq!(from_str::<Vec<Option<f64>>>(&s).unwrap(), v);
     }
 
     #[test]

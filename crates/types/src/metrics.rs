@@ -17,7 +17,7 @@
 use std::fmt;
 use std::ops::{Add, AddAssign};
 
-use crate::{cost::CostModel, decision::Decision, impl_json_struct};
+use crate::{cost::CostModel, decision::Decision};
 
 /// Accumulated request/traffic counters for a replay (or a window of one).
 ///
@@ -48,14 +48,6 @@ pub struct TrafficCounter {
     /// Requests redirected.
     pub redirected_requests: u64,
 }
-
-impl_json_struct!(TrafficCounter {
-    hit_bytes,
-    fill_bytes,
-    redirect_bytes,
-    served_requests,
-    redirected_requests,
-});
 
 impl TrafficCounter {
     /// Records `bytes` served from cache.

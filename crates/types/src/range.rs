@@ -6,7 +6,7 @@
 
 use std::fmt;
 
-use crate::{impl_json_newtype, impl_json_struct};
+use crate::impl_json_struct;
 
 /// Errors constructing ranges or chunk sizes.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -48,8 +48,6 @@ impl std::error::Error for RangeError {}
 /// ```
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub struct ChunkSize(u64);
-
-impl_json_newtype!(ChunkSize);
 
 impl ChunkSize {
     /// The paper's default chunk size of 2 MB.
@@ -182,8 +180,6 @@ pub struct ChunkRange {
     /// Last chunk index (inclusive).
     pub end: u32,
 }
-
-impl_json_struct!(ChunkRange { start, end });
 
 impl ChunkRange {
     /// Creates an inclusive chunk range; fails if `start > end`.

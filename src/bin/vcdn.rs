@@ -11,14 +11,12 @@
 //! dependency set minimal); every subcommand validates its inputs and
 //! exits with a readable error.
 
-use std::fmt::Display;
 use std::path::PathBuf;
 use std::process::ExitCode;
 
-use vcdn::cache::snapshot::CacheConfigSnapshot;
 use vcdn::cache::{
-    lp_bound_reduced, CacheConfig, CachePolicy, CafeCache, CafeConfig, CafeSnapshot, LruCache,
-    PsychicCache, PsychicConfig, RankedCache, XlruCache, XlruSnapshot,
+    lp_bound_reduced, CacheConfig, CachePolicy, CafeCache, CafeConfig, LruCache, PsychicCache,
+    PsychicConfig, RankedCache, XlruCache,
 };
 use vcdn::sim::report::{bytes, eff, Table};
 use vcdn::sim::{ReplayConfig, Replayer};
@@ -51,8 +49,6 @@ COMMANDS:
               --alpha <f>      fill-to-redirect ratio (default 1.0)
               --disk-chunks <n> | --disk-gb <f>  disk size (required)
               --chunk-mb <n>   chunk size in MiB (default 2)
-              --load-state <path> warm-start from a snapshot (cafe/xlru)
-              --save-state <path> write the cache's snapshot after replay
     bound   LP-relaxed Optimal efficiency upper bound (limited scale)
               --trace <path>   input JSONL file (required)
               --alpha <f>      (default 1.0)
@@ -206,27 +202,6 @@ fn cmd_stats(args: &Args) -> Result<(), String> {
     Ok(())
 }
 
-/// A snapshot restores the cache it was saved from, while the replayer is
-/// built from the flags: the two must describe the same cache.
-fn flags_match_snapshot(saved: &CacheConfigSnapshot, flags: &CacheConfig) -> Result<(), String> {
-    let refuse = |field, saved: &dyn Display, flag: &dyn Display| {
-        Err(format!(
-            "--load-state: snapshot {field} is {saved} but the flags give {flag}"
-        ))
-    };
-    let chunk_bytes = flags.chunk_size.bytes();
-    let alpha = flags.costs.alpha();
-    if saved.disk_chunks != flags.disk_chunks {
-        refuse("disk_chunks", &saved.disk_chunks, &flags.disk_chunks)
-    } else if saved.chunk_bytes != chunk_bytes {
-        refuse("chunk_bytes", &saved.chunk_bytes, &chunk_bytes)
-    } else if saved.alpha.to_bits() != alpha.to_bits() {
-        refuse("alpha", &saved.alpha, &alpha)
-    } else {
-        Ok(())
-    }
-}
-
 fn cmd_replay(args: &Args) -> Result<(), String> {
     let trace = load_trace(args)?;
     let k = chunk_size(args, 2)?;
@@ -262,77 +237,19 @@ fn cmd_replay(args: &Args) -> Result<(), String> {
     })?;
     let algo = args.parse_flag("algo", "cafe".to_owned())?;
     let cache_cfg = CacheConfig::new(disk_chunks, k, costs);
-    let load_state = args.get("load-state").map(PathBuf::from);
-    let save_state = args.get("save-state").map(PathBuf::from);
-    if (load_state.is_some() || save_state.is_some()) && !matches!(algo.as_str(), "cafe" | "xlru") {
-        return Err("--load-state/--save-state support cafe and xlru only".into());
-    }
-    let replayer = Replayer::new(ReplayConfig::new(k, costs));
-    let report = match algo.as_str() {
-        "cafe" => {
-            let mut cache = match &load_state {
-                Some(p) => {
-                    let json =
-                        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap: CafeSnapshot = vcdn::types::json::from_str(&json)
-                        .map_err(|e| format!("parse snapshot: {e}"))?;
-                    flags_match_snapshot(&snap.config, &cache_cfg)?;
-                    CafeCache::restore(&snap).map_err(|e| e.to_string())?
-                }
-                None => CafeCache::new(CafeConfig::new(disk_chunks, k, costs)),
-            };
-            let report = replayer.replay(&trace, &mut cache);
-            if let Some(p) = &save_state {
-                let json = vcdn::types::json::to_string(&cache.snapshot());
-                std::fs::write(p, json).map_err(|e| format!("{}: {e}", p.display()))?;
-            }
-            report
-        }
-        "xlru" => {
-            let mut cache = match &load_state {
-                Some(p) => {
-                    let json =
-                        std::fs::read_to_string(p).map_err(|e| format!("{}: {e}", p.display()))?;
-                    let snap: XlruSnapshot = vcdn::types::json::from_str(&json)
-                        .map_err(|e| format!("parse snapshot: {e}"))?;
-                    flags_match_snapshot(&snap.config, &cache_cfg)?;
-                    // xLRU's recency lists only move forward in time.
-                    let newest = snap.disk.last().map(|e| e.1);
-                    let newest = newest.max(snap.tracker.last().map(|e| e.1));
-                    if let (Some(newest), Some(first)) = (newest, trace.requests.first()) {
-                        if first.t < newest {
-                            return Err(format!(
-                                "--load-state: the trace starts at {} ms, before the \
-                                 snapshot's newest stamp at {} ms",
-                                first.t.0, newest.0
-                            ));
-                        }
-                    }
-                    XlruCache::restore(&snap).map_err(|e| e.to_string())?
-                }
-                None => XlruCache::new(cache_cfg),
-            };
-            let report = replayer.replay(&trace, &mut cache);
-            if let Some(p) = &save_state {
-                let json = vcdn::types::json::to_string(&cache.snapshot());
-                std::fs::write(p, json).map_err(|e| format!("{}: {e}", p.display()))?;
-            }
-            report
-        }
-        other => {
-            let mut policy: Box<dyn CachePolicy> = match other {
-                "lru" => Box::new(LruCache::new(cache_cfg)),
-                "lfu" => Box::new(RankedCache::lfu(cache_cfg)),
-                "lru2" => Box::new(RankedCache::lru2(cache_cfg)),
-                "psychic" => Box::new(PsychicCache::new(
-                    PsychicConfig::new(disk_chunks, k, costs),
-                    &trace.requests,
-                )),
-                unknown => return Err(format!("unknown algorithm '{unknown}'")),
-            };
-            replayer.replay(&trace, policy.as_mut())
-        }
+    let mut policy: Box<dyn CachePolicy> = match algo.as_str() {
+        "lru" => Box::new(LruCache::new(cache_cfg)),
+        "lfu" => Box::new(RankedCache::lfu(cache_cfg)),
+        "lru2" => Box::new(RankedCache::lru2(cache_cfg)),
+        "xlru" => Box::new(XlruCache::new(cache_cfg)),
+        "cafe" => Box::new(CafeCache::new(CafeConfig::new(disk_chunks, k, costs))),
+        "psychic" => Box::new(PsychicCache::new(
+            PsychicConfig::new(disk_chunks, k, costs),
+            &trace.requests,
+        )),
+        unknown => return Err(format!("unknown algorithm '{unknown}'")),
     };
+    let report = Replayer::new(ReplayConfig::new(k, costs)).replay(&trace, policy.as_mut());
     let mut t = Table::new(vec!["metric", "overall", "steady state"]);
     t.row(vec![
         "efficiency (Eq. 2)".into(),
@@ -419,8 +336,6 @@ const COMMANDS: [(&str, &[&str], Command); 4] = [
             "disk-chunks",
             "disk-gb",
             "chunk-mb",
-            "load-state",
-            "save-state",
         ],
         cmd_replay,
     ),

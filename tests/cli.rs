@@ -195,6 +195,9 @@ fn unknown_repeated_and_conflicting_flags_are_refused() {
     let p = path.to_str().expect("utf-8 path");
     vcdn(&["gen", "--days", "1", "--out", p]);
     let replay = format!("replay --trace {p} --algo xlru --disk-chunks 64");
+    let state_path = temp_trace("flags-state.json");
+    std::fs::remove_file(&state_path).ok();
+    let state = state_path.to_str().expect("utf-8 path");
     for (line, what) in [
         (format!("{replay} --alhpa 2"), "unknown flag --alhpa"),
         (
@@ -229,6 +232,16 @@ fn unknown_repeated_and_conflicting_flags_are_refused() {
     ] {
         refused(&line.split(' ').collect::<Vec<_>>(), what);
     }
+    // Replay always starts from a cold cache: no state file in or out.
+    for verb in ["load", "save"] {
+        let flag = format!("--{verb}-state");
+        let line = format!("{replay} {flag} {state}");
+        refused(
+            &line.split(' ').collect::<Vec<_>>(),
+            &format!("unknown flag {flag}"),
+        );
+    }
+    assert!(!state_path.exists(), "a state file was written");
     std::fs::remove_file(&path).ok();
 }
 
@@ -336,102 +349,4 @@ fn binary_trace_format_roundtrips_through_cli() {
     ]);
     assert!(out.status.success(), "replay vctb: {}", stderr(&out));
     std::fs::remove_file(&path).ok();
-}
-
-#[test]
-fn snapshot_save_and_load_through_cli() {
-    let trace_path = temp_trace("snapshot-trace.jsonl");
-    let state_path = temp_trace("cafe-state.json");
-    let tp = trace_path.to_str().expect("utf-8");
-    let sp = state_path.to_str().expect("utf-8");
-    vcdn(&["gen", "--days", "1", "--seed", "3", "--out", tp]);
-    // Replay saving state...
-    let out = vcdn(&[
-        "replay",
-        "--trace",
-        tp,
-        "--algo",
-        "cafe",
-        "--alpha",
-        "2",
-        "--disk-chunks",
-        "64",
-        "--save-state",
-        sp,
-    ]);
-    assert!(out.status.success(), "save-state: {}", stderr(&out));
-    assert!(state_path.exists());
-    // ...then warm-start from it.
-    let out = vcdn(&[
-        "replay",
-        "--trace",
-        tp,
-        "--algo",
-        "cafe",
-        "--alpha",
-        "2",
-        "--disk-chunks",
-        "64",
-        "--load-state",
-        sp,
-    ]);
-    assert!(out.status.success(), "load-state: {}", stderr(&out));
-    // Unsupported algorithms refuse the flags.
-    let out = vcdn(&[
-        "replay",
-        "--trace",
-        tp,
-        "--algo",
-        "lru",
-        "--disk-chunks",
-        "8",
-        "--save-state",
-        sp,
-    ]);
-    assert!(!out.status.success());
-    assert!(stderr(&out).contains("cafe and xlru only"));
-    std::fs::remove_file(&trace_path).ok();
-    std::fs::remove_file(&state_path).ok();
-}
-
-#[test]
-fn load_state_refuses_flags_the_snapshot_disagrees_with() {
-    let trace_path = temp_trace("mismatch-trace.jsonl");
-    let tp = trace_path.to_str().expect("utf-8");
-    vcdn(&["gen", "--days", "1", "--seed", "3", "--out", tp]);
-    for algo in ["cafe", "xlru"] {
-        let state_path = temp_trace(&format!("{algo}-mismatch-state.json"));
-        let sp = state_path.to_str().expect("utf-8");
-        let replay = ["replay", "--trace", tp, "--algo", algo];
-        let saved = ["--alpha", "2", "--disk-chunks", "64", "--save-state", sp];
-        let out = vcdn(&[&replay[..], &saved].concat());
-        assert!(out.status.success(), "{algo} save-state: {}", stderr(&out));
-        for (flags, what) in [
-            (
-                ["--alpha", "1", "--chunk-mb", "2", "--disk-chunks", "64"],
-                "alpha is 2 but the flags give 1",
-            ),
-            (
-                ["--alpha", "2", "--chunk-mb", "4", "--disk-chunks", "64"],
-                "chunk_bytes is 2097152 but the flags give 4194304",
-            ),
-            (
-                ["--alpha", "2", "--chunk-mb", "2", "--disk-chunks", "8"],
-                "disk_chunks is 64 but the flags give 8",
-            ),
-        ] {
-            refused(&[&replay[..], &flags, &["--load-state", sp]].concat(), what);
-        }
-        // The same trace again starts before the cache's newest stamp:
-        // Cafe takes it, xLRU's recency lists cannot go back in time.
-        let again = [&replay[..], &saved[..4], &["--load-state", sp]].concat();
-        if algo == "cafe" {
-            let out = vcdn(&again);
-            assert!(out.status.success(), "{}", stderr(&out));
-        } else {
-            refused(&again, "before the snapshot's newest stamp");
-        }
-        std::fs::remove_file(&state_path).ok();
-    }
-    std::fs::remove_file(&trace_path).ok();
 }
